@@ -14,7 +14,7 @@ use mpr_backtest::ks::{ks_two_sample, KsResult};
 use mpr_backtest::mqo::{mqo_replay, mqo_supported, ExtraFlows};
 use mpr_backtest::replay::{replay_candidates, BacktestSetup, CandidateRun, ReplayOutcome};
 use mpr_ndlog::{Program, Tuple};
-use mpr_runtime::{Options as EngineOptions, TupleKind};
+use mpr_runtime::{Durability, Options as EngineOptions, TupleKind};
 use mpr_sdn::controller::{NdlogController, TupleCodec};
 use mpr_sdn::flowtable::{Action, FlowEntry, Match};
 use mpr_sdn::sim::Simulation;
@@ -215,7 +215,7 @@ impl Debugger {
         let (candidates, stats) = match &self.scenario.symptom {
             Symptom::Missing(pattern) => generate_missing(&world, pattern),
             Symptom::Existing(tuple) => {
-                let records = derivations_from_world(&world, tuple);
+                let records = derivations_from_world(&world, tuple, &self.engine_options);
                 generate_existing(&world, tuple, &records)
             }
         };
@@ -380,12 +380,16 @@ fn manual_flow_entry(codec: &TupleCodec, t: &Tuple) -> Option<(i64, FlowEntry)> 
 
 /// Reconstruct derivation records for an existing tuple from a fresh run
 /// of the world (positive symptoms).
-fn derivations_from_world(world: &World, culprit: &Tuple) -> Vec<DerivationRecord> {
+fn derivations_from_world(
+    world: &World,
+    culprit: &Tuple,
+    engine_options: &EngineOptions,
+) -> Vec<DerivationRecord> {
     // Re-run the program over triggers + state with full provenance and
-    // collect the derivations of the culprit.
-    let mut program = world.program.clone();
-    let _ = &mut program;
-    let Ok(mut engine) = mpr_runtime::Engine::new(&world.program) else {
+    // collect the derivations of the culprit. A scratch run: same engine
+    // options as the observation, but never journaled.
+    let opts = EngineOptions { durability: Durability::Mem, ..engine_options.clone() };
+    let Ok(mut engine) = mpr_runtime::Engine::with_options(&world.program, opts) else {
         return Vec::new();
     };
     for t in &world.state {

@@ -7,15 +7,12 @@
 use mpr_core::chaos::{self, KillPhase};
 use mpr_core::debugger::Debugger;
 use mpr_core::scenarios::Scenario;
-use mpr_runtime::{Durability, EvalStrategy, Options, WalOptions};
+use mpr_runtime::{Durability, Options, WalOptions};
 
-fn opts(strategy: EvalStrategy) -> Options {
-    Options {
-        record_events: false,
-        strategy,
-        durability: Durability::Mem, // capture_wal overrides this with a WAL
-        ..Options::default()
-    }
+/// Engine options for the captures; `capture_wal` swaps the default
+/// in-memory durability for a WAL.
+fn opts() -> Options {
+    Options { record_events: false, ..Options::default() }
 }
 
 /// How many injections of each scenario's workload the capture runs.
@@ -29,7 +26,7 @@ const CAPTURE_INJECTIONS: usize = 6;
 #[test]
 fn kill_sweep_is_prefix_consistent_everywhere() {
     let scenarios = Scenario::all();
-    let report = chaos::kill_sweep(&scenarios, &opts(EvalStrategy::Batch), 19, 0xdead, CAPTURE_INJECTIONS)
+    let report = chaos::kill_sweep(&scenarios, &opts(), 19, 0xdead, CAPTURE_INJECTIONS)
         .expect("kill sweep capture failed");
     assert!(
         report.outcomes.len() >= 200,
@@ -53,25 +50,13 @@ fn kill_sweep_is_prefix_consistent_everywhere() {
     assert!(report.outcomes.iter().any(|o| o.cut == 0 && o.ops_applied == 0));
 }
 
-/// The sharded engine journals through the same WAL path; crash points
-/// against its logs recover identically.
-#[test]
-fn kill_sweep_is_prefix_consistent_under_shards() {
-    let scenarios = [Scenario::q1_copy_paste(), Scenario::q3_policy_update()];
-    let report = chaos::kill_sweep(&scenarios, &opts(EvalStrategy::Shards(4)), 8, 0xbeef, CAPTURE_INJECTIONS)
-        .expect("sharded kill sweep capture failed");
-    assert_eq!(report.outcomes.len(), 2 * 2 * 10);
-    let failures = report.failures();
-    assert!(failures.is_empty(), "sharded sweep failed: {:?}", failures.first());
-}
-
 /// Same inputs, same verdicts: the sweep is deterministic end to end
 /// (captures, cut positions, recovery outcomes).
 #[test]
 fn kill_sweep_is_deterministic() {
     let scenarios = [Scenario::q1_copy_paste()];
-    let a = chaos::kill_sweep(&scenarios, &opts(EvalStrategy::Batch), 6, 7, CAPTURE_INJECTIONS).unwrap();
-    let b = chaos::kill_sweep(&scenarios, &opts(EvalStrategy::Batch), 6, 7, CAPTURE_INJECTIONS).unwrap();
+    let a = chaos::kill_sweep(&scenarios, &opts(), 6, 7, CAPTURE_INJECTIONS).unwrap();
+    let b = chaos::kill_sweep(&scenarios, &opts(), 6, 7, CAPTURE_INJECTIONS).unwrap();
     assert_eq!(a, b, "kill sweep is not deterministic");
 }
 
@@ -83,7 +68,7 @@ fn kill_sweep_is_deterministic() {
 fn frame_boundary_cuts_are_clean_and_torn_cuts_report_loss() {
     let scenario = Scenario::q1_copy_paste();
     let capture =
-        chaos::capture_wal(&scenario, KillPhase::MidFixpoint, &opts(EvalStrategy::Batch), CAPTURE_INJECTIONS)
+        chaos::capture_wal(&scenario, KillPhase::MidFixpoint, &opts(), CAPTURE_INJECTIONS)
             .expect("capture failed");
     let bounds = chaos::frame_boundaries(&capture.records);
     assert!(bounds.len() > 3, "capture journaled too little to probe");
@@ -110,7 +95,7 @@ fn frame_boundary_cuts_are_clean_and_torn_cuts_report_loss() {
 fn repair_converges_after_kill_and_restart_on_every_scenario() {
     for scenario in Scenario::all() {
         let capture =
-            chaos::capture_wal(&scenario, KillPhase::MidFixpoint, &opts(EvalStrategy::Batch), 0)
+            chaos::capture_wal(&scenario, KillPhase::MidFixpoint, &opts(), 0)
                 .unwrap_or_else(|e| panic!("{} capture failed: {e}", scenario.id));
         // ~61.8% through the log, nudged to avoid boundary alignment.
         let cut = (capture.wal_bytes.len() as u64 * 618 / 1000).saturating_add(3);

@@ -100,9 +100,7 @@ impl TriggerDispatch {
     /// The triggers `tuple` visits, in the exact order the plain trigger
     /// list would produce: the keyed group for the tuple's value at the
     /// dispatch column merged with the residual triggers by original
-    /// `(rule, atom)` position. Both the sequential round loop and the
-    /// parallel enumerator ([`crate::shard`]) iterate this, so their
-    /// per-delta trigger sequence numbers always line up.
+    /// `(rule, atom)` position.
     pub(crate) fn triggers_for(&self, tuple: &Tuple) -> MergedTriggers<'_> {
         let keyed: &[(usize, usize)] = if self.keyed.is_empty() {
             &[]
@@ -318,23 +316,8 @@ impl Engine {
                         .map(|(tid, t)| (*tid, t.table.as_str())),
                 );
             }
-            // Under `Shards(n)`, large rounds precompute their join matches
-            // across a worker pool; the apply loop below then consumes a
-            // unit's matches only while the delta-tracker epoch proves the
-            // round-start state they were enumerated against is still
-            // current, recomputing sequentially otherwise (see
-            // [`crate::shard`]). Small rounds, non-`par_safe` programs, and
-            // plain `Batch` skip straight to the sequential loop.
-            let mut enumerated = if self.strategy().workers() > 1
-                && self.par_safe
-                && pending.len() >= self.shard_min_round
-            {
-                Some(crate::shard::enumerate_round(self, &pending))
-            } else {
-                None
-            };
             let mut outcome = Ok(());
-            'round: for (idx, (tid, tuple)) in pending.iter().enumerate() {
+            'round: for (tid, tuple) in &pending {
                 // A tuple may have died while queued (replacement/cascade).
                 let rec = &self.log.tuples[*tid as usize];
                 if rec.kind != TupleKind::Event && rec.disappear.is_some() {
@@ -348,16 +331,9 @@ impl Engine {
                 // column (if any), merged with the residual triggers in
                 // original `(rule, atom)` order so firing order matches
                 // the plain trigger list exactly.
-                for (seq, (rule_idx, atom_idx)) in dispatch.triggers_for(tuple).enumerate() {
+                for (rule_idx, atom_idx) in dispatch.triggers_for(tuple) {
                     let fired = if self.rules[rule_idx].agg.is_some() {
                         self.agg_add(rule_idx, *tid, tuple, &mut round_out, result)
-                    } else if let Some(matches) = enumerated
-                        .as_mut()
-                        .and_then(|en| en.take((idx, seq), self.deltas.epoch()))
-                    {
-                        self.apply_enumerated(
-                            rule_idx, atom_idx, matches, tuple, &mut round_out, result,
-                        )
                     } else {
                         self.fire_batch(rule_idx, atom_idx, *tid, tuple, &mut round_out, result)
                     };
@@ -476,7 +452,7 @@ impl Engine {
 /// already merged (stable), or recent but — for positions after the delta
 /// slot — not in the innermost round. Pending tuples (in no partition)
 /// never join; they are next-round deltas.
-pub(crate) fn joinable(deltas: &DeltaTracker, tid: TupleId, exclude_recent: bool) -> bool {
+fn joinable(deltas: &DeltaTracker, tid: TupleId, exclude_recent: bool) -> bool {
     match deltas.visibility(tid) {
         Visibility::Stable | Visibility::RecentOuter => true,
         Visibility::RecentInnermost => !exclude_recent,

@@ -23,16 +23,6 @@
 //! fixpoint while an outer round is suspended, so frames form a stack and a
 //! tuple is "recent" when any active frame holds it.
 //!
-//! The tracker also keeps a **mutation epoch** ([`DeltaTracker::epoch`]):
-//! a counter bumped whenever the set of *visible* tuples can shrink or grow
-//! mid-round — a tracked instance retires (kill/replacement cascade), or a
-//! nested round begins (its fixpoint can merge brand-new tuples into the
-//! stable partition before the outer round resumes). The sharded engine
-//! ([`crate::shard`]) enumerates joins against round-start state in
-//! parallel and consumes the results only while the epoch is unchanged;
-//! any unit applied after a bump is recomputed sequentially, which keeps
-//! sharded fixpoints bit-identical to single-threaded batch.
-//!
 //! Tuple instance ids are engine-global and dense, so the tracker stores
 //! one slot per id in a flat vector — the join loop's visibility test
 //! ([`DeltaTracker::visibility`]) is an array read, with no string hashing
@@ -99,9 +89,6 @@ pub struct DeltaTracker {
     /// Per-table partition sizes, indexed by interned table id.
     stable_count: Vec<usize>,
     recent_count: Vec<usize>,
-    /// Mutation epoch: bumped on tracked retires and nested round starts
-    /// (see the module docs). Monotonic within one engine.
-    epoch: u64,
 }
 
 impl DeltaTracker {
@@ -136,11 +123,6 @@ impl DeltaTracker {
         S: AsRef<str>,
     {
         let frame_idx = self.frames.len() as u32;
-        // A nested round's fixpoint can merge tuples the suspended outer
-        // round has never seen, so its start invalidates enumerated state.
-        if frame_idx > 0 {
-            self.epoch += 1;
-        }
         let mut frame = Vec::new();
         for (tid, table) in batch {
             let table = self.intern(table.as_ref());
@@ -218,16 +200,6 @@ impl DeltaTracker {
             State::Recent(_) => self.recent_count[slot.table as usize] -= 1,
         }
         self.slots[tid as usize].state = State::Untracked;
-        // A visible tuple left the partitions: enumerated joins that used
-        // it as a candidate are stale.
-        self.epoch += 1;
-    }
-
-    /// The mutation epoch (see the module docs). Unchanged epoch across a
-    /// span of the round loop means no tracked retire and no nested round
-    /// happened in that span — the visible candidate set is intact.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of active (nested) rounds.
@@ -333,23 +305,6 @@ mod tests {
         assert!(d.is_stable("A", 0));
         assert!(!d.is_stable("B", 0));
         assert_eq!(d.stable_len(), 1);
-    }
-
-    #[test]
-    fn epoch_tracks_retires_and_nested_rounds() {
-        let mut d = DeltaTracker::default();
-        let e0 = d.epoch();
-        d.begin_round(vec![(0, "A"), (1, "A")]);
-        assert_eq!(d.epoch(), e0, "a top-level round start is not a mutation");
-        d.retire("A", 0);
-        assert!(d.epoch() > e0, "tracked retire bumps the epoch");
-        let e1 = d.epoch();
-        d.retire("A", 7); // never tracked: visibility cannot have changed
-        assert_eq!(d.epoch(), e1);
-        d.begin_round(vec![(2, "B")]); // nested round
-        assert!(d.epoch() > e1);
-        d.end_round();
-        d.end_round();
     }
 
     #[test]

@@ -1,23 +1,22 @@
 //! The NDlog evaluation engine.
 //!
-//! Two evaluation strategies share one semantic core, selected at runtime
-//! via [`EvalStrategy`]:
+//! One evaluation path, [`EvalStrategy::Batch`] — *batch semi-naive
+//! iteration*: each fixpoint runs in rounds; a whole round's delta is
+//! joined at once against keyed hash indexes ([`crate::index`]) on the join
+//! columns, with per-relation stable/recent/delta partitions
+//! ([`crate::delta`]) ensuring each new body combination fires exactly once
+//! per round.
 //!
-//! - [`EvalStrategy::Batch`] (the default) — *batch semi-naive iteration*:
-//!   each fixpoint runs in rounds; a whole round's delta is joined at once
-//!   against keyed hash indexes ([`crate::index`]) on the join columns,
-//!   with per-relation stable/recent/delta partitions ([`crate::delta`])
-//!   ensuring each new body combination fires exactly once per round.
-//! - [`EvalStrategy::Pipelined`] — the strategy RapidNet uses (and the one
-//!   the paper's provenance model assumes): every inserted or derived
-//!   tuple becomes a *delta* that is joined, one tuple at a time, against
-//!   full scans of the materialized state.
+//! A second evaluator, [`EvalStrategy::Pipelined`], is kept as a *test
+//! reference* only: the strategy RapidNet uses (and the one the paper's
+//! provenance model assumes), where every inserted or derived tuple becomes
+//! a *delta* that is joined, one tuple at a time, against full scans of the
+//! materialized state. `tests/differential.rs` proves both produce the same
+//! fixpoints and provenance-equivalent derivations over generated programs.
 //!
-//! Both strategies produce the same fixpoints and provenance-equivalent
-//! derivations (`tests/differential.rs` proves this over generated
-//! programs). Derived state carries support counts so deletions cascade
-//! correctly (UNDERIVE/DISAPPEAR, §3.1); tables with declared primary keys
-//! follow NDlog's replacement semantics.
+//! Derived state carries support counts so deletions cascade correctly
+//! (UNDERIVE/DISAPPEAR, §3.1); tables with declared primary keys follow
+//! NDlog's replacement semantics.
 //!
 //! Event tables (`materialize(..., event, ...)`) are transient: their
 //! tuples trigger rules at their instant of insertion but are never stored,
@@ -30,117 +29,39 @@ use crate::delta::{DeltaTracker, RelationDeltaStats};
 use crate::index::IndexRegistry;
 use crate::log::{ExecEvent, ExecLog, Time, TupleId, TupleKind, TupleRecord};
 use crate::store::{AddOutcome, DropOutcome, Store};
-use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
+use mpr_ndlog::ast::{AggKind, Atom, Rule, Term};
 use mpr_ndlog::eval::{CountingFuncs, Env};
 use mpr_ndlog::{Program, Schema, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// How the engine propagates deltas to fixpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// An engine's strategy is whatever the [`Options`] value it was built
+/// from says — there is no process-wide selector. Deployments run
+/// [`EvalStrategy::Batch`]; [`EvalStrategy::Pipelined`] exists so tests can
+/// pin the batch round loop against a second, simpler propagation loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalStrategy {
-    /// Per-tuple pipelined semi-naive: each delta joins against full table
-    /// scans immediately. The original engine; kept as the differential
-    /// baseline.
-    Pipelined,
     /// Batch semi-naive: whole rounds of deltas join at once through keyed
     /// hash indexes, with stable/recent/delta partitions per relation.
+    #[default]
     Batch,
-    /// Sharded batch semi-naive: the same round loop as
-    /// [`EvalStrategy::Batch`], but large rounds partition their pending
-    /// delta by relation/switch key and enumerate joins across a scoped
-    /// worker pool of `n` threads ([`crate::shard`]). Results are applied
-    /// sequentially in canonical order, so fixpoints, logs and derivation
-    /// counts are bit-identical to single-threaded batch. `Shards(1)` (or
-    /// any `n` on a round below [`Options::shard_min_round`]) degrades to
-    /// plain batch.
-    Shards(usize),
-}
-
-/// Env-derived default, resolved exactly once per process.
-static ENV_DEFAULT: OnceLock<EvalStrategy> = OnceLock::new();
-
-/// Explicit [`EvalStrategy::set_global_default`] override, packed so a
-/// single atomic carries the shard count: `0` = no override, else the low
-/// byte is the variant code and the high bits the `Shards` worker count.
-/// Keeping the override separate from the `OnceLock` means a racing lazy
-/// env resolution can never clobber an explicit override — the bug the old
-/// "read 0, resolve env, store" sequence had.
-static OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-fn encode(s: EvalStrategy) -> u64 {
-    match s {
-        EvalStrategy::Pipelined => 1,
-        EvalStrategy::Batch => 2,
-        EvalStrategy::Shards(n) => 3 | ((n as u64) << 8),
-    }
-}
-
-fn decode(code: u64) -> Option<EvalStrategy> {
-    match code & 0xff {
-        1 => Some(EvalStrategy::Pipelined),
-        2 => Some(EvalStrategy::Batch),
-        3 => Some(EvalStrategy::Shards((code >> 8) as usize)),
-        _ => None,
-    }
-}
-
-impl EvalStrategy {
-    /// The process-wide default used by [`Options::default`]. Resolved
-    /// exactly once from the `MPR_EVAL_STRATEGY` environment variable
-    /// (`pipelined`, `batch`, or `shardsN`, case-insensitive — see the
-    /// [`std::str::FromStr`] impl), falling back to [`EvalStrategy::Batch`];
-    /// an explicit [`EvalStrategy::set_global_default`] takes precedence
-    /// and is never clobbered by the lazy env read, no matter how many
-    /// threads race on first use.
-    pub fn global_default() -> EvalStrategy {
-        if let Some(s) = decode(OVERRIDE.load(Ordering::Acquire)) {
-            return s;
-        }
-        *ENV_DEFAULT.get_or_init(|| {
-            std::env::var("MPR_EVAL_STRATEGY")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(EvalStrategy::Batch)
-        })
-    }
-
-    /// Override the process-wide default strategy (benchmark sweeps, the
-    /// dual-strategy end-to-end tests). Engines already built keep the
-    /// strategy they were built with.
-    pub fn set_global_default(s: EvalStrategy) {
-        OVERRIDE.store(encode(s), Ordering::Release);
-    }
-
-    /// `true` for the strategies built on the batch round loop (plans,
-    /// keyed indexes, delta partitions): [`EvalStrategy::Batch`] and
-    /// [`EvalStrategy::Shards`].
-    pub fn is_batch(&self) -> bool {
-        matches!(self, EvalStrategy::Batch | EvalStrategy::Shards(_))
-    }
-
-    /// Worker count for parallel round enumeration (1 = sequential).
-    pub(crate) fn workers(&self) -> usize {
-        match self {
-            EvalStrategy::Shards(n) => (*n).max(1),
-            _ => 1,
-        }
-    }
-}
-
-impl Default for EvalStrategy {
-    fn default() -> Self {
-        EvalStrategy::global_default()
-    }
+    /// Per-tuple pipelined semi-naive: each delta joins against full table
+    /// scans immediately. A *test reference*, never a deployment choice:
+    /// it is the differential oracle for the semantics the naive evaluator
+    /// ([`crate::naive`]) cannot express — primary-key replacement,
+    /// transient events, aggregate churn, deletion cascades and derivation
+    /// sets — and is reachable only through an explicit per-engine
+    /// `Options { strategy: EvalStrategy::Pipelined, .. }`.
+    Pipelined,
 }
 
 impl std::fmt::Display for EvalStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EvalStrategy::Pipelined => write!(f, "pipelined"),
             EvalStrategy::Batch => write!(f, "batch"),
-            EvalStrategy::Shards(n) => write!(f, "shards{n}"),
+            EvalStrategy::Pipelined => write!(f, "pipelined"),
         }
     }
 }
@@ -155,9 +76,10 @@ impl std::fmt::Display for EvalStrategy {
 /// [`crate::store::Store::recover`]. A WAL that fails to open or write
 /// never takes evaluation down; the engine degrades to memory-only and
 /// reports it through [`Engine::durability_degraded`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Durability {
     /// In-memory only: no journal, no recovery, no overhead.
+    #[default]
     Mem,
     /// Write-ahead log under the configured directory.
     Wal(WalOptions),
@@ -186,35 +108,8 @@ impl WalOptions {
     }
 }
 
-/// Env-derived durability default, resolved exactly once per process (same
-/// pattern as the [`EvalStrategy`] default).
-static DURABILITY_ENV_DEFAULT: OnceLock<Durability> = OnceLock::new();
-
 /// Process-wide counter handing each WAL-journaled engine its own subdir.
 static WAL_ENGINE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl Durability {
-    /// The process-wide default used by [`Options::default`]: the
-    /// `MPR_DURABILITY` environment variable (`mem`, `wal`, or
-    /// `wal:<dir>` — see the [`std::str::FromStr`] impl), falling back to
-    /// [`Durability::Mem`].
-    pub fn global_default() -> Durability {
-        DURABILITY_ENV_DEFAULT
-            .get_or_init(|| {
-                std::env::var("MPR_DURABILITY")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(Durability::Mem)
-            })
-            .clone()
-    }
-}
-
-impl Default for Durability {
-    fn default() -> Self {
-        Durability::global_default()
-    }
-}
 
 impl std::fmt::Display for Durability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -222,53 +117,6 @@ impl std::fmt::Display for Durability {
             Durability::Mem => write!(f, "mem"),
             Durability::Wal(w) => write!(f, "wal:{}", w.dir.display()),
         }
-    }
-}
-
-impl std::str::FromStr for Durability {
-    type Err = String;
-
-    /// Parse the `MPR_DURABILITY` syntax: `mem`, `wal:<dir>` / `wal=<dir>`,
-    /// or bare `wal` (logs under the OS temp directory).
-    fn from_str(s: &str) -> Result<Self, String> {
-        let t = s.trim();
-        if t.eq_ignore_ascii_case("mem") {
-            return Ok(Durability::Mem);
-        }
-        if t.eq_ignore_ascii_case("wal") {
-            return Ok(Durability::Wal(WalOptions::new(std::env::temp_dir().join("mpr-wal"))));
-        }
-        if let Some(rest) = t.strip_prefix("wal:").or_else(|| t.strip_prefix("wal=")) {
-            if !rest.is_empty() {
-                return Ok(Durability::Wal(WalOptions::new(rest)));
-            }
-        }
-        Err(format!("unknown durability mode `{s}`"))
-    }
-}
-
-impl std::str::FromStr for EvalStrategy {
-    type Err = String;
-
-    /// Parse the `MPR_EVAL_STRATEGY` syntax: `pipelined` (or `per-tuple`),
-    /// `batch`, and `shardsN` / `shards:N` / `shards(N)` with `N ≥ 1`
-    /// (clamped to 64 workers).
-    fn from_str(s: &str) -> Result<Self, String> {
-        let lower = s.trim().to_ascii_lowercase();
-        match lower.as_str() {
-            "pipelined" | "per-tuple" => return Ok(EvalStrategy::Pipelined),
-            "batch" => return Ok(EvalStrategy::Batch),
-            _ => {}
-        }
-        if let Some(rest) = lower.strip_prefix("shards") {
-            let digits = rest.trim_start_matches([':', '(', '=']).trim_end_matches(')');
-            if let Ok(n) = digits.parse::<usize>() {
-                if n >= 1 {
-                    return Ok(EvalStrategy::Shards(n.min(64)));
-                }
-            }
-        }
-        Err(format!("unknown evaluation strategy `{s}`"))
     }
 }
 
@@ -395,13 +243,8 @@ pub struct Options {
     pub unique_seed: i64,
     /// How deltas propagate to fixpoint (see [`EvalStrategy`]).
     pub strategy: EvalStrategy,
-    /// Under [`EvalStrategy::Shards`], the minimum pending-delta count for
-    /// a round to be enumerated in parallel; smaller rounds run the plain
-    /// sequential batch loop, since thread handoff costs more than the
-    /// round. Irrelevant to the other strategies.
-    pub shard_min_round: usize,
     /// Hard cap on semi-naive rounds per externally driven step (batch
-    /// strategies only — the pipelined loop is already bounded by
+    /// only — the pipelined loop is already bounded by
     /// [`Options::max_derivations`], since its queue only grows through
     /// counted firings). Surfaced as [`RuntimeError::RoundLimit`].
     pub max_rounds: u64,
@@ -412,13 +255,8 @@ pub struct Options {
     /// off. Checked at round boundaries (batch) and every 256 deltas
     /// (pipelined), so overruns are bounded by one round's work.
     pub time_budget: Option<std::time::Duration>,
-    /// Fault-injection hook for the robustness tests: every shard worker
-    /// panics immediately, forcing the contained-panic fallback path.
-    #[doc(hidden)]
-    pub inject_worker_panic: bool,
     /// Whether the tuple store journals mutations durably (see
-    /// [`Durability`]). Defaults to the `MPR_DURABILITY` env setting,
-    /// falling back to [`Durability::Mem`].
+    /// [`Durability`]); [`Durability::Mem`] by default.
     pub durability: Durability,
 }
 
@@ -429,10 +267,8 @@ impl Default for Options {
             max_derivations: 50_000_000,
             unique_seed: 1000,
             strategy: EvalStrategy::default(),
-            shard_min_round: 16,
             max_rounds: 1_000_000,
             time_budget: None,
-            inject_worker_panic: false,
             durability: Durability::default(),
         }
     }
@@ -462,7 +298,7 @@ pub(crate) struct CompiledRule {
     /// Is the head an event table?
     head_is_event: bool,
     /// Variable sets per selection (for earliest evaluation).
-    pub(crate) sel_vars: Vec<BTreeSet<String>>,
+    sel_vars: Vec<BTreeSet<String>>,
     /// Aggregate spec, if the head carries one.
     pub(crate) agg: Option<AggSpec>,
 }
@@ -491,7 +327,7 @@ pub struct Engine {
     /// table → (rule index, body atom index) that the table can trigger.
     /// Shared so the drain loops can hold a table's list across `&mut self`
     /// firing calls without copying it per delta tuple.
-    pub(crate) triggers: HashMap<String, std::sync::Arc<Vec<(usize, usize)>>>,
+    triggers: HashMap<String, std::sync::Arc<Vec<(usize, usize)>>>,
     pub(crate) store: Store,
     pub(crate) log: ExecLog,
     pub(crate) opts: Options,
@@ -517,36 +353,12 @@ pub struct Engine {
     pub(crate) batch_dispatch: HashMap<String, std::sync::Arc<batch::TriggerDispatch>>,
     /// Stable/recent/delta partitions per relation (batch only).
     pub(crate) deltas: DeltaTracker,
-    /// Whether the program's selections are free of function calls, so a
-    /// round's join matches can be enumerated on worker threads with a
-    /// stateless function host without perturbing the `f_unique` stream
-    /// (see [`crate::shard`]). Computed once at compile time.
-    pub(crate) par_safe: bool,
-    /// Copied from [`Options::shard_min_round`].
-    pub(crate) shard_min_round: usize,
-    /// Shard workers whose enumeration panicked and was contained (the
-    /// affected units were recomputed sequentially). Atomic because the
-    /// workers only hold `&Engine`.
-    pub(crate) shard_panics: std::sync::atomic::AtomicU64,
     /// Resolved WAL directory when the store journals durably.
     wal_dir: Option<std::path::PathBuf>,
     /// Why the WAL failed to *open* (runtime write failures live in the
     /// store's journal instead; [`Engine::durability_degraded`] merges
     /// both).
     wal_open_error: Option<String>,
-}
-
-/// Does `e` contain any function call? Calls in *selections* would have to
-/// run on worker threads during parallel enumeration, where the stateful
-/// [`CountingFuncs`] host is unavailable; programs with such calls fall
-/// back to sequential rounds. (Calls in assigns are fine — assigns only
-/// ever run in the sequential apply step.)
-fn expr_has_call(e: &Expr) -> bool {
-    match e {
-        Expr::Const(_) | Expr::Var(_) => false,
-        Expr::Binary(_, l, r) => expr_has_call(l) || expr_has_call(r),
-        Expr::Call(..) => true,
-    }
 }
 
 impl Engine {
@@ -653,14 +465,7 @@ impl Engine {
         }
         let funcs = CountingFuncs::starting_at(opts.unique_seed);
         let strategy = opts.strategy;
-        let par_safe = rules.iter().all(|cr| {
-            cr.rule
-                .sels
-                .iter()
-                .all(|s| !expr_has_call(&s.lhs) && !expr_has_call(&s.rhs))
-        });
-        let shard_min_round = opts.shard_min_round.max(1);
-        let (plans, indexes, batch_dispatch) = if strategy.is_batch() {
+        let (plans, indexes, batch_dispatch) = if strategy == EvalStrategy::Batch {
             let mut registry = IndexRegistry::default();
             let plans = batch::build_plans(&rules, &mut registry);
             let dispatch = batch::build_dispatch(&triggers, &plans);
@@ -711,9 +516,6 @@ impl Engine {
             indexes,
             batch_dispatch,
             deltas: DeltaTracker::default(),
-            par_safe,
-            shard_min_round,
-            shard_panics: std::sync::atomic::AtomicU64::new(0),
             wal_dir,
             wal_open_error,
         })
@@ -754,13 +556,6 @@ impl Engine {
     /// Total rule firings so far.
     pub fn total_derivations(&self) -> u64 {
         self.total_derivations
-    }
-
-    /// Shard workers whose enumeration panicked and was contained. Each
-    /// contained panic costs only the recomputation of that worker's units
-    /// on the sequential path; the fixpoint is unaffected.
-    pub fn shard_worker_panics(&self) -> u64 {
-        self.shard_panics.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// The tuple store (read-only; mutations go through the engine so
@@ -931,7 +726,7 @@ impl Engine {
                 disappear: None,
                 kind,
             });
-            if self.strategy.is_batch() {
+            if self.strategy == EvalStrategy::Batch {
                 self.indexes.insert(tid, tuple);
             }
         }
@@ -1024,7 +819,7 @@ impl Engine {
 
     /// Kill a tuple instance that lost all support: cascade retractions.
     fn kill(&mut self, tid: TupleId, tuple: Tuple, result: &mut StepResult) -> Result<(), RuntimeError> {
-        if self.strategy.is_batch() {
+        if self.strategy == EvalStrategy::Batch {
             self.indexes.remove(tid, &tuple);
             self.deltas.retire(&tuple.table, tid);
         }
@@ -1099,14 +894,14 @@ impl Engine {
     }
 
     /// Propagate appearances until fixpoint, under the engine's strategy.
-    pub(crate) fn drain(
+    fn drain(
         &mut self,
         queue: VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
         match self.strategy {
+            EvalStrategy::Batch => self.drain_batch(queue, result),
             EvalStrategy::Pipelined => self.drain_pipelined(queue, result),
-            EvalStrategy::Batch | EvalStrategy::Shards(_) => self.drain_batch(queue, result),
         }
     }
 
@@ -1794,66 +1589,9 @@ mod tests {
     }
 
     #[test]
-    fn strategy_parse_and_display() {
-        assert_eq!("pipelined".parse(), Ok(EvalStrategy::Pipelined));
-        assert_eq!("PER-TUPLE".parse(), Ok(EvalStrategy::Pipelined));
-        assert_eq!("Batch".parse(), Ok(EvalStrategy::Batch));
-        assert_eq!("shards4".parse(), Ok(EvalStrategy::Shards(4)));
-        assert_eq!("shards:2".parse(), Ok(EvalStrategy::Shards(2)));
-        assert_eq!("shards(8)".parse(), Ok(EvalStrategy::Shards(8)));
-        // Clamped to 64 workers; zero and garbage are rejected.
-        assert_eq!("shards9999".parse(), Ok(EvalStrategy::Shards(64)));
-        assert!("shards0".parse::<EvalStrategy>().is_err());
-        assert!("turbo".parse::<EvalStrategy>().is_err());
-        for s in [EvalStrategy::Pipelined, EvalStrategy::Batch, EvalStrategy::Shards(6)] {
-            assert_eq!(s.to_string().parse(), Ok(s));
-        }
-    }
-
-    #[test]
-    fn strategy_override_roundtrip() {
-        for s in [EvalStrategy::Pipelined, EvalStrategy::Shards(5), EvalStrategy::Batch] {
-            assert_eq!(super::decode(super::encode(s)), Some(s));
-        }
-        assert_eq!(super::decode(0), None);
-    }
-
-    /// The satellite-1 regression: many threads hitting first use of the
-    /// global default must all observe the same strategy (the old
-    /// read-then-store lazy init let a racing `set_global_default` be
-    /// clobbered by a concurrent env resolution). This test only *reads*
-    /// the default so it cannot contaminate other tests in the process.
-    #[test]
-    fn global_default_concurrent_first_use_is_consistent() {
-        let results: Vec<EvalStrategy> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..16)
-                .map(|_| scope.spawn(EvalStrategy::global_default))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(results.windows(2).all(|w| w[0] == w[1]), "split default: {results:?}");
-    }
-
-    #[test]
-    fn shards_strategy_reaches_same_fixpoint_as_batch() {
-        let run = |strategy| {
-            let p = parse_program(
-                "t",
-                "materialize(A, infinity, 2, keys(0,1)).\n\
-                 materialize(B, infinity, 2, keys(0,1)).\n\
-                 r1 B(@N,X,Y) :- A(@N,X,Y), X > 0.",
-            )
-            .unwrap();
-            let mut e = Engine::with_options(
-                &p,
-                Options { strategy, shard_min_round: 1, ..Options::default() },
-            )
-            .unwrap();
-            for x in [3, -1, 7, 2] {
-                e.insert(Tuple::new("A", v(1), vec![v(x), v(x + 1)])).unwrap();
-            }
-            (e.tuples("B"), e.total_derivations())
-        };
-        assert_eq!(run(EvalStrategy::Batch), run(EvalStrategy::Shards(2)));
+    fn strategy_display() {
+        assert_eq!(EvalStrategy::Batch.to_string(), "batch");
+        assert_eq!(EvalStrategy::Pipelined.to_string(), "pipelined");
+        assert_eq!(Options::default().strategy, EvalStrategy::Batch);
     }
 }

@@ -10,22 +10,13 @@
 //! Column numbering is uniform across the crate: column `0` is the `@`
 //! location, column `i + 1` is payload argument `i`.
 //!
-//! Two properties here are load-bearing for the sharded strategy
-//! ([`crate::shard`]): [`IndexRegistry::probe`] takes `&self`, so a frozen
-//! registry can be probed from many worker threads at once, and buckets
-//! are `BTreeSet`s, so every probe — from any thread — yields candidates
-//! in the same ascending-id order the sequential loop sees.
+//! Buckets are `BTreeSet`s, so every probe yields candidates in ascending
+//! tuple-id order: join order — and with it the execution log — never
+//! inherits hash-map iteration order.
 
 use crate::log::TupleId;
 use mpr_ndlog::{Tuple, Value};
 use std::collections::{BTreeSet, HashMap};
-
-/// The parallel round enumerator shares `&IndexRegistry` across scoped
-/// threads; keep the registry free of interior mutability.
-const _: fn() = || {
-    fn requires_send_sync<T: Send + Sync>() {}
-    requires_send_sync::<IndexRegistry>();
-};
 
 /// A column selector: `0` is the location, `i + 1` is payload argument `i`.
 pub type Col = usize;

@@ -2,15 +2,14 @@
 //!
 //! The runtime substrate of the reproduction: a deterministic semi-naive
 //! datalog engine in the style of RapidNet (the paper's declarative SDN
-//! environment, §5.1). Three evaluation strategies share one semantic core
-//! (see [`engine::EvalStrategy`]): *batch* semi-naive iteration — whole
-//! rounds of deltas joined through keyed hash indexes ([`index`]) with
-//! stable/recent/delta partitions per relation ([`delta`]) — *sharded*
-//! batch, which enumerates large rounds' join matches across a scoped
-//! worker pool partitioned by relation/switch key while staying
-//! bit-identical to single-threaded batch ([`shard`]), and the original
-//! per-tuple *pipelined* propagation, kept as the differential baseline.
-//! Shared machinery:
+//! environment, §5.1). There is one evaluation path (see
+//! [`engine::EvalStrategy`]): *batch* semi-naive iteration — whole rounds
+//! of deltas joined through keyed hash indexes ([`index`]) with
+//! stable/recent/delta partitions per relation ([`delta`]). Two reference
+//! evaluators exist for tests to compare it against: the original
+//! per-tuple *pipelined* propagation (an explicit per-engine
+//! [`Options::strategy`]) and a from-scratch naive fixpoint ([`naive`]).
+//! Machinery around the round loop:
 //!
 //! - per-node tuple stores with primary-key replacement ([`store`]);
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
@@ -35,7 +34,6 @@ pub mod index;
 pub mod journal;
 pub mod log;
 pub mod naive;
-pub mod shard;
 pub mod store;
 
 pub use delta::{DeltaTracker, RelationDeltaStats};

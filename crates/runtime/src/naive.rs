@@ -1,10 +1,13 @@
 //! A naive fixpoint evaluator, used as a differential-testing oracle for
-//! the pipelined engine.
+//! the incremental engine (batch and pipelined alike).
 //!
 //! It repeatedly evaluates every rule against the full store until nothing
-//! changes. It supports only state tables, no aggregates, and no
-//! `f_unique()` — the fragment on which set-semantics equivalence with the
-//! incremental engine is meaningful.
+//! changes, sharing no join, index or delta code with the engine. It
+//! supports only state tables, no aggregates, and no `f_unique()` — the
+//! fragment on which set-semantics equivalence with the incremental engine
+//! is meaningful; everything outside it (key replacement, events,
+//! aggregates, deletions, derivation sets) is pinned against
+//! [`crate::engine::EvalStrategy::Pipelined`] instead.
 
 use crate::engine::{instantiate, match_atom};
 use mpr_ndlog::eval::{Env, PureFuncs};

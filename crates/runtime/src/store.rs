@@ -95,8 +95,9 @@ pub struct Store {
     journal: Option<Journal>,
 }
 
-// Shard workers hold `&Engine` (hence `&Store`) across threads; the journal
-// only breaks that if a backend smuggles in non-Sync state, so pin it here.
+// The store (and so the engine that owns it) is plain owned data that a
+// caller may build on one thread and hand to another; the journal only
+// breaks that if a backend smuggles in non-Sync state, so pin it here.
 const _: fn() = || {
     fn assert_sync<T: Sync + Send>() {}
     assert_sync::<Store>();

@@ -10,9 +10,7 @@
 //! tuples under one primary key (last write wins), so any wobble in
 //! candidate visit order — the pipelined engine's historical bug, fixed by
 //! `Store::scan_ordered` — changes which instance survives and the shape
-//! of the eviction cascade. The sharded strategy is additionally compared
-//! against batch, locking in the bit-identity contract of
-//! `mpr_runtime::shard`.
+//! of the eviction cascade.
 
 use mpr_ndlog::{parse_program, Program, Tuple, Value};
 use mpr_runtime::{Engine, EvalStrategy, ExecLog, Options};
@@ -51,7 +49,7 @@ fn run(strategy: EvalStrategy) -> (Vec<Tuple>, Vec<Tuple>, Vec<Tuple>, ExecLog) 
     let p = program();
     let mut e = Engine::with_options(
         &p,
-        Options { strategy, shard_min_round: 1, ..Options::default() },
+        Options { strategy, ..Options::default() },
     )
     .unwrap();
     script(&mut e);
@@ -75,16 +73,6 @@ fn batch_runs_are_bit_identical() {
 }
 
 #[test]
-fn sharded_runs_are_bit_identical_to_batch() {
-    let batch = run(EvalStrategy::Batch);
-    for n in [2, 3, 8] {
-        for _ in 0..4 {
-            assert_eq!(run(EvalStrategy::Shards(n)), batch, "Shards({n}) diverged from batch");
-        }
-    }
-}
-
-#[test]
 fn provenance_events_are_reproducible_under_churn() {
     // The provenance graph is built from the event log; identical logs on
     // every run mean identical graphs. Exercise a deeper cascade: build a
@@ -102,7 +90,7 @@ fn provenance_events_are_reproducible_under_churn() {
     let run = |strategy| {
         let mut e = Engine::with_options(
             &p,
-            Options { strategy, shard_min_round: 1, ..Options::default() },
+            Options { strategy, ..Options::default() },
         )
         .unwrap();
         let c = Value::str("C");
@@ -113,7 +101,7 @@ fn provenance_events_are_reproducible_under_churn() {
         e.delete(&t(1, 2)).unwrap();
         e.take_log()
     };
-    for strategy in [EvalStrategy::Pipelined, EvalStrategy::Batch, EvalStrategy::Shards(2)] {
+    for strategy in [EvalStrategy::Pipelined, EvalStrategy::Batch] {
         let first = run(strategy);
         for _ in 0..5 {
             assert_eq!(run(strategy), first, "{strategy} provenance events diverged");

@@ -1,12 +1,5 @@
-//! Graceful-degradation suite: injected shard-worker panics must be
-//! contained (no process abort, bit-identical fixpoint via the sequential
-//! fallback), and fixpoint budget exhaustion must surface as a typed
-//! [`RuntimeError`] that leaves the engine inspectable.
-//!
-//! This file runs as its own test process, so it may install a silent
-//! panic hook: the injected worker panics would otherwise spam stderr
-//! from non-test threads (scoped workers are outside the harness's
-//! output capture).
+//! Graceful-degradation suite: fixpoint budget exhaustion must surface as
+//! a typed [`RuntimeError`] that leaves the engine inspectable.
 
 use mpr_ndlog::{parse_program, Program, Tuple, Value};
 use mpr_runtime::{Engine, EvalStrategy, Options, RuntimeError};
@@ -29,89 +22,6 @@ fn chain_links(n: i64) -> Vec<Tuple> {
     (0..n)
         .map(|i| Tuple::new("Link", Value::str("C"), vec![Value::Int(i), Value::Int(i + 1)]))
         .collect()
-}
-
-/// Silence the default panic hook for the duration of this process: the
-/// injected worker panics are expected, and real test failures still
-/// propagate through the harness (unwinding is unaffected by the hook).
-fn silence_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|m| m.contains("injected shard worker panic"))
-                || info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|m| m.contains("injected shard worker panic"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
-
-#[test]
-fn injected_worker_panic_does_not_abort_and_keeps_the_fixpoint() {
-    silence_panics();
-    let program = closure_program();
-    let links = chain_links(24);
-
-    // Reference: plain sequential batch.
-    let mut reference = Engine::with_options(
-        &program,
-        Options { strategy: EvalStrategy::Batch, ..Options::default() },
-    )
-    .unwrap();
-    reference.insert_all(links.clone()).unwrap();
-
-    // Sharded engine whose every worker panics: all enumeration is lost,
-    // every unit falls back to the sequential fire_batch path.
-    let mut faulty = Engine::with_options(
-        &program,
-        Options {
-            strategy: EvalStrategy::Shards(4),
-            shard_min_round: 1,
-            inject_worker_panic: true,
-            ..Options::default()
-        },
-    )
-    .unwrap();
-    faulty.insert_all(links).unwrap();
-
-    assert!(
-        faulty.shard_worker_panics() > 0,
-        "the injection hook must actually have fired"
-    );
-    assert_eq!(
-        faulty.tuples("Reach"),
-        reference.tuples("Reach"),
-        "contained panics must not change the fixpoint"
-    );
-    assert_eq!(
-        faulty.log(),
-        reference.log(),
-        "the sequential fallback must keep the execution log bit-identical"
-    );
-}
-
-#[test]
-fn healthy_shards_count_no_panics() {
-    let program = closure_program();
-    let mut e = Engine::with_options(
-        &program,
-        Options {
-            strategy: EvalStrategy::Shards(4),
-            shard_min_round: 1,
-            ..Options::default()
-        },
-    )
-    .unwrap();
-    e.insert_all(chain_links(24)).unwrap();
-    assert_eq!(e.shard_worker_panics(), 0);
 }
 
 #[test]

@@ -39,9 +39,9 @@ fn sel(vars: &'static [&'static str]) -> impl Strategy<Value = Selection> {
         .prop_map(|(l, op, r)| Selection::new(Expr::var(l), op, r))
 }
 
-/// A stratified rule: derived tables only depend on base tables, so the
-/// fixpoint is trivially finite. Variables come from a fixed pool; the head
-/// repeats two body variables.
+// A stratified rule: derived tables only depend on base tables, so the
+// fixpoint is trivially finite. Variables come from a fixed pool; the head
+// repeats two body variables.
 prop_compose! {
     fn rule(idx: usize)(
         head_t in 0u8..4,

@@ -132,8 +132,8 @@ impl Recovered {
 }
 
 /// A durable (or deliberately volatile) record log with snapshot
-/// compaction. Object-safe and `Send + Sync` so an engine shared across
-/// scoped worker threads can hold one behind a mutex.
+/// compaction. Object-safe and `Send + Sync` so a store that owns one
+/// stays movable and shareable across threads.
 ///
 /// Contract:
 /// - [`StorageBackend::append`] preserves order; records are opaque bytes.

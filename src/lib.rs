@@ -15,13 +15,12 @@
 //! - [`langs`] — mini-Trema and mini-Pyretic frontends and their meta models.
 //! - [`core`] — meta provenance, cost-ordered repair search, the debugger.
 //!
-//! [`EvalStrategy`] (re-exported from the runtime) selects among the
-//! batch semi-naive engine (the default), its sharded parallel variant
-//! (`Shards(n)` — batch rounds with join enumeration fanned out over `n`
-//! worker threads, bit-identical results), and the per-tuple pipelined
-//! baseline, either per-engine via `runtime::Options` or process-wide via
-//! [`EvalStrategy::set_global_default`] / the `MPR_EVAL_STRATEGY`
-//! environment variable (`pipelined`, `batch`, or `shardsN`).
+//! Every engine evaluates by batch semi-naive rounds. [`EvalStrategy`]
+//! (re-exported from the runtime) exists so tests can ask one engine for
+//! the per-tuple pipelined reference evaluator instead, explicitly via
+//! `runtime::Options { strategy: EvalStrategy::Pipelined, .. }`; nothing
+//! process-wide (no environment variable, no global) changes how an engine
+//! evaluates.
 //!
 //! ## Quickstart
 //!

@@ -1,21 +1,14 @@
-//! Differential test harness for the two evaluation strategies.
+//! Differential test harness: the batch engine against its two reference
+//! evaluators.
 //!
 //! Over random NDlog programs and fact sets (well over 100 generated
-//! programs per run), the per-tuple pipelined engine and the batch
-//! semi-naive engine must reach identical fixpoints — which must also match
+//! programs per run), the batch semi-naive engine and the per-tuple
+//! pipelined reference must reach identical fixpoints — which must also match
 //! the naive whole-program oracle — and must record provenance-equivalent
 //! executions: the same *net* derivation set keyed by tuple values
 //! (`provenance::derivation_set`). Instance ids and support-count
 //! multiplicities may differ between strategies; net derivations, live
 //! state, and retraction cascades may not.
-//!
-//! The sharded strategy (`Shards(n)`) carries a stronger obligation than
-//! fixpoint agreement: its parallel round enumeration must be
-//! *bit-identical* to single-threaded batch — same fixpoint, same
-//! provenance log, same derivation count — so every random program also
-//! runs under `Shards(2)` and `Shards(8)` (with `shard_min_round` forced
-//! to 1 so even tiny rounds take the parallel path) and compares full
-//! execution logs against batch.
 //!
 //! Scripted scenarios cover the fragments the random generator avoids:
 //! primary-key replacement, transient events, aggregates, and recursion.
@@ -34,12 +27,7 @@ const TABLES: [&str; 8] = ["T0", "T1", "T2", "T3", "D0", "D1", "D2", "D3"];
 type DerivationSet = BTreeSet<(String, Tuple, Vec<Tuple>)>;
 
 fn engine(p: &Program, strategy: EvalStrategy) -> Engine {
-    // `shard_min_round: 1` forces `Shards(_)` engines onto the parallel
-    // enumeration path for every round, however small — the differential
-    // suite must exercise it, not tiptoe around it. Ignored by the other
-    // strategies.
-    Engine::with_options(p, Options { strategy, shard_min_round: 1, ..Options::default() })
-        .unwrap()
+    Engine::with_options(p, Options { strategy, ..Options::default() }).unwrap()
 }
 
 fn snapshot(e: &Engine) -> BTreeSet<Tuple> {
@@ -48,14 +36,13 @@ fn snapshot(e: &Engine) -> BTreeSet<Tuple> {
 
 /// Run one strategy over the same script: insert every base fact (fixpoint
 /// after each), then delete the listed facts. Returns the final live state
-/// and the net derivation set of the whole execution; the engine comes
-/// back too so callers can compare raw logs.
+/// and the net derivation set of the whole execution.
 fn run(
     p: &Program,
     base: &[Tuple],
     deletes: &[Tuple],
     strategy: EvalStrategy,
-) -> (BTreeSet<Tuple>, DerivationSet, Engine) {
+) -> (BTreeSet<Tuple>, DerivationSet) {
     let mut e = engine(p, strategy);
     for t in base {
         e.insert(t.clone()).unwrap();
@@ -63,39 +50,21 @@ fn run(
     for t in deletes {
         e.delete(t).unwrap();
     }
-    (snapshot(&e), derivation_set(e.log()), e)
+    (snapshot(&e), derivation_set(e.log()))
 }
 
-/// Assert all strategies agree and return the common state for oracle
+/// Assert both strategies agree and return the common state for oracle
 /// comparison. Pipelined is compared on net semantics (state + derivation
-/// sets — instance ids legitimately differ); `Shards(2)` and `Shards(8)`
-/// are held to bit-identity with batch: the full execution log, event for
-/// event.
+/// sets — instance ids legitimately differ).
 fn assert_strategies_agree(
     p: &Program,
     base: &[Tuple],
     deletes: &[Tuple],
 ) -> Result<BTreeSet<Tuple>, TestCaseError> {
-    let (state_p, derivs_p, _) = run(p, base, deletes, EvalStrategy::Pipelined);
-    let (state_b, derivs_b, e_batch) = run(p, base, deletes, EvalStrategy::Batch);
+    let (state_p, derivs_p) = run(p, base, deletes, EvalStrategy::Pipelined);
+    let (state_b, derivs_b) = run(p, base, deletes, EvalStrategy::Batch);
     prop_assert_eq!(&state_p, &state_b, "fixpoints diverge");
     prop_assert_eq!(&derivs_p, &derivs_b, "net derivation sets diverge");
-    for n in [2, 8] {
-        let (state_s, _, e_shard) = run(p, base, deletes, EvalStrategy::Shards(n));
-        prop_assert_eq!(&state_b, &state_s, "Shards({}) fixpoint diverges from batch", n);
-        prop_assert_eq!(
-            e_batch.log(),
-            e_shard.log(),
-            "Shards({}) execution log is not bit-identical to batch",
-            n
-        );
-        prop_assert_eq!(
-            e_batch.total_derivations(),
-            e_shard.total_derivations(),
-            "Shards({}) derivation count diverges from batch",
-            n
-        );
-    }
     Ok(state_p)
 }
 
@@ -258,15 +227,10 @@ proptest! {
             .collect();
         let deletes: Vec<Tuple> = base.iter().take(n_del).cloned().collect();
 
-        let (state_p, derivs_p, _) = run(&p, &base, &deletes, EvalStrategy::Pipelined);
-        let (state_b, derivs_b, e_batch) = run(&p, &base, &deletes, EvalStrategy::Batch);
+        let (state_p, derivs_p) = run(&p, &base, &deletes, EvalStrategy::Pipelined);
+        let (state_b, derivs_b) = run(&p, &base, &deletes, EvalStrategy::Batch);
         prop_assert_eq!(&state_p, &state_b, "reachability fixpoints diverge");
         prop_assert_eq!(&derivs_p, &derivs_b, "reachability derivations diverge");
-        // Deep recursion is where rounds grow: the sharded path must stay
-        // bit-identical through multi-round fixpoints.
-        let (state_s, _, e_shard) = run(&p, &base, &deletes, EvalStrategy::Shards(2));
-        prop_assert_eq!(&state_b, &state_s, "sharded reachability fixpoint diverges");
-        prop_assert_eq!(e_batch.log(), e_shard.log(), "sharded reachability log diverges");
     }
 }
 
@@ -278,10 +242,8 @@ fn dual_run(src: &str, script: impl Fn(&mut Engine)) {
     let p = parse_program("scripted", src).unwrap();
     let mut e_pipe = engine(&p, EvalStrategy::Pipelined);
     let mut e_batch = engine(&p, EvalStrategy::Batch);
-    let mut e_shard = engine(&p, EvalStrategy::Shards(2));
     script(&mut e_pipe);
     script(&mut e_batch);
-    script(&mut e_shard);
     let tables: BTreeSet<String> = e_pipe
         .log()
         .tuples
@@ -291,18 +253,12 @@ fn dual_run(src: &str, script: impl Fn(&mut Engine)) {
         .collect();
     for t in &tables {
         assert_eq!(e_pipe.tuples(t), e_batch.tuples(t), "table {t} diverges");
-        assert_eq!(e_batch.tuples(t), e_shard.tuples(t), "table {t} diverges sharded");
     }
     assert_eq!(
         derivation_set(e_pipe.log()),
         derivation_set(e_batch.log()),
         "net derivation sets diverge"
     );
-    // The scripted scenarios hit the mutation hot spots — primary-key
-    // replacement, transient events, aggregate churn — where the epoch
-    // guard must force sequential recomputation; the sharded log must
-    // still match batch event for event.
-    assert_eq!(e_batch.log(), e_shard.log(), "sharded execution log diverges from batch");
 }
 
 #[test]

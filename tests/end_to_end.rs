@@ -182,32 +182,37 @@ fn provenance_explains_scenario_symptoms() {
 fn repair_loop_agrees_under_both_eval_strategies() {
     // The whole diagnose → repair-search → backtest loop must be
     // insensitive to the engine's evaluation strategy: same candidates,
-    // same acceptance set, same reference fix. The strategy is switched
-    // process-wide (every engine the debugger builds inherits it), so the
-    // two runs execute back-to-back, not interleaved.
+    // same acceptance set, same reference fix. Fig. 7 rides along with
+    // Table 1's five because it is the one positive symptom, whose
+    // derivation records come from a scratch re-run that must honour the
+    // debugger's engine options too.
+    use sdn_meta_repair::runtime::Options;
     use sdn_meta_repair::EvalStrategy;
-    let scenario = Scenario::q1_copy_paste();
-    let run = |strategy: EvalStrategy| {
-        EvalStrategy::set_global_default(strategy);
-        let report = repair_scenario(&scenario);
-        let descriptions: Vec<String> =
-            report.outcomes.iter().map(|o| o.candidate.description.clone()).collect();
-        let accepted: Vec<String> = report
-            .accepted
-            .iter()
-            .map(|&i| report.outcomes[i].candidate.description.clone())
-            .collect();
-        (descriptions, accepted)
-    };
-    let pipelined = run(EvalStrategy::Pipelined);
-    let batch = run(EvalStrategy::Batch);
-    EvalStrategy::set_global_default(EvalStrategy::Batch);
-    assert_eq!(pipelined.0, batch.0, "candidate generation diverges");
-    assert_eq!(pipelined.1, batch.1, "acceptance diverges");
-    assert!(
-        batch.1.iter().any(|d| d.contains(&scenario.reference_fix)),
-        "reference fix missing under batch evaluation"
-    );
+    let scenarios = Scenario::all().into_iter().chain([Scenario::fig7_harmful_entry()]);
+    for scenario in scenarios {
+        let run = |strategy: EvalStrategy| {
+            let mut debugger = Debugger::for_scenario(&scenario);
+            debugger.engine_options = Options { strategy, ..Options::default() };
+            let report = debugger.diagnose_and_repair().unwrap();
+            let descriptions: Vec<String> =
+                report.outcomes.iter().map(|o| o.candidate.description.clone()).collect();
+            let accepted: Vec<String> = report
+                .accepted
+                .iter()
+                .map(|&i| report.outcomes[i].candidate.description.clone())
+                .collect();
+            (descriptions, accepted)
+        };
+        let pipelined = run(EvalStrategy::Pipelined);
+        let batch = run(EvalStrategy::Batch);
+        assert_eq!(pipelined.0, batch.0, "{}: candidate generation diverges", scenario.id);
+        assert_eq!(pipelined.1, batch.1, "{}: acceptance diverges", scenario.id);
+        assert!(
+            batch.1.iter().any(|d| d.contains(&scenario.reference_fix)),
+            "{}: reference fix missing under batch evaluation",
+            scenario.id
+        );
+    }
 }
 
 #[test]
