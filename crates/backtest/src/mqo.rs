@@ -30,7 +30,7 @@ use mpr_sdn::flowtable::{Action, FlowTable};
 use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimStats;
 use mpr_sdn::topology::NodeRef;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// A set of candidate tags (bit i = candidate i). At most 64 candidates
 /// per joint backtest — far above the paper's 9–13.
@@ -71,6 +71,20 @@ pub fn build_tagged_program(base: &Program, candidates: &[Program]) -> TaggedPro
     } else {
         (!0u64) >> (64 - candidates.len())
     };
+    // One id → rule index per candidate, so the build is linear in the
+    // program size (Fig. 10). A duplicated id keeps its first rule, as
+    // `Program::rule` does.
+    let by_id: Vec<HashMap<&str, &Rule>> = candidates
+        .iter()
+        .map(|cand| {
+            let mut index = HashMap::with_capacity(cand.rules.len());
+            for r in &cand.rules {
+                index.entry(r.id.as_str()).or_insert(r);
+            }
+            index
+        })
+        .collect();
+    let base_ids: HashSet<&str> = base.rules.iter().map(|r| r.id.as_str()).collect();
     let mut variants: Vec<TaggedVariant> = Vec::new();
     let mut coalesced = 0;
     for rule in &base.rules {
@@ -78,11 +92,11 @@ pub fn build_tagged_program(base: &Program, candidates: &[Program]) -> TaggedPro
         let mut shared: TagSet = 0;
         // Candidates that modified it get copies — coalesced when equal.
         let mut copies: Vec<(Rule, TagSet)> = Vec::new();
-        for (i, cand) in candidates.iter().enumerate() {
+        for (i, index) in by_id.iter().enumerate() {
             let bit = 1u64 << i;
-            match cand.rule(&rule.id) {
-                Some(r) if r == rule => shared |= bit,
-                Some(r) => {
+            match index.get(rule.id.as_str()) {
+                Some(&r) if r == rule => shared |= bit,
+                Some(&r) => {
                     if let Some((_, mask)) = copies.iter_mut().find(|(cr, _)| cr == r) {
                         *mask |= bit;
                         coalesced += 1;
@@ -108,7 +122,7 @@ pub fn build_tagged_program(base: &Program, candidates: &[Program]) -> TaggedPro
     for (i, cand) in candidates.iter().enumerate() {
         let bit = 1u64 << i;
         for r in &cand.rules {
-            if base.rule(&r.id).is_none() {
+            if !base_ids.contains(r.id.as_str()) {
                 if let Some((_, mask)) = added.iter_mut().find(|(ar, _)| ar == r) {
                     *mask |= bit;
                     coalesced += 1;
@@ -797,6 +811,132 @@ mod tests {
             .iter()
             .any(|v| v.rule.id == "r7" && v.mask == 0b111 && v.rule == *base.rule("r7").unwrap());
         assert!(!r7_shared);
+    }
+
+    /// The build as it was before the per-candidate id index: a
+    /// `Program::rule` scan per (rule, candidate) pair. Kept as the
+    /// reference the indexed build is compared against.
+    fn build_tagged_program_by_scan(base: &Program, candidates: &[Program]) -> TaggedProgram {
+        let mut variants: Vec<TaggedVariant> = Vec::new();
+        let mut coalesced = 0;
+        for rule in &base.rules {
+            let mut shared: TagSet = 0;
+            let mut copies: Vec<(Rule, TagSet)> = Vec::new();
+            for (i, cand) in candidates.iter().enumerate() {
+                let bit = 1u64 << i;
+                match cand.rule(&rule.id) {
+                    Some(r) if r == rule => shared |= bit,
+                    Some(r) => {
+                        if let Some((_, mask)) = copies.iter_mut().find(|(cr, _)| cr == r) {
+                            *mask |= bit;
+                            coalesced += 1;
+                        } else {
+                            copies.push((r.clone(), bit));
+                        }
+                    }
+                    None => {}
+                }
+            }
+            if shared != 0 {
+                variants.push(TaggedVariant { rule: rule.clone(), mask: shared });
+            }
+            variants.extend(copies.into_iter().map(|(rule, mask)| TaggedVariant { rule, mask }));
+        }
+        let mut added: Vec<(Rule, TagSet)> = Vec::new();
+        for (i, cand) in candidates.iter().enumerate() {
+            let bit = 1u64 << i;
+            for r in &cand.rules {
+                if base.rule(&r.id).is_none() {
+                    if let Some((_, mask)) = added.iter_mut().find(|(ar, _)| ar == r) {
+                        *mask |= bit;
+                        coalesced += 1;
+                    } else {
+                        added.push((r.clone(), bit));
+                    }
+                }
+            }
+        }
+        variants.extend(added.into_iter().map(|(rule, mask)| TaggedVariant { rule, mask }));
+        TaggedProgram { variants, n: candidates.len(), coalesced }
+    }
+
+    fn assert_same_build(base: &Program, cands: &[Program]) -> TaggedProgram {
+        let got = build_tagged_program(base, cands);
+        let want = build_tagged_program_by_scan(base, cands);
+        let show = |tp: &TaggedProgram| -> Vec<(String, TagSet)> {
+            tp.variants.iter().map(|v| (v.rule.to_string(), v.mask)).collect()
+        };
+        assert_eq!(show(&got), show(&want));
+        assert_eq!((got.n, got.coalesced), (want.n, want.coalesced));
+        got
+    }
+
+    /// `rule` re-headed and renamed `<id>_copy`, as the explorer's donor
+    /// repair builds it.
+    fn donor_copy(base: &Program, id: &str) -> Rule {
+        let mut copy = base.rule(id).unwrap().clone();
+        copy.id = format!("{id}_copy");
+        copy.sels[0].rhs = mpr_ndlog::Expr::int(3);
+        copy
+    }
+
+    #[test]
+    fn indexed_build_equals_the_scan_on_single_literal_candidates() {
+        let base = fig2_program();
+        assert_same_build(&base, &candidates(&base));
+    }
+
+    #[test]
+    fn indexed_build_handles_deleted_and_added_rules() {
+        let base = fig2_program();
+        // 0: deletes r5. 1 and 3: add the same donor copy (coalesced once).
+        // 2: adds a different rule. 4: the base, untouched.
+        let deleted =
+            Patch::single(Edit::DeleteRule { rule: "r5".into() }).apply(&base).unwrap();
+        let add = |rule: Rule| Patch::single(Edit::AddRule { rule }).apply(&base).unwrap();
+        let copy = donor_copy(&base, "r7");
+        let mut other = donor_copy(&base, "r1");
+        other.id = "synth0".into();
+        let cands =
+            vec![deleted, add(copy.clone()), add(other.clone()), add(copy.clone()), base.clone()];
+        let tp = assert_same_build(&base, &cands);
+        assert_eq!(tp.coalesced, 1);
+        let mask_of = |id: &str| -> Vec<TagSet> {
+            tp.variants.iter().filter(|v| v.rule.id == id).map(|v| v.mask).collect()
+        };
+        assert_eq!(mask_of("r1"), vec![0b11111]);
+        assert_eq!(mask_of("r5"), vec![0b11110], "candidate 0 deleted r5");
+        assert_eq!(mask_of("r7_copy"), vec![0b01010], "one variant for both adders");
+        assert_eq!(mask_of("synth0"), vec![0b00100]);
+        // Added rules follow every base rule.
+        let ids: Vec<&str> = tp.variants.iter().map(|v| v.rule.id.as_str()).collect();
+        assert_eq!(ids, ["r1", "r5", "r7", "r7_copy", "synth0"]);
+    }
+
+    #[test]
+    fn indexed_build_resolves_a_duplicated_id_to_its_first_rule() {
+        // Not a valid program (`validate` rejects it), but `Program::rule`
+        // answers with the first match and the index must agree.
+        let mut base = fig2_program();
+        let mut twin = base.rule("r5").unwrap().clone();
+        twin.id = "r1".into();
+        base.rules.push(twin.clone());
+        let mut edited = base.clone();
+        edited.rules[0].sels[0].op = CmpOp::Ne;
+        let mut swapped = base.clone();
+        swapped.rules.swap(0, 3);
+        let mut extra = base.clone();
+        extra.rules.push(donor_copy(&base, "r7"));
+        extra.rules.push(donor_copy(&base, "r7"));
+        let tp = assert_same_build(&base, &[base.clone(), edited, swapped.clone(), extra]);
+        // Both base `r1`s look up the candidate's *first* `r1`: the real
+        // one sees itself shared by 0 and 3, edited in 1, the twin in 2;
+        // the twin sees itself only in 2 and the others' first `r1` as
+        // copies.
+        assert_eq!(swapped.rule("r1"), Some(&twin));
+        let r1_masks: Vec<TagSet> =
+            tp.variants.iter().filter(|v| v.rule.id == "r1").map(|v| v.mask).collect();
+        assert_eq!(r1_masks, vec![0b1001, 0b0010, 0b0100, 0b0100, 0b1001, 0b0010]);
     }
 
     #[test]

@@ -47,6 +47,27 @@ fn mutant() -> impl Strategy<Value = Program> {
         })
 }
 
+/// A structural mutation: a rule deleted, or a re-pointed copy of one
+/// added (the explorer's donor repair) — the shapes where a candidate's
+/// rule list no longer lines up with the base program's.
+fn structural_mutant() -> impl Strategy<Value = Program> {
+    (prop::sample::select(vec!["r1", "r2", "r3", "r4"]), prop::option::of(1i64..4)).prop_map(
+        |(rule, copy_to)| {
+            let mut p = base_program();
+            match copy_to {
+                Some(swi) => {
+                    let mut copy = p.rule(rule).unwrap().clone();
+                    copy.id = format!("{rule}_copy");
+                    copy.sels[0].rhs = mpr_ndlog::Expr::int(swi);
+                    p.rules.push(copy);
+                }
+                None => p.rules.retain(|r| r.id != rule),
+            }
+            p
+        },
+    )
+}
+
 fn setup() -> BacktestSetup {
     let workload = (0..24)
         .map(|i| {
@@ -72,35 +93,48 @@ fn setup() -> BacktestSetup {
     }
 }
 
+/// The joint backtest of `cands` against one sequential replay each.
+fn assert_joint_equals_sequential(cands: &[Program]) -> Result<(), TestCaseError> {
+    let setup = setup();
+    let base = base_program();
+    let joint = mqo_replay(&setup, &base, cands, &[]);
+    prop_assert_eq!(joint.len(), cands.len());
+    for (i, cand) in cands.iter().enumerate() {
+        let solo = replay(&setup, cand).unwrap();
+        prop_assert_eq!(
+            &joint[i].delivered,
+            &solo.delivered,
+            "candidate {} delivered sets diverge",
+            i
+        );
+        prop_assert_eq!(
+            joint[i].stats.packet_ins,
+            solo.stats.packet_ins,
+            "candidate {} controller load diverges",
+            i
+        );
+        prop_assert_eq!(
+            joint[i].stats.dropped_policy,
+            solo.stats.dropped_policy,
+            "candidate {} policy drops diverge",
+            i
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn joint_equals_sequential(cands in prop::collection::vec(mutant(), 1..6)) {
-        let setup = setup();
-        let base = base_program();
-        let joint = mqo_replay(&setup, &base, &cands, &[]);
-        prop_assert_eq!(joint.len(), cands.len());
-        for (i, cand) in cands.iter().enumerate() {
-            let solo = replay(&setup, cand).unwrap();
-            prop_assert_eq!(
-                &joint[i].delivered,
-                &solo.delivered,
-                "candidate {} delivered sets diverge",
-                i
-            );
-            prop_assert_eq!(
-                joint[i].stats.packet_ins,
-                solo.stats.packet_ins,
-                "candidate {} controller load diverges",
-                i
-            );
-            prop_assert_eq!(
-                joint[i].stats.dropped_policy,
-                solo.stats.dropped_policy,
-                "candidate {} policy drops diverge",
-                i
-            );
-        }
+        assert_joint_equals_sequential(&cands)?;
+    }
+
+    #[test]
+    fn joint_equals_sequential_when_rules_are_added_and_deleted(
+        cands in prop::collection::vec(prop_oneof![mutant(), structural_mutant()], 1..6),
+    ) {
+        assert_joint_equals_sequential(&cands)?;
     }
 }

@@ -337,14 +337,11 @@ impl Debugger {
         // Joint MQO path requires identical seeds across candidates; fall
         // back to sequential when any candidate perturbs seeds.
         let uniform_seeds = seed_sets.iter().all(|s| s == &setup.seeds);
-        let all_compiled: Option<Vec<Program>> = programs.iter().cloned().collect();
-        if self.use_mqo && uniform_seeds && candidates.len() <= 64 {
-            if let Some(progs) = all_compiled {
-                if progs.iter().all(mqo_supported) {
-                    let outs = mqo_replay(setup, &self.scenario.program, &progs, &extra);
-                    return outs.into_iter().map(Some).collect();
-                }
-            }
+        let all_supported = programs.iter().all(|p| p.as_ref().is_some_and(mqo_supported));
+        if self.use_mqo && uniform_seeds && candidates.len() <= 64 && all_supported {
+            let progs: Vec<Program> = programs.into_iter().flatten().collect();
+            let outs = mqo_replay(setup, &self.scenario.program, &progs, &extra);
+            return outs.into_iter().map(Some).collect();
         }
         // Independent-replay fallback, fanned out over the backtest pool
         // (one hermetic simulator per candidate, results index-aligned).

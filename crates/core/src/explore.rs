@@ -89,8 +89,14 @@ pub struct ExploreStats {
     pub trees: u64,
     /// Constraint pools solved (selection feasibility checks).
     pub pools_solved: u64,
-    /// Candidates emitted before dedup/cutoff.
+    /// Candidates considered: every repair within
+    /// [`SearchBudget::max_cost`] the trees reach, whether it was built or
+    /// bounded away by the running cut first (those are counted without
+    /// the syntax check the built ones pass).
     pub raw_candidates: u64,
+    /// Of those, the candidates actually built — syntax check, description
+    /// and trace. Bounded by the frontier, not by the program size.
+    pub materialised: u64,
     /// Nanoseconds spent in constraint solving (pool solves and
     /// feasibility enumeration) — the Fig. 9a "Constraint solving" slice.
     pub solver_ns: u128,
@@ -112,26 +118,135 @@ fn expired(deadline: &Option<std::time::Instant>) -> bool {
     deadline.is_some_and(|d| std::time::Instant::now() >= d)
 }
 
+/// The `max_candidates` cheapest distinct-description candidates seen so
+/// far, in rank order — §3.5's "in cost order until a cut-off", kept as
+/// the search runs instead of sorted out of the exhaustive set afterwards.
+///
+/// Invariant: once the frontier is full, its last entry is the k-th
+/// cheapest distinct description seen so far, and that cost only ever
+/// falls. A candidate costing *strictly* more than it can therefore never
+/// be among the final k, whatever its description, so [`Frontier::admits`]
+/// lets the explorer drop it before building anything. A candidate that
+/// ties the k-th cost is still built: its description decides whether it
+/// displaces the k-th, exactly as the (cost, description) sort would.
+struct Frontier {
+    max_cost: u32,
+    max_candidates: usize,
+    /// `(cost, description)` → candidate: the ranking, cheapest first.
+    ranked: BTreeMap<(u32, String), Candidate>,
+    /// Cost at which each description is ranked (the dedup index).
+    cost_of: BTreeMap<String, u32>,
+}
+
+impl Frontier {
+    fn new(budget: &SearchBudget) -> Self {
+        Frontier {
+            max_cost: budget.max_cost,
+            max_candidates: budget.max_candidates,
+            ranked: BTreeMap::new(),
+            cost_of: BTreeMap::new(),
+        }
+    }
+
+    /// The running cut: `max_cost`, tightened to the k-th cost once k
+    /// distinct candidates are ranked.
+    fn cut(&self) -> u32 {
+        match self.ranked.last_key_value() {
+            Some(((kth, _), _)) if self.ranked.len() >= self.max_candidates => {
+                self.max_cost.min(*kth)
+            }
+            _ => self.max_cost,
+        }
+    }
+
+    /// Could a candidate of this cost still be returned?
+    fn admits(&self, cost: u32) -> bool {
+        self.max_candidates > 0 && cost <= self.cut()
+    }
+
+    /// Rank `c`. Of two candidates with one description the cheaper stays,
+    /// and of two at the same cost the one emitted first.
+    fn push(&mut self, c: Candidate) {
+        if !self.admits(c.cost) {
+            return;
+        }
+        if let Some(&ranked_at) = self.cost_of.get(&c.description) {
+            if ranked_at <= c.cost {
+                return;
+            }
+            self.ranked.remove(&(ranked_at, c.description.clone()));
+        }
+        self.cost_of.insert(c.description.clone(), c.cost);
+        self.ranked.insert((c.cost, c.description.clone()), c);
+        if self.ranked.len() > self.max_candidates {
+            if let Some(((_, description), _)) = self.ranked.pop_last() {
+                self.cost_of.remove(&description);
+            }
+        }
+    }
+
+    /// The ranked candidates, cheapest first.
+    fn finish(self) -> Vec<Candidate> {
+        self.ranked.into_values().collect()
+    }
+}
+
+/// One missing-tuple search: what every tree reads, and the frontier and
+/// counters every tree writes.
+struct Search<'a> {
+    world: &'a World,
+    goal: &'a Pattern,
+    /// `world.domain(goal)`, scanned once.
+    domain: Vec<i64>,
+    frontier: Frontier,
+    stats: ExploreStats,
+}
+
+impl Search<'_> {
+    /// Is a candidate of this cost worth building? One that is not is
+    /// counted as considered here; one that is gets counted by
+    /// [`Search::emit`], once it has passed its syntax check.
+    fn worth_building(&mut self, cost: u32) -> bool {
+        let build = self.frontier.admits(cost);
+        if build {
+            self.stats.materialised += 1;
+        } else {
+            self.stats.raw_candidates += 1;
+        }
+        build
+    }
+
+    fn emit(&mut self, c: Candidate) {
+        self.stats.raw_candidates += 1;
+        self.frontier.push(c);
+    }
+}
+
 /// Generate repair candidates for a *missing* tuple.
 pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats) {
-    let mut stats = ExploreStats::default();
-    let mut out: Vec<Candidate> = Vec::new();
-    let domain = world.domain(goal);
+    let mut s = Search {
+        world,
+        goal,
+        domain: world.domain(goal),
+        frontier: Frontier::new(&world.budget),
+        stats: ExploreStats::default(),
+    };
     let deadline = deadline_of(&world.budget);
 
     // (1) The base-tuple insertion repair: make the tuple appear directly.
     if let Some(tuple) = pattern_tuple(goal) {
-        out.push(Candidate {
-            repair: Repair::InsertTuple(tuple.clone()),
-            cost: world.cost.insert_tuple,
-            description: "Manually installing a flow entry".into(),
-            trace: vec![
-                format!("NEXIST[Tuple({goal})]"),
-                format!("NEXIST[Base({goal})] via meta rule h1"),
-                format!("FIX: insert base tuple {tuple}"),
-            ],
-        });
-        stats.raw_candidates += 1;
+        if s.worth_building(world.cost.insert_tuple) {
+            s.emit(Candidate {
+                repair: Repair::InsertTuple(tuple.clone()),
+                cost: world.cost.insert_tuple,
+                description: "Manually installing a flow entry".into(),
+                trace: vec![
+                    format!("NEXIST[Tuple({goal})]"),
+                    format!("NEXIST[Base({goal})] via meta rule h1"),
+                    format!("FIX: insert base tuple {tuple}"),
+                ],
+            });
+        }
     }
 
     // (2) Fork one tree per rule that derives the goal table (§3.3).
@@ -139,23 +254,23 @@ pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, Explo
     // forking trees and rank whatever has been generated so far.
     for rule in world.program.rules_for_table(&goal.table) {
         if expired(&deadline) {
-            stats.timed_out = true;
+            s.stats.timed_out = true;
             break;
         }
-        explore_rule(world, goal, rule, &domain, &mut out, &mut stats);
+        explore_rule(&mut s, rule);
     }
 
     // (3) Donor rules: head re-targeting and copy-with-new-head (the Q4
     // repairs: "changing/copying the head of r5 to packetOut(...)").
     for rule in &world.program.rules {
         if expired(&deadline) {
-            stats.timed_out = true;
+            s.stats.timed_out = true;
             break;
         }
         if rule.head.table == goal.table || rule.head.args.len() != goal.args.len() {
             continue;
         }
-        explore_donor(world, goal, rule, &mut out, &mut stats);
+        explore_donor(&mut s, rule);
     }
 
     // (4) Completeness fallback (Appendix D, case b): a brand-new rule
@@ -164,53 +279,62 @@ pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, Explo
     // only when nothing cheaper exists, but it guarantees the search
     // always finds at least one working repair.
     if let (Some(tuple), Some(trigger)) = (pattern_tuple(goal), world.triggers.first()) {
-        let mut body_args = Vec::new();
-        let mut sels = Vec::new();
-        for (i, v) in trigger.args.iter().enumerate() {
-            let var = format!("X{i}");
-            body_args.push(Term::Var(var.clone()));
-            sels.push(mpr_ndlog::Selection::new(
-                Expr::var(var),
-                CmpOp::Eq,
-                Expr::Const(v.clone()),
-            ));
-        }
-        let mut assigns = Vec::new();
-        let mut head_args = Vec::new();
-        for (i, v) in tuple.args.iter().enumerate() {
-            let var = format!("H{i}");
-            assigns.push(mpr_ndlog::Assign::new(var.clone(), Expr::Const(v.clone())));
-            head_args.push(Term::Var(var));
-        }
-        assigns.push(mpr_ndlog::Assign::new("Hl", Expr::Const(tuple.loc.clone())));
-        let rule = mpr_ndlog::Rule::new(
-            "synth0",
-            mpr_ndlog::Atom::new(goal.table.clone(), Term::Var("Hl".into()), head_args),
-            vec![mpr_ndlog::Atom::new(
-                trigger.table.clone(),
-                Term::Var("Xl".into()),
-                body_args,
-            )],
-            sels,
-            assigns,
-        );
-        let patch = Patch::single(Edit::AddRule { rule: rule.clone() });
-        if patch.apply(&world.program).is_ok() {
-            stats.raw_candidates += 1;
-            out.push(Candidate {
-                repair: Repair::Patch(patch),
-                cost: world.cost.new_rule,
-                description: format!("Adding a new rule deriving {tuple}"),
-                trace: vec![
-                    format!("NEXIST[Tuple({goal})]"),
-                    "NEXIST[HeadFunc(*)] — no rule can be adapted cheaply".into(),
-                    format!("FIX: add rule {rule}"),
-                ],
-            });
-        }
+        synthesize_rule(&mut s, &tuple, trigger);
     }
 
-    (finish(out, &world.budget), stats)
+    (s.frontier.finish(), s.stats)
+}
+
+/// The Appendix D fallback: a new rule deriving `tuple` from `trigger`.
+fn synthesize_rule(s: &mut Search, tuple: &Tuple, trigger: &Tuple) {
+    let (world, goal) = (s.world, s.goal);
+    if !s.worth_building(world.cost.new_rule) {
+        return;
+    }
+    let mut body_args = Vec::new();
+    let mut sels = Vec::new();
+    for (i, v) in trigger.args.iter().enumerate() {
+        let var = format!("X{i}");
+        body_args.push(Term::Var(var.clone()));
+        sels.push(mpr_ndlog::Selection::new(
+            Expr::var(var),
+            CmpOp::Eq,
+            Expr::Const(v.clone()),
+        ));
+    }
+    let mut assigns = Vec::new();
+    let mut head_args = Vec::new();
+    for (i, v) in tuple.args.iter().enumerate() {
+        let var = format!("H{i}");
+        assigns.push(mpr_ndlog::Assign::new(var.clone(), Expr::Const(v.clone())));
+        head_args.push(Term::Var(var));
+    }
+    assigns.push(mpr_ndlog::Assign::new("Hl", Expr::Const(tuple.loc.clone())));
+    let rule = mpr_ndlog::Rule::new(
+        "synth0",
+        mpr_ndlog::Atom::new(goal.table.clone(), Term::Var("Hl".into()), head_args),
+        vec![mpr_ndlog::Atom::new(
+            trigger.table.clone(),
+            Term::Var("Xl".into()),
+            body_args,
+        )],
+        sels,
+        assigns,
+    );
+    let patch = Patch::single(Edit::AddRule { rule: rule.clone() });
+    if patch.apply(&world.program).is_err() {
+        return;
+    }
+    s.emit(Candidate {
+        repair: Repair::Patch(patch),
+        cost: world.cost.new_rule,
+        description: format!("Adding a new rule deriving {tuple}"),
+        trace: vec![
+            format!("NEXIST[Tuple({goal})]"),
+            "NEXIST[HeadFunc(*)] — no rule can be adapted cheaply".into(),
+            format!("FIX: add rule {rule}"),
+        ],
+    });
 }
 
 /// A fully concrete tuple from a pattern, if every column is constrained.
@@ -218,16 +342,6 @@ fn pattern_tuple(p: &Pattern) -> Option<Tuple> {
     let loc = p.loc.clone()?;
     let args: Option<Vec<Value>> = p.args.iter().cloned().collect();
     Some(Tuple { table: p.table.clone(), loc, args: args? })
-}
-
-/// Sort by cost, dedupe by description (keeping the cheapest), apply the
-/// cutoff and the candidate cap.
-fn finish(mut cands: Vec<Candidate>, budget: &SearchBudget) -> Vec<Candidate> {
-    cands.sort_by(|a, b| a.cost.cmp(&b.cost).then(a.description.cmp(&b.description)));
-    let mut seen = BTreeSet::new();
-    cands.retain(|c| c.cost <= budget.max_cost && seen.insert(c.description.clone()));
-    cands.truncate(budget.max_candidates);
-    cands
 }
 
 /// Merge required head bindings from unifying the rule head with the goal.
@@ -263,15 +377,9 @@ fn head_requirements(rule: &Rule, goal: &Pattern) -> Option<BTreeMap<String, Val
 }
 
 /// One tree: this rule, every compatible trigger.
-fn explore_rule(
-    world: &World,
-    goal: &Pattern,
-    rule: &Rule,
-    domain: &[i64],
-    out: &mut Vec<Candidate>,
-    stats: &mut ExploreStats,
-) {
-    let Some(required) = head_requirements(rule, goal) else {
+fn explore_rule(s: &mut Search, rule: &Rule) {
+    let world = s.world;
+    let Some(required) = head_requirements(rule, s.goal) else {
         return;
     };
     for trigger in &world.triggers {
@@ -289,7 +397,7 @@ fn explore_rule(
             let Some(env1) = match_atom(atom, trigger, &env0) else {
                 continue;
             };
-            stats.trees += 1;
+            s.stats.trees += 1;
             // Join the remaining (state) atoms.
             let mut envs = vec![env1];
             let mut missing_state: Option<usize> = None;
@@ -312,11 +420,11 @@ fn explore_rule(
                 envs = next;
             }
             if let Some(ai) = missing_state {
-                emit_state_insertion(world, goal, rule, ai, &envs[0], &required, out, stats);
+                emit_state_insertion(s, rule, ai, &envs[0], &required);
                 continue;
             }
             for env in envs {
-                emit_rule_candidates(world, goal, rule, &env, &required, domain, out, stats);
+                emit_rule_candidates(s, rule, &env, &required);
             }
         }
     }
@@ -324,17 +432,14 @@ fn explore_rule(
 
 /// A state predicate had no matching tuple: the repair inserts one whose
 /// attributes are solved from the join/selection constraints (§3.4).
-#[allow(clippy::too_many_arguments)]
 fn emit_state_insertion(
-    world: &World,
-    goal: &Pattern,
+    s: &mut Search,
     rule: &Rule,
     atom_idx: usize,
     env: &Env,
     required: &BTreeMap<String, Value>,
-    out: &mut Vec<Candidate>,
-    stats: &mut ExploreStats,
 ) {
+    let (world, goal) = (s.world, s.goal);
     let atom = &rule.body[atom_idx];
     // Bind what we can from the environment plus the head requirements.
     let mut full = env.clone();
@@ -355,14 +460,14 @@ fn emit_state_insertion(
             pool.push(c);
         }
     }
-    let dom: Vec<Value> = world.domain(goal).into_iter().map(Value::Int).collect();
+    let dom: Vec<Value> = s.domain.iter().map(|&i| Value::Int(i)).collect();
     for v in &free {
         pool.set_domain(v.clone(), dom.clone());
     }
-    stats.pools_solved += 1;
+    s.stats.pools_solved += 1;
     let t0 = std::time::Instant::now();
     let solved = pool.solve();
-    stats.solver_ns += t0.elapsed().as_nanos();
+    s.stats.solver_ns += t0.elapsed().as_nanos();
     let Some(asg) = solved.assignment() else {
         return;
     };
@@ -374,8 +479,10 @@ fn emit_state_insertion(
     let Some(tuple) = instantiate(atom, &full) else {
         return;
     };
-    stats.raw_candidates += 1;
-    out.push(Candidate {
+    if !s.worth_building(world.cost.insert_tuple) {
+        return;
+    }
+    s.emit(Candidate {
         repair: Repair::InsertTuple(tuple.clone()),
         cost: world.cost.insert_tuple,
         description: format!("Manually inserting a {} entry", atom.table),
@@ -417,39 +524,33 @@ fn expr_sterm(e: &Expr, env: &Env) -> Option<mpr_solver::STerm> {
     }
 }
 
+/// One way to fix one blocking literal: the edit and its cost.
+type FixOption = (Edit, u32);
+
 /// The core of the search: under a complete join environment, determine
 /// which program-based meta tuples block the derivation and emit the
 /// change combinations that unblock it.
-#[allow(clippy::too_many_arguments)]
 fn emit_rule_candidates(
-    world: &World,
-    goal: &Pattern,
+    s: &mut Search,
     rule: &Rule,
     env: &Env,
     required: &BTreeMap<String, Value>,
-    domain: &[i64],
-    out: &mut Vec<Candidate>,
-    stats: &mut ExploreStats,
 ) {
+    let (world, goal) = (s.world, s.goal);
     let cm = &world.cost;
     // --- assignments -----------------------------------------------------
     // Evaluate assignments; those bound to a required head value that
     // disagree must be fixed.
     let mut post = env.clone();
     let mut funcs = PureFuncs;
-    #[derive(Clone)]
-    struct AssignFix {
-        options: Vec<(Edit, u32, String)>,
-    }
-    let mut assign_fixes: Vec<AssignFix> = Vec::new();
-    for (ai, a) in rule.assigns.iter().enumerate() {
+    let mut assign_fixes: Vec<Vec<FixOption>> = Vec::new();
+    for a in &rule.assigns {
         let computed = a.expr.eval(&post, &mut funcs).ok();
         let needed = required.get(&a.var).cloned();
         match (computed, needed) {
             (Some(v), Some(need)) if v != need => {
                 // Fix options: rewrite to the needed constant, or to an
                 // in-scope variable that carries the needed value.
-                let mut options: Vec<(Edit, u32, String)> = Vec::new();
                 let const_cost = match &a.expr {
                     Expr::Const(Value::Int(old)) => match need {
                         Value::Int(n) => cm.const_change(*old, n),
@@ -457,15 +558,14 @@ fn emit_rule_candidates(
                     },
                     _ => cm.assign_change,
                 };
-                options.push((
+                let mut options: Vec<FixOption> = vec![(
                     Edit::SetAssignExpr {
                         rule: rule.id.clone(),
                         var: a.var.clone(),
                         expr: Expr::Const(need.clone()),
                     },
                     const_cost,
-                    format!("{} := {need}", a.var),
-                ));
+                )];
                 for (w, val) in env.iter() {
                     if val == &need && w != &a.var {
                         options.push((
@@ -475,36 +575,28 @@ fn emit_rule_candidates(
                                 expr: Expr::var(w.clone()),
                             },
                             cm.var_change,
-                            format!("{} := {w}", a.var),
                         ));
                     }
                 }
-                let _ = ai;
                 post.insert(a.var.clone(), need.clone());
-                assign_fixes.push(AssignFix { options });
+                assign_fixes.push(options);
             }
             (Some(v), _) => {
                 post.insert(a.var.clone(), v);
             }
             (None, Some(need)) => {
                 post.insert(a.var.clone(), need.clone());
-                assign_fixes.push(AssignFix {
-                    options: vec![(
-                        Edit::SetAssignExpr {
-                            rule: rule.id.clone(),
-                            var: a.var.clone(),
-                            expr: Expr::Const(need.clone()),
-                        },
-                        cm.assign_change,
-                        format!("{} := {need}", a.var),
-                    )],
-                });
+                assign_fixes.push(vec![(
+                    Edit::SetAssignExpr {
+                        rule: rule.id.clone(),
+                        var: a.var.clone(),
+                        expr: Expr::Const(need.clone()),
+                    },
+                    cm.assign_change,
+                )]);
             }
             (None, None) => return, // un-evaluable, unconstrained — give up
         }
-    }
-    if assign_fixes.iter().any(|f| f.options.is_empty()) {
-        return;
     }
     // --- selections -------------------------------------------------------
     let mut failing: Vec<usize> = Vec::new();
@@ -522,10 +614,10 @@ fn emit_rule_candidates(
     // Fix options per failing selection: constants (solver-enumerated),
     // operators, variable swaps (§2.5's "relevant changes" only — passing
     // selections are never touched).
-    let mut sel_fixes: Vec<Vec<(Edit, u32, String)>> = Vec::new();
+    let mut sel_fixes: Vec<Vec<FixOption>> = Vec::new();
     for &si in &failing {
         let sel = &rule.sels[si];
-        let mut opts: Vec<(Edit, u32, String)> = Vec::new();
+        let mut opts: Vec<FixOption> = Vec::new();
         // (a) constant replacement via the constraint pool (Fig. 6's
         //     NEXIST[Const(Rul, ID, Val)] leaf).
         for (site, old) in rule.constants() {
@@ -539,7 +631,7 @@ fn emit_rule_candidates(
                 continue;
             }
             let Value::Int(old_i) = old else { continue };
-            stats.pools_solved += 1;
+            s.stats.pools_solved += 1;
             let t0 = std::time::Instant::now();
             // Equality against a bound variable admits exactly one
             // replacement constant — skip the domain scan (this keeps
@@ -556,9 +648,9 @@ fn emit_rule_candidates(
             } else {
                 None
             };
-            let scan: Vec<i64> = eq_fast.unwrap_or_else(|| domain.to_vec());
+            let scan: &[i64] = eq_fast.as_deref().unwrap_or(&s.domain);
             let mut found = 0;
-            for &v in &scan {
+            for &v in scan {
                 if v == old_i {
                     continue;
                 }
@@ -575,7 +667,6 @@ fn emit_rule_candidates(
                             value: Value::Int(v),
                         },
                         cm.const_change(old_i, v),
-                        format!("const {old_i}→{v}"),
                     ));
                     found += 1;
                     if found >= world.budget.consts_per_site {
@@ -583,7 +674,7 @@ fn emit_rule_candidates(
                     }
                 }
             }
-            stats.solver_ns += t0.elapsed().as_nanos();
+            s.stats.solver_ns += t0.elapsed().as_nanos();
         }
         // (b) operator flips.
         for op in CmpOp::ALL {
@@ -593,11 +684,7 @@ fn emit_rule_candidates(
             let mut patched = sel.clone();
             patched.op = op;
             if patched.eval(&post, &mut funcs) == Ok(true) {
-                opts.push((
-                    Edit::SetSelectionOp { rule: rule.id.clone(), sel: si, op },
-                    cm.op_change,
-                    format!("op {}→{op}", sel.op),
-                ));
+                opts.push((Edit::SetSelectionOp { rule: rule.id.clone(), sel: si, op }, cm.op_change));
             }
         }
         // (c) variable swaps.
@@ -621,7 +708,6 @@ fn emit_rule_candidates(
                                 expr: Expr::var(w.clone()),
                             },
                             cm.var_change,
-                            format!("var {cur}→{w}"),
                         ));
                     }
                 }
@@ -646,13 +732,35 @@ fn emit_rule_candidates(
             }
         }
     }
-    // Assign-fix cross product (small: ≤ 2 assigns, ≤ 4 options each).
-    let assign_combos: Vec<(Vec<Edit>, u32)> = cross_product(
-        &assign_fixes.iter().map(|f| f.options.clone()).collect::<Vec<_>>(),
-    );
-    let _ = (&assign_fixes, &post);
-    // Sel-fix cross product.
-    let sel_combos: Vec<(Vec<Edit>, u32)> = cross_product(&sel_fixes);
+    // A candidate is one combination of selection fixes (or one deletion
+    // set) with one combination of assignment fixes. Multi-edit patches
+    // are intrinsically less plausible: charge one extra unit per
+    // additional edit (keeps Table 2's single-literal repairs ahead of
+    // combination repairs).
+    let cost_of = |fix: u32, assign: u32, fixed: usize| {
+        fix + assign + ((fixed + assign_fixes.len()) as u32).saturating_sub(1)
+    };
+    let del_cost = |del: &[usize]| del.len() as u32 * cm.delete_selection;
+    // Per tree: cost every combination — arithmetic only — and stop here,
+    // before any edit is cloned, when the cut has passed them all.
+    let assign_costs = combo_costs(&assign_fixes);
+    let sel_costs = combo_costs(&sel_fixes);
+    let mut costs: Vec<u32> = Vec::new();
+    for &ac in &assign_costs {
+        costs.extend(sel_costs.iter().map(|&sc| cost_of(sc, ac, failing.len())));
+        costs.extend(deletion_sets.iter().map(|d| cost_of(del_cost(d), ac, d.len())));
+    }
+    costs.retain(|&c| c <= world.budget.max_cost);
+    if !costs.iter().any(|&c| s.frontier.admits(c)) {
+        s.stats.raw_candidates += costs.len() as u64;
+        return;
+    }
+    // Assign-fix cross product (small: ≤ 2 assigns, ≤ 4 options each) and
+    // sel-fix cross product. No failing selection means one empty
+    // combination (only assignments need fixing); a failing selection
+    // nothing can fix means none.
+    let assign_combos = cross_product(&assign_fixes);
+    let sel_combos = cross_product(&sel_fixes);
 
     let mk_trace = |edits: &[Edit], cost: u32| -> Vec<String> {
         let mut t = vec![
@@ -670,99 +778,95 @@ fn emit_rule_candidates(
         t
     };
 
-    if !sel_fixes.is_empty() && sel_fixes.iter().all(|o| !o.is_empty()) {
-        for (sedits, scost) in &sel_combos {
-            for (aedits, acost) in &assign_combos {
-                let mut edits = sedits.clone();
-                edits.extend(aedits.clone());
-                let cost = scost + acost;
-                push_patch(world, goal, rule, edits, cost, mk_trace, out, stats);
+    // Per combination: test the cut again (it tightens as candidates
+    // land) before cloning the edits.
+    for (sedits, scost) in &sel_combos {
+        for (aedits, acost) in &assign_combos {
+            let cost = cost_of(*scost, *acost, sedits.len());
+            if cost <= world.budget.max_cost && s.worth_building(cost) {
+                let edits = sedits.iter().chain(aedits).map(|&e| e.clone()).collect();
+                push_patch(s, rule, edits, cost, mk_trace);
             }
         }
-    } else if sel_fixes.is_empty() {
-        // Only assignments need fixing.
-        for (aedits, acost) in &assign_combos {
-            push_patch(world, goal, rule, aedits.clone(), *acost, mk_trace, out, stats);
-        }
     }
-    for del in deletion_sets {
+    for del in &deletion_sets {
         for (aedits, acost) in &assign_combos {
-            let mut edits: Vec<Edit> = del
-                .iter()
-                .map(|&si| Edit::DeleteSelection { rule: rule.id.clone(), sel: si })
-                .collect();
-            edits.extend(aedits.clone());
-            let cost = del.len() as u32 * cm.delete_selection + acost;
-            push_patch(world, goal, rule, edits, cost, mk_trace, out, stats);
+            let cost = cost_of(del_cost(del), *acost, del.len());
+            if cost <= world.budget.max_cost && s.worth_building(cost) {
+                let edits = del
+                    .iter()
+                    .map(|&si| Edit::DeleteSelection { rule: rule.id.clone(), sel: si })
+                    .chain(aedits.iter().map(|&e| e.clone()))
+                    .collect();
+                push_patch(s, rule, edits, cost, mk_trace);
+            }
         }
     }
 }
 
-fn cross_product(options: &[Vec<(Edit, u32, String)>]) -> Vec<(Vec<Edit>, u32)> {
-    let mut combos: Vec<(Vec<Edit>, u32)> = vec![(Vec::new(), 0)];
-    for opts in options {
-        let mut next = Vec::new();
-        for (edits, cost) in &combos {
-            for (e, c, _) in opts {
-                let mut ne = edits.clone();
-                ne.push(e.clone());
-                next.push((ne, cost + c));
-            }
-        }
-        combos = next;
-        if combos.len() > 64 {
-            combos.truncate(64);
-        }
+/// At most this many combinations survive each step of a cross product.
+const MAX_COMBOS: usize = 64;
+
+/// Every way to pick one option per slot, with the summed cost.
+fn cross_product(slots: &[Vec<FixOption>]) -> Vec<(Vec<&Edit>, u32)> {
+    let mut combos: Vec<(Vec<&Edit>, u32)> = vec![(Vec::new(), 0)];
+    for opts in slots {
+        combos = combos
+            .iter()
+            .flat_map(|(edits, cost)| {
+                opts.iter().map(move |(e, c)| {
+                    let mut edits = edits.clone();
+                    edits.push(e);
+                    (edits, cost + c)
+                })
+            })
+            .take(MAX_COMBOS)
+            .collect();
     }
     combos
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The costs [`cross_product`] would pair with its combinations, in the
+/// same order, without building them.
+fn combo_costs(slots: &[Vec<FixOption>]) -> Vec<u32> {
+    let mut costs = vec![0];
+    for opts in slots {
+        costs = costs
+            .iter()
+            .flat_map(|cost| opts.iter().map(move |(_, c)| cost + c))
+            .take(MAX_COMBOS)
+            .collect();
+    }
+    costs
+}
+
+/// Build one patch candidate of `rule` and rank it.
 fn push_patch(
-    world: &World,
-    _goal: &Pattern,
-    _rule: &Rule,
+    s: &mut Search,
+    rule: &Rule,
     edits: Vec<Edit>,
     cost: u32,
     mk_trace: impl Fn(&[Edit], u32) -> Vec<String>,
-    out: &mut Vec<Candidate>,
-    stats: &mut ExploreStats,
 ) {
-    // Multi-edit patches are intrinsically less plausible: charge one
-    // extra unit per additional edit (keeps Table 2's single-literal
-    // repairs ahead of combination repairs).
-    let cost = cost + (edits.len() as u32).saturating_sub(1);
-    if edits.is_empty() || cost > world.budget.max_cost {
-        return;
-    }
     let patch = Patch::of(edits);
     // Syntax preservation (§4.2): refuse edits that break the grammar.
-    // Checked against a reduced program holding only the touched rules, so
-    // candidate emission stays O(1) in program size (Fig. 10's linearity).
+    // Every edit touches `rule` alone, so it is checked — and described —
+    // against a reduced program holding just that rule: emission stays
+    // O(1) in program size (Fig. 10's linearity).
     let mut reduced = Program::new("syntax-check");
-    for rid in patch.touched_rules() {
-        if let Some(r) = world.program.rule(&rid) {
-            reduced.rules.push(r.clone());
-        }
-    }
+    reduced.rules.push(rule.clone());
     if patch.apply(&reduced).is_err() {
         return;
     }
-    let description = patch.describe(&world.program);
+    let description = patch.describe(&reduced);
     let trace = mk_trace(&patch.edits, cost);
-    stats.raw_candidates += 1;
-    out.push(Candidate { repair: Repair::Patch(patch), cost, description, trace });
+    s.emit(Candidate { repair: Repair::Patch(patch), cost, description, trace });
 }
 
 /// Donor exploration: `rule` derives a different table; re-targeting or
 /// copying it can make the goal appear (the Q4 repairs).
-fn explore_donor(
-    world: &World,
-    goal: &Pattern,
-    rule: &Rule,
-    out: &mut Vec<Candidate>,
-    stats: &mut ExploreStats,
-) {
+fn explore_donor(s: &mut Search, rule: &Rule) {
+    let (world, goal) = (s.world, s.goal);
     // The donor must actually fire under some trigger and produce a head
     // whose values match the goal pattern.
     let mut fires = false;
@@ -776,10 +880,7 @@ fn explore_donor(
             };
             // Join state, evaluate assigns and sels.
             let mut envs = vec![env];
-            for (ai, satom) in rule.body.iter().enumerate() {
-                if satom.table == trigger.table && ai == 0 {
-                    continue;
-                }
+            for satom in &rule.body {
                 if satom.table == trigger.table {
                     continue;
                 }
@@ -825,7 +926,7 @@ fn explore_donor(
     if !fires {
         return;
     }
-    stats.trees += 1;
+    s.stats.trees += 1;
     let trace = |fix: &str| {
         vec![
             format!("NEXIST[Tuple({goal})]"),
@@ -842,9 +943,8 @@ fn explore_donor(
         rule: rule.id.clone(),
         table: goal.table.clone(),
     });
-    if patch.apply(&world.program).is_ok() {
-        stats.raw_candidates += 1;
-        out.push(Candidate {
+    if s.worth_building(world.cost.head_change) && patch.apply(&world.program).is_ok() {
+        s.emit(Candidate {
             repair: Repair::Patch(patch),
             cost: world.cost.head_change,
             description: format!(
@@ -856,13 +956,15 @@ fn explore_donor(
     }
     // (b) Copy the rule with the new head (keeps the original — Table 6c
     // candidates J/L, the accepted ones).
+    if !s.worth_building(world.cost.copy_rule) {
+        return;
+    }
     let mut copy = rule.clone();
     copy.id = format!("{}_copy", rule.id);
     copy.head.table = goal.table.clone();
     let patch = Patch::single(Edit::AddRule { rule: copy });
     if patch.apply(&world.program).is_ok() {
-        stats.raw_candidates += 1;
-        out.push(Candidate {
+        s.emit(Candidate {
             repair: Repair::Patch(patch),
             cost: world.cost.copy_rule,
             description: format!(
@@ -895,7 +997,7 @@ pub fn generate_existing(
     derivations: &[DerivationRecord],
 ) -> (Vec<Candidate>, ExploreStats) {
     let mut stats = ExploreStats::default();
-    let mut out = Vec::new();
+    let mut out = Frontier::new(&world.budget);
     let domain = world.domain(&Pattern::exact(culprit));
     let deadline = deadline_of(&world.budget);
     for d in derivations {
@@ -1104,7 +1206,9 @@ pub fn generate_existing(
             }
         }
     }
-    (finish(out, &world.budget), stats)
+    // Deletions have no tree to bound away: every candidate counted was built.
+    stats.materialised = stats.raw_candidates;
+    (out.finish(), stats)
 }
 
 fn rename_var(c: mpr_solver::Constraint, from: &str, to: &str) -> mpr_solver::Constraint {
@@ -1128,5 +1232,66 @@ fn rename_var(c: mpr_solver::Constraint, from: &str, to: &str) -> mpr_solver::Co
         ),
         C::Not(b) => C::Not(Box::new(rename_var(*b, from, to))),
         other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What the search returned before it kept a frontier: sort the
+    /// exhaustive set by cost, dedupe by description (keeping the
+    /// cheapest, and of equals the first emitted), apply the cutoff and
+    /// the candidate cap.
+    fn sort_dedup_truncate(mut cands: Vec<Candidate>, budget: &SearchBudget) -> Vec<Candidate> {
+        cands.sort_by(|a, b| a.cost.cmp(&b.cost).then(a.description.cmp(&b.description)));
+        let mut seen = BTreeSet::new();
+        cands.retain(|c| c.cost <= budget.max_cost && seen.insert(c.description.clone()));
+        cands.truncate(budget.max_candidates);
+        cands
+    }
+
+    #[test]
+    fn frontier_equals_sorting_the_exhaustive_set() {
+        // A deterministic stream with many cost ties and repeated
+        // descriptions; the trace records the emission index, so a tie
+        // resolved towards the wrong emission shows.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let stream: Vec<Candidate> = (0..400)
+            .map(|i| Candidate {
+                repair: Repair::Patch(Patch::default()),
+                cost: 1 + (next() % 6) as u32,
+                description: format!("d{}", next() % 40),
+                trace: vec![i.to_string()],
+            })
+            .collect();
+        for max_candidates in [0, 1, 3, 14, 39, 40, usize::MAX] {
+            for max_cost in [0, 2, 4, 10] {
+                let budget = SearchBudget { max_cost, max_candidates, ..SearchBudget::default() };
+                let mut frontier = Frontier::new(&budget);
+                let mut built = 0;
+                for c in &stream {
+                    if frontier.admits(c.cost) {
+                        built += 1;
+                        frontier.push(c.clone());
+                    }
+                }
+                let got = frontier.finish();
+                let want = sort_dedup_truncate(stream.clone(), &budget);
+                let show = |cs: &[Candidate]| -> Vec<(u32, String, String)> {
+                    cs.iter().map(|c| (c.cost, c.description.clone(), c.trace[0].clone())).collect()
+                };
+                assert_eq!(show(&got), show(&want), "k = {max_candidates}, max_cost = {max_cost}");
+                if max_candidates == 1 {
+                    assert!(built < stream.len() / 2, "the cut pruned nothing: {built}");
+                }
+            }
+        }
     }
 }

@@ -214,22 +214,15 @@ impl Atom {
 
     /// All variables appearing in this atom (location included).
     pub fn vars(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        if let Term::Var(v) = &self.loc {
-            out.insert(v.clone());
-        }
-        for a in &self.args {
-            match a {
-                Term::Var(v) => {
-                    out.insert(v.clone());
-                }
-                Term::Agg(_, v) => {
-                    out.insert(v.clone());
-                }
-                Term::Const(_) => {}
-            }
-        }
-        out
+        self.var_names().map(String::from).collect()
+    }
+
+    /// The same variables, borrowed, in column order (repeats included).
+    pub fn var_names(&self) -> impl Iterator<Item = &str> {
+        std::iter::once(&self.loc).chain(&self.args).filter_map(|t| match t {
+            Term::Var(v) | Term::Agg(_, v) => Some(v.as_str()),
+            Term::Const(_) => None,
+        })
     }
 
     /// `true` when any argument is an aggregate.
@@ -512,14 +505,12 @@ impl Rule {
     }
 
     /// Head variables that are bound nowhere in the body — a validity error.
-    pub fn unbound_head_vars(&self) -> BTreeSet<String> {
-        let mut bound = self.body_vars();
-        bound.extend(self.assigned_vars());
-        self.head
-            .vars()
-            .into_iter()
-            .filter(|v| !bound.contains(v))
-            .collect()
+    pub fn unbound_head_vars(&self) -> BTreeSet<&str> {
+        let bound = |v: &str| {
+            self.body.iter().any(|a| a.var_names().any(|b| b == v))
+                || self.assigns.iter().any(|a| a.var == v)
+        };
+        self.head.var_names().filter(|v| !bound(v)).collect()
     }
 
     /// `true` if the head carries an aggregate (an "AggWrap" rule, App. B.1).
@@ -714,10 +705,10 @@ impl Program {
     /// Validate the program: unique rule ids, no unbound head variables,
     /// consistent arity per table.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen = BTreeSet::new();
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
         let mut arities: std::collections::BTreeMap<&str, usize> = Default::default();
         for r in &self.rules {
-            if !seen.insert(r.id.clone()) {
+            if !seen.insert(&r.id) {
                 return Err(format!("duplicate rule id `{}`", r.id));
             }
             let unbound = r.unbound_head_vars();
