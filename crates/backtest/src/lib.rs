@@ -9,10 +9,11 @@
 //!   fans independent candidates out over the [`pool`] worker threads;
 //! - [`ks`] — the two-sample Kolmogorov–Smirnov filter (α = 0.05, §5.3);
 //! - [`mqo`] — the §4.4 multi-query optimization: one tagged joint replay
-//!   for all candidates, with rule-copy coalescing. A property test pins
-//!   the correctness claim: per-tag results equal sequential results.
-//! - [`pool`] — the scoped worker pool behind both parallel paths
-//!   (`MPR_BACKTEST_WORKERS` overrides its size).
+//!   for all candidates, with rule-copy coalescing and flow tables shared
+//!   across candidates until a FlowMod tells them apart. A property test
+//!   pins the correctness claim: per-tag results equal sequential results.
+//! - [`pool`] — the scoped worker pool behind [`replay_candidates`]
+//!   (one worker per available core).
 
 #![warn(missing_docs)]
 
@@ -23,7 +24,6 @@ pub mod replay;
 
 pub use ks::{ks_coefficient, ks_two_sample, KsResult};
 pub use mqo::{build_tagged_program, mqo_replay, mqo_supported, TagSet, TaggedProgram, TaggedVariant};
-pub use pool::par_map;
 pub use replay::{
     replay, replay_candidates, replay_with_extra_flows, BacktestSetup, CandidateRun,
     ReplayOutcome,

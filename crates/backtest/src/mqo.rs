@@ -9,27 +9,67 @@
 //! [`build_tagged_program`] performs exactly this transformation, including
 //! the coalescing optimization (syntactically identical candidate rules
 //! share one variant with a merged tag mask). [`mqo_replay`] then replays
-//! the workload **once**: per-candidate flow tables fork only where
-//! decisions diverge, and controller evaluation is shared across every
-//! candidate whose tag reaches the same PacketIn.
+//! the workload **once**: network state forks only where decisions
+//! diverge, and controller evaluation is shared across every candidate
+//! whose tag reaches the same PacketIn.
 //!
-//! Scope: the tagged evaluator covers the insert-only, aggregate-free
-//! fragment that SDN controller programs written against a `PacketIn` →
+//! # Network state: sparse, tag-shared flow tables
+//!
+//! The candidates' networks are one structure: per switch, a short list
+//! of `(mask, table)` variants. The masks of a switch's variants are
+//! non-empty and pairwise disjoint; a candidate in none of them has, at
+//! that switch, the empty table. So a switch nothing was installed on has
+//! no entry at all — an absent table answers every lookup with a miss,
+//! which is what an empty one answers — and the state is proportional to
+//! what the replay installs, not to the switch count or the candidate
+//! count. Installs on a switch the topology does not have are ignored, as
+//! the simulator ignores them: a FlowMod to a nonexistent switch has
+//! nowhere to land, and must not conjure a table that no packet can reach
+//! but the footprint would count.
+//!
+//! A FlowMod (or manual entry) for the tag set `ctags` installs in place
+//! into every variant whose mask lies within `ctags`. A variant it only
+//! partly covers is split copy-on-write: the covered candidates leave
+//! with a copy that has the entry, the others keep the original. The
+//! candidates of `ctags` in no variant get a fresh one-entry table. The
+//! proactive routes, identical for everyone, are one full-mask variant
+//! per switch, built once and never cloned.
+//!
+//! Packets in flight carry a tag set too: a hop costs one lookup per
+//! variant that intersects the flight's tags, the candidates that miss
+//! punt together, and copies that coincide again after diverging travel
+//! on as one flight. Counters stay exact per candidate (each is bumped
+//! for every tag of the set).
+//!
+//! # Scope
+//!
+//! The tagged evaluator covers the insert-only, aggregate-free fragment
+//! that SDN controller programs written against a `PacketIn` →
 //! `FlowTable`/`PacketOut` codec use. Deletions and aggregates fall back to
 //! sequential replay ([`mqo_supported`] reports applicability). Derived
 //! output tables are not re-joined, so set-vs-replacement semantics cannot
-//! diverge from the sequential engine.
+//! diverge from the sequential engine; like the sequential controller, the
+//! evaluator sends a control message only for an output tuple that
+//! *appears* (`LiveOutputs`).
+//!
+//! The joint network has no clock and no faults. Flights advance one hop
+//! round at a time and a round's punts are evaluated after its lookups,
+//! where the simulator orders events by time; the two agree (the whole
+//! `SimStats`, `tests/prop_mqo.rs`) as long as a candidate never has two
+//! copies of one packet racing for the controller — entries the codec
+//! decodes never copy a packet. Fault plans and `drop_chance` are not
+//! modelled: the debugger backtests per candidate under either.
 
 use crate::replay::{BacktestSetup, ReplayOutcome};
 use mpr_ndlog::ast::{Atom, CmpOp, Expr, Term};
 use mpr_ndlog::eval::{CountingFuncs, Env};
-use mpr_ndlog::{Program, Rule, Tuple, Value};
+use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
 use mpr_runtime::engine::{instantiate, match_atom};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg};
-use mpr_sdn::flowtable::{Action, FlowTable};
+use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimStats;
-use mpr_sdn::topology::NodeRef;
+use mpr_sdn::topology::{NodeRef, Topology};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// A set of candidate tags (bit i = candidate i). At most 64 candidates
@@ -248,6 +288,48 @@ fn build_dispatch(program: &TaggedProgram) -> HashMap<String, VariantDispatch> {
         .collect()
 }
 
+/// Which output tuples — the ones the codec turns into control messages —
+/// are live in each candidate's controller. The sequential controller
+/// answers a PacketIn with the tuples that *appeared*: new, or replacing
+/// another payload under the same primary key. A rule that derives a
+/// `FlowTable` tuple the candidate already holds is silent there, and must
+/// be here; tuples of event tables always appear.
+struct LiveOutputs<'a> {
+    catalog: &'a Catalog,
+    /// A tuple projected onto its primary key → the payloads seen under
+    /// that key and the candidates each is live for (disjoint).
+    by_key: HashMap<Tuple, Vec<(Tuple, TagSet)>>,
+}
+
+impl LiveOutputs<'_> {
+    /// `head` was derived for `tags`: returns the candidates it appeared
+    /// for.
+    fn appear(&mut self, head: &Tuple, tags: TagSet) -> TagSet {
+        let keys = match self.catalog.get(&head.table) {
+            Some(schema) if !schema.is_state() => return tags,
+            Some(schema) => schema.effective_keys(),
+            None => (0..head.args.len()).collect(),
+        };
+        let key = Tuple::new(head.table.clone(), head.loc.clone(), head.key(&keys));
+        let slot = self.by_key.entry(key).or_default();
+        let mut fresh = tags;
+        let mut known = false;
+        for (payload, live) in slot.iter_mut() {
+            if payload == head {
+                fresh &= !*live;
+                *live |= tags;
+                known = true;
+            } else {
+                *live &= !tags; // replaced
+            }
+        }
+        if !known {
+            slot.push((head.clone(), tags));
+        }
+        fresh
+    }
+}
+
 /// Tagged controller state: tuples annotated with the candidates they
 /// exist for.
 struct TaggedEngine<'a> {
@@ -257,6 +339,7 @@ struct TaggedEngine<'a> {
     dispatch: HashMap<String, VariantDispatch>,
     /// table → [(tuple, tags)]
     state: HashMap<String, Vec<(Tuple, TagSet)>>,
+    outputs: LiveOutputs<'a>,
     funcs: CountingFuncs,
     /// Bumped whenever [`Self::insert_state`] admits fresh bits; stamps
     /// memo entries so state changes invalidate them.
@@ -274,6 +357,7 @@ struct TaggedEngine<'a> {
 impl<'a> TaggedEngine<'a> {
     fn new(
         program: &'a TaggedProgram,
+        catalog: &'a Catalog,
         codec: &'a mpr_sdn::controller::TupleCodec,
         seeds: &[Tuple],
         full: TagSet,
@@ -287,6 +371,7 @@ impl<'a> TaggedEngine<'a> {
             codec,
             dispatch: build_dispatch(program),
             state,
+            outputs: LiveOutputs { catalog, by_key: HashMap::new() },
             funcs: CountingFuncs::starting_at(1000),
             state_gen: 0,
             memo: HashMap::new(),
@@ -321,8 +406,9 @@ impl<'a> TaggedEngine<'a> {
             {
                 // Replay the recorded reply heads against this packet.
                 for (h, htags) in heads {
-                    if let Some(cm) = self.codec.decode(h, msg) {
-                        out.push((cm, *htags));
+                    let fresh = self.outputs.appear(h, *htags);
+                    if let (true, Some(cm)) = (fresh != 0, self.codec.decode(h, msg)) {
+                        out.push((cm, fresh));
                     }
                 }
                 return out;
@@ -384,8 +470,11 @@ impl<'a> TaggedEngine<'a> {
                 };
                 for (head, htags) in heads {
                     if let Some(cm) = self.codec.decode(&head, msg) {
+                        let fresh = self.outputs.appear(&head, htags);
                         heads_out.push((head, htags));
-                        out.push((cm, htags));
+                        if fresh != 0 {
+                            out.push((cm, fresh));
+                        }
                         continue;
                     }
                     if head.table == self.codec.packet_in_table {
@@ -480,250 +569,332 @@ fn fire_variant(
 }
 
 /// Per-candidate extra flow entries ("manual install" repairs).
-pub type ExtraFlows = Vec<(i64, mpr_sdn::flowtable::FlowEntry)>;
+pub type ExtraFlows = Vec<(i64, FlowEntry)>;
+
+/// Call `f(i)` for every candidate `i` in `tags`, ascending.
+fn for_each_tag(tags: TagSet, mut f: impl FnMut(usize)) {
+    let mut rest = tags;
+    while rest != 0 {
+        f(rest.trailing_zeros() as usize);
+        rest &= rest - 1;
+    }
+}
+
+/// The flow tables of every candidate's network, shared until a FlowMod
+/// tells the candidates apart (module doc, "Network state").
+struct TaggedTables<'a> {
+    topo: &'a Topology,
+    /// Per switch, `(mask, table)` variants: masks are non-empty and
+    /// pairwise disjoint, tables non-empty. A tag in no variant sees the
+    /// empty table.
+    by_switch: BTreeMap<i64, Vec<(TagSet, FlowTable)>>,
+}
+
+impl TaggedTables<'_> {
+    /// Install `entry` at `switch` for the candidates in `ctags`. Unknown
+    /// switches are ignored, as [`mpr_sdn::flowtable::FlowTables::install`]
+    /// ignores them.
+    fn install(&mut self, switch: i64, ctags: TagSet, entry: &FlowEntry) {
+        if ctags == 0 || !self.topo.switches.contains(&switch) {
+            return;
+        }
+        let variants = self.by_switch.entry(switch).or_default();
+        let mut unseen = ctags;
+        for i in 0..variants.len() {
+            let mask = variants[i].0;
+            let hit = mask & ctags;
+            if hit == 0 {
+                continue;
+            }
+            unseen &= !mask;
+            if hit == mask {
+                variants[i].1.install(entry.clone());
+            } else {
+                // Only part of the variant's candidates get the entry:
+                // they fork off with a copy, the rest keep the original.
+                let mut forked = variants[i].1.clone();
+                forked.install(entry.clone());
+                variants[i].0 = mask & !ctags;
+                variants.push((hit, forked));
+            }
+        }
+        if unseen != 0 {
+            let mut fresh = FlowTable::new();
+            fresh.install(entry.clone());
+            variants.push((unseen, fresh));
+        }
+    }
+
+    fn footprint(&self) -> TableFootprint {
+        TableFootprint {
+            switches: self.by_switch.len(),
+            variants: self.by_switch.values().map(Vec::len).sum(),
+        }
+    }
+}
+
+/// How much flow-table state a joint replay materialised.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableFootprint {
+    /// Switches with at least one table variant.
+    pub switches: usize,
+    /// Table variants over all switches (at most one per candidate that
+    /// had something installed on the switch).
+    pub variants: usize,
+}
+
+/// A packet arriving at `at` on `port` for the candidates in `tags` — on
+/// the wire, or (at a switch) waiting as a PacketIn for the shared
+/// controller evaluation. Every flight of one hop round has made the same
+/// number of hops, so the round carries the count.
+struct Flight<N> {
+    at: N,
+    port: i64,
+    pkt: Packet,
+    tags: TagSet,
+}
+
+/// Add a flight to `list`. Candidates whose copies of a packet coincide
+/// travel (and punt) together; overlapping tags mean a genuine duplicate,
+/// which stays a flight of its own.
+fn join_flights<N: PartialEq>(
+    list: &mut Vec<Flight<N>>,
+    at: N,
+    port: i64,
+    pkt: &Packet,
+    tags: TagSet,
+) {
+    match list
+        .iter_mut()
+        .find(|f| f.tags & tags == 0 && f.at == at && f.port == port && f.pkt == *pkt)
+    {
+        Some(f) => f.tags |= tags,
+        None => list.push(Flight { at, port, pkt: pkt.clone(), tags }),
+    }
+}
+
+/// The data-plane half of the joint replay: what a hit's actions or a
+/// `PacketOut` do to the packet, mirroring `Simulation`'s `apply_actions`
+/// / `emit` / `punt` with a tag set in place of one network.
+struct Forwarder<'a> {
+    topo: &'a Topology,
+    stats: Vec<SimStats>,
+    /// Flights of the next hop round.
+    next: Vec<Flight<NodeRef>>,
+    /// PacketIns not yet evaluated, by switch.
+    punts: Vec<Flight<i64>>,
+}
+
+impl Forwarder<'_> {
+    fn count(&mut self, tags: TagSet, bump: impl Fn(&mut SimStats)) {
+        for_each_tag(tags, |t| bump(&mut self.stats[t]));
+    }
+
+    fn apply_actions(
+        &mut self,
+        switch: i64,
+        in_port: i64,
+        pkt: &Packet,
+        actions: &[Action],
+        tags: TagSet,
+    ) {
+        let mut pkt = pkt.clone();
+        let mut emitted = false;
+        for a in actions {
+            match a {
+                Action::Modify(f, v) => pkt.set_field(*f, *v),
+                Action::Output(p) => {
+                    self.emit(switch, *p, &pkt, tags);
+                    emitted = true;
+                }
+                Action::Flood => {
+                    for p in self.topo.ports(NodeRef::Switch(switch)) {
+                        if p != in_port {
+                            self.emit(switch, p, &pkt, tags);
+                        }
+                    }
+                    emitted = true;
+                }
+                Action::Drop => {
+                    self.count(tags, |s| s.dropped_policy += 1);
+                    return;
+                }
+                Action::Controller => {
+                    self.punt(switch, in_port, &pkt, tags);
+                    emitted = true;
+                }
+            }
+        }
+        if !emitted {
+            self.count(tags, |s| s.dropped_policy += 1);
+        }
+    }
+
+    fn emit(&mut self, switch: i64, out_port: i64, pkt: &Packet, tags: TagSet) {
+        match self.topo.peer(NodeRef::Switch(switch), out_port) {
+            Some((at, port)) => join_flights(&mut self.next, at, port, pkt, tags),
+            None => self.count(tags, |s| s.dropped_policy += 1),
+        }
+    }
+
+    /// Queue a PacketIn; identical ones are evaluated once for all their
+    /// candidates.
+    fn punt(&mut self, switch: i64, in_port: i64, pkt: &Packet, tags: TagSet) {
+        join_flights(&mut self.punts, switch, in_port, pkt, tags);
+    }
+}
 
 /// Jointly replay the workload for every candidate. Returns one
 /// [`ReplayOutcome`] per candidate, index-aligned.
+///
+/// The joint network is fault-free: `setup.config.faults` and
+/// `drop_chance` are not modelled, so callers backtesting under either
+/// replay per candidate ([`crate::replay_candidates`]).
 pub fn mqo_replay(
     setup: &BacktestSetup,
     base: &Program,
     candidates: &[Program],
     extra_flows: &[ExtraFlows],
 ) -> Vec<ReplayOutcome> {
+    mqo_replay_with_footprint(setup, base, candidates, extra_flows).0
+}
+
+/// [`mqo_replay`], also reporting how many flow tables the replay
+/// materialised — the count that must follow what the candidates install,
+/// not the size of the network.
+pub fn mqo_replay_with_footprint(
+    setup: &BacktestSetup,
+    base: &Program,
+    candidates: &[Program],
+    extra_flows: &[ExtraFlows],
+) -> (Vec<ReplayOutcome>, TableFootprint) {
     let n = candidates.len();
     if n == 0 {
-        return Vec::new();
+        return (Vec::new(), TableFootprint::default());
     }
+    let topo: &Topology = &setup.topology;
+    let mut tables = TaggedTables { topo, by_switch: BTreeMap::new() };
     let full: TagSet = (!0u64) >> (64 - n);
     let tagged = build_tagged_program(base, candidates);
-    let mut engine = TaggedEngine::new(&tagged, &setup.codec, &setup.seeds, full);
+    let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, &setup.seeds, full);
 
-    // Per-candidate network state. The switch set and proactive
-    // shortest-path routes are identical across candidates, so build that
-    // prototype once (riding the topology's memoized route cache) and
-    // clone it per candidate; only the manual extra entries differ.
-    let mut prototype: BTreeMap<i64, FlowTable> = BTreeMap::new();
-    for s in &setup.topology.switches {
-        prototype.insert(*s, FlowTable::new());
-    }
+    // The proactive routes are the same for every candidate: one
+    // full-mask variant per switch, built once.
     if setup.proactive_routes {
-        for h in setup.topology.hosts.iter().copied() {
-            let routes = setup.topology.routes_to(h);
-            for (&sw, &port) in routes.iter() {
-                // routes_to only names switches in the topology, but stay
-                // total: an unknown switch is skipped, not a panic.
-                if let Some(ft) = prototype.get_mut(&sw) {
-                    ft.install(mpr_sdn::flowtable::FlowEntry::new(
-                        1,
-                        mpr_sdn::flowtable::Match::any().with(mpr_sdn::packet::Field::DstIp, h),
-                        vec![Action::Output(port)],
-                    ));
-                }
-            }
+        proactive_routes(topo, |sw, entry| tables.install(sw, full, &entry));
+    }
+    // Manual entries: candidates with the same list share its installs
+    // (each list goes in in its own order — first install wins).
+    let mut manual: Vec<(&ExtraFlows, TagSet)> = Vec::new();
+    for (i, extra) in extra_flows.iter().enumerate().take(n) {
+        match manual.iter_mut().find(|(m, _)| *m == extra) {
+            Some((_, tags)) => *tags |= 1 << i,
+            None => manual.push((extra, 1 << i)),
         }
     }
-    let candidate_ids: Vec<usize> = (0..n).collect();
-    let mut tables: Vec<BTreeMap<i64, FlowTable>> =
-        crate::pool::par_map(&candidate_ids, |_, &ti| {
-            let mut t = prototype.clone();
-            if let Some(extra) = extra_flows.get(ti) {
-                for (sw, e) in extra {
-                    if let Some(ft) = t.get_mut(sw) {
-                        ft.install(e.clone());
-                    }
-                }
-            }
-            t
-        });
-    let mut stats: Vec<SimStats> = vec![SimStats::default(); n];
-
-    // Frontier per tag: (switch, in_port, packet, hops) — packets can
-    // diverge across candidates after Modify actions.
-    #[derive(Clone)]
-    struct Flight {
-        at: NodeRef,
-        port: i64,
-        pkt: Packet,
-        hops: u32,
+    for (extra, tags) in manual {
+        for (sw, e) in extra {
+            tables.install(*sw, tags, e);
+        }
     }
-    // Hop-round buffers, reused across every injection: the loop below
-    // would otherwise allocate `n` fresh `Vec`s per round per packet,
-    // which dominates the replay at fig9c scale.
-    let mut flights: Vec<Vec<Flight>> = vec![Vec::new(); n];
-    let mut next: Vec<Vec<Flight>> = vec![Vec::new(); n];
-    let mut punts: Vec<((i64, i64, Packet), TagSet)> = Vec::new();
 
-    // Replay: forward per tag, share controller evaluation across tags.
+    let mut fw = Forwarder {
+        topo,
+        stats: vec![SimStats::default(); n],
+        next: Vec::new(),
+        punts: Vec::new(),
+    };
+    // Hop-round buffers, reused across every injection.
+    let mut flights: Vec<Flight<NodeRef>> = Vec::new();
+    let mut batch: Vec<Flight<i64>> = Vec::new();
+
     for (src, pkt) in setup.workload.iter() {
-        let Some((sw0, port0)) = setup.topology.host_attachment(*src) else {
+        let Some((sw0, port0)) = topo.host_attachment(*src) else {
             continue;
         };
-        for fl in flights.iter_mut() {
-            fl.clear();
-            fl.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), hops: 0 });
-        }
-        for s in stats.iter_mut() {
-            s.injected += 1;
-        }
-        loop {
-            // Collect punts (switch, in_port, packet) → tagset, process
-            // shared; everything else advances one hop.
-            punts.clear();
-            for fl in next.iter_mut() {
-                fl.clear();
-            }
-            let mut any = false;
-            for (tag, fl) in flights.iter().enumerate() {
-                for f in fl {
-                    any = true;
-                    match f.at {
-                        NodeRef::Host(h) => {
-                            if f.pkt.dst_ip == h {
-                                *stats[tag].delivered.entry(h).or_insert(0) += 1;
-                                *stats[tag]
+        fw.count(full, |s| s.injected += 1);
+        flights.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), tags: full });
+        // One iteration per hop round: forward every flight one hop, then
+        // evaluate the round's punts. The TTL guard bounds the rounds.
+        let mut hops = 0u32;
+        while !flights.is_empty() {
+            for f in flights.drain(..) {
+                let s = match f.at {
+                    NodeRef::Host(h) => {
+                        if f.pkt.dst_ip == h {
+                            for_each_tag(f.tags, |t| {
+                                *fw.stats[t].delivered.entry(h).or_insert(0) += 1;
+                                *fw.stats[t]
                                     .delivered_by_port
                                     .entry((h, f.pkt.dst_port))
                                     .or_insert(0) += 1;
-                            } else {
-                                stats[tag].misdelivered += 1;
-                            }
+                            });
+                        } else {
+                            fw.count(f.tags, |s| s.misdelivered += 1);
                         }
-                        NodeRef::Switch(s) => {
-                            if f.hops >= setup.config.max_hops {
-                                stats[tag].dropped_ttl += 1;
-                                continue;
-                            }
-                            stats[tag].hops += 1;
-                            let hit =
-                                tables[tag].get(&s).and_then(|t| t.lookup(&f.pkt, f.port));
-                            match hit {
-                                Some(e) => {
-                                    let mut p = f.pkt.clone();
-                                    let mut emitted = false;
-                                    for a in &e.actions {
-                                        match a {
-                                            Action::Modify(field, v) => p.set_field(*field, *v),
-                                            Action::Output(op) => {
-                                                if let Some((peer, pp)) =
-                                                    setup.topology.peer(NodeRef::Switch(s), *op)
-                                                {
-                                                    next[tag].push(Flight {
-                                                        at: peer,
-                                                        port: pp,
-                                                        pkt: p.clone(),
-                                                        hops: f.hops + 1,
-                                                    });
-                                                }
-                                                emitted = true;
-                                            }
-                                            Action::Flood => {
-                                                for op in setup.topology.ports(NodeRef::Switch(s)) {
-                                                    if op != f.port {
-                                                        if let Some((peer, pp)) = setup
-                                                            .topology
-                                                            .peer(NodeRef::Switch(s), op)
-                                                        {
-                                                            next[tag].push(Flight {
-                                                                at: peer,
-                                                                port: pp,
-                                                                pkt: p.clone(),
-                                                                hops: f.hops + 1,
-                                                            });
-                                                        }
-                                                    }
-                                                }
-                                                emitted = true;
-                                            }
-                                            Action::Drop => {
-                                                stats[tag].dropped_policy += 1;
-                                                emitted = true;
-                                                break;
-                                            }
-                                            Action::Controller => {}
-                                        }
-                                    }
-                                    if !emitted {
-                                        stats[tag].dropped_policy += 1;
-                                    }
-                                }
-                                None => {
-                                    // Punt: group identical PacketIns.
-                                    let key = (s, f.port, f.pkt.clone());
-                                    let bit = 1u64 << tag;
-                                    if let Some((_, ts)) =
-                                        punts.iter_mut().find(|(k, _)| *k == key)
-                                    {
-                                        *ts |= bit;
-                                    } else {
-                                        punts.push((key, bit));
-                                    }
-                                }
-                            }
-                        }
+                        continue;
                     }
+                    NodeRef::Switch(s) => s,
+                };
+                if hops >= setup.config.max_hops {
+                    fw.count(f.tags, |s| s.dropped_ttl += 1);
+                    continue;
+                }
+                fw.count(f.tags, |s| s.hops += 1);
+                // One lookup per variant the flight's candidates live in;
+                // the candidates in none see the empty table and miss
+                // together.
+                let mut missed = f.tags;
+                for (mask, table) in tables.by_switch.get(&s).map_or(&[][..], Vec::as_slice) {
+                    let here = mask & f.tags;
+                    if here == 0 {
+                        continue;
+                    }
+                    if let Some(e) = table.lookup(&f.pkt, f.port) {
+                        missed &= !here;
+                        fw.apply_actions(s, f.port, &f.pkt, &e.actions, here);
+                    }
+                }
+                if missed != 0 {
+                    fw.punt(s, f.port, &f.pkt, missed);
                 }
             }
-            // Shared controller evaluation per distinct punt.
-            for ((s, port, p), ts) in punts.drain(..) {
-                let msg = PacketInMsg { switch: s, in_port: port, packet: p };
-                for t in 0..n {
-                    if ts & (1 << t) != 0 {
-                        stats[t].packet_ins += 1;
-                    }
-                }
-                let replies = engine.on_packet_in(&msg, ts);
-                let mut released: TagSet = 0;
-                for (cm, ctags) in replies {
-                    match cm {
-                        CtrlMsg::FlowMod { switch, entry } => {
-                            for t in 0..n {
-                                if ctags & (1 << t) != 0 {
-                                    stats[t].flow_mods += 1;
-                                    if let Some(ft) = tables[t].get_mut(&switch) {
-                                        ft.install(entry.clone());
-                                    }
-                                }
+            // Shared controller evaluation per distinct punt. A reply may
+            // punt again (`PacketOut` with `Action::Controller`), hence
+            // the outer loop.
+            while !fw.punts.is_empty() {
+                std::mem::swap(&mut fw.punts, &mut batch);
+                for p in batch.drain(..) {
+                    fw.count(p.tags, |s| s.packet_ins += 1);
+                    let msg = PacketInMsg { switch: p.at, in_port: p.port, packet: p.pkt };
+                    let mut released: TagSet = 0;
+                    for (cm, ctags) in engine.on_packet_in(&msg, p.tags) {
+                        match cm {
+                            CtrlMsg::FlowMod { switch, entry } => {
+                                fw.count(ctags, |s| s.flow_mods += 1);
+                                tables.install(switch, ctags, &entry);
                             }
-                        }
-                        CtrlMsg::PacketOut { switch, packet, action } => {
-                            released |= ctags;
-                            for t in 0..n {
-                                if ctags & (1 << t) != 0 {
-                                    stats[t].packet_outs += 1;
-                                    if let Action::Output(op) = action {
-                                        if let Some((peer, pp)) =
-                                            setup.topology.peer(NodeRef::Switch(switch), op)
-                                        {
-                                            next[t].push(Flight {
-                                                at: peer,
-                                                port: pp,
-                                                pkt: packet.clone(),
-                                                hops: 1,
-                                            });
-                                        }
-                                    }
-                                }
+                            CtrlMsg::PacketOut { switch, packet, action } => {
+                                released |= ctags;
+                                fw.count(ctags, |s| s.packet_outs += 1);
+                                fw.apply_actions(switch, p.port, &packet, &[action], ctags);
                             }
                         }
                     }
-                }
-                let unreleased = ts & !released;
-                for t in 0..n {
-                    if unreleased & (1 << t) != 0 {
-                        stats[t].dropped_buffered += 1;
-                    }
+                    // Buffered-miss semantics: no PacketOut, no release.
+                    fw.count(p.tags & !released, |s| s.dropped_buffered += 1);
                 }
             }
-            std::mem::swap(&mut flights, &mut next);
-            if !any {
-                break;
-            }
+            std::mem::swap(&mut flights, &mut fw.next);
+            hops += 1;
         }
     }
-    stats
+    let outcomes = fw
+        .stats
         .into_iter()
         .map(|s| ReplayOutcome { delivered: s.delivered.clone(), stats: s })
-        .collect()
+        .collect();
+    (outcomes, tables.footprint())
 }
 
 #[cfg(test)]
@@ -955,6 +1126,46 @@ mod tests {
             );
             assert_eq!(joint[i].stats.packet_ins, solo.stats.packet_ins, "candidate {i} punts");
         }
+    }
+
+    #[test]
+    fn tagged_tables_share_until_an_install_tells_candidates_apart() {
+        use mpr_sdn::flowtable::Match;
+        use mpr_sdn::packet::Field;
+        let topo = fig1();
+        let mut t = TaggedTables { topo: &topo, by_switch: BTreeMap::new() };
+        let entry = |dpt: i64| {
+            FlowEntry::new(10, Match::any().with(Field::DstPort, dpt), vec![Action::Output(1)])
+        };
+        let variants = |t: &TaggedTables, sw: i64| -> Vec<(TagSet, usize)> {
+            t.by_switch.get(&sw).map_or(Vec::new(), |v| {
+                v.iter().map(|(mask, table)| (*mask, table.len())).collect()
+            })
+        };
+        // Every candidate: one variant, and a second install lands in it.
+        t.install(1, 0b1111, &entry(80));
+        t.install(1, 0b1111, &entry(53));
+        assert_eq!(variants(&t, 1), [(0b1111, 2)]);
+        // A strict subset forks off with a copy; the rest keep theirs.
+        t.install(1, 0b0011, &entry(22));
+        assert_eq!(variants(&t, 1), [(0b1100, 2), (0b0011, 3)]);
+        // One install cutting through both variants and reaching a
+        // candidate that had no table here: two forks and a fresh table.
+        t.install(1, 0b10110, &entry(25));
+        assert_eq!(
+            variants(&t, 1),
+            [(0b1000, 2), (0b0001, 3), (0b0100, 3), (0b0010, 4), (0b10000, 1)]
+        );
+        // Whole variants install in place.
+        t.install(1, 0b11000, &entry(443));
+        assert_eq!(
+            variants(&t, 1),
+            [(0b1000, 3), (0b0001, 3), (0b0100, 3), (0b0010, 4), (0b10000, 2)]
+        );
+        // Unknown switches and empty tag sets leave no trace.
+        t.install(77, 0b1111, &entry(80));
+        t.install(2, 0, &entry(80));
+        assert_eq!(t.footprint(), TableFootprint { switches: 1, variants: 5 });
     }
 
     #[test]

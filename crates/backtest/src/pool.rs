@@ -1,25 +1,20 @@
 //! A minimal scoped worker pool for the backtester's embarrassingly
-//! parallel outer loops.
+//! parallel outer loop.
 //!
 //! Candidate replays are independent by construction — each builds a fresh
 //! controller and network from a [`crate::BacktestSetup`] — so the
-//! sequential-replay fallback and the MQO per-candidate state setup both
-//! fan out over [`par_map`]. Results come back index-aligned with the
-//! input, so callers see exactly the ordering a sequential loop produces;
-//! only wall-clock changes. Implemented directly on
-//! [`std::thread::scope`]: no work stealing, just a striped static
-//! partition, which is the right shape when every item costs about the
-//! same (replays of one workload) and keeps the dependency footprint at
-//! zero.
+//! per-candidate backtest ([`crate::replay_candidates`]) fans out over
+//! [`par_map_contained`]. Results come back index-aligned with the input,
+//! so callers see exactly the ordering a sequential loop produces; only
+//! wall-clock changes. Implemented directly on [`std::thread::scope`]: no
+//! work stealing, just a striped static partition, which is the right
+//! shape when every item costs about the same (replays of one workload)
+//! and keeps the dependency footprint at zero.
 
-/// Worker count for backtest fan-out: the `MPR_BACKTEST_WORKERS`
-/// environment variable when set (clamped to 1..=64), otherwise the
-/// machine's available parallelism. `1` disables threading entirely.
+/// Worker count for backtest fan-out: the machine's available
+/// parallelism. `1` disables threading entirely.
 pub fn workers() -> usize {
-    match std::env::var("MPR_BACKTEST_WORKERS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) => n.clamp(1, 64),
-        None => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-    }
+    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
 /// Apply `f` to every item, possibly across [`workers()`] scoped threads,
@@ -28,56 +23,11 @@ pub fn workers() -> usize {
 /// Runs inline (no threads spawned) when the pool has one worker or there
 /// is at most one item. Worker `w` takes items `w, w + k, w + 2k, …` — a
 /// striped partition, so runtimes even out when item cost drifts with
-/// index (e.g. candidates sorted by complexity). A panic in `f` propagates
-/// to the caller, as it would from the sequential loop.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let k = workers().min(items.len());
-    if k <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..k)
-            .map(|w| {
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(k)
-                        .map(|(i, t)| (i, f(i, t)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => {
-                    for (i, r) in chunk {
-                        slots[i] = Some(r);
-                    }
-                }
-                // Re-raise on the caller's thread with the original
-                // payload — same observable behavior as the sequential
-                // loop, never a process abort from a worker thread.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots.into_iter().map(|r| r.expect("every index filled")).collect()
-}
-
-/// Like [`par_map`], but with per-item panic containment: an `f` that
-/// panics yields `None` for that item while every other item completes
-/// normally. This is the degraded-mode entry point the backtester uses —
-/// one pathological candidate must not take down the whole repair loop.
+/// index (e.g. candidates sorted by complexity).
+///
+/// Panics are contained per item: an `f` that panics yields `None` for
+/// that item while every other item completes normally — one pathological
+/// candidate must not take down the whole repair loop.
 pub fn par_map_contained<T, R, F>(items: &[T], f: F) -> Vec<Option<R>>
 where
     T: Sync,
@@ -129,25 +79,25 @@ mod tests {
     #[test]
     fn results_are_index_aligned() {
         let items: Vec<i64> = (0..37).collect();
-        let out = par_map(&items, |i, &x| {
+        let out = par_map_contained(&items, |i, &x| {
             assert_eq!(i as i64, x);
             x * x
         });
-        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
+        assert_eq!(out, items.iter().map(|x| Some(x * x)).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_singleton_inputs_run_inline() {
         let none: Vec<u8> = vec![];
-        assert!(par_map(&none, |_, &x| x).is_empty());
-        assert_eq!(par_map(&[41u8], |_, &x| x + 1), vec![42]);
+        assert!(par_map_contained(&none, |_, &x| x).is_empty());
+        assert_eq!(par_map_contained(&[41u8], |_, &x| x + 1), vec![Some(42)]);
     }
 
     #[test]
     fn matches_sequential_map_under_any_worker_count() {
         let items: Vec<String> = (0..23).map(|i| format!("item{i}")).collect();
-        let seq: Vec<usize> = items.iter().map(String::len).collect();
-        let par = par_map(&items, |_, s| s.len());
+        let seq: Vec<Option<usize>> = items.iter().map(|s| Some(s.len())).collect();
+        let par = par_map_contained(&items, |_, s| s.len());
         assert_eq!(par, seq);
     }
 

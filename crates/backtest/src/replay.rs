@@ -71,9 +71,7 @@ pub fn replay_with_extra_flows(
         sim.install_proactive_routes();
     }
     for (sw, entry) in extra_flows {
-        if let Some(t) = sim.tables.get_mut(sw) {
-            t.install(entry.clone());
-        }
+        sim.tables.install(*sw, entry.clone());
     }
     for (src, pkt) in setup.workload.iter() {
         sim.inject(*src, pkt.clone());

@@ -1,126 +1,226 @@
 //! Property test for §4.4's correctness claim: the tagged joint backtest
 //! computes, for every candidate, exactly the results of a sequential
-//! replay of that candidate — on randomly mutated programs.
+//! replay of that candidate — the whole [`SimStats`], on randomly mutated
+//! programs, on a network where most switches are never touched as well
+//! as on Fig. 1, with and without proactive routes underneath, and with
+//! per-candidate manual entries that make the shared flow tables split.
 
-use mpr_backtest::mqo::mqo_replay;
-use mpr_backtest::replay::{replay, BacktestSetup};
+use mpr_backtest::mqo::{mqo_replay, mqo_replay_with_footprint, ExtraFlows};
+use mpr_backtest::replay::{replay_with_extra_flows, BacktestSetup};
 use mpr_ndlog::{parse_program, Program};
 use mpr_sdn::controller::TupleCodec;
-use mpr_sdn::packet::Packet;
-use mpr_sdn::sim::SimConfig;
-use mpr_sdn::topology::{fig1, fig1_hosts};
+use mpr_sdn::flowtable::{Action, FlowEntry, Match};
+use mpr_sdn::packet::{Field, Packet};
+use mpr_sdn::sim::{SimConfig, SimStats};
+use mpr_sdn::topology::{fabric_ids, fat_tree, fig1, fig1_hosts, FabricParams, Topology};
+use mpr_trace::workload::Injection;
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn base_program() -> Program {
-    parse_program(
-        "prop-mqo",
-        r"
-        materialize(PacketIn, event, 2, keys()).
-        materialize(FlowTable, infinity, 2, keys(0,1)).
-        r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 80, Prt := 1.
-        r2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 53, Prt := 2.
-        r3 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 1.
-        r4 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 3, Hdr == 53, Prt := 1.
-        ",
-    )
-    .unwrap()
+const RULES: [&str; 4] = ["r1", "r2", "r3", "r4"];
+
+/// A network, a four-rule program routing over it, and what the
+/// strategies draw from: constants for mutated selections, and a pool of
+/// manual entries (priority 50, above the reactive entries).
+struct Fixture {
+    topology: Topology,
+    base: Program,
+    consts: Vec<i64>,
+    workload: Vec<Injection>,
+    pool: Vec<(i64, FlowEntry)>,
 }
 
-/// A random single-literal mutation of the base program.
-fn mutant() -> impl Strategy<Value = Program> {
-    (
-        prop::sample::select(vec!["r1", "r2", "r3", "r4"]),
-        0usize..2,
-        prop_oneof![
-            (1i64..6).prop_map(Some),             // new constant
-            Just(None),                            // operator flip instead
-        ],
-    )
-        .prop_map(|(rule, sel, change)| {
-            let mut p = base_program();
-            let r = p.rule_mut(rule).unwrap();
-            match change {
-                Some(v) => r.sels[sel].rhs = mpr_ndlog::Expr::int(v),
-                None => r.sels[sel].op = r.sels[sel].op.negate(),
-            }
-            p
-        })
+/// The program `r1`–`r4`, one `(switch, header, port)` policy each.
+fn program(policies: [(i64, i64, i64); 4]) -> Program {
+    let mut src = String::from(
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(FlowTable, infinity, 2, keys(0,1)).\n",
+    );
+    for (id, (swi, hdr, prt)) in RULES.iter().zip(policies) {
+        src.push_str(&format!(
+            "{id} FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == {swi}, Hdr == {hdr}, Prt := {prt}.\n"
+        ));
+    }
+    parse_program("prop-mqo", &src).unwrap()
 }
 
-/// A structural mutation: a rule deleted, or a re-pointed copy of one
-/// added (the explorer's donor repair) — the shapes where a candidate's
-/// rule list no longer lines up with the base program's.
-fn structural_mutant() -> impl Strategy<Value = Program> {
-    (prop::sample::select(vec!["r1", "r2", "r3", "r4"]), prop::option::of(1i64..4)).prop_map(
-        |(rule, copy_to)| {
-            let mut p = base_program();
-            match copy_to {
-                Some(swi) => {
-                    let mut copy = p.rule(rule).unwrap().clone();
-                    copy.id = format!("{rule}_copy");
-                    copy.sels[0].rhs = mpr_ndlog::Expr::int(swi);
-                    p.rules.push(copy);
-                }
-                None => p.rules.retain(|r| r.id != rule),
-            }
-            p
-        },
-    )
-}
-
-fn setup() -> BacktestSetup {
-    let workload = (0..24)
+/// HTTP on one flow to `web`, every third packet DNS to `dns`, and every
+/// fourth to an address no host has — the packets that still reach the
+/// controller when proactive routes cover every real destination.
+fn workload(src: i64, web: i64, dns: i64) -> Vec<Injection> {
+    (0..24)
         .map(|i| {
-            let dst = if i % 3 == 0 { fig1_hosts::DNS } else { fig1_hosts::H1 };
+            let dst = if i % 4 == 3 { 999 } else if i % 3 == 0 { dns } else { web };
             let p = if i % 3 == 0 {
-                Packet::dns(i, 100, dst)
+                Packet::dns(i, src, dst)
             } else {
-                let mut p = Packet::http(i, 100, dst);
+                let mut p = Packet::http(i, src, dst);
                 p.src_port = 7000; // one flow
                 p
             };
-            (fig1_hosts::INTERNET, p)
+            (src, p)
         })
-        .collect::<Vec<_>>();
-    BacktestSetup {
-        topology: fig1().into(),
-        codec: TupleCodec::fig2(),
-        seeds: vec![],
-        workload: std::sync::Arc::new(workload),
-        config: SimConfig::default(),
-        proactive_routes: false,
-        engine: mpr_runtime::Options::default(),
+        .collect()
+}
+
+fn manual(switch: i64, dst_port: i64, actions: Vec<Action>) -> (i64, FlowEntry) {
+    (switch, FlowEntry::new(50, Match::any().with(Field::DstPort, dst_port), actions))
+}
+
+/// The pool of manual entries around ingress switch `s_in` and two more
+/// switches on the paths. Entries 0 and 1 collide (same switch, match and
+/// priority, different action); 3 and 4 are cases where the joint replay
+/// once disagreed with the simulator: an output to a port with no peer and
+/// an explicit punt; 5 rewrites the destination; 6 names a switch the
+/// topology does not have. No entry copies a packet: see
+/// `flooding_matches_the_simulator_when_no_copy_punts`.
+fn pool(s_in: i64, s_a: i64, s_b: i64, other_host: i64) -> Vec<(i64, FlowEntry)> {
+    vec![
+        manual(s_in, 80, vec![Action::Output(2)]),
+        manual(s_in, 80, vec![Action::Output(1)]),
+        manual(s_b, 80, vec![Action::Output(2)]),
+        manual(s_a, 53, vec![Action::Output(9)]),
+        manual(s_in, 53, vec![Action::Controller]),
+        manual(s_b, 53, vec![Action::Modify(Field::DstIp, other_host), Action::Output(2)]),
+        manual(4242, 80, vec![Action::Output(1)]),
+    ]
+}
+
+/// Fig. 1: three switches, all of them on some path.
+fn fig1_fixture() -> Fixture {
+    Fixture {
+        topology: fig1(),
+        base: program([(1, 80, 1), (1, 53, 2), (2, 80, 1), (3, 53, 1)]),
+        consts: (1..6).collect(),
+        workload: workload(fig1_hosts::INTERNET, fig1_hosts::H1, fig1_hosts::DNS),
+        pool: pool(1, 2, 3, fig1_hosts::H2),
     }
 }
 
-/// The joint backtest of `cands` against one sequential replay each.
-fn assert_joint_equals_sequential(cands: &[Program]) -> Result<(), TestCaseError> {
-    let setup = setup();
-    let base = base_program();
-    let joint = mqo_replay(&setup, &base, cands, &[]);
+/// A 4-ary fat-tree (20 switches, one host per edge switch) whose traffic
+/// stays in pod 0: edge 13 → aggregation 5/6 → edge 14. The cores and the
+/// other three pods never see an install.
+fn fat_tree_fixture() -> Fixture {
+    let host = |i: i64| fabric_ids::HOST_BASE + i;
+    Fixture {
+        topology: fat_tree(&FabricParams { k: 4, hosts_per_edge: 1 }),
+        base: program([(13, 80, 1), (13, 53, 2), (5, 80, 4), (14, 80, 3)]),
+        consts: vec![5, 6, 13, 14, 53, 80],
+        workload: workload(host(0), host(1), host(5)),
+        pool: pool(13, 5, 6, host(2)),
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Net {
+    Fig1,
+    FatTree,
+}
+
+impl Net {
+    fn fixture(self) -> Fixture {
+        match self {
+            Net::Fig1 => fig1_fixture(),
+            Net::FatTree => fat_tree_fixture(),
+        }
+    }
+}
+
+impl Fixture {
+    fn setup(&self, proactive_routes: bool) -> BacktestSetup {
+        BacktestSetup {
+            topology: Arc::new(self.topology.clone()),
+            codec: TupleCodec::fig2(),
+            seeds: vec![],
+            workload: Arc::new(self.workload.clone()),
+            // No path needs more than five hops; a short TTL keeps the
+            // forwarding loops some manual entries close cheap.
+            config: SimConfig { max_hops: 8, ..SimConfig::default() },
+            proactive_routes,
+            engine: mpr_runtime::Options::default(),
+        }
+    }
+}
+
+/// One candidate's edit of the base program; `pick` indexes the fixture's
+/// constants.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// A selection's constant replaced.
+    SetConst { rule: usize, sel: usize, pick: usize },
+    /// A selection's operator flipped.
+    Negate { rule: usize, sel: usize },
+    /// The rule deleted.
+    Delete { rule: usize },
+    /// A copy re-pointed at another switch added (the explorer's donor
+    /// repair).
+    Copy { rule: usize, pick: usize },
+}
+
+impl Mutation {
+    fn apply(&self, fx: &Fixture) -> Program {
+        let mut p = fx.base.clone();
+        let konst = |pick: usize| mpr_ndlog::Expr::int(fx.consts[pick % fx.consts.len()]);
+        match *self {
+            Mutation::SetConst { rule, sel, pick } => {
+                p.rule_mut(RULES[rule]).unwrap().sels[sel].rhs = konst(pick);
+            }
+            Mutation::Negate { rule, sel } => {
+                let s = &mut p.rule_mut(RULES[rule]).unwrap().sels[sel];
+                s.op = s.op.negate();
+            }
+            Mutation::Delete { rule } => p.rules.retain(|r| r.id != RULES[rule]),
+            Mutation::Copy { rule, pick } => {
+                let mut copy = p.rule(RULES[rule]).unwrap().clone();
+                copy.id = format!("{}_copy", RULES[rule]);
+                copy.sels[0].rhs = konst(pick);
+                p.rules.push(copy);
+            }
+        }
+        p
+    }
+}
+
+/// A random single-literal mutation.
+fn mutant() -> impl Strategy<Value = Mutation> {
+    (0usize..4, 0usize..2, prop::option::of(0usize..6)).prop_map(|(rule, sel, pick)| match pick {
+        Some(pick) => Mutation::SetConst { rule, sel, pick },
+        None => Mutation::Negate { rule, sel },
+    })
+}
+
+/// A structural mutation — the shapes where a candidate's rule list no
+/// longer lines up with the base program's.
+fn structural_mutant() -> impl Strategy<Value = Mutation> {
+    (0usize..4, prop::option::of(0usize..6)).prop_map(|(rule, pick)| match pick {
+        Some(pick) => Mutation::Copy { rule, pick },
+        None => Mutation::Delete { rule },
+    })
+}
+
+/// The joint backtest of `cands` (each with its manual entries) against
+/// one sequential replay each: every counter must agree.
+fn assert_joint_equals_sequential(
+    setup: &BacktestSetup,
+    base: &Program,
+    cands: &[Program],
+    extra: &[ExtraFlows],
+) -> Result<(), TestCaseError> {
+    let joint = mqo_replay(setup, base, cands, extra);
     prop_assert_eq!(joint.len(), cands.len());
     for (i, cand) in cands.iter().enumerate() {
-        let solo = replay(&setup, cand).unwrap();
-        prop_assert_eq!(
-            &joint[i].delivered,
-            &solo.delivered,
-            "candidate {} delivered sets diverge",
-            i
-        );
-        prop_assert_eq!(
-            joint[i].stats.packet_ins,
-            solo.stats.packet_ins,
-            "candidate {} controller load diverges",
-            i
-        );
-        prop_assert_eq!(
-            joint[i].stats.dropped_policy,
-            solo.stats.dropped_policy,
-            "candidate {} policy drops diverge",
-            i
-        );
+        let flows = extra.get(i).map_or(&[][..], Vec::as_slice);
+        let solo = replay_with_extra_flows(setup, cand, flows).unwrap();
+        prop_assert_eq!(&joint[i].stats, &solo.stats, "candidate {} stats diverge", i);
+        prop_assert_eq!(&joint[i].delivered, &solo.delivered, "candidate {} KS input", i);
     }
     Ok(())
+}
+
+fn assert_mutants_agree(net: Net, mutations: &[Mutation]) -> Result<(), TestCaseError> {
+    let fx = net.fixture();
+    let cands: Vec<Program> = mutations.iter().map(|m| m.apply(&fx)).collect();
+    assert_joint_equals_sequential(&fx.setup(false), &fx.base, &cands, &[])
 }
 
 proptest! {
@@ -128,13 +228,142 @@ proptest! {
 
     #[test]
     fn joint_equals_sequential(cands in prop::collection::vec(mutant(), 1..6)) {
-        assert_joint_equals_sequential(&cands)?;
+        assert_mutants_agree(Net::Fig1, &cands)?;
     }
 
     #[test]
     fn joint_equals_sequential_when_rules_are_added_and_deleted(
         cands in prop::collection::vec(prop_oneof![mutant(), structural_mutant()], 1..6),
     ) {
-        assert_joint_equals_sequential(&cands)?;
+        assert_mutants_agree(Net::Fig1, &cands)?;
     }
+
+    /// Where sharing can go wrong: candidates start on one set of tables
+    /// (empty, or the proactive routes) and leave it one FlowMod or one
+    /// manual entry at a time.
+    #[test]
+    fn joint_equals_sequential_where_tables_are_shared_and_split(
+        net in prop::sample::select(vec![Net::Fig1, Net::FatTree]),
+        proactive in prop::sample::select(vec![false, true]),
+        cands in prop::collection::vec(
+            (
+                prop_oneof![mutant(), structural_mutant()],
+                prop::collection::vec(0usize..7, 0..3),
+            ),
+            1..7,
+        ),
+    ) {
+        let fx = net.fixture();
+        let programs: Vec<Program> = cands.iter().map(|(m, _)| m.apply(&fx)).collect();
+        let extra: Vec<ExtraFlows> = cands
+            .iter()
+            .map(|(_, picks)| picks.iter().map(|&i| fx.pool[i].clone()).collect())
+            .collect();
+        assert_joint_equals_sequential(&fx.setup(proactive), &fx.base, &programs, &extra)?;
+    }
+}
+
+/// Two candidates install the same manual entry at the ingress switch, a
+/// third a colliding one, a fourth none: its tables are split three ways
+/// before the first packet. Then `r2` — deleted in candidate 0 only —
+/// answers the first DNS punt with a FlowMod for candidates 1, 2 and 3: a
+/// strict subset of the variant candidates 0 and 1 share.
+#[test]
+fn manual_entries_then_a_flowmod_split_a_shared_table() {
+    for net in [Net::Fig1, Net::FatTree] {
+        let fx = net.fixture();
+        let mut cands = vec![fx.base.clone(); 4];
+        cands[0].rules.retain(|r| r.id != "r2");
+        let (a, b) = (fx.pool[0].clone(), fx.pool[1].clone());
+        let extra: Vec<ExtraFlows> = vec![vec![a.clone()], vec![a], vec![b], vec![]];
+        let switches = fx.topology.switches.len();
+        for proactive in [false, true] {
+            let setup = fx.setup(proactive);
+            assert_joint_equals_sequential(&setup, &fx.base, &cands, &extra).unwrap();
+            let (_, footprint) = mqo_replay_with_footprint(&setup, &fx.base, &cands, &extra);
+            // The ingress switch ends with one variant per candidate.
+            assert!(footprint.variants >= footprint.switches + 3, "{net:?}: {footprint:?}");
+            if proactive {
+                // The routes are everywhere, and stay shared wherever the
+                // candidates were not told apart: at most the ingress and
+                // three more switches on the paths fork, three times each.
+                assert_eq!(footprint.switches, switches, "{net:?}");
+                assert!(footprint.variants <= switches + 4 * 3, "{net:?}: {footprint:?}");
+            } else {
+                assert!(footprint.switches <= 4, "{net:?}: {footprint:?}");
+            }
+        }
+    }
+}
+
+/// A `PacketOut` program: the controller never installs anything, it
+/// releases every buffered packet itself — out of `prt` at switch `swi`.
+fn packet_out_setup(fx: &Fixture, releases: &[(i64, i64)], max_hops: u32) -> (BacktestSetup, Program) {
+    let mut src = String::from(
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(PacketOut, event, 2, keys()).\n",
+    );
+    for (i, (swi, prt)) in releases.iter().enumerate() {
+        src.push_str(&format!(
+            "p{i} PacketOut(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == {swi}, Prt := {prt}.\n"
+        ));
+    }
+    let mut setup = fx.setup(false);
+    setup.codec.packet_out_table = Some("PacketOut".into());
+    setup.config.max_hops = max_hops;
+    (setup, parse_program("packet-out", &src).unwrap())
+}
+
+fn joint_and_solo(setup: &BacktestSetup, program: &Program) -> (SimStats, SimStats) {
+    let joint = mqo_replay(setup, program, std::slice::from_ref(program), &[]);
+    let solo = replay_with_extra_flows(setup, program, &[]).unwrap();
+    (joint.into_iter().next().unwrap().stats, solo.stats)
+}
+
+/// A released packet keeps its hop count: S2 and S3 bounce every packet
+/// to each other by `PacketOut`, and only the TTL guard ends it.
+#[test]
+fn released_packets_keep_counting_hops() {
+    let fx = fig1_fixture();
+    let (setup, program) = packet_out_setup(&fx, &[(1, 1), (2, 2), (3, 3)], 8);
+    let (joint, solo) = joint_and_solo(&setup, &program);
+    assert_eq!(joint, solo);
+    assert_eq!(joint.dropped_ttl, fx.workload.len() as u64);
+    assert_eq!(joint.hops, 8 * fx.workload.len() as u64);
+}
+
+/// A `PacketOut` that drops, and one to a port with no peer, are policy
+/// drops — and both release the buffer.
+#[test]
+fn packet_out_drop_and_dead_port_are_policy_drops() {
+    let fx = fig1_fixture();
+    for port in [-1, 9] {
+        let (setup, program) = packet_out_setup(&fx, &[(1, port)], 64);
+        let (joint, solo) = joint_and_solo(&setup, &program);
+        assert_eq!(joint, solo, "PacketOut to port {port}");
+        assert_eq!(joint.dropped_policy, fx.workload.len() as u64);
+        assert_eq!(joint.dropped_buffered, 0);
+    }
+}
+
+/// A flood puts several copies of a packet in flight at once. The joint
+/// replay advances them hop round by hop round while the simulator orders
+/// them by its clock, so the two agree when no copy reaches the controller
+/// — here the proactive routes carry every copy, round S1–S2–S3 until the
+/// TTL guard.
+#[test]
+fn flooding_matches_the_simulator_when_no_copy_punts() {
+    let fx = fig1_fixture();
+    let setup = fx.setup(true);
+    let flood: ExtraFlows = vec![manual(2, 80, vec![Action::Flood])];
+    let mut known = fx.workload.clone();
+    known.retain(|(_, p)| p.dst_ip != 999);
+    let setup = BacktestSetup { workload: Arc::new(known), ..setup };
+    let cands = vec![fx.base.clone(), fx.base.clone()];
+    let extra = vec![flood, vec![]];
+    assert_joint_equals_sequential(&setup, &fx.base, &cands, &extra).unwrap();
+    let joint = mqo_replay(&setup, &fx.base, &cands, &extra);
+    assert_eq!(joint[0].stats.packet_ins, 0);
+    assert!(joint[0].stats.dropped_ttl > 0, "the flood never looped: {:?}", joint[0].stats);
+    assert!(joint[0].stats.hops > joint[1].stats.hops);
 }

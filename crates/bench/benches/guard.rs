@@ -5,9 +5,13 @@
 //!   regression;
 //! - `durability.json` vs `BENCH_durability.json` — WAL-on turnaround
 //!   exceeding 2× the in-memory baseline (the durability acceptance bar),
-//!   or >25% regression against the pinned WAL numbers.
+//!   or >25% regression against the pinned WAL numbers;
+//! - `fig9c_xl.json` against itself — the 10 000-switch repair taking more
+//!   than 3.5× the 169-switch one. A ratio within one run on one host, so
+//!   it needs no pinned baseline: it fails when network state stops being
+//!   proportional to what a replay touches.
 //!
-//! Run *after* `cargo bench --bench fig10 --bench durability` with
+//! Run *after* `cargo bench --bench fig10 --bench fig9c_xl --bench durability` with
 //! `MPR_BENCH_QUICK=1`; when an artifact or its pinned baseline is
 //! missing (a bare local `cargo bench` in any order), that check skips
 //! instead of failing.
@@ -21,6 +25,11 @@ const MAX_REGRESSION: f64 = 1.25;
 /// Allowed WAL overhead: journaling every store mutation may cost at most
 /// this multiple of the in-memory turnaround.
 const MAX_WAL_OVERHEAD: f64 = 2.0;
+
+/// Allowed growth of the fig9c-XL turnaround from 169 to 10 000 switches.
+/// The workload itself doubles (513 → 1 024 background flows); per-switch
+/// state measured 4.1×, state proportional to installs 2.3×.
+const MAX_FABRIC_GROWTH: f64 = 3.5;
 
 fn total_ms(v: &serde_json::Value) -> Option<f64> {
     let mut sum = 0.0;
@@ -120,13 +129,52 @@ fn guard_durability() -> bool {
     ok
 }
 
+/// `total_ms` of the fig9c-XL point that asked for `switches`.
+fn fabric_point_ms(v: &serde_json::Value, switches: u64) -> Option<f64> {
+    v.get("series")?
+        .as_array()?
+        .iter()
+        .find(|p| p.get("requested_switches").and_then(|r| r.as_u64()) == Some(switches))?
+        .get("total_ms")?
+        .as_f64()
+}
+
+/// `true` when the fig9c-XL shape check passed (or skipped).
+fn guard_fabric_shape() -> bool {
+    let path = artifact_dir().join("fig9c_xl.json");
+    let Some(current) = load(&path) else {
+        println!(
+            "skip fig9c_xl: missing {} (run `cargo bench --bench fig9c_xl` first)",
+            path.display()
+        );
+        return true;
+    };
+    let (Some(small), Some(large)) =
+        (fabric_point_ms(&current, 169), fabric_point_ms(&current, 10_000))
+    else {
+        println!("skip fig9c_xl: artifact shape unrecognized");
+        return true;
+    };
+    let growth = large / small;
+    println!("fig9c_xl current:    169 sw {small:>8.2} ms, 10k sw {large:>8.2} ms  ({growth:.2}x)");
+    if growth > MAX_FABRIC_GROWTH {
+        eprintln!(
+            "PERF REGRESSION: the 10 000-switch repair takes {growth:.2}x the 169-switch one \
+             (bar: {MAX_FABRIC_GROWTH}x) — turnaround is growing with the switch count"
+        );
+        return false;
+    }
+    println!("ok: fig9c_xl growth within {MAX_FABRIC_GROWTH}x");
+    true
+}
+
 fn main() {
     header("Perf guard: quick-mode artifacts vs pinned baselines");
     if !quick_mode() {
         println!("skip: only meaningful under MPR_BENCH_QUICK=1 (pinned baselines are quick-mode)");
         return;
     }
-    let ok = guard_fig10() & guard_durability();
+    let ok = guard_fig10() & guard_durability() & guard_fabric_shape();
     if !ok {
         std::process::exit(1);
     }

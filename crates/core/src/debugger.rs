@@ -335,10 +335,15 @@ impl Debugger {
             seed_sets.push(seeds);
         }
         // Joint MQO path requires identical seeds across candidates; fall
-        // back to sequential when any candidate perturbs seeds.
+        // back to sequential when any candidate perturbs seeds. It also
+        // models a fault-free network, and the baseline was observed under
+        // `setup.config`: with a fault plan or a drop chance the
+        // candidates must meet the same faults, one simulator each.
         let uniform_seeds = seed_sets.iter().all(|s| s == &setup.seeds);
         let all_supported = programs.iter().all(|p| p.as_ref().is_some_and(mqo_supported));
-        if self.use_mqo && uniform_seeds && candidates.len() <= 64 && all_supported {
+        let fault_free = setup.config.faults.is_empty() && setup.config.drop_chance <= 0.0;
+        if self.use_mqo && fault_free && uniform_seeds && candidates.len() <= 64 && all_supported
+        {
             let progs: Vec<Program> = programs.into_iter().flatten().collect();
             let outs = mqo_replay(setup, &self.scenario.program, &progs, &extra);
             return outs.into_iter().map(Some).collect();

@@ -117,3 +117,26 @@ fn worst_case_schedule_is_classified_not_fatal() {
         assert!(outcome.error.is_some());
     }
 }
+
+/// Candidates are backtested on the network the baseline was observed on.
+/// With every control message lost no FlowMod ever lands, and with every
+/// link traversal lost no packet arrives: no candidate — not even the
+/// reference fix — is effective there, whatever a fault-free replay says.
+#[test]
+fn candidates_meet_the_faults_the_baseline_met() {
+    use mpr_sdn::faults::{CtrlFaults, FaultPlan};
+    let scenario = Scenario::q1_copy_paste();
+    let plan = FaultPlan {
+        ctrl: CtrlFaults { drop_chance: 1.0, ..CtrlFaults::default() },
+        ..FaultPlan::default()
+    };
+    let outcome = chaos::run_under_plan(&scenario, &plan);
+    assert!(outcome.recovered, "{:?}", outcome.error);
+    assert_eq!(outcome.accepted, 0, "accepted a repair no FlowMod of which was delivered");
+
+    let mut lossy = scenario.clone();
+    lossy.sim.drop_chance = 1.0;
+    let report = mpr_core::debugger::repair_scenario(&lossy);
+    assert!(report.generated() > 0);
+    assert!(report.outcomes.iter().all(|o| !o.effective), "{}", report.render_table());
+}

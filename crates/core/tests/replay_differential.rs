@@ -17,6 +17,9 @@ struct RunOutput {
     stats: SimStats,
     log: ExecLog,
     packet_ins: Vec<PacketInRecord>,
+    /// Lookups the oracle answered: the proof the reference side ran on
+    /// `lookup_reference`, and the indexed side did not.
+    reference_lookups: u64,
 }
 
 /// Replay a scenario's workload. `reference_tables` forces every flow
@@ -32,11 +35,9 @@ fn run(s: &Scenario, topology: Arc<Topology>, reference_tables: bool, proactive:
     .expect("scenario program compiles");
     ctrl.seed(s.seeds.clone()).expect("seeds");
     let mut sim = Simulation::new(topology, ctrl, s.sim.clone());
-    if reference_tables {
-        for t in sim.tables.values_mut() {
-            t.set_reference_mode(true);
-        }
-    }
+    // Set on the (still empty) set: every table materialised later — by
+    // a FlowMod or a proactive route — inherits it.
+    sim.tables.set_reference_mode(reference_tables);
     if proactive {
         sim.install_proactive_routes();
     }
@@ -48,12 +49,14 @@ fn run(s: &Scenario, topology: Arc<Topology>, reference_tables: bool, proactive:
         stats: sim.stats.clone(),
         log: sim.controller().exec_log().clone(),
         packet_ins: sim.packet_in_log().to_vec(),
+        reference_lookups: sim.tables.reference_lookups(),
     }
 }
 
 fn assert_bit_identical(s: &Scenario, proactive: bool) {
     let indexed = run(s, s.topology.clone(), false, proactive);
     let reference = run(s, s.topology.clone(), true, proactive);
+    assert_ran_on_the_oracle(s, &indexed, &reference);
     assert_eq!(
         indexed.stats, reference.stats,
         "{}: SimStats diverged between indexed and reference lookup",
@@ -68,6 +71,21 @@ fn assert_bit_identical(s: &Scenario, proactive: bool) {
         indexed.packet_ins, reference.packet_ins,
         "{}: packet-in log diverged between indexed and reference lookup",
         s.id
+    );
+}
+
+/// The comparison only means something when the two sides took different
+/// lookup paths: any run that installed a flow entry and forwarded past it
+/// must have consulted the oracle on the reference side, and never on the
+/// indexed side.
+fn assert_ran_on_the_oracle(s: &Scenario, indexed: &RunOutput, reference: &RunOutput) {
+    assert_eq!(indexed.reference_lookups, 0, "{}: indexed run used the oracle", s.id);
+    assert!(
+        reference.reference_lookups > 0,
+        "{}: reference run never reached lookup_reference ({} flow mods, {} hops)",
+        s.id,
+        reference.stats.flow_mods,
+        reference.stats.hops
     );
 }
 
@@ -121,6 +139,7 @@ fn fault_plans_preserve_differential_equality() {
     assert_eq!(warmed.stats, cold.stats, "warmed vs cold route cache diverged under faults");
     assert_eq!(warmed.log, cold.log);
     assert_eq!(warmed.packet_ins, cold.packet_ins);
+    assert_ran_on_the_oracle(&s, &warmed, &reference);
     assert_eq!(warmed.stats, reference.stats, "indexed vs reference diverged under faults");
     assert_eq!(warmed.log, reference.log);
     assert_eq!(warmed.packet_ins, reference.packet_ins);

@@ -9,12 +9,17 @@
 //! winner across groups is the entry the priority-sorted linear scan would
 //! have found. `lookup_reference` retains the exhaustive scan as the
 //! oracle the property tests compare against.
+//!
+//! [`FlowTables`] is the flow tables of a whole network: a sparse map that
+//! holds a [`FlowTable`] only for switches something was installed on.
 
 use crate::packet::{Field, Packet};
+use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// A match specification: every constrained field must equal the packet's
 /// value; unconstrained fields are wildcards.
@@ -409,6 +414,115 @@ impl FlowTable {
     }
 }
 
+/// Call `install(switch, entry)` for every shortest-path
+/// `DstIp → Output` route of every host — the "proactively configured
+/// core" of §5.2. Entries get priority 1 so reactive (priority ≥ 10)
+/// policies override them.
+pub fn proactive_routes(topo: &Topology, mut install: impl FnMut(i64, FlowEntry)) {
+    for &h in &topo.hosts {
+        for (&sw, &port) in topo.routes_to(h).iter() {
+            install(
+                sw,
+                FlowEntry::new(1, Match::any().with(Field::DstIp, h), vec![Action::Output(port)]),
+            );
+        }
+    }
+}
+
+/// The flow tables of a network, stored sparsely: a [`FlowTable`] exists
+/// only for switches something was installed on, so the state is
+/// proportional to what a run touches, not to the switch count.
+///
+/// The domain is the topology's switch set. A lookup on a known switch
+/// with no table is a miss — exactly what an empty table answers — so an
+/// absent table and an empty one are indistinguishable to the simulator.
+/// An install on a switch the topology does not know is ignored: a
+/// `FlowMod` addressed to a nonexistent switch has nowhere to land.
+pub struct FlowTables {
+    topo: Arc<Topology>,
+    tables: BTreeMap<i64, FlowTable>,
+    /// Reference-lookup mode is a property of the set, so tables
+    /// materialised after [`Self::set_reference_mode`] inherit it.
+    reference: bool,
+    reference_lookups: AtomicU64,
+}
+
+impl FlowTables {
+    /// No table materialised; every known switch misses.
+    pub fn new(topo: Arc<Topology>) -> Self {
+        FlowTables {
+            topo,
+            tables: BTreeMap::new(),
+            reference: false,
+            reference_lookups: AtomicU64::new(0),
+        }
+    }
+
+    /// The table of `switch`, if one was materialised.
+    pub fn get(&self, switch: &i64) -> Option<&FlowTable> {
+        self.tables.get(switch)
+    }
+
+    /// Best-match lookup at `switch`; a switch without a table misses.
+    pub fn lookup(&self, switch: i64, pkt: &Packet, in_port: i64) -> Option<&FlowEntry> {
+        let table = self.tables.get(&switch)?;
+        if self.reference {
+            self.reference_lookups.fetch_add(1, Ordering::Relaxed);
+        }
+        table.lookup(pkt, in_port)
+    }
+
+    /// Install `entry` at `switch` ([`FlowTable::install`] semantics),
+    /// materialising the table on first use. Unknown switches are ignored.
+    pub fn install(&mut self, switch: i64, entry: FlowEntry) {
+        if !self.topo.switches.contains(&switch) {
+            return;
+        }
+        let reference = self.reference;
+        self.tables
+            .entry(switch)
+            .or_insert_with(|| {
+                let mut t = FlowTable::new();
+                t.set_reference_mode(reference);
+                t
+            })
+            .install(entry);
+    }
+
+    /// Install [`proactive_routes`] for this network.
+    pub fn install_proactive_routes(&mut self) {
+        let topo = self.topo.clone();
+        proactive_routes(&topo, |sw, entry| self.install(sw, entry));
+    }
+
+    /// Wipe the table of `switch` (a switch crash).
+    pub fn clear(&mut self, switch: i64) {
+        self.tables.remove(&switch);
+    }
+
+    /// Force every lookup, on present and future tables, through
+    /// [`FlowTable::lookup_reference`] (see
+    /// [`FlowTable::set_reference_mode`]).
+    pub fn set_reference_mode(&mut self, on: bool) {
+        self.reference = on;
+        for t in self.tables.values_mut() {
+            t.set_reference_mode(on);
+        }
+    }
+
+    /// How many [`Self::lookup`]s the reference oracle answered — the
+    /// differential tests' proof that the oracle actually ran.
+    pub fn reference_lookups(&self) -> u64 {
+        self.reference_lookups.load(Ordering::Relaxed)
+    }
+
+    /// Number of tables materialised (switches with at least one install
+    /// since their last wipe).
+    pub fn materialised(&self) -> usize {
+        self.tables.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,6 +606,44 @@ mod tests {
         ] {
             assert_eq!(ft.lookup(&pkt, port), ft.lookup_reference(&pkt, port));
         }
+    }
+
+    #[test]
+    fn flow_tables_materialise_on_install_only() {
+        let mut tables = FlowTables::new(Arc::new(crate::topology::fig1()));
+        let http = Packet::http(1, 5, 9);
+        let entry = FlowEntry::new(10, Match::any().with(Field::DstPort, 80), vec![Action::Drop]);
+        // No table yet: a known switch misses, like an empty table.
+        assert!(tables.get(&1).is_none());
+        assert!(tables.lookup(1, &http, 0).is_none());
+        assert_eq!(tables.materialised(), 0);
+        tables.install(1, entry.clone());
+        tables.install(99, entry.clone()); // not in the topology: ignored
+        assert_eq!(tables.materialised(), 1);
+        assert!(tables.get(&99).is_none());
+        assert_eq!(tables.lookup(1, &http, 0), Some(&entry));
+        assert!(tables.lookup(2, &http, 0).is_none());
+        // A crash wipe leaves the switch as it started.
+        tables.clear(1);
+        assert!(tables.lookup(1, &http, 0).is_none());
+        assert_eq!(tables.materialised(), 0);
+    }
+
+    #[test]
+    fn reference_mode_reaches_tables_materialised_later() {
+        let mut tables = FlowTables::new(Arc::new(crate::topology::fig1()));
+        let http = Packet::http(1, 5, 9);
+        let entry = FlowEntry::new(10, Match::any(), vec![Action::Output(1)]);
+        tables.install(1, entry.clone());
+        tables.lookup(1, &http, 0);
+        assert_eq!(tables.reference_lookups(), 0);
+        tables.set_reference_mode(true);
+        tables.install(2, entry.clone());
+        assert_eq!(tables.lookup(1, &http, 0), Some(&entry));
+        assert_eq!(tables.lookup(2, &http, 0), Some(&entry));
+        assert!(tables.lookup(3, &http, 0).is_none()); // no table, no oracle
+        assert_eq!(tables.reference_lookups(), 2);
+        assert!(tables.get(&2).is_some_and(|t| t.use_reference));
     }
 
     #[test]

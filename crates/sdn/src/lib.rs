@@ -29,7 +29,7 @@ pub mod topology;
 
 pub use controller::{Controller, CtrlMsg, NdlogController, NullController, PacketInMsg, PktArg, TupleCodec};
 pub use faults::{CtrlFaults, FaultPlan, LinkFault, SwitchCrash, Window};
-pub use flowtable::{Action, FlowEntry, FlowTable, Match};
+pub use flowtable::{Action, FlowEntry, FlowTable, FlowTables, Match};
 pub use packet::{Field, Packet, Proto};
 pub use sim::{SimConfig, SimStats, Simulation};
 pub use topology::{campus, fig1, CampusParams, NodeRef, Topology};

@@ -17,7 +17,7 @@
 
 use crate::controller::{Controller, CtrlMsg, PacketInMsg};
 use crate::faults::FaultPlan;
-use crate::flowtable::{Action, FlowTable};
+use crate::flowtable::{Action, FlowTables};
 use crate::packet::Packet;
 use crate::topology::{NodeRef, Topology};
 use rand::rngs::StdRng;
@@ -197,13 +197,13 @@ impl PacketInRecord {
     }
 }
 
-/// The simulator. Owns the per-switch flow tables and the controller;
+/// The simulator. Owns the network's flow tables and the controller;
 /// shares the (immutable during a run) topology via `Arc` so backtests can
 /// hand one network to many candidate replays without deep-copying it.
 pub struct Simulation<C: Controller> {
     topo: Arc<Topology>,
-    /// Per-switch flow tables (public for proactive route installation).
-    pub tables: BTreeMap<i64, FlowTable>,
+    /// The network's flow tables (public for manual entry installation).
+    pub tables: FlowTables,
     controller: C,
     cfg: SimConfig,
     rng: StdRng,
@@ -235,7 +235,7 @@ impl<C: Controller> Simulation<C> {
     /// `Arc<Topology>` (backtests reuse one network across candidates).
     pub fn new(topo: impl Into<Arc<Topology>>, controller: C, cfg: SimConfig) -> Self {
         let topo = topo.into();
-        let tables = topo.switches.iter().map(|s| (*s, FlowTable::new())).collect();
+        let tables = FlowTables::new(topo.clone());
         let rng = StdRng::seed_from_u64(cfg.seed);
         let fault_rng = StdRng::seed_from_u64(cfg.faults.seed);
         let mut crash_schedule = cfg.faults.crashes.clone();
@@ -289,20 +289,7 @@ impl<C: Controller> Simulation<C> {
     /// every host — the "proactively configured core" of §5.2. Entries get
     /// priority 1 so reactive (priority ≥ 10) policies override them.
     pub fn install_proactive_routes(&mut self) {
-        let hosts: Vec<i64> = self.topo.hosts.iter().copied().collect();
-        for h in hosts {
-            let routes = self.topo.routes_to(h);
-            for (&sw, &port) in routes.iter() {
-                let entry = crate::flowtable::FlowEntry::new(
-                    1,
-                    crate::flowtable::Match::any().with(crate::packet::Field::DstIp, h),
-                    vec![Action::Output(port)],
-                );
-                if let Some(t) = self.tables.get_mut(&sw) {
-                    t.install(entry);
-                }
-            }
-        }
+        self.tables.install_proactive_routes();
     }
 
     /// Inject a packet from `host` into the network.
@@ -372,9 +359,7 @@ impl<C: Controller> Simulation<C> {
             if c.at > self.clock {
                 break;
             }
-            if let Some(t) = self.tables.get_mut(&c.switch) {
-                t.clear();
-            }
+            self.tables.clear(c.switch);
             self.stats.switch_crashes += 1;
             self.next_crash += 1;
         }
@@ -407,7 +392,7 @@ impl<C: Controller> Simulation<C> {
         // (`Action` is `Copy`) instead of cloning the whole `FlowEntry`.
         let mut actions = std::mem::take(&mut self.action_buf);
         actions.clear();
-        let hit = match self.tables.get(&switch).and_then(|t| t.lookup(&packet, in_port)) {
+        let hit = match self.tables.lookup(switch, &packet, in_port) {
             Some(e) => {
                 actions.extend_from_slice(&e.actions);
                 true
@@ -582,9 +567,7 @@ impl<C: Controller> Simulation<C> {
                     return;
                 }
                 self.stats.flow_mods += 1;
-                if let Some(t) = self.tables.get_mut(&sw) {
-                    t.install(entry);
-                }
+                self.tables.install(sw, entry);
             }
             CtrlMsg::PacketOut { switch: sw, packet: p, action } => {
                 if !self.cfg.faults.is_empty() && self.cfg.faults.switch_down(sw, self.clock) {
@@ -681,7 +664,7 @@ mod tests {
             Match::any().with(Field::DstPort, 80),
             vec![Action::Modify(Field::DstIp, fig1_hosts::H2), Action::Output(2)],
         );
-        sim.tables.get_mut(&1).unwrap().install(e);
+        sim.tables.install(1, e);
         sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 1));
         sim.run();
         // Rewritten to H2 and delivered there.
@@ -690,7 +673,7 @@ mod tests {
 
         // Drop policy.
         let e = FlowEntry::new(99, Match::any(), vec![Action::Drop]);
-        sim.tables.get_mut(&1).unwrap().install(e);
+        sim.tables.install(1, e);
         sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 2));
         sim.run();
         assert_eq!(sim.stats.dropped_policy, 1);
@@ -700,8 +683,8 @@ mod tests {
     fn flood_reaches_all_neighbors_except_ingress() {
         let mut sim = Simulation::new(fig1(), NullController, SimConfig::default());
         let e = FlowEntry::new(10, Match::any(), vec![Action::Flood]);
-        for t in sim.tables.values_mut() {
-            t.install(e.clone());
+        for sw in sim.topology().switches.clone() {
+            sim.tables.install(sw, e.clone());
         }
         // Broadcast storms are bounded by the TTL guard.
         sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H2, 1));
@@ -785,14 +768,13 @@ mod tests {
         let cfg = SimConfig { faults, ..SimConfig::default() };
         let mut sim = Simulation::new(fig1(), NullController, cfg);
         sim.install_proactive_routes();
-        let before = sim.tables[&2].len();
-        assert!(before > 0);
+        assert!(sim.tables.get(&2).is_some_and(|t| !t.is_empty()));
         // Packet reaches S2 at t=10, inside the dark window.
         sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 1));
         sim.run();
         assert_eq!(sim.stats.switch_crashes, 1);
         assert_eq!(sim.stats.dropped_switch_down, 1);
-        assert_eq!(sim.tables[&2].len(), 0, "crash wipes the flow table");
+        assert!(sim.tables.get(&2).is_none(), "crash wipes the flow table");
         // After restart the table is empty: the next packet misses and,
         // with a null controller, dies buffered — recovery is the
         // controller's job, not the switch's.
@@ -886,18 +868,9 @@ mod tests {
         let mut sim = Simulation::new(fig1(), NullController, SimConfig::default());
         // S2 and S3 bounce packets to each other forever (S2 port2 ↔ S3
         // port3).
-        sim.tables
-            .get_mut(&2)
-            .unwrap()
-            .install(FlowEntry::new(10, Match::any(), vec![Action::Output(2)]));
-        sim.tables
-            .get_mut(&3)
-            .unwrap()
-            .install(FlowEntry::new(10, Match::any(), vec![Action::Output(3)]));
-        sim.tables
-            .get_mut(&1)
-            .unwrap()
-            .install(FlowEntry::new(10, Match::any(), vec![Action::Output(1)]));
+        sim.tables.install(2, FlowEntry::new(10, Match::any(), vec![Action::Output(2)]));
+        sim.tables.install(3, FlowEntry::new(10, Match::any(), vec![Action::Output(3)]));
+        sim.tables.install(1, FlowEntry::new(10, Match::any(), vec![Action::Output(1)]));
         sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 1));
         sim.run();
         assert_eq!(sim.stats.dropped_ttl, 1);
