@@ -2,7 +2,7 @@
 //! provenance maintenance on vs off, Cbench-style (stream PacketIns as
 //! fast as possible). (Paper: +4.2% latency, −9.8% throughput.)
 
-use mpr_bench::{header, write_artifact};
+use mpr_bench::{header, host_fingerprint, write_artifact};
 use mpr_core::scenarios::Scenario;
 use mpr_runtime::Options as EngineOptions;
 use mpr_sdn::controller::{Controller, NdlogController, PacketInMsg};
@@ -60,6 +60,7 @@ fn main() {
     write_artifact(
         "overhead",
         &serde_json::json!({
+            "host": host_fingerprint(),
             "n": N,
             "latency_us_off": lat_off,
             "latency_us_on": lat_on,

@@ -60,6 +60,26 @@ pub fn write_artifact(name: &str, json: &serde_json::Value) {
     }
 }
 
+/// Cores, compiler and commit — what a pinned number is only comparable
+/// within. Goes into every artifact that is re-pinned as a `BENCH_*.json`.
+pub fn host_fingerprint() -> serde_json::Value {
+    let tool = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map_or("unknown".to_string(), |o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    serde_json::json!({
+        "cores": std::thread::available_parallelism().map_or(0, usize::from),
+        "rustc": tool("rustc", &["-V"]),
+        "commit": tool("git", &["describe", "--always", "--dirty"]),
+    })
+}
+
 /// Print a horizontal rule + header.
 pub fn header(title: &str) {
     println!("\n{}", "=".repeat(78));

@@ -19,7 +19,7 @@ use mpr_sdn::controller::{NdlogController, TupleCodec};
 use mpr_sdn::flowtable::{Action, FlowEntry, Match};
 use mpr_sdn::sim::Simulation;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 
 /// Fig. 9a phase breakdown.
@@ -173,17 +173,14 @@ impl Debugger {
         }
         let ctrl = sim.controller();
         let mut state: Vec<Tuple> = self.scenario.seeds.clone();
-        let log = ctrl.exec_log();
-        for rec in &log.tuples {
-            if rec.disappear.is_none()
-                && rec.kind != TupleKind::Event
-                && rec.tuple.table != self.scenario.codec.flow_table
-            {
-                if !state.contains(&rec.tuple) {
-                    state.push(rec.tuple.clone());
-                }
-            }
-        }
+        let seeded: HashSet<&Tuple> = self.scenario.seeds.iter().collect();
+        state.extend(
+            ctrl.exec_log()
+                .live_state()
+                .into_iter()
+                .filter(|t| t.table != self.scenario.codec.flow_table && !seeded.contains(t))
+                .cloned(),
+        );
         let history_time = t_hist.elapsed();
 
         let world = World {
@@ -402,22 +399,13 @@ fn derivations_from_world(
     }
     let log = engine.log();
     let mut records = Vec::new();
-    for rec in &log.tuples {
-        if &rec.tuple != culprit {
-            continue;
-        }
+    for rec in log.instances_of(culprit) {
         for ev in log.derivations_of(rec.tid) {
             if let mpr_runtime::ExecEvent::Derive { rule, body, .. } = ev {
-                let body_tuples: Vec<Tuple> =
-                    body.iter().map(|&b| log.record(b).tuple.clone()).collect();
-                let base_mask: Vec<bool> = body
-                    .iter()
-                    .map(|&b| log.record(b).kind == TupleKind::Base)
-                    .collect();
                 records.push(DerivationRecord {
-                    rule: rule.clone(),
-                    body: body_tuples,
-                    base_mask,
+                    rule: rule.to_string(),
+                    body: body.iter().map(|&b| log.tuple(b).clone()).collect(),
+                    base_mask: body.iter().map(|&b| log.kind(b) == TupleKind::Base).collect(),
                 });
             }
         }

@@ -3,7 +3,9 @@
 //! [`explain_exist`] answers "why does tuple τ exist?" by folding the
 //! engine's execution log into the §3.1 graph: EXIST ← APPEAR ←
 //! INSERT/DERIVE (← RECEIVE ← SEND for cross-node installs) ← body EXISTs,
-//! recursively down to base tuples.
+//! recursively down to base tuples. It follows the log's per-head chains
+//! (`ExecLog::derivations_of`, `ExecLog::shipment_of`), so a tree reads
+//! log rows in proportion to its own size, not to the log's.
 //!
 //! [`explain_absent`] answers "why does no tuple matching this pattern
 //! exist?" with negative provenance: NEXIST ← NDERIVE per candidate rule ←
@@ -126,10 +128,10 @@ impl Default for ExplainOptions {
 /// differ), but because duplicate firings carry identical body sets, every
 /// retraction cascade underives them together — so the *net* sets agree.
 pub fn derivation_set(log: &ExecLog) -> BTreeSet<(String, Tuple, Vec<Tuple>)> {
-    let value_of = |tid: TupleId| log.tuples[tid as usize].tuple.clone();
+    let value_of = |tid: TupleId| log.tuple(tid).clone();
     let mut net: std::collections::BTreeMap<(String, Tuple, Vec<Tuple>), i64> =
         std::collections::BTreeMap::new();
-    for ev in &log.events {
+    for ev in log.events() {
         let (rule, head, body, sign) = match ev {
             ExecEvent::Derive { rule, head, body, .. } => (rule, head, body, 1),
             ExecEvent::Underive { rule, head, body, .. } => (rule, head, body, -1),
@@ -137,7 +139,7 @@ pub fn derivation_set(log: &ExecLog) -> BTreeSet<(String, Tuple, Vec<Tuple>)> {
         };
         let mut body_vals: Vec<Tuple> = body.iter().map(|&t| value_of(t)).collect();
         body_vals.sort();
-        *net.entry((rule.clone(), value_of(*head), body_vals)).or_insert(0) += sign;
+        *net.entry((rule.to_string(), value_of(head), body_vals)).or_insert(0) += sign;
     }
     net.into_iter().filter(|&(_, n)| n > 0).map(|(k, _)| k).collect()
 }
@@ -155,10 +157,7 @@ pub fn explain_exist_with(
     at: Time,
     opts: ExplainOptions,
 ) -> Option<ProvTree> {
-    let rec = log
-        .tuples
-        .iter()
-        .find(|r| &r.tuple == tuple && r.alive_at(at))?;
+    let rec = log.instance_alive_at(tuple, at)?;
     let mut budget = opts.max_vertices;
     Some(exist_tree(log, rec.tid, opts.max_depth, &mut budget))
 }
@@ -190,18 +189,16 @@ fn exist_tree(log: &ExecLog, tid: TupleId, depth: usize, budget: &mut usize) -> 
             }));
         }
         TupleKind::Derived => {
-            // All derivations of this instance at its appearance instant.
-            for ev in &log.events {
-                let ExecEvent::Derive { time, rule, head, body } = ev else {
+            // Cross-node installs interpose SEND → RECEIVE.
+            let shipped = log.shipment_of(tid);
+            for ev in log.derivations_of(tid) {
+                let ExecEvent::Derive { time, rule, body, .. } = ev else {
                     continue;
                 };
-                if *head != tid {
-                    continue;
-                }
                 let mut derive = ProvTree::leaf(Vertex::Derive {
-                    at: *time,
+                    at: time,
                     node: node.clone(),
-                    rule: rule.clone(),
+                    rule: rule.to_string(),
                     tuple: rec.tuple.clone(),
                 });
                 for &btid in body {
@@ -210,15 +207,6 @@ fn exist_tree(log: &ExecLog, tid: TupleId, depth: usize, budget: &mut usize) -> 
                     }
                     derive.children.push(exist_tree(log, btid, depth - 1, budget));
                 }
-                // Cross-node installs interpose SEND → RECEIVE.
-                let shipped = log.events.iter().find_map(|e| match e {
-                    ExecEvent::Send { time: st, from, to, tid: stid, positive: true }
-                        if *stid == tid =>
-                    {
-                        Some((*st, from.clone(), to.clone()))
-                    }
-                    _ => None,
-                });
                 if let Some((st, from, to)) = shipped {
                     let send = ProvTree {
                         vertex: Vertex::Send {
@@ -233,8 +221,8 @@ fn exist_tree(log: &ExecLog, tid: TupleId, depth: usize, budget: &mut usize) -> 
                     let receive = ProvTree {
                         vertex: Vertex::Receive {
                             at: st,
-                            from,
-                            to,
+                            from: from.clone(),
+                            to: to.clone(),
                             tuple: rec.tuple.clone(),
                             positive: true,
                         },

@@ -310,17 +310,14 @@ impl Engine {
                 self.deltas.begin_round(
                     pending
                         .iter()
-                        .filter(|(tid, _)| {
-                            log.tuples[*tid as usize].kind != TupleKind::Event
-                        })
+                        .filter(|(tid, _)| log.kind(*tid) != TupleKind::Event)
                         .map(|(tid, t)| (*tid, t.table.as_str())),
                 );
             }
             let mut outcome = Ok(());
             'round: for (tid, tuple) in &pending {
                 // A tuple may have died while queued (replacement/cascade).
-                let rec = &self.log.tuples[*tid as usize];
-                if rec.kind != TupleKind::Event && rec.disappear.is_some() {
+                if self.log.kind(*tid) != TupleKind::Event && !self.log.is_live(*tid) {
                     continue;
                 }
                 let dispatch = match self.batch_dispatch.get(&tuple.table) {
@@ -416,7 +413,7 @@ impl Engine {
                     .collect();
                 for ctid in candidates {
                     let env2 = {
-                        let ctuple = &self.log.tuples[ctid as usize].tuple;
+                        let ctuple = self.log.tuple(ctid);
                         let atom = &self.rules[rule_idx].rule.body[ap.atom_idx];
                         match_atom(atom, ctuple, env)
                     };

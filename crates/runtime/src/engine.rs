@@ -18,6 +18,14 @@
 //! (UNDERIVE/DISAPPEAR, §3.1); tables with declared primary keys follow
 //! NDlog's replacement semantics.
 //!
+//! A derivation that a disappearing body tuple can retract is remembered
+//! as three ids (head instance, the log's `Derive` row, an active flag)
+//! under each of its state body instances; a derivation whose body is all
+//! events can never be retracted and is remembered nowhere. History goes to
+//! the [`crate::log::ExecLog`] only when [`Options::record_events`] is on —
+//! with it off no event is built, and the log keeps just the instance rows
+//! (tuple ref, kind, liveness) that retraction and replacement read.
+//!
 //! Event tables (`materialize(..., event, ...)`) are transient: their
 //! tuples trigger rules at their instant of insertion but are never stored,
 //! and derivations triggered by an event do not retract when the event
@@ -27,7 +35,7 @@
 use crate::batch::{self, RulePlan};
 use crate::delta::{DeltaTracker, RelationDeltaStats};
 use crate::index::IndexRegistry;
-use crate::log::{ExecEvent, ExecLog, Time, TupleId, TupleKind, TupleRecord};
+use crate::log::{ExecLog, Time, TupleId, TupleKind};
 use crate::store::{AddOutcome, DropOutcome, Store};
 use mpr_ndlog::ast::{AggKind, Atom, Rule, Term};
 use mpr_ndlog::eval::{CountingFuncs, Env};
@@ -303,15 +311,20 @@ pub(crate) struct CompiledRule {
     pub(crate) agg: Option<AggSpec>,
 }
 
+/// A derivation that a disappearing body tuple can still retract. Ids
+/// only: the head tuple, rule, body and origin are in the log.
 #[derive(Debug)]
 struct DerivRecord {
-    rule_idx: usize,
-    head_tid: TupleId,
-    head: Tuple,
-    body_tids: Vec<TupleId>,
-    origin: Value,
+    head: TupleId,
+    /// The log's `Derive` row ([`ExecLog::underive`]'s handle); unused with
+    /// recording off.
+    derive_row: u32,
     active: bool,
 }
+
+/// The firing behind a unit of derived support: rule index, body instances
+/// in body-atom order, and the node the firing ran at.
+type Firing<'a> = (usize, &'a [TupleId], &'a Value);
 
 #[derive(Debug, Default)]
 struct AggGroup {
@@ -334,8 +347,14 @@ pub struct Engine {
     funcs: CountingFuncs,
     time: Time,
     next_tid: TupleId,
+    /// Derivations with at least one state body tuple — the others can
+    /// never be retracted and keep no record.
     records: Vec<DerivRecord>,
-    by_body: HashMap<TupleId, Vec<usize>>,
+    /// State body instance → the records it supports.
+    by_body: HashMap<TupleId, Vec<u32>>,
+    /// Records `kill` has looked at (the O(dependents) pin).
+    #[cfg(test)]
+    records_visited: u64,
     agg_groups: HashMap<(usize, Vec<Value>), AggGroup>,
     agg_contrib: HashMap<TupleId, Vec<(usize, Vec<Value>, Value)>>,
     total_derivations: u64,
@@ -494,6 +513,12 @@ impl Engine {
                 Err(e) => wal_open_error = Some(format!("open {}: {e}", dir.display())),
             }
         }
+        // Rule ids are read back only through logged derivations.
+        let log = if opts.record_events {
+            ExecLog::for_rules(rules.iter().map(|r| r.rule.id.clone()))
+        } else {
+            ExecLog::default()
+        };
         Ok(Engine {
             rules,
             triggers: triggers
@@ -501,13 +526,15 @@ impl Engine {
                 .map(|(t, l)| (t, std::sync::Arc::new(l)))
                 .collect(),
             store,
-            log: ExecLog::default(),
+            log,
             opts,
             funcs,
             time: 0,
             next_tid: 0,
             records: Vec::new(),
             by_body: HashMap::new(),
+            #[cfg(test)]
+            records_visited: 0,
             agg_groups: HashMap::new(),
             agg_contrib: HashMap::new(),
             total_derivations: 0,
@@ -548,7 +575,8 @@ impl Engine {
         &self.log
     }
 
-    /// Take ownership of the log, leaving an empty one.
+    /// Take ownership of the log, leaving an empty one. Instance ids are
+    /// rows of the log, so the engine must not be driven afterwards.
     pub fn take_log(&mut self) -> ExecLog {
         std::mem::take(&mut self.log)
     }
@@ -620,10 +648,11 @@ impl Engine {
         } else {
             // Transient event: exists for this instant only.
             let tid = self.mint(&tuple, TupleKind::Event);
-            self.log_event(ExecEvent::InsertBase { time: self.time, tid });
-            self.log_event(ExecEvent::Appear { time: self.time, tid });
+            if self.opts.record_events {
+                self.log.insert_base(self.time, tid);
+                self.log.appear(self.time, tid);
+            }
             self.close_record(tid);
-            self.log_event(ExecEvent::Disappear { time: self.time, tid });
             result.appeared.push(tuple.clone());
             queue.push_back((tid, tuple));
         }
@@ -654,13 +683,14 @@ impl Engine {
         match self.store.drop_support(tuple, true) {
             DropOutcome::Absent => {}
             DropOutcome::StillAlive => {
-                if let Some(live) = self.store.get(tuple) {
-                    let tid = live.tid;
-                    self.log_event(ExecEvent::DeleteBase { time: self.time, tid });
+                if let Some(live) = self.store.get(tuple).filter(|_| self.opts.record_events) {
+                    self.log.delete_base(self.time, live.tid);
                 }
             }
             DropOutcome::Gone(tid) => {
-                self.log_event(ExecEvent::DeleteBase { time: self.time, tid });
+                if self.opts.record_events {
+                    self.log.delete_base(self.time, tid);
+                }
                 self.kill(tid, tuple.clone(), &mut result)?;
             }
         }
@@ -672,25 +702,17 @@ impl Engine {
     // internals
 
     fn mint(&mut self, tuple: &Tuple, kind: TupleKind) -> TupleId {
-        let tid = self.next_tid;
+        let tid = self.log.mint(tuple, kind, self.time, self.opts.record_events);
+        debug_assert_eq!(tid, self.next_tid);
         self.next_tid += 1;
-        self.log.tuples.push(TupleRecord {
-            tid,
-            tuple: tuple.clone(),
-            appear: self.time,
-            disappear: None,
-            kind,
-        });
         tid
     }
 
+    /// End an instance's lifetime (DISAPPEAR).
     fn close_record(&mut self, tid: TupleId) {
-        self.log.tuples[tid as usize].disappear = Some(self.time);
-    }
-
-    fn log_event(&mut self, e: ExecEvent) {
+        self.log.close(tid, self.time);
         if self.opts.record_events {
-            self.log.events.push(e);
+            self.log.disappear(self.time, tid);
         }
     }
 
@@ -699,7 +721,7 @@ impl Engine {
         &mut self,
         tuple: &Tuple,
         base: bool,
-        derive: Option<(usize, Vec<TupleId>, Value)>,
+        derive: Option<Firing<'_>>,
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
@@ -718,14 +740,8 @@ impl Engine {
         // If a fresh tid was minted inside the store, register its record
         // (and index the new instance under the batch strategy).
         if let Some(tid) = fresh {
-            debug_assert_eq!(tid as usize, self.log.tuples.len());
-            self.log.tuples.push(TupleRecord {
-                tid,
-                tuple: tuple.clone(),
-                appear: self.time,
-                disappear: None,
-                kind,
-            });
+            let minted = self.log.mint(tuple, kind, self.time, self.opts.record_events);
+            debug_assert_eq!(tid, minted);
             if self.strategy == EvalStrategy::Batch {
                 self.indexes.insert(tid, tuple);
             }
@@ -737,17 +753,14 @@ impl Engine {
             }
             AddOutcome::SupportOnly(tid) => {
                 // No visible change; log the derivation/insert itself.
-                if base {
-                    self.log_event(ExecEvent::InsertBase { time: self.time, tid });
-                } else if let Some((rule_idx, body, origin)) = derive {
-                    self.register_derivation(rule_idx, tid, tuple.clone(), body, origin);
-                }
+                self.log_support(tid, base, derive);
             }
             AddOutcome::Replaced { old, new } => {
-                // The evicted instance dies with a full cascade, then the
+                // The evicted instance dies with a full cascade (its
+                // support is already gone from the store), then the
                 // replacement appears.
-                let old_tuple = self.log.tuples[old as usize].tuple.clone();
-                self.kill_replaced(old, old_tuple, result)?;
+                let old_tuple = self.log.tuple(old).clone();
+                self.kill(old, old_tuple, result)?;
                 self.announce(new, tuple, base, derive, result);
                 queue.push_back((new, tuple.clone()));
             }
@@ -760,61 +773,45 @@ impl Engine {
         tid: TupleId,
         tuple: &Tuple,
         base: bool,
-        derive: Option<(usize, Vec<TupleId>, Value)>,
+        derive: Option<Firing<'_>>,
         result: &mut StepResult,
     ) {
-        if base {
-            self.log_event(ExecEvent::InsertBase { time: self.time, tid });
-        } else if let Some((rule_idx, body, origin)) = derive {
-            self.register_derivation(rule_idx, tid, tuple.clone(), body, origin);
+        self.log_support(tid, base, derive);
+        if self.opts.record_events {
+            self.log.appear(self.time, tid);
         }
-        self.log_event(ExecEvent::Appear { time: self.time, tid });
         result.appeared.push(tuple.clone());
     }
 
-    fn register_derivation(
-        &mut self,
-        rule_idx: usize,
-        head_tid: TupleId,
-        head: Tuple,
-        body_tids: Vec<TupleId>,
-        origin: Value,
-    ) {
-        self.log_event(ExecEvent::Derive {
-            time: self.time,
-            rule: self.rules[rule_idx].rule.id.clone(),
-            head: head_tid,
-            body: body_tids.clone(),
-        });
-        // Cross-node install: SEND/RECEIVE vertices.
-        if head.loc != origin {
-            self.log_event(ExecEvent::Send {
-                time: self.time,
-                from: origin.clone(),
-                to: head.loc.clone(),
-                tid: head_tid,
-                positive: true,
-            });
-            self.log_event(ExecEvent::Receive {
-                time: self.time,
-                from: origin.clone(),
-                to: head.loc.clone(),
-                tid: head_tid,
-                positive: true,
-            });
+    /// Log one unit of support for `tid`: INSERT, or the derivation.
+    fn log_support(&mut self, tid: TupleId, base: bool, derive: Option<Firing<'_>>) {
+        if base {
+            if self.opts.record_events {
+                self.log.insert_base(self.time, tid);
+            }
+        } else if let Some(firing) = derive {
+            self.register_derivation(tid, firing);
         }
-        // Only state body tuples can later retract the head.
-        let state_body: Vec<TupleId> = body_tids
-            .iter()
-            .copied()
-            .filter(|tid| self.log.tuples[*tid as usize].kind != TupleKind::Event)
-            .collect();
-        let rec = DerivRecord { rule_idx, head_tid, head, body_tids, origin, active: true };
-        let idx = self.records.len();
-        self.records.push(rec);
-        for tid in state_body {
-            self.by_body.entry(tid).or_default().push(idx);
+    }
+
+    /// DERIVE (and SEND/RECEIVE for a remote head) while recording; and,
+    /// recording or not, a [`DerivRecord`] if a state body tuple can later
+    /// retract the head.
+    fn register_derivation(&mut self, head: TupleId, (rule_idx, body, origin): Firing<'_>) {
+        let derive_row = if self.opts.record_events {
+            self.log.derive(self.time, rule_idx, head, body, origin)
+        } else {
+            u32::MAX
+        };
+        let mut state_body = body.iter().filter(|&&b| self.log.kind(b) != TupleKind::Event).peekable();
+        if state_body.peek().is_none() {
+            return;
         }
+        let idx = u32::try_from(self.records.len()).expect("fewer than 2^32 retractable derivations");
+        for &b in state_body {
+            self.by_body.entry(b).or_default().push(idx);
+        }
+        self.records.push(DerivRecord { head, derive_row, active: true });
     }
 
     /// Kill a tuple instance that lost all support: cascade retractions.
@@ -823,51 +820,29 @@ impl Engine {
             self.indexes.remove(tid, &tuple);
             self.deltas.retire(&tuple.table, tid);
         }
+        // Closing the instance also retires every derivation that produced
+        // it: the loop below skips records whose head is no longer live.
         self.close_record(tid);
-        self.log_event(ExecEvent::Disappear { time: self.time, tid });
-        result.disappeared.push(tuple.clone());
-        // Deactivate derivations that produced this tuple (it is gone).
-        for rec in &mut self.records {
-            if rec.active && rec.head_tid == tid {
-                rec.active = false;
-            }
-        }
+        result.disappeared.push(tuple);
         // Retract derivations this tuple participated in.
-        let dependents: Vec<usize> = self.by_body.remove(&tid).unwrap_or_default();
-        for ridx in dependents {
-            if !self.records[ridx].active {
+        for ridx in self.by_body.remove(&tid).unwrap_or_default() {
+            #[cfg(test)]
+            {
+                self.records_visited += 1;
+            }
+            let rec = &mut self.records[ridx as usize];
+            if !rec.active || !self.log.is_live(rec.head) {
                 continue;
             }
-            self.records[ridx].active = false;
-            let (rule_idx, head_tid, head, body_tids, origin) = {
-                let r = &self.records[ridx];
-                (r.rule_idx, r.head_tid, r.head.clone(), r.body_tids.clone(), r.origin.clone())
-            };
-            self.log_event(ExecEvent::Underive {
-                time: self.time,
-                rule: self.rules[rule_idx].rule.id.clone(),
-                head: head_tid,
-                body: body_tids,
-            });
-            if head.loc != origin {
-                self.log_event(ExecEvent::Send {
-                    time: self.time,
-                    from: origin.clone(),
-                    to: head.loc.clone(),
-                    tid: head_tid,
-                    positive: false,
-                });
-                self.log_event(ExecEvent::Receive {
-                    time: self.time,
-                    from: origin,
-                    to: head.loc.clone(),
-                    tid: head_tid,
-                    positive: false,
-                });
+            rec.active = false;
+            let head_tid = rec.head;
+            if self.opts.record_events {
+                self.log.underive(self.time, rec.derive_row);
             }
-            match self.store.drop_support(&head, false) {
+            match self.store.drop_support(self.log.tuple(head_tid), false) {
                 DropOutcome::Gone(gone_tid) => {
                     debug_assert_eq!(gone_tid, head_tid);
+                    let head = self.log.tuple(head_tid).clone();
                     self.kill(head_tid, head, result)?;
                 }
                 DropOutcome::StillAlive | DropOutcome::Absent => {}
@@ -880,17 +855,6 @@ impl Engine {
             }
         }
         Ok(())
-    }
-
-    /// Kill an instance evicted by primary-key replacement (support is
-    /// already gone from the store).
-    fn kill_replaced(
-        &mut self,
-        tid: TupleId,
-        tuple: Tuple,
-        result: &mut StepResult,
-    ) -> Result<(), RuntimeError> {
-        self.kill(tid, tuple, result)
     }
 
     /// Propagate appearances until fixpoint, under the engine's strategy.
@@ -931,9 +895,7 @@ impl Engine {
                 }
             }
             // A tuple may have died while queued (replacement/cascade).
-            let rec = &self.log.tuples[tid as usize];
-            let still_relevant = rec.kind == TupleKind::Event || rec.disappear.is_none();
-            if !still_relevant {
+            if self.log.kind(tid) != TupleKind::Event && !self.log.is_live(tid) {
                 continue;
             }
             let trigger_list = match self.triggers.get(&tuple.table) {
@@ -1098,39 +1060,19 @@ impl Engine {
         let Some(head) = instantiate(&head_atom, &env) else {
             return Ok(());
         };
-        let origin = delta.loc.clone();
         if self.rules[rule_idx].head_is_event {
-            // Transient derived event.
+            // Transient derived event: it can never be retracted, so it
+            // keeps no `DerivRecord`.
             let tid = self.mint(&head, TupleKind::Event);
-            self.log_event(ExecEvent::Derive {
-                time: self.time,
-                rule: self.rules[rule_idx].rule.id.clone(),
-                head: tid,
-                body: body_tids,
-            });
-            if head.loc != origin {
-                self.log_event(ExecEvent::Send {
-                    time: self.time,
-                    from: origin.clone(),
-                    to: head.loc.clone(),
-                    tid,
-                    positive: true,
-                });
-                self.log_event(ExecEvent::Receive {
-                    time: self.time,
-                    from: origin,
-                    to: head.loc.clone(),
-                    tid,
-                    positive: true,
-                });
+            if self.opts.record_events {
+                self.log.derive(self.time, rule_idx, tid, &body_tids, &delta.loc);
+                self.log.appear(self.time, tid);
             }
-            self.log_event(ExecEvent::Appear { time: self.time, tid });
             self.close_record(tid);
-            self.log_event(ExecEvent::Disappear { time: self.time, tid });
             result.appeared.push(head.clone());
             queue.push_back((tid, head));
         } else {
-            self.add_support(&head, false, Some((rule_idx, body_tids, origin)), queue, result)?;
+            self.add_support(&head, false, Some((rule_idx, &body_tids, &delta.loc)), queue, result)?;
         }
         Ok(())
     }
@@ -1258,7 +1200,7 @@ impl Engine {
         if self.total_derivations > self.opts.max_derivations {
             return Err(RuntimeError::DerivationLimit(self.opts.max_derivations));
         }
-        self.add_support(&head, false, Some((rule_idx, vec![trigger_tid], origin)), queue, result)
+        self.add_support(&head, false, Some((rule_idx, &[trigger_tid], &origin)), queue, result)
     }
 }
 
@@ -1336,6 +1278,7 @@ pub(crate) fn resolve_term(term: &Term, env: &Env) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::ExecEvent;
     use mpr_ndlog::parse_program;
 
     fn v(i: i64) -> Value {
@@ -1496,8 +1439,7 @@ mod tests {
         e.insert(Tuple::new("PacketIn", Value::str("C"), vec![v(2), v(80)])).unwrap();
         let sends: Vec<_> = e
             .log()
-            .events
-            .iter()
+            .events()
             .filter(|ev| matches!(ev, ExecEvent::Send { positive: true, .. }))
             .collect();
         assert!(!sends.is_empty(), "FlowTable install should ship C→switch");
@@ -1516,8 +1458,62 @@ mod tests {
         )
         .unwrap();
         e.insert(Tuple::new("A", v(1), vec![v(5)])).unwrap();
-        assert!(e.log().events.is_empty());
+        assert!(e.log().is_empty());
+        assert_eq!(e.log().records().len(), 0, "no lifetimes are kept with recording off");
         assert!(e.contains(&Tuple::new("B", v(1), vec![v(5)])));
+        // What retraction reads survives: the cascade still runs.
+        e.delete(&Tuple::new("A", v(1), vec![v(5)])).unwrap();
+        assert!(!e.contains(&Tuple::new("B", v(1), vec![v(5)])));
+        assert!(e.log().is_empty());
+    }
+
+    /// A primary-key replacement after `noise` unrelated derivations:
+    /// returns the derivation records `kill` looked at.
+    fn records_visited_by_replacement(noise: i64) -> u64 {
+        let p = parse_program(
+            "t",
+            r"
+            materialize(Noise, infinity, 1, keys(0)).
+            materialize(Other, infinity, 1, keys(0)).
+            materialize(Src, infinity, 2, keys(0,1)).
+            materialize(Pick, infinity, 2, keys(0)).
+            materialize(Dep, infinity, 2, keys(0,1)).
+            n1 Other(@N,X) :- Noise(@N,X).
+            p1 Pick(@N,X,Y) :- Src(@N,X,Y).
+            d1 Dep(@N,X,Y) :- Pick(@N,X,Y).
+            ",
+        )
+        .unwrap();
+        let mut e = Engine::new(&p).unwrap();
+        for i in 0..noise {
+            e.insert(Tuple::new("Noise", v(1), vec![v(i)])).unwrap();
+        }
+        e.insert(Tuple::new("Src", v(1), vec![v(7), v(1)])).unwrap();
+        assert_eq!(e.records.len() as i64, noise + 2);
+        let before = e.records_visited;
+        e.insert(Tuple::new("Src", v(1), vec![v(7), v(2)])).unwrap();
+        assert_eq!(e.tuples("Pick"), vec![Tuple::new("Pick", v(1), vec![v(7), v(2)])]);
+        assert_eq!(e.tuples("Dep"), vec![Tuple::new("Dep", v(1), vec![v(7), v(2)])]);
+        e.records_visited - before
+    }
+
+    #[test]
+    fn kill_visits_only_the_dead_tuples_dependents() {
+        // Evicting Pick(7,1) retracts Dep(7,1): one record, however many
+        // derivations the engine has made (it used to walk all of them).
+        assert_eq!(records_visited_by_replacement(100), 1);
+        assert_eq!(records_visited_by_replacement(10_000), 1);
+    }
+
+    #[test]
+    fn event_only_derivations_keep_no_record() {
+        let mut e = fig2_engine();
+        e.insert(Tuple::new("PacketIn", Value::str("C"), vec![v(2), v(80)])).unwrap();
+        assert!(e.total_derivations() >= 2);
+        assert!(e.records.is_empty(), "a body of events can never retract its head");
+        e.insert(Tuple::new("WebLoadBalancer", Value::str("C"), vec![v(80), v(7)])).unwrap();
+        e.insert(Tuple::new("PacketIn", Value::str("C"), vec![v(1), v(80)])).unwrap();
+        assert_eq!(e.records.len(), 1, "r1 joins a state tuple");
     }
 
     #[test]
@@ -1579,11 +1575,11 @@ mod tests {
         let mut e = fig2_engine();
         e.insert(Tuple::new("PacketIn", Value::str("C"), vec![v(2), v(80)])).unwrap();
         let log = e.log();
-        assert!(log.events.iter().any(|ev| matches!(ev, ExecEvent::InsertBase { .. })));
-        assert!(log.events.iter().any(|ev| matches!(ev, ExecEvent::Derive { .. })));
-        assert!(log.events.iter().any(|ev| matches!(ev, ExecEvent::Appear { .. })));
+        assert!(log.events().any(|ev| matches!(ev, ExecEvent::InsertBase { .. })));
+        assert!(log.events().any(|ev| matches!(ev, ExecEvent::Derive { .. })));
+        assert!(log.events().any(|ev| matches!(ev, ExecEvent::Appear { .. })));
         // Event tuple has an instantaneous lifetime.
-        let ev_rec = &log.tuples[0];
+        let ev_rec = log.record(0);
         assert_eq!(ev_rec.kind, TupleKind::Event);
         assert_eq!(ev_rec.disappear, Some(ev_rec.appear));
     }

@@ -20,8 +20,9 @@
 //!   deterministic seed;
 //! - a full execution log ([`log::ExecLog`]) of INSERT/DELETE, DERIVE/
 //!   UNDERIVE, APPEAR/DISAPPEAR and SEND/RECEIVE events — the raw material
-//!   for the §3.1 provenance graph — which can be switched off to measure
-//!   the provenance overhead (§5.4);
+//!   for the §3.1 provenance graph — held as interned tuples and fixed-size
+//!   rows chained by head, read through borrowed views, and switched off
+//!   to measure the provenance overhead (§5.4);
 //! - a naive fixpoint oracle ([`naive`]) for differential testing.
 
 #![warn(missing_docs)]

@@ -1,21 +1,52 @@
 //! The execution log — the engine's record of *everything that happened*.
 //!
 //! The paper's runtime "records relevant control-plane messages and packets
-//! to a log, which can be used to answer diagnostic queries later" (§5.1).
-//! Our log is finer-grained: every base insertion/deletion, derivation,
-//! appearance and cross-node message becomes an [`ExecEvent`], and every
-//! continuous existence interval of a tuple becomes a [`TupleRecord`]. The
-//! provenance crate folds this log into the §3.1 provenance graph, and the
-//! meta-provenance explorer replays it when expanding vertices.
+//! to a log, which can be used to answer diagnostic queries later" (§5.1),
+//! at 120 bytes per entry (§5.4). Our log is finer-grained — every base
+//! insertion/deletion, derivation, appearance and cross-node message is an
+//! event, every continuous existence interval of a tuple an instance — so
+//! it only stays cheap if an entry is tens of bytes. The layout is
+//! therefore *interned, columnar and indexed by head*:
+//!
+//! - each distinct [`Tuple`] and each distinct node [`Value`] is stored
+//!   once in a hash-consing table and named by a dense `u32`; rule ids are
+//!   the program's rule indexes;
+//! - an instance is an 8-byte row (tuple ref, kind, liveness) that the
+//!   engine itself reads, plus — only while recording — a 24-byte lifetime
+//!   row (appear, disappear, two chain links);
+//! - an event is one fixed 32-byte row; `Derive`/`Underive` bodies are
+//!   ranges into one flat arena of [`TupleId`]s, and an `Underive` shares
+//!   the range of the `Derive` it retracts;
+//! - every `Derive` row links to the previous derivation of the same head,
+//!   and every instance to the previous instance of the same tuple, so
+//!   [`ExecLog::derivations_of`], [`ExecLog::shipment_of`],
+//!   [`ExecLog::instances_of`] and [`ExecLog::instance_alive_at`] read a
+//!   number of rows proportional to their answer, not to the log.
+//!
+//! Readers see none of this: [`ExecLog::record`] and [`ExecLog::events`]
+//! hand out borrowed [`TupleRecord`] / [`ExecEvent`] views. Refs are
+//! assigned in first-seen order, so two logs of the same execution are
+//! equal column by column and `ExecLog: Eq` still means "the same history,
+//! event for event". With [`crate::Options::record_events`] off only the
+//! 8-byte instance rows and the tuple table are kept — what the engine
+//! needs to retract and replace — and [`ExecLog::records`] /
+//! [`ExecLog::events`] are empty.
 
 use mpr_ndlog::{Tuple, Value};
 use serde::{Deserialize, Serialize};
+use std::hash::{BuildHasher, Hash};
+use std::mem::size_of;
 
 /// Logical timestamp (one tick per processed delta).
 pub type Time = u64;
 
 /// Identifier of one continuous existence interval of a tuple.
 pub type TupleId = u64;
+
+/// "No row" in a `u32` link or ref column.
+const NONE: u32 = u32::MAX;
+/// `disappear` of an instance that is still alive.
+const NEVER: Time = Time::MAX;
 
 /// How a tuple came to exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,13 +59,13 @@ pub enum TupleKind {
     Event,
 }
 
-/// Lifetime record of one tuple instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TupleRecord {
-    /// Id (index into [`ExecLog::tuples`]).
+/// Lifetime record of one tuple instance, borrowed from the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TupleRecord<'a> {
+    /// Id of the instance.
     pub tid: TupleId,
     /// The tuple.
-    pub tuple: Tuple,
+    pub tuple: &'a Tuple,
     /// When it appeared.
     pub appear: Time,
     /// When it disappeared (`None` while still alive / for the final state).
@@ -43,7 +74,7 @@ pub struct TupleRecord {
     pub kind: TupleKind,
 }
 
-impl TupleRecord {
+impl TupleRecord<'_> {
     /// `true` if the tuple existed at time `t` (events exist only at their
     /// own instant).
     pub fn alive_at(&self, t: Time) -> bool {
@@ -51,9 +82,10 @@ impl TupleRecord {
     }
 }
 
-/// One logged event. Node values are the `@` locations involved.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecEvent {
+/// One logged event, borrowed from the log. Node values are the `@`
+/// locations involved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecEvent<'a> {
     /// A base tuple was inserted (INSERT vertex, §3.1).
     InsertBase {
         /// Timestamp.
@@ -73,22 +105,22 @@ pub enum ExecEvent {
         /// Timestamp.
         time: Time,
         /// Rule id in the program.
-        rule: String,
+        rule: &'a str,
         /// Derived head tuple instance.
         head: TupleId,
         /// Body tuple instances, in body-atom order.
-        body: Vec<TupleId>,
+        body: &'a [TupleId],
     },
     /// A derivation lost support (UNDERIVE).
     Underive {
         /// Timestamp.
         time: Time,
         /// Rule id.
-        rule: String,
+        rule: &'a str,
         /// Head tuple instance.
         head: TupleId,
         /// Body tuple instances.
-        body: Vec<TupleId>,
+        body: &'a [TupleId],
     },
     /// A tuple appeared in the database (APPEAR).
     Appear {
@@ -109,9 +141,9 @@ pub enum ExecEvent {
         /// Timestamp.
         time: Time,
         /// Sending node.
-        from: Value,
+        from: &'a Value,
         /// Receiving node.
-        to: Value,
+        to: &'a Value,
         /// Tuple instance being shipped.
         tid: TupleId,
         /// `+τ` (true) or `-τ` (false).
@@ -122,9 +154,9 @@ pub enum ExecEvent {
         /// Timestamp.
         time: Time,
         /// Sending node.
-        from: Value,
+        from: &'a Value,
         /// Receiving node.
-        to: Value,
+        to: &'a Value,
         /// Tuple instance being shipped.
         tid: TupleId,
         /// `+τ` (true) or `-τ` (false).
@@ -132,7 +164,7 @@ pub enum ExecEvent {
     },
 }
 
-impl ExecEvent {
+impl ExecEvent<'_> {
     /// Timestamp of the event.
     pub fn time(&self) -> Time {
         match self {
@@ -148,40 +180,434 @@ impl ExecEvent {
     }
 }
 
-/// The full execution log.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+// ---------------------------------------------------------------------------
+// hash-consing
+
+/// A hash-consing table: every distinct value is stored once and named by
+/// its position, assigned in first-seen order.
+///
+/// Equality is the item type's own `Eq` — derived, value-exact equality for
+/// [`Tuple`] and [`Value`], so `Int(1)`, `Str("1")` and `Wild` never share a
+/// ref — which is what makes replacing a stored clone by a ref lossless.
+#[derive(Debug, Clone)]
+struct Interner<T> {
+    items: Vec<T>,
+    /// Open-addressing index into `items` (`NONE` = free), under half full.
+    /// Derived from `items` and the table's own hash keys (tuples carry
+    /// packet fields, so the keys are random per table, as a `HashMap`'s
+    /// are): equality ignores both.
+    slots: Vec<u32>,
+    keys: std::collections::hash_map::RandomState,
+}
+
+impl<T> Default for Interner<T> {
+    fn default() -> Self {
+        Interner { items: Vec::new(), slots: Vec::new(), keys: Default::default() }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Interner<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.items == other.items
+    }
+}
+
+impl<T: Eq> Eq for Interner<T> {}
+
+impl<T: Hash + Eq + Clone> Interner<T> {
+    /// The ref of `key`, or the free slot its ref would go in.
+    fn probe(&self, key: &T) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.keys.hash_one(key) as usize & mask;
+        loop {
+            match self.slots[i] {
+                NONE => return Err(i),
+                r if self.items[r as usize] == *key => return Ok(r),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: &T) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(key).ok()
+    }
+
+    /// The ref of `key`, cloning it into the table only when it is new.
+    fn intern(&mut self, key: &T) -> u32 {
+        if (self.items.len() + 1) * 2 > self.slots.len() {
+            self.slots = vec![NONE; (self.slots.len() * 2).max(16)];
+            for r in 0..self.items.len() {
+                let free = self.probe(&self.items[r]).expect_err("items are distinct");
+                self.slots[free] = r as u32;
+            }
+        }
+        self.probe(key).unwrap_or_else(|free| {
+            let r = row_index(self.items.len());
+            self.slots[free] = r;
+            self.items.push(key.clone());
+            r
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// rows
+
+/// What the engine itself reads of an instance; kept with recording off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Inst {
+    tuple: u32,
+    kind: TupleKind,
+    live: bool,
+}
+
+/// The history of an instance; kept only while recording.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    appear: Time,
+    disappear: Time,
+    /// Previous instance of the same tuple.
+    prev_same: u32,
+    /// Latest `Derive` row whose head is this instance.
+    last_derive: u32,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    InsertBase,
+    DeleteBase,
+    Derive,
+    Underive,
+    Appear,
+    Disappear,
+    Send,
+    Receive,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EventRow {
+    time: Time,
+    /// The instance the event is about (the head of a derivation).
+    tid: u32,
+    /// `Derive`/`Underive`: rule ref. `Send`/`Receive`: `from` node ref.
+    a: u32,
+    /// `Derive`/`Underive`: body start in `bodies`. `Send`/`Receive`: `to`
+    /// node ref.
+    b: u32,
+    /// `Derive`: the previous `Derive` row with the same head.
+    prev: u32,
+    /// `Derive`/`Underive`: body length.
+    len: u16,
+    tag: Tag,
+    /// `Send`/`Receive`: `+τ` or `-τ`.
+    positive: bool,
+}
+
+const _: () = assert!(size_of::<Inst>() == 8 && size_of::<Span>() == 24 && size_of::<EventRow>() == 32);
+
+fn row_index(n: usize) -> u32 {
+    u32::try_from(n).ok().filter(|&i| i != NONE).expect("fewer than 2^32 log rows")
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static ROWS_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Lifetime and event rows the reading accessors have fetched on this
+/// thread — the work counter behind the "proportional to the answer" tests.
+/// Debug builds only; release builds compile the counter out.
+#[cfg(debug_assertions)]
+pub fn rows_visited() -> u64 {
+    ROWS_VISITED.with(std::cell::Cell::get)
+}
+
+#[inline]
+fn visit() {
+    #[cfg(debug_assertions)]
+    ROWS_VISITED.with(|c| c.set(c.get() + 1));
+}
+
+/// The full execution log. See the module docs for the layout.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecLog {
-    /// Tuple lifetime records, indexed by [`TupleId`].
-    pub tuples: Vec<TupleRecord>,
-    /// Events in chronological order.
-    pub events: Vec<ExecEvent>,
+    tuples: Interner<Tuple>,
+    /// Per distinct tuple: its newest instance (maintained while recording).
+    newest: Vec<u32>,
+    nodes: Interner<Value>,
+    /// Rule ids, indexed by the engine's rule index.
+    rules: Vec<String>,
+    insts: Vec<Inst>,
+    spans: Vec<Span>,
+    events: Vec<EventRow>,
+    bodies: Vec<TupleId>,
 }
 
 impl ExecLog {
-    /// Lifetime record for a tuple instance.
-    pub fn record(&self, tid: TupleId) -> &TupleRecord {
-        &self.tuples[tid as usize]
+    /// An empty log for a program whose rules have these ids, in order.
+    pub fn for_rules(ids: impl IntoIterator<Item = String>) -> Self {
+        ExecLog { rules: ids.into_iter().collect(), ..ExecLog::default() }
     }
 
-    /// All derivations whose head instance is `tid`.
-    pub fn derivations_of(&self, tid: TupleId) -> Vec<&ExecEvent> {
-        self.events
+    // -- writing (the engine) ------------------------------------------------
+
+    /// Register a new instance of `tuple`; its [`TupleId`] is its row.
+    pub(crate) fn mint(&mut self, tuple: &Tuple, kind: TupleKind, now: Time, record: bool) -> TupleId {
+        let tid = row_index(self.insts.len());
+        let tref = self.tuples.intern(tuple);
+        self.insts.push(Inst { tuple: tref, kind, live: true });
+        if record {
+            if self.newest.len() < self.tuples.items.len() {
+                self.newest.resize(self.tuples.items.len(), NONE);
+            }
+            let prev_same = std::mem::replace(&mut self.newest[tref as usize], tid);
+            self.spans.push(Span { appear: now, disappear: NEVER, prev_same, last_derive: NONE });
+        }
+        TupleId::from(tid)
+    }
+
+    /// End the lifetime of `tid`.
+    pub(crate) fn close(&mut self, tid: TupleId, now: Time) {
+        self.insts[tid as usize].live = false;
+        if let Some(span) = self.spans.get_mut(tid as usize) {
+            span.disappear = now;
+        }
+    }
+
+    fn push_row(&mut self, row: EventRow) -> u32 {
+        let i = row_index(self.events.len());
+        self.events.push(row);
+        i
+    }
+
+    fn push_simple(&mut self, tag: Tag, time: Time, tid: TupleId) {
+        self.push_row(EventRow { time, tid: tid as u32, a: NONE, b: NONE, prev: NONE, len: 0, tag, positive: true });
+    }
+
+    pub(crate) fn insert_base(&mut self, time: Time, tid: TupleId) {
+        self.push_simple(Tag::InsertBase, time, tid);
+    }
+
+    pub(crate) fn delete_base(&mut self, time: Time, tid: TupleId) {
+        self.push_simple(Tag::DeleteBase, time, tid);
+    }
+
+    pub(crate) fn appear(&mut self, time: Time, tid: TupleId) {
+        self.push_simple(Tag::Appear, time, tid);
+    }
+
+    pub(crate) fn disappear(&mut self, time: Time, tid: TupleId) {
+        self.push_simple(Tag::Disappear, time, tid);
+    }
+
+    /// `Send` + `Receive` of `tid` from `origin` to the tuple's own node,
+    /// when the two differ.
+    fn ship(&mut self, time: Time, tid: u32, origin: &Value, positive: bool) {
+        let to = &self.tuples.items[self.insts[tid as usize].tuple as usize].loc;
+        if to == origin {
+            return;
+        }
+        let (a, b) = (self.nodes.intern(origin), self.nodes.intern(to));
+        for tag in [Tag::Send, Tag::Receive] {
+            self.push_row(EventRow { time, tid, a, b, prev: NONE, len: 0, tag, positive });
+        }
+    }
+
+    /// Rule `rule` derived `head` from `body` in a firing that ran at
+    /// `origin`: a `Derive` row, then — for a head that lives on another
+    /// node — its `Send` and `Receive`. Returns the `Derive` row's index,
+    /// the handle [`ExecLog::underive`] takes.
+    pub(crate) fn derive(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: &Value) -> u32 {
+        let span = &mut self.spans[head as usize];
+        let row = EventRow {
+            time,
+            tid: head as u32,
+            a: row_index(rule),
+            b: row_index(self.bodies.len()),
+            prev: span.last_derive,
+            len: u16::try_from(body.len()).expect("a rule body has fewer than 2^16 atoms"),
+            tag: Tag::Derive,
+            positive: true,
+        };
+        span.last_derive = row_index(self.events.len());
+        self.bodies.extend_from_slice(body);
+        let at = self.push_row(row);
+        self.ship(time, row.tid, origin, true);
+        at
+    }
+
+    /// The derivation logged at row `derive` lost support: an `Underive`
+    /// row over the same rule, head and body, and the negative shipment if
+    /// the derivation was shipped.
+    pub(crate) fn underive(&mut self, time: Time, derive: u32) {
+        let d = self.events[derive as usize];
+        debug_assert_eq!(d.tag, Tag::Derive);
+        self.push_row(EventRow { time, prev: NONE, tag: Tag::Underive, ..d });
+        // `derive` pushes a shipment directly behind its `Derive` row, and
+        // nothing else pushes a `Send`.
+        if let Some(s) = self.events.get(derive as usize + 1).copied() {
+            if s.tag == Tag::Send && s.tid == d.tid {
+                for tag in [Tag::Send, Tag::Receive] {
+                    self.push_row(EventRow { time, tag, positive: false, ..s });
+                }
+            }
+        }
+    }
+
+    // -- reading -------------------------------------------------------------
+
+    /// The tuple of instance `tid` (kept with recording off too).
+    pub fn tuple(&self, tid: TupleId) -> &Tuple {
+        &self.tuples.items[self.insts[tid as usize].tuple as usize]
+    }
+
+    /// Base / derived / event (kept with recording off too).
+    pub fn kind(&self, tid: TupleId) -> TupleKind {
+        self.insts[tid as usize].kind
+    }
+
+    /// `true` until the instance disappears (kept with recording off too).
+    pub(crate) fn is_live(&self, tid: TupleId) -> bool {
+        self.insts[tid as usize].live
+    }
+
+    /// Distinct tuples that have a live non-event instance, ordered by that
+    /// instance — the state the log ends in.
+    pub fn live_state(&self) -> Vec<&Tuple> {
+        let mut seen = vec![false; self.tuples.items.len()];
+        self.insts
             .iter()
-            .filter(|e| matches!(e, ExecEvent::Derive { head, .. } if *head == tid))
+            .filter(|i| i.live && i.kind != TupleKind::Event)
+            .filter(|i| !std::mem::replace(&mut seen[i.tuple as usize], true))
+            .map(|i| &self.tuples.items[i.tuple as usize])
             .collect()
+    }
+
+    fn span(&self, tid: u32) -> &Span {
+        visit();
+        &self.spans[tid as usize]
+    }
+
+    fn row(&self, i: u32) -> &EventRow {
+        visit();
+        &self.events[i as usize]
+    }
+
+    /// Lifetime record for a tuple instance.
+    ///
+    /// # Panics
+    /// If `tid` was never minted, or the log was written with recording off.
+    pub fn record(&self, tid: TupleId) -> TupleRecord<'_> {
+        let span = self.span(tid as u32);
+        TupleRecord {
+            tid,
+            tuple: self.tuple(tid),
+            appear: span.appear,
+            disappear: (span.disappear != NEVER).then_some(span.disappear),
+            kind: self.kind(tid),
+        }
+    }
+
+    /// Every lifetime record, in [`TupleId`] order.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = TupleRecord<'_>> + '_ {
+        (0..self.spans.len()).map(move |tid| self.record(tid as TupleId))
+    }
+
+    fn event(&self, i: u32) -> ExecEvent<'_> {
+        let r = *self.row(i);
+        let (time, tid) = (r.time, TupleId::from(r.tid));
+        let body = || &self.bodies[r.b as usize..r.b as usize + usize::from(r.len)];
+        let node = |n: u32| &self.nodes.items[n as usize];
+        match r.tag {
+            Tag::InsertBase => ExecEvent::InsertBase { time, tid },
+            Tag::DeleteBase => ExecEvent::DeleteBase { time, tid },
+            Tag::Appear => ExecEvent::Appear { time, tid },
+            Tag::Disappear => ExecEvent::Disappear { time, tid },
+            Tag::Derive => ExecEvent::Derive { time, rule: &self.rules[r.a as usize], head: tid, body: body() },
+            Tag::Underive => ExecEvent::Underive { time, rule: &self.rules[r.a as usize], head: tid, body: body() },
+            Tag::Send => ExecEvent::Send { time, from: node(r.a), to: node(r.b), tid, positive: r.positive },
+            Tag::Receive => ExecEvent::Receive { time, from: node(r.a), to: node(r.b), tid, positive: r.positive },
+        }
+    }
+
+    /// Events in chronological order.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = ExecEvent<'_>> + '_ {
+        (0..self.events.len()).map(move |i| self.event(i as u32))
+    }
+
+    /// Rows of the `Derive` chain of `tid`, newest first.
+    fn derive_chain(&self, tid: TupleId) -> impl Iterator<Item = u32> + '_ {
+        let first = self.span(tid as u32).last_derive;
+        std::iter::successors((first != NONE).then_some(first), |&i| {
+            let prev = self.row(i).prev;
+            (prev != NONE).then_some(prev)
+        })
+    }
+
+    /// All derivations whose head instance is `tid`, oldest first.
+    pub fn derivations_of(&self, tid: TupleId) -> Vec<ExecEvent<'_>> {
+        let mut out: Vec<ExecEvent<'_>> = self.derive_chain(tid).map(|i| self.event(i)).collect();
+        out.reverse();
+        out
+    }
+
+    /// The first time instance `tid` was shipped to its node: the time and
+    /// the `from` / `to` of its earliest positive `Send`.
+    pub fn shipment_of(&self, tid: TupleId) -> Option<(Time, &Value, &Value)> {
+        // `derive` pushes a shipment directly behind its `Derive` row.
+        self.derive_chain(tid)
+            .filter_map(|i| self.events.get(i as usize + 1))
+            .filter(|s| s.tag == Tag::Send && TupleId::from(s.tid) == tid)
+            .last()
+            .map(|s| (s.time, &self.nodes.items[s.a as usize], &self.nodes.items[s.b as usize]))
+    }
+
+    /// Instances of exactly `tuple`, newest first.
+    fn instance_chain(&self, tuple: &Tuple) -> impl Iterator<Item = TupleRecord<'_>> + '_ {
+        let first = self
+            .tuples
+            .get(tuple)
+            .and_then(|r| self.newest.get(r as usize).copied())
+            .unwrap_or(NONE);
+        std::iter::successors((first != NONE).then_some(first), |&tid| {
+            let prev = self.spans[tid as usize].prev_same;
+            (prev != NONE).then_some(prev)
+        })
+        .map(|tid| self.record(TupleId::from(tid)))
+    }
+
+    /// Find instances matching an exact tuple (any lifetime), in
+    /// [`TupleId`] order.
+    pub fn instances_of(&self, tuple: &Tuple) -> Vec<TupleRecord<'_>> {
+        let mut out: Vec<TupleRecord<'_>> = self.instance_chain(tuple).collect();
+        out.reverse();
+        out
+    }
+
+    /// The first instance of exactly `tuple` alive at time `t`.
+    pub fn instance_alive_at(&self, tuple: &Tuple, t: Time) -> Option<TupleRecord<'_>> {
+        // Instances of one tuple never overlap (a state tuple is minted
+        // again only once its previous instance is gone; an event instance
+        // lasts one instant), so below the newest instance that appeared
+        // before `t` none can be alive at `t`.
+        let mut first = None;
+        for r in self.instance_chain(tuple) {
+            if r.alive_at(t) {
+                first = Some(r);
+            }
+            if r.appear < t {
+                break;
+            }
+        }
+        first
     }
 
     /// All tuple instances of `table` alive at time `t`.
-    pub fn alive_at(&self, table: &str, t: Time) -> Vec<&TupleRecord> {
-        self.tuples
-            .iter()
-            .filter(|r| r.tuple.table == table && r.alive_at(t))
-            .collect()
-    }
-
-    /// Find instances matching an exact tuple (any lifetime).
-    pub fn instances_of(&self, tuple: &Tuple) -> Vec<&TupleRecord> {
-        self.tuples.iter().filter(|r| &r.tuple == tuple).collect()
+    pub fn alive_at(&self, table: &str, t: Time) -> Vec<TupleRecord<'_>> {
+        self.records().filter(|r| r.alive_at(t) && r.tuple.table == table).collect()
     }
 
     /// Number of logged events.
@@ -194,18 +620,45 @@ impl ExecLog {
         self.events.is_empty()
     }
 
-    /// Approximate serialized size of the log in bytes, used by the §5.4
-    /// storage-overhead experiment. Mirrors the paper's 120-byte fixed
-    /// entries: each event is charged a fixed header plus its tuple payload.
+    /// Bytes the history occupies at its encoded row sizes: what writing
+    /// out the rows held, without allocator slack, would take. The §5.4
+    /// storage experiment reports this next to the paper's 120-byte entries.
     pub fn storage_bytes(&self) -> u64 {
-        const EVENT_HEADER: u64 = 16; // time + tag + tid
-        let mut total = EVENT_HEADER * self.events.len() as u64;
-        for r in &self.tuples {
-            total += 8 // tid
-                + r.tuple.table.len() as u64
-                + 8 * (r.tuple.args.len() as u64 + 1);
+        self.bytes(false)
+    }
+
+    /// Heap bytes the log holds, exactly: every column and intern table at
+    /// its capacity, plus what the interned tuples, values and rule ids own.
+    pub fn heap_bytes(&self) -> u64 {
+        self.bytes(true)
+            + ((self.tuples.slots.capacity() + self.nodes.slots.capacity()) * size_of::<u32>()) as u64
+    }
+
+    /// Column and intern-table bytes, at capacity (`slack`) or at length.
+    fn bytes(&self, slack: bool) -> u64 {
+        fn rows<T>(v: &Vec<T>, slack: bool) -> usize {
+            (if slack { v.capacity() } else { v.len() }) * size_of::<T>()
         }
-        total
+        let text = |s: &String| if slack { s.capacity() } else { s.len() };
+        let value = |v: &Value| match v {
+            Value::Str(s) => text(s),
+            _ => 0,
+        };
+        let tuple = |t: &Tuple| {
+            text(&t.table) + value(&t.loc) + rows(&t.args, slack) + t.args.iter().map(value).sum::<usize>()
+        };
+        let total = rows(&self.tuples.items, slack)
+            + self.tuples.items.iter().map(tuple).sum::<usize>()
+            + rows(&self.newest, slack)
+            + rows(&self.nodes.items, slack)
+            + self.nodes.items.iter().map(value).sum::<usize>()
+            + rows(&self.rules, slack)
+            + self.rules.iter().map(text).sum::<usize>()
+            + rows(&self.insts, slack)
+            + rows(&self.spans, slack)
+            + rows(&self.events, slack)
+            + rows(&self.bodies, slack);
+        total as u64
     }
 }
 
@@ -213,59 +666,192 @@ impl ExecLog {
 mod tests {
     use super::*;
 
-    fn rec(tid: TupleId, appear: Time, disappear: Option<Time>) -> TupleRecord {
-        TupleRecord {
-            tid,
-            tuple: Tuple::new("T", 1i64, vec![Value::Int(tid as i64)]),
-            appear,
-            disappear,
-            kind: TupleKind::Base,
-        }
+    fn t(i: i64) -> Tuple {
+        Tuple::new("T", 1i64, vec![Value::Int(i)])
     }
 
     #[test]
     fn alive_at_intervals() {
-        let r = rec(0, 5, Some(9));
+        let tuple = t(0);
+        let rec = |appear, disappear| TupleRecord { tid: 0, tuple: &tuple, appear, disappear, kind: TupleKind::Base };
+        let r = rec(5, Some(9));
         assert!(!r.alive_at(4));
         assert!(r.alive_at(5));
         assert!(r.alive_at(8));
         assert!(!r.alive_at(9));
-        let r = rec(1, 5, None);
-        assert!(r.alive_at(1_000_000));
+        assert!(rec(5, None).alive_at(1_000_000));
         // instantaneous event: alive exactly at its instant
-        let r = rec(2, 7, Some(7));
+        let r = rec(7, Some(7));
         assert!(r.alive_at(7));
         assert!(!r.alive_at(8));
     }
 
+    /// T(0) from time 1 on; T(1) derived from it over [2, 5) by `r1`, once
+    /// locally and once shipped from node `C`; then T(1) again from 6 on.
+    fn small_log() -> ExecLog {
+        let mut log = ExecLog::for_rules(["r0".to_string(), "r1".to_string()]);
+        let a = log.mint(&t(0), TupleKind::Base, 1, true);
+        log.insert_base(1, a);
+        log.appear(1, a);
+        let b = log.mint(&t(1), TupleKind::Derived, 2, true);
+        let local = log.derive(2, 1, b, &[a], &Value::Int(1));
+        log.appear(2, b);
+        let shipped = log.derive(3, 1, b, &[a, a], &Value::str("C"));
+        log.underive(5, local);
+        log.underive(5, shipped);
+        log.close(b, 5);
+        log.disappear(5, b);
+        let b2 = log.mint(&t(1), TupleKind::Derived, 6, true);
+        log.derive(6, 0, b2, &[a], &Value::Int(1));
+        assert_eq!((a, b, b2), (0, 1, 2));
+        log
+    }
+
     #[test]
-    fn log_queries() {
-        let mut log = ExecLog::default();
-        log.tuples.push(rec(0, 1, None));
-        log.tuples.push(rec(1, 2, Some(5)));
-        log.events.push(ExecEvent::Appear { time: 1, tid: 0 });
-        log.events.push(ExecEvent::Derive { time: 2, rule: "r1".into(), head: 1, body: vec![0] });
-        assert_eq!(log.derivations_of(1).len(), 1);
-        assert_eq!(log.derivations_of(0).len(), 0);
-        assert_eq!(log.alive_at("T", 3).len(), 2);
-        assert_eq!(log.alive_at("T", 6).len(), 1);
-        assert_eq!(log.len(), 2);
+    fn views_decode_what_was_written() {
+        let log = small_log();
+        let (c, n1) = (Value::str("C"), Value::Int(1));
+        let want = vec![
+            ExecEvent::InsertBase { time: 1, tid: 0 },
+            ExecEvent::Appear { time: 1, tid: 0 },
+            ExecEvent::Derive { time: 2, rule: "r1", head: 1, body: &[0] },
+            ExecEvent::Appear { time: 2, tid: 1 },
+            ExecEvent::Derive { time: 3, rule: "r1", head: 1, body: &[0, 0] },
+            ExecEvent::Send { time: 3, from: &c, to: &n1, tid: 1, positive: true },
+            ExecEvent::Receive { time: 3, from: &c, to: &n1, tid: 1, positive: true },
+            ExecEvent::Underive { time: 5, rule: "r1", head: 1, body: &[0] },
+            ExecEvent::Underive { time: 5, rule: "r1", head: 1, body: &[0, 0] },
+            ExecEvent::Send { time: 5, from: &c, to: &n1, tid: 1, positive: false },
+            ExecEvent::Receive { time: 5, from: &c, to: &n1, tid: 1, positive: false },
+            ExecEvent::Disappear { time: 5, tid: 1 },
+            ExecEvent::Derive { time: 6, rule: "r0", head: 2, body: &[0] },
+        ];
+        assert_eq!(log.events().collect::<Vec<_>>(), want);
+        assert_eq!(log.len(), want.len());
         assert!(!log.is_empty());
-        assert!(log.storage_bytes() > 0);
-        assert_eq!(log.record(1).tid, 1);
-        let t = Tuple::new("T", 1i64, vec![Value::Int(0)]);
-        assert_eq!(log.instances_of(&t).len(), 1);
+        // An `Underive` shares its `Derive`'s body range: 1 + 2 + 1 ids.
+        assert_eq!(log.bodies.len(), 4);
+
+        let rec = log.record(1);
+        assert_eq!((rec.tid, rec.tuple, rec.appear, rec.disappear, rec.kind), (1, &t(1), 2, Some(5), TupleKind::Derived));
+        assert_eq!(log.records().len(), 3);
+        assert_eq!(log.record(2).disappear, None);
+        assert!(log.is_live(0) && !log.is_live(1) && log.is_live(2));
+        assert_eq!(log.live_state(), vec![&t(0), &t(1)]);
     }
 
     #[test]
     fn event_times() {
-        let e = ExecEvent::Send {
-            time: 9,
-            from: Value::str("C"),
-            to: Value::Int(3),
-            tid: 0,
-            positive: true,
-        };
+        let (from, to) = (Value::str("C"), Value::Int(3));
+        let e = ExecEvent::Send { time: 9, from: &from, to: &to, tid: 0, positive: true };
         assert_eq!(e.time(), 9);
+        assert!(small_log().events().map(|e| e.time()).eq([1, 1, 2, 2, 3, 3, 3, 5, 5, 5, 5, 5, 6]));
+    }
+
+    /// The chain-walking queries answer like a scan of the whole log.
+    #[test]
+    fn log_queries() {
+        let log = small_log();
+        for tid in 0..3 {
+            let scan: Vec<_> = log
+                .events()
+                .filter(|e| matches!(e, ExecEvent::Derive { head, .. } if *head == tid))
+                .collect();
+            assert_eq!(log.derivations_of(tid), scan, "tid {tid}");
+        }
+        assert_eq!(log.derivations_of(1).len(), 2);
+        assert_eq!(log.shipment_of(1), Some((3, &Value::str("C"), &Value::Int(1))));
+        assert_eq!(log.shipment_of(2), None);
+
+        let tids = |v: Vec<TupleRecord<'_>>| v.iter().map(|r| r.tid).collect::<Vec<_>>();
+        assert_eq!(tids(log.instances_of(&t(1))), [1, 2]);
+        assert_eq!(tids(log.instances_of(&t(9))), [] as [TupleId; 0]);
+        assert_eq!(tids(log.alive_at("T", 3)), [0, 1]);
+        assert_eq!(tids(log.alive_at("T", 5)), [0]);
+        assert_eq!(tids(log.alive_at("U", 3)), [] as [TupleId; 0]);
+        for (at, want) in [(1, None), (2, Some(1)), (4, Some(1)), (5, None), (6, Some(2)), (99, Some(2))] {
+            assert_eq!(log.instance_alive_at(&t(1), at).map(|r| r.tid), want, "at {at}");
+        }
+    }
+
+    #[test]
+    fn interning_is_value_exact() {
+        let mut log = ExecLog::default();
+        let variants = [
+            Tuple::new("T", 1i64, vec![Value::Int(1)]),
+            Tuple::new("T", 1i64, vec![Value::str("1")]),
+            Tuple::new("T", 1i64, vec![Value::Wild]),
+            Tuple::new("T", 1i64, vec![Value::Bool(true)]),
+            Tuple::new("T", Value::str("1"), vec![Value::Int(1)]),
+            Tuple::new("T", Value::Wild, vec![Value::Int(1)]),
+            Tuple::new("T1", 1i64, vec![]),
+        ];
+        for round in 0..2 {
+            for v in &variants {
+                let tid = log.mint(v, TupleKind::Base, round, true);
+                assert_eq!(log.tuple(tid), v);
+            }
+        }
+        assert_eq!(log.tuples.items.len(), variants.len(), "one ref per distinct tuple");
+        let refs: Vec<u32> = log.insts.iter().map(|i| i.tuple).collect();
+        assert_eq!(refs[..variants.len()], refs[variants.len()..], "equal tuples share a ref");
+        // Growth past the first slot table keeps every ref findable.
+        for i in 0..1000 {
+            log.mint(&t(i), TupleKind::Base, 9, false);
+        }
+        for (r, v) in variants.iter().enumerate() {
+            assert_eq!(log.tuples.get(v), Some(r as u32));
+        }
+    }
+
+    #[test]
+    fn recording_off_keeps_eight_bytes_per_instance() {
+        let mut log = ExecLog::default();
+        for i in 0..100 {
+            let tid = log.mint(&t(i % 4), TupleKind::Event, i as Time, false);
+            log.close(tid, i as Time);
+            assert_eq!((log.tuple(tid), log.kind(tid), log.is_live(tid)), (&t(i % 4), TupleKind::Event, false));
+        }
+        assert_eq!(log.records().len(), 0);
+        assert!(log.is_empty());
+        let interned: u64 = 4 * (size_of::<Tuple>() + 1 + size_of::<Value>()) as u64;
+        assert_eq!(log.storage_bytes(), 100 * 8 + interned);
+        assert!(log.heap_bytes() >= log.storage_bytes());
+    }
+
+    #[test]
+    fn byte_counts_are_the_columns() {
+        let log = small_log();
+        let interned = 2 * (size_of::<Tuple>() + 1 + size_of::<Value>()) + 2 * size_of::<u32>();
+        let nodes = 2 * size_of::<Value>() + 1;
+        let rules = 2 * (size_of::<String>() + 2);
+        let rows = 3 * (8 + 24) + 13 * 32 + 4 * size_of::<TupleId>();
+        assert_eq!(log.storage_bytes(), (interned + nodes + rules + rows) as u64);
+        assert!(log.heap_bytes() >= log.storage_bytes() + 2 * 16 * 4, "capacity and both slot tables");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn chain_reads_do_not_grow_with_the_log() {
+        // The same three derivations of one head, behind 10 and behind
+        // 10 000 unrelated instances and events.
+        let visited = |noise: i64| {
+            let mut log = ExecLog::for_rules(["r".to_string()]);
+            let head = log.mint(&t(-1), TupleKind::Derived, 0, true);
+            for i in 0..noise {
+                let tid = log.mint(&t(i), TupleKind::Base, 1, true);
+                log.insert_base(1, tid);
+                if i % (noise / 3) == 0 {
+                    log.derive(2, 0, head, &[tid], &Value::str("C"));
+                }
+            }
+            let before = rows_visited();
+            assert_eq!(log.derivations_of(head).len(), 3);
+            assert!(log.shipment_of(head).is_some());
+            assert_eq!(log.instances_of(&t(-1)).len(), 1);
+            assert!(log.instance_alive_at(&t(-1), 2).is_some());
+            rows_visited() - before
+        };
+        assert_eq!(visited(12), visited(9_999));
     }
 }

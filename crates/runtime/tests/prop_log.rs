@@ -51,12 +51,12 @@ proptest! {
         let log = e.log();
 
         // (1) Derive bodies were alive at derive time.
-        for ev in &log.events {
+        for ev in log.events() {
             if let ExecEvent::Derive { time, body, .. } = ev {
                 for &b in body {
                     let rec = log.record(b);
                     prop_assert!(
-                        rec.alive_at(*time),
+                        rec.alive_at(time),
                         "body tuple {b} dead at derive time {time}"
                     );
                 }
@@ -64,7 +64,7 @@ proptest! {
         }
 
         // (2) Every live derived tuple has a Derive event naming it.
-        for rec in &log.tuples {
+        for rec in log.records() {
             if rec.disappear.is_none() && rec.kind == TupleKind::Derived {
                 prop_assert!(
                     log.derivations_of(rec.tid).iter().count() > 0,
@@ -76,14 +76,14 @@ proptest! {
 
         // (3) Appear/Disappear bracket lifetimes: appear time matches the
         // record, disappear only for closed records.
-        for ev in &log.events {
+        for ev in log.events() {
             match ev {
                 ExecEvent::Appear { time, tid } => {
-                    prop_assert_eq!(log.record(*tid).appear, *time);
+                    prop_assert_eq!(log.record(tid).appear, time);
                 }
                 ExecEvent::Disappear { time, tid } => {
-                    let rec = log.record(*tid);
-                    prop_assert_eq!(rec.disappear, Some(*time));
+                    let rec = log.record(tid);
+                    prop_assert_eq!(rec.disappear, Some(time));
                 }
                 _ => {}
             }
@@ -91,10 +91,10 @@ proptest! {
 
         // (4) The store's final contents agree with open lifetime records
         // (events are instantaneous and never linger).
-        for rec in &log.tuples {
+        for rec in log.records() {
             if rec.disappear.is_none() {
                 prop_assert!(
-                    e.contains(&rec.tuple),
+                    e.contains(rec.tuple),
                     "open record for absent tuple {}",
                     rec.tuple
                 );
@@ -120,6 +120,6 @@ proptest! {
         for table in ["A", "B", "D", "E"] {
             prop_assert_eq!(with.tuples(table), without.tuples(table));
         }
-        prop_assert!(without.log().events.is_empty());
+        prop_assert!(without.log().is_empty());
     }
 }

@@ -12,13 +12,20 @@
 //!
 //! Scripted scenarios cover the fragments the random generator avoids:
 //! primary-key replacement, transient events, aggregates, and recursion.
+//!
+//! The same executions pin the log's indexes (`assert_chains_match_scans`):
+//! every chain-walking query must answer like a linear scan of the whole
+//! log, and every `explain_exist` tree must equal the tree built from such
+//! scans.
 
 use proptest::prelude::*;
 use sdn_meta_repair::ndlog::ast::{Assign, Atom, BinOp, CmpOp, Expr, Rule, Selection, Term};
 use sdn_meta_repair::ndlog::{parse_program, Program, Tuple, Value};
-use sdn_meta_repair::provenance::derivation_set;
+use sdn_meta_repair::provenance::{
+    derivation_set, explain_exist_with, ExplainOptions, ProvTree, Vertex,
+};
 use sdn_meta_repair::runtime::naive::naive_fixpoint;
-use sdn_meta_repair::runtime::{Engine, Options};
+use sdn_meta_repair::runtime::{Engine, ExecEvent, ExecLog, Options, TupleId, TupleKind};
 use sdn_meta_repair::EvalStrategy;
 use std::collections::BTreeSet;
 
@@ -50,7 +57,112 @@ fn run(
     for t in deletes {
         e.delete(t).unwrap();
     }
+    assert_chains_match_scans(e.log());
     (snapshot(&e), derivation_set(e.log()))
+}
+
+/// The reference `explain_exist`: the tree of instance `tid` built from
+/// linear scans of `events()` alone (one per derived vertex, and one more
+/// for its shipment), as the explainer did before the log was indexed.
+/// Support cycles are cut by the explainer's own bounds.
+fn scan_exist_tree(log: &ExecLog, tid: TupleId, depth: usize, budget: &mut usize) -> ProvTree {
+    let rec = log.record(tid);
+    let (node, tuple) = (rec.tuple.loc.clone(), rec.tuple.clone());
+    let mut root = ProvTree::leaf(Vertex::Exist {
+        from: rec.appear,
+        to: rec.disappear,
+        node: node.clone(),
+        tuple: tuple.clone(),
+    });
+    if depth == 0 || *budget == 0 {
+        return root;
+    }
+    *budget -= 1;
+    let mut appear =
+        ProvTree::leaf(Vertex::Appear { at: rec.appear, node: node.clone(), tuple: tuple.clone() });
+    if rec.kind != TupleKind::Derived {
+        appear.children.push(ProvTree::leaf(Vertex::Insert {
+            at: rec.appear,
+            node: node.clone(),
+            tuple: tuple.clone(),
+        }));
+    }
+    for ev in log.events().filter(|_| rec.kind == TupleKind::Derived) {
+        let ExecEvent::Derive { time, rule, head, body } = ev else { continue };
+        if head != tid {
+            continue;
+        }
+        let mut derive = ProvTree::leaf(Vertex::Derive {
+            at: time,
+            node: node.clone(),
+            rule: rule.to_string(),
+            tuple: tuple.clone(),
+        });
+        for &b in body {
+            if *budget == 0 {
+                break;
+            }
+            derive.children.push(scan_exist_tree(log, b, depth - 1, budget));
+        }
+        let shipped = log.events().find_map(|e| match e {
+            ExecEvent::Send { time, from, to, tid: sent, positive: true } if sent == tid => {
+                Some((time, from.clone(), to.clone()))
+            }
+            _ => None,
+        });
+        appear.children.push(match shipped {
+            None => derive,
+            Some((at, from, to)) => ProvTree {
+                vertex: Vertex::Receive {
+                    at,
+                    from: from.clone(),
+                    to: to.clone(),
+                    tuple: tuple.clone(),
+                    positive: true,
+                },
+                children: vec![ProvTree {
+                    vertex: Vertex::Send { at, from, to, tuple: tuple.clone(), positive: true },
+                    children: vec![derive],
+                }],
+            },
+        });
+    }
+    root.children.push(appear);
+    root
+}
+
+/// Bounds that keep the recursive programs' trees to a few hundred vertices.
+const BOUNDS: ExplainOptions = ExplainOptions { max_depth: 6, max_vertices: 256 };
+
+/// Every indexed query of `log` against the linear scan it replaced.
+/// (`explain_absent` reads the log through `alive_at` alone, so pinning
+/// `alive_at` pins its trees.)
+fn assert_chains_match_scans(log: &ExecLog) {
+    let end = log.events().last().map_or(0, |e| e.time());
+    for rec in log.records() {
+        let scan: Vec<ExecEvent<'_>> = log
+            .events()
+            .filter(|e| matches!(e, ExecEvent::Derive { head, .. } if *head == rec.tid))
+            .collect();
+        assert_eq!(log.derivations_of(rec.tid), scan, "derivations of {}", rec.tid);
+        let same: Vec<_> = log.records().filter(|r| r.tuple == rec.tuple).collect();
+        assert_eq!(log.instances_of(rec.tuple), same, "instances of {}", rec.tuple);
+        for at in [rec.appear, rec.disappear.unwrap_or(end), end] {
+            let first = same.iter().find(|r| r.alive_at(at)).copied();
+            assert_eq!(log.instance_alive_at(rec.tuple, at), first, "{} at {at}", rec.tuple);
+            assert_eq!(
+                explain_exist_with(log, rec.tuple, at, BOUNDS),
+                first.map(|r| scan_exist_tree(log, r.tid, BOUNDS.max_depth, &mut { BOUNDS.max_vertices })),
+                "explanation of {} at {at}",
+                rec.tuple
+            );
+            let alive: Vec<_> = log
+                .records()
+                .filter(|r| r.tuple.table == rec.tuple.table && r.alive_at(at))
+                .collect();
+            assert_eq!(log.alive_at(&rec.tuple.table, at), alive, "{} at {at}", rec.tuple.table);
+        }
+    }
 }
 
 /// Assert both strategies agree and return the common state for oracle
@@ -244,11 +356,12 @@ fn dual_run(src: &str, script: impl Fn(&mut Engine)) {
     let mut e_batch = engine(&p, EvalStrategy::Batch);
     script(&mut e_pipe);
     script(&mut e_batch);
+    assert_chains_match_scans(e_pipe.log());
+    assert_chains_match_scans(e_batch.log());
     let tables: BTreeSet<String> = e_pipe
         .log()
-        .tuples
-        .iter()
-        .chain(e_batch.log().tuples.iter())
+        .records()
+        .chain(e_batch.log().records())
         .map(|r| r.tuple.table.clone())
         .collect();
     for t in &tables {

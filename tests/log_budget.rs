@@ -1,0 +1,79 @@
+//! What history costs, pinned: bytes per packet-in by the log's own count,
+//! and rows read per explanation by the log's own work counter. Counts and
+//! byte totals, not timings, so they cannot flake.
+//!
+//! The stream is the benchmark's `packetin-stream` in small: the Q1
+//! controller fed a seeded campus trace as packet-ins at each client's
+//! ingress switch.
+
+use sdn_meta_repair::core::scenarios::{q1_hosts, Scenario};
+use sdn_meta_repair::runtime::Options;
+use sdn_meta_repair::sdn::controller::{Controller, NdlogController, PacketInMsg};
+use sdn_meta_repair::sdn::topology::fig1_hosts::{DNS, H1, H2, INTERNET};
+use sdn_meta_repair::trace::Workload;
+
+const PACKET_INS: usize = 10_000;
+
+fn q1_stream(record_events: bool) -> NdlogController {
+    use q1_hosts::{C2, C31, C41, H30, H40};
+    let s = Scenario::q1_copy_paste();
+    let mut spec =
+        Workload::trace_profile_a(vec![INTERNET, C2, C31, C41], vec![H1, H2, H30, H40], vec![DNS]);
+    spec.packets = PACKET_INS;
+    let opts = Options { record_events, ..Options::default() };
+    let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), opts)
+        .expect("the Q1 program compiles");
+    ctrl.seed(s.seeds.clone()).expect("the Q1 seeds insert");
+    let mut replies = Vec::new();
+    for (client, packet) in spec.generate() {
+        let (switch, in_port) = s.topology.host_attachment(client).expect("clients are attached");
+        replies.clear();
+        ctrl.on_packet_in(&PacketInMsg { switch, in_port, packet }, &mut replies);
+    }
+    ctrl
+}
+
+#[test]
+fn recorded_history_stays_under_400_bytes_per_packet_in() {
+    let ctrl = q1_stream(true);
+    let log = ctrl.exec_log();
+    assert!(log.records().len() >= PACKET_INS, "one instance per packet-in at least");
+    let per_packet = log.heap_bytes() / PACKET_INS as u64;
+    // 1 129 B in the owning layout (PR 14); about 230 B here: one 32 B
+    // instance and six 32 B events per packet-in.
+    assert!(per_packet <= 400, "{per_packet} B of log per packet-in");
+    assert!(log.storage_bytes() <= log.heap_bytes());
+
+    // Explaining one flow entry reads rows in proportion to its tree (the
+    // entry's own derivations and their packet-ins), not to the log.
+    #[cfg(debug_assertions)]
+    {
+        use sdn_meta_repair::provenance::explain_exist;
+        use sdn_meta_repair::runtime::{log::rows_visited, TupleKind};
+        let entries: Vec<sdn_meta_repair::ndlog::Tuple> = log
+            .records()
+            .filter(|r| r.kind == TupleKind::Derived && r.disappear.is_none())
+            .map(|r| r.tuple.clone())
+            .collect();
+        let mut smallest = usize::MAX;
+        for entry in &entries {
+            let before = rows_visited();
+            let tree = explain_exist(log, entry, ctrl.engine().now()).expect("the entry is live");
+            let visited = (rows_visited() - before) as usize;
+            assert!(visited <= tree.size(), "{visited} rows read for a tree of {}", tree.size());
+            smallest = smallest.min(visited);
+        }
+        assert!(smallest * 20 < log.len(), "{smallest} rows read of a log of {}", log.len());
+    }
+}
+
+#[test]
+fn recording_off_retains_at_most_64_bytes_per_packet_in() {
+    let ctrl = q1_stream(false);
+    let log = ctrl.exec_log();
+    assert!(log.is_empty() && log.records().len() == 0);
+    let per_packet = log.heap_bytes() / PACKET_INS as u64;
+    // One 8 B instance row per packet-in (16 B with the column's slack);
+    // the owning layout kept a cloned `Tuple` per instance regardless.
+    assert!(per_packet <= 64, "{per_packet} B of log per packet-in with recording off");
+}
