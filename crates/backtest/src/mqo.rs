@@ -708,7 +708,8 @@ impl Forwarder<'_> {
                     emitted = true;
                 }
                 Action::Flood => {
-                    for p in self.topo.ports(NodeRef::Switch(switch)) {
+                    let topo = self.topo;
+                    for (p, _) in topo.links_of(NodeRef::Switch(switch)) {
                         if p != in_port {
                             self.emit(switch, p, &pkt, tags);
                         }

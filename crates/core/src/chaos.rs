@@ -84,11 +84,8 @@ pub fn all_links(topology: &Topology) -> Vec<(NodeRef, NodeRef)> {
     let mut links = Vec::new();
     for &s in &topology.switches {
         let a = NodeRef::Switch(s);
-        for port in topology.ports(a) {
-            if let Some((b, _)) = topology.peer(a, port) {
-                let link = if a <= b { (a, b) } else { (b, a) };
-                links.push(link);
-            }
+        for (_, (b, _)) in topology.links_of(a) {
+            links.push(if a <= b { (a, b) } else { (b, a) });
         }
     }
     links.sort();

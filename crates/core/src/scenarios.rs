@@ -567,17 +567,15 @@ impl Scenario {
         }
         // Recreate campus links under the offset ids.
         for sw in &campus.switches {
-            for p in campus.ports(NodeRef::Switch(*sw)) {
-                if let Some((peer, _)) = campus.peer(NodeRef::Switch(*sw), p) {
-                    let a = NodeRef::Switch(base + sw);
-                    let b = match peer {
-                        NodeRef::Switch(t) => NodeRef::Switch(base + t),
-                        NodeRef::Host(h) => NodeRef::Host(base * 10 + h),
-                    };
-                    // connect() deduplicates nothing; add each link once.
-                    if matches!(peer, NodeRef::Host(_)) || *sw < peer.id() {
-                        topo.connect(a, b);
-                    }
+            for (_, (peer, _)) in campus.links_of(NodeRef::Switch(*sw)) {
+                let a = NodeRef::Switch(base + sw);
+                let b = match peer {
+                    NodeRef::Switch(t) => NodeRef::Switch(base + t),
+                    NodeRef::Host(h) => NodeRef::Host(base * 10 + h),
+                };
+                // connect() deduplicates nothing; add each link once.
+                if matches!(peer, NodeRef::Host(_)) || *sw < peer.id() {
+                    topo.connect(a, b);
                 }
             }
         }
@@ -600,8 +598,8 @@ impl Scenario {
     }
 
     /// Q1 scaled onto a fat-tree/Clos fabric with roughly `switches` total
-    /// switches — the fig9c-XL sweep (169 → 10k). Same construction as
-    /// [`Scenario::q1_on_campus`] but over [`mpr_sdn::topology::fat_tree`],
+    /// switches — the fig9c-XL sweep (169 → 10k). Same shape as
+    /// [`Scenario::q1_on_campus`] but over [`mpr_sdn::topology::fat_tree_into`],
     /// whose host count is capped so the 10k-switch point stays runnable;
     /// background traffic is additionally capped at 1024 flows to keep the
     /// workload size independent of fabric scale.
@@ -610,27 +608,12 @@ impl Scenario {
         let params = mpr_sdn::topology::FabricParams::with_total_switches(
             switches.saturating_sub(5).max(4),
         );
-        let fabric = mpr_sdn::topology::fat_tree(&params);
-        // Graft the fabric onto S1 under offset switch ids (fabric host
-        // ids already live in their own 10M+ range).
+        // Build the fabric straight into the Q1 topology under offset
+        // switch ids (fabric host ids already live in their own 10M+
+        // range), so no second copy of it ever exists.
         let mut topo = (*s.topology).clone();
         let base = 100_000i64;
-        for sw in &fabric.switches {
-            topo.add_switch(base + sw);
-        }
-        for h in &fabric.hosts {
-            topo.add_host(*h);
-        }
-        for ((a, _ap), (b, _bp)) in fabric.all_links() {
-            // The links map holds both directions; add each link once.
-            if (a, _ap) < (b, _bp) {
-                let off = |n: NodeRef| match n {
-                    NodeRef::Switch(t) => NodeRef::Switch(base + t),
-                    NodeRef::Host(h) => NodeRef::Host(h),
-                };
-                topo.connect(off(a), off(b));
-            }
-        }
+        mpr_sdn::topology::fat_tree_into(&mut topo, &params, base);
         topo.connect(NodeRef::Switch(base + 1), NodeRef::Switch(1));
         s.topology = Arc::new(topo);
         // Fabric hosts exchange background traffic over proactive routes,

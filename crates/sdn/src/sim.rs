@@ -425,7 +425,8 @@ impl<C: Controller> Simulation<C> {
                     emitted = true;
                 }
                 Action::Flood => {
-                    for p in self.topo.ports(NodeRef::Switch(switch)) {
+                    let topo = Arc::clone(&self.topo);
+                    for (p, _) in topo.links_of(NodeRef::Switch(switch)) {
                         if p != in_port {
                             self.emit(switch, p, hops, packet.clone());
                         }
@@ -683,7 +684,7 @@ mod tests {
     fn flood_reaches_all_neighbors_except_ingress() {
         let mut sim = Simulation::new(fig1(), NullController, SimConfig::default());
         let e = FlowEntry::new(10, Match::any(), vec![Action::Flood]);
-        for sw in sim.topology().switches.clone() {
+        for sw in sim.topology().switches.to_vec() {
             sim.tables.install(sw, e.clone());
         }
         // Broadcast storms are bounded by the TTL guard.

@@ -2,8 +2,10 @@
 //! generator used by the evaluation (§5.2).
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::mem::size_of;
+use std::ops::Deref;
 use std::sync::{Arc, RwLock};
 
 /// A node reference: switch or host.
@@ -52,15 +54,106 @@ impl fmt::Debug for RouteCache {
     }
 }
 
+/// One directed half of a link, as its owner's adjacency slice stores it.
+#[derive(Debug, Clone, Copy)]
+struct HalfLink {
+    port: i32,
+    /// Index of the far node in `Topology::nodes`.
+    peer: u32,
+    peer_port: i32,
+}
+
+#[derive(Debug, Clone)]
+struct Node {
+    id: NodeRef,
+    /// The port `connect` hands out next; 0 until the node is first wired
+    /// (a never-wired node has no `next_port` entry on the wire).
+    next_port: i64,
+    /// Half-links sorted by `port`, at most one per port. Symmetric: the
+    /// half `(self, p) → (m, q)` exists iff `(m, q) → (self, p)` does.
+    links: Vec<HalfLink>,
+}
+
+/// A node a generator has [`Topology::open`]ed: its index and the first of
+/// the ports claimed for it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    node: u32,
+    first_port: i64,
+}
+
+/// The ids of one kind of node, ascending, each with its row in the node
+/// table: the intern table, and what `topology.switches` / `.hosts` read
+/// as — a sorted `[i64]`. Only [`Topology`] adds to it.
+#[derive(Debug, Clone, Default)]
+pub struct NodeIds {
+    ids: Vec<i64>,
+    /// `rows[i]` is where node `ids[i]` sits in `Topology::nodes`.
+    rows: Vec<u32>,
+}
+
+impl NodeIds {
+    /// Whether `id` is one of them, by binary search (this shadows the
+    /// slice's linear `contains`).
+    pub fn contains(&self, id: &i64) -> bool {
+        self.ids.binary_search(id).is_ok()
+    }
+
+    fn row(&self, id: i64) -> Option<u32> {
+        self.ids.binary_search(&id).ok().map(|at| self.rows[at])
+    }
+
+    fn reserve_exact(&mut self, additional: usize) {
+        self.ids.reserve_exact(additional);
+        self.rows.reserve_exact(additional);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * size_of::<i64>() + self.rows.capacity() * size_of::<u32>()
+    }
+}
+
+impl Deref for NodeIds {
+    type Target = [i64];
+    fn deref(&self) -> &[i64] {
+        &self.ids
+    }
+}
+
+impl<'a> IntoIterator for &'a NodeIds {
+    type Item = &'a i64;
+    type IntoIter = std::slice::Iter<'a, i64>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.iter()
+    }
+}
+
+/// The same ids; which rows they sit in is layout, not identity.
+impl PartialEq for NodeIds {
+    fn eq(&self, other: &Self) -> bool {
+        self.ids == other.ids
+    }
+}
+
+/// Link ports are stored as `i32`; the public API speaks `i64` like the
+/// rest of the simulator.
+fn port32(port: i64) -> i32 {
+    i32::try_from(port).expect("port numbers fit in i32")
+}
+
 /// An undirected multigraph of switches and hosts with numbered ports.
+///
+/// Nodes are interned to dense `u32` rows in insertion order — the two
+/// sorted id columns below are the intern table — and each node owns a
+/// port-sorted slice of 12-byte half-links addressed by row (DESIGN.md
+/// "Topology"). There is no other link store.
 #[derive(Debug, Default)]
 pub struct Topology {
-    /// Switch ids.
-    pub switches: BTreeSet<i64>,
-    /// Host ids.
-    pub hosts: BTreeSet<i64>,
-    links: BTreeMap<(NodeRef, i64), (NodeRef, i64)>,
-    next_port: BTreeMap<NodeRef, i64>,
+    /// Switch ids, ascending.
+    pub switches: NodeIds,
+    /// Host ids, ascending.
+    pub hosts: NodeIds,
+    nodes: Vec<Node>,
     /// Bumped by every mutation that can affect connectivity.
     generation: u64,
     cache: RouteCache,
@@ -74,24 +167,29 @@ impl Clone for Topology {
         Topology {
             switches: self.switches.clone(),
             hosts: self.hosts.clone(),
-            links: self.links.clone(),
-            next_port: self.next_port.clone(),
+            nodes: self.nodes.clone(),
             generation: self.generation,
             cache: RouteCache::default(),
         }
     }
 }
 
-// The route cache is derived state and stays out of the wire format: the
-// manual impls mirror exactly what `#[derive(Serialize, Deserialize)]`
-// produced for the four data fields before the cache existed.
+// The wire format predates the dense layout and is pinned by
+// `tests/route_cache.rs`: `links` and `next_port` are the `[key, value]`
+// pair arrays of the maps they used to be, in `(NodeRef, port)` order. The
+// route cache is derived state and stays out of it.
 impl Serialize for Topology {
     fn to_value(&self) -> serde::Value {
+        let next_port: Vec<(NodeRef, i64)> = self
+            .sorted_nodes()
+            .filter(|n| n.next_port > 0)
+            .map(|n| (n.id, n.next_port))
+            .collect();
         serde::Value::Object(vec![
-            ("switches".to_string(), self.switches.to_value()),
-            ("hosts".to_string(), self.hosts.to_value()),
-            ("links".to_string(), self.links.to_value()),
-            ("next_port".to_string(), self.next_port.to_value()),
+            ("switches".to_string(), self.switches.ids.to_value()),
+            ("hosts".to_string(), self.hosts.ids.to_value()),
+            ("links".to_string(), self.all_links().collect::<Vec<_>>().to_value()),
+            ("next_port".to_string(), next_port.to_value()),
         ])
     }
 }
@@ -103,14 +201,33 @@ impl Deserialize for Topology {
             other => return serde::__private::unexpected("Topology", "object", other),
         };
         let field = |name| serde::__private::field(obj, "Topology", name);
-        Ok(Topology {
-            switches: Deserialize::from_value(field("switches")?)?,
-            hosts: Deserialize::from_value(field("hosts")?)?,
-            links: Deserialize::from_value(field("links")?)?,
-            next_port: Deserialize::from_value(field("next_port")?)?,
-            generation: 0,
-            cache: RouteCache::default(),
-        })
+        let switches: Vec<i64> = Deserialize::from_value(field("switches")?)?;
+        let hosts: Vec<i64> = Deserialize::from_value(field("hosts")?)?;
+        let links: Vec<((NodeRef, i64), (NodeRef, i64))> = Deserialize::from_value(field("links")?)?;
+        let next_port: Vec<(NodeRef, i64)> = Deserialize::from_value(field("next_port")?)?;
+        let port = |p: i64| {
+            i32::try_from(p).map_err(|_| serde::DeError::custom(format!("Topology: port {p} out of range")))
+        };
+        let mut t = Topology::new();
+        t.reserve_nodes(switches.len(), hosts.len());
+        for s in switches {
+            t.intern(NodeRef::Switch(s));
+        }
+        for h in hosts {
+            t.intern(NodeRef::Host(h));
+        }
+        // Both directions of a link are on the wire; wiring the second
+        // re-wires the first to the same ends.
+        for ((a, pa), (b, pb)) in links {
+            let (ia, ib) = (t.intern(a), t.intern(b));
+            t.wire(ia, port(pa)?, ib, port(pb)?);
+        }
+        for (n, p) in next_port {
+            let i = t.intern(n) as usize;
+            t.nodes[i].next_port = t.nodes[i].next_port.max(p);
+        }
+        t.generation = 0;
+        Ok(t)
     }
 }
 
@@ -122,13 +239,13 @@ impl Topology {
 
     /// Add a switch.
     pub fn add_switch(&mut self, id: i64) {
-        self.switches.insert(id);
+        self.intern(NodeRef::Switch(id));
         self.generation += 1;
     }
 
     /// Add a host.
     pub fn add_host(&mut self, id: i64) {
-        self.hosts.insert(id);
+        self.intern(NodeRef::Host(id));
         self.generation += 1;
     }
 
@@ -138,52 +255,158 @@ impl Topology {
         self.generation
     }
 
-    fn alloc_port(&mut self, n: NodeRef) -> i64 {
-        let p = self.next_port.entry(n).or_insert(1);
-        let out = *p;
-        *p += 1;
-        out
+    /// The row of `n`, if it has one.
+    fn row(&self, n: NodeRef) -> Option<u32> {
+        match n {
+            NodeRef::Switch(id) => self.switches.row(id),
+            NodeRef::Host(id) => self.hosts.row(id),
+        }
+    }
+
+    /// The row of `n`, interning it on first sight.
+    fn intern(&mut self, n: NodeRef) -> u32 {
+        let (table, id) = match n {
+            NodeRef::Switch(id) => (&mut self.switches, id),
+            NodeRef::Host(id) => (&mut self.hosts, id),
+        };
+        let at = match table.ids.binary_search(&id) {
+            Ok(at) => return table.rows[at],
+            Err(at) => at,
+        };
+        let row = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
+        table.ids.insert(at, id);
+        table.rows.insert(at, row);
+        self.nodes.push(Node { id: n, next_port: 0, links: Vec::new() });
+        row
+    }
+
+    /// Make room for that many more nodes without over-allocating.
+    fn reserve_nodes(&mut self, switches: usize, hosts: usize) {
+        self.nodes.reserve_exact(switches + hosts);
+        self.switches.reserve_exact(switches);
+        self.hosts.reserve_exact(hosts);
+    }
+
+    /// Add `n` (as `add_switch` / `add_host` do) and claim its next
+    /// `degree` ports for a generator that knows every node's degree: the
+    /// slice is sized for them now and [`Topology::fill`]ed later.
+    fn open(&mut self, n: NodeRef, degree: usize) -> Slot {
+        let node = self.intern(n);
+        let n = &mut self.nodes[node as usize];
+        let first_port = n.next_port.max(1);
+        n.next_port = first_port + degree as i64;
+        n.links.reserve_exact(degree);
+        self.generation += 1;
+        Slot { node, first_port }
+    }
+
+    /// Append the half-links of the ports `slot` claimed, in port order.
+    /// The caller writes both halves of every link.
+    fn fill(&mut self, slot: Slot, halves: impl IntoIterator<Item = HalfLink>) {
+        self.nodes[slot.node as usize].links.extend(halves);
+        self.generation += 1;
+    }
+
+    fn alloc_port(&mut self, node: u32) -> i32 {
+        let n = &mut self.nodes[node as usize];
+        let port = n.next_port.max(1);
+        n.next_port = port + 1;
+        port32(port)
     }
 
     /// Connect two nodes, auto-assigning the next free port on each side.
     /// Returns `(port_on_a, port_on_b)`.
     pub fn connect(&mut self, a: NodeRef, b: NodeRef) -> (i64, i64) {
-        let pa = self.alloc_port(a);
-        let pb = self.alloc_port(b);
-        self.connect_ports(a, pa, b, pb);
-        (pa, pb)
+        let (ia, ib) = (self.intern(a), self.intern(b));
+        let pa = self.alloc_port(ia);
+        let pb = self.alloc_port(ib);
+        self.wire(ia, pa, ib, pb);
+        (pa.into(), pb.into())
     }
 
-    /// Connect two nodes on explicit ports.
+    /// Connect two nodes on explicit ports. A port that is already wired
+    /// is re-wired: its old link is removed at both ends first.
+    ///
+    /// # Panics
+    /// If a port number does not fit in `i32`.
     pub fn connect_ports(&mut self, a: NodeRef, pa: i64, b: NodeRef, pb: i64) {
-        self.links.insert((a, pa), (b, pb));
-        self.links.insert((b, pb), (a, pa));
-        let na = self.next_port.entry(a).or_insert(1);
-        *na = (*na).max(pa + 1);
-        let nb = self.next_port.entry(b).or_insert(1);
-        *nb = (*nb).max(pb + 1);
+        let (ia, ib) = (self.intern(a), self.intern(b));
+        self.wire(ia, port32(pa), ib, port32(pb));
+    }
+
+    fn wire(&mut self, a: u32, pa: i32, b: u32, pb: i32) {
+        self.detach(a, pa);
+        self.detach(b, pb);
+        self.attach(a, HalfLink { port: pa, peer: b, peer_port: pb });
+        self.attach(b, HalfLink { port: pb, peer: a, peer_port: pa });
         self.generation += 1;
     }
 
-    /// The far end of `(node, port)`.
-    pub fn peer(&self, node: NodeRef, port: i64) -> Option<(NodeRef, i64)> {
-        self.links.get(&(node, port)).copied()
+    /// Remove the link on `(node, port)`, both halves, if there is one.
+    fn detach(&mut self, node: u32, port: i32) {
+        let links = &mut self.nodes[node as usize].links;
+        let Ok(at) = links.binary_search_by_key(&port, |l| l.port) else {
+            return;
+        };
+        let old = links.remove(at);
+        let far = &mut self.nodes[old.peer as usize].links;
+        // Absent only for a self-loop on one port, whose single half is
+        // already gone.
+        if let Ok(at) = far.binary_search_by_key(&old.peer_port, |l| l.port) {
+            far.remove(at);
+        }
     }
 
-    /// A node's links as `(port, (peer, peer_port))`, in port order. A
-    /// range query on the link map — O(log n + degree), not O(links).
+    /// Store one half-link, keeping the slice port-sorted.
+    fn attach(&mut self, node: u32, half: HalfLink) {
+        let n = &mut self.nodes[node as usize];
+        n.next_port = n.next_port.max(i64::from(half.port) + 1).max(1);
+        match n.links.binary_search_by_key(&half.port, |l| l.port) {
+            // Only the second half of a self-loop on one port.
+            Ok(at) => n.links[at] = half,
+            Err(at) => n.links.insert(at, half),
+        }
+    }
+
+    /// A node's adjacency slice; empty for an unknown node.
+    fn adjacency(&self, node: NodeRef) -> &[HalfLink] {
+        self.row(node).map_or(&[], |row| &self.nodes[row as usize].links)
+    }
+
+    fn far_end(&self, half: &HalfLink) -> (NodeRef, i64) {
+        (self.nodes[half.peer as usize].id, half.peer_port.into())
+    }
+
+    /// Nodes in `NodeRef` order (switches, then hosts, each by id) — the
+    /// order `all_links` and the wire format list them in.
+    fn sorted_nodes(&self) -> impl Iterator<Item = &Node> + '_ {
+        let rows = self.switches.rows.iter().chain(&self.hosts.rows);
+        rows.map(|&row| &self.nodes[row as usize])
+    }
+
+    /// The far end of `(node, port)`: two binary searches, of an id column
+    /// and of the node's slice.
+    pub fn peer(&self, node: NodeRef, port: i64) -> Option<(NodeRef, i64)> {
+        let links = self.adjacency(node);
+        let port = i32::try_from(port).ok()?;
+        let at = links.binary_search_by_key(&port, |l| l.port).ok()?;
+        Some(self.far_end(&links[at]))
+    }
+
+    /// A node's links as `(port, (peer, peer_port))`, in port order: one
+    /// id lookup, then a walk of the node's slice — O(degree).
     pub fn links_of(
         &self,
         node: NodeRef,
     ) -> impl Iterator<Item = (i64, (NodeRef, i64))> + '_ {
-        self.links
-            .range((node, i64::MIN)..=(node, i64::MAX))
-            .map(|((_, p), peer)| (*p, *peer))
+        self.adjacency(node).iter().map(|l| (l.port.into(), self.far_end(l)))
     }
 
-    /// Every directed link as `((node, port), (peer, peer_port))`.
+    /// Every directed link as `((node, port), (peer, peer_port))`, in
+    /// `(node, port)` order whatever order the nodes were added in.
     pub fn all_links(&self) -> impl Iterator<Item = ((NodeRef, i64), (NodeRef, i64))> + '_ {
-        self.links.iter().map(|(k, v)| (*k, *v))
+        self.sorted_nodes()
+            .flat_map(move |n| n.links.iter().map(move |l| ((n.id, l.port.into()), self.far_end(l))))
     }
 
     /// All connected ports of a node.
@@ -201,7 +424,19 @@ impl Topology {
 
     /// Number of links (undirected).
     pub fn link_count(&self) -> usize {
-        self.links.len() / 2
+        self.nodes.iter().map(|n| n.links.len()).sum::<usize>() / 2
+    }
+
+    /// Bytes this topology holds on the heap, at capacity: the node
+    /// table, every adjacency slice and the two id columns. The route
+    /// cache is derived state and not counted.
+    /// `tests/topology_budget.rs` pins it per node and per half-link.
+    pub fn heap_bytes(&self) -> u64 {
+        let total = self.nodes.capacity() * size_of::<Node>()
+            + self.nodes.iter().map(|n| n.links.capacity() * size_of::<HalfLink>()).sum::<usize>()
+            + self.switches.heap_bytes()
+            + self.hosts.heap_bytes();
+        total as u64
     }
 
     /// Shortest-path routing toward `host`, memoized. The first call per
@@ -228,27 +463,41 @@ impl Topology {
     }
 
     /// Shortest-path routing toward `host`: for each switch, the port that
-    /// leads one hop closer. BFS from the attachment switch. This is the
-    /// uncached reference path; [`Topology::routes_to`] memoizes it.
+    /// leads one hop closer. BFS from the attachment switch over node
+    /// indices — neighbours in port order, a visited bitset with the hosts
+    /// pre-marked so an edge costs one bit test, and the route map built
+    /// once from the visit list. This is the uncached reference path;
+    /// [`Topology::routes_to`] memoizes it.
     pub fn routes_to_uncached(&self, host: i64) -> BTreeMap<i64, i64> {
-        let mut out = BTreeMap::new();
-        let Some((root, root_port)) = self.host_attachment(host) else {
-            return out;
+        let is_switch = |l: &&HalfLink| matches!(self.nodes[l.peer as usize].id, NodeRef::Switch(_));
+        let attachment = self.adjacency(NodeRef::Host(host)).iter().find(is_switch);
+        let Some(&HalfLink { peer: root, peer_port: root_port, .. }) = attachment else {
+            return BTreeMap::new();
         };
-        out.insert(root, root_port);
-        let mut visited: BTreeSet<i64> = [root].into();
-        let mut queue: VecDeque<i64> = [root].into();
-        while let Some(s) = queue.pop_front() {
-            for (_, (peer, peer_port)) in self.links_of(NodeRef::Switch(s)) {
-                if let NodeRef::Switch(t) = peer {
-                    if visited.insert(t) {
-                        out.insert(t, peer_port);
-                        queue.push_back(t);
-                    }
+        let mut visited = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut visit = |i: u32| {
+            let (word, bit) = (i as usize / 64, 1u64 << (i % 64));
+            let fresh = visited[word] & bit == 0;
+            visited[word] |= bit;
+            fresh
+        };
+        for &host_row in &self.hosts.rows {
+            visit(host_row);
+        }
+        visit(root);
+        // Reached switches with their port toward `host`, in BFS order:
+        // the queue and the result in one.
+        let mut reached = vec![(root, root_port)];
+        let mut head = 0;
+        while let Some(&(s, _)) = reached.get(head) {
+            head += 1;
+            for l in &self.nodes[s as usize].links {
+                if visit(l.peer) {
+                    reached.push((l.peer, l.peer_port));
                 }
             }
         }
-        out
+        reached.into_iter().map(|(s, port)| (self.nodes[s as usize].id.id(), port.into())).collect()
     }
 }
 
@@ -407,14 +656,20 @@ impl FabricParams {
         FabricParams { k, hosts_per_edge }
     }
 
+    /// The arity the generator builds: `k` rounded down to even, at
+    /// least 2. Every count below and [`fat_tree_into`] go through this.
+    pub fn arity(&self) -> usize {
+        self.k.max(2) & !1
+    }
+
     /// Total switch count (`(k/2)²` cores + `k²/2` agg + `k²/2` edge).
     pub fn total_switches(&self) -> usize {
-        5 * self.k * self.k / 4
+        5 * self.arity() * self.arity() / 4
     }
 
     /// Total host count.
     pub fn total_hosts(&self) -> usize {
-        self.k * self.k / 2 * self.hosts_per_edge
+        self.arity() * self.arity() / 2 * self.hosts_per_edge
     }
 }
 
@@ -430,37 +685,70 @@ pub mod fabric_ids {
 /// cores `[i·k/2, (i+1)·k/2)`. Edge switches carry `hosts_per_edge` hosts.
 /// Switch ids: cores `1..=(k/2)²`, then per pod aggs, then edges.
 pub fn fat_tree(params: &FabricParams) -> Topology {
-    let k = params.k.max(2) & !1; // even, ≥ 2
-    let half = (k / 2) as i64;
-    let core_n = half * half;
     let mut t = Topology::new();
-    for c in 1..=core_n {
-        t.add_switch(c);
-    }
-    let agg_id = |pod: i64, i: i64| core_n + pod * half + i + 1;
-    let edge_id = |pod: i64, j: i64| core_n + (k as i64) * half + pod * half + j + 1;
-    let mut host_id = fabric_ids::HOST_BASE;
-    for pod in 0..k as i64 {
-        for i in 0..half {
-            t.add_switch(agg_id(pod, i));
-            // Uplinks: agg i owns core block [i·half, (i+1)·half).
-            for c in 0..half {
-                t.connect(NodeRef::Switch(agg_id(pod, i)), NodeRef::Switch(i * half + c + 1));
-            }
-        }
-        for j in 0..half {
-            t.add_switch(edge_id(pod, j));
-            for i in 0..half {
-                t.connect(NodeRef::Switch(edge_id(pod, j)), NodeRef::Switch(agg_id(pod, i)));
-            }
-            for _ in 0..params.hosts_per_edge {
-                t.add_host(host_id);
-                t.connect(NodeRef::Switch(edge_id(pod, j)), NodeRef::Host(host_id));
-                host_id += 1;
-            }
-        }
-    }
+    fat_tree_into(&mut t, params, 0);
     t
+}
+
+/// Build the [`fat_tree`] of `params` inside `t`, its switch ids offset by
+/// `switch_base` (host ids already live in their own
+/// [`fabric_ids::HOST_BASE`] range) — how a scenario grafts a fabric onto
+/// an existing network without building it twice.
+///
+/// Ports are exactly what the `add_switch` / `connect` sequence "cores;
+/// per pod: each agg then its uplinks, each edge then its agg links then
+/// its hosts" hands out (pinned against that sequence by
+/// `tests/topology_generators.rs`). Counting from each node's first free
+/// port: core `+pod` ↔ agg `+c`, agg `+k/2+j` ↔ edge `+i`, edge `+k/2+h`
+/// ↔ host `+0`. Every node is interned first, then each slice is written
+/// once, at its final size, by that arithmetic.
+pub fn fat_tree_into(t: &mut Topology, params: &FabricParams, switch_base: i64) {
+    let k = params.arity();
+    let half = k / 2;
+    let hosts_per_edge = params.hosts_per_edge;
+    let core_n = half * half;
+    t.reserve_nodes(params.total_switches(), params.total_hosts());
+    // Opened in ascending id order, so each id lands at the end of its
+    // column. Pod-major:
+    // `aggs[pod·k/2 + i]`, `edges[pod·k/2 + j]`,
+    // `hosts[(pod·k/2 + j)·hosts_per_edge + h]`.
+    let open_switches = |t: &mut Topology, after: usize, n: usize, degree: usize| -> Vec<Slot> {
+        let natives = after + 1..=after + n;
+        natives.map(|native| t.open(NodeRef::Switch(switch_base + native as i64), degree)).collect()
+    };
+    let cores = open_switches(t, 0, core_n, k);
+    let aggs = open_switches(t, core_n, k * half, k);
+    let edges = open_switches(t, core_n + k * half, k * half, half + hosts_per_edge);
+    let hosts: Vec<Slot> = (0..k * half * hosts_per_edge)
+        .map(|h| t.open(NodeRef::Host(fabric_ids::HOST_BASE + h as i64), 1))
+        .collect();
+    let half_link = |from: Slot, port: usize, to: Slot, peer_port: usize| HalfLink {
+        port: port32(from.first_port + port as i64),
+        peer: to.node,
+        peer_port: port32(to.first_port + peer_port as i64),
+    };
+    // Core `i·k/2 + c` is uplink `c` of aggregation switch `i` of every pod.
+    for (at, &core) in cores.iter().enumerate() {
+        let (i, c) = (at / half, at % half);
+        t.fill(core, (0..k).map(|pod| half_link(core, pod, aggs[pod * half + i], c)));
+    }
+    for pod in 0..k {
+        let (pod_aggs, pod_edges) = (&aggs[pod * half..][..half], &edges[pod * half..][..half]);
+        for (i, &agg) in pod_aggs.iter().enumerate() {
+            let up = (0..half).map(|c| half_link(agg, c, cores[i * half + c], pod));
+            let down = (0..half).map(|j| half_link(agg, half + j, pod_edges[j], i));
+            t.fill(agg, up.chain(down));
+        }
+        for (j, &edge) in pod_edges.iter().enumerate() {
+            let edge_hosts = &hosts[(pod * half + j) * hosts_per_edge..][..hosts_per_edge];
+            let up = (0..half).map(|i| half_link(edge, i, pod_aggs[i], half + j));
+            let down = (0..hosts_per_edge).map(|h| half_link(edge, half + h, edge_hosts[h], 0));
+            t.fill(edge, up.chain(down));
+            for (h, &host) in edge_hosts.iter().enumerate() {
+                t.fill(host, [half_link(host, 0, edge, half + h)]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -538,5 +826,47 @@ mod tests {
         assert_ne!(p1a, p1b);
         assert_eq!(t.link_count(), 2);
         assert_eq!(t.ports(NodeRef::Switch(1)).len(), 2);
+    }
+
+    #[test]
+    fn rewiring_a_port_detaches_its_old_peer() {
+        let (s1, s2, s3) = (NodeRef::Switch(1), NodeRef::Switch(2), NodeRef::Switch(3));
+        let mut t = fig1();
+        let links = t.link_count();
+        // S2 port 1 led to H1; point it at a new switch instead.
+        t.add_switch(4);
+        t.connect_ports(s2, 1, NodeRef::Switch(4), 0);
+        assert_eq!(t.peer(s2, 1), Some((NodeRef::Switch(4), 0)));
+        assert_eq!(t.peer(NodeRef::Host(fig1_hosts::H1), 0), None, "old peer keeps no half-link");
+        assert_eq!(t.links_of(NodeRef::Host(fig1_hosts::H1)).count(), 0);
+        assert_eq!(t.host_attachment(fig1_hosts::H1), None);
+        assert_eq!(t.link_count(), links, "one link removed, one added");
+        assert!(t.routes_to(fig1_hosts::H1).is_empty(), "H1 is unreachable");
+        assert_eq!(t.routes_to(fig1_hosts::H2)[&4], 0, "the new switch routes over its port 0");
+
+        // Re-wiring the far side of a switch-switch link frees both ends.
+        t.connect_ports(s3, 0, NodeRef::Switch(4), 1);
+        assert_eq!(t.peer(s1, 2), None, "S1 port 2 led to S3 port 0");
+        assert_eq!(t.ports(s1), vec![0, 1]);
+        assert_eq!(t.link_count(), links);
+        for ((a, pa), (b, pb)) in t.all_links() {
+            assert_eq!(t.peer(b, pb), Some((a, pa)), "every half-link has its reverse");
+        }
+        // Wiring a link onto the ports it already uses changes nothing.
+        let before: Vec<_> = t.all_links().collect();
+        t.connect_ports(s3, 0, NodeRef::Switch(4), 1);
+        t.connect_ports(NodeRef::Switch(4), 1, s3, 0);
+        assert_eq!(t.all_links().collect::<Vec<_>>(), before);
+    }
+
+    #[test]
+    fn fabric_params_count_what_the_generator_builds() {
+        for k in 0..=9 {
+            let p = FabricParams { k, hosts_per_edge: 2 };
+            let t = fat_tree(&p);
+            assert_eq!(t.switches.len(), p.total_switches(), "k = {k}");
+            assert_eq!(t.hosts.len(), p.total_hosts(), "k = {k}");
+        }
+        assert_eq!(FabricParams { k: 5, hosts_per_edge: 1 }.total_switches(), 20);
     }
 }

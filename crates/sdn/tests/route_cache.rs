@@ -10,13 +10,45 @@ use mpr_sdn::topology::{
     campus, fat_tree, fig1, fig1_hosts, CampusParams, FabricParams, NodeRef, Topology,
 };
 use mpr_sdn::{Packet, SimConfig, SimStats, Simulation};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
+
+/// Shortest-path routes toward `host` by a BFS that shares no code with
+/// `Topology`: `all_links()` collected into a map, neighbours by range
+/// query in port order.
+fn bfs_over_all_links(t: &Topology, host: i64) -> BTreeMap<i64, i64> {
+    let links: BTreeMap<(NodeRef, i64), (NodeRef, i64)> = t.all_links().collect();
+    let of = |n: NodeRef| links.range((n, i64::MIN)..=(n, i64::MAX)).map(|(_, peer)| *peer);
+    let mut routes = BTreeMap::new();
+    let attachment = of(NodeRef::Host(host)).find_map(|(peer, port)| match peer {
+        NodeRef::Switch(s) => Some((s, port)),
+        NodeRef::Host(_) => None,
+    });
+    let Some((root, root_port)) = attachment else {
+        return routes;
+    };
+    routes.insert(root, root_port);
+    let mut visited = BTreeSet::from([root]);
+    let mut queue = VecDeque::from([root]);
+    while let Some(s) = queue.pop_front() {
+        for (peer, peer_port) in of(NodeRef::Switch(s)) {
+            if let NodeRef::Switch(next) = peer {
+                if visited.insert(next) {
+                    routes.insert(next, peer_port);
+                    queue.push_back(next);
+                }
+            }
+        }
+    }
+    routes
+}
 
 fn assert_cache_matches_oracle(t: &Topology) {
     for h in t.hosts.iter().copied() {
         let cached = t.routes_to(h);
         let oracle = t.routes_to_uncached(h);
         assert_eq!(*cached, oracle, "routes_to({h}) diverged from BFS oracle");
+        assert_eq!(oracle, bfs_over_all_links(t, h), "routes_to_uncached({h}) diverged from a BFS over all_links()");
         // Second call must serve the same shared map (no recompute).
         assert!(Arc::ptr_eq(&cached, &t.routes_to(h)), "cache miss on warm lookup");
     }
@@ -26,7 +58,9 @@ fn assert_cache_matches_oracle(t: &Topology) {
 fn cached_routes_equal_oracle_on_all_generators() {
     assert_cache_matches_oracle(&fig1());
     assert_cache_matches_oracle(&campus(&CampusParams::with_total_switches(40)));
+    assert_cache_matches_oracle(&campus(&CampusParams::with_total_switches(169)));
     assert_cache_matches_oracle(&fat_tree(&FabricParams { k: 4, hosts_per_edge: 2 }));
+    assert_cache_matches_oracle(&fat_tree(&FabricParams { k: 8, hosts_per_edge: 2 }));
     assert_cache_matches_oracle(&fat_tree(&FabricParams::with_total_switches(169)));
 }
 
@@ -51,6 +85,16 @@ fn topology_mutations_bump_generation_and_invalidate() {
     t.connect(NodeRef::Switch(9), NodeRef::Host(77));
     assert!(t.generation() > g1, "connect must bump the generation");
     assert_cache_matches_oracle(&t);
+
+    // Re-wiring S1's port toward S3 onto the new switch removes the old
+    // link at both ends: routes that crossed it change, none walk it.
+    let via_s3 = t.routes_to(fig1_hosts::H2);
+    let g2 = t.generation();
+    t.connect_ports(NodeRef::Switch(1), 2, NodeRef::Switch(9), 5);
+    assert!(t.generation() > g2, "connect_ports must bump the generation");
+    assert_eq!(t.peer(NodeRef::Switch(3), 0), None);
+    assert_ne!(*t.routes_to(fig1_hosts::H2), *via_s3);
+    assert_cache_matches_oracle(&t);
 }
 
 #[test]
@@ -64,6 +108,33 @@ fn clone_and_deserialize_start_cold_but_agree() {
     assert_cache_matches_oracle(&revived);
     assert_eq!(revived.switches, t.switches);
     assert_eq!(revived.hosts, t.hosts);
+}
+
+/// `serde_json::to_string(&fig1())` at the commit before the dense layout,
+/// when `links` and `next_port` were `BTreeMap`s serialised as pair
+/// arrays. The four fields stay byte-identical, both ways.
+const FIG1_WIRE: &str = r#"{"switches":[1,2,3],"hosts":[10,17,20,100],"links":[[[{"Switch":1},0],[{"Host":100},0]],[[{"Switch":1},1],[{"Switch":2},0]],[[{"Switch":1},2],[{"Switch":3},0]],[[{"Switch":2},0],[{"Switch":1},1]],[[{"Switch":2},1],[{"Host":10},0]],[[{"Switch":2},2],[{"Switch":3},3]],[[{"Switch":3},0],[{"Switch":1},2]],[[{"Switch":3},1],[{"Host":17},0]],[[{"Switch":3},2],[{"Host":20},0]],[[{"Switch":3},3],[{"Switch":2},2]],[[{"Host":10},0],[{"Switch":2},1]],[[{"Host":17},0],[{"Switch":3},1]],[[{"Host":20},0],[{"Switch":3},2]],[[{"Host":100},0],[{"Switch":1},0]]],"next_port":[[{"Switch":1},3],[{"Switch":2},3],[{"Switch":3},4],[{"Host":10},1],[{"Host":17},1],[{"Host":20},1],[{"Host":100},1]]}"#;
+
+#[test]
+fn wire_format_is_the_map_layouts() {
+    assert_eq!(serde_json::to_string(&fig1()).unwrap(), FIG1_WIRE);
+    let mut revived: Topology = serde_json::from_str(FIG1_WIRE).unwrap();
+    assert_eq!(serde_json::to_string(&revived).unwrap(), FIG1_WIRE);
+    assert_eq!(revived.generation(), 0);
+    // `next_port` came back too: S3's next free port is 4 on both.
+    assert_eq!(revived.connect(NodeRef::Switch(3), NodeRef::Switch(1)), (4, 3));
+    // An isolated node has no `next_port` entry; a re-wired-away one keeps its own.
+    let mut t = fig1();
+    t.add_switch(8);
+    t.connect_ports(NodeRef::Switch(2), 1, NodeRef::Switch(1), 7);
+    let json = serde_json::to_string(&t).unwrap();
+    assert!(!json.contains(r#"[{"Switch":8},"#), "{json}");
+    assert!(json.contains(r#"[{"Host":10},1]"#), "{json}");
+    let again: Topology = serde_json::from_str(&json).unwrap();
+    assert_eq!(serde_json::to_string(&again).unwrap(), json);
+    // A port the layout cannot hold is an error, not a panic.
+    let bad = FIG1_WIRE.replace(r#"[{"Switch":1},0],[{"Host":100},0]"#, r#"[{"Switch":1},4294967296],[{"Host":100},0]"#);
+    assert!(serde_json::from_str::<Topology>(&bad).is_err());
 }
 
 /// The reactive fig1 program used across the repo's scenarios.
