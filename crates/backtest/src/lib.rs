@@ -23,7 +23,10 @@ pub mod pool;
 pub mod replay;
 
 pub use ks::{ks_coefficient, ks_two_sample, KsResult};
-pub use mqo::{build_tagged_program, mqo_replay, mqo_supported, TagSet, TaggedProgram, TaggedVariant};
+pub use mqo::{
+    build_tagged_program, mqo_replay, mqo_replay_deltas, mqo_supported, tagged_program, TagSet,
+    TaggedProgram, TaggedVariant,
+};
 pub use replay::{
     replay, replay_candidates, replay_with_extra_flows, BacktestSetup, CandidateRun,
     ReplayOutcome,

@@ -6,12 +6,25 @@
 //! copies of all the rules the repair candidate modifies, but we restrict
 //! them to this particular tag."
 //!
-//! [`build_tagged_program`] performs exactly this transformation, including
-//! the coalescing optimization (syntactically identical candidate rules
-//! share one variant with a merged tag mask). [`mqo_replay`] then replays
+//! [`tagged_program`] performs exactly this transformation, including the
+//! coalescing optimization (syntactically identical candidate rules share
+//! one variant with a merged tag mask). [`mqo_replay_deltas`] then replays
 //! the workload **once**: network state forks only where decisions
 //! diverge, and controller evaluation is shared across every candidate
 //! whose tag reaches the same PacketIn.
+//!
+//! # Who applies what, and when
+//!
+//! A candidate arrives as a [`RuleDelta`] — the rules its repair modifies,
+//! all the construction above asks for. The backtesting program borrows
+//! the base program's rules and owns only the candidates' copies, so it
+//! costs `O(base rules + rules the candidates touch)` to build and nobody
+//! materialises a patched program on this path: the debugger takes each
+//! repair's `Patch::delta` and hands the deltas over. Callers that hold
+//! whole patched programs ([`build_tagged_program`], [`mqo_replay`]) get
+//! the same builder: their programs are diffed against the base into
+//! deltas first. Whole programs are applied only where one must compile:
+//! the per-candidate reference replay ([`crate::replay_candidates`]).
 //!
 //! # Network state: sparse, tag-shared flow tables
 //!
@@ -63,6 +76,7 @@
 use crate::replay::{BacktestSetup, ReplayOutcome};
 use mpr_ndlog::ast::{Atom, CmpOp, Expr, Term};
 use mpr_ndlog::eval::{CountingFuncs, Env};
+use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
 use mpr_runtime::engine::{instantiate, match_atom};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg};
@@ -70,6 +84,7 @@ use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimStats;
 use mpr_sdn::topology::{NodeRef, Topology};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// A set of candidate tags (bit i = candidate i). At most 64 candidates
@@ -78,19 +93,20 @@ pub type TagSet = u64;
 
 /// One rule variant in the backtesting program.
 #[derive(Debug, Clone)]
-pub struct TaggedVariant {
-    /// The rule (shared original, or a candidate's modified copy).
-    pub rule: Rule,
+pub struct TaggedVariant<'a> {
+    /// The rule: the base program's own (borrowed), or a candidate's
+    /// modified copy (owned).
+    pub rule: Cow<'a, Rule>,
     /// Which candidates this variant runs for.
     pub mask: TagSet,
 }
 
 /// The backtesting program of §4.4.
 #[derive(Debug, Clone)]
-pub struct TaggedProgram {
+pub struct TaggedProgram<'a> {
     /// Variants, in base-program rule order (candidate copies follow their
     /// original).
-    pub variants: Vec<TaggedVariant>,
+    pub variants: Vec<TaggedVariant<'a>>,
     /// Number of candidates.
     pub n: usize,
     /// How many candidate rule copies were merged by coalescing.
@@ -102,80 +118,93 @@ pub fn mqo_supported(program: &Program) -> bool {
     program.rules.iter().all(|r| !r.is_aggregate())
 }
 
-/// Build the backtesting program for `candidates` (each a fully patched
-/// program derived from `base`).
-pub fn build_tagged_program(base: &Program, candidates: &[Program]) -> TaggedProgram {
-    assert!(candidates.len() <= 64, "at most 64 candidates per joint backtest");
-    let full: TagSet = if candidates.is_empty() {
-        0
-    } else {
-        (!0u64) >> (64 - candidates.len())
+/// Build the backtesting program for the candidates `deltas` describe
+/// (candidate `i` is `base` overlaid with `deltas[i]`): every base rule
+/// once, for the candidates that leave it alone, followed by the copies of
+/// the candidates that edited it; then the rules candidates added.
+pub fn tagged_program<'a>(base: &'a Program, deltas: &[RuleDelta]) -> TaggedProgram<'a> {
+    assert!(deltas.len() <= 64, "at most 64 candidates per joint backtest");
+    let full: TagSet = if deltas.is_empty() { 0 } else { (!0u64) >> (64 - deltas.len()) };
+    let rules = base.rules.len();
+    // Per base rule, the candidates that kept it verbatim: they share the
+    // original.
+    let mut shared: Vec<TagSet> = vec![full; rules];
+    // Per base position, the copies of the candidates that modified the
+    // rule; under `rules`, the rules candidates added. Equal copies are
+    // coalesced into one variant.
+    let mut copies: BTreeMap<usize, Vec<(&Rule, TagSet)>> = BTreeMap::new();
+    let mut coalesced = 0;
+    let mut add_copy = |pos: usize, rule, bit: TagSet| {
+        let at = copies.entry(pos).or_default();
+        match at.iter_mut().find(|(r, _)| *r == rule) {
+            Some((_, mask)) => {
+                *mask |= bit;
+                coalesced += 1;
+            }
+            None => at.push((rule, bit)),
+        }
     };
-    // One id → rule index per candidate, so the build is linear in the
-    // program size (Fig. 10). A duplicated id keeps its first rule, as
-    // `Program::rule` does.
-    let by_id: Vec<HashMap<&str, &Rule>> = candidates
+    for (i, d) in deltas.iter().enumerate() {
+        let bit = 1u64 << i;
+        for (pos, edited) in &d.changed {
+            if edited.as_ref() != Some(&base.rules[*pos]) {
+                shared[*pos] &= !bit;
+                if let Some(r) = edited {
+                    add_copy(*pos, r, bit);
+                } // else deleted in this candidate
+            }
+        }
+        d.added.iter().for_each(|r| add_copy(rules, r, bit));
+    }
+    let mut variants: Vec<TaggedVariant<'a>> = Vec::with_capacity(rules);
+    for (pos, rule) in base.rules.iter().enumerate() {
+        if shared[pos] != 0 || deltas.is_empty() {
+            variants.push(TaggedVariant { rule: Cow::Borrowed(rule), mask: shared[pos] });
+        }
+        variants.extend(copies.remove(&pos).into_iter().flatten().map(owned_variant));
+    }
+    variants.extend(copies.remove(&rules).into_iter().flatten().map(owned_variant));
+    TaggedProgram { variants, n: deltas.len(), coalesced }
+}
+
+fn owned_variant<'a>((rule, mask): (&Rule, TagSet)) -> TaggedVariant<'a> {
+    TaggedVariant { rule: Cow::Owned(rule.clone()), mask }
+}
+
+/// Each fully patched program as a delta against `base`, for callers that
+/// hold programs. Rules are matched by id, as [`Program::rule`] matches
+/// them (a duplicated id resolves to its first rule): a candidate rule
+/// under a base rule's id is that rule's edited copy wherever it sits, and
+/// one under an id the base does not have is an addition.
+fn deltas_between(base: &Program, candidates: &[Program]) -> Vec<RuleDelta> {
+    let base_ids: HashSet<&str> = base.rules.iter().map(|r| r.id.as_str()).collect();
+    candidates
         .iter()
         .map(|cand| {
-            let mut index = HashMap::with_capacity(cand.rules.len());
+            let mut by_id: HashMap<&str, &Rule> = HashMap::with_capacity(cand.rules.len());
             for r in &cand.rules {
-                index.entry(r.id.as_str()).or_insert(r);
+                by_id.entry(r.id.as_str()).or_insert(r);
             }
-            index
+            let changed = base
+                .rules
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, rule)| match by_id.get(rule.id.as_str()) {
+                    Some(&r) if r == rule => None,
+                    edited => Some((pos, edited.map(|&r| r.clone()))),
+                })
+                .collect();
+            let added =
+                cand.rules.iter().filter(|r| !base_ids.contains(r.id.as_str())).cloned().collect();
+            RuleDelta { changed, added }
         })
-        .collect();
-    let base_ids: HashSet<&str> = base.rules.iter().map(|r| r.id.as_str()).collect();
-    let mut variants: Vec<TaggedVariant> = Vec::new();
-    let mut coalesced = 0;
-    for rule in &base.rules {
-        // Candidates that kept this rule verbatim share the original.
-        let mut shared: TagSet = 0;
-        // Candidates that modified it get copies — coalesced when equal.
-        let mut copies: Vec<(Rule, TagSet)> = Vec::new();
-        for (i, index) in by_id.iter().enumerate() {
-            let bit = 1u64 << i;
-            match index.get(rule.id.as_str()) {
-                Some(&r) if r == rule => shared |= bit,
-                Some(&r) => {
-                    if let Some((_, mask)) = copies.iter_mut().find(|(cr, _)| cr == r) {
-                        *mask |= bit;
-                        coalesced += 1;
-                    } else {
-                        copies.push((r.clone(), bit));
-                    }
-                }
-                None => {} // deleted in this candidate
-            }
-        }
-        if shared != 0 || candidates.is_empty() {
-            variants.push(TaggedVariant {
-                rule: rule.clone(),
-                mask: if candidates.is_empty() { full } else { shared },
-            });
-        }
-        for (r, mask) in copies {
-            variants.push(TaggedVariant { rule: r, mask });
-        }
-    }
-    // Rules added by candidates (ids not present in the base program).
-    let mut added: Vec<(Rule, TagSet)> = Vec::new();
-    for (i, cand) in candidates.iter().enumerate() {
-        let bit = 1u64 << i;
-        for r in &cand.rules {
-            if !base_ids.contains(r.id.as_str()) {
-                if let Some((_, mask)) = added.iter_mut().find(|(ar, _)| ar == r) {
-                    *mask |= bit;
-                    coalesced += 1;
-                } else {
-                    added.push((r.clone(), bit));
-                }
-            }
-        }
-    }
-    for (r, mask) in added {
-        variants.push(TaggedVariant { rule: r, mask });
-    }
-    TaggedProgram { variants, n: candidates.len(), coalesced }
+        .collect()
+}
+
+/// [`tagged_program`] for `candidates` given as fully patched programs
+/// derived from `base`.
+pub fn build_tagged_program<'a>(base: &'a Program, candidates: &[Program]) -> TaggedProgram<'a> {
+    tagged_program(base, &deltas_between(base, candidates))
 }
 
 /// Constant-keyed variant dispatch for one delta table — the tagged
@@ -333,7 +362,7 @@ impl LiveOutputs<'_> {
 /// Tagged controller state: tuples annotated with the candidates they
 /// exist for.
 struct TaggedEngine<'a> {
-    program: &'a TaggedProgram,
+    program: &'a TaggedProgram<'a>,
     codec: &'a mpr_sdn::controller::TupleCodec,
     /// table → constant-keyed variant groups (see [`VariantDispatch`]).
     dispatch: HashMap<String, VariantDispatch>,
@@ -356,7 +385,7 @@ struct TaggedEngine<'a> {
 
 impl<'a> TaggedEngine<'a> {
     fn new(
-        program: &'a TaggedProgram,
+        program: &'a TaggedProgram<'a>,
         catalog: &'a Catalog,
         codec: &'a mpr_sdn::controller::TupleCodec,
         seeds: &[Tuple],
@@ -745,38 +774,40 @@ impl Forwarder<'_> {
     }
 }
 
-/// Jointly replay the workload for every candidate. Returns one
-/// [`ReplayOutcome`] per candidate, index-aligned.
-///
-/// The joint network is fault-free: `setup.config.faults` and
-/// `drop_chance` are not modelled, so callers backtesting under either
-/// replay per candidate ([`crate::replay_candidates`]).
+/// [`mqo_replay_deltas`] for `candidates` given as fully patched programs
+/// derived from `base`; the outcomes only.
 pub fn mqo_replay(
     setup: &BacktestSetup,
     base: &Program,
     candidates: &[Program],
     extra_flows: &[ExtraFlows],
 ) -> Vec<ReplayOutcome> {
-    mqo_replay_with_footprint(setup, base, candidates, extra_flows).0
+    mqo_replay_deltas(setup, base, &deltas_between(base, candidates), extra_flows).0
 }
 
-/// [`mqo_replay`], also reporting how many flow tables the replay
-/// materialised — the count that must follow what the candidates install,
-/// not the size of the network.
-pub fn mqo_replay_with_footprint(
+/// Jointly replay the workload for every candidate — candidate `i` is
+/// `base` with `deltas[i]`, plus the manual entries `extra_flows[i]`.
+/// Returns one [`ReplayOutcome`] per candidate, index-aligned, and how
+/// many flow tables the replay materialised — the count that must follow
+/// what the candidates install, not the size of the network.
+///
+/// The joint network is fault-free: `setup.config.faults` and
+/// `drop_chance` are not modelled, so callers backtesting under either
+/// replay per candidate ([`crate::replay_candidates`]).
+pub fn mqo_replay_deltas(
     setup: &BacktestSetup,
     base: &Program,
-    candidates: &[Program],
+    deltas: &[RuleDelta],
     extra_flows: &[ExtraFlows],
 ) -> (Vec<ReplayOutcome>, TableFootprint) {
-    let n = candidates.len();
+    let n = deltas.len();
     if n == 0 {
         return (Vec::new(), TableFootprint::default());
     }
     let topo: &Topology = &setup.topology;
     let mut tables = TaggedTables { topo, by_switch: BTreeMap::new() };
     let full: TagSet = (!0u64) >> (64 - n);
-    let tagged = build_tagged_program(base, candidates);
+    let tagged = tagged_program(base, deltas);
     let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, &setup.seeds, full);
 
     // The proactive routes are the same for every candidate: one
@@ -902,7 +933,7 @@ pub fn mqo_replay_with_footprint(
 mod tests {
     use super::*;
     use crate::replay::{replay, BacktestSetup};
-    use mpr_ndlog::patch::{Edit, Patch};
+    use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
     use mpr_ndlog::{parse_program, ConstSite, ExprSide, Value};
     use mpr_sdn::controller::TupleCodec;
     use mpr_sdn::sim::SimConfig;
@@ -942,7 +973,7 @@ mod tests {
         }
     }
 
-    fn candidates(base: &Program) -> Vec<Program> {
+    fn candidate_patches() -> Vec<Patch> {
         // Candidate 0: r7 Swi==2 → Swi==3 (the intuitive fix).
         // Candidate 1: r7 Swi==2 → Swi!=2.
         // Candidate 2: identical to candidate 0 (coalescing test).
@@ -950,17 +981,21 @@ mod tests {
             rule: "r7".into(),
             site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
             value: Value::Int(3),
-        })
-        .apply(base)
-        .unwrap();
+        });
         let c1 = Patch::single(Edit::SetSelectionOp {
             rule: "r7".into(),
             sel: 0,
             op: mpr_ndlog::CmpOp::Ne,
-        })
-        .apply(base)
-        .unwrap();
+        });
         vec![c0.clone(), c1, c0]
+    }
+
+    fn applied(base: &Program, patches: &[Patch]) -> Vec<Program> {
+        patches.iter().map(|p| p.apply(base).unwrap()).collect()
+    }
+
+    fn candidates(base: &Program) -> Vec<Program> {
+        applied(base, &candidate_patches())
     }
 
     #[test]
@@ -981,15 +1016,32 @@ mod tests {
         let r7_shared = tp
             .variants
             .iter()
-            .any(|v| v.rule.id == "r7" && v.mask == 0b111 && v.rule == *base.rule("r7").unwrap());
+            .any(|v| v.rule.id == "r7" && v.mask == 0b111 && *v.rule == *base.rule("r7").unwrap());
         assert!(!r7_shared);
+        // The base's rules are borrowed; only the two r7 copies are owned.
+        let owned: Vec<&str> = tp
+            .variants
+            .iter()
+            .filter(|v| matches!(v.rule, Cow::Owned(_)))
+            .map(|v| v.rule.id.as_str())
+            .collect();
+        assert_eq!(owned, ["r7", "r7"]);
     }
 
-    /// The build as it was before the per-candidate id index: a
-    /// `Program::rule` scan per (rule, candidate) pair. Kept as the
-    /// reference the indexed build is compared against.
-    fn build_tagged_program_by_scan(base: &Program, candidates: &[Program]) -> TaggedProgram {
-        let mut variants: Vec<TaggedVariant> = Vec::new();
+    /// What a build yields, comparable: every variant's rule and mask, in
+    /// order, and the coalescing count.
+    type Built = (Vec<(String, TagSet)>, usize);
+
+    fn show(tp: &TaggedProgram) -> Built {
+        (tp.variants.iter().map(|v| (v.rule.to_string(), v.mask)).collect(), tp.coalesced)
+    }
+
+    /// The build as it was before candidates were deltas and before the
+    /// per-candidate id index: whole programs in, a `Program::rule` scan
+    /// per (rule, candidate) pair. Kept as the reference the delta-fed
+    /// build is compared against.
+    fn build_tagged_program_by_scan(base: &Program, candidates: &[Program]) -> Built {
+        let mut variants: Vec<(Rule, TagSet)> = Vec::new();
         let mut coalesced = 0;
         for rule in &base.rules {
             let mut shared: TagSet = 0;
@@ -1010,9 +1062,9 @@ mod tests {
                 }
             }
             if shared != 0 {
-                variants.push(TaggedVariant { rule: rule.clone(), mask: shared });
+                variants.push((rule.clone(), shared));
             }
-            variants.extend(copies.into_iter().map(|(rule, mask)| TaggedVariant { rule, mask }));
+            variants.extend(copies);
         }
         let mut added: Vec<(Rule, TagSet)> = Vec::new();
         for (i, cand) in candidates.iter().enumerate() {
@@ -1028,18 +1080,29 @@ mod tests {
                 }
             }
         }
-        variants.extend(added.into_iter().map(|(rule, mask)| TaggedVariant { rule, mask }));
-        TaggedProgram { variants, n: candidates.len(), coalesced }
+        variants.extend(added);
+        (variants.into_iter().map(|(r, mask)| (r.to_string(), mask)).collect(), coalesced)
     }
 
-    fn assert_same_build(base: &Program, cands: &[Program]) -> TaggedProgram {
+    /// The program-fed build against the scan, variant for variant.
+    fn assert_same_build<'a>(base: &'a Program, cands: &[Program]) -> TaggedProgram<'a> {
         let got = build_tagged_program(base, cands);
-        let want = build_tagged_program_by_scan(base, cands);
-        let show = |tp: &TaggedProgram| -> Vec<(String, TagSet)> {
-            tp.variants.iter().map(|v| (v.rule.to_string(), v.mask)).collect()
-        };
-        assert_eq!(show(&got), show(&want));
-        assert_eq!((got.n, got.coalesced), (want.n, want.coalesced));
+        assert_eq!(show(&got), build_tagged_program_by_scan(base, cands));
+        assert_eq!(got.n, cands.len());
+        got
+    }
+
+    /// The same for candidates that are patches: built straight from the
+    /// patches' deltas, and from the whole programs the patches apply to.
+    fn assert_same_build_from_patches<'a>(base: &'a Program, patches: &[Patch]) -> TaggedProgram<'a> {
+        let outline = ProgramOutline::new(base).unwrap();
+        let deltas: Vec<RuleDelta> =
+            patches.iter().map(|p| p.delta(base, &outline).unwrap()).collect();
+        let programs = applied(base, patches);
+        let got = tagged_program(base, &deltas);
+        assert_eq!(show(&got), build_tagged_program_by_scan(base, &programs));
+        assert_eq!(show(&got), show(&assert_same_build(base, &programs)));
+        assert_eq!(got.n, patches.len());
         got
     }
 
@@ -1055,31 +1118,42 @@ mod tests {
     #[test]
     fn indexed_build_equals_the_scan_on_single_literal_candidates() {
         let base = fig2_program();
-        assert_same_build(&base, &candidates(&base));
+        let tp = assert_same_build_from_patches(&base, &candidate_patches());
+        assert_eq!(tp.coalesced, 1);
     }
 
     #[test]
     fn indexed_build_handles_deleted_and_added_rules() {
         let base = fig2_program();
         // 0: deletes r5. 1 and 3: add the same donor copy (coalesced once).
-        // 2: adds a different rule. 4: the base, untouched.
-        let deleted =
-            Patch::single(Edit::DeleteRule { rule: "r5".into() }).apply(&base).unwrap();
-        let add = |rule: Rule| Patch::single(Edit::AddRule { rule }).apply(&base).unwrap();
+        // 2: adds a different rule. 4: the base, untouched. 5: an edit that
+        // changes nothing (r1's constant set to what it is) — shared, not
+        // copied.
+        let add = |rule: Rule| Patch::single(Edit::AddRule { rule });
         let copy = donor_copy(&base, "r7");
         let mut other = donor_copy(&base, "r1");
         other.id = "synth0".into();
-        let cands =
-            vec![deleted, add(copy.clone()), add(other.clone()), add(copy.clone()), base.clone()];
-        let tp = assert_same_build(&base, &cands);
+        let patches = vec![
+            Patch::single(Edit::DeleteRule { rule: "r5".into() }),
+            add(copy.clone()),
+            add(other.clone()),
+            add(copy.clone()),
+            Patch::default(),
+            Patch::single(Edit::SetConst {
+                rule: "r1".into(),
+                site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
+                value: Value::Int(1),
+            }),
+        ];
+        let tp = assert_same_build_from_patches(&base, &patches);
         assert_eq!(tp.coalesced, 1);
         let mask_of = |id: &str| -> Vec<TagSet> {
             tp.variants.iter().filter(|v| v.rule.id == id).map(|v| v.mask).collect()
         };
-        assert_eq!(mask_of("r1"), vec![0b11111]);
-        assert_eq!(mask_of("r5"), vec![0b11110], "candidate 0 deleted r5");
-        assert_eq!(mask_of("r7_copy"), vec![0b01010], "one variant for both adders");
-        assert_eq!(mask_of("synth0"), vec![0b00100]);
+        assert_eq!(mask_of("r1"), vec![0b111111]);
+        assert_eq!(mask_of("r5"), vec![0b111110], "candidate 0 deleted r5");
+        assert_eq!(mask_of("r7_copy"), vec![0b001010], "one variant for both adders");
+        assert_eq!(mask_of("synth0"), vec![0b000100]);
         // Added rules follow every base rule.
         let ids: Vec<&str> = tp.variants.iter().map(|v| v.rule.id.as_str()).collect();
         assert_eq!(ids, ["r1", "r5", "r7", "r7_copy", "synth0"]);
@@ -1087,12 +1161,15 @@ mod tests {
 
     #[test]
     fn indexed_build_resolves_a_duplicated_id_to_its_first_rule() {
-        // Not a valid program (`validate` rejects it), but `Program::rule`
-        // answers with the first match and the index must agree.
+        // Not a valid program (`validate` rejects it, and it has no
+        // outline to take a patch's delta with), but `Program::rule`
+        // answers with the first match and the program-fed build must
+        // agree.
         let mut base = fig2_program();
         let mut twin = base.rule("r5").unwrap().clone();
         twin.id = "r1".into();
         base.rules.push(twin.clone());
+        assert!(ProgramOutline::new(&base).is_err());
         let mut edited = base.clone();
         edited.rules[0].sels[0].op = CmpOp::Ne;
         let mut swapped = base.clone();
@@ -1100,7 +1177,8 @@ mod tests {
         let mut extra = base.clone();
         extra.rules.push(donor_copy(&base, "r7"));
         extra.rules.push(donor_copy(&base, "r7"));
-        let tp = assert_same_build(&base, &[base.clone(), edited, swapped.clone(), extra]);
+        let cands = [base.clone(), edited, swapped.clone(), extra];
+        let tp = assert_same_build(&base, &cands);
         // Both base `r1`s look up the candidate's *first* `r1`: the real
         // one sees itself shared by 0 and 3, edited in 1, the twin in 2;
         // the twin sees itself only in 2 and the others' first `r1` as
@@ -1109,6 +1187,30 @@ mod tests {
         let r1_masks: Vec<TagSet> =
             tp.variants.iter().filter(|v| v.rule.id == "r1").map(|v| v.mask).collect();
         assert_eq!(r1_masks, vec![0b1001, 0b0010, 0b0100, 0b0100, 0b1001, 0b0010]);
+    }
+
+    #[test]
+    fn a_moved_rule_is_its_base_rule_edited_in_place_for_the_program_fed_build() {
+        // `DeleteRule r5` + `AddRule r5'` moves r5 to the end of the
+        // patched program. The program-fed build matches rules by id, so
+        // it files r5' as r5's copy, right after r5 — as it always has;
+        // the delta says what the patch did, and the copy goes last.
+        let base = fig2_program();
+        let mut r5 = base.rule("r5").unwrap().clone();
+        r5.sels[0].op = CmpOp::Ne;
+        let patch = Patch::of(vec![
+            Edit::DeleteRule { rule: "r5".into() },
+            Edit::AddRule { rule: r5 },
+        ]);
+        let programs = applied(&base, std::slice::from_ref(&patch));
+        let by_id = assert_same_build(&base, &programs);
+        let ids = |tp: &TaggedProgram| -> Vec<String> {
+            tp.variants.iter().map(|v| format!("{}:{}", v.rule.id, v.mask)).collect()
+        };
+        assert_eq!(ids(&by_id), ["r1:1", "r5:1", "r7:1"]);
+        let outline = ProgramOutline::new(&base).unwrap();
+        let from_delta = tagged_program(&base, &[patch.delta(&base, &outline).unwrap()]);
+        assert_eq!(ids(&from_delta), ["r1:1", "r7:1", "r5:1"]);
     }
 
     #[test]

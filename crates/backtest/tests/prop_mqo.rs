@@ -4,10 +4,16 @@
 //! programs, on a network where most switches are never touched as well
 //! as on Fig. 1, with and without proactive routes underneath, and with
 //! per-candidate manual entries that make the shared flow tables split.
+//!
+//! The joint backtest is driven both ways it can be fed: from the
+//! candidates' whole programs (diffed against the base), and from the
+//! rule deltas of the patches that make those programs — what the debugger
+//! feeds it. All three must agree.
 
-use mpr_backtest::mqo::{mqo_replay, mqo_replay_with_footprint, ExtraFlows};
+use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows};
 use mpr_backtest::replay::{replay_with_extra_flows, BacktestSetup};
-use mpr_ndlog::{parse_program, Program};
+use mpr_ndlog::patch::{Edit, Patch, ProgramOutline, RuleDelta};
+use mpr_ndlog::{parse_program, ExprSide, Program};
 use mpr_sdn::controller::TupleCodec;
 use mpr_sdn::flowtable::{Action, FlowEntry, Match};
 use mpr_sdn::packet::{Field, Packet};
@@ -179,6 +185,35 @@ impl Mutation {
         }
         p
     }
+
+    /// The same edit as a patch of the base program.
+    fn patch(&self, fx: &Fixture) -> Patch {
+        let konst = |pick: usize| mpr_ndlog::Expr::int(fx.consts[pick % fx.consts.len()]);
+        let id = |rule: usize| RULES[rule].to_string();
+        Patch::single(match *self {
+            Mutation::SetConst { rule, sel, pick } => {
+                Edit::SetSelectionExpr { rule: id(rule), sel, side: ExprSide::Rhs, expr: konst(pick) }
+            }
+            Mutation::Negate { rule, sel } => {
+                let op = fx.base.rule(RULES[rule]).unwrap().sels[sel].op.negate();
+                Edit::SetSelectionOp { rule: id(rule), sel, op }
+            }
+            Mutation::Delete { rule } => Edit::DeleteRule { rule: id(rule) },
+            Mutation::Copy { rule, pick } => {
+                let mut copy = fx.base.rule(RULES[rule]).unwrap().clone();
+                copy.id = format!("{}_copy", RULES[rule]);
+                copy.sels[0].rhs = konst(pick);
+                Edit::AddRule { rule: copy }
+            }
+        })
+    }
+}
+
+/// The rule deltas of `patches`, and the whole programs they apply to.
+fn deltas_and_programs(base: &Program, patches: &[Patch]) -> (Vec<RuleDelta>, Vec<Program>) {
+    let outline = ProgramOutline::new(base).unwrap();
+    let deltas = patches.iter().map(|p| p.delta(base, &outline).unwrap()).collect();
+    (deltas, patches.iter().map(|p| p.apply(base).unwrap()).collect())
 }
 
 /// A random single-literal mutation.
@@ -198,29 +233,46 @@ fn structural_mutant() -> impl Strategy<Value = Mutation> {
     })
 }
 
-/// The joint backtest of `cands` (each with its manual entries) against
-/// one sequential replay each: every counter must agree.
+/// The joint backtest of `cands` (each with its manual entries) — fed the
+/// whole programs, and fed `deltas`, the same candidates as rule deltas —
+/// against one sequential replay each: every counter must agree.
 fn assert_joint_equals_sequential(
     setup: &BacktestSetup,
     base: &Program,
     cands: &[Program],
+    deltas: &[RuleDelta],
     extra: &[ExtraFlows],
 ) -> Result<(), TestCaseError> {
     let joint = mqo_replay(setup, base, cands, extra);
+    let (from_deltas, _) = mqo_replay_deltas(setup, base, deltas, extra);
     prop_assert_eq!(joint.len(), cands.len());
+    prop_assert_eq!(from_deltas.len(), cands.len());
     for (i, cand) in cands.iter().enumerate() {
         let flows = extra.get(i).map_or(&[][..], Vec::as_slice);
         let solo = replay_with_extra_flows(setup, cand, flows).unwrap();
         prop_assert_eq!(&joint[i].stats, &solo.stats, "candidate {} stats diverge", i);
         prop_assert_eq!(&joint[i].delivered, &solo.delivered, "candidate {} KS input", i);
+        prop_assert_eq!(&from_deltas[i].stats, &solo.stats, "candidate {} stats, from its delta", i);
+        prop_assert_eq!(&from_deltas[i].delivered, &solo.delivered, "candidate {} KS input, from its delta", i);
     }
     Ok(())
 }
 
+/// The mutants as programs (mutated directly, no patch involved) and as
+/// the deltas of the equivalent patches — which must apply to those very
+/// programs.
+fn mutants(fx: &Fixture, mutations: &[&Mutation]) -> Result<(Vec<Program>, Vec<RuleDelta>), TestCaseError> {
+    let cands: Vec<Program> = mutations.iter().map(|m| m.apply(fx)).collect();
+    let patches: Vec<Patch> = mutations.iter().map(|m| m.patch(fx)).collect();
+    let (deltas, applied) = deltas_and_programs(&fx.base, &patches);
+    prop_assert_eq!(&applied, &cands);
+    Ok((cands, deltas))
+}
+
 fn assert_mutants_agree(net: Net, mutations: &[Mutation]) -> Result<(), TestCaseError> {
     let fx = net.fixture();
-    let cands: Vec<Program> = mutations.iter().map(|m| m.apply(&fx)).collect();
-    assert_joint_equals_sequential(&fx.setup(false), &fx.base, &cands, &[])
+    let (cands, deltas) = mutants(&fx, &mutations.iter().collect::<Vec<_>>())?;
+    assert_joint_equals_sequential(&fx.setup(false), &fx.base, &cands, &deltas, &[])
 }
 
 proptest! {
@@ -254,12 +306,12 @@ proptest! {
         ),
     ) {
         let fx = net.fixture();
-        let programs: Vec<Program> = cands.iter().map(|(m, _)| m.apply(&fx)).collect();
+        let (programs, deltas) = mutants(&fx, &cands.iter().map(|(m, _)| m).collect::<Vec<_>>())?;
         let extra: Vec<ExtraFlows> = cands
             .iter()
             .map(|(_, picks)| picks.iter().map(|&i| fx.pool[i].clone()).collect())
             .collect();
-        assert_joint_equals_sequential(&fx.setup(proactive), &fx.base, &programs, &extra)?;
+        assert_joint_equals_sequential(&fx.setup(proactive), &fx.base, &programs, &deltas, &extra)?;
     }
 }
 
@@ -274,13 +326,17 @@ fn manual_entries_then_a_flowmod_split_a_shared_table() {
         let fx = net.fixture();
         let mut cands = vec![fx.base.clone(); 4];
         cands[0].rules.retain(|r| r.id != "r2");
+        let mut patches = vec![Patch::default(); 4];
+        patches[0] = Patch::single(Edit::DeleteRule { rule: "r2".into() });
+        let (deltas, applied) = deltas_and_programs(&fx.base, &patches);
+        assert_eq!(applied, cands);
         let (a, b) = (fx.pool[0].clone(), fx.pool[1].clone());
         let extra: Vec<ExtraFlows> = vec![vec![a.clone()], vec![a], vec![b], vec![]];
         let switches = fx.topology.switches.len();
         for proactive in [false, true] {
             let setup = fx.setup(proactive);
-            assert_joint_equals_sequential(&setup, &fx.base, &cands, &extra).unwrap();
-            let (_, footprint) = mqo_replay_with_footprint(&setup, &fx.base, &cands, &extra);
+            assert_joint_equals_sequential(&setup, &fx.base, &cands, &deltas, &extra).unwrap();
+            let (_, footprint) = mqo_replay_deltas(&setup, &fx.base, &deltas, &extra);
             // The ingress switch ends with one variant per candidate.
             assert!(footprint.variants >= footprint.switches + 3, "{net:?}: {footprint:?}");
             if proactive {
@@ -316,7 +372,9 @@ fn packet_out_setup(fx: &Fixture, releases: &[(i64, i64)], max_hops: u32) -> (Ba
 
 fn joint_and_solo(setup: &BacktestSetup, program: &Program) -> (SimStats, SimStats) {
     let joint = mqo_replay(setup, program, std::slice::from_ref(program), &[]);
+    let (from_delta, _) = mqo_replay_deltas(setup, program, &[RuleDelta::default()], &[]);
     let solo = replay_with_extra_flows(setup, program, &[]).unwrap();
+    assert_eq!(from_delta[0].stats, joint[0].stats);
     (joint.into_iter().next().unwrap().stats, solo.stats)
 }
 
@@ -361,7 +419,8 @@ fn flooding_matches_the_simulator_when_no_copy_punts() {
     let setup = BacktestSetup { workload: Arc::new(known), ..setup };
     let cands = vec![fx.base.clone(), fx.base.clone()];
     let extra = vec![flood, vec![]];
-    assert_joint_equals_sequential(&setup, &fx.base, &cands, &extra).unwrap();
+    let untouched = vec![RuleDelta::default(); 2];
+    assert_joint_equals_sequential(&setup, &fx.base, &cands, &untouched, &extra).unwrap();
     let joint = mqo_replay(&setup, &fx.base, &cands, &extra);
     assert_eq!(joint[0].stats.packet_ins, 0);
     assert!(joint[0].stats.dropped_ttl > 0, "the flood never looped: {:?}", joint[0].stats);

@@ -2,7 +2,7 @@
 //! program size (100 → 900 lines). (Paper: linear, with a stable number of
 //! repairs — the provenance forest only explores relevant rules.)
 
-use mpr_bench::{header, quick_mode, reps, write_artifact};
+use mpr_bench::{header, host_fingerprint, quick_mode, reps, write_artifact};
 use mpr_core::debugger::repair_scenario;
 use mpr_core::scenarios::Scenario;
 
@@ -44,6 +44,6 @@ fn main() {
             "accepted": report.accepted_count(),
         }));
     }
-    write_artifact("fig10", &serde_json::json!({ "series": series }));
+    write_artifact("fig10", &serde_json::json!({ "host": host_fingerprint(), "series": series }));
     println!("\npaper shape: linear in program size; the number of repairs stays stable");
 }

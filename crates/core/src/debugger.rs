@@ -11,9 +11,9 @@ use crate::explore::{generate_existing, generate_missing, DerivationRecord, Worl
 use crate::repair::{Candidate, Repair};
 use crate::scenarios::{Scenario, Symptom};
 use mpr_backtest::ks::{ks_two_sample, KsResult};
-use mpr_backtest::mqo::{mqo_replay, mqo_supported, ExtraFlows};
+use mpr_backtest::mqo::{mqo_replay_deltas, mqo_supported, ExtraFlows};
 use mpr_backtest::replay::{replay_candidates, BacktestSetup, CandidateRun, ReplayOutcome};
-use mpr_ndlog::{Program, Tuple};
+use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
 use mpr_runtime::{Durability, Options as EngineOptions, TupleKind};
 use mpr_sdn::controller::{NdlogController, TupleCodec};
 use mpr_sdn::flowtable::{Action, FlowEntry, Match};
@@ -79,6 +79,9 @@ pub struct RepairReport {
     /// The candidate search hit [`crate::cost::SearchBudget::time_budget_ms`]
     /// and degraded to the best partial candidate set.
     pub search_timed_out: bool,
+    /// The candidates were backtested jointly, in one replay (§4.4), not
+    /// by one reference replay each.
+    pub backtested_jointly: bool,
 }
 
 impl RepairReport {
@@ -239,7 +242,7 @@ impl Debugger {
         // --- backtesting ------------------------------------------------
         let t_back = Instant::now();
         let setup = self.setup();
-        let outcomes_raw = self.backtest(&setup, &candidates);
+        let (outcomes_raw, backtested_jointly) = self.backtest(&setup, &candidates)?;
         replay_time += t_back.elapsed();
 
         let alpha = 0.05;
@@ -299,35 +302,47 @@ impl Debugger {
             trees: stats.trees,
             pools_solved: stats.pools_solved,
             search_timed_out: stats.timed_out,
+            backtested_jointly,
         })
     }
 
-    /// Backtest every candidate; `None` marks candidates whose patched
-    /// program failed to compile (they are reported as ineffective).
+    /// Backtest every candidate, and say whether they went through the
+    /// joint replay; `None` marks candidates whose patch does not apply
+    /// (they are reported as ineffective).
+    ///
+    /// A candidate is read as what it changes: a [`RuleDelta`] of the
+    /// program, manual flow entries, and — only for a tuple repair that
+    /// alters them — seeds of its own. The joint replay is built from
+    /// that; whole programs and per-candidate seed sets are made only for
+    /// the per-candidate fallback.
     fn backtest(
         &self,
         setup: &BacktestSetup,
         candidates: &[Candidate],
-    ) -> Vec<Option<ReplayOutcome>> {
-        // Materialize per-candidate programs, seeds and manual flow entries.
-        let mut programs: Vec<Option<Program>> = Vec::new();
+    ) -> Result<(Vec<Option<ReplayOutcome>>, bool), String> {
+        let base = &self.scenario.program;
+        let outline = ProgramOutline::new(base)?;
+        let mut deltas: Vec<Option<RuleDelta>> = Vec::new();
         let mut extra: Vec<ExtraFlows> = Vec::new();
-        let mut seed_sets: Vec<Vec<Tuple>> = Vec::new();
+        let mut seed_sets: Vec<Option<Vec<Tuple>>> = Vec::new();
         for c in candidates {
-            let mut seeds = setup.seeds.clone();
             let mut flows: ExtraFlows = Vec::new();
+            let mut seeds = None;
             match &c.repair {
+                Repair::Patch(_) => {}
                 Repair::InsertTuple(t)
                     if t.table == setup.codec.flow_table
                         || Some(&t.table) == setup.codec.packet_out_table.as_ref() =>
                 {
-                    if let Some(f) = manual_flow_entry(&setup.codec, t) {
-                        flows.push(f);
-                    }
+                    flows.extend(manual_flow_entry(&setup.codec, t));
                 }
-                other => other.adjust_seeds(&mut seeds),
+                other => {
+                    let mut adjusted = setup.seeds.clone();
+                    other.adjust_seeds(&mut adjusted);
+                    seeds = (adjusted != setup.seeds).then_some(adjusted);
+                }
             }
-            programs.push(c.repair.apply(&self.scenario.program).ok());
+            deltas.push(c.repair.delta(base, &outline).ok());
             extra.push(flows);
             seed_sets.push(seeds);
         }
@@ -336,24 +351,33 @@ impl Debugger {
         // models a fault-free network, and the baseline was observed under
         // `setup.config`: with a fault plan or a drop chance the
         // candidates must meet the same faults, one simulator each.
-        let uniform_seeds = seed_sets.iter().all(|s| s == &setup.seeds);
-        let all_supported = programs.iter().all(|p| p.as_ref().is_some_and(mqo_supported));
+        let uniform_seeds = seed_sets.iter().all(Option::is_none);
+        let supported = mqo_supported(base)
+            && deltas.iter().flatten().flat_map(RuleDelta::rules).all(|r| !r.is_aggregate());
         let fault_free = setup.config.faults.is_empty() && setup.config.drop_chance <= 0.0;
-        if self.use_mqo && fault_free && uniform_seeds && candidates.len() <= 64 && all_supported
-        {
-            let progs: Vec<Program> = programs.into_iter().flatten().collect();
-            let outs = mqo_replay(setup, &self.scenario.program, &progs, &extra);
-            return outs.into_iter().map(Some).collect();
+        if self.use_mqo && fault_free && uniform_seeds && candidates.len() <= 64 && supported {
+            // A candidate whose patch does not apply has nothing to replay:
+            // the others go jointly and its slot stays `None`.
+            let applies: Vec<bool> = deltas.iter().map(Option::is_some).collect();
+            let (deltas, extra): (Vec<RuleDelta>, Vec<ExtraFlows>) =
+                deltas.into_iter().zip(extra).filter_map(|(d, e)| Some((d?, e))).unzip();
+            let mut outs = mqo_replay_deltas(setup, base, &deltas, &extra).0.into_iter();
+            let outs = applies.iter().map(|&ok| if ok { outs.next() } else { None }).collect();
+            return Ok((outs, true));
         }
         // Independent-replay fallback, fanned out over the backtest pool
         // (one hermetic simulator per candidate, results index-aligned).
-        let runs: Vec<CandidateRun> = programs
+        let runs: Vec<CandidateRun> = deltas
             .into_iter()
             .zip(seed_sets)
             .zip(extra)
-            .map(|((program, seeds), extra_flows)| CandidateRun { program, seeds, extra_flows })
+            .map(|((delta, seeds), extra_flows)| CandidateRun {
+                program: delta.map(|d| d.overlay(base)),
+                seeds: seeds.unwrap_or_else(|| setup.seeds.clone()),
+                extra_flows,
+            })
             .collect();
-        replay_candidates(setup, &runs)
+        Ok((replay_candidates(setup, &runs), false))
     }
 }
 
@@ -502,6 +526,34 @@ mod tests {
     }
 
     #[test]
+    fn one_unapplicable_patch_does_not_take_the_others_off_the_joint_path() {
+        use mpr_ndlog::patch::{Edit, Patch};
+        let scenario = Scenario::q1_copy_paste();
+        let dbg = Debugger::for_scenario(&scenario);
+        let (world, ..) = dbg.observe().unwrap();
+        let Symptom::Missing(goal) = &scenario.symptom else { unreachable!("Q1 is a missing-tuple query") };
+        let (generated, _) = generate_missing(&world, goal);
+        let mut good = generated.iter().filter(|c| matches!(c.repair, Repair::Patch(_))).cloned();
+        let (first, last) = (good.next().unwrap(), good.next().unwrap());
+        // Between two good candidates, one whose patch names a rule the
+        // program does not have.
+        let broken = Candidate {
+            repair: Repair::Patch(Patch::single(Edit::DeleteRule { rule: "no-such-rule".into() })),
+            cost: 1,
+            description: "hand-built".into(),
+            trace: Vec::new(),
+        };
+        let setup = dbg.setup();
+        let (with, jointly) = dbg.backtest(&setup, &[first.clone(), broken, last.clone()]).unwrap();
+        let (without, _) = dbg.backtest(&setup, &[first, last]).unwrap();
+        assert!(jointly, "the two good candidates still replay jointly");
+        assert!(with[1].is_none(), "the broken candidate has no outcome");
+        let stats = |o: &Option<ReplayOutcome>| o.as_ref().map(|o| o.stats.clone());
+        assert!(without.iter().all(Option::is_some));
+        assert_eq!([stats(&with[0]), stats(&with[2])], [stats(&without[0]), stats(&without[1])]);
+    }
+
+    #[test]
     fn mqo_and_sequential_agree_on_acceptance() {
         let scenario = Scenario::q1_copy_paste();
         let mut d1 = Debugger::for_scenario(&scenario);
@@ -510,6 +562,7 @@ mod tests {
         let mut d2 = Debugger::for_scenario(&scenario);
         d2.use_mqo = false;
         let r2 = d2.diagnose_and_repair().unwrap();
+        assert!(r1.backtested_jointly && !r2.backtested_jointly);
         let a1: Vec<String> = r1
             .accepted
             .iter()

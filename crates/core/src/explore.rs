@@ -20,10 +20,11 @@ use crate::cost::{CostModel, SearchBudget};
 use crate::repair::{Candidate, Repair};
 use mpr_ndlog::ast::{CmpOp, ConstSite, Expr, ExprSide, Term};
 use mpr_ndlog::eval::{Env, PureFuncs};
-use mpr_ndlog::patch::{Edit, Patch};
+use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
 use mpr_ndlog::{Program, Rule, Selection, Tuple, Value};
 use mpr_provenance::Pattern;
 use mpr_runtime::engine::{instantiate, match_atom};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything the explorer sees about the (logged) world.
@@ -191,6 +192,15 @@ impl Frontier {
     }
 }
 
+/// Would `patch` leave `program` a valid program — the verdict of
+/// `patch.apply(program)`, without building the patched program? Taking the
+/// patch's delta against the program's outline reads only the rules the
+/// patch touches, so a syntax check stays `O(1)` in program size (Fig. 10's
+/// linearity). An invalid program has no outline, and no patch applies.
+fn applies(program: &Program, outline: &Option<ProgramOutline<'_>>, patch: &Patch) -> bool {
+    outline.as_ref().is_some_and(|o| patch.delta(program, o).is_ok())
+}
+
 /// One missing-tuple search: what every tree reads, and the frontier and
 /// counters every tree writes.
 struct Search<'a> {
@@ -198,11 +208,20 @@ struct Search<'a> {
     goal: &'a Pattern,
     /// `world.domain(goal)`, scanned once.
     domain: Vec<i64>,
+    /// `world.program`'s outline, what [`applies`] checks whole-program
+    /// patches against: built once, by the first candidate that needs it
+    /// (on a large program the running cut usually bounds them all away).
+    outline: OnceCell<Option<ProgramOutline<'a>>>,
     frontier: Frontier,
     stats: ExploreStats,
 }
 
 impl Search<'_> {
+    fn applies(&self, patch: &Patch) -> bool {
+        let program = &self.world.program;
+        applies(program, self.outline.get_or_init(|| ProgramOutline::new(program).ok()), patch)
+    }
+
     /// Is a candidate of this cost worth building? One that is not is
     /// counted as considered here; one that is gets counted by
     /// [`Search::emit`], once it has passed its syntax check.
@@ -228,6 +247,7 @@ pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, Explo
         world,
         goal,
         domain: world.domain(goal),
+        outline: OnceCell::new(),
         frontier: Frontier::new(&world.budget),
         stats: ExploreStats::default(),
     };
@@ -322,7 +342,7 @@ fn synthesize_rule(s: &mut Search, tuple: &Tuple, trigger: &Tuple) {
         assigns,
     );
     let patch = Patch::single(Edit::AddRule { rule: rule.clone() });
-    if patch.apply(&world.program).is_err() {
+    if !s.applies(&patch) {
         return;
     }
     s.emit(Candidate {
@@ -855,7 +875,7 @@ fn push_patch(
     // O(1) in program size (Fig. 10's linearity).
     let mut reduced = Program::new("syntax-check");
     reduced.rules.push(rule.clone());
-    if patch.apply(&reduced).is_err() {
+    if !applies(&reduced, &ProgramOutline::new(&reduced).ok(), &patch) {
         return;
     }
     let description = patch.describe(&reduced);
@@ -943,7 +963,7 @@ fn explore_donor(s: &mut Search, rule: &Rule) {
         rule: rule.id.clone(),
         table: goal.table.clone(),
     });
-    if s.worth_building(world.cost.head_change) && patch.apply(&world.program).is_ok() {
+    if s.worth_building(world.cost.head_change) && s.applies(&patch) {
         s.emit(Candidate {
             repair: Repair::Patch(patch),
             cost: world.cost.head_change,
@@ -963,7 +983,7 @@ fn explore_donor(s: &mut Search, rule: &Rule) {
     copy.id = format!("{}_copy", rule.id);
     copy.head.table = goal.table.clone();
     let patch = Patch::single(Edit::AddRule { rule: copy });
-    if patch.apply(&world.program).is_ok() {
+    if s.applies(&patch) {
         s.emit(Candidate {
             repair: Repair::Patch(patch),
             cost: world.cost.copy_rule,
@@ -999,6 +1019,7 @@ pub fn generate_existing(
     let mut stats = ExploreStats::default();
     let mut out = Frontier::new(&world.budget);
     let domain = world.domain(&Pattern::exact(culprit));
+    let outline = ProgramOutline::new(&world.program).ok();
     let deadline = deadline_of(&world.budget);
     for d in derivations {
         if expired(&deadline) {
@@ -1138,7 +1159,7 @@ pub fn generate_existing(
                             site: site.clone(),
                             value: Value::Int(v),
                         });
-                        if patch.apply(&world.program).is_err() {
+                        if !applies(&world.program, &outline, &patch) {
                             continue;
                         }
                         let description = patch.describe(&world.program);
@@ -1169,7 +1190,7 @@ pub fn generate_existing(
                     sel: si,
                     op: sel.op.negate(),
                 });
-                if patch.apply(&world.program).is_ok() {
+                if applies(&world.program, &outline, &patch) {
                     let description = patch.describe(&world.program);
                     stats.raw_candidates += 1;
                     let mut trace = trace_head.clone();
@@ -1191,7 +1212,7 @@ pub fn generate_existing(
                 break;
             }
             let patch = Patch::single(Edit::DeletePredicate { rule: rule.id.clone(), pred: pi });
-            if patch.apply(&world.program).is_ok() {
+            if applies(&world.program, &outline, &patch) {
                 let description = patch.describe(&world.program);
                 stats.raw_candidates += 1;
                 let mut trace = trace_head.clone();

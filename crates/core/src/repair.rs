@@ -1,6 +1,6 @@
 //! Repair candidates — the output of the meta provenance search.
 
-use mpr_ndlog::{Patch, Program, Tuple};
+use mpr_ndlog::{Patch, PatchError, Program, ProgramOutline, RuleDelta, Tuple};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -28,9 +28,28 @@ pub enum Repair {
 }
 
 impl Repair {
-    /// The patched program (for [`Repair::InsertTuple`] the program is
-    /// unchanged).
-    pub fn apply(&self, base: &Program) -> Result<Program, mpr_ndlog::PatchError> {
+    /// What the repair changes in `base`, rule by rule (a tuple repair
+    /// changes nothing). This is how the debugger reads a candidate: the
+    /// delta is the syntax check, and what the joint backtest is built
+    /// from, at a cost that follows the rules the repair touches.
+    /// `outline` is `base`'s, built once for all candidates.
+    pub fn delta(
+        &self,
+        base: &Program,
+        outline: &ProgramOutline<'_>,
+    ) -> Result<RuleDelta, PatchError> {
+        match self {
+            Repair::Patch(p) => p.delta(base, outline),
+            _ => Ok(RuleDelta::default()),
+        }
+    }
+
+    /// The patched program, whole (for a tuple repair, a copy of `base`):
+    /// [`Repair::delta`] overlaid on a clone. For whoever must compile or
+    /// print the repaired program — the per-candidate reference replay,
+    /// the examples. The debugger applies a whole program only when it
+    /// falls back to that replay.
+    pub fn apply(&self, base: &Program) -> Result<Program, PatchError> {
         match self {
             Repair::Patch(p) => p.apply(base),
             _ => Ok(base.clone()),

@@ -1,0 +1,63 @@
+//! The program side of a joint backtest is proportional to what the
+//! candidates change, by count: the backtesting program borrows the base
+//! program's rules and owns nothing but the candidates' modified copies —
+//! the same handful whether the program has 100 rules or 900 — and the
+//! debugger reaches the same verdicts from those deltas as from whole
+//! patched programs replayed one by one.
+
+use mpr_backtest::mqo::tagged_program;
+use mpr_core::debugger::{Debugger, RepairReport};
+use mpr_core::scenarios::Scenario;
+use mpr_ndlog::{ProgramOutline, RuleDelta};
+use std::borrow::Cow;
+
+/// Per candidate: description, cost, effective, KS distance, accepted.
+fn verdicts(report: &RepairReport) -> Vec<(String, u32, bool, f64, bool)> {
+    report
+        .outcomes
+        .iter()
+        .map(|o| (o.candidate.description.clone(), o.candidate.cost, o.effective, o.ks.d, o.accepted))
+        .collect()
+}
+
+/// Repairs `q1_padded(lines)` both ways and returns `(candidates, owned
+/// rules, coalesced copies)` of the backtesting program.
+fn backtest_work(lines: usize) -> (usize, usize, usize) {
+    let s = Scenario::q1_padded(lines);
+    let report = Debugger::for_scenario(&s).diagnose_and_repair().unwrap();
+    assert!(report.backtested_jointly, "{lines}: the candidates replay jointly");
+
+    // The backtesting program, as the debugger builds it.
+    let outline = ProgramOutline::new(&s.program).unwrap();
+    let deltas: Vec<RuleDelta> = report
+        .outcomes
+        .iter()
+        .map(|o| o.candidate.repair.delta(&s.program, &outline).expect("candidate applies"))
+        .collect();
+    let tagged = tagged_program(&s.program, &deltas);
+    let owned = tagged.variants.iter().filter(|v| matches!(v.rule, Cow::Owned(_))).count();
+    let copies: usize = deltas.iter().map(|d| d.rules().count()).sum();
+    assert_eq!(owned, copies - tagged.coalesced, "{lines}: owned rules are the candidates' copies");
+    assert_eq!(tagged.variants.len() - owned, s.program.rules.len(), "{lines}: every base rule once, borrowed");
+    assert!(owned <= 2 * deltas.len(), "{lines}: {owned} owned rules for {} candidates", deltas.len());
+
+    // The same repair with every candidate applied to a whole program and
+    // replayed on its own.
+    let mut reference = Debugger::for_scenario(&s);
+    reference.use_mqo = false;
+    let reference = reference.diagnose_and_repair().unwrap();
+    assert!(!reference.backtested_jointly);
+    assert_eq!(verdicts(&report), verdicts(&reference), "{lines}");
+    assert_eq!(report.accepted, reference.accepted, "{lines}");
+    (deltas.len(), owned, tagged.coalesced)
+}
+
+#[test]
+fn backtest_program_owns_only_what_the_candidates_change() {
+    let small = backtest_work(100);
+    let large = backtest_work(900);
+    assert_eq!(small, large, "(candidates, owned rules, coalesced) at 100 and at 900 rules");
+    // Thirteen patches of one rule each, no two alike, and a manual flow
+    // entry.
+    assert_eq!(small, (14, 13, 0));
+}

@@ -3,12 +3,12 @@
 //! by the switches FlowMods and manual entries name, not by the size of
 //! the network — on the paper-scale fabric and on the 10 130-switch one.
 
-use mpr_backtest::mqo::{mqo_replay_with_footprint, ExtraFlows};
+use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows};
 use mpr_backtest::replay::BacktestSetup;
 use mpr_core::debugger::repair_scenario;
 use mpr_core::repair::Repair;
 use mpr_core::scenarios::Scenario;
-use mpr_ndlog::Program;
+use mpr_ndlog::{Program, ProgramOutline};
 use mpr_sdn::controller::{Controller, CtrlMsg, NdlogController, NullController, PacketInMsg};
 use mpr_sdn::Simulation;
 use std::collections::BTreeSet;
@@ -68,10 +68,13 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
     assert!(named.len() < 10 && named.len() < switches, "{}: {named:?}", s.id);
 
     let report = repair_scenario(s);
+    let outline = ProgramOutline::new(&s.program).expect("the scenario's program is valid");
     let mut programs = Vec::new();
+    let mut deltas = Vec::new();
     let mut extra: Vec<ExtraFlows> = Vec::new();
     for o in &report.outcomes {
         programs.push(o.candidate.repair.apply(&s.program).expect("candidate compiles"));
+        deltas.push(o.candidate.repair.delta(&s.program, &outline).expect("candidate applies"));
         extra.push(manual_entry(s, &o.candidate.repair));
     }
     assert!(extra.iter().any(|e| !e.is_empty()), "{}: no manual-entry candidate", s.id);
@@ -84,7 +87,7 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
         proactive_routes: false,
         engine: mpr_runtime::Options::default(),
     };
-    let (outcomes, footprint) = mqo_replay_with_footprint(&setup, &s.program, &programs, &extra);
+    let (outcomes, footprint) = mqo_replay_deltas(&setup, &s.program, &deltas, &extra);
     assert_eq!(outcomes.len(), programs.len());
 
     // What each candidate's own network materialises bounds the joint one:

@@ -230,6 +230,20 @@ impl Atom {
         self.args.iter().any(|t| matches!(t, Term::Agg(..)))
     }
 
+    /// [`Program::validate`]'s arity check of one atom, against the arity
+    /// its table is used with elsewhere.
+    pub(crate) fn check_arity(&self, arity: usize) -> Result<(), String> {
+        if arity == self.args.len() {
+            return Ok(());
+        }
+        Err(format!(
+            "table `{}` used with arities {} and {}",
+            self.table,
+            arity,
+            self.args.len()
+        ))
+    }
+
     /// The columns of this atom whose value is determined once every
     /// variable in `bound` has a binding: constants, plus variables drawn
     /// from `bound`. Column `0` is the location, column `i + 1` is argument
@@ -513,6 +527,15 @@ impl Rule {
         self.head.var_names().filter(|v| !bound(v)).collect()
     }
 
+    /// [`Program::validate`]'s check of one rule's head.
+    pub(crate) fn check_head_bound(&self) -> Result<(), String> {
+        let unbound = self.unbound_head_vars();
+        if unbound.is_empty() {
+            return Ok(());
+        }
+        Err(format!("rule `{}`: unbound head variables {:?}", self.id, unbound))
+    }
+
     /// `true` if the head carries an aggregate (an "AggWrap" rule, App. B.1).
     pub fn is_aggregate(&self) -> bool {
         self.head.has_agg()
@@ -711,23 +734,10 @@ impl Program {
             if !seen.insert(&r.id) {
                 return Err(format!("duplicate rule id `{}`", r.id));
             }
-            let unbound = r.unbound_head_vars();
-            if !unbound.is_empty() {
-                return Err(format!(
-                    "rule `{}`: unbound head variables {:?}",
-                    r.id, unbound
-                ));
-            }
+            r.check_head_bound()?;
             for atom in std::iter::once(&r.head).chain(r.body.iter()) {
                 let a = arities.entry(atom.table.as_str()).or_insert(atom.args.len());
-                if *a != atom.args.len() {
-                    return Err(format!(
-                        "table `{}` used with arities {} and {}",
-                        atom.table,
-                        a,
-                        atom.args.len()
-                    ));
-                }
+                atom.check_arity(*a)?;
             }
         }
         Ok(())

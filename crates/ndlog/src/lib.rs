@@ -40,7 +40,7 @@ pub use ast::{
 pub use error::{EvalError, ParseError, PatchError};
 pub use eval::{CountingFuncs, Env, FuncHost, PureFuncs};
 pub use parser::{parse_program, parse_rule};
-pub use patch::{Edit, Patch};
+pub use patch::{Edit, Patch, ProgramOutline, RuleDelta};
 pub use schema::{Catalog, Persistence, Schema};
 pub use tuple::{SignedTuple, Tuple};
 pub use value::Value;
