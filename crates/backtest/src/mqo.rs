@@ -65,6 +65,21 @@
 //! evaluator sends a control message only for an output tuple that
 //! *appears* (`LiveOutputs`).
 //!
+//! A derived head whose table the catalog declares an *event* is
+//! transient, as it is in the engine: it is queued for the rules it
+//! triggers every time it is derived, never stored, and so never joined.
+//! Only heads of state tables enter the tagged state (deduplicated: a
+//! second derivation propagates only to the candidates it is new for).
+//!
+//! What a rule variant *is* at run time — slots, column programs, the
+//! selection schedule, the column prefilter — is
+//! [`mpr_runtime::compiled`]'s, the form the engine fires through too, and
+//! which variants a delta visits is the engine's constant-keyed
+//! [`mpr_runtime::TriggerDispatch`]. What is this module's own is what a
+//! tuple carries (a [`TagSet`]) and the loop around the firings: the
+//! per-punt fixpoint, its memo, and `LiveOutputs`. A variant is compiled
+//! the first time a delta reaches it; most of a large program's never are.
+//!
 //! The joint network has no clock and no faults. Flights advance one hop
 //! round at a time and a round's punts are evaluated after its lookups,
 //! where the simulator orders events by time; the two agree (the whole
@@ -74,18 +89,19 @@
 //! modelled: the debugger backtests per candidate under either.
 
 use crate::replay::{BacktestSetup, ReplayOutcome};
-use mpr_ndlog::ast::{Atom, CmpOp, Expr, Term};
-use mpr_ndlog::eval::{CountingFuncs, Env};
+use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
-use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::engine::{instantiate, match_atom};
+use mpr_ndlog::{Catalog, Program, Rule, Tuple};
+use mpr_runtime::{build_dispatch, CompiledRule, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimStats;
 use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// A set of candidate tags (bit i = candidate i). At most 64 candidates
 /// per joint backtest — far above the paper's 9–13.
@@ -207,116 +223,6 @@ pub fn build_tagged_program<'a>(base: &'a Program, candidates: &[Program]) -> Ta
     tagged_program(base, &deltas_between(base, candidates))
 }
 
-/// Constant-keyed variant dispatch for one delta table — the tagged
-/// evaluator's mirror of the batch engine's trigger dispatch. Variants
-/// whose selections pin the delta atom's value at `col` to a constant are
-/// grouped by that constant, so a delta visits only the matching group
-/// plus the residual variants instead of scanning the whole backtesting
-/// program (which Fig. 10's padded policies make `O(rules)` per delta).
-///
-/// Only `Int`/`Str`/`Bool` constants are keyed (`HashMap` equality matches
-/// `CmpOp::Eq` on those variants, and never on `Wild`), and a variant is
-/// keyed only when *every* body position the delta table occurs at agrees
-/// on the constant — the selections still run after the join, so the
-/// grouping never changes which variants fire.
-struct VariantDispatch {
-    /// Delta column the keyed groups test (`0` = location).
-    col: usize,
-    /// Variant indices keyed by their constant at `col`, each ascending.
-    keyed: HashMap<Value, Vec<usize>>,
-    /// Variant indices with no usable constant at `col`, ascending.
-    rest: Vec<usize>,
-}
-
-/// Is `v` a variant on which `HashMap` equality matches `CmpOp::Eq`?
-fn keyable(v: &Value) -> bool {
-    matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
-}
-
-/// `(column, constant)` pairs a delta bound at `atom` must carry for
-/// `rule`'s `Var == Const` selections to pass.
-fn atom_prefilter(rule: &Rule, atom: &Atom) -> Vec<(usize, Value)> {
-    rule.sels
-        .iter()
-        .filter(|s| s.op == CmpOp::Eq)
-        .filter_map(|s| match (&s.lhs, &s.rhs) {
-            (Expr::Var(v), Expr::Const(c)) | (Expr::Const(c), Expr::Var(v)) => Some((v, c)),
-            _ => None,
-        })
-        .filter_map(|(v, c)| {
-            let col = if atom.loc == Term::Var(v.clone()) {
-                Some(0)
-            } else {
-                atom.args.iter().position(|t| *t == Term::Var(v.clone())).map(|i| i + 1)
-            };
-            col.map(|col| (col, c.clone()))
-        })
-        .collect()
-}
-
-/// Build the per-table variant dispatch for a tagged program.
-fn build_dispatch(program: &TaggedProgram) -> HashMap<String, VariantDispatch> {
-    // `(col, const)` pairs that hold at *every* position the table occurs
-    // at in the variant's body (a self-join could bind the delta at any).
-    let common = |rule: &Rule, table: &str| -> Vec<(usize, Value)> {
-        let mut positions = rule.body.iter().filter(|a| a.table == table);
-        let Some(first) = positions.next() else { return Vec::new() };
-        let mut pf = atom_prefilter(rule, first);
-        for atom in positions {
-            let other = atom_prefilter(rule, atom);
-            pf.retain(|e| other.contains(e));
-        }
-        pf
-    };
-    let mut tables: Vec<&str> = Vec::new();
-    for v in &program.variants {
-        for a in &v.rule.body {
-            if !tables.contains(&a.table.as_str()) {
-                tables.push(&a.table);
-            }
-        }
-    }
-    tables
-        .into_iter()
-        .map(|table| {
-            let members: Vec<usize> = program
-                .variants
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.rule.body.iter().any(|a| a.table == table))
-                .map(|(vi, _)| vi)
-                .collect();
-            let mut votes: HashMap<usize, usize> = HashMap::new();
-            for &vi in &members {
-                for (col, val) in common(&program.variants[vi].rule, table) {
-                    if keyable(&val) {
-                        *votes.entry(col).or_default() += 1;
-                    }
-                }
-            }
-            let col = votes
-                .iter()
-                .max_by_key(|&(&c, &n)| (n, std::cmp::Reverse(c)))
-                .map(|(&c, _)| c);
-            let mut d = VariantDispatch {
-                col: col.unwrap_or(0),
-                keyed: HashMap::new(),
-                rest: Vec::new(),
-            };
-            for &vi in &members {
-                let pf = common(&program.variants[vi].rule, table);
-                let keyed =
-                    col.and_then(|col| pf.into_iter().find(|&(c, ref v)| c == col && keyable(v)));
-                match keyed {
-                    Some((_, v)) => d.keyed.entry(v).or_default().push(vi),
-                    None => d.rest.push(vi),
-                }
-            }
-            (table.to_string(), d)
-        })
-        .collect()
-}
-
 /// Which output tuples — the ones the codec turns into control messages —
 /// are live in each candidate's controller. The sequential controller
 /// answers a PacketIn with the tuples that *appeared*: new, or replacing
@@ -363,10 +269,16 @@ impl LiveOutputs<'_> {
 /// exist for.
 struct TaggedEngine<'a> {
     program: &'a TaggedProgram<'a>,
+    catalog: &'a Catalog,
     codec: &'a mpr_sdn::controller::TupleCodec,
-    /// table → constant-keyed variant groups (see [`VariantDispatch`]).
-    dispatch: HashMap<String, VariantDispatch>,
-    /// table → [(tuple, tags)]
+    /// Per variant, its compiled form — built when a delta first reaches
+    /// it; `None` for a candidate rule that does not compile (it uses a
+    /// variable bound nowhere) and so never fires.
+    compiled: Vec<OnceCell<Option<CompiledRule>>>,
+    /// table → the `(variant, body position)` pairs its deltas visit,
+    /// grouped by prefilter constant.
+    dispatch: HashMap<String, Arc<TriggerDispatch>>,
+    /// table → [(tuple, tags)]: seeds and derived state; never an event.
     state: HashMap<String, Vec<(Tuple, TagSet)>>,
     outputs: LiveOutputs<'a>,
     funcs: CountingFuncs,
@@ -395,10 +307,18 @@ impl<'a> TaggedEngine<'a> {
         for s in seeds {
             state.entry(s.table.clone()).or_default().push((s.clone(), full));
         }
+        let mut triggers: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+        for (vi, v) in program.variants.iter().enumerate() {
+            for (ai, atom) in v.rule.body.iter().enumerate() {
+                triggers.entry(atom.table.clone()).or_default().push((vi, ai));
+            }
+        }
         TaggedEngine {
             program,
+            catalog,
             codec,
-            dispatch: build_dispatch(program),
+            compiled: program.variants.iter().map(|_| OnceCell::new()).collect(),
+            dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
             state,
             outputs: LiveOutputs { catalog, by_key: HashMap::new() },
             funcs: CountingFuncs::starting_at(1000),
@@ -449,70 +369,58 @@ impl<'a> TaggedEngine<'a> {
         let mut queue: VecDeque<(Tuple, TagSet)> = VecDeque::new();
         queue.push_back((event.clone(), tags));
         let mut guard = 0u32;
+        // One variant's heads at a time.
+        let mut heads: Vec<(Tuple, TagSet)> = Vec::new();
         while let Some((delta, dtags)) = queue.pop_front() {
             guard += 1;
             if guard > 100_000 {
                 complete = false;
                 break; // runaway guard; candidate is hopeless anyway
             }
-            // Variants this delta can fire: its value's keyed group merged
-            // with the residual list, in ascending (original) order so the
-            // output matches the full scan exactly.
-            let order: Vec<usize> = {
-                let Some(d) = self.dispatch.get(&delta.table) else { continue };
-                let keyed: &[usize] = if d.keyed.is_empty() {
-                    &[]
-                } else {
-                    let got = if d.col == 0 {
-                        Some(&delta.loc)
-                    } else {
-                        delta.args.get(d.col - 1)
-                    };
-                    got.and_then(|v| d.keyed.get(v)).map_or(&[], Vec::as_slice)
-                };
-                let mut order = Vec::with_capacity(keyed.len() + d.rest.len());
-                let (mut i, mut j) = (0, 0);
-                while i < keyed.len() || j < d.rest.len() {
-                    let from_keyed = match (keyed.get(i), d.rest.get(j)) {
-                        (Some(a), Some(b)) => a < b,
-                        (Some(_), None) => true,
-                        _ => false,
-                    };
-                    if from_keyed {
-                        order.push(keyed[i]);
-                        i += 1;
-                    } else {
-                        order.push(d.rest[j]);
-                        j += 1;
-                    }
-                }
-                order
+            // The variants this delta can fire, in program order: its
+            // value's keyed group merged with the residual list.
+            let Some(dispatch) = self.dispatch.get(&delta.table).map(Arc::clone) else {
+                continue;
             };
-            for vi in order {
-                let active = self.program.variants[vi].mask & dtags;
+            for (vi, ai) in dispatch.triggers_for(&delta) {
+                let variant = &self.program.variants[vi];
+                let active = variant.mask & dtags;
                 if active == 0 {
                     continue;
                 }
-                let heads = {
-                    let variant = &self.program.variants[vi];
-                    fire_variant(variant, &delta, active, &self.state, &mut self.funcs)
-                };
-                for (head, htags) in heads {
+                let compiled = self.compiled[vi]
+                    .get_or_init(|| CompiledRule::compile(&variant.rule, self.catalog).ok());
+                let Some(rule) = compiled else { continue };
+                let state = &self.state;
+                rule.fire_scan(
+                    ai,
+                    &delta,
+                    active,
+                    |table| state.get(table).map_or(&[][..], Vec::as_slice),
+                    |a, b| Some(a & b).filter(|&joint| joint != 0),
+                    &mut self.funcs,
+                    &mut heads,
+                );
+                let head_is_event = rule.head_is_event();
+                for (head, htags) in heads.drain(..) {
                     if let Some(cm) = self.codec.decode(&head, msg) {
                         let fresh = self.outputs.appear(&head, htags);
                         heads_out.push((head, htags));
                         if fresh != 0 {
                             out.push((cm, fresh));
                         }
-                        continue;
-                    }
-                    if head.table == self.codec.packet_in_table {
-                        continue;
-                    }
-                    // Derived controller state: store and propagate.
-                    let fresh = self.insert_state(&head, htags);
-                    if fresh != 0 {
-                        queue.push_back((head, fresh));
+                    } else if head.table == self.codec.packet_in_table {
+                        // Not re-evaluated: a PacketIn reaches the
+                        // controller from the network only.
+                    } else if head_is_event {
+                        // A transient event: it triggers, and is gone.
+                        queue.push_back((head, htags));
+                    } else {
+                        // Derived controller state: store and propagate.
+                        let fresh = self.insert_state(&head, htags);
+                        if fresh != 0 {
+                            queue.push_back((head, fresh));
+                        }
                     }
                 }
             }
@@ -527,74 +435,6 @@ impl<'a> TaggedEngine<'a> {
         }
         out
     }
-}
-
-/// Join one variant against the delta plus the tagged state.
-fn fire_variant(
-    variant: &TaggedVariant,
-    delta: &Tuple,
-    active: TagSet,
-    state: &HashMap<String, Vec<(Tuple, TagSet)>>,
-    funcs: &mut CountingFuncs,
-) -> Vec<(Tuple, TagSet)> {
-    let rule = &variant.rule;
-    let mut out = Vec::new();
-    for (di, datom) in rule.body.iter().enumerate() {
-        if datom.table != delta.table {
-            continue;
-        }
-        let Some(env0) = match_atom(datom, delta, &Env::new()) else {
-            continue;
-        };
-        // Join remaining atoms against the tagged store.
-        let mut partial: Vec<(Env, TagSet)> = vec![(env0, active)];
-        for (ai, atom) in rule.body.iter().enumerate() {
-            if ai == di {
-                continue;
-            }
-            let empty = Vec::new();
-            let cands = state.get(&atom.table).unwrap_or(&empty);
-            let mut next = Vec::new();
-            for (env, tags) in &partial {
-                for (t, ttags) in cands {
-                    let joint = tags & ttags;
-                    if joint == 0 {
-                        continue;
-                    }
-                    if let Some(e2) = match_atom(atom, t, env) {
-                        next.push((e2, joint));
-                    }
-                }
-            }
-            partial = next;
-            if partial.is_empty() {
-                break;
-            }
-        }
-        'envs: for (mut env, tags) in partial {
-            for a in &rule.assigns {
-                let Ok(v) = a.expr.eval(&env, funcs) else {
-                    continue 'envs;
-                };
-                match env.get(&a.var) {
-                    Some(existing) if existing != &v => continue 'envs,
-                    _ => {
-                        env.insert(a.var.clone(), v);
-                    }
-                }
-            }
-            for s in &rule.sels {
-                match s.eval(&env, funcs) {
-                    Ok(true) => {}
-                    _ => continue 'envs,
-                }
-            }
-            if let Some(head) = instantiate(&rule.head, &env) {
-                out.push((head, tags));
-            }
-        }
-    }
-    out
 }
 
 /// Per-candidate extra flow entries ("manual install" repairs).
@@ -934,7 +774,7 @@ mod tests {
     use super::*;
     use crate::replay::{replay, BacktestSetup};
     use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
-    use mpr_ndlog::{parse_program, ConstSite, ExprSide, Value};
+    use mpr_ndlog::{parse_program, CmpOp, ConstSite, ExprSide, Value};
     use mpr_sdn::controller::TupleCodec;
     use mpr_sdn::sim::SimConfig;
     use mpr_sdn::topology::{fig1, fig1_hosts};

@@ -426,3 +426,68 @@ fn flooding_matches_the_simulator_when_no_copy_punts() {
     assert!(joint[0].stats.dropped_ttl > 0, "the flood never looped: {:?}", joint[0].stats);
     assert!(joint[0].stats.hops > joint[1].stats.hops);
 }
+
+/// An intermediate *event* table between the PacketIn and the reply:
+/// `Seen` is derived for every HTTP punt and releases the packet out of
+/// `prt`. Fig. 1, six HTTP packets from the Internet to H1.
+fn seen_setup(prt: i64) -> (BacktestSetup, Program) {
+    let fx = fig1_fixture();
+    let program = parse_program(
+        "seen",
+        &format!(
+            "materialize(PacketIn, event, 2, keys()).\n\
+             materialize(Seen, event, 2, keys()).\n\
+             materialize(PacketOut, event, 2, keys()).\n\
+             s1 Seen(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr), Hdr == 80.\n\
+             s2 PacketOut(@Swi,Hdr,Prt) :- Seen(@C,Swi,Hdr), Prt := {prt}.\n"
+        ),
+    )
+    .unwrap();
+    let mut setup = fx.setup(false);
+    setup.codec.packet_out_table = Some("PacketOut".into());
+    let http = (0..6).map(|i| (fig1_hosts::INTERNET, Packet::http(i, fig1_hosts::INTERNET, fig1_hosts::H1)));
+    setup.workload = Arc::new(http.collect());
+    (setup, program)
+}
+
+/// A derived event is transient in the joint replay as it is in the
+/// engine: every identical `Seen` tuple triggers `s2` again. Stored as
+/// state it was deduplicated, and only the first packet was ever released
+/// (1 delivered, 5 dropped at the buffer, where the sequential replay
+/// delivers all 6).
+#[test]
+fn a_derived_event_triggers_every_time_it_is_derived() {
+    let (setup, program) = seen_setup(1);
+    let (joint, solo) = joint_and_solo(&setup, &program);
+    assert_eq!(joint, solo);
+    assert_eq!(joint.delivered.get(&fig1_hosts::H1), Some(&6), "{joint:?}");
+    assert_eq!((joint.packet_ins, joint.packet_outs, joint.dropped_buffered), (12, 12, 0));
+}
+
+/// Candidates that edit the rule *behind* the event table — the one `Seen`
+/// triggers — and the one in front of it, next to the untouched base:
+/// the event reaches each candidate's own copy of `s2`, for its tags only.
+#[test]
+fn candidates_may_edit_the_rule_an_event_table_triggers() {
+    let (setup, base) = seen_setup(1);
+    let assign = |value: i64| Edit::SetConst {
+        rule: "s2".into(),
+        site: mpr_ndlog::ConstSite::Assign { idx: 0, path: vec![] },
+        value: mpr_ndlog::Value::Int(value),
+    };
+    let patches = vec![
+        Patch::default(),
+        Patch::single(assign(2)),
+        Patch::single(assign(9)),
+        Patch::single(Edit::SetSelectionOp { rule: "s1".into(), sel: 0, op: mpr_ndlog::CmpOp::Ne }),
+        Patch::single(Edit::DeleteRule { rule: "s2".into() }),
+    ];
+    let (deltas, cands) = deltas_and_programs(&base, &patches);
+    assert_joint_equals_sequential(&setup, &base, &cands, &deltas, &[]).unwrap();
+    let joint = mqo_replay(&setup, &base, &cands, &[]);
+    let delivered: Vec<u64> =
+        joint.iter().map(|o| o.delivered.get(&fig1_hosts::H1).copied().unwrap_or(0)).collect();
+    assert_eq!(delivered[0], 6, "the base releases every packet towards H1");
+    assert_eq!(delivered[3..], [0, 0], "no `Seen`, or nothing behind it: every packet stays buffered");
+    assert_eq!(joint[4].stats.dropped_buffered, 6);
+}

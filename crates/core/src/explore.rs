@@ -402,17 +402,14 @@ fn explore_rule(s: &mut Search, rule: &Rule) {
     let Some(required) = head_requirements(rule, s.goal) else {
         return;
     };
+    // Every match starts from the required head bindings, so conflicting
+    // triggers are skipped early.
+    let env0: Env = required.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
     for trigger in &world.triggers {
         // The trigger must bind one body atom.
         for (ti, atom) in rule.body.iter().enumerate() {
             if atom.table != trigger.table {
                 continue;
-            }
-            let mut env0 = Env::new();
-            // Pre-seed with required head bindings so conflicting triggers
-            // are skipped early.
-            for (k, v) in &required {
-                env0.insert(k.clone(), v.clone());
             }
             let Some(env1) = match_atom(atom, trigger, &env0) else {
                 continue;

@@ -1,10 +1,14 @@
-//! Batch semi-naive join plans and the round-based drain loop.
+//! The batch semi-naive driver: trigger dispatch, the round-based drain
+//! loop, and the join that fires a compiled rule through keyed indexes.
 //!
-//! Compiled once per engine ([`build_plans`]): for every non-aggregate rule
-//! and every body position the rule can be triggered at (the *delta*
-//! position), a [`DeltaPlan`] lists the remaining atoms in join order
-//! together with the keyed index ([`crate::index`]) each one probes and the
-//! terms that produce the probe key from the environment bound so far.
+//! What a rule is at run time is [`crate::compiled`]'s business — slots,
+//! per-delta-position column programs, the selection schedule, the column
+//! prefilter. This module drives that form for the engine: once per engine
+//! it registers, for every join extension of every plan, the keyed index
+//! ([`crate::index`]) over the columns the extension knows before it runs
+//! ([`register_indexes`]), and groups each table's triggers by the constant
+//! their prefilters pin a delta column to ([`build_dispatch`] — the same
+//! builder the joint backtest dispatches its rule variants with).
 //!
 //! At runtime, `Engine::drain_batch` runs the classic semi-naive rounds:
 //! the whole pending delta becomes the *recent* partition
@@ -18,60 +22,27 @@
 //! the mirror-image combination fires when the later tuple is the delta.
 //! Tuples still pending (produced in the round being processed) are
 //! invisible to every probe; they join as next-round deltas.
+//!
+//! A firing (`Engine::fire_batch`) allocates nothing per variable and
+//! nothing per join candidate: the partial matches of a join level live
+//! flat in the engine's [`JoinScratch`] — `n_slots` values and one tuple
+//! id per body atom each — and a candidate is matched *into* its partial
+//! match's frame, copied to the next level only if it survives.
 
+use crate::compiled::{eq_consts, match_cols};
 use crate::delta::{DeltaTracker, Visibility};
-use crate::engine::{
-    match_atom, resolve_term, CompiledRule, Engine, RuntimeError, StepResult,
-};
+use crate::engine::{Engine, EngineRule, RuleForm, RuntimeError, StepResult};
 use crate::index::{IndexRegistry, IndexSpec};
 use crate::log::{TupleId, TupleKind};
-use mpr_ndlog::ast::{CmpOp, Expr, Term};
-use mpr_ndlog::eval::Env;
-use mpr_ndlog::{Tuple, Value};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use mpr_ndlog::{Rule, Tuple, Value};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-/// One join extension: probe `index_id` with the key built from
-/// `key_terms`, then unify the candidates against body atom `atom_idx`.
-#[derive(Debug, Clone)]
-pub(crate) struct AtomPlan {
-    /// Body position this extension fills.
-    pub(crate) atom_idx: usize,
-    /// Keyed index to probe (registered in the engine's registry).
-    pub(crate) index_id: usize,
-    /// Terms producing the probe key, one per index column; each is a
-    /// constant or a variable bound before this extension runs.
-    pub(crate) key_terms: Vec<Term>,
-    /// Positional semi-naive discipline: this atom sits *after* the delta
-    /// position, so it must not match the current round's recent tuples.
-    pub(crate) exclude_recent: bool,
-}
-
-/// Join order for one (rule, delta position) pair.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DeltaPlan {
-    /// Constant-equality selections over the delta atom's own columns,
-    /// pushed down into the dispatch: `(column, constant)` pairs a delta
-    /// tuple must satisfy or the rule cannot fire from this position.
-    /// Column `0` is the location, `i + 1` payload argument `i`. Purely an
-    /// early-out — the selection still evaluates normally afterwards.
-    pub(crate) prefilter: Vec<(usize, Value)>,
-    /// Extensions in execution order (body order, skipping the delta slot).
-    pub(crate) atoms: Vec<AtomPlan>,
-}
-
-/// All delta plans of one rule, indexed by delta body position.
+/// Constant-keyed trigger dispatch for one table: which `(rule, body
+/// position)` pairs a delta tuple of the table visits.
 ///
-/// Aggregate rules keep an empty plan list — their single body atom feeds
-/// the incremental aggregate groups instead of a join pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct RulePlan {
-    pub(crate) delta_plans: Vec<DeltaPlan>,
-}
-
-/// Constant-keyed trigger dispatch for one table (batch strategy only).
-///
-/// Rules whose delta plan pushes an `Eq`-with-constant selection onto the
-/// same delta column are grouped by that constant: a delta tuple then
+/// Rules whose column prefilter tests the same delta column for equality
+/// with a constant are grouped by that constant: a delta tuple then
 /// visits only the group matching its own value at the column, plus the
 /// residual triggers, instead of scanning (and prefilter-rejecting) every
 /// rule the table appears in. On programs where many rules select disjoint
@@ -79,13 +50,13 @@ pub struct RulePlan {
 /// extreme case — this turns trigger dispatch from `O(rules)` into `O(1)`.
 ///
 /// Only [`Value::Int`]/[`Value::Str`]/[`Value::Bool`] constants are keyed:
-/// on those variants `HashMap` equality coincides with [`CmpOp::Eq`], while
+/// on those variants `HashMap` equality coincides with `CmpOp::Eq`, while
 /// a `Wild` constant never satisfies `Eq` and would be mis-matched by the
-/// map. Triggers with no usable constant stay in `rest`. The in-plan
+/// map. Triggers with no usable constant stay in `rest`. The rule's own
 /// prefilter still runs for every dispatched trigger, so the grouping is
 /// purely an early-out and never changes which rules fire.
 #[derive(Debug, Default)]
-pub(crate) struct TriggerDispatch {
+pub struct TriggerDispatch {
     /// Delta column the keyed groups test (`0` = location, `i + 1` =
     /// payload argument `i`).
     pub(crate) col: usize,
@@ -101,7 +72,7 @@ impl TriggerDispatch {
     /// list would produce: the keyed group for the tuple's value at the
     /// dispatch column merged with the residual triggers by original
     /// `(rule, atom)` position.
-    pub(crate) fn triggers_for(&self, tuple: &Tuple) -> MergedTriggers<'_> {
+    pub fn triggers_for(&self, tuple: &Tuple) -> MergedTriggers<'_> {
         let keyed: &[(usize, usize)] = if self.keyed.is_empty() {
             &[]
         } else {
@@ -118,7 +89,7 @@ impl TriggerDispatch {
 
 /// Allocation-free two-pointer merge of a keyed trigger group with the
 /// residual triggers (both already sorted by `(rule, atom)`).
-pub(crate) struct MergedTriggers<'a> {
+pub struct MergedTriggers<'a> {
     keyed: &'a [(usize, usize)],
     rest: &'a [(usize, usize)],
     i: usize,
@@ -145,31 +116,29 @@ impl Iterator for MergedTriggers<'_> {
     }
 }
 
-/// Is `v` a variant on which `HashMap` equality matches [`CmpOp::Eq`]?
+/// Is `v` a variant on which `HashMap` equality matches `CmpOp::Eq`?
 fn keyable(v: &Value) -> bool {
     matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
 }
 
-/// Group each table's trigger list by the prefilter constant on the
-/// column most of its triggers constrain (see [`TriggerDispatch`]).
-pub(crate) fn build_dispatch(
+/// Group each table's trigger list — `(rule, body position)` pairs in
+/// firing order — by the constant `rule(i)`'s column prefilter pins the
+/// column most of the table's triggers constrain to (see
+/// [`TriggerDispatch`]). Reads the source rules, so the rules need not be
+/// compiled yet.
+pub fn build_dispatch<'r>(
     triggers: &HashMap<String, Vec<(usize, usize)>>,
-    plans: &[RulePlan],
-) -> HashMap<String, std::sync::Arc<TriggerDispatch>> {
-    let prefilter = |ri: usize, ai: usize| -> &[(usize, Value)] {
-        // Aggregate rules compile to an empty plan list; their triggers
-        // always dispatch (they land in `rest`).
-        plans[ri].delta_plans.get(ai).map_or(&[], |p| p.prefilter.as_slice())
-    };
+    rule: impl Fn(usize) -> &'r Rule,
+) -> HashMap<String, Arc<TriggerDispatch>> {
+    let keyable_consts =
+        |ri: usize, ai: usize| eq_consts(rule(ri), ai).filter(|&(_, val)| keyable(val));
     triggers
         .iter()
         .map(|(table, list)| {
             let mut votes: HashMap<usize, usize> = HashMap::new();
             for &(ri, ai) in list {
-                for &(col, ref val) in prefilter(ri, ai) {
-                    if keyable(val) {
-                        *votes.entry(col).or_default() += 1;
-                    }
+                for (col, _) in keyable_consts(ri, ai) {
+                    *votes.entry(col).or_default() += 1;
                 }
             }
             // Most-constrained column wins; ties break to the lowest
@@ -184,89 +153,51 @@ pub(crate) fn build_dispatch(
                 rest: Vec::new(),
             };
             for &(ri, ai) in list {
-                let keyed_const = col.and_then(|col| {
-                    prefilter(ri, ai)
-                        .iter()
-                        .find(|&&(c, ref v)| c == col && keyable(v))
-                });
-                match keyed_const {
-                    Some(&(_, ref v)) => {
-                        dispatch.keyed.entry(v.clone()).or_default().push((ri, ai));
-                    }
+                match keyable_consts(ri, ai).find(|&(c, _)| Some(c) == col) {
+                    Some((_, v)) => dispatch.keyed.entry(v.clone()).or_default().push((ri, ai)),
                     None => dispatch.rest.push((ri, ai)),
                 }
             }
-            (table.clone(), std::sync::Arc::new(dispatch))
+            (table.clone(), Arc::new(dispatch))
         })
         .collect()
 }
 
-/// Compile the delta plans for `rules`, registering every index shape the
-/// plans probe in `registry`.
-pub(crate) fn build_plans(rules: &[CompiledRule], registry: &mut IndexRegistry) -> Vec<RulePlan> {
-    rules
-        .iter()
-        .map(|cr| {
-            if cr.agg.is_some() {
-                return RulePlan::default();
-            }
-            let body = &cr.rule.body;
-            // `Var == Const` selections, for pushdown onto delta columns.
-            let const_sels: Vec<(&String, &Value)> = cr
-                .rule
-                .sels
+/// Register, for every join extension of every compiled rule, the keyed
+/// index over the columns the extension knows before it runs.
+pub(crate) fn register_indexes(rules: &mut [EngineRule], registry: &mut IndexRegistry) {
+    for er in rules {
+        if let RuleForm::Compiled(rule) = &er.form {
+            er.index_ids = rule
+                .deltas
                 .iter()
-                .filter(|s| s.op == CmpOp::Eq)
-                .filter_map(|s| match (&s.lhs, &s.rhs) {
-                    (Expr::Var(v), Expr::Const(c)) | (Expr::Const(c), Expr::Var(v)) => {
-                        Some((v, c))
-                    }
-                    _ => None,
-                })
-                .collect();
-            let delta_plans = (0..body.len())
-                .map(|d| {
-                    let prefilter = const_sels
+                .map(|plan| {
+                    plan.exts
                         .iter()
-                        .filter_map(|&(v, c)| {
-                            let col = if body[d].loc == Term::Var(v.clone()) {
-                                Some(0)
-                            } else {
-                                body[d]
-                                    .args
-                                    .iter()
-                                    .position(|t| *t == Term::Var(v.clone()))
-                                    .map(|i| i + 1)
-                            };
-                            col.map(|col| (col, c.clone()))
+                        .map(|ext| {
+                            registry.register(IndexSpec {
+                                table: ext.table.clone(),
+                                cols: ext.probe_cols().collect(),
+                            })
                         })
-                        .collect();
-                    let mut bound: BTreeSet<String> = body[d].vars();
-                    let mut atoms = Vec::with_capacity(body.len().saturating_sub(1));
-                    for (ai, atom) in body.iter().enumerate() {
-                        if ai == d {
-                            continue;
-                        }
-                        let positions = atom.bound_positions(&bound);
-                        let cols = positions.iter().map(|&(c, _)| c).collect();
-                        let key_terms =
-                            positions.iter().map(|&(_, t)| t.clone()).collect();
-                        let index_id = registry
-                            .register(IndexSpec { table: atom.table.clone(), cols });
-                        atoms.push(AtomPlan {
-                            atom_idx: ai,
-                            index_id,
-                            key_terms,
-                            exclude_recent: ai > d,
-                        });
-                        bound.extend(atom.vars());
-                    }
-                    DeltaPlan { prefilter, atoms }
+                        .collect()
                 })
                 .collect();
-            RulePlan { delta_plans }
-        })
-        .collect()
+        }
+    }
+}
+
+/// The partial matches of the join level being extended and of the next,
+/// flat: per match `n_slots` frame values and one tuple id per body atom
+/// (in body order — the provenance log's order). Kept from one firing to
+/// the next, so in the steady state a firing allocates no buffer.
+#[derive(Debug, Default)]
+pub(crate) struct JoinScratch {
+    frames: Vec<Option<Value>>,
+    tids: Vec<TupleId>,
+    next_frames: Vec<Option<Value>>,
+    next_tids: Vec<TupleId>,
+    key: Vec<Value>,
 }
 
 impl Engine {
@@ -321,7 +252,7 @@ impl Engine {
                     continue;
                 }
                 let dispatch = match self.batch_dispatch.get(&tuple.table) {
-                    Some(d) => std::sync::Arc::clone(d),
+                    Some(d) => Arc::clone(d),
                     None => continue,
                 };
                 // The keyed group for this delta's value at the dispatch
@@ -351,11 +282,14 @@ impl Engine {
             std::mem::swap(&mut pending, &mut round_out);
             round_out.clear();
         }
+        // Both buffers are empty now; the one that grew is worth keeping.
+        self.spare_queue =
+            if pending.capacity() >= round_out.capacity() { pending } else { round_out };
         Ok(())
     }
 
     /// Join `rule` with the delta bound at body position `atom_idx`,
-    /// extending through keyed index probes.
+    /// extending through keyed index probes, and fire every complete match.
     fn fire_batch(
         &mut self,
         rule_idx: usize,
@@ -365,82 +299,70 @@ impl Engine {
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
-        // The plans live behind an `Arc` so the firing can keep its plan
-        // across the `&mut self` join calls (and any nested fixpoint those
-        // trigger) without cloning the plan per delta tuple.
-        let plans = std::sync::Arc::clone(&self.plans);
-        let plan = &plans[rule_idx].delta_plans[atom_idx];
-        // Pushed-down constant selections: reject the delta before paying
-        // for unification. `CmpOp::Eq` (not `PartialEq`) keeps wildcard
-        // semantics identical to the ordinary selection pass below.
-        for &(col, ref want) in &plan.prefilter {
-            let got = if col == 0 { Some(&delta.loc) } else { delta.args.get(col - 1) };
-            match got {
-                Some(v) if CmpOp::Eq.eval(v, want) => {}
-                _ => return Ok(()),
-            }
-        }
-        let cr = &self.rules[rule_idx];
-        let Some(env0) = match_atom(&cr.rule.body[atom_idx], delta, &Env::new()) else {
+        let rules = Arc::clone(&self.rules);
+        let RuleForm::Compiled(rule) = &rules[rule_idx].form else {
             return Ok(());
         };
-        let n_sels = cr.rule.sels.len();
-        let mut sel_done = vec![false; n_sels];
-        if !self.eval_ready_sels(rule_idx, &env0, &mut sel_done) {
+        let plan = &rule.deltas[atom_idx];
+        // The column prefilter rejects on the raw tuple, before any
+        // buffer is touched.
+        if !plan.accepts(delta) {
             return Ok(());
         }
-        let mut matches: Vec<(Env, Vec<TupleId>, Vec<bool>)> =
-            vec![(env0, vec![delta_tid], sel_done)];
-        for ap in &plan.atoms {
-            let mut next: Vec<(Env, Vec<TupleId>, Vec<bool>)> = Vec::new();
-            for (env, tids, sels) in &matches {
-                let mut key = Vec::with_capacity(ap.key_terms.len());
-                for t in &ap.key_terms {
-                    match resolve_term(t, env) {
-                        Some(v) => key.push(v),
-                        // Unreachable by construction (every key term is a
-                        // constant or a bound variable); stay total.
-                        None => return Ok(()),
-                    }
+        let (n, b) = (rule.n_slots, plan.exts.len() + 1);
+        let s = &mut self.scratch;
+        s.frames.clear();
+        s.frames.resize(n, None);
+        if !match_cols(&plan.cols, delta, &mut s.frames)
+            || !rule.sels_hold(&plan.ready, &s.frames, &mut self.funcs)
+        {
+            return Ok(());
+        }
+        s.tids.clear();
+        s.tids.resize(b, 0);
+        s.tids[atom_idx] = delta_tid;
+        for (ext, &index_id) in plan.exts.iter().zip(&rules[rule_idx].index_ids[atom_idx]) {
+            s.next_frames.clear();
+            s.next_tids.clear();
+            // Positional semi-naive discipline: an atom *after* the delta
+            // position must not match the current round's recent tuples.
+            let exclude_recent = ext.atom_idx > atom_idx;
+            for m in 0..s.tids.len() / b {
+                let frame = &mut s.frames[m * n..(m + 1) * n];
+                if !ext.probe_key(frame, &mut s.key) {
+                    return Ok(());
                 }
-                // Ids only: the probe borrows the index and the visibility
-                // test the tracker, while unification below needs the
-                // engine mutably.
-                let candidates: Vec<TupleId> = self
-                    .indexes
-                    .probe(ap.index_id, &key)
-                    .filter(|&tid| joinable(&self.deltas, tid, ap.exclude_recent))
-                    .collect();
-                for ctid in candidates {
-                    let env2 = {
-                        let ctuple = self.log.tuple(ctid);
-                        let atom = &self.rules[rule_idx].rule.body[ap.atom_idx];
-                        match_atom(atom, ctuple, env)
-                    };
-                    let Some(env2) = env2 else { continue };
-                    let mut sels2 = sels.clone();
-                    if !self.eval_ready_sels(rule_idx, &env2, &mut sels2) {
-                        continue;
+                for ctid in self.indexes.probe(index_id, &s.key) {
+                    if joinable(&self.deltas, ctid, exclude_recent)
+                        && match_cols(&ext.cols, self.log.tuple(ctid), frame)
+                        && rule.sels_hold(&ext.ready, frame, &mut self.funcs)
+                    {
+                        s.next_frames.extend_from_slice(frame);
+                        let at = s.next_tids.len();
+                        s.next_tids.extend_from_slice(&s.tids[m * b..(m + 1) * b]);
+                        s.next_tids[at + ext.atom_idx] = ctid;
                     }
-                    let mut tids2 = tids.clone();
-                    tids2.push(ctid);
-                    next.push((env2, tids2, sels2));
                 }
             }
-            matches = next;
-            if matches.is_empty() {
+            std::mem::swap(&mut s.frames, &mut s.next_frames);
+            std::mem::swap(&mut s.tids, &mut s.next_tids);
+            if s.tids.is_empty() {
                 return Ok(());
             }
         }
-        // Reorder body tids into body-atom order for the provenance log.
-        for (env, tids, sels) in matches {
-            let mut body_tids = vec![0; tids.len()];
-            body_tids[atom_idx] = tids[0];
-            for (slot, ap) in plan.atoms.iter().enumerate() {
-                body_tids[ap.atom_idx] = tids[slot + 1];
+        // Every match is collected before the first fires (a firing may
+        // evict what a later match joined), and firing needs the whole
+        // engine: the buffers leave it meanwhile. A nested fixpoint finds,
+        // and leaves, empty ones; an error drops them.
+        let mut s = std::mem::take(&mut self.scratch);
+        for m in 0..s.tids.len() / b {
+            self.count_derivation(result)?;
+            if let Some(head) = rule.finish(&mut s.frames[m * n..(m + 1) * n], &mut self.funcs) {
+                let body_tids = &s.tids[m * b..(m + 1) * b];
+                self.emit_head(rule_idx, head, body_tids, delta, queue, result)?;
             }
-            self.finish_firing(rule_idx, env, sels, body_tids, delta, queue, result)?;
         }
+        self.scratch = s;
         Ok(())
     }
 }

@@ -5,14 +5,21 @@
 //! joined at once against keyed hash indexes ([`crate::index`]) on the join
 //! columns, with per-relation stable/recent/delta partitions
 //! ([`crate::delta`]) ensuring each new body combination fires exactly once
-//! per round.
+//! per round. Its rules are compiled ([`crate::compiled`]): variables are
+//! slots of a frame, atoms column programs, and when each selection runs is
+//! fixed per rule, so a firing names no variable and clones no syntax.
 //!
 //! A second evaluator, [`EvalStrategy::Pipelined`], is kept as a *test
 //! reference* only: the strategy RapidNet uses (and the one the paper's
 //! provenance model assumes), where every inserted or derived tuple becomes
 //! a *delta* that is joined, one tuple at a time, against full scans of the
-//! materialized state. `tests/differential.rs` proves both produce the same
+//! materialized state. It keeps its rules as source and runs them through
+//! the name-keyed interpreter ([`match_atom`], `Selection::eval` over an
+//! `Env`, [`instantiate`]) — sharing with the batch path neither the
+//! propagation loop nor what a rule is at run time, which is what makes it
+//! an oracle for both. `tests/differential.rs` proves both produce the same
 //! fixpoints and provenance-equivalent derivations over generated programs.
+//! Aggregate rules run through the interpreter under either strategy.
 //!
 //! Derived state carries support counts so deletions cascade correctly
 //! (UNDERIVE/DISAPPEAR, §3.1); tables with declared primary keys follow
@@ -32,16 +39,18 @@
 //! passes — this is exactly how a `PacketIn` installs a persistent
 //! `FlowTable` entry.
 
-use crate::batch::{self, RulePlan};
+use crate::batch;
+use crate::compiled::CompiledRule;
 use crate::delta::{DeltaTracker, RelationDeltaStats};
 use crate::index::IndexRegistry;
 use crate::log::{ExecLog, Time, TupleId, TupleKind};
 use crate::store::{AddOutcome, DropOutcome, Store};
-use mpr_ndlog::ast::{AggKind, Atom, Rule, Term};
+use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
 use mpr_ndlog::eval::{CountingFuncs, Env};
 use mpr_ndlog::{Program, Schema, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How the engine propagates deltas to fixpoint.
 ///
@@ -300,15 +309,28 @@ pub(crate) struct AggSpec {
     value_var: String,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledRule {
-    pub(crate) rule: Rule,
+/// What the engine fires a rule through.
+#[derive(Debug)]
+pub(crate) enum RuleForm {
+    /// Slots and column programs ([`crate::compiled`]): every join rule of
+    /// a [`EvalStrategy::Batch`] engine.
+    Compiled(CompiledRule),
+    /// The source rule, run by the name-keyed interpreter where that is
+    /// the point: every rule of a [`EvalStrategy::Pipelined`] reference
+    /// engine, and aggregate rules (`agg_add`) under either strategy.
+    Source(Rule),
+}
+
+#[derive(Debug)]
+pub(crate) struct EngineRule {
+    pub(crate) form: RuleForm,
     /// Is the head an event table?
     head_is_event: bool,
-    /// Variable sets per selection (for earliest evaluation).
-    sel_vars: Vec<BTreeSet<String>>,
     /// Aggregate spec, if the head carries one.
     pub(crate) agg: Option<AggSpec>,
+    /// The keyed index each join extension probes, `[delta position]
+    /// [extension]` (compiled rules only; see `batch::register_indexes`).
+    pub(crate) index_ids: Vec<Vec<usize>>,
 }
 
 /// A derivation that a disappearing body tuple can still retract. Ids
@@ -336,15 +358,17 @@ struct AggGroup {
 
 /// The engine. See the module docs for semantics.
 pub struct Engine {
-    pub(crate) rules: Vec<CompiledRule>,
-    /// table → (rule index, body atom index) that the table can trigger.
-    /// Shared so the drain loops can hold a table's list across `&mut self`
-    /// firing calls without copying it per delta tuple.
-    triggers: HashMap<String, std::sync::Arc<Vec<(usize, usize)>>>,
+    /// Shared so a firing can hold its rule across the `&mut self` calls
+    /// it makes (and any nested fixpoint those trigger).
+    pub(crate) rules: Arc<Vec<EngineRule>>,
+    /// table → (rule index, body atom index) that the table can trigger
+    /// (pipelined only). Shared so the drain loop can hold a table's list
+    /// across `&mut self` firing calls without copying it per delta tuple.
+    triggers: HashMap<String, Arc<Vec<(usize, usize)>>>,
     pub(crate) store: Store,
     pub(crate) log: ExecLog,
     pub(crate) opts: Options,
-    funcs: CountingFuncs,
+    pub(crate) funcs: CountingFuncs,
     time: Time,
     next_tid: TupleId,
     /// Derivations with at least one state body tuple — the others can
@@ -360,18 +384,19 @@ pub struct Engine {
     total_derivations: u64,
     /// Which propagation discipline `drain` uses.
     strategy: EvalStrategy,
-    /// Per-(rule, delta position) join plans (batch strategy only).
-    /// Shared so a firing can hold its plan across nested fixpoints without
-    /// cloning it per delta tuple.
-    pub(crate) plans: std::sync::Arc<Vec<RulePlan>>,
     /// Keyed join-column indexes, kept in sync with the store (batch only).
     pub(crate) indexes: IndexRegistry,
     /// Per-table trigger lists grouped by pushed-down constant (batch
     /// only): a delta visits only the group matching its own value plus
     /// the residual triggers, instead of every rule the table appears in.
-    pub(crate) batch_dispatch: HashMap<String, std::sync::Arc<batch::TriggerDispatch>>,
+    pub(crate) batch_dispatch: HashMap<String, Arc<batch::TriggerDispatch>>,
     /// Stable/recent/delta partitions per relation (batch only).
     pub(crate) deltas: DeltaTracker,
+    /// The join loop's buffers, reused from one firing to the next.
+    pub(crate) scratch: batch::JoinScratch,
+    /// The delta queue of the last finished batch drain, empty: the next
+    /// insertion queues into it instead of allocating one.
+    pub(crate) spare_queue: VecDeque<(TupleId, Tuple)>,
     /// Resolved WAL directory when the store journals durably.
     wal_dir: Option<std::path::PathBuf>,
     /// Why the WAL failed to *open* (runtime write failures live in the
@@ -389,13 +414,6 @@ impl Engine {
     /// Compile `program`.
     pub fn with_options(program: &Program, opts: Options) -> Result<Self, CompileError> {
         program.validate().map_err(CompileError::InvalidProgram)?;
-        let is_event = |table: &str| {
-            program
-                .catalog
-                .get(table)
-                .map(|s| !s.is_state())
-                .unwrap_or(false)
-        };
         let mut rules = Vec::new();
         let mut triggers: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
         // (wrapped into Arcs once fully built, below)
@@ -403,32 +421,10 @@ impl Engine {
         for s in program.catalog.iter() {
             store.declare(s.clone());
         }
+        let strategy = opts.strategy;
         for (ri, rule) in program.rules.iter().enumerate() {
-            // -- static checks --------------------------------------------
-            let mut bound: BTreeSet<String> = rule.body_vars();
-            for a in &rule.assigns {
-                for v in a.expr.vars() {
-                    if !bound.contains(&v) {
-                        return Err(CompileError::UnboundAssignVar { rule: rule.id.clone(), var: v });
-                    }
-                }
-                bound.insert(a.var.clone());
-            }
-            for s in &rule.sels {
-                for v in s.vars() {
-                    if !bound.contains(&v) {
-                        return Err(CompileError::UnboundSelectionVar {
-                            rule: rule.id.clone(),
-                            var: v,
-                        });
-                    }
-                }
-            }
-            for b in &rule.body {
-                if b.has_agg() {
-                    return Err(CompileError::AggInBody { rule: rule.id.clone() });
-                }
-            }
+            // Slot resolution and the bound-before-use checks.
+            let compiled = CompiledRule::compile(rule, &program.catalog)?;
             // -- aggregates ------------------------------------------------
             let agg = if rule.is_aggregate() {
                 let n_aggs =
@@ -447,7 +443,8 @@ impl Engine {
                                 reason: "aggregate rules take exactly one body predicate".into(),
                             });
                         }
-                        if is_event(&rule.body[0].table) {
+                        let over = program.catalog.get(&rule.body[0].table);
+                        if over.is_some_and(|s| !s.is_state()) {
                             return Err(CompileError::AggregateOverEvent { rule: rule.id.clone() });
                         }
                         Some(AggSpec { kind: *kind, value_var: var.clone() })
@@ -475,22 +472,21 @@ impl Engine {
             for (ai, atom) in rule.body.iter().enumerate() {
                 triggers.entry(atom.table.clone()).or_default().push((ri, ai));
             }
-            rules.push(CompiledRule {
-                head_is_event: is_event(&rule.head.table),
-                sel_vars: rule.sels.iter().map(|s| s.vars()).collect(),
-                agg,
-                rule: rule.clone(),
-            });
+            let head_is_event = compiled.head_is_event();
+            let form = if agg.is_some() || strategy == EvalStrategy::Pipelined {
+                RuleForm::Source(rule.clone())
+            } else {
+                RuleForm::Compiled(compiled)
+            };
+            rules.push(EngineRule { form, head_is_event, agg, index_ids: Vec::new() });
         }
         let funcs = CountingFuncs::starting_at(opts.unique_seed);
-        let strategy = opts.strategy;
-        let (plans, indexes, batch_dispatch) = if strategy == EvalStrategy::Batch {
-            let mut registry = IndexRegistry::default();
-            let plans = batch::build_plans(&rules, &mut registry);
-            let dispatch = batch::build_dispatch(&triggers, &plans);
-            (plans, registry, dispatch)
+        let mut indexes = IndexRegistry::default();
+        let batch_dispatch = if strategy == EvalStrategy::Batch {
+            batch::register_indexes(&mut rules, &mut indexes);
+            batch::build_dispatch(&triggers, |ri| &program.rules[ri])
         } else {
-            (Vec::new(), IndexRegistry::default(), HashMap::new())
+            HashMap::new()
         };
         // Attach the durability journal last, after every schema (catalog
         // and synthesized aggregate keys) is declared, so replay keys
@@ -515,16 +511,13 @@ impl Engine {
         }
         // Rule ids are read back only through logged derivations.
         let log = if opts.record_events {
-            ExecLog::for_rules(rules.iter().map(|r| r.rule.id.clone()))
+            ExecLog::for_rules(program.rules.iter().map(|r| r.id.clone()))
         } else {
             ExecLog::default()
         };
         Ok(Engine {
-            rules,
-            triggers: triggers
-                .into_iter()
-                .map(|(t, l)| (t, std::sync::Arc::new(l)))
-                .collect(),
+            rules: Arc::new(rules),
+            triggers: triggers.into_iter().map(|(t, l)| (t, Arc::new(l))).collect(),
             store,
             log,
             opts,
@@ -539,10 +532,11 @@ impl Engine {
             agg_contrib: HashMap::new(),
             total_derivations: 0,
             strategy,
-            plans: std::sync::Arc::new(plans),
             indexes,
             batch_dispatch,
             deltas: DeltaTracker::default(),
+            scratch: batch::JoinScratch::default(),
+            spare_queue: VecDeque::new(),
             wal_dir,
             wal_open_error,
         })
@@ -634,16 +628,20 @@ impl Engine {
     pub fn insert(&mut self, tuple: Tuple) -> Result<StepResult, RuntimeError> {
         self.time += 1;
         let mut result = StepResult::default();
-        let schema = self.store.schema_for(&tuple.table, tuple.args.len());
-        if schema.arity != tuple.args.len() {
+        // An undeclared table is state of whatever arity it is used with.
+        let (arity, is_state) = self
+            .store
+            .schema_for(&tuple.table)
+            .map_or((tuple.args.len(), true), |s| (s.arity, s.is_state()));
+        if arity != tuple.args.len() {
             return Err(RuntimeError::ArityMismatch {
                 table: tuple.table.clone(),
-                expected: schema.arity,
+                expected: arity,
                 got: tuple.args.len(),
             });
         }
-        let mut queue = VecDeque::new();
-        if schema.is_state() {
+        let mut queue = std::mem::take(&mut self.spare_queue);
+        if is_state {
             self.add_support(&tuple, true, None, &mut queue, &mut result)?;
         } else {
             // Transient event: exists for this instant only.
@@ -913,7 +911,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Try all joins of `rule` with the delta bound to body atom `atom_idx`.
+    /// Try all joins of `rule` with the delta bound to body atom `atom_idx`
+    /// (the pipelined reference: full scans, the name-keyed interpreter).
     fn fire(
         &mut self,
         rule_idx: usize,
@@ -923,17 +922,18 @@ impl Engine {
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
-        let cr = &self.rules[rule_idx];
-        let Some(env0) = match_atom(&cr.rule.body[atom_idx], delta, &Env::new()) else {
+        let rules = Arc::clone(&self.rules);
+        let RuleForm::Source(rule) = &rules[rule_idx].form else {
+            return Ok(());
+        };
+        let Some(env0) = match_atom(&rule.body[atom_idx], delta, &Env::new()) else {
             return Ok(());
         };
         // Join the remaining atoms left to right (skipping the delta slot).
-        let order: Vec<usize> =
-            (0..cr.rule.body.len()).filter(|&i| i != atom_idx).collect();
-        let n_sels = cr.rule.sels.len();
-        let mut sel_done = vec![false; n_sels];
+        let order: Vec<usize> = (0..rule.body.len()).filter(|&i| i != atom_idx).collect();
+        let mut sel_done = vec![false; rule.sels.len()];
         // Evaluate selections satisfiable from the delta alone.
-        if !self.eval_ready_sels(rule_idx, &env0, &mut sel_done) {
+        if !self.eval_ready_sels(rule, &env0, &mut sel_done) {
             return Ok(());
         }
         let mut matches: Vec<(Env, Vec<TupleId>, Vec<bool>)> =
@@ -943,7 +943,7 @@ impl Engine {
             for (env, tids, sels) in &matches {
                 // Candidate tuples: restrict to a node if the atom's
                 // location is already bound.
-                let atom = &self.rules[rule_idx].rule.body[ai];
+                let atom = &rule.body[ai];
                 let node_filter: Option<Value> = match &atom.loc {
                     Term::Const(v) => Some(v.clone()),
                     Term::Var(v) => env.get(v).cloned(),
@@ -961,10 +961,9 @@ impl Engine {
                     .map(|l| (l.tid, l.tuple.clone()))
                     .collect();
                 for (ctid, ctuple) in candidates {
-                    if let Some(env2) = match_atom(&self.rules[rule_idx].rule.body[ai], &ctuple, env)
-                    {
+                    if let Some(env2) = match_atom(atom, &ctuple, env) {
                         let mut sels2 = sels.clone();
-                        if !self.eval_ready_sels(rule_idx, &env2, &mut sels2) {
+                        if !self.eval_ready_sels(rule, &env2, &mut sels2) {
                             continue;
                         }
                         let mut tids2 = tids.clone();
@@ -985,58 +984,51 @@ impl Engine {
             for (slot, &ai) in order.iter().enumerate() {
                 body_tids[ai] = tids[slot + 1];
             }
-            self.finish_firing(rule_idx, env, sels, body_tids, delta, queue, result)?;
+            self.finish_firing(rule_idx, rule, env, sels, &body_tids, delta, queue, result)?;
         }
         Ok(())
     }
 
     /// Evaluate every not-yet-done selection whose variables are all bound.
     /// Returns false if any evaluates to false (or errors).
-    pub(crate) fn eval_ready_sels(&mut self, rule_idx: usize, env: &Env, done: &mut [bool]) -> bool {
-        // The func host is taken out for the duration so the selections can
-        // be evaluated in place (no per-candidate AST clone); nothing in
-        // `Selection::eval` can reach back into the engine.
-        let mut funcs = std::mem::take(&mut self.funcs);
-        let mut ok = true;
-        for i in 0..done.len() {
-            if done[i] {
-                continue;
-            }
-            let cr = &self.rules[rule_idx];
-            let ready = cr.sel_vars[i].iter().all(|v| env.contains_key(v));
-            if ready {
-                match cr.rule.sels[i].eval(env, &mut funcs) {
-                    Ok(true) => done[i] = true,
-                    _ => {
-                        ok = false;
-                        break;
-                    }
+    fn eval_ready_sels(&mut self, rule: &Rule, env: &Env, done: &mut [bool]) -> bool {
+        for (sel, done) in rule.sels.iter().zip(done.iter_mut()) {
+            if !*done && bound_in(&sel.lhs, env) && bound_in(&sel.rhs, env) {
+                match sel.eval(env, &mut self.funcs) {
+                    Ok(true) => *done = true,
+                    _ => return false,
                 }
             }
         }
-        self.funcs = funcs;
-        ok
+        true
     }
 
-    /// Assignments, remaining selections, head construction, derivation.
-    pub(crate) fn finish_firing(
-        &mut self,
-        rule_idx: usize,
-        mut env: Env,
-        mut sel_done: Vec<bool>,
-        body_tids: Vec<TupleId>,
-        delta: &Tuple,
-        queue: &mut VecDeque<(TupleId, Tuple)>,
-        result: &mut StepResult,
-    ) -> Result<(), RuntimeError> {
+    /// Count one firing against the derivation budget.
+    pub(crate) fn count_derivation(&mut self, result: &mut StepResult) -> Result<(), RuntimeError> {
         self.total_derivations += 1;
         result.derivations += 1;
         if self.total_derivations > self.opts.max_derivations {
             return Err(RuntimeError::DerivationLimit(self.opts.max_derivations));
         }
-        let n_assigns = self.rules[rule_idx].rule.assigns.len();
-        for i in 0..n_assigns {
-            let assign = self.rules[rule_idx].rule.assigns[i].clone();
+        Ok(())
+    }
+
+    /// The interpreter's end of a firing: assignments, the selections they
+    /// make ready, head construction.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_firing(
+        &mut self,
+        rule_idx: usize,
+        rule: &Rule,
+        mut env: Env,
+        mut sel_done: Vec<bool>,
+        body_tids: &[TupleId],
+        delta: &Tuple,
+        queue: &mut VecDeque<(TupleId, Tuple)>,
+        result: &mut StepResult,
+    ) -> Result<(), RuntimeError> {
+        self.count_derivation(result)?;
+        for assign in &rule.assigns {
             let Ok(v) = assign.expr.eval(&env, &mut self.funcs) else {
                 return Ok(()); // evaluation error → rule silently does not fire
             };
@@ -1046,7 +1038,7 @@ impl Engine {
                     env.insert(assign.var.clone(), v);
                 }
             }
-            if !self.eval_ready_sels(rule_idx, &env, &mut sel_done) {
+            if !self.eval_ready_sels(rule, &env, &mut sel_done) {
                 return Ok(());
             }
         }
@@ -1055,24 +1047,35 @@ impl Engine {
             // unreachable, but stay total.
             return Ok(());
         }
-        // Build the head tuple.
-        let head_atom = self.rules[rule_idx].rule.head.clone();
-        let Some(head) = instantiate(&head_atom, &env) else {
-            return Ok(());
-        };
+        match instantiate(&rule.head, &env) {
+            Some(head) => self.emit_head(rule_idx, head, body_tids, delta, queue, result),
+            None => Ok(()),
+        }
+    }
+
+    /// A rule fired and built `head`: derive it.
+    pub(crate) fn emit_head(
+        &mut self,
+        rule_idx: usize,
+        head: Tuple,
+        body_tids: &[TupleId],
+        delta: &Tuple,
+        queue: &mut VecDeque<(TupleId, Tuple)>,
+        result: &mut StepResult,
+    ) -> Result<(), RuntimeError> {
         if self.rules[rule_idx].head_is_event {
             // Transient derived event: it can never be retracted, so it
             // keeps no `DerivRecord`.
             let tid = self.mint(&head, TupleKind::Event);
             if self.opts.record_events {
-                self.log.derive(self.time, rule_idx, tid, &body_tids, &delta.loc);
+                self.log.derive(self.time, rule_idx, tid, body_tids, &delta.loc);
                 self.log.appear(self.time, tid);
             }
             self.close_record(tid);
             result.appeared.push(head.clone());
             queue.push_back((tid, head));
         } else {
-            self.add_support(&head, false, Some((rule_idx, &body_tids, &delta.loc)), queue, result)?;
+            self.add_support(&head, false, Some((rule_idx, body_tids, &delta.loc)), queue, result)?;
         }
         Ok(())
     }
@@ -1088,25 +1091,26 @@ impl Engine {
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
-        let cr = &self.rules[rule_idx];
-        let Some(env) = match_atom(&cr.rule.body[0], delta, &Env::new()) else {
+        // Only aggregate triggers dispatch here; stay total regardless.
+        let rules = Arc::clone(&self.rules);
+        let (RuleForm::Source(rule), Some(spec)) = (&rules[rule_idx].form, &rules[rule_idx].agg)
+        else {
             return Ok(());
         };
-        let mut sel_done = vec![false; cr.rule.sels.len()];
-        if !self.eval_ready_sels(rule_idx, &env, &mut sel_done) {
+        let Some(env) = match_atom(&rule.body[0], delta, &Env::new()) else {
+            return Ok(());
+        };
+        let mut sel_done = vec![false; rule.sels.len()];
+        if !self.eval_ready_sels(rule, &env, &mut sel_done) {
             return Ok(());
         }
         if !sel_done.iter().all(|&d| d) {
             return Ok(());
         }
-        // Only aggregate triggers dispatch here; stay total regardless.
-        let Some(spec) = self.rules[rule_idx].agg.clone() else {
-            return Ok(());
-        };
         let Some(value) = env.get(&spec.value_var).cloned() else {
             return Ok(());
         };
-        let Some(group) = self.agg_group_key(rule_idx, &env) else {
+        let Some(group) = agg_group_key(&rule.head, &env) else {
             return Ok(());
         };
         let g = self.agg_groups.entry((rule_idx, group.clone())).or_default();
@@ -1149,20 +1153,6 @@ impl Engine {
         self.drain(queue, result)
     }
 
-    /// Group key: head location followed by the evaluated non-agg head args.
-    fn agg_group_key(&mut self, rule_idx: usize, env: &Env) -> Option<Vec<Value>> {
-        let head = self.rules[rule_idx].rule.head.clone();
-        let mut key = Vec::with_capacity(head.args.len());
-        key.push(resolve_term(&head.loc, env)?);
-        for t in &head.args {
-            match t {
-                Term::Agg(..) => {}
-                other => key.push(resolve_term(other, env)?),
-            }
-        }
-        Some(key)
-    }
-
     fn agg_emit(
         &mut self,
         rule_idx: usize,
@@ -1172,7 +1162,9 @@ impl Engine {
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
-        let Some(spec) = self.rules[rule_idx].agg.clone() else {
+        let rules = Arc::clone(&self.rules);
+        let (RuleForm::Source(rule), Some(spec)) = (&rules[rule_idx].form, &rules[rule_idx].agg)
+        else {
             return Ok(());
         };
         let g = match self.agg_groups.get(&(rule_idx, group.clone())) {
@@ -1184,7 +1176,7 @@ impl Engine {
             AggKind::Min => g.values.keys().next().cloned().unwrap_or(Value::Wild),
             AggKind::Max => g.values.keys().next_back().cloned().unwrap_or(Value::Wild),
         };
-        let table = self.rules[rule_idx].rule.head.table.clone();
+        let table = rule.head.table.clone();
         let loc = group[0].clone();
         let mut args: Vec<Value> = group[1..].to_vec();
         args.push(agg_value);
@@ -1195,13 +1187,32 @@ impl Engine {
             // The group was checked live above; stay total if it vanished.
             None => return Ok(()),
         }
-        self.total_derivations += 1;
-        result.derivations += 1;
-        if self.total_derivations > self.opts.max_derivations {
-            return Err(RuntimeError::DerivationLimit(self.opts.max_derivations));
-        }
+        self.count_derivation(result)?;
         self.add_support(&head, false, Some((rule_idx, &[trigger_tid], &origin)), queue, result)
     }
+}
+
+/// Is every variable of `e` bound in `env`?
+fn bound_in(e: &Expr, env: &Env) -> bool {
+    match e {
+        Expr::Const(_) => true,
+        Expr::Var(v) => env.contains_key(v),
+        Expr::Binary(_, l, r) => bound_in(l, env) && bound_in(r, env),
+        Expr::Call(_, args) => args.iter().all(|a| bound_in(a, env)),
+    }
+}
+
+/// Group key: head location followed by the evaluated non-agg head args.
+fn agg_group_key(head: &Atom, env: &Env) -> Option<Vec<Value>> {
+    let mut key = Vec::with_capacity(head.args.len());
+    key.push(resolve_term(&head.loc, env)?);
+    for t in &head.args {
+        match t {
+            Term::Agg(..) => {}
+            other => key.push(resolve_term(other, env)?),
+        }
+    }
+    Some(key)
 }
 
 /// Unify an atom against a concrete tuple, extending `env`. Returns the
@@ -1267,7 +1278,7 @@ pub fn instantiate(atom: &Atom, env: &Env) -> Option<Tuple> {
     Some(Tuple { table: atom.table.clone(), loc, args })
 }
 
-pub(crate) fn resolve_term(term: &Term, env: &Env) -> Option<Value> {
+fn resolve_term(term: &Term, env: &Env) -> Option<Value> {
     match term {
         Term::Const(c) => Some(c.clone()),
         Term::Var(v) => env.get(v).cloned(),

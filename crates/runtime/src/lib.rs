@@ -11,6 +11,9 @@
 //! [`Options::strategy`]) and a from-scratch naive fixpoint ([`naive`]).
 //! Machinery around the round loop:
 //!
+//! - rules compiled to slot frames, column programs and a static selection
+//!   schedule ([`compiled`]) — what both the round loop and the joint
+//!   backtest of `mpr_backtest` fire through;
 //! - per-node tuple stores with primary-key replacement ([`store`]);
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
 //! - transient *event* tables (`PacketIn` and friends) whose derivations
@@ -29,6 +32,7 @@
 
 pub(crate) mod batch;
 pub mod codec;
+pub mod compiled;
 pub mod delta;
 pub mod engine;
 pub mod index;
@@ -37,6 +41,8 @@ pub mod log;
 pub mod naive;
 pub mod store;
 
+pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
+pub use compiled::CompiledRule;
 pub use delta::{DeltaTracker, RelationDeltaStats};
 pub use engine::{
     CompileError, Durability, Engine, EvalStrategy, Options, RuntimeError, StepResult, WalOptions,

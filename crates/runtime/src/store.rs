@@ -118,17 +118,22 @@ impl Store {
         }
     }
 
-    /// The schema for `table` (falling back to all-column keys).
-    pub fn schema_for(&self, table: &str, arity: usize) -> Schema {
-        self.schemas
-            .get(table)
-            .cloned()
-            .unwrap_or_else(|| Schema::state(table, arity))
+    /// The declared schema of `table`, if any. An undeclared table is
+    /// state keyed on all its columns, at whatever arity it is used with.
+    pub fn schema_for(&self, table: &str) -> Option<&Schema> {
+        self.schemas.get(table)
     }
 
+    /// `tuple` projected onto its table's key: the declared key columns,
+    /// or every column the schema (the tuple, if undeclared) has.
     fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
-        let schema = self.schema_for(&tuple.table, tuple.args.len());
-        tuple.key(&schema.effective_keys())
+        match self.schemas.get(&tuple.table) {
+            Some(schema) if !schema.keys.is_empty() => tuple.key(&schema.keys),
+            schema => {
+                let arity = schema.map_or(tuple.args.len(), |s| s.arity);
+                tuple.args.iter().take(arity).cloned().collect()
+            }
+        }
     }
 
     /// Add one unit of support for `tuple`. `base` distinguishes base
@@ -156,7 +161,11 @@ impl Store {
         next_tid: &mut dyn FnMut() -> TupleId,
     ) -> AddOutcome {
         let key = self.key_of(tuple);
-        let ts = self.tables.entry(tuple.table.clone()).or_default();
+        // `entry` would clone the name of a table that, but once, exists.
+        if !self.tables.contains_key(&tuple.table) {
+            self.tables.insert(tuple.table.clone(), TableStore::default());
+        }
+        let ts = self.tables.get_mut(&tuple.table).expect("inserted above");
         let bucket = ts.by_node.entry(tuple.loc.clone()).or_default();
         if let Some(live) = bucket.get_mut(&key) {
             if &live.tuple == tuple {

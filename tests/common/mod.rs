@@ -1,0 +1,35 @@
+//! The benchmark's `packetin-stream` in small, shared by the budget tests:
+//! the Q1 controller, and a seeded campus trace as the packet-ins it sees
+//! at each client's ingress switch.
+
+use sdn_meta_repair::core::scenarios::{q1_hosts, Scenario};
+use sdn_meta_repair::runtime::Options;
+use sdn_meta_repair::sdn::controller::{NdlogController, PacketInMsg};
+use sdn_meta_repair::sdn::topology::fig1_hosts::{DNS, H1, H2, INTERNET};
+use sdn_meta_repair::trace::Workload;
+
+/// The Q1 controller, seeded, with recording on or off.
+pub fn q1_controller(record_events: bool) -> NdlogController {
+    let s = Scenario::q1_copy_paste();
+    let opts = Options { record_events, ..Options::default() };
+    let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), opts)
+        .expect("the Q1 program compiles");
+    ctrl.seed(s.seeds.clone()).expect("the Q1 seeds insert");
+    ctrl
+}
+
+/// `n` packet-ins of the Q1 stream.
+pub fn q1_packet_ins(n: usize) -> Vec<PacketInMsg> {
+    use q1_hosts::{C2, C31, C41, H30, H40};
+    let s = Scenario::q1_copy_paste();
+    let mut spec =
+        Workload::trace_profile_a(vec![INTERNET, C2, C31, C41], vec![H1, H2, H30, H40], vec![DNS]);
+    spec.packets = n;
+    spec.generate()
+        .into_iter()
+        .map(|(client, packet)| {
+            let (switch, in_port) = s.topology.host_attachment(client).expect("clients are attached");
+            PacketInMsg { switch, in_port, packet }
+        })
+        .collect()
+}

@@ -6,29 +6,18 @@
 //! controller fed a seeded campus trace as packet-ins at each client's
 //! ingress switch.
 
-use sdn_meta_repair::core::scenarios::{q1_hosts, Scenario};
-use sdn_meta_repair::runtime::Options;
-use sdn_meta_repair::sdn::controller::{Controller, NdlogController, PacketInMsg};
-use sdn_meta_repair::sdn::topology::fig1_hosts::{DNS, H1, H2, INTERNET};
-use sdn_meta_repair::trace::Workload;
+mod common;
+
+use sdn_meta_repair::sdn::controller::{Controller, NdlogController};
 
 const PACKET_INS: usize = 10_000;
 
 fn q1_stream(record_events: bool) -> NdlogController {
-    use q1_hosts::{C2, C31, C41, H30, H40};
-    let s = Scenario::q1_copy_paste();
-    let mut spec =
-        Workload::trace_profile_a(vec![INTERNET, C2, C31, C41], vec![H1, H2, H30, H40], vec![DNS]);
-    spec.packets = PACKET_INS;
-    let opts = Options { record_events, ..Options::default() };
-    let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), opts)
-        .expect("the Q1 program compiles");
-    ctrl.seed(s.seeds.clone()).expect("the Q1 seeds insert");
+    let mut ctrl = common::q1_controller(record_events);
     let mut replies = Vec::new();
-    for (client, packet) in spec.generate() {
-        let (switch, in_port) = s.topology.host_attachment(client).expect("clients are attached");
+    for msg in common::q1_packet_ins(PACKET_INS) {
         replies.clear();
-        ctrl.on_packet_in(&PacketInMsg { switch, in_port, packet }, &mut replies);
+        ctrl.on_packet_in(&msg, &mut replies);
     }
     ctrl
 }
