@@ -5,27 +5,28 @@
 //! global traffic distribution.
 //!
 //! - [`replay()`] — sequential backtesting: fresh network + controller per
-//!   candidate, replaying the recorded workload; [`replay_candidates`]
-//!   fans independent candidates out over the [`pool`] worker threads;
+//!   candidate, replaying the recorded workload; [`replay_candidates`] is
+//!   that for a list of candidates, one after the other, a panic contained
+//!   per candidate — the reference the joint replay is held to, and the
+//!   path of whatever it does not model;
 //! - [`ks`] — the two-sample Kolmogorov–Smirnov filter (α = 0.05, §5.3);
 //! - [`mqo`] — the §4.4 multi-query optimization: one tagged joint replay
 //!   for all candidates, with rule-copy coalescing and flow tables shared
-//!   across candidates until a FlowMod tells them apart. A property test
-//!   pins the correctness claim: per-tag results equal sequential results.
-//! - [`pool`] — the scoped worker pool behind [`replay_candidates`]
-//!   (one worker per available core).
+//!   across candidates until a FlowMod tells them apart. It names the
+//!   candidates it cannot answer for ([`mqo::JointReplay::diverged`]);
+//!   property tests pin the correctness claim for the rest: per-tag
+//!   results equal sequential results.
 
 #![warn(missing_docs)]
 
 pub mod ks;
 pub mod mqo;
-pub mod pool;
 pub mod replay;
 
 pub use ks::{ks_coefficient, ks_two_sample, KsResult};
 pub use mqo::{
-    build_tagged_program, mqo_replay, mqo_replay_deltas, mqo_supported, tagged_program, TagSet,
-    TaggedProgram, TaggedVariant,
+    build_tagged_program, mqo_replay, mqo_replay_deltas, mqo_supported, tagged_program, JointReplay,
+    TagSet, TaggedProgram, TaggedVariant,
 };
 pub use replay::{
     replay, replay_candidates, replay_with_extra_flows, BacktestSetup, CandidateRun,

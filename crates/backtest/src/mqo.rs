@@ -54,53 +54,71 @@
 //! on as one flight. Counters stay exact per candidate (each is bumped
 //! for every tag of the set).
 //!
-//! # Scope
+//! # The controller: the engine's rounds over tagged state
 //!
-//! The tagged evaluator covers the insert-only, aggregate-free fragment
-//! that SDN controller programs written against a `PacketIn` →
-//! `FlowTable`/`PacketOut` codec use. Deletions and aggregates fall back to
-//! sequential replay ([`mqo_supported`] reports applicability). Derived
-//! output tables are not re-joined, so set-vs-replacement semantics cannot
-//! diverge from the sequential engine; like the sequential controller, the
-//! evaluator sends a control message only for an output tuple that
-//! *appears* (`LiveOutputs`).
+//! What a rule variant *is* at run time is [`mpr_runtime::compiled`]'s —
+//! the form the engine fires through too — and which variants a delta
+//! visits is the engine's [`mpr_runtime::TriggerDispatch`]. This module's
+//! own is what a tuple carries (a [`TagSet`]; a head's is the intersection
+//! of its body's) and the loop around the firings, which keeps the
+//! engine's discipline (`batch.rs`) in its own terms. A step — a seed or a
+//! PacketIn — runs in *rounds*. Per table the state is one append-only
+//! vector of `(tuple, tags)` rows with a `stable` watermark; a state head
+//! derived in a round is held back, deduplicated against what is visible
+//! and what is already held back, until the next round appends it, so a
+//! rule fired by the same delta does not see it. With the delta at body
+//! position `i`, an atom after `i` reads the rows below the watermark and
+//! an atom before it every row: two deltas of one round fire their pair
+//! once. An *event* head is a delta of the next round every time it is
+//! derived, and never a row. A head of one of the codec's output tables is
+//! not queued: `LiveOutputs` decides, per candidate, whether it *appears*
+//! (new, or replacing another payload under its key) and becomes a control
+//! message. Seeds are tagged like everything else (`tagged_seeds`).
 //!
-//! A derived head whose table the catalog declares an *event* is
-//! transient, as it is in the engine: it is queued for the rules it
-//! triggers every time it is derived, never stored, and so never joined.
-//! Only heads of state tables enter the tagged state (deduplicated: a
-//! second derivation propagates only to the candidates it is new for).
+//! # Scope: what is checked, and handed back
 //!
-//! What a rule variant *is* at run time — slots, column programs, the
-//! selection schedule, the column prefilter — is
-//! [`mpr_runtime::compiled`]'s, the form the engine fires through too, and
-//! which variants a delta visits is the engine's constant-keyed
-//! [`mpr_runtime::TriggerDispatch`]. What is this module's own is what a
-//! tuple carries (a [`TagSet`]) and the loop around the firings: the
-//! per-punt fixpoint, its memo, and `LiveOutputs`. A variant is compiled
-//! the first time a delta reaches it; most of a large program's never are.
+//! The replay answers for a candidate as far as that mirrors the engine,
+//! and says where it does not: [`JointReplay::diverged`] collects, while
+//! it runs, the candidates that met
+//!
+//! - a *second payload under a proper primary key* of a state table some
+//!   rule reads: the engine replaces the first and retracts what it
+//!   supported, which here would take support counts per tag;
+//! - an *output table in a rule body*: `LiveOutputs` mirrors replacement
+//!   for appearing, not for joining;
+//! - a *rule that does not compile, or aggregates*: a candidate's own
+//!   copies are checked up front (the reference refuses the whole
+//!   program), a borrowed base rule when a delta first reaches it;
+//! - a step that fires 100 000 deltas.
+//!
+//! Callers replay those per candidate ([`crate::replay_candidates`];
+//! [`mqo_replay`] does it itself). For the rest the claim is the whole
+//! `SimStats` of a sequential replay (`tests/prop_mqo.rs`), and
+//! [`mqo_supported`] is the one whole-run condition: an aggregate in the
+//! *base*. DESIGN.md, "Backtesting", has the reasons.
 //!
 //! The joint network has no clock and no faults. Flights advance one hop
 //! round at a time and a round's punts are evaluated after its lookups,
-//! where the simulator orders events by time; the two agree (the whole
-//! `SimStats`, `tests/prop_mqo.rs`) as long as a candidate never has two
-//! copies of one packet racing for the controller — entries the codec
-//! decodes never copy a packet. Fault plans and `drop_chance` are not
-//! modelled: the debugger backtests per candidate under either.
+//! where the simulator orders events by time; the two agree as long as a
+//! candidate never has two copies of one packet racing for the controller
+//! — entries the codec decodes never copy a packet. Fault plans and
+//! `drop_chance` are not modelled: the debugger backtests per candidate
+//! under either.
 
-use crate::replay::{BacktestSetup, ReplayOutcome};
+use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple};
 use mpr_runtime::{build_dispatch, CompiledRule, TriggerDispatch};
-use mpr_sdn::controller::{CtrlMsg, PacketInMsg};
+use mpr_sdn::controller::{CtrlMsg, PacketInMsg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimStats;
 use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A set of candidate tags (bit i = candidate i). At most 64 candidates
@@ -265,173 +283,244 @@ impl LiveOutputs<'_> {
     }
 }
 
-/// Tagged controller state: tuples annotated with the candidates they
-/// exist for.
+/// One table of the tagged controller state.
+#[derive(Default)]
+struct TaggedTable {
+    /// Append-only, in the order the tuples became visible. A tuple may
+    /// hold several rows, their tags disjoint: it is a delta again for a
+    /// candidate that derives it rounds after another.
+    rows: Vec<(Tuple, TagSet)>,
+    /// `rows[..stable]` were merged by a finished round; the rest are the
+    /// running round's deltas.
+    stable: usize,
+}
+
+/// `(tags, state generation, output heads)` of a memoized step.
+type Memo = (TagSet, u64, Rc<Vec<(Tuple, TagSet)>>);
+
+/// Tagged controller state, and the engine's round loop over it (module
+/// docs, "The controller").
 struct TaggedEngine<'a> {
     program: &'a TaggedProgram<'a>,
     catalog: &'a Catalog,
-    codec: &'a mpr_sdn::controller::TupleCodec,
-    /// Per variant, its compiled form — built when a delta first reaches
-    /// it; `None` for a candidate rule that does not compile (it uses a
-    /// variable bound nowhere) and so never fires.
+    codec: &'a TupleCodec,
+    /// Per variant, its compiled form: a candidate's own copy is compiled
+    /// up front, a borrowed base rule when a delta first reaches it. `None`
+    /// for a rule that does not compile, or aggregates.
     compiled: Vec<OnceCell<Option<CompiledRule>>>,
     /// table → the `(variant, body position)` pairs its deltas visit,
     /// grouped by prefilter constant.
     dispatch: HashMap<String, Arc<TriggerDispatch>>,
-    /// table → [(tuple, tags)]: seeds and derived state; never an event.
-    state: HashMap<String, Vec<(Tuple, TagSet)>>,
+    /// Seeds and derived state; never an event.
+    state: HashMap<String, TaggedTable>,
+    /// The key columns of the state tables with a proper primary key that
+    /// some rule reads: where a second payload replaces the first.
+    keyed: HashMap<String, Vec<usize>>,
     outputs: LiveOutputs<'a>,
     funcs: CountingFuncs,
-    /// Bumped whenever [`Self::insert_state`] admits fresh bits; stamps
-    /// memo entries so state changes invalidate them.
+    /// The candidates that met what this evaluator does not mirror.
+    diverged: TagSet,
+    /// Bumped whenever a state row is added; stamps memo entries so state
+    /// changes invalidate them.
     state_gen: u64,
     /// Fixpoint memo: the codec projects packets onto coarse event tuples
     /// (e.g. `PacketIn(@C, Swi, Hdr)`), so distinct packets repeatedly
-    /// trigger the *same* evaluation. Key: event tuple → entries of
-    /// `(tags, state generation, reply heads)`. A hit replays the recorded
-    /// heads through the codec against the current packet; evaluation is a
-    /// pure function of `(state, event, tags)`, so this is exact while the
+    /// trigger the *same* evaluation. A hit replays the recorded heads
+    /// through the codec against the current packet; evaluation is a pure
+    /// function of `(state, event, tags)`, so this is exact while the
     /// generation matches.
-    memo: HashMap<Tuple, Vec<(TagSet, u64, Vec<(Tuple, TagSet)>)>>,
+    memo: HashMap<Tuple, Vec<Memo>>,
+}
+
+/// `rule` in the form this evaluator fires, if it has one.
+fn compile(rule: &Rule, catalog: &Catalog) -> Option<CompiledRule> {
+    CompiledRule::compile(rule, catalog).ok().filter(|_| !rule.is_aggregate())
 }
 
 impl<'a> TaggedEngine<'a> {
-    fn new(
-        program: &'a TaggedProgram<'a>,
-        catalog: &'a Catalog,
-        codec: &'a mpr_sdn::controller::TupleCodec,
-        seeds: &[Tuple],
-        full: TagSet,
-    ) -> Self {
-        let mut state: HashMap<String, Vec<(Tuple, TagSet)>> = HashMap::new();
-        for s in seeds {
-            state.entry(s.table.clone()).or_default().push((s.clone(), full));
-        }
+    fn new(program: &'a TaggedProgram<'a>, catalog: &'a Catalog, codec: &'a TupleCodec) -> Self {
         let mut triggers: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+        let mut diverged: TagSet = 0;
+        let mut compiled = Vec::with_capacity(program.variants.len());
         for (vi, v) in program.variants.iter().enumerate() {
             for (ai, atom) in v.rule.body.iter().enumerate() {
                 triggers.entry(atom.table.clone()).or_default().push((vi, ai));
+            }
+            // The reference refuses a program one of whose rules does not
+            // compile, whether or not a delta ever reaches the rule.
+            let form = OnceCell::new();
+            if let Cow::Owned(rule) = &v.rule {
+                if form.get_or_init(|| compile(rule, catalog)).is_none() {
+                    diverged |= v.mask;
+                }
+            }
+            compiled.push(form);
+        }
+        let mut keyed = HashMap::new();
+        for (table, readers) in &triggers {
+            if codec.is_output(table) {
+                diverged |= readers.iter().fold(0, |m, &(vi, _)| m | program.variants[vi].mask);
+            }
+            if let Some(schema) = catalog.get(table).filter(|s| s.is_state()) {
+                let keys = schema.effective_keys();
+                if keys.len() < schema.arity {
+                    keyed.insert(table.clone(), keys);
+                }
             }
         }
         TaggedEngine {
             program,
             catalog,
             codec,
-            compiled: program.variants.iter().map(|_| OnceCell::new()).collect(),
+            compiled,
             dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
-            state,
+            state: HashMap::new(),
+            keyed,
             outputs: LiveOutputs { catalog, by_key: HashMap::new() },
             funcs: CountingFuncs::starting_at(1000),
+            diverged,
             state_gen: 0,
             memo: HashMap::new(),
         }
     }
 
-    /// Insert a state tuple for `tags`; returns the tag bits that are new.
-    fn insert_state(&mut self, t: &Tuple, tags: TagSet) -> TagSet {
-        let entry = self.state.entry(t.table.clone()).or_default();
-        let fresh = if let Some((_, existing)) = entry.iter_mut().find(|(et, _)| et == t) {
-            let fresh = tags & !*existing;
-            *existing |= tags;
-            fresh
-        } else {
-            entry.push((t.clone(), tags));
-            tags
+    fn is_event(&self, table: &str) -> bool {
+        self.catalog.get(table).is_some_and(|s| !s.is_state())
+    }
+
+    /// The candidates of `tags` for which the state tuple `t` is new:
+    /// neither visible nor held back in `pending`. Those for which it is a
+    /// second payload under its primary key diverge.
+    fn admit(&mut self, t: &Tuple, tags: TagSet, pending: &[(Tuple, TagSet)]) -> TagSet {
+        let keys = self.keyed.get(&t.table);
+        let same_key = |row: &Tuple| {
+            keys.is_some_and(|k| row.loc == t.loc && k.iter().all(|&c| row.args.get(c) == t.args.get(c)))
         };
-        if fresh != 0 {
-            self.state_gen += 1;
+        let rows = self.state.get(&t.table).map_or(&[][..], |table| &table.rows[..]);
+        let mut known: TagSet = 0;
+        for (row, row_tags) in rows.iter().chain(pending.iter().filter(|(p, _)| p.table == t.table)) {
+            if row == t {
+                known |= row_tags;
+            } else if row_tags & tags != 0 && same_key(row) {
+                self.diverged |= row_tags & tags;
+            }
         }
-        fresh
+        tags & !known
+    }
+
+    /// One engine step: `delta` is inserted for `tags` and the program run
+    /// to fixpoint, in rounds. Returns the heads derived into the codec's
+    /// output tables, in order, each with the candidates it was derived
+    /// for.
+    fn step(&mut self, delta: Tuple, tags: TagSet) -> Vec<(Tuple, TagSet)> {
+        let mut outputs = Vec::new();
+        let tags = if self.is_event(&delta.table) { tags } else { self.admit(&delta, tags, &[]) };
+        if tags == 0 {
+            return outputs;
+        }
+        // This round's deltas, and the heads it holds back for the next.
+        let mut round = vec![(delta, tags)];
+        let mut pending: Vec<(Tuple, TagSet)> = Vec::new();
+        // One variant's heads at a time.
+        let mut heads: Vec<(Tuple, TagSet)> = Vec::new();
+        let mut fired = 0u32;
+        while !round.is_empty() {
+            // The round begins: its state deltas become visible, as recent.
+            for (t, ttags) in &round {
+                if !self.is_event(&t.table) {
+                    self.state.entry(t.table.clone()).or_default().rows.push((t.clone(), *ttags));
+                    self.state_gen += 1;
+                }
+            }
+            for (delta, dtags) in &round {
+                fired += 1;
+                if fired > 100_000 {
+                    // A runaway recursion: the engine's own budgets judge it.
+                    self.diverged |= tags;
+                    pending.clear();
+                    break;
+                }
+                // The variants this delta can fire, in program order: its
+                // value's keyed group merged with the residual list.
+                let Some(dispatch) = self.dispatch.get(&delta.table).map(Arc::clone) else {
+                    continue;
+                };
+                for (vi, ai) in dispatch.triggers_for(delta) {
+                    let variant = &self.program.variants[vi];
+                    let active = variant.mask & dtags;
+                    if active == 0 {
+                        continue;
+                    }
+                    let Some(rule) = self.compiled[vi].get_or_init(|| compile(&variant.rule, self.catalog))
+                    else {
+                        self.diverged |= active;
+                        continue;
+                    };
+                    let state = &self.state;
+                    rule.fire_scan(
+                        ai,
+                        delta,
+                        active,
+                        |table, after_delta| match state.get(table) {
+                            Some(t) if after_delta => &t.rows[..t.stable],
+                            Some(t) => &t.rows,
+                            None => &[],
+                        },
+                        |a, b| Some(a & b).filter(|&joint| joint != 0),
+                        &mut self.funcs,
+                        &mut heads,
+                    );
+                    let head_is_event = rule.head_is_event();
+                    for (head, htags) in heads.drain(..) {
+                        if self.codec.is_output(&head.table) {
+                            outputs.push((head, htags));
+                        } else if head_is_event {
+                            // A transient event: it triggers, and is gone.
+                            pending.push((head, htags));
+                        } else {
+                            // Derived controller state, for whom it is new.
+                            let fresh = self.admit(&head, htags, &pending);
+                            if fresh != 0 {
+                                pending.push((head, fresh));
+                            }
+                        }
+                    }
+                }
+            }
+            // The round ends: what was recent is stable.
+            for (t, _) in &round {
+                if let Some(table) = self.state.get_mut(&t.table) {
+                    table.stable = table.rows.len();
+                }
+            }
+            std::mem::swap(&mut round, &mut pending);
+            pending.clear();
+        }
+        outputs
     }
 
     /// Evaluate the tagged program on one PacketIn under `tags`. Returns
     /// control messages with the tag sets they apply to.
     fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet) -> Vec<(CtrlMsg, TagSet)> {
-        let mut out = Vec::new();
         let event = self.codec.packet_in_tuple(msg);
-        if let Some(entries) = self.memo.get(&event) {
-            if let Some((_, _, heads)) =
-                entries.iter().find(|(t, g, _)| *t == tags && *g == self.state_gen)
-            {
-                // Replay the recorded reply heads against this packet.
-                for (h, htags) in heads {
-                    let fresh = self.outputs.appear(h, *htags);
-                    if let (true, Some(cm)) = (fresh != 0, self.codec.decode(h, msg)) {
-                        out.push((cm, fresh));
-                    }
-                }
-                return out;
-            }
-        }
         let gen_at_entry = self.state_gen;
-        let mut heads_out: Vec<(Tuple, TagSet)> = Vec::new();
-        let mut complete = true;
-        let mut queue: VecDeque<(Tuple, TagSet)> = VecDeque::new();
-        queue.push_back((event.clone(), tags));
-        let mut guard = 0u32;
-        // One variant's heads at a time.
-        let mut heads: Vec<(Tuple, TagSet)> = Vec::new();
-        while let Some((delta, dtags)) = queue.pop_front() {
-            guard += 1;
-            if guard > 100_000 {
-                complete = false;
-                break; // runaway guard; candidate is hopeless anyway
-            }
-            // The variants this delta can fire, in program order: its
-            // value's keyed group merged with the residual list.
-            let Some(dispatch) = self.dispatch.get(&delta.table).map(Arc::clone) else {
-                continue;
-            };
-            for (vi, ai) in dispatch.triggers_for(&delta) {
-                let variant = &self.program.variants[vi];
-                let active = variant.mask & dtags;
-                if active == 0 {
-                    continue;
-                }
-                let compiled = self.compiled[vi]
-                    .get_or_init(|| CompiledRule::compile(&variant.rule, self.catalog).ok());
-                let Some(rule) = compiled else { continue };
-                let state = &self.state;
-                rule.fire_scan(
-                    ai,
-                    &delta,
-                    active,
-                    |table| state.get(table).map_or(&[][..], Vec::as_slice),
-                    |a, b| Some(a & b).filter(|&joint| joint != 0),
-                    &mut self.funcs,
-                    &mut heads,
-                );
-                let head_is_event = rule.head_is_event();
-                for (head, htags) in heads.drain(..) {
-                    if let Some(cm) = self.codec.decode(&head, msg) {
-                        let fresh = self.outputs.appear(&head, htags);
-                        heads_out.push((head, htags));
-                        if fresh != 0 {
-                            out.push((cm, fresh));
-                        }
-                    } else if head.table == self.codec.packet_in_table {
-                        // Not re-evaluated: a PacketIn reaches the
-                        // controller from the network only.
-                    } else if head_is_event {
-                        // A transient event: it triggers, and is gone.
-                        queue.push_back((head, htags));
-                    } else {
-                        // Derived controller state: store and propagate.
-                        let fresh = self.insert_state(&head, htags);
-                        if fresh != 0 {
-                            queue.push_back((head, fresh));
-                        }
-                    }
-                }
+        let known = self.memo.get(&event).and_then(|entries| {
+            entries.iter().find(|(t, g, _)| *t == tags && *g == gen_at_entry).map(|m| Rc::clone(&m.2))
+        });
+        let heads = known.clone().unwrap_or_else(|| Rc::new(self.step(event.clone(), tags)));
+        let mut out = Vec::new();
+        for (head, htags) in heads.iter() {
+            let fresh = self.outputs.appear(head, *htags);
+            if let (true, Some(cm)) = (fresh != 0, self.codec.decode(head, msg)) {
+                out.push((cm, fresh));
             }
         }
-        // Memoize only runs that neither tripped the guard nor changed the
-        // state mid-flight — those replay identically while the generation
-        // holds.
-        if complete && self.state_gen == gen_at_entry {
+        // Memoize only steps that left the state alone — those replay
+        // identically while the generation holds.
+        if known.is_none() && self.state_gen == gen_at_entry {
             let entry = self.memo.entry(event).or_default();
             entry.retain(|(_, g, _)| *g == gen_at_entry); // drop stale generations
-            entry.push((tags, gen_at_entry, heads_out));
+            entry.push((tags, gen_at_entry, heads));
         }
         out
     }
@@ -615,21 +704,70 @@ impl Forwarder<'_> {
 }
 
 /// [`mqo_replay_deltas`] for `candidates` given as fully patched programs
-/// derived from `base`; the outcomes only.
+/// derived from `base`, on the setup's seeds; the outcomes only, those of
+/// [`JointReplay::diverged`] taken from one reference replay each. A
+/// candidate the reference refuses too (a rule of it does not compile)
+/// keeps the joint outcome — that of the candidate without the rule.
 pub fn mqo_replay(
     setup: &BacktestSetup,
     base: &Program,
     candidates: &[Program],
     extra_flows: &[ExtraFlows],
 ) -> Vec<ReplayOutcome> {
-    mqo_replay_deltas(setup, base, &deltas_between(base, candidates), extra_flows).0
+    let joint = mqo_replay_deltas(setup, base, &deltas_between(base, candidates), extra_flows, &[]);
+    let mut outcomes = joint.outcomes;
+    for_each_tag(joint.diverged, |i| {
+        let flows = extra_flows.get(i).map_or(&[][..], Vec::as_slice);
+        if let Ok(own) = replay_with_extra_flows(setup, &candidates[i], flows) {
+            outcomes[i] = own;
+        }
+    });
+    outcomes
+}
+
+/// What [`mqo_replay_deltas`] answers.
+#[derive(Debug, Clone, Default)]
+pub struct JointReplay {
+    /// One outcome per candidate, index-aligned.
+    pub outcomes: Vec<ReplayOutcome>,
+    /// The candidates whose outcome is not to be used (module docs, "Scope").
+    pub diverged: TagSet,
+    /// How many flow tables the replay materialised — the count that must
+    /// follow what the candidates install, not the size of the network.
+    pub footprint: TableFootprint,
+}
+
+/// The seeds in the order the joint controller takes them, each with the
+/// candidates it is a seed for. Candidate `i` starts from `own[i]`, or from
+/// `shared`. As far as its list follows `shared`'s order it rides on the
+/// shared tuples, which lose its bit where it dropped one; from its first
+/// tuple out of that order on, its list goes behind them under its own
+/// bit — so every candidate sees its own list, in its own order.
+fn tagged_seeds<'s>(
+    shared: &'s [Tuple],
+    own: &'s [Option<Vec<Tuple>>],
+    full: TagSet,
+) -> Vec<(&'s Tuple, TagSet)> {
+    let mut joint: Vec<(&Tuple, TagSet)> = shared.iter().map(|s| (s, full)).collect();
+    for (i, list) in own.iter().enumerate() {
+        let (Some(list), bit) = (list, 1 << i) else { continue };
+        joint[..shared.len()].iter_mut().for_each(|(_, tags)| *tags &= !bit);
+        let mut at = 0;
+        for (k, seed) in list.iter().enumerate() {
+            let Some(p) = shared[at..].iter().position(|s| s == seed) else {
+                joint.extend(list[k..].iter().map(|s| (s, bit)));
+                break;
+            };
+            joint[at + p].1 |= bit;
+            at += p + 1;
+        }
+    }
+    joint
 }
 
 /// Jointly replay the workload for every candidate — candidate `i` is
-/// `base` with `deltas[i]`, plus the manual entries `extra_flows[i]`.
-/// Returns one [`ReplayOutcome`] per candidate, index-aligned, and how
-/// many flow tables the replay materialised — the count that must follow
-/// what the candidates install, not the size of the network.
+/// `base` with `deltas[i]`, plus the manual entries `extra_flows[i]`, its
+/// controller seeded with `seeds[i]` (`None`, or no entry: `setup.seeds`).
 ///
 /// The joint network is fault-free: `setup.config.faults` and
 /// `drop_chance` are not modelled, so callers backtesting under either
@@ -639,16 +777,24 @@ pub fn mqo_replay_deltas(
     base: &Program,
     deltas: &[RuleDelta],
     extra_flows: &[ExtraFlows],
-) -> (Vec<ReplayOutcome>, TableFootprint) {
+    seeds: &[Option<Vec<Tuple>>],
+) -> JointReplay {
     let n = deltas.len();
     if n == 0 {
-        return (Vec::new(), TableFootprint::default());
+        return JointReplay::default();
     }
     let topo: &Topology = &setup.topology;
     let mut tables = TaggedTables { topo, by_switch: BTreeMap::new() };
     let full: TagSet = (!0u64) >> (64 - n);
     let tagged = tagged_program(base, deltas);
-    let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, &setup.seeds, full);
+    let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec);
+    for (seed, tags) in tagged_seeds(&setup.seeds, seeds.get(..n).unwrap_or(seeds), full) {
+        // What a seed derives into an output table is live from then on and
+        // sent nowhere: `NdlogController::seed` drops the engine's answer.
+        for (head, htags) in engine.step(seed.clone(), tags) {
+            engine.outputs.appear(&head, htags);
+        }
+    }
 
     // The proactive routes are the same for every candidate: one
     // full-mask variant per switch, built once.
@@ -766,7 +912,7 @@ pub fn mqo_replay_deltas(
         .into_iter()
         .map(|s| ReplayOutcome { delivered: s.delivered.clone(), stats: s })
         .collect();
-    (outcomes, tables.footprint())
+    JointReplay { outcomes, diverged: engine.diverged, footprint: tables.footprint() }
 }
 
 #[cfg(test)]
@@ -1109,6 +1255,28 @@ mod tests {
         t.install(77, 0b1111, &entry(80));
         t.install(2, 0, &entry(80));
         assert_eq!(t.footprint(), TableFootprint { switches: 1, variants: 5 });
+    }
+
+    #[test]
+    fn tagged_seeds_give_every_candidate_its_own_list_in_its_own_order() {
+        let t = |n: i64| Tuple::new("Cfg", Value::str("C"), vec![Value::Int(n)]);
+        let shared = [t(1), t(2), t(1)];
+        let own = [
+            None,                            // the shared list
+            Some(vec![t(1), t(1)]),          // dropped 2
+            Some(vec![t(2), t(1), t(9)]),    // dropped the first 1, added 9
+            Some(vec![t(2), t(1), t(1)]),    // reordered: leaves the shared order at the last 1
+            Some(vec![]),                    // dropped everything
+        ];
+        let joint = tagged_seeds(&shared, &own, 0b11111);
+        // Read back per candidate, the joint sequence is its list.
+        for (i, list) in own.iter().enumerate() {
+            let seen: Vec<&Tuple> =
+                joint.iter().filter(|(_, tags)| tags >> i & 1 == 1).map(|(s, _)| *s).collect();
+            assert_eq!(seen, list.as_deref().unwrap_or(&shared).iter().collect::<Vec<_>>(), "candidate {i}");
+        }
+        let tags: Vec<TagSet> = joint.iter().map(|(_, tags)| *tags).collect();
+        assert_eq!(tags, [0b00011, 0b01101, 0b01111, 0b00100, 0b01000]);
     }
 
     #[test]

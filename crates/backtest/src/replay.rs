@@ -92,55 +92,29 @@ pub struct CandidateRun {
     pub extra_flows: Vec<(i64, mpr_sdn::flowtable::FlowEntry)>,
 }
 
-/// Maximum attempts per candidate replay in [`replay_candidates`].
-const REPLAY_ATTEMPTS: u32 = 3;
-
-/// [`replay_with_extra_flows`] with bounded retry and exponential backoff.
-///
-/// Replays are deterministic, so a *logic* failure (program that cannot
-/// compile, codec mismatch) fails identically every attempt and comes
-/// back after `attempts` tries with the last error. What retries actually
-/// buy is the transient class — thread-spawn or allocation failure under
-/// memory pressure while many candidates replay in parallel — which
-/// clears once concurrent replays finish. Backoff doubles from 1 ms.
-pub fn replay_with_retry(
-    setup: &BacktestSetup,
-    program: &Program,
-    extra_flows: &[(i64, mpr_sdn::flowtable::FlowEntry)],
-    attempts: u32,
-) -> Result<ReplayOutcome, String> {
-    let mut last_err = String::from("no replay attempts made");
-    for attempt in 0..attempts.max(1) {
-        if attempt > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(1 << (attempt - 1)));
-        }
-        match replay_with_extra_flows(setup, program, extra_flows) {
-            Ok(out) => return Ok(out),
-            Err(e) => last_err = e,
-        }
-    }
-    Err(last_err)
-}
-
-/// Replay every candidate independently, fanning out across the
-/// [`crate::pool`] worker threads. Each run is hermetic (fresh controller
-/// and network per candidate), so the results are index-aligned and
-/// identical to a sequential loop over [`replay_with_extra_flows`] — this
-/// is the parallel form of the debugger's non-MQO backtest path. `None`
-/// marks candidates that failed to compile, whose replay errored after
-/// `REPLAY_ATTEMPTS` (3) tries, or whose replay panicked (contained per
-/// candidate — one pathological candidate cannot take down the loop).
+/// Replay every candidate on its own: a fresh controller and network each,
+/// one after the other, the results index-aligned. This is the
+/// per-candidate reference — the debugger's backtest under a fault plan or
+/// a `drop_chance`, and for the candidates a joint replay hands back.
+/// `None` marks a candidate that failed to compile, whose replay errored,
+/// or whose replay panicked (contained per candidate — one pathological
+/// candidate cannot take down the loop).
 pub fn replay_candidates(
     setup: &BacktestSetup,
     candidates: &[CandidateRun],
 ) -> Vec<Option<ReplayOutcome>> {
-    let out = crate::pool::par_map_contained(candidates, |_, c| {
+    each_contained(candidates, |c| {
         let program = c.program.as_ref()?;
-        let mut s = setup.clone();
-        s.seeds = c.seeds.clone();
-        replay_with_retry(&s, program, &c.extra_flows, REPLAY_ATTEMPTS).ok()
-    });
-    out.into_iter().map(|r| r.flatten()).collect()
+        let setup = BacktestSetup { seeds: c.seeds.clone(), ..setup.clone() };
+        replay_with_extra_flows(&setup, program, &c.extra_flows).ok()
+    })
+}
+
+/// `f` over `items`, in order. A panic inside `f` is that item's `None`,
+/// and the items after it still run.
+fn each_contained<T, R>(items: &[T], f: impl Fn(&T) -> Option<R>) -> Vec<Option<R>> {
+    let contained = |t| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(t))).ok().flatten();
+    items.iter().map(contained).collect()
 }
 
 #[cfg(test)]
@@ -197,6 +171,26 @@ mod tests {
         let b = replay(&setup(), &mini_program()).unwrap();
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.stats.packet_ins, b.stats.packet_ins);
+    }
+
+    #[test]
+    fn replay_candidates_is_index_aligned_and_skips_what_has_no_program() {
+        let run = |program| CandidateRun { program, seeds: vec![], extra_flows: vec![] };
+        let outs = replay_candidates(&setup(), &[run(Some(mini_program())), run(None), run(Some(mini_program()))]);
+        let flow_mods: Vec<Option<u64>> = outs.iter().map(|o| o.as_ref().map(|o| o.stats.flow_mods)).collect();
+        assert_eq!(flow_mods, [Some(2), None, Some(2)]);
+    }
+
+    #[test]
+    fn a_panicking_candidate_is_contained_and_spares_the_rest() {
+        let items: Vec<i64> = (0..9).collect();
+        let out = each_contained(&items, |&x| {
+            assert!(x % 5 != 3, "poisoned item {x}");
+            (x != 0).then_some(x * 2)
+        });
+        let want: Vec<Option<i64>> =
+            items.iter().map(|&x| (x != 0 && x % 5 != 3).then_some(x * 2)).collect();
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! rule deltas of the patches that make those programs — what the debugger
 //! feeds it. All three must agree.
 
-use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows};
+use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows, TagSet};
 use mpr_backtest::replay::{replay_with_extra_flows, BacktestSetup};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline, RuleDelta};
 use mpr_ndlog::{parse_program, ExprSide, Program};
@@ -235,7 +235,37 @@ fn structural_mutant() -> impl Strategy<Value = Mutation> {
 
 /// The joint backtest of `cands` (each with its manual entries) — fed the
 /// whole programs, and fed `deltas`, the same candidates as rule deltas —
-/// against one sequential replay each: every counter must agree.
+/// against one sequential replay each: every counter must agree, for the
+/// program-fed replay always (it takes what it cannot answer for from the
+/// reference itself) and for the delta-fed one on every candidate it does
+/// not hand back. Returns the candidates it hands back.
+fn joint_vs_sequential(
+    setup: &BacktestSetup,
+    base: &Program,
+    cands: &[Program],
+    deltas: &[RuleDelta],
+    extra: &[ExtraFlows],
+) -> Result<TagSet, TestCaseError> {
+    let joint = mqo_replay(setup, base, cands, extra);
+    let from_deltas = mqo_replay_deltas(setup, base, deltas, extra, &[]);
+    prop_assert_eq!(joint.len(), cands.len());
+    prop_assert_eq!(from_deltas.outcomes.len(), cands.len());
+    for (i, cand) in cands.iter().enumerate() {
+        let flows = extra.get(i).map_or(&[][..], Vec::as_slice);
+        let solo = replay_with_extra_flows(setup, cand, flows).unwrap();
+        prop_assert_eq!(&joint[i].stats, &solo.stats, "candidate {} stats diverge", i);
+        prop_assert_eq!(&joint[i].delivered, &solo.delivered, "candidate {} KS input", i);
+        if from_deltas.diverged >> i & 1 == 0 {
+            let own = &from_deltas.outcomes[i];
+            prop_assert_eq!(&own.stats, &solo.stats, "candidate {} stats, from its delta", i);
+            prop_assert_eq!(&own.delivered, &solo.delivered, "candidate {} KS input, from its delta", i);
+        }
+    }
+    Ok(from_deltas.diverged)
+}
+
+/// [`joint_vs_sequential`] where the joint replay must answer for every
+/// candidate itself.
 fn assert_joint_equals_sequential(
     setup: &BacktestSetup,
     base: &Program,
@@ -243,18 +273,8 @@ fn assert_joint_equals_sequential(
     deltas: &[RuleDelta],
     extra: &[ExtraFlows],
 ) -> Result<(), TestCaseError> {
-    let joint = mqo_replay(setup, base, cands, extra);
-    let (from_deltas, _) = mqo_replay_deltas(setup, base, deltas, extra);
-    prop_assert_eq!(joint.len(), cands.len());
-    prop_assert_eq!(from_deltas.len(), cands.len());
-    for (i, cand) in cands.iter().enumerate() {
-        let flows = extra.get(i).map_or(&[][..], Vec::as_slice);
-        let solo = replay_with_extra_flows(setup, cand, flows).unwrap();
-        prop_assert_eq!(&joint[i].stats, &solo.stats, "candidate {} stats diverge", i);
-        prop_assert_eq!(&joint[i].delivered, &solo.delivered, "candidate {} KS input", i);
-        prop_assert_eq!(&from_deltas[i].stats, &solo.stats, "candidate {} stats, from its delta", i);
-        prop_assert_eq!(&from_deltas[i].delivered, &solo.delivered, "candidate {} KS input, from its delta", i);
-    }
+    let handed_back = joint_vs_sequential(setup, base, cands, deltas, extra)?;
+    prop_assert_eq!(handed_back, 0, "candidates handed back to the reference");
     Ok(())
 }
 
@@ -336,7 +356,7 @@ fn manual_entries_then_a_flowmod_split_a_shared_table() {
         for proactive in [false, true] {
             let setup = fx.setup(proactive);
             assert_joint_equals_sequential(&setup, &fx.base, &cands, &deltas, &extra).unwrap();
-            let (_, footprint) = mqo_replay_deltas(&setup, &fx.base, &deltas, &extra);
+            let footprint = mqo_replay_deltas(&setup, &fx.base, &deltas, &extra, &[]).footprint;
             // The ingress switch ends with one variant per candidate.
             assert!(footprint.variants >= footprint.switches + 3, "{net:?}: {footprint:?}");
             if proactive {
@@ -372,7 +392,7 @@ fn packet_out_setup(fx: &Fixture, releases: &[(i64, i64)], max_hops: u32) -> (Ba
 
 fn joint_and_solo(setup: &BacktestSetup, program: &Program) -> (SimStats, SimStats) {
     let joint = mqo_replay(setup, program, std::slice::from_ref(program), &[]);
-    let (from_delta, _) = mqo_replay_deltas(setup, program, &[RuleDelta::default()], &[]);
+    let from_delta = mqo_replay_deltas(setup, program, &[RuleDelta::default()], &[], &[]).outcomes;
     let solo = replay_with_extra_flows(setup, program, &[]).unwrap();
     assert_eq!(from_delta[0].stats, joint[0].stats);
     (joint.into_iter().next().unwrap().stats, solo.stats)
@@ -490,4 +510,207 @@ fn candidates_may_edit_the_rule_an_event_table_triggers() {
     assert_eq!(delivered[0], 6, "the base releases every packet towards H1");
     assert_eq!(delivered[3..], [0, 0], "no `Seen`, or nothing behind it: every packet stays buffered");
     assert_eq!(joint[4].stats.dropped_buffered, 6);
+}
+
+// ---------------------------------------------------------------------
+// Derived controller state. The joint controller runs the engine's rounds:
+// a state head is held back until its round begins, a pair of one round's
+// deltas fires once — and what it does not mirror (primary-key replacement
+// in a table some rule reads, output tables in a rule body) it hands back
+// per candidate. Four named shapes, each with the counters the joint
+// replay read before it ran in rounds, then a generated family.
+
+/// Fig. 1, six packets from the Internet to H1 with destination ports
+/// 80 53 80 53 80 80; `PacketOut` decoded next to `FlowTable`.
+fn shape_setup() -> BacktestSetup {
+    let packets = [80, 53, 80, 53, 80, 80].into_iter().enumerate().map(|(i, port)| {
+        let mut p = Packet::http(i as u64, fig1_hosts::INTERNET, fig1_hosts::H1);
+        p.dst_port = port;
+        (fig1_hosts::INTERNET, p)
+    });
+    let mut setup = fig1_fixture().setup(false);
+    setup.codec.packet_out_table = Some("PacketOut".into());
+    setup.workload = Arc::new(packets.collect());
+    setup
+}
+
+/// `(flow_mods, packet_outs, packets delivered to H1, packet_ins)`.
+fn counters(stats: &SimStats) -> (u64, u64, u64, u64) {
+    let delivered = stats.delivered.get(&fig1_hosts::H1).copied().unwrap_or(0);
+    (stats.flow_mods, stats.packet_outs, delivered, stats.packet_ins)
+}
+
+/// Replays `patches` of `src` jointly and one by one
+/// ([`joint_vs_sequential`]). Returns the sequential counters per
+/// candidate, and who was handed back.
+fn replay_shape(src: &str, patches: &[Patch]) -> (Vec<(u64, u64, u64, u64)>, TagSet) {
+    let setup = shape_setup();
+    let base = parse_program("shape", src).unwrap();
+    let (deltas, cands) = deltas_and_programs(&base, patches);
+    let handed_back = joint_vs_sequential(&setup, &base, &cands, &deltas, &[]).unwrap();
+    let solo = cands.iter().map(|c| counters(&replay_with_extra_flows(&setup, c, &[]).unwrap().stats));
+    (solo.collect(), handed_back)
+}
+
+fn delete(rule: &str) -> Patch {
+    Patch::single(Edit::DeleteRule { rule: rule.into() })
+}
+
+/// `b` joins the packet-in with the `Last` that `a` derives from it.
+fn last_program(keys: &str) -> String {
+    format!(
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(Last, infinity, 2, keys({keys})).\n\
+         materialize(FlowTable, infinity, 2, keys(0,1)).\n\
+         a Last(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr).\n\
+         b FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Last(@C,Swi,Hdr), Prt := 1.\n"
+    )
+}
+
+/// Shape (i): a state head is not visible to the rules its own delta
+/// fires next. The engine holds `Last` back for a round, so `b` answers
+/// the *second* packet-in of a (switch, header) pair; read from a per-tuple
+/// queue, `b` saw the `Last` its own packet-in had just derived and the
+/// joint replay counted (4, 0, 2, 4).
+#[test]
+fn a_state_head_waits_for_its_round() {
+    let (solo, handed_back) = replay_shape(&last_program("0,1"), &[Patch::default(), delete("a")]);
+    assert_eq!(solo, [(3, 0, 0, 6), (0, 0, 0, 6)]);
+    assert_eq!(handed_back, 0, "no primary key, nothing to hand back");
+}
+
+/// Shape (ii): keyed on the switch alone, every other header replaces the
+/// `Last` before it, and retracts what the old one supported. The joint
+/// state keeps every payload — (4, 0, 2, 4), as if nothing were keyed — so
+/// the candidate that meets a second payload is handed back; the one
+/// without `a` never derives a `Last` and stays.
+#[test]
+fn a_replaced_payload_hands_its_candidate_back() {
+    let (solo, handed_back) = replay_shape(&last_program("0"), &[Patch::default(), delete("a")]);
+    assert_eq!(solo, [(1, 0, 0, 6), (0, 0, 0, 6)]);
+    assert_eq!(handed_back, 0b01);
+}
+
+/// Shape (iii): `A` and `B`, derived from one packet-in, are deltas of one
+/// round, and their pair fires `c` once — when `B`, the later atom, is the
+/// delta. One delta at a time it fired once per delta: (0, 8, 4, 10).
+#[test]
+fn a_pair_of_one_rounds_deltas_fires_once() {
+    let src = "materialize(PacketIn, event, 2, keys()).\n\
+               materialize(A, infinity, 2, keys(0,1)).\n\
+               materialize(B, infinity, 2, keys(0,1)).\n\
+               materialize(PacketOut, event, 2, keys()).\n\
+               a A(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr).\n\
+               b B(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr).\n\
+               c PacketOut(@Swi,Hdr,Prt) :- A(@C,Swi,Hdr), B(@C,Swi,Hdr), Prt := 1.\n";
+    let (solo, handed_back) = replay_shape(src, &[Patch::default(), delete("b")]);
+    assert_eq!(solo, [(0, 4, 2, 8), (0, 0, 0, 6)]);
+    assert_eq!(handed_back, 0);
+}
+
+/// Shape (iv): an output table in a rule body. The joint controller keeps
+/// output heads apart (`LiveOutputs`) and never queued them, so `r2` never
+/// fired: (1, 0, 0, 6), the counters of the candidate without it. Whoever
+/// keeps `r2` is handed back.
+#[test]
+fn an_output_table_in_a_rule_body_hands_its_readers_back() {
+    let src = "materialize(PacketIn, event, 2, keys()).\n\
+               materialize(FlowTable, infinity, 2, keys(0,1)).\n\
+               r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 80, Prt := 1.\n\
+               r2 FlowTable(@Nxt,Hdr,Prt) :- FlowTable(@Swi,Hdr,Prt), Swi == 1, Nxt := 2.\n";
+    let (solo, handed_back) = replay_shape(src, &[Patch::default(), delete("r2")]);
+    assert_eq!(solo, [(2, 0, 3, 3), (1, 0, 0, 6)]);
+    assert_eq!(handed_back, 0b01);
+}
+
+/// A candidate rule that parses, validates and patches in, and does not
+/// compile: the reference refuses the candidate, and the joint replay —
+/// which used to skip the rule, answering for the candidate as if it had
+/// deleted it — hands it back, leaving its neighbours joint.
+#[test]
+fn a_candidate_that_does_not_compile_is_handed_back() {
+    let fx = fig1_fixture();
+    let setup = fx.setup(false);
+    let unbound = Patch::single(Edit::SetSelectionExpr {
+        rule: "r1".into(),
+        sel: 0,
+        side: ExprSide::Lhs,
+        expr: mpr_ndlog::Expr::var("Zed"),
+    });
+    let patches = [Mutation::Negate { rule: 2, sel: 0 }.patch(&fx), unbound, delete("r2")];
+    let (deltas, cands) = deltas_and_programs(&fx.base, &patches);
+    let err = replay_with_extra_flows(&setup, &cands[1], &[]).unwrap_err();
+    assert!(err.contains("unbound variable `Zed`"), "{err}");
+    let joint = mqo_replay_deltas(&setup, &fx.base, &deltas, &[], &[]);
+    assert_eq!(joint.diverged, 0b010);
+    for i in [0, 2] {
+        let own = replay_with_extra_flows(&setup, &cands[i], &[]).unwrap();
+        assert_eq!(joint.outcomes[i].stats, own.stats, "candidate {i}");
+    }
+}
+
+/// The derived-state family on Fig. 1. `r1` derives `Seen` from the
+/// packet-in and `r2` joins the packet-in with it into a flow entry; `Seen`
+/// is keyed on all its columns, or (`keyed`) on the switch alone, where a
+/// second header replaces the first. With `second`, `r3` derives `Also`
+/// and `r4` joins the two derived tables into a `PacketOut` event; without,
+/// `r3` and `r4` are two of the plain policies. Every rule has two
+/// selections, so the mutations of the plain family edit any of them.
+fn derived_fixture(keyed: bool, second: bool, picks: &[usize]) -> Fixture {
+    let consts = vec![1, 2, 3, 53, 80];
+    let c = |i: usize| consts[picks[i] % consts.len()];
+    let port = |i: usize| 1 + picks[i] % 2;
+    let mut src = format!(
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(FlowTable, infinity, 2, keys(0,1)).\n\
+         materialize(PacketOut, event, 2, keys()).\n\
+         materialize(Seen, infinity, 2, keys({})).\n\
+         materialize(Also, infinity, 2, keys(0,1)).\n\
+         r1 Seen(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr), Swi != {}, Hdr != {}.\n\
+         r2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Seen(@C,Swi,Hdr), Swi != {}, Hdr != {}, Prt := {}.\n",
+        if keyed { "0" } else { "0,1" },
+        c(0),
+        c(1),
+        c(2),
+        c(3),
+        port(4),
+    );
+    src.push_str(&if second {
+        format!(
+            "r3 Also(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr), Swi != {}, Hdr != {}.\n\
+             r4 PacketOut(@Swi,Hdr,Prt) :- Seen(@C,Swi,Hdr), Also(@C,Swi,Hdr), Swi != {}, Hdr != {}, Prt := {}.\n",
+            c(5),
+            c(6),
+            c(7),
+            c(8),
+            port(9),
+        )
+    } else {
+        "r3 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 53, Prt := 2.\n\
+         r4 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 3, Hdr == 53, Prt := 1.\n"
+            .to_string()
+    });
+    Fixture { base: parse_program("prop-mqo-derived", &src).unwrap(), consts, ..fig1_fixture() }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Candidates that edit the rule deriving the state, the rule joining
+    /// it, or the rules behind them: joint equals sequential on the whole
+    /// `SimStats`, and without a proper key nobody is handed back.
+    #[test]
+    fn joint_equals_sequential_on_derived_state(
+        keyed in prop::sample::select(vec![false, true]),
+        second in prop::sample::select(vec![false, true]),
+        picks in prop::collection::vec(0usize..5, 10),
+        cands in prop::collection::vec(prop_oneof![mutant(), structural_mutant()], 1..6),
+    ) {
+        let fx = derived_fixture(keyed, second, &picks);
+        let (programs, deltas) = mutants(&fx, &cands.iter().collect::<Vec<_>>())?;
+        let mut setup = fx.setup(false);
+        setup.codec.packet_out_table = Some("PacketOut".into());
+        let handed_back = joint_vs_sequential(&setup, &fx.base, &programs, &deltas, &[])?;
+        prop_assert!(keyed || handed_back == 0, "handed back without a key: {:b}", handed_back);
+    }
 }

@@ -82,6 +82,10 @@ pub struct RepairReport {
     /// The candidates were backtested jointly, in one replay (§4.4), not
     /// by one reference replay each.
     pub backtested_jointly: bool,
+    /// How many candidates of a joint backtest the replay handed back —
+    /// they met something it does not mirror — and one reference replay
+    /// each answered for.
+    pub handed_back: usize,
 }
 
 impl RepairReport {
@@ -242,7 +246,7 @@ impl Debugger {
         // --- backtesting ------------------------------------------------
         let t_back = Instant::now();
         let setup = self.setup();
-        let (outcomes_raw, backtested_jointly) = self.backtest(&setup, &candidates)?;
+        let (outcomes_raw, handed_back) = self.backtest(&setup, &candidates)?;
         replay_time += t_back.elapsed();
 
         let alpha = 0.05;
@@ -302,27 +306,33 @@ impl Debugger {
             trees: stats.trees,
             pools_solved: stats.pools_solved,
             search_timed_out: stats.timed_out,
-            backtested_jointly,
+            backtested_jointly: handed_back.is_some(),
+            handed_back: handed_back.unwrap_or(0),
         })
     }
 
     /// Backtest every candidate, and say whether they went through the
-    /// joint replay; `None` marks candidates whose patch does not apply
-    /// (they are reported as ineffective).
+    /// joint replay — `Some(how many of them it handed back)`. A `None`
+    /// outcome marks a candidate whose patch does not apply or whose
+    /// program does not run (it is reported as ineffective).
     ///
     /// A candidate is read as what it changes: a [`RuleDelta`] of the
     /// program, manual flow entries, and — only for a tuple repair that
     /// alters them — seeds of its own. The joint replay is built from
-    /// that; whole programs and per-candidate seed sets are made only for
-    /// the per-candidate fallback.
+    /// that; whole programs and seed sets are made only for the reference,
+    /// which replays everyone when the joint replay does not model the
+    /// run, and otherwise whom it hands back.
     fn backtest(
         &self,
         setup: &BacktestSetup,
         candidates: &[Candidate],
-    ) -> Result<(Vec<Option<ReplayOutcome>>, bool), String> {
+    ) -> Result<(Vec<Option<ReplayOutcome>>, Option<usize>), String> {
         let base = &self.scenario.program;
         let outline = ProgramOutline::new(base)?;
-        let mut deltas: Vec<Option<RuleDelta>> = Vec::new();
+        // A candidate whose patch does not apply has nothing to replay: it
+        // rides along as the base program and its outcome is dropped.
+        let mut deltas: Vec<RuleDelta> = Vec::new();
+        let mut applies: Vec<bool> = Vec::new();
         let mut extra: Vec<ExtraFlows> = Vec::new();
         let mut seed_sets: Vec<Option<Vec<Tuple>>> = Vec::new();
         for c in candidates {
@@ -330,10 +340,7 @@ impl Debugger {
             let mut seeds = None;
             match &c.repair {
                 Repair::Patch(_) => {}
-                Repair::InsertTuple(t)
-                    if t.table == setup.codec.flow_table
-                        || Some(&t.table) == setup.codec.packet_out_table.as_ref() =>
-                {
+                Repair::InsertTuple(t) if setup.codec.is_output(&t.table) => {
                     flows.extend(manual_flow_entry(&setup.codec, t));
                 }
                 other => {
@@ -342,42 +349,41 @@ impl Debugger {
                     seeds = (adjusted != setup.seeds).then_some(adjusted);
                 }
             }
-            deltas.push(c.repair.delta(base, &outline).ok());
+            let delta = c.repair.delta(base, &outline);
+            applies.push(delta.is_ok());
+            deltas.push(delta.unwrap_or_default());
             extra.push(flows);
             seed_sets.push(seeds);
         }
-        // Joint MQO path requires identical seeds across candidates; fall
-        // back to sequential when any candidate perturbs seeds. It also
-        // models a fault-free network, and the baseline was observed under
-        // `setup.config`: with a fault plan or a drop chance the
-        // candidates must meet the same faults, one simulator each.
-        let uniform_seeds = seed_sets.iter().all(Option::is_none);
-        let supported = mqo_supported(base)
-            && deltas.iter().flatten().flat_map(RuleDelta::rules).all(|r| !r.is_aggregate());
+        let reference = |which: &[usize]| {
+            let runs: Vec<CandidateRun> = which
+                .iter()
+                .map(|&i| CandidateRun {
+                    program: applies[i].then(|| deltas[i].overlay(base)),
+                    seeds: seed_sets[i].clone().unwrap_or_else(|| setup.seeds.clone()),
+                    extra_flows: extra[i].clone(),
+                })
+                .collect();
+            replay_candidates(setup, &runs)
+        };
+        // The joint network has no clock and no faults, and the baseline
+        // was observed under `setup.config`: with a fault plan or a drop
+        // chance the candidates must meet the same faults, one simulator
+        // each. Its controller does not aggregate.
         let fault_free = setup.config.faults.is_empty() && setup.config.drop_chance <= 0.0;
-        if self.use_mqo && fault_free && uniform_seeds && candidates.len() <= 64 && supported {
-            // A candidate whose patch does not apply has nothing to replay:
-            // the others go jointly and its slot stays `None`.
-            let applies: Vec<bool> = deltas.iter().map(Option::is_some).collect();
-            let (deltas, extra): (Vec<RuleDelta>, Vec<ExtraFlows>) =
-                deltas.into_iter().zip(extra).filter_map(|(d, e)| Some((d?, e))).unzip();
-            let mut outs = mqo_replay_deltas(setup, base, &deltas, &extra).0.into_iter();
-            let outs = applies.iter().map(|&ok| if ok { outs.next() } else { None }).collect();
-            return Ok((outs, true));
+        if !(self.use_mqo && fault_free && candidates.len() <= 64 && mqo_supported(base)) {
+            return Ok((reference(&(0..candidates.len()).collect::<Vec<_>>()), None));
         }
-        // Independent-replay fallback, fanned out over the backtest pool
-        // (one hermetic simulator per candidate, results index-aligned).
-        let runs: Vec<CandidateRun> = deltas
-            .into_iter()
-            .zip(seed_sets)
-            .zip(extra)
-            .map(|((delta, seeds), extra_flows)| CandidateRun {
-                program: delta.map(|d| d.overlay(base)),
-                seeds: seeds.unwrap_or_else(|| setup.seeds.clone()),
-                extra_flows,
-            })
-            .collect();
-        Ok((replay_candidates(setup, &runs), false))
+        let joint = mqo_replay_deltas(setup, base, &deltas, &extra, &seed_sets);
+        let mut outs: Vec<Option<ReplayOutcome>> =
+            joint.outcomes.into_iter().zip(&applies).map(|(out, &ok)| ok.then_some(out)).collect();
+        // What the joint replay met and does not mirror, it hands back.
+        let handed_back: Vec<usize> =
+            (0..outs.len()).filter(|&i| applies[i] && joint.diverged >> i & 1 == 1).collect();
+        for (i, own) in handed_back.iter().zip(reference(&handed_back)) {
+            outs[*i] = own;
+        }
+        Ok((outs, Some(handed_back.len())))
     }
 }
 
@@ -525,32 +531,85 @@ mod tests {
         assert!(report.trees > 0);
     }
 
-    #[test]
-    fn one_unapplicable_patch_does_not_take_the_others_off_the_joint_path() {
-        use mpr_ndlog::patch::{Edit, Patch};
+    /// Q1's debugger, its setup, and the first two patch candidates the
+    /// explorer generates for it.
+    fn q1_with_two_patches() -> (Debugger, BacktestSetup, [Candidate; 2]) {
         let scenario = Scenario::q1_copy_paste();
         let dbg = Debugger::for_scenario(&scenario);
         let (world, ..) = dbg.observe().unwrap();
         let Symptom::Missing(goal) = &scenario.symptom else { unreachable!("Q1 is a missing-tuple query") };
         let (generated, _) = generate_missing(&world, goal);
-        let mut good = generated.iter().filter(|c| matches!(c.repair, Repair::Patch(_))).cloned();
-        let (first, last) = (good.next().unwrap(), good.next().unwrap());
-        // Between two good candidates, one whose patch names a rule the
-        // program does not have.
-        let broken = Candidate {
-            repair: Repair::Patch(Patch::single(Edit::DeleteRule { rule: "no-such-rule".into() })),
-            cost: 1,
-            description: "hand-built".into(),
-            trace: Vec::new(),
-        };
+        let mut good = generated.into_iter().filter(|c| matches!(c.repair, Repair::Patch(_)));
+        let patches = [good.next().unwrap(), good.next().unwrap()];
         let setup = dbg.setup();
-        let (with, jointly) = dbg.backtest(&setup, &[first.clone(), broken, last.clone()]).unwrap();
+        (dbg, setup, patches)
+    }
+
+    fn hand_built(repair: Repair) -> Candidate {
+        Candidate { repair, cost: 1, description: "hand-built".into(), trace: Vec::new() }
+    }
+
+    fn stats(o: &Option<ReplayOutcome>) -> Option<mpr_sdn::sim::SimStats> {
+        o.as_ref().map(|o| o.stats.clone())
+    }
+
+    #[test]
+    fn one_unapplicable_patch_does_not_take_the_others_off_the_joint_path() {
+        use mpr_ndlog::patch::{Edit, Patch};
+        let (dbg, setup, [first, last]) = q1_with_two_patches();
+        // Between two good candidates, one whose patch names a rule the
+        // program does not have, and one that takes a seed away.
+        let broken =
+            hand_built(Repair::Patch(Patch::single(Edit::DeleteRule { rule: "no-such-rule".into() })));
+        let unseeded = hand_built(Repair::DeleteTuple(setup.seeds[0].clone()));
+        let (with, jointly) =
+            dbg.backtest(&setup, &[first.clone(), broken, unseeded, last.clone()]).unwrap();
         let (without, _) = dbg.backtest(&setup, &[first, last]).unwrap();
-        assert!(jointly, "the two good candidates still replay jointly");
+        assert_eq!(jointly, Some(0), "the three good candidates replay jointly, none handed back");
         assert!(with[1].is_none(), "the broken candidate has no outcome");
-        let stats = |o: &Option<ReplayOutcome>| o.as_ref().map(|o| o.stats.clone());
         assert!(without.iter().all(Option::is_some));
-        assert_eq!([stats(&with[0]), stats(&with[2])], [stats(&without[0]), stats(&without[1])]);
+        assert_eq!([stats(&with[0]), stats(&with[3])], [stats(&without[0]), stats(&without[1])]);
+        let alone = BacktestSetup { seeds: Vec::new(), ..setup.clone() };
+        let reference = mpr_backtest::replay::replay(&alone, &dbg.scenario.program).unwrap();
+        assert_eq!(stats(&with[2]), Some(reference.stats), "the candidate without the seed");
+    }
+
+    #[test]
+    fn tuple_repairs_ride_the_joint_replay() {
+        let (dbg, setup, [first, last]) = q1_with_two_patches();
+        let seed = setup.seeds[0].clone();
+        assert_eq!(seed.table, "WebLoadBalancer", "keyed on the header, read by r1");
+        let balancer = |hdr: i64, prt: i64| Tuple::new("WebLoadBalancer", seed.loc.clone(), vec![V::Int(hdr), V::Int(prt)]);
+        let candidates = [
+            first,
+            hand_built(Repair::InsertTuple(balancer(53, 3))),
+            hand_built(Repair::DeleteTuple(seed.clone())),
+            hand_built(Repair::ChangeTuple { from: seed.clone(), to: balancer(80, 3) }),
+            // A second payload under the seed's key: the engine replaces,
+            // the joint state cannot, and hands the candidate back.
+            hand_built(Repair::InsertTuple(balancer(80, 3))),
+            last,
+        ];
+        let (joint, handed_back) = dbg.backtest(&setup, &candidates).unwrap();
+        assert_eq!(handed_back, Some(1));
+        let runs: Vec<CandidateRun> = candidates
+            .iter()
+            .map(|c| {
+                let mut seeds = setup.seeds.clone();
+                c.repair.adjust_seeds(&mut seeds);
+                let program = c.repair.apply(&dbg.scenario.program).ok();
+                CandidateRun { program, seeds, extra_flows: Vec::new() }
+            })
+            .collect();
+        let reference = replay_candidates(&setup, &runs);
+        assert!(reference.iter().all(Option::is_some));
+        for (i, (got, want)) in joint.iter().zip(&reference).enumerate() {
+            assert_eq!(stats(got), stats(want), "candidate {i}: {:?}", candidates[i].repair);
+        }
+        // The tuple repairs are no copies of the base: they change what
+        // reaches the servers.
+        let flow_mods: Vec<u64> = joint.iter().flatten().map(|o| o.stats.flow_mods).collect();
+        assert!(flow_mods[1..5].iter().any(|&n| n != flow_mods[2]), "{flow_mods:?}");
     }
 
     #[test]

@@ -26,6 +26,7 @@ fn backtest_work(lines: usize) -> (usize, usize, usize) {
     let s = Scenario::q1_padded(lines);
     let report = Debugger::for_scenario(&s).diagnose_and_repair().unwrap();
     assert!(report.backtested_jointly, "{lines}: the candidates replay jointly");
+    assert_eq!(report.handed_back, 0, "{lines}: and none is handed back");
 
     // The backtesting program, as the debugger builds it.
     let outline = ProgramOutline::new(&s.program).unwrap();

@@ -2,7 +2,7 @@
 //! existing harmful tuple is removed by deleting or changing base tuples,
 //! or by rule-literal changes that break the offending derivation.
 
-use mpr_core::debugger::repair_scenario;
+use mpr_core::debugger::{repair_scenario, Debugger};
 use mpr_core::repair::Repair;
 use mpr_core::scenarios::Scenario;
 
@@ -47,4 +47,29 @@ fn positive_traces_walk_the_derivation() {
     let trace = delete.candidate.render_trace();
     assert!(trace.contains("EXIST[Tuple"), "{trace}");
     assert!(trace.contains("DERIVE[r1"), "{trace}");
+}
+
+/// Fig. 7's candidates include a tuple repair that takes a seed away —
+/// once enough to send every candidate through one reference replay each.
+/// They ride the joint replay, the seed tagged, and get the verdicts the
+/// reference gives.
+#[test]
+fn a_seed_perturbing_candidate_rides_the_joint_replay() {
+    let scenario = Scenario::fig7_harmful_entry();
+    let joint = repair_scenario(&scenario);
+    assert!(joint.backtested_jointly);
+    assert_eq!(joint.handed_back, 0);
+    assert!(joint.outcomes.iter().any(|o| matches!(o.candidate.repair, Repair::DeleteTuple(_))));
+    let mut reference = Debugger::for_scenario(&scenario);
+    reference.use_mqo = false;
+    let reference = reference.diagnose_and_repair().unwrap();
+    assert!(!reference.backtested_jointly);
+    let verdicts = |r: &mpr_core::debugger::RepairReport| -> Vec<(String, bool, bool, f64)> {
+        r.outcomes
+            .iter()
+            .map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d))
+            .collect()
+    };
+    assert_eq!(verdicts(&joint), verdicts(&reference));
+    assert_eq!(joint.accepted, reference.accepted);
 }

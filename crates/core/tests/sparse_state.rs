@@ -3,7 +3,7 @@
 //! by the switches FlowMods and manual entries name, not by the size of
 //! the network — on the paper-scale fabric and on the 10 130-switch one.
 
-use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows};
+use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows, JointReplay};
 use mpr_backtest::replay::BacktestSetup;
 use mpr_core::debugger::repair_scenario;
 use mpr_core::repair::Repair;
@@ -87,8 +87,10 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
         proactive_routes: false,
         engine: mpr_runtime::Options::default(),
     };
-    let (outcomes, footprint) = mqo_replay_deltas(&setup, &s.program, &deltas, &extra);
+    let JointReplay { outcomes, diverged, footprint } =
+        mqo_replay_deltas(&setup, &s.program, &deltas, &extra, &[]);
     assert_eq!(outcomes.len(), programs.len());
+    assert_eq!(diverged, 0, "{}: every candidate is answered by the joint replay", s.id);
 
     // What each candidate's own network materialises bounds the joint one:
     // a switch has a variant only if some candidate installed there, and

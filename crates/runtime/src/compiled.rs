@@ -503,10 +503,13 @@ impl CompiledRule {
     }
 
     /// Fire the rule with `delta` bound at body position `d`, joining the
-    /// other body atoms, in body order, against `scan(table)` — the tuples
-    /// of a table in the order they are to be visited. Every tuple carries
-    /// an annotation; a match carries the `meet` of its body's, and a pair
-    /// whose annotations do not meet is no match. The heads are pushed to
+    /// other body atoms, in body order, against `scan(table, after)` — the
+    /// tuples of a table in the order they are to be visited, `after`
+    /// saying that the atom sits after the delta's position (where a
+    /// round-based driver leaves out the round's own deltas, so a pair of
+    /// them fires once: when the later one is the delta). Every tuple
+    /// carries an annotation; a match carries the `meet` of its body's, and
+    /// a pair whose annotations do not meet is no match. The heads are pushed to
     /// `out` in the interpreter's order: matches extend level by level, and
     /// fire in the order their candidates were visited.
     #[allow(clippy::too_many_arguments)]
@@ -515,7 +518,7 @@ impl CompiledRule {
         d: usize,
         delta: &Tuple,
         ann: A,
-        scan: impl Fn(&str) -> &'s [(Tuple, A)],
+        scan: impl Fn(&str, bool) -> &'s [(Tuple, A)],
         meet: impl Fn(A, A) -> Option<A>,
         host: &mut dyn FuncHost,
         out: &mut Vec<(Tuple, A)>,
@@ -531,7 +534,7 @@ impl CompiledRule {
         for ext in &plan.exts {
             let mut next = Vec::new();
             for (frame, ann) in &mut matches {
-                for (t, t_ann) in scan(&ext.table) {
+                for (t, t_ann) in scan(&ext.table, ext.atom_idx > d) {
                     let Some(joint) = meet(*ann, *t_ann) else { continue };
                     if match_cols(&ext.cols, t, frame) && self.sels_hold(&ext.ready, frame, host) {
                         next.push((frame.clone(), joint));

@@ -953,11 +953,14 @@ impl Engine {
                 // (last-write-wins) the candidate visit order is visible in
                 // the fixpoint, so it must not inherit hash-map iteration
                 // order (the batch path gets the same guarantee from its
-                // BTreeSet index buckets).
+                // BTreeSet index buckets). A derived tuple is in the store
+                // from the moment it is derived, but inserted — joinable —
+                // only once it is dequeued.
                 let candidates: Vec<(TupleId, Tuple)> = self
                     .store
                     .scan_ordered(&atom.table, node_filter.as_ref())
                     .into_iter()
+                    .filter(|l| queue.iter().all(|(queued, _)| *queued != l.tid))
                     .map(|l| (l.tid, l.tuple.clone()))
                     .collect();
                 for (ctid, ctuple) in candidates {

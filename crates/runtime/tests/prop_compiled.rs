@@ -125,7 +125,7 @@ fn assert_compiled_equals_interpreted(rule: &Rule, tuples: &[Tuple]) -> Result<F
                 d,
                 delta,
                 (),
-                |table| state.get(table).map_or(&[][..], Vec::as_slice),
+                |table, _after_delta| state.get(table).map_or(&[][..], Vec::as_slice),
                 |(), ()| Some(()),
                 &mut f_compiled,
                 &mut got,

@@ -172,6 +172,12 @@ impl TupleCodec {
         Tuple::new(self.packet_in_table.clone(), self.controller_loc.clone(), args)
     }
 
+    /// Is `table` one of the output tables, whose tuples [`Self::decode`]
+    /// turns into control messages?
+    pub fn is_output(&self, table: &str) -> bool {
+        table == self.flow_table || self.packet_out_table.as_deref() == Some(table)
+    }
+
     /// Decode a derived tuple into a control message, if it is one of the
     /// recognized output tables.
     pub fn decode(&self, tuple: &Tuple, msg: &PacketInMsg) -> Option<CtrlMsg> {

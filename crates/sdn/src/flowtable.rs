@@ -168,7 +168,7 @@ struct SigGroup {
 /// The lazily (re)built signature index. `None` means stale: every
 /// mutation resets it, the next lookup rebuilds it from `entries`.
 /// Interior mutability keeps `lookup(&self)` shared; the `RwLock` (rather
-/// than a `RefCell`) keeps `FlowTable: Sync` for the backtest pool.
+/// than a `RefCell`) keeps `FlowTable: Sync`.
 #[derive(Default)]
 struct LookupIndex {
     built: RwLock<Option<Vec<SigGroup>>>,

@@ -31,7 +31,7 @@ impl NodeRef {
 /// generation, and a cache stamped with an older generation is flushed
 /// wholesale on the next lookup. Interior mutability keeps `routes_to`
 /// callable through `&Topology`; the `RwLock` keeps the cache `Sync` for
-/// the backtest pool workers that share one topology.
+/// callers that share one `Arc<Topology>` across threads.
 #[derive(Default)]
 struct RouteCache {
     inner: RwLock<RouteCacheInner>,

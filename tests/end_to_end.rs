@@ -103,6 +103,19 @@ fn mqo_agrees_with_sequential_on_every_scenario() {
         let db: Vec<&str> =
             b.accepted.iter().map(|&i| b.outcomes[i].candidate.description.as_str()).collect();
         assert_eq!(da, db, "{}: MQO vs sequential acceptance differs", scenario.id);
+        let verdicts = |r: &sdn_meta_repair::core::debugger::RepairReport| -> Vec<(String, bool, bool, f64)> {
+            r.outcomes
+                .iter()
+                .map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d))
+                .collect()
+        };
+        assert_eq!(verdicts(&a), verdicts(&b), "{}", scenario.id);
+        // And the joint replay answered for every candidate itself — but
+        // for Q5's `Lip := 10`, which learns H1 behind whichever port spoke
+        // last: `Learned` is keyed on (switch, address), the engine
+        // replaces the port, and the candidate is handed back.
+        assert!(a.backtested_jointly && !b.backtested_jointly, "{}", scenario.id);
+        assert_eq!(a.handed_back, usize::from(scenario.id == "Q5"), "{}", scenario.id);
     }
 }
 
@@ -112,6 +125,8 @@ fn cross_language_invariants_of_table3() {
         // Trema ports behave like the declarative original.
         let trema = repair_scenario(&scenario.trema_variant());
         assert!(trema.accepted_count() >= 1, "{}-trema accepted nothing", scenario.id);
+        // The ports hand back what the original does: Q5's `Lip := 10`.
+        assert_eq!(trema.handed_back, usize::from(scenario.id == "Q5"), "{}-trema", scenario.id);
         // Pyretic: Q4 is unexpressible; elsewhere ≥1 repair survives and
         // no operator mutations appear among candidates.
         match scenario.pyretic_variant() {
@@ -119,6 +134,7 @@ fn cross_language_invariants_of_table3() {
             Some(py) => {
                 let r = repair_scenario(&py);
                 assert!(r.accepted_count() >= 1, "{}-pyretic accepted nothing", py.id);
+                assert_eq!(r.handed_back, usize::from(scenario.id == "Q5"), "{}", py.id);
                 for o in &r.outcomes {
                     assert!(
                         !o.candidate.description.contains(" != ")
