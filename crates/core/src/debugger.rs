@@ -20,6 +20,7 @@ use mpr_sdn::flowtable::{Action, FlowEntry, Match};
 use mpr_sdn::sim::Simulation;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fig. 9a phase breakdown.
@@ -141,7 +142,7 @@ impl Debugger {
             topology: self.scenario.topology.clone(),
             codec: self.scenario.codec.clone(),
             seeds: self.scenario.seeds.clone(),
-            workload: std::sync::Arc::new(self.scenario.workload.clone()),
+            workload: Arc::new(self.scenario.workload.clone()),
             config: self.scenario.sim.clone(),
             proactive_routes: false,
             engine: self.engine_options.clone(),
@@ -154,7 +155,7 @@ impl Debugger {
     pub fn observe(&self) -> Result<(World, ReplayOutcome, Duration, Duration), String> {
         let t_replay = Instant::now();
         let mut ctrl = NdlogController::with_options(
-            self.scenario.program.clone(),
+            Arc::clone(&self.scenario.program),
             self.scenario.codec.clone(),
             self.engine_options.clone(),
         )
@@ -191,7 +192,7 @@ impl Debugger {
         let history_time = t_hist.elapsed();
 
         let world = World {
-            program: self.scenario.program.clone(),
+            program: Arc::clone(&self.scenario.program),
             triggers: triggers.into_iter().collect(),
             state,
             cost: self.scenario.cost,
@@ -529,6 +530,21 @@ mod tests {
         assert!(report.timings.total() > Duration::ZERO);
         assert!(report.timings.replay > Duration::ZERO);
         assert!(report.trees > 0);
+    }
+
+    #[test]
+    fn fig7_times_every_pool_it_counts() {
+        // Fig. 9a's "constraint solving" slice: a positive symptom's
+        // per-site domain scan is a pool solved, and is timed as one.
+        let scenario = Scenario::fig7_harmful_entry();
+        let dbg = Debugger::for_scenario(&scenario);
+        let (world, ..) = dbg.observe().unwrap();
+        let Symptom::Existing(culprit) = &scenario.symptom else { unreachable!("Fig. 7 is a positive symptom") };
+        let records = derivations_from_world(&world, culprit, &dbg.engine_options);
+        let (_, stats) = generate_existing(&world, culprit, &records);
+        assert!(stats.pools_solved > 0, "Fig. 7 scans the domain of `Swi == 1`");
+        assert!(stats.solver_ns > 0, "{} pools solved in no time", stats.pools_solved);
+        assert!(repair_scenario(&scenario).timings.constraint_solving > Duration::ZERO);
     }
 
     /// Q1's debugger, its setup, and the first two patch candidates the

@@ -11,6 +11,13 @@
 //! `mpr-solver` to obtain concrete replacement values — exactly the
 //! `Const(Rul=r7, ID=2, Val=3)` leaf of Fig. 6.
 //!
+//! A tree is **priced before it is built**: each way to unblock a literal
+//! is first a small `Copy` value (which literal, what replaces it, what it
+//! costs), combinations of them are costed by arithmetic, and an
+//! [`Edit`] — with its strings, description and trace — is made only for a
+//! combination the running cut still admits. A rule the symptom never
+//! touches therefore costs a handful of comparisons and no allocation.
+//!
 //! For an **existing** tuple (positive symptom, Fig. 7), the explorer walks
 //! the recorded derivations, re-executes them symbolically, negates the
 //! collected constraints, and emits base-tuple deletions/changes plus
@@ -18,20 +25,24 @@
 
 use crate::cost::{CostModel, SearchBudget};
 use crate::repair::{Candidate, Repair};
-use mpr_ndlog::ast::{CmpOp, ConstSite, Expr, ExprSide, Term};
-use mpr_ndlog::eval::{Env, PureFuncs};
+use mpr_ndlog::ast::{Assign, Atom, CmpOp, ConstSite, Expr, ExprSide, Term};
+use mpr_ndlog::eval::{Bindings, PureFuncs};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
 use mpr_ndlog::{Program, Rule, Selection, Tuple, Value};
 use mpr_provenance::Pattern;
-use mpr_runtime::engine::{instantiate, match_atom};
+use mpr_runtime::engine::{instantiate, unify_atom};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything the explorer sees about the (logged) world.
 #[derive(Debug, Clone)]
 pub struct World {
-    /// The (buggy) controller program.
-    pub program: Program,
+    /// The (buggy) controller program, shared with whoever observed it.
+    pub program: Arc<Program>,
     /// Distinct trigger events observed in the history (PacketIn tuples).
     pub triggers: Vec<Tuple>,
     /// Controller state tuples (configuration seeds plus learned state).
@@ -48,38 +59,21 @@ impl World {
     /// "why did we change the constant to 3 and not, say, 4?" — because 3
     /// is in the domain the network exhibits).
     fn domain(&self, goal: &Pattern) -> Vec<i64> {
-        let mut set: BTreeSet<i64> = BTreeSet::new();
+        let mut seen: Vec<i64> = Vec::new();
         for r in &self.program.rules {
-            for (_, v) in r.constants() {
-                if let Value::Int(i) = v {
-                    set.insert(i);
-                }
-            }
+            r.for_each_constant(|v| seen.extend(v.as_int()));
         }
         for t in self.triggers.iter().chain(self.state.iter()) {
-            if let Some(i) = t.loc.as_int() {
-                set.insert(i);
-            }
-            for a in &t.args {
-                if let Some(i) = a.as_int() {
-                    set.insert(i);
-                }
-            }
+            seen.extend(std::iter::once(&t.loc).chain(&t.args).filter_map(Value::as_int));
         }
-        if let Some(l) = &goal.loc {
-            if let Some(i) = l.as_int() {
-                set.insert(i);
-            }
-        }
-        for a in goal.args.iter().flatten() {
-            if let Some(i) = a.as_int() {
-                set.insert(i);
-            }
-        }
+        seen.extend(goal.loc.iter().chain(goal.args.iter().flatten()).filter_map(Value::as_int));
+        seen.sort_unstable();
+        seen.dedup();
         // ±1 neighbors (off-by-one repairs).
-        let neighbors: Vec<i64> = set.iter().flat_map(|&i| [i - 1, i + 1]).collect();
-        set.extend(neighbors);
-        set.into_iter().collect()
+        let mut domain: Vec<i64> = seen.iter().flat_map(|&i| [i - 1, i, i + 1]).collect();
+        domain.sort_unstable();
+        domain.dedup();
+        domain
     }
 }
 
@@ -98,6 +92,10 @@ pub struct ExploreStats {
     /// Of those, the candidates actually built — syntax check, description
     /// and trace. Bounded by the frontier, not by the program size.
     pub materialised: u64,
+    /// Built candidates the syntax check refused: they are in
+    /// `materialised` and not in `raw_candidates`, so with nothing bounded
+    /// away `materialised == raw_candidates + refused`.
+    pub refused: u64,
     /// Nanoseconds spent in constraint solving (pool solves and
     /// feasibility enumeration) — the Fig. 9a "Constraint solving" slice.
     pub solver_ns: u128,
@@ -107,16 +105,16 @@ pub struct ExploreStats {
 }
 
 /// The exploration deadline, if the budget sets one.
-fn deadline_of(budget: &SearchBudget) -> Option<std::time::Instant> {
+fn deadline_of(budget: &SearchBudget) -> Option<Instant> {
     (budget.time_budget_ms > 0).then(|| {
-        std::time::Instant::now() + std::time::Duration::from_millis(budget.time_budget_ms)
+        Instant::now() + std::time::Duration::from_millis(budget.time_budget_ms)
     })
 }
 
 /// `>=` so the smallest budget (1 ms) expires as soon as the clock
 /// reaches the deadline, regardless of clock granularity.
-fn expired(deadline: &Option<std::time::Instant>) -> bool {
-    deadline.is_some_and(|d| std::time::Instant::now() >= d)
+fn expired(deadline: &Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// The `max_candidates` cheapest distinct-description candidates seen so
@@ -201,8 +199,196 @@ fn applies(program: &Program, outline: &Option<ProgramOutline<'_>>, patch: &Patc
     outline.as_ref().is_some_and(|o| patch.delta(program, o).is_ok())
 }
 
-/// One missing-tuple search: what every tree reads, and the frontier and
-/// counters every tree writes.
+/// The bindings of one tree. Variable names are borrowed from the rule and
+/// values from the goal, the trigger and the state (only an assignment's
+/// result is owned), so opening a tree copies no string; name-sorted like
+/// [`mpr_ndlog::Env`], whose iteration order the assignment fixes inherit.
+#[derive(Debug, Clone, Default)]
+struct Scope<'a> {
+    entries: Vec<(&'a str, Cow<'a, Value>)>,
+}
+
+impl<'a> Scope<'a> {
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| (*k).cmp(name))
+    }
+
+    /// The binding of `name` as it is held, borrowed or owned.
+    fn bound(&self, name: &str) -> Option<&Cow<'a, Value>> {
+        self.position(name).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Bind `name`, replacing what it was bound to.
+    fn set(&mut self, name: &'a str, value: Cow<'a, Value>) {
+        match self.position(name) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (name, value)),
+        }
+    }
+
+    fn remove(&mut self, name: &str) {
+        if let Ok(i) = self.position(name) {
+            self.entries.remove(i);
+        }
+    }
+
+    /// The bindings in name order.
+    fn iter(&self) -> impl Iterator<Item = (&'a str, &Value)> {
+        self.entries.iter().map(|(k, v)| (*k, &**v))
+    }
+
+    /// Become a copy of `other`, in the buffer this scope already owns.
+    fn reset_to(&mut self, other: &Scope<'a>) {
+        self.entries.clone_from(&other.entries);
+    }
+
+    /// Add the bindings a successful [`unify_atom`] left in `fresh`.
+    fn extend(&mut self, fresh: &[(&'a str, &'a Value)]) {
+        for &(name, value) in fresh {
+            self.set(name, Cow::Borrowed(value));
+        }
+    }
+
+    /// Unify `atom` with `tuple` under this scope and keep the bindings;
+    /// `false`, and the scope as it was, when they do not unify.
+    fn unify(&mut self, atom: &'a Atom, tuple: &'a Tuple, fresh: &mut Vec<(&'a str, &'a Value)>) -> bool {
+        let unifies = unify_atom(atom, tuple, self, fresh);
+        if unifies {
+            self.extend(fresh);
+        }
+        unifies
+    }
+}
+
+impl Bindings for Scope<'_> {
+    fn get(&self, name: &str) -> Option<&Value> {
+        self.bound(name).map(|v| &**v)
+    }
+}
+
+/// One way to unblock one literal of a rule, as a value: which literal,
+/// what replaces it, what that costs. Options are compared, combined and
+/// costed as they are; [`Fix::edit`] makes the [`Edit`] for the few that
+/// are built.
+#[derive(Debug, Clone, Copy)]
+struct FixOption<'a> {
+    fix: Fix<'a>,
+    cost: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Fix<'a> {
+    /// Assignment `.0` is rewritten to the constant the goal's head needs.
+    AssignNeeded(usize),
+    /// Assignment `.0` is rewritten to an in-scope variable carrying it.
+    AssignVar(usize, &'a str),
+    /// The constant on `side` of selection `sel` becomes `value`.
+    Const { sel: usize, side: ExprSide, value: i64 },
+    /// Selection `sel` compares with `op` instead.
+    Oper { sel: usize, op: CmpOp },
+    /// The variable on `side` of selection `sel` becomes `var`.
+    Var { sel: usize, side: ExprSide, var: &'a str },
+}
+
+impl Fix<'_> {
+    /// The edit of `rule` this option stands for. `required` is where an
+    /// assignment's needed value is read from.
+    fn edit(&self, rule: &Rule, required: &Scope) -> Edit {
+        let id = rule.id.clone();
+        let assigned = |ai: usize, expr: Expr| Edit::SetAssignExpr { rule: id.clone(), var: rule.assigns[ai].var.clone(), expr };
+        match *self {
+            Fix::AssignNeeded(ai) => {
+                let need = required.get(&rule.assigns[ai].var).expect("priced against a required head value");
+                assigned(ai, Expr::Const(need.clone()))
+            }
+            Fix::AssignVar(ai, var) => assigned(ai, Expr::var(var)),
+            Fix::Const { sel, side, value } => Edit::SetConst {
+                rule: id,
+                site: ConstSite::Selection { idx: sel, side, path: Vec::new() },
+                value: Value::Int(value),
+            },
+            Fix::Oper { sel, op } => Edit::SetSelectionOp { rule: id, sel, op },
+            Fix::Var { sel, side, var } => Edit::SetSelectionExpr { rule: id, sel, side, expr: Expr::var(var) },
+        }
+    }
+}
+
+/// At most this many combinations of one slot sequence are considered.
+const MAX_COMBOS: usize = 64;
+
+/// How many ways there are to pick one option per slot, capped: the first
+/// [`MAX_COMBOS`] in lexicographic order, the last slot varying fastest.
+/// No slot is one (empty) way; a slot without options is none.
+fn combinations(slots: &[Range<usize>]) -> usize {
+    slots.iter().fold(1usize, |n, slot| n.saturating_mul(slot.len())).min(MAX_COMBOS)
+}
+
+/// The `k`-th of those combinations (so no slot is empty) as indices into
+/// the option buffer, **last slot first** — `k` read as a mixed-radix
+/// number whose least significant digit is the last slot's pick. Pricing
+/// and building both read a combination through this, so they cannot
+/// disagree on it.
+fn combination(slots: &[Range<usize>], mut k: usize) -> impl Iterator<Item = usize> + '_ {
+    slots.iter().rev().map(move |slot| {
+        let pick = slot.start + k % slot.len();
+        k /= slot.len();
+        pick
+    })
+}
+
+/// What the `k`-th combination costs, before the charge for extra edits.
+fn price(options: &[FixOption], slots: &[Range<usize>], k: usize) -> u32 {
+    combination(slots, k).map(|i| options[i].cost).sum()
+}
+
+/// The `k`-th combination as edits of `rule`, first slot first.
+fn edits_of(options: &[FixOption], slots: &[Range<usize>], k: usize, rule: &Rule, required: &Scope) -> Vec<Edit> {
+    let mut edits: Vec<Edit> = combination(slots, k).map(|i| options[i].fix.edit(rule, required)).collect();
+    edits.reverse();
+    edits
+}
+
+/// What a candidate does about the failing selections of its tree.
+#[derive(Debug, Clone, Copy)]
+enum SelectionFix {
+    /// Which combination of the failing selections' slots.
+    Change(usize),
+    /// Delete these selections (Table 2 candidates F, G, H).
+    Delete(usize, Option<usize>),
+}
+
+/// The constants a selection compares directly — the `2` of `Swi == 2` —
+/// with the side each sits on, left first: the [`ConstSite::Selection`]
+/// sites with an empty path, the ones a constant repair rewrites.
+fn top_level_constants(sel: &Selection) -> impl Iterator<Item = (ExprSide, &Value)> {
+    [(ExprSide::Lhs, &sel.lhs), (ExprSide::Rhs, &sel.rhs)].into_iter().filter_map(|(side, e)| match e {
+        Expr::Const(v) => Some((side, v)),
+        _ => None,
+    })
+}
+
+/// `l op r`, with `candidate` standing on `side` and `other` opposite.
+fn holds_with(op: CmpOp, side: ExprSide, candidate: &Value, other: &Value) -> bool {
+    match side {
+        ExprSide::Lhs => op.eval(candidate, other),
+        ExprSide::Rhs => op.eval(other, candidate),
+    }
+}
+
+/// What a search priced and what it then built, in emission order, before
+/// the frontier ranks and dedups: the books behind [`ExploreStats`], kept
+/// only for [`generate_missing_with_ledger`].
+#[derive(Debug, Default)]
+pub struct Ledger {
+    /// The cost of every candidate considered, built or bounded away.
+    pub priced: Vec<u32>,
+    /// Every candidate built that passed its syntax check.
+    pub built: Vec<Candidate>,
+}
+
+/// One missing-tuple search: what every tree reads, the frontier and
+/// counters every tree writes, and the buffers the trees share so that one
+/// the cut bounds away allocates nothing.
 struct Search<'a> {
     world: &'a World,
     goal: &'a Pattern,
@@ -214,18 +400,124 @@ struct Search<'a> {
     outline: OnceCell<Option<ProgramOutline<'a>>>,
     frontier: Frontier,
     stats: ExploreStats,
+    ledger: Option<Ledger>,
+    /// What unifying the current rule's head with the goal requires.
+    required: Scope<'a>,
+    /// The current tree's joins: the trigger's bindings, extended through
+    /// the state for every other body atom.
+    envs: Vec<Scope<'a>>,
+    /// One of those joins after the assignments, each bound to what it
+    /// evaluates to or to what the head requires of it.
+    post: Scope<'a>,
+    fresh: Vec<(&'a str, &'a Value)>,
+    /// The current tree's fix options, slot after slot: one slot per
+    /// assignment to fix, then one per failing selection.
+    options: Vec<FixOption<'a>>,
+    slots: Vec<Range<usize>>,
+    failing: Vec<usize>,
 }
 
-impl Search<'_> {
-    fn applies(&self, patch: &Patch) -> bool {
+/// Generate repair candidates for a *missing* tuple.
+pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats) {
+    let (candidates, stats, _) = Search::run(world, goal, None);
+    (candidates, stats)
+}
+
+/// [`generate_missing`] with its books open — for the property that what
+/// the search prices is what it builds; the debugger does not call this.
+pub fn generate_missing_with_ledger(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats, Ledger) {
+    let (candidates, stats, ledger) = Search::run(world, goal, Some(Ledger::default()));
+    (candidates, stats, ledger.unwrap_or_default())
+}
+
+impl<'a> Search<'a> {
+    fn run(world: &'a World, goal: &'a Pattern, ledger: Option<Ledger>) -> (Vec<Candidate>, ExploreStats, Option<Ledger>) {
+        let mut s = Search {
+            world,
+            goal,
+            domain: world.domain(goal),
+            outline: OnceCell::new(),
+            frontier: Frontier::new(&world.budget),
+            stats: ExploreStats::default(),
+            ledger,
+            required: Scope::default(),
+            envs: Vec::new(),
+            post: Scope::default(),
+            fresh: Vec::new(),
+            options: Vec::new(),
+            slots: Vec::new(),
+            failing: Vec::new(),
+        };
+        let deadline = deadline_of(&world.budget);
+
+        // (1) The base-tuple insertion repair: make the tuple appear directly.
+        if let Some(tuple) = pattern_tuple(goal) {
+            if s.worth_building(world.cost.insert_tuple) {
+                s.emit(Candidate {
+                    repair: Repair::InsertTuple(tuple.clone()),
+                    cost: world.cost.insert_tuple,
+                    description: "Manually installing a flow entry".into(),
+                    trace: vec![
+                        format!("NEXIST[Tuple({goal})]"),
+                        format!("NEXIST[Base({goal})] via meta rule h1"),
+                        format!("FIX: insert base tuple {tuple}"),
+                    ],
+                });
+            }
+        }
+
+        // (2) Fork one tree per rule that derives the goal table (§3.3).
+        // Best-partial degradation: when the deadline fires mid-search, stop
+        // forking trees and rank whatever has been generated so far.
+        for rule in world.program.rules.iter().filter(|r| r.head.table == goal.table) {
+            if expired(&deadline) {
+                s.stats.timed_out = true;
+                break;
+            }
+            s.explore_rule(rule);
+        }
+
+        // (3) Donor rules: head re-targeting and copy-with-new-head (the Q4
+        // repairs: "changing/copying the head of r5 to packetOut(...)").
+        for rule in &world.program.rules {
+            if expired(&deadline) {
+                s.stats.timed_out = true;
+                break;
+            }
+            if rule.head.table == goal.table || rule.head.args.len() != goal.args.len() {
+                continue;
+            }
+            s.explore_donor(rule);
+        }
+
+        // (4) Completeness fallback (Appendix D, case b): a brand-new rule
+        // that derives exactly the goal from an observed trigger —
+        // `Bar(@A,B) :- Foo(@X), X==1, A:=2, B:=3`. Costly, so it surfaces
+        // only when nothing cheaper exists, but it guarantees the search
+        // always finds at least one working repair.
+        if let (Some(tuple), Some(trigger)) = (pattern_tuple(goal), world.triggers.first()) {
+            s.synthesize_rule(&tuple, trigger);
+        }
+
+        (s.frontier.finish(), s.stats, s.ledger)
+    }
+
+    /// The whole-program syntax check of a built candidate, which counts as
+    /// refused if it fails.
+    fn applies(&mut self, patch: &Patch) -> bool {
         let program = &self.world.program;
-        applies(program, self.outline.get_or_init(|| ProgramOutline::new(program).ok()), patch)
+        let ok = applies(program, self.outline.get_or_init(|| ProgramOutline::new(program).ok()), patch);
+        self.stats.refused += u64::from(!ok);
+        ok
     }
 
     /// Is a candidate of this cost worth building? One that is not is
     /// counted as considered here; one that is gets counted by
     /// [`Search::emit`], once it has passed its syntax check.
     fn worth_building(&mut self, cost: u32) -> bool {
+        if let Some(ledger) = &mut self.ledger {
+            ledger.priced.push(cost);
+        }
         let build = self.frontier.admits(cost);
         if build {
             self.stats.materialised += 1;
@@ -237,124 +529,429 @@ impl Search<'_> {
 
     fn emit(&mut self, c: Candidate) {
         self.stats.raw_candidates += 1;
+        if let Some(ledger) = &mut self.ledger {
+            ledger.built.push(c.clone());
+        }
         self.frontier.push(c);
     }
-}
 
-/// Generate repair candidates for a *missing* tuple.
-pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats) {
-    let mut s = Search {
-        world,
-        goal,
-        domain: world.domain(goal),
-        outline: OnceCell::new(),
-        frontier: Frontier::new(&world.budget),
-        stats: ExploreStats::default(),
-    };
-    let deadline = deadline_of(&world.budget);
+    /// The Appendix D fallback: a new rule deriving `tuple` from `trigger`.
+    fn synthesize_rule(&mut self, tuple: &Tuple, trigger: &Tuple) {
+        let (world, goal) = (self.world, self.goal);
+        if !self.worth_building(world.cost.new_rule) {
+            return;
+        }
+        let mut body_args = Vec::new();
+        let mut sels = Vec::new();
+        for (i, v) in trigger.args.iter().enumerate() {
+            let var = format!("X{i}");
+            body_args.push(Term::Var(var.clone()));
+            sels.push(Selection::new(Expr::var(var), CmpOp::Eq, Expr::Const(v.clone())));
+        }
+        let mut assigns = Vec::new();
+        let mut head_args = Vec::new();
+        for (i, v) in tuple.args.iter().enumerate() {
+            let var = format!("H{i}");
+            assigns.push(Assign::new(var.clone(), Expr::Const(v.clone())));
+            head_args.push(Term::Var(var));
+        }
+        assigns.push(Assign::new("Hl", Expr::Const(tuple.loc.clone())));
+        let rule = Rule::new(
+            "synth0",
+            Atom::new(goal.table.clone(), Term::Var("Hl".into()), head_args),
+            vec![Atom::new(trigger.table.clone(), Term::Var("Xl".into()), body_args)],
+            sels,
+            assigns,
+        );
+        let patch = Patch::single(Edit::AddRule { rule: rule.clone() });
+        if !self.applies(&patch) {
+            return;
+        }
+        self.emit(Candidate {
+            repair: Repair::Patch(patch),
+            cost: world.cost.new_rule,
+            description: format!("Adding a new rule deriving {tuple}"),
+            trace: vec![
+                format!("NEXIST[Tuple({goal})]"),
+                "NEXIST[HeadFunc(*)] — no rule can be adapted cheaply".into(),
+                format!("FIX: add rule {rule}"),
+            ],
+        });
+    }
 
-    // (1) The base-tuple insertion repair: make the tuple appear directly.
-    if let Some(tuple) = pattern_tuple(goal) {
-        if s.worth_building(world.cost.insert_tuple) {
-            s.emit(Candidate {
-                repair: Repair::InsertTuple(tuple.clone()),
-                cost: world.cost.insert_tuple,
-                description: "Manually installing a flow entry".into(),
-                trace: vec![
-                    format!("NEXIST[Tuple({goal})]"),
-                    format!("NEXIST[Base({goal})] via meta rule h1"),
-                    format!("FIX: insert base tuple {tuple}"),
-                ],
+    /// One tree: this rule, every compatible trigger.
+    fn explore_rule(&mut self, rule: &'a Rule) {
+        let world = self.world;
+        if !head_requirements(rule, self.goal, &mut self.required) {
+            return;
+        }
+        for trigger in &world.triggers {
+            // The trigger must bind one body atom.
+            for (ti, atom) in rule.body.iter().enumerate() {
+                // Every match starts from the required head bindings, so
+                // conflicting triggers are skipped early.
+                if !unify_atom(atom, trigger, &self.required, &mut self.fresh) {
+                    continue;
+                }
+                self.stats.trees += 1;
+                // The tree's first join, in the buffer the last tree's had.
+                let mut matched = self.envs.drain(..).next().unwrap_or_default();
+                matched.reset_to(&self.required);
+                matched.extend(&self.fresh);
+                self.envs.push(matched);
+                // Join the remaining (state) atoms.
+                match join_state(world, rule, &mut self.envs, &mut self.fresh, |ai, _| ai == ti) {
+                    Err(ai) => self.emit_state_insertion(rule, ai),
+                    Ok(()) => (0..self.envs.len()).for_each(|join| self.emit_rule_candidates(rule, join)),
+                }
+            }
+        }
+    }
+
+    /// A state predicate had no matching tuple: the repair inserts one whose
+    /// attributes are solved from the join/selection constraints (§3.4),
+    /// under the first join that reached it.
+    fn emit_state_insertion(&mut self, rule: &'a Rule, atom_idx: usize) {
+        let (world, goal) = (self.world, self.goal);
+        let atom = &rule.body[atom_idx];
+        // Bind what we can from the environment plus the head requirements.
+        let mut full = self.envs[0].clone();
+        for (k, v) in &self.required.entries {
+            if full.get(k).is_none() {
+                full.set(k, v.clone());
+            }
+        }
+        // Remaining free variables are solved against the rule's selections.
+        let mut pool = mpr_solver::Pool::new();
+        let free: BTreeSet<&str> = atom.var_names().filter(|v| full.get(v).is_none()).collect();
+        for sel in &rule.sels {
+            if let Some(c) = selection_constraint(sel, &full) {
+                pool.push(c);
+            }
+        }
+        let dom: Vec<Value> = self.domain.iter().map(|&i| Value::Int(i)).collect();
+        for v in &free {
+            pool.set_domain(v.to_string(), dom.clone());
+        }
+        self.stats.pools_solved += 1;
+        let t0 = Instant::now();
+        let solved = pool.solve();
+        self.stats.solver_ns += t0.elapsed().as_nanos();
+        let Some(asg) = solved.assignment() else {
+            return;
+        };
+        for v in free {
+            if let Some(val) = asg.get(v) {
+                full.set(v, Cow::Owned(val.clone()));
+            }
+        }
+        let Some(tuple) = instantiate(atom, &full) else {
+            return;
+        };
+        if !self.worth_building(world.cost.insert_tuple) {
+            return;
+        }
+        self.emit(Candidate {
+            repair: Repair::InsertTuple(tuple.clone()),
+            cost: world.cost.insert_tuple,
+            description: format!("Manually inserting a {} entry", atom.table),
+            trace: vec![
+                format!("NEXIST[Tuple({goal})]"),
+                format!("NDERIVE[{} via meta rule h2]", rule.id),
+                format!("NEXIST[TuplePred(Rul={}, Tab={})]", rule.id, atom.table),
+                format!("FIX: insert base tuple {tuple}"),
+            ],
+        });
+    }
+
+    /// The core of the search: under the complete join `self.envs[join]`,
+    /// determine which program-based meta tuples block the derivation,
+    /// price the change combinations that unblock it, and build the ones
+    /// the frontier admits.
+    fn emit_rule_candidates(&mut self, rule: &'a Rule, join: usize) {
+        let world = self.world;
+        let cm = &world.cost;
+        let mut funcs = PureFuncs;
+        self.options.clear();
+        self.slots.clear();
+        self.failing.clear();
+        // --- assignments -----------------------------------------------------
+        // Evaluate assignments; those bound to a required head value that
+        // disagree must be fixed.
+        self.post.reset_to(&self.envs[join]);
+        for (ai, a) in rule.assigns.iter().enumerate() {
+            let computed = a.expr.eval(&self.post, &mut funcs).ok();
+            let needed = self.required.bound(&a.var);
+            let first = self.options.len();
+            match (computed, needed) {
+                (Some(v), Some(need)) if v != **need => {
+                    // Fix options: rewrite to the needed constant, or to an
+                    // in-scope variable that carries the needed value.
+                    let cost = match (&a.expr, &**need) {
+                        (Expr::Const(Value::Int(old)), Value::Int(n)) => cm.const_change(*old, *n),
+                        _ => cm.assign_change,
+                    };
+                    self.options.push(FixOption { fix: Fix::AssignNeeded(ai), cost });
+                    for (w, val) in self.envs[join].iter() {
+                        if val == &**need && w != a.var {
+                            self.options.push(FixOption { fix: Fix::AssignVar(ai, w), cost: cm.var_change });
+                        }
+                    }
+                    self.post.set(&a.var, need.clone());
+                    self.slots.push(first..self.options.len());
+                }
+                (Some(v), _) => self.post.set(&a.var, Cow::Owned(v)),
+                (None, Some(need)) => {
+                    self.options.push(FixOption { fix: Fix::AssignNeeded(ai), cost: cm.assign_change });
+                    self.post.set(&a.var, need.clone());
+                    self.slots.push(first..self.options.len());
+                }
+                (None, None) => return, // un-evaluable, unconstrained — give up
+            }
+        }
+        let assign_slots = self.slots.len();
+        // --- selections -------------------------------------------------------
+        // Fix options per failing selection: constants (solver-enumerated),
+        // operators, variable swaps (§2.5's "relevant changes" only — passing
+        // selections are never touched). Each side is evaluated once; an
+        // option is a comparison of values, not a patched selection.
+        for (si, sel) in rule.sels.iter().enumerate() {
+            let lhs = sel.lhs.eval(&self.post, &mut funcs).ok();
+            let rhs = sel.rhs.eval(&self.post, &mut funcs).ok();
+            if matches!((&lhs, &rhs), (Some(l), Some(r)) if sel.op.eval(l, r)) {
+                continue;
+            }
+            self.failing.push(si);
+            let first = self.options.len();
+            let opposite = |side| match side {
+                ExprSide::Lhs => (&sel.rhs, &rhs),
+                ExprSide::Rhs => (&sel.lhs, &lhs),
+            };
+            // (a) constant replacement via the constraint pool (Fig. 6's
+            //     NEXIST[Const(Rul, ID, Val)] leaf).
+            for (side, old) in top_level_constants(sel) {
+                let Value::Int(old) = *old else { continue };
+                self.stats.pools_solved += 1;
+                let t0 = Instant::now();
+                let (other_expr, other) = opposite(side);
+                // Equality against a bound variable admits exactly one
+                // replacement constant — skip the domain scan (this keeps
+                // candidate generation linear in program size, Fig. 10).
+                let pinned = match other_expr {
+                    Expr::Var(v) if sel.op == CmpOp::Eq => self.post.get(v).and_then(Value::as_int),
+                    _ => None,
+                };
+                let scan = if pinned.is_some() { pinned.as_slice() } else { &self.domain };
+                let mut found = 0;
+                for &v in scan.iter().filter(|&&v| v != old) {
+                    if other.as_ref().is_some_and(|other| holds_with(sel.op, side, &Value::Int(v), other)) {
+                        let fix = Fix::Const { sel: si, side, value: v };
+                        self.options.push(FixOption { fix, cost: cm.const_change(old, v) });
+                        found += 1;
+                        if found >= world.budget.consts_per_site {
+                            break;
+                        }
+                    }
+                }
+                self.stats.solver_ns += t0.elapsed().as_nanos();
+            }
+            // (b) operator flips.
+            if let (Some(l), Some(r)) = (&lhs, &rhs) {
+                for op in CmpOp::ALL {
+                    if op != sel.op && op.eval(l, r) {
+                        self.options.push(FixOption { fix: Fix::Oper { sel: si, op }, cost: cm.op_change });
+                    }
+                }
+            }
+            // (c) variable swaps, to another variable the body binds.
+            for (side, e) in [(ExprSide::Lhs, &sel.lhs), (ExprSide::Rhs, &sel.rhs)] {
+                let (Expr::Var(cur), Some(other)) = (e, opposite(side).1) else { continue };
+                for (w, val) in self.post.iter() {
+                    let in_body = || rule.body.iter().any(|atom| atom.var_names().any(|v| v == w));
+                    if w != cur && holds_with(sel.op, side, val, other) && in_body() {
+                        let fix = Fix::Var { sel: si, side, var: w };
+                        self.options.push(FixOption { fix, cost: cm.var_change });
+                    }
+                }
+            }
+            self.slots.push(first..self.options.len());
+        }
+        if self.failing.is_empty() && assign_slots == 0 {
+            // The rule already derives the goal under this trigger — the
+            // symptom must come from elsewhere.
+            return;
+        }
+        // --- combinations ------------------------------------------------------
+        // A candidate is one combination of selection fixes (or one deletion
+        // set) with one combination of assignment fixes, offered in this
+        // order: it is what breaks cost ties. No failing selection means one
+        // empty combination (only assignments need fixing); a failing
+        // selection nothing can fix means none.
+        for k in 0..combinations(&self.slots[assign_slots..]) {
+            let cost = price(&self.options, &self.slots[assign_slots..], k);
+            self.offer(rule, assign_slots, SelectionFix::Change(k), cost, self.failing.len());
+        }
+        // Deletion subsets: every subset of selections of size ≤ 2 that covers
+        // all failing selections (Table 2 candidates F, G, H).
+        if self.failing.len() <= 2 {
+            let n = rule.sels.len();
+            for i in 0..n {
+                for j in std::iter::once(None).chain((i + 1..n).map(Some)) {
+                    if self.failing.iter().all(|&f| f == i || Some(f) == j) {
+                        let deleted = 1 + usize::from(j.is_some());
+                        let cost = deleted as u32 * cm.delete_selection;
+                        self.offer(rule, assign_slots, SelectionFix::Delete(i, j), cost, deleted);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One way to deal with the failing selections, touching `fixed` of
+    /// them, with each combination of assignment fixes: price the candidate
+    /// — arithmetic on the options — and build it only if the frontier
+    /// still admits that price (the cut tightens as candidates land).
+    /// Multi-edit patches are intrinsically less plausible: one extra unit
+    /// per additional edit keeps Table 2's single-literal repairs ahead of
+    /// combination repairs.
+    fn offer(&mut self, rule: &Rule, assign_slots: usize, fix: SelectionFix, fix_cost: u32, fixed: usize) {
+        let extra_edits = ((fixed + assign_slots) as u32).saturating_sub(1);
+        for assign in 0..combinations(&self.slots[..assign_slots]) {
+            let cost = fix_cost + price(&self.options, &self.slots[..assign_slots], assign) + extra_edits;
+            if cost > self.world.budget.max_cost || !self.worth_building(cost) {
+                continue;
+            }
+            let (assigns, changes) = self.slots.split_at(assign_slots);
+            let mut edits = match fix {
+                SelectionFix::Change(k) => edits_of(&self.options, changes, k, rule, &self.required),
+                SelectionFix::Delete(i, j) => std::iter::once(i)
+                    .chain(j)
+                    .map(|sel| Edit::DeleteSelection { rule: rule.id.clone(), sel })
+                    .collect(),
+            };
+            edits.extend(edits_of(&self.options, assigns, assign, rule, &self.required));
+            self.push_patch(rule, edits, cost);
+        }
+    }
+
+    /// Build one patch candidate of `rule`, whose failing selections are
+    /// `self.failing`, and rank it.
+    fn push_patch(&mut self, rule: &Rule, edits: Vec<Edit>, cost: u32) {
+        let patch = Patch::of(edits);
+        // Syntax preservation (§4.2): refuse edits that break the grammar.
+        // Every edit touches `rule` alone, so it is checked — and described —
+        // against a reduced program holding just that rule: emission stays
+        // O(1) in program size (Fig. 10's linearity).
+        let mut reduced = Program::new("syntax-check");
+        reduced.rules.push(rule.clone());
+        if !applies(&reduced, &ProgramOutline::new(&reduced).ok(), &patch) {
+            self.stats.refused += 1;
+            return;
+        }
+        let description = patch.describe(&reduced);
+        let mut trace = vec![
+            format!("NEXIST[Tuple({})]", self.goal),
+            format!("NDERIVE[{} via meta rule h2]", rule.id),
+        ];
+        for &si in &self.failing {
+            trace.push(format!("NEXIST[Sel(Rul={}, SID=\"{}\", Val=true)]", rule.id, rule.sels[si].sid()));
+        }
+        trace.push(format!("FIX(cost {cost}): {} edit(s)", patch.edits.len()));
+        self.emit(Candidate { repair: Repair::Patch(patch), cost, description, trace });
+    }
+
+    /// Donor exploration: `rule` derives a different table; re-targeting or
+    /// copying it can make the goal appear (the Q4 repairs).
+    fn explore_donor(&mut self, rule: &'a Rule) {
+        let (world, goal) = (self.world, self.goal);
+        // The donor must actually fire under some trigger and produce a head
+        // whose values match the goal pattern.
+        let mut funcs = PureFuncs;
+        let mut fires = false;
+        'trig: for trigger in &world.triggers {
+            for atom in &rule.body {
+                let mut env = Scope::default();
+                if !env.unify(atom, trigger, &mut self.fresh) {
+                    continue;
+                }
+                // Join state, evaluate assigns and sels.
+                let mut envs = vec![env];
+                let is_trigger = |_, satom: &Atom| satom.table == trigger.table;
+                if join_state(world, rule, &mut envs, &mut self.fresh, is_trigger).is_err() {
+                    continue 'trig;
+                }
+                'env: for mut e in envs {
+                    for a in &rule.assigns {
+                        match a.expr.eval(&e, &mut funcs) {
+                            Ok(v) => e.set(&a.var, Cow::Owned(v)),
+                            Err(_) => continue 'env,
+                        }
+                    }
+                    if rule.sels.iter().any(|s| s.eval(&e, &mut funcs) != Ok(true)) {
+                        continue 'env;
+                    }
+                    if let Some(head) = instantiate(&rule.head, &e) {
+                        let retargeted = Tuple { table: goal.table.clone(), ..head };
+                        if goal.matches(&retargeted) {
+                            fires = true;
+                            break 'trig;
+                        }
+                    }
+                }
+            }
+        }
+        if !fires {
+            return;
+        }
+        self.stats.trees += 1;
+        let trace = |fix: &str| {
+            vec![
+                format!("NEXIST[Tuple({goal})]"),
+                format!(
+                    "NEXIST[HeadFunc(Rul={}, Tab={})] — donor head is {}",
+                    rule.id, goal.table, rule.head.table
+                ),
+                format!("FIX: {fix}"),
+            ]
+        };
+        // (a) Re-target the head (loses the original derivation — backtesting
+        // usually rejects this, as in Table 6c candidates C–G).
+        let patch = Patch::single(Edit::SetHeadTable {
+            rule: rule.id.clone(),
+            table: goal.table.clone(),
+        });
+        if self.worth_building(world.cost.head_change) && self.applies(&patch) {
+            self.emit(Candidate {
+                repair: Repair::Patch(patch),
+                cost: world.cost.head_change,
+                description: format!(
+                    "Changing the head of {} to {}(...)",
+                    rule.id, goal.table
+                ),
+                trace: trace("re-target head"),
+            });
+        }
+        // (b) Copy the rule with the new head (keeps the original — Table 6c
+        // candidates J/L, the accepted ones).
+        if !self.worth_building(world.cost.copy_rule) {
+            return;
+        }
+        let mut copy = rule.clone();
+        copy.id = format!("{}_copy", rule.id);
+        copy.head.table = goal.table.clone();
+        let patch = Patch::single(Edit::AddRule { rule: copy });
+        if self.applies(&patch) {
+            self.emit(Candidate {
+                repair: Repair::Patch(patch),
+                cost: world.cost.copy_rule,
+                description: format!(
+                    "Copying {} and replacing head with {}(...)",
+                    rule.id, goal.table
+                ),
+                trace: trace("copy rule with new head"),
             });
         }
     }
-
-    // (2) Fork one tree per rule that derives the goal table (§3.3).
-    // Best-partial degradation: when the deadline fires mid-search, stop
-    // forking trees and rank whatever has been generated so far.
-    for rule in world.program.rules_for_table(&goal.table) {
-        if expired(&deadline) {
-            s.stats.timed_out = true;
-            break;
-        }
-        explore_rule(&mut s, rule);
-    }
-
-    // (3) Donor rules: head re-targeting and copy-with-new-head (the Q4
-    // repairs: "changing/copying the head of r5 to packetOut(...)").
-    for rule in &world.program.rules {
-        if expired(&deadline) {
-            s.stats.timed_out = true;
-            break;
-        }
-        if rule.head.table == goal.table || rule.head.args.len() != goal.args.len() {
-            continue;
-        }
-        explore_donor(&mut s, rule);
-    }
-
-    // (4) Completeness fallback (Appendix D, case b): a brand-new rule
-    // that derives exactly the goal from an observed trigger —
-    // `Bar(@A,B) :- Foo(@X), X==1, A:=2, B:=3`. Costly, so it surfaces
-    // only when nothing cheaper exists, but it guarantees the search
-    // always finds at least one working repair.
-    if let (Some(tuple), Some(trigger)) = (pattern_tuple(goal), world.triggers.first()) {
-        synthesize_rule(&mut s, &tuple, trigger);
-    }
-
-    (s.frontier.finish(), s.stats)
-}
-
-/// The Appendix D fallback: a new rule deriving `tuple` from `trigger`.
-fn synthesize_rule(s: &mut Search, tuple: &Tuple, trigger: &Tuple) {
-    let (world, goal) = (s.world, s.goal);
-    if !s.worth_building(world.cost.new_rule) {
-        return;
-    }
-    let mut body_args = Vec::new();
-    let mut sels = Vec::new();
-    for (i, v) in trigger.args.iter().enumerate() {
-        let var = format!("X{i}");
-        body_args.push(Term::Var(var.clone()));
-        sels.push(mpr_ndlog::Selection::new(
-            Expr::var(var),
-            CmpOp::Eq,
-            Expr::Const(v.clone()),
-        ));
-    }
-    let mut assigns = Vec::new();
-    let mut head_args = Vec::new();
-    for (i, v) in tuple.args.iter().enumerate() {
-        let var = format!("H{i}");
-        assigns.push(mpr_ndlog::Assign::new(var.clone(), Expr::Const(v.clone())));
-        head_args.push(Term::Var(var));
-    }
-    assigns.push(mpr_ndlog::Assign::new("Hl", Expr::Const(tuple.loc.clone())));
-    let rule = mpr_ndlog::Rule::new(
-        "synth0",
-        mpr_ndlog::Atom::new(goal.table.clone(), Term::Var("Hl".into()), head_args),
-        vec![mpr_ndlog::Atom::new(
-            trigger.table.clone(),
-            Term::Var("Xl".into()),
-            body_args,
-        )],
-        sels,
-        assigns,
-    );
-    let patch = Patch::single(Edit::AddRule { rule: rule.clone() });
-    if !s.applies(&patch) {
-        return;
-    }
-    s.emit(Candidate {
-        repair: Repair::Patch(patch),
-        cost: world.cost.new_rule,
-        description: format!("Adding a new rule deriving {tuple}"),
-        trace: vec![
-            format!("NEXIST[Tuple({goal})]"),
-            "NEXIST[HeadFunc(*)] — no rule can be adapted cheaply".into(),
-            format!("FIX: add rule {rule}"),
-        ],
-    });
 }
 
 /// A fully concrete tuple from a pattern, if every column is constrained.
@@ -364,162 +961,68 @@ fn pattern_tuple(p: &Pattern) -> Option<Tuple> {
     Some(Tuple { table: p.table.clone(), loc, args: args? })
 }
 
-/// Merge required head bindings from unifying the rule head with the goal.
-/// Returns `None` when the rule can never produce the goal (constant
-/// mismatch).
-fn head_requirements(rule: &Rule, goal: &Pattern) -> Option<BTreeMap<String, Value>> {
-    let mut req = BTreeMap::new();
-    let bind = |term: &Term, val: &Option<Value>, req: &mut BTreeMap<String, Value>| -> bool {
-        match (term, val) {
-            (Term::Const(c), Some(v)) => c == v,
-            (Term::Var(name), Some(v)) => match req.get(name) {
-                Some(prev) => prev == v,
-                None => {
-                    req.insert(name.clone(), v.clone());
-                    true
-                }
-            },
-            _ => true,
-        }
-    };
-    if !bind(&rule.head.loc, &goal.loc, &mut req) {
-        return None;
-    }
-    if rule.head.args.len() != goal.args.len() {
-        return None;
-    }
-    for (t, v) in rule.head.args.iter().zip(goal.args.iter()) {
-        if !bind(t, v, &mut req) {
-            return None;
-        }
-    }
-    Some(req)
-}
-
-/// One tree: this rule, every compatible trigger.
-fn explore_rule(s: &mut Search, rule: &Rule) {
-    let world = s.world;
-    let Some(required) = head_requirements(rule, s.goal) else {
-        return;
-    };
-    // Every match starts from the required head bindings, so conflicting
-    // triggers are skipped early.
-    let env0: Env = required.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    for trigger in &world.triggers {
-        // The trigger must bind one body atom.
-        for (ti, atom) in rule.body.iter().enumerate() {
-            if atom.table != trigger.table {
-                continue;
-            }
-            let Some(env1) = match_atom(atom, trigger, &env0) else {
-                continue;
-            };
-            s.stats.trees += 1;
-            // Join the remaining (state) atoms.
-            let mut envs = vec![env1];
-            let mut missing_state: Option<usize> = None;
-            for (ai, satom) in rule.body.iter().enumerate() {
-                if ai == ti {
-                    continue;
-                }
-                let mut next = Vec::new();
-                for env in &envs {
-                    for st in &world.state {
-                        if let Some(e2) = match_atom(satom, st, env) {
-                            next.push(e2);
-                        }
+/// What unifying the rule's head with the goal requires of the rule's
+/// variables, left in `required`. `false` when the rule can never produce
+/// the goal (constant or arity mismatch).
+fn head_requirements<'a>(rule: &'a Rule, goal: &'a Pattern, required: &mut Scope<'a>) -> bool {
+    required.entries.clear();
+    rule.head.args.len() == goal.args.len()
+        && std::iter::once((&rule.head.loc, &goal.loc)).chain(rule.head.args.iter().zip(&goal.args)).all(
+            |(term, val)| match (term, val) {
+                (Term::Const(c), Some(v)) => c == v,
+                (Term::Var(name), Some(v)) => match required.get(name) {
+                    Some(prev) => prev == v,
+                    None => {
+                        required.set(name, Cow::Borrowed(v));
+                        true
                     }
-                }
-                if next.is_empty() {
-                    missing_state = Some(ai);
-                    break;
-                }
-                envs = next;
-            }
-            if let Some(ai) = missing_state {
-                emit_state_insertion(s, rule, ai, &envs[0], &required);
-                continue;
-            }
-            for env in envs {
-                emit_rule_candidates(s, rule, &env, &required);
-            }
-        }
-    }
+                },
+                _ => true,
+            },
+        )
 }
 
-/// A state predicate had no matching tuple: the repair inserts one whose
-/// attributes are solved from the join/selection constraints (§3.4).
-fn emit_state_insertion(
-    s: &mut Search,
-    rule: &Rule,
-    atom_idx: usize,
-    env: &Env,
-    required: &BTreeMap<String, Value>,
-) {
-    let (world, goal) = (s.world, s.goal);
-    let atom = &rule.body[atom_idx];
-    // Bind what we can from the environment plus the head requirements.
-    let mut full = env.clone();
-    for (k, v) in required {
-        if !full.contains_key(k) {
-            full.insert(k.clone(), v.clone());
+/// Join `envs` with the recorded state through every body atom of `rule`
+/// that `skip` does not name, atom after atom. `Err(i)` when no state tuple
+/// extends any of them through atom `i`: `envs` is then as it stood before
+/// that atom.
+fn join_state<'a>(
+    world: &'a World,
+    rule: &'a Rule,
+    envs: &mut Vec<Scope<'a>>,
+    fresh: &mut Vec<(&'a str, &'a Value)>,
+    skip: impl Fn(usize, &Atom) -> bool,
+) -> Result<(), usize> {
+    for (ai, atom) in rule.body.iter().enumerate() {
+        if skip(ai, atom) {
+            continue;
         }
-    }
-    // Remaining free variables are solved against the rule's selections.
-    let mut pool = mpr_solver::Pool::new();
-    let free: Vec<String> = atom
-        .vars()
-        .into_iter()
-        .filter(|v| !full.contains_key(v))
-        .collect();
-    for sel in &rule.sels {
-        if let Some(c) = selection_constraint(sel, &full) {
-            pool.push(c);
+        let mut next = Vec::new();
+        for env in envs.iter() {
+            for st in &world.state {
+                if unify_atom(atom, st, env, fresh) {
+                    let mut extended = env.clone();
+                    extended.extend(fresh);
+                    next.push(extended);
+                }
+            }
         }
-    }
-    let dom: Vec<Value> = s.domain.iter().map(|&i| Value::Int(i)).collect();
-    for v in &free {
-        pool.set_domain(v.clone(), dom.clone());
-    }
-    s.stats.pools_solved += 1;
-    let t0 = std::time::Instant::now();
-    let solved = pool.solve();
-    s.stats.solver_ns += t0.elapsed().as_nanos();
-    let Some(asg) = solved.assignment() else {
-        return;
-    };
-    for v in free {
-        if let Some(val) = asg.get(&v) {
-            full.insert(v, val.clone());
+        if next.is_empty() {
+            return Err(ai);
         }
+        *envs = next;
     }
-    let Some(tuple) = instantiate(atom, &full) else {
-        return;
-    };
-    if !s.worth_building(world.cost.insert_tuple) {
-        return;
-    }
-    s.emit(Candidate {
-        repair: Repair::InsertTuple(tuple.clone()),
-        cost: world.cost.insert_tuple,
-        description: format!("Manually inserting a {} entry", atom.table),
-        trace: vec![
-            format!("NEXIST[Tuple({goal})]"),
-            format!("NDERIVE[{} via meta rule h2]", rule.id),
-            format!("NEXIST[TuplePred(Rul={}, Tab={})]", rule.id, atom.table),
-            format!("FIX: insert base tuple {tuple}"),
-        ],
-    });
+    Ok(())
 }
 
 /// Translate a selection into a solver constraint under a partial env.
-fn selection_constraint(sel: &Selection, env: &Env) -> Option<mpr_solver::Constraint> {
+fn selection_constraint(sel: &Selection, env: &impl Bindings) -> Option<mpr_solver::Constraint> {
     let lhs = expr_sterm(&sel.lhs, env)?;
     let rhs = expr_sterm(&sel.rhs, env)?;
     Some(mpr_solver::Constraint::Cmp { lhs, op: sel.op, rhs })
 }
 
-fn expr_sterm(e: &Expr, env: &Env) -> Option<mpr_solver::STerm> {
+fn expr_sterm(e: &Expr, env: &impl Bindings) -> Option<mpr_solver::STerm> {
     use mpr_solver::STerm;
     match e {
         Expr::Const(v) => Some(STerm::Val(v.clone())),
@@ -538,458 +1041,6 @@ fn expr_sterm(e: &Expr, env: &Env) -> Option<mpr_solver::STerm> {
             }
         }
         Expr::Call(..) => None,
-    }
-}
-
-/// One way to fix one blocking literal: the edit and its cost.
-type FixOption = (Edit, u32);
-
-/// The core of the search: under a complete join environment, determine
-/// which program-based meta tuples block the derivation and emit the
-/// change combinations that unblock it.
-fn emit_rule_candidates(
-    s: &mut Search,
-    rule: &Rule,
-    env: &Env,
-    required: &BTreeMap<String, Value>,
-) {
-    let (world, goal) = (s.world, s.goal);
-    let cm = &world.cost;
-    // --- assignments -----------------------------------------------------
-    // Evaluate assignments; those bound to a required head value that
-    // disagree must be fixed.
-    let mut post = env.clone();
-    let mut funcs = PureFuncs;
-    let mut assign_fixes: Vec<Vec<FixOption>> = Vec::new();
-    for a in &rule.assigns {
-        let computed = a.expr.eval(&post, &mut funcs).ok();
-        let needed = required.get(&a.var).cloned();
-        match (computed, needed) {
-            (Some(v), Some(need)) if v != need => {
-                // Fix options: rewrite to the needed constant, or to an
-                // in-scope variable that carries the needed value.
-                let const_cost = match &a.expr {
-                    Expr::Const(Value::Int(old)) => match need {
-                        Value::Int(n) => cm.const_change(*old, n),
-                        _ => cm.assign_change,
-                    },
-                    _ => cm.assign_change,
-                };
-                let mut options: Vec<FixOption> = vec![(
-                    Edit::SetAssignExpr {
-                        rule: rule.id.clone(),
-                        var: a.var.clone(),
-                        expr: Expr::Const(need.clone()),
-                    },
-                    const_cost,
-                )];
-                for (w, val) in env.iter() {
-                    if val == &need && w != &a.var {
-                        options.push((
-                            Edit::SetAssignExpr {
-                                rule: rule.id.clone(),
-                                var: a.var.clone(),
-                                expr: Expr::var(w.clone()),
-                            },
-                            cm.var_change,
-                        ));
-                    }
-                }
-                post.insert(a.var.clone(), need.clone());
-                assign_fixes.push(options);
-            }
-            (Some(v), _) => {
-                post.insert(a.var.clone(), v);
-            }
-            (None, Some(need)) => {
-                post.insert(a.var.clone(), need.clone());
-                assign_fixes.push(vec![(
-                    Edit::SetAssignExpr {
-                        rule: rule.id.clone(),
-                        var: a.var.clone(),
-                        expr: Expr::Const(need.clone()),
-                    },
-                    cm.assign_change,
-                )]);
-            }
-            (None, None) => return, // un-evaluable, unconstrained — give up
-        }
-    }
-    // --- selections -------------------------------------------------------
-    let mut failing: Vec<usize> = Vec::new();
-    for (si, sel) in rule.sels.iter().enumerate() {
-        match sel.eval(&post, &mut funcs) {
-            Ok(true) => {}
-            _ => failing.push(si),
-        }
-    }
-    if failing.is_empty() && assign_fixes.is_empty() {
-        // The rule already derives the goal under this trigger — the
-        // symptom must come from elsewhere.
-        return;
-    }
-    // Fix options per failing selection: constants (solver-enumerated),
-    // operators, variable swaps (§2.5's "relevant changes" only — passing
-    // selections are never touched).
-    let mut sel_fixes: Vec<Vec<FixOption>> = Vec::new();
-    for &si in &failing {
-        let sel = &rule.sels[si];
-        let mut opts: Vec<FixOption> = Vec::new();
-        // (a) constant replacement via the constraint pool (Fig. 6's
-        //     NEXIST[Const(Rul, ID, Val)] leaf).
-        for (site, old) in rule.constants() {
-            let (is_this_sel, side) = match &site {
-                ConstSite::Selection { idx, side, path } if *idx == si && path.is_empty() => {
-                    (true, *side)
-                }
-                _ => (false, ExprSide::Lhs),
-            };
-            if !is_this_sel {
-                continue;
-            }
-            let Value::Int(old_i) = old else { continue };
-            s.stats.pools_solved += 1;
-            let t0 = std::time::Instant::now();
-            // Equality against a bound variable admits exactly one
-            // replacement constant — skip the domain scan (this keeps
-            // candidate generation linear in program size, Fig. 10).
-            let eq_fast: Option<Vec<i64>> = if sel.op == CmpOp::Eq {
-                let other = match side {
-                    ExprSide::Lhs => &sel.rhs,
-                    ExprSide::Rhs => &sel.lhs,
-                };
-                match other {
-                    Expr::Var(v) => post.get(v).and_then(|x| x.as_int()).map(|x| vec![x]),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let scan: &[i64] = eq_fast.as_deref().unwrap_or(&s.domain);
-            let mut found = 0;
-            for &v in scan {
-                if v == old_i {
-                    continue;
-                }
-                let mut patched = sel.clone();
-                match side {
-                    ExprSide::Lhs => patched.lhs = Expr::int(v),
-                    ExprSide::Rhs => patched.rhs = Expr::int(v),
-                }
-                if patched.eval(&post, &mut funcs) == Ok(true) {
-                    opts.push((
-                        Edit::SetConst {
-                            rule: rule.id.clone(),
-                            site: site.clone(),
-                            value: Value::Int(v),
-                        },
-                        cm.const_change(old_i, v),
-                    ));
-                    found += 1;
-                    if found >= world.budget.consts_per_site {
-                        break;
-                    }
-                }
-            }
-            s.stats.solver_ns += t0.elapsed().as_nanos();
-        }
-        // (b) operator flips.
-        for op in CmpOp::ALL {
-            if op == sel.op {
-                continue;
-            }
-            let mut patched = sel.clone();
-            patched.op = op;
-            if patched.eval(&post, &mut funcs) == Ok(true) {
-                opts.push((Edit::SetSelectionOp { rule: rule.id.clone(), sel: si, op }, cm.op_change));
-            }
-        }
-        // (c) variable swaps.
-        for (side, e) in [(ExprSide::Lhs, &sel.lhs), (ExprSide::Rhs, &sel.rhs)] {
-            if let Expr::Var(cur) = e {
-                for w in rule.body_vars() {
-                    if &w == cur {
-                        continue;
-                    }
-                    let mut patched = sel.clone();
-                    match side {
-                        ExprSide::Lhs => patched.lhs = Expr::var(w.clone()),
-                        ExprSide::Rhs => patched.rhs = Expr::var(w.clone()),
-                    }
-                    if patched.eval(&post, &mut funcs) == Ok(true) {
-                        opts.push((
-                            Edit::SetSelectionExpr {
-                                rule: rule.id.clone(),
-                                sel: si,
-                                side,
-                                expr: Expr::var(w.clone()),
-                            },
-                            cm.var_change,
-                        ));
-                    }
-                }
-            }
-        }
-        sel_fixes.push(opts);
-    }
-    // --- emit combinations -------------------------------------------------
-    // Deletion subsets: every subset of selections of size ≤ 2 that covers
-    // all failing selections (Table 2 candidates F, G, H).
-    let mut deletion_sets: Vec<Vec<usize>> = Vec::new();
-    if failing.len() <= 2 {
-        let n = rule.sels.len();
-        for i in 0..n {
-            if failing.iter().all(|f| *f == i) {
-                deletion_sets.push(vec![i]);
-            }
-            for j in (i + 1)..n {
-                if failing.iter().all(|f| *f == i || *f == j) {
-                    deletion_sets.push(vec![i, j]);
-                }
-            }
-        }
-    }
-    // A candidate is one combination of selection fixes (or one deletion
-    // set) with one combination of assignment fixes. Multi-edit patches
-    // are intrinsically less plausible: charge one extra unit per
-    // additional edit (keeps Table 2's single-literal repairs ahead of
-    // combination repairs).
-    let cost_of = |fix: u32, assign: u32, fixed: usize| {
-        fix + assign + ((fixed + assign_fixes.len()) as u32).saturating_sub(1)
-    };
-    let del_cost = |del: &[usize]| del.len() as u32 * cm.delete_selection;
-    // Per tree: cost every combination — arithmetic only — and stop here,
-    // before any edit is cloned, when the cut has passed them all.
-    let assign_costs = combo_costs(&assign_fixes);
-    let sel_costs = combo_costs(&sel_fixes);
-    let mut costs: Vec<u32> = Vec::new();
-    for &ac in &assign_costs {
-        costs.extend(sel_costs.iter().map(|&sc| cost_of(sc, ac, failing.len())));
-        costs.extend(deletion_sets.iter().map(|d| cost_of(del_cost(d), ac, d.len())));
-    }
-    costs.retain(|&c| c <= world.budget.max_cost);
-    if !costs.iter().any(|&c| s.frontier.admits(c)) {
-        s.stats.raw_candidates += costs.len() as u64;
-        return;
-    }
-    // Assign-fix cross product (small: ≤ 2 assigns, ≤ 4 options each) and
-    // sel-fix cross product. No failing selection means one empty
-    // combination (only assignments need fixing); a failing selection
-    // nothing can fix means none.
-    let assign_combos = cross_product(&assign_fixes);
-    let sel_combos = cross_product(&sel_fixes);
-
-    let mk_trace = |edits: &[Edit], cost: u32| -> Vec<String> {
-        let mut t = vec![
-            format!("NEXIST[Tuple({goal})]"),
-            format!("NDERIVE[{} via meta rule h2]", rule.id),
-        ];
-        for si in &failing {
-            t.push(format!(
-                "NEXIST[Sel(Rul={}, SID=\"{}\", Val=true)]",
-                rule.id,
-                rule.sels[*si].sid()
-            ));
-        }
-        t.push(format!("FIX(cost {cost}): {} edit(s)", edits.len()));
-        t
-    };
-
-    // Per combination: test the cut again (it tightens as candidates
-    // land) before cloning the edits.
-    for (sedits, scost) in &sel_combos {
-        for (aedits, acost) in &assign_combos {
-            let cost = cost_of(*scost, *acost, sedits.len());
-            if cost <= world.budget.max_cost && s.worth_building(cost) {
-                let edits = sedits.iter().chain(aedits).map(|&e| e.clone()).collect();
-                push_patch(s, rule, edits, cost, mk_trace);
-            }
-        }
-    }
-    for del in &deletion_sets {
-        for (aedits, acost) in &assign_combos {
-            let cost = cost_of(del_cost(del), *acost, del.len());
-            if cost <= world.budget.max_cost && s.worth_building(cost) {
-                let edits = del
-                    .iter()
-                    .map(|&si| Edit::DeleteSelection { rule: rule.id.clone(), sel: si })
-                    .chain(aedits.iter().map(|&e| e.clone()))
-                    .collect();
-                push_patch(s, rule, edits, cost, mk_trace);
-            }
-        }
-    }
-}
-
-/// At most this many combinations survive each step of a cross product.
-const MAX_COMBOS: usize = 64;
-
-/// Every way to pick one option per slot, with the summed cost.
-fn cross_product(slots: &[Vec<FixOption>]) -> Vec<(Vec<&Edit>, u32)> {
-    let mut combos: Vec<(Vec<&Edit>, u32)> = vec![(Vec::new(), 0)];
-    for opts in slots {
-        combos = combos
-            .iter()
-            .flat_map(|(edits, cost)| {
-                opts.iter().map(move |(e, c)| {
-                    let mut edits = edits.clone();
-                    edits.push(e);
-                    (edits, cost + c)
-                })
-            })
-            .take(MAX_COMBOS)
-            .collect();
-    }
-    combos
-}
-
-/// The costs [`cross_product`] would pair with its combinations, in the
-/// same order, without building them.
-fn combo_costs(slots: &[Vec<FixOption>]) -> Vec<u32> {
-    let mut costs = vec![0];
-    for opts in slots {
-        costs = costs
-            .iter()
-            .flat_map(|cost| opts.iter().map(move |(_, c)| cost + c))
-            .take(MAX_COMBOS)
-            .collect();
-    }
-    costs
-}
-
-/// Build one patch candidate of `rule` and rank it.
-fn push_patch(
-    s: &mut Search,
-    rule: &Rule,
-    edits: Vec<Edit>,
-    cost: u32,
-    mk_trace: impl Fn(&[Edit], u32) -> Vec<String>,
-) {
-    let patch = Patch::of(edits);
-    // Syntax preservation (§4.2): refuse edits that break the grammar.
-    // Every edit touches `rule` alone, so it is checked — and described —
-    // against a reduced program holding just that rule: emission stays
-    // O(1) in program size (Fig. 10's linearity).
-    let mut reduced = Program::new("syntax-check");
-    reduced.rules.push(rule.clone());
-    if !applies(&reduced, &ProgramOutline::new(&reduced).ok(), &patch) {
-        return;
-    }
-    let description = patch.describe(&reduced);
-    let trace = mk_trace(&patch.edits, cost);
-    s.emit(Candidate { repair: Repair::Patch(patch), cost, description, trace });
-}
-
-/// Donor exploration: `rule` derives a different table; re-targeting or
-/// copying it can make the goal appear (the Q4 repairs).
-fn explore_donor(s: &mut Search, rule: &Rule) {
-    let (world, goal) = (s.world, s.goal);
-    // The donor must actually fire under some trigger and produce a head
-    // whose values match the goal pattern.
-    let mut fires = false;
-    'trig: for trigger in &world.triggers {
-        for atom in &rule.body {
-            if atom.table != trigger.table {
-                continue;
-            }
-            let Some(env) = match_atom(atom, trigger, &Env::new()) else {
-                continue;
-            };
-            // Join state, evaluate assigns and sels.
-            let mut envs = vec![env];
-            for satom in &rule.body {
-                if satom.table == trigger.table {
-                    continue;
-                }
-                let mut next = Vec::new();
-                for e in &envs {
-                    for st in &world.state {
-                        if let Some(e2) = match_atom(satom, st, e) {
-                            next.push(e2);
-                        }
-                    }
-                }
-                if next.is_empty() {
-                    continue 'trig;
-                }
-                envs = next;
-            }
-            let mut funcs = PureFuncs;
-            'env: for mut e in envs {
-                for a in &rule.assigns {
-                    match a.expr.eval(&e, &mut funcs) {
-                        Ok(v) => {
-                            e.insert(a.var.clone(), v);
-                        }
-                        Err(_) => continue 'env,
-                    }
-                }
-                for s in &rule.sels {
-                    if s.eval(&e, &mut funcs) != Ok(true) {
-                        continue 'env;
-                    }
-                }
-                if let Some(head) = instantiate(&rule.head, &e) {
-                    let mut retargeted = head.clone();
-                    retargeted.table = goal.table.clone();
-                    if goal.matches(&retargeted) {
-                        fires = true;
-                        break 'trig;
-                    }
-                }
-            }
-        }
-    }
-    if !fires {
-        return;
-    }
-    s.stats.trees += 1;
-    let trace = |fix: &str| {
-        vec![
-            format!("NEXIST[Tuple({goal})]"),
-            format!(
-                "NEXIST[HeadFunc(Rul={}, Tab={})] — donor head is {}",
-                rule.id, goal.table, rule.head.table
-            ),
-            format!("FIX: {fix}"),
-        ]
-    };
-    // (a) Re-target the head (loses the original derivation — backtesting
-    // usually rejects this, as in Table 6c candidates C–G).
-    let patch = Patch::single(Edit::SetHeadTable {
-        rule: rule.id.clone(),
-        table: goal.table.clone(),
-    });
-    if s.worth_building(world.cost.head_change) && s.applies(&patch) {
-        s.emit(Candidate {
-            repair: Repair::Patch(patch),
-            cost: world.cost.head_change,
-            description: format!(
-                "Changing the head of {} to {}(...)",
-                rule.id, goal.table
-            ),
-            trace: trace("re-target head"),
-        });
-    }
-    // (b) Copy the rule with the new head (keeps the original — Table 6c
-    // candidates J/L, the accepted ones).
-    if !s.worth_building(world.cost.copy_rule) {
-        return;
-    }
-    let mut copy = rule.clone();
-    copy.id = format!("{}_copy", rule.id);
-    copy.head.table = goal.table.clone();
-    let patch = Patch::single(Edit::AddRule { rule: copy });
-    if s.applies(&patch) {
-        s.emit(Candidate {
-            repair: Repair::Patch(patch),
-            cost: world.cost.copy_rule,
-            description: format!(
-                "Copying {} and replacing head with {}(...)",
-                rule.id, goal.table
-            ),
-            trace: trace("copy rule with new head"),
-        });
     }
 }
 
@@ -1018,6 +1069,7 @@ pub fn generate_existing(
     let domain = world.domain(&Pattern::exact(culprit));
     let outline = ProgramOutline::new(&world.program).ok();
     let deadline = deadline_of(&world.budget);
+    let mut fresh = Vec::new();
     for d in derivations {
         if expired(&deadline) {
             stats.timed_out = true;
@@ -1027,31 +1079,29 @@ pub fn generate_existing(
             continue;
         };
         // Reconstruct the firing environment.
-        let mut env = Env::new();
-        let mut ok = true;
-        for (atom, t) in rule.body.iter().zip(d.body.iter()) {
-            match match_atom(atom, t, &env) {
-                Some(e2) => env = e2,
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        let mut env = Scope::default();
+        if !rule.body.iter().zip(&d.body).all(|(atom, t)| env.unify(atom, t, &mut fresh)) {
             continue;
         }
         let mut funcs = PureFuncs;
         let mut post = env.clone();
         for a in &rule.assigns {
             if let Ok(v) = a.expr.eval(&post, &mut funcs) {
-                post.insert(a.var.clone(), v);
+                post.set(&a.var, Cow::Owned(v));
             }
         }
         let trace_head = vec![
             format!("EXIST[Tuple({culprit})]"),
             format!("DERIVE[{} via meta rule h2]", rule.id),
         ];
+        // A rule-literal candidate: described against the program, traced
+        // to the meta tuple (`exists`) it takes away.
+        let patched = |patch: Patch, cost: u32, exists: String| {
+            let description = patch.describe(&world.program);
+            let mut trace = trace_head.clone();
+            trace.extend([exists, format!("FIX: {description}")]);
+            Candidate { repair: Repair::Patch(patch), cost, description, trace }
+        };
         // (a) Base-tuple deletions (Fig. 5: DELETETUPLE).
         for (bi, t) in d.body.iter().enumerate() {
             if !d.base_mask[bi] {
@@ -1079,30 +1129,19 @@ pub fn generate_existing(
                     continue;
                 };
                 sym_env.remove(v);
-                let mut pool = mpr_solver::Pool::new();
-                let mut any = false;
-                for sel in &rule.sels {
-                    if !sel.vars().contains(v) {
-                        continue;
-                    }
+                let mut npool = mpr_solver::Pool::new();
+                for sel in rule.sels.iter().filter(|sel| sel.vars().contains(v)) {
                     if let Some(c) = selection_constraint(sel, &sym_env) {
                         // Rename the free rule-variable to the column var.
-                        pool.push(rename_var(c, v, &var));
-                        any = true;
+                        npool.push(rename_var(c, v, &var).negate());
                     }
                 }
-                if !any {
+                if npool.constraints.is_empty() {
                     continue;
-                }
-                let negated: Vec<mpr_solver::Constraint> =
-                    pool.constraints.iter().map(|c| c.negate()).collect();
-                let mut npool = mpr_solver::Pool::new();
-                for c in negated {
-                    npool.push(c);
                 }
                 npool.set_domain(var.clone(), domain.iter().map(|&i| Value::Int(i)).collect());
                 stats.pools_solved += 1;
-                let t0 = std::time::Instant::now();
+                let t0 = Instant::now();
                 let solved = npool.solve();
                 stats.solver_ns += t0.elapsed().as_nanos();
                 if let Some(asg) = solved.assignment() {
@@ -1126,79 +1165,44 @@ pub fn generate_existing(
         // (c) Rule-literal changes that break this binding (the green
         // repair of Fig. 7: `Swi==1` → `Swi==2`).
         for (si, sel) in rule.sels.iter().enumerate() {
-            for (site, old) in rule.constants() {
-                let matches_sel = matches!(
-                    &site,
-                    ConstSite::Selection { idx, path, .. } if *idx == si && path.is_empty()
-                );
-                if !matches_sel {
-                    continue;
-                }
-                let Value::Int(old_i) = old else { continue };
-                let side = match &site {
-                    ConstSite::Selection { side, .. } => *side,
-                    _ => continue,
+            let lhs = sel.lhs.eval(&post, &mut funcs).ok();
+            let rhs = sel.rhs.eval(&post, &mut funcs).ok();
+            for (side, old) in top_level_constants(sel) {
+                let Value::Int(old) = *old else { continue };
+                let other = match side {
+                    ExprSide::Lhs => &rhs,
+                    ExprSide::Rhs => &lhs,
                 };
                 stats.pools_solved += 1;
-                for &v in &domain {
-                    if v == old_i {
-                        continue;
-                    }
-                    let mut patched = sel.clone();
-                    match side {
-                        ExprSide::Lhs => patched.lhs = Expr::int(v),
-                        ExprSide::Rhs => patched.rhs = Expr::int(v),
-                    }
-                    // The change must make *this* derivation fail.
-                    if patched.eval(&post, &mut funcs) == Ok(false) {
-                        let patch = Patch::single(Edit::SetConst {
-                            rule: rule.id.clone(),
-                            site: site.clone(),
-                            value: Value::Int(v),
-                        });
-                        if !applies(&world.program, &outline, &patch) {
-                            continue;
-                        }
-                        let description = patch.describe(&world.program);
-                        stats.raw_candidates += 1;
-                        let mut trace = trace_head.clone();
-                        trace.push(format!(
-                            "EXIST[Sel(Rul={}, SID=\"{}\")]",
-                            rule.id,
-                            sel.sid()
-                        ));
-                        trace.push(format!("FIX: {description}"));
-                        out.push(Candidate {
-                            repair: Repair::Patch(patch),
-                            cost: world.cost.const_change(old_i, v),
-                            description,
-                            trace,
-                        });
-                        break; // one constant change per site suffices here
-                    }
-                }
+                let t0 = Instant::now();
+                // The change must make *this* derivation fail; one constant
+                // change per site suffices here, the first that is legal.
+                let breaking = domain
+                    .iter()
+                    .filter(|&&v| v != old)
+                    .filter(|&&v| other.as_ref().is_some_and(|other| !holds_with(sel.op, side, &Value::Int(v), other)))
+                    .map(|&v| {
+                        let site = ConstSite::Selection { idx: si, side, path: Vec::new() };
+                        (v, Patch::single(Edit::SetConst { rule: rule.id.clone(), site, value: Value::Int(v) }))
+                    })
+                    .find(|(_, patch)| applies(&world.program, &outline, patch));
+                stats.solver_ns += t0.elapsed().as_nanos();
+                let Some((v, patch)) = breaking else { continue };
+                stats.raw_candidates += 1;
+                let exists = format!("EXIST[Sel(Rul={}, SID=\"{}\")]", rule.id, sel.sid());
+                out.push(patched(patch, world.cost.const_change(old, v), exists));
             }
             // Operator negation always breaks the satisfied selection.
-            let mut patched = sel.clone();
-            patched.op = sel.op.negate();
-            if patched.eval(&post, &mut funcs) == Ok(false) {
+            if matches!((&lhs, &rhs), (Some(l), Some(r)) if !sel.op.negate().eval(l, r)) {
                 let patch = Patch::single(Edit::SetSelectionOp {
                     rule: rule.id.clone(),
                     sel: si,
                     op: sel.op.negate(),
                 });
                 if applies(&world.program, &outline, &patch) {
-                    let description = patch.describe(&world.program);
                     stats.raw_candidates += 1;
-                    let mut trace = trace_head.clone();
-                    trace.push(format!("EXIST[Oper(Rul={}, SID=\"{}\")]", rule.id, sel.sid()));
-                    trace.push(format!("FIX: {description}"));
-                    out.push(Candidate {
-                        repair: Repair::Patch(patch),
-                        cost: world.cost.op_change,
-                        description,
-                        trace,
-                    });
+                    let exists = format!("EXIST[Oper(Rul={}, SID=\"{}\")]", rule.id, sel.sid());
+                    out.push(patched(patch, world.cost.op_change, exists));
                 }
             }
         }
@@ -1210,17 +1214,9 @@ pub fn generate_existing(
             }
             let patch = Patch::single(Edit::DeletePredicate { rule: rule.id.clone(), pred: pi });
             if applies(&world.program, &outline, &patch) {
-                let description = patch.describe(&world.program);
                 stats.raw_candidates += 1;
-                let mut trace = trace_head.clone();
-                trace.push(format!("EXIST[PredFunc(Rul={}, Tab={})]", rule.id, atom.table));
-                trace.push(format!("FIX: {description}"));
-                out.push(Candidate {
-                    repair: Repair::Patch(patch),
-                    cost: world.cost.delete_predicate,
-                    description,
-                    trace,
-                });
+                let exists = format!("EXIST[PredFunc(Rul={}, Tab={})]", rule.id, atom.table);
+                out.push(patched(patch, world.cost.delete_predicate, exists));
             }
         }
     }
@@ -1229,6 +1225,7 @@ pub fn generate_existing(
     (out.finish(), stats)
 }
 
+/// Rename a variable of a [`selection_constraint`] (always a comparison).
 fn rename_var(c: mpr_solver::Constraint, from: &str, to: &str) -> mpr_solver::Constraint {
     use mpr_solver::{Constraint as C, STerm};
     fn rt(t: STerm, from: &str, to: &str) -> STerm {
@@ -1242,13 +1239,6 @@ fn rename_var(c: mpr_solver::Constraint, from: &str, to: &str) -> mpr_solver::Co
     }
     match c {
         C::Cmp { lhs, op, rhs } => C::Cmp { lhs: rt(lhs, from, to), op, rhs: rt(rhs, from, to) },
-        C::And(cs) => C::And(cs.into_iter().map(|c| rename_var(c, from, to)).collect()),
-        C::Or(cs) => C::Or(cs.into_iter().map(|c| rename_var(c, from, to)).collect()),
-        C::Implies(a, b) => C::Implies(
-            Box::new(rename_var(*a, from, to)),
-            Box::new(rename_var(*b, from, to)),
-        ),
-        C::Not(b) => C::Not(Box::new(rename_var(*b, from, to))),
         other => other,
     }
 }

@@ -69,8 +69,9 @@ pub struct Scenario {
     pub id: String,
     /// The paper's query text.
     pub query: String,
-    /// The buggy controller program.
-    pub program: Program,
+    /// The buggy controller program (shared: the debugger, its controller
+    /// and the explorer's world all read this one copy).
+    pub program: Arc<Program>,
     /// The network (shared: backtests hand it to many replays unchanged).
     pub topology: Arc<Topology>,
     /// Packet ↔ tuple mapping.
@@ -214,7 +215,7 @@ impl Scenario {
         Scenario {
             id: "Q1".into(),
             query: "H2 is not receiving HTTP requests from the Internet".into(),
-            program: q1_program(),
+            program: q1_program().into(),
             topology: Arc::new(q1_topology()),
             codec: TupleCodec::fig2(),
             seeds: vec![Tuple::new("WebLoadBalancer", Value::str(C), vec![v(80), v(2)])],
@@ -276,7 +277,7 @@ impl Scenario {
         Scenario {
             id: "Q2".into(),
             query: "The DNS server is not receiving queries from client 6".into(),
-            program,
+            program: program.into(),
             topology: Arc::new(mpr_sdn::topology::fig1()),
             codec: TupleCodec::five_tuple(),
             seeds: vec![],
@@ -345,7 +346,7 @@ impl Scenario {
         Scenario {
             id: "Q3".into(),
             query: "H2 is not receiving the offloaded HTTP requests".into(),
-            program,
+            program: program.into(),
             topology: Arc::new(mpr_sdn::topology::fig1()),
             codec: TupleCodec::five_tuple(),
             seeds: vec![],
@@ -392,7 +393,7 @@ impl Scenario {
         Scenario {
             id: "Q4".into(),
             query: "The first HTTP packet of each flow is not received".into(),
-            program,
+            program: program.into(),
             topology: Arc::new(mpr_sdn::topology::fig1()),
             codec,
             seeds: vec![],
@@ -463,7 +464,7 @@ impl Scenario {
         Scenario {
             id: "Q5".into(),
             query: "H1's address is never learned by the controller".into(),
-            program,
+            program: program.into(),
             topology: Arc::new(topo),
             codec: TupleCodec::five_tuple(),
             seeds: vec![],
@@ -520,7 +521,7 @@ impl Scenario {
         Scenario {
             id: "Fig7".into(),
             query: "HTTP is misrouted to the backup server (harmful flow entry exists)".into(),
-            program,
+            program: program.into(),
             topology: Arc::new(mpr_sdn::topology::fig1()),
             codec: TupleCodec::fig2(),
             seeds: vec![Tuple::new("WebLoadBalancer", Value::str(C), vec![v(80), v(2)])],
@@ -650,7 +651,7 @@ impl Scenario {
                 "oz{i} FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == {sw}, Hdr == {dpt}, Prt := {port}.\n"
             ));
         }
-        s.program = parse_program("q1-padded", &src).expect("padded program parses");
+        s.program = parse_program("q1-padded", &src).expect("padded program parses").into();
         s.id = format!("Q1@{lines}loc");
         s
     }
@@ -663,7 +664,7 @@ impl Scenario {
         let mut s = self.clone();
         if self.id == "Q1" {
             let port = mpr_langs::trema::q1_trema();
-            s.program = port.compile();
+            s.program = port.compile().into();
             s.reference_fix = "Changing Swi == 2 in t7 to Swi == 3".into();
         }
         s.id = format!("{}-trema", self.id);
@@ -681,7 +682,7 @@ impl Scenario {
         let mut s = self.clone();
         if self.id == "Q1" {
             let port = mpr_langs::pyretic::q1_pyretic();
-            s.program = port.compile();
+            s.program = port.compile().into();
             s.reference_fix = "Changing Swi == 2 in py3 to Swi == 3".into();
         }
         s.id = format!("{}-pyretic", self.id);

@@ -10,16 +10,22 @@
 //!   Appendix D fallback guarantees this);
 //! - **bounded ≡ exhaustive** — the search cut off at `max_candidates = k`
 //!   returns exactly the first k candidates of the unbounded search, and
-//!   builds a number of candidates that does not grow with the program.
+//!   builds a number of candidates that does not grow with the program;
+//! - **priced ≡ built** — the prices the search computes by arithmetic on
+//!   fix options are the prices of a reference that patches and evaluates a
+//!   clone of every selection, and of the edits the search then builds.
 
 use mpr_core::cost::{CostModel, SearchBudget};
 use mpr_core::debugger::Debugger;
-use mpr_core::explore::{generate_missing, World};
+use mpr_core::explore::{generate_missing, generate_missing_with_ledger, World};
 use mpr_core::repair::{Candidate, Repair};
 use mpr_core::scenarios::{Scenario, Symptom};
-use mpr_ndlog::{parse_program, Tuple, Value};
+use mpr_ndlog::ast::{CmpOp, Expr, Rule};
+use mpr_ndlog::{parse_program, Edit, Env, PureFuncs, Tuple, Value};
 use mpr_provenance::Pattern;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn world(swi_const: i64, hdr_const: i64, prt_const: i64, triggers: Vec<(i64, i64)>) -> World {
     let program = parse_program(
@@ -34,7 +40,7 @@ fn world(swi_const: i64, hdr_const: i64, prt_const: i64, triggers: Vec<(i64, i64
     )
     .unwrap();
     World {
-        program,
+        program: program.into(),
         triggers: triggers
             .into_iter()
             .map(|(s, h)| {
@@ -45,6 +51,149 @@ fn world(swi_const: i64, hdr_const: i64, prt_const: i64, triggers: Vec<(i64, i64
         cost: CostModel::default(),
         budget: SearchBudget { max_cost: 10, max_candidates: 24, consts_per_site: 3, ..SearchBudget::default() },
     }
+}
+
+/// `r1` plus 1–40 sibling policies, in shuffled order: cheap repairs of
+/// different rules tie on cost, so the cut lands inside a tie.
+fn shuffled_world(trig: Vec<(i64, i64)>, padding: &[(i64, &str, i64, i64)], order: Vec<u32>) -> World {
+    let mut w = world(2, 80, 2, trig);
+    let r1 = w.program.rules[0].to_string();
+    let mut rules: Vec<String> = vec![r1];
+    for (i, (swi, op, hdr, prt)) in padding.iter().enumerate() {
+        rules.push(format!(
+            "p{i} FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi {op} {swi}, Hdr == {hdr}, Prt := {prt}."
+        ));
+    }
+    let mut keyed: Vec<(u32, String)> = order.into_iter().zip(rules).collect();
+    keyed.sort();
+    let src: Vec<String> = keyed.into_iter().map(|(_, r)| r).collect();
+    Arc::make_mut(&mut w.program).rules = parse_program("shuffled", &src.join("\n")).unwrap().rules;
+    w
+}
+
+fn flow_goal(swi: i64, prt: i64) -> Pattern {
+    Pattern {
+        table: "FlowTable".into(),
+        loc: Some(Value::Int(swi)),
+        args: vec![Some(Value::Int(80)), Some(Value::Int(prt))],
+    }
+}
+
+/// Every way to pick one cost per slot, summed — at most 64 survive each
+/// slot, in order, as in the search.
+fn cross_costs(slots: &[Vec<u32>]) -> Vec<u32> {
+    slots.iter().fold(vec![0], |sums, slot| {
+        sums.iter().flat_map(|sum| slot.iter().map(move |c| sum + c)).take(64).collect()
+    })
+}
+
+/// The price of every candidate the search should consider in a
+/// [`shuffled_world`], found the slow way: each replacement is patched into
+/// a clone of the failing selection and the clone is evaluated. Such a
+/// world's rules are `FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr),
+/// Swi op a, Hdr == b, Prt := c` and its goal is concrete.
+fn reference_prices(w: &World, goal: &Pattern) -> Vec<u32> {
+    let cm = &w.cost;
+    let int = |v: &Option<Value>| v.as_ref().and_then(Value::as_int).expect("a concrete goal");
+    let (goal_swi, goal_hdr, goal_prt) = (int(&goal.loc), int(&goal.args[0]), int(&goal.args[1]));
+    // The insertion and the synthesised rule.
+    let mut prices = vec![cm.insert_tuple, cm.new_rule];
+    // Replacement constants: every integer the program, the triggers and the
+    // goal exhibit, and its neighbours, ascending.
+    let mut exhibited = vec![goal_swi, goal_hdr, goal_prt];
+    exhibited.extend(w.triggers.iter().flat_map(|t| t.args.iter().filter_map(Value::as_int)));
+    exhibited.extend(w.program.rules.iter().flat_map(Rule::constants).filter_map(|(_, v)| v.as_int()));
+    let domain: BTreeSet<i64> = exhibited.iter().flat_map(|&i| [i - 1, i, i + 1]).collect();
+    for rule in &w.program.rules {
+        for t in &w.triggers {
+            // The head pins `Swi` and `Hdr`; the trigger must agree.
+            if t.args != [Value::Int(goal_swi), Value::Int(goal_hdr)] {
+                continue;
+            }
+            let joined: Env = [("C", t.loc.clone()), ("Swi", t.args[0].clone()), ("Hdr", t.args[1].clone())]
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+            let mut post = joined.clone();
+            post.insert("Prt".into(), Value::Int(goal_prt));
+            let mut assign_slots = Vec::new();
+            let Expr::Const(Value::Int(assigned)) = rule.assigns[0].expr else { unreachable!("Prt := c") };
+            if assigned != goal_prt {
+                let mut slot = vec![cm.const_change(assigned, goal_prt)];
+                slot.extend(joined.iter().filter(|(_, v)| **v == Value::Int(goal_prt)).map(|_| cm.var_change));
+                assign_slots.push(slot);
+            }
+            let mut failing = Vec::new();
+            let mut sel_slots = Vec::new();
+            for (si, sel) in rule.sels.iter().enumerate() {
+                let holds = |s: &mpr_ndlog::Selection| s.eval(&post, &mut PureFuncs) == Ok(true);
+                if holds(sel) {
+                    continue;
+                }
+                failing.push(si);
+                let mut slot = Vec::new();
+                let Expr::Const(Value::Int(old)) = sel.rhs else { unreachable!("Var == c") };
+                let replacements = domain.iter().filter(|&&v| v != old).filter(|&&v| {
+                    let mut patched = sel.clone();
+                    patched.rhs = Expr::int(v);
+                    holds(&patched)
+                });
+                slot.extend(replacements.take(w.budget.consts_per_site).map(|&v| cm.const_change(old, v)));
+                for op in CmpOp::ALL.into_iter().filter(|op| *op != sel.op) {
+                    let mut patched = sel.clone();
+                    patched.op = op;
+                    slot.extend(holds(&patched).then_some(cm.op_change));
+                }
+                for var in rule.body_vars() {
+                    let mut patched = sel.clone();
+                    patched.lhs = Expr::var(var);
+                    slot.extend((patched.lhs != sel.lhs && holds(&patched)).then_some(cm.var_change));
+                }
+                sel_slots.push(slot);
+            }
+            if failing.is_empty() && assign_slots.is_empty() {
+                continue;
+            }
+            let extra = |fixed: usize| (fixed + assign_slots.len()) as u32 - 1;
+            let n = rule.sels.len();
+            let singles = (0..n).map(|i| vec![i]);
+            let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| vec![i, j]));
+            let deletions: Vec<Vec<usize>> =
+                singles.chain(pairs).filter(|d| failing.iter().all(|f| d.contains(f))).collect();
+            for assign in cross_costs(&assign_slots) {
+                prices.extend(cross_costs(&sel_slots).iter().map(|fix| fix + assign + extra(failing.len())));
+                prices.extend(deletions.iter().map(|d| d.len() as u32 * cm.delete_selection + assign + extra(d.len())));
+            }
+        }
+    }
+    prices
+}
+
+/// What the cost model charges for a built repair, from its edits alone.
+fn price_of_edits(w: &World, repair: &Repair) -> u32 {
+    let cm = &w.cost;
+    let Repair::Patch(patch) = repair else { return cm.insert_tuple };
+    let rule_of = |id: &str| -> &Rule { w.program.rule(id).expect("edits name rules of the program") };
+    let edits = patch.edits.iter().map(|e| match e {
+        Edit::AddRule { .. } => cm.new_rule,
+        Edit::DeleteSelection { .. } => cm.delete_selection,
+        Edit::SetSelectionOp { .. } => cm.op_change,
+        Edit::SetSelectionExpr { .. } => cm.var_change,
+        Edit::SetConst { rule, site, value } => {
+            let (_, old) = rule_of(rule).constants().into_iter().find(|(s, _)| s == site).expect("the site exists");
+            cm.const_change(old.as_int().expect("integer literals"), value.as_int().expect("integer literals"))
+        }
+        Edit::SetAssignExpr { rule, var, expr } => {
+            let old = &rule_of(rule).assigns.iter().find(|a| &a.var == var).expect("the assignment exists").expr;
+            match (old, expr) {
+                (Expr::Const(Value::Int(old)), Expr::Const(Value::Int(new))) => cm.const_change(*old, *new),
+                (_, Expr::Var(_)) => cm.var_change,
+                _ => cm.assign_change,
+            }
+        }
+        other => panic!("no tree of these worlds builds {other:?}"),
+    });
+    edits.sum::<u32>() + patch.edits.len() as u32 - 1
 }
 
 /// Assert that cutting the search off at k candidates returns the first k
@@ -117,26 +266,46 @@ proptest! {
         order in prop::collection::vec(any::<u32>(), 41),
         trig in prop::collection::vec((1i64..6, prop::sample::select(vec![53i64, 80])), 1..4),
     ) {
-        // `r1` plus 1–40 sibling policies, in shuffled order: cheap repairs
-        // of different rules tie on cost, so the cut lands inside a tie.
-        let mut w = world(2, 80, 2, trig);
-        let r1 = w.program.rules[0].to_string();
-        let mut rules: Vec<String> = vec![r1];
-        for (i, (swi, hdr, prt)) in padding.iter().enumerate() {
-            rules.push(format!(
-                "p{i} FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == {swi}, Hdr == {hdr}, Prt := {prt}."
-            ));
-        }
-        let mut keyed: Vec<(u32, String)> = order.into_iter().zip(rules).collect();
-        keyed.sort();
-        let src: Vec<String> = keyed.into_iter().map(|(_, r)| r).collect();
-        w.program.rules = parse_program("shuffled", &src.join("\n")).unwrap().rules;
-        let goal = Pattern {
-            table: "FlowTable".into(),
-            loc: Some(Value::Int(goal_swi)),
-            args: vec![Some(Value::Int(80)), Some(Value::Int(goal_prt))],
+        let padding: Vec<_> = padding.into_iter().map(|(swi, hdr, prt)| (swi, "==", hdr, prt)).collect();
+        let w = shuffled_world(trig, &padding, order);
+        assert_bounded_is_a_prefix(&w, &flow_goal(goal_swi, goal_prt))?;
+    }
+
+    #[test]
+    fn what_the_search_prices_is_what_it_builds(
+        goal_swi in 1i64..6, goal_prt in 1i64..4,
+        // Order comparisons, so that a literal's side matters, and headers
+        // that switch numbers can equal, so that variable swaps occur.
+        padding in prop::collection::vec(
+            (1i64..6, prop::sample::select(vec!["==", "==", "<", ">", "!="]),
+             prop::sample::select(vec![2i64, 3, 53, 80]), 1i64..4), 1..41),
+        order in prop::collection::vec(any::<u32>(), 41),
+        trig in prop::collection::vec((1i64..6, prop::sample::select(vec![53i64, 80])), 1..4),
+    ) {
+        // Nothing bounded away: every price is built, and only the syntax
+        // check can drop a built candidate.
+        let mut w = shuffled_world(trig, &padding, order);
+        w.budget.max_candidates = usize::MAX;
+        w.budget.max_cost = u32::MAX;
+        let goal = flow_goal(goal_swi, goal_prt);
+        let (_, stats, ledger) = generate_missing_with_ledger(&w, &goal);
+        prop_assert_eq!(stats.materialised, ledger.priced.len() as u64);
+        prop_assert_eq!(stats.raw_candidates, ledger.built.len() as u64);
+        prop_assert_eq!(stats.materialised, stats.raw_candidates + stats.refused);
+        let sorted = |mut costs: Vec<u32>| {
+            costs.sort_unstable();
+            costs
         };
-        assert_bounded_is_a_prefix(&w, &goal)?;
+        // The prices are those of the clone-and-evaluate reference …
+        prop_assert_eq!(sorted(ledger.priced.clone()), sorted(reference_prices(&w, &goal)));
+        // … they are the costs of the candidates built (these worlds refuse
+        // none) …
+        prop_assert_eq!(stats.refused, 0);
+        prop_assert_eq!(sorted(ledger.priced.clone()), sorted(ledger.built.iter().map(|c| c.cost).collect()));
+        // … and each is what the cost model charges for the edits built.
+        for c in &ledger.built {
+            prop_assert_eq!(c.cost, price_of_edits(&w, &c.repair), "{}", &c.description);
+        }
     }
 
     #[test]

@@ -359,26 +359,28 @@ impl Expr {
     /// left-to-right order.
     pub fn constants(&self) -> Vec<(Vec<u8>, &Value)> {
         let mut out = Vec::new();
-        self.collect_constants(&mut Vec::new(), &mut out);
+        self.visit_constants(&mut Vec::new(), &mut |path, v| out.push((path.to_vec(), v)));
         out
     }
 
-    fn collect_constants<'a>(&'a self, path: &mut Vec<u8>, out: &mut Vec<(Vec<u8>, &'a Value)>) {
+    /// Call `f(path, value)` for every constant in the expression, in
+    /// left-to-right order. `path` is the walk's scratch: the visitor
+    /// borrows each locator instead of being handed a copy of it.
+    pub fn visit_constants<'a>(&'a self, path: &mut Vec<u8>, f: &mut impl FnMut(&[u8], &'a Value)) {
         match self {
-            Expr::Const(v) => out.push((path.clone(), v)),
+            Expr::Const(v) => f(path, v),
             Expr::Var(_) => {}
             Expr::Binary(_, l, r) => {
-                path.push(0);
-                l.collect_constants(path, out);
-                path.pop();
-                path.push(1);
-                r.collect_constants(path, out);
-                path.pop();
+                for (step, side) in [l, r].into_iter().enumerate() {
+                    path.push(step as u8);
+                    side.visit_constants(path, f);
+                    path.pop();
+                }
             }
             Expr::Call(_, args) => {
                 for (i, a) in args.iter().enumerate() {
                     path.push(i as u8);
-                    a.collect_constants(path, out);
+                    a.visit_constants(path, f);
                     path.pop();
                 }
             }
@@ -539,6 +541,20 @@ impl Rule {
     /// `true` if the head carries an aggregate (an "AggWrap" rule, App. B.1).
     pub fn is_aggregate(&self) -> bool {
         self.head.has_agg()
+    }
+
+    /// Call `f` on every constant of the rule, in the order of
+    /// [`Rule::constants`], building no locator and cloning no value — for
+    /// a reader that wants the values alone (the explorer's domain scan
+    /// walks every rule of the program).
+    pub fn for_each_constant<'a>(&'a self, mut f: impl FnMut(&'a Value)) {
+        let mut path = Vec::new();
+        let exprs = self.sels.iter().flat_map(|s| [&s.lhs, &s.rhs]).chain(self.assigns.iter().map(|a| &a.expr));
+        for e in exprs {
+            e.visit_constants(&mut path, &mut |_, v| f(v));
+        }
+        let args = self.head.args.iter().chain(self.body.iter().flat_map(|a| &a.args));
+        args.filter_map(Term::as_const).for_each(f);
     }
 
     /// Enumerate every constant in the rule with a stable [`ConstSite`]
@@ -850,6 +866,14 @@ mod tests {
         let descr: Vec<String> =
             consts.iter().map(|(s, v)| format!("{s}={v}")).collect();
         assert_eq!(descr, vec!["sel0.r=2", "sel1.r=80", "asg0=2"]);
+        // The borrowing visitor sees the same values in the same order.
+        let mut r = r;
+        r.head.args[0] = Term::Const(Value::Int(7));
+        r.body[0].args[1] = Term::Const(Value::Int(9));
+        let mut visited = Vec::new();
+        r.for_each_constant(|v| visited.push(v.clone()));
+        assert_eq!(visited, r.constants().into_iter().map(|(_, v)| v).collect::<Vec<_>>());
+        assert_eq!(visited.len(), 5);
     }
 
     #[test]

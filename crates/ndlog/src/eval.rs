@@ -72,6 +72,20 @@ impl Env {
     }
 }
 
+/// What expression evaluation reads an environment through: a variable's
+/// value by name. [`Env`] owns its names and values; an evaluator that
+/// already holds both elsewhere can answer from borrows instead.
+pub trait Bindings {
+    /// The value bound to `name`, if any.
+    fn get(&self, name: &str) -> Option<&Value>;
+}
+
+impl Bindings for Env {
+    fn get(&self, name: &str) -> Option<&Value> {
+        Env::get(self, name)
+    }
+}
+
 impl FromIterator<(String, Value)> for Env {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
         let mut env = Env::new();
@@ -201,7 +215,7 @@ impl FuncHost for CountingFuncs {
 
 impl Expr {
     /// Evaluate the expression under `env`, resolving built-ins via `host`.
-    pub fn eval(&self, env: &Env, host: &mut dyn FuncHost) -> Result<Value, EvalError> {
+    pub fn eval(&self, env: &impl Bindings, host: &mut dyn FuncHost) -> Result<Value, EvalError> {
         match self {
             Expr::Const(v) => Ok(v.clone()),
             Expr::Var(name) => env
@@ -247,7 +261,7 @@ impl Selection {
     /// Evaluate the selection under `env`. Evaluation errors are *not*
     /// silently false — the caller decides (the engine treats them as a
     /// non-match; the repair generator propagates them as constraints).
-    pub fn eval(&self, env: &Env, host: &mut dyn FuncHost) -> Result<bool, EvalError> {
+    pub fn eval(&self, env: &impl Bindings, host: &mut dyn FuncHost) -> Result<bool, EvalError> {
         let l = self.lhs.eval(env, host)?;
         let r = self.rhs.eval(env, host)?;
         Ok(self.op.eval(&l, &r))

@@ -46,7 +46,7 @@ use crate::index::IndexRegistry;
 use crate::log::{ExecLog, Time, TupleId, TupleKind};
 use crate::store::{AddOutcome, DropOutcome, Store};
 use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
-use mpr_ndlog::eval::{CountingFuncs, Env};
+use mpr_ndlog::eval::{Bindings, CountingFuncs, Env};
 use mpr_ndlog::{Program, Schema, Tuple, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1221,18 +1221,13 @@ fn agg_group_key(head: &Atom, env: &Env) -> Option<Vec<Value>> {
 /// Unify an atom against a concrete tuple, extending `env`. Returns the
 /// extended environment on success.
 ///
-/// Unification runs in two passes: validation first (borrowing only), then
-/// — only for a successful match — one environment clone plus the fresh
-/// bindings. Failing candidates, the common case in a join loop, allocate
-/// nothing.
+/// Unification runs in two passes: [`unify_atom`] validates (borrowing
+/// only), then — only for a successful match — one environment clone plus
+/// the fresh bindings.
 pub fn match_atom(atom: &Atom, tuple: &Tuple, env: &Env) -> Option<Env> {
-    if atom.table != tuple.table || atom.args.len() != tuple.args.len() {
+    let mut fresh = Vec::new();
+    if !unify_atom(atom, tuple, env, &mut fresh) {
         return None;
-    }
-    let mut fresh: Vec<(&str, &Value)> = Vec::new();
-    unify_term(&atom.loc, &tuple.loc, env, &mut fresh)?;
-    for (t, v) in atom.args.iter().zip(tuple.args.iter()) {
-        unify_term(t, v, env, &mut fresh)?;
     }
     let mut out = env.clone();
     for (name, value) in fresh {
@@ -1241,38 +1236,52 @@ pub fn match_atom(atom: &Atom, tuple: &Tuple, env: &Env) -> Option<Env> {
     Some(out)
 }
 
+/// The validation pass of [`match_atom`], for a caller that keeps its own
+/// bindings: does `tuple` unify with `atom` under `env`, and which
+/// bindings would the match add? They are left in `fresh` (cleared first),
+/// borrowed from the atom and the tuple; a caller that reuses the buffer
+/// pays no allocation for a candidate that fails, the common case in a
+/// join loop.
+pub fn unify_atom<'a>(
+    atom: &'a Atom,
+    tuple: &'a Tuple,
+    env: &impl Bindings,
+    fresh: &mut Vec<(&'a str, &'a Value)>,
+) -> bool {
+    fresh.clear();
+    atom.table == tuple.table
+        && atom.args.len() == tuple.args.len()
+        && std::iter::once((&atom.loc, &tuple.loc))
+            .chain(atom.args.iter().zip(&tuple.args))
+            .all(|(term, value)| unify_term(term, value, env, fresh))
+}
+
 fn unify_term<'a>(
     term: &'a Term,
     value: &'a Value,
-    env: &Env,
+    env: &impl Bindings,
     fresh: &mut Vec<(&'a str, &'a Value)>,
-) -> Option<()> {
+) -> bool {
     match term {
-        Term::Const(c) => {
-            if c == value {
-                Some(())
-            } else {
-                None
-            }
-        }
+        Term::Const(c) => c == value,
         Term::Var(v) => {
-            if let Some(bound) = env.get(v) {
-                return if bound == value { Some(()) } else { None };
-            }
             // A variable can repeat within one atom; the repeat must agree
             // with the binding this very match introduced.
-            if let Some(&(_, prev)) = fresh.iter().find(|(name, _)| *name == v) {
-                return if prev == value { Some(()) } else { None };
+            let introduced = || fresh.iter().find(|(name, _)| *name == v).map(|&(_, prev)| prev);
+            match env.get(v).or_else(introduced) {
+                Some(bound) => bound == value,
+                None => {
+                    fresh.push((v, value));
+                    true
+                }
             }
-            fresh.push((v, value));
-            Some(())
         }
-        Term::Agg(..) => None,
+        Term::Agg(..) => false,
     }
 }
 
 /// Instantiate a (non-aggregate) head atom under an environment.
-pub fn instantiate(atom: &Atom, env: &Env) -> Option<Tuple> {
+pub fn instantiate(atom: &Atom, env: &impl Bindings) -> Option<Tuple> {
     let loc = resolve_term(&atom.loc, env)?;
     let mut args = Vec::with_capacity(atom.args.len());
     for t in &atom.args {
@@ -1281,7 +1290,7 @@ pub fn instantiate(atom: &Atom, env: &Env) -> Option<Tuple> {
     Some(Tuple { table: atom.table.clone(), loc, args })
 }
 
-fn resolve_term(term: &Term, env: &Env) -> Option<Value> {
+fn resolve_term(term: &Term, env: &impl Bindings) -> Option<Value> {
     match term {
         Term::Const(c) => Some(c.clone()),
         Term::Var(v) => env.get(v).cloned(),

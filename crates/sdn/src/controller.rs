@@ -11,6 +11,7 @@ use crate::packet::{Field, Packet};
 use mpr_ndlog::{Program, Tuple, Value};
 use mpr_runtime::{Engine, ExecLog, Options as EngineOptions};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A `PacketIn` punt from a switch to the controller.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -218,23 +219,29 @@ impl TupleCodec {
 pub struct NdlogController {
     engine: Engine,
     codec: TupleCodec,
-    program: Program,
+    program: Arc<Program>,
     name: String,
 }
 
 impl NdlogController {
-    /// Compile `program` with the default engine options.
-    pub fn new(program: Program, codec: TupleCodec) -> Result<Self, mpr_runtime::CompileError> {
+    /// Compile `program` with the default engine options. The controller
+    /// shares the program it is handed: an `Arc<Program>` is kept as it is,
+    /// a `Program` is moved into one.
+    pub fn new(
+        program: impl Into<Arc<Program>>,
+        codec: TupleCodec,
+    ) -> Result<Self, mpr_runtime::CompileError> {
         Self::with_options(program, codec, EngineOptions::default())
     }
 
     /// Compile with explicit engine options (e.g. provenance off for the
     /// §5.4 overhead measurement).
     pub fn with_options(
-        program: Program,
+        program: impl Into<Arc<Program>>,
         codec: TupleCodec,
         opts: EngineOptions,
     ) -> Result<Self, mpr_runtime::CompileError> {
+        let program = program.into();
         let engine = Engine::with_options(&program, opts)?;
         let name = format!("ndlog:{}", program.name);
         Ok(NdlogController { engine, codec, program, name })

@@ -1,7 +1,8 @@
-//! What a packet-in costs the allocator, pinned: heap allocations per
-//! packet-in of the Q1 stream, counted by a counting global allocator. A
-//! count, not a timing, so it cannot flake — and a binary of its own, so
-//! the allocator counts nothing but this.
+//! What a packet-in — and a rule a repair never touches — costs the
+//! allocator, pinned: heap allocations per packet-in of the Q1 stream and
+//! per padding rule of the Fig. 10 repair, counted by a counting global
+//! allocator. A count, not a timing, so it cannot flake — and a binary of
+//! its own, so the allocator counts nothing but this.
 //!
 //! One packet-in of the stream is one event and, on average, one rule
 //! firing. Before rules compiled to slot frames it made 39.9 allocations
@@ -17,9 +18,12 @@
 
 mod common;
 
+use sdn_meta_repair::core::debugger::Debugger;
+use sdn_meta_repair::core::scenarios::Scenario;
 use sdn_meta_repair::sdn::controller::{Controller, PacketInMsg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct Counting;
 
@@ -69,9 +73,46 @@ fn allocations_per_packet_in(record_events: bool, reroute: impl Fn(&mut PacketIn
     (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / MEASURED as f64
 }
 
-// One test, so no other thread of this binary allocates while it counts.
+/// Allocations of one whole repair of Q1 padded to `lines` rules, the
+/// scenario built outside the count.
+fn allocations_per_repair(lines: usize) -> u64 {
+    let s = Scenario::q1_padded(lines);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = Debugger::for_scenario(&s).diagnose_and_repair().expect("the padded Q1 runs");
+    let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(report.trees, lines as u64, "one tree per rule");
+    counted
+}
+
+/// Held by each test while it counts: the tests of this binary share one
+/// counter, so they run one at a time.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting_alone() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+#[test]
+fn an_uninvolved_rule_stays_within_its_allocation_budget() {
+    let _alone = counting_alone();
+    // Fig. 10's slope, as a count: what each of the 800 rules between the
+    // 100- and the 900-rule program adds to one repair. None of them can
+    // produce a candidate, so what they may cost is compiling them for the
+    // observation run (≈ 15 each) and the replay's dispatch over them; the
+    // explorer prices their trees without allocating and the loop shares
+    // one program instead of copying it (≈ 170 each before both).
+    let (small, large) = (allocations_per_repair(100), allocations_per_repair(900));
+    let per_rule = (large - small) as f64 / 800.0;
+    eprintln!("repair: {small} allocations at 100 rules, {large} at 900, {per_rule} per padding rule");
+    assert!(per_rule <= 40.0, "{per_rule} allocations per padding rule ({small} → {large})");
+    let s = Scenario::q1_padded(100);
+    let (world, ..) = Debugger::for_scenario(&s).observe().expect("the padded Q1 runs");
+    assert!(Arc::ptr_eq(&s.program, &world.program), "the world reads the scenario's program, not a copy");
+}
+
 #[test]
 fn a_packet_in_stays_within_its_allocation_budget() {
+    let _alone = counting_alone();
     for record_events in [true, false] {
         let fired = allocations_per_packet_in(record_events, |_| {});
         assert!(fired <= 14.0, "{fired} allocations per packet-in, recording {record_events}");
