@@ -32,9 +32,10 @@ pub struct BacktestSetup {
     /// (priority 1, overridden by reactive entries).
     pub proactive_routes: bool,
     /// Engine options for the replay controllers (strategy, durability, …).
-    /// `record_events` is forced off per-replay regardless — backtests
-    /// need speed, not explanations. The kill-and-restart harness uses
-    /// this to run backtests against a WAL-journaled engine.
+    /// `record_events` is set per run regardless — off for a backtest,
+    /// which needs speed, not explanations; on for the observation run.
+    /// The kill-and-restart harness uses this to run backtests against a
+    /// WAL-journaled engine.
     pub engine: EngineOptions,
 }
 
@@ -45,6 +46,44 @@ pub struct ReplayOutcome {
     pub stats: SimStats,
     /// Per-host delivery distribution (the KS input).
     pub delivered: BTreeMap<i64, u64>,
+}
+
+impl ReplayOutcome {
+    /// What a finished run's counters leave for the KS filter.
+    pub fn of(stats: SimStats) -> ReplayOutcome {
+        ReplayOutcome { delivered: stats.delivered.clone(), stats }
+    }
+}
+
+/// Run `program` as the controller of the setup's network over its whole
+/// workload and hand back the finished simulation: its counters, its flow
+/// tables and, through the controller, the engine and the log it kept.
+/// This is the one place a workload is driven: a backtest replay reads the
+/// counters, the debugger's observation run takes the log
+/// (`record_events` on), the kill-and-restart harness reads the engine's
+/// journal. The controller shares `program`, it does not copy it.
+pub fn drive(
+    setup: &BacktestSetup,
+    program: Arc<Program>,
+    record_events: bool,
+    extra_flows: &[(i64, mpr_sdn::flowtable::FlowEntry)],
+) -> Result<Simulation<NdlogController>, String> {
+    let opts = EngineOptions { record_events, ..setup.engine.clone() };
+    let mut ctrl = NdlogController::with_options(program, setup.codec.clone(), opts)
+        .map_err(|e| e.to_string())?;
+    ctrl.seed(setup.seeds.clone()).map_err(|e| e.to_string())?;
+    let mut sim = Simulation::new(setup.topology.clone(), ctrl, setup.config.clone());
+    if setup.proactive_routes {
+        sim.install_proactive_routes();
+    }
+    for (sw, entry) in extra_flows {
+        sim.tables.install(*sw, entry.clone());
+    }
+    for (src, pkt) in setup.workload.iter() {
+        sim.inject(*src, pkt.clone());
+        sim.run();
+    }
+    Ok(sim)
 }
 
 /// Replay the workload against `program`. Each run builds a fresh network
@@ -62,22 +101,7 @@ pub fn replay_with_extra_flows(
     program: &Program,
     extra_flows: &[(i64, mpr_sdn::flowtable::FlowEntry)],
 ) -> Result<ReplayOutcome, String> {
-    let opts = EngineOptions { record_events: false, ..setup.engine.clone() };
-    let mut ctrl = NdlogController::with_options(program.clone(), setup.codec.clone(), opts)
-        .map_err(|e| e.to_string())?;
-    ctrl.seed(setup.seeds.clone()).map_err(|e| e.to_string())?;
-    let mut sim = Simulation::new(setup.topology.clone(), ctrl, setup.config.clone());
-    if setup.proactive_routes {
-        sim.install_proactive_routes();
-    }
-    for (sw, entry) in extra_flows {
-        sim.tables.install(*sw, entry.clone());
-    }
-    for (src, pkt) in setup.workload.iter() {
-        sim.inject(*src, pkt.clone());
-        sim.run();
-    }
-    Ok(ReplayOutcome { delivered: sim.stats.delivered.clone(), stats: sim.stats })
+    drive(setup, Arc::new(program.clone()), false, extra_flows).map(|sim| ReplayOutcome::of(sim.stats))
 }
 
 /// One candidate's materialized replay inputs, for [`replay_candidates`].

@@ -104,7 +104,7 @@ fn bench_meta(c: &mut Criterion) {
         .map(|s| Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(s), Value::Int(80)]))
         .collect();
     c.bench_function("meta/interpret_fig2", |b| {
-        b.iter(|| mpr_core::metamodel::meta_interpret(&program, &base, "FlowTable").unwrap())
+        b.iter(|| mpr_core::metafull::meta_interpret_k(&program, &base, "FlowTable", 2).unwrap())
     });
 }
 

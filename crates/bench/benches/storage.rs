@@ -13,7 +13,7 @@ use mpr_bench::{header, host_fingerprint, write_artifact};
 use mpr_core::scenarios::{q1_hosts, Scenario};
 use mpr_sdn::controller::{Controller, NdlogController, PacketInMsg};
 use mpr_sdn::topology::fig1_hosts::{DNS, H1, H2, INTERNET};
-use mpr_trace::history::LOG_ENTRY_BYTES;
+use mpr_trace::LOG_ENTRY_BYTES;
 use mpr_trace::workload::Workload;
 
 fn main() {

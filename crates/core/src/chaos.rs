@@ -21,11 +21,9 @@
 
 use crate::debugger::{try_repair_scenario, RepairReport};
 use crate::scenarios::Scenario;
-use mpr_backtest::replay::{replay, BacktestSetup};
+use mpr_backtest::replay::{drive, BacktestSetup};
 use mpr_ndlog::Persistence;
 use mpr_runtime::{Durability, Options as EngineOptions, Store, WalOptions};
-use mpr_sdn::controller::NdlogController;
-use mpr_sdn::sim::Simulation;
 use mpr_sdn::topology::{NodeRef, Topology};
 use mpr_sdn::{CtrlFaults, FaultPlan, LinkFault, SwitchCrash};
 use mpr_storage::{MemBackend, StorageBackend, WalBackend, WalConfig};
@@ -521,9 +519,11 @@ fn kill_scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Run `scenario` under WAL durability and capture the log the engine
-/// wrote. `MidFixpoint` drives the observation run (controller + live
-/// simulator); `MidBacktest` drives a backtest replay of the buggy
-/// program. `max_injections` truncates the workload (0 = all of it) so
+/// wrote. The observation run (`MidFixpoint`) and a backtest replay of the
+/// buggy program (`MidBacktest`) are the same run — one
+/// [`mpr_backtest::replay::drive`] of the program over the workload — so
+/// `phase` only names which of them the capture stands for.
+/// `max_injections` truncates the workload (0 = all of it) so
 /// sweeps over many crash points stay cheap. Compaction is disabled for
 /// the capture: every journaled op stays in `wal.0.log`, giving the crash
 /// points a maximal surface to cut.
@@ -534,53 +534,27 @@ pub fn capture_wal(
     max_injections: usize,
 ) -> Result<WalCapture, String> {
     let scratch = kill_scratch_dir(phase.name());
-    let mut eopts = opts.clone();
-    eopts.record_events = false;
-    eopts.durability = Durability::Wal(WalOptions {
-        dir: scratch.clone(),
-        fsync: false,
-        compact_every: 0,
-    });
+    let durability = Durability::Wal(WalOptions { dir: scratch.clone(), fsync: false, compact_every: 0 });
     let workload: Vec<_> = if max_injections == 0 {
         scenario.workload.clone()
     } else {
         scenario.workload.iter().take(max_injections).cloned().collect()
     };
-    let run = || -> Result<(), String> {
-        match phase {
-            KillPhase::MidFixpoint => {
-                let mut ctrl = NdlogController::with_options(
-                    scenario.program.clone(),
-                    scenario.codec.clone(),
-                    eopts.clone(),
-                )
-                .map_err(|e| e.to_string())?;
-                ctrl.seed(scenario.seeds.clone()).map_err(|e| e.to_string())?;
-                let mut sim = Simulation::new(scenario.topology.clone(), ctrl, scenario.sim.clone());
-                for (src, pkt) in &workload {
-                    sim.inject(*src, pkt.clone());
-                    sim.run();
-                }
-                if let Some(why) = sim.controller().engine().durability_degraded() {
-                    return Err(format!("durability degraded during capture: {why}"));
-                }
-                Ok(())
-            }
-            KillPhase::MidBacktest => {
-                let setup = BacktestSetup {
-                    topology: scenario.topology.clone(),
-                    codec: scenario.codec.clone(),
-                    seeds: scenario.seeds.clone(),
-                    workload: Arc::new(workload),
-                    config: scenario.sim.clone(),
-                    proactive_routes: false,
-                    engine: eopts.clone(),
-                };
-                replay(&setup, &scenario.program).map(|_| ())
-            }
-        }
+    let setup = BacktestSetup {
+        topology: scenario.topology.clone(),
+        codec: scenario.codec.clone(),
+        seeds: scenario.seeds.clone(),
+        workload: Arc::new(workload),
+        config: scenario.sim.clone(),
+        proactive_routes: false,
+        engine: EngineOptions { durability, ..opts.clone() },
     };
-    let result = run();
+    let result = drive(&setup, Arc::clone(&scenario.program), false, &[]).and_then(|sim| {
+        match sim.controller().engine().durability_degraded() {
+            Some(why) => Err(format!("durability degraded during capture: {why}")),
+            None => Ok(()),
+        }
+    });
     let capture = result.and_then(|()| {
         // Exactly one engine journaled under the scratch dir; read its log
         // back and decode the record framing through a clean recovery.

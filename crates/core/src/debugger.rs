@@ -7,19 +7,15 @@
 //! (inside the explorer), **patch generation** (the rest of the explorer),
 //! and **replay** (the buggy baseline plus candidate backtests).
 
-use crate::explore::{generate_existing, generate_missing, DerivationRecord, World};
+use crate::explore::{generate_existing, generate_missing, World};
 use crate::repair::{Candidate, Repair};
 use crate::scenarios::{Scenario, Symptom};
 use mpr_backtest::ks::{ks_two_sample, KsResult};
 use mpr_backtest::mqo::{mqo_replay_deltas, mqo_supported, ExtraFlows};
-use mpr_backtest::replay::{replay_candidates, BacktestSetup, CandidateRun, ReplayOutcome};
+use mpr_backtest::replay::{drive, replay_candidates, BacktestSetup, CandidateRun, ReplayOutcome};
 use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
-use mpr_runtime::{Durability, Options as EngineOptions, TupleKind};
-use mpr_sdn::controller::{NdlogController, TupleCodec};
-use mpr_sdn::flowtable::{Action, FlowEntry, Match};
-use mpr_sdn::sim::Simulation;
+use mpr_runtime::{ExecLog, Options as EngineOptions};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -116,6 +112,19 @@ impl RepairReport {
     }
 }
 
+/// One recorded run of the buggy network: what [`Debugger::record`] keeps
+/// of it and all [`Debugger::repair`] reads.
+#[derive(Debug, Clone)]
+pub struct Recording {
+    /// The controller's execution log, as the run wrote it.
+    pub log: ExecLog,
+    /// The buggy network's distribution (the KS baseline).
+    pub baseline: ReplayOutcome,
+    /// How long the run took (the observation share of
+    /// [`PhaseTimings::replay`]).
+    pub run_time: Duration,
+}
+
 /// The debugger.
 pub struct Debugger {
     scenario: Scenario,
@@ -149,63 +158,27 @@ impl Debugger {
         }
     }
 
-    /// Run the buggy program once with full provenance, extracting the
-    /// explorer's [`World`] (triggers + controller state) and the baseline
-    /// distribution.
-    pub fn observe(&self) -> Result<(World, ReplayOutcome, Duration, Duration), String> {
-        let t_replay = Instant::now();
-        let mut ctrl = NdlogController::with_options(
-            Arc::clone(&self.scenario.program),
-            self.scenario.codec.clone(),
-            self.engine_options.clone(),
-        )
-        .map_err(|e| e.to_string())?;
-        ctrl.seed(self.scenario.seeds.clone()).map_err(|e| e.to_string())?;
-        let mut sim = Simulation::new(self.scenario.topology.clone(), ctrl, self.scenario.sim.clone());
-        for (src, pkt) in &self.scenario.workload {
-            sim.inject(*src, pkt.clone());
-            sim.run();
-        }
-        let replay_time = t_replay.elapsed();
-
-        // History lookups: distill distinct triggers and live state from
-        // the execution log.
-        let t_hist = Instant::now();
-        let mut triggers: BTreeSet<Tuple> = BTreeSet::new();
-        for rec in sim.packet_in_log() {
-            triggers.insert(self.scenario.codec.packet_in_tuple_parts(
-                rec.switch,
-                rec.in_port,
-                &rec.packet,
-            ));
-        }
-        let ctrl = sim.controller();
-        let mut state: Vec<Tuple> = self.scenario.seeds.clone();
-        let seeded: HashSet<&Tuple> = self.scenario.seeds.iter().collect();
-        state.extend(
-            ctrl.exec_log()
-                .live_state()
-                .into_iter()
-                .filter(|t| t.table != self.scenario.codec.flow_table && !seeded.contains(t))
-                .cloned(),
-        );
-        let history_time = t_hist.elapsed();
-
-        let world = World {
-            program: Arc::clone(&self.scenario.program),
-            triggers: triggers.into_iter().collect(),
-            state,
-            cost: self.scenario.cost,
-            budget: self.scenario.budget,
-        };
-        let baseline = ReplayOutcome {
-            delivered: sim.stats.delivered.clone(),
-            stats: sim.stats.clone(),
-        };
-        Ok((world, baseline, replay_time, history_time))
+    /// Run the buggy program over the workload once, recording, and keep
+    /// what the run leaves: the controller's log and the simulator's
+    /// counters. The network and the controller are gone when this returns.
+    pub fn record(&self) -> Result<Recording, String> {
+        let t_run = Instant::now();
+        let mut sim = drive(&self.setup(), Arc::clone(&self.scenario.program), true, &[])?;
+        let log = sim.controller_mut().take_log();
+        Ok(Recording { log, baseline: ReplayOutcome::of(sim.stats), run_time: t_run.elapsed() })
     }
 
-    /// The full §2 loop: diagnose, generate, backtest, rank.
+    /// [`Self::record`], then [`World::from_history`] over the log: the
+    /// explorer's world, the baseline distribution, and how long the run
+    /// and the reading of its log took.
+    pub fn observe(&self) -> Result<(World, ReplayOutcome, Duration, Duration), String> {
+        let Recording { log, baseline, run_time } = self.record()?;
+        let t_hist = Instant::now();
+        let world = World::from_history(&self.scenario, &log);
+        Ok((world, baseline, run_time, t_hist.elapsed()))
+    }
+
+    /// The full §2 loop: record, then diagnose, generate, backtest, rank.
     ///
     /// Fails (with a description, never a panic) only when the scenario
     /// itself cannot run — a program that does not compile, a codec that
@@ -213,16 +186,27 @@ impl Debugger {
     /// timed-out search, a candidate whose replay dies) surface inside
     /// the report instead.
     pub fn diagnose_and_repair(&mut self) -> Result<RepairReport, String> {
-        let (world, baseline, mut replay_time, history_time) = self.observe()?;
+        let recording = self.record()?;
+        self.repair(&recording)
+    }
+
+    /// Diagnose and repair from a recorded run alone: the symptom is
+    /// explained out of `recording.log` as it was written, candidates are
+    /// judged against `recording.baseline`, and nothing runs the unpatched
+    /// program again.
+    pub fn repair(&self, recording: &Recording) -> Result<RepairReport, String> {
+        // History lookups: distinct triggers, live state and the symptom's
+        // derivations, read off the execution log.
+        let t_hist = Instant::now();
+        let world = World::from_history(&self.scenario, &recording.log);
+        let history_time = t_hist.elapsed();
+        let baseline = &recording.baseline;
 
         // --- candidate generation -------------------------------------
         let t_gen = Instant::now();
         let (candidates, stats) = match &self.scenario.symptom {
             Symptom::Missing(pattern) => generate_missing(&world, pattern),
-            Symptom::Existing(tuple) => {
-                let records = derivations_from_world(&world, tuple, &self.engine_options);
-                generate_existing(&world, tuple, &records)
-            }
+            Symptom::Existing(tuple) => generate_existing(&world, tuple),
         };
         let candidates: Vec<Candidate> = if self.scenario.op_repairs {
             candidates
@@ -248,7 +232,7 @@ impl Debugger {
         let t_back = Instant::now();
         let setup = self.setup();
         let (outcomes_raw, handed_back) = self.backtest(&setup, &candidates)?;
-        replay_time += t_back.elapsed();
+        let replay_time = recording.run_time + t_back.elapsed();
 
         let alpha = 0.05;
         let mut outcomes: Vec<CandidateOutcome> = Vec::new();
@@ -303,7 +287,7 @@ impl Debugger {
                 patch_generation,
                 replay: replay_time,
             },
-            baseline,
+            baseline: baseline.clone(),
             trees: stats.trees,
             pools_solved: stats.pools_solved,
             search_timed_out: stats.timed_out,
@@ -341,8 +325,10 @@ impl Debugger {
             let mut seeds = None;
             match &c.repair {
                 Repair::Patch(_) => {}
+                // A hand-installed entry sits at priority 50, above the
+                // reactive ones.
                 Repair::InsertTuple(t) if setup.codec.is_output(&t.table) => {
-                    flows.extend(manual_flow_entry(&setup.codec, t));
+                    flows.extend(setup.codec.flow_entry(t, 50));
                 }
                 other => {
                     let mut adjusted = setup.seeds.clone();
@@ -386,62 +372,6 @@ impl Debugger {
         }
         Ok((outs, Some(handed_back.len())))
     }
-}
-
-/// Convert a manually inserted `FlowTable`/`PacketOut` tuple into a
-/// pre-installed flow entry (priority 50, above reactive entries).
-fn manual_flow_entry(codec: &TupleCodec, t: &Tuple) -> Option<(i64, FlowEntry)> {
-    let switch = t.loc.as_int()?;
-    if t.args.len() != codec.flow_match_args.len() + 1 {
-        return None;
-    }
-    let mut m = Match::any();
-    for (spec, v) in codec.flow_match_args.iter().zip(t.args.iter()) {
-        let v = v.as_int()?;
-        match spec {
-            mpr_sdn::controller::PktArg::Field(f) => m = m.with(*f, v),
-            mpr_sdn::controller::PktArg::InPort => m = m.on_port(v),
-        }
-    }
-    let port = t.args.last()?.as_int()?;
-    let actions = if port < 0 { vec![Action::Drop] } else { vec![Action::Output(port)] };
-    Some((switch, FlowEntry::new(50, m, actions)))
-}
-
-/// Reconstruct derivation records for an existing tuple from a fresh run
-/// of the world (positive symptoms).
-fn derivations_from_world(
-    world: &World,
-    culprit: &Tuple,
-    engine_options: &EngineOptions,
-) -> Vec<DerivationRecord> {
-    // Re-run the program over triggers + state with full provenance and
-    // collect the derivations of the culprit. A scratch run: same engine
-    // options as the observation, but never journaled.
-    let opts = EngineOptions { durability: Durability::Mem, ..engine_options.clone() };
-    let Ok(mut engine) = mpr_runtime::Engine::with_options(&world.program, opts) else {
-        return Vec::new();
-    };
-    for t in &world.state {
-        let _ = engine.insert(t.clone());
-    }
-    for t in &world.triggers {
-        let _ = engine.insert(t.clone());
-    }
-    let log = engine.log();
-    let mut records = Vec::new();
-    for rec in log.instances_of(culprit) {
-        for ev in log.derivations_of(rec.tid) {
-            if let mpr_runtime::ExecEvent::Derive { rule, body, .. } = ev {
-                records.push(DerivationRecord {
-                    rule: rule.to_string(),
-                    body: body.iter().map(|&b| log.tuple(b).clone()).collect(),
-                    base_mask: body.iter().map(|&b| log.kind(b) == TupleKind::Base).collect(),
-                });
-            }
-        }
-    }
-    records
 }
 
 /// Convenience wrapper: scenario in, report out. Fallible variant for
@@ -508,22 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_flow_entry_conversion() {
-        let codec = TupleCodec::fig2();
-        let t = Tuple::new("FlowTable", 3i64, vec![V::Int(80), V::Int(2)]);
-        let (sw, entry) = manual_flow_entry(&codec, &t).unwrap();
-        assert_eq!(sw, 3);
-        assert_eq!(entry.actions, vec![Action::Output(2)]);
-        // Drop entries for negative ports.
-        let t = Tuple::new("FlowTable", 3i64, vec![V::Int(80), V::Int(-1)]);
-        let (_, entry) = manual_flow_entry(&codec, &t).unwrap();
-        assert_eq!(entry.actions, vec![Action::Drop]);
-        // Arity mismatch is refused.
-        let t = Tuple::new("FlowTable", 3i64, vec![V::Int(80)]);
-        assert!(manual_flow_entry(&codec, &t).is_none());
-    }
-
-    #[test]
     fn timings_are_populated() {
         let scenario = Scenario::q1_copy_paste();
         let report = repair_scenario(&scenario);
@@ -540,8 +454,7 @@ mod tests {
         let dbg = Debugger::for_scenario(&scenario);
         let (world, ..) = dbg.observe().unwrap();
         let Symptom::Existing(culprit) = &scenario.symptom else { unreachable!("Fig. 7 is a positive symptom") };
-        let records = derivations_from_world(&world, culprit, &dbg.engine_options);
-        let (_, stats) = generate_existing(&world, culprit, &records);
+        let (_, stats) = generate_existing(&world, culprit);
         assert!(stats.pools_solved > 0, "Fig. 7 scans the domain of `Swi == 1`");
         assert!(stats.solver_ns > 0, "{} pools solved in no time", stats.pools_solved);
         assert!(repair_scenario(&scenario).timings.constraint_solving > Duration::ZERO);

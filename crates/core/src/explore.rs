@@ -25,12 +25,14 @@
 
 use crate::cost::{CostModel, SearchBudget};
 use crate::repair::{Candidate, Repair};
+use crate::scenarios::{Scenario, Symptom};
 use mpr_ndlog::ast::{Assign, Atom, CmpOp, ConstSite, Expr, ExprSide, Term};
 use mpr_ndlog::eval::{Bindings, PureFuncs};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
 use mpr_ndlog::{Program, Rule, Selection, Tuple, Value};
 use mpr_provenance::Pattern;
 use mpr_runtime::engine::{instantiate, unify_atom};
+use mpr_runtime::{ExecEvent, ExecLog, TupleKind};
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,6 +49,10 @@ pub struct World {
     pub triggers: Vec<Tuple>,
     /// Controller state tuples (configuration seeds plus learned state).
     pub state: Vec<Tuple>,
+    /// The recorded derivations of a positive symptom's tuple, each
+    /// distinct one once, in the order the run made them (none for a
+    /// negative symptom).
+    pub derivations: Vec<DerivationRecord>,
     /// Cost model.
     pub cost: CostModel,
     /// Search bounds.
@@ -54,6 +60,49 @@ pub struct World {
 }
 
 impl World {
+    /// What the explorer reads of a recorded run of `scenario` — the one
+    /// place a log becomes its input. Triggers are the distinct tuples the
+    /// network inserted into the packet-in table; state is what the log
+    /// ends with alive, the output tables left out (a seed the run
+    /// replaced is not in it); a positive symptom's derivations are those
+    /// the run made, with the bodies it made them from — not what the final
+    /// state would derive again.
+    pub fn from_history(scenario: &Scenario, log: &ExecLog) -> World {
+        let codec = &scenario.codec;
+        let triggers: BTreeSet<&Tuple> = log
+            .events()
+            .filter_map(|ev| match ev {
+                ExecEvent::InsertBase { tid, .. } => Some(log.tuple(tid)),
+                _ => None,
+            })
+            .filter(|t| t.table == codec.packet_in_table)
+            .collect();
+        let mut derivations: Vec<DerivationRecord> = Vec::new();
+        if let Symptom::Existing(culprit) = &scenario.symptom {
+            for instance in log.instances_of(culprit) {
+                for ev in log.derivations_of(instance.tid) {
+                    let ExecEvent::Derive { rule, body, .. } = ev else { continue };
+                    let record = DerivationRecord {
+                        rule: rule.to_string(),
+                        body: body.iter().map(|&b| log.tuple(b).clone()).collect(),
+                        base_mask: body.iter().map(|&b| log.kind(b) == TupleKind::Base).collect(),
+                    };
+                    if !derivations.contains(&record) {
+                        derivations.push(record);
+                    }
+                }
+            }
+        }
+        World {
+            program: Arc::clone(&scenario.program),
+            triggers: triggers.into_iter().cloned().collect(),
+            state: log.live_state().into_iter().filter(|t| !codec.is_output(&t.table)).cloned().collect(),
+            derivations,
+            cost: scenario.cost,
+            budget: scenario.budget,
+        }
+    }
+
     /// Candidate constants: goal values, program constants, and values
     /// observed in triggers/state — the solver's candidate domain (§2.5:
     /// "why did we change the constant to 3 and not, say, 4?" — because 3
@@ -1048,7 +1097,7 @@ fn expr_sterm(e: &Expr, env: &impl Bindings) -> Option<mpr_solver::STerm> {
 // positive symptoms (§4.2, Fig. 7)
 
 /// A recorded derivation of the offending tuple.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DerivationRecord {
     /// The rule that fired.
     pub rule: String,
@@ -1058,19 +1107,16 @@ pub struct DerivationRecord {
     pub base_mask: Vec<bool>,
 }
 
-/// Generate repairs that make an *existing* tuple disappear.
-pub fn generate_existing(
-    world: &World,
-    culprit: &Tuple,
-    derivations: &[DerivationRecord],
-) -> (Vec<Candidate>, ExploreStats) {
+/// Generate repairs that make an *existing* tuple disappear: those that
+/// break one of the world's recorded derivations of it.
+pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, ExploreStats) {
     let mut stats = ExploreStats::default();
     let mut out = Frontier::new(&world.budget);
     let domain = world.domain(&Pattern::exact(culprit));
     let outline = ProgramOutline::new(&world.program).ok();
     let deadline = deadline_of(&world.budget);
     let mut fresh = Vec::new();
-    for d in derivations {
+    for d in &world.derivations {
         if expired(&deadline) {
             stats.timed_out = true;
             break;

@@ -8,12 +8,11 @@
 //! forest of trees whose completions — once their constraint pools are
 //! satisfiable — are *repair candidates*.
 //!
-//! - [`metamodel`] — the µDlog meta tuples and the Fig. 4 meta program,
-//!   *runnable* on `mpr-runtime` (a differential test pins it against
-//!   direct evaluation);
-//! - [`metafull`] — the arity-generic meta model of Appendix B.1/Table 4,
-//!   expanding template rules per arity and selection count; it interprets
-//!   the five-tuple scenario programs through the meta program;
+//! - [`metafull`] — the meta model of §3.2 and Appendix B.1/Table 4:
+//!   program-based meta tuples and the meta program, *runnable* on
+//!   `mpr-runtime`, template rules expanded per arity and selection count
+//!   (differential tests pin it against direct evaluation on the
+//!   two-column Fig. 2 program and the five-tuple scenario programs);
 //! - [`cost`] — the §3.5 plausibility cost model and search budget;
 //! - [`explore`] — cost-ordered candidate generation for missing tuples
 //!   (§3.3–§3.5) and existing tuples (§4.2, Fig. 5);
@@ -35,13 +34,14 @@ pub mod cost;
 pub mod debugger;
 pub mod explore;
 pub mod metafull;
-pub mod metamodel;
 pub mod repair;
 pub mod scenarios;
 
 pub use chaos::{random_plan, ChaosOutcome, ChaosReport, FaultClass};
 pub use cost::{CostModel, SearchBudget};
-pub use debugger::{repair_scenario, try_repair_scenario, CandidateOutcome, Debugger, PhaseTimings, RepairReport};
+pub use debugger::{
+    repair_scenario, try_repair_scenario, CandidateOutcome, Debugger, PhaseTimings, Recording, RepairReport,
+};
 pub use explore::{generate_existing, generate_missing, DerivationRecord, ExploreStats, World};
 pub use repair::{Candidate, Repair};
 pub use scenarios::{Effect, Scenario, Symptom};

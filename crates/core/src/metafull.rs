@@ -17,10 +17,23 @@
 //!   expansion the paper applies to its `h7` template (`CID{k} > CID{k'}`
 //!   orders constraint atoms so permutations are not double-counted).
 //!
-//! Where the µDlog model (mod [`crate::metamodel`]) is fixed at two
-//! columns, this model interprets the *five-tuple* scenario programs
-//! (Q2/Q3/Q5) through the meta program as well — the differential tests
-//! below pin `meta_k(P) ≡ eval(P)` for mixed-arity programs.
+//! The paper's µDlog (§3.2, Fig. 4) is this model at two columns: the
+//! differential tests below pin `meta_k(P) ≡ eval(P)` on the Fig. 2
+//! controller program, buggy and repaired, and on the *five-tuple* and
+//! mixed-arity scenario programs (Q2/Q3/Q5).
+//!
+//! Two documented deviations from the paper's listing:
+//!
+//! 1. `Val := (Val' Opr Val'')` is spelled `Val := f_apply(Opr, Vl, Vr)` —
+//!    our expression grammar keeps operators-as-data in a built-in;
+//! 2. `h2` matches `Sel` join-IDs with `f_match` rather than exact
+//!    unification, so selections over two constants (whose `Expr` tuples
+//!    carry the `*` wildcard JID) participate correctly. The paper's
+//!    `f_match` exists for precisely this wildcard semantics.
+//!
+//! The translator makes the implicit equijoin of repeated variables
+//! explicit: `PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt)` becomes
+//! `...WebLoadBalancer(@C,Hdr__b,Prt)` plus the selection `Hdr == Hdr__b`.
 
 use mpr_ndlog::ast::{Expr, Term};
 use mpr_ndlog::{parse_program, Program, Rule, Tuple, Value};
@@ -458,19 +471,79 @@ mod tests {
         assert_eq!(via_meta[0].args.last(), Some(&V::Int(1)));
     }
 
-    #[test]
-    fn q1_through_both_meta_models_agrees() {
-        // The 2-column program runs through both the µDlog model and the
-        // arity-generic model; they must agree with each other.
-        let program = crate::scenarios::q1_program();
-        let base = vec![
+    fn fig2_base() -> Vec<Tuple> {
+        vec![
             Tuple::new("WebLoadBalancer", V::str("C"), vec![V::Int(80), V::Int(2)]),
             Tuple::new("PacketIn", V::str("C"), vec![V::Int(1), V::Int(80)]),
+            Tuple::new("PacketIn", V::str("C"), vec![V::Int(2), V::Int(80)]),
             Tuple::new("PacketIn", V::str("C"), vec![V::Int(3), V::Int(80)]),
-        ];
-        let udlog = crate::metamodel::meta_interpret(&program, &base, "FlowTable").unwrap();
-        let full = meta_interpret_k(&program, &base, "FlowTable", 2).unwrap();
-        assert_eq!(udlog, full);
+            Tuple::new("PacketIn", V::str("C"), vec![V::Int(3), V::Int(53)]),
+        ]
+    }
+
+    #[test]
+    fn meta_tuples_for_fig2_rule() {
+        let ts = meta_tuples_k(&crate::scenarios::q1_program()).unwrap();
+        let r7: Vec<&Tuple> =
+            ts.iter().filter(|t| t.args.first().and_then(|v| v.as_str()) == Some("r7")).collect();
+        let count = |table: &str| r7.iter().filter(|t| t.table == table).count();
+        assert_eq!((count("HeadFunc2"), count("PredFunc2")), (1, 1));
+        assert_eq!(count("Oper"), 2);
+        // Swi==2 rhs, Hdr==80 rhs, Prt:=2 → three constants.
+        assert_eq!(count("Const"), 3);
+        // Identity assigns for Swi and Hdr plus the explicit Prt assign.
+        assert_eq!(count("Assign"), 3);
+    }
+
+    #[test]
+    fn equijoin_expansion_for_r1() {
+        let ts = meta_tuples_k(&crate::scenarios::q1_program()).unwrap();
+        // r1 shares Hdr between PacketIn and WebLoadBalancer: the second
+        // occurrence is renamed and an equality selection appears.
+        let r1_opers: Vec<&str> = ts
+            .iter()
+            .filter(|t| t.table == "Oper" && t.args[0] == V::str("r1"))
+            .map(|t| t.args[1].as_str().unwrap())
+            .collect();
+        assert!(r1_opers.contains(&"Swi == 1"), "{r1_opers:?}");
+        assert!(r1_opers.contains(&"Hdr == Hdr__b"), "{r1_opers:?}");
+    }
+
+    #[test]
+    fn meta_interpretation_matches_direct_evaluation() {
+        // THE differential test: the meta program ≡ the engine, on the
+        // Fig. 2 controller program.
+        let p = crate::scenarios::q1_program();
+        let base = fig2_base();
+        let via_meta = meta_interpret_k(&p, &base, "FlowTable", 2).unwrap();
+        assert_eq!(via_meta, direct(&p, &base, "FlowTable"), "meta ≠ direct");
+        // Sanity: the buggy program derives S2/S1 entries but nothing for
+        // HTTP at S3 (the Fig. 1 symptom).
+        assert!(!via_meta.is_empty());
+        assert!(via_meta.iter().all(|t| !(t.loc == V::Int(3) && t.args[0] == V::Int(80))));
+        // DNS at S3 works (p3).
+        assert!(via_meta.iter().any(|t| t.loc == V::Int(3) && t.args[0] == V::Int(53)));
+    }
+
+    #[test]
+    fn meta_interpretation_matches_after_repair() {
+        // Apply the intuitive fix (Swi==2 → Swi==3 in r7) and check the
+        // meta interpretation again — now the S3 entry appears.
+        use mpr_ndlog::patch::{Edit, Patch};
+        use mpr_ndlog::{ConstSite, ExprSide};
+        let p = Patch::single(Edit::SetConst {
+            rule: "r7".into(),
+            site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
+            value: V::Int(3),
+        })
+        .apply(&crate::scenarios::q1_program())
+        .unwrap();
+        let base = fig2_base();
+        let via_meta = meta_interpret_k(&p, &base, "FlowTable", 2).unwrap();
+        assert_eq!(via_meta, direct(&p, &base, "FlowTable"));
+        assert!(via_meta
+            .iter()
+            .any(|t| t.loc == V::Int(3) && t.args[0] == V::Int(80) && t.args[1] == V::Int(2)));
     }
 
     #[test]

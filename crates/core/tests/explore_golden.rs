@@ -8,40 +8,16 @@
 //! copy the file it names over `tests/golden/explore.txt`.
 
 use mpr_core::debugger::Debugger;
-use mpr_core::explore::{generate_existing, generate_missing, DerivationRecord, World};
+use mpr_core::explore::{generate_existing, generate_missing, World};
 use mpr_core::scenarios::{Scenario, Symptom};
-use mpr_ndlog::Tuple;
-use mpr_runtime::{Engine, ExecEvent, TupleKind};
 use std::fmt::Write;
 
-/// The derivations of `culprit` when the world's program runs over its
-/// state and triggers — what the debugger feeds `generate_existing`.
-fn derivations(world: &World, culprit: &Tuple) -> Vec<DerivationRecord> {
-    let mut engine = Engine::new(&world.program).expect("the scenario's program compiles");
-    for t in world.state.iter().chain(&world.triggers) {
-        engine.insert(t.clone()).expect("recorded tuples insert");
-    }
-    let log = engine.log();
-    let mut records = Vec::new();
-    for rec in log.instances_of(culprit) {
-        for ev in log.derivations_of(rec.tid) {
-            if let ExecEvent::Derive { rule, body, .. } = ev {
-                records.push(DerivationRecord {
-                    rule: rule.to_string(),
-                    body: body.iter().map(|&b| log.tuple(b).clone()).collect(),
-                    base_mask: body.iter().map(|&b| log.kind(b) == TupleKind::Base).collect(),
-                });
-            }
-        }
-    }
-    records
-}
-
 fn render(s: &Scenario, out: &mut String) {
-    let (world, ..) = Debugger::for_scenario(s).observe().expect("scenario runs");
+    let recording = Debugger::for_scenario(s).record().expect("scenario runs");
+    let world = World::from_history(s, &recording.log);
     let (candidates, stats) = match &s.symptom {
         Symptom::Missing(goal) => generate_missing(&world, goal),
-        Symptom::Existing(culprit) => generate_existing(&world, culprit, &derivations(&world, culprit)),
+        Symptom::Existing(culprit) => generate_existing(&world, culprit),
     };
     writeln!(
         out,

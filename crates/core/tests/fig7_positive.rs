@@ -73,3 +73,35 @@ fn a_seed_perturbing_candidate_rides_the_joint_replay() {
     assert_eq!(verdicts(&joint), verdicts(&reference));
     assert_eq!(joint.accepted, reference.accepted);
 }
+
+/// Fig. 7 with the cause overwritten before the run ends: once the
+/// misrouted HTTP reaches S3, `u1` derives `WebLoadBalancer(80,1)` over the
+/// seeded `WebLoadBalancer(80,2)`. The run's log still holds the culprit's
+/// one derivation, from the seed as it then was; the state the run ends in
+/// derives no culprit any more, so re-deriving from it found nothing to
+/// repair.
+#[test]
+fn an_overwritten_cause_is_still_found_in_the_recording() {
+    let mut scenario = Scenario::fig7_harmful_entry();
+    let overwrite = mpr_ndlog::parse_program(
+        "u1",
+        "u1 WebLoadBalancer(@C,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 3, Hdr == 80, Prt := 1.",
+    )
+    .unwrap();
+    std::sync::Arc::make_mut(&mut scenario.program).rules.extend(overwrite.rules);
+    let seed = scenario.seeds[0].clone();
+
+    let debugger = Debugger::for_scenario(&scenario);
+    let (world, ..) = debugger.observe().unwrap();
+    assert!(!world.state.contains(&seed), "the log shows {seed} replaced: {:?}", world.state);
+    assert!(world.state.iter().any(|t| t.table == seed.table), "its replacement is alive");
+    assert_eq!(world.derivations.len(), 1, "{:?}", world.derivations);
+    assert_eq!(world.derivations[0].rule, "r1");
+    assert!(world.derivations[0].body.contains(&seed), "derived from the seed as it then was");
+
+    let report = repair_scenario(&scenario);
+    assert_eq!(report.generated(), 3, "{}", report.render_table());
+    let generated = |what: &str| report.outcomes.iter().any(|o| o.candidate.description.contains(what));
+    assert!(generated("Deleting the WebLoadBalancer tuple WebLoadBalancer(@'C',80,2)"), "{}", report.render_table());
+    assert!(generated("Swi == 1 in r1"), "{}", report.render_table());
+}

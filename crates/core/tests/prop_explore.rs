@@ -48,6 +48,7 @@ fn world(swi_const: i64, hdr_const: i64, prt_const: i64, triggers: Vec<(i64, i64
             })
             .collect(),
         state: vec![],
+        derivations: vec![],
         cost: CostModel::default(),
         budget: SearchBudget { max_cost: 10, max_candidates: 24, consts_per_site: 3, ..SearchBudget::default() },
     }

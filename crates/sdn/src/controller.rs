@@ -80,10 +80,10 @@ pub enum PktArg {
 }
 
 impl PktArg {
-    fn value_of_parts(&self, in_port: i64, packet: &Packet) -> i64 {
+    fn value_of(&self, msg: &PacketInMsg) -> i64 {
         match self {
-            PktArg::Field(f) => packet.field(*f),
-            PktArg::InPort => in_port,
+            PktArg::Field(f) => msg.packet.field(*f),
+            PktArg::InPort => msg.in_port,
         }
     }
 }
@@ -158,18 +158,9 @@ impl TupleCodec {
 
     /// Encode a `PacketIn` message as the event tuple.
     pub fn packet_in_tuple(&self, msg: &PacketInMsg) -> Tuple {
-        self.packet_in_tuple_parts(msg.switch, msg.in_port, &msg.packet)
-    }
-
-    /// [`Self::packet_in_tuple`] from the parts the simulator's compact
-    /// packet-in log stores, so offline consumers (debugger trigger
-    /// extraction) avoid rebuilding a `PacketInMsg` per record.
-    pub fn packet_in_tuple_parts(&self, switch: i64, in_port: i64, packet: &Packet) -> Tuple {
         let mut args = Vec::with_capacity(1 + self.packet_in_args.len());
-        args.push(Value::Int(switch));
-        for a in &self.packet_in_args {
-            args.push(Value::Int(a.value_of_parts(in_port, packet)));
-        }
+        args.push(Value::Int(msg.switch));
+        args.extend(self.packet_in_args.iter().map(|a| Value::Int(a.value_of(msg))));
         Tuple::new(self.packet_in_table.clone(), self.controller_loc.clone(), args)
     }
 
@@ -179,29 +170,34 @@ impl TupleCodec {
         table == self.flow_table || self.packet_out_table.as_deref() == Some(table)
     }
 
+    /// Read a tuple laid out as a flow-table row — match values, then the
+    /// output port (negative = drop) — as the switch it is located at and
+    /// the entry it stands for, at `priority`. `None` if the location or a
+    /// value is no integer, or the arity is not the match layout's plus one.
+    pub fn flow_entry(&self, tuple: &Tuple, priority: i32) -> Option<(i64, FlowEntry)> {
+        let switch = tuple.loc.as_int()?;
+        if tuple.args.len() != self.flow_match_args.len() + 1 {
+            return None;
+        }
+        let mut m = Match::any();
+        for (spec, v) in self.flow_match_args.iter().zip(tuple.args.iter()) {
+            let v = v.as_int()?;
+            match spec {
+                PktArg::Field(f) => m = m.with(*f, v),
+                PktArg::InPort => m = m.on_port(v),
+            }
+        }
+        let port = tuple.args.last()?.as_int()?;
+        let actions = if port < 0 { vec![Action::Drop] } else { vec![Action::Output(port)] };
+        Some((switch, FlowEntry::new(priority, m, actions)))
+    }
+
     /// Decode a derived tuple into a control message, if it is one of the
     /// recognized output tables.
     pub fn decode(&self, tuple: &Tuple, msg: &PacketInMsg) -> Option<CtrlMsg> {
         if tuple.table == self.flow_table {
-            let switch = tuple.loc.as_int()?;
-            if tuple.args.len() != self.flow_match_args.len() + 1 {
-                return None;
-            }
-            let mut m = Match::any();
-            for (spec, v) in self.flow_match_args.iter().zip(tuple.args.iter()) {
-                let v = v.as_int()?;
-                match spec {
-                    PktArg::Field(f) => m = m.with(*f, v),
-                    PktArg::InPort => m = m.on_port(v),
-                }
-            }
-            let port = tuple.args.last()?.as_int()?;
-            let actions =
-                if port < 0 { vec![Action::Drop] } else { vec![Action::Output(port)] };
-            return Some(CtrlMsg::FlowMod {
-                switch,
-                entry: FlowEntry::new(self.flow_priority, m, actions),
-            });
+            let (switch, entry) = self.flow_entry(tuple, self.flow_priority)?;
+            return Some(CtrlMsg::FlowMod { switch, entry });
         }
         if let Some(po) = &self.packet_out_table {
             if &tuple.table == po {
@@ -268,6 +264,12 @@ impl NdlogController {
         self.engine.log()
     }
 
+    /// Take the execution log out of a finished run (see
+    /// [`Engine::take_log`]: the controller must not be driven afterwards).
+    pub fn take_log(&mut self) -> ExecLog {
+        self.engine.take_log()
+    }
+
     /// Direct access to the engine (diagnostics).
     pub fn engine(&self) -> &Engine {
         &self.engine
@@ -332,6 +334,24 @@ mod tests {
         // Unknown tables are ignored.
         let t = Tuple::new("Other", 1i64, vec![Value::Int(1)]);
         assert!(c.decode(&t, &m).is_none());
+    }
+
+    #[test]
+    fn manual_flow_entry_conversion() {
+        // A hand-inserted row reads as an entry at the priority asked for
+        // (the debugger's manual repairs sit at 50, above reactive ones).
+        let codec = TupleCodec::fig2();
+        let t = Tuple::new("FlowTable", 3i64, vec![Value::Int(80), Value::Int(2)]);
+        let (sw, entry) = codec.flow_entry(&t, 50).unwrap();
+        assert_eq!((sw, entry.priority), (3, 50));
+        assert_eq!(entry.actions, vec![Action::Output(2)]);
+        // Drop entries for negative ports.
+        let t = Tuple::new("FlowTable", 3i64, vec![Value::Int(80), Value::Int(-1)]);
+        let (_, entry) = codec.flow_entry(&t, 50).unwrap();
+        assert_eq!(entry.actions, vec![Action::Drop]);
+        // Arity mismatch is refused.
+        let t = Tuple::new("FlowTable", 3i64, vec![Value::Int(80)]);
+        assert!(codec.flow_entry(&t, 50).is_none());
     }
 
     #[test]

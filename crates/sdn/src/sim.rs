@@ -173,30 +173,6 @@ impl PartialOrd for CtrlEv {
     }
 }
 
-/// One PacketIn the controller saw — the replayable ingress history. The
-/// packet is *moved* in (the message handed to the controller is rebuilt
-/// on demand by [`PacketInRecord::msg`]), so logging costs no clone on the
-/// hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PacketInRecord {
-    /// Simulated time of the punt.
-    pub at: u64,
-    /// Switch that missed.
-    pub switch: i64,
-    /// Ingress port at that switch.
-    pub in_port: i64,
-    /// The packet that missed.
-    pub packet: Packet,
-}
-
-impl PacketInRecord {
-    /// Reconstruct the controller-facing message (clones the packet; only
-    /// offline consumers — chaos/debugger trigger extraction — pay this).
-    pub fn msg(&self) -> PacketInMsg {
-        PacketInMsg { switch: self.switch, in_port: self.in_port, packet: self.packet.clone() }
-    }
-}
-
 /// The simulator. Owns the network's flow tables and the controller;
 /// shares the (immutable during a run) topology via `Arc` so backtests can
 /// hand one network to many candidate replays without deep-copying it.
@@ -221,8 +197,6 @@ pub struct Simulation<C: Controller> {
     clock: u64,
     /// Counters.
     pub stats: SimStats,
-    /// Every PacketIn the controller saw (see [`Self::packet_in_log`]).
-    packet_in_log: Vec<PacketInRecord>,
     /// Reusable controller-reply buffer ([`Self::punt`] hands it to
     /// `on_packet_in` instead of allocating a `Vec` per miss).
     reply_buf: Vec<CtrlMsg>,
@@ -254,7 +228,6 @@ impl<C: Controller> Simulation<C> {
             next_seq: 0,
             clock: 0,
             stats: SimStats::default(),
-            packet_in_log: Vec::new(),
             reply_buf: Vec::new(),
             action_buf: Vec::new(),
         }
@@ -263,11 +236,6 @@ impl<C: Controller> Simulation<C> {
     /// The topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Every PacketIn the controller saw, in punt order.
-    pub fn packet_in_log(&self) -> &[PacketInRecord] {
-        &self.packet_in_log
     }
 
     /// The controller.
@@ -485,13 +453,6 @@ impl<C: Controller> Simulation<C> {
         let mut replies = std::mem::take(&mut self.reply_buf);
         replies.clear();
         self.controller.on_packet_in(&msg, &mut replies);
-        // Log by moving the packet out of the message — no clone.
-        self.packet_in_log.push(PacketInRecord {
-            at: self.clock,
-            switch,
-            in_port,
-            packet: msg.packet,
-        });
         self.clock += self.cfg.controller_latency;
         let ctrl = self.cfg.faults.ctrl;
         let mut released = false;
@@ -617,7 +578,6 @@ mod tests {
         assert_eq!(sim.stats.packet_ins, 1);
         assert_eq!(sim.stats.dropped_buffered, 1);
         assert_eq!(sim.stats.total_delivered(), 0);
-        assert_eq!(sim.packet_in_log().len(), 1);
     }
 
     #[test]

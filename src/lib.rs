@@ -10,7 +10,7 @@
 //! - [`provenance`] — classical positive/negative provenance graphs.
 //! - [`solver`] — the constraint-pool mini-solver.
 //! - [`sdn`] — the software-defined-network simulator substrate.
-//! - [`trace`] — workload generation and replayable history logs.
+//! - [`trace`] — workload generation.
 //! - [`backtest`] — repair backtesting, KS filtering, multi-query optimization.
 //! - [`langs`] — mini-Trema and mini-Pyretic frontends and their meta models.
 //! - [`core`] — meta provenance, cost-ordered repair search, the debugger.

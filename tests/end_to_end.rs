@@ -150,9 +150,9 @@ fn cross_language_invariants_of_table3() {
 
 #[test]
 fn meta_interpretation_is_language_semantics() {
-    // The Fig. 4 meta program derives the same flow entries as direct
+    // The meta program derives the same flow entries as direct
     // evaluation, for the object program both buggy and repaired.
-    use sdn_meta_repair::core::metamodel::meta_interpret;
+    use sdn_meta_repair::core::metafull::meta_interpret_k;
     use sdn_meta_repair::ndlog::{Tuple, Value};
     let program = sdn_meta_repair::core::scenarios::q1_program();
     let base = vec![
@@ -160,7 +160,7 @@ fn meta_interpretation_is_language_semantics() {
         Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(2), Value::Int(80)]),
         Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(3), Value::Int(80)]),
     ];
-    let via_meta = meta_interpret(&program, &base, "FlowTable").unwrap();
+    let via_meta = meta_interpret_k(&program, &base, "FlowTable", 2).unwrap();
     assert!(!via_meta.is_empty());
     // The buggy program never derives the S3 HTTP entry.
     assert!(!via_meta
