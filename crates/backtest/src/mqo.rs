@@ -30,11 +30,12 @@
 //!
 //! The candidates' networks are one structure: per switch, a short list
 //! of `(mask, table)` variants. The masks of a switch's variants are
-//! non-empty and pairwise disjoint; a candidate in none of them has, at
-//! that switch, the empty table. So a switch nothing was installed on has
-//! no entry at all — an absent table answers every lookup with a miss,
-//! which is what an empty one answers — and the state is proportional to
-//! what the replay installs, not to the switch count or the candidate
+//! non-empty and pairwise disjoint, and its tables are non-empty and
+//! pairwise different; a candidate in none of them has, at that switch,
+//! the empty table. So a switch nothing was installed on has no entry at
+//! all — an absent table answers every lookup with a miss, which is what
+//! an empty one answers — and the state is proportional to the *distinct*
+//! tables the replay builds, not to the switch count or the candidate
 //! count. Installs on a switch the topology does not have are ignored, as
 //! the simulator ignores them: a FlowMod to a nonexistent switch has
 //! nowhere to land, and must not conjure a table that no packet can reach
@@ -44,15 +45,28 @@
 //! into every variant whose mask lies within `ctags`. A variant it only
 //! partly covers is split copy-on-write: the covered candidates leave
 //! with a copy that has the entry, the others keep the original. The
-//! candidates of `ctags` in no variant get a fresh one-entry table. The
-//! proactive routes, identical for everyone, are one full-mask variant
-//! per switch, built once and never cloned.
+//! candidates of `ctags` in no variant get a fresh one-entry table. Then
+//! the variants the install touched are compared with the rest, and two
+//! that hold the same table become one, their masks united — which is what
+//! happens when candidates that took different turns a switch earlier
+//! install, a packet apart, what the others already hold. "The same table"
+//! is [`FlowTable::same_entries_in_order`]: the entry vector is all a
+//! table's lookups and later installs depend on, so variants equal in it
+//! are equal for good and the merge is exact. It is *not* equality as sets:
+//! entries that tie on priority and specificity sit in install order, and
+//! the earlier one wins a packet both match. The proactive routes,
+//! identical for everyone, are one full-mask variant per switch, built
+//! once and never cloned.
 //!
 //! Packets in flight carry a tag set too: a hop costs one lookup per
-//! variant that intersects the flight's tags, the candidates that miss
-//! punt together, and copies that coincide again after diverging travel
-//! on as one flight. Counters stay exact per candidate (each is bumped
-//! for every tag of the set).
+//! variant — per distinct table — that intersects the flight's tags, the
+//! candidates that miss punt together, and copies that coincide again
+//! after diverging travel on as one flight. Counters are exact per
+//! candidate and cost one bump per event: they are kept per tag *class*
+//! (the distinct tag sets flights and punts carry) and added into each
+//! member's `SimStats` when the replay ends (`Forwarder`). What the replay
+//! did is counted in [`JointWork`]; debug builds check the invariants above
+//! after every install and once at the end.
 //!
 //! # The controller: the engine's rounds over tagged state
 //!
@@ -74,6 +88,15 @@
 //! not queued: `LiveOutputs` decides, per candidate, whether it *appears*
 //! (new, or replacing another payload under its key) and becomes a control
 //! message. Seeds are tagged like everything else (`tagged_seeds`).
+//!
+//! A punt is hashed once: the event's columns (the switch and the codec's
+//! packet fields — with the codec's table and location, the event tuple)
+//! are written into a buffer, and their hash finds the memo of steps
+//! already taken for this event and tag set, and files a new one. A hit
+//! builds no tuple and allocates nothing; a step that adds a state row
+//! empties the memo, since nothing in it replays exactly any more, so no
+//! entry outlives the state it was computed under. `LiveOutputs` finds a
+//! head's slot by hashing its key columns where they lie.
 //!
 //! # Scope: what is checked, and handed back
 //!
@@ -108,7 +131,7 @@
 use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
-use mpr_ndlog::{Catalog, Program, Rule, Tuple};
+use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
 use mpr_runtime::{build_dispatch, CompiledRule, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
@@ -117,7 +140,9 @@ use mpr_sdn::sim::SimStats;
 use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -241,6 +266,36 @@ pub fn build_tagged_program<'a>(base: &'a Program, candidates: &[Program]) -> Ta
     tagged_program(base, &deltas_between(base, candidates))
 }
 
+/// A map keyed by a hash its caller computed — once, for the probe and for
+/// the insert that may follow it. The values hold what tells the keys of
+/// one hash apart.
+type Prehashed<V> = HashMap<u64, V, BuildHasherDefault<PassHash>>;
+
+/// Hands a [`Prehashed`] map's key through as its hash.
+#[derive(Default)]
+struct PassHash(u64);
+
+impl Hasher for PassHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a prehashed map is keyed by u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The primary-key columns of `t`, in column order: the `declared` ones,
+/// or every column when none is declared.
+fn key_columns<'t>(t: &'t Tuple, declared: &'t [usize]) -> impl Iterator<Item = &'t Value> {
+    let all = declared.is_empty();
+    t.args.iter().enumerate().filter(move |(c, _)| all || declared.contains(c)).map(|(_, v)| v)
+}
+
 /// Which output tuples — the ones the codec turns into control messages —
 /// are live in each candidate's controller. The sequential controller
 /// answers a PacketIn with the tuples that *appeared*: new, or replacing
@@ -249,22 +304,28 @@ pub fn build_tagged_program<'a>(base: &'a Program, candidates: &[Program]) -> Ta
 /// be here; tuples of event tables always appear.
 struct LiveOutputs<'a> {
     catalog: &'a Catalog,
-    /// A tuple projected onto its primary key → the payloads seen under
-    /// that key and the candidates each is live for (disjoint).
-    by_key: HashMap<Tuple, Vec<(Tuple, TagSet)>>,
+    hasher: RandomState,
+    /// The hash of a tuple's table, location and primary-key columns → the
+    /// payloads seen under the keys of that hash, and the candidates each
+    /// is live for (disjoint among the payloads of one key). Keyed by the
+    /// hash itself, so nothing hashes a second time.
+    by_key: Prehashed<Vec<(Tuple, TagSet)>>,
 }
 
 impl LiveOutputs<'_> {
     /// `head` was derived for `tags`: returns the candidates it appeared
-    /// for.
+    /// for. The key is read off `head` where it lies; no tuple is built.
     fn appear(&mut self, head: &Tuple, tags: TagSet) -> TagSet {
-        let keys = match self.catalog.get(&head.table) {
+        let declared: &[usize] = match self.catalog.get(&head.table) {
             Some(schema) if !schema.is_state() => return tags,
-            Some(schema) => schema.effective_keys(),
-            None => (0..head.args.len()).collect(),
+            Some(schema) => &schema.keys,
+            None => &[],
         };
-        let key = Tuple::new(head.table.clone(), head.loc.clone(), head.key(&keys));
-        let slot = self.by_key.entry(key).or_default();
+        let mut hasher = self.hasher.build_hasher();
+        head.table.hash(&mut hasher);
+        head.loc.hash(&mut hasher);
+        key_columns(head, declared).for_each(|v| v.hash(&mut hasher));
+        let slot = self.by_key.entry(hasher.finish()).or_default();
         let mut fresh = tags;
         let mut known = false;
         for (payload, live) in slot.iter_mut() {
@@ -272,7 +333,10 @@ impl LiveOutputs<'_> {
                 fresh &= !*live;
                 *live |= tags;
                 known = true;
-            } else {
+            } else if payload.table == head.table
+                && payload.loc == head.loc
+                && key_columns(payload, declared).eq(key_columns(head, declared))
+            {
                 *live &= !tags; // replaced
             }
         }
@@ -293,10 +357,32 @@ struct TaggedTable {
     /// `rows[..stable]` were merged by a finished round; the rest are the
     /// running round's deltas.
     stable: usize,
+    /// [`tags_digest`] of `rows[..stable]`, as of when each row went under
+    /// the watermark.
+    #[cfg(debug_assertions)]
+    sealed: u64,
 }
 
-/// `(tags, state generation, output heads)` of a memoized step.
-type Memo = (TagSet, u64, Rc<Vec<(Tuple, TagSet)>>);
+impl TaggedTable {
+    /// The round ends: what was recent is stable.
+    fn seal(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.sealed = tags_digest(self.sealed, &self.rows[self.stable..]);
+        }
+        self.stable = self.rows.len();
+    }
+}
+
+/// An order-sensitive digest of the tags of `rows`, continuing `digest`.
+#[cfg(debug_assertions)]
+fn tags_digest(digest: u64, rows: &[(Tuple, TagSet)]) -> u64 {
+    rows.iter().fold(digest, |d, (_, tags)| d.rotate_left(7) ^ tags.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// A memoized step: the event's columns ([`TaggedEngine::key`]), the tags
+/// it was evaluated for, the output heads it derived.
+type Memo = (Box<[i64]>, TagSet, Rc<Vec<(Tuple, TagSet)>>);
 
 /// Tagged controller state, and the engine's round loop over it (module
 /// docs, "The controller").
@@ -320,16 +406,26 @@ struct TaggedEngine<'a> {
     funcs: CountingFuncs,
     /// The candidates that met what this evaluator does not mirror.
     diverged: TagSet,
-    /// Bumped whenever a state row is added; stamps memo entries so state
-    /// changes invalidate them.
-    state_gen: u64,
+    /// How many state rows were ever added.
+    state_rows: u64,
     /// Fixpoint memo: the codec projects packets onto coarse event tuples
     /// (e.g. `PacketIn(@C, Swi, Hdr)`), so distinct packets repeatedly
     /// trigger the *same* evaluation. A hit replays the recorded heads
     /// through the codec against the current packet; evaluation is a pure
     /// function of `(state, event, tags)`, so this is exact while the
-    /// generation matches.
-    memo: HashMap<Tuple, Vec<Memo>>,
+    /// state stands: adding a state row empties the memo. Keyed by the hash
+    /// of the event's columns, taken once per punt.
+    memo: Prehashed<Vec<Memo>>,
+    hasher: RandomState,
+    /// The columns of the PacketIn being answered — the switch, then one
+    /// per `packet_in_args` — which with the codec's two constants are the
+    /// event tuple. A buffer, like `scratch`: a memo hit allocates nothing.
+    key: Vec<i64>,
+    /// [`Self::step`]'s `round` / `pending` / `heads`, empty between steps.
+    scratch: [Vec<(Tuple, TagSet)>; 3],
+    /// Punts answered by a [`Self::step`], and from the memo.
+    steps: u64,
+    memo_hits: u64,
 }
 
 /// `rule` in the form this evaluator fires, if it has one.
@@ -376,11 +472,16 @@ impl<'a> TaggedEngine<'a> {
             dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
             state: HashMap::new(),
             keyed,
-            outputs: LiveOutputs { catalog, by_key: HashMap::new() },
+            outputs: LiveOutputs { catalog, hasher: RandomState::new(), by_key: Prehashed::default() },
             funcs: CountingFuncs::starting_at(1000),
             diverged,
-            state_gen: 0,
-            memo: HashMap::new(),
+            state_rows: 0,
+            memo: Prehashed::default(),
+            hasher: RandomState::new(),
+            key: Vec::new(),
+            scratch: Default::default(),
+            steps: 0,
+            memo_hits: 0,
         }
     }
 
@@ -418,18 +519,22 @@ impl<'a> TaggedEngine<'a> {
         if tags == 0 {
             return outputs;
         }
-        // This round's deltas, and the heads it holds back for the next.
-        let mut round = vec![(delta, tags)];
-        let mut pending: Vec<(Tuple, TagSet)> = Vec::new();
-        // One variant's heads at a time.
-        let mut heads: Vec<(Tuple, TagSet)> = Vec::new();
+        // This round's deltas, the heads it holds back for the next, and
+        // one variant's heads at a time.
+        let [mut round, mut pending, mut heads] = std::mem::take(&mut self.scratch);
+        round.push((delta, tags));
         let mut fired = 0u32;
         while !round.is_empty() {
             // The round begins: its state deltas become visible, as recent.
             for (t, ttags) in &round {
                 if !self.is_event(&t.table) {
-                    self.state.entry(t.table.clone()).or_default().rows.push((t.clone(), *ttags));
-                    self.state_gen += 1;
+                    let table = match self.state.get_mut(&t.table) {
+                        Some(table) => table,
+                        None => self.state.entry(t.table.clone()).or_default(),
+                    };
+                    table.rows.push((t.clone(), *ttags));
+                    self.state_rows += 1;
+                    self.memo.clear();
                 }
             }
             for (delta, dtags) in &round {
@@ -487,42 +592,53 @@ impl<'a> TaggedEngine<'a> {
                     }
                 }
             }
-            // The round ends: what was recent is stable.
             for (t, _) in &round {
                 if let Some(table) = self.state.get_mut(&t.table) {
-                    table.stable = table.rows.len();
+                    table.seal();
                 }
             }
             std::mem::swap(&mut round, &mut pending);
             pending.clear();
         }
+        self.scratch = [round, pending, heads];
         outputs
     }
 
-    /// Evaluate the tagged program on one PacketIn under `tags`. Returns
-    /// control messages with the tag sets they apply to.
-    fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet) -> Vec<(CtrlMsg, TagSet)> {
-        let event = self.codec.packet_in_tuple(msg);
-        let gen_at_entry = self.state_gen;
-        let known = self.memo.get(&event).and_then(|entries| {
-            entries.iter().find(|(t, g, _)| *t == tags && *g == gen_at_entry).map(|m| Rc::clone(&m.2))
+    /// Evaluate the tagged program on one PacketIn under `tags`: pushes the
+    /// control messages it answers with, and the tag sets they apply to.
+    fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet, out: &mut Vec<(CtrlMsg, TagSet)>) {
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.push(msg.switch);
+        key.extend(self.codec.packet_in_args.iter().map(|arg| arg.value_of(msg)));
+        let hash = self.hasher.hash_one(&key);
+        let known = self.memo.get(&hash).and_then(|memos| {
+            memos.iter().find(|(event, mtags, _)| *mtags == tags && **event == *key).map(|m| Rc::clone(&m.2))
         });
-        let heads = known.clone().unwrap_or_else(|| Rc::new(self.step(event.clone(), tags)));
-        let mut out = Vec::new();
+        let heads = match known {
+            Some(heads) => {
+                self.memo_hits += 1;
+                heads
+            }
+            None => {
+                self.steps += 1;
+                let rows_at_entry = self.state_rows;
+                let heads = Rc::new(self.step(self.codec.packet_in_tuple(msg), tags));
+                // Memoize only steps that left the state alone — those
+                // replay identically until a later step moves it.
+                if self.state_rows == rows_at_entry {
+                    self.memo.entry(hash).or_default().push((key.as_slice().into(), tags, Rc::clone(&heads)));
+                }
+                heads
+            }
+        };
+        self.key = key;
         for (head, htags) in heads.iter() {
             let fresh = self.outputs.appear(head, *htags);
             if let (true, Some(cm)) = (fresh != 0, self.codec.decode(head, msg)) {
                 out.push((cm, fresh));
             }
         }
-        // Memoize only steps that left the state alone — those replay
-        // identically while the generation holds.
-        if known.is_none() && self.state_gen == gen_at_entry {
-            let entry = self.memo.entry(event).or_default();
-            entry.retain(|(_, g, _)| *g == gen_at_entry); // drop stale generations
-            entry.push((tags, gen_at_entry, heads));
-        }
-        out
     }
 }
 
@@ -538,12 +654,14 @@ fn for_each_tag(tags: TagSet, mut f: impl FnMut(usize)) {
     }
 }
 
-/// The flow tables of every candidate's network, shared until a FlowMod
-/// tells the candidates apart (module doc, "Network state").
+/// The flow tables of every candidate's network: shared until a FlowMod
+/// tells the candidates apart, and shared again once their tables are the
+/// same (module doc, "Network state").
 struct TaggedTables<'a> {
     topo: &'a Topology,
     /// Per switch, `(mask, table)` variants: masks are non-empty and
-    /// pairwise disjoint, tables non-empty. A tag in no variant sees the
+    /// pairwise disjoint, tables non-empty and pairwise different
+    /// ([`FlowTable::same_entries_in_order`]). A tag in no variant sees the
     /// empty table.
     by_switch: BTreeMap<i64, Vec<(TagSet, FlowTable)>>,
 }
@@ -581,6 +699,25 @@ impl TaggedTables<'_> {
             fresh.install(entry.clone());
             variants.push((unseen, fresh));
         }
+        // Every variant now lies within `ctags` or apart from it, and only
+        // those within were touched: one of them may have arrived at the
+        // table of another variant — the candidates that diverged a packet
+        // ago installing what the others already hold. Those are one
+        // variant again. The comparison is ordered, which is what makes the
+        // merge exact: see `FlowTable::same_entries_in_order`.
+        let mut i = 1;
+        while i < variants.len() {
+            let twin = (0..i).find(|&j| {
+                let touched = (variants[i].0 | variants[j].0) & ctags != 0;
+                touched && variants[j].1.same_entries_in_order(&variants[i].1)
+            });
+            match twin {
+                Some(j) => variants[j].0 |= variants.remove(i).0,
+                None => i += 1,
+            }
+        }
+        #[cfg(debug_assertions)]
+        check_variants(switch, variants);
     }
 
     fn footprint(&self) -> TableFootprint {
@@ -591,13 +728,25 @@ impl TaggedTables<'_> {
     }
 }
 
+/// The invariant of one switch's variants (`TaggedTables::by_switch`).
+#[cfg(debug_assertions)]
+fn check_variants(switch: i64, variants: &[(TagSet, FlowTable)]) {
+    for (i, (mask, table)) in variants.iter().enumerate() {
+        assert!(*mask != 0 && !table.is_empty(), "switch {switch}: variant {i} is empty");
+        for (other, other_table) in &variants[..i] {
+            assert_eq!(mask & other, 0, "switch {switch}: masks overlap");
+            assert!(!table.same_entries_in_order(other_table), "switch {switch}: one table, two variants");
+        }
+    }
+}
+
 /// How much flow-table state a joint replay materialised.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableFootprint {
     /// Switches with at least one table variant.
     pub switches: usize,
-    /// Table variants over all switches (at most one per candidate that
-    /// had something installed on the switch).
+    /// Table variants over all switches: per switch, one per distinct
+    /// non-empty table among the candidates.
     pub variants: usize,
 }
 
@@ -634,9 +783,18 @@ fn join_flights<N: PartialEq>(
 /// The data-plane half of the joint replay: what a hit's actions or a
 /// `PacketOut` do to the packet, mirroring `Simulation`'s `apply_actions`
 /// / `emit` / `punt` with a tag set in place of one network.
+///
+/// Counters are kept per tag *class* — the distinct tag sets that flights
+/// and punts actually carry — and bumped once per event, whatever the
+/// number of candidates in the set. A replay meets a few classes per
+/// candidate at most (`tests/joint_work.rs` bounds it). [`Self::fold`] adds
+/// every class into each of its members once, when the replay ends: sums
+/// and map merges commute, so a candidate reads what one bump per tag
+/// would have left it.
 struct Forwarder<'a> {
     topo: &'a Topology,
-    stats: Vec<SimStats>,
+    /// Counters by (non-empty) tag set.
+    classes: BTreeMap<TagSet, SimStats>,
     /// Flights of the next hop round.
     next: Vec<Flight<NodeRef>>,
     /// PacketIns not yet evaluated, by switch.
@@ -644,8 +802,21 @@ struct Forwarder<'a> {
 }
 
 impl Forwarder<'_> {
-    fn count(&mut self, tags: TagSet, bump: impl Fn(&mut SimStats)) {
-        for_each_tag(tags, |t| bump(&mut self.stats[t]));
+    /// Bump the counters of the class `tags`, once for all its candidates.
+    fn count(&mut self, tags: TagSet, bump: impl FnOnce(&mut SimStats)) {
+        if tags != 0 {
+            bump(self.classes.entry(tags).or_default());
+        }
+    }
+
+    /// The per-candidate counters: every class added into each of its
+    /// members once.
+    fn fold(&self, n: usize) -> Vec<SimStats> {
+        let mut stats = vec![SimStats::default(); n];
+        for (tags, class) in &self.classes {
+            for_each_tag(*tags, |t| stats[t].add(class));
+        }
+        stats
     }
 
     fn apply_actions(
@@ -735,6 +906,28 @@ pub struct JointReplay {
     /// How many flow tables the replay materialised — the count that must
     /// follow what the candidates install, not the size of the network.
     pub footprint: TableFootprint,
+    /// What the replay did, counted.
+    pub work: JointWork,
+}
+
+/// Exact counts of a joint replay's work, each taken where the work
+/// happens. They repeat for a fixed input, and say what the replay paid
+/// for: `tests/joint_work.rs` holds them to the distinct behaviours among
+/// the candidates, not to the number of candidates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JointWork {
+    /// Flights advanced one hop — to a switch, or the last one to a host:
+    /// one per flight and hop round, however many candidates travel in it.
+    pub flight_hops: u64,
+    /// Flow-table lookups: one per table variant a flight's candidates
+    /// live in.
+    pub lookups: u64,
+    /// Punts answered by running the program to fixpoint.
+    pub steps: u64,
+    /// Punts answered from the memo.
+    pub memo_hits: u64,
+    /// Distinct tag sets counters were kept for.
+    pub classes: u64,
 }
 
 /// The seeds in the order the joint controller takes them, each with the
@@ -816,15 +1009,12 @@ pub fn mqo_replay_deltas(
         }
     }
 
-    let mut fw = Forwarder {
-        topo,
-        stats: vec![SimStats::default(); n],
-        next: Vec::new(),
-        punts: Vec::new(),
-    };
+    let mut fw = Forwarder { topo, classes: BTreeMap::new(), next: Vec::new(), punts: Vec::new() };
+    let mut work = JointWork::default();
     // Hop-round buffers, reused across every injection.
     let mut flights: Vec<Flight<NodeRef>> = Vec::new();
     let mut batch: Vec<Flight<i64>> = Vec::new();
+    let mut replies: Vec<(CtrlMsg, TagSet)> = Vec::new();
 
     for (src, pkt) in setup.workload.iter() {
         let Some((sw0, port0)) = topo.host_attachment(*src) else {
@@ -837,15 +1027,13 @@ pub fn mqo_replay_deltas(
         let mut hops = 0u32;
         while !flights.is_empty() {
             for f in flights.drain(..) {
+                work.flight_hops += 1;
                 let s = match f.at {
                     NodeRef::Host(h) => {
                         if f.pkt.dst_ip == h {
-                            for_each_tag(f.tags, |t| {
-                                *fw.stats[t].delivered.entry(h).or_insert(0) += 1;
-                                *fw.stats[t]
-                                    .delivered_by_port
-                                    .entry((h, f.pkt.dst_port))
-                                    .or_insert(0) += 1;
+                            fw.count(f.tags, |s| {
+                                *s.delivered.entry(h).or_insert(0) += 1;
+                                *s.delivered_by_port.entry((h, f.pkt.dst_port)).or_insert(0) += 1;
                             });
                         } else {
                             fw.count(f.tags, |s| s.misdelivered += 1);
@@ -859,15 +1047,16 @@ pub fn mqo_replay_deltas(
                     continue;
                 }
                 fw.count(f.tags, |s| s.hops += 1);
-                // One lookup per variant the flight's candidates live in;
-                // the candidates in none see the empty table and miss
-                // together.
+                // One lookup per variant — per distinct table — the
+                // flight's candidates live in; the candidates in none see
+                // the empty table and miss together.
                 let mut missed = f.tags;
                 for (mask, table) in tables.by_switch.get(&s).map_or(&[][..], Vec::as_slice) {
                     let here = mask & f.tags;
                     if here == 0 {
                         continue;
                     }
+                    work.lookups += 1;
                     if let Some(e) = table.lookup(&f.pkt, f.port) {
                         missed &= !here;
                         fw.apply_actions(s, f.port, &f.pkt, &e.actions, here);
@@ -886,7 +1075,8 @@ pub fn mqo_replay_deltas(
                     fw.count(p.tags, |s| s.packet_ins += 1);
                     let msg = PacketInMsg { switch: p.at, in_port: p.port, packet: p.pkt };
                     let mut released: TagSet = 0;
-                    for (cm, ctags) in engine.on_packet_in(&msg, p.tags) {
+                    engine.on_packet_in(&msg, p.tags, &mut replies);
+                    for (cm, ctags) in replies.drain(..) {
                         match cm {
                             CtrlMsg::FlowMod { switch, entry } => {
                                 fw.count(ctags, |s| s.flow_mods += 1);
@@ -907,12 +1097,51 @@ pub fn mqo_replay_deltas(
             hops += 1;
         }
     }
-    let outcomes = fw
-        .stats
-        .into_iter()
-        .map(|s| ReplayOutcome { delivered: s.delivered.clone(), stats: s })
-        .collect();
-    JointReplay { outcomes, diverged: engine.diverged, footprint: tables.footprint() }
+    let work =
+        JointWork { steps: engine.steps, memo_hits: engine.memo_hits, classes: fw.classes.len() as u64, ..work };
+    let stats = fw.fold(n);
+    #[cfg(debug_assertions)]
+    check_replay(setup, &tables, &engine, &fw.classes, &stats, &work);
+    let outcomes = stats.into_iter().map(ReplayOutcome::of).collect();
+    JointReplay { outcomes, diverged: engine.diverged, footprint: tables.footprint(), work }
+}
+
+/// What a finished replay must leave behind (debug builds): the variants'
+/// invariant on every switch; state rows under a watermark with the tags
+/// they were sealed with; classes that are non-empty, each
+/// folded into each of its members exactly once — the counters summed over
+/// candidates are those of the classes, each taken `|tags|` times — with
+/// every candidate injected every attached packet; and one step or memo
+/// hit per punt.
+#[cfg(debug_assertions)]
+fn check_replay(
+    setup: &BacktestSetup,
+    tables: &TaggedTables,
+    engine: &TaggedEngine,
+    classes: &BTreeMap<TagSet, SimStats>,
+    stats: &[SimStats],
+    work: &JointWork,
+) {
+    for (switch, variants) in &tables.by_switch {
+        check_variants(*switch, variants);
+    }
+    for (name, table) in &engine.state {
+        let sealed = tags_digest(0, &table.rows[..table.stable]);
+        assert_eq!(sealed, table.sealed, "{name}: a row under the watermark changed its tags");
+    }
+    assert!(!classes.contains_key(&0), "a class of no candidate");
+    let attached = setup.workload.iter().filter(|(src, _)| setup.topology.host_attachment(*src).is_some());
+    let attached = attached.count() as u64;
+    assert!(stats.iter().all(|s| s.injected == attached), "a candidate missed an injection");
+    let mut by_candidate = SimStats::default();
+    stats.iter().for_each(|s| by_candidate.add(s));
+    let mut by_class = SimStats::default();
+    for (tags, class) in classes {
+        (0..tags.count_ones()).for_each(|_| by_class.add(class));
+    }
+    assert_eq!(by_candidate, by_class, "a class was not folded once per member");
+    let punts: u64 = classes.values().map(|class| class.packet_ins).sum();
+    assert_eq!(work.steps + work.memo_hits, punts, "a punt neither stepped nor hit the memo");
 }
 
 #[cfg(test)]
@@ -1255,6 +1484,49 @@ mod tests {
         t.install(77, 0b1111, &entry(80));
         t.install(2, 0, &entry(80));
         assert_eq!(t.footprint(), TableFootprint { switches: 1, variants: 5 });
+    }
+
+    #[test]
+    fn variants_that_arrive_at_the_same_table_are_one_again() {
+        use mpr_sdn::flowtable::Match;
+        use mpr_sdn::packet::Field;
+        let topo = fig1();
+        let mut t = TaggedTables { topo: &topo, by_switch: BTreeMap::new() };
+        let entry = |field: Field, v: i64, out: i64| {
+            FlowEntry::new(10, Match::any().with(field, v), vec![Action::Output(out)])
+        };
+        let masks = |t: &TaggedTables| -> Vec<TagSet> { t.by_switch[&1].iter().map(|(mask, _)| *mask).collect() };
+        let (http, dns) = (entry(Field::DstPort, 80, 1), entry(Field::DstPort, 53, 2));
+        // Candidates 0 and 1 install an entry; 2 and 3 install it a packet
+        // later and join them — out of a fresh table, and forking off a
+        // shared one.
+        t.install(1, 0b0011, &http);
+        t.install(1, 0b1100, &http);
+        assert_eq!(masks(&t), [0b1111]);
+        t.install(1, 0b0110, &dns);
+        assert_eq!(masks(&t), [0b1001, 0b0110]);
+        t.install(1, 0b1000, &dns);
+        assert_eq!(masks(&t), [0b0001, 0b1110]);
+        // An install the variant already holds changes nothing, and merges
+        // nothing.
+        t.install(1, 0b0001, &http);
+        assert_eq!(masks(&t), [0b0001, 0b1110]);
+        t.install(1, 0b0001, &dns);
+        assert_eq!(masks(&t), [0b1111]);
+        // Two entries that tie (one priority, one field each), installed in
+        // opposite orders: equal as sets, and not the same table — the
+        // earlier install wins a packet both match.
+        let by_src = entry(Field::SrcIp, 5, 3);
+        t.install(2, 0b01, &http);
+        t.install(2, 0b01, &by_src);
+        t.install(2, 0b10, &by_src);
+        t.install(2, 0b10, &http);
+        let port_at = |i: usize| {
+            let hit = t.by_switch[&2][i].1.lookup(&Packet::http(1, 5, 9), 0).unwrap();
+            hit.actions.clone()
+        };
+        assert_eq!((port_at(0), port_at(1)), (vec![Action::Output(1)], vec![Action::Output(3)]));
+        assert_eq!(t.footprint(), TableFootprint { switches: 2, variants: 3 });
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! rule deltas of the patches that make those programs — what the debugger
 //! feeds it. All three must agree.
 
-use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows, TagSet};
-use mpr_backtest::replay::{replay_with_extra_flows, BacktestSetup};
+use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows, TableFootprint, TagSet};
+use mpr_backtest::replay::{drive, replay_with_extra_flows, BacktestSetup};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline, RuleDelta};
 use mpr_ndlog::{parse_program, ExprSide, Program};
 use mpr_sdn::controller::TupleCodec;
@@ -510,6 +510,178 @@ fn candidates_may_edit_the_rule_an_event_table_triggers() {
     assert_eq!(delivered[0], 6, "the base releases every packet towards H1");
     assert_eq!(delivered[3..], [0, 0], "no `Seen`, or nothing behind it: every packet stays buffered");
     assert_eq!(joint[4].stats.dropped_buffered, 6);
+}
+
+// ---------------------------------------------------------------------
+// Variants that merge again. A switch's table variants are told apart by a
+// FlowMod and are one again when their tables are the same — entry for
+// entry, in order. Candidates that route around each other install the same
+// entries on the switches behind the fork a packet apart; that is where a
+// merge happens, and where a wrong one would show.
+
+/// Fig. 1 with both ways round it: HTTP for H1 leaves S1 for S2 directly
+/// (`h1`, port 1) or over S3 (port 2, then `h3`); DNS leaves S1 for S3
+/// directly (`d1`, port 2) or over S2 (port 1, then `d2`). Whichever way a
+/// candidate sends them, S2 and S3 end up with the same entries — installed
+/// by whoever's packet gets there first, a packet before the others'.
+const DETOUR_RULES: [&str; 6] = ["h1", "d1", "h2", "d2", "h3", "d3"];
+
+fn detour_program() -> Program {
+    let policies = [(1, 80, 1), (1, 53, 2), (2, 80, 1), (2, 53, 2), (3, 80, 3), (3, 53, 1)];
+    let mut src = String::from(
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(FlowTable, infinity, 2, keys(0,1)).\n",
+    );
+    for (id, (swi, hdr, prt)) in DETOUR_RULES.iter().zip(policies) {
+        src.push_str(&format!(
+            "{id} FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == {swi}, Hdr == {hdr}, Prt := {prt}.\n"
+        ));
+    }
+    parse_program("detour", &src).unwrap()
+}
+
+/// One candidate: the ports `h1` and `d1` send HTTP and DNS out of at S1,
+/// and a rule it deletes (an index into [`DETOUR_RULES`]).
+type Detour = (i64, i64, Option<usize>);
+
+fn detour_patch(&(http, dns, deleted): &Detour) -> Patch {
+    let port = |rule: &str, value: i64| Edit::SetConst {
+        rule: rule.into(),
+        site: mpr_ndlog::ConstSite::Assign { idx: 0, path: vec![] },
+        value: mpr_ndlog::Value::Int(value),
+    };
+    let mut edits = vec![port("h1", http), port("d1", dns)];
+    edits.extend(deleted.map(|rule| Edit::DeleteRule { rule: DETOUR_RULES[rule].into() }));
+    Patch::of(edits)
+}
+
+/// Fig. 1, the packets `http` says: HTTP for H1 (`true`) or DNS for the DNS
+/// server, all from the Internet.
+fn detour_setup(http: &[bool]) -> BacktestSetup {
+    let src = fig1_hosts::INTERNET;
+    let packet = |(i, &http): (usize, &bool)| match http {
+        true => (src, Packet::http(i as u64, src, fig1_hosts::H1)),
+        false => (src, Packet::dns(i as u64, src, fig1_hosts::DNS)),
+    };
+    let mut setup = fig1_fixture().setup(false);
+    setup.workload = Arc::new(http.iter().enumerate().map(packet).collect());
+    setup
+}
+
+/// What the candidates' own networks hold after one sequential replay
+/// each: the switches any of them installed on and, per switch, the
+/// distinct tables — entries in match order — among them.
+fn distinct_tables(setup: &BacktestSetup, cands: &[Program], extra: &[ExtraFlows]) -> TableFootprint {
+    let mut distinct: Vec<(i64, Vec<FlowEntry>)> = Vec::new();
+    for (i, cand) in cands.iter().enumerate() {
+        let flows = extra.get(i).map_or(&[][..], Vec::as_slice);
+        let sim = drive(setup, Arc::new(cand.clone()), false, flows).unwrap();
+        for sw in setup.topology.switches.iter() {
+            let Some(table) = sim.tables.get(sw) else { continue };
+            let table = (*sw, table.iter().cloned().collect());
+            if !distinct.contains(&table) {
+                distinct.push(table);
+            }
+        }
+    }
+    let mut switches: Vec<i64> = distinct.iter().map(|(sw, _)| *sw).collect();
+    switches.sort_unstable();
+    switches.dedup();
+    TableFootprint { switches: switches.len(), variants: distinct.len() }
+}
+
+/// Joint equals sequential on the whole `SimStats`, nobody is handed back,
+/// and the joint replay is left with one variant per distinct table.
+/// Returns that footprint.
+fn assert_variants_are_the_distinct_tables(
+    setup: &BacktestSetup,
+    base: &Program,
+    patches: &[Patch],
+    extra: &[ExtraFlows],
+) -> Result<TableFootprint, TestCaseError> {
+    let (deltas, cands) = deltas_and_programs(base, patches);
+    assert_joint_equals_sequential(setup, base, &cands, &deltas, extra)?;
+    let footprint = mqo_replay_deltas(setup, base, &deltas, extra, &[]).footprint;
+    prop_assert_eq!(footprint, distinct_tables(setup, &cands, extra));
+    Ok(footprint)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Diverge and reconverge: two to six candidates, each with its own way
+    /// round Fig. 1 (and perhaps a rule short), over a random sequence of
+    /// HTTP and DNS packets.
+    #[test]
+    fn joint_equals_sequential_where_variants_merge_again(
+        cands in prop::collection::vec((1i64..3, 1i64..3, prop::option::of(0usize..6)), 2..7),
+        http in prop::collection::vec(prop::sample::select(vec![true, false]), 8..24),
+    ) {
+        let patches: Vec<Patch> = cands.iter().map(detour_patch).collect();
+        assert_variants_are_the_distinct_tables(&detour_setup(&http), &detour_program(), &patches, &[])?;
+    }
+}
+
+/// The family's smallest member, counted: one candidate sends HTTP straight
+/// to S2, the other over S3. They are told apart at S1 for good; at S2 the
+/// second installs what the first holds one packet later, and S2 is one
+/// variant again — with a variant per fork it stayed two.
+#[test]
+fn a_table_installed_a_packet_later_is_the_same_variant() {
+    let patches = [detour_patch(&(1, 2, None)), detour_patch(&(2, 2, None))];
+    let setup = detour_setup(&[true; 6]);
+    let footprint = assert_variants_are_the_distinct_tables(&setup, &detour_program(), &patches, &[]).unwrap();
+    // S1: two variants. S2: one, shared. S3: the detour's alone.
+    assert_eq!(footprint, TableFootprint { switches: 3, variants: 4 });
+}
+
+/// A candidate that coincides with another and then diverges again forks a
+/// second time. Both send HTTP to S2, one of them over S3: after the HTTP
+/// packets S2 is one variant. Then the second sends its DNS over S2 as
+/// well, where the first sends it straight to S3: the DNS entry lands at
+/// S2 for the second alone, and S2 is two variants.
+#[test]
+fn a_merged_variant_forks_again_when_its_candidates_part() {
+    let patches = [detour_patch(&(1, 2, None)), detour_patch(&(2, 1, None))];
+    let mut packets = vec![true; 5];
+    let merged = assert_variants_are_the_distinct_tables(&detour_setup(&packets), &detour_program(), &patches, &[]);
+    // S1: two variants. S2: one. S3: the HTTP detour's.
+    assert_eq!(merged.unwrap(), TableFootprint { switches: 3, variants: 4 });
+    packets.extend([false; 5]);
+    let parted = assert_variants_are_the_distinct_tables(&detour_setup(&packets), &detour_program(), &patches, &[]);
+    // S2 forks; S3 gains the first candidate's DNS entry, the second
+    // candidate's follows a packet later into the table that holds its
+    // HTTP entry: two variants there too.
+    assert_eq!(parted.unwrap(), TableFootprint { switches: 3, variants: 6 });
+}
+
+/// Two candidates install the same two entries at S1 in opposite order.
+/// The entries tie — one priority, one constrained field each — and every
+/// packet of the flow matches both, so the earlier install wins: the first
+/// candidate's packets leave for S2 and reach H1, the second's leave for
+/// S3 and are never answered. As sets the two tables are equal; merged,
+/// one candidate would take the other's side of the tie.
+#[test]
+fn tables_equal_as_sets_but_not_in_order_stay_apart() {
+    let fx = fig1_fixture();
+    let to_s2 = manual(1, 80, vec![Action::Output(1)]);
+    let to_s3 = (1, FlowEntry::new(50, Match::any().with(Field::SrcPort, 7000), vec![Action::Output(2)]));
+    let extra = vec![vec![to_s2.clone(), to_s3.clone()], vec![to_s3, to_s2]];
+    let mut setup = fx.setup(false);
+    let flow = (0..6).map(|i| {
+        let mut p = Packet::http(i, fig1_hosts::INTERNET, fig1_hosts::H1);
+        p.src_port = 7000;
+        (fig1_hosts::INTERNET, p)
+    });
+    setup.workload = Arc::new(flow.collect());
+    let patches = [Patch::default(), Patch::default()];
+    let footprint = assert_variants_are_the_distinct_tables(&setup, &fx.base, &patches, &extra).unwrap();
+    // S1: one variant each. S2: the first candidate's HTTP entry.
+    assert_eq!(footprint, TableFootprint { switches: 2, variants: 3 });
+    let joint = mqo_replay_deltas(&setup, &fx.base, &vec![RuleDelta::default(); 2], &extra, &[]);
+    let delivered: Vec<u64> = joint.outcomes.iter().map(|o| o.stats.delivered_to(fig1_hosts::H1)).collect();
+    assert_eq!(delivered, [5, 0], "the tie goes to the entry installed first");
+    assert_eq!(joint.outcomes[1].stats.dropped_buffered, 6, "S3 has no rule for HTTP");
 }
 
 // ---------------------------------------------------------------------

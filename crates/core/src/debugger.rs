@@ -15,6 +15,7 @@ use mpr_backtest::mqo::{mqo_replay_deltas, mqo_supported, ExtraFlows};
 use mpr_backtest::replay::{drive, replay_candidates, BacktestSetup, CandidateRun, ReplayOutcome};
 use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
 use mpr_runtime::{ExecLog, Options as EngineOptions};
+use mpr_trace::workload::Injection;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -127,7 +128,11 @@ pub struct Recording {
 
 /// The debugger.
 pub struct Debugger {
+    /// The scenario, its `workload` moved out into the field below.
     scenario: Scenario,
+    /// The scenario's workload: one copy, which every [`BacktestSetup`]
+    /// this debugger makes shares.
+    workload: Arc<Vec<Injection>>,
     /// Use the §4.4 multi-query optimizer for joint backtesting.
     pub use_mqo: bool,
     /// Engine options for the observation run and every sequential
@@ -139,8 +144,10 @@ pub struct Debugger {
 impl Debugger {
     /// Build a debugger for a scenario.
     pub fn for_scenario(scenario: &Scenario) -> Debugger {
+        let mut scenario = scenario.clone();
         Debugger {
-            scenario: scenario.clone(),
+            workload: Arc::new(std::mem::take(&mut scenario.workload)),
+            scenario,
             use_mqo: true,
             engine_options: EngineOptions::default(),
         }
@@ -151,7 +158,7 @@ impl Debugger {
             topology: self.scenario.topology.clone(),
             codec: self.scenario.codec.clone(),
             seeds: self.scenario.seeds.clone(),
-            workload: Arc::new(self.scenario.workload.clone()),
+            workload: Arc::clone(&self.workload),
             config: self.scenario.sim.clone(),
             proactive_routes: false,
             engine: self.engine_options.clone(),
@@ -362,12 +369,15 @@ impl Debugger {
             return Ok((reference(&(0..candidates.len()).collect::<Vec<_>>()), None));
         }
         let joint = mqo_replay_deltas(setup, base, &deltas, &extra, &seed_sets);
-        let mut outs: Vec<Option<ReplayOutcome>> =
-            joint.outcomes.into_iter().zip(&applies).map(|(out, &ok)| ok.then_some(out)).collect();
-        // What the joint replay met and does not mirror, it hands back.
-        let handed_back: Vec<usize> =
-            (0..outs.len()).filter(|&i| applies[i] && joint.diverged >> i & 1 == 1).collect();
+        // What the joint replay met and does not mirror, it hands back:
+        // the joint outcome of a diverged candidate goes no further.
+        let diverged = |i: usize| joint.diverged >> i & 1 == 1;
+        let mut outs: Vec<Option<ReplayOutcome>> = (joint.outcomes.into_iter().enumerate())
+            .map(|(i, out)| (applies[i] && !diverged(i)).then_some(out))
+            .collect();
+        let handed_back: Vec<usize> = (0..outs.len()).filter(|&i| applies[i] && diverged(i)).collect();
         for (i, own) in handed_back.iter().zip(reference(&handed_back)) {
+            debug_assert!(outs[*i].is_none(), "candidate {i} diverged, and its joint outcome was kept");
             outs[*i] = own;
         }
         Ok((outs, Some(handed_back.len())))

@@ -1,0 +1,135 @@
+//! The joint backtest pays per distinct behaviour, not per candidate, by
+//! count: on the candidates the debugger itself generates, a flight costs
+//! at most one flow-table lookup per hop on average (the candidates that
+//! hold the same table are one variant, also after they diverged and
+//! installed the same entries a packet apart), counters are kept for a
+//! few tag classes per candidate, every punt is one step or one memo hit,
+//! and the variants left at the end are the distinct tables of the
+//! candidates' own networks. Counts repeat exactly, so no timer is
+//! involved — as `tests/alloc_budget.rs` guards the explorer's allocations.
+
+use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows, JointReplay};
+use mpr_backtest::replay::{drive, BacktestSetup};
+use mpr_core::debugger::repair_scenario;
+use mpr_core::repair::Repair;
+use mpr_core::scenarios::Scenario;
+use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
+use mpr_sdn::flowtable::FlowEntry;
+use std::sync::Arc;
+
+/// The debugger's candidates for `s`, read as `Debugger::backtest` reads
+/// them: rule deltas, manual entries (priority 50), seeds of their own.
+struct Candidates {
+    setup: BacktestSetup,
+    deltas: Vec<RuleDelta>,
+    extra: Vec<ExtraFlows>,
+    seeds: Vec<Option<Vec<Tuple>>>,
+}
+
+impl Candidates {
+    fn of(s: &Scenario) -> Candidates {
+        let setup = BacktestSetup {
+            topology: s.topology.clone(),
+            codec: s.codec.clone(),
+            seeds: s.seeds.clone(),
+            workload: Arc::new(s.workload.clone()),
+            config: s.sim.clone(),
+            proactive_routes: false,
+            engine: mpr_runtime::Options::default(),
+        };
+        let outline = ProgramOutline::new(&s.program).expect("the scenario's program is valid");
+        let (mut deltas, mut extra, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+        for o in &repair_scenario(s).outcomes {
+            let repair = &o.candidate.repair;
+            deltas.push(repair.delta(&s.program, &outline).expect("candidate applies"));
+            let mut flows = ExtraFlows::new();
+            let mut own = None;
+            match repair {
+                Repair::Patch(_) => {}
+                Repair::InsertTuple(t) if s.codec.is_output(&t.table) => flows.extend(s.codec.flow_entry(t, 50)),
+                other => {
+                    let mut adjusted = s.seeds.clone();
+                    other.adjust_seeds(&mut adjusted);
+                    own = Some(adjusted);
+                }
+            }
+            extra.push(flows);
+            seeds.push(own);
+        }
+        Candidates { setup, deltas, extra, seeds }
+    }
+
+    /// The joint replay of the candidates `which`.
+    fn replay(&self, s: &Scenario, which: std::ops::Range<usize>) -> JointReplay {
+        let w = which;
+        mqo_replay_deltas(&self.setup, &s.program, &self.deltas[w.clone()], &self.extra[w.clone()], &self.seeds[w])
+    }
+
+    /// Candidate `i`'s own network after a sequential replay: per switch
+    /// with a table, its entries in match order.
+    fn tables_of(&self, s: &Scenario, i: usize) -> Vec<(i64, Vec<FlowEntry>)> {
+        let seeds = self.seeds[i].clone().unwrap_or_else(|| s.seeds.clone());
+        let setup = BacktestSetup { seeds, ..self.setup.clone() };
+        let program = Arc::new(self.deltas[i].overlay(&s.program));
+        let sim = drive(&setup, program, false, &self.extra[i]).expect("candidate runs");
+        let table = |sw: &i64| Some((*sw, sim.tables.get(sw)?.iter().cloned().collect()));
+        s.topology.switches.iter().filter_map(table).collect()
+    }
+}
+
+fn assert_work_follows_behaviours(s: &Scenario) {
+    let c = Candidates::of(s);
+    let n = c.deltas.len();
+    let joint = c.replay(s, 0..n);
+    assert_eq!(joint.diverged, 0, "{}: every candidate is answered by the joint replay", s.id);
+    let work = joint.work;
+    println!("{}: {n} candidates, {work:?}, {:?}", s.id, joint.footprint);
+    assert_eq!(c.replay(s, 0..n).work, work, "{}: the counts repeat", s.id);
+
+    // One lookup per distinct table a flight meets: with a variant per
+    // fork this read 19 820 lookups for 6 051 flight-hops on Q1.
+    assert!(work.lookups <= work.flight_hops, "{}: {work:?}", s.id);
+    // A handful of tag classes, whatever the number of candidates.
+    assert!(work.classes <= 4 * n as u64, "{}: {work:?} for {n} candidates", s.id);
+
+    // Every punt is a step or a memo hit. A punt serves one candidate or
+    // several, so their number lies between the most any candidate sends
+    // and what all of them send — and alone, a candidate's punts are its
+    // packet-ins.
+    let punts = work.steps + work.memo_hits;
+    let packet_ins: Vec<u64> = joint.outcomes.iter().map(|o| o.stats.packet_ins).collect();
+    let most = packet_ins.iter().copied().max().unwrap_or(0);
+    assert!(most <= punts && punts <= packet_ins.iter().sum(), "{}: {punts} punts for {packet_ins:?}", s.id);
+    for (i, own) in packet_ins.iter().enumerate() {
+        let alone = c.replay(s, i..i + 1);
+        assert_eq!(alone.outcomes[0].stats, joint.outcomes[i].stats, "{}: candidate {i} alone", s.id);
+        assert_eq!(alone.work.steps + alone.work.memo_hits, *own, "{}: candidate {i} alone", s.id);
+        assert_eq!(alone.work.classes, 1);
+    }
+
+    // The variants left are the distinct tables, in entry order, of the
+    // candidates' own networks — no table is held twice.
+    let mut distinct: Vec<(i64, Vec<FlowEntry>)> = Vec::new();
+    for i in 0..n {
+        for table in c.tables_of(s, i) {
+            if !distinct.contains(&table) {
+                distinct.push(table);
+            }
+        }
+    }
+    assert_eq!(joint.footprint.variants, distinct.len(), "{}", s.id);
+    let mut switches: Vec<i64> = distinct.iter().map(|(sw, _)| *sw).collect();
+    switches.sort_unstable();
+    switches.dedup();
+    assert_eq!(joint.footprint.switches, switches.len(), "{}", s.id);
+}
+
+#[test]
+fn q1_pays_per_distinct_behaviour() {
+    assert_work_follows_behaviours(&Scenario::q1_copy_paste());
+}
+
+#[test]
+fn q1_on_ten_thousand_switches_pays_per_distinct_behaviour() {
+    assert_work_follows_behaviours(&Scenario::q1_on_fabric(10_000));
+}

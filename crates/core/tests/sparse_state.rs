@@ -87,7 +87,7 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
         proactive_routes: false,
         engine: mpr_runtime::Options::default(),
     };
-    let JointReplay { outcomes, diverged, footprint } =
+    let JointReplay { outcomes, diverged, footprint, .. } =
         mqo_replay_deltas(&setup, &s.program, &deltas, &extra, &[]);
     assert_eq!(outcomes.len(), programs.len());
     assert_eq!(diverged, 0, "{}: every candidate is answered by the joint replay", s.id);

@@ -80,7 +80,8 @@ pub enum PktArg {
 }
 
 impl PktArg {
-    fn value_of(&self, msg: &PacketInMsg) -> i64 {
+    /// The value this slot takes for `msg`.
+    pub fn value_of(&self, msg: &PacketInMsg) -> i64 {
         match self {
             PktArg::Field(f) => msg.packet.field(*f),
             PktArg::InPort => msg.in_port,

@@ -412,6 +412,18 @@ impl FlowTable {
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
         self.entries.iter()
     }
+
+    /// Do the two tables hold the same entries *in the same order* (length
+    /// first)? The entry vector is all a table's behaviour depends on —
+    /// match order answers [`Self::lookup`], and [`Self::install`] derives
+    /// the next vector from this one and the entry alone — so tables equal
+    /// in order answer alike now and after any equal sequence of installs.
+    /// Tables equal only as *sets* do not: entries of one priority and
+    /// specificity sit in install order, and the earlier one wins a packet
+    /// both match.
+    pub fn same_entries_in_order(&self, other: &FlowTable) -> bool {
+        self.entries == other.entries
+    }
 }
 
 /// Call `install(switch, entry)` for every shortest-path
@@ -590,6 +602,29 @@ mod tests {
         ));
         let p = Packet::http(1, 5, 9);
         assert_eq!(ft.lookup(&p, 1).unwrap().actions, vec![Action::Output(9)]);
+    }
+
+    #[test]
+    fn equality_in_order_tells_apart_what_a_tie_tells_apart() {
+        let by_port = FlowEntry::new(5, Match::any().with(Field::DstPort, 80), vec![Action::Output(1)]);
+        let by_src = FlowEntry::new(5, Match::any().with(Field::SrcIp, 5), vec![Action::Output(2)]);
+        let table = |entries: [&FlowEntry; 2]| {
+            let mut ft = FlowTable::new();
+            entries.into_iter().for_each(|e| ft.install(e.clone()));
+            ft
+        };
+        let (a, b) = (table([&by_port, &by_src]), table([&by_src, &by_port]));
+        // The same two entries, and a packet both match goes two ways.
+        let p = Packet::http(1, 5, 9);
+        assert_eq!(a.lookup(&p, 0), Some(&by_port));
+        assert_eq!(b.lookup(&p, 0), Some(&by_src));
+        assert!(!a.same_entries_in_order(&b));
+        assert!(a.same_entries_in_order(&table([&by_port, &by_src])));
+        assert!(!a.same_entries_in_order(&FlowTable::new()));
+        // The lookup index and the reference flag are not part of it.
+        let mut c = a.clone();
+        c.set_reference_mode(true);
+        assert!(a.same_entries_in_order(&c));
     }
 
     #[test]

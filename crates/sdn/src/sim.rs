@@ -115,6 +115,45 @@ impl SimStats {
     pub fn delivered_on(&self, host: i64, port: i64) -> u64 {
         self.delivered_by_port.get(&(host, port)).copied().unwrap_or(0)
     }
+
+    /// Add `other`'s counters to these, counter by counter and key by key.
+    /// Addition commutes, so counters kept in parts (the joint backtest
+    /// keeps one part per set of candidates that shared an event) sum to
+    /// what one set of counters bumped for every event would read.
+    pub fn add(&mut self, other: &SimStats) {
+        // Destructured in full: a counter added to the struct does not
+        // compile until it is added here.
+        #[rustfmt::skip]
+        let SimStats {
+            injected, delivered, delivered_by_port, misdelivered, dropped_policy, dropped_buffered,
+            dropped_ttl, dropped_fault, dropped_link_down, dropped_switch_down, switch_crashes,
+            ctrl_dropped, ctrl_duplicated, ctrl_delayed, ctrl_reordered, packet_ins, flow_mods,
+            packet_outs, hops,
+        } = other;
+        for (host, count) in delivered {
+            *self.delivered.entry(*host).or_insert(0) += count;
+        }
+        for (key, count) in delivered_by_port {
+            *self.delivered_by_port.entry(*key).or_insert(0) += count;
+        }
+        self.injected += injected;
+        self.misdelivered += misdelivered;
+        self.dropped_policy += dropped_policy;
+        self.dropped_buffered += dropped_buffered;
+        self.dropped_ttl += dropped_ttl;
+        self.dropped_fault += dropped_fault;
+        self.dropped_link_down += dropped_link_down;
+        self.dropped_switch_down += dropped_switch_down;
+        self.switch_crashes += switch_crashes;
+        self.ctrl_dropped += ctrl_dropped;
+        self.ctrl_duplicated += ctrl_duplicated;
+        self.ctrl_delayed += ctrl_delayed;
+        self.ctrl_reordered += ctrl_reordered;
+        self.packet_ins += packet_ins;
+        self.flow_mods += flow_mods;
+        self.packet_outs += packet_outs;
+        self.hops += hops;
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
