@@ -1,18 +1,11 @@
-//! Chaos sweep + injection-layer overhead.
-//!
-//! Part 1 sweeps randomized fault schedules (every [`FaultClass`], fixed
-//! seeds) over the §5.3 scenarios and reports the recovery rate by fault
-//! class — the EXPERIMENTS.md chaos table comes from this run.
-//!
-//! Part 2 measures what the *disabled* fault-injection layer costs: the
-//! Fig. 10 (100-line) repair loop with the default empty [`FaultPlan`],
-//! compared against the pinned pre-injection baseline in
-//! `BENCH_fig10.json`. The layer is one `is_empty()` branch per simulator
-//! event, so the expected answer is ~0.
+//! Chaos sweep: randomized fault schedules (every [`FaultClass`], fixed
+//! seeds) over the §5.3 scenarios, reporting the recovery rate by fault
+//! class — the EXPERIMENTS.md chaos table comes from this run. What the
+//! *disabled* injection layer costs is one `is_empty()` branch per simulator
+//! event, inside what `benchmark/` reports as `sdn.ns_per_event`.
 
-use mpr_bench::{header, quick_mode, reps, write_artifact};
+use mpr_bench::{header, quick_mode, write_artifact};
 use mpr_core::chaos::{self, FaultClass};
-use mpr_core::debugger::repair_scenario;
 use mpr_core::scenarios::Scenario;
 
 fn main() {
@@ -45,18 +38,6 @@ fn main() {
         }));
     }
 
-    header("Injection-layer overhead: Fig. 10 (100 lines), faults disabled");
-    let scenario = Scenario::q1_padded(100);
-    let mut best = f64::MAX;
-    let mut generated = 0;
-    for _ in 0..reps().max(3) {
-        let r = repair_scenario(&scenario);
-        best = best.min(r.timings.total().as_secs_f64() * 1e3);
-        generated = r.generated();
-    }
-    println!("fig10(100) total: {best:.2} ms, {generated} repairs (empty FaultPlan in the hot path)");
-    println!("compare BENCH_fig10.json lines=100 for the pinned baseline");
-
     write_artifact(
         "chaos",
         &serde_json::json!({
@@ -64,7 +45,6 @@ fn main() {
             "scenarios": scenarios.iter().map(|s| s.id.clone()).collect::<Vec<_>>(),
             "recovery_by_class": classes,
             "survivors": survivors.len(),
-            "fig10_100_faults_disabled_ms": best,
         }),
     );
     println!("\npaper shape: the loop degrades, it does not die — recovery stays at 100%");

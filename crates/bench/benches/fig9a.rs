@@ -3,7 +3,7 @@
 //! (Paper: < 25 s per scenario on their testbed; ours is a simulator, so
 //! absolute numbers are much smaller — the *composition* is the shape.)
 
-use mpr_bench::{header, quick_mode, reps, write_artifact};
+use mpr_bench::{header, host_fingerprint, quick_mode, reps, write_artifact};
 use mpr_core::debugger::repair_scenario;
 use mpr_core::scenarios::Scenario;
 
@@ -50,5 +50,5 @@ fn main() {
             "pools_solved": report.pools_solved,
         }));
     }
-    write_artifact("fig9a", &serde_json::json!({ "series": series }));
+    write_artifact("fig9a", &serde_json::json!({ "host": host_fingerprint(), "series": series }));
 }

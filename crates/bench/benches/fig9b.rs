@@ -4,7 +4,7 @@
 
 use mpr_backtest::mqo::mqo_replay;
 use mpr_backtest::replay::{replay, BacktestSetup};
-use mpr_bench::{header, write_artifact};
+use mpr_bench::{header, host_fingerprint, write_artifact};
 use mpr_core::explore::generate_missing;
 use mpr_core::repair::Repair;
 use mpr_core::scenarios::{Scenario, Symptom};
@@ -70,6 +70,6 @@ fn main() {
             "speedup": speedup,
         }));
     }
-    write_artifact("fig9b", &serde_json::json!({ "series": series }));
+    write_artifact("fig9b", &serde_json::json!({ "host": host_fingerprint(), "series": series }));
     println!("\npaper shape: MQO grows much slower with k than sequential backtesting");
 }

@@ -2,7 +2,7 @@
 //! (19 → 169 switches). (Paper: linear growth, ≤ 50 s; ours: linear in the
 //! same sweep, milliseconds on the simulator substrate.)
 
-use mpr_bench::{header, write_artifact};
+use mpr_bench::{header, host_fingerprint, write_artifact};
 use mpr_core::debugger::repair_scenario;
 use mpr_core::scenarios::Scenario;
 
@@ -41,6 +41,6 @@ fn main() {
             "accepted": report.accepted_count(),
         }));
     }
-    write_artifact("fig9c", &serde_json::json!({ "series": series }));
+    write_artifact("fig9c", &serde_json::json!({ "host": host_fingerprint(), "series": series }));
     println!("\npaper shape: linear in network size, dominated by lookups + replay");
 }

@@ -7,8 +7,7 @@
 //! ```
 //!
 //! i.e. a head atom, a set of body predicates (joins), a set of *selection
-//! predicates* (comparisons), and a set of *assignments*. µDlog (Fig. 3) is
-//! the restriction checked by [`crate::udlog`].
+//! predicates* (comparisons), and a set of *assignments*.
 
 use crate::schema::Catalog;
 use crate::value::Value;

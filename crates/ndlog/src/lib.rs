@@ -15,7 +15,6 @@
 //! - [`eval`] — expression/selection evaluation with built-in functions
 //!   (`f_match`, `f_join`, `f_unique`, `f_concat`);
 //! - [`patch`] — program edits, the concrete form of repairs (Table 2);
-//! - [`udlog`] — the µDlog restriction checker (Fig. 3);
 //! - [`schema`] — table schemas (state vs event, primary keys).
 //!
 //! The evaluation *engine* lives in `mpr-runtime`; the meta model and the
@@ -31,7 +30,6 @@ pub mod parser;
 pub mod patch;
 pub mod schema;
 pub mod tuple;
-pub mod udlog;
 pub mod value;
 
 pub use ast::{

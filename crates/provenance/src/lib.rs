@@ -11,11 +11,10 @@
 //! - [`graph::explain_exist`] — "why does this tuple exist?" (positive);
 //! - [`graph::explain_absent`] — "why is this tuple missing?" (negative,
 //!   diagnosis-flavored: all failing rules are explained);
-//! - [`graph::ProvTree`] — rendering (ASCII / GraphViz DOT);
-//! - [`graph::ProvGraph`] — explanation forests flattened to a canonical
-//!   (sorted, deduplicated) graph whose byte serialization is identical
-//!   for identical states, persistable through any
-//!   `mpr_storage::StorageBackend`.
+//! - [`graph::ProvTree`] — rendering (ASCII / GraphViz DOT).
+//!
+//! A tree is never stored: the engine's `ExecLog` is the durable record
+//! and the `explain_*` queries rebuild any tree from it.
 //!
 //! Classical provenance can *diagnose* but not *repair* (§2.4): the graph
 //! treats the program as immutable. The meta-provenance layer in
@@ -28,6 +27,6 @@ pub mod vertex;
 
 pub use graph::{
     derivation_set, explain_absent, explain_absent_with, explain_exist, explain_exist_with,
-    ExplainOptions, ProvGraph, ProvTree, GRAPH_SNAPSHOT_VERSION,
+    ExplainOptions, ProvTree,
 };
 pub use vertex::{Pattern, Vertex};

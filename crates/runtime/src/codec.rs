@@ -1,6 +1,5 @@
-//! The shared little-endian binary codec under every durable artifact:
-//! WAL op records and store snapshots ([`crate::journal`]) and provenance
-//! graph snapshots (`mpr_provenance::graph`).
+//! The little-endian binary codec under every durable artifact: WAL op
+//! records and store snapshots ([`crate::journal`]).
 //!
 //! Writers are plain `put_*` helpers appending to a `Vec<u8>`; reads go
 //! through [`Reader`], a bounds-checked cursor that returns an error on
@@ -16,11 +15,6 @@ use mpr_ndlog::{Persistence, Schema, Tuple, Value};
 
 /// Append a `u32`, little-endian.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a `u64`, little-endian.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -108,11 +102,6 @@ impl<'a> Reader<'a> {
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `i64`.
