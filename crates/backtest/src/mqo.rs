@@ -132,14 +132,13 @@ use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::{build_dispatch, CompiledRule, TriggerDispatch};
+use mpr_runtime::{build_dispatch, LazyRule, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimStats;
 use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
-use std::cell::OnceCell;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
@@ -391,9 +390,9 @@ struct TaggedEngine<'a> {
     catalog: &'a Catalog,
     codec: &'a TupleCodec,
     /// Per variant, its compiled form: a candidate's own copy is compiled
-    /// up front, a borrowed base rule when a delta first reaches it. `None`
-    /// for a rule that does not compile, or aggregates.
-    compiled: Vec<OnceCell<Option<CompiledRule>>>,
+    /// up front, a borrowed base rule when a delta first reaches it, as the
+    /// engine compiles its rules.
+    compiled: Vec<LazyRule>,
     /// table → the `(variant, body position)` pairs its deltas visit,
     /// grouped by prefilter constant.
     dispatch: HashMap<String, Arc<TriggerDispatch>>,
@@ -428,39 +427,34 @@ struct TaggedEngine<'a> {
     memo_hits: u64,
 }
 
-/// `rule` in the form this evaluator fires, if it has one.
-fn compile(rule: &Rule, catalog: &Catalog) -> Option<CompiledRule> {
-    CompiledRule::compile(rule, catalog).ok().filter(|_| !rule.is_aggregate())
-}
-
 impl<'a> TaggedEngine<'a> {
     fn new(program: &'a TaggedProgram<'a>, catalog: &'a Catalog, codec: &'a TupleCodec) -> Self {
-        let mut triggers: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+        let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
         let mut diverged: TagSet = 0;
         let mut compiled = Vec::with_capacity(program.variants.len());
         for (vi, v) in program.variants.iter().enumerate() {
             for (ai, atom) in v.rule.body.iter().enumerate() {
-                triggers.entry(atom.table.clone()).or_default().push((vi, ai));
+                triggers.entry(atom.table.as_str()).or_default().push((vi, ai));
             }
             // The reference refuses a program one of whose rules does not
             // compile, whether or not a delta ever reaches the rule.
-            let form = OnceCell::new();
+            let form = LazyRule::default();
             if let Cow::Owned(rule) = &v.rule {
-                if form.get_or_init(|| compile(rule, catalog)).is_none() {
+                if form.get(rule, catalog, |_| ()).is_none() {
                     diverged |= v.mask;
                 }
             }
             compiled.push(form);
         }
         let mut keyed = HashMap::new();
-        for (table, readers) in &triggers {
+        for (&table, readers) in &triggers {
             if codec.is_output(table) {
                 diverged |= readers.iter().fold(0, |m, &(vi, _)| m | program.variants[vi].mask);
             }
             if let Some(schema) = catalog.get(table).filter(|s| s.is_state()) {
                 let keys = schema.effective_keys();
                 if keys.len() < schema.arity {
-                    keyed.insert(table.clone(), keys);
+                    keyed.insert(table.to_string(), keys);
                 }
             }
         }
@@ -556,8 +550,7 @@ impl<'a> TaggedEngine<'a> {
                     if active == 0 {
                         continue;
                     }
-                    let Some(rule) = self.compiled[vi].get_or_init(|| compile(&variant.rule, self.catalog))
-                    else {
+                    let Some((rule, ())) = self.compiled[vi].get(&variant.rule, self.catalog, |_| ()) else {
                         self.diverged |= active;
                         continue;
                     };
@@ -1556,6 +1549,26 @@ mod tests {
         assert!(mqo_supported(&fig2_program()));
         let agg = parse_program("agg", "r1 B(@N,a_count<X>) :- A(@N,X).").unwrap();
         assert!(!mqo_supported(&agg));
+    }
+
+    #[test]
+    fn a_candidates_own_copy_that_does_not_compile_diverges_up_front() {
+        // Candidate 1 adds a rule no tuple reaches, and that does not
+        // compile; candidate 2 a rule no tuple reaches, and that does. The
+        // base's rules wait for a delta.
+        let base = fig2_program();
+        let rule = |src: &str| parse_program("added", src).unwrap().rules.remove(0);
+        let added = |r: Rule| RuleDelta { added: vec![r], ..RuleDelta::default() };
+        let deltas = [
+            RuleDelta::default(),
+            added(rule("n1 FlowTable(@S,H,P) :- Never(@S,H,X), P := X + Zz.")),
+            added(rule("n2 FlowTable(@S,H,P) :- Never(@S,H,P), P > 1.")),
+        ];
+        let (tagged, setup) = (tagged_program(&base, &deltas), setup());
+        let engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec);
+        assert_eq!(engine.diverged, 0b010, "before any step");
+        let compiled: Vec<bool> = engine.compiled.iter().map(LazyRule::is_compiled).collect();
+        assert_eq!(compiled, [false, false, false, false, true]);
     }
 
     #[test]

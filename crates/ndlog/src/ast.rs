@@ -12,7 +12,7 @@
 use crate::schema::Catalog;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 /// Comparison operators allowed in selection predicates.
@@ -743,7 +743,9 @@ impl Program {
     /// Validate the program: unique rule ids, no unbound head variables,
     /// consistent arity per table.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        // One table for the ids, not a tree node per few of them: a
+        // program is validated each time an engine is built over it.
+        let mut seen: HashSet<&str> = HashSet::with_capacity(self.rules.len());
         let mut arities: std::collections::BTreeMap<&str, usize> = Default::default();
         for r in &self.rules {
             if !seen.insert(&r.id) {

@@ -4,11 +4,13 @@
 //! What a rule is at run time is [`crate::compiled`]'s business — slots,
 //! per-delta-position column programs, the selection schedule, the column
 //! prefilter. This module drives that form for the engine: once per engine
-//! it registers, for every join extension of every plan, the keyed index
-//! ([`crate::index`]) over the columns the extension knows before it runs
-//! ([`register_indexes`]), and groups each table's triggers by the constant
-//! their prefilters pin a delta column to ([`build_dispatch`] — the same
-//! builder the joint backtest dispatches its rule variants with).
+//! it groups each table's triggers by the constant their prefilters pin a
+//! delta column to ([`build_dispatch`] — the same builder the joint
+//! backtest dispatches its rule variants with), reading the source rules;
+//! the first delta that reaches a rule compiles it and registers, for every
+//! join extension of every plan, the keyed index ([`crate::index`]) over
+//! the columns the extension knows before it runs, filled from the store
+//! if it is new ([`probed_indexes`]).
 //!
 //! At runtime, `Engine::drain_batch` runs the classic semi-naive rounds:
 //! the whole pending delta becomes the *recent* partition
@@ -29,11 +31,12 @@
 //! id per body atom each — and a candidate is matched *into* its partial
 //! match's frame, copied to the next level only if it survives.
 
-use crate::compiled::{eq_consts, match_cols};
+use crate::compiled::{eq_consts, match_cols, CompiledRule};
 use crate::delta::{DeltaTracker, Visibility};
-use crate::engine::{Engine, EngineRule, RuleForm, RuntimeError, StepResult};
+use crate::engine::{Engine, RuntimeError, StepResult};
 use crate::index::{IndexRegistry, IndexSpec};
 use crate::log::{TupleId, TupleKind};
+use crate::store::Store;
 use mpr_ndlog::{Rule, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -125,66 +128,66 @@ fn keyable(v: &Value) -> bool {
 /// firing order — by the constant `rule(i)`'s column prefilter pins the
 /// column most of the table's triggers constrain to (see
 /// [`TriggerDispatch`]). Reads the source rules, so the rules need not be
-/// compiled yet.
+/// compiled yet; each trigger's constants are read once.
 pub fn build_dispatch<'r>(
-    triggers: &HashMap<String, Vec<(usize, usize)>>,
+    triggers: &HashMap<&str, Vec<(usize, usize)>>,
     rule: impl Fn(usize) -> &'r Rule,
 ) -> HashMap<String, Arc<TriggerDispatch>> {
-    let keyable_consts =
-        |ri: usize, ai: usize| eq_consts(rule(ri), ai).filter(|&(_, val)| keyable(val));
+    // Per table: `(trigger, column, constant)` in trigger order, and the
+    // constants per column.
+    let mut consts: Vec<(usize, usize, &Value)> = Vec::new();
+    let mut votes: Vec<usize> = Vec::new();
     triggers
         .iter()
-        .map(|(table, list)| {
-            let mut votes: HashMap<usize, usize> = HashMap::new();
-            for &(ri, ai) in list {
-                for (col, _) in keyable_consts(ri, ai) {
-                    *votes.entry(col).or_default() += 1;
+        .map(|(&table, list)| {
+            consts.clear();
+            votes.clear();
+            for (k, &(ri, ai)) in list.iter().enumerate() {
+                for (col, val) in eq_consts(rule(ri), ai).filter(|&(_, val)| keyable(val)) {
+                    if votes.len() <= col {
+                        votes.resize(col + 1, 0);
+                    }
+                    votes[col] += 1;
+                    consts.push((k, col, val));
                 }
             }
             // Most-constrained column wins; ties break to the lowest
             // column so the choice is deterministic.
-            let col = votes
-                .iter()
-                .max_by_key(|&(&c, &n)| (n, std::cmp::Reverse(c)))
-                .map(|(&c, _)| c);
-            let mut dispatch = TriggerDispatch {
-                col: col.unwrap_or(0),
-                keyed: HashMap::new(),
-                rest: Vec::new(),
-            };
-            for &(ri, ai) in list {
-                match keyable_consts(ri, ai).find(|&(c, _)| Some(c) == col) {
-                    Some((_, v)) => dispatch.keyed.entry(v.clone()).or_default().push((ri, ai)),
-                    None => dispatch.rest.push((ri, ai)),
+            let col = (0..votes.len()).max_by_key(|&c| (votes[c], std::cmp::Reverse(c))).unwrap_or(0);
+            let mut dispatch = TriggerDispatch { col, keyed: HashMap::new(), rest: Vec::new() };
+            // A trigger is keyed by its first constant on the column.
+            let mut on_col = consts.iter().filter(|&&(_, c, _)| c == col).peekable();
+            for (k, &trigger) in list.iter().enumerate() {
+                let mut first = None;
+                while let Some(&(_, _, val)) = on_col.next_if(|&&(owner, ..)| owner == k) {
+                    first.get_or_insert(val);
+                }
+                match first {
+                    Some(val) => dispatch.keyed.entry(val.clone()).or_default().push(trigger),
+                    None => dispatch.rest.push(trigger),
                 }
             }
-            (table.clone(), Arc::new(dispatch))
+            (table.to_string(), Arc::new(dispatch))
         })
         .collect()
 }
 
-/// Register, for every join extension of every compiled rule, the keyed
-/// index over the columns the extension knows before it runs.
-pub(crate) fn register_indexes(rules: &mut [EngineRule], registry: &mut IndexRegistry) {
-    for er in rules {
-        if let RuleForm::Compiled(rule) = &er.form {
-            er.index_ids = rule
-                .deltas
-                .iter()
-                .map(|plan| {
-                    plan.exts
-                        .iter()
-                        .map(|ext| {
-                            registry.register(IndexSpec {
-                                table: ext.table.clone(),
-                                cols: ext.probe_cols().collect(),
-                            })
-                        })
-                        .collect()
-                })
-                .collect();
-        }
-    }
+/// The keyed index each join extension of `rule` probes, `[delta position]
+/// [extension]`: registered over the columns the extension knows before it
+/// runs and, if new, filled from the store's live tuples of its table. In
+/// debug builds every index over that table is then checked against them.
+pub(crate) fn probed_indexes(rule: &CompiledRule, registry: &mut IndexRegistry, store: &Store) -> Vec<Vec<usize>> {
+    let live = |table: &str| store.scan(table, None).map(|l| (l.tid, &l.tuple));
+    let mut register = |table: &str, cols: Vec<usize>| {
+        let id = registry.register(IndexSpec { table: table.to_string(), cols }, live(table));
+        #[cfg(debug_assertions)]
+        assert!(registry.holds_exactly(table, || live(table)), "an index over {table} is not its live tuples");
+        id
+    };
+    rule.deltas
+        .iter()
+        .map(|plan| plan.exts.iter().map(|ext| register(&ext.table, ext.probe_cols().collect())).collect())
+        .collect()
 }
 
 /// The partial matches of the join level being extended and of the next,
@@ -300,7 +303,14 @@ impl Engine {
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
         let rules = Arc::clone(&self.rules);
-        let RuleForm::Compiled(rule) = &rules[rule_idx].form else {
+        let (indexes, store) = (&mut self.indexes, &self.store);
+        let source = &self.program.rules[rule_idx];
+        let compiled = rules[rule_idx].compiled.get(source, &self.program.catalog, |rule| {
+            probed_indexes(rule, indexes, store)
+        });
+        // `check` passed at construction: every rule that reaches here
+        // compiles.
+        let Some((rule, index_ids)) = compiled else {
             return Ok(());
         };
         let plan = &rule.deltas[atom_idx];
@@ -321,7 +331,7 @@ impl Engine {
         s.tids.clear();
         s.tids.resize(b, 0);
         s.tids[atom_idx] = delta_tid;
-        for (ext, &index_id) in plan.exts.iter().zip(&rules[rule_idx].index_ids[atom_idx]) {
+        for (ext, &index_id) in plan.exts.iter().zip(&index_ids[atom_idx]) {
             s.next_frames.clear();
             s.next_tids.clear();
             // Positional semi-naive discipline: an atom *after* the delta
@@ -396,18 +406,47 @@ mod tests {
 
     #[test]
     fn plans_register_one_index_per_extension_shape() {
+        // They register when a delta first reaches their rule, filled
+        // with what is live by then.
         let src = r"
             materialize(Link, infinity, 2, keys(0,1)).
             materialize(Reach, infinity, 2, keys(0,1)).
+            materialize(Other, infinity, 1, keys(0)).
             r1 Reach(@C,X,Y) :- Link(@C,X,Y), X != Y.
             r2 Reach(@C,X,Z) :- Reach(@C,X,Y), Link(@C,Y,Z), X != Z.
+            r3 Reach(@C,X,X) :- Other(@C,X), Link(@C,X,X).
         ";
-        let e = batch_engine(src);
-        // r1 has a single-atom body (no extensions); r2 contributes two
-        // delta positions: Reach-delta probes Link on (loc, arg0) and
-        // Link-delta probes Reach on (loc, arg1).
+        let mut e = batch_engine(src);
         assert_eq!(e.strategy(), EvalStrategy::Batch);
-        assert!(e.index_entries() == 0, "no tuples inserted yet");
+        assert!(e.indexes.is_empty(), "nothing is compiled before a delta reaches it");
+        let compiled = |e: &Engine| e.rules.iter().map(|r| r.compiled.is_compiled()).collect::<Vec<_>>();
+        e.insert(Tuple::new("Link", Value::str("C"), vec![Value::Int(1), Value::Int(2)])).unwrap();
+        // Every rule `Link` triggers compiled. r1 has a single-atom body (no
+        // extensions); r2 contributes two delta positions: Reach-delta
+        // probes Link on (loc, arg0) and Link-delta probes Reach on (loc,
+        // arg1); r3's Link-delta probes Other on (loc, arg0), its
+        // Other-delta Link on (loc, arg0, arg1).
+        assert_eq!(compiled(&e), [true, true, true]);
+        assert_eq!(e.indexes.len(), 4);
+        // The Link and Reach tuples the insert made were already live when
+        // r2 registered the indexes over them.
+        assert_eq!(e.index_entries(), 3, "Link (1,2) twice, Reach (1,2) once");
+    }
+
+    #[test]
+    fn a_rule_no_delta_reaches_is_never_compiled() {
+        let src = r"
+            materialize(Link, infinity, 2, keys(0,1)).
+            materialize(Reach, infinity, 2, keys(0,1)).
+            materialize(Other, infinity, 1, keys(0)).
+            r1 Reach(@C,X,Y) :- Link(@C,X,Y), X != Y.
+            r2 Reach(@C,X,X) :- Other(@C,X), Never(@C,X).
+        ";
+        let mut e = batch_engine(src);
+        e.insert(Tuple::new("Link", Value::str("C"), vec![Value::Int(1), Value::Int(2)])).unwrap();
+        let compiled: Vec<bool> = e.rules.iter().map(|r| r.compiled.is_compiled()).collect();
+        assert_eq!(compiled, [true, false], "no Other and no Never: r2 is never reached");
+        assert!(e.indexes.is_empty(), "r1 joins nothing");
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //! Two drivers fire through this form: the batch engine
 //! (`batch.rs`, keyed index probes, tuple ids as the annotation) and the
 //! joint backtest (`mpr_backtest::mqo`, through [`CompiledRule::fire_scan`],
-//! candidate tag sets as the annotation). The name-keyed interpreter
+//! candidate tag sets as the annotation). Both compile a rule the first
+//! time a delta reaches it, into a [`LazyRule`]; what they refuse up front
+//! they refuse by [`check`], the binding half of the compilation, which
+//! allocates nothing. The name-keyed interpreter
 //! ([`crate::engine::match_atom`], [`crate::engine::instantiate`],
 //! `Selection::eval` over `Env`) stays where it is the independent oracle:
 //! the `Pipelined` reference engine, the naive fixpoint, the aggregates,
@@ -43,6 +46,7 @@ use mpr_ndlog::ast::{Atom, BinOp, CmpOp, Expr, Rule, Term};
 use mpr_ndlog::eval::{eval_binop, FuncHost};
 use mpr_ndlog::{Catalog, EvalError, Tuple, Value};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// A slot: the index of a rule variable in a [`Frame`].
 type Slot = u32;
@@ -190,31 +194,61 @@ pub fn eq_consts(rule: &Rule, d: usize) -> impl Iterator<Item = (usize, &Value)>
     column_tests(rule, d).filter(|t| t.2 == CmpOp::Eq).map(|(_, col, _, c, _)| (col, c))
 }
 
-/// `e` over slots. A variable not in `names` is reported through
-/// `unbound` (the alphabetically first one wins, as the interpreter's
-/// sorted variable sets had it) and compiles to a placeholder the caller
-/// must not keep.
-fn compile_expr<'r>(e: &'r Expr, names: &[&str], unbound: &mut Option<&'r str>) -> SlotExpr {
+/// The alphabetically first variable of `e` that `bound` rejects, or
+/// `first` if that sorts before it — as the interpreter's sorted variable
+/// sets had it.
+fn first_unbound<'r>(e: &'r Expr, bound: &impl Fn(&str) -> bool, first: Option<&'r str>) -> Option<&'r str> {
+    match e {
+        Expr::Const(_) => first,
+        Expr::Var(v) if !bound(v) && first.map_or(true, |u| v.as_str() < u) => Some(v),
+        Expr::Var(_) => first,
+        Expr::Binary(_, l, r) => first_unbound(r, bound, first_unbound(l, bound, first)),
+        Expr::Call(_, args) => args.iter().fold(first, |u, a| first_unbound(a, bound, u)),
+    }
+}
+
+/// The binding checks of [`CompiledRule::compile`], which runs them first:
+/// every variable an assignment reads is bound by the body or an earlier
+/// assignment, every variable a selection reads by the body or any
+/// assignment, and no body atom carries an aggregate. Allocates nothing
+/// unless the rule fails. A driver that compiles rules lazily runs this on
+/// every rule up front, so a program is refused — with the same error, for
+/// the same rule, in program order — whether or not a delta ever reaches
+/// the bad rule.
+pub fn check(rule: &Rule) -> Result<(), CompileError> {
+    let in_body = |v: &str| rule.body.iter().any(|a| a.var_names().any(|b| b == v));
+    for (j, a) in rule.assigns.iter().enumerate() {
+        let bound = |v: &str| in_body(v) || rule.assigns[..j].iter().any(|p| p.var == v);
+        if let Some(var) = first_unbound(&a.expr, &bound, None) {
+            return Err(CompileError::UnboundAssignVar { rule: rule.id.clone(), var: var.into() });
+        }
+    }
+    let bound = |v: &str| in_body(v) || rule.assigns.iter().any(|a| a.var == v);
+    for s in &rule.sels {
+        if let Some(var) = first_unbound(&s.rhs, &bound, first_unbound(&s.lhs, &bound, None)) {
+            return Err(CompileError::UnboundSelectionVar { rule: rule.id.clone(), var: var.into() });
+        }
+    }
+    if rule.body.iter().any(Atom::has_agg) {
+        return Err(CompileError::AggInBody { rule: rule.id.clone() });
+    }
+    Ok(())
+}
+
+/// `e` over slots; [`check`] has bound every variable it reads.
+fn compile_expr(e: &Expr, names: &[&str]) -> SlotExpr {
     match e {
         Expr::Const(v) => SlotExpr::Const(v.clone()),
-        Expr::Var(v) => match names.iter().position(|n| n == v) {
-            Some(s) => SlotExpr::Slot(s as Slot),
-            None => {
-                if unbound.map_or(true, |u| v.as_str() < u) {
-                    *unbound = Some(v);
-                }
-                SlotExpr::Slot(Slot::MAX)
-            }
-        },
-        Expr::Binary(op, l, r) => SlotExpr::Binary(
-            *op,
-            Box::new(compile_expr(l, names, unbound)),
-            Box::new(compile_expr(r, names, unbound)),
-        ),
-        Expr::Call(name, args) => SlotExpr::Call(
-            name.clone(),
-            args.iter().map(|a| compile_expr(a, names, unbound)).collect(),
-        ),
+        Expr::Var(v) => {
+            let slot = names.iter().position(|n| n == v).expect("`check` bound every variable");
+            SlotExpr::Slot(slot as Slot)
+        }
+        Expr::Binary(op, l, r) => {
+            SlotExpr::Binary(*op, Box::new(compile_expr(l, names)), Box::new(compile_expr(r, names)))
+        }
+        Expr::Call(name, args) => {
+            SlotExpr::Call(name.clone(), args.iter().map(|a| compile_expr(a, names)).collect())
+        }
     }
 }
 
@@ -322,10 +356,11 @@ impl DeltaPlan {
 
 impl CompiledRule {
     /// Compile `rule`; `catalog` says whether its head is an event table.
-    /// The one binding analysis a rule gets: slot resolution, the
-    /// bound-before-use checks of selections and assignments, the per-delta
-    /// column programs and the selection schedule.
+    /// The one binding analysis a rule gets: the bound-before-use checks of
+    /// selections and assignments ([`check`]), slot resolution, the
+    /// per-delta column programs and the selection schedule.
     pub fn compile(rule: &Rule, catalog: &Catalog) -> Result<Self, CompileError> {
+        check(rule)?;
         // Slots in first-occurrence order: body columns, then assignment
         // targets. `bound_at[slot]` is the stage an assignment first binds
         // a slot the body does not; body slots are staged per delta plan.
@@ -339,30 +374,18 @@ impl CompiledRule {
         let n_body_slots = names.len();
         let mut assigns = Vec::with_capacity(rule.assigns.len());
         for a in &rule.assigns {
-            let mut unbound = None;
-            let expr = compile_expr(&a.expr, &names, &mut unbound);
-            if let Some(var) = unbound {
-                return Err(CompileError::UnboundAssignVar { rule: rule.id.clone(), var: var.into() });
-            }
+            let expr = compile_expr(&a.expr, &names);
             let slot = names.iter().position(|n| *n == a.var).unwrap_or_else(|| {
                 names.push(&a.var);
                 names.len() - 1
             });
             assigns.push(AssignStep { slot: slot as Slot, expr, ready: Vec::new() });
         }
-        let mut sels = Vec::with_capacity(rule.sels.len());
-        for s in &rule.sels {
-            let mut unbound = None;
-            let lhs = compile_expr(&s.lhs, &names, &mut unbound);
-            let rhs = compile_expr(&s.rhs, &names, &mut unbound);
-            if let Some(var) = unbound {
-                return Err(CompileError::UnboundSelectionVar { rule: rule.id.clone(), var: var.into() });
-            }
-            sels.push(Sel { lhs, op: s.op, rhs });
-        }
-        if rule.body.iter().any(Atom::has_agg) {
-            return Err(CompileError::AggInBody { rule: rule.id.clone() });
-        }
+        let sels: Vec<Sel> = rule
+            .sels
+            .iter()
+            .map(|s| Sel { lhs: compile_expr(&s.lhs, &names), op: s.op, rhs: compile_expr(&s.rhs, &names) })
+            .collect();
         // Stages: 0 the delta atom, k + 1 extension k, n_body + j
         // assignment j. A body slot is bound at a stage that depends on the
         // delta position (`UNBOUND` until its plan places it); a slot only
@@ -551,5 +574,43 @@ impl CompiledRule {
                 out.push((head, ann));
             }
         }
+    }
+}
+
+/// A rule's compiled form, built the first time a driver asks for it —
+/// with what the driver derives from it (`X`: the engine's index ids,
+/// nothing for the joint replay) — and kept. A program of 900 rules whose
+/// traffic reaches a handful compiles a handful.
+#[derive(Debug)]
+pub struct LazyRule<X = ()>(OnceLock<Option<(CompiledRule, X)>>);
+
+impl<X> Default for LazyRule<X> {
+    fn default() -> Self {
+        LazyRule(OnceLock::new())
+    }
+}
+
+impl<X> LazyRule<X> {
+    /// `rule` compiled, and `derive` of it, made on the first call; `None`
+    /// for a rule that does not compile, or aggregates — the engine runs
+    /// those through the interpreter, the joint replay hands back the
+    /// candidates that reach them.
+    pub fn get(
+        &self,
+        rule: &Rule,
+        catalog: &Catalog,
+        derive: impl FnOnce(&CompiledRule) -> X,
+    ) -> Option<(&CompiledRule, &X)> {
+        let form = self.0.get_or_init(|| {
+            let compiled = CompiledRule::compile(rule, catalog).ok().filter(|_| !rule.is_aggregate())?;
+            let derived = derive(&compiled);
+            Some((compiled, derived))
+        });
+        form.as_ref().map(|(compiled, derived)| (compiled, derived))
+    }
+
+    /// Has [`Self::get`] compiled the rule?
+    pub fn is_compiled(&self) -> bool {
+        self.0.get().is_some_and(Option::is_some)
     }
 }

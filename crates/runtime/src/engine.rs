@@ -7,7 +7,11 @@
 //! ([`crate::delta`]) ensuring each new body combination fires exactly once
 //! per round. Its rules are compiled ([`crate::compiled`]): variables are
 //! slots of a frame, atoms column programs, and when each selection runs is
-//! fixed per rule, so a firing names no variable and clones no syntax.
+//! fixed per rule, so a firing names no variable and clones no syntax. A
+//! rule is compiled — and the indexes it probes registered — the first time
+//! a delta reaches it, so a program pays for the rules its traffic fires;
+//! construction only checks every rule ([`crate::compiled::check`]), so a
+//! program is refused exactly as if every rule had been compiled.
 //!
 //! A second evaluator, [`EvalStrategy::Pipelined`], is kept as a *test
 //! reference* only: the strategy RapidNet uses (and the one the paper's
@@ -40,14 +44,14 @@
 //! `FlowTable` entry.
 
 use crate::batch;
-use crate::compiled::CompiledRule;
+use crate::compiled::{self, LazyRule};
 use crate::delta::{DeltaTracker, RelationDeltaStats};
 use crate::index::IndexRegistry;
 use crate::log::{ExecLog, Time, TupleId, TupleKind};
 use crate::store::{AddOutcome, DropOutcome, Store};
 use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
 use mpr_ndlog::eval::{Bindings, CountingFuncs, Env};
-use mpr_ndlog::{Program, Schema, Tuple, Value};
+use mpr_ndlog::{Catalog, Program, Schema, Tuple, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -309,28 +313,43 @@ pub(crate) struct AggSpec {
     value_var: String,
 }
 
-/// What the engine fires a rule through.
-#[derive(Debug)]
-pub(crate) enum RuleForm {
-    /// Slots and column programs ([`crate::compiled`]): every join rule of
-    /// a [`EvalStrategy::Batch`] engine.
-    Compiled(CompiledRule),
-    /// The source rule, run by the name-keyed interpreter where that is
-    /// the point: every rule of a [`EvalStrategy::Pipelined`] reference
-    /// engine, and aggregate rules (`agg_add`) under either strategy.
-    Source(Rule),
+/// The aggregate `rule`'s head carries, if any, checked: exactly one, the
+/// last head argument, over one body predicate of a state table.
+fn agg_spec(rule: &Rule, catalog: &Catalog) -> Result<Option<AggSpec>, CompileError> {
+    if !rule.is_aggregate() {
+        return Ok(None);
+    }
+    let bad = |reason: &str| CompileError::BadAggregate { rule: rule.id.clone(), reason: reason.into() };
+    if rule.head.args.iter().filter(|t| matches!(t, Term::Agg(..))).count() != 1 {
+        return Err(bad("exactly one aggregate argument is supported"));
+    }
+    let Some(Term::Agg(kind, var)) = rule.head.args.last() else {
+        return Err(bad("the aggregate must be the last head argument"));
+    };
+    if rule.body.len() != 1 {
+        return Err(bad("aggregate rules take exactly one body predicate"));
+    }
+    if catalog.get(&rule.body[0].table).is_some_and(|s| !s.is_state()) {
+        return Err(CompileError::AggregateOverEvent { rule: rule.id.clone() });
+    }
+    Ok(Some(AggSpec { kind: *kind, value_var: var.clone() }))
 }
 
+/// What the engine keeps per rule besides its source. A join rule of a
+/// [`EvalStrategy::Batch`] engine fires through its compiled form
+/// ([`crate::compiled`]), made at the first delta that reaches it; every
+/// rule of a [`EvalStrategy::Pipelined`] reference engine, and aggregate
+/// rules (`agg_add`) under either strategy, run their source through the
+/// name-keyed interpreter.
 #[derive(Debug)]
 pub(crate) struct EngineRule {
-    pub(crate) form: RuleForm,
+    /// The compiled form and, `[delta position][extension]`, the keyed
+    /// index each join extension probes (`batch::probed_indexes`).
+    pub(crate) compiled: LazyRule<Vec<Vec<usize>>>,
     /// Is the head an event table?
     head_is_event: bool,
     /// Aggregate spec, if the head carries one.
     pub(crate) agg: Option<AggSpec>,
-    /// The keyed index each join extension probes, `[delta position]
-    /// [extension]` (compiled rules only; see `batch::register_indexes`).
-    pub(crate) index_ids: Vec<Vec<usize>>,
 }
 
 /// A derivation that a disappearing body tuple can still retract. Ids
@@ -358,8 +377,11 @@ struct AggGroup {
 
 /// The engine. See the module docs for semantics.
 pub struct Engine {
-    /// Shared so a firing can hold its rule across the `&mut self` calls
-    /// it makes (and any nested fixpoint those trigger).
+    /// The program, shared with whoever built the engine (the controller).
+    pub(crate) program: Arc<Program>,
+    /// One per rule of `program`. Shared so a firing can hold its rule
+    /// across the `&mut self` calls it makes (and any nested fixpoint those
+    /// trigger).
     pub(crate) rules: Arc<Vec<EngineRule>>,
     /// table → (rule index, body atom index) that the table can trigger
     /// (pipelined only). Shared so the drain loop can hold a table's list
@@ -406,59 +428,33 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Compile `program` with default options.
+    /// An engine for `program` with default options.
     pub fn new(program: &Program) -> Result<Self, CompileError> {
         Self::with_options(program, Options::default())
     }
 
-    /// Compile `program`.
+    /// An engine for a copy of `program`.
     pub fn with_options(program: &Program, opts: Options) -> Result<Self, CompileError> {
+        Self::shared(Arc::new(program.clone()), opts)
+    }
+
+    /// An engine for `program`, shared rather than copied (the controller
+    /// hands over its own). Every rule is checked here — a program is
+    /// refused with the first rule's [`CompileError`], in program order,
+    /// whether or not a delta ever reaches that rule — and compiled the
+    /// first time a delta reaches it.
+    pub fn shared(program: Arc<Program>, opts: Options) -> Result<Self, CompileError> {
         program.validate().map_err(CompileError::InvalidProgram)?;
-        let mut rules = Vec::new();
-        let mut triggers: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
-        // (wrapped into Arcs once fully built, below)
+        let mut rules = Vec::with_capacity(program.rules.len());
+        let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
         let mut store = Store::new();
         for s in program.catalog.iter() {
             store.declare(s.clone());
         }
         let strategy = opts.strategy;
         for (ri, rule) in program.rules.iter().enumerate() {
-            // Slot resolution and the bound-before-use checks.
-            let compiled = CompiledRule::compile(rule, &program.catalog)?;
-            // -- aggregates ------------------------------------------------
-            let agg = if rule.is_aggregate() {
-                let n_aggs =
-                    rule.head.args.iter().filter(|t| matches!(t, Term::Agg(..))).count();
-                if n_aggs != 1 {
-                    return Err(CompileError::BadAggregate {
-                        rule: rule.id.clone(),
-                        reason: "exactly one aggregate argument is supported".into(),
-                    });
-                }
-                match rule.head.args.last() {
-                    Some(Term::Agg(kind, var)) => {
-                        if rule.body.len() != 1 {
-                            return Err(CompileError::BadAggregate {
-                                rule: rule.id.clone(),
-                                reason: "aggregate rules take exactly one body predicate".into(),
-                            });
-                        }
-                        let over = program.catalog.get(&rule.body[0].table);
-                        if over.is_some_and(|s| !s.is_state()) {
-                            return Err(CompileError::AggregateOverEvent { rule: rule.id.clone() });
-                        }
-                        Some(AggSpec { kind: *kind, value_var: var.clone() })
-                    }
-                    _ => {
-                        return Err(CompileError::BadAggregate {
-                            rule: rule.id.clone(),
-                            reason: "the aggregate must be the last head argument".into(),
-                        })
-                    }
-                }
-            } else {
-                None
-            };
+            compiled::check(rule)?;
+            let agg = agg_spec(rule, &program.catalog)?;
             // Aggregate heads are keyed on the group columns so updates
             // replace rather than accumulate.
             if agg.is_some() {
@@ -470,23 +466,17 @@ impl Engine {
                 ));
             }
             for (ai, atom) in rule.body.iter().enumerate() {
-                triggers.entry(atom.table.clone()).or_default().push((ri, ai));
+                triggers.entry(atom.table.as_str()).or_default().push((ri, ai));
             }
-            let head_is_event = compiled.head_is_event();
-            let form = if agg.is_some() || strategy == EvalStrategy::Pipelined {
-                RuleForm::Source(rule.clone())
-            } else {
-                RuleForm::Compiled(compiled)
-            };
-            rules.push(EngineRule { form, head_is_event, agg, index_ids: Vec::new() });
+            let head_is_event = program.catalog.get(&rule.head.table).is_some_and(|s| !s.is_state());
+            rules.push(EngineRule { compiled: LazyRule::default(), head_is_event, agg });
         }
         let funcs = CountingFuncs::starting_at(opts.unique_seed);
-        let mut indexes = IndexRegistry::default();
-        let batch_dispatch = if strategy == EvalStrategy::Batch {
-            batch::register_indexes(&mut rules, &mut indexes);
-            batch::build_dispatch(&triggers, |ri| &program.rules[ri])
-        } else {
-            HashMap::new()
+        let (batch_dispatch, triggers) = match strategy {
+            EvalStrategy::Batch => (batch::build_dispatch(&triggers, |ri| &program.rules[ri]), HashMap::new()),
+            EvalStrategy::Pipelined => {
+                (HashMap::new(), triggers.into_iter().map(|(t, l)| (t.to_string(), Arc::new(l))).collect())
+            }
         };
         // Attach the durability journal last, after every schema (catalog
         // and synthesized aggregate keys) is declared, so replay keys
@@ -516,8 +506,9 @@ impl Engine {
             ExecLog::default()
         };
         Ok(Engine {
+            program,
             rules: Arc::new(rules),
-            triggers: triggers.into_iter().map(|(t, l)| (t, Arc::new(l))).collect(),
+            triggers,
             store,
             log,
             opts,
@@ -532,7 +523,7 @@ impl Engine {
             agg_contrib: HashMap::new(),
             total_derivations: 0,
             strategy,
-            indexes,
+            indexes: IndexRegistry::default(),
             batch_dispatch,
             deltas: DeltaTracker::default(),
             scratch: batch::JoinScratch::default(),
@@ -540,6 +531,11 @@ impl Engine {
             wal_dir,
             wal_open_error,
         })
+    }
+
+    /// The program the engine runs.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
     }
 
     /// Current logical time.
@@ -922,10 +918,8 @@ impl Engine {
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
-        let rules = Arc::clone(&self.rules);
-        let RuleForm::Source(rule) = &rules[rule_idx].form else {
-            return Ok(());
-        };
+        let program = Arc::clone(&self.program);
+        let rule = &program.rules[rule_idx];
         let Some(env0) = match_atom(&rule.body[atom_idx], delta, &Env::new()) else {
             return Ok(());
         };
@@ -1095,9 +1089,8 @@ impl Engine {
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
         // Only aggregate triggers dispatch here; stay total regardless.
-        let rules = Arc::clone(&self.rules);
-        let (RuleForm::Source(rule), Some(spec)) = (&rules[rule_idx].form, &rules[rule_idx].agg)
-        else {
+        let (program, rules) = (Arc::clone(&self.program), Arc::clone(&self.rules));
+        let (rule, Some(spec)) = (&program.rules[rule_idx], &rules[rule_idx].agg) else {
             return Ok(());
         };
         let Some(env) = match_atom(&rule.body[0], delta, &Env::new()) else {
@@ -1166,8 +1159,7 @@ impl Engine {
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
         let rules = Arc::clone(&self.rules);
-        let (RuleForm::Source(rule), Some(spec)) = (&rules[rule_idx].form, &rules[rule_idx].agg)
-        else {
+        let Some(spec) = &rules[rule_idx].agg else {
             return Ok(());
         };
         let g = match self.agg_groups.get(&(rule_idx, group.clone())) {
@@ -1179,7 +1171,7 @@ impl Engine {
             AggKind::Min => g.values.keys().next().cloned().unwrap_or(Value::Wild),
             AggKind::Max => g.values.keys().next_back().cloned().unwrap_or(Value::Wild),
         };
-        let table = rule.head.table.clone();
+        let table = self.program.rules[rule_idx].head.table.clone();
         let loc = group[0].clone();
         let mut args: Vec<Value> = group[1..].to_vec();
         args.push(agg_value);
@@ -1568,6 +1560,43 @@ mod tests {
         let p = parse_program("bad2", "r1 B(@N,X) :- A(@N,X), X := Qq + 1.").unwrap();
         // X is bound by the body; Qq is not.
         assert!(matches!(Engine::new(&p), Err(CompileError::UnboundAssignVar { .. })));
+    }
+
+    /// Programs whose rule `bad` does not compile, and reads a table no
+    /// tuple ever reaches — so no delta ever compiles it.
+    fn programs_with_an_unreached_bad_rule() -> Vec<Program> {
+        [
+            "bad B(@N,X) :- Never(@N,X), X > 0, Zz == Aa.",
+            "bad B(@N,X) :- Never(@N,Y), X := Qq + Y.",
+            "bad B(@N,X) :- Never(@N,a_count<X>).",
+        ]
+        .iter()
+        .map(|bad| {
+            let src = format!("materialize(A, infinity, 1, keys(0)).\nok B(@N,X) :- A(@N,X).\n{bad}");
+            parse_program("unreached", &src).unwrap()
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_rule_no_delta_reaches_is_refused_as_compiling_it_would_refuse_it() {
+        for p in programs_with_an_unreached_bad_rule() {
+            let eager = compiled::CompiledRule::compile(&p.rules[1], &p.catalog).unwrap_err();
+            for strategy in [EvalStrategy::Batch, EvalStrategy::Pipelined] {
+                let built = Engine::with_options(&p, Options { strategy, ..Options::default() });
+                assert_eq!(built.err(), Some(eager.clone()), "{}", p.rules[1]);
+            }
+        }
+        let unbound = CompileError::UnboundSelectionVar { rule: "bad".into(), var: "Aa".into() };
+        assert_eq!(Engine::new(&programs_with_an_unreached_bad_rule()[0]).err(), Some(unbound));
+        // Of two bad rules, the first in program order is the one reported.
+        let p = parse_program(
+            "two",
+            "first B(@N,X) :- Never(@N,X), X := Zz.\nsecond B(@N,X) :- Never(@N,X), Yy == 1.",
+        )
+        .unwrap();
+        let first = CompileError::UnboundAssignVar { rule: "first".into(), var: "Zz".into() };
+        assert_eq!(Engine::new(&p).err(), Some(first));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Keyed hash indexes on join columns.
 //!
 //! The batch engine ([`crate::engine::EvalStrategy::Batch`]) probes these
-//! instead of scanning a whole table per join extension: every `(table, bound columns)` shape a
-//! compiled rule can ask for is registered up front, and the engine keeps
-//! every registered index in sync with the store as tuples appear and
-//! disappear. A probe returns the tuple instances whose key columns equal
-//! the bound values — O(matches) instead of O(table).
+//! instead of scanning a whole table per join extension: the `(table,
+//! bound columns)` shapes a rule's join extensions ask for are registered
+//! when the rule is compiled — at the first delta that reaches it — and a
+//! new index is filled from the table's live tuples there and then; from
+//! then on the engine keeps every registered index in sync with the store
+//! as tuples appear and disappear. A probe returns the tuple instances
+//! whose key columns equal the bound values — O(matches) instead of
+//! O(table).
 //!
 //! Column numbering is uniform across the crate: column `0` is the `@`
 //! location, column `i + 1` is payload argument `i`.
@@ -56,6 +59,14 @@ struct KeyedIndex {
     buckets: HashMap<Vec<Value>, BTreeSet<TupleId>>,
 }
 
+impl KeyedIndex {
+    fn add(&mut self, tid: TupleId, tuple: &Tuple) {
+        if let Some(key) = self.spec.key_of(tuple) {
+            self.buckets.entry(key).or_default().insert(tid);
+        }
+    }
+}
+
 /// All keyed indexes of one engine, updated together.
 #[derive(Debug, Default)]
 pub struct IndexRegistry {
@@ -67,16 +78,48 @@ pub struct IndexRegistry {
 
 impl IndexRegistry {
     /// Register an index shape, returning its id. Idempotent: the same
-    /// spec always maps to the same id.
-    pub fn register(&mut self, spec: IndexSpec) -> usize {
+    /// spec always maps to the same id. A new index is filled with `live`,
+    /// the live instances of its table, so it is complete from the moment
+    /// it exists; an index already registered is complete already, and
+    /// `live` is not read.
+    pub fn register<'t>(
+        &mut self,
+        spec: IndexSpec,
+        live: impl IntoIterator<Item = (TupleId, &'t Tuple)>,
+    ) -> usize {
         if let Some(&id) = self.ids.get(&spec) {
             return id;
         }
         let id = self.indexes.len();
         self.ids.insert(spec.clone(), id);
         self.by_table.entry(spec.table.clone()).or_default().push(id);
-        self.indexes.push(KeyedIndex { spec, buckets: HashMap::new() });
+        let mut index = KeyedIndex { spec, buckets: HashMap::new() };
+        live.into_iter().for_each(|(tid, tuple)| index.add(tid, tuple));
+        self.indexes.push(index);
         id
+    }
+
+    /// Does every index over `table` hold exactly the keyable instances of
+    /// `live` — each once, under its own key, and nothing else? The check
+    /// behind every backfill in debug builds.
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn holds_exactly<'t, I: Iterator<Item = (TupleId, &'t Tuple)>>(
+        &self,
+        table: &str,
+        live: impl Fn() -> I,
+    ) -> bool {
+        self.by_table.get(table).map_or(&[][..], Vec::as_slice).iter().all(|&id| {
+            let idx = &self.indexes[id];
+            let mut keyed = 0;
+            let all_in = live().all(|(tid, tuple)| match idx.spec.key_of(tuple) {
+                Some(key) => {
+                    keyed += 1;
+                    idx.buckets.get(&key).is_some_and(|b| b.contains(&tid))
+                }
+                None => true,
+            });
+            all_in && idx.buckets.values().map(BTreeSet::len).sum::<usize>() == keyed
+        })
     }
 
     /// Number of registered indexes.
@@ -95,10 +138,7 @@ impl IndexRegistry {
             return;
         };
         for &id in ids {
-            let idx = &mut self.indexes[id];
-            if let Some(key) = idx.spec.key_of(tuple) {
-                idx.buckets.entry(key).or_default().insert(tid);
-            }
+            self.indexes[id].add(tid, tuple);
         }
     }
 
@@ -146,21 +186,41 @@ mod tests {
         Tuple::new("T", loc, args.iter().map(|&v| Value::Int(v)).collect())
     }
 
+    fn spec(cols: Vec<Col>) -> IndexSpec {
+        IndexSpec { table: "T".into(), cols }
+    }
+
     #[test]
     fn register_is_idempotent() {
         let mut r = IndexRegistry::default();
-        let a = r.register(IndexSpec { table: "T".into(), cols: vec![0, 2] });
-        let b = r.register(IndexSpec { table: "T".into(), cols: vec![0, 2] });
-        let c = r.register(IndexSpec { table: "T".into(), cols: vec![1] });
+        let a = r.register(spec(vec![0, 2]), []);
+        let b = r.register(spec(vec![0, 2]), []);
+        let c = r.register(spec(vec![1]), []);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(r.len(), 2);
     }
 
     #[test]
+    fn a_late_index_is_filled_from_the_live_tuples() {
+        let mut r = IndexRegistry::default();
+        let (a, b, short) = (t(1, &[5, 8]), t(1, &[5, 9]), t(1, &[]));
+        let live = [(3, &a), (7, &b), (9, &short)];
+        let id = r.register(spec(vec![0, 1]), live);
+        let hits: Vec<TupleId> = r.probe(id, &[Value::Int(1), Value::Int(5)]).collect();
+        assert_eq!(hits, vec![3, 7]);
+        assert!(r.holds_exactly("T", || live.into_iter()));
+        // A registered shape is complete already: what is handed in again
+        // is not read.
+        assert_eq!(r.register(spec(vec![0, 1]), [(4, &a)]), id);
+        assert_eq!(r.entry_count(), 2);
+        assert!(!r.holds_exactly("T", || live[..1].iter().copied()), "an entry too many");
+    }
+
+    #[test]
     fn probe_returns_matching_instances_in_id_order() {
         let mut r = IndexRegistry::default();
-        let id = r.register(IndexSpec { table: "T".into(), cols: vec![0, 1] });
+        let id = r.register(spec(vec![0, 1]), []);
         r.insert(7, &t(1, &[5, 8]));
         r.insert(3, &t(1, &[5, 9]));
         r.insert(4, &t(2, &[5, 9]));
@@ -175,7 +235,7 @@ mod tests {
     #[test]
     fn short_tuples_are_skipped_not_panicking() {
         let mut r = IndexRegistry::default();
-        let id = r.register(IndexSpec { table: "T".into(), cols: vec![3] });
+        let id = r.register(spec(vec![3]), []);
         r.insert(0, &t(1, &[5])); // arity 1 < col 3: unindexable
         assert_eq!(r.entry_count(), 0);
         assert_eq!(r.probe(id, &[Value::Int(5)]).count(), 0);
@@ -185,7 +245,7 @@ mod tests {
     #[test]
     fn empty_cols_index_is_a_table_scan() {
         let mut r = IndexRegistry::default();
-        let id = r.register(IndexSpec { table: "T".into(), cols: vec![] });
+        let id = r.register(spec(vec![]), []);
         r.insert(0, &t(1, &[1]));
         r.insert(1, &t(2, &[2]));
         assert_eq!(r.probe(id, &[]).count(), 2);

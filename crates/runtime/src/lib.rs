@@ -12,8 +12,9 @@
 //! Machinery around the round loop:
 //!
 //! - rules compiled to slot frames, column programs and a static selection
-//!   schedule ([`compiled`]) — what both the round loop and the joint
-//!   backtest of `mpr_backtest` fire through;
+//!   schedule ([`compiled`]) at the first delta that reaches them — what
+//!   both the round loop and the joint backtest of `mpr_backtest` fire
+//!   through;
 //! - per-node tuple stores with primary-key replacement ([`store`]);
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
 //! - transient *event* tables (`PacketIn` and friends) whose derivations
@@ -42,7 +43,7 @@ pub mod naive;
 pub mod store;
 
 pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
-pub use compiled::CompiledRule;
+pub use compiled::{CompiledRule, LazyRule};
 pub use delta::{DeltaTracker, RelationDeltaStats};
 pub use engine::{
     CompileError, Durability, Engine, EvalStrategy, Options, RuntimeError, StepResult, WalOptions,

@@ -216,14 +216,14 @@ impl TupleCodec {
 pub struct NdlogController {
     engine: Engine,
     codec: TupleCodec,
-    program: Arc<Program>,
     name: String,
 }
 
 impl NdlogController {
-    /// Compile `program` with the default engine options. The controller
-    /// shares the program it is handed: an `Arc<Program>` is kept as it is,
-    /// a `Program` is moved into one.
+    /// Check `program` with the default engine options (its rules compile
+    /// when traffic first reaches them). The controller's engine shares the
+    /// program it is handed: an `Arc<Program>` is kept as it is, a
+    /// `Program` is moved into one.
     pub fn new(
         program: impl Into<Arc<Program>>,
         codec: TupleCodec,
@@ -231,22 +231,21 @@ impl NdlogController {
         Self::with_options(program, codec, EngineOptions::default())
     }
 
-    /// Compile with explicit engine options (e.g. provenance off for the
-    /// §5.4 overhead measurement).
+    /// With explicit engine options (e.g. provenance off for the §5.4
+    /// overhead measurement).
     pub fn with_options(
         program: impl Into<Arc<Program>>,
         codec: TupleCodec,
         opts: EngineOptions,
     ) -> Result<Self, mpr_runtime::CompileError> {
-        let program = program.into();
-        let engine = Engine::with_options(&program, opts)?;
-        let name = format!("ndlog:{}", program.name);
-        Ok(NdlogController { engine, codec, program, name })
+        let engine = Engine::shared(program.into(), opts)?;
+        let name = format!("ndlog:{}", engine.program().name);
+        Ok(NdlogController { engine, codec, name })
     }
 
     /// The controller program.
     pub fn program(&self) -> &Program {
-        &self.program
+        self.engine.program()
     }
 
     /// The codec.
@@ -377,6 +376,29 @@ mod tests {
         assert!(out.is_empty());
         assert!(ctrl.exec_log().len() > 0);
         assert_eq!(ctrl.name(), "ndlog:fig2");
+    }
+
+    #[test]
+    fn a_rule_no_packet_in_reaches_still_refuses_the_controller() {
+        // `Never` receives no tuple, so no delta compiles `t2`; the
+        // controller is refused with what compiling it says, and of two
+        // bad rules the first is named.
+        for also_bad in ["", "t3 FlowTable(@S,H,P) :- Never(@S,H,P), Qq > 1.\n"] {
+            let src = format!(
+                "materialize(PacketIn, event, 2, keys()).\n\
+                 materialize(FlowTable, infinity, 2, keys(0)).\n\
+                 t1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Prt := 1.\n\
+                 t2 FlowTable(@S,H,P) :- Never(@S,H,X), P := X + Zz.\n{also_bad}"
+            );
+            let program = parse_program("refused", &src).unwrap();
+            let eager = mpr_runtime::CompiledRule::compile(program.rule("t2").unwrap(), &program.catalog);
+            let err = NdlogController::new(program, TupleCodec::fig2()).err();
+            assert_eq!(err, eager.err());
+            assert_eq!(
+                err,
+                Some(mpr_runtime::CompileError::UnboundAssignVar { rule: "t2".into(), var: "Zz".into() })
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use sdn_meta_repair::provenance::{
     derivation_set, explain_exist_with, ExplainOptions, ProvTree, Vertex,
 };
 use sdn_meta_repair::runtime::naive::naive_fixpoint;
-use sdn_meta_repair::runtime::{Engine, ExecEvent, ExecLog, Options, TupleId, TupleKind};
+use sdn_meta_repair::runtime::{Engine, ExecEvent, ExecLog, Options, StepResult, TupleId, TupleKind};
 use sdn_meta_repair::EvalStrategy;
 use std::collections::BTreeSet;
 
@@ -477,6 +477,43 @@ fn multiway_join_ordering_agrees() {
         e.insert(t2("A", 7, 8)).unwrap();
         e.insert(t2("E", 9, 7)).unwrap();
         e.delete(&t2("B", 2, 3)).unwrap();
+    });
+}
+
+#[test]
+fn a_join_first_reached_late_sees_what_is_live() {
+    // The batch engine compiles `j` — registering the indexes it probes
+    // and filling them from the store — at the first delta that reaches it.
+    // Dispatch on `B` is keyed on `K`, so the `B` rows with `K != 1` never
+    // reach `j`: `B` is filled and partly retracted first. Then a `Src`
+    // derives `A` and two `B` rows under one key (the second replaces the
+    // first) in one round, and `A`, the next round's first delta, compiles
+    // `j` while a live `A` and a live `B` row exist that were minted before
+    // any index over their tables — the `B` row is the one that joins.
+    let src = r"
+        materialize(Src, infinity, 1, keys(0)).
+        materialize(A, infinity, 1, keys(0)).
+        materialize(B, infinity, 2, keys(0)).
+        materialize(Out, infinity, 2, keys(0,1)).
+        a A(@N,X) :- Src(@N,X).
+        b1 B(@N,K,V) :- Src(@N,X), K := 1, V := X.
+        b2 B(@N,K,V) :- Src(@N,X), K := 1, V := X + 1.
+        j Out(@N,X,V) :- A(@N,X), B(@N,K,V), K == 1.
+    ";
+    let t = |table: &str, args: &[i64]| Tuple::new(table, Value::Int(1), args.iter().map(|&a| Value::Int(a)).collect());
+    dual_run(src, move |e| {
+        let mut seen = Vec::new();
+        let mut step = |r: StepResult| seen.push((r.appeared, r.disappeared));
+        for (k, v) in [(2, 7), (3, 8), (4, 9)] {
+            step(e.insert(t("B", &[k, v])).unwrap());
+        }
+        step(e.delete(&t("B", &[3, 8])).unwrap());
+        step(e.insert(t("Src", &[5])).unwrap());
+        assert!(e.contains(&t("Out", &[5, 6])), "under {}", e.strategy());
+        step(e.insert(t("Src", &[7])).unwrap());
+        step(e.delete(&t("Src", &[5])).unwrap());
+        assert_eq!(e.tuples("Out"), [t("Out", &[7, 8])], "under {}", e.strategy());
+        seen
     });
 }
 
