@@ -10,11 +10,10 @@
 //! those counts over the (sorted) host axis, and the critical value is the
 //! large-sample approximation `c(α)·√((n+m)/(n·m))` with `c(0.05)=1.358`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Result of a two-sample KS test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KsResult {
     /// The D statistic: max ECDF distance.
     pub d: f64,

@@ -7,7 +7,6 @@ use mpr_sdn::controller::{NdlogController, TupleCodec};
 use mpr_sdn::sim::{SimConfig, SimStats, Simulation};
 use mpr_sdn::topology::Topology;
 use mpr_trace::workload::Injection;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -40,7 +39,7 @@ pub struct BacktestSetup {
 }
 
 /// Outcome of replaying one program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayOutcome {
     /// Simulator counters.
     pub stats: SimStats,

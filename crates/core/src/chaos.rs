@@ -29,14 +29,13 @@ use mpr_sdn::{CtrlFaults, FaultPlan, LinkFault, SwitchCrash};
 use mpr_storage::{MemBackend, StorageBackend, WalBackend, WalConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A family of fault schedules the harness knows how to randomize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// One or two links held down for a contiguous window.
     LinkOutage,
@@ -148,7 +147,7 @@ pub fn random_plan(class: FaultClass, seed: u64, topology: &Topology) -> FaultPl
 }
 
 /// One `(scenario, class, seed)` probe of the repair loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOutcome {
     /// Scenario id ("Q1").
     pub scenario: String,
@@ -218,7 +217,7 @@ fn failure(scenario: &Scenario, plan: &FaultPlan, error: String) -> ChaosOutcome
 
 /// The result of a sweep: one [`ChaosOutcome`] per
 /// `(scenario, class, seed)` triple, in sweep order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosReport {
     /// All probe outcomes.
     pub outcomes: Vec<ChaosOutcome>,
@@ -474,7 +473,7 @@ pub fn regression_cases() -> Vec<RegressionCase> {
 // ---------------------------------------------------------------------------
 
 /// Where in the repair loop the process dies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillPhase {
     /// During the observation run: the controller is evaluating the buggy
     /// program to fixpoint against live traffic when the process dies.
@@ -595,7 +594,7 @@ pub fn capture_wal(
 /// One crash point's verdict: the process died after `cut` bytes of the
 /// WAL reached disk; the restart recovered `ops_applied` ops and either
 /// matched the prefix oracle or didn't.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillOutcome {
     /// Scenario id.
     pub scenario: String,
@@ -707,7 +706,7 @@ pub fn random_kill_points(seed: u64, n: usize) -> Vec<u64> {
 
 /// The result of a kill sweep: one [`KillOutcome`] per crash point, in
 /// `(scenario, phase, cut)` order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillReport {
     /// All crash-point outcomes.
     pub outcomes: Vec<KillOutcome>,

@@ -10,10 +10,9 @@
 //!
 //! Costs are *data*, not code — the `micro` bench ablates them.
 
-use serde::{Deserialize, Serialize};
 
 /// Cost of each elementary change. Lower = more plausible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Changing a constant to an adjacent value (off-by-one, the single
     /// most common fix pattern).
@@ -73,7 +72,7 @@ impl CostModel {
 /// Exploration bounds: the "reasonable cut-off cost" and candidate budget
 /// of §3.5 ("the algorithm would be run until some reasonable cut-off cost
 /// is reached, or until the operator's patience runs out").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SearchBudget {
     /// Candidates costing more than this are never emitted.
     pub max_cost: u32,

@@ -16,12 +16,11 @@ use mpr_backtest::replay::{drive, replay_candidates, BacktestSetup, CandidateRun
 use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
 use mpr_runtime::{ExecLog, Options as EngineOptions};
 use mpr_trace::workload::Injection;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fig. 9a phase breakdown.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Scanning the history/log for triggers and controller state.
     pub history_lookups: Duration,

@@ -670,7 +670,9 @@ impl<'a> Search<'a> {
                 full.set(k, v.clone());
             }
         }
-        // Remaining free variables are solved against the rule's selections.
+        // Remaining free variables are solved against the rule's selections,
+        // each over the world's domain — the atom's, and any a selection
+        // reads that no joined atom binds.
         let mut pool = mpr_solver::Pool::new();
         let free: BTreeSet<&str> = atom.var_names().filter(|v| full.get(v).is_none()).collect();
         for sel in &rule.sels {
@@ -679,14 +681,14 @@ impl<'a> Search<'a> {
             }
         }
         let dom: Vec<Value> = self.domain.iter().map(|&i| Value::Int(i)).collect();
-        for v in &free {
-            pool.set_domain(v.to_string(), dom.clone());
+        for v in free.iter().map(|v| v.to_string()).chain(pool.vars()) {
+            pool.set_domain(v, dom.clone());
         }
         self.stats.pools_solved += 1;
         let t0 = Instant::now();
         let solved = pool.solve();
         self.stats.solver_ns += t0.elapsed().as_nanos();
-        let Some(asg) = solved.assignment() else {
+        let Some(asg) = solved else {
             return;
         };
         for v in free {
@@ -1068,7 +1070,7 @@ fn join_state<'a>(
 fn selection_constraint(sel: &Selection, env: &impl Bindings) -> Option<mpr_solver::Constraint> {
     let lhs = expr_sterm(&sel.lhs, env)?;
     let rhs = expr_sterm(&sel.rhs, env)?;
-    Some(mpr_solver::Constraint::Cmp { lhs, op: sel.op, rhs })
+    Some(mpr_solver::Constraint::cmp(lhs, sel.op, rhs))
 }
 
 fn expr_sterm(e: &Expr, env: &impl Bindings) -> Option<mpr_solver::STerm> {
@@ -1185,12 +1187,17 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                 if npool.constraints.is_empty() {
                     continue;
                 }
-                npool.set_domain(var.clone(), domain.iter().map(|&i| Value::Int(i)).collect());
+                // The column and any variable the derivation leaves free
+                // range over the world's domain.
+                let dom: Vec<Value> = domain.iter().map(|&i| Value::Int(i)).collect();
+                for free in npool.vars() {
+                    npool.set_domain(free, dom.clone());
+                }
                 stats.pools_solved += 1;
                 let t0 = Instant::now();
                 let solved = npool.solve();
                 stats.solver_ns += t0.elapsed().as_nanos();
-                if let Some(asg) = solved.assignment() {
+                if let Some(asg) = solved {
                     if let Some(nv) = asg.get(&var) {
                         let mut nt = t.clone();
                         nt.args[ci] = nv.clone();
@@ -1271,9 +1278,9 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
     (out.finish(), stats)
 }
 
-/// Rename a variable of a [`selection_constraint`] (always a comparison).
+/// Rename a variable of a [`selection_constraint`].
 fn rename_var(c: mpr_solver::Constraint, from: &str, to: &str) -> mpr_solver::Constraint {
-    use mpr_solver::{Constraint as C, STerm};
+    use mpr_solver::{Constraint, STerm};
     fn rt(t: STerm, from: &str, to: &str) -> STerm {
         match t {
             STerm::Var(v) if v == from => STerm::var(to),
@@ -1283,10 +1290,7 @@ fn rename_var(c: mpr_solver::Constraint, from: &str, to: &str) -> mpr_solver::Co
             other => other,
         }
     }
-    match c {
-        C::Cmp { lhs, op, rhs } => C::Cmp { lhs: rt(lhs, from, to), op, rhs: rt(rhs, from, to) },
-        other => other,
-    }
+    Constraint::cmp(rt(c.lhs, from, to), c.op, rt(c.rhs, from, to))
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! Repair candidates — the output of the meta provenance search.
 
 use mpr_ndlog::{Patch, PatchError, Program, ProgramOutline, RuleDelta, Tuple};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A concrete repair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Repair {
     /// A program patch (most repairs).
     Patch(Patch),
@@ -81,7 +80,7 @@ impl Repair {
 
 /// A repair candidate with its plausibility cost and the meta-provenance
 /// path that produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Candidate {
     /// The repair.
     pub repair: Repair,

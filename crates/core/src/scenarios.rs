@@ -19,7 +19,6 @@ use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimConfig;
 use mpr_sdn::topology::{fig1_hosts, NodeRef, Topology};
 use mpr_trace::workload::Injection;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What the operator observed.
@@ -34,7 +33,7 @@ pub enum Symptom {
 /// The effectiveness criterion: did the repair fix the problem at hand?
 /// ("the repair caused the server to receive at least a few packets",
 /// §5.3.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
     /// `delivered_on(host, port) > 0`.
     DeliversOn {
@@ -102,7 +101,7 @@ pub struct Scenario {
 }
 
 /// Controller language of a scenario (§5.8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Language {
     /// RapidNet-style declarative NDlog.
     NDlog,
@@ -582,7 +581,9 @@ impl Scenario {
         }
         topo.connect(NodeRef::Switch(base + 1), NodeRef::Switch(1));
         s.topology = Arc::new(topo);
-        // Campus hosts exchange background traffic over proactive routes.
+        // Campus hosts send background traffic; with no proactive routes
+        // installed (every setup leaves `proactive_routes` off) each flow
+        // misses at its ingress switch and punts to the controller.
         let hosts: Vec<i64> = s.topology.hosts.iter().copied().filter(|h| *h >= base * 10).collect();
         let mut seq = 5_000_000u64;
         let mut extra = Vec::new();
@@ -617,8 +618,9 @@ impl Scenario {
         mpr_sdn::topology::fat_tree_into(&mut topo, &params, base);
         topo.connect(NodeRef::Switch(base + 1), NodeRef::Switch(1));
         s.topology = Arc::new(topo);
-        // Fabric hosts exchange background traffic over proactive routes,
-        // capped so workload growth doesn't drown the scaling signal.
+        // Fabric hosts send background traffic, which punts at the ingress
+        // switch as on the campus, capped so workload growth doesn't drown
+        // the scaling signal.
         let hosts: Vec<i64> =
             s.topology.hosts.iter().copied().filter(|h| *h >= mpr_sdn::topology::fabric_ids::HOST_BASE).collect();
         let mut seq = 6_000_000u64;

@@ -1,0 +1,134 @@
+//! The explorer's two constraint-pool sites, each reached by a small world
+//! and pinned candidate for candidate:
+//!
+//! - (a) a missing tuple whose rule joins an empty state table under a
+//!   selection on that table's columns: the pool solves the columns the
+//!   join left free, and the explorer offers "Manually inserting a …
+//!   entry" with the solved values;
+//! - (b) an existing tuple (Fig. 7 style) whose base-tuple column a
+//!   selection constrains: the pool holds the negated selection, and the
+//!   explorer offers a `ChangeTuple` to the first value that breaks it.
+//!
+//! Every pool variable draws from the world's domain: the program's
+//! constants, the values the triggers and state exhibit, and the goal's,
+//! each with its ±1 neighbours, ascending.
+
+use mpr_core::cost::{CostModel, SearchBudget};
+use mpr_core::explore::{generate_existing, generate_missing, DerivationRecord, World};
+use mpr_core::repair::Candidate;
+use mpr_ndlog::{parse_program, Tuple, Value};
+use mpr_provenance::Pattern;
+
+fn world(src: &str, triggers: Vec<Tuple>, state: Vec<Tuple>, derivations: Vec<DerivationRecord>) -> World {
+    World {
+        program: parse_program("solver-sites", src).expect("the program parses").into(),
+        triggers,
+        state,
+        derivations,
+        cost: CostModel::default(),
+        budget: SearchBudget { max_candidates: usize::MAX, ..SearchBudget::default() },
+    }
+}
+
+fn tuple(table: &str, args: &[i64]) -> Tuple {
+    Tuple::new(table, Value::str("C"), args.iter().copied().map(Value::Int).collect())
+}
+
+fn flow_goal(swi: i64, hdr: i64, prt: i64) -> Pattern {
+    Pattern {
+        table: "FlowTable".into(),
+        loc: Some(Value::Int(swi)),
+        args: vec![Some(Value::Int(hdr)), Some(Value::Int(prt))],
+    }
+}
+
+fn rendered(candidates: &[Candidate]) -> Vec<String> {
+    candidates.iter().map(|c| format!("{} | {} | {:?}", c.cost, c.description, c.repair)).collect()
+}
+
+/// The missing `FlowTable(@1,80,2)` of a rule that joins `Allowed`, which
+/// holds nothing, under selections on its two free columns.
+const SITE_A: &str = r"
+    materialize(PacketIn, event, 2, keys()).
+    materialize(Allowed, infinity, 3, keys(0,1,2)).
+    materialize(FlowTable, infinity, 2, keys(0,1)).
+    r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Allowed(@C,Hdr,Lo,Hi), Hi > 2, Lo > Hi, Prt := 2.
+";
+
+#[test]
+fn an_empty_state_table_is_filled_from_the_pool() {
+    let w = world(SITE_A, vec![tuple("PacketIn", &[1, 80])], vec![], vec![]);
+    let (candidates, stats) = generate_missing(&w, &flow_goal(1, 80, 2));
+    assert_eq!(stats.pools_solved, 1);
+    // The domain is [0, 1, 2, 3, 79, 80, 81]: `Hi` is named first, so it
+    // takes the first value above 2, and `Lo` the first above that.
+    assert_eq!(
+        rendered(&candidates),
+        [
+            r#"3 | Manually inserting a Allowed entry | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(79), Int(3)] })"#,
+            r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(1), args: [Int(80), Int(2)] })"#,
+        ]
+    );
+}
+
+/// Site (a) again, with a selection on `D`, which the rule assigns and no
+/// joined atom binds: `D < -3` is satisfiable, and `D` draws from the same
+/// domain as the atom's columns.
+const SITE_A_ASSIGNED: &str = r"
+    materialize(PacketIn, event, 2, keys()).
+    materialize(Allowed, infinity, 2, keys(0,1)).
+    materialize(FlowTable, infinity, 2, keys(0,1)).
+    r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Allowed(@C,Hdr,Lvl), D := Lvl - 5, D < -3, Prt := 2.
+";
+
+#[test]
+fn a_selection_on_a_variable_no_atom_binds_draws_from_the_domain() {
+    let w = world(SITE_A_ASSIGNED, vec![tuple("PacketIn", &[1, 80])], vec![], vec![]);
+    let (candidates, stats) = generate_missing(&w, &flow_goal(1, 80, 2));
+    assert_eq!(stats.pools_solved, 1);
+    // The domain starts -4, -3, -2 (around the program's -3): `D` takes -4,
+    // and `Lvl`, which nothing constrains, its first value. The inserted
+    // entry does derive the goal: D = -4 - 5 < -3.
+    assert_eq!(
+        rendered(&candidates),
+        [
+            r#"3 | Manually inserting a Allowed entry | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(-4)] })"#,
+            r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(1), args: [Int(80), Int(2)] })"#,
+        ]
+    );
+}
+
+/// Fig. 7's shape: `FlowTable(@1,80,2)` exists, derived from the seeded
+/// `WebLoadBalancer(@'C',80,2)` through `Prt > 1`.
+const SITE_B: &str = r"
+    materialize(PacketIn, event, 2, keys()).
+    materialize(WebLoadBalancer, infinity, 2, keys(0)).
+    materialize(FlowTable, infinity, 2, keys(0,1)).
+    r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1, Prt > 1.
+";
+
+#[test]
+fn a_base_tuple_changes_to_the_first_value_that_breaks_the_derivation() {
+    let (trigger, seed) = (tuple("PacketIn", &[1, 80]), tuple("WebLoadBalancer", &[80, 2]));
+    let derivation = DerivationRecord {
+        rule: "r1".into(),
+        body: vec![trigger.clone(), seed.clone()],
+        base_mask: vec![false, true],
+    };
+    let w = world(SITE_B, vec![trigger], vec![seed], vec![derivation]);
+    let culprit = Tuple::new("FlowTable", Value::Int(1), vec![Value::Int(80), Value::Int(2)]);
+    let (candidates, _) = generate_existing(&w, &culprit);
+    // `Prt > 1` negated is `WebLoadBalancer.1 <= 1`: the first such value
+    // of [0, 1, 2, 3, 79, 80, 81] is 0.
+    assert_eq!(
+        rendered(&candidates),
+        [
+            r#"1 | Changing Prt > 1 in r1 to Prt > 2 | Patch(Patch { edits: [SetConst { rule: "r1", site: Selection { idx: 1, side: Rhs, path: [] }, value: Int(2) }] })"#,
+            r#"1 | Changing Swi == 1 in r1 to Swi == 0 | Patch(Patch { edits: [SetConst { rule: "r1", site: Selection { idx: 0, side: Rhs, path: [] }, value: Int(0) }] })"#,
+            r#"2 | Changing Prt > 1 in r1 to Prt <= 1 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 1, op: Le }] })"#,
+            r#"2 | Changing Swi == 1 in r1 to Swi != 1 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Ne }] })"#,
+            r#"2 | Changing WebLoadBalancer(@'C',80,2) to WebLoadBalancer(@'C',80,0) | ChangeTuple { from: Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(2)] }, to: Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(0)] } }"#,
+            r#"3 | Deleting the WebLoadBalancer tuple WebLoadBalancer(@'C',80,2) | DeleteTuple(Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(2)] })"#,
+        ]
+    );
+}

@@ -19,11 +19,10 @@
 
 use mpr_ndlog::ast::{Assign, Atom, CmpOp, Expr, Selection, Term};
 use mpr_ndlog::{Program, Rule};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A policy expression.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Policy {
     /// `fwd(port)`.
     Fwd(i64),
@@ -63,7 +62,7 @@ impl fmt::Display for Policy {
 }
 
 /// A mini-Pyretic program: one top-level policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PyreticProgram {
     /// Program name.
     pub name: String,

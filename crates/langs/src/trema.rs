@@ -21,11 +21,10 @@
 
 use mpr_ndlog::ast::{Assign, Atom, CmpOp, Expr, Selection, Term};
 use mpr_ndlog::{Program, Rule};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A guard condition: `subject op literal`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cond {
     /// What is inspected: `switch` or a packet field (NDlog variable name,
     /// e.g. `Swi`, `Hdr`, `Sip`).
@@ -47,7 +46,7 @@ impl fmt::Display for Cond {
 }
 
 /// A handler action.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TremaAction {
     /// `send_flow_mod_add(port)` — install an entry matching this packet's
     /// inspected fields, forwarding to `port` (negative = drop).
@@ -72,7 +71,7 @@ impl fmt::Display for TremaAction {
 }
 
 /// One `if conds… then action end` statement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IfStmt {
     /// Statement label (becomes the NDlog rule id).
     pub label: String,
@@ -98,7 +97,7 @@ impl fmt::Display for IfStmt {
 }
 
 /// A mini-Trema program: the body of `packet_in`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TremaProgram {
     /// Program name.
     pub name: String,

@@ -11,12 +11,11 @@
 
 use crate::schema::Catalog;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 /// Comparison operators allowed in selection predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CmpOp {
     /// `==`
     Eq,
@@ -101,7 +100,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// Binary arithmetic operators usable inside expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+` (integer addition; string concatenation)
     Add,
@@ -135,7 +134,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Aggregate functions usable in rule heads (NDlog's `a_count<X>` et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggKind {
     /// `a_count<V>` — number of satisfying derivations.
     Count,
@@ -156,7 +155,7 @@ impl fmt::Display for AggKind {
 }
 
 /// A term in an atom argument position.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A variable, e.g. `Swi`.
     Var(String),
@@ -195,7 +194,7 @@ impl fmt::Display for Term {
 }
 
 /// An atom: `Table(@Loc, Arg1, ..., ArgN)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Table name.
     pub table: String,
@@ -272,7 +271,7 @@ impl fmt::Display for Atom {
 }
 
 /// An expression: constants, variables, arithmetic, and built-in calls.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Literal constant.
     Const(Value),
@@ -420,7 +419,7 @@ impl fmt::Display for Expr {
 }
 
 /// A selection predicate: `lhs op rhs`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Selection {
     /// Left-hand expression.
     pub lhs: Expr,
@@ -457,7 +456,7 @@ impl fmt::Display for Selection {
 }
 
 /// An assignment: `Var := expr`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Assign {
     /// Target variable.
     pub var: String,
@@ -479,7 +478,7 @@ impl fmt::Display for Assign {
 }
 
 /// One derivation rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// Rule identifier (`r1`, `h2`, ...). Unique within a program.
     pub id: String,
@@ -624,7 +623,7 @@ impl fmt::Display for Rule {
 }
 
 /// Which side of a selection an expression constant sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExprSide {
     /// Left-hand side.
     Lhs,
@@ -634,7 +633,7 @@ pub enum ExprSide {
 
 /// A stable locator for a constant inside a rule. Used by the meta model
 /// (the `ID` column of `Const` meta tuples) and by program patches.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ConstSite {
     /// Inside selection `idx`, on `side`, at expression `path`.
     Selection {
@@ -690,7 +689,7 @@ impl fmt::Display for ConstSite {
 }
 
 /// A full NDlog program: schema declarations plus rules.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Program {
     /// Program name (for reports).
     pub name: String,

@@ -25,12 +25,11 @@
 use crate::ast::{Atom, CmpOp, ConstSite, Expr, ExprSide, Program, Rule, Term};
 use crate::error::PatchError;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// One elementary program edit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Edit {
     /// Replace the constant at `site` in `rule` with `value`.
     SetConst {
@@ -321,7 +320,7 @@ impl RuleDelta {
 }
 
 /// An ordered collection of edits applied atomically.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Patch {
     /// Edits, applied in order (deletions are internally reordered
     /// descending so earlier deletions do not shift later indices).

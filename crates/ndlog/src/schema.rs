@@ -6,12 +6,11 @@
 //! of the full model (Appendix B.1) branch on `Timeout == 0` (event) vs
 //! `Timeout == 1` (state).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Whether a table's tuples persist (state) or are transient (events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Persistence {
     /// Materialized state: persists until deleted; replaced on key conflict.
     State,
@@ -20,7 +19,7 @@ pub enum Persistence {
 }
 
 /// Schema of one table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Table name.
     pub table: String,
@@ -93,7 +92,7 @@ impl fmt::Display for Schema {
 
 /// A catalogue of schemas for a program. Lookups fall back to a synthesized
 /// all-key state schema so programs without declarations still run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Catalog {
     schemas: BTreeMap<String, Schema>,
 }

@@ -1,7 +1,6 @@
 //! Concrete tuples — the facts that flow through the engine.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A concrete NDlog tuple: `Table(@loc, arg1, ..., argN)`.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The location (`@` column) is kept separate from the payload arguments,
 /// mirroring NDlog's semantics where the location specifier determines the
 /// node a tuple resides on and is not part of ordinary joins.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
     /// Table (relation) name, e.g. `FlowTable`.
     pub table: String,
@@ -57,7 +56,7 @@ impl fmt::Display for Tuple {
 
 /// A signed tuple: `+τ` (appearance) or `-τ` (disappearance), as carried by
 /// SEND/RECEIVE provenance vertices (§3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignedTuple {
     /// The tuple in question.
     pub tuple: Tuple,

@@ -5,7 +5,6 @@
 //! meta tuples, action names), booleans (selection results inside the meta
 //! model) and the join-ID wildcard `*` from Fig. 4.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A first-class NDlog value.
@@ -13,7 +12,7 @@ use std::fmt;
 /// `Value` is totally ordered so tuples can live in ordered indices; the
 /// ordering across variants is arbitrary but stable (Int < Str < Bool <
 /// Wild).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A 64-bit signed integer — the only µDlog type.
     Int(i64),

@@ -19,12 +19,11 @@ use mpr_ndlog::eval::{Env, PureFuncs};
 use mpr_ndlog::{Program, Rule, Term, Tuple};
 use mpr_runtime::engine::match_atom;
 use mpr_runtime::{ExecEvent, ExecLog, Time, TupleId, TupleKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A provenance explanation tree. The root is the queried (non-)event;
 /// children are its direct causes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvTree {
     /// This vertex.
     pub vertex: Vertex,

@@ -9,12 +9,11 @@
 
 use mpr_ndlog::{Tuple, Value};
 use mpr_runtime::Time;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tuple *pattern*: a table plus optionally-constrained columns. Used by
 /// negative vertices, which talk about tuples that do not exist.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
     /// Table name.
     pub table: String,
@@ -74,7 +73,7 @@ impl fmt::Display for Pattern {
 }
 
 /// One provenance vertex.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Vertex {
     /// `EXIST([t1,t2], N, τ)`: τ existed on node N from t1 to t2.
     Exist {

@@ -103,7 +103,7 @@ pub fn decode_op(bytes: &[u8]) -> Result<StoreOp, String> {
 /// Version byte of the snapshot payload format.
 pub const SNAPSHOT_VERSION: u8 = 1;
 
-/// Serialize a full store state (schemas + live tuples with support
+/// Encode a full store state (schemas + live tuples with support
 /// counts). Both sections are sorted — schemas by table, tuples by their
 /// total order — so identical states yield byte-identical snapshots.
 pub fn encode_snapshot(schemas: &[Schema], entries: &[(Tuple, u32, u32)]) -> Vec<u8> {

@@ -33,7 +33,6 @@
 //! [`ExecLog::events`] are empty.
 
 use mpr_ndlog::{Tuple, Value};
-use serde::{Deserialize, Serialize};
 use std::hash::{BuildHasher, Hash};
 use std::mem::size_of;
 
@@ -49,7 +48,7 @@ const NONE: u32 = u32::MAX;
 const NEVER: Time = Time::MAX;
 
 /// How a tuple came to exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TupleKind {
     /// Inserted from outside (base tuple, §2.1).
     Base,

@@ -10,11 +10,10 @@ use crate::flowtable::{Action, FlowEntry, Match};
 use crate::packet::{Field, Packet};
 use mpr_ndlog::{Program, Tuple, Value};
 use mpr_runtime::{Engine, ExecLog, Options as EngineOptions};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A `PacketIn` punt from a switch to the controller.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketInMsg {
     /// Switch that missed.
     pub switch: i64,
@@ -25,7 +24,7 @@ pub struct PacketInMsg {
 }
 
 /// A message from the controller back to the network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CtrlMsg {
     /// Install a flow entry.
     FlowMod {
@@ -71,7 +70,7 @@ impl Controller for NullController {
 }
 
 /// One argument slot of a `PacketIn`/match tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PktArg {
     /// A packet header field.
     Field(Field),
@@ -98,7 +97,7 @@ impl PktArg {
 ///   (negative = drop);
 /// - optionally `PacketOut(@Swi, ..., Prt)` — release the buffered packet
 ///   out of `Prt` (the Q4 scenario hinges on a controller forgetting these).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TupleCodec {
     /// Location value of the controller node.
     pub controller_loc: Value,

@@ -1,7 +1,7 @@
 //! Deterministic fault injection: the network failures of §5 re-created
 //! on a seeded schedule.
 //!
-//! A [`FaultPlan`] is a pure value — serializable, comparable, and owned
+//! A [`FaultPlan`] is a pure value — cloneable, comparable, and owned
 //! by [`crate::SimConfig`] — describing *when* links go down or flap,
 //! *when* switches crash (flow-table wipe + restart), and *how* the
 //! control channel misbehaves (drop / duplicate / reorder / delay). The
@@ -16,10 +16,9 @@
 //! regression scenarios rely on.
 
 use crate::topology::NodeRef;
-use serde::{Deserialize, Serialize};
 
 /// A half-open window of simulated time `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     /// First instant (inclusive) at which the fault is active.
     pub from: u64,
@@ -37,7 +36,7 @@ impl Window {
 /// A link fault: the (undirected) link between `a` and `b` is dead during
 /// each listed window. Packets emitted onto a dead link are dropped and
 /// counted in [`crate::SimStats::dropped_link_down`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkFault {
     /// One endpoint.
     pub a: NodeRef,
@@ -77,7 +76,7 @@ impl LinkFault {
 /// (OpenFlow state is not persistent) and stays dark for `down_for`
 /// ticks. It restarts with an *empty* table — recovery is the
 /// controller's job, which is exactly what the chaos harness probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchCrash {
     /// The switch that crashes.
     pub switch: i64,
@@ -97,7 +96,7 @@ impl SwitchCrash {
 
 /// Control-channel misbehavior, applied per controller reply with the
 /// plan's dedicated RNG stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CtrlFaults {
     /// Probability a reply (FlowMod or PacketOut) is silently lost.
     pub drop_chance: f64,
@@ -137,7 +136,7 @@ impl CtrlFaults {
 /// A complete, seeded fault schedule. The default plan is empty and
 /// injects nothing; [`FaultPlan::is_empty`] gates every fault check in
 /// the simulator, so the disabled layer costs one branch per event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the plan's private RNG stream (control-channel chances).
     /// Independent of [`crate::SimConfig::seed`].
@@ -206,18 +205,5 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn plans_roundtrip_through_serde() {
-        let plan = FaultPlan {
-            seed: 99,
-            links: vec![LinkFault::down(NodeRef::Switch(1), NodeRef::Host(7), 5, 25)],
-            crashes: vec![SwitchCrash { switch: 2, at: 40, down_for: 10 }],
-            ctrl: CtrlFaults { drop_chance: 0.25, reorder: true, ..CtrlFaults::default() },
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -3,15 +3,13 @@
 //! The scenarios of §5.3 match on small-integer header fields (switch ids,
 //! source/destination IPs as host indices, TCP/UDP ports, MAC addresses as
 //! integers), so the packet model keeps every field as an `i64` that maps
-//! 1:1 onto NDlog [`mpr_ndlog::Value::Int`] columns. A compact wire
-//! encoding is provided for the §5.4 storage-overhead accounting.
+//! 1:1 onto NDlog [`mpr_ndlog::Value::Int`] columns. [`Packet::wire_size`]
+//! is the size the §5.4 storage-overhead accounting charges per packet.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Transport protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Proto {
     /// TCP (HTTP traffic in the scenarios).
     Tcp,
@@ -51,7 +49,7 @@ pub mod ports {
 }
 
 /// A packet.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Packet {
     /// Unique sequence number (assigned by the generator; keeps otherwise
     /// identical packets distinct).
@@ -151,39 +149,9 @@ impl Packet {
         }
     }
 
-    /// Compact wire encoding (fixed 64-byte header + payload length).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(64);
-        b.put_u64(self.seq);
-        b.put_i64(self.src_ip);
-        b.put_i64(self.dst_ip);
-        b.put_i64(self.src_port);
-        b.put_i64(self.dst_port);
-        b.put_i64(self.proto.code());
-        b.put_i64(self.src_mac);
-        b.put_i64(self.dst_mac);
-        b.put_u32(self.payload);
-        b.freeze()
-    }
-
-    /// Inverse of [`Packet::encode`].
-    pub fn decode(mut buf: Bytes) -> Option<Packet> {
-        if buf.len() < 68 {
-            return None;
-        }
-        let seq = buf.get_u64();
-        let src_ip = buf.get_i64();
-        let dst_ip = buf.get_i64();
-        let src_port = buf.get_i64();
-        let dst_port = buf.get_i64();
-        let proto = Proto::from_code(buf.get_i64())?;
-        let src_mac = buf.get_i64();
-        let dst_mac = buf.get_i64();
-        let payload = buf.get_u32();
-        Some(Packet { seq, src_ip, dst_ip, src_port, dst_port, proto, src_mac, dst_mac, payload })
-    }
-
-    /// Size on the wire in bytes.
+    /// Size on the wire in bytes: a 68-byte header (the sequence number
+    /// and the seven header fields as 8 bytes each, the payload length as
+    /// 4) plus the payload.
     pub fn wire_size(&self) -> u64 {
         68 + u64::from(self.payload)
     }
@@ -200,7 +168,7 @@ impl fmt::Display for Packet {
 }
 
 /// Symbolic header field names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Field {
     /// Source IP.
     SrcIp,
@@ -259,14 +227,6 @@ mod tests {
         assert_eq!(p.dst_port, ports::DNS);
         let p = Packet::icmp(3, 1, 2);
         assert_eq!(p.proto, Proto::Icmp);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let p = Packet::http(42, 7, 9);
-        let decoded = Packet::decode(p.encode()).unwrap();
-        assert_eq!(decoded, p);
-        assert!(Packet::decode(Bytes::from_static(b"short")).is_none());
     }
 
     #[test]

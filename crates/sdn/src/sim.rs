@@ -22,12 +22,11 @@ use crate::packet::Packet;
 use crate::topology::{NodeRef, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Per-link latency (simulated microseconds).
     pub link_latency: u64,
@@ -58,7 +57,7 @@ impl Default for SimConfig {
 }
 
 /// Counters collected during a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Packets injected.
     pub injected: u64,

@@ -1,7 +1,6 @@
 //! Network topologies: the Fig. 1 fixture and the Stanford-campus-style
 //! generator used by the evaluation (§5.2).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::mem::size_of;
@@ -9,7 +8,7 @@ use std::ops::Deref;
 use std::sync::{Arc, RwLock};
 
 /// A node reference: switch or host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeRef {
     /// A switch, by id.
     Switch(i64),
@@ -66,8 +65,7 @@ struct HalfLink {
 #[derive(Debug, Clone)]
 struct Node {
     id: NodeRef,
-    /// The port `connect` hands out next; 0 until the node is first wired
-    /// (a never-wired node has no `next_port` entry on the wire).
+    /// The port `connect` hands out next; 0 until the node is first wired.
     next_port: i64,
     /// Half-links sorted by `port`, at most one per port. Symmetric: the
     /// half `(self, p) → (m, q)` exists iff `(m, q) → (self, p)` does.
@@ -171,63 +169,6 @@ impl Clone for Topology {
             generation: self.generation,
             cache: RouteCache::default(),
         }
-    }
-}
-
-// The wire format predates the dense layout and is pinned by
-// `tests/route_cache.rs`: `links` and `next_port` are the `[key, value]`
-// pair arrays of the maps they used to be, in `(NodeRef, port)` order. The
-// route cache is derived state and stays out of it.
-impl Serialize for Topology {
-    fn to_value(&self) -> serde::Value {
-        let next_port: Vec<(NodeRef, i64)> = self
-            .sorted_nodes()
-            .filter(|n| n.next_port > 0)
-            .map(|n| (n.id, n.next_port))
-            .collect();
-        serde::Value::Object(vec![
-            ("switches".to_string(), self.switches.ids.to_value()),
-            ("hosts".to_string(), self.hosts.ids.to_value()),
-            ("links".to_string(), self.all_links().collect::<Vec<_>>().to_value()),
-            ("next_port".to_string(), next_port.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Topology {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = match v {
-            serde::Value::Object(m) => m,
-            other => return serde::__private::unexpected("Topology", "object", other),
-        };
-        let field = |name| serde::__private::field(obj, "Topology", name);
-        let switches: Vec<i64> = Deserialize::from_value(field("switches")?)?;
-        let hosts: Vec<i64> = Deserialize::from_value(field("hosts")?)?;
-        let links: Vec<((NodeRef, i64), (NodeRef, i64))> = Deserialize::from_value(field("links")?)?;
-        let next_port: Vec<(NodeRef, i64)> = Deserialize::from_value(field("next_port")?)?;
-        let port = |p: i64| {
-            i32::try_from(p).map_err(|_| serde::DeError::custom(format!("Topology: port {p} out of range")))
-        };
-        let mut t = Topology::new();
-        t.reserve_nodes(switches.len(), hosts.len());
-        for s in switches {
-            t.intern(NodeRef::Switch(s));
-        }
-        for h in hosts {
-            t.intern(NodeRef::Host(h));
-        }
-        // Both directions of a link are on the wire; wiring the second
-        // re-wires the first to the same ends.
-        for ((a, pa), (b, pb)) in links {
-            let (ia, ib) = (t.intern(a), t.intern(b));
-            t.wire(ia, port(pa)?, ib, port(pb)?);
-        }
-        for (n, p) in next_port {
-            let i = t.intern(n) as usize;
-            t.nodes[i].next_port = t.nodes[i].next_port.max(p);
-        }
-        t.generation = 0;
-        Ok(t)
     }
 }
 
@@ -378,7 +319,7 @@ impl Topology {
     }
 
     /// Nodes in `NodeRef` order (switches, then hosts, each by id) — the
-    /// order `all_links` and the wire format list them in.
+    /// order `all_links` lists them in.
     fn sorted_nodes(&self) -> impl Iterator<Item = &Node> + '_ {
         let rows = self.switches.rows.iter().chain(&self.hosts.rows);
         rows.map(|&row| &self.nodes[row as usize])
@@ -542,7 +483,7 @@ pub fn fig1() -> Topology {
 }
 
 /// Parameters for the campus generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampusParams {
     /// Core/Operational-Zone routers (the Stanford config has 16).
     pub core: usize,
@@ -631,7 +572,7 @@ pub fn campus(params: &CampusParams) -> Topology {
 }
 
 /// Parameters for the fat-tree/Clos generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FabricParams {
     /// Fat-tree arity `k` (even): `k` pods of `k/2` aggregation + `k/2`
     /// edge switches over `(k/2)²` cores — `5k²/4` switches total.

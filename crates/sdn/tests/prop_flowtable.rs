@@ -1,6 +1,6 @@
-//! Property test: the sorted flow-table lookup agrees with a full linear
-//! reference scan on random tables and packets, and packet wire encoding
-//! round-trips.
+//! Property test: the flow-table lookup — the first match in the table's
+//! sorted entries — agrees with an exhaustive scan written against the
+//! specification, on random tables, packets and mutation sequences.
 
 use mpr_sdn::packet::{Field, Packet, Proto};
 use mpr_sdn::{Action, FlowEntry, FlowTable, Match};
@@ -25,6 +25,18 @@ fn rmatch() -> impl Strategy<Value = Match> {
             }
             m
         })
+}
+
+/// The specification, by exhaustive scan: among the matching entries, the
+/// highest priority, then the most specific, then the earliest installed.
+fn lookup_reference<'t>(ft: &'t FlowTable, pkt: &Packet, in_port: i64) -> Option<&'t FlowEntry> {
+    let mut best: Option<&FlowEntry> = None;
+    for e in ft.iter().filter(|e| e.m.matches(pkt, in_port)) {
+        if best.map_or(true, |b| (e.priority, e.m.specificity()) > (b.priority, b.m.specificity())) {
+            best = Some(e);
+        }
+    }
+    best
 }
 
 fn entry() -> impl Strategy<Value = FlowEntry> {
@@ -58,8 +70,8 @@ fn packet() -> impl Strategy<Value = Packet> {
         })
 }
 
-/// A random mutation applied between lookups, covering the index
-/// invalidation paths: install, replace, remove and the crash wipe.
+/// A random mutation applied between lookups: install, replace, remove and
+/// the crash wipe.
 #[derive(Debug, Clone)]
 enum Mutation {
     Install(FlowEntry),
@@ -81,35 +93,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn lookup_agrees_with_reference(entries in prop::collection::vec(entry(), 0..12), pkt in packet(), in_port in 0i64..4) {
+    fn lookup_agrees_with_reference(entries in prop::collection::vec(entry(), 0..48), pkt in packet(), in_port in 0i64..4) {
         let mut ft = FlowTable::new();
         for e in entries {
             ft.install(e);
         }
-        // Exact identity, ties included: the shipped lookup (linear or
-        // indexed) must return the very entry the oracle picks.
-        prop_assert_eq!(ft.lookup(&pkt, in_port), ft.lookup_reference(&pkt, in_port));
-    }
-
-    /// Tables large enough to engage the hash index (>= 8 entries), probed
-    /// with many packets so collisions inside signature groups and
-    /// cross-group priority races are exercised.
-    #[test]
-    fn indexed_lookup_agrees_on_large_tables(
-        entries in prop::collection::vec(entry(), 8..48),
-        pkts in prop::collection::vec((packet(), 0i64..4), 1..16),
-    ) {
-        let mut ft = FlowTable::new();
-        for e in entries {
-            ft.install(e);
-        }
-        for (pkt, in_port) in pkts {
-            prop_assert_eq!(ft.lookup(&pkt, in_port), ft.lookup_reference(&pkt, in_port));
-        }
+        // Exact identity, ties included: the lookup must return the very
+        // entry the oracle picks.
+        prop_assert_eq!(ft.lookup(&pkt, in_port), lookup_reference(&ft, &pkt, in_port));
     }
 
     /// Specificity ties with different actions: the tie-break (earliest
-    /// installed) must be preserved by the index.
+    /// installed) must survive the sort.
     #[test]
     fn specificity_ties_resolve_to_earliest_installed(
         n in 8usize..20,
@@ -123,11 +118,11 @@ proptest! {
         }
         let hit = ft.lookup(&pkt, in_port).expect("match-all entry matches");
         prop_assert_eq!(&hit.actions, &vec![Action::Output(0)]);
-        prop_assert_eq!(ft.lookup(&pkt, in_port), ft.lookup_reference(&pkt, in_port));
+        prop_assert_eq!(ft.lookup(&pkt, in_port), lookup_reference(&ft, &pkt, in_port));
     }
 
     /// Interleaved mutations (install / replace / remove / crash wipe) keep
-    /// the index coherent: after every step, indexed lookup still equals
+    /// the entries in match order: after every step, lookup still equals
     /// the oracle.
     #[test]
     fn lookup_agrees_through_mutation_sequences(
@@ -147,31 +142,9 @@ proptest! {
                 Mutation::CrashWipe => ft.clear(),
             }
             for (pkt, in_port) in &pkts {
-                prop_assert_eq!(ft.lookup(pkt, *in_port), ft.lookup_reference(pkt, *in_port));
+                prop_assert_eq!(ft.lookup(pkt, *in_port), lookup_reference(&ft, pkt, *in_port));
             }
         }
-    }
-
-    /// Reference mode is a pure routing flag: flipping it never changes
-    /// the lookup result.
-    #[test]
-    fn reference_mode_is_transparent(
-        entries in prop::collection::vec(entry(), 0..24),
-        pkt in packet(),
-        in_port in 0i64..4,
-    ) {
-        let mut ft = FlowTable::new();
-        for e in entries {
-            ft.install(e);
-        }
-        let indexed = ft.lookup(&pkt, in_port).cloned();
-        ft.set_reference_mode(true);
-        prop_assert_eq!(ft.lookup(&pkt, in_port).cloned(), indexed);
-    }
-
-    #[test]
-    fn packet_encoding_roundtrips(pkt in packet()) {
-        prop_assert_eq!(Packet::decode(pkt.encode()), Some(pkt));
     }
 
     #[test]

@@ -3,18 +3,17 @@
 //! While expanding a meta provenance tree, the explorer "encodes the
 //! attributes of tuples as variables, and formulates constraints over these
 //! variables": join equalities (`B0.x == C0.x`), selection predicates
-//! (`C0.x + C0.y > 1`), head equalities, and primary-key implications
-//! (`D.x == D0.x implies D.y == 1`). This module is the constraint
-//! language; [`crate::solve`] is the two-tier solver.
+//! (`C0.x + C0.y > 1`) and head equalities. Each is one comparison between
+//! two terms, and a pool is their conjunction; [`crate::solve`] finds its
+//! first solution.
 
 use mpr_ndlog::{CmpOp, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A symbolic term: a variable (named like `Const0.Val`), a literal value,
 /// or integer arithmetic over sub-terms.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum STerm {
     /// A solver variable.
     Var(String),
@@ -64,28 +63,9 @@ impl STerm {
             STerm::Mul(l, r) => arith(l, r, asg, |a, b| a.checked_mul(b)),
         }
     }
-
-    /// All integer literals mentioned (used to seed candidate domains).
-    pub fn literals(&self, out: &mut BTreeSet<Value>) {
-        match self {
-            STerm::Var(_) => {}
-            STerm::Val(v) => {
-                out.insert(v.clone());
-            }
-            STerm::Add(l, r) | STerm::Sub(l, r) | STerm::Mul(l, r) => {
-                l.literals(out);
-                r.literals(out);
-            }
-        }
-    }
 }
 
-fn arith(
-    l: &STerm,
-    r: &STerm,
-    asg: &Assignment,
-    f: impl Fn(i64, i64) -> Option<i64>,
-) -> Option<Value> {
+fn arith(l: &STerm, r: &STerm, asg: &Assignment, f: impl Fn(i64, i64) -> Option<i64>) -> Option<Value> {
     let a = l.eval(asg)?.as_int()?;
     let b = r.eval(asg)?.as_int()?;
     f(a, b).map(Value::Int)
@@ -103,36 +83,21 @@ impl fmt::Display for STerm {
     }
 }
 
-/// A constraint over symbolic terms.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Constraint {
-    /// `lhs op rhs`.
-    Cmp {
-        /// Left term.
-        lhs: STerm,
-        /// Operator.
-        op: CmpOp,
-        /// Right term.
-        rhs: STerm,
-    },
-    /// Conjunction.
-    And(Vec<Constraint>),
-    /// Disjunction.
-    Or(Vec<Constraint>),
-    /// `if cond then cons` (primary-key constraints, §3.4).
-    Implies(Box<Constraint>, Box<Constraint>),
-    /// Negation.
-    Not(Box<Constraint>),
-    /// Always true (unit of And).
-    True,
-    /// Always false (unit of Or).
-    False,
+/// A constraint: `lhs op rhs`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Constraint {
+    /// Left term.
+    pub lhs: STerm,
+    /// Operator.
+    pub op: CmpOp,
+    /// Right term.
+    pub rhs: STerm,
 }
 
 impl Constraint {
     /// `lhs op rhs` shorthand.
     pub fn cmp(lhs: STerm, op: CmpOp, rhs: STerm) -> Self {
-        Constraint::Cmp { lhs, op, rhs }
+        Constraint { lhs, op, rhs }
     }
 
     /// `var == value` shorthand.
@@ -148,163 +113,32 @@ impl Constraint {
     /// All variables mentioned.
     pub fn vars(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
+        self.lhs.vars(&mut out);
+        self.rhs.vars(&mut out);
         out
     }
 
-    fn collect_vars(&self, out: &mut BTreeSet<String>) {
-        match self {
-            Constraint::Cmp { lhs, rhs, .. } => {
-                lhs.vars(out);
-                rhs.vars(out);
-            }
-            Constraint::And(cs) | Constraint::Or(cs) => {
-                for c in cs {
-                    c.collect_vars(out);
-                }
-            }
-            Constraint::Implies(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            Constraint::Not(c) => c.collect_vars(out),
-            Constraint::True | Constraint::False => {}
-        }
-    }
-
-    /// All literals mentioned (seeds candidate domains).
-    pub fn literals(&self) -> BTreeSet<Value> {
-        let mut out = BTreeSet::new();
-        self.collect_literals(&mut out);
-        out
-    }
-
-    fn collect_literals(&self, out: &mut BTreeSet<Value>) {
-        match self {
-            Constraint::Cmp { lhs, rhs, .. } => {
-                lhs.literals(out);
-                rhs.literals(out);
-            }
-            Constraint::And(cs) | Constraint::Or(cs) => {
-                for c in cs {
-                    c.collect_literals(out);
-                }
-            }
-            Constraint::Implies(a, b) => {
-                a.collect_literals(out);
-                b.collect_literals(out);
-            }
-            Constraint::Not(c) => c.collect_literals(out),
-            Constraint::True | Constraint::False => {}
-        }
-    }
-
-    /// Logical negation, with `Not` pushed inward (comparisons flip their
-    /// operator; De Morgan elsewhere).
+    /// Logical negation: the comparison with the opposite operator.
     pub fn negate(&self) -> Constraint {
-        match self {
-            Constraint::Cmp { lhs, op, rhs } => {
-                Constraint::Cmp { lhs: lhs.clone(), op: op.negate(), rhs: rhs.clone() }
-            }
-            Constraint::And(cs) => Constraint::Or(cs.iter().map(Constraint::negate).collect()),
-            Constraint::Or(cs) => Constraint::And(cs.iter().map(Constraint::negate).collect()),
-            Constraint::Implies(a, b) => {
-                Constraint::And(vec![(**a).clone(), b.negate()])
-            }
-            Constraint::Not(c) => (**c).clone(),
-            Constraint::True => Constraint::False,
-            Constraint::False => Constraint::True,
-        }
+        Constraint { lhs: self.lhs.clone(), op: self.op.negate(), rhs: self.rhs.clone() }
     }
 
-    /// Three-valued evaluation under a partial assignment: `Some(bool)`
-    /// when decidable, `None` when unbound variables leave it open.
+    /// Evaluation under a partial assignment: `Some(bool)` when both sides
+    /// evaluate, `None` when an unbound variable or non-integer arithmetic
+    /// leaves it open.
     pub fn eval_partial(&self, asg: &Assignment) -> Option<bool> {
-        match self {
-            Constraint::Cmp { lhs, op, rhs } => {
-                let l = lhs.eval(asg)?;
-                let r = rhs.eval(asg)?;
-                Some(op.eval(&l, &r))
-            }
-            Constraint::And(cs) => {
-                let mut open = false;
-                for c in cs {
-                    match c.eval_partial(asg) {
-                        Some(false) => return Some(false),
-                        Some(true) => {}
-                        None => open = true,
-                    }
-                }
-                if open {
-                    None
-                } else {
-                    Some(true)
-                }
-            }
-            Constraint::Or(cs) => {
-                let mut open = false;
-                for c in cs {
-                    match c.eval_partial(asg) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => open = true,
-                    }
-                }
-                if open {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            Constraint::Implies(a, b) => match a.eval_partial(asg) {
-                Some(false) => Some(true),
-                Some(true) => b.eval_partial(asg),
-                None => match b.eval_partial(asg) {
-                    Some(true) => Some(true),
-                    _ => None,
-                },
-            },
-            Constraint::Not(c) => c.eval_partial(asg).map(|b| !b),
-            Constraint::True => Some(true),
-            Constraint::False => Some(false),
-        }
+        Some(self.op.eval(&self.lhs.eval(asg)?, &self.rhs.eval(asg)?))
     }
 }
 
 impl fmt::Display for Constraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Constraint::Cmp { lhs, op, rhs } => write!(f, "{lhs} {op} {rhs}"),
-            Constraint::And(cs) => {
-                write!(f, "(")?;
-                for (i, c) in cs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " && ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
-            Constraint::Or(cs) => {
-                write!(f, "(")?;
-                for (i, c) in cs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " || ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
-            Constraint::Implies(a, b) => write!(f, "({a} => {b})"),
-            Constraint::Not(c) => write!(f, "!({c})"),
-            Constraint::True => f.write_str("true"),
-            Constraint::False => f.write_str("false"),
-        }
+        write!(f, "{} {} {}", self.lhs, self.op, self.rhs)
     }
 }
 
 /// A (partial) assignment of values to solver variables.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Assignment {
     map: std::collections::BTreeMap<String, Value>,
 }
@@ -323,16 +157,6 @@ impl Assignment {
     /// Value of a variable.
     pub fn get(&self, var: &str) -> Option<&Value> {
         self.map.get(var)
-    }
-
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Iterate bindings in name order.
@@ -360,56 +184,24 @@ mod tests {
 
     #[test]
     fn negation_pushes_inward() {
-        let c = Constraint::And(vec![
-            Constraint::cmp(STerm::var("x"), CmpOp::Gt, STerm::int(0)),
-            Constraint::cmp(STerm::var("y"), CmpOp::Eq, STerm::int(2)),
-        ]);
+        // Negating a comparison flips its operator; nothing wraps it.
+        let c = Constraint::cmp(STerm::var("x"), CmpOp::Gt, STerm::int(0));
         let n = c.negate();
-        assert_eq!(
-            n,
-            Constraint::Or(vec![
-                Constraint::cmp(STerm::var("x"), CmpOp::Le, STerm::int(0)),
-                Constraint::cmp(STerm::var("y"), CmpOp::Ne, STerm::int(2)),
-            ])
-        );
-        // Double negation is identity on comparisons.
-        assert_eq!(n.negate().negate(), n);
+        assert_eq!(n, Constraint::cmp(STerm::var("x"), CmpOp::Le, STerm::int(0)));
+        assert_eq!(n.negate(), c);
     }
 
     #[test]
     fn partial_eval_three_valued() {
-        let c = Constraint::And(vec![
-            Constraint::cmp(STerm::var("x"), CmpOp::Gt, STerm::int(0)),
-            Constraint::cmp(STerm::var("y"), CmpOp::Eq, STerm::int(2)),
-        ]);
+        let c = Constraint::cmp(STerm::var("x"), CmpOp::Gt, STerm::var("y"));
         let mut asg = Assignment::new();
         assert_eq!(c.eval_partial(&asg), None);
-        asg.set("x", Value::Int(-1));
-        assert_eq!(c.eval_partial(&asg), Some(false)); // short-circuits
         asg.set("x", Value::Int(5));
         assert_eq!(c.eval_partial(&asg), None); // y unbound
         asg.set("y", Value::Int(2));
         assert_eq!(c.eval_partial(&asg), Some(true));
-    }
-
-    #[test]
-    fn implication_semantics() {
-        let imp = Constraint::Implies(
-            Box::new(Constraint::eq_val("x", Value::Int(9))),
-            Box::new(Constraint::eq_val("y", Value::Int(1))),
-        );
-        let mut asg = Assignment::new();
-        asg.set("x", Value::Int(8));
-        assert_eq!(imp.eval_partial(&asg), Some(true)); // antecedent false
-        asg.set("x", Value::Int(9));
-        assert_eq!(imp.eval_partial(&asg), None); // y unbound
-        asg.set("y", Value::Int(2));
-        assert_eq!(imp.eval_partial(&asg), Some(false));
-        asg.set("y", Value::Int(1));
-        assert_eq!(imp.eval_partial(&asg), Some(true));
-        // negation: x==9 && y!=1
-        let neg = imp.negate();
-        assert_eq!(neg.eval_partial(&asg), Some(false));
+        asg.set("y", Value::Int(9));
+        assert_eq!(c.eval_partial(&asg), Some(false));
     }
 
     #[test]
@@ -432,25 +224,14 @@ mod tests {
     }
 
     #[test]
-    fn vars_and_literals_collected() {
-        let c = Constraint::Implies(
-            Box::new(Constraint::eq_var("D.x", "D0.x")),
-            Box::new(Constraint::eq_val("D.y", Value::Int(1))),
-        );
-        let vars = c.vars();
-        assert!(vars.contains("D.x"));
-        assert!(vars.contains("D0.x"));
-        assert!(vars.contains("D.y"));
-        assert!(c.literals().contains(&Value::Int(1)));
-    }
-
-    #[test]
     fn display_forms() {
-        let c = Constraint::Or(vec![
-            Constraint::eq_val("x", Value::Int(3)),
-            Constraint::Not(Box::new(Constraint::True)),
-        ]);
-        assert_eq!(c.to_string(), "(x == 3 || !(true))");
+        let c = Constraint::cmp(
+            STerm::Sub(Box::new(STerm::var("x")), Box::new(STerm::int(1))),
+            CmpOp::Ne,
+            STerm::var("y"),
+        );
+        assert_eq!(c.to_string(), "(x - 1) != y");
+        assert_eq!(c.vars().into_iter().collect::<Vec<_>>(), ["x", "y"]);
         let mut a = Assignment::new();
         a.set("x", Value::Int(3));
         assert_eq!(a.to_string(), "{x=3}");

@@ -1,18 +1,17 @@
-//! # mpr-solver — constraint pools and the two-tier mini-solver
+//! # mpr-solver — constraint pools over declared domains
 //!
-//! The constraint substrate of the reproduction (§3.4, §5.1). Meta
-//! provenance trees carry *constraint pools*: symbolic variables for the
-//! attributes of missing/changed tuples, joined by equalities, comparisons,
-//! linear arithmetic and primary-key implications. A completed tree yields
-//! a repair only if its pool is satisfiable ([`Pool::solve`]); positive
-//! symptoms are handled by *negating* collected constraints
-//! ([`Constraint::negate`]) and solving for a breaking assignment (§4.2).
+//! The constraint substrate of the reproduction (§3.4). Meta provenance
+//! trees carry *constraint pools*: symbolic variables for the attributes of
+//! missing/changed tuples, joined by comparisons over linear arithmetic. A
+//! completed tree yields a repair only if its pool is satisfiable
+//! ([`Pool::solve`]); positive symptoms are handled by *negating* collected
+//! constraints ([`Constraint::negate`]) and solving for a breaking
+//! assignment (§4.2).
 //!
-//! The paper pairs a fast "mini-solver" with Z3; this crate reproduces the
-//! structure offline: an equality/interval propagation tier answers the
-//! trivial pools, and a bounded backtracking search over candidate domains
-//! answers the rest. [`SolveStats::tier`] reports which tier fired — the
-//! `micro` bench ablates the fast path.
+//! A pool is a conjunction of [`Constraint`]s, and every variable ranges
+//! over the domain its pool declares for it; [`Pool::solve`] returns the
+//! first satisfying assignment in lexicographic order. The paper's split
+//! into a mini-solver plus Z3 (§5.1) is not reproduced: see [`solve`].
 
 #![warn(missing_docs)]
 
@@ -20,4 +19,4 @@ pub mod constraint;
 pub mod solve;
 
 pub use constraint::{Assignment, Constraint, STerm};
-pub use solve::{Pool, SolveResult, SolveStats, Tier};
+pub use solve::Pool;

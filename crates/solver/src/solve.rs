@@ -1,74 +1,29 @@
-//! The two-tier solver.
+//! The solver: the first solution of a pool in lexicographic order.
 //!
-//! The paper's prototype "has an interface to the Z3 solver … however,
-//! since many of the constraint sets we generate are trivial, we have built
-//! our own mini-solver that can quickly solve the trivial instances on its
-//! own; the nontrivial ones are handed over to Z3" (§5.1). We reproduce the
-//! same structure offline:
-//!
-//! 1. **Mini-solver** (fast path): union-find over variable equalities plus
-//!    interval propagation for single-variable integer comparisons. Solves
-//!    the conjunctive, arithmetic-free pools that dominate in practice.
-//! 2. **Search**: bounded backtracking over candidate domains (mentioned
-//!    literals, their ±1 neighbors, declared domains), handling
-//!    disjunction, implication and linear arithmetic.
+//! The paper's prototype pairs Z3 with "our own mini-solver that can
+//! quickly solve the trivial instances on its own" (§5.1). The pools the
+//! explorer builds here are all trivial in that sense — a handful of
+//! comparisons over the free columns of one tuple, each column ranging
+//! over the values the network exhibits — so one backtracking search over
+//! the declared domains answers all of them, and answers the same way every
+//! time: variables are bound in name order, each to the values of its
+//! domain in the order they were declared, and the first assignment that
+//! satisfies every comparison is the solution.
 
-use crate::constraint::{Assignment, Constraint, STerm};
-use mpr_ndlog::{CmpOp, Value};
-use serde::{Deserialize, Serialize};
+use crate::constraint::{Assignment, Constraint};
+use mpr_ndlog::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A constraint pool: constraints plus optional per-variable domains.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A constraint pool: a conjunction of comparisons plus per-variable
+/// domains.
+#[derive(Debug, Clone, Default)]
 pub struct Pool {
     /// Conjunctively joined constraints.
     pub constraints: Vec<Constraint>,
     /// Declared candidate domains (e.g. "switch ids present in the
-    /// network"). Variables without a declared domain get candidates from
-    /// the literals mentioned in the pool.
+    /// network"). A variable without one has no candidates, so a pool that
+    /// mentions it has no solution.
     pub domains: BTreeMap<String, Vec<Value>>,
-}
-
-/// Which tier produced the answer (exported for the §5.1 micro-ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Tier {
-    /// The propagation-only mini-solver sufficed.
-    Mini,
-    /// Backtracking search was required.
-    Search,
-}
-
-/// Solve statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct SolveStats {
-    /// Search nodes visited.
-    pub nodes: u64,
-    /// Which tier answered (None = unsat).
-    pub tier: Option<Tier>,
-}
-
-/// Outcome of solving.
-#[derive(Debug, Clone)]
-pub enum SolveResult {
-    /// Satisfiable, with a witness.
-    Sat(Assignment, SolveStats),
-    /// No satisfying assignment within the candidate domains.
-    Unsat(SolveStats),
-}
-
-impl SolveResult {
-    /// The witness, if satisfiable.
-    pub fn assignment(&self) -> Option<&Assignment> {
-        match self {
-            SolveResult::Sat(a, _) => Some(a),
-            SolveResult::Unsat(_) => None,
-        }
-    }
-
-    /// `true` when satisfiable.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, SolveResult::Sat(..))
-    }
 }
 
 impl Pool {
@@ -87,441 +42,66 @@ impl Pool {
         self.domains.insert(var.into(), candidates);
     }
 
-    /// All variables mentioned anywhere in the pool.
+    /// All variables mentioned anywhere in the pool, by name.
     pub fn vars(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for c in &self.constraints {
-            out.extend(c.vars());
-        }
+        let mut out: BTreeSet<String> = self.constraints.iter().flat_map(Constraint::vars).collect();
         out.extend(self.domains.keys().cloned());
         out
     }
 
-    /// Check a full assignment against the pool.
+    /// Does the assignment satisfy every constraint?
     pub fn satisfied_by(&self, asg: &Assignment) -> bool {
-        self.constraints
-            .iter()
-            .all(|c| c.eval_partial(asg) == Some(true))
+        self.constraints.iter().all(|c| c.eval_partial(asg) == Some(true))
     }
 
-    /// Find a satisfying assignment (both tiers).
-    pub fn solve(&self) -> SolveResult {
-        let mut stats = SolveStats::default();
-        // Tier 1: mini-solver.
-        if let Some(outcome) = self.mini_solve() {
-            stats.tier = Some(Tier::Mini);
-            return match outcome {
-                Some(asg) => SolveResult::Sat(asg, stats),
-                None => SolveResult::Unsat(stats),
-            };
-        }
-        // Tier 2: search.
-        stats.tier = Some(Tier::Search);
+    /// The first assignment of every variable of [`Pool::vars`] to a value
+    /// of its domain that satisfies every constraint, in lexicographic
+    /// order: variables by name, values in declared order. `None` if there
+    /// is none.
+    pub fn solve(&self) -> Option<Assignment> {
         let vars: Vec<String> = self.vars().into_iter().collect();
-        let candidates: Vec<Vec<Value>> = vars.iter().map(|v| self.candidates(v)).collect();
+        // A constraint is checked as soon as the last of its variables is
+        // bound: `checks[i]` holds those whose last is `vars[i - 1]`.
+        let mut checks: Vec<Vec<&Constraint>> = vec![Vec::new(); vars.len() + 1];
+        for c in &self.constraints {
+            let last = c.vars().iter().map(|v| vars.binary_search(v).map_or(0, |i| i + 1)).max();
+            checks[last.unwrap_or(0)].push(c);
+        }
+        let domains: Vec<&[Value]> =
+            vars.iter().map(|v| self.domains.get(v).map_or(&[][..], Vec::as_slice)).collect();
         let mut asg = Assignment::new();
-        if self.search(&vars, &candidates, 0, &mut asg, &mut stats.nodes) {
-            SolveResult::Sat(asg, stats)
-        } else {
-            SolveResult::Unsat(stats)
-        }
+        let holds = |asg: &Assignment, level: usize| checks[level].iter().all(|c| c.eval_partial(asg) == Some(true));
+        (holds(&asg, 0) && extend(&vars, &domains, &holds, &mut asg)).then_some(asg)
     }
+}
 
-    /// Enumerate up to `limit` distinct values for `var` that occur in some
-    /// satisfying assignment, in candidate order.
-    pub fn enumerate(&self, var: &str, limit: usize) -> Vec<Value> {
-        let mut out = Vec::new();
-        let mut blocked = self.clone();
-        while out.len() < limit {
-            match blocked.solve() {
-                SolveResult::Sat(asg, _) => match asg.get(var) {
-                    Some(v) => {
-                        out.push(v.clone());
-                        blocked.push(Constraint::cmp(
-                            STerm::var(var),
-                            CmpOp::Ne,
-                            STerm::Val(v.clone()),
-                        ));
-                    }
-                    None => break,
-                },
-                SolveResult::Unsat(_) => break,
-            }
-        }
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // Tier 1: propagation-only mini-solver.
-    //
-    // Applicable iff every constraint is a flat comparison between a
-    // variable and (a variable | a literal). Returns:
-    //   None            → not applicable (fall through to search)
-    //   Some(None)      → definitely unsat
-    //   Some(Some(a))   → witness
-
-    fn mini_solve(&self) -> Option<Option<Assignment>> {
-        #[derive(Clone, Debug)]
-        struct Box_ {
-            lo: i64,
-            hi: i64,
-            not_eq: BTreeSet<i64>,
-            str_eq: Option<String>,
-            str_ne: BTreeSet<String>,
-            bool_eq: Option<bool>,
-        }
-        impl Default for Box_ {
-            fn default() -> Self {
-                Box_ {
-                    lo: i64::MIN / 4,
-                    hi: i64::MAX / 4,
-                    not_eq: BTreeSet::new(),
-                    str_eq: None,
-                    str_ne: BTreeSet::new(),
-                    bool_eq: None,
-                }
-            }
-        }
-
-        // Union-find over variable equalities.
-        let vars: Vec<String> = self.vars().into_iter().collect();
-        if vars.is_empty() {
-            // Ground pool: just evaluate.
-            let asg = Assignment::new();
-            let ok = self
-                .constraints
-                .iter()
-                .all(|c| c.eval_partial(&asg) == Some(true));
-            return Some(if ok { Some(asg) } else { None });
-        }
-        let index: BTreeMap<&str, usize> =
-            vars.iter().enumerate().map(|(i, v)| (v.as_str(), i)).collect();
-        let mut parent: Vec<usize> = (0..vars.len()).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let r = find(parent, parent[i]);
-                parent[i] = r;
-            }
-            parent[i]
-        }
-        // First pass: classify; reject non-flat constraints.
-        let mut flat: Vec<(&STerm, CmpOp, &STerm)> = Vec::new();
-        for c in &self.constraints {
-            match c {
-                Constraint::True => {}
-                Constraint::False => return Some(None),
-                Constraint::Cmp { lhs, op, rhs } => {
-                    let is_flat = |t: &STerm| matches!(t, STerm::Var(_) | STerm::Val(_));
-                    if !is_flat(lhs) || !is_flat(rhs) {
-                        return None;
-                    }
-                    flat.push((lhs, *op, rhs));
-                }
-                _ => return None, // Or / Implies / Not / And → search
-            }
-        }
-        // Merge equal variables.
-        for (l, op, r) in &flat {
-            if *op == CmpOp::Eq {
-                if let (STerm::Var(a), STerm::Var(b)) = (l, r) {
-                    let (ia, ib) = (index[a.as_str()], index[b.as_str()]);
-                    let (ra, rb) = (find(&mut parent, ia), find(&mut parent, ib));
-                    if ra != rb {
-                        parent[ra] = rb;
-                    }
-                }
-            }
-        }
-        // Propagate bounds per class.
-        let mut boxes: BTreeMap<usize, Box_> = BTreeMap::new();
-        // And collect var≠var constraints for a final check.
-        let mut neq_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut lt_pairs: Vec<(usize, usize, bool)> = Vec::new(); // (a, b, strict): a < b or a <= b
-        for (l, op, r) in &flat {
-            match (l, r) {
-                (STerm::Var(a), STerm::Val(v)) | (STerm::Val(v), STerm::Var(a)) => {
-                    // Normalize so the variable is on the left.
-                    let mut op = *op;
-                    if matches!(l, STerm::Val(_)) {
-                        op = match op {
-                            CmpOp::Lt => CmpOp::Gt,
-                            CmpOp::Le => CmpOp::Ge,
-                            CmpOp::Gt => CmpOp::Lt,
-                            CmpOp::Ge => CmpOp::Le,
-                            other => other,
-                        };
-                    }
-                    let root = find(&mut parent, index[a.as_str()]);
-                    let b = boxes.entry(root).or_default();
-                    match (v, op) {
-                        (Value::Int(n), CmpOp::Eq) => {
-                            b.lo = b.lo.max(*n);
-                            b.hi = b.hi.min(*n);
-                        }
-                        (Value::Int(n), CmpOp::Ne) => {
-                            b.not_eq.insert(*n);
-                        }
-                        (Value::Int(n), CmpOp::Lt) => b.hi = b.hi.min(n - 1),
-                        (Value::Int(n), CmpOp::Le) => b.hi = b.hi.min(*n),
-                        (Value::Int(n), CmpOp::Gt) => b.lo = b.lo.max(n + 1),
-                        (Value::Int(n), CmpOp::Ge) => b.lo = b.lo.max(*n),
-                        (Value::Str(s), CmpOp::Eq) => match &b.str_eq {
-                            Some(prev) if prev != s => return Some(None),
-                            _ => b.str_eq = Some(s.clone()),
-                        },
-                        (Value::Str(s), CmpOp::Ne) => {
-                            b.str_ne.insert(s.clone());
-                        }
-                        (Value::Bool(x), CmpOp::Eq) => match b.bool_eq {
-                            Some(prev) if prev != *x => return Some(None),
-                            _ => b.bool_eq = Some(*x),
-                        },
-                        (Value::Bool(x), CmpOp::Ne) => match b.bool_eq {
-                            Some(prev) if prev == *x => return Some(None),
-                            _ => b.bool_eq = Some(!*x),
-                        },
-                        _ => return None, // exotic (wildcards, str ordering) → search
-                    }
-                }
-                (STerm::Var(a), STerm::Var(b)) => {
-                    let ia = find(&mut parent, index[a.as_str()]);
-                    let ib = find(&mut parent, index[b.as_str()]);
-                    match op {
-                        CmpOp::Eq => {}
-                        CmpOp::Ne => neq_pairs.push((ia, ib)),
-                        CmpOp::Lt => lt_pairs.push((ia, ib, true)),
-                        CmpOp::Le => lt_pairs.push((ia, ib, false)),
-                        CmpOp::Gt => lt_pairs.push((ib, ia, true)),
-                        CmpOp::Ge => lt_pairs.push((ib, ia, false)),
-                    }
-                }
-                (STerm::Val(a), STerm::Val(b)) => {
-                    if !op.eval(a, b) {
-                        return Some(None);
-                    }
-                }
-                _ => return None,
-            }
-        }
-        // Var-to-var order constraints: a couple of propagation rounds.
-        for _ in 0..vars.len().max(2) {
-            for &(a, b, strict) in &lt_pairs {
-                let (alo, ahi) = {
-                    let ba = boxes.entry(a).or_default();
-                    (ba.lo, ba.hi)
-                };
-                let (_blo, bhi) = {
-                    let bb = boxes.entry(b).or_default();
-                    (bb.lo, bb.hi)
-                };
-                let margin = i64::from(strict);
-                let ba = boxes.get_mut(&a).unwrap();
-                ba.hi = ba.hi.min(bhi - margin);
-                let _ = alo;
-                let bb = boxes.get_mut(&b).unwrap();
-                bb.lo = bb.lo.max(alo + margin);
-                let _ = ahi;
-            }
-        }
-        // Assemble a witness: pick the smallest feasible value per class,
-        // respecting declared domains when present.
-        let mut class_value: BTreeMap<usize, Value> = BTreeMap::new();
-        for (i, var) in vars.iter().enumerate() {
-            let root = find(&mut parent, i);
-            if class_value.contains_key(&root) {
-                continue;
-            }
-            let b = boxes.entry(root).or_default();
-            // Feasibility test for any concrete value against the box.
-            let feasible = |v: &Value, b: &Box_| -> bool {
-                match v {
-                    Value::Int(n) => {
-                        b.str_eq.is_none()
-                            && b.bool_eq.is_none()
-                            && *n >= b.lo
-                            && *n <= b.hi
-                            && !b.not_eq.contains(n)
-                    }
-                    Value::Str(s) => {
-                        b.bool_eq.is_none()
-                            && b.str_eq.as_ref().map_or(true, |e| e == s)
-                            && !b.str_ne.contains(s)
-                    }
-                    Value::Bool(x) => b.str_eq.is_none() && b.bool_eq.map_or(true, |e| e == *x),
-                    Value::Wild => false,
-                }
-            };
-            // Domain-aware pick: first feasible declared candidate.
-            if let Some(dom) = self.domains.get(var) {
-                match dom.iter().find(|v| feasible(v, b)) {
-                    Some(v) => {
-                        class_value.insert(root, v.clone());
-                        continue;
-                    }
-                    None => return Some(None),
-                }
-            }
-            if let Some(s) = &b.str_eq {
-                if b.str_ne.contains(s) {
-                    return Some(None);
-                }
-                class_value.insert(root, Value::Str(s.clone()));
-                continue;
-            }
-            if !b.str_ne.is_empty() {
-                // Unconstrained-but-≠-strings without a domain: let the
-                // search tier pick something sensible.
-                return None;
-            }
-            if let Some(x) = b.bool_eq {
-                class_value.insert(root, Value::Bool(x));
-                continue;
-            }
-            if b.lo > b.hi {
-                return Some(None);
-            }
-            let picked = {
-                let mut n = if b.lo > i64::MIN / 8 { b.lo } else { 0.max(b.lo) };
-                let mut found = None;
-                for _ in 0..(b.not_eq.len() + 1) {
-                    if n > b.hi {
-                        break;
-                    }
-                    if !b.not_eq.contains(&n) {
-                        found = Some(n);
-                        break;
-                    }
-                    n += 1;
-                }
-                found
-            };
-            match picked {
-                Some(n) => {
-                    class_value.insert(root, Value::Int(n));
-                }
-                None => return Some(None),
-            }
-        }
-        let mut asg = Assignment::new();
-        for (i, var) in vars.iter().enumerate() {
-            let root = find(&mut parent, i);
-            asg.set(var.clone(), class_value[&root].clone());
-        }
-        // Inequality pairs and ordering may be violated by greedy picks; if
-        // so, defer to search rather than trying to be clever.
-        for &(a, b) in &neq_pairs {
-            if class_value.get(&a) == class_value.get(&b) {
-                return None;
-            }
-        }
-        if !self.satisfied_by(&asg) {
-            return None;
-        }
-        Some(Some(asg))
-    }
-
-    // ------------------------------------------------------------------
-    // Tier 2: bounded backtracking search.
-
-    /// Candidate values for a variable: the declared domain, else literals
-    /// mentioned in the pool plus their ±1 integer neighbors (the paper's
-    /// observation that real bugs are often off-by-one, §3.5), plus 0/1.
-    pub fn candidates(&self, var: &str) -> Vec<Value> {
-        if let Some(d) = self.domains.get(var) {
-            return d.clone();
-        }
-        let mut lits: BTreeSet<Value> = BTreeSet::new();
-        for c in &self.constraints {
-            if c.vars().contains(var) {
-                lits.extend(c.literals());
-            }
-        }
-        if lits.is_empty() {
-            for c in &self.constraints {
-                lits.extend(c.literals());
-            }
-        }
-        let mut out: Vec<Value> = Vec::new();
-        let mut seen = BTreeSet::new();
-        let push = |v: Value, out: &mut Vec<Value>, seen: &mut BTreeSet<Value>| {
-            if seen.insert(v.clone()) {
-                out.push(v);
-            }
-        };
-        for l in &lits {
-            push(l.clone(), &mut out, &mut seen);
-            if let Value::Int(n) = l {
-                push(Value::Int(n + 1), &mut out, &mut seen);
-                push(Value::Int(n - 1), &mut out, &mut seen);
-            }
-        }
-        push(Value::Int(0), &mut out, &mut seen);
-        push(Value::Int(1), &mut out, &mut seen);
-        push(Value::Bool(true), &mut out, &mut seen);
-        push(Value::Bool(false), &mut out, &mut seen);
-        out
-    }
-
-    fn search(
-        &self,
-        vars: &[String],
-        candidates: &[Vec<Value>],
-        i: usize,
-        asg: &mut Assignment,
-        nodes: &mut u64,
-    ) -> bool {
-        const NODE_LIMIT: u64 = 2_000_000;
-        *nodes += 1;
-        if *nodes > NODE_LIMIT {
-            return false;
-        }
-        // Early contradiction pruning.
-        for c in &self.constraints {
-            if c.eval_partial(asg) == Some(false) {
-                return false;
-            }
-        }
-        if i == vars.len() {
-            return self.satisfied_by(asg);
-        }
-        for v in &candidates[i] {
-            asg.set(vars[i].clone(), v.clone());
-            if self.search(vars, candidates, i + 1, asg, nodes) {
-                return true;
-            }
-        }
-        // Un-bind on failure (BTreeMap has no remove-through-Assignment API;
-        // rebuild instead).
-        let mut trimmed = Assignment::new();
-        for (k, val) in asg.iter() {
-            if vars[..i].contains(k) {
-                trimmed.set(k.clone(), val.clone());
-            }
-        }
-        *asg = trimmed;
-        false
-    }
+/// Bind `vars[asg.len()..]` depth first. A deeper variable's binding from
+/// a failed branch may linger in `asg`, but no check before its own level
+/// reads it, and the next branch overwrites it.
+fn extend(
+    vars: &[String],
+    domains: &[&[Value]],
+    holds: &impl Fn(&Assignment, usize) -> bool,
+    asg: &mut Assignment,
+) -> bool {
+    let level = vars.len() - domains.len();
+    let Some((domain, rest)) = domains.split_first() else {
+        return true;
+    };
+    domain.iter().any(|v| {
+        asg.set(vars[level].clone(), v.clone());
+        holds(asg, level + 1) && extend(vars, rest, holds, asg)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::Constraint as C;
+    use crate::constraint::{Constraint as C, STerm};
+    use mpr_ndlog::CmpOp;
 
-    #[test]
-    fn trivial_pool_hits_mini_tier() {
-        // The Fig. 6 pool: Const0.Val == 3 && Const0.Rul == 'r7'.
-        let mut p = Pool::new();
-        p.push(C::eq_val("Const0.Val", Value::Int(3)));
-        p.push(C::eq_val("Const0.Rul", Value::str("r7")));
-        match p.solve() {
-            SolveResult::Sat(asg, stats) => {
-                assert_eq!(asg.get("Const0.Val"), Some(&Value::Int(3)));
-                assert_eq!(asg.get("Const0.Rul"), Some(&Value::str("r7")));
-                assert_eq!(stats.tier, Some(Tier::Mini));
-            }
-            SolveResult::Unsat(_) => panic!("should be sat"),
-        }
+    fn ints(range: std::ops::RangeInclusive<i64>) -> Vec<Value> {
+        range.map(Value::Int).collect()
     }
 
     #[test]
@@ -531,22 +111,11 @@ mod tests {
         p.push(C::eq_var("B0.x", "C0.x"));
         p.push(C::cmp(STerm::var("B0.x"), CmpOp::Gt, STerm::int(0)));
         p.push(C::cmp(STerm::var("C0.x"), CmpOp::Lt, STerm::int(5)));
-        let r = p.solve();
-        let asg = r.assignment().expect("sat");
-        let x = asg.get("B0.x").unwrap().as_int().unwrap();
-        assert_eq!(asg.get("B0.x"), asg.get("C0.x"));
-        assert!(x > 0 && x < 5);
-    }
-
-    #[test]
-    fn infeasible_intervals_detected_by_mini() {
-        let mut p = Pool::new();
-        p.push(C::cmp(STerm::var("x"), CmpOp::Gt, STerm::int(5)));
-        p.push(C::cmp(STerm::var("x"), CmpOp::Lt, STerm::int(3)));
-        match p.solve() {
-            SolveResult::Unsat(stats) => assert_eq!(stats.tier, Some(Tier::Mini)),
-            SolveResult::Sat(a, _) => panic!("unexpected witness {a}"),
-        }
+        p.set_domain("B0.x", ints(-3..=9));
+        p.set_domain("C0.x", ints(-3..=9));
+        let asg = p.solve().expect("sat");
+        assert_eq!(asg.get("B0.x"), Some(&Value::Int(1)));
+        assert_eq!(asg.get("C0.x"), Some(&Value::Int(1)));
     }
 
     #[test]
@@ -565,42 +134,14 @@ mod tests {
         p.push(C::eq_var("A0.x", "C0.x"));
         p.push(C::eq_var("A0.y", "C0.y"));
         p.push(C::eq_val("A0.y", Value::Int(2)));
-        match p.solve() {
-            SolveResult::Sat(asg, stats) => {
-                assert_eq!(stats.tier, Some(Tier::Search));
-                assert!(p.satisfied_by(&asg), "{asg}");
-                assert_eq!(asg.get("A0.y"), Some(&Value::Int(2)));
-                let x = asg.get("A0.x").unwrap().as_int().unwrap();
-                assert!(x > 0);
-            }
-            SolveResult::Unsat(_) => panic!("should be sat"),
+        for v in p.vars() {
+            p.set_domain(v, ints(0..=3));
         }
-    }
-
-    #[test]
-    fn primary_key_implications() {
-        // §3.4: D.x == D0.x implies D.y == 1; D.x == D1.x implies D.y == 2;
-        // with D0.x = D1.x = 9 the pool is unsat when D.x == 9.
-        let mut p = Pool::new();
-        p.push(C::eq_val("D0.x", Value::Int(9)));
-        p.push(C::eq_val("D1.x", Value::Int(9)));
-        p.push(C::eq_val("D.x", Value::Int(9)));
-        p.push(C::Implies(
-            Box::new(C::eq_var("D.x", "D0.x")),
-            Box::new(C::eq_val("D.y", Value::Int(1))),
-        ));
-        p.push(C::Implies(
-            Box::new(C::eq_var("D.x", "D1.x")),
-            Box::new(C::eq_val("D.y", Value::Int(2))),
-        ));
-        assert!(!p.solve().is_sat());
-        // Relaxing D.x makes it satisfiable again (solver must move D.x
-        // away from 9).
-        let mut p2 = p.clone();
-        p2.constraints.remove(2);
-        let r = p2.solve();
-        let asg = r.assignment().expect("sat after relaxing");
-        assert_ne!(asg.get("D.x"), Some(&Value::Int(9)));
+        let asg = p.solve().expect("sat");
+        assert!(p.satisfied_by(&asg), "{asg}");
+        // `A0.x` is named first and 0 is its first value, but `B0.x > 0`
+        // refutes it only three variables later.
+        assert_eq!(asg.to_string(), "{A0.x=1, A0.y=2, B0.x=1, C0.x=1, C0.y=2}");
     }
 
     #[test]
@@ -610,31 +151,21 @@ mod tests {
         let collected = C::eq_val("Z", Value::Int(1));
         let mut p = Pool::new();
         p.push(collected.negate());
-        p.set_domain("Z", vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
-        let r = p.solve();
-        let z = r.assignment().unwrap().get("Z").cloned().unwrap();
-        assert_ne!(z, Value::Int(1));
-    }
-
-    #[test]
-    fn enumerate_yields_distinct_witnesses() {
-        let mut p = Pool::new();
-        p.push(C::cmp(STerm::var("Swi"), CmpOp::Gt, STerm::int(1)));
-        p.set_domain("Swi", (1..=5).map(Value::Int).collect());
-        let vals = p.enumerate("Swi", 10);
-        assert_eq!(vals, vec![Value::Int(2), Value::Int(3), Value::Int(4), Value::Int(5)]);
+        p.set_domain("Z", ints(1..=3));
+        assert_eq!(p.solve().unwrap().get("Z"), Some(&Value::Int(2)));
     }
 
     #[test]
     fn disjunction_handled_by_search() {
+        // `x == 7 || x == 9` over one variable is the domain [7, 9]: the
+        // search tries the alternatives in declared order.
         let mut p = Pool::new();
-        p.push(C::Or(vec![
-            C::eq_val("x", Value::Int(7)),
-            C::eq_val("x", Value::Int(9)),
-        ]));
         p.push(C::cmp(STerm::var("x"), CmpOp::Gt, STerm::int(8)));
-        let r = p.solve();
-        assert_eq!(r.assignment().unwrap().get("x"), Some(&Value::Int(9)));
+        p.set_domain("x", vec![Value::Int(7), Value::Int(9)]);
+        assert_eq!(p.solve().unwrap().get("x"), Some(&Value::Int(9)));
+        p.set_domain("x", vec![Value::Int(9), Value::Int(7)]);
+        p.push(C::cmp(STerm::var("x"), CmpOp::Lt, STerm::int(8)));
+        assert!(p.solve().is_none());
     }
 
     #[test]
@@ -642,9 +173,9 @@ mod tests {
         let mut p = Pool::new();
         p.push(C::eq_val("Rul", Value::str("r7")));
         p.push(C::cmp(STerm::var("Sid"), CmpOp::Ne, STerm::Val(Value::str("a"))));
+        p.set_domain("Rul", vec![Value::str("r5"), Value::str("r7")]);
         p.set_domain("Sid", vec![Value::str("a"), Value::str("b")]);
-        let r = p.solve();
-        let asg = r.assignment().unwrap();
+        let asg = p.solve().unwrap();
         assert_eq!(asg.get("Rul"), Some(&Value::str("r7")));
         assert_eq!(asg.get("Sid"), Some(&Value::str("b")));
     }
@@ -654,25 +185,43 @@ mod tests {
         let mut p = Pool::new();
         p.push(C::eq_val("Rul", Value::str("r7")));
         p.push(C::eq_val("Rul", Value::str("r5")));
-        assert!(!p.solve().is_sat());
+        p.set_domain("Rul", vec![Value::str("r5"), Value::str("r7")]);
+        assert!(p.solve().is_none());
     }
 
     #[test]
     fn ground_pools() {
         let mut p = Pool::new();
         p.push(C::cmp(STerm::int(1), CmpOp::Lt, STerm::int(2)));
-        assert!(p.solve().is_sat());
+        assert_eq!(p.solve(), Some(Assignment::new()));
         p.push(C::cmp(STerm::int(5), CmpOp::Lt, STerm::int(2)));
-        assert!(!p.solve().is_sat());
+        assert!(p.solve().is_none());
     }
 
     #[test]
     fn var_to_var_ordering() {
         let mut p = Pool::new();
-        p.push(C::cmp(STerm::var("a"), CmpOp::Lt, STerm::var("b")));
+        p.push(C::cmp(STerm::var("b"), CmpOp::Lt, STerm::var("a")));
         p.push(C::eq_val("b", Value::Int(3)));
-        let r = p.solve();
-        let asg = r.assignment().expect("sat");
-        assert!(asg.get("a").unwrap().as_int().unwrap() < 3);
+        p.set_domain("a", ints(0..=5));
+        p.set_domain("b", ints(0..=5));
+        // `a` is bound first, so it takes the first value `b` can stay
+        // under.
+        assert_eq!(p.solve().unwrap().to_string(), "{a=4, b=3}");
+    }
+
+    #[test]
+    fn a_variable_without_a_domain_has_no_candidates() {
+        // `D < -3` is satisfiable, but only over a domain that says so.
+        let mut p = Pool::new();
+        p.push(C::cmp(STerm::var("D"), CmpOp::Lt, STerm::int(-3)));
+        assert!(p.solve().is_none());
+        p.set_domain("D", ints(-5..=5));
+        assert_eq!(p.solve().unwrap().get("D"), Some(&Value::Int(-5)));
+        // A declared, unconstrained variable takes its first value.
+        p.set_domain("E", ints(7..=8));
+        assert_eq!(p.solve().unwrap().to_string(), "{D=-5, E=7}");
+        p.set_domain("E", Vec::new());
+        assert!(p.solve().is_none());
     }
 }

@@ -1,6 +1,7 @@
-//! Property tests for the solver: every SAT witness actually satisfies the
-//! pool, negation flips satisfaction, and enumeration yields distinct
-//! satisfying values.
+//! Property tests for the solver: `solve` returns exactly the first
+//! satisfying assignment of a brute-force lexicographic enumeration over
+//! the declared domains, its witnesses satisfy the pool, and negation
+//! flips a comparison's truth.
 
 use mpr_ndlog::{CmpOp, Value};
 use mpr_solver::{Assignment, Constraint, Pool, STerm};
@@ -14,25 +15,23 @@ fn sterm() -> impl Strategy<Value = STerm> {
         (-8i64..8).prop_map(STerm::int),
     ];
     leaf.prop_recursive(2, 8, 2, |inner| {
-        (inner.clone(), inner).prop_map(|(l, r)| STerm::Add(Box::new(l), Box::new(r)))
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| STerm::Add(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| STerm::Sub(Box::new(l), Box::new(r))),
+            (inner.clone(), inner).prop_map(|(l, r)| STerm::Mul(Box::new(l), Box::new(r))),
+        ]
     })
 }
 
-fn cmp() -> impl Strategy<Value = Constraint> {
+fn constraint() -> impl Strategy<Value = Constraint> {
     (sterm(), prop::sample::select(CmpOp::ALL.to_vec()), sterm())
         .prop_map(|(l, op, r)| Constraint::cmp(l, op, r))
 }
 
-fn constraint() -> impl Strategy<Value = Constraint> {
-    cmp().prop_recursive(2, 12, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..3).prop_map(Constraint::And),
-            prop::collection::vec(inner.clone(), 1..3).prop_map(Constraint::Or),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Constraint::Implies(Box::new(a), Box::new(b))),
-            inner.prop_map(|c| Constraint::Not(Box::new(c))),
-        ]
-    })
+/// A domain per variable: some integers, in no particular order, possibly
+/// none.
+fn domains() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    prop::collection::vec(prop::collection::vec((-6i64..6).prop_map(Value::Int), 0..5), VARS.len())
 }
 
 fn full_assignment() -> impl Strategy<Value = Assignment> {
@@ -45,17 +44,58 @@ fn full_assignment() -> impl Strategy<Value = Assignment> {
     })
 }
 
+fn pool(cs: Vec<Constraint>, doms: &[Vec<Value>], declared: usize) -> Pool {
+    let mut p = Pool::new();
+    for c in cs {
+        p.push(c);
+    }
+    for (v, d) in VARS.iter().zip(doms).take(declared) {
+        p.set_domain(*v, d.clone());
+    }
+    p
+}
+
+/// Every assignment of the pool's variables to their declared values, in
+/// lexicographic order (variables by name, values in declared order), and
+/// the first that satisfies every constraint.
+fn first_by_enumeration(p: &Pool) -> Option<Assignment> {
+    let vars: Vec<String> = p.vars().into_iter().collect();
+    let sizes: Vec<usize> = vars.iter().map(|v| p.domains.get(v).map_or(0, Vec::len)).collect();
+    let total: usize = sizes.iter().product();
+    (0..total)
+        .map(|mut k| {
+            // `k` in mixed radix, the last variable's digit least significant.
+            let mut asg = Assignment::new();
+            for (i, v) in vars.iter().enumerate().rev() {
+                asg.set(v.clone(), p.domains[v][k % sizes[i]].clone());
+                k /= sizes[i];
+            }
+            asg
+        })
+        .find(|asg| p.satisfied_by(asg))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn sat_witnesses_satisfy(cs in prop::collection::vec(constraint(), 1..4)) {
-        let mut p = Pool::new();
-        for c in cs {
-            p.push(c);
-        }
-        if let Some(asg) = p.solve().assignment() {
-            prop_assert!(p.satisfied_by(asg), "witness {asg} violates pool");
+    fn solve_is_the_first_assignment_in_lexicographic_order(
+        cs in prop::collection::vec(constraint(), 0..4),
+        doms in domains(),
+        declared in 0usize..=4,
+    ) {
+        let p = pool(cs, &doms, declared);
+        prop_assert_eq!(p.solve(), first_by_enumeration(&p));
+    }
+
+    #[test]
+    fn sat_witnesses_satisfy(cs in prop::collection::vec(constraint(), 1..4), doms in domains()) {
+        let p = pool(cs, &doms, VARS.len());
+        if let Some(asg) = p.solve() {
+            prop_assert!(p.satisfied_by(&asg), "witness {asg} violates pool");
+            for (v, val) in asg.iter() {
+                prop_assert!(p.domains[v].contains(val), "{v}={val} is not in its domain");
+            }
         }
     }
 
@@ -70,41 +110,23 @@ proptest! {
     }
 
     #[test]
-    fn solver_is_complete_for_witnessed_pools(cs in prop::collection::vec(cmp(), 1..4), asg in full_assignment()) {
-        // Build a pool that `asg` satisfies by construction; the solver
-        // must find *some* witness (not necessarily the same one).
+    fn solver_is_complete_for_witnessed_pools(cs in prop::collection::vec(constraint(), 1..4), asg in full_assignment()) {
+        // Build a pool that `asg` satisfies by construction, over domains
+        // that hold its values: the solver must find *some* witness (not
+        // necessarily the same one).
         let mut p = Pool::new();
-        let mut any = false;
         for c in cs {
             if c.eval_partial(&asg) == Some(true) {
                 p.push(c);
-                any = true;
             }
         }
-        prop_assume!(any);
-        // Give the solver the ground-truth values as candidates so the
-        // search tier is never starved by its heuristic domain.
+        prop_assume!(!p.constraints.is_empty());
         for v in VARS {
             let mut dom: Vec<Value> = (-8..8).map(Value::Int).collect();
-            if let Some(val) = asg.get(v) {
-                dom.insert(0, val.clone());
-            }
+            dom.retain(|val| Some(val) != asg.get(v));
+            dom.push(asg.get(v).cloned().expect("full"));
             p.set_domain(v, dom);
         }
-        prop_assert!(p.solve().is_sat(), "pool satisfiable by {asg} reported unsat");
-    }
-
-    #[test]
-    fn enumerate_values_are_distinct_and_satisfying(n in 1usize..5) {
-        let mut p = Pool::new();
-        p.push(Constraint::cmp(STerm::var("x"), CmpOp::Ge, STerm::int(0)));
-        p.set_domain("x", (0..10).map(Value::Int).collect());
-        let vals = p.enumerate("x", n);
-        prop_assert_eq!(vals.len(), n);
-        let set: std::collections::BTreeSet<_> = vals.iter().cloned().collect();
-        prop_assert_eq!(set.len(), n);
-        for v in vals {
-            prop_assert!(v.as_int().unwrap() >= 0);
-        }
+        prop_assert!(p.solve().is_some(), "pool satisfiable by {asg} reported unsat");
     }
 }

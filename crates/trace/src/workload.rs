@@ -11,13 +11,12 @@
 use mpr_sdn::packet::Packet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One packet to inject: `(source host, packet)`.
 pub type Injection = (i64, Packet);
 
 /// Protocol mix (fractions must sum to ≤ 1; the remainder is ICMP).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Mix {
     /// Fraction of HTTP requests.
     pub http: f64,
@@ -26,7 +25,7 @@ pub struct Mix {
 }
 
 /// A workload specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// RNG seed (every run with the same spec is identical).
     pub seed: u64,
