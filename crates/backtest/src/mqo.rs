@@ -132,7 +132,7 @@ use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::{build_dispatch, LazyRule, TriggerDispatch};
+use mpr_runtime::{build_dispatch, LazyRule, Prehashed, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
@@ -141,7 +141,7 @@ use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -263,29 +263,6 @@ fn deltas_between(base: &Program, candidates: &[Program]) -> Vec<RuleDelta> {
 /// derived from `base`.
 pub fn build_tagged_program<'a>(base: &'a Program, candidates: &[Program]) -> TaggedProgram<'a> {
     tagged_program(base, &deltas_between(base, candidates))
-}
-
-/// A map keyed by a hash its caller computed — once, for the probe and for
-/// the insert that may follow it. The values hold what tells the keys of
-/// one hash apart.
-type Prehashed<V> = HashMap<u64, V, BuildHasherDefault<PassHash>>;
-
-/// Hands a [`Prehashed`] map's key through as its hash.
-#[derive(Default)]
-struct PassHash(u64);
-
-impl Hasher for PassHash {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a prehashed map is keyed by u64");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The primary-key columns of `t`, in column order: the `declared` ones,

@@ -369,7 +369,7 @@ impl Engine {
             self.count_derivation(result)?;
             if let Some(head) = rule.finish(&mut s.frames[m * n..(m + 1) * n], &mut self.funcs) {
                 let body_tids = &s.tids[m * b..(m + 1) * b];
-                self.emit_head(rule_idx, head, body_tids, delta, queue, result)?;
+                self.emit_head(rule_idx, head, body_tids, delta_tid, queue, result)?;
             }
         }
         self.scratch = s;

@@ -13,6 +13,15 @@
 //! construction only checks every rule ([`crate::compiled::check`]), so a
 //! program is refused exactly as if every rule had been compiled.
 //!
+//! A batch engine keeps a *step memo*. An event insertion's step is filed
+//! under its event tuple when it left the state generation alone — no tuple
+//! appeared, disappeared or was replaced, no aggregate group moved — and
+//! called no `f_unique()`. The same event at the same generation is then
+//! answered by replaying the filed step's log rows, support bumps and
+//! derivation records, not by evaluating it, and any move of the generation
+//! empties the memo (`memo.rs`; [`Engine::steps`] and [`Engine::memo_hits`]
+//! count the two kinds of answer).
+//!
 //! A second evaluator, [`EvalStrategy::Pipelined`], is kept as a *test
 //! reference* only: the strategy RapidNet uses (and the one the paper's
 //! provenance model assumes), where every inserted or derived tuple becomes
@@ -20,10 +29,12 @@
 //! materialized state. It keeps its rules as source and runs them through
 //! the name-keyed interpreter ([`match_atom`], `Selection::eval` over an
 //! `Env`, [`instantiate`]) — sharing with the batch path neither the
-//! propagation loop nor what a rule is at run time, which is what makes it
-//! an oracle for both. `tests/differential.rs` proves both produce the same
-//! fixpoints and provenance-equivalent derivations over generated programs.
-//! Aggregate rules run through the interpreter under either strategy.
+//! propagation loop nor what a rule is at run time, nor the step memo,
+//! which is what makes it an oracle for all three. `tests/differential.rs`
+//! proves both produce the same fixpoints and provenance-equivalent
+//! derivations over generated programs, and on event streams with repeats
+//! the same step results, stores and logs. Aggregate rules run through the
+//! interpreter under either strategy.
 //!
 //! Derived state carries support counts so deletions cascade correctly
 //! (UNDERIVE/DISAPPEAR, §3.1); tables with declared primary keys follow
@@ -47,7 +58,8 @@ use crate::batch;
 use crate::compiled::{self, LazyRule};
 use crate::delta::{DeltaTracker, RelationDeltaStats};
 use crate::index::IndexRegistry;
-use crate::log::{ExecLog, Time, TupleId, TupleKind};
+use crate::log::{ExecLog, Origin, Time, TupleId, TupleKind};
+use crate::memo::{Head, StepMemo};
 use crate::store::{AddOutcome, DropOutcome, Store};
 use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
 use mpr_ndlog::eval::{Bindings, CountingFuncs, Env};
@@ -296,7 +308,7 @@ impl Default for Options {
 }
 
 /// What changed during one externally driven step.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepResult {
     /// Tuples that appeared (including transient event derivations).
     pub appeared: Vec<Tuple>,
@@ -365,7 +377,7 @@ struct DerivRecord {
 
 /// The firing behind a unit of derived support: rule index, body instances
 /// in body-atom order, and the node the firing ran at.
-type Firing<'a> = (usize, &'a [TupleId], &'a Value);
+pub(crate) type Firing<'a> = (usize, &'a [TupleId], Origin<'a>);
 
 #[derive(Debug, Default)]
 struct AggGroup {
@@ -403,7 +415,7 @@ pub struct Engine {
     records_visited: u64,
     agg_groups: HashMap<(usize, Vec<Value>), AggGroup>,
     agg_contrib: HashMap<TupleId, Vec<(usize, Vec<Value>, Value)>>,
-    total_derivations: u64,
+    pub(crate) total_derivations: u64,
     /// Which propagation discipline `drain` uses.
     strategy: EvalStrategy,
     /// Keyed join-column indexes, kept in sync with the store (batch only).
@@ -419,6 +431,8 @@ pub struct Engine {
     /// The delta queue of the last finished batch drain, empty: the next
     /// insertion queues into it instead of allocating one.
     pub(crate) spare_queue: VecDeque<(TupleId, Tuple)>,
+    /// Event steps filed for replay (batch only; `memo.rs`).
+    pub(crate) memo: StepMemo,
     /// Resolved WAL directory when the store journals durably.
     wal_dir: Option<std::path::PathBuf>,
     /// Why the WAL failed to *open* (runtime write failures live in the
@@ -528,6 +542,7 @@ impl Engine {
             deltas: DeltaTracker::default(),
             scratch: batch::JoinScratch::default(),
             spare_queue: VecDeque::new(),
+            memo: StepMemo::default(),
             wal_dir,
             wal_open_error,
         })
@@ -623,7 +638,6 @@ impl Engine {
     /// Insert a base tuple and run to fixpoint.
     pub fn insert(&mut self, tuple: Tuple) -> Result<StepResult, RuntimeError> {
         self.time += 1;
-        let mut result = StepResult::default();
         // An undeclared table is state of whatever arity it is used with.
         let (arity, is_state) = self
             .store
@@ -636,20 +650,12 @@ impl Engine {
                 got: tuple.args.len(),
             });
         }
-        let mut queue = std::mem::take(&mut self.spare_queue);
-        if is_state {
-            self.add_support(&tuple, true, None, &mut queue, &mut result)?;
-        } else {
-            // Transient event: exists for this instant only.
-            let tid = self.mint(&tuple, TupleKind::Event);
-            if self.opts.record_events {
-                self.log.insert_base(self.time, tid);
-                self.log.appear(self.time, tid);
-            }
-            self.close_record(tid);
-            result.appeared.push(tuple.clone());
-            queue.push_back((tid, tuple));
+        if !is_state {
+            return self.insert_event(tuple);
         }
+        let mut result = StepResult::default();
+        let mut queue = std::mem::take(&mut self.spare_queue);
+        self.add_support(&tuple, true, None, &mut queue, &mut result)?;
         self.drain(queue, &mut result)?;
         self.store.journal_flush();
         Ok(result)
@@ -696,9 +702,27 @@ impl Engine {
     // internals
 
     fn mint(&mut self, tuple: &Tuple, kind: TupleKind) -> TupleId {
-        let tid = self.log.mint(tuple, kind, self.time, self.opts.record_events);
+        let (tref, _) = self.log.intern(tuple, self.log.hash_tuple(tuple));
+        self.mint_interned(tref, kind)
+    }
+
+    /// [`Engine::mint`] for a tuple the log interned under `tref`.
+    pub(crate) fn mint_interned(&mut self, tref: u32, kind: TupleKind) -> TupleId {
+        let tid = self.log.mint_interned(tref, kind, self.time, self.opts.record_events);
         debug_assert_eq!(tid, self.next_tid);
         self.next_tid += 1;
+        tid
+    }
+
+    /// An inserted event, interned under `tref`: INSERT and APPEAR while
+    /// recording, and it is gone at once.
+    pub(crate) fn begin_event(&mut self, tref: u32) -> TupleId {
+        let tid = self.mint_interned(tref, TupleKind::Event);
+        if self.opts.record_events {
+            self.log.insert_base(self.time, tid);
+            self.log.appear(self.time, tid);
+        }
+        self.close_record(tid);
         tid
     }
 
@@ -742,14 +766,19 @@ impl Engine {
         }
         match outcome {
             AddOutcome::New(tid) => {
+                self.memo.state_moved();
                 self.announce(tid, tuple, base, derive, result);
                 queue.push_back((tid, tuple.clone()));
             }
             AddOutcome::SupportOnly(tid) => {
                 // No visible change; log the derivation/insert itself.
                 self.log_support(tid, base, derive);
+                if let Some(firing) = derive {
+                    self.memo.tape(Head::Support(tid), firing);
+                }
             }
             AddOutcome::Replaced { old, new } => {
+                self.memo.state_moved();
                 // The evicted instance dies with a full cascade (its
                 // support is already gone from the store), then the
                 // replacement appears.
@@ -791,7 +820,7 @@ impl Engine {
     /// DERIVE (and SEND/RECEIVE for a remote head) while recording; and,
     /// recording or not, a [`DerivRecord`] if a state body tuple can later
     /// retract the head.
-    fn register_derivation(&mut self, head: TupleId, (rule_idx, body, origin): Firing<'_>) {
+    pub(crate) fn register_derivation(&mut self, head: TupleId, (rule_idx, body, origin): Firing<'_>) {
         let derive_row = if self.opts.record_events {
             self.log.derive(self.time, rule_idx, head, body, origin)
         } else {
@@ -810,6 +839,7 @@ impl Engine {
 
     /// Kill a tuple instance that lost all support: cascade retractions.
     fn kill(&mut self, tid: TupleId, tuple: Tuple, result: &mut StepResult) -> Result<(), RuntimeError> {
+        self.memo.state_moved();
         if self.strategy == EvalStrategy::Batch {
             self.indexes.remove(tid, &tuple);
             self.deltas.retire(&tuple.table, tid);
@@ -852,7 +882,7 @@ impl Engine {
     }
 
     /// Propagate appearances until fixpoint, under the engine's strategy.
-    fn drain(
+    pub(crate) fn drain(
         &mut self,
         queue: VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
@@ -981,7 +1011,7 @@ impl Engine {
             for (slot, &ai) in order.iter().enumerate() {
                 body_tids[ai] = tids[slot + 1];
             }
-            self.finish_firing(rule_idx, rule, env, sels, &body_tids, delta, queue, result)?;
+            self.finish_firing(rule_idx, rule, env, sels, &body_tids, delta_tid, queue, result)?;
         }
         Ok(())
     }
@@ -1020,7 +1050,7 @@ impl Engine {
         mut env: Env,
         mut sel_done: Vec<bool>,
         body_tids: &[TupleId],
-        delta: &Tuple,
+        delta_tid: TupleId,
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
@@ -1045,36 +1075,43 @@ impl Engine {
             return Ok(());
         }
         match instantiate(&rule.head, &env) {
-            Some(head) => self.emit_head(rule_idx, head, body_tids, delta, queue, result),
+            Some(head) => self.emit_head(rule_idx, head, body_tids, delta_tid, queue, result),
             None => Ok(()),
         }
     }
 
-    /// A rule fired and built `head`: derive it.
+    /// A rule fired with the delta `delta_tid` and built `head`: derive it.
     pub(crate) fn emit_head(
         &mut self,
         rule_idx: usize,
         head: Tuple,
         body_tids: &[TupleId],
-        delta: &Tuple,
+        delta_tid: TupleId,
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
+        let firing = (rule_idx, body_tids, Origin::LocOf(delta_tid));
         if self.rules[rule_idx].head_is_event {
-            // Transient derived event: it can never be retracted, so it
-            // keeps no `DerivRecord`.
             let tid = self.mint(&head, TupleKind::Event);
-            if self.opts.record_events {
-                self.log.derive(self.time, rule_idx, tid, body_tids, &delta.loc);
-                self.log.appear(self.time, tid);
-            }
-            self.close_record(tid);
+            self.derive_event(tid, firing);
+            self.memo.tape(Head::Event(self.log.tuple_ref(tid)), firing);
             result.appeared.push(head.clone());
             queue.push_back((tid, head));
         } else {
-            self.add_support(&head, false, Some((rule_idx, body_tids, &delta.loc)), queue, result)?;
+            self.add_support(&head, false, Some(firing), queue, result)?;
         }
         Ok(())
+    }
+
+    /// The derived event instance `tid`: DERIVE and APPEAR while recording,
+    /// and it is gone at once. It can never be retracted, so it keeps no
+    /// [`DerivRecord`].
+    pub(crate) fn derive_event(&mut self, tid: TupleId, (rule_idx, body, origin): Firing<'_>) {
+        if self.opts.record_events {
+            self.log.derive(self.time, rule_idx, tid, body, origin);
+            self.log.appear(self.time, tid);
+        }
+        self.close_record(tid);
     }
 
     // ------------------------------------------------------------------
@@ -1109,13 +1146,14 @@ impl Engine {
         let Some(group) = agg_group_key(&rule.head, &env) else {
             return Ok(());
         };
+        self.memo.state_moved();
         let g = self.agg_groups.entry((rule_idx, group.clone())).or_default();
         *g.values.entry(value.clone()).or_insert(0) += 1;
         self.agg_contrib
             .entry(delta_tid)
             .or_default()
             .push((rule_idx, group.clone(), value));
-        self.agg_emit(rule_idx, group, delta_tid, delta.loc.clone(), queue, result)
+        self.agg_emit(rule_idx, group, delta_tid, Origin::LocOf(delta_tid), queue, result)
     }
 
     fn agg_retract(
@@ -1127,6 +1165,7 @@ impl Engine {
     ) -> Result<(), RuntimeError> {
         let mut queue = VecDeque::new();
         if let Some(g) = self.agg_groups.get_mut(&(rule_idx, group.clone())) {
+            self.memo.state_moved();
             if let Some(n) = g.values.get_mut(&value) {
                 *n -= 1;
                 if *n == 0 {
@@ -1143,7 +1182,7 @@ impl Engine {
                 }
             } else {
                 let origin = group.first().cloned().unwrap_or(Value::Wild);
-                self.agg_emit(rule_idx, group, 0, origin, &mut queue, result)?;
+                self.agg_emit(rule_idx, group, 0, Origin::Node(&origin), &mut queue, result)?;
             }
         }
         self.drain(queue, result)
@@ -1154,7 +1193,7 @@ impl Engine {
         rule_idx: usize,
         group: Vec<Value>,
         trigger_tid: TupleId,
-        origin: Value,
+        origin: Origin<'_>,
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
@@ -1183,7 +1222,7 @@ impl Engine {
             None => return Ok(()),
         }
         self.count_derivation(result)?;
-        self.add_support(&head, false, Some((rule_idx, &[trigger_tid], &origin)), queue, result)
+        self.add_support(&head, false, Some((rule_idx, &[trigger_tid], origin)), queue, result)
     }
 }
 

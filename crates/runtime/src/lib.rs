@@ -15,6 +15,10 @@
 //!   schedule ([`compiled`]) at the first delta that reaches them — what
 //!   both the round loop and the joint backtest of `mpr_backtest` fire
 //!   through;
+//! - a step memo: an event the engine already handled at an unchanged
+//!   state is answered by replaying that step's effects
+//!   ([`Engine::memo_hits`]), filed in a [`Prehashed`] map like the joint
+//!   backtest's own memo;
 //! - per-node tuple stores with primary-key replacement ([`store`]);
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
 //! - transient *event* tables (`PacketIn` and friends) whose derivations
@@ -39,6 +43,7 @@ pub mod engine;
 pub mod index;
 pub mod journal;
 pub mod log;
+mod memo;
 pub mod naive;
 pub mod store;
 
@@ -51,4 +56,5 @@ pub use engine::{
 pub use index::{Col, IndexRegistry, IndexSpec};
 pub use journal::{StoreOp, StoreRecovery};
 pub use log::{ExecEvent, ExecLog, Time, TupleId, TupleKind, TupleRecord};
+pub use memo::{PassHash, Prehashed};
 pub use store::{AddOutcome, DropOutcome, LiveTuple, Store};

@@ -214,10 +214,15 @@ impl<T: PartialEq> PartialEq for Interner<T> {
 impl<T: Eq> Eq for Interner<T> {}
 
 impl<T: Hash + Eq + Clone> Interner<T> {
-    /// The ref of `key`, or the free slot its ref would go in.
-    fn probe(&self, key: &T) -> Result<u32, usize> {
+    fn hash(&self, key: &T) -> u64 {
+        self.keys.hash_one(key)
+    }
+
+    /// The ref of `key`, whose [`Self::hash`] is `hash`, or the free slot
+    /// its ref would go in.
+    fn probe(&self, key: &T, hash: u64) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
-        let mut i = self.keys.hash_one(key) as usize & mask;
+        let mut i = hash as usize & mask;
         loop {
             match self.slots[i] {
                 NONE => return Err(i),
@@ -231,19 +236,24 @@ impl<T: Hash + Eq + Clone> Interner<T> {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(key).ok()
+        self.probe(key, self.hash(key)).ok()
     }
 
     /// The ref of `key`, cloning it into the table only when it is new.
     fn intern(&mut self, key: &T) -> u32 {
+        self.intern_hashed(key, self.hash(key))
+    }
+
+    /// [`Self::intern`] for a `key` whose [`Self::hash`] is `hash`.
+    fn intern_hashed(&mut self, key: &T, hash: u64) -> u32 {
         if (self.items.len() + 1) * 2 > self.slots.len() {
             self.slots = vec![NONE; (self.slots.len() * 2).max(16)];
             for r in 0..self.items.len() {
-                let free = self.probe(&self.items[r]).expect_err("items are distinct");
+                let free = self.probe(&self.items[r], self.hash(&self.items[r])).expect_err("items are distinct");
                 self.slots[free] = r as u32;
             }
         }
-        self.probe(key).unwrap_or_else(|free| {
+        self.probe(key, hash).unwrap_or_else(|free| {
             let r = row_index(self.items.len());
             self.slots[free] = r;
             self.items.push(key.clone());
@@ -272,6 +282,14 @@ struct Span {
     prev_same: u32,
     /// Latest `Derive` row whose head is this instance.
     last_derive: u32,
+}
+
+/// The node a firing ran at: given, or the location of one of its body
+/// instances (the delta that fired it).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Origin<'a> {
+    Node(&'a Value),
+    LocOf(TupleId),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,10 +371,33 @@ impl ExecLog {
 
     // -- writing (the engine) ------------------------------------------------
 
+    /// The hash [`ExecLog::intern`] files `tuple` under.
+    pub(crate) fn hash_tuple(&self, tuple: &Tuple) -> u64 {
+        self.tuples.hash(tuple)
+    }
+
+    /// The ref of `tuple`, whose [`ExecLog::hash_tuple`] is `hash`, in the
+    /// log's tuple table, and whether the table held it already.
+    pub(crate) fn intern(&mut self, tuple: &Tuple, hash: u64) -> (u32, bool) {
+        let before = self.tuples.items.len();
+        let tref = self.tuples.intern_hashed(tuple, hash);
+        (tref, (tref as usize) < before)
+    }
+
+    /// The tuple ref of instance `tid`.
+    pub(crate) fn tuple_ref(&self, tid: TupleId) -> u32 {
+        self.insts[tid as usize].tuple
+    }
+
     /// Register a new instance of `tuple`; its [`TupleId`] is its row.
     pub(crate) fn mint(&mut self, tuple: &Tuple, kind: TupleKind, now: Time, record: bool) -> TupleId {
-        let tid = row_index(self.insts.len());
         let tref = self.tuples.intern(tuple);
+        self.mint_interned(tref, kind, now, record)
+    }
+
+    /// [`ExecLog::mint`] for a tuple already interned under `tref`.
+    pub(crate) fn mint_interned(&mut self, tref: u32, kind: TupleKind, now: Time, record: bool) -> TupleId {
+        let tid = row_index(self.insts.len());
         self.insts.push(Inst { tuple: tref, kind, live: true });
         if record {
             if self.newest.len() < self.tuples.items.len() {
@@ -404,12 +445,17 @@ impl ExecLog {
 
     /// `Send` + `Receive` of `tid` from `origin` to the tuple's own node,
     /// when the two differ.
-    fn ship(&mut self, time: Time, tid: u32, origin: &Value, positive: bool) {
-        let to = &self.tuples.items[self.insts[tid as usize].tuple as usize].loc;
-        if to == origin {
+    fn ship(&mut self, time: Time, tid: u32, origin: Origin<'_>, positive: bool) {
+        let loc = |i: TupleId| &self.tuples.items[self.insts[i as usize].tuple as usize].loc;
+        let to = loc(TupleId::from(tid));
+        let from = match origin {
+            Origin::Node(node) => node,
+            Origin::LocOf(i) => loc(i),
+        };
+        if to == from {
             return;
         }
-        let (a, b) = (self.nodes.intern(origin), self.nodes.intern(to));
+        let (a, b) = (self.nodes.intern(from), self.nodes.intern(to));
         for tag in [Tag::Send, Tag::Receive] {
             self.push_row(EventRow { time, tid, a, b, prev: NONE, len: 0, tag, positive });
         }
@@ -419,7 +465,7 @@ impl ExecLog {
     /// `origin`: a `Derive` row, then — for a head that lives on another
     /// node — its `Send` and `Receive`. Returns the `Derive` row's index,
     /// the handle [`ExecLog::underive`] takes.
-    pub(crate) fn derive(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: &Value) -> u32 {
+    pub(crate) fn derive(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) -> u32 {
         let span = &mut self.spans[head as usize];
         let row = EventRow {
             time,
@@ -693,15 +739,15 @@ mod tests {
         log.insert_base(1, a);
         log.appear(1, a);
         let b = log.mint(&t(1), TupleKind::Derived, 2, true);
-        let local = log.derive(2, 1, b, &[a], &Value::Int(1));
+        let local = log.derive(2, 1, b, &[a], Origin::Node(&Value::Int(1)));
         log.appear(2, b);
-        let shipped = log.derive(3, 1, b, &[a, a], &Value::str("C"));
+        let shipped = log.derive(3, 1, b, &[a, a], Origin::Node(&Value::str("C")));
         log.underive(5, local);
         log.underive(5, shipped);
         log.close(b, 5);
         log.disappear(5, b);
         let b2 = log.mint(&t(1), TupleKind::Derived, 6, true);
-        log.derive(6, 0, b2, &[a], &Value::Int(1));
+        log.derive(6, 0, b2, &[a], Origin::LocOf(a));
         assert_eq!((a, b, b2), (0, 1, 2));
         log
     }
@@ -841,7 +887,7 @@ mod tests {
                 let tid = log.mint(&t(i), TupleKind::Base, 1, true);
                 log.insert_base(1, tid);
                 if i % (noise / 3) == 0 {
-                    log.derive(2, 0, head, &[tid], &Value::str("C"));
+                    log.derive(2, 0, head, &[tid], Origin::Node(&Value::str("C")));
                 }
             }
             let before = rows_visited();

@@ -1,6 +1,6 @@
-//! The benchmark's `packetin-stream` in small, shared by the budget tests:
-//! the Q1 controller, and a seeded campus trace as the packet-ins it sees
-//! at each client's ingress switch.
+//! The benchmark's `packetin-stream` in small, shared by the budget tests
+//! and the log golden: the Q1 controller, and a seeded campus trace as the
+//! packet-ins it sees at each client's ingress switch.
 
 use sdn_meta_repair::core::scenarios::{q1_hosts, Scenario};
 use sdn_meta_repair::runtime::Options;
@@ -8,10 +8,9 @@ use sdn_meta_repair::sdn::controller::{NdlogController, PacketInMsg};
 use sdn_meta_repair::sdn::topology::fig1_hosts::{DNS, H1, H2, INTERNET};
 use sdn_meta_repair::trace::Workload;
 
-/// The Q1 controller, seeded, with recording on or off.
-pub fn q1_controller(record_events: bool) -> NdlogController {
+/// The Q1 controller, seeded, on an engine built with `opts`.
+pub fn q1_controller(opts: Options) -> NdlogController {
     let s = Scenario::q1_copy_paste();
-    let opts = Options { record_events, ..Options::default() };
     let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), opts)
         .expect("the Q1 program compiles");
     ctrl.seed(s.seeds.clone()).expect("the Q1 seeds insert");

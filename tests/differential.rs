@@ -555,3 +555,157 @@ fn a_derived_tuple_joins_only_once_it_is_dequeued() {
         });
     }
 }
+
+// ---------------------------------------------------------------------
+// The step memo. The batch engine answers an event it has already handled
+// at an unchanged state generation by replaying the step it filed; the
+// pipelined reference evaluates every event. Event streams with many
+// repeats, interleaved with what must empty the memo or must not be
+// filed, are fed to both, and after every insert or delete the step
+// result, the store with its support counts and the whole execution log
+// must be equal.
+
+/// Tables of the memo programs: two event tables and the event a counting
+/// function stamps, base state (`S1` keyed, so a second payload replaces
+/// the first), derived state (`D1` keyed likewise).
+const MEMO_TABLES: &str = "
+    materialize(Ev, event, 2, keys()).
+    materialize(Ev2, event, 2, keys()).
+    materialize(Uid, event, 2, keys()).
+    materialize(S0, infinity, 2, keys(0,1)).
+    materialize(S1, infinity, 2, keys(0)).
+    materialize(D0, infinity, 2, keys(0,1)).
+    materialize(D1, infinity, 2, keys(0)).
+    materialize(D2, infinity, 2, keys(0,1)).
+";
+
+/// One insert or delete of a memo script.
+#[derive(Debug, Clone)]
+enum MemoOp {
+    /// `Ev(@'C', a, b)`.
+    Event(i64, i64),
+    /// Base `S{s}(@'C', a, b)`.
+    Insert(u8, i64, i64),
+    /// Delete base `S{s}(@'C', a, b)` (absent ones included).
+    Delete(u8, i64, i64),
+}
+
+fn memo_tuple(table: &str, a: i64, b: i64) -> Tuple {
+    Tuple::new(table, Value::str("C"), vec![Value::Int(a), Value::Int(b)])
+}
+
+/// Apply `ops` to a batch and a pipelined engine of `src` built with
+/// `opts`, comparing them after every one; returns the batch engine's
+/// memo hits.
+fn memo_lockstep(src: &str, ops: &[MemoOp], opts: &Options) -> u64 {
+    let p = parse_program("memo", &format!("{MEMO_TABLES}{src}")).unwrap();
+    let mut batch =
+        Engine::with_options(&p, Options { strategy: EvalStrategy::Batch, ..opts.clone() }).unwrap();
+    let mut pipe =
+        Engine::with_options(&p, Options { strategy: EvalStrategy::Pipelined, ..opts.clone() }).unwrap();
+    for (i, op) in ops.iter().enumerate() {
+        let apply = |e: &mut Engine| match op {
+            MemoOp::Event(a, b) => e.insert(memo_tuple("Ev", *a, *b)),
+            MemoOp::Insert(s, a, b) => e.insert(memo_tuple(&format!("S{s}"), *a, *b)),
+            MemoOp::Delete(s, a, b) => e.delete(&memo_tuple(&format!("S{s}"), *a, *b)),
+        };
+        let (got, want) = (apply(&mut batch), apply(&mut pipe));
+        assert_eq!(got, want, "step {i} ({op:?}) of {ops:?} under\n{src}");
+        assert_eq!(batch.store().dump(), pipe.store().dump(), "store after step {i} ({op:?}) under\n{src}");
+        assert!(batch.log() == pipe.log(), "log after step {i} ({op:?}) of {ops:?} under\n{src}");
+    }
+    assert_eq!(pipe.memo_hits(), 0, "the reference keeps no memo");
+    assert_eq!(batch.steps() + batch.memo_hits(), pipe.steps(), "every event is a step or a hit");
+    batch.memo_hits()
+}
+
+fn memo_op() -> impl Strategy<Value = MemoOp> {
+    prop_oneof![
+        6 => (0i64..3, 0i64..3).prop_map(|(a, b)| MemoOp::Event(a, b)),
+        2 => (0u8..2, 0i64..3, 0i64..3).prop_map(|(s, a, b)| MemoOp::Insert(s, a, b)),
+        2 => (0u8..2, 0i64..3, 0i64..3).prop_map(|(s, a, b)| MemoOp::Delete(s, a, b)),
+    ]
+}
+
+/// A rule of a memo program: an event joining base state into a
+/// (possibly keyed, possibly remote) derived head, a derived event and a
+/// rule it fires, an event-only body, an `f_unique()` stamp, or derived
+/// state feeding derived state, so a delete cascades.
+fn memo_rule() -> impl Strategy<Value = String> {
+    let op = prop::sample::select(vec!["==", "!=", "<", ">="]);
+    (0u8..6, 0u8..2, 0u8..2, op, 0i64..3, prop::sample::select(vec!["C", "'S'"])).prop_map(
+        |(kind, h, s, op, c, loc)| match kind {
+            0 => format!("D{h}(@{loc},A,X) :- Ev(@C,A,B), S{s}(@C,B,X), A {op} {c}."),
+            1 => format!("Ev2(@C,A,B) :- Ev(@C,A,B), B {op} {c}."),
+            2 => format!("D{h}(@{loc},A,X) :- Ev2(@C,A,B), S{s}(@C,A,X)."),
+            3 => format!("D{h}(@{loc},A,B) :- Ev(@C,A,B), A {op} {c}."),
+            4 => format!("Uid(@C,A,I) :- Ev(@C,A,B), B == {c}, I := f_unique()."),
+            _ => format!("D2(@N,A,B) :- D{h}(@N,A,B)."),
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Generated event programs over scripts that repeat a few events many
+    /// times between inserts and deletes of base state.
+    #[test]
+    fn memoized_steps_write_what_the_reference_writes(
+        rules in prop::collection::vec(memo_rule(), 1..6),
+        ops in prop::collection::vec(memo_op(), 1..40),
+    ) {
+        let src: String = rules.iter().enumerate().map(|(i, r)| format!("r{i} {r}\n")).collect();
+        memo_lockstep(&src, &ops, &Options::default());
+    }
+}
+
+#[test]
+fn each_way_a_memoized_step_can_go_stale_is_caught() {
+    // `e1` records a support bump under `S0` on a repeat; `e2` installs
+    // under `S1`'s key, so replacing `S1` replaces `D1`; `c1` / `f1` chain
+    // a derived event into state; `u1` stamps with `f_unique()`; `d1`
+    // cascades from `D0`.
+    let src = "
+        e1 D0(@'S',A,X) :- Ev(@C,A,B), S0(@C,B,X).
+        e2 D1(@C,A,X) :- Ev(@C,A,B), S1(@C,B,X).
+        c1 Ev2(@C,A,B) :- Ev(@C,A,B), B > 0.
+        f1 D0(@C,A,X) :- Ev2(@C,A,B), S0(@C,A,X).
+        u1 Uid(@C,A,I) :- Ev(@C,A,B), B == 2, I := f_unique().
+        d1 D2(@N,A,B) :- D0(@N,A,B).
+    ";
+    use MemoOp::{Delete, Event, Insert};
+    let repeat = |a, b| [Event(a, b), Event(a, b), Event(a, b)];
+    let ops: Vec<MemoOp> = [
+        vec![Insert(0, 1, 5), Insert(0, 0, 6), Insert(1, 1, 7)],
+        // First a miss that installs, then a miss that is filed, then hits.
+        repeat(0, 1).to_vec(),
+        repeat(1, 1).to_vec(),
+        // A state insert moves the generation: misses again, then hits.
+        vec![Insert(0, 2, 9)],
+        repeat(0, 1).to_vec(),
+        // The delete retracts what the hits derived, one record each.
+        vec![Delete(0, 1, 5)],
+        repeat(0, 1).to_vec(),
+        // Replacing `S1(1, 7)` by `S1(1, 8)` replaces `D1` at the next
+        // event, which is a miss.
+        vec![Insert(1, 1, 8)],
+        repeat(0, 1).to_vec(),
+        // `f_unique()` runs on every one: none is filed.
+        repeat(0, 2).to_vec(),
+        // No rule matches: filed with nothing to replay.
+        repeat(9, 0).to_vec(),
+        vec![Delete(1, 1, 8), Delete(0, 0, 6)],
+        repeat(1, 1).to_vec(),
+    ]
+    .concat();
+    let hits = memo_lockstep(src, &ops, &Options::default());
+    assert!(hits >= 8, "{hits} memo hits");
+    // A derivation budget a hit would cross: the drain runs, and fails
+    // where the reference fails.
+    let tight = Options { max_derivations: 12, ..Options::default() };
+    memo_lockstep(src, &ops, &tight);
+    // A wall-clock budget: every step runs the drain, which fails at once.
+    let timed = Options { time_budget: Some(std::time::Duration::ZERO), ..Options::default() };
+    assert_eq!(memo_lockstep(src, &ops, &timed), 0);
+}

@@ -8,12 +8,13 @@
 
 mod common;
 
+use sdn_meta_repair::runtime::Options;
 use sdn_meta_repair::sdn::controller::{Controller, NdlogController};
 
 const PACKET_INS: usize = 10_000;
 
 fn q1_stream(record_events: bool) -> NdlogController {
-    let mut ctrl = common::q1_controller(record_events);
+    let mut ctrl = common::q1_controller(Options { record_events, ..Options::default() });
     let mut replies = Vec::new();
     for msg in common::q1_packet_ins(PACKET_INS) {
         replies.clear();
@@ -53,6 +54,23 @@ fn recorded_history_stays_under_400_bytes_per_packet_in() {
             smallest = smallest.min(visited);
         }
         assert!(smallest * 20 < log.len(), "{smallest} rows read of a log of {}", log.len());
+    }
+}
+
+#[test]
+fn a_repeated_packet_in_is_answered_from_the_step_memo() {
+    // The stream repeats 12 distinct events. A repeat at an unchanged
+    // state is replayed rather than evaluated; each of the 7 flow entries
+    // the stream installs empties the memo, and an event's first
+    // occurrence is never filed. So 35 steps are evaluated, all among the
+    // first 340 packet-ins, and the hits' share only grows with the stream
+    // (99.65 % here, 99.99 % over the benchmark's 250 000).
+    for record_events in [true, false] {
+        let ctrl = q1_stream(record_events);
+        let (steps, hits) = (ctrl.engine().steps(), ctrl.engine().memo_hits());
+        eprintln!("recording {record_events}: {steps} steps, {hits} memo hits");
+        assert_eq!(steps + hits, PACKET_INS as u64, "every packet-in is a step or a hit");
+        assert!(steps <= 40, "{steps} steps evaluated of {PACKET_INS} packet-ins");
     }
 }
 
