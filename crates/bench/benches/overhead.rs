@@ -50,12 +50,13 @@ fn main() {
         lat_on = lat_on.min(ln);
         thr_on = thr_on.max(tn);
     }
-    let lat_overhead = (lat_on - lat_off) / lat_off * 100.0;
+    let record_us = lat_on - lat_off;
+    let lat_overhead = record_us / lat_off * 100.0;
     let thr_drop = (thr_off - thr_on) / thr_off * 100.0;
     println!("{:28} {:>14} {:>14}", "", "provenance off", "provenance on");
     println!("{:28} {:>14.2} {:>14.2}", "latency (us/packet)", lat_off, lat_on);
     println!("{:28} {:>14.0} {:>14.0}", "throughput (packets/s)", thr_off, thr_on);
-    println!("\nlatency overhead: {lat_overhead:+.1}%   throughput reduction: {thr_drop:+.1}%");
+    println!("\nrecording: {record_us:.3} us/packet   latency overhead: {lat_overhead:+.1}%   throughput reduction: {thr_drop:+.1}%");
     println!("paper: +4.2% latency, -9.8% throughput — single-digit-percent shape");
     write_artifact(
         "overhead",
@@ -66,6 +67,7 @@ fn main() {
             "latency_us_on": lat_on,
             "throughput_off": thr_off,
             "throughput_on": thr_on,
+            "record_us_per_packetin": record_us,
             "latency_overhead_pct": lat_overhead,
             "throughput_reduction_pct": thr_drop,
         }),

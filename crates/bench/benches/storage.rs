@@ -76,7 +76,8 @@ fn main() {
         }));
     }
     println!("\npaper shape: a fixed 120 B entry per packet; ours is an instance row plus");
-    println!("five to six 32 B provenance events per packet-in — twice the paper's entry, and");
-    println!("still well under SSD sequential-write bandwidth.");
+    println!("about two 32 B rows per packet-in (the inserted event, and a derivation that");
+    println!("carries its shipment) that read back as six events — under the paper's entry,");
+    println!("and well under SSD sequential-write bandwidth.");
     write_artifact("storage", &serde_json::json!({ "host": host_fingerprint(), "rows": rows }));
 }

@@ -714,24 +714,15 @@ impl Engine {
         tid
     }
 
-    /// An inserted event, interned under `tref`: INSERT and APPEAR while
-    /// recording, and it is gone at once.
+    /// An inserted event, interned under `tref`: INSERT, APPEAR and
+    /// DISAPPEAR while recording, for it is gone at once.
     pub(crate) fn begin_event(&mut self, tref: u32) -> TupleId {
         let tid = self.mint_interned(tref, TupleKind::Event);
         if self.opts.record_events {
-            self.log.insert_base(self.time, tid);
-            self.log.appear(self.time, tid);
+            self.log.insert_event(self.time, tid);
         }
-        self.close_record(tid);
-        tid
-    }
-
-    /// End an instance's lifetime (DISAPPEAR).
-    fn close_record(&mut self, tid: TupleId) {
         self.log.close(tid, self.time);
-        if self.opts.record_events {
-            self.log.disappear(self.time, tid);
-        }
+        tid
     }
 
     /// Add one unit of support (base or derived) for a *state* tuple.
@@ -846,7 +837,10 @@ impl Engine {
         }
         // Closing the instance also retires every derivation that produced
         // it: the loop below skips records whose head is no longer live.
-        self.close_record(tid);
+        self.log.close(tid, self.time);
+        if self.opts.record_events {
+            self.log.disappear(self.time, tid);
+        }
         result.disappeared.push(tuple);
         // Retract derivations this tuple participated in.
         for ridx in self.by_body.remove(&tid).unwrap_or_default() {
@@ -1103,15 +1097,14 @@ impl Engine {
         Ok(())
     }
 
-    /// The derived event instance `tid`: DERIVE and APPEAR while recording,
-    /// and it is gone at once. It can never be retracted, so it keeps no
-    /// [`DerivRecord`].
+    /// The derived event instance `tid`: DERIVE, APPEAR and DISAPPEAR while
+    /// recording, for it is gone at once. It can never be retracted, so it
+    /// keeps no [`DerivRecord`].
     pub(crate) fn derive_event(&mut self, tid: TupleId, (rule_idx, body, origin): Firing<'_>) {
         if self.opts.record_events {
-            self.log.derive(self.time, rule_idx, tid, body, origin);
-            self.log.appear(self.time, tid);
+            self.log.derive_event(self.time, rule_idx, tid, body, origin);
         }
-        self.close_record(tid);
+        self.log.close(tid, self.time);
     }
 
     // ------------------------------------------------------------------

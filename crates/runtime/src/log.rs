@@ -15,8 +15,16 @@
 //!   engine itself reads, plus — only while recording — a 24-byte lifetime
 //!   row (appear, disappear, two chain links);
 //! - an event is one fixed 32-byte row; `Derive`/`Underive` bodies are
-//!   ranges into one flat arena of [`TupleId`]s, and an `Underive` shares
-//!   the range of the `Derive` it retracts;
+//!   ranges into one flat arena of [`TupleId`]s, and an `Underive` is a
+//!   copy of the `Derive` row it retracts, body range and shipment
+//!   included;
+//! - a row stores nothing other rows imply: an inserted event is one row
+//!   that reads as its `InsertBase`, `Appear` and `Disappear`, a derived
+//!   event's `Derive` row reads as the derivation, its `Appear` and its
+//!   `Disappear`, and a `Derive`/`Underive` whose firing ran on another
+//!   node than its head's holds that node's ref and reads as itself, then
+//!   its `Send` and `Receive` (the receiving node is the head's own
+//!   location);
 //! - every `Derive` row links to the previous derivation of the same head,
 //!   and every instance to the previous instance of the same tuple, so
 //!   [`ExecLog::derivations_of`], [`ExecLog::shipment_of`],
@@ -24,7 +32,8 @@
 //!   number of rows proportional to their answer, not to the log.
 //!
 //! Readers see none of this: [`ExecLog::record`] and [`ExecLog::events`]
-//! hand out borrowed [`TupleRecord`] / [`ExecEvent`] views. Refs are
+//! hand out borrowed [`TupleRecord`] / [`ExecEvent`] views, one row
+//! expanding in place into the events it stands for. Refs are
 //! assigned in first-seen order, so two logs of the same execution are
 //! equal column by column and `ExecLog: Eq` still means "the same history,
 //! event for event". With [`crate::Options::record_events`] off only the
@@ -294,14 +303,16 @@ pub(crate) enum Origin<'a> {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
+    /// An inserted event: `InsertBase`, `Appear`, `Disappear`.
+    InsertEvent,
     InsertBase,
     DeleteBase,
     Derive,
+    /// A derived event: `Derive`, its shipment, `Appear`, `Disappear`.
+    DeriveEvent,
     Underive,
     Appear,
     Disappear,
-    Send,
-    Receive,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,18 +320,31 @@ struct EventRow {
     time: Time,
     /// The instance the event is about (the head of a derivation).
     tid: u32,
-    /// `Derive`/`Underive`: rule ref. `Send`/`Receive`: `from` node ref.
-    a: u32,
-    /// `Derive`/`Underive`: body start in `bodies`. `Send`/`Receive`: `to`
-    /// node ref.
-    b: u32,
-    /// `Derive`: the previous `Derive` row with the same head.
+    /// Derivation rows: rule ref.
+    rule: u32,
+    /// Derivation rows: body start in `bodies`.
+    body: u32,
+    /// `Derive`/`DeriveEvent`: the previous such row with the same head.
     prev: u32,
-    /// `Derive`/`Underive`: body length.
+    /// Derivation rows: the node ref the head was shipped from, or `NONE`
+    /// when the firing ran at the head's own node.
+    from: u32,
+    /// Derivation rows: body length.
     len: u16,
     tag: Tag,
-    /// `Send`/`Receive`: `+τ` or `-τ`.
-    positive: bool,
+}
+
+impl EventRow {
+    /// How many events the row reads as (module docs).
+    fn views(&self) -> u8 {
+        let shipment = if self.from == NONE { 0 } else { 2 };
+        match self.tag {
+            Tag::InsertEvent => 3,
+            Tag::Derive | Tag::Underive => 1 + shipment,
+            Tag::DeriveEvent => 3 + shipment,
+            Tag::InsertBase | Tag::DeleteBase | Tag::Appear | Tag::Disappear => 1,
+        }
+    }
 }
 
 const _: () = assert!(size_of::<Inst>() == 8 && size_of::<Span>() == 24 && size_of::<EventRow>() == 32);
@@ -360,6 +384,8 @@ pub struct ExecLog {
     insts: Vec<Inst>,
     spans: Vec<Span>,
     events: Vec<EventRow>,
+    /// Events the rows read as: [`ExecLog::len`].
+    views: usize,
     bodies: Vec<TupleId>,
 }
 
@@ -419,12 +445,19 @@ impl ExecLog {
 
     fn push_row(&mut self, row: EventRow) -> u32 {
         let i = row_index(self.events.len());
+        self.views += usize::from(row.views());
         self.events.push(row);
         i
     }
 
     fn push_simple(&mut self, tag: Tag, time: Time, tid: TupleId) {
-        self.push_row(EventRow { time, tid: tid as u32, a: NONE, b: NONE, prev: NONE, len: 0, tag, positive: true });
+        self.push_row(EventRow { time, tid: tid as u32, rule: NONE, body: NONE, prev: NONE, from: NONE, len: 0, tag });
+    }
+
+    /// The event instance `tid` was inserted: its `InsertBase`, `Appear`
+    /// and `Disappear`, in one row.
+    pub(crate) fn insert_event(&mut self, time: Time, tid: TupleId) {
+        self.push_simple(Tag::InsertEvent, time, tid);
     }
 
     pub(crate) fn insert_base(&mut self, time: Time, tid: TupleId) {
@@ -443,63 +476,60 @@ impl ExecLog {
         self.push_simple(Tag::Disappear, time, tid);
     }
 
-    /// `Send` + `Receive` of `tid` from `origin` to the tuple's own node,
-    /// when the two differ.
-    fn ship(&mut self, time: Time, tid: u32, origin: Origin<'_>, positive: bool) {
+    /// The ref of the node a firing at `origin` shipped `head` from, or
+    /// `NONE` when it ran at the head's own node.
+    fn shipped_from(&mut self, head: TupleId, origin: Origin<'_>) -> u32 {
         let loc = |i: TupleId| &self.tuples.items[self.insts[i as usize].tuple as usize].loc;
-        let to = loc(TupleId::from(tid));
         let from = match origin {
             Origin::Node(node) => node,
             Origin::LocOf(i) => loc(i),
         };
-        if to == from {
-            return;
-        }
-        let (a, b) = (self.nodes.intern(from), self.nodes.intern(to));
-        for tag in [Tag::Send, Tag::Receive] {
-            self.push_row(EventRow { time, tid, a, b, prev: NONE, len: 0, tag, positive });
+        if from == loc(head) {
+            NONE
+        } else {
+            self.nodes.intern(from)
         }
     }
 
-    /// Rule `rule` derived `head` from `body` in a firing that ran at
-    /// `origin`: a `Derive` row, then — for a head that lives on another
-    /// node — its `Send` and `Receive`. Returns the `Derive` row's index,
-    /// the handle [`ExecLog::underive`] takes.
-    pub(crate) fn derive(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) -> u32 {
+    fn push_derive(&mut self, tag: Tag, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) -> u32 {
+        let from = self.shipped_from(head, origin);
         let span = &mut self.spans[head as usize];
         let row = EventRow {
             time,
             tid: head as u32,
-            a: row_index(rule),
-            b: row_index(self.bodies.len()),
+            rule: row_index(rule),
+            body: row_index(self.bodies.len()),
             prev: span.last_derive,
+            from,
             len: u16::try_from(body.len()).expect("a rule body has fewer than 2^16 atoms"),
-            tag: Tag::Derive,
-            positive: true,
+            tag,
         };
         span.last_derive = row_index(self.events.len());
         self.bodies.extend_from_slice(body);
-        let at = self.push_row(row);
-        self.ship(time, row.tid, origin, true);
-        at
+        self.push_row(row)
+    }
+
+    /// Rule `rule` derived `head` from `body` in a firing that ran at
+    /// `origin`: a `Derive` row, which for a head that lives on another
+    /// node reads as its `Send` and `Receive` too. Returns the row's
+    /// index, the handle [`ExecLog::underive`] takes.
+    pub(crate) fn derive(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) -> u32 {
+        self.push_derive(Tag::Derive, time, rule, head, body, origin)
+    }
+
+    /// [`ExecLog::derive`] of the event instance `head`, whose row reads as
+    /// its `Appear` and `Disappear` too.
+    pub(crate) fn derive_event(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) {
+        self.push_derive(Tag::DeriveEvent, time, rule, head, body, origin);
     }
 
     /// The derivation logged at row `derive` lost support: an `Underive`
-    /// row over the same rule, head and body, and the negative shipment if
-    /// the derivation was shipped.
+    /// row over the same rule, head, body and shipment, which a shipped
+    /// derivation's reads as its negative `Send` and `Receive` too.
     pub(crate) fn underive(&mut self, time: Time, derive: u32) {
         let d = self.events[derive as usize];
         debug_assert_eq!(d.tag, Tag::Derive);
         self.push_row(EventRow { time, prev: NONE, tag: Tag::Underive, ..d });
-        // `derive` pushes a shipment directly behind its `Derive` row, and
-        // nothing else pushes a `Send`.
-        if let Some(s) = self.events.get(derive as usize + 1).copied() {
-            if s.tag == Tag::Send && s.tid == d.tid {
-                for tag in [Tag::Send, Tag::Receive] {
-                    self.push_row(EventRow { time, tag, positive: false, ..s });
-                }
-            }
-        }
     }
 
     // -- reading -------------------------------------------------------------
@@ -561,26 +591,40 @@ impl ExecLog {
         (0..self.spans.len()).map(move |tid| self.record(tid as TupleId))
     }
 
-    fn event(&self, i: u32) -> ExecEvent<'_> {
-        let r = *self.row(i);
+    /// The `part`-th of the events row `r` reads as (module docs).
+    fn view(&self, r: &EventRow, part: u8) -> ExecEvent<'_> {
         let (time, tid) = (r.time, TupleId::from(r.tid));
-        let body = || &self.bodies[r.b as usize..r.b as usize + usize::from(r.len)];
-        let node = |n: u32| &self.nodes.items[n as usize];
-        match r.tag {
-            Tag::InsertBase => ExecEvent::InsertBase { time, tid },
-            Tag::DeleteBase => ExecEvent::DeleteBase { time, tid },
-            Tag::Appear => ExecEvent::Appear { time, tid },
-            Tag::Disappear => ExecEvent::Disappear { time, tid },
-            Tag::Derive => ExecEvent::Derive { time, rule: &self.rules[r.a as usize], head: tid, body: body() },
-            Tag::Underive => ExecEvent::Underive { time, rule: &self.rules[r.a as usize], head: tid, body: body() },
-            Tag::Send => ExecEvent::Send { time, from: node(r.a), to: node(r.b), tid, positive: r.positive },
-            Tag::Receive => ExecEvent::Receive { time, from: node(r.a), to: node(r.b), tid, positive: r.positive },
+        let rule = || self.rules[r.rule as usize].as_str();
+        let body = || &self.bodies[r.body as usize..r.body as usize + usize::from(r.len)];
+        let from = || &self.nodes.items[r.from as usize];
+        let to = || &self.tuple(tid).loc;
+        let positive = r.tag != Tag::Underive;
+        // A derivation row's parts: itself, its shipment if it was
+        // shipped, then a derived event's appearance and disappearance.
+        let part = match r.tag {
+            Tag::Derive | Tag::DeriveEvent | Tag::Underive if r.from == NONE && part > 0 => part + 2,
+            _ => part,
+        };
+        match (r.tag, part) {
+            (Tag::InsertEvent, 0) | (Tag::InsertBase, _) => ExecEvent::InsertBase { time, tid },
+            (Tag::DeleteBase, _) => ExecEvent::DeleteBase { time, tid },
+            (Tag::InsertEvent, 1) | (Tag::DeriveEvent, 3) | (Tag::Appear, _) => ExecEvent::Appear { time, tid },
+            (Tag::InsertEvent, _) | (Tag::DeriveEvent, 4) | (Tag::Disappear, _) => ExecEvent::Disappear { time, tid },
+            (Tag::Underive, 0) => ExecEvent::Underive { time, rule: rule(), head: tid, body: body() },
+            (_, 0) => ExecEvent::Derive { time, rule: rule(), head: tid, body: body() },
+            (_, 1) => ExecEvent::Send { time, from: from(), to: to(), tid, positive },
+            _ => ExecEvent::Receive { time, from: from(), to: to(), tid, positive },
         }
+    }
+
+    /// The `Derive` event of derivation row `i`.
+    fn event(&self, i: u32) -> ExecEvent<'_> {
+        self.view(self.row(i), 0)
     }
 
     /// Events in chronological order.
     pub fn events(&self) -> impl ExactSizeIterator<Item = ExecEvent<'_>> + '_ {
-        (0..self.events.len()).map(move |i| self.event(i as u32))
+        Events { log: self, row: 0, part: 0, left: self.views }
     }
 
     /// Rows of the `Derive` chain of `tid`, newest first.
@@ -602,12 +646,11 @@ impl ExecLog {
     /// The first time instance `tid` was shipped to its node: the time and
     /// the `from` / `to` of its earliest positive `Send`.
     pub fn shipment_of(&self, tid: TupleId) -> Option<(Time, &Value, &Value)> {
-        // `derive` pushes a shipment directly behind its `Derive` row.
         self.derive_chain(tid)
-            .filter_map(|i| self.events.get(i as usize + 1))
-            .filter(|s| s.tag == Tag::Send && TupleId::from(s.tid) == tid)
+            .map(|i| &self.events[i as usize])
+            .filter(|d| d.from != NONE)
             .last()
-            .map(|s| (s.time, &self.nodes.items[s.a as usize], &self.nodes.items[s.b as usize]))
+            .map(|d| (d.time, &self.nodes.items[d.from as usize], &self.tuple(tid).loc))
     }
 
     /// Instances of exactly `tuple`, newest first.
@@ -657,7 +700,7 @@ impl ExecLog {
 
     /// Number of logged events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.views
     }
 
     /// `true` when nothing was logged.
@@ -706,6 +749,39 @@ impl ExecLog {
         total as u64
     }
 }
+
+/// [`ExecLog::events`]: each row's views, row by row.
+struct Events<'a> {
+    log: &'a ExecLog,
+    row: usize,
+    /// The next of the current row's views.
+    part: u8,
+    left: usize,
+}
+
+impl<'a> Iterator for Events<'a> {
+    type Item = ExecEvent<'a>;
+
+    fn next(&mut self) -> Option<ExecEvent<'a>> {
+        let r = self.log.events.get(self.row)?;
+        if self.part == 0 {
+            visit();
+        }
+        let event = self.log.view(r, self.part);
+        self.part += 1;
+        if self.part == r.views() {
+            (self.row, self.part) = (self.row + 1, 0);
+        }
+        self.left -= 1;
+        Some(event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -774,6 +850,9 @@ mod tests {
         assert_eq!(log.events().collect::<Vec<_>>(), want);
         assert_eq!(log.len(), want.len());
         assert!(!log.is_empty());
+        // The shipped `Derive` and its `Underive` each read as three
+        // events: 13 views of 9 rows.
+        assert_eq!(log.events.len(), 9);
         // An `Underive` shares its `Derive`'s body range: 1 + 2 + 1 ids.
         assert_eq!(log.bodies.len(), 4);
 
@@ -783,6 +862,63 @@ mod tests {
         assert_eq!(log.record(2).disappear, None);
         assert!(log.is_live(0) && !log.is_live(1) && log.is_live(2));
         assert_eq!(log.live_state(), vec![&t(0), &t(1)]);
+    }
+
+    /// An inserted event at node 1, then two events derived from it: one
+    /// at node 1, one shipped to node `C`.
+    fn event_log() -> ExecLog {
+        let mut log = ExecLog::for_rules(["e".to_string()]);
+        let ev = |n: Value| Tuple::new("E", n, vec![Value::Int(0)]);
+        let a = log.mint(&ev(Value::Int(1)), TupleKind::Event, 1, true);
+        log.insert_event(1, a);
+        log.close(a, 1);
+        for node in [Value::Int(1), Value::str("C")] {
+            let d = log.mint(&ev(node), TupleKind::Event, 1, true);
+            log.derive_event(1, 0, d, &[a], Origin::LocOf(a));
+            log.close(d, 1);
+        }
+        log
+    }
+
+    #[test]
+    fn event_rows_read_as_their_whole_instant() {
+        let log = event_log();
+        let (n1, c) = (Value::Int(1), Value::str("C"));
+        let want = vec![
+            ExecEvent::InsertBase { time: 1, tid: 0 },
+            ExecEvent::Appear { time: 1, tid: 0 },
+            ExecEvent::Disappear { time: 1, tid: 0 },
+            ExecEvent::Derive { time: 1, rule: "e", head: 1, body: &[0] },
+            ExecEvent::Appear { time: 1, tid: 1 },
+            ExecEvent::Disappear { time: 1, tid: 1 },
+            ExecEvent::Derive { time: 1, rule: "e", head: 2, body: &[0] },
+            ExecEvent::Send { time: 1, from: &n1, to: &c, tid: 2, positive: true },
+            ExecEvent::Receive { time: 1, from: &n1, to: &c, tid: 2, positive: true },
+            ExecEvent::Appear { time: 1, tid: 2 },
+            ExecEvent::Disappear { time: 1, tid: 2 },
+        ];
+        assert_eq!(log.events().collect::<Vec<_>>(), want);
+        assert_eq!(log.events.len(), 3, "one row per event instance");
+        assert_eq!(log.derivations_of(2), [want[6]]);
+        assert_eq!(log.shipment_of(2), Some((1, &n1, &c)));
+        assert_eq!(log.shipment_of(1), None);
+        for tid in 0..3 {
+            assert_eq!(log.record(tid).disappear, Some(1));
+        }
+    }
+
+    /// `len` counts views, and `events` knows how many are left at every
+    /// step.
+    #[test]
+    fn event_count_is_exact_at_every_prefix() {
+        for log in [small_log(), event_log(), ExecLog::default()] {
+            assert_eq!(log.len(), log.events().count());
+            let mut it = log.events();
+            for left in (0..=log.len()).rev() {
+                assert_eq!((it.len(), it.size_hint()), (left, (left, Some(left))));
+                assert_eq!(it.next().is_some(), left > 0);
+            }
+        }
     }
 
     #[test]
@@ -868,9 +1004,10 @@ mod tests {
     fn byte_counts_are_the_columns() {
         let log = small_log();
         let interned = 2 * (size_of::<Tuple>() + 1 + size_of::<Value>()) + 2 * size_of::<u32>();
-        let nodes = 2 * size_of::<Value>() + 1;
+        // Only the sending node is interned; the receiver is the head's own.
+        let nodes = size_of::<Value>() + 1;
         let rules = 2 * (size_of::<String>() + 2);
-        let rows = 3 * (8 + 24) + 13 * 32 + 4 * size_of::<TupleId>();
+        let rows = 3 * (8 + 24) + 9 * 32 + 4 * size_of::<TupleId>();
         assert_eq!(log.storage_bytes(), (interned + nodes + rules + rows) as u64);
         assert!(log.heap_bytes() >= log.storage_bytes() + 2 * 16 * 4, "capacity and both slot tables");
     }

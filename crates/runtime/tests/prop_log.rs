@@ -6,6 +6,14 @@
 //! - `Appear`/`Disappear` events bracket each tuple's lifetime interval;
 //! - retraction is logged: every `Disappear` of a derived tuple follows an
 //!   `Underive` or a replacement.
+//!
+//! Over two nodes and an event table, the shapes the log stores as one row
+//! read back whole:
+//!
+//! - every `Send` directly follows the `Derive` or `Underive` it ships and
+//!   directly precedes its `Receive`;
+//! - an event instance appears and disappears at its own tick;
+//! - `shipment_of` answers like a scan of the whole log.
 
 use mpr_ndlog::{parse_program, Program, Tuple, Value};
 use mpr_runtime::{Engine, ExecEvent, TupleKind};
@@ -25,6 +33,36 @@ fn program() -> Program {
         ",
     )
     .unwrap()
+}
+
+/// Links on nodes 1 and 2 feed heads on the other node, events on either
+/// node derive an event and a state tuple on the node they name, and a
+/// count per link source lives on the link's far end.
+fn two_node_program() -> Program {
+    parse_program(
+        "log-ship",
+        r"
+        materialize(Link, infinity, 2, keys(0,1)).
+        materialize(Ev, event, 2, keys()).
+        materialize(Far, infinity, 2, keys(0,1)).
+        materialize(Out, event, 1, keys()).
+        materialize(Got, infinity, 1, keys(0)).
+        materialize(Cnt, infinity, 2, keys(0)).
+        f1 Far(@M,X,N) :- Link(@N,X,M).
+        f2 Far(@N,X,M) :- Far(@M,X,N), X > 1.
+        e1 Out(@M,X) :- Ev(@N,X,M).
+        g1 Got(@M,X) :- Ev(@N,X,M), Far(@M,X,N).
+        c1 Cnt(@M,N,a_count<X>) :- Link(@N,X,M).
+        ",
+    )
+    .unwrap()
+}
+
+/// A `Link` or an `Ev` tuple over nodes 1 and 2.
+fn two_node_tuple() -> impl Strategy<Value = Tuple> {
+    (prop::sample::select(vec!["Link", "Ev"]), 1i64..3, 0i64..4, 1i64..3).prop_map(|(t, n, x, m)| {
+        Tuple::new(t, Value::Int(n), vec![Value::Int(x), Value::Int(m)])
+    })
 }
 
 fn tuple() -> impl Strategy<Value = Tuple> {
@@ -99,6 +137,66 @@ proptest! {
                     rec.tuple
                 );
             }
+        }
+    }
+
+    #[test]
+    fn shipments_and_events_read_back_whole(
+        inserts in prop::collection::vec(two_node_tuple(), 1..16),
+        deletes in prop::collection::vec(two_node_tuple(), 0..6),
+    ) {
+        let mut e = Engine::new(&two_node_program()).unwrap();
+        for t in &inserts {
+            e.insert(t.clone()).unwrap();
+        }
+        for t in deletes.iter().filter(|t| t.table == "Link") {
+            e.delete(t).unwrap();
+        }
+        let log = e.log();
+        let events: Vec<ExecEvent<'_>> = log.events().collect();
+        prop_assert_eq!(events.len(), log.len());
+
+        // (1) Derive/Underive, Send, Receive: adjacent, one instance, one
+        // sign, one time, and the receiver is the head's own node.
+        for (i, ev) in events.iter().enumerate() {
+            if let ExecEvent::Send { time, from, to, tid, positive } = *ev {
+                let shipped = match i.checked_sub(1).map(|j| events[j]) {
+                    Some(ExecEvent::Derive { time: t, head, .. }) => (t, head, true),
+                    Some(ExecEvent::Underive { time: t, head, .. }) => (t, head, false),
+                    other => return Err(TestCaseError::fail(format!("send {i} follows {other:?}"))),
+                };
+                prop_assert_eq!(shipped, (time, tid, positive));
+                prop_assert_eq!(events.get(i + 1).copied(), Some(ExecEvent::Receive { time, from, to, tid, positive }));
+                prop_assert_eq!(to, &log.tuple(tid).loc);
+                prop_assert_ne!(from, to);
+            }
+            if let ExecEvent::Receive { .. } = ev {
+                prop_assert!(i > 0 && matches!(events[i - 1], ExecEvent::Send { .. }), "receive {} without its send", i);
+            }
+        }
+
+        // (2) An event instance appears and disappears at its own tick,
+        // once each.
+        for rec in log.records().filter(|r| r.kind == TupleKind::Event) {
+            let at: Vec<(bool, u64)> = events
+                .iter()
+                .filter_map(|ev| match *ev {
+                    ExecEvent::Appear { time, tid } if tid == rec.tid => Some((true, time)),
+                    ExecEvent::Disappear { time, tid } if tid == rec.tid => Some((false, time)),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(at, vec![(true, rec.appear), (false, rec.appear)]);
+            prop_assert_eq!(rec.disappear, Some(rec.appear));
+        }
+
+        // (3) `shipment_of` is the earliest positive `Send` of the instance.
+        for rec in log.records() {
+            let scan = events.iter().find_map(|ev| match *ev {
+                ExecEvent::Send { time, from, to, tid, positive: true } if tid == rec.tid => Some((time, from, to)),
+                _ => None,
+            });
+            prop_assert_eq!(log.shipment_of(rec.tid), scan);
         }
     }
 

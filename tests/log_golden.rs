@@ -10,6 +10,11 @@
 //! campus trace, nearly all of them repeats: the batch engine answers
 //! those from its step memo, the pipelined reference evaluates each, and
 //! both must write this log.
+//!
+//! The `ship` row was captured while every event was still a row of its
+//! own, before the log folded the rows other rows imply (an inserted
+//! event's three, a shipped derivation's `Send` and `Receive`) into one;
+//! it covers each fold over two nodes.
 
 mod common;
 
@@ -96,6 +101,41 @@ fn churn_script(strategy: EvalStrategy) -> ExecLog {
     e.take_log()
 }
 
+/// Two nodes, 1 and 2: a state rule and an aggregate whose heads live on
+/// the other node, an event table feeding a derived event and a state head
+/// there too, then deletes that retract shipped derivations and move the
+/// aggregate, which then fires at its group's node.
+fn ship_script(strategy: EvalStrategy) -> ExecLog {
+    let p = parse_program(
+        "ship",
+        r"
+        materialize(Link, infinity, 2, keys(0,1)).
+        materialize(Far, infinity, 2, keys(0,1)).
+        materialize(Cnt, infinity, 2, keys(0)).
+        materialize(Ev, event, 2, keys()).
+        materialize(Out, event, 1, keys()).
+        materialize(Got, infinity, 1, keys(0)).
+        f1 Far(@M,X,N) :- Link(@N,X,M), M != N.
+        c1 Cnt(@M,N,a_count<X>) :- Link(@N,X,M).
+        e1 Out(@M,X) :- Ev(@N,X,M).
+        g1 Got(@M,X) :- Ev(@N,X,M).
+        ",
+    )
+    .unwrap();
+    let mut e = Engine::with_options(&p, Options { strategy, ..Options::default() }).unwrap();
+    let t = |table: &str, n: i64, args: &[i64]| Tuple::new(table, Value::Int(n), args.iter().map(|&a| Value::Int(a)).collect());
+    for (n, x, m) in [(1, 10, 2), (1, 11, 2), (2, 12, 1), (1, 13, 1)] {
+        e.insert(t("Link", n, &[x, m])).unwrap();
+    }
+    for (n, x, m) in [(1, 5, 2), (1, 5, 2), (2, 6, 2), (1, 5, 2)] {
+        e.insert(t("Ev", n, &[x, m])).unwrap();
+    }
+    for (n, x, m) in [(1, 10, 2), (2, 12, 1), (1, 11, 2)] {
+        e.delete(&t("Link", n, &[x, m])).unwrap();
+    }
+    e.take_log()
+}
+
 fn stream_log(strategy: EvalStrategy) -> ExecLog {
     let mut ctrl = common::q1_controller(Options { strategy, ..Options::default() });
     let mut replies = Vec::new();
@@ -107,7 +147,7 @@ fn stream_log(strategy: EvalStrategy) -> ExecLog {
 }
 
 /// `(records, events, FNV-1a of their Debug lines)` at the parent commit.
-const GOLDEN: [(&str, (usize, usize, u64)); 11] = [
+const GOLDEN: [(&str, (usize, usize, u64)); 12] = [
     ("Q1", (29, 93, 5538504264831413089)),
     ("Q2", (323, 994, 12445163981565451473)),
     ("Q3", (97, 303, 4471909954027315175)),
@@ -119,6 +159,7 @@ const GOLDEN: [(&str, (usize, usize, u64)); 11] = [
     ("det-batch", (32, 79, 1124674743549265391)),
     ("churn-batch", (17, 53, 726358710916901491)),
     ("stream", (2008, 12243, 10711370453409716946)),
+    ("ship", (22, 103, 7225704466974217567)),
 ];
 
 #[test]
@@ -135,6 +176,9 @@ fn logs_read_back_as_the_owning_layout_wrote_them() {
     let stream = digest(&stream_log(EvalStrategy::Batch));
     assert_eq!(digest(&stream_log(EvalStrategy::Pipelined)), stream, "the stream, pipelined against batch");
     got.push(("stream".to_string(), stream));
+    let ship = digest(&ship_script(EvalStrategy::Batch));
+    assert_eq!(digest(&ship_script(EvalStrategy::Pipelined)), ship, "the ship script, pipelined against batch");
+    got.push(("ship".to_string(), ship));
     let want: Vec<(String, (usize, usize, u64))> =
         GOLDEN.iter().map(|(id, d)| (id.to_string(), *d)).collect();
     assert_eq!(got, want);
