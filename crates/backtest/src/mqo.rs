@@ -124,9 +124,8 @@
 //! round at a time and a round's punts are evaluated after its lookups,
 //! where the simulator orders events by time; the two agree as long as a
 //! candidate never has two copies of one packet racing for the controller
-//! — entries the codec decodes never copy a packet. Fault plans and
-//! `drop_chance` are not modelled: the debugger backtests per candidate
-//! under either.
+//! — entries the codec decodes never copy a packet. Fault plans are not
+//! modelled: the debugger backtests per candidate under one.
 
 use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
@@ -932,9 +931,9 @@ fn tagged_seeds<'s>(
 /// `base` with `deltas[i]`, plus the manual entries `extra_flows[i]`, its
 /// controller seeded with `seeds[i]` (`None`, or no entry: `setup.seeds`).
 ///
-/// The joint network is fault-free: `setup.config.faults` and
-/// `drop_chance` are not modelled, so callers backtesting under either
-/// replay per candidate ([`crate::replay_candidates`]).
+/// The joint network is fault-free: `setup.config.faults` is not
+/// modelled, so callers backtesting under a fault plan replay per
+/// candidate ([`crate::replay_candidates`]).
 pub fn mqo_replay_deltas(
     setup: &BacktestSetup,
     base: &Program,

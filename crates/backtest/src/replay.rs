@@ -117,8 +117,8 @@ pub struct CandidateRun {
 
 /// Replay every candidate on its own: a fresh controller and network each,
 /// one after the other, the results index-aligned. This is the
-/// per-candidate reference — the debugger's backtest under a fault plan or
-/// a `drop_chance`, and for the candidates a joint replay hands back.
+/// per-candidate reference — the debugger's backtest under a fault plan,
+/// and for the candidates a joint replay hands back.
 /// `None` marks a candidate that failed to compile, whose replay errored,
 /// or whose replay panicked (contained per candidate — one pathological
 /// candidate cannot take down the loop).

@@ -163,8 +163,6 @@ pub struct ChaosOutcome {
     pub generated: usize,
     /// Candidates accepted by backtesting under the faulty network.
     pub accepted: usize,
-    /// The candidate search hit its time budget and degraded.
-    pub search_timed_out: bool,
     /// The loop's error (or escaped-panic payload) when not recovered.
     pub error: Option<String>,
 }
@@ -193,7 +191,6 @@ pub fn run_under_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosOutcome {
             recovered: report.generated() > 0,
             generated: report.generated(),
             accepted: report.accepted_count(),
-            search_timed_out: report.search_timed_out,
             error: (report.generated() == 0).then(|| "no candidates generated".into()),
         },
         Ok(Err(e)) => failure(scenario, plan, format!("loop error: {e}")),
@@ -210,7 +207,6 @@ fn failure(scenario: &Scenario, plan: &FaultPlan, error: String) -> ChaosOutcome
         recovered: false,
         generated: 0,
         accepted: 0,
-        search_timed_out: false,
         error: Some(error),
     }
 }

@@ -73,9 +73,6 @@ pub struct RepairReport {
     pub trees: u64,
     /// Explorer counters.
     pub pools_solved: u64,
-    /// The candidate search hit [`crate::cost::SearchBudget::time_budget_ms`]
-    /// and degraded to the best partial candidate set.
-    pub search_timed_out: bool,
     /// The candidates were backtested jointly, in one replay (§4.4), not
     /// by one reference replay each.
     pub backtested_jointly: bool,
@@ -296,7 +293,6 @@ impl Debugger {
             baseline: baseline.clone(),
             trees: stats.trees,
             pools_solved: stats.pools_solved,
-            search_timed_out: stats.timed_out,
             backtested_jointly: handed_back.is_some(),
             handed_back: handed_back.unwrap_or(0),
         })
@@ -360,10 +356,10 @@ impl Debugger {
             replay_candidates(setup, &runs)
         };
         // The joint network has no clock and no faults, and the baseline
-        // was observed under `setup.config`: with a fault plan or a drop
-        // chance the candidates must meet the same faults, one simulator
-        // each. Its controller does not aggregate.
-        let fault_free = setup.config.faults.is_empty() && setup.config.drop_chance <= 0.0;
+        // was observed under `setup.config`: with a fault plan the
+        // candidates must meet the same faults, one simulator each. Its
+        // controller does not aggregate.
+        let fault_free = setup.config.faults.is_empty();
         if !(self.use_mqo && fault_free && candidates.len() <= 64 && mqo_supported(base)) {
             return Ok((reference(&(0..candidates.len()).collect::<Vec<_>>()), None));
         }

@@ -7,9 +7,9 @@
 //! a constraint pool (§3.4): the join must hold, the head must equal the
 //! goal, and every selection must pass. Program-based meta tuples that
 //! block a derivation (a `Const`, an `Oper`, a `Sel`, an `Assign`) become
-//! candidate *changes*, costed by the [`CostModel`]; the pool is solved by
-//! `mpr-solver` to obtain concrete replacement values — exactly the
-//! `Const(Rul=r7, ID=2, Val=3)` leaf of Fig. 6.
+//! candidate *changes*, costed by the [`crate::cost`] table; the pool is
+//! solved by `mpr-solver` to obtain concrete replacement values — exactly
+//! the `Const(Rul=r7, ID=2, Val=3)` leaf of Fig. 6.
 //!
 //! A tree is **priced before it is built**: each way to unblock a literal
 //! is first a small `Copy` value (which literal, what replaces it, what it
@@ -23,7 +23,7 @@
 //! collected constraints, and emits base-tuple deletions/changes plus
 //! rule-literal changes that break the derivation (§4.2).
 
-use crate::cost::{CostModel, SearchBudget};
+use crate::cost::{self, SearchBudget};
 use crate::repair::{Candidate, Repair};
 use crate::scenarios::{Scenario, Symptom};
 use mpr_ndlog::ast::{Assign, Atom, CmpOp, ConstSite, Expr, ExprSide, Term};
@@ -53,8 +53,6 @@ pub struct World {
     /// distinct one once, in the order the run made them (none for a
     /// negative symptom).
     pub derivations: Vec<DerivationRecord>,
-    /// Cost model.
-    pub cost: CostModel,
     /// Search bounds.
     pub budget: SearchBudget,
 }
@@ -98,7 +96,6 @@ impl World {
             triggers: triggers.into_iter().cloned().collect(),
             state: log.live_state().into_iter().filter(|t| !codec.is_output(&t.table)).cloned().collect(),
             derivations,
-            cost: scenario.cost,
             budget: scenario.budget,
         }
     }
@@ -118,8 +115,9 @@ impl World {
         seen.extend(goal.loc.iter().chain(goal.args.iter().flatten()).filter_map(Value::as_int));
         seen.sort_unstable();
         seen.dedup();
-        // ±1 neighbors (off-by-one repairs).
-        let mut domain: Vec<i64> = seen.iter().flat_map(|&i| [i - 1, i, i + 1]).collect();
+        // ±1 neighbors (off-by-one repairs); one past `i64`'s range is left out.
+        let mut domain: Vec<i64> =
+            seen.iter().flat_map(|&i| [i.checked_sub(1), Some(i), i.checked_add(1)]).flatten().collect();
         domain.sort_unstable();
         domain.dedup();
         domain
@@ -148,22 +146,6 @@ pub struct ExploreStats {
     /// Nanoseconds spent in constraint solving (pool solves and
     /// feasibility enumeration) — the Fig. 9a "Constraint solving" slice.
     pub solver_ns: u128,
-    /// The search hit [`SearchBudget::time_budget_ms`] and returned the
-    /// best partial candidate set instead of the full exploration.
-    pub timed_out: bool,
-}
-
-/// The exploration deadline, if the budget sets one.
-fn deadline_of(budget: &SearchBudget) -> Option<Instant> {
-    (budget.time_budget_ms > 0).then(|| {
-        Instant::now() + std::time::Duration::from_millis(budget.time_budget_ms)
-    })
-}
-
-/// `>=` so the smallest budget (1 ms) expires as soon as the clock
-/// reaches the deadline, regardless of clock granularity.
-fn expired(deadline: &Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// The `max_candidates` cheapest distinct-description candidates seen so
@@ -497,14 +479,13 @@ impl<'a> Search<'a> {
             slots: Vec::new(),
             failing: Vec::new(),
         };
-        let deadline = deadline_of(&world.budget);
 
         // (1) The base-tuple insertion repair: make the tuple appear directly.
         if let Some(tuple) = pattern_tuple(goal) {
-            if s.worth_building(world.cost.insert_tuple) {
+            if s.worth_building(cost::INSERT_TUPLE) {
                 s.emit(Candidate {
                     repair: Repair::InsertTuple(tuple.clone()),
-                    cost: world.cost.insert_tuple,
+                    cost: cost::INSERT_TUPLE,
                     description: "Manually installing a flow entry".into(),
                     trace: vec![
                         format!("NEXIST[Tuple({goal})]"),
@@ -516,23 +497,13 @@ impl<'a> Search<'a> {
         }
 
         // (2) Fork one tree per rule that derives the goal table (§3.3).
-        // Best-partial degradation: when the deadline fires mid-search, stop
-        // forking trees and rank whatever has been generated so far.
         for rule in world.program.rules.iter().filter(|r| r.head.table == goal.table) {
-            if expired(&deadline) {
-                s.stats.timed_out = true;
-                break;
-            }
             s.explore_rule(rule);
         }
 
         // (3) Donor rules: head re-targeting and copy-with-new-head (the Q4
         // repairs: "changing/copying the head of r5 to packetOut(...)").
         for rule in &world.program.rules {
-            if expired(&deadline) {
-                s.stats.timed_out = true;
-                break;
-            }
             if rule.head.table == goal.table || rule.head.args.len() != goal.args.len() {
                 continue;
             }
@@ -586,8 +557,8 @@ impl<'a> Search<'a> {
 
     /// The Appendix D fallback: a new rule deriving `tuple` from `trigger`.
     fn synthesize_rule(&mut self, tuple: &Tuple, trigger: &Tuple) {
-        let (world, goal) = (self.world, self.goal);
-        if !self.worth_building(world.cost.new_rule) {
+        let goal = self.goal;
+        if !self.worth_building(cost::NEW_RULE) {
             return;
         }
         let mut body_args = Vec::new();
@@ -618,7 +589,7 @@ impl<'a> Search<'a> {
         }
         self.emit(Candidate {
             repair: Repair::Patch(patch),
-            cost: world.cost.new_rule,
+            cost: cost::NEW_RULE,
             description: format!("Adding a new rule deriving {tuple}"),
             trace: vec![
                 format!("NEXIST[Tuple({goal})]"),
@@ -661,7 +632,7 @@ impl<'a> Search<'a> {
     /// attributes are solved from the join/selection constraints (§3.4),
     /// under the first join that reached it.
     fn emit_state_insertion(&mut self, rule: &'a Rule, atom_idx: usize) {
-        let (world, goal) = (self.world, self.goal);
+        let goal = self.goal;
         let atom = &rule.body[atom_idx];
         // Bind what we can from the environment plus the head requirements.
         let mut full = self.envs[0].clone();
@@ -699,12 +670,12 @@ impl<'a> Search<'a> {
         let Some(tuple) = instantiate(atom, &full) else {
             return;
         };
-        if !self.worth_building(world.cost.insert_tuple) {
+        if !self.worth_building(cost::INSERT_TUPLE) {
             return;
         }
         self.emit(Candidate {
             repair: Repair::InsertTuple(tuple.clone()),
-            cost: world.cost.insert_tuple,
+            cost: cost::INSERT_TUPLE,
             description: format!("Manually inserting a {} entry", atom.table),
             trace: vec![
                 format!("NEXIST[Tuple({goal})]"),
@@ -721,7 +692,6 @@ impl<'a> Search<'a> {
     /// the frontier admits.
     fn emit_rule_candidates(&mut self, rule: &'a Rule, join: usize) {
         let world = self.world;
-        let cm = &world.cost;
         let mut funcs = PureFuncs;
         self.options.clear();
         self.slots.clear();
@@ -739,13 +709,13 @@ impl<'a> Search<'a> {
                     // Fix options: rewrite to the needed constant, or to an
                     // in-scope variable that carries the needed value.
                     let cost = match (&a.expr, &**need) {
-                        (Expr::Const(Value::Int(old)), Value::Int(n)) => cm.const_change(*old, *n),
-                        _ => cm.assign_change,
+                        (Expr::Const(Value::Int(old)), Value::Int(n)) => cost::const_change(*old, *n),
+                        _ => cost::ASSIGN_CHANGE,
                     };
                     self.options.push(FixOption { fix: Fix::AssignNeeded(ai), cost });
                     for (w, val) in self.envs[join].iter() {
                         if val == &**need && w != a.var {
-                            self.options.push(FixOption { fix: Fix::AssignVar(ai, w), cost: cm.var_change });
+                            self.options.push(FixOption { fix: Fix::AssignVar(ai, w), cost: cost::VAR_CHANGE });
                         }
                     }
                     self.post.set(&a.var, need.clone());
@@ -753,7 +723,7 @@ impl<'a> Search<'a> {
                 }
                 (Some(v), _) => self.post.set(&a.var, Cow::Owned(v)),
                 (None, Some(need)) => {
-                    self.options.push(FixOption { fix: Fix::AssignNeeded(ai), cost: cm.assign_change });
+                    self.options.push(FixOption { fix: Fix::AssignNeeded(ai), cost: cost::ASSIGN_CHANGE });
                     self.post.set(&a.var, need.clone());
                     self.slots.push(first..self.options.len());
                 }
@@ -797,7 +767,7 @@ impl<'a> Search<'a> {
                 for &v in scan.iter().filter(|&&v| v != old) {
                     if other.as_ref().is_some_and(|other| holds_with(sel.op, side, &Value::Int(v), other)) {
                         let fix = Fix::Const { sel: si, side, value: v };
-                        self.options.push(FixOption { fix, cost: cm.const_change(old, v) });
+                        self.options.push(FixOption { fix, cost: cost::const_change(old, v) });
                         found += 1;
                         if found >= world.budget.consts_per_site {
                             break;
@@ -810,7 +780,7 @@ impl<'a> Search<'a> {
             if let (Some(l), Some(r)) = (&lhs, &rhs) {
                 for op in CmpOp::ALL {
                     if op != sel.op && op.eval(l, r) {
-                        self.options.push(FixOption { fix: Fix::Oper { sel: si, op }, cost: cm.op_change });
+                        self.options.push(FixOption { fix: Fix::Oper { sel: si, op }, cost: cost::OP_CHANGE });
                     }
                 }
             }
@@ -821,7 +791,7 @@ impl<'a> Search<'a> {
                     let in_body = || rule.body.iter().any(|atom| atom.var_names().any(|v| v == w));
                     if w != cur && holds_with(sel.op, side, val, other) && in_body() {
                         let fix = Fix::Var { sel: si, side, var: w };
-                        self.options.push(FixOption { fix, cost: cm.var_change });
+                        self.options.push(FixOption { fix, cost: cost::VAR_CHANGE });
                     }
                 }
             }
@@ -850,7 +820,7 @@ impl<'a> Search<'a> {
                 for j in std::iter::once(None).chain((i + 1..n).map(Some)) {
                     if self.failing.iter().all(|&f| f == i || Some(f) == j) {
                         let deleted = 1 + usize::from(j.is_some());
-                        let cost = deleted as u32 * cm.delete_selection;
+                        let cost = deleted as u32 * cost::DELETE_SELECTION;
                         self.offer(rule, assign_slots, SelectionFix::Delete(i, j), cost, deleted);
                     }
                 }
@@ -971,10 +941,10 @@ impl<'a> Search<'a> {
             rule: rule.id.clone(),
             table: goal.table.clone(),
         });
-        if self.worth_building(world.cost.head_change) && self.applies(&patch) {
+        if self.worth_building(cost::HEAD_CHANGE) && self.applies(&patch) {
             self.emit(Candidate {
                 repair: Repair::Patch(patch),
-                cost: world.cost.head_change,
+                cost: cost::HEAD_CHANGE,
                 description: format!(
                     "Changing the head of {} to {}(...)",
                     rule.id, goal.table
@@ -984,7 +954,7 @@ impl<'a> Search<'a> {
         }
         // (b) Copy the rule with the new head (keeps the original — Table 6c
         // candidates J/L, the accepted ones).
-        if !self.worth_building(world.cost.copy_rule) {
+        if !self.worth_building(cost::COPY_RULE) {
             return;
         }
         let mut copy = rule.clone();
@@ -994,7 +964,7 @@ impl<'a> Search<'a> {
         if self.applies(&patch) {
             self.emit(Candidate {
                 repair: Repair::Patch(patch),
-                cost: world.cost.copy_rule,
+                cost: cost::COPY_RULE,
                 description: format!(
                     "Copying {} and replacing head with {}(...)",
                     rule.id, goal.table
@@ -1116,13 +1086,8 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
     let mut out = Frontier::new(&world.budget);
     let domain = world.domain(&Pattern::exact(culprit));
     let outline = ProgramOutline::new(&world.program).ok();
-    let deadline = deadline_of(&world.budget);
     let mut fresh = Vec::new();
     for d in &world.derivations {
-        if expired(&deadline) {
-            stats.timed_out = true;
-            break;
-        }
         let Some(rule) = world.program.rule(&d.rule) else {
             continue;
         };
@@ -1161,7 +1126,7 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
             trace.push(format!("FIX: delete base tuple {t}"));
             out.push(Candidate {
                 repair: Repair::DeleteTuple(t.clone()),
-                cost: world.cost.insert_tuple, // symmetric with insertion
+                cost: cost::INSERT_TUPLE, // symmetric with insertion
                 description: format!("Deleting the {} tuple {t}", t.table),
                 trace,
             });
@@ -1207,7 +1172,7 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                         trace.push(format!("FIX: change {t} to {nt}"));
                         out.push(Candidate {
                             repair: Repair::ChangeTuple { from: t.clone(), to: nt.clone() },
-                            cost: world.cost.const_other,
+                            cost: cost::CONST_OTHER,
                             description: format!("Changing {t} to {nt}"),
                             trace,
                         });
@@ -1243,7 +1208,7 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                 let Some((v, patch)) = breaking else { continue };
                 stats.raw_candidates += 1;
                 let exists = format!("EXIST[Sel(Rul={}, SID=\"{}\")]", rule.id, sel.sid());
-                out.push(patched(patch, world.cost.const_change(old, v), exists));
+                out.push(patched(patch, cost::const_change(old, v), exists));
             }
             // Operator negation always breaks the satisfied selection.
             if matches!((&lhs, &rhs), (Some(l), Some(r)) if !sel.op.negate().eval(l, r)) {
@@ -1255,7 +1220,7 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                 if applies(&world.program, &outline, &patch) {
                     stats.raw_candidates += 1;
                     let exists = format!("EXIST[Oper(Rul={}, SID=\"{}\")]", rule.id, sel.sid());
-                    out.push(patched(patch, world.cost.op_change, exists));
+                    out.push(patched(patch, cost::OP_CHANGE, exists));
                 }
             }
         }
@@ -1269,7 +1234,7 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
             if applies(&world.program, &outline, &patch) {
                 stats.raw_candidates += 1;
                 let exists = format!("EXIST[PredFunc(Rul={}, Tab={})]", rule.id, atom.table);
-                out.push(patched(patch, world.cost.delete_predicate, exists));
+                out.push(patched(patch, cost::DELETE_PREDICATE, exists));
             }
         }
     }

@@ -38,7 +38,7 @@ pub mod repair;
 pub mod scenarios;
 
 pub use chaos::{random_plan, ChaosOutcome, ChaosReport, FaultClass};
-pub use cost::{CostModel, SearchBudget};
+pub use cost::SearchBudget;
 pub use debugger::{
     repair_scenario, try_repair_scenario, CandidateOutcome, Debugger, PhaseTimings, Recording, RepairReport,
 };

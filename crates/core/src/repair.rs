@@ -84,7 +84,7 @@ impl Repair {
 pub struct Candidate {
     /// The repair.
     pub repair: Repair,
-    /// Cost under the [`crate::cost::CostModel`] (lower = more plausible).
+    /// Cost under the [`crate::cost`] table (lower = more plausible).
     pub cost: u32,
     /// Human-readable description in the paper's Table 2 style.
     pub description: String,

@@ -11,7 +11,7 @@
 //! controller state, a deterministic workload, the operator's symptom
 //! query, and the effectiveness criterion used by backtesting.
 
-use crate::cost::{CostModel, SearchBudget};
+use crate::cost::SearchBudget;
 use mpr_ndlog::{parse_program, Program, Tuple, Value};
 use mpr_provenance::Pattern;
 use mpr_sdn::controller::{PktArg, TupleCodec};
@@ -88,8 +88,6 @@ pub struct Scenario {
     pub reference_fix: String,
     /// Search bounds for this scenario.
     pub budget: SearchBudget,
-    /// Cost model (default unless the scenario overrides it).
-    pub cost: CostModel,
     /// Simulator configuration.
     pub sim: SimConfig,
     /// Controller language the program was written in (§5.8).
@@ -227,7 +225,6 @@ impl Scenario {
             effect: Effect::DeliversOn { host: fig1_hosts::H2, port: 80 },
             reference_fix: "Changing Swi == 2 in r7 to Swi == 3".into(),
             budget: SearchBudget::default(),
-            cost: CostModel::default(),
             sim: SimConfig::default(),
             language: Language::NDlog,
             op_repairs: true,
@@ -289,7 +286,6 @@ impl Scenario {
             effect: Effect::DeliversOn { host: fig1_hosts::DNS, port: 53 },
             reference_fix: "Changing Sip < 6 in r1 to Sip < 7".into(),
             budget: SearchBudget { max_candidates: 12, ..SearchBudget::default() },
-            cost: CostModel::default(),
             sim: SimConfig::default(),
             language: Language::NDlog,
             op_repairs: true,
@@ -358,7 +354,6 @@ impl Scenario {
             effect: Effect::DeliversOn { host: fig1_hosts::H2, port: 80 },
             reference_fix: "Changing Sip > 3 in f1 to Sip > 2".into(),
             budget: SearchBudget { max_candidates: 12, ..SearchBudget::default() },
-            cost: CostModel::default(),
             sim: SimConfig::default(),
             language: Language::NDlog,
             op_repairs: true,
@@ -404,8 +399,7 @@ impl Scenario {
             }),
             effect: Effect::DeliversAtLeast { host: fig1_hosts::H1, min: 40 },
             reference_fix: "Copying r5 and replacing head with PacketOut".into(),
-            budget: SearchBudget { max_cost: 7, max_candidates: 13, consts_per_site: 3, ..SearchBudget::default() },
-            cost: CostModel::default(),
+            budget: SearchBudget { max_cost: 7, max_candidates: 13, consts_per_site: 3 },
             sim: SimConfig::default(),
             language: Language::NDlog,
             op_repairs: true,
@@ -475,8 +469,7 @@ impl Scenario {
             }),
             effect: Effect::DeliversOn { host: fig1_hosts::H1, port: 80 },
             reference_fix: "Changing Lip := 0 in f2 to Lip := Sip".into(),
-            budget: SearchBudget { max_cost: 7, max_candidates: 9, consts_per_site: 2, ..SearchBudget::default() },
-            cost: CostModel::default(),
+            budget: SearchBudget { max_cost: 7, max_candidates: 9, consts_per_site: 2 },
             sim: SimConfig::default(),
             language: Language::NDlog,
             op_repairs: true,
@@ -529,7 +522,6 @@ impl Scenario {
             effect: Effect::DeliversOn { host: fig1_hosts::H1, port: 80 },
             reference_fix: "Deleting the WebLoadBalancer tuple".into(),
             budget: SearchBudget::default(),
-            cost: CostModel::default(),
             sim: SimConfig::default(),
             language: Language::NDlog,
             op_repairs: true,

@@ -124,7 +124,7 @@ fn worst_case_schedule_is_classified_not_fatal() {
 /// reference fix — is effective there, whatever a fault-free replay says.
 #[test]
 fn candidates_meet_the_faults_the_baseline_met() {
-    use mpr_sdn::faults::{CtrlFaults, FaultPlan};
+    use mpr_sdn::faults::{CtrlFaults, FaultPlan, LinkFault};
     let scenario = Scenario::q1_copy_paste();
     let plan = FaultPlan {
         ctrl: CtrlFaults { drop_chance: 1.0, ..CtrlFaults::default() },
@@ -135,7 +135,8 @@ fn candidates_meet_the_faults_the_baseline_met() {
     assert_eq!(outcome.accepted, 0, "accepted a repair no FlowMod of which was delivered");
 
     let mut lossy = scenario.clone();
-    lossy.sim.drop_chance = 1.0;
+    let links = scenario.topology.all_links().map(|((a, _), (b, _))| LinkFault::down(a, b, 0, u64::MAX));
+    lossy.sim.faults.links = links.collect();
     let report = mpr_core::debugger::repair_scenario(&lossy);
     assert!(report.generated() > 0);
     assert!(report.outcomes.iter().all(|o| !o.effective), "{}", report.render_table());

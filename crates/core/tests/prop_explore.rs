@@ -15,7 +15,7 @@
 //!   fix options are the prices of a reference that patches and evaluates a
 //!   clone of every selection, and of the edits the search then builds.
 
-use mpr_core::cost::{CostModel, SearchBudget};
+use mpr_core::cost::{self, SearchBudget};
 use mpr_core::debugger::Debugger;
 use mpr_core::explore::{generate_missing, generate_missing_with_ledger, World};
 use mpr_core::repair::{Candidate, Repair};
@@ -49,8 +49,7 @@ fn world(swi_const: i64, hdr_const: i64, prt_const: i64, triggers: Vec<(i64, i64
             .collect(),
         state: vec![],
         derivations: vec![],
-        cost: CostModel::default(),
-        budget: SearchBudget { max_cost: 10, max_candidates: 24, consts_per_site: 3, ..SearchBudget::default() },
+        budget: SearchBudget { max_cost: 10, max_candidates: 24, consts_per_site: 3 },
     }
 }
 
@@ -94,11 +93,10 @@ fn cross_costs(slots: &[Vec<u32>]) -> Vec<u32> {
 /// world's rules are `FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr),
 /// Swi op a, Hdr == b, Prt := c` and its goal is concrete.
 fn reference_prices(w: &World, goal: &Pattern) -> Vec<u32> {
-    let cm = &w.cost;
     let int = |v: &Option<Value>| v.as_ref().and_then(Value::as_int).expect("a concrete goal");
     let (goal_swi, goal_hdr, goal_prt) = (int(&goal.loc), int(&goal.args[0]), int(&goal.args[1]));
     // The insertion and the synthesised rule.
-    let mut prices = vec![cm.insert_tuple, cm.new_rule];
+    let mut prices = vec![cost::INSERT_TUPLE, cost::NEW_RULE];
     // Replacement constants: every integer the program, the triggers and the
     // goal exhibit, and its neighbours, ascending.
     let mut exhibited = vec![goal_swi, goal_hdr, goal_prt];
@@ -120,8 +118,8 @@ fn reference_prices(w: &World, goal: &Pattern) -> Vec<u32> {
             let mut assign_slots = Vec::new();
             let Expr::Const(Value::Int(assigned)) = rule.assigns[0].expr else { unreachable!("Prt := c") };
             if assigned != goal_prt {
-                let mut slot = vec![cm.const_change(assigned, goal_prt)];
-                slot.extend(joined.iter().filter(|(_, v)| **v == Value::Int(goal_prt)).map(|_| cm.var_change));
+                let mut slot = vec![cost::const_change(assigned, goal_prt)];
+                slot.extend(joined.iter().filter(|(_, v)| **v == Value::Int(goal_prt)).map(|_| cost::VAR_CHANGE));
                 assign_slots.push(slot);
             }
             let mut failing = Vec::new();
@@ -139,16 +137,16 @@ fn reference_prices(w: &World, goal: &Pattern) -> Vec<u32> {
                     patched.rhs = Expr::int(v);
                     holds(&patched)
                 });
-                slot.extend(replacements.take(w.budget.consts_per_site).map(|&v| cm.const_change(old, v)));
+                slot.extend(replacements.take(w.budget.consts_per_site).map(|&v| cost::const_change(old, v)));
                 for op in CmpOp::ALL.into_iter().filter(|op| *op != sel.op) {
                     let mut patched = sel.clone();
                     patched.op = op;
-                    slot.extend(holds(&patched).then_some(cm.op_change));
+                    slot.extend(holds(&patched).then_some(cost::OP_CHANGE));
                 }
                 for var in rule.body_vars() {
                     let mut patched = sel.clone();
                     patched.lhs = Expr::var(var);
-                    slot.extend((patched.lhs != sel.lhs && holds(&patched)).then_some(cm.var_change));
+                    slot.extend((patched.lhs != sel.lhs && holds(&patched)).then_some(cost::VAR_CHANGE));
                 }
                 sel_slots.push(slot);
             }
@@ -163,7 +161,7 @@ fn reference_prices(w: &World, goal: &Pattern) -> Vec<u32> {
                 singles.chain(pairs).filter(|d| failing.iter().all(|f| d.contains(f))).collect();
             for assign in cross_costs(&assign_slots) {
                 prices.extend(cross_costs(&sel_slots).iter().map(|fix| fix + assign + extra(failing.len())));
-                prices.extend(deletions.iter().map(|d| d.len() as u32 * cm.delete_selection + assign + extra(d.len())));
+                prices.extend(deletions.iter().map(|d| d.len() as u32 * cost::DELETE_SELECTION + assign + extra(d.len())));
             }
         }
     }
@@ -172,24 +170,23 @@ fn reference_prices(w: &World, goal: &Pattern) -> Vec<u32> {
 
 /// What the cost model charges for a built repair, from its edits alone.
 fn price_of_edits(w: &World, repair: &Repair) -> u32 {
-    let cm = &w.cost;
-    let Repair::Patch(patch) = repair else { return cm.insert_tuple };
+    let Repair::Patch(patch) = repair else { return cost::INSERT_TUPLE };
     let rule_of = |id: &str| -> &Rule { w.program.rule(id).expect("edits name rules of the program") };
     let edits = patch.edits.iter().map(|e| match e {
-        Edit::AddRule { .. } => cm.new_rule,
-        Edit::DeleteSelection { .. } => cm.delete_selection,
-        Edit::SetSelectionOp { .. } => cm.op_change,
-        Edit::SetSelectionExpr { .. } => cm.var_change,
+        Edit::AddRule { .. } => cost::NEW_RULE,
+        Edit::DeleteSelection { .. } => cost::DELETE_SELECTION,
+        Edit::SetSelectionOp { .. } => cost::OP_CHANGE,
+        Edit::SetSelectionExpr { .. } => cost::VAR_CHANGE,
         Edit::SetConst { rule, site, value } => {
             let (_, old) = rule_of(rule).constants().into_iter().find(|(s, _)| s == site).expect("the site exists");
-            cm.const_change(old.as_int().expect("integer literals"), value.as_int().expect("integer literals"))
+            cost::const_change(old.as_int().expect("integer literals"), value.as_int().expect("integer literals"))
         }
         Edit::SetAssignExpr { rule, var, expr } => {
             let old = &rule_of(rule).assigns.iter().find(|a| &a.var == var).expect("the assignment exists").expr;
             match (old, expr) {
-                (Expr::Const(Value::Int(old)), Expr::Const(Value::Int(new))) => cm.const_change(*old, *new),
-                (_, Expr::Var(_)) => cm.var_change,
-                _ => cm.assign_change,
+                (Expr::Const(Value::Int(old)), Expr::Const(Value::Int(new))) => cost::const_change(*old, *new),
+                (_, Expr::Var(_)) => cost::VAR_CHANGE,
+                _ => cost::ASSIGN_CHANGE,
             }
         }
         other => panic!("no tree of these worlds builds {other:?}"),

@@ -13,7 +13,7 @@
 //! constants, the values the triggers and state exhibit, and the goal's,
 //! each with its ±1 neighbours, ascending.
 
-use mpr_core::cost::{CostModel, SearchBudget};
+use mpr_core::cost::SearchBudget;
 use mpr_core::explore::{generate_existing, generate_missing, DerivationRecord, World};
 use mpr_core::repair::Candidate;
 use mpr_ndlog::{parse_program, Tuple, Value};
@@ -25,7 +25,6 @@ fn world(src: &str, triggers: Vec<Tuple>, state: Vec<Tuple>, derivations: Vec<De
         triggers,
         state,
         derivations,
-        cost: CostModel::default(),
         budget: SearchBudget { max_candidates: usize::MAX, ..SearchBudget::default() },
     }
 }
@@ -129,6 +128,40 @@ fn a_base_tuple_changes_to_the_first_value_that_breaks_the_derivation() {
             r#"2 | Changing Swi == 1 in r1 to Swi != 1 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Ne }] })"#,
             r#"2 | Changing WebLoadBalancer(@'C',80,2) to WebLoadBalancer(@'C',80,0) | ChangeTuple { from: Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(2)] }, to: Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(0)] } }"#,
             r#"3 | Deleting the WebLoadBalancer tuple WebLoadBalancer(@'C',80,2) | DeleteTuple(Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(2)] })"#,
+        ]
+    );
+}
+
+/// `r1` compares with `i64::MAX`, so the domain reaches the top of `i64`;
+/// `r2` solves `Lo` from the domain's first values. The neighbour above
+/// `i64::MAX` does not exist and is left out: it neither overflows nor
+/// wraps to `i64::MIN`, which would be the first value `Lo < Hdr` takes.
+const SITE_A_EXTREME: &str = r"
+    materialize(PacketIn, event, 2, keys()).
+    materialize(Allowed, infinity, 2, keys(0,1)).
+    materialize(FlowTable, infinity, 2, keys(0,1)).
+    r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 9223372036854775807, Prt := 2.
+    r2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Allowed(@C,Hdr,Lo), Lo < Hdr, Prt := 2.
+";
+
+#[test]
+fn an_extreme_constant_has_no_neighbour_past_the_range() {
+    let w = world(SITE_A_EXTREME, vec![tuple("PacketIn", &[1, 80])], vec![], vec![]);
+    let (candidates, _) = generate_missing(&w, &flow_goal(1, 80, 2));
+    let rendered = rendered(&candidates);
+    assert!(rendered.iter().all(|c| !c.contains(&i64::MIN.to_string())), "{rendered:#?}");
+    // The domain is [0, 1, 2, 3, 79, 80, 81, i64::MAX - 1, i64::MAX]: `Lo`
+    // takes 0.
+    assert_eq!(
+        rendered,
+        [
+            r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi != 9223372036854775807 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Ne }] })"#,
+            r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi < 9223372036854775807 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Lt }] })"#,
+            r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi <= 9223372036854775807 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Le }] })"#,
+            r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi == 1 | Patch(Patch { edits: [SetConst { rule: "r1", site: Selection { idx: 0, side: Rhs, path: [] }, value: Int(1) }] })"#,
+            r#"3 | Deleting Swi == 9223372036854775807 in r1 | Patch(Patch { edits: [DeleteSelection { rule: "r1", sel: 0 }] })"#,
+            r#"3 | Manually inserting a Allowed entry | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(0)] })"#,
+            r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(1), args: [Int(80), Int(2)] })"#,
         ]
     );
 }

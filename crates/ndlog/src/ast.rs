@@ -241,23 +241,6 @@ impl Atom {
             self.args.len()
         ))
     }
-
-    /// The columns of this atom whose value is determined once every
-    /// variable in `bound` has a binding: constants, plus variables drawn
-    /// from `bound`. Column `0` is the location, column `i + 1` is argument
-    /// `i`. This is the join-planning hook: an evaluation engine can hash
-    /// a relation on exactly these columns and probe instead of scanning.
-    pub fn bound_positions(&self, bound: &BTreeSet<String>) -> Vec<(usize, &Term)> {
-        let determined = |t: &Term| match t {
-            Term::Const(_) => true,
-            Term::Var(v) => bound.contains(v),
-            Term::Agg(..) => false,
-        };
-        std::iter::once((0usize, &self.loc))
-            .chain(self.args.iter().enumerate().map(|(i, t)| (i + 1, t)))
-            .filter(|(_, t)| determined(t))
-            .collect()
-    }
 }
 
 impl fmt::Display for Atom {
@@ -757,12 +740,6 @@ impl Program {
             }
         }
         Ok(())
-    }
-
-    /// Total number of source lines when pretty-printed (schema declarations
-    /// plus one line per rule). Used by the Fig. 10 program-size experiment.
-    pub fn line_count(&self) -> usize {
-        self.catalog.len() + self.rules.len()
     }
 }
 

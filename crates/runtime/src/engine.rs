@@ -265,6 +265,9 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
+/// The first value `f_unique()` returns, so runs are reproducible.
+const UNIQUE_SEED: i64 = 1000;
+
 /// Engine options.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -272,8 +275,6 @@ pub struct Options {
     pub record_events: bool,
     /// Hard cap on total derivations, as a runaway guard.
     pub max_derivations: u64,
-    /// Seed for `f_unique()` so runs are reproducible.
-    pub unique_seed: i64,
     /// How deltas propagate to fixpoint (see [`EvalStrategy`]).
     pub strategy: EvalStrategy,
     /// Hard cap on semi-naive rounds per externally driven step (batch
@@ -298,7 +299,6 @@ impl Default for Options {
         Options {
             record_events: true,
             max_derivations: 50_000_000,
-            unique_seed: 1000,
             strategy: EvalStrategy::default(),
             max_rounds: 1_000_000,
             time_budget: None,
@@ -485,7 +485,7 @@ impl Engine {
             let head_is_event = program.catalog.get(&rule.head.table).is_some_and(|s| !s.is_state());
             rules.push(EngineRule { compiled: LazyRule::default(), head_is_event, agg });
         }
-        let funcs = CountingFuncs::starting_at(opts.unique_seed);
+        let funcs = CountingFuncs::starting_at(UNIQUE_SEED);
         let (batch_dispatch, triggers) = match strategy {
             EvalStrategy::Batch => (batch::build_dispatch(&triggers, |ri| &program.rules[ri]), HashMap::new()),
             EvalStrategy::Pipelined => {

@@ -5,13 +5,13 @@
 //! by [`crate::SimConfig`] — describing *when* links go down or flap,
 //! *when* switches crash (flow-table wipe + restart), and *how* the
 //! control channel misbehaves (drop / duplicate / reorder / delay). The
-//! simulator consumes the plan with a dedicated RNG stream seeded from
-//! [`FaultPlan::seed`], so enabling faults never perturbs the base
-//! `drop_chance` stream: a run with an empty plan is bit-identical to a
-//! run on a build without this module.
+//! simulator's one RNG stream is the plan's, seeded from
+//! [`FaultPlan::seed`] and drawn only when a control-channel fault can
+//! fire: a run with an empty plan is bit-identical to a run on a build
+//! without this module.
 //!
 //! Everything here is time-driven off the simulator's virtual clock, so
-//! the same `(seed, plan, workload)` triple always yields the same
+//! the same `(plan, workload)` pair always yields the same
 //! [`crate::SimStats`] — the property the chaos harness and the pinned
 //! regression scenarios rely on.
 
@@ -136,10 +136,9 @@ impl CtrlFaults {
 /// A complete, seeded fault schedule. The default plan is empty and
 /// injects nothing; [`FaultPlan::is_empty`] gates every fault check in
 /// the simulator, so the disabled layer costs one branch per event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for the plan's private RNG stream (control-channel chances).
-    /// Independent of [`crate::SimConfig::seed`].
+    /// Seed for the plan's RNG stream (control-channel chances).
     pub seed: u64,
     /// Scheduled link outages and flaps.
     pub links: Vec<LinkFault>,
@@ -147,12 +146,6 @@ pub struct FaultPlan {
     pub crashes: Vec<SwitchCrash>,
     /// Control-channel misbehavior.
     pub ctrl: CtrlFaults,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan { seed: 0, links: Vec::new(), crashes: Vec::new(), ctrl: CtrlFaults::default() }
-    }
 }
 
 impl FaultPlan {

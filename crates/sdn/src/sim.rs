@@ -7,13 +7,11 @@
 //! missed packet waits at the switch; unless the controller answers with a
 //! `PacketOut`, it is dropped — exactly the bug class of scenario Q4.
 //!
-//! Fault injection is available for robustness testing: a uniform
-//! `drop_chance` (mirroring the `--drop-chance` options the smoltcp
-//! examples expose) plus a scheduled [`FaultPlan`] — link outages and
+//! Fault injection is one scheduled [`FaultPlan`]: link outages and
 //! flaps, switch crashes with flow-table wipes, and control-channel
-//! drop/duplicate/reorder/delay. Both draw from seeded RNGs, and the
-//! plan uses its *own* stream, so every run is reproducible and an empty
-//! plan is bit-identical to no plan at all.
+//! drop/duplicate/reorder/delay. Its chances draw from one RNG stream
+//! seeded by the plan, so every run is reproducible and an empty plan is
+//! bit-identical to no plan at all.
 
 use crate::controller::{Controller, CtrlMsg, PacketInMsg};
 use crate::faults::FaultPlan;
@@ -25,19 +23,16 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
+/// Per-link latency (simulated microseconds).
+const LINK_LATENCY: u64 = 5;
+/// Controller round-trip latency (simulated microseconds).
+const CONTROLLER_LATENCY: u64 = 100;
+
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Per-link latency (simulated microseconds).
-    pub link_latency: u64,
-    /// Controller round-trip latency.
-    pub controller_latency: u64,
     /// TTL: maximum switch hops per packet (loop guard).
     pub max_hops: u32,
-    /// Probability of dropping a packet on each link traversal.
-    pub drop_chance: f64,
-    /// RNG seed for fault injection.
-    pub seed: u64,
     /// Scheduled fault plan (empty by default: injects nothing, and a run
     /// is bit-identical to one without the fault layer).
     pub faults: FaultPlan,
@@ -45,14 +40,7 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            link_latency: 5,
-            controller_latency: 100,
-            max_hops: 64,
-            drop_chance: 0.0,
-            seed: 7,
-            faults: FaultPlan::default(),
-        }
+        SimConfig { max_hops: 64, faults: FaultPlan::default() }
     }
 }
 
@@ -73,8 +61,6 @@ pub struct SimStats {
     pub dropped_buffered: u64,
     /// Drops: TTL exceeded.
     pub dropped_ttl: u64,
-    /// Drops: fault injection.
-    pub dropped_fault: u64,
     /// Drops: packet emitted onto a link that was down per the fault plan.
     pub dropped_link_down: u64,
     /// Drops: packet arrived at a switch that was dark per the fault plan.
@@ -125,7 +111,7 @@ impl SimStats {
         #[rustfmt::skip]
         let SimStats {
             injected, delivered, delivered_by_port, misdelivered, dropped_policy, dropped_buffered,
-            dropped_ttl, dropped_fault, dropped_link_down, dropped_switch_down, switch_crashes,
+            dropped_ttl, dropped_link_down, dropped_switch_down, switch_crashes,
             ctrl_dropped, ctrl_duplicated, ctrl_delayed, ctrl_reordered, packet_ins, flow_mods,
             packet_outs, hops,
         } = other;
@@ -140,7 +126,6 @@ impl SimStats {
         self.dropped_policy += dropped_policy;
         self.dropped_buffered += dropped_buffered;
         self.dropped_ttl += dropped_ttl;
-        self.dropped_fault += dropped_fault;
         self.dropped_link_down += dropped_link_down;
         self.dropped_switch_down += dropped_switch_down;
         self.switch_crashes += switch_crashes;
@@ -220,9 +205,7 @@ pub struct Simulation<C: Controller> {
     pub tables: FlowTables,
     controller: C,
     cfg: SimConfig,
-    rng: StdRng,
-    /// Dedicated RNG stream for the fault plan (control-channel chances),
-    /// so enabling faults never perturbs the base `drop_chance` stream.
+    /// The fault plan's RNG stream (control-channel chances).
     fault_rng: StdRng,
     queue: BinaryHeap<Ev>,
     /// Controller replies delayed by the fault plan.
@@ -248,7 +231,6 @@ impl<C: Controller> Simulation<C> {
     pub fn new(topo: impl Into<Arc<Topology>>, controller: C, cfg: SimConfig) -> Self {
         let topo = topo.into();
         let tables = FlowTables::new(topo.clone());
-        let rng = StdRng::seed_from_u64(cfg.seed);
         let fault_rng = StdRng::seed_from_u64(cfg.faults.seed);
         let mut crash_schedule = cfg.faults.crashes.clone();
         crash_schedule.sort_by_key(|c| (c.at, c.switch));
@@ -257,7 +239,6 @@ impl<C: Controller> Simulation<C> {
             tables,
             controller,
             cfg,
-            rng,
             fault_rng,
             queue: BinaryHeap::new(),
             ctrl_queue: BinaryHeap::new(),
@@ -313,7 +294,7 @@ impl<C: Controller> Simulation<C> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(Ev {
-            time: self.clock + self.cfg.link_latency,
+            time: self.clock + LINK_LATENCY,
             seq,
             node: NodeRef::Switch(sw),
             port: sw_port,
@@ -465,14 +446,10 @@ impl<C: Controller> Simulation<C> {
             self.stats.dropped_link_down += 1;
             return;
         }
-        if self.cfg.drop_chance > 0.0 && self.rng.gen::<f64>() < self.cfg.drop_chance {
-            self.stats.dropped_fault += 1;
-            return;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(Ev {
-            time: self.clock + self.cfg.link_latency,
+            time: self.clock + LINK_LATENCY,
             seq,
             node: peer,
             port: peer_port,
@@ -491,7 +468,7 @@ impl<C: Controller> Simulation<C> {
         let mut replies = std::mem::take(&mut self.reply_buf);
         replies.clear();
         self.controller.on_packet_in(&msg, &mut replies);
-        self.clock += self.cfg.controller_latency;
+        self.clock += CONTROLLER_LATENCY;
         let ctrl = self.cfg.faults.ctrl;
         let mut released = false;
         if ctrl.is_noop() {
@@ -691,30 +668,6 @@ mod tests {
         assert!(sim.stats.dropped_ttl > 0 || sim.stats.delivered_to(fig1_hosts::H2) > 0);
     }
 
-    #[test]
-    fn fault_injection_drops_deterministically() {
-        let cfg = SimConfig { drop_chance: 1.0, ..SimConfig::default() };
-        let mut sim = Simulation::new(fig1(), NullController, cfg);
-        sim.install_proactive_routes();
-        sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 1));
-        sim.run();
-        assert_eq!(sim.stats.total_delivered(), 0);
-        assert_eq!(sim.stats.dropped_fault, 1);
-
-        // Same seed → same outcome (determinism).
-        let cfg = SimConfig { drop_chance: 0.5, seed: 42, ..SimConfig::default() };
-        let run = |n: u64| {
-            let mut sim = Simulation::new(fig1(), NullController, cfg.clone());
-            sim.install_proactive_routes();
-            for i in 0..n {
-                sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, i));
-            }
-            sim.run();
-            sim.stats.total_delivered()
-        };
-        assert_eq!(run(100), run(100));
-    }
-
     /// Minimal reactive controller: on every miss, install `Output(1)` on
     /// the missing switch and release the packet the same way. On fig1
     /// that chains S1 → S2 → H1.
@@ -843,9 +796,9 @@ mod tests {
 
     #[test]
     fn empty_plan_matches_no_plan_bit_for_bit() {
-        // The fault layer disabled must not perturb anything — including
-        // the pre-existing drop_chance RNG stream.
-        let base = SimConfig { drop_chance: 0.3, seed: 11, ..SimConfig::default() };
+        // The fault layer disabled must not perturb anything, whatever
+        // seed its (unused) RNG stream is given.
+        let base = SimConfig::default();
         let run = |cfg: SimConfig| {
             let mut sim = Simulation::new(fig1(), NullController, cfg);
             sim.install_proactive_routes();

@@ -172,7 +172,7 @@ fn warmed_cache_is_bit_identical_under_fault_plans() {
 /// not perturb anything either.
 #[test]
 fn empty_plan_and_shared_topology_change_nothing() {
-    let base = SimConfig { drop_chance: 0.25, seed: 11, ..SimConfig::default() };
+    let base = SimConfig::default();
     let with_plan = SimConfig {
         faults: FaultPlan { seed: 999, ..FaultPlan::default() },
         ..base.clone()

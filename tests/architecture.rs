@@ -115,6 +115,18 @@ fn deleted_names_stay_deleted() {
         "Tier::",
         "Pool::enumerate",
         "Packet::encode",
+        // Settings no caller changed: the search deadline, the uniform
+        // link loss and its counter, the latencies and the `f_unique`
+        // seed; and two functions nothing called.
+        "time_budget_ms",
+        "search_timed_out",
+        "unique_seed",
+        "link_latency",
+        "controller_latency",
+        "dropped_fault",
+        "cfg.drop_chance",
+        "bound_positions",
+        "line_count",
     ];
     // The root-level markdown files that describe the tree as it is; every
     // other one (CHANGES.md, ROADMAP.md, ...) is a log that may record a

@@ -4,6 +4,8 @@
 
 use sdn_meta_repair::core::debugger::{repair_scenario, Debugger};
 use sdn_meta_repair::core::scenarios::Scenario;
+use sdn_meta_repair::sdn::faults::LinkFault;
+use sdn_meta_repair::sdn::NodeRef;
 
 #[test]
 fn the_reference_fix_is_generated_and_accepted_everywhere() {
@@ -212,11 +214,11 @@ fn repair_loop_agrees_under_both_eval_strategies() {
 
 #[test]
 fn fault_injection_degrades_gracefully() {
-    // Lossy links must not break diagnosis: the debugger still returns a
-    // report (possibly with fewer accepted candidates) and never panics.
+    // A flapping link must not break diagnosis: the debugger still returns
+    // a report (possibly with fewer accepted candidates) and never panics.
     let mut scenario = Scenario::q1_copy_paste();
-    scenario.sim.drop_chance = 0.10;
-    scenario.sim.seed = 99;
+    scenario.sim.faults.seed = 99;
+    scenario.sim.faults.links.push(LinkFault::flap(NodeRef::Switch(1), NodeRef::Switch(2), 0, 2_000, 50));
     let report = repair_scenario(&scenario);
     assert!(report.generated() > 0);
 }
