@@ -1118,7 +1118,7 @@ mod tests {
     use super::*;
     use crate::replay::{replay, BacktestSetup};
     use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
-    use mpr_ndlog::{parse_program, CmpOp, ConstSite, ExprSide, Value};
+    use mpr_ndlog::{parse_program, CmpOp, Expr, ExprSide, Value};
     use mpr_sdn::controller::TupleCodec;
     use mpr_sdn::sim::SimConfig;
     use mpr_sdn::topology::{fig1, fig1_hosts};
@@ -1161,10 +1161,11 @@ mod tests {
         // Candidate 0: r7 Swi==2 → Swi==3 (the intuitive fix).
         // Candidate 1: r7 Swi==2 → Swi!=2.
         // Candidate 2: identical to candidate 0 (coalescing test).
-        let c0 = Patch::single(Edit::SetConst {
+        let c0 = Patch::single(Edit::SetSelectionExpr {
             rule: "r7".into(),
-            site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
-            value: Value::Int(3),
+            sel: 0,
+            side: ExprSide::Rhs,
+            expr: Expr::int(3),
         });
         let c1 = Patch::single(Edit::SetSelectionOp {
             rule: "r7".into(),
@@ -1323,10 +1324,11 @@ mod tests {
             add(other.clone()),
             add(copy.clone()),
             Patch::default(),
-            Patch::single(Edit::SetConst {
+            Patch::single(Edit::SetSelectionExpr {
                 rule: "r1".into(),
-                site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
-                value: Value::Int(1),
+                sel: 0,
+                side: ExprSide::Rhs,
+                expr: Expr::int(1),
             }),
         ];
         let tp = assert_same_build_from_patches(&base, &patches);

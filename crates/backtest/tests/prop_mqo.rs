@@ -153,7 +153,7 @@ impl Fixture {
 #[derive(Debug, Clone)]
 enum Mutation {
     /// A selection's constant replaced.
-    SetConst { rule: usize, sel: usize, pick: usize },
+    ChangeConst { rule: usize, sel: usize, pick: usize },
     /// A selection's operator flipped.
     Negate { rule: usize, sel: usize },
     /// The rule deleted.
@@ -168,7 +168,7 @@ impl Mutation {
         let mut p = fx.base.clone();
         let konst = |pick: usize| mpr_ndlog::Expr::int(fx.consts[pick % fx.consts.len()]);
         match *self {
-            Mutation::SetConst { rule, sel, pick } => {
+            Mutation::ChangeConst { rule, sel, pick } => {
                 p.rule_mut(RULES[rule]).unwrap().sels[sel].rhs = konst(pick);
             }
             Mutation::Negate { rule, sel } => {
@@ -191,7 +191,7 @@ impl Mutation {
         let konst = |pick: usize| mpr_ndlog::Expr::int(fx.consts[pick % fx.consts.len()]);
         let id = |rule: usize| RULES[rule].to_string();
         Patch::single(match *self {
-            Mutation::SetConst { rule, sel, pick } => {
+            Mutation::ChangeConst { rule, sel, pick } => {
                 Edit::SetSelectionExpr { rule: id(rule), sel, side: ExprSide::Rhs, expr: konst(pick) }
             }
             Mutation::Negate { rule, sel } => {
@@ -219,7 +219,7 @@ fn deltas_and_programs(base: &Program, patches: &[Patch]) -> (Vec<RuleDelta>, Ve
 /// A random single-literal mutation.
 fn mutant() -> impl Strategy<Value = Mutation> {
     (0usize..4, 0usize..2, prop::option::of(0usize..6)).prop_map(|(rule, sel, pick)| match pick {
-        Some(pick) => Mutation::SetConst { rule, sel, pick },
+        Some(pick) => Mutation::ChangeConst { rule, sel, pick },
         None => Mutation::Negate { rule, sel },
     })
 }
@@ -490,11 +490,8 @@ fn a_derived_event_triggers_every_time_it_is_derived() {
 #[test]
 fn candidates_may_edit_the_rule_an_event_table_triggers() {
     let (setup, base) = seen_setup(1);
-    let assign = |value: i64| Edit::SetConst {
-        rule: "s2".into(),
-        site: mpr_ndlog::ConstSite::Assign { idx: 0, path: vec![] },
-        value: mpr_ndlog::Value::Int(value),
-    };
+    let assign =
+        |value: i64| Edit::SetAssignExpr { rule: "s2".into(), var: "Prt".into(), expr: mpr_ndlog::Expr::int(value) };
     let patches = vec![
         Patch::default(),
         Patch::single(assign(2)),
@@ -545,11 +542,8 @@ fn detour_program() -> Program {
 type Detour = (i64, i64, Option<usize>);
 
 fn detour_patch(&(http, dns, deleted): &Detour) -> Patch {
-    let port = |rule: &str, value: i64| Edit::SetConst {
-        rule: rule.into(),
-        site: mpr_ndlog::ConstSite::Assign { idx: 0, path: vec![] },
-        value: mpr_ndlog::Value::Int(value),
-    };
+    let port =
+        |rule: &str, value: i64| Edit::SetAssignExpr { rule: rule.into(), var: "Prt".into(), expr: mpr_ndlog::Expr::int(value) };
     let mut edits = vec![port("h1", http), port("d1", dns)];
     edits.extend(deleted.map(|rule| Edit::DeleteRule { rule: DETOUR_RULES[rule].into() }));
     Patch::of(edits)

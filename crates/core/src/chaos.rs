@@ -45,20 +45,12 @@ pub enum FaultClass {
     SwitchCrash,
     /// Control-channel misbehavior: drop, duplicate, delay, reorder.
     CtrlChaos,
-    /// The *controller process itself* dying mid-write and restarting from
-    /// its write-ahead log. Unlike the four network classes, this fault
-    /// probes durability rather than the data plane, so it has no
-    /// [`FaultPlan`] expansion — it is swept by the dedicated
-    /// kill-and-restart harness ([`kill_sweep`]), which truncates a
-    /// captured WAL at randomized byte offsets and reopens.
-    ProcessKill,
 }
 
 impl FaultClass {
-    /// Every *network* class, in sweep order. [`FaultClass::ProcessKill`]
-    /// is deliberately excluded: it is driven by [`kill_sweep`] (byte-level
-    /// crash points against the WAL), not by [`sweep`] (fault schedules
-    /// against the simulated network).
+    /// Every class, in sweep order. Process death is not among them: it
+    /// has no network schedule, and [`kill_sweep`] probes it at the
+    /// storage layer instead.
     pub const ALL: [FaultClass; 4] =
         [FaultClass::LinkOutage, FaultClass::LinkFlap, FaultClass::SwitchCrash, FaultClass::CtrlChaos];
 
@@ -69,7 +61,6 @@ impl FaultClass {
             FaultClass::LinkFlap => "link-flap",
             FaultClass::SwitchCrash => "switch-crash",
             FaultClass::CtrlChaos => "ctrl-chaos",
-            FaultClass::ProcessKill => "process-kill",
         }
     }
 }
@@ -137,11 +128,6 @@ pub fn random_plan(class: FaultClass, seed: u64, topology: &Topology) -> FaultPl
                 reorder: rng.gen_range(0..2u64) == 1,
             };
         }
-        // Process death is not a network schedule; the kill harness injects
-        // it at the storage layer instead ([`kill_sweep`]). The healthy
-        // network is exactly the point: recovery must be lossless even when
-        // nothing else went wrong.
-        FaultClass::ProcessKill => {}
     }
     plan
 }
@@ -465,29 +451,8 @@ pub fn regression_cases() -> Vec<RegressionCase> {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-and-restart: FaultClass::ProcessKill, injected at the storage layer
+// Kill-and-restart: process death, injected at the storage layer
 // ---------------------------------------------------------------------------
-
-/// Where in the repair loop the process dies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillPhase {
-    /// During the observation run: the controller is evaluating the buggy
-    /// program to fixpoint against live traffic when the process dies.
-    MidFixpoint,
-    /// During a backtest replay: a candidate validation run is journaling
-    /// when the process dies.
-    MidBacktest,
-}
-
-impl KillPhase {
-    /// Stable display name (artifact keys, tables).
-    pub fn name(&self) -> &'static str {
-        match self {
-            KillPhase::MidFixpoint => "mid-fixpoint",
-            KillPhase::MidBacktest => "mid-backtest",
-        }
-    }
-}
 
 /// A full WAL captured from one journaled engine run — the raw material
 /// the crash points cut into. `records` is the clean decode of
@@ -496,8 +461,6 @@ impl KillPhase {
 pub struct WalCapture {
     /// Scenario id the engine ran.
     pub scenario: String,
-    /// Which loop phase produced the log.
-    pub phase: KillPhase,
     /// The raw `wal.0.log` bytes, exactly as the engine left them.
     pub wal_bytes: Vec<u8>,
     /// The journal records framed inside `wal_bytes`, oldest first.
@@ -514,21 +477,19 @@ fn kill_scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Run `scenario` under WAL durability and capture the log the engine
-/// wrote. The observation run (`MidFixpoint`) and a backtest replay of the
-/// buggy program (`MidBacktest`) are the same run — one
-/// [`mpr_backtest::replay::drive`] of the program over the workload — so
-/// `phase` only names which of them the capture stands for.
+/// wrote: one [`mpr_backtest::replay::drive`] of the program over the
+/// workload, which is the observation run and equally a backtest replay of
+/// the buggy program — the process dies mid-fixpoint either way.
 /// `max_injections` truncates the workload (0 = all of it) so
 /// sweeps over many crash points stay cheap. Compaction is disabled for
 /// the capture: every journaled op stays in `wal.0.log`, giving the crash
 /// points a maximal surface to cut.
 pub fn capture_wal(
     scenario: &Scenario,
-    phase: KillPhase,
     opts: &EngineOptions,
     max_injections: usize,
 ) -> Result<WalCapture, String> {
-    let scratch = kill_scratch_dir(phase.name());
+    let scratch = kill_scratch_dir("capture");
     let durability = Durability::Wal(WalOptions { dir: scratch.clone(), fsync: false, compact_every: 0 });
     let workload: Vec<_> = if max_injections == 0 {
         scenario.workload.clone()
@@ -576,12 +537,7 @@ pub fn capture_wal(
         if !recovered.status.is_clean() || recovered.snapshot.is_some() {
             return Err(format!("capture did not reopen clean: {:?}", recovered.status));
         }
-        Ok(WalCapture {
-            scenario: scenario.id.clone(),
-            phase,
-            wal_bytes,
-            records: recovered.records,
-        })
+        Ok(WalCapture { scenario: scenario.id.clone(), wal_bytes, records: recovered.records })
     });
     let _ = std::fs::remove_dir_all(&scratch);
     capture
@@ -594,8 +550,6 @@ pub fn capture_wal(
 pub struct KillOutcome {
     /// Scenario id.
     pub scenario: String,
-    /// Loop phase the log was captured from.
-    pub phase: KillPhase,
     /// Bytes of the WAL that survived the crash.
     pub cut: u64,
     /// Full length of the captured WAL.
@@ -665,7 +619,6 @@ pub fn crash_at(capture: &WalCapture, cut: u64) -> KillOutcome {
     }));
     let base = KillOutcome {
         scenario: capture.scenario.clone(),
-        phase: capture.phase,
         cut,
         wal_len,
         ops_applied: 0,
@@ -692,16 +645,8 @@ pub fn crash_at(capture: &WalCapture, cut: u64) -> KillOutcome {
     }
 }
 
-/// `n` deterministic crash positions as parts-per-million of the WAL
-/// length. Seeded independently of [`random_plan`] so the two sweeps
-/// don't correlate.
-pub fn random_kill_points(seed: u64, n: usize) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x517c_c1b7_2722_0a95);
-    (0..n).map(|_| rng.gen_range(0..=1_000_000u64)).collect()
-}
-
 /// The result of a kill sweep: one [`KillOutcome`] per crash point, in
-/// `(scenario, phase, cut)` order.
+/// sweep order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillReport {
     /// All crash-point outcomes.
@@ -715,54 +660,55 @@ impl KillReport {
         self.outcomes.iter().filter(|o| o.error.is_some() || !o.prefix_consistent).collect()
     }
 
-    /// Plain-text summary by scenario and phase (EXPERIMENTS.md shape).
+    /// Plain-text summary by scenario (EXPERIMENTS.md shape).
     pub fn render_table(&self) -> String {
-        let mut rows: std::collections::BTreeMap<(String, &'static str), (usize, usize)> =
-            std::collections::BTreeMap::new();
+        let mut rows: std::collections::BTreeMap<&str, (usize, usize)> = std::collections::BTreeMap::new();
         for o in &self.outcomes {
-            let row = rows.entry((o.scenario.clone(), o.phase.name())).or_default();
+            let row = rows.entry(&o.scenario).or_default();
             row.1 += 1;
             if o.error.is_none() && o.prefix_consistent {
                 row.0 += 1;
             }
         }
-        let mut out =
-            format!("{:<10} {:<14} {:>10} {:>7}\n", "scenario", "phase", "consistent", "total");
-        for ((scenario, phase), (ok, total)) in rows {
-            out.push_str(&format!("{scenario:<10} {phase:<14} {ok:>10} {total:>7}\n"));
+        let mut out = format!("{:<10} {:>10} {:>7}\n", "scenario", "consistent", "total");
+        for (scenario, (ok, total)) in rows {
+            out.push_str(&format!("{scenario:<10} {ok:>10} {total:>7}\n"));
         }
         out
     }
 }
 
-/// Sweep crash points over every `(scenario, phase)` pair: capture one
-/// WAL per pair, then kill-and-restart at `cuts_per_phase` randomized
-/// byte offsets plus the two endpoints (nothing persisted / everything
-/// persisted). Deterministic for fixed inputs. Errors if a capture run
-/// itself fails — the harness refuses to sweep a log it couldn't verify.
+/// Sweep crash points over every scenario: capture one WAL per scenario,
+/// then kill-and-restart at the two endpoints (nothing persisted /
+/// everything persisted) and at `cuts_per_scenario` further byte offsets,
+/// drawn at random and each probed once (fewer when the log has fewer
+/// bytes). Deterministic for fixed inputs. Errors if a capture run itself
+/// fails — the harness refuses to sweep a log it couldn't verify.
 pub fn kill_sweep(
     scenarios: &[Scenario],
     opts: &EngineOptions,
-    cuts_per_phase: usize,
+    cuts_per_scenario: usize,
     seed: u64,
     max_injections: usize,
 ) -> Result<KillReport, String> {
     let mut outcomes = Vec::new();
     for scenario in scenarios {
-        for phase in [KillPhase::MidFixpoint, KillPhase::MidBacktest] {
-            let capture = capture_wal(scenario, phase, opts, max_injections)
-                .map_err(|e| format!("{} {} capture: {e}", scenario.id, phase.name()))?;
-            let len = capture.wal_bytes.len() as u64;
-            let mut cuts = vec![0u64, len];
-            cuts.extend(
-                random_kill_points(seed ^ len, cuts_per_phase)
-                    .into_iter()
-                    .map(|ppm| len.saturating_mul(ppm) / 1_000_000),
-            );
-            for cut in cuts {
-                outcomes.push(crash_at(&capture, cut));
+        let capture = capture_wal(scenario, opts, max_injections)
+            .map_err(|e| format!("{} capture: {e}", scenario.id))?;
+        let len = capture.wal_bytes.len() as u64;
+        // Seeded independently of `random_plan`, so the two sweeps don't
+        // correlate.
+        let mut rng = StdRng::seed_from_u64(seed ^ len ^ 0x517c_c1b7_2722_0a95);
+        let wanted = (cuts_per_scenario as u64 + 2).min(len + 1) as usize;
+        let mut cuts = vec![0u64, len];
+        cuts.dedup();
+        while cuts.len() < wanted {
+            let cut = rng.gen_range(0..=len);
+            if !cuts.contains(&cut) {
+                cuts.push(cut);
             }
         }
+        outcomes.extend(cuts.into_iter().map(|cut| crash_at(&capture, cut)));
     }
     Ok(KillReport { outcomes })
 }
@@ -772,7 +718,7 @@ pub fn kill_sweep(
 /// seeds, and drive the full diagnose → repair → backtest loop from
 /// there. Only `State`-persistence tuples carry over — event tuples are
 /// consumed by design and a restart must not replay them as fresh
-/// stimuli. This is the end-to-end property [`FaultClass::ProcessKill`]
+/// stimuli. This is the end-to-end property the kill-and-restart harness
 /// pins: a kill at any WAL offset leaves the loop able to converge again.
 pub fn restart_repair(
     scenario: &Scenario,

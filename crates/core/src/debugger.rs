@@ -186,8 +186,7 @@ impl Debugger {
     /// Fails (with a description, never a panic) only when the scenario
     /// itself cannot run — a program that does not compile, a codec that
     /// cannot seed the controller. Degraded-but-running conditions (a
-    /// timed-out search, a candidate whose replay dies) surface inside
-    /// the report instead.
+    /// candidate whose replay dies) surface inside the report instead.
     pub fn diagnose_and_repair(&mut self) -> Result<RepairReport, String> {
         let recording = self.record()?;
         self.repair(&recording)

@@ -26,7 +26,7 @@
 use crate::cost::{self, SearchBudget};
 use crate::repair::{Candidate, Repair};
 use crate::scenarios::{Scenario, Symptom};
-use mpr_ndlog::ast::{Assign, Atom, CmpOp, ConstSite, Expr, ExprSide, Term};
+use mpr_ndlog::ast::{Assign, Atom, CmpOp, Expr, ExprSide, Term};
 use mpr_ndlog::eval::{Bindings, PureFuncs};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
 use mpr_ndlog::{Program, Rule, Selection, Tuple, Value};
@@ -333,11 +333,7 @@ impl Fix<'_> {
                 assigned(ai, Expr::Const(need.clone()))
             }
             Fix::AssignVar(ai, var) => assigned(ai, Expr::var(var)),
-            Fix::Const { sel, side, value } => Edit::SetConst {
-                rule: id,
-                site: ConstSite::Selection { idx: sel, side, path: Vec::new() },
-                value: Value::Int(value),
-            },
+            Fix::Const { sel, side, value } => Edit::SetSelectionExpr { rule: id, sel, side, expr: Expr::int(value) },
             Fix::Oper { sel, op } => Edit::SetSelectionOp { rule: id, sel, op },
             Fix::Var { sel, side, var } => Edit::SetSelectionExpr { rule: id, sel, side, expr: Expr::var(var) },
         }
@@ -389,8 +385,8 @@ enum SelectionFix {
 }
 
 /// The constants a selection compares directly — the `2` of `Swi == 2` —
-/// with the side each sits on, left first: the [`ConstSite::Selection`]
-/// sites with an empty path, the ones a constant repair rewrites.
+/// with the side each sits on, left first: the sides a constant repair
+/// rewrites.
 fn top_level_constants(sel: &Selection) -> impl Iterator<Item = (ExprSide, &Value)> {
     [(ExprSide::Lhs, &sel.lhs), (ExprSide::Rhs, &sel.rhs)].into_iter().filter_map(|(side, e)| match e {
         Expr::Const(v) => Some((side, v)),
@@ -1200,8 +1196,8 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                     .filter(|&&v| v != old)
                     .filter(|&&v| other.as_ref().is_some_and(|other| !holds_with(sel.op, side, &Value::Int(v), other)))
                     .map(|&v| {
-                        let site = ConstSite::Selection { idx: si, side, path: Vec::new() };
-                        (v, Patch::single(Edit::SetConst { rule: rule.id.clone(), site, value: Value::Int(v) }))
+                        let edit = Edit::SetSelectionExpr { rule: rule.id.clone(), sel: si, side, expr: Expr::int(v) };
+                        (v, Patch::single(edit))
                     })
                     .find(|(_, patch)| applies(&world.program, &outline, patch));
                 stats.solver_ns += t0.elapsed().as_nanos();

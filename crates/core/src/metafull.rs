@@ -530,11 +530,12 @@ mod tests {
         // Apply the intuitive fix (Swi==2 → Swi==3 in r7) and check the
         // meta interpretation again — now the S3 entry appears.
         use mpr_ndlog::patch::{Edit, Patch};
-        use mpr_ndlog::{ConstSite, ExprSide};
-        let p = Patch::single(Edit::SetConst {
+        use mpr_ndlog::{Expr, ExprSide};
+        let p = Patch::single(Edit::SetSelectionExpr {
             rule: "r7".into(),
-            site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
-            value: V::Int(3),
+            sel: 0,
+            side: ExprSide::Rhs,
+            expr: Expr::int(3),
         })
         .apply(&crate::scenarios::q1_program())
         .unwrap();

@@ -55,14 +55,6 @@ impl Repair {
         }
     }
 
-    /// The extra seed tuple, if this is an insertion repair.
-    pub fn inserted_tuple(&self) -> Option<&Tuple> {
-        match self {
-            Repair::InsertTuple(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// Transform a seed-tuple set according to this repair (insertion adds,
     /// deletion removes, change replaces; patches leave seeds alone).
     pub fn adjust_seeds(&self, seeds: &mut Vec<Tuple>) {
@@ -134,7 +126,6 @@ mod tests {
         }));
         let out = r.apply(&p).unwrap();
         assert_eq!(out.rule("r7").unwrap().sels[0].op, mpr_ndlog::CmpOp::Ne);
-        assert!(r.inserted_tuple().is_none());
     }
 
     #[test]
@@ -147,7 +138,6 @@ mod tests {
         let t = Tuple::new("FlowTable", 3i64, vec![Value::Int(80), Value::Int(2)]);
         let r = Repair::InsertTuple(t.clone());
         assert_eq!(r.apply(&p).unwrap(), p);
-        assert_eq!(r.inserted_tuple(), Some(&t));
     }
 
     #[test]

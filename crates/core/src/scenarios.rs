@@ -14,7 +14,7 @@
 use crate::cost::SearchBudget;
 use mpr_ndlog::{parse_program, Program, Tuple, Value};
 use mpr_provenance::Pattern;
-use mpr_sdn::controller::{PktArg, TupleCodec};
+use mpr_sdn::controller::TupleCodec;
 use mpr_sdn::packet::Packet;
 use mpr_sdn::sim::SimConfig;
 use mpr_sdn::topology::{fig1_hosts, NodeRef, Topology};
@@ -686,19 +686,6 @@ impl Scenario {
     }
 }
 
-/// Scenario-aware codec helper: which packet fields feed the PacketIn
-/// tuple for a scenario (used by examples and docs).
-pub fn describe_codec(codec: &TupleCodec) -> String {
-    let mut parts = vec!["Swi".to_string()];
-    for a in &codec.packet_in_args {
-        parts.push(match a {
-            PktArg::Field(f) => f.short().to_string(),
-            PktArg::InPort => "Ipt".to_string(),
-        });
-    }
-    format!("{}(@C,{})", codec.packet_in_table, parts.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,12 +726,13 @@ mod tests {
     fn q1_reference_fix_heals_the_network() {
         use mpr_backtest::replay::{replay, BacktestSetup};
         use mpr_ndlog::patch::{Edit, Patch};
-        use mpr_ndlog::{ConstSite, ExprSide};
+        use mpr_ndlog::{Expr, ExprSide};
         let s = Scenario::q1_copy_paste();
-        let fixed = Patch::single(Edit::SetConst {
+        let fixed = Patch::single(Edit::SetSelectionExpr {
             rule: "r7".into(),
-            site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
-            value: v(3),
+            sel: 0,
+            side: ExprSide::Rhs,
+            expr: Expr::int(3),
         })
         .apply(&s.program)
         .unwrap();
@@ -816,11 +804,5 @@ mod tests {
         assert_eq!(p100.program.rules.len(), 100);
         assert_eq!(p500.program.rules.len(), 500);
         assert!(p500.program.validate().is_ok());
-    }
-
-    #[test]
-    fn codec_description() {
-        let s = Scenario::q2_forwarding_error();
-        assert_eq!(describe_codec(&s.codec), "PacketIn(@C,Swi,Sip,Dip,Spt,Dpt,Ipt)");
     }
 }

@@ -20,7 +20,7 @@ use mpr_core::debugger::Debugger;
 use mpr_core::explore::{generate_missing, generate_missing_with_ledger, World};
 use mpr_core::repair::{Candidate, Repair};
 use mpr_core::scenarios::{Scenario, Symptom};
-use mpr_ndlog::ast::{CmpOp, Expr, Rule};
+use mpr_ndlog::ast::{CmpOp, Expr, ExprSide, Rule};
 use mpr_ndlog::{parse_program, Edit, Env, PureFuncs, Tuple, Value};
 use mpr_provenance::Pattern;
 use proptest::prelude::*;
@@ -101,7 +101,9 @@ fn reference_prices(w: &World, goal: &Pattern) -> Vec<u32> {
     // goal exhibit, and its neighbours, ascending.
     let mut exhibited = vec![goal_swi, goal_hdr, goal_prt];
     exhibited.extend(w.triggers.iter().flat_map(|t| t.args.iter().filter_map(Value::as_int)));
-    exhibited.extend(w.program.rules.iter().flat_map(Rule::constants).filter_map(|(_, v)| v.as_int()));
+    for rule in &w.program.rules {
+        rule.for_each_constant(|v| exhibited.extend(v.as_int()));
+    }
     let domain: BTreeSet<i64> = exhibited.iter().flat_map(|&i| [i - 1, i, i + 1]).collect();
     for rule in &w.program.rules {
         for t in &w.triggers {
@@ -176,10 +178,17 @@ fn price_of_edits(w: &World, repair: &Repair) -> u32 {
         Edit::AddRule { .. } => cost::NEW_RULE,
         Edit::DeleteSelection { .. } => cost::DELETE_SELECTION,
         Edit::SetSelectionOp { .. } => cost::OP_CHANGE,
-        Edit::SetSelectionExpr { .. } => cost::VAR_CHANGE,
-        Edit::SetConst { rule, site, value } => {
-            let (_, old) = rule_of(rule).constants().into_iter().find(|(s, _)| s == site).expect("the site exists");
-            cost::const_change(old.as_int().expect("integer literals"), value.as_int().expect("integer literals"))
+        Edit::SetSelectionExpr { rule, sel, side, expr } => {
+            let s = &rule_of(rule).sels[*sel];
+            let old = match side {
+                ExprSide::Lhs => &s.lhs,
+                ExprSide::Rhs => &s.rhs,
+            };
+            match (old, expr) {
+                (Expr::Const(Value::Int(old)), Expr::Const(Value::Int(new))) => cost::const_change(*old, *new),
+                (_, Expr::Var(_)) => cost::VAR_CHANGE,
+                other => panic!("no tree of these worlds changes a selection side as {other:?}"),
+            }
         }
         Edit::SetAssignExpr { rule, var, expr } => {
             let old = &rule_of(rule).assigns.iter().find(|a| &a.var == var).expect("the assignment exists").expr;

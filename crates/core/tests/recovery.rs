@@ -1,13 +1,15 @@
 //! The CI `recovery` suite: kill-and-restart crash injection against the
-//! WAL-journaled engine. The acceptance bar: ≥ 200 randomized crash
-//! points across Q1–Q5, in both loop phases (mid-fixpoint and
-//! mid-backtest), every one recovering a prefix-consistent store with
-//! zero panics — and the repair loop still converging after a restart.
+//! WAL-journaled engine. The acceptance bar: ≥ 200 distinct crash points
+//! across Q1–Q5, each a byte offset into the WAL of one journaled run
+//! (the observation run, which is also a backtest replay of the buggy
+//! program), every one recovering a prefix-consistent store with zero
+//! panics — and the repair loop still converging after a restart.
 
-use mpr_core::chaos::{self, KillPhase};
+use mpr_core::chaos;
 use mpr_core::debugger::Debugger;
 use mpr_core::scenarios::Scenario;
 use mpr_runtime::{Durability, Options, WalOptions};
+use std::collections::BTreeSet;
 
 /// Engine options for the captures; `capture_wal` swaps the default
 /// in-memory durability for a WAL.
@@ -20,19 +22,17 @@ fn opts() -> Options {
 /// derivations; small enough that a 200+-point sweep stays cheap.
 const CAPTURE_INJECTIONS: usize = 6;
 
-/// The flagship sweep: 5 scenarios × 2 phases × (19 randomized + 2
-/// endpoint) crash points = 210 kill-and-restarts, every one
-/// prefix-consistent, none panicking or erroring.
+/// The flagship sweep: 5 scenarios × (40 randomized + 2 endpoint) crash
+/// points = 210 kill-and-restarts, no two at the same byte of the same
+/// log, every one prefix-consistent, none panicking or erroring.
 #[test]
 fn kill_sweep_is_prefix_consistent_everywhere() {
     let scenarios = Scenario::all();
-    let report = chaos::kill_sweep(&scenarios, &opts(), 19, 0xdead, CAPTURE_INJECTIONS)
+    let report = chaos::kill_sweep(&scenarios, &opts(), 40, 0xdead, CAPTURE_INJECTIONS)
         .expect("kill sweep capture failed");
-    assert!(
-        report.outcomes.len() >= 200,
-        "sweep too small: {} crash points",
-        report.outcomes.len()
-    );
+    let probes: BTreeSet<(&str, u64)> = report.outcomes.iter().map(|o| (o.scenario.as_str(), o.cut)).collect();
+    assert_eq!(probes.len(), report.outcomes.len(), "a crash point was probed twice");
+    assert!(probes.len() >= 200, "sweep too small: {} distinct crash points", probes.len());
     let failures = report.failures();
     assert!(
         failures.is_empty(),
@@ -68,8 +68,7 @@ fn kill_sweep_is_deterministic() {
 fn frame_boundary_cuts_are_clean_and_torn_cuts_report_loss() {
     let scenario = Scenario::q1_copy_paste();
     let capture =
-        chaos::capture_wal(&scenario, KillPhase::MidFixpoint, &opts(), CAPTURE_INJECTIONS)
-            .expect("capture failed");
+        chaos::capture_wal(&scenario, &opts(), CAPTURE_INJECTIONS).expect("capture failed");
     let bounds = chaos::frame_boundaries(&capture.records);
     assert!(bounds.len() > 3, "capture journaled too little to probe");
     for (i, &b) in bounds.iter().enumerate().take(12) {
@@ -87,16 +86,15 @@ fn frame_boundary_cuts_are_clean_and_torn_cuts_report_loss() {
     }
 }
 
-/// The end-to-end ProcessKill property: kill the observation run at an
+/// The end-to-end kill-and-restart property: kill the observation run at an
 /// arbitrary (non-boundary) WAL offset on every scenario, restart from
 /// the surviving prefix, fold the recovered durable state back into the
 /// seeds, and the diagnose → repair → backtest loop still converges.
 #[test]
 fn repair_converges_after_kill_and_restart_on_every_scenario() {
     for scenario in Scenario::all() {
-        let capture =
-            chaos::capture_wal(&scenario, KillPhase::MidFixpoint, &opts(), 0)
-                .unwrap_or_else(|e| panic!("{} capture failed: {e}", scenario.id));
+        let capture = chaos::capture_wal(&scenario, &opts(), 0)
+            .unwrap_or_else(|e| panic!("{} capture failed: {e}", scenario.id));
         // ~61.8% through the log, nudged to avoid boundary alignment.
         let cut = (capture.wal_bytes.len() as u64 * 618 / 1000).saturating_add(3);
         let report = chaos::restart_repair(&scenario, &capture, cut)

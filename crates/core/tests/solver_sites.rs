@@ -122,8 +122,8 @@ fn a_base_tuple_changes_to_the_first_value_that_breaks_the_derivation() {
     assert_eq!(
         rendered(&candidates),
         [
-            r#"1 | Changing Prt > 1 in r1 to Prt > 2 | Patch(Patch { edits: [SetConst { rule: "r1", site: Selection { idx: 1, side: Rhs, path: [] }, value: Int(2) }] })"#,
-            r#"1 | Changing Swi == 1 in r1 to Swi == 0 | Patch(Patch { edits: [SetConst { rule: "r1", site: Selection { idx: 0, side: Rhs, path: [] }, value: Int(0) }] })"#,
+            r#"1 | Changing Prt > 1 in r1 to Prt > 2 | Patch(Patch { edits: [SetSelectionExpr { rule: "r1", sel: 1, side: Rhs, expr: Const(Int(2)) }] })"#,
+            r#"1 | Changing Swi == 1 in r1 to Swi == 0 | Patch(Patch { edits: [SetSelectionExpr { rule: "r1", sel: 0, side: Rhs, expr: Const(Int(0)) }] })"#,
             r#"2 | Changing Prt > 1 in r1 to Prt <= 1 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 1, op: Le }] })"#,
             r#"2 | Changing Swi == 1 in r1 to Swi != 1 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Ne }] })"#,
             r#"2 | Changing WebLoadBalancer(@'C',80,2) to WebLoadBalancer(@'C',80,0) | ChangeTuple { from: Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(2)] }, to: Tuple { table: "WebLoadBalancer", loc: Str("C"), args: [Int(80), Int(0)] } }"#,
@@ -158,7 +158,7 @@ fn an_extreme_constant_has_no_neighbour_past_the_range() {
             r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi != 9223372036854775807 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Ne }] })"#,
             r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi < 9223372036854775807 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Lt }] })"#,
             r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi <= 9223372036854775807 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Le }] })"#,
-            r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi == 1 | Patch(Patch { edits: [SetConst { rule: "r1", site: Selection { idx: 0, side: Rhs, path: [] }, value: Int(1) }] })"#,
+            r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi == 1 | Patch(Patch { edits: [SetSelectionExpr { rule: "r1", sel: 0, side: Rhs, expr: Const(Int(1)) }] })"#,
             r#"3 | Deleting Swi == 9223372036854775807 in r1 | Patch(Patch { edits: [DeleteSelection { rule: "r1", sel: 0 }] })"#,
             r#"3 | Manually inserting a Allowed entry | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(0)] })"#,
             r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(1), args: [Int(80), Int(2)] })"#,

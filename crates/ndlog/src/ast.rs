@@ -301,72 +301,6 @@ impl Expr {
             }
         }
     }
-
-    /// The sub-expression at `path` (a sequence of child indices), if any.
-    pub fn at_path(&self, path: &[u8]) -> Option<&Expr> {
-        let mut cur = self;
-        for &step in path {
-            cur = match cur {
-                Expr::Binary(_, l, r) => match step {
-                    0 => l,
-                    1 => r,
-                    _ => return None,
-                },
-                Expr::Call(_, args) => args.get(step as usize)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
-
-    /// Mutable access to the sub-expression at `path`.
-    pub fn at_path_mut(&mut self, path: &[u8]) -> Option<&mut Expr> {
-        let mut cur = self;
-        for &step in path {
-            cur = match cur {
-                Expr::Binary(_, l, r) => match step {
-                    0 => l.as_mut(),
-                    1 => r.as_mut(),
-                    _ => return None,
-                },
-                Expr::Call(_, args) => args.get_mut(step as usize)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
-
-    /// Enumerate `(path, value)` for every constant in the expression, in
-    /// left-to-right order.
-    pub fn constants(&self) -> Vec<(Vec<u8>, &Value)> {
-        let mut out = Vec::new();
-        self.visit_constants(&mut Vec::new(), &mut |path, v| out.push((path.to_vec(), v)));
-        out
-    }
-
-    /// Call `f(path, value)` for every constant in the expression, in
-    /// left-to-right order. `path` is the walk's scratch: the visitor
-    /// borrows each locator instead of being handed a copy of it.
-    pub fn visit_constants<'a>(&'a self, path: &mut Vec<u8>, f: &mut impl FnMut(&[u8], &'a Value)) {
-        match self {
-            Expr::Const(v) => f(path, v),
-            Expr::Var(_) => {}
-            Expr::Binary(_, l, r) => {
-                for (step, side) in [l, r].into_iter().enumerate() {
-                    path.push(step as u8);
-                    side.visit_constants(path, f);
-                    path.pop();
-                }
-            }
-            Expr::Call(_, args) => {
-                for (i, a) in args.iter().enumerate() {
-                    path.push(i as u8);
-                    a.visit_constants(path, f);
-                    path.pop();
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -496,11 +430,6 @@ impl Rule {
         out
     }
 
-    /// Variables bound by assignments.
-    pub fn assigned_vars(&self) -> BTreeSet<String> {
-        self.assigns.iter().map(|a| a.var.clone()).collect()
-    }
-
     /// Head variables that are bound nowhere in the body — a validity error.
     pub fn unbound_head_vars(&self) -> BTreeSet<&str> {
         let bound = |v: &str| {
@@ -524,56 +453,28 @@ impl Rule {
         self.head.has_agg()
     }
 
-    /// Call `f` on every constant of the rule, in the order of
-    /// [`Rule::constants`], building no locator and cloning no value — for
-    /// a reader that wants the values alone (the explorer's domain scan
-    /// walks every rule of the program).
+    /// Call `f` on every constant of the rule — in selections (left side
+    /// first), assignments, then head and body arguments, each expression
+    /// left to right — cloning no value: the explorer's domain scan walks
+    /// every rule of the program.
     pub fn for_each_constant<'a>(&'a self, mut f: impl FnMut(&'a Value)) {
-        let mut path = Vec::new();
+        fn walk<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Value)) {
+            match e {
+                Expr::Const(v) => f(v),
+                Expr::Var(_) => {}
+                Expr::Binary(_, l, r) => {
+                    walk(l, f);
+                    walk(r, f);
+                }
+                Expr::Call(_, args) => args.iter().for_each(|a| walk(a, f)),
+            }
+        }
         let exprs = self.sels.iter().flat_map(|s| [&s.lhs, &s.rhs]).chain(self.assigns.iter().map(|a| &a.expr));
         for e in exprs {
-            e.visit_constants(&mut path, &mut |_, v| f(v));
+            walk(e, &mut f);
         }
         let args = self.head.args.iter().chain(self.body.iter().flat_map(|a| &a.args));
         args.filter_map(Term::as_const).for_each(f);
-    }
-
-    /// Enumerate every constant in the rule with a stable [`ConstSite`]
-    /// locator. This is the surface the repair generator mutates.
-    pub fn constants(&self) -> Vec<(ConstSite, Value)> {
-        let mut out = Vec::new();
-        for (i, sel) in self.sels.iter().enumerate() {
-            for (path, v) in sel.lhs.constants() {
-                out.push((
-                    ConstSite::Selection { idx: i, side: ExprSide::Lhs, path },
-                    v.clone(),
-                ));
-            }
-            for (path, v) in sel.rhs.constants() {
-                out.push((
-                    ConstSite::Selection { idx: i, side: ExprSide::Rhs, path },
-                    v.clone(),
-                ));
-            }
-        }
-        for (i, asg) in self.assigns.iter().enumerate() {
-            for (path, v) in asg.expr.constants() {
-                out.push((ConstSite::Assign { idx: i, path }, v.clone()));
-            }
-        }
-        for (i, t) in self.head.args.iter().enumerate() {
-            if let Term::Const(v) = t {
-                out.push((ConstSite::HeadArg { idx: i }, v.clone()));
-            }
-        }
-        for (pi, atom) in self.body.iter().enumerate() {
-            for (ai, t) in atom.args.iter().enumerate() {
-                if let Term::Const(v) = t {
-                    out.push((ConstSite::BodyArg { pred: pi, arg: ai }, v.clone()));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -605,70 +506,13 @@ impl fmt::Display for Rule {
     }
 }
 
-/// Which side of a selection an expression constant sits on.
+/// Which side of a selection an expression sits on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExprSide {
     /// Left-hand side.
     Lhs,
     /// Right-hand side.
     Rhs,
-}
-
-/// A stable locator for a constant inside a rule. Used by the meta model
-/// (the `ID` column of `Const` meta tuples) and by program patches.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ConstSite {
-    /// Inside selection `idx`, on `side`, at expression `path`.
-    Selection {
-        /// Selection index in [`Rule::sels`].
-        idx: usize,
-        /// Which side of the comparison.
-        side: ExprSide,
-        /// Path of child indices inside the expression tree.
-        path: Vec<u8>,
-    },
-    /// Inside assignment `idx`'s right-hand expression.
-    Assign {
-        /// Assignment index in [`Rule::assigns`].
-        idx: usize,
-        /// Path of child indices inside the expression tree.
-        path: Vec<u8>,
-    },
-    /// A constant head argument.
-    HeadArg {
-        /// Argument index in the head atom.
-        idx: usize,
-    },
-    /// A constant argument of a body predicate.
-    BodyArg {
-        /// Predicate index in [`Rule::body`].
-        pred: usize,
-        /// Argument index in that predicate.
-        arg: usize,
-    },
-}
-
-impl fmt::Display for ConstSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConstSite::Selection { idx, side, path } => {
-                write!(f, "sel{idx}.{}", if *side == ExprSide::Lhs { "l" } else { "r" })?;
-                for p in path {
-                    write!(f, ".{p}")?;
-                }
-                Ok(())
-            }
-            ConstSite::Assign { idx, path } => {
-                write!(f, "asg{idx}")?;
-                for p in path {
-                    write!(f, ".{p}")?;
-                }
-                Ok(())
-            }
-            ConstSite::HeadArg { idx } => write!(f, "head.{idx}"),
-            ConstSite::BodyArg { pred, arg } => write!(f, "body{pred}.{arg}"),
-        }
-    }
 }
 
 /// A full NDlog program: schema declarations plus rules.
@@ -822,7 +666,6 @@ mod tests {
         let r = fig2_r7();
         assert!(r.body_vars().contains("Swi"));
         assert!(r.body_vars().contains("C"));
-        assert_eq!(r.assigned_vars().len(), 1);
         assert!(r.unbound_head_vars().is_empty());
         assert!(!r.is_aggregate());
     }
@@ -836,40 +679,25 @@ mod tests {
 
     #[test]
     fn constant_enumeration_finds_all_sites() {
-        let r = fig2_r7();
-        let consts = r.constants();
+        let mut r = fig2_r7();
+        let visit = |r: &Rule| {
+            let mut visited = Vec::new();
+            r.for_each_constant(|v| visited.push(v.to_string()));
+            visited
+        };
         // Swi == 2 (rhs), Hdr == 80 (rhs), Prt := 2
-        assert_eq!(consts.len(), 3);
-        let descr: Vec<String> =
-            consts.iter().map(|(s, v)| format!("{s}={v}")).collect();
-        assert_eq!(descr, vec!["sel0.r=2", "sel1.r=80", "asg0=2"]);
-        // The borrowing visitor sees the same values in the same order.
-        let mut r = r;
+        assert_eq!(visit(&r), ["2", "80", "2"]);
+        // Nested in arithmetic, in the head, in the body.
+        r.sels[0].lhs = Expr::Binary(
+            BinOp::Mul,
+            Box::new(Expr::Binary(BinOp::Add, Box::new(Expr::var("A")), Box::new(Expr::int(5)))),
+            Box::new(Expr::int(6)),
+        );
+        r.sels[0].rhs = Expr::int(4);
         r.head.args[0] = Term::Const(Value::Int(7));
         r.body[0].args[1] = Term::Const(Value::Int(9));
-        let mut visited = Vec::new();
-        r.for_each_constant(|v| visited.push(v.clone()));
-        assert_eq!(visited, r.constants().into_iter().map(|(_, v)| v).collect::<Vec<_>>());
-        assert_eq!(visited.len(), 5);
-    }
-
-    #[test]
-    fn expr_paths() {
-        // (A + 2) * 3
-        let e = Expr::Binary(
-            BinOp::Mul,
-            Box::new(Expr::Binary(BinOp::Add, Box::new(Expr::var("A")), Box::new(Expr::int(2)))),
-            Box::new(Expr::int(3)),
-        );
-        assert_eq!(e.at_path(&[0, 1]), Some(&Expr::int(2)));
-        assert_eq!(e.at_path(&[1]), Some(&Expr::int(3)));
-        assert_eq!(e.at_path(&[0, 0]), Some(&Expr::var("A")));
-        assert_eq!(e.at_path(&[2]), None);
-        let consts = e.constants();
-        assert_eq!(consts.len(), 2);
-        assert_eq!(consts[0].0, vec![0, 1]);
-        assert_eq!(consts[1].0, vec![1]);
-        assert_eq!(e.to_string(), "(A + 2) * 3");
+        assert_eq!(r.sels[0].to_string(), "(A + 5) * 6 == 4");
+        assert_eq!(visit(&r), ["5", "6", "4", "80", "2", "7", "9"]);
     }
 
     #[test]

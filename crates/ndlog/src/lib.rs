@@ -33,7 +33,7 @@ pub mod tuple;
 pub mod value;
 
 pub use ast::{
-    AggKind, Assign, Atom, BinOp, CmpOp, ConstSite, Expr, ExprSide, Program, Rule, Selection, Term,
+    AggKind, Assign, Atom, BinOp, CmpOp, Expr, ExprSide, Program, Rule, Selection, Term,
 };
 pub use error::{EvalError, ParseError, PatchError};
 pub use eval::{CountingFuncs, Env, FuncHost, PureFuncs};

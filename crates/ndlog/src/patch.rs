@@ -5,6 +5,10 @@
 //! and renders the paper's human-readable descriptions ("Changing Swi == 2
 //! in r7 to Swi == 3", Table 2).
 //!
+//! Each change has one spelling. A changed constant or variable on one
+//! side of a selection is [`Edit::SetSelectionExpr`], which replaces that
+//! side whole; a changed assignment is [`Edit::SetAssignExpr`].
+//!
 //! Syntax preservation (§4.2): every edit is checked against the grammar —
 //! e.g. deleting one side of a comparison is impossible by construction,
 //! and deleting the last body predicate of a rule is rejected.
@@ -22,24 +26,14 @@
 //! of the base. There is one edit semantics; the two differ only in how
 //! much of the program they copy.
 
-use crate::ast::{Atom, CmpOp, ConstSite, Expr, ExprSide, Program, Rule, Term};
+use crate::ast::{Atom, CmpOp, Expr, ExprSide, Program, Rule};
 use crate::error::PatchError;
-use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
 
 /// One elementary program edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Edit {
-    /// Replace the constant at `site` in `rule` with `value`.
-    SetConst {
-        /// Target rule id.
-        rule: String,
-        /// Constant locator.
-        site: ConstSite,
-        /// New value.
-        value: Value,
-    },
     /// Replace the comparison operator of selection `sel` in `rule`.
     SetSelectionOp {
         /// Target rule id.
@@ -49,8 +43,9 @@ pub enum Edit {
         /// New operator.
         op: CmpOp,
     },
-    /// Replace one whole side of selection `sel` (e.g. a variable swap
-    /// `Sip < 6` → `Dpt < 6`, Table 6a candidates J–L).
+    /// Replace one whole side of selection `sel`: a constant change
+    /// (`Swi == 2` → `Swi == 3`, Table 2 candidate B) or a variable swap
+    /// (`Sip < 6` → `Dpt < 6`, Table 6a candidates J–L).
     SetSelectionExpr {
         /// Target rule id.
         rule: String,
@@ -84,15 +79,6 @@ pub enum Edit {
         /// New expression.
         expr: Expr,
     },
-    /// Replace head argument `idx` of `rule`.
-    SetHeadArg {
-        /// Target rule id.
-        rule: String,
-        /// Head argument index.
-        idx: usize,
-        /// New term.
-        term: Term,
-    },
     /// Re-target the head of `rule` to a different table (Q4 repairs:
     /// "changing the head of r5 to packetOut(...)").
     SetHeadTable {
@@ -118,13 +104,11 @@ impl Edit {
     /// rule it adds).
     pub fn rule_id(&self) -> &str {
         match self {
-            Edit::SetConst { rule, .. }
-            | Edit::SetSelectionOp { rule, .. }
+            Edit::SetSelectionOp { rule, .. }
             | Edit::SetSelectionExpr { rule, .. }
             | Edit::DeleteSelection { rule, .. }
             | Edit::DeletePredicate { rule, .. }
             | Edit::SetAssignExpr { rule, .. }
-            | Edit::SetHeadArg { rule, .. }
             | Edit::SetHeadTable { rule, .. }
             | Edit::DeleteRule { rule } => rule,
             Edit::AddRule { rule } => &rule.id,
@@ -420,7 +404,6 @@ fn rule_ref<'a>(p: &'a Program, id: &str) -> Option<&'a Rule> {
 /// Apply an edit of one rule's literals to that rule.
 fn edit_rule(r: &mut Rule, e: &Edit) -> Result<(), PatchError> {
     match e {
-        Edit::SetConst { site, value, .. } => set_const(r, site, value.clone()),
         Edit::SetSelectionOp { rule, sel, op } => {
             let s = r
                 .sels
@@ -468,15 +451,6 @@ fn edit_rule(r: &mut Rule, e: &Edit) -> Result<(), PatchError> {
             a.expr = expr.clone();
             Ok(())
         }
-        Edit::SetHeadArg { rule, idx, term } => {
-            let slot = r
-                .head
-                .args
-                .get_mut(*idx)
-                .ok_or_else(|| PatchError::NoSuchSite(format!("{rule}: head arg {idx}")))?;
-            *slot = term.clone();
-            Ok(())
-        }
         Edit::SetHeadTable { table, .. } => {
             r.head.table = table.clone();
             Ok(())
@@ -487,76 +461,8 @@ fn edit_rule(r: &mut Rule, e: &Edit) -> Result<(), PatchError> {
     }
 }
 
-fn set_const(r: &mut Rule, site: &ConstSite, value: Value) -> Result<(), PatchError> {
-    let missing = || PatchError::NoSuchSite(format!("{}: {site}", r.id));
-    match site {
-        ConstSite::Selection { idx, side, path } => {
-            let sel = r.sels.get_mut(*idx).ok_or_else(missing)?;
-            let e = match side {
-                ExprSide::Lhs => sel.lhs.at_path_mut(path),
-                ExprSide::Rhs => sel.rhs.at_path_mut(path),
-            }
-            .ok_or_else(missing)?;
-            if !matches!(e, Expr::Const(_)) {
-                return Err(missing());
-            }
-            *e = Expr::Const(value);
-            Ok(())
-        }
-        ConstSite::Assign { idx, path } => {
-            let a = r.assigns.get_mut(*idx).ok_or_else(missing)?;
-            let e = a.expr.at_path_mut(path).ok_or_else(missing)?;
-            if !matches!(e, Expr::Const(_)) {
-                return Err(missing());
-            }
-            *e = Expr::Const(value);
-            Ok(())
-        }
-        ConstSite::HeadArg { idx } => {
-            let t = r.head.args.get_mut(*idx).ok_or_else(missing)?;
-            if !matches!(t, Term::Const(_)) {
-                return Err(missing());
-            }
-            *t = Term::Const(value);
-            Ok(())
-        }
-        ConstSite::BodyArg { pred, arg } => {
-            let a: &mut Atom = r.body.get_mut(*pred).ok_or_else(missing)?;
-            let t = a.args.get_mut(*arg).ok_or_else(missing)?;
-            if !matches!(t, Term::Const(_)) {
-                return Err(missing());
-            }
-            *t = Term::Const(value);
-            Ok(())
-        }
-    }
-}
-
 fn describe_one(p: &Program, e: &Edit) -> String {
     match e {
-        Edit::SetConst { rule, site, value } => {
-            if let Some(r) = rule_ref(p, rule) {
-                if let ConstSite::Selection { idx, side, .. } = site {
-                    if let Some(sel) = r.sels.get(*idx) {
-                        let mut new_sel = sel.clone();
-                        match side {
-                            ExprSide::Lhs => new_sel.lhs = Expr::Const(value.clone()),
-                            ExprSide::Rhs => new_sel.rhs = Expr::Const(value.clone()),
-                        }
-                        return format!("Changing {sel} in {rule} to {new_sel}");
-                    }
-                }
-                if let ConstSite::Assign { idx, .. } = site {
-                    if let Some(a) = r.assigns.get(*idx) {
-                        return format!(
-                            "Changing {} := {} in {rule} to {} := {value}",
-                            a.var, a.expr, a.var
-                        );
-                    }
-                }
-            }
-            format!("Changing constant at {site} in {rule} to {value}")
-        }
         Edit::SetSelectionOp { rule, sel, op } => {
             if let Some(s) = rule_ref(p, rule).and_then(|r| r.sels.get(*sel)) {
                 let mut ns = s.clone();
@@ -601,9 +507,6 @@ fn describe_one(p: &Program, e: &Edit) -> String {
                 format!("Changing assignment to {var} in {rule} to {expr}")
             }
         }
-        Edit::SetHeadArg { rule, idx, term } => {
-            format!("Changing head argument {idx} of {rule} to {term}")
-        }
         Edit::SetHeadTable { rule, table } => {
             format!("Changing the head of {rule} to {table}(...)")
         }
@@ -633,10 +536,11 @@ mod tests {
     fn candidate_b_changes_constant() {
         // Table 2 candidate B: Swi==2 in r7 → Swi==3.
         let p = fig2();
-        let patch = Patch::single(Edit::SetConst {
+        let patch = Patch::single(Edit::SetSelectionExpr {
             rule: "r7".into(),
-            site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
-            value: Value::Int(3),
+            sel: 0,
+            side: ExprSide::Rhs,
+            expr: Expr::int(3),
         });
         assert_eq!(patch.describe(&p), "Changing Swi == 2 in r7 to Swi == 3");
         let p2 = patch.apply(&p).unwrap();
@@ -720,13 +624,14 @@ mod tests {
             Err(PatchError::NoSuchSite(_))
         ));
         assert!(matches!(
-            Patch::single(Edit::SetConst {
+            Patch::single(Edit::SetSelectionExpr {
                 rule: "r7".into(),
-                site: ConstSite::Selection { idx: 0, side: ExprSide::Lhs, path: vec![] },
-                value: Value::Int(1)
+                sel: 2,
+                side: ExprSide::Rhs,
+                expr: Expr::int(1)
             })
             .apply(&p),
-            Err(PatchError::NoSuchSite(_)) // lhs is a variable, not a constant
+            Err(PatchError::NoSuchSite(_)) // r7 has two selections
         ));
     }
 
@@ -865,6 +770,10 @@ mod tests {
         parse_program("generated", &src).unwrap()
     }
 
+    /// How many edit kinds [`generated_edit`] draws from; the last is
+    /// `DeleteRule`.
+    const KINDS: usize = 8;
+
     /// One edit from four raw draws. Targets and indices run a little past
     /// what exists, so every error variant occurs; `n0` is the id an
     /// `AddRule` earlier in the patch may have introduced.
@@ -876,41 +785,22 @@ mod tests {
             _ => "n0".to_string(),
         };
         let var = |i: usize| ["Swi", "Hdr", "Nope"][i % 3].to_string();
-        match kind % 10 {
-            0 => Edit::SetConst {
-                rule,
-                site: match a % 5 {
-                    0 | 1 => ConstSite::Selection {
-                        idx: b % 4,
-                        side: if a % 5 == 0 { ExprSide::Rhs } else { ExprSide::Lhs },
-                        path: if b % 3 == 2 { vec![1] } else { vec![] },
-                    },
-                    2 => ConstSite::Assign { idx: b % 2, path: vec![] },
-                    3 => ConstSite::HeadArg { idx: b % 4 },
-                    _ => ConstSite::BodyArg { pred: b % 3, arg: a % 2 },
-                },
-                value: Value::Int(a as i64),
-            },
-            1 => Edit::SetSelectionOp { rule, sel: b % 4, op: CmpOp::ALL[a % 6] },
-            2 => Edit::SetSelectionExpr {
+        match kind % KINDS {
+            0 => Edit::SetSelectionOp { rule, sel: b % 4, op: CmpOp::ALL[a % 6] },
+            1 => Edit::SetSelectionExpr {
                 rule,
                 sel: b % 4,
                 side: if a % 2 == 0 { ExprSide::Lhs } else { ExprSide::Rhs },
-                expr: Expr::var(var(a / 2)),
+                expr: if a % 3 == 0 { Expr::int(b as i64) } else { Expr::var(var(a / 2)) },
             },
-            3 => Edit::DeleteSelection { rule, sel: b % 4 },
-            4 => Edit::DeletePredicate { rule, pred: b % 4 },
-            5 => Edit::SetAssignExpr {
+            2 => Edit::DeleteSelection { rule, sel: b % 4 },
+            3 => Edit::DeletePredicate { rule, pred: b % 4 },
+            4 => Edit::SetAssignExpr {
                 rule,
                 var: if a % 4 == 0 { "Nope".into() } else { "Prt".into() },
                 expr: Expr::int(b as i64),
             },
-            6 => Edit::SetHeadArg {
-                rule,
-                idx: b % 4,
-                term: if a % 2 == 0 { Term::Var(var(a / 2)) } else { Term::Const(Value::Int(a as i64)) },
-            },
-            7 => Edit::SetHeadTable {
+            5 => Edit::SetHeadTable {
                 rule,
                 table: match a % 5 {
                     0 => "Out".into(),
@@ -920,7 +810,7 @@ mod tests {
                     _ => format!("Solo{}", b % n),
                 },
             },
-            8 => {
+            6 => {
                 // A copy of some base rule under a fresh or a live id,
                 // sometimes with an atom at an arity the program does not
                 // use that table at.
@@ -954,7 +844,7 @@ mod tests {
                  proptest::prelude::any::<bool>(), 0usize..4, 1i64..5),
                 1..41,
             ),
-            draws in proptest::collection::vec((0usize..10, 0usize..64, 0usize..64, 0usize..64), 1..4),
+            draws in proptest::collection::vec((0usize..KINDS, 0usize..64, 0usize..64, 0usize..64), 1..4),
             mode in 0usize..4,
         ) {
             let base = generated_program(&specs);
@@ -970,7 +860,7 @@ mod tests {
                 })
                 .collect();
             if mode == 3 {
-                edits.insert(0, generated_edit(&base, (9, first_target, 0, 0)));
+                edits.insert(0, generated_edit(&base, (KINDS - 1, first_target, 0, 0)));
             }
             let _ = assert_delta_is_apply(&base, &Patch::of(edits));
         }
@@ -991,7 +881,7 @@ mod tests {
         let arities = |p: &Program| -> std::collections::BTreeMap<String, usize> {
             p.rules.iter().flat_map(atoms).map(|a| (a.table.clone(), a.args.len())).collect()
         };
-        let mut accepted = [0usize; 10];
+        let mut accepted = [0usize; KINDS];
         let mut errors = std::collections::BTreeSet::new();
         let mut reused = 0;
         for (kind, accepted) in accepted.iter_mut().enumerate() {
@@ -999,7 +889,7 @@ mod tests {
                 for a in 0..20 {
                     for b in 0..12 {
                         let edit = generated_edit(&base, (kind, target, a, b));
-                        let retire = generated_edit(&base, (9, target, 0, 0));
+                        let retire = generated_edit(&base, (KINDS - 1, target, 0, 0));
                         for patch in [Patch::single(edit.clone()), Patch::of(vec![retire, edit])] {
                             match assert_delta_is_apply(&base, &patch) {
                                 Ok(out) => {
@@ -1105,10 +995,11 @@ mod tests {
         copy.id = "r7_copy".into();
         let patch = Patch::of(vec![
             Edit::AddRule { rule: copy },
-            Edit::SetConst {
+            Edit::SetSelectionExpr {
                 rule: "r7_copy".into(),
-                site: ConstSite::Selection { idx: 0, side: ExprSide::Rhs, path: vec![] },
-                value: Value::Int(3),
+                sel: 0,
+                side: ExprSide::Rhs,
+                expr: Expr::int(3),
             },
             Edit::DeleteSelection { rule: "r7_copy".into(), sel: 1 },
         ]);

@@ -63,14 +63,6 @@ impl Schema {
     pub fn is_state(&self) -> bool {
         self.persistence == Persistence::State
     }
-
-    /// The `Timeout` encoding used by the meta model (0 = event, 1 = state).
-    pub fn timeout_code(&self) -> i64 {
-        match self.persistence {
-            Persistence::Event => 0,
-            Persistence::State => 1,
-        }
-    }
 }
 
 impl fmt::Display for Schema {
@@ -90,8 +82,8 @@ impl fmt::Display for Schema {
     }
 }
 
-/// A catalogue of schemas for a program. Lookups fall back to a synthesized
-/// all-key state schema so programs without declarations still run.
+/// A catalogue of the schemas a program declares. A table it does not
+/// declare has no schema here: [`Catalog::get`] answers `None`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Catalog {
     schemas: BTreeMap<String, Schema>,
@@ -111,15 +103,6 @@ impl Catalog {
     /// Declared schema for `table`, if any.
     pub fn get(&self, table: &str) -> Option<&Schema> {
         self.schemas.get(table)
-    }
-
-    /// Schema for `table`, synthesizing `Schema::state(table, arity)` when
-    /// undeclared.
-    pub fn get_or_default(&self, table: &str, arity: usize) -> Schema {
-        self.schemas
-            .get(table)
-            .cloned()
-            .unwrap_or_else(|| Schema::state(table, arity))
     }
 
     /// Iterate over declared schemas in name order.
@@ -151,20 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn timeout_codes_match_meta_model() {
-        assert_eq!(Schema::event("E", 2).timeout_code(), 0);
-        assert_eq!(Schema::state("S", 2).timeout_code(), 1);
-    }
-
-    #[test]
     fn catalog_fallback() {
         let mut c = Catalog::new();
         c.insert(Schema::state_keyed("FlowTable", 2, vec![0]));
         assert_eq!(c.get("FlowTable").unwrap().keys, vec![0]);
         assert!(c.get("Missing").is_none());
-        let d = c.get_or_default("Missing", 4);
-        assert_eq!(d.arity, 4);
-        assert!(d.is_state());
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
     }

@@ -131,36 +131,32 @@ proptest! {
     }
 
     #[test]
-    fn set_const_patch_changes_exactly_one_site(r in rule(), v in -50i64..50) {
+    fn set_selection_expr_patch_changes_exactly_one_side(
+        r in rule(),
+        e in expr(),
+        pick in 0usize..3,
+        lhs in any::<bool>(),
+    ) {
         let mut p = Program::new("prop");
         p.rules.push(r.clone());
         // Random same-name atoms may disagree on arity; such programs are
         // invalid and patches rightly refuse them.
         prop_assume!(p.validate().is_ok());
-        let consts = r.constants();
-        if consts.is_empty() {
+        if r.sels.is_empty() {
             return Ok(());
         }
-        let (site, old) = consts[0].clone();
-        let patch = Patch::single(Edit::SetConst {
-            rule: r.id.clone(),
-            site: site.clone(),
-            value: Value::Int(v),
-        });
+        let sel = pick % r.sels.len();
+        let side = if lhs { ExprSide::Lhs } else { ExprSide::Rhs };
+        let patch = Patch::single(Edit::SetSelectionExpr { rule: r.id.clone(), sel, side, expr: e.clone() });
         let p2 = patch.apply(&p).unwrap();
-        let new_consts = p2.rule(&r.id).unwrap().constants();
-        prop_assert_eq!(new_consts.len(), consts.len());
-        // The targeted site changed; all others are untouched.
-        for (s, val) in &new_consts {
-            if *s == site {
-                prop_assert_eq!(val.clone(), Value::Int(v));
-            }
+        // The targeted side is the new expression; every other part of
+        // the rule is untouched.
+        let mut want = r.clone();
+        match side {
+            ExprSide::Lhs => want.sels[sel].lhs = e,
+            ExprSide::Rhs => want.sels[sel].rhs = e,
         }
-        let changed = new_consts
-            .iter()
-            .zip(consts.iter())
-            .filter(|((_, a), (_, b))| a != &b.clone())
-            .count();
-        prop_assert!(changed <= 1, "old={old}");
+        prop_assert_eq!(p2.rule(&r.id).unwrap(), &want);
+        prop_assert_eq!(p2.rules.len(), 1);
     }
 }

@@ -78,10 +78,6 @@ impl TableStore {
     fn len(&self) -> usize {
         self.by_node.values().map(HashMap::len).sum()
     }
-
-    fn is_empty(&self) -> bool {
-        self.by_node.values().all(HashMap::is_empty)
-    }
 }
 
 /// The multi-node tuple store.
@@ -340,18 +336,6 @@ impl Store {
         self.len() == 0
     }
 
-    /// Names of tables that currently hold tuples.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .tables
-            .iter()
-            .filter(|(_, t)| !t.is_empty())
-            .map(|(n, _)| n.clone())
-            .collect();
-        v.sort();
-        v
-    }
-
     // ------------------------------------------------------------------
     // durability
 
@@ -595,7 +579,6 @@ mod tests {
         assert_eq!(s.scan("T", Some(&Value::Int(1))).count(), 1);
         assert_eq!(s.scan("T", Some(&Value::Int(9))).count(), 0);
         assert_eq!(s.scan("Missing", None).count(), 0);
-        assert_eq!(s.table_names(), vec!["T".to_string()]);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl Workload {
         }
         out
     }
-
-    /// Total wire bytes of the generated workload.
-    pub fn total_bytes(&self) -> u64 {
-        self.generate().iter().map(|(_, p)| p.wire_size()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +170,8 @@ mod tests {
         let a = Workload::trace_profile_a(vec![1, 2], vec![10], vec![17]);
         let b = Workload::trace_profile_b(vec![1, 2], vec![10], vec![17]);
         // Profile A is HTTP-heavy with larger packets → more bytes.
-        assert!(a.total_bytes() > b.total_bytes());
+        let bytes = |w: &Workload| w.generate().iter().map(|(_, p)| p.wire_size()).sum::<u64>();
+        assert!(bytes(&a) > bytes(&b));
     }
 
     #[test]

@@ -127,6 +127,22 @@ fn deleted_names_stay_deleted() {
         "cfg.drop_chance",
         "bound_positions",
         "line_count",
+        // A second spelling of a selection-side change and the constant
+        // locator only it used; a head edit nothing emitted; the kill
+        // sweep's two captures of one run; public helpers nothing called.
+        "SetConst",
+        "ConstSite",
+        "SetHeadArg",
+        "at_path",
+        "KillPhase",
+        "ProcessKill",
+        "get_or_default",
+        "timeout_code",
+        "describe_codec",
+        "inserted_tuple",
+        "assigned_vars",
+        "table_names",
+        "total_bytes",
     ];
     // The root-level markdown files that describe the tree as it is; every
     // other one (CHANGES.md, ROADMAP.md, ...) is a log that may record a
