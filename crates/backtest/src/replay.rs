@@ -33,8 +33,8 @@ pub struct BacktestSetup {
     /// Engine options for the replay controllers (strategy, durability, …).
     /// `record_events` is set per run regardless — off for a backtest,
     /// which needs speed, not explanations; on for the observation run.
-    /// The kill-and-restart harness uses this to run backtests against a
-    /// WAL-journaled engine.
+    /// The kill-and-restart harness uses this to run an engine that logs
+    /// its inputs to a WAL.
     pub engine: EngineOptions,
 }
 
@@ -60,7 +60,7 @@ impl ReplayOutcome {
 /// This is the one place a workload is driven: a backtest replay reads the
 /// counters, the debugger's observation run takes the log
 /// (`record_events` on), the kill-and-restart harness reads the engine's
-/// journal. The controller shares `program`, it does not copy it.
+/// input log and final state. The controller shares `program`, it does not copy it.
 pub fn drive(
     setup: &BacktestSetup,
     program: Arc<Program>,

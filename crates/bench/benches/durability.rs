@@ -1,8 +1,8 @@
-//! Durability overhead: the padded-Q1 turnaround sweep run twice — tuple
-//! store in memory only (`Durability::Mem`, the zero-cost default) vs
-//! journaling every mutation through the write-ahead log
-//! (`Durability::Wal`) — reporting the WAL's cost on the full
-//! diagnose → repair → backtest loop. The acceptance bar is a ratio of
+//! Durability overhead: the padded-Q1 turnaround sweep run twice — engines
+//! in memory only (`Durability::Mem`, the zero-cost default) vs every
+//! engine writing its inputs to a write-ahead log (`Durability::Wal`, one
+//! record per `insert` / `delete`, buffered, never synced) — reporting the
+//! WAL's cost on the full diagnose → repair → backtest loop. The acceptance bar is a ratio of
 //! this run's two sums on this host, so it needs no pinned file: the
 //! target exits 1 when WAL-on exceeds [`MAX_WAL_OVERHEAD`] × in-memory.
 
@@ -11,8 +11,8 @@ use mpr_core::debugger::Debugger;
 use mpr_core::scenarios::Scenario;
 use mpr_runtime::{Durability, WalOptions};
 
-/// Allowed WAL overhead: journaling every store mutation may cost at most
-/// this multiple of the in-memory turnaround.
+/// Allowed WAL overhead: logging every input may cost at most this
+/// multiple of the in-memory turnaround.
 const MAX_WAL_OVERHEAD: f64 = 2.0;
 
 /// Fastest-of-three repair-loop turnaround (ms) under `durability` — in

@@ -22,11 +22,11 @@
 use crate::debugger::{try_repair_scenario, RepairReport};
 use crate::scenarios::Scenario;
 use mpr_backtest::replay::{drive, BacktestSetup};
-use mpr_ndlog::Persistence;
-use mpr_runtime::{Durability, Options as EngineOptions, Store, WalOptions};
+use mpr_ndlog::{Persistence, Program, Tuple};
+use mpr_runtime::{Durability, Engine, EngineRecovery, ExecLog, Options as EngineOptions, WalOptions, WalRecord};
 use mpr_sdn::topology::{NodeRef, Topology};
 use mpr_sdn::{CtrlFaults, FaultPlan, LinkFault, SwitchCrash};
-use mpr_storage::{MemBackend, StorageBackend, WalBackend, WalConfig};
+use mpr_storage::{StorageBackend, WalBackend, WalConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -454,17 +454,26 @@ pub fn regression_cases() -> Vec<RegressionCase> {
 // Kill-and-restart: process death, injected at the storage layer
 // ---------------------------------------------------------------------------
 
-/// A full WAL captured from one journaled engine run — the raw material
-/// the crash points cut into. `records` is the clean decode of
-/// `wal_bytes`, used to build the prefix oracle.
+/// One WAL engine run, captured: the log it wrote — the raw material the
+/// crash points cut into — and its own state at the end, which a recovery
+/// of the whole log must equal.
 #[derive(Debug, Clone)]
 pub struct WalCapture {
     /// Scenario id the engine ran.
     pub scenario: String,
-    /// The raw `wal.0.log` bytes, exactly as the engine left them.
+    /// The program the engine ran.
+    pub program: Arc<Program>,
+    /// The options it ran with (recording on), but in memory only.
+    pub opts: EngineOptions,
+    /// The raw `wal.log` bytes, exactly as the engine left them.
     pub wal_bytes: Vec<u8>,
-    /// The journal records framed inside `wal_bytes`, oldest first.
+    /// The records framed inside `wal_bytes`, oldest first: the header,
+    /// then one per input.
     pub records: Vec<Vec<u8>>,
+    /// The live engine's [`mpr_runtime::Store::dump`].
+    pub live_dump: Vec<(Tuple, u64, u64)>,
+    /// The live engine's execution log.
+    pub live_log: ExecLog,
 }
 
 /// Hands each capture / crash probe its own scratch directory, so
@@ -476,21 +485,19 @@ fn kill_scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mpr-kill-{}-{tag}-{seq}", std::process::id()))
 }
 
-/// Run `scenario` under WAL durability and capture the log the engine
-/// wrote: one [`mpr_backtest::replay::drive`] of the program over the
-/// workload, which is the observation run and equally a backtest replay of
-/// the buggy program — the process dies mid-fixpoint either way.
-/// `max_injections` truncates the workload (0 = all of it) so
-/// sweeps over many crash points stay cheap. Compaction is disabled for
-/// the capture: every journaled op stays in `wal.0.log`, giving the crash
-/// points a maximal surface to cut.
+/// Run `scenario` with its engine logging inputs to a WAL and recording
+/// provenance, and capture the log and the engine's final state: one
+/// [`mpr_backtest::replay::drive`] of the program over the workload, which
+/// is the observation run and equally a backtest replay of the buggy
+/// program. `max_injections` truncates the workload (0 = all of it) so
+/// sweeps over many crash points stay cheap.
 pub fn capture_wal(
     scenario: &Scenario,
     opts: &EngineOptions,
     max_injections: usize,
 ) -> Result<WalCapture, String> {
     let scratch = kill_scratch_dir("capture");
-    let durability = Durability::Wal(WalOptions { dir: scratch.clone(), fsync: false, compact_every: 0 });
+    let opts = EngineOptions { record_events: true, durability: Durability::Mem, ..opts.clone() };
     let workload: Vec<_> = if max_injections == 0 {
         scenario.workload.clone()
     } else {
@@ -503,49 +510,37 @@ pub fn capture_wal(
         workload: Arc::new(workload),
         config: scenario.sim.clone(),
         proactive_routes: false,
-        engine: EngineOptions { durability, ..opts.clone() },
+        engine: EngineOptions { durability: Durability::Wal(WalOptions::new(&scratch)), ..opts.clone() },
     };
-    let result = drive(&setup, Arc::clone(&scenario.program), false, &[]).and_then(|sim| {
-        match sim.controller().engine().durability_degraded() {
-            Some(why) => Err(format!("durability degraded during capture: {why}")),
-            None => Ok(()),
+    let capture = drive(&setup, Arc::clone(&scenario.program), true, &[]).and_then(|sim| {
+        let engine = sim.controller().engine();
+        if let Some(why) = engine.durability_degraded() {
+            return Err(format!("durability degraded during capture: {why}"));
         }
-    });
-    let capture = result.and_then(|()| {
-        // Exactly one engine journaled under the scratch dir; read its log
-        // back and decode the record framing through a clean recovery.
-        let mut engine_dirs: Vec<PathBuf> = std::fs::read_dir(&scratch)
-            .map_err(|e| format!("scratch dir unreadable: {e}"))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.is_dir()
-                    && p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("engine-"))
-            })
-            .collect();
-        engine_dirs.sort();
-        if engine_dirs.len() != 1 {
-            return Err(format!("expected 1 journaled engine, found {}", engine_dirs.len()));
-        }
-        let dir = engine_dirs.remove(0);
-        let wal_bytes =
-            std::fs::read(dir.join("wal.0.log")).map_err(|e| format!("read wal.0.log: {e}"))?;
-        let mut backend =
-            WalBackend::open(WalConfig::new(&dir)).map_err(|e| format!("reopen capture: {e}"))?;
+        let dir = engine.wal_dir().ok_or("the capture engine has no WAL")?;
+        let wal_bytes = std::fs::read(dir.join("wal.log")).map_err(|e| format!("read wal.log: {e}"))?;
+        let mut backend = WalBackend::open(WalConfig::new(dir)).map_err(|e| format!("reopen capture: {e}"))?;
         let recovered = backend.recover().map_err(|e| format!("recover capture: {e}"))?;
-        if !recovered.status.is_clean() || recovered.snapshot.is_some() {
+        if !recovered.status.is_clean() {
             return Err(format!("capture did not reopen clean: {:?}", recovered.status));
         }
-        Ok(WalCapture { scenario: scenario.id.clone(), wal_bytes, records: recovered.records })
+        Ok(WalCapture {
+            scenario: scenario.id.clone(),
+            program: Arc::clone(&scenario.program),
+            opts,
+            wal_bytes,
+            records: recovered.records,
+            live_dump: engine.store().dump(),
+            live_log: engine.log().clone(),
+        })
     });
     let _ = std::fs::remove_dir_all(&scratch);
     capture
 }
 
 /// One crash point's verdict: the process died after `cut` bytes of the
-/// WAL reached disk; the restart recovered `ops_applied` ops and either
-/// matched the prefix oracle or didn't.
+/// WAL reached disk; the restart re-ran `inputs` input records and either
+/// matched the oracle or didn't.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillOutcome {
     /// Scenario id.
@@ -554,13 +549,15 @@ pub struct KillOutcome {
     pub cut: u64,
     /// Full length of the captured WAL.
     pub wal_len: u64,
-    /// Journal ops the restart replayed.
-    pub ops_applied: usize,
+    /// Input records the restart re-ran.
+    pub inputs: usize,
     /// The restart reported [`mpr_storage::Recovery::Clean`] (true exactly
     /// when the cut landed on a record-frame boundary).
     pub clean: bool,
-    /// The recovered store equals the oracle built from the surviving
-    /// whole-record prefix — the property every crash point must hold.
+    /// The recovered engine's store and execution log equal those of an
+    /// in-memory engine fed the surviving whole input records — and, for
+    /// the full-length cut, the live capture engine's — the property every
+    /// crash point must hold.
     pub prefix_consistent: bool,
     /// Recovery error or escaped panic, when something went wrong.
     pub error: Option<String>,
@@ -578,61 +575,67 @@ pub fn frame_boundaries(records: &[Vec<u8>]) -> Vec<u64> {
     bounds
 }
 
-/// Recover a [`Store`] from the first `cut` bytes of a captured WAL, as a
-/// restart after a crash at that exact byte would. Returns the store and
-/// its recovery report. Everything happens in a throwaway directory.
-fn recover_prefix(
-    capture: &WalCapture,
-    cut: u64,
-) -> Result<(Store, mpr_runtime::StoreRecovery), String> {
+/// Recover an engine from the first `cut` bytes of a captured WAL, as a
+/// restart after a crash at that exact byte would. Everything happens in
+/// a throwaway directory.
+fn recover_prefix(capture: &WalCapture, cut: u64) -> Result<(Engine, EngineRecovery), String> {
     let cut = (cut.min(capture.wal_bytes.len() as u64)) as usize;
     let dir = kill_scratch_dir("crash");
     std::fs::create_dir_all(&dir).map_err(|e| format!("create crash dir: {e}"))?;
-    std::fs::write(dir.join("wal.0.log"), &capture.wal_bytes[..cut])
+    std::fs::write(dir.join("wal.log"), &capture.wal_bytes[..cut])
         .map_err(|e| format!("write truncated wal: {e}"))?;
-    let result = WalBackend::open(WalConfig::new(&dir))
-        .and_then(|mut backend| Store::recover(&mut backend))
-        .map_err(|e| e.to_string());
+    let result = Engine::recover(Arc::clone(&capture.program), capture.opts.clone(), &dir).map_err(|e| e.to_string());
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
 
+/// An in-memory engine fed the input records after the header, in order.
+fn fed(capture: &WalCapture, records: &[Vec<u8>]) -> Result<Engine, String> {
+    let mut engine =
+        Engine::shared(Arc::clone(&capture.program), capture.opts.clone()).map_err(|e| e.to_string())?;
+    for record in records.iter().skip(1) {
+        // A call that failed live fails the same way here.
+        let _ = match WalRecord::decode(record)? {
+            WalRecord::Insert(tuple) => engine.insert(tuple),
+            WalRecord::Delete(tuple) => engine.delete(&tuple),
+            WalRecord::Header(_) => return Err("a second header".into()),
+        };
+    }
+    Ok(engine)
+}
+
 /// Kill the process at byte `cut` of the captured WAL and restart: write
-/// the surviving prefix to a fresh directory, reopen it through
-/// [`WalBackend`] + [`Store::recover`], and compare the recovered store
-/// against an oracle that replays exactly the whole records the cut
-/// preserved (through [`MemBackend::primed`]). Panics anywhere inside
-/// recovery are contained and reported — a crash point must never take
-/// the harness down.
+/// the surviving prefix to a fresh directory, [`Engine::recover`] from
+/// it, and compare the recovered engine's store and execution log against
+/// an in-memory engine fed exactly the whole records the cut preserved —
+/// and, when nothing was cut, against the live capture engine. Panics
+/// anywhere inside recovery are contained and reported — a crash point
+/// must never take the harness down.
 pub fn crash_at(capture: &WalCapture, cut: u64) -> KillOutcome {
     let wal_len = capture.wal_bytes.len() as u64;
     let cut = cut.min(wal_len);
-    let whole_frames = frame_boundaries(&capture.records).iter().filter(|&&b| b <= cut).count() - 1;
+    let whole = frame_boundaries(&capture.records).iter().filter(|&&b| b <= cut).count() - 1;
     let probe = catch_unwind(AssertUnwindSafe(|| -> Result<(bool, usize, bool), String> {
-        let (store, recovery) = recover_prefix(capture, cut)?;
-        let mut oracle_backend =
-            MemBackend::primed(None, capture.records[..whole_frames.min(capture.records.len())].to_vec());
-        let (oracle, _) = Store::recover(&mut oracle_backend).map_err(|e| e.to_string())?;
-        let consistent =
-            recovery.ops_applied == whole_frames && store.dump() == oracle.dump();
-        Ok((recovery.status.is_clean(), recovery.ops_applied, consistent))
+        let (engine, recovery) = recover_prefix(capture, cut)?;
+        let oracle = fed(capture, &capture.records[..whole])?;
+        let dump = engine.store().dump();
+        let consistent = recovery.inputs == whole.saturating_sub(1)
+            && dump == oracle.store().dump()
+            && engine.log() == oracle.log()
+            && (cut < wal_len || (dump == capture.live_dump && *engine.log() == capture.live_log));
+        Ok((recovery.status.is_clean(), recovery.inputs, consistent))
     }));
     let base = KillOutcome {
         scenario: capture.scenario.clone(),
         cut,
         wal_len,
-        ops_applied: 0,
+        inputs: 0,
         clean: false,
         prefix_consistent: false,
         error: None,
     };
     match probe {
-        Ok(Ok((clean, ops_applied, prefix_consistent))) => KillOutcome {
-            ops_applied,
-            clean,
-            prefix_consistent,
-            ..base
-        },
+        Ok(Ok((clean, inputs, prefix_consistent))) => KillOutcome { inputs, clean, prefix_consistent, ..base },
         Ok(Err(e)) => KillOutcome { error: Some(format!("recovery error: {e}")), ..base },
         Err(payload) => {
             let msg = payload
@@ -713,10 +716,9 @@ pub fn kill_sweep(
     Ok(KillReport { outcomes })
 }
 
-/// Restart *and resume*: recover the store from the surviving prefix of a
-/// crashed run, fold the recovered durable state back into the scenario's
-/// seeds, and drive the full diagnose → repair → backtest loop from
-/// there. Only `State`-persistence tuples carry over — event tuples are
+/// Restart *and resume*: recover the engine from the surviving prefix of
+/// a crashed run, fold its base state back into the scenario's seeds, and
+/// drive the full diagnose → repair → backtest loop from there. Only `State`-persistence tuples carry over — event tuples are
 /// consumed by design and a restart must not replay them as fresh
 /// stimuli. This is the end-to-end property the kill-and-restart harness
 /// pins: a kill at any WAL offset leaves the loop able to converge again.
@@ -725,9 +727,9 @@ pub fn restart_repair(
     capture: &WalCapture,
     cut: u64,
 ) -> Result<RepairReport, String> {
-    let (store, _recovery) = recover_prefix(capture, cut)?;
+    let (engine, _recovery) = recover_prefix(capture, cut)?;
     let mut resumed = scenario.clone();
-    for tuple in store.base_tuples() {
+    for tuple in engine.store().base_tuples() {
         let is_state = scenario
             .program
             .catalog

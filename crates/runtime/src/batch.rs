@@ -216,26 +216,14 @@ impl Engine {
         // The processed batch and the next round's delta swap roles each
         // iteration, so the two buffers are allocated once per drain.
         let mut round_out: VecDeque<(TupleId, Tuple)> = VecDeque::new();
-        // Fixpoint budgets: a round cap and an optional wall-clock
-        // deadline, both surfaced as typed errors rather than spinning.
+        // The round cap, surfaced as a typed error rather than spinning.
         // Checked at round boundaries only (outside any frame), so an
         // error here leaves the tracker balanced and the engine usable.
-        let deadline = self
-            .opts
-            .time_budget
-            .map(|b| (std::time::Instant::now() + b, b.as_millis() as u64));
         let mut rounds: u64 = 0;
         while !pending.is_empty() {
             rounds += 1;
             if rounds > self.opts.max_rounds {
                 return Err(RuntimeError::RoundLimit(self.opts.max_rounds));
-            }
-            if let Some((d, budget_ms)) = deadline {
-                // `>=` so a zero budget deterministically fails on the
-                // first round regardless of clock granularity.
-                if std::time::Instant::now() >= d {
-                    return Err(RuntimeError::TimeBudget { budget_ms });
-                }
             }
             // Events are transient — they fire triggers but are never
             // probed, so they stay out of the partitions.
@@ -278,10 +266,6 @@ impl Engine {
             // usable for inspection after a derivation-limit abort.
             self.deltas.end_round();
             outcome?;
-            // Round boundary: push this round's journaled store mutations
-            // to the OS, bounding what a mid-fixpoint crash can lose to at
-            // most one round of buffered ops.
-            self.store.journal_flush();
             std::mem::swap(&mut pending, &mut round_out);
             round_out.clear();
         }

@@ -1,17 +1,66 @@
-//! The little-endian binary codec under every durable artifact: WAL op
-//! records and store snapshots ([`crate::journal`]).
+//! The little-endian binary codec of an engine's WAL
+//! ([`crate::Durability::Wal`]): a [`WalRecord::Header`] that fingerprints
+//! the program, then one record per [`crate::Engine::insert`] /
+//! [`crate::Engine::delete`] call — a tag byte and the tuple.
 //!
 //! Writers are plain `put_*` helpers appending to a `Vec<u8>`; reads go
 //! through [`Reader`], a bounds-checked cursor that returns an error on
-//! truncated or malformed input — never a panic — so corrupt bytes from a
-//! torn log surface as typed recovery losses upstream.
-//!
-//! The encoding is canonical: a value has exactly one byte representation
-//! (length-prefixed strings, tagged values, fixed-width integers), which is
-//! what lets snapshot writers promise "identical state ⇒ identical bytes"
-//! by just sorting their inputs.
+//! truncated or malformed input — never a panic — so corrupt bytes surface
+//! as typed recovery errors upstream.
 
-use mpr_ndlog::{Persistence, Schema, Tuple, Value};
+use mpr_ndlog::{Program, Tuple, Value};
+
+const HEADER: u8 = 0;
+pub(crate) const INSERT: u8 = 1;
+pub(crate) const DELETE: u8 = 2;
+
+/// One decoded record of an engine's WAL.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WalRecord {
+    /// The first record: a fingerprint of the text of the program the
+    /// inputs were given to, so that they are never re-run against
+    /// another.
+    Header(u64),
+    /// An [`crate::Engine::insert`] call.
+    Insert(Tuple),
+    /// An [`crate::Engine::delete`] call.
+    Delete(Tuple),
+}
+
+impl WalRecord {
+    /// Decode one record payload.
+    pub fn decode(bytes: &[u8]) -> Result<WalRecord, String> {
+        let mut r = Reader::new(bytes);
+        let record = match r.u8()? {
+            HEADER => WalRecord::Header(r.u64()?),
+            INSERT => WalRecord::Insert(r.tuple()?),
+            DELETE => WalRecord::Delete(r.tuple()?),
+            t => return Err(format!("unknown record tag {t}")),
+        };
+        r.finish()?;
+        Ok(record)
+    }
+}
+
+/// The header record of a WAL written for `program`.
+pub(crate) fn header_record(program: &Program) -> Vec<u8> {
+    let mut buf = vec![HEADER];
+    buf.extend_from_slice(&fingerprint(program).to_le_bytes());
+    buf
+}
+
+/// The record of one call: `tag` ([`INSERT`] or [`DELETE`]), then `tuple`.
+pub(crate) fn input_record(tag: u8, tuple: &Tuple) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    buf.push(tag);
+    put_tuple(&mut buf, tuple);
+    buf
+}
+
+/// FNV-1a of `program`'s text: what a WAL header holds.
+pub(crate) fn fingerprint(program: &Program) -> u64 {
+    program.to_string().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
 
 /// Append a `u32`, little-endian.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -53,20 +102,6 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     }
 }
 
-/// Append a [`Schema`] (table, arity, key columns, persistence).
-pub fn put_schema(buf: &mut Vec<u8>, s: &Schema) {
-    put_str(buf, &s.table);
-    put_u32(buf, s.arity as u32);
-    put_u32(buf, s.keys.len() as u32);
-    for &k in &s.keys {
-        put_u32(buf, k as u32);
-    }
-    buf.push(match s.persistence {
-        Persistence::State => 0,
-        Persistence::Event => 1,
-    });
-}
-
 /// Cursor over an encoded record; every read is bounds-checked so corrupt
 /// input yields an error, never a panic.
 pub struct Reader<'a> {
@@ -102,6 +137,11 @@ impl<'a> Reader<'a> {
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    /// Read a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `i64`.
@@ -142,26 +182,6 @@ impl<'a> Reader<'a> {
         Ok(Tuple { table, loc, args })
     }
 
-    /// Read a [`Schema`].
-    pub fn schema(&mut self) -> Result<Schema, String> {
-        let table = self.str()?;
-        let arity = self.u32()? as usize;
-        let nkeys = self.u32()? as usize;
-        if nkeys > 1 << 20 {
-            return Err(self.err(&format!("implausible key count {nkeys}")));
-        }
-        let mut keys = Vec::with_capacity(nkeys);
-        for _ in 0..nkeys {
-            keys.push(self.u32()? as usize);
-        }
-        let persistence = match self.u8()? {
-            0 => Persistence::State,
-            1 => Persistence::Event,
-            t => return Err(self.err(&format!("unknown persistence tag {t}"))),
-        };
-        Ok(Schema { table, arity, keys, persistence })
-    }
-
     /// Succeed only if the whole buffer was consumed.
     pub fn finish(self) -> Result<(), String> {
         if self.pos == self.buf.len() {
@@ -169,5 +189,42 @@ impl<'a> Reader<'a> {
         } else {
             Err(format!("{} trailing bytes after record", self.buf.len() - self.pos))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tuples() -> Vec<Tuple> {
+        vec![
+            Tuple::new("FlowTable", 3i64, vec![Value::Int(80), Value::Int(2)]),
+            Tuple::new("Link", Value::Str("s1".into()), vec![Value::Bool(true), Value::Wild]),
+        ]
+    }
+
+    #[test]
+    fn wal_records_round_trip() {
+        let program = mpr_ndlog::parse_program("p", "r1 B(@N,X) :- A(@N,X).").unwrap();
+        let header = header_record(&program);
+        assert_eq!(WalRecord::decode(&header).unwrap(), WalRecord::Header(fingerprint(&program)));
+        for t in tuples() {
+            let insert = input_record(INSERT, &t);
+            assert_eq!(WalRecord::decode(&insert).unwrap(), WalRecord::Insert(t.clone()));
+            let delete = input_record(DELETE, &t);
+            assert_eq!(WalRecord::decode(&delete).unwrap(), WalRecord::Delete(t));
+        }
+    }
+
+    #[test]
+    fn decode_rejects_truncation_and_trailing_garbage() {
+        let enc = input_record(INSERT, &tuples()[0]);
+        for cut in 0..enc.len() {
+            assert!(WalRecord::decode(&enc[..cut]).is_err(), "truncation at {cut} accepted");
+        }
+        let mut padded = enc.clone();
+        padded.push(0);
+        assert!(WalRecord::decode(&padded).is_err(), "trailing byte accepted");
+        assert!(WalRecord::decode(&[9]).is_err(), "unknown tag accepted");
     }
 }

@@ -55,6 +55,7 @@
 //! `FlowTable` entry.
 
 use crate::batch;
+use crate::codec::{self, WalRecord};
 use crate::compiled::{self, LazyRule};
 use crate::delta::{DeltaTracker, RelationDeltaStats};
 use crate::index::IndexRegistry;
@@ -64,7 +65,9 @@ use crate::store::{AddOutcome, DropOutcome, Store};
 use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
 use mpr_ndlog::eval::{Bindings, CountingFuncs, Env};
 use mpr_ndlog::{Catalog, Program, Schema, Tuple, Value};
+use mpr_storage::{Recovery, StorageBackend, StorageError, WalBackend, WalConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -99,19 +102,22 @@ impl std::fmt::Display for EvalStrategy {
     }
 }
 
-/// Where (and whether) the tuple store journals its mutations.
+/// Whether the engine writes its inputs to a write-ahead log.
 ///
-/// [`Durability::Mem`] is the zero-cost default — exactly the
-/// pre-durability engine. [`Durability::Wal`] attaches an
-/// [`mpr_storage::WalBackend`] journal to the store: every effectful store
-/// mutation is appended as a checksummed record, compacted periodically
-/// into snapshots, and replayable after a crash via
-/// [`crate::store::Store::recover`]. A WAL that fails to open or write
-/// never takes evaluation down; the engine degrades to memory-only and
-/// reports it through [`Engine::durability_degraded`].
+/// [`Durability::Mem`] is the zero-cost default. Under
+/// [`Durability::Wal`] the engine writes a header record that fingerprints
+/// the program, then one record per [`Engine::insert`] / [`Engine::delete`]
+/// call, before evaluating it. The engine is a pure function of program,
+/// options and inputs, so [`Engine::recover`] re-runs the surviving
+/// records through the same calls and gets back the store, the
+/// [`ExecLog`], the derivation records and the indexes. Writes are
+/// buffered by the OS and never synced: the log survives the death of the
+/// process (the kill sweep), not the loss of power. A WAL that fails to
+/// open or write never takes evaluation down; the engine goes on in memory
+/// only and reports it through [`Engine::durability_degraded`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// In-memory only: no journal, no recovery, no overhead.
+    /// In-memory only: no log, no recovery, no overhead.
     #[default]
     Mem,
     /// Write-ahead log under the configured directory.
@@ -121,28 +127,82 @@ pub enum Durability {
 /// Configuration for [`Durability::Wal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalOptions {
-    /// Parent directory for WAL state. Every engine journals into its own
-    /// `engine-<n>` subdirectory (a process-wide counter), so concurrently
-    /// built engines never share a log; [`Engine::wal_dir`] reports the
-    /// resolved path.
-    pub dir: std::path::PathBuf,
-    /// fsync on every flush (off by default; see
-    /// [`mpr_storage::WalConfig::fsync`]).
-    pub fsync: bool,
-    /// Install a compacted snapshot every this many journaled ops
-    /// (0 = never compact).
-    pub compact_every: usize,
+    /// Parent directory for WAL state. Every engine logs into an
+    /// `engine-<n>` subdirectory it creates itself, so no two engines share
+    /// a log, in one process or across processes; [`Engine::wal_dir`]
+    /// reports the resolved path.
+    pub dir: PathBuf,
 }
 
 impl WalOptions {
-    /// WAL under `dir` with defaults: no fsync, compaction every 4096 ops.
-    pub fn new(dir: impl Into<std::path::PathBuf>) -> Self {
-        WalOptions { dir: dir.into(), fsync: false, compact_every: 4096 }
+    /// WAL under `dir`.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        WalOptions { dir: dir.into() }
     }
 }
 
-/// Process-wide counter handing each WAL-journaled engine its own subdir.
+/// Where the next engine's `engine-<n>` search starts.
 static WAL_ENGINE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The first `engine-<n>` under `parent`, from the process counter on,
+/// that this call creates — never one that already holds a log.
+fn fresh_engine_dir(parent: &Path) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(parent)?;
+    loop {
+        let dir = parent.join(format!("engine-{}", WAL_ENGINE_SEQ.fetch_add(1, Ordering::Relaxed)));
+        match std::fs::create_dir(&dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            created => return created.map(|()| dir),
+        }
+    }
+}
+
+/// What [`Engine::recover`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EngineRecovery {
+    /// Clean, or recovered with a typed loss report (from the backend).
+    pub status: Recovery,
+    /// Input records re-run.
+    pub inputs: usize,
+}
+
+/// Why [`Engine::recover`] refused a log.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecoverError {
+    /// The program does not compile.
+    Compile(CompileError),
+    /// The log could not be opened or read.
+    Storage(StorageError),
+    /// The log was written for another program.
+    ProgramMismatch {
+        /// Fingerprint of the program given to `recover`.
+        expected: u64,
+        /// Fingerprint in the log's header.
+        found: u64,
+    },
+    /// A record passed its checksum but is not a header-then-inputs record.
+    BadRecord {
+        /// Index of the record in the log.
+        index: usize,
+        /// What was wrong.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for RecoverError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoverError::Compile(e) => write!(f, "{e}"),
+            RecoverError::Storage(e) => write!(f, "{e}"),
+            RecoverError::ProgramMismatch { expected, found } => {
+                write!(f, "WAL written for program {found:016x}, not {expected:016x}")
+            }
+            RecoverError::BadRecord { index, reason } => write!(f, "WAL record {index}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for RecoverError {}
 
 impl std::fmt::Display for Durability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -231,12 +291,6 @@ pub enum RuntimeError {
     /// The batch fixpoint exceeded [`Options::max_rounds`] semi-naive
     /// rounds in one externally driven step.
     RoundLimit(u64),
-    /// The fixpoint exceeded the wall-clock budget
-    /// ([`Options::time_budget`]) in one externally driven step.
-    TimeBudget {
-        /// The configured budget, in milliseconds.
-        budget_ms: u64,
-    },
     /// Arity of an inserted tuple does not match its table's prior use.
     ArityMismatch {
         /// Table name.
@@ -253,9 +307,6 @@ impl std::fmt::Display for RuntimeError {
         match self {
             RuntimeError::DerivationLimit(n) => write!(f, "derivation limit exceeded ({n})"),
             RuntimeError::RoundLimit(n) => write!(f, "fixpoint round limit exceeded ({n})"),
-            RuntimeError::TimeBudget { budget_ms } => {
-                write!(f, "fixpoint wall-clock budget exceeded ({budget_ms} ms)")
-            }
             RuntimeError::ArityMismatch { table, expected, got } => {
                 write!(f, "tuple arity mismatch for `{table}`: expected {expected}, got {got}")
             }
@@ -282,14 +333,7 @@ pub struct Options {
     /// [`Options::max_derivations`], since its queue only grows through
     /// counted firings). Surfaced as [`RuntimeError::RoundLimit`].
     pub max_rounds: u64,
-    /// Wall-clock budget per externally driven step, surfaced as
-    /// [`RuntimeError::TimeBudget`]. `None` (the default) disables the
-    /// check entirely; note that a time budget makes *whether* a fixpoint
-    /// completes machine-dependent, so determinism suites must leave it
-    /// off. Checked at round boundaries (batch) and every 256 deltas
-    /// (pipelined), so overruns are bounded by one round's work.
-    pub time_budget: Option<std::time::Duration>,
-    /// Whether the tuple store journals mutations durably (see
+    /// Whether the engine writes its inputs to a WAL (see
     /// [`Durability`]); [`Durability::Mem`] by default.
     pub durability: Durability,
 }
@@ -301,7 +345,6 @@ impl Default for Options {
             max_derivations: 50_000_000,
             strategy: EvalStrategy::default(),
             max_rounds: 1_000_000,
-            time_budget: None,
             durability: Durability::default(),
         }
     }
@@ -433,12 +476,10 @@ pub struct Engine {
     pub(crate) spare_queue: VecDeque<(TupleId, Tuple)>,
     /// Event steps filed for replay (batch only; `memo.rs`).
     pub(crate) memo: StepMemo,
-    /// Resolved WAL directory when the store journals durably.
-    wal_dir: Option<std::path::PathBuf>,
-    /// Why the WAL failed to *open* (runtime write failures live in the
-    /// store's journal instead; [`Engine::durability_degraded`] merges
-    /// both).
-    wal_open_error: Option<String>,
+    /// The input log under [`Durability::Wal`], while it is healthy.
+    wal: Option<WalBackend>,
+    /// Why the WAL failed to open or write, if it did.
+    wal_degraded: Option<String>,
 }
 
 impl Engine {
@@ -492,25 +533,17 @@ impl Engine {
                 (HashMap::new(), triggers.into_iter().map(|(t, l)| (t.to_string(), Arc::new(l))).collect())
             }
         };
-        // Attach the durability journal last, after every schema (catalog
-        // and synthesized aggregate keys) is declared, so replay keys
-        // tables exactly as this engine did. A WAL that cannot open
-        // degrades to memory-only instead of failing construction.
-        let mut wal_dir = None;
-        let mut wal_open_error = None;
+        // A WAL that cannot open degrades to memory-only instead of
+        // failing construction.
+        let (mut wal, mut wal_degraded) = (None, None);
         if let Durability::Wal(w) = &opts.durability {
-            let dir = w
-                .dir
-                .join(format!("engine-{}", WAL_ENGINE_SEQ.fetch_add(1, Ordering::Relaxed)));
-            match mpr_storage::WalBackend::open(mpr_storage::WalConfig {
-                dir: dir.clone(),
-                fsync: w.fsync,
-            }) {
-                Ok(backend) => {
-                    store.attach_journal(Box::new(backend), w.compact_every);
-                    wal_dir = Some(dir);
-                }
-                Err(e) => wal_open_error = Some(format!("open {}: {e}", dir.display())),
+            match fresh_engine_dir(&w.dir)
+                .map_err(|e| format!("open {}: {e}", w.dir.display()))
+                .and_then(|dir| {
+                    WalBackend::open(WalConfig::new(&dir)).map_err(|e| format!("open {}: {e}", dir.display()))
+                }) {
+                Ok(backend) => wal = Some(backend),
+                Err(why) => wal_degraded = Some(why),
             }
         }
         // Rule ids are read back only through logged derivations.
@@ -519,7 +552,7 @@ impl Engine {
         } else {
             ExecLog::default()
         };
-        Ok(Engine {
+        let mut engine = Engine {
             program,
             rules: Arc::new(rules),
             triggers,
@@ -543,9 +576,58 @@ impl Engine {
             scratch: batch::JoinScratch::default(),
             spare_queue: VecDeque::new(),
             memo: StepMemo::default(),
-            wal_dir,
-            wal_open_error,
-        })
+            wal,
+            wal_degraded,
+        };
+        if engine.wal.is_some() {
+            engine.write_input(codec::header_record(&engine.program));
+        }
+        Ok(engine)
+    }
+
+    /// The engine whose inputs the WAL in `dir` recorded: a fresh engine
+    /// for `program` and `opts` re-runs every whole input record through
+    /// [`Engine::insert`] / [`Engine::delete`], so its store, log,
+    /// derivation records and indexes are what the logging engine's were
+    /// after those calls. A torn tail is cut off and reported in
+    /// [`EngineRecovery::status`]. The recovered engine appends its own
+    /// inputs to `dir`; `opts.durability` is not read. A log written for
+    /// another program is refused.
+    pub fn recover(
+        program: Arc<Program>,
+        opts: Options,
+        dir: &Path,
+    ) -> Result<(Engine, EngineRecovery), RecoverError> {
+        let mut backend = WalBackend::open(WalConfig::new(dir)).map_err(RecoverError::Storage)?;
+        let recovered = backend.recover().map_err(RecoverError::Storage)?;
+        let mut engine = Engine::shared(program, Options { durability: Durability::Mem, ..opts })
+            .map_err(RecoverError::Compile)?;
+        let bad = |index: usize, reason: String| RecoverError::BadRecord { index, reason };
+        let mut records = recovered.records.iter().enumerate();
+        if let Some((_, header)) = records.next() {
+            let expected = codec::fingerprint(&engine.program);
+            match WalRecord::decode(header).map_err(|why| bad(0, why))? {
+                WalRecord::Header(found) if found != expected => {
+                    return Err(RecoverError::ProgramMismatch { expected, found })
+                }
+                WalRecord::Header(_) => {}
+                _ => return Err(bad(0, "the log does not open with a header".into())),
+            }
+        }
+        for (i, record) in records {
+            // A call that failed live fails the same way here.
+            let _ = match WalRecord::decode(record).map_err(|why| bad(i, why))? {
+                WalRecord::Insert(tuple) => engine.insert(tuple),
+                WalRecord::Delete(tuple) => engine.delete(&tuple),
+                WalRecord::Header(_) => return Err(bad(i, "a second header".into())),
+            };
+        }
+        engine.wal = Some(backend);
+        if recovered.records.is_empty() {
+            engine.write_input(codec::header_record(&engine.program));
+        }
+        let inputs = recovered.records.len().saturating_sub(1);
+        Ok((engine, EngineRecovery { status: recovered.status, inputs }))
     }
 
     /// The program the engine runs.
@@ -592,24 +674,34 @@ impl Engine {
     }
 
     /// The tuple store (read-only; mutations go through the engine so
-    /// provenance and durability stay consistent).
+    /// provenance and the WAL stay consistent).
     pub fn store(&self) -> &Store {
         &self.store
     }
 
-    /// The directory this engine's WAL journal lives in, when the store
-    /// journals durably ([`Durability::Wal`]) and the log opened cleanly.
-    pub fn wal_dir(&self) -> Option<&std::path::Path> {
-        self.wal_dir.as_deref()
+    /// The directory this engine's WAL lives in, under
+    /// [`Durability::Wal`] while the log is healthy.
+    pub fn wal_dir(&self) -> Option<&Path> {
+        self.wal.as_ref().map(WalBackend::dir)
     }
 
-    /// Why durability shut itself off, if it did: either the WAL failed to
-    /// open at construction, or a later write failed and the store's
-    /// journal degraded to memory-only. `None` = healthy (or `Mem` mode).
+    /// Why the WAL shut itself off, if it did: it failed to open at
+    /// construction, or a later write failed and the engine went on in
+    /// memory only. `None` = healthy (or `Mem` mode).
     pub fn durability_degraded(&self) -> Option<String> {
-        self.wal_open_error
-            .clone()
-            .or_else(|| self.store.durability_degraded().map(str::to_string))
+        self.wal_degraded.clone()
+    }
+
+    /// Append one record to the WAL, if there is one; the first failure
+    /// closes it for good.
+    fn write_input(&mut self, record: Vec<u8>) {
+        let Some(wal) = self.wal.as_mut() else {
+            return;
+        };
+        if let Err(e) = wal.append(&record).and_then(|_| wal.flush()) {
+            self.wal = None;
+            self.wal_degraded = Some(format!("append: {e}"));
+        }
     }
 
     /// `true` if the exact tuple is currently live.
@@ -635,8 +727,12 @@ impl Engine {
         self.store.len()
     }
 
-    /// Insert a base tuple and run to fixpoint.
+    /// Insert a base tuple and run to fixpoint. Under [`Durability::Wal`]
+    /// the call is logged first, whether it then fails or not.
     pub fn insert(&mut self, tuple: Tuple) -> Result<StepResult, RuntimeError> {
+        if self.wal.is_some() {
+            self.write_input(codec::input_record(codec::INSERT, &tuple));
+        }
         self.time += 1;
         // An undeclared table is state of whatever arity it is used with.
         let (arity, is_state) = self
@@ -657,7 +753,6 @@ impl Engine {
         let mut queue = std::mem::take(&mut self.spare_queue);
         self.add_support(&tuple, true, None, &mut queue, &mut result)?;
         self.drain(queue, &mut result)?;
-        self.store.journal_flush();
         Ok(result)
     }
 
@@ -676,8 +771,12 @@ impl Engine {
         Ok(total)
     }
 
-    /// Delete a base tuple (one unit of base support) and cascade.
+    /// Delete a base tuple (one unit of base support) and cascade, logged
+    /// first like [`Engine::insert`].
     pub fn delete(&mut self, tuple: &Tuple) -> Result<StepResult, RuntimeError> {
+        if self.wal.is_some() {
+            self.write_input(codec::input_record(codec::DELETE, tuple));
+        }
         self.time += 1;
         let mut result = StepResult::default();
         match self.store.drop_support(tuple, true) {
@@ -694,7 +793,6 @@ impl Engine {
                 self.kill(tid, tuple.clone(), &mut result)?;
             }
         }
-        self.store.journal_flush();
         Ok(result)
     }
 
@@ -895,23 +993,8 @@ impl Engine {
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
         // The step budget is [`Options::max_derivations`] (this queue only
-        // grows through counted firings); the wall-clock budget is checked
-        // here, every 256 deltas, so an overrun costs at most a few joins.
-        let deadline = self
-            .opts
-            .time_budget
-            .map(|b| (std::time::Instant::now() + b, b.as_millis() as u64));
-        let mut steps: u64 = 0;
+        // grows through counted firings).
         while let Some((tid, tuple)) = queue.pop_front() {
-            steps += 1;
-            if let Some((d, budget_ms)) = deadline {
-                // Checked at steps 1, 257, …: the first delta validates the
-                // deadline cheaply (a zero budget fails deterministically,
-                // `>=` regardless of clock granularity), then every 256.
-                if steps & 0xFF == 1 && std::time::Instant::now() >= d {
-                    return Err(RuntimeError::TimeBudget { budget_ms });
-                }
-            }
             // A tuple may have died while queued (replacement/cascade).
             if self.log.kind(tid) != TupleKind::Event && !self.log.is_live(tid) {
                 continue;

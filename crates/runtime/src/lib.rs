@@ -31,6 +31,8 @@
 //!   for the §3.1 provenance graph — held as interned tuples and fixed-size
 //!   rows chained by head, read through borrowed views, and switched off
 //!   to measure the provenance overhead (§5.4);
+//! - a write-ahead log of the engine's inputs ([`Durability::Wal`],
+//!   [`codec`]) that [`Engine::recover`] re-runs after a restart;
 //! - a naive fixpoint oracle ([`naive`]) for differential testing.
 
 #![warn(missing_docs)]
@@ -41,20 +43,20 @@ pub mod compiled;
 pub mod delta;
 pub mod engine;
 pub mod index;
-pub mod journal;
 pub mod log;
 mod memo;
 pub mod naive;
 pub mod store;
 
 pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
+pub use codec::WalRecord;
 pub use compiled::{CompiledRule, LazyRule};
 pub use delta::{DeltaTracker, RelationDeltaStats};
 pub use engine::{
-    CompileError, Durability, Engine, EvalStrategy, Options, RuntimeError, StepResult, WalOptions,
+    CompileError, Durability, Engine, EngineRecovery, EvalStrategy, Options, RecoverError, RuntimeError, StepResult,
+    WalOptions,
 };
 pub use index::{Col, IndexRegistry, IndexSpec};
-pub use journal::{StoreOp, StoreRecovery};
 pub use log::{ExecEvent, ExecLog, Time, TupleId, TupleKind, TupleRecord};
 pub use memo::{PassHash, Prehashed};
 pub use store::{AddOutcome, DropOutcome, LiveTuple, Store};

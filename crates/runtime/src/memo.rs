@@ -25,12 +25,9 @@
 //! per event tuple that ever repeated. A hit mints the event and
 //! re-applies the effects in order, with fresh ids and the current time,
 //! through the store and log calls the drain makes: the log, the store
-//! with its support counts, the journal and the step result are what the
-//! drain writes. (The drain flushes the journal after every round, a hit
-//! once at the end: the same records, in fewer writes.) A hit that would
-//! cross [`crate::Options::max_derivations`] runs the drain instead, which
-//! fails where it fails; under a [`crate::Options::time_budget`] every
-//! step runs the drain.
+//! with its support counts and the step result are what the drain writes.
+//! A hit that would cross [`crate::Options::max_derivations`] runs the
+//! drain instead, which fails where it fails.
 //!
 //! [`crate::EvalStrategy::Pipelined`] keeps no memo: it is the reference
 //! every batch step, filed or replayed, is held to.
@@ -156,7 +153,7 @@ impl Engine {
     pub(crate) fn insert_event(&mut self, tuple: Tuple) -> Result<StepResult, RuntimeError> {
         let hash = self.log.hash_tuple(&tuple);
         let (tref, seen) = self.log.intern(&tuple, hash);
-        let memoize = seen && self.strategy() == EvalStrategy::Batch && self.opts.time_budget.is_none();
+        let memoize = seen && self.strategy() == EvalStrategy::Batch;
         let tuple = if memoize {
             match self.replay_filed(tuple, hash, tref) {
                 Ok(result) => return Ok(result),
@@ -183,7 +180,6 @@ impl Engine {
             let effects = self.memo.tape.as_slice().into();
             self.memo.filed.insert(hash, Filed { event: tref, derivations: result.derivations, effects });
         }
-        self.store.journal_flush();
         Ok(result)
     }
 
@@ -237,7 +233,6 @@ impl Engine {
             }
         }
         self.memo.body = body;
-        self.store.journal_flush();
         result
     }
 }

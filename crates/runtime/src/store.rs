@@ -1,12 +1,8 @@
 //! The tuple store: per-table, per-node materialized state with
 //! primary-key replacement and support counting.
 
-use crate::journal::{
-    decode_op, decode_snapshot, encode_snapshot, Journal, StoreOp, StoreRecovery,
-};
 use crate::log::{TupleId, TupleKind};
 use mpr_ndlog::{Schema, Tuple, Value};
-use mpr_storage::{StorageBackend, StorageError};
 use std::collections::HashMap;
 
 /// A live tuple instance held by the store.
@@ -17,14 +13,16 @@ pub struct LiveTuple {
     /// The tuple.
     pub tuple: Tuple,
     /// Number of base insertions currently supporting it.
-    pub base_count: u32,
-    /// Number of active derivations currently supporting it.
-    pub deriv_count: u32,
+    pub base_count: u64,
+    /// Number of active derivations currently supporting it. An
+    /// event-only derivation adds a unit per event that no deletion ever
+    /// takes back, so this grows with the traffic.
+    pub deriv_count: u64,
 }
 
 impl LiveTuple {
     /// Total support.
-    pub fn support(&self) -> u32 {
+    pub fn support(&self) -> u64 {
         self.base_count + self.deriv_count
     }
 
@@ -85,19 +83,7 @@ impl TableStore {
 pub struct Store {
     tables: HashMap<String, TableStore>,
     schemas: HashMap<String, Schema>,
-    /// Durability journal, when one is attached ([`Store::attach_journal`]).
-    /// `None` — the default — is exactly the pre-durability store: zero
-    /// cost, zero behavior change.
-    journal: Option<Journal>,
 }
-
-// The store (and so the engine that owns it) is plain owned data that a
-// caller may build on one thread and hand to another; the journal only
-// breaks that if a backend smuggles in non-Sync state, so pin it here.
-const _: fn() = || {
-    fn assert_sync<T: Sync + Send>() {}
-    assert_sync::<Store>();
-};
 
 impl Store {
     /// Empty store with a schema per table (tables not declared get
@@ -108,10 +94,7 @@ impl Store {
 
     /// Register the schema used for keying `table`.
     pub fn declare(&mut self, schema: Schema) {
-        self.schemas.insert(schema.table.clone(), schema.clone());
-        if self.journal.is_some() {
-            self.journal_op(&StoreOp::Declare(schema));
-        }
+        self.schemas.insert(schema.table.clone(), schema);
     }
 
     /// The declared schema of `table`, if any. An undeclared table is
@@ -141,21 +124,6 @@ impl Store {
         base: bool,
         next_tid: &mut dyn FnMut() -> TupleId,
     ) -> AddOutcome {
-        let out = self.add_inner(tuple, base, next_tid);
-        // Journal *after* mutating: a compaction triggered by this op must
-        // snapshot the post-op state, or the op's effect would be lost.
-        if self.journal.is_some() {
-            self.journal_op(&StoreOp::Add { tuple: tuple.clone(), base });
-        }
-        out
-    }
-
-    fn add_inner(
-        &mut self,
-        tuple: &Tuple,
-        base: bool,
-        next_tid: &mut dyn FnMut() -> TupleId,
-    ) -> AddOutcome {
         let key = self.key_of(tuple);
         // `entry` would clone the name of a table that, but once, exists.
         if !self.tables.contains_key(&tuple.table) {
@@ -178,8 +146,8 @@ impl Store {
             *live = LiveTuple {
                 tid,
                 tuple: tuple.clone(),
-                base_count: u32::from(base),
-                deriv_count: u32::from(!base),
+                base_count: u64::from(base),
+                deriv_count: u64::from(!base),
             };
             return AddOutcome::Replaced { old, new: tid };
         }
@@ -189,8 +157,8 @@ impl Store {
             LiveTuple {
                 tid,
                 tuple: tuple.clone(),
-                base_count: u32::from(base),
-                deriv_count: u32::from(!base),
+                base_count: u64::from(base),
+                deriv_count: u64::from(!base),
             },
         );
         AddOutcome::New(tid)
@@ -198,14 +166,6 @@ impl Store {
 
     /// Drop one unit of support for `tuple`.
     pub fn drop_support(&mut self, tuple: &Tuple, base: bool) -> DropOutcome {
-        let out = self.drop_inner(tuple, base);
-        if self.journal.is_some() && out != DropOutcome::Absent {
-            self.journal_op(&StoreOp::Drop { tuple: tuple.clone(), base });
-        }
-        out
-    }
-
-    fn drop_inner(&mut self, tuple: &Tuple, base: bool) -> DropOutcome {
         let key = self.key_of(tuple);
         let Some(ts) = self.tables.get_mut(&tuple.table) else {
             return DropOutcome::Absent;
@@ -245,14 +205,6 @@ impl Store {
     /// Forcibly remove an instance by exact tuple (used for replacement
     /// cascades). Returns its id if present.
     pub fn evict(&mut self, tuple: &Tuple) -> Option<TupleId> {
-        let out = self.evict_inner(tuple);
-        if self.journal.is_some() && out.is_some() {
-            self.journal_op(&StoreOp::Evict { tuple: tuple.clone() });
-        }
-        out
-    }
-
-    fn evict_inner(&mut self, tuple: &Tuple) -> Option<TupleId> {
         let key = self.key_of(tuple);
         let ts = self.tables.get_mut(&tuple.table)?;
         let bucket = ts.by_node.get_mut(&tuple.loc)?;
@@ -336,76 +288,11 @@ impl Store {
         self.len() == 0
     }
 
-    // ------------------------------------------------------------------
-    // durability
-
-    /// Attach a durability journal. From this point every effectful
-    /// mutation is appended as a [`StoreOp`] record; a snapshot compacts
-    /// the log every `compact_every` ops (0 = never).
-    ///
-    /// Existing state is made durable up front: an empty store journals
-    /// its schema declarations (cheap), a populated one installs a full
-    /// snapshot — so the backend always describes the complete store, and
-    /// reattaching after [`Store::recover`] doubles as log compaction.
-    pub fn attach_journal(&mut self, backend: Box<dyn StorageBackend>, compact_every: usize) {
-        let mut journal = Journal::new(backend, compact_every);
-        if self.is_empty() {
-            for schema in self.sorted_schemas() {
-                journal.append_op(&StoreOp::Declare(schema));
-            }
-        } else {
-            let snap = encode_snapshot(&self.sorted_schemas(), &self.dump());
-            journal.install_snapshot(&snap);
-        }
-        self.journal = Some(journal);
-    }
-
-    /// Why durability shut itself off (first backend failure), if it did.
-    /// `None` means healthy — or that no journal was ever attached.
-    pub fn durability_degraded(&self) -> Option<&str> {
-        self.journal.as_ref().and_then(Journal::degraded)
-    }
-
-    /// `(records in current WAL segment, WAL bytes)`, when journaling.
-    pub fn journal_stats(&self) -> Option<(usize, u64)> {
-        self.journal.as_ref().map(Journal::stats)
-    }
-
-    /// The attached backend's stable name (`"mem"`, `"wal"`), if any.
-    pub fn backend_name(&self) -> Option<&'static str> {
-        self.journal.as_ref().map(Journal::backend_name)
-    }
-
-    /// Flush journaled writes (called at step and round boundaries).
-    pub fn journal_flush(&mut self) {
-        if let Some(j) = &mut self.journal {
-            j.flush();
-        }
-    }
-
-    fn journal_op(&mut self, op: &StoreOp) {
-        if let Some(j) = &mut self.journal {
-            j.append_op(op);
-        }
-        if self.journal.as_ref().is_some_and(Journal::compaction_due) {
-            let snap = encode_snapshot(&self.sorted_schemas(), &self.dump());
-            if let Some(j) = &mut self.journal {
-                j.install_snapshot(&snap);
-            }
-        }
-    }
-
-    fn sorted_schemas(&self) -> Vec<Schema> {
-        let mut v: Vec<Schema> = self.schemas.values().cloned().collect();
-        v.sort_by(|a, b| a.table.cmp(&b.table));
-        v
-    }
-
     /// Full deterministic dump: every live tuple with its
     /// `(base_count, deriv_count)`, sorted by tuple. This is the state the
     /// recovery harness compares for prefix consistency.
-    pub fn dump(&self) -> Vec<(Tuple, u32, u32)> {
-        let mut v: Vec<(Tuple, u32, u32)> = self
+    pub fn dump(&self) -> Vec<(Tuple, u64, u64)> {
+        let mut v: Vec<(Tuple, u64, u64)> = self
             .tables
             .values()
             .flat_map(|ts| ts.by_node.values())
@@ -429,81 +316,6 @@ impl Store {
             .collect();
         v.sort();
         v
-    }
-
-    /// Replay one journaled op (no re-journaling happens unless a journal
-    /// is attached to `self`, which recovery does not do).
-    pub fn apply_op(&mut self, op: &StoreOp, next_tid: &mut dyn FnMut() -> TupleId) {
-        match op {
-            StoreOp::Declare(s) => self.declare(s.clone()),
-            StoreOp::Add { tuple, base } => {
-                self.add(tuple, *base, next_tid);
-            }
-            StoreOp::Drop { tuple, base } => {
-                self.drop_support(tuple, *base);
-            }
-            StoreOp::Evict { tuple } => {
-                self.evict(tuple);
-            }
-        }
-    }
-
-    /// Restore a snapshot entry verbatim (counts are state, not requests).
-    fn restore_entry(&mut self, tuple: Tuple, base: u32, deriv: u32, tid: TupleId) {
-        let key = self.key_of(&tuple);
-        let ts = self.tables.entry(tuple.table.clone()).or_default();
-        ts.by_node
-            .entry(tuple.loc.clone())
-            .or_default()
-            .insert(key, LiveTuple { tid, tuple, base_count: base, deriv_count: deriv });
-    }
-
-    /// Rebuild a store from a backend's durable state: restore the newest
-    /// snapshot, then replay the WAL ops in order. Damage the backend
-    /// already survived (torn tail, corrupt records) arrives as the typed
-    /// status inside [`StoreRecovery`]; records that fail to *decode*
-    /// (format drift past the checksum) stop the replay at the last good
-    /// prefix and are counted, never panicked on.
-    pub fn recover(
-        backend: &mut dyn StorageBackend,
-    ) -> Result<(Store, StoreRecovery), StorageError> {
-        let recovered = backend.recover()?;
-        let mut store = Store::new();
-        let mut report = StoreRecovery {
-            status: recovered.status,
-            snapshot_restored: false,
-            ops_applied: 0,
-            ops_skipped: 0,
-        };
-        let mut next: TupleId = 0;
-        if let Some(snap) = &recovered.snapshot {
-            let (schemas, entries) = decode_snapshot(snap)
-                .map_err(|reason| StorageError::Corrupt { offset: 0, reason })?;
-            for s in schemas {
-                store.declare(s);
-            }
-            for (tuple, base, deriv) in entries {
-                let tid = next;
-                next += 1;
-                store.restore_entry(tuple, base, deriv, tid);
-            }
-            report.snapshot_restored = true;
-        }
-        for rec in &recovered.records {
-            match decode_op(rec) {
-                Ok(op) => {
-                    store.apply_op(&op, &mut || {
-                        let t = next;
-                        next += 1;
-                        t
-                    });
-                    report.ops_applied += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        report.ops_skipped = recovered.records.len() - report.ops_applied;
-        Ok((store, report))
     }
 }
 
@@ -594,5 +406,21 @@ mod tests {
         assert_eq!(s.evict(&t(&[1, 3])), None); // payload mismatch
         assert_eq!(s.evict(&t(&[1, 2])), Some(0));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn support_past_u32_max_stays_alive() {
+        // An event-only derivation into a live entry at 2 M packet-ins a
+        // second reaches 2^32 units in about 36 minutes.
+        let mut s = Store::new();
+        let mut tid = || 0;
+        s.add(&t(&[1, 2]), false, &mut tid);
+        let live = s.tables.get_mut("T").unwrap().by_node.get_mut(&Value::Int(1)).unwrap();
+        live.values_mut().next().unwrap().deriv_count = u32::MAX.into();
+        assert_eq!(s.add(&t(&[1, 2]), false, &mut tid), AddOutcome::SupportOnly(0));
+        assert_eq!(s.add(&t(&[1, 2]), true, &mut tid), AddOutcome::SupportOnly(0));
+        assert!(s.get(&t(&[1, 2])).unwrap().support() > u32::MAX.into());
+        assert_eq!(s.drop_support(&t(&[1, 2]), true), DropOutcome::StillAlive);
+        assert!(s.contains(&t(&[1, 2])));
     }
 }

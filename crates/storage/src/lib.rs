@@ -1,33 +1,29 @@
-//! # mpr-storage — pluggable durable storage for tuples and provenance
+//! # mpr-storage — the write-ahead log under a durable engine
 //!
-//! The paper's repair loop assumes the provenance graph and the tuple store
-//! survive long enough to diagnose and backtest; until this crate, both
-//! lived only in process memory and died with it. [`StorageBackend`] is the
-//! `Send + Sync` seam behind `mpr_runtime::store::Store` and
-//! `mpr_provenance`'s graph snapshots:
+//! The paper's repair loop explains a symptom from the controller's
+//! history (§5.4) and backtests by re-running recorded inputs (§4). An
+//! engine built with `mpr_runtime::Durability::Wal` writes what it was
+//! given to a [`WalBackend`], so a restart can re-run those inputs and get
+//! its history back.
 //!
-//! - [`MemBackend`] — an in-process record buffer. Today's behavior, the
-//!   zero-cost default, and the oracle the recovery tests replay prefixes
-//!   through.
-//! - [`WalBackend`] — a checksummed (CRC-32 per record), length-prefixed
-//!   append-only log with epoch-numbered compacted snapshots. Recovery on
-//!   open replays the newest valid snapshot plus its WAL, detects torn or
-//!   truncated tails and corrupt records, truncates at the tear, and
-//!   reports the damage as a typed [`Recovery::RecoveredWithLoss`] instead
-//!   of panicking.
+//! [`WalBackend`] is a checksummed (CRC-32 per record), length-prefixed
+//! append-only log, one `wal.log` per directory. Opening it reads the log
+//! back, detects a torn or truncated tail or a corrupt record, truncates at
+//! the tear, and reports the damage as a typed
+//! [`Recovery::RecoveredWithLoss`] instead of panicking. Writes are
+//! buffered by the OS, not synced: the log survives the death of the
+//! process, not the loss of power.
 //!
-//! The backend stores opaque byte records; what a record *means* (a store
-//! mutation, a provenance snapshot) is the caller's codec. This keeps the
-//! crate dependency-free and the trait object-safe.
+//! The backend stores opaque byte records; what a record *means* is the
+//! caller's codec. This keeps the crate dependency-free and the trait
+//! object-safe.
 
 #![warn(missing_docs)]
 
 pub mod crc;
-pub mod mem;
 pub mod wal;
 
 pub use crc::crc32;
-pub use mem::MemBackend;
 pub use wal::{WalBackend, WalConfig};
 
 use std::fmt;
@@ -77,7 +73,7 @@ impl std::error::Error for StorageError {}
 /// What happened to the durable state between the last write and this open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Recovery {
-    /// Every byte written was read back: snapshot and WAL verified clean.
+    /// Every byte written was read back and verified clean.
     Clean,
     /// Damage was found and survived: the state is the longest valid prefix,
     /// with the tail truncated away. Never a panic.
@@ -106,19 +102,16 @@ pub struct LossReport {
     pub valid_records: usize,
     /// Bytes dropped from the tear to the end of the log.
     pub dropped_bytes: u64,
-    /// Human-readable cause of the first damage encountered
-    /// (torn tail, checksum mismatch, stale epoch, corrupt snapshot...).
+    /// Human-readable cause of the damage (torn tail, checksum
+    /// mismatch...).
     pub reason: String,
 }
 
-/// Everything a backend recovered at open: the newest valid snapshot (if
-/// one was ever installed), the WAL records appended after it, and whether
-/// any of it had to be dropped.
+/// Everything a backend recovered at open: the records appended so far
+/// and whether any had to be dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovered {
-    /// The compacted snapshot the records apply on top of, if any.
-    pub snapshot: Option<Vec<u8>>,
-    /// WAL records after the snapshot, oldest first.
+    /// The records, oldest first.
     pub records: Vec<Vec<u8>>,
     /// Clean or lossy.
     pub status: Recovery,
@@ -127,44 +120,24 @@ pub struct Recovered {
 impl Recovered {
     /// An empty, clean state (fresh open).
     pub fn empty() -> Self {
-        Recovered { snapshot: None, records: Vec::new(), status: Recovery::Clean }
+        Recovered { records: Vec::new(), status: Recovery::Clean }
     }
 }
 
-/// A durable (or deliberately volatile) record log with snapshot
-/// compaction. Object-safe and `Send + Sync` so a store that owns one
-/// stays movable and shareable across threads.
+/// A durable record log. Object-safe and `Send + Sync` so an engine that
+/// owns one stays movable and shareable across threads.
 ///
 /// Contract:
 /// - [`StorageBackend::append`] preserves order; records are opaque bytes.
-/// - [`StorageBackend::install_snapshot`] atomically replaces
-///   `snapshot + all records so far` with the given snapshot; the WAL
-///   restarts empty after it.
 /// - [`StorageBackend::recover`] returns exactly what a crash-and-reopen
 ///   at this instant would see (after [`StorageBackend::flush`]).
 pub trait StorageBackend: Send + Sync + fmt::Debug {
-    /// Append one record. Returns the zero-based sequence number of the
-    /// record within the current WAL segment.
+    /// Append one record. Returns its zero-based sequence number.
     fn append(&mut self, record: &[u8]) -> Result<u64, StorageError>;
 
-    /// Push buffered writes to the OS (and to disk, when the backend is
-    /// configured to fsync).
+    /// Push buffered writes to the OS.
     fn flush(&mut self) -> Result<(), StorageError>;
-
-    /// Replace the durable state with `snapshot`, emptying the WAL. The
-    /// replacement is atomic: a crash at any point leaves either the old
-    /// state or the new one recoverable, never a mix.
-    fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError>;
 
     /// Read back the durable state as of the last [`StorageBackend::flush`].
     fn recover(&mut self) -> Result<Recovered, StorageError>;
-
-    /// Bytes currently in the WAL segment (excluding the snapshot).
-    fn wal_bytes(&self) -> u64;
-
-    /// Records appended to the current WAL segment since the last snapshot.
-    fn record_count(&self) -> usize;
-
-    /// Stable backend name for reports and artifacts.
-    fn name(&self) -> &'static str;
 }

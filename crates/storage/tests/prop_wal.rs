@@ -1,5 +1,5 @@
 //! Property tests over WAL damage: truncated tails, bit-flipped bytes,
-//! duplicate snapshots + stale WAL segments, and empty/fresh opens. Every
+//! garbage logs, and empty/fresh opens. Every
 //! case must come back as a clean open or a typed `RecoveredWithLoss` —
 //! never a panic — and what *is* recovered must be a prefix of what was
 //! written.
@@ -8,7 +8,7 @@ use std::fs::{self, OpenOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpr_storage::wal::{SNAPSHOT_MAGIC, WalBackend, WalConfig};
+use mpr_storage::wal::{WalBackend, WalConfig};
 use mpr_storage::{crc32, Recovery, StorageBackend};
 use proptest::prelude::*;
 
@@ -22,20 +22,16 @@ fn records() -> impl Strategy<Value = Vec<Vec<u8>>> {
     prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 0..12)
 }
 
-/// Write `recs` through a fresh backend, optionally installing `snapshot`
-/// first, and return the WAL file path + total WAL size.
-fn written_wal(dir: &PathBuf, snapshot: Option<&[u8]>, recs: &[Vec<u8>]) -> (PathBuf, u64) {
+/// Write `recs` through a fresh backend and return the WAL file path +
+/// total WAL size.
+fn written_wal(dir: &PathBuf, recs: &[Vec<u8>]) -> (PathBuf, u64) {
     let _ = fs::remove_dir_all(dir);
     let mut w = WalBackend::open(WalConfig::new(dir)).unwrap();
-    if let Some(s) = snapshot {
-        w.install_snapshot(s).unwrap();
-    }
     for r in recs {
         w.append(r).unwrap();
     }
     w.flush().unwrap();
-    let epoch = w.epoch();
-    let path = dir.join(format!("wal.{epoch}.log"));
+    let path = dir.join("wal.log");
     let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     (path, len)
 }
@@ -46,7 +42,7 @@ proptest! {
     #[test]
     fn truncation_yields_a_prefix(recs in records(), cut_ppm in 0u64..=1_000_000) {
         let dir = scratch("trunc");
-        let (wal, len) = written_wal(&dir, None, &recs);
+        let (wal, len) = written_wal(&dir, &recs);
         let cut = len * cut_ppm / 1_000_000;
         OpenOptions::new().write(true).open(&wal).unwrap().set_len(cut).unwrap();
 
@@ -84,7 +80,7 @@ proptest! {
     fn single_bit_flip_is_detected_or_truncated(recs in records(), pos_ppm in 0u64..=1_000_000, bit in 0u32..8) {
         prop_assume!(!recs.is_empty());
         let dir = scratch("flip");
-        let (wal, len) = written_wal(&dir, None, &recs);
+        let (wal, len) = written_wal(&dir, &recs);
         prop_assume!(len > 0);
         let pos = (len - 1) * pos_ppm / 1_000_000;
         let mut bytes = fs::read(&wal).unwrap();
@@ -112,54 +108,6 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A crashed compaction can leave a duplicate snapshot and a stale WAL
-    /// from the previous epoch lying around; recovery must prefer the
-    /// newest valid snapshot, prune the strays, and never panic. If the
-    /// newest snapshot is corrupted too, it must fall back with loss.
-    #[test]
-    fn stale_segments_and_duplicate_snapshots(
-        recs in records(),
-        stale in records(),
-        corrupt_newest in any::<bool>(),
-    ) {
-        let dir = scratch("stale");
-        let (_, _) = written_wal(&dir, Some(b"epoch1-state"), &recs);
-        // Resurrect a stale epoch-0 WAL as a crashed compaction would.
-        let mut stale_bytes = Vec::new();
-        for r in &stale {
-            stale_bytes.extend_from_slice(&(r.len() as u32).to_le_bytes());
-            stale_bytes.extend_from_slice(&crc32(r).to_le_bytes());
-            stale_bytes.extend_from_slice(r);
-        }
-        fs::write(dir.join("wal.0.log"), &stale_bytes).unwrap();
-        // And a leftover staging file.
-        fs::write(dir.join("snapshot.tmp"), b"half-written").unwrap();
-
-        if corrupt_newest {
-            let snap = dir.join("snapshot.1.bin");
-            let mut b = fs::read(&snap).unwrap();
-            let last = b.len() - 1;
-            b[last] ^= 0x80;
-            fs::write(&snap, &b).unwrap();
-        }
-
-        let mut w = WalBackend::open(WalConfig::new(&dir)).unwrap();
-        let r = w.recover().unwrap();
-        if corrupt_newest {
-            // Fell back to the bare epoch-0 WAL, reporting the loss.
-            prop_assert!(!r.status.is_clean());
-            prop_assert_eq!(r.snapshot, None);
-            prop_assert_eq!(&r.records[..], &stale[..]);
-        } else {
-            prop_assert!(r.status.is_clean());
-            prop_assert_eq!(r.snapshot.as_deref(), Some(&b"epoch1-state"[..]));
-            prop_assert_eq!(&r.records[..], &recs[..]);
-            prop_assert!(!dir.join("wal.0.log").exists(), "stale WAL must be pruned");
-        }
-        prop_assert!(!dir.join("snapshot.tmp").exists(), "staging file must be pruned");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// Opening an empty or absent directory is always a clean, empty open,
     /// and appending afterwards round-trips.
     #[test]
@@ -169,7 +117,6 @@ proptest! {
         let mut w = WalBackend::open(WalConfig::new(&dir)).unwrap();
         let r = w.recover().unwrap();
         prop_assert!(r.status.is_clean());
-        prop_assert!(r.snapshot.is_none());
         prop_assert!(r.records.is_empty());
         for rec in &recs {
             w.append(rec).unwrap();
@@ -183,14 +130,14 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Garbage files in the directory (not WAL/snapshot named) are ignored;
-    /// an all-garbage "WAL" is fully truncated with loss, never a panic.
+    /// Other files in the directory are ignored; an all-garbage "WAL" is
+    /// fully truncated with loss, never a panic.
     #[test]
     fn garbage_wal_never_panics(noise in prop::collection::vec(any::<u8>(), 1..200)) {
         let dir = scratch("noise");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("wal.0.log"), &noise).unwrap();
+        fs::write(dir.join("wal.log"), &noise).unwrap();
         fs::write(dir.join("unrelated.txt"), b"ignore me").unwrap();
 
         let mut w = WalBackend::open(WalConfig::new(&dir)).unwrap();
@@ -205,29 +152,4 @@ proptest! {
         prop_assert_eq!(&reframed[..], &noise[..reframed.len()]);
         let _ = fs::remove_dir_all(&dir);
     }
-
-    /// The snapshot file's own integrity: any single-bit flip in it is
-    /// detected (magic, checksum, or length), falling back without panic.
-    #[test]
-    fn snapshot_bit_flip_detected(payload in prop::collection::vec(any::<u8>(), 1..60), pos_ppm in 0u64..=1_000_000, bit in 0u32..8) {
-        let dir = scratch("snapflip");
-        let (_, _) = written_wal(&dir, Some(&payload), &[]);
-        let snap = dir.join("snapshot.1.bin");
-        let mut bytes = fs::read(&snap).unwrap();
-        let pos = ((bytes.len() as u64 - 1) * pos_ppm / 1_000_000) as usize;
-        bytes[pos] ^= 1 << bit;
-        fs::write(&snap, &bytes).unwrap();
-
-        let mut w = WalBackend::open(WalConfig::new(&dir)).unwrap();
-        let r = w.recover().unwrap();
-        prop_assert!(!r.status.is_clean(), "flipped snapshot accepted as clean");
-        prop_assert_eq!(r.snapshot, None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
-/// Non-proptest sanity check: the snapshot magic is what the docs say.
-#[test]
-fn snapshot_magic_is_mps1() {
-    assert_eq!(&SNAPSHOT_MAGIC, b"MPS1");
 }

@@ -11,6 +11,9 @@
 //! those from its step memo, the pipelined reference evaluates each, and
 //! both must write this log.
 //!
+//! A restart keeps that history: the controller's WAL holds what its
+//! engine was given, and re-running it writes the `stream` log again.
+//!
 //! The `ship` row was captured while every event was still a row of its
 //! own, before the log folded the rows other rows imply (an inserted
 //! event's three, a shipped derivation's `Send` and `Receive`) into one;
@@ -20,7 +23,7 @@ mod common;
 
 use sdn_meta_repair::core::scenarios::Scenario;
 use sdn_meta_repair::ndlog::{parse_program, Tuple, Value};
-use sdn_meta_repair::runtime::{Engine, ExecLog, Options};
+use sdn_meta_repair::runtime::{Durability, Engine, ExecLog, Options, WalOptions};
 use sdn_meta_repair::sdn::controller::{Controller, NdlogController};
 use sdn_meta_repair::sdn::Simulation;
 use sdn_meta_repair::EvalStrategy;
@@ -182,4 +185,29 @@ fn logs_read_back_as_the_owning_layout_wrote_them() {
     let want: Vec<(String, (usize, usize, u64))> =
         GOLDEN.iter().map(|(id, d)| (id.to_string(), *d)).collect();
     assert_eq!(got, want);
+}
+
+#[test]
+fn a_restarted_stream_reads_back_the_same_history() {
+    let parent = std::env::temp_dir().join(format!("mpr-stream-wal-{}", std::process::id()));
+    let seeds = Scenario::q1_copy_paste().seeds.len();
+    for strategy in [EvalStrategy::Batch, EvalStrategy::Pipelined] {
+        let opts = Options { strategy, ..Options::default() };
+        let wal = Durability::Wal(WalOptions::new(&parent));
+        let mut ctrl = common::q1_controller(Options { durability: wal, ..opts.clone() });
+        let mut replies = Vec::new();
+        for msg in common::q1_packet_ins(2_000) {
+            replies.clear();
+            ctrl.on_packet_in(&msg, &mut replies);
+        }
+        let live = ctrl.engine();
+        let dir = live.wal_dir().expect("the WAL opened");
+        let (recovered, report) = Engine::recover(live.program().clone(), opts, dir).unwrap();
+        assert!(report.status.is_clean());
+        assert_eq!(report.inputs, seeds + 2_000, "{strategy}");
+        assert!(recovered.store().dump() == live.store().dump(), "{strategy}: store diverged");
+        assert!(recovered.log() == live.log(), "{strategy}: log diverged");
+        assert_eq!(digest(recovered.log()), GOLDEN[10].1, "{strategy}");
+    }
+    let _ = std::fs::remove_dir_all(&parent);
 }
