@@ -672,7 +672,7 @@ impl<'a> Search<'a> {
         self.emit(Candidate {
             repair: Repair::InsertTuple(tuple.clone()),
             cost: cost::INSERT_TUPLE,
-            description: format!("Manually inserting a {} entry", atom.table),
+            description: format!("Manually inserting the {} tuple {tuple}", atom.table),
             trace: vec![
                 format!("NEXIST[Tuple({goal})]"),
                 format!("NDERIVE[{} via meta rule h2]", rule.id),

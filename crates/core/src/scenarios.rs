@@ -90,23 +90,10 @@ pub struct Scenario {
     pub budget: SearchBudget,
     /// Simulator configuration.
     pub sim: SimConfig,
-    /// Controller language the program was written in (§5.8).
-    pub language: Language,
     /// Does the language's syntax admit operator repairs? Pyretic's
     /// `match` is equality-only (§5.8), so operator mutations are not
     /// legal Pyretic repairs.
     pub op_repairs: bool,
-}
-
-/// Controller language of a scenario (§5.8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Language {
-    /// RapidNet-style declarative NDlog.
-    NDlog,
-    /// Mini-Trema (imperative, Ruby-flavored).
-    Trema,
-    /// Mini-Pyretic (NetCore policy algebra).
-    Pyretic,
 }
 
 fn v(i: i64) -> Value {
@@ -226,7 +213,6 @@ impl Scenario {
             reference_fix: "Changing Swi == 2 in r7 to Swi == 3".into(),
             budget: SearchBudget::default(),
             sim: SimConfig::default(),
-            language: Language::NDlog,
             op_repairs: true,
         }
     }
@@ -287,7 +273,6 @@ impl Scenario {
             reference_fix: "Changing Sip < 6 in r1 to Sip < 7".into(),
             budget: SearchBudget { max_candidates: 12, ..SearchBudget::default() },
             sim: SimConfig::default(),
-            language: Language::NDlog,
             op_repairs: true,
         }
     }
@@ -355,7 +340,6 @@ impl Scenario {
             reference_fix: "Changing Sip > 3 in f1 to Sip > 2".into(),
             budget: SearchBudget { max_candidates: 12, ..SearchBudget::default() },
             sim: SimConfig::default(),
-            language: Language::NDlog,
             op_repairs: true,
         }
     }
@@ -401,7 +385,6 @@ impl Scenario {
             reference_fix: "Copying r5 and replacing head with PacketOut".into(),
             budget: SearchBudget { max_cost: 7, max_candidates: 13, consts_per_site: 3 },
             sim: SimConfig::default(),
-            language: Language::NDlog,
             op_repairs: true,
         }
     }
@@ -471,7 +454,6 @@ impl Scenario {
             reference_fix: "Changing Lip := 0 in f2 to Lip := Sip".into(),
             budget: SearchBudget { max_cost: 7, max_candidates: 9, consts_per_site: 2 },
             sim: SimConfig::default(),
-            language: Language::NDlog,
             op_repairs: true,
         }
     }
@@ -523,7 +505,6 @@ impl Scenario {
             reference_fix: "Deleting the WebLoadBalancer tuple".into(),
             budget: SearchBudget::default(),
             sim: SimConfig::default(),
-            language: Language::NDlog,
             op_repairs: true,
         }
     }
@@ -662,7 +643,6 @@ impl Scenario {
             s.reference_fix = "Changing Swi == 2 in t7 to Swi == 3".into();
         }
         s.id = format!("{}-trema", self.id);
-        s.language = Language::Trema;
         s
     }
 
@@ -680,7 +660,6 @@ impl Scenario {
             s.reference_fix = "Changing Swi == 2 in py3 to Swi == 3".into();
         }
         s.id = format!("{}-pyretic", self.id);
-        s.language = Language::Pyretic;
         s.op_repairs = false;
         Some(s)
     }

@@ -3,8 +3,8 @@
 //!
 //! - (a) a missing tuple whose rule joins an empty state table under a
 //!   selection on that table's columns: the pool solves the columns the
-//!   join left free, and the explorer offers "Manually inserting a …
-//!   entry" with the solved values;
+//!   join left free, and the explorer offers "Manually inserting the …
+//!   tuple …" with the solved values, once per distinct tuple;
 //! - (b) an existing tuple (Fig. 7 style) whose base-tuple column a
 //!   selection constrains: the pool holds the negated selection, and the
 //!   explorer offers a `ChangeTuple` to the first value that breaks it.
@@ -64,7 +64,7 @@ fn an_empty_state_table_is_filled_from_the_pool() {
     assert_eq!(
         rendered(&candidates),
         [
-            r#"3 | Manually inserting a Allowed entry | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(79), Int(3)] })"#,
+            r#"3 | Manually inserting the Allowed tuple Allowed(@'C',80,79,3) | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(79), Int(3)] })"#,
             r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(1), args: [Int(80), Int(2)] })"#,
         ]
     );
@@ -91,8 +91,33 @@ fn a_selection_on_a_variable_no_atom_binds_draws_from_the_domain() {
     assert_eq!(
         rendered(&candidates),
         [
-            r#"3 | Manually inserting a Allowed entry | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(-4)] })"#,
+            r#"3 | Manually inserting the Allowed tuple Allowed(@'C',80,-4) | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(-4)] })"#,
             r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(1), args: [Int(80), Int(2)] })"#,
+        ]
+    );
+}
+
+/// Two rules join the empty `Cfg` with its columns swapped, so the missing
+/// `FlowTable(@3,80,2)` needs `Cfg(@'C',80,2)` under one and
+/// `Cfg(@'C',2,80)` under the other.
+const SITE_A_SWAPPED: &str = r"
+    materialize(PacketIn, event, 2, keys()).
+    materialize(Cfg, infinity, 2, keys(0,1)).
+    materialize(FlowTable, infinity, 2, keys(0,1)).
+    r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Cfg(@C,Hdr,Prt).
+    r2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Cfg(@C,Prt,Hdr).
+";
+
+#[test]
+fn two_insertions_into_one_table_are_two_candidates() {
+    let w = world(SITE_A_SWAPPED, vec![tuple("PacketIn", &[3, 80])], vec![], vec![]);
+    let (candidates, _) = generate_missing(&w, &flow_goal(3, 80, 2));
+    assert_eq!(
+        rendered(&candidates),
+        [
+            r#"3 | Manually inserting the Cfg tuple Cfg(@'C',2,80) | InsertTuple(Tuple { table: "Cfg", loc: Str("C"), args: [Int(2), Int(80)] })"#,
+            r#"3 | Manually inserting the Cfg tuple Cfg(@'C',80,2) | InsertTuple(Tuple { table: "Cfg", loc: Str("C"), args: [Int(80), Int(2)] })"#,
+            r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(3), args: [Int(80), Int(2)] })"#,
         ]
     );
 }
@@ -160,7 +185,7 @@ fn an_extreme_constant_has_no_neighbour_past_the_range() {
             r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi <= 9223372036854775807 | Patch(Patch { edits: [SetSelectionOp { rule: "r1", sel: 0, op: Le }] })"#,
             r#"2 | Changing Swi == 9223372036854775807 in r1 to Swi == 1 | Patch(Patch { edits: [SetSelectionExpr { rule: "r1", sel: 0, side: Rhs, expr: Const(Int(1)) }] })"#,
             r#"3 | Deleting Swi == 9223372036854775807 in r1 | Patch(Patch { edits: [DeleteSelection { rule: "r1", sel: 0 }] })"#,
-            r#"3 | Manually inserting a Allowed entry | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(0)] })"#,
+            r#"3 | Manually inserting the Allowed tuple Allowed(@'C',80,0) | InsertTuple(Tuple { table: "Allowed", loc: Str("C"), args: [Int(80), Int(0)] })"#,
             r#"3 | Manually installing a flow entry | InsertTuple(Tuple { table: "FlowTable", loc: Int(1), args: [Int(80), Int(2)] })"#,
         ]
     );

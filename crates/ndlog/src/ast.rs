@@ -36,9 +36,6 @@ impl CmpOp {
     /// enumerate operator mutations).
     pub const ALL: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
 
-    /// The four µDlog operators of Fig. 3 (`==`, `!=`, `<`, `>`).
-    pub const UDLOG: [CmpOp; 4] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Gt];
-
     /// Evaluate the comparison on two values. Integers compare numerically;
     /// strings and booleans support all orderings via their `Ord` instance
     /// (lexicographic for strings). Mixed-type comparisons are equal-never /

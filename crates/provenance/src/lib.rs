@@ -4,10 +4,9 @@
 //! negative provenance graphs over NDlog executions, in the style of
 //! ExSPAN/SNP/Y! — the systems the paper builds on.
 //!
-//! - [`vertex::Vertex`] — the §3.1 vertex alphabet (EXIST, INSERT, DELETE,
-//!   DERIVE, UNDERIVE, APPEAR, DISAPPEAR, SEND, RECEIVE) plus negative
-//!   twins (NEXIST, NDERIVE, NINSERT, NAPPEAR) and failed-selection
-//!   vertices;
+//! - [`vertex::Vertex`] — the §3.1 vertices an explanation builds (EXIST,
+//!   INSERT, DERIVE, APPEAR, SEND, RECEIVE) plus negative twins (NEXIST,
+//!   NDERIVE, NINSERT, NAPPEAR) and failed-selection vertices;
 //! - [`graph::explain_exist`] — "why does this tuple exist?" (positive);
 //! - [`graph::explain_absent`] — "why is this tuple missing?" (negative,
 //!   diagnosis-flavored: all failing rules are explained);

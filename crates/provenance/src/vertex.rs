@@ -95,15 +95,6 @@ pub enum Vertex {
         /// The tuple.
         tuple: Tuple,
     },
-    /// `DELETE(t, N, τ)`: base tuple τ was deleted.
-    Delete {
-        /// Timestamp.
-        at: Time,
-        /// Node.
-        node: Value,
-        /// The tuple.
-        tuple: Tuple,
-    },
     /// `DERIVE(t, N, τ)` via `rule`.
     Derive {
         /// Timestamp.
@@ -115,28 +106,8 @@ pub enum Vertex {
         /// The derived tuple.
         tuple: Tuple,
     },
-    /// `UNDERIVE(t, N, τ)` via `rule`.
-    Underive {
-        /// Timestamp.
-        at: Time,
-        /// Node.
-        node: Value,
-        /// Rule id.
-        rule: String,
-        /// The underived tuple.
-        tuple: Tuple,
-    },
     /// `APPEAR(t, N, τ)`.
     Appear {
-        /// Timestamp.
-        at: Time,
-        /// Node.
-        node: Value,
-        /// The tuple.
-        tuple: Tuple,
-    },
-    /// `DISAPPEAR(t, N, τ)`.
-    Disappear {
         /// Timestamp.
         at: Time,
         /// Node.
@@ -238,17 +209,10 @@ impl Vertex {
                 None => format!("EXIST([{from},now], @{node}, {tuple})"),
             },
             Vertex::Insert { at, node, tuple } => format!("INSERT({at}, @{node}, {tuple})"),
-            Vertex::Delete { at, node, tuple } => format!("DELETE({at}, @{node}, {tuple})"),
             Vertex::Derive { at, node, rule, tuple } => {
                 format!("DERIVE({at}, @{node}, {rule}, {tuple})")
             }
-            Vertex::Underive { at, node, rule, tuple } => {
-                format!("UNDERIVE({at}, @{node}, {rule}, {tuple})")
-            }
             Vertex::Appear { at, node, tuple } => format!("APPEAR({at}, @{node}, {tuple})"),
-            Vertex::Disappear { at, node, tuple } => {
-                format!("DISAPPEAR({at}, @{node}, {tuple})")
-            }
             Vertex::Send { at, from, to, tuple, positive } => {
                 format!("SEND({at}, {from}->{to}, {}{tuple})", if *positive { "+" } else { "-" })
             }

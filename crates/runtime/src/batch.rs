@@ -13,17 +13,18 @@
 //! if it is new ([`probed_indexes`]).
 //!
 //! At runtime, `Engine::drain_batch` runs the classic semi-naive rounds:
-//! the whole pending delta becomes the *recent* partition
-//! ([`crate::delta`]), every delta tuple fires its triggers against index
-//! probes, and tuples produced during the round form the next round's
-//! delta. The positional discipline makes each new body combination fire
-//! once per round: with the delta bound at body position `i`, an atom at
-//! position `j > i` may only match tuples *outside the current round's
-//! recent partition* (stable tuples, or a suspended outer round's recent
-//! ones), while positions `j < i` may match anything already merged —
-//! the mirror-image combination fires when the later tuple is the delta.
-//! Tuples still pending (produced in the round being processed) are
-//! invisible to every probe; they join as next-round deltas.
+//! the whole pending delta opens a round ([`crate::delta`]), every delta
+//! tuple fires its triggers against index probes, and tuples produced
+//! during the round form the next round's delta. The positional
+//! discipline makes each new body combination fire once per round: with
+//! the delta bound at body position `i`, an atom at position `j > i` may
+//! only match tuples *merged* before the current round (by a finished
+//! round, or a suspended outer one), while positions `j < i` may also
+//! match the current round's — the mirror-image combination fires when
+//! the later tuple is the delta. Tuples still pending (produced in the
+//! round being processed) are invisible to every probe; they join as
+//! next-round deltas. A drain cut short by its budget merges what it
+//! produced but never fired, so later steps' joins see it.
 //!
 //! A firing (`Engine::fire_batch`) allocates nothing per variable and
 //! nothing per join candidate: the partial matches of a join level live
@@ -204,9 +205,9 @@ pub(crate) struct JoinScratch {
 }
 
 impl Engine {
-    /// Batch propagation: promote the whole pending delta to a round's
-    /// recent partition, fire every trigger through index probes, repeat
-    /// with whatever the round produced until nothing is pending.
+    /// Batch propagation: open a round over the whole pending delta, fire
+    /// every trigger through index probes, repeat with whatever the round
+    /// produced until nothing is pending.
     pub(crate) fn drain_batch(
         &mut self,
         queue: VecDeque<(TupleId, Tuple)>,
@@ -217,26 +218,18 @@ impl Engine {
         // iteration, so the two buffers are allocated once per drain.
         let mut round_out: VecDeque<(TupleId, Tuple)> = VecDeque::new();
         // The round cap, surfaced as a typed error rather than spinning.
-        // Checked at round boundaries only (outside any frame), so an
-        // error here leaves the tracker balanced and the engine usable.
+        // Checked at round boundaries only (outside any round).
         let mut rounds: u64 = 0;
-        while !pending.is_empty() {
+        let outcome = loop {
+            if pending.is_empty() {
+                break Ok(());
+            }
             rounds += 1;
             if rounds > self.opts.max_rounds {
-                return Err(RuntimeError::RoundLimit(self.opts.max_rounds));
+                break Err(RuntimeError::RoundLimit(self.opts.max_rounds));
             }
-            // Events are transient — they fire triggers but are never
-            // probed, so they stay out of the partitions.
-            {
-                let log = &self.log;
-                self.deltas.begin_round(
-                    pending
-                        .iter()
-                        .filter(|(tid, _)| log.kind(*tid) != TupleKind::Event)
-                        .map(|(tid, t)| (*tid, t.table.as_str())),
-                );
-            }
-            let mut outcome = Ok(());
+            self.open_round(&pending);
+            let mut fired = Ok(());
             'round: for (tid, tuple) in &pending {
                 // A tuple may have died while queued (replacement/cascade).
                 if self.log.kind(*tid) != TupleKind::Event && !self.log.is_live(*tid) {
@@ -251,28 +244,48 @@ impl Engine {
                 // original `(rule, atom)` order so firing order matches
                 // the plain trigger list exactly.
                 for (rule_idx, atom_idx) in dispatch.triggers_for(tuple) {
-                    let fired = if self.rules[rule_idx].agg.is_some() {
+                    fired = if self.rules[rule_idx].agg.is_some() {
                         self.agg_add(rule_idx, *tid, tuple, &mut round_out, result)
                     } else {
                         self.fire_batch(rule_idx, atom_idx, *tid, tuple, &mut round_out, result)
                     };
-                    if let Err(e) = fired {
-                        outcome = Err(e);
+                    if fired.is_err() {
                         break 'round;
                     }
                 }
             }
-            // Balance the frame stack even on error so the engine stays
-            // usable for inspection after a derivation-limit abort.
             self.deltas.end_round();
-            outcome?;
             std::mem::swap(&mut pending, &mut round_out);
             round_out.clear();
+            if let Err(e) = fired {
+                break Err(e);
+            }
+        };
+        if outcome.is_err() {
+            self.merge_unfired(&pending);
+            return outcome;
         }
         // Both buffers are empty now; the one that grew is worth keeping.
         self.spare_queue =
             if pending.capacity() >= round_out.capacity() { pending } else { round_out };
         Ok(())
+    }
+
+    /// Merge `leftovers`, what a step cut short queued but never fired:
+    /// they are live in the store and the indexes, and merging them
+    /// without firing keeps them visible to later joins, as the pipelined
+    /// reference's are, and leaves no round open. (A pipelined engine
+    /// never reads the tracker.)
+    pub(crate) fn merge_unfired(&mut self, leftovers: &VecDeque<(TupleId, Tuple)>) {
+        self.open_round(leftovers);
+        self.deltas.end_round();
+    }
+
+    /// Open a round over the state tuples of `batch`. Events are transient
+    /// — they fire triggers but are never probed — so they stay out.
+    fn open_round(&mut self, batch: &VecDeque<(TupleId, Tuple)>) {
+        let log = &self.log;
+        self.deltas.begin_round(batch.iter().map(|&(tid, _)| tid).filter(|&tid| log.kind(tid) != TupleKind::Event));
     }
 
     /// Join `rule` with the delta bound at body position `atom_idx`,
@@ -319,15 +332,15 @@ impl Engine {
             s.next_frames.clear();
             s.next_tids.clear();
             // Positional semi-naive discipline: an atom *after* the delta
-            // position must not match the current round's recent tuples.
-            let exclude_recent = ext.atom_idx > atom_idx;
+            // position must not match the current round's tuples.
+            let exclude_current = ext.atom_idx > atom_idx;
             for m in 0..s.tids.len() / b {
                 let frame = &mut s.frames[m * n..(m + 1) * n];
                 if !ext.probe_key(frame, &mut s.key) {
                     return Ok(());
                 }
                 for ctid in self.indexes.probe(index_id, &s.key) {
-                    if joinable(&self.deltas, ctid, exclude_recent)
+                    if joinable(&self.deltas, ctid, exclude_current)
                         && match_cols(&ext.cols, self.log.tuple(ctid), frame)
                         && rule.sels_hold(&ext.ready, frame, &mut self.funcs)
                     {
@@ -361,14 +374,14 @@ impl Engine {
     }
 }
 
-/// The semi-naive visibility predicate: a candidate joins when it is
-/// already merged (stable), or recent but — for positions after the delta
-/// slot — not in the innermost round. Pending tuples (in no partition)
-/// never join; they are next-round deltas.
-fn joinable(deltas: &DeltaTracker, tid: TupleId, exclude_recent: bool) -> bool {
+/// The semi-naive visibility predicate: a candidate joins when an earlier
+/// (or a suspended outer) round merged it, or the current round did and
+/// its position comes before the delta slot. Pending tuples never join;
+/// they are next-round deltas.
+fn joinable(deltas: &DeltaTracker, tid: TupleId, exclude_current: bool) -> bool {
     match deltas.visibility(tid) {
-        Visibility::Stable | Visibility::RecentOuter => true,
-        Visibility::RecentInnermost => !exclude_recent,
+        Visibility::Merged => true,
+        Visibility::Current => !exclude_current,
         Visibility::Absent => false,
     }
 }
@@ -377,7 +390,10 @@ fn joinable(deltas: &DeltaTracker, tid: TupleId, exclude_recent: bool) -> bool {
 mod tests {
     use super::*;
     use crate::engine::{EvalStrategy, Options};
-    use mpr_ndlog::{parse_program, Value};
+    use mpr_ndlog::ast::{Atom, Term};
+    use mpr_ndlog::{parse_program, Program};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn batch_engine(src: &str) -> Engine {
         let p = parse_program("t", src).unwrap();
@@ -484,24 +500,160 @@ mod tests {
         assert_eq!(e.tuples("FlowTable").len(), 2, "r3 has no Swi constraint");
     }
 
+    /// At rest no round is open and every live state tuple is merged, so
+    /// a later step's joins see all of it.
+    fn at_rest(e: &Engine) -> Result<(), String> {
+        if e.deltas.depth() != 0 {
+            return Err(format!("{} rounds outlived the step", e.deltas.depth()));
+        }
+        for (tuple, ..) in e.store.dump() {
+            let tid = e.store.get(&tuple).expect("dumped tuples are live").tid;
+            if e.deltas.visibility(tid) != Visibility::Merged {
+                return Err(format!("{tuple} is live but {:?}", e.deltas.visibility(tid)));
+            }
+        }
+        Ok(())
+    }
+
     #[test]
-    fn rounds_settle_into_stable_partitions() {
+    fn a_step_cut_short_leaves_its_tuples_joinable() {
         let src = r"
             materialize(Link, infinity, 2, keys(0,1)).
             materialize(Reach, infinity, 2, keys(0,1)).
-            r1 Reach(@C,X,Y) :- Link(@C,X,Y), X != Y.
-            r2 Reach(@C,X,Z) :- Reach(@C,X,Y), Link(@C,Y,Z), X != Z.
+            r1 Reach(@C,X,Y) :- Link(@C,X,Y).
+            r2 Reach(@C,X,Z) :- Reach(@C,X,Y), Link(@C,Y,Z).
         ";
-        let mut e = batch_engine(src);
+        let p = parse_program("t", src).unwrap();
+        let mut e = Engine::with_options(&p, Options { max_rounds: 1, ..Options::default() }).unwrap();
         let c = Value::str("C");
-        let v = |i: i64| Value::Int(i);
-        for (a, b) in [(1, 2), (2, 3), (3, 4)] {
-            e.insert(Tuple::new("Link", c.clone(), vec![v(a), v(b)])).unwrap();
+        let tuple = |t: &str, a: i64, b: i64| Tuple::new(t, c.clone(), vec![Value::Int(a), Value::Int(b)]);
+        // Round 1 derives Reach(1,2); firing it would be round 2.
+        assert_eq!(e.insert(tuple("Link", 1, 2)), Err(RuntimeError::RoundLimit(1)));
+        assert!(e.contains(&tuple("Reach", 1, 2)));
+        at_rest(&e).unwrap();
+        // Round 1 of the next insert joins Reach(1,2) at body position 0.
+        assert_eq!(e.insert(tuple("Link", 2, 3)), Err(RuntimeError::RoundLimit(1)));
+        assert_eq!(e.tuples("Reach"), [tuple("Reach", 1, 2), tuple("Reach", 1, 3), tuple("Reach", 2, 3)]);
+        at_rest(&e).unwrap();
+    }
+
+    #[test]
+    fn a_replacement_whose_cascade_is_cut_short_stays_joinable() {
+        // Counts of counts: replacing a `Src` tuple re-emits a `Cnt`,
+        // whose replacement re-emits a `Tot`, whose consequences need a
+        // third round.
+        let src = r"
+            materialize(Src, infinity, 2, keys(0)).
+            materialize(Other, infinity, 2, keys(0,1)).
+            materialize(Cnt, infinity, 2, keys(0)).
+            materialize(Tot, infinity, 2, keys(0)).
+            materialize(Out, infinity, 2, keys(0,1)).
+            materialize(Fin, infinity, 2, keys(0,1)).
+            materialize(J, infinity, 2, keys(0,1)).
+            c1 Cnt(@N,Y,a_count<X>) :- Src(@N,X,Y).
+            c2 Tot(@N,C,a_count<Y>) :- Cnt(@N,Y,C).
+            o1 Out(@N,C,T) :- Tot(@N,C,T).
+            o2 Fin(@N,C,T) :- Out(@N,C,T).
+            j1 J(@N,X,Z) :- Src(@N,X,Y), Other(@N,Y,Z).
+        ";
+        let p = parse_program("t", src).unwrap();
+        let mut e = Engine::with_options(&p, Options { max_rounds: 2, ..Options::default() }).unwrap();
+        let tuple = |t: &str, a: i64, b: i64| Tuple::new(t, Value::Int(1), vec![Value::Int(a), Value::Int(b)]);
+        for (x, y) in [(1, 7), (2, 7), (3, 9), (4, 9)] {
+            let _ = e.insert(tuple("Src", x, y));
         }
-        assert_eq!(e.tuples("Reach").len(), 6);
-        let stats = e.delta_stats();
-        assert!(stats.iter().all(|s| s.recent == 0), "no round is active");
-        let reach = stats.iter().find(|s| s.table == "Reach").unwrap();
-        assert_eq!(reach.stable, 6);
+        assert!(e.contains(&tuple("Tot", 2, 2)), "Cnt(7,2) and Cnt(9,2)");
+        // Src(1,8) replaces Src(1,7): Cnt(7,1) replaces Cnt(7,2), Tot(2,1)
+        // replaces Tot(2,2), and Fin(2,1) would be its third round. The
+        // insert fails inside both replacements' cascades, before either
+        // new instance was fired.
+        assert_eq!(e.insert(tuple("Src", 1, 8)), Err(RuntimeError::RoundLimit(2)));
+        assert!(e.contains(&tuple("Src", 1, 8)) && e.contains(&tuple("Cnt", 7, 1)));
+        at_rest(&e).unwrap();
+        e.insert(tuple("Other", 8, 9)).unwrap();
+        assert!(e.contains(&tuple("J", 1, 9)), "Src(1,8) joins at body position 0");
+    }
+
+    // Engine-level properties on a small stratified fragment: two-column
+    // base tables `T0..T2` joined into heads `D0..D2`.
+
+    fn base_tuple() -> impl Strategy<Value = Tuple> {
+        (0u8..3, 0i64..4, -2i64..5).prop_map(|(t, a, b)| {
+            Tuple::new(format!("T{t}"), Value::str("C"), vec![Value::Int(a), Value::Int(b)])
+        })
+    }
+
+    fn rule(idx: usize) -> impl Strategy<Value = Rule> {
+        (0u8..3, prop::collection::vec(0u8..3, 1..3)).prop_map(move |(head_t, body_ts)| {
+            let var = |v: &str| Term::Var(v.into());
+            let body: Vec<Atom> = body_ts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let args = if i == 0 { vec![var("A"), var("B")] } else { vec![var("B"), var("X")] };
+                    Atom::new(format!("T{t}"), var("C"), args)
+                })
+                .collect();
+            let head = Atom::new(format!("D{head_t}"), var("C"), vec![var("A"), var("B")]);
+            Rule::new(format!("r{idx}"), head, body, vec![], vec![])
+        })
+    }
+
+    fn program() -> impl Strategy<Value = Program> {
+        (1usize..4).prop_flat_map(|n| {
+            (0..n).map(rule).collect::<Vec<_>>().prop_map(|rules| {
+                let mut p = Program::new("prop-delta");
+                p.rules.extend(rules);
+                p
+            })
+        })
+    }
+
+    fn snapshot(e: &Engine) -> BTreeSet<Tuple> {
+        ["T0", "T1", "T2", "D0", "D1", "D2"].iter().flat_map(|t| e.tuples(t)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every insert — finished, or cut short by a round budget of
+        /// one or two — no round is open and every live state tuple is
+        /// merged.
+        #[test]
+        fn at_rest_every_live_state_tuple_is_merged(
+            p in program(),
+            base in prop::collection::vec(base_tuple(), 0..10),
+            max_rounds in prop_oneof![Just(1u64), Just(2), Just(Options::default().max_rounds)],
+        ) {
+            prop_assume!(p.validate().is_ok());
+            let mut e = Engine::with_options(&p, Options { max_rounds, ..Options::default() }).unwrap();
+            for t in &base {
+                let _ = e.insert(t.clone());
+                let rest = at_rest(&e);
+                prop_assert!(rest.is_ok(), "after inserting {} under max_rounds {}: {:?}", t, max_rounds, rest);
+            }
+        }
+
+        /// Fixpoint idempotence: replaying the same base facts changes
+        /// nothing visible (support counting absorbs the duplicates) and
+        /// indexes nothing new.
+        #[test]
+        fn reinsertion_is_idempotent(
+            p in program(),
+            base in prop::collection::vec(base_tuple(), 1..10),
+        ) {
+            prop_assume!(p.validate().is_ok());
+            let mut e = Engine::with_options(&p, Options::default()).unwrap();
+            for t in &base {
+                e.insert(t.clone()).unwrap();
+            }
+            let before = snapshot(&e);
+            let index_before = e.index_entries();
+            for t in &base {
+                e.insert(t.clone()).unwrap();
+            }
+            prop_assert_eq!(snapshot(&e), before);
+            prop_assert_eq!(e.index_entries(), index_before);
+        }
     }
 }

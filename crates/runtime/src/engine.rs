@@ -3,9 +3,8 @@
 //! One evaluation path, [`EvalStrategy::Batch`] — *batch semi-naive
 //! iteration*: each fixpoint runs in rounds; a whole round's delta is
 //! joined at once against keyed hash indexes ([`crate::index`]) on the join
-//! columns, with per-relation stable/recent/delta partitions
-//! ([`crate::delta`]) ensuring each new body combination fires exactly once
-//! per round. Its rules are compiled ([`crate::compiled`]): variables are
+//! columns, with one round id per tuple ([`crate::delta`]) ensuring each
+//! new body combination fires exactly once per round. Its rules are compiled ([`crate::compiled`]): variables are
 //! slots of a frame, atoms column programs, and when each selection runs is
 //! fixed per rule, so a firing names no variable and clones no syntax. A
 //! rule is compiled — and the indexes it probes registered — the first time
@@ -57,7 +56,7 @@
 use crate::batch;
 use crate::codec::{self, WalRecord};
 use crate::compiled::{self, LazyRule};
-use crate::delta::{DeltaTracker, RelationDeltaStats};
+use crate::delta::DeltaTracker;
 use crate::index::IndexRegistry;
 use crate::log::{ExecLog, Origin, Time, TupleId, TupleKind};
 use crate::memo::{Head, StepMemo};
@@ -80,7 +79,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalStrategy {
     /// Batch semi-naive: whole rounds of deltas join at once through keyed
-    /// hash indexes, with stable/recent/delta partitions per relation.
+    /// hash indexes, with the round that made each tuple visible tracked.
     #[default]
     Batch,
     /// Per-tuple pipelined semi-naive: each delta joins against full table
@@ -281,9 +280,9 @@ impl std::error::Error for CompileError {}
 /// Runtime failure (resource exhaustion — evaluation itself is total).
 ///
 /// Every variant is a *budget*, not a corruption: the engine stays usable
-/// for inspection after returning one (the frame stack is balanced, the
-/// store and log are intact), callers just must not assume the fixpoint
-/// completed.
+/// after returning one (no round is left open, what the step derived but
+/// never fired is merged and joins in later steps, the store and log are
+/// intact), callers just must not assume the fixpoint completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
     /// The derivation budget was exceeded (runaway recursion guard).
@@ -467,7 +466,7 @@ pub struct Engine {
     /// only): a delta visits only the group matching its own value plus
     /// the residual triggers, instead of every rule the table appears in.
     pub(crate) batch_dispatch: HashMap<String, Arc<batch::TriggerDispatch>>,
-    /// Stable/recent/delta partitions per relation (batch only).
+    /// The round that made each tuple visible (batch only).
     pub(crate) deltas: DeltaTracker,
     /// The join loop's buffers, reused from one firing to the next.
     pub(crate) scratch: batch::JoinScratch,
@@ -645,12 +644,6 @@ impl Engine {
         self.strategy
     }
 
-    /// Per-relation stable/recent partition sizes. Always empty under
-    /// [`EvalStrategy::Pipelined`], which keeps no partitions.
-    pub fn delta_stats(&self) -> Vec<RelationDeltaStats> {
-        self.deltas.stats()
-    }
-
     /// Total (index, tuple) entries across the keyed join indexes. Zero
     /// under [`EvalStrategy::Pipelined`], which registers no indexes.
     pub fn index_entries(&self) -> usize {
@@ -751,7 +744,10 @@ impl Engine {
         }
         let mut result = StepResult::default();
         let mut queue = std::mem::take(&mut self.spare_queue);
-        self.add_support(&tuple, true, None, &mut queue, &mut result)?;
+        if let Err(e) = self.add_support(&tuple, true, None, &mut queue, &mut result) {
+            self.merge_unfired(&queue);
+            return Err(e);
+        }
         self.drain(queue, &mut result)?;
         Ok(result)
     }
@@ -845,13 +841,11 @@ impl Engine {
             })
         };
         // If a fresh tid was minted inside the store, register its record
-        // (and index the new instance under the batch strategy).
+        // and index the new instance (a pipelined engine has no index).
         if let Some(tid) = fresh {
             let minted = self.log.mint(tuple, kind, self.time, self.opts.record_events);
             debug_assert_eq!(tid, minted);
-            if self.strategy == EvalStrategy::Batch {
-                self.indexes.insert(tid, tuple);
-            }
+            self.indexes.insert(tid, tuple);
         }
         match outcome {
             AddOutcome::New(tid) => {
@@ -870,11 +864,12 @@ impl Engine {
                 self.memo.state_moved();
                 // The evicted instance dies with a full cascade (its
                 // support is already gone from the store), then the
-                // replacement appears.
+                // replacement appears. It is queued first, so a cascade
+                // cut short leaves it among the step's unfired tuples.
+                queue.push_back((new, tuple.clone()));
                 let old_tuple = self.log.tuple(old).clone();
                 self.kill(old, old_tuple, result)?;
                 self.announce(new, tuple, base, derive, result);
-                queue.push_back((new, tuple.clone()));
             }
         }
         Ok(())
@@ -929,10 +924,9 @@ impl Engine {
     /// Kill a tuple instance that lost all support: cascade retractions.
     fn kill(&mut self, tid: TupleId, tuple: Tuple, result: &mut StepResult) -> Result<(), RuntimeError> {
         self.memo.state_moved();
-        if self.strategy == EvalStrategy::Batch {
-            self.indexes.remove(tid, &tuple);
-            self.deltas.retire(&tuple.table, tid);
-        }
+        // A pipelined engine has no index and opens no round.
+        self.indexes.remove(tid, &tuple);
+        self.deltas.retire(tid);
         // Closing the instance also retires every derivation that produced
         // it: the loop below skips records whose head is no longer live.
         self.log.close(tid, self.time);
@@ -1258,7 +1252,10 @@ impl Engine {
                 }
             } else {
                 let origin = group.first().cloned().unwrap_or(Value::Wild);
-                self.agg_emit(rule_idx, group, 0, Origin::Node(&origin), &mut queue, result)?;
+                if let Err(e) = self.agg_emit(rule_idx, group, 0, Origin::Node(&origin), &mut queue, result) {
+                    self.merge_unfired(&queue);
+                    return Err(e);
+                }
             }
         }
         self.drain(queue, result)

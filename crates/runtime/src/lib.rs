@@ -4,8 +4,8 @@
 //! datalog engine in the style of RapidNet (the paper's declarative SDN
 //! environment, §5.1). There is one evaluation path (see
 //! [`engine::EvalStrategy`]): *batch* semi-naive iteration — whole rounds
-//! of deltas joined through keyed hash indexes ([`index`]) with
-//! stable/recent/delta partitions per relation ([`delta`]). Two reference
+//! of deltas joined through keyed hash indexes ([`index`]), with the round
+//! that made each tuple visible tracked ([`delta`]). Two reference
 //! evaluators exist for tests to compare it against: the original
 //! per-tuple *pipelined* propagation (an explicit per-engine
 //! [`Options::strategy`]) and a from-scratch naive fixpoint ([`naive`]).
@@ -19,7 +19,8 @@
 //!   state is answered by replaying that step's effects
 //!   ([`Engine::memo_hits`]), filed in a [`Prehashed`] map like the joint
 //!   backtest's own memo;
-//! - per-node tuple stores with primary-key replacement ([`store`]);
+//! - a tuple store keyed on location and primary key, with replacement
+//!   ([`store`]);
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
 //! - transient *event* tables (`PacketIn` and friends) whose derivations
 //!   persist (the OpenFlow install pattern);
@@ -51,7 +52,7 @@ pub mod store;
 pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
 pub use codec::WalRecord;
 pub use compiled::{CompiledRule, LazyRule};
-pub use delta::{DeltaTracker, RelationDeltaStats};
+pub use delta::DeltaTracker;
 pub use engine::{
     CompileError, Durability, Engine, EngineRecovery, EvalStrategy, Options, RecoverError, RuntimeError, StepResult,
     WalOptions,

@@ -1,5 +1,6 @@
-//! The tuple store: per-table, per-node materialized state with
-//! primary-key replacement and support counting.
+//! The tuple store: per-table materialized state, keyed on a tuple's
+//! location and primary key, with primary-key replacement and support
+//! counting.
 
 use crate::log::{TupleId, TupleKind};
 use mpr_ndlog::{Schema, Tuple, Value};
@@ -64,24 +65,11 @@ pub enum DropOutcome {
     Absent,
 }
 
-#[derive(Debug, Default)]
-struct TableStore {
-    /// node → key columns → live tuple. Nesting by node keeps the common
-    /// location-bound scan of the pipelined join O(node bucket) instead of
-    /// O(table); empty node buckets are removed eagerly.
-    by_node: HashMap<Value, HashMap<Vec<Value>, LiveTuple>>,
-}
-
-impl TableStore {
-    fn len(&self) -> usize {
-        self.by_node.values().map(HashMap::len).sum()
-    }
-}
-
 /// The multi-node tuple store.
 #[derive(Debug, Default)]
 pub struct Store {
-    tables: HashMap<String, TableStore>,
+    /// Per table: the location followed by the key columns → live tuple.
+    tables: HashMap<String, HashMap<Vec<Value>, LiveTuple>>,
     schemas: HashMap<String, Schema>,
 }
 
@@ -103,16 +91,25 @@ impl Store {
         self.schemas.get(table)
     }
 
-    /// `tuple` projected onto its table's key: the declared key columns,
-    /// or every column the schema (the tuple, if undeclared) has.
+    /// `tuple`'s location followed by its key: the declared key columns,
+    /// or every column the schema (the tuple, if undeclared) has. Built in
+    /// one allocation.
     fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
+        let mut key;
         match self.schemas.get(&tuple.table) {
-            Some(schema) if !schema.keys.is_empty() => tuple.key(&schema.keys),
+            Some(schema) if !schema.keys.is_empty() => {
+                key = Vec::with_capacity(1 + schema.keys.len());
+                key.push(tuple.loc.clone());
+                key.extend(schema.keys.iter().filter_map(|&i| tuple.args.get(i).cloned()));
+            }
             schema => {
-                let arity = schema.map_or(tuple.args.len(), |s| s.arity);
-                tuple.args.iter().take(arity).cloned().collect()
+                let arity = schema.map_or(tuple.args.len(), |s| s.arity).min(tuple.args.len());
+                key = Vec::with_capacity(1 + arity);
+                key.push(tuple.loc.clone());
+                key.extend_from_slice(&tuple.args[..arity]);
             }
         }
+        key
     }
 
     /// Add one unit of support for `tuple`. `base` distinguishes base
@@ -127,11 +124,10 @@ impl Store {
         let key = self.key_of(tuple);
         // `entry` would clone the name of a table that, but once, exists.
         if !self.tables.contains_key(&tuple.table) {
-            self.tables.insert(tuple.table.clone(), TableStore::default());
+            self.tables.insert(tuple.table.clone(), HashMap::new());
         }
-        let ts = self.tables.get_mut(&tuple.table).expect("inserted above");
-        let bucket = ts.by_node.entry(tuple.loc.clone()).or_default();
-        if let Some(live) = bucket.get_mut(&key) {
+        let table = self.tables.get_mut(&tuple.table).expect("inserted above");
+        if let Some(live) = table.get_mut(&key) {
             if &live.tuple == tuple {
                 if base {
                     live.base_count += 1;
@@ -152,7 +148,7 @@ impl Store {
             return AddOutcome::Replaced { old, new: tid };
         }
         let tid = next_tid();
-        bucket.insert(
+        table.insert(
             key,
             LiveTuple {
                 tid,
@@ -167,69 +163,39 @@ impl Store {
     /// Drop one unit of support for `tuple`.
     pub fn drop_support(&mut self, tuple: &Tuple, base: bool) -> DropOutcome {
         let key = self.key_of(tuple);
-        let Some(ts) = self.tables.get_mut(&tuple.table) else {
+        let Some(table) = self.tables.get_mut(&tuple.table) else {
             return DropOutcome::Absent;
         };
-        let Some(bucket) = ts.by_node.get_mut(&tuple.loc) else {
+        let Some(live) = table.get_mut(&key).filter(|l| &l.tuple == tuple) else {
             return DropOutcome::Absent;
         };
-        let Some(live) = bucket.get_mut(&key) else {
-            return DropOutcome::Absent;
-        };
-        if &live.tuple != tuple {
+        let count = if base { &mut live.base_count } else { &mut live.deriv_count };
+        if *count == 0 {
             return DropOutcome::Absent;
         }
-        if base {
-            if live.base_count == 0 {
-                return DropOutcome::Absent;
-            }
-            live.base_count -= 1;
-        } else {
-            if live.deriv_count == 0 {
-                return DropOutcome::Absent;
-            }
-            live.deriv_count -= 1;
+        *count -= 1;
+        if live.support() > 0 {
+            return DropOutcome::StillAlive;
         }
-        if live.support() == 0 {
-            let tid = live.tid;
-            bucket.remove(&key);
-            if bucket.is_empty() {
-                ts.by_node.remove(&tuple.loc);
-            }
-            DropOutcome::Gone(tid)
-        } else {
-            DropOutcome::StillAlive
-        }
+        let tid = live.tid;
+        table.remove(&key);
+        DropOutcome::Gone(tid)
     }
 
     /// Forcibly remove an instance by exact tuple (used for replacement
     /// cascades). Returns its id if present.
     pub fn evict(&mut self, tuple: &Tuple) -> Option<TupleId> {
         let key = self.key_of(tuple);
-        let ts = self.tables.get_mut(&tuple.table)?;
-        let bucket = ts.by_node.get_mut(&tuple.loc)?;
-        match bucket.get(&key) {
-            Some(live) if &live.tuple == tuple => {
-                let tid = live.tid;
-                bucket.remove(&key);
-                if bucket.is_empty() {
-                    ts.by_node.remove(&tuple.loc);
-                }
-                Some(tid)
-            }
-            _ => None,
-        }
+        let table = self.tables.get_mut(&tuple.table)?;
+        let tid = table.get(&key).filter(|l| &l.tuple == tuple)?.tid;
+        table.remove(&key);
+        Some(tid)
     }
 
     /// Look up the live instance of an exact tuple.
     pub fn get(&self, tuple: &Tuple) -> Option<&LiveTuple> {
         let key = self.key_of(tuple);
-        self.tables
-            .get(&tuple.table)?
-            .by_node
-            .get(&tuple.loc)?
-            .get(&key)
-            .filter(|l| &l.tuple == tuple)
+        self.tables.get(&tuple.table)?.get(&key).filter(|l| &l.tuple == tuple)
     }
 
     /// `true` when the exact tuple is live.
@@ -239,25 +205,16 @@ impl Store {
 
     /// Iterate live tuples of `table`, optionally restricted to one node.
     ///
-    /// The iteration walks hash maps, so the order varies between runs and
-    /// even between identical stores. Callers whose results depend on visit
-    /// order — anything feeding the fixpoint or the provenance log — must
-    /// use [`Store::scan_ordered`] instead.
-    pub fn scan<'a>(
-        &'a self,
-        table: &str,
-        node: Option<&'a Value>,
-    ) -> Box<dyn Iterator<Item = &'a LiveTuple> + 'a> {
-        match self.tables.get(table) {
-            None => Box::new(std::iter::empty()),
-            Some(ts) => match node {
-                None => Box::new(ts.by_node.values().flat_map(HashMap::values)),
-                Some(n) => match ts.by_node.get(n) {
-                    None => Box::new(std::iter::empty()),
-                    Some(bucket) => Box::new(bucket.values()),
-                },
-            },
-        }
+    /// The iteration walks a hash map, so the order varies between runs
+    /// and even between identical stores. Callers whose results depend on
+    /// visit order — anything feeding the fixpoint or the provenance log —
+    /// must use [`Store::scan_ordered`] instead.
+    pub fn scan<'a>(&'a self, table: &str, node: Option<&'a Value>) -> impl Iterator<Item = &'a LiveTuple> + 'a {
+        self.tables
+            .get(table)
+            .into_iter()
+            .flat_map(HashMap::values)
+            .filter(move |l| node.map_or(true, |n| &l.tuple.loc == n))
     }
 
     /// Like [`Store::scan`], but in ascending instance-id order — a total,
@@ -280,7 +237,7 @@ impl Store {
 
     /// Total number of live tuples across all tables.
     pub fn len(&self) -> usize {
-        self.tables.values().map(TableStore::len).sum()
+        self.tables.values().map(HashMap::len).sum()
     }
 
     /// `true` when the store holds no tuples.
@@ -295,7 +252,6 @@ impl Store {
         let mut v: Vec<(Tuple, u64, u64)> = self
             .tables
             .values()
-            .flat_map(|ts| ts.by_node.values())
             .flat_map(HashMap::values)
             .map(|l| (l.tuple.clone(), l.base_count, l.deriv_count))
             .collect();
@@ -309,7 +265,6 @@ impl Store {
         let mut v: Vec<Tuple> = self
             .tables
             .values()
-            .flat_map(|ts| ts.by_node.values())
             .flat_map(HashMap::values)
             .filter(|l| l.base_count > 0)
             .map(|l| l.tuple.clone())
@@ -415,8 +370,7 @@ mod tests {
         let mut s = Store::new();
         let mut tid = || 0;
         s.add(&t(&[1, 2]), false, &mut tid);
-        let live = s.tables.get_mut("T").unwrap().by_node.get_mut(&Value::Int(1)).unwrap();
-        live.values_mut().next().unwrap().deriv_count = u32::MAX.into();
+        s.tables.get_mut("T").unwrap().values_mut().next().unwrap().deriv_count = u32::MAX.into();
         assert_eq!(s.add(&t(&[1, 2]), false, &mut tid), AddOutcome::SupportOnly(0));
         assert_eq!(s.add(&t(&[1, 2]), true, &mut tid), AddOutcome::SupportOnly(0));
         assert!(s.get(&t(&[1, 2])).unwrap().support() > u32::MAX.into());

@@ -38,10 +38,9 @@ fn round_budget_exhaustion_is_a_typed_error_and_recoverable() {
     assert_eq!(err, RuntimeError::RoundLimit(3));
     assert_eq!(err.to_string(), "fixpoint round limit exceeded (3)");
 
-    // Graceful degradation: the engine survives for inspection — the
-    // frame stack is balanced (no recent partitions linger) and queries
-    // over the partial state still work.
-    assert!(e.delta_stats().iter().all(|s| s.recent == 0));
+    // Graceful degradation: the engine survives for inspection, and
+    // queries over the partial state still work (that no round lingers is
+    // `batch.rs`'s at-rest property).
     assert!(!e.tuples("Reach").is_empty(), "partial rounds landed");
     assert!(e.tuple_count() > 0);
 }

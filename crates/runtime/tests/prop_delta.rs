@@ -1,222 +1,95 @@
-//! Property tests for the batch engine's delta-storage invariants:
+//! The batch engine's round tracker against the frame semantics it
+//! replaced: open rounds as a stack of tuple-id sets, finished rounds
+//! merged into one set. A tuple is current when the innermost open round
+//! holds it, merged when a finished or a suspended outer round does, and
+//! absent otherwise — through random begin / end / retire scripts.
 //!
-//! - stable/recent partitions stay disjoint through arbitrary round and
-//!   retire sequences on the tracker itself;
-//! - at rest (no active round) every live state tuple sits in exactly one
-//!   stable partition — no duplicates, nothing pending;
-//! - fixpoints are idempotent: re-inserting already-live facts adds
-//!   support but changes nothing visible.
+//! The engine-level properties (at rest every live state tuple is merged,
+//! also after a step cut short; re-insertion is idempotent) read the
+//! engine's private state and live in `batch.rs`'s tests.
 
-use mpr_ndlog::ast::*;
-use mpr_ndlog::{Program, Tuple, Value};
 use mpr_runtime::delta::Visibility;
-use mpr_runtime::{DeltaTracker, Engine, EvalStrategy, Options};
+use mpr_runtime::DeltaTracker;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// One scripted action against a bare tracker. Tuple ids come from a tiny
-/// pool so retires frequently hit tracked tuples; tables from a pool of 3.
+/// One scripted action. Tuple ids come from a tiny pool so that retires
+/// and re-promotions often hit tracked tuples.
 #[derive(Debug, Clone)]
 enum Op {
-    BeginRound(Vec<(u64, u8)>),
+    BeginRound(Vec<u64>),
     EndRound,
-    Retire(u64, u8),
+    Retire(u64),
 }
+
+const POOL: u64 = 32;
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => prop::collection::vec((0u64..32, 0u8..3), 0..6).prop_map(Op::BeginRound),
+        3 => prop::collection::vec(0..POOL, 0..6).prop_map(Op::BeginRound),
         2 => Just(Op::EndRound),
-        2 => (0u64..32, 0u8..3).prop_map(|(t, tab)| Op::Retire(t, tab)),
+        2 => (0..POOL).prop_map(Op::Retire),
     ]
 }
 
-fn table(i: u8) -> String {
-    format!("T{i}")
+/// The frame semantics: what each open round promoted, innermost last,
+/// and everything finished rounds merged.
+#[derive(Default)]
+struct Frames {
+    open: Vec<BTreeSet<u64>>,
+    merged: BTreeSet<u64>,
+}
+
+impl Frames {
+    fn visibility(&self, tid: u64) -> Visibility {
+        match self.open.split_last() {
+            Some((innermost, _)) if innermost.contains(&tid) => Visibility::Current,
+            Some((_, outer)) if outer.iter().any(|f| f.contains(&tid)) => Visibility::Merged,
+            _ if self.merged.contains(&tid) => Visibility::Merged,
+            _ => Visibility::Absent,
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Drive a tracker through a random op sequence; after every step no
-    /// tuple may be stable and recent at once, and the per-table stats must
-    /// sum to the tracked totals.
     #[test]
-    fn stable_and_recent_stay_disjoint(ops in prop::collection::vec(op(), 0..40)) {
+    fn tracker_matches_the_frame_model(ops in prop::collection::vec(op(), 0..40)) {
         let mut d = DeltaTracker::default();
-        // Tuples ever handed to begin_round, for probing.
-        let mut seen: BTreeSet<(u64, u8)> = BTreeSet::new();
+        let mut model = Frames::default();
         for op in ops {
             match op {
                 Op::BeginRound(batch) => {
-                    // A tuple id is minted once in the engine (and belongs
-                    // to exactly one table); keep the script honest by
-                    // skipping ids tracked anywhere, including duplicates
-                    // within the batch itself.
-                    let mut in_batch = BTreeSet::new();
-                    let fresh: Vec<(u64, String)> = batch
-                        .iter()
-                        .filter(|&&(t, _)| {
-                            d.visibility(t) == Visibility::Absent && in_batch.insert(t)
-                        })
-                        .map(|&(t, tab)| (t, table(tab)))
-                        .collect();
-                    seen.extend(
-                        fresh.iter().map(|(t, tab)| (*t, tab.as_bytes()[1] - b'0')),
-                    );
-                    d.begin_round(fresh);
+                    // The engine promotes a tuple id once while it lives:
+                    // keep only ids the model holds nowhere, once each.
+                    let mut fresh = BTreeSet::new();
+                    for t in batch {
+                        if model.visibility(t) == Visibility::Absent {
+                            fresh.insert(t);
+                        }
+                    }
+                    d.begin_round(fresh.iter().copied());
+                    model.open.push(fresh);
                 }
                 Op::EndRound => {
-                    if d.depth() > 0 {
+                    if let Some(frame) = model.open.pop() {
                         d.end_round();
+                        model.merged.extend(frame);
                     }
                 }
-                Op::Retire(t, tab) => d.retire(&table(tab), t),
-            }
-            for &(t, tab) in &seen {
-                let tab = table(tab);
-                prop_assert!(
-                    !(d.is_stable(&tab, t) && d.is_recent(&tab, t)),
-                    "tuple {t} of {tab} is both stable and recent"
-                );
-                if d.in_current_round(&tab, t) {
-                    prop_assert!(d.is_recent(&tab, t), "innermost implies recent");
+                Op::Retire(t) => {
+                    d.retire(t);
+                    model.merged.remove(&t);
+                    for frame in &mut model.open {
+                        frame.remove(&t);
+                    }
                 }
             }
-            let stats = d.stats();
-            prop_assert_eq!(
-                stats.iter().map(|s| s.stable).sum::<usize>(),
-                d.stable_len()
-            );
-            prop_assert_eq!(
-                stats.iter().map(|s| s.recent).sum::<usize>(),
-                d.recent_len()
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine-level invariants, on the same stratified fragment the other
-// property suites use.
-
-fn base_tuple() -> impl Strategy<Value = Tuple> {
-    (0u8..3, 0i64..4, -2i64..5).prop_map(|(t, a, b)| {
-        Tuple::new(format!("T{t}"), Value::str("C"), vec![Value::Int(a), Value::Int(b)])
-    })
-}
-
-fn rule(idx: usize) -> impl Strategy<Value = Rule> {
-    (0u8..3, prop::collection::vec(0u8..3, 1..3)).prop_map(move |(head_t, body_ts)| {
-        let body: Vec<Atom> = body_ts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let args = if i == 0 {
-                    vec![Term::Var("A".into()), Term::Var("B".into())]
-                } else {
-                    vec![Term::Var("B".into()), Term::Var("X".into())]
-                };
-                Atom::new(format!("T{t}"), Term::Var("C".into()), args)
-            })
-            .collect();
-        Rule::new(
-            format!("r{idx}"),
-            Atom::new(
-                format!("D{head_t}"),
-                Term::Var("C".into()),
-                vec![Term::Var("A".into()), Term::Var("B".into())],
-            ),
-            body,
-            vec![],
-            vec![],
-        )
-    })
-}
-
-fn program() -> impl Strategy<Value = Program> {
-    prop::collection::vec(Just(()), 1..4).prop_flat_map(|rules| {
-        rules
-            .iter()
-            .enumerate()
-            .map(|(i, ())| rule(i))
-            .collect::<Vec<_>>()
-            .prop_map(|built| {
-                let mut p = Program::new("prop-delta");
-                p.rules.extend(built);
-                p
-            })
-    })
-}
-
-const TABLES: [&str; 6] = ["T0", "T1", "T2", "D0", "D1", "D2"];
-
-fn snapshot(e: &Engine) -> BTreeSet<Tuple> {
-    TABLES.iter().flat_map(|t| e.tuples(t)).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// At rest, the partitions hold exactly the live state tuples: every
-    /// round has ended (recent = 0) and the per-table stable count equals
-    /// the table's live tuple count — one partition entry per tuple, none
-    /// pending, no duplicates.
-    #[test]
-    fn at_rest_every_live_tuple_is_stable_once(
-        p in program(),
-        base in prop::collection::vec(base_tuple(), 0..10),
-    ) {
-        prop_assume!(p.validate().is_ok());
-        let mut e = Engine::with_options(
-            &p,
-            Options { strategy: EvalStrategy::Batch, ..Options::default() },
-        )
-        .unwrap();
-        for t in &base {
-            e.insert(t.clone()).unwrap();
-            let stats = e.delta_stats();
-            prop_assert!(
-                stats.iter().all(|s| s.recent == 0),
-                "no round may outlive a fixpoint"
-            );
-            for table in TABLES {
-                let live = e.tuples(table).len();
-                let stable =
-                    stats.iter().find(|s| s.table == table).map_or(0, |s| s.stable);
-                prop_assert_eq!(stable, live, "partition drift in {}", table);
+            prop_assert_eq!(d.depth(), model.open.len());
+            for t in 0..POOL {
+                prop_assert_eq!(d.visibility(t), model.visibility(t), "tuple {}", t);
             }
         }
-    }
-
-    /// Fixpoint idempotence: replaying the same base facts into the engine
-    /// changes nothing visible (support counting absorbs the duplicates),
-    /// and the partitions do not grow.
-    #[test]
-    fn reinsertion_is_idempotent(
-        p in program(),
-        base in prop::collection::vec(base_tuple(), 1..10),
-    ) {
-        prop_assume!(p.validate().is_ok());
-        let mut e = Engine::with_options(
-            &p,
-            Options { strategy: EvalStrategy::Batch, ..Options::default() },
-        )
-        .unwrap();
-        for t in &base {
-            e.insert(t.clone()).unwrap();
-        }
-        let before = snapshot(&e);
-        let stable_before: usize = e.delta_stats().iter().map(|s| s.stable).sum();
-        let index_before = e.index_entries();
-        for t in &base {
-            e.insert(t.clone()).unwrap();
-        }
-        prop_assert_eq!(snapshot(&e), before);
-        prop_assert_eq!(
-            e.delta_stats().iter().map(|s| s.stable).sum::<usize>(),
-            stable_before
-        );
-        prop_assert_eq!(e.index_entries(), index_before);
     }
 }
