@@ -390,10 +390,7 @@ fn joinable(deltas: &DeltaTracker, tid: TupleId, exclude_current: bool) -> bool 
 mod tests {
     use super::*;
     use crate::engine::{EvalStrategy, Options};
-    use mpr_ndlog::ast::{Atom, Term};
-    use mpr_ndlog::{parse_program, Program};
-    use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use mpr_ndlog::parse_program;
 
     fn batch_engine(src: &str) -> Engine {
         let p = parse_program("t", src).unwrap();
@@ -574,86 +571,21 @@ mod tests {
         assert!(e.contains(&tuple("J", 1, 9)), "Src(1,8) joins at body position 0");
     }
 
-    // Engine-level properties on a small stratified fragment: two-column
-    // base tables `T0..T2` joined into heads `D0..D2`.
-
-    fn base_tuple() -> impl Strategy<Value = Tuple> {
-        (0u8..3, 0i64..4, -2i64..5).prop_map(|(t, a, b)| {
-            Tuple::new(format!("T{t}"), Value::str("C"), vec![Value::Int(a), Value::Int(b)])
-        })
-    }
-
-    fn rule(idx: usize) -> impl Strategy<Value = Rule> {
-        (0u8..3, prop::collection::vec(0u8..3, 1..3)).prop_map(move |(head_t, body_ts)| {
-            let var = |v: &str| Term::Var(v.into());
-            let body: Vec<Atom> = body_ts
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let args = if i == 0 { vec![var("A"), var("B")] } else { vec![var("B"), var("X")] };
-                    Atom::new(format!("T{t}"), var("C"), args)
-                })
-                .collect();
-            let head = Atom::new(format!("D{head_t}"), var("C"), vec![var("A"), var("B")]);
-            Rule::new(format!("r{idx}"), head, body, vec![], vec![])
-        })
-    }
-
-    fn program() -> impl Strategy<Value = Program> {
-        (1usize..4).prop_flat_map(|n| {
-            (0..n).map(rule).collect::<Vec<_>>().prop_map(|rules| {
-                let mut p = Program::new("prop-delta");
-                p.rules.extend(rules);
-                p
-            })
-        })
-    }
-
-    fn snapshot(e: &Engine) -> BTreeSet<Tuple> {
-        ["T0", "T1", "T2", "D0", "D1", "D2"].iter().flat_map(|t| e.tuples(t)).collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// After every insert — finished, or cut short by a round budget of
-        /// one or two — no round is open and every live state tuple is
-        /// merged.
-        #[test]
-        fn at_rest_every_live_state_tuple_is_merged(
-            p in program(),
-            base in prop::collection::vec(base_tuple(), 0..10),
-            max_rounds in prop_oneof![Just(1u64), Just(2), Just(Options::default().max_rounds)],
-        ) {
-            prop_assume!(p.validate().is_ok());
-            let mut e = Engine::with_options(&p, Options { max_rounds, ..Options::default() }).unwrap();
-            for t in &base {
-                let _ = e.insert(t.clone());
-                let rest = at_rest(&e);
-                prop_assert!(rest.is_ok(), "after inserting {} under max_rounds {}: {:?}", t, max_rounds, rest);
-            }
+    #[test]
+    fn rounds_settle_into_stable_partitions() {
+        let src = r"
+            materialize(Link, infinity, 2, keys(0,1)).
+            materialize(Reach, infinity, 2, keys(0,1)).
+            r1 Reach(@C,X,Y) :- Link(@C,X,Y), X != Y.
+            r2 Reach(@C,X,Z) :- Reach(@C,X,Y), Link(@C,Y,Z), X != Z.
+        ";
+        let mut e = batch_engine(src);
+        let c = Value::str("C");
+        let v = |i: i64| Value::Int(i);
+        for (a, b) in [(1, 2), (2, 3), (3, 4)] {
+            e.insert(Tuple::new("Link", c.clone(), vec![v(a), v(b)])).unwrap();
         }
-
-        /// Fixpoint idempotence: replaying the same base facts changes
-        /// nothing visible (support counting absorbs the duplicates) and
-        /// indexes nothing new.
-        #[test]
-        fn reinsertion_is_idempotent(
-            p in program(),
-            base in prop::collection::vec(base_tuple(), 1..10),
-        ) {
-            prop_assume!(p.validate().is_ok());
-            let mut e = Engine::with_options(&p, Options::default()).unwrap();
-            for t in &base {
-                e.insert(t.clone()).unwrap();
-            }
-            let before = snapshot(&e);
-            let index_before = e.index_entries();
-            for t in &base {
-                e.insert(t.clone()).unwrap();
-            }
-            prop_assert_eq!(snapshot(&e), before);
-            prop_assert_eq!(e.index_entries(), index_before);
-        }
+        assert_eq!(e.tuples("Reach").len(), 6);
+        at_rest(&e).unwrap();
     }
 }

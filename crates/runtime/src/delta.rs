@@ -108,8 +108,10 @@ impl DeltaTracker {
 mod tests {
     use super::*;
 
+    /// A round's batch reads current (recent) while the round is open and
+    /// merged (stable) once it ends.
     #[test]
-    fn round_lifecycle_merges_the_current_round() {
+    fn round_lifecycle_moves_recent_to_stable() {
         let mut d = DeltaTracker::default();
         assert_eq!(d.visibility(0), Visibility::Absent);
         d.begin_round([0, 1]);
@@ -140,8 +142,10 @@ mod tests {
         assert_eq!(d.visibility(0), Visibility::Merged);
     }
 
+    /// Retiring forgets a tuple whether a finished round or the open one
+    /// made it visible.
     #[test]
-    fn retire_makes_a_tuple_absent() {
+    fn retire_removes_from_all_partitions() {
         let mut d = DeltaTracker::default();
         d.begin_round([0]);
         d.end_round();

@@ -672,6 +672,12 @@ impl Engine {
         &self.store
     }
 
+    /// The batch engine's round tracker (read-only). Between calls no
+    /// round is open, and every live state tuple reads as merged.
+    pub fn deltas(&self) -> &DeltaTracker {
+        &self.deltas
+    }
+
     /// The directory this engine's WAL lives in, under
     /// [`Durability::Wal`] while the log is healthy.
     pub fn wal_dir(&self) -> Option<&Path> {

@@ -1,15 +1,18 @@
-//! The batch engine's round tracker against the frame semantics it
-//! replaced: open rounds as a stack of tuple-id sets, finished rounds
-//! merged into one set. A tuple is current when the innermost open round
-//! holds it, merged when a finished or a suspended outer round does, and
-//! absent otherwise — through random begin / end / retire scripts.
+//! Property tests for the batch engine's round tracking:
 //!
-//! The engine-level properties (at rest every live state tuple is merged,
-//! also after a step cut short; re-insertion is idempotent) read the
-//! engine's private state and live in `batch.rs`'s tests.
+//! - the tracker agrees with the frame semantics it replaced — open
+//!   rounds as a stack of disjoint tuple-id sets (recent), finished rounds
+//!   merged into one set (stable) — through random begin / end / retire
+//!   scripts;
+//! - at rest (no open round) every live state tuple is merged, also after
+//!   a step cut short by its round budget;
+//! - fixpoints are idempotent: re-inserting already-live facts adds
+//!   support but changes nothing visible.
 
+use mpr_ndlog::ast::*;
+use mpr_ndlog::{Program, Tuple, Value};
 use mpr_runtime::delta::Visibility;
-use mpr_runtime::DeltaTracker;
+use mpr_runtime::{DeltaTracker, Engine, Options};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -41,6 +44,13 @@ struct Frames {
 }
 
 impl Frames {
+    /// No tuple id sits in two open rounds, or in an open round and the
+    /// merged set.
+    fn disjoint(&self) -> bool {
+        let mut seen = self.merged.clone();
+        self.open.iter().flatten().all(|&t| seen.insert(t))
+    }
+
     fn visibility(&self, tid: u64) -> Visibility {
         match self.open.split_last() {
             Some((innermost, _)) if innermost.contains(&tid) => Visibility::Current,
@@ -54,8 +64,10 @@ impl Frames {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// After every op the model's partitions are disjoint and the tracker
+    /// reads each tuple exactly as the model does.
     #[test]
-    fn tracker_matches_the_frame_model(ops in prop::collection::vec(op(), 0..40)) {
+    fn stable_and_recent_stay_disjoint(ops in prop::collection::vec(op(), 0..40)) {
         let mut d = DeltaTracker::default();
         let mut model = Frames::default();
         for op in ops {
@@ -86,10 +98,111 @@ proptest! {
                     }
                 }
             }
+            prop_assert!(model.disjoint(), "stable and recent overlap");
             prop_assert_eq!(d.depth(), model.open.len());
             for t in 0..POOL {
                 prop_assert_eq!(d.visibility(t), model.visibility(t), "tuple {}", t);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Engine-level invariants on a small stratified fragment: two-column base
+// tables `T0..T2` joined into heads `D0..D2`.
+
+fn base_tuple() -> impl Strategy<Value = Tuple> {
+    (0u8..3, 0i64..4, -2i64..5).prop_map(|(t, a, b)| {
+        Tuple::new(format!("T{t}"), Value::str("C"), vec![Value::Int(a), Value::Int(b)])
+    })
+}
+
+fn rule(idx: usize) -> impl Strategy<Value = Rule> {
+    (0u8..3, prop::collection::vec(0u8..3, 1..3)).prop_map(move |(head_t, body_ts)| {
+        let var = |v: &str| Term::Var(v.into());
+        let body: Vec<Atom> = body_ts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let args = if i == 0 { vec![var("A"), var("B")] } else { vec![var("B"), var("X")] };
+                Atom::new(format!("T{t}"), var("C"), args)
+            })
+            .collect();
+        let head = Atom::new(format!("D{head_t}"), var("C"), vec![var("A"), var("B")]);
+        Rule::new(format!("r{idx}"), head, body, vec![], vec![])
+    })
+}
+
+fn program() -> impl Strategy<Value = Program> {
+    (1usize..4).prop_flat_map(|n| {
+        (0..n).map(rule).collect::<Vec<_>>().prop_map(|rules| {
+            let mut p = Program::new("prop-delta");
+            p.rules.extend(rules);
+            p
+        })
+    })
+}
+
+fn snapshot(e: &Engine) -> BTreeSet<Tuple> {
+    ["T0", "T1", "T2", "D0", "D1", "D2"].iter().flat_map(|t| e.tuples(t)).collect()
+}
+
+/// No round is open and every live state tuple is merged, so a later
+/// step's joins see all of it.
+fn at_rest(e: &Engine) -> Result<(), String> {
+    let deltas = e.deltas();
+    if deltas.depth() != 0 {
+        return Err(format!("{} rounds outlived the step", deltas.depth()));
+    }
+    for (tuple, ..) in e.store().dump() {
+        let tid = e.store().get(&tuple).expect("dumped tuples are live").tid;
+        if deltas.visibility(tid) != Visibility::Merged {
+            return Err(format!("{tuple} is live but {:?}", deltas.visibility(tid)));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// After every insert — finished, or cut short by a round budget of
+    /// one or two — no round is open and every live state tuple is
+    /// merged, once.
+    #[test]
+    fn at_rest_every_live_tuple_is_stable_once(
+        p in program(),
+        base in prop::collection::vec(base_tuple(), 0..10),
+        max_rounds in prop_oneof![Just(1u64), Just(2), Just(Options::default().max_rounds)],
+    ) {
+        prop_assume!(p.validate().is_ok());
+        let mut e = Engine::with_options(&p, Options { max_rounds, ..Options::default() }).unwrap();
+        for t in &base {
+            let _ = e.insert(t.clone());
+            let rest = at_rest(&e);
+            prop_assert!(rest.is_ok(), "after inserting {} under max_rounds {}: {:?}", t, max_rounds, rest);
+        }
+    }
+
+    /// Fixpoint idempotence: replaying the same base facts changes
+    /// nothing visible (support counting absorbs the duplicates) and
+    /// indexes nothing new.
+    #[test]
+    fn reinsertion_is_idempotent(
+        p in program(),
+        base in prop::collection::vec(base_tuple(), 1..10),
+    ) {
+        prop_assume!(p.validate().is_ok());
+        let mut e = Engine::with_options(&p, Options::default()).unwrap();
+        for t in &base {
+            e.insert(t.clone()).unwrap();
+        }
+        let before = snapshot(&e);
+        let index_before = e.index_entries();
+        for t in &base {
+            e.insert(t.clone()).unwrap();
+        }
+        prop_assert_eq!(snapshot(&e), before);
+        prop_assert_eq!(e.index_entries(), index_before);
     }
 }
