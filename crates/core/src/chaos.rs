@@ -578,7 +578,7 @@ pub fn frame_boundaries(records: &[Vec<u8>]) -> Vec<u64> {
 /// Recover an engine from the first `cut` bytes of a captured WAL, as a
 /// restart after a crash at that exact byte would. Everything happens in
 /// a throwaway directory.
-fn recover_prefix(capture: &WalCapture, cut: u64) -> Result<(Engine, EngineRecovery), String> {
+pub fn recover_prefix(capture: &WalCapture, cut: u64) -> Result<(Engine, EngineRecovery), String> {
     let cut = (cut.min(capture.wal_bytes.len() as u64)) as usize;
     let dir = kill_scratch_dir("crash");
     std::fs::create_dir_all(&dir).map_err(|e| format!("create crash dir: {e}"))?;
@@ -589,8 +589,9 @@ fn recover_prefix(capture: &WalCapture, cut: u64) -> Result<(Engine, EngineRecov
     result
 }
 
-/// An in-memory engine fed the input records after the header, in order.
-fn fed(capture: &WalCapture, records: &[Vec<u8>]) -> Result<Engine, String> {
+/// An in-memory engine fed the input records after the header, in order:
+/// the oracle a restart that re-ran them must equal.
+pub fn fed_engine(capture: &WalCapture, records: &[Vec<u8>]) -> Result<Engine, String> {
     let mut engine =
         Engine::shared(Arc::clone(&capture.program), capture.opts.clone()).map_err(|e| e.to_string())?;
     for record in records.iter().skip(1) {
@@ -617,7 +618,7 @@ pub fn crash_at(capture: &WalCapture, cut: u64) -> KillOutcome {
     let whole = frame_boundaries(&capture.records).iter().filter(|&&b| b <= cut).count() - 1;
     let probe = catch_unwind(AssertUnwindSafe(|| -> Result<(bool, usize, bool), String> {
         let (engine, recovery) = recover_prefix(capture, cut)?;
-        let oracle = fed(capture, &capture.records[..whole])?;
+        let oracle = fed_engine(capture, &capture.records[..whole])?;
         let dump = engine.store().dump();
         let consistent = recovery.inputs == whole.saturating_sub(1)
             && dump == oracle.store().dump()

@@ -679,6 +679,18 @@ mod tests {
     }
 
     #[test]
+    fn pyretic_variants_disallow_operator_repairs() {
+        // Pyretic's `match` is equality-only (§5.8); the NDlog programs
+        // and their Trema ports keep operator repairs.
+        for s in Scenario::all() {
+            assert!(s.op_repairs && s.trema_variant().op_repairs, "{}", s.id);
+            if let Some(p) = s.pyretic_variant() {
+                assert!(!p.op_repairs, "{}", p.id);
+            }
+        }
+    }
+
+    #[test]
     fn q1_is_broken_as_described() {
         use mpr_backtest::replay::{replay, BacktestSetup};
         let s = Scenario::q1_copy_paste();

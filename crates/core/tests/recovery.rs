@@ -9,6 +9,8 @@
 use mpr_core::chaos;
 use mpr_core::debugger::Debugger;
 use mpr_core::scenarios::Scenario;
+use mpr_core::World;
+use mpr_provenance::explain_exist;
 use mpr_runtime::{Durability, Options, WalOptions};
 use std::collections::BTreeSet;
 
@@ -86,6 +88,39 @@ fn frame_boundary_cuts_are_clean_and_torn_cuts_report_loss() {
             assert!(!torn.clean, "mid-frame cut {} recovered clean", b + 4);
             assert!(torn.prefix_consistent, "torn cut diverged: {torn:?}");
             assert_eq!(torn.inputs, i.saturating_sub(1), "torn cut re-ran past the tear");
+        }
+    }
+}
+
+/// A restart gives back the provenance a debugger reads: on Q1–Q5, after
+/// the whole log and after a cut mid-way, the recovered engine's log
+/// yields the explorer's input and the `explain_exist` tree of every live
+/// derived tuple that the log of an engine fed the surviving inputs
+/// yields.
+#[test]
+fn a_restart_gives_back_the_same_provenance_reads() {
+    for scenario in Scenario::all().into_iter().filter(|s| s.id.starts_with('Q')) {
+        let capture = chaos::capture_wal(&scenario, &opts(), 0)
+            .unwrap_or_else(|e| panic!("{} capture failed: {e}", scenario.id));
+        let len = capture.wal_bytes.len() as u64;
+        // The mid cut tears the record after the middle frame boundary.
+        let bounds = chaos::frame_boundaries(&capture.records);
+        for cut in [len, bounds[bounds.len() / 2] + 3] {
+            let what = format!("{} cut at {cut} of {len}", scenario.id);
+            let (recovered, recovery) = chaos::recover_prefix(&capture, cut).unwrap();
+            let oracle = chaos::fed_engine(&capture, &capture.records[..=recovery.inputs]).unwrap();
+            assert_eq!(recovered.now(), oracle.now(), "{what}");
+            let (got, want) = (World::from_history(&scenario, recovered.log()), World::from_history(&scenario, oracle.log()));
+            assert_eq!(got.triggers, want.triggers, "{what}: triggers");
+            assert_eq!(got.state, want.state, "{what}: state");
+            assert_eq!(got.derivations, want.derivations, "{what}: derivations");
+            let derived: Vec<_> = oracle.store().dump().into_iter().filter(|&(_, _, d)| d > 0).map(|(t, ..)| t).collect();
+            assert!(!derived.is_empty(), "{what}: nothing derived");
+            for tuple in &derived {
+                let tree = explain_exist(oracle.log(), tuple, oracle.now());
+                assert!(tree.is_some(), "{what}: {tuple} is live but unexplained");
+                assert_eq!(explain_exist(recovered.log(), tuple, recovered.now()), tree, "{what}: {tuple}");
+            }
         }
     }
 }

@@ -9,9 +9,10 @@
 //! 1. **`match` admits only equality** — "a fix that changes the operator
 //!    to `>` is possible in RapidNet but disallowed in Pyretic because
 //!    of the syntax of `match`". The compiler records which NDlog
-//!    selections came from `match`es; [`PyreticProgram::op_repairs_allowed`]
-//!    reports `false`, and the repair harness filters operator mutations —
-//!    which is why Q1 yields fewer candidates under Pyretic (Table 3).
+//!    selections came from `match`es, and a Pyretic scenario sets
+//!    `Scenario.op_repairs` to `false` (`mpr_core`'s `pyretic_variant`),
+//!    so the debugger generates no operator mutations — which is why Q1
+//!    yields fewer candidates under Pyretic (Table 3).
 //! 2. **Q4 cannot be reproduced** — "the Pyretic abstraction and its
 //!    runtime already prevents such problems": the compiler emits the
 //!    `PacketOut` rule automatically alongside every forwarding policy, so
@@ -79,12 +80,6 @@ impl fmt::Display for PyreticProgram {
 }
 
 impl PyreticProgram {
-    /// Pyretic `match` is equality-only: operator mutations are not legal
-    /// repairs in this language.
-    pub fn op_repairs_allowed(&self) -> bool {
-        false
-    }
-
     /// Compile to NDlog. The policy tree is flattened into its atomic
     /// branches: every path `match(f1=v1)[… match(fk=vk)[fwd(p)]]` becomes
     /// one rule. `Drop` branches become `Prt := -1` rules. A `PacketOut`
@@ -251,11 +246,6 @@ mod tests {
         let p = prog.compile();
         // 2 branches × 2 rules each.
         assert_eq!(p.rules.len(), 4);
-    }
-
-    #[test]
-    fn operator_repairs_are_disallowed() {
-        assert!(!q1_pyretic().op_repairs_allowed());
     }
 
     #[test]

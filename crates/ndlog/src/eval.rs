@@ -245,9 +245,9 @@ pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
         (BinOp::Sub, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
         (BinOp::Mul, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
         (BinOp::Div, Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-        (BinOp::Div, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a / b)),
+        (BinOp::Div, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_div(*b))),
         (BinOp::Mod, Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-        (BinOp::Mod, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a % b)),
+        (BinOp::Mod, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_rem(*b))),
         (BinOp::Add, Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
         _ => Err(EvalError::TypeError(format!(
             "cannot apply `{op}` to {} and {}",
@@ -294,6 +294,17 @@ mod tests {
         assert_eq!(e.eval(&Env::new(), &mut PureFuncs), Err(EvalError::DivideByZero));
         let e = Expr::Binary(BinOp::Mod, Box::new(Expr::int(1)), Box::new(Expr::int(0)));
         assert_eq!(e.eval(&Env::new(), &mut PureFuncs), Err(EvalError::DivideByZero));
+    }
+
+    #[test]
+    fn integer_arithmetic_wraps_instead_of_panicking() {
+        let (min, max) = (Value::Int(i64::MIN), Value::Int(i64::MAX));
+        assert_eq!(eval_binop(BinOp::Div, &min, &Value::Int(-1)), Ok(min.clone()));
+        assert_eq!(eval_binop(BinOp::Mod, &min, &Value::Int(-1)), Ok(Value::Int(0)));
+        assert_eq!(eval_binop(BinOp::Add, &max, &Value::Int(1)), Ok(min.clone()));
+        assert_eq!(eval_binop(BinOp::Sub, &min, &Value::Int(1)), Ok(max.clone()));
+        assert_eq!(eval_binop(BinOp::Mul, &min, &Value::Int(-1)), Ok(min));
+        assert_eq!(eval_binop(BinOp::Div, &max, &Value::Int(-1)), Ok(Value::Int(-i64::MAX)));
     }
 
     #[test]

@@ -8,8 +8,9 @@ use std::fmt;
 pub enum Tok {
     /// Identifier (variable, table, rule id, function name, bare string).
     Ident(String),
-    /// Integer literal (unsigned; unary minus is a separate token).
-    Int(i64),
+    /// Integer literal's magnitude, at most 2^63 so that `i64::MIN` can
+    /// be written; unary minus is a separate token.
+    Int(u64),
     /// Single-quoted string literal.
     Str(String),
     /// `(`
@@ -260,12 +261,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                 push!(Tok::Str(s), tl, tc);
             }
             c if c.is_ascii_digit() => {
-                let mut n: i64 = 0;
+                let mut n: u64 = 0;
                 while let Some(&d) = chars.peek() {
                     if let Some(dd) = d.to_digit(10) {
                         n = n
                             .checked_mul(10)
-                            .and_then(|n| n.checked_add(dd as i64))
+                            .and_then(|n| n.checked_add(u64::from(dd)))
+                            .filter(|&n| n <= i64::MIN.unsigned_abs())
                             .ok_or_else(|| ParseError::at(tl, tc, "integer literal overflows i64"))?;
                         chars.next();
                         col += 1;

@@ -124,12 +124,20 @@ impl Parser {
         ParseError::at(line, col, msg)
     }
 
-    fn expect_int(&mut self) -> Result<i64, ParseError> {
+    fn expect_int(&mut self) -> Result<u64, ParseError> {
         match self.next() {
             Some(Tok::Int(i)) => Ok(i),
             Some(t) => Err(self.err_back(format!("expected integer, found `{t}`"))),
             None => Err(self.err("expected integer, found end of input")),
         }
+    }
+
+    /// The integer literal just consumed, of `magnitude`, negated if a
+    /// unary minus preceded it. Magnitudes reach 2^63, so `i64::MIN` reads
+    /// back as itself and only a positive 2^63 is refused.
+    fn int_value(&self, magnitude: u64, negated: bool) -> Result<i64, ParseError> {
+        let signed = if negated { -i128::from(magnitude) } else { i128::from(magnitude) };
+        i64::try_from(signed).map_err(|_| self.err_back("integer literal overflows i64"))
     }
 
     // materialize(Table, infinity, 3, keys(0,1)).
@@ -294,12 +302,12 @@ impl Parser {
             Some(Tok::Int(i)) => {
                 let i = *i;
                 self.pos += 1;
-                Ok(Term::Const(Value::Int(i)))
+                Ok(Term::Const(Value::Int(self.int_value(i, false)?)))
             }
             Some(Tok::Minus) => {
                 self.pos += 1;
                 let i = self.expect_int()?;
-                Ok(Term::Const(Value::Int(-i)))
+                Ok(Term::Const(Value::Int(self.int_value(i, true)?)))
             }
             Some(Tok::Str(s)) => {
                 let s = s.clone();
@@ -357,7 +365,7 @@ impl Parser {
             if let Some(Tok::Int(i)) = self.peek() {
                 let i = *i;
                 self.pos += 1;
-                return Ok(Expr::Const(Value::Int(-i)));
+                return Ok(Expr::Const(Value::Int(self.int_value(i, true)?)));
             }
             let e = self.unary()?;
             return Ok(Expr::Binary(BinOp::Sub, Box::new(Expr::int(0)), Box::new(e)));
@@ -370,7 +378,7 @@ impl Parser {
             Some(Tok::Int(i)) => {
                 let i = *i;
                 self.pos += 1;
-                Ok(Expr::Const(Value::Int(i)))
+                Ok(Expr::Const(Value::Int(self.int_value(i, false)?)))
             }
             Some(Tok::Str(s)) => {
                 let s = s.clone();
@@ -525,5 +533,19 @@ mod tests {
         let src = "r7 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 2.";
         let r = parse_rule(src).unwrap();
         assert_eq!(parse_rule(&r.to_string()).unwrap(), r);
+    }
+
+    #[test]
+    fn integer_literals_span_i64() {
+        let r = parse_rule("r1 B(@X,-9223372036854775808) :- A(@X,Y), Y == -9223372036854775808, Z := 9223372036854775807.")
+            .unwrap();
+        assert_eq!(r.head.args[0], Term::Const(Value::Int(i64::MIN)));
+        assert_eq!(r.sels[0].rhs, Expr::Const(Value::Int(i64::MIN)));
+        assert_eq!(r.assigns[0].expr, Expr::Const(Value::Int(i64::MAX)));
+        assert_eq!(parse_rule(&r.to_string()).unwrap(), r);
+        for bad in ["Y == 9223372036854775808", "Y == -9223372036854775809", "Y == 99999999999999999999"] {
+            let err = parse_rule(&format!("r1 B(@X,Y) :- A(@X,Y), {bad}.")).unwrap_err();
+            assert!(err.to_string().contains("overflows i64"), "{bad}: {err}");
+        }
     }
 }

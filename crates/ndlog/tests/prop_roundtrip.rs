@@ -18,9 +18,14 @@ fn table_name() -> impl Strategy<Value = String> {
         .prop_map(String::from)
 }
 
+/// Small integers, and the ends of `i64`.
+fn int() -> impl Strategy<Value = i64> {
+    prop_oneof![-100i64..100, Just(i64::MIN), Just(i64::MIN + 1), Just(i64::MAX)]
+}
+
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
-        (-100i64..100).prop_map(Value::Int),
+        int().prop_map(Value::Int),
         prop::sample::select(vec!["output", "drop", "fwd"]).prop_map(Value::str),
         any::<bool>().prop_map(Value::Bool),
         Just(Value::Wild),
@@ -37,7 +42,7 @@ fn term() -> impl Strategy<Value = Term> {
 fn leaf_expr() -> impl Strategy<Value = Expr> {
     prop_oneof![
         var_name().prop_map(Expr::Var),
-        (-100i64..100).prop_map(Expr::int),
+        int().prop_map(Expr::int),
     ]
 }
 

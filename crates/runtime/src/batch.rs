@@ -217,16 +217,11 @@ impl Engine {
         // The processed batch and the next round's delta swap roles each
         // iteration, so the two buffers are allocated once per drain.
         let mut round_out: VecDeque<(TupleId, Tuple)> = VecDeque::new();
-        // The round cap, surfaced as a typed error rather than spinning.
-        // Checked at round boundaries only (outside any round).
-        let mut rounds: u64 = 0;
+        // The step's derivation budget bounds the rounds: each after the
+        // first fires only what a counted firing produced.
         let outcome = loop {
             if pending.is_empty() {
                 break Ok(());
-            }
-            rounds += 1;
-            if rounds > self.opts.max_rounds {
-                break Err(RuntimeError::RoundLimit(self.opts.max_rounds));
             }
             self.open_round(&pending);
             let mut fired = Ok(());
@@ -514,31 +509,36 @@ mod tests {
 
     #[test]
     fn a_step_cut_short_leaves_its_tuples_joinable() {
+        // A `Link` fires r1 (the join), r2, then r3: under a budget of one
+        // firing per step, r3's cuts the step short.
         let src = r"
             materialize(Link, infinity, 2, keys(0,1)).
             materialize(Reach, infinity, 2, keys(0,1)).
-            r1 Reach(@C,X,Y) :- Link(@C,X,Y).
-            r2 Reach(@C,X,Z) :- Reach(@C,X,Y), Link(@C,Y,Z).
+            materialize(Seen, infinity, 1, keys(0)).
+            r1 Reach(@C,X,Z) :- Reach(@C,X,Y), Link(@C,Y,Z).
+            r2 Reach(@C,X,Y) :- Link(@C,X,Y).
+            r3 Seen(@C,X) :- Link(@C,X,Y).
         ";
         let p = parse_program("t", src).unwrap();
-        let mut e = Engine::with_options(&p, Options { max_rounds: 1, ..Options::default() }).unwrap();
+        let mut e = Engine::with_options(&p, Options { max_derivations: 1, ..Options::default() }).unwrap();
         let c = Value::str("C");
         let tuple = |t: &str, a: i64, b: i64| Tuple::new(t, c.clone(), vec![Value::Int(a), Value::Int(b)]);
-        // Round 1 derives Reach(1,2); firing it would be round 2.
-        assert_eq!(e.insert(tuple("Link", 1, 2)), Err(RuntimeError::RoundLimit(1)));
+        // r2 derives Reach(1,2), which never fires as a delta.
+        assert_eq!(e.insert(tuple("Link", 1, 2)), Err(RuntimeError::DerivationLimit(1)));
         assert!(e.contains(&tuple("Reach", 1, 2)));
         at_rest(&e).unwrap();
-        // Round 1 of the next insert joins Reach(1,2) at body position 0.
-        assert_eq!(e.insert(tuple("Link", 2, 3)), Err(RuntimeError::RoundLimit(1)));
-        assert_eq!(e.tuples("Reach"), [tuple("Reach", 1, 2), tuple("Reach", 1, 3), tuple("Reach", 2, 3)]);
+        // The next step's first firing is r1 joining Reach(1,2) at body
+        // position 0.
+        assert_eq!(e.insert(tuple("Link", 2, 3)), Err(RuntimeError::DerivationLimit(1)));
+        assert_eq!(e.tuples("Reach"), [tuple("Reach", 1, 2), tuple("Reach", 1, 3)]);
         at_rest(&e).unwrap();
     }
 
     #[test]
     fn a_replacement_whose_cascade_is_cut_short_stays_joinable() {
         // Counts of counts: replacing a `Src` tuple re-emits a `Cnt`,
-        // whose replacement re-emits a `Tot`, whose consequences need a
-        // third round.
+        // whose replacement re-emits a `Tot`, whose consequences take
+        // two more firings.
         let src = r"
             materialize(Src, infinity, 2, keys(0)).
             materialize(Other, infinity, 2, keys(0,1)).
@@ -554,18 +554,19 @@ mod tests {
             j1 J(@N,X,Z) :- Src(@N,X,Y), Other(@N,Y,Z).
         ";
         let p = parse_program("t", src).unwrap();
-        let mut e = Engine::with_options(&p, Options { max_rounds: 2, ..Options::default() }).unwrap();
+        let mut e = Engine::with_options(&p, Options { max_derivations: 3, ..Options::default() }).unwrap();
         let tuple = |t: &str, a: i64, b: i64| Tuple::new(t, Value::Int(1), vec![Value::Int(a), Value::Int(b)]);
         for (x, y) in [(1, 7), (2, 7), (3, 9), (4, 9)] {
             let _ = e.insert(tuple("Src", x, y));
         }
         assert!(e.contains(&tuple("Tot", 2, 2)), "Cnt(7,2) and Cnt(9,2)");
-        // Src(1,8) replaces Src(1,7): Cnt(7,1) replaces Cnt(7,2), Tot(2,1)
-        // replaces Tot(2,2), and Fin(2,1) would be its third round. The
-        // insert fails inside both replacements' cascades, before either
-        // new instance was fired.
-        assert_eq!(e.insert(tuple("Src", 1, 8)), Err(RuntimeError::RoundLimit(2)));
+        // Src(1,8) replaces Src(1,7): Cnt(7,1) replaces Cnt(7,2) (firing
+        // 1), Tot(2,1) replaces Tot(2,2) (2), Out(2,1) follows (3), and
+        // Fin(2,1) would be the fourth. The insert fails inside both
+        // replacements' cascades, before either new instance was fired.
+        assert_eq!(e.insert(tuple("Src", 1, 8)), Err(RuntimeError::DerivationLimit(3)));
         assert!(e.contains(&tuple("Src", 1, 8)) && e.contains(&tuple("Cnt", 7, 1)));
+        assert!(!e.contains(&tuple("Fin", 2, 1)));
         at_rest(&e).unwrap();
         e.insert(tuple("Other", 8, 9)).unwrap();
         assert!(e.contains(&tuple("J", 1, 9)), "Src(1,8) joins at body position 0");

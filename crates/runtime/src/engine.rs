@@ -277,19 +277,19 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Runtime failure (resource exhaustion — evaluation itself is total).
+/// A call the engine refused or cut short. Evaluation itself is total:
+/// no rule, value or arithmetic makes it fail.
 ///
-/// Every variant is a *budget*, not a corruption: the engine stays usable
-/// after returning one (no round is left open, what the step derived but
-/// never fired is merged and joins in later steps, the store and log are
-/// intact), callers just must not assume the fixpoint completed.
+/// Neither variant is a corruption, and the engine stays usable after
+/// either: a step cut short by its budget leaves no round open, merges
+/// what it derived but never fired so that later steps join it, and
+/// keeps its store and log intact; callers just must not assume that
+/// step reached its fixpoint. A refused tuple is not stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// The derivation budget was exceeded (runaway recursion guard).
+    /// One step needed more than [`Options::max_derivations`] rule
+    /// firings (runaway recursion guard).
     DerivationLimit(u64),
-    /// The batch fixpoint exceeded [`Options::max_rounds`] semi-naive
-    /// rounds in one externally driven step.
-    RoundLimit(u64),
     /// Arity of an inserted tuple does not match its table's prior use.
     ArityMismatch {
         /// Table name.
@@ -305,7 +305,6 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::DerivationLimit(n) => write!(f, "derivation limit exceeded ({n})"),
-            RuntimeError::RoundLimit(n) => write!(f, "fixpoint round limit exceeded ({n})"),
             RuntimeError::ArityMismatch { table, expected, got } => {
                 write!(f, "tuple arity mismatch for `{table}`: expected {expected}, got {got}")
             }
@@ -323,15 +322,16 @@ const UNIQUE_SEED: i64 = 1000;
 pub struct Options {
     /// Record provenance events (§5.4 measures the cost of turning this on).
     pub record_events: bool,
-    /// Hard cap on total derivations, as a runaway guard.
+    /// The runaway guard: the most rule firings one step — one
+    /// [`Engine::insert`] or [`Engine::delete`] call, run to fixpoint —
+    /// may make, under either strategy. A step that needs more fails with
+    /// [`RuntimeError::DerivationLimit`] and the next starts from zero, so
+    /// a long-running engine is never worn out. It also bounds a step's
+    /// semi-naive rounds: every round after a drain's first fires only
+    /// what a counted firing produced.
     pub max_derivations: u64,
     /// How deltas propagate to fixpoint (see [`EvalStrategy`]).
     pub strategy: EvalStrategy,
-    /// Hard cap on semi-naive rounds per externally driven step (batch
-    /// only — the pipelined loop is already bounded by
-    /// [`Options::max_derivations`], since its queue only grows through
-    /// counted firings). Surfaced as [`RuntimeError::RoundLimit`].
-    pub max_rounds: u64,
     /// Whether the engine writes its inputs to a WAL (see
     /// [`Durability`]); [`Durability::Mem`] by default.
     pub durability: Durability,
@@ -341,9 +341,8 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             record_events: true,
-            max_derivations: 50_000_000,
+            max_derivations: 1_000_000,
             strategy: EvalStrategy::default(),
-            max_rounds: 1_000_000,
             durability: Durability::default(),
         }
     }
@@ -661,7 +660,8 @@ impl Engine {
         std::mem::take(&mut self.log)
     }
 
-    /// Total rule firings so far.
+    /// Rule firings over the engine's life, replayed steps included; the
+    /// budget, [`Options::max_derivations`], is per step.
     pub fn total_derivations(&self) -> u64 {
         self.total_derivations
     }
@@ -711,14 +711,6 @@ impl Engine {
     /// Live tuples of `table`, sorted.
     pub fn tuples(&self, table: &str) -> Vec<Tuple> {
         self.store.tuples(table)
-    }
-
-    /// Live tuples of `table` at `node`, sorted.
-    pub fn tuples_at(&self, node: &Value, table: &str) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> =
-            self.store.scan(table, Some(node)).map(|l| l.tuple.clone()).collect();
-        v.sort();
-        v
     }
 
     /// Number of live tuples across all tables.
@@ -992,8 +984,8 @@ impl Engine {
         mut queue: VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
-        // The step budget is [`Options::max_derivations`] (this queue only
-        // grows through counted firings).
+        // The step's derivation budget bounds this loop: the queue only
+        // grows through counted firings.
         while let Some((tid, tuple)) = queue.pop_front() {
             // A tuple may have died while queued (replacement/cascade).
             if self.log.kind(tid) != TupleKind::Event && !self.log.is_live(tid) {
@@ -1107,11 +1099,11 @@ impl Engine {
         true
     }
 
-    /// Count one firing against the derivation budget.
+    /// Count one firing against the step's derivation budget.
     pub(crate) fn count_derivation(&mut self, result: &mut StepResult) -> Result<(), RuntimeError> {
         self.total_derivations += 1;
         result.derivations += 1;
-        if self.total_derivations > self.opts.max_derivations {
+        if result.derivations > self.opts.max_derivations {
             return Err(RuntimeError::DerivationLimit(self.opts.max_derivations));
         }
         Ok(())
@@ -1666,6 +1658,21 @@ mod tests {
         .unwrap();
         let err = e.insert(Tuple::new("Seed", v(1), vec![v(1)])).unwrap_err();
         assert_eq!(err, RuntimeError::DerivationLimit(1000));
+    }
+
+    #[test]
+    fn integer_overflow_wraps_under_both_strategies() {
+        let src = r"
+            r1 B(@X,Z) :- A(@X,Y), Z := Y / -1.
+            r2 M(@X,Z) :- A(@X,Y), Z := Y % -1.
+        ";
+        let p = parse_program("wrap", src).unwrap();
+        for strategy in [EvalStrategy::Batch, EvalStrategy::Pipelined] {
+            let mut e = Engine::with_options(&p, Options { strategy, ..Options::default() }).unwrap();
+            e.insert(Tuple::new("A", v(1), vec![v(i64::MIN)])).unwrap();
+            assert_eq!(e.tuples("B"), [Tuple::new("B", v(1), vec![v(i64::MIN)])], "{strategy}");
+            assert_eq!(e.tuples("M"), [Tuple::new("M", v(1), vec![v(0)])], "{strategy}");
+        }
     }
 
     #[test]

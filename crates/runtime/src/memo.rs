@@ -26,8 +26,8 @@
 //! re-applies the effects in order, with fresh ids and the current time,
 //! through the store and log calls the drain makes: the log, the store
 //! with its support counts and the step result are what the drain writes.
-//! A hit that would cross [`crate::Options::max_derivations`] runs the
-//! drain instead, which fails where it fails.
+//! A filed step returned `Ok`, so it fits the per-step budget,
+//! [`crate::Options::max_derivations`], and so does its replay.
 //!
 //! [`crate::EvalStrategy::Pipelined`] keeps no memo: it is the reference
 //! every batch step, filed or replayed, is held to.
@@ -184,12 +184,10 @@ impl Engine {
     }
 
     /// Answer `event`, interned under `tref`, by replaying its filed step,
-    /// if one is filed and fits the derivation budget; hand it back
-    /// otherwise.
+    /// if one is filed; hand it back otherwise.
     fn replay_filed(&mut self, event: Tuple, hash: u64, tref: u32) -> Result<StepResult, Tuple> {
         let filed = std::mem::take(&mut self.memo.filed);
-        let budget = self.opts.max_derivations.saturating_sub(self.total_derivations);
-        let hit = filed.get(&hash).filter(|f| f.event == tref && f.derivations <= budget);
+        let hit = filed.get(&hash).filter(|f| f.event == tref);
         let answer = match hit {
             Some(f) => Ok(self.replay(f, event)),
             None => Err(event),

@@ -149,7 +149,7 @@ fn crash_at_any_offset_recovers_an_op_prefix() {
 #[test]
 fn a_failed_call_is_logged_and_fails_again_on_replay() {
     let dir = scratch("failed");
-    let opts = Options { max_rounds: 1, ..Options::default() };
+    let opts = Options { max_derivations: 2, ..Options::default() };
     let mut live =
         Engine::shared(program(), Options { durability: Durability::Wal(WalOptions::new(&dir)), ..opts.clone() })
             .unwrap();

@@ -166,21 +166,21 @@ fn at_rest(e: &Engine) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// After every insert — finished, or cut short by a round budget of
-    /// one or two — no round is open and every live state tuple is
-    /// merged, once.
+    /// After every insert — finished, or cut short by a derivation budget
+    /// of one or two firings per step — no round is open and every live
+    /// state tuple is merged, once.
     #[test]
     fn at_rest_every_live_tuple_is_stable_once(
         p in program(),
         base in prop::collection::vec(base_tuple(), 0..10),
-        max_rounds in prop_oneof![Just(1u64), Just(2), Just(Options::default().max_rounds)],
+        max_derivations in prop_oneof![Just(1u64), Just(2), Just(Options::default().max_derivations)],
     ) {
         prop_assume!(p.validate().is_ok());
-        let mut e = Engine::with_options(&p, Options { max_rounds, ..Options::default() }).unwrap();
+        let mut e = Engine::with_options(&p, Options { max_derivations, ..Options::default() }).unwrap();
         for t in &base {
             let _ = e.insert(t.clone());
             let rest = at_rest(&e);
-            prop_assert!(rest.is_ok(), "after inserting {} under max_rounds {}: {:?}", t, max_rounds, rest);
+            prop_assert!(rest.is_ok(), "after inserting {} under max_derivations {}: {:?}", t, max_derivations, rest);
         }
     }
 

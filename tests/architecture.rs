@@ -160,6 +160,12 @@ fn deleted_names_stay_deleted() {
         "RelationDeltaStats",
         "delta_stats",
         "in_current_round",
+        // The round budget, which the per-step derivation budget already
+        // bounds, and two public helpers only their own tests read.
+        "max_rounds",
+        "RoundLimit",
+        "tuples_at",
+        "op_repairs_allowed",
     ];
     // The root-level markdown files that describe the tree as it is; every
     // other one (CHANGES.md, ROADMAP.md, ...) is a log that may record a

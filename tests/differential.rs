@@ -25,7 +25,7 @@ use sdn_meta_repair::provenance::{
     derivation_set, explain_exist_with, ExplainOptions, ProvTree, Vertex,
 };
 use sdn_meta_repair::runtime::naive::naive_fixpoint;
-use sdn_meta_repair::runtime::{Engine, ExecEvent, ExecLog, Options, StepResult, TupleId, TupleKind};
+use sdn_meta_repair::runtime::{Engine, ExecEvent, ExecLog, Options, RuntimeError, StepResult, TupleId, TupleKind};
 use sdn_meta_repair::EvalStrategy;
 use std::collections::BTreeSet;
 
@@ -594,6 +594,15 @@ fn memo_tuple(table: &str, a: i64, b: i64) -> Tuple {
     Tuple::new(table, Value::str("C"), vec![Value::Int(a), Value::Int(b)])
 }
 
+/// Make the call `op` names on `e`.
+fn memo_apply(e: &mut Engine, op: &MemoOp) -> Result<StepResult, RuntimeError> {
+    match op {
+        MemoOp::Event(a, b) => e.insert(memo_tuple("Ev", *a, *b)),
+        MemoOp::Insert(s, a, b) => e.insert(memo_tuple(&format!("S{s}"), *a, *b)),
+        MemoOp::Delete(s, a, b) => e.delete(&memo_tuple(&format!("S{s}"), *a, *b)),
+    }
+}
+
 /// Apply `ops` to a batch and a pipelined engine of `src` built with
 /// `opts`, comparing them after every one; returns the batch engine's
 /// memo hits.
@@ -604,12 +613,7 @@ fn memo_lockstep(src: &str, ops: &[MemoOp], opts: &Options) -> u64 {
     let mut pipe =
         Engine::with_options(&p, Options { strategy: EvalStrategy::Pipelined, ..opts.clone() }).unwrap();
     for (i, op) in ops.iter().enumerate() {
-        let apply = |e: &mut Engine| match op {
-            MemoOp::Event(a, b) => e.insert(memo_tuple("Ev", *a, *b)),
-            MemoOp::Insert(s, a, b) => e.insert(memo_tuple(&format!("S{s}"), *a, *b)),
-            MemoOp::Delete(s, a, b) => e.delete(&memo_tuple(&format!("S{s}"), *a, *b)),
-        };
-        let (got, want) = (apply(&mut batch), apply(&mut pipe));
+        let (got, want) = (memo_apply(&mut batch, op), memo_apply(&mut pipe, op));
         assert_eq!(got, want, "step {i} ({op:?}) of {ops:?} under\n{src}");
         assert_eq!(batch.store().dump(), pipe.store().dump(), "store after step {i} ({op:?}) under\n{src}");
         assert!(batch.log() == pipe.log(), "log after step {i} ({op:?}) of {ops:?} under\n{src}");
@@ -701,8 +705,16 @@ fn each_way_a_memoized_step_can_go_stale_is_caught() {
     .concat();
     let hits = memo_lockstep(src, &ops, &Options::default());
     assert!(hits >= 8, "{hits} memo hits");
-    // A derivation budget a hit would cross: the drain runs, and fails
-    // where the reference fails.
-    let tight = Options { max_derivations: 12, ..Options::default() };
-    memo_lockstep(src, &ops, &tight);
+    // A per-step budget below the script's largest step: the steps that
+    // need more fail as the reference's do, and the memo keeps answering
+    // the steps after them.
+    let p = parse_program("memo", &format!("{MEMO_TABLES}{src}")).unwrap();
+    let mut reference = Engine::with_options(&p, Options::default()).unwrap();
+    let needs: Vec<u64> = ops.iter().map(|op| memo_apply(&mut reference, op).unwrap().derivations).collect();
+    let budget = needs.iter().max().unwrap() - 1;
+    let last_cut = needs.iter().rposition(|&n| n > budget).unwrap();
+    assert!(needs[last_cut + 1..].iter().filter(|&&n| n > 0).count() >= 3, "too few steps follow the cut");
+    let tight = Options { max_derivations: budget, ..Options::default() };
+    let tight_hits = memo_lockstep(src, &ops, &tight);
+    assert!(tight_hits >= hits / 2, "{tight_hits} memo hits under the tight budget");
 }
