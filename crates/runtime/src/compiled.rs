@@ -29,8 +29,14 @@
 //! calls `f_unique()` — the one built-in with state — so skipping the
 //! selections scheduled before it cannot shift the id sequence either.
 //!
+//! A join extension that knows, before it runs, the location and every
+//! effective key column of its table — as the catalog the rule is compiled
+//! against declares them — carries its *key plan*: those columns in the
+//! store's key order, so the batch engine looks its one candidate up in the
+//! store's own map instead of scanning the table.
+//!
 //! Two drivers fire through this form: the batch engine
-//! (`batch.rs`, keyed index probes, tuple ids as the annotation) and the
+//! (`batch.rs`, store probes, tuple ids as the annotation) and the
 //! joint backtest (`mpr_backtest::mqo`, through [`CompiledRule::fire_scan`],
 //! candidate tag sets as the annotation). Both compile a rule the first
 //! time a delta reaches it, into a [`LazyRule`]; what they refuse up front
@@ -120,6 +126,10 @@ pub(crate) struct Extension {
     pub(crate) atom_idx: usize,
     pub(crate) table: String,
     pub(crate) cols: Vec<ColOp>,
+    /// The key plan (module docs): the atom's columns that make up its
+    /// table's store key, location first, when every one of them is known
+    /// before the atom runs. `None`: the extension scans its table.
+    pub(crate) key: Option<Vec<usize>>,
     /// Selections that become ready once this atom is joined.
     pub(crate) ready: Vec<usize>,
 }
@@ -294,49 +304,59 @@ impl SlotExpr {
     }
 }
 
+/// Does `tuple` pass every test of an atom's column program under
+/// `frame`? The half of [`match_cols`] that writes nothing.
+pub(crate) fn cols_match(cols: &[ColOp], tuple: &Tuple, frame: &Frame) -> bool {
+    if cols.len() != tuple.args.len() + 1 {
+        return false;
+    }
+    let col = |i: usize| if i == 0 { &tuple.loc } else { &tuple.args[i - 1] };
+    cols.iter().enumerate().all(|(i, op)| match op {
+        ColOp::Const(c) => c == col(i),
+        ColOp::Check(s) => frame[*s as usize].as_ref() == Some(col(i)),
+        ColOp::SameAs(j) => col(*j) == col(i),
+        ColOp::Bind(_) => true,
+    })
+}
+
 /// Unify `tuple` with an atom's column program: every test first, writing
 /// nothing, then — only for a match — the bindings. A rejected candidate,
 /// the common case in a join loop, clones nothing; and since a `Bind`
 /// slot is read by no test of its own atom, the next candidate can be
 /// matched into the same frame without undoing this one's bindings.
 pub(crate) fn match_cols(cols: &[ColOp], tuple: &Tuple, frame: &mut Frame) -> bool {
-    if cols.len() != tuple.args.len() + 1 {
+    if !cols_match(cols, tuple, frame) {
         return false;
     }
-    let col = |i: usize| if i == 0 { &tuple.loc } else { &tuple.args[i - 1] };
-    let matches = cols.iter().enumerate().all(|(i, op)| match op {
-        ColOp::Const(c) => c == col(i),
-        ColOp::Check(s) => frame[*s as usize].as_ref() == Some(col(i)),
-        ColOp::SameAs(j) => col(*j) == col(i),
-        ColOp::Bind(_) => true,
-    });
-    if matches {
-        for (i, op) in cols.iter().enumerate() {
-            if let ColOp::Bind(s) = op {
-                frame[*s as usize] = Some(col(i).clone());
-            }
+    for (i, op) in cols.iter().enumerate() {
+        if let ColOp::Bind(s) = op {
+            frame[*s as usize] = Some(if i == 0 { &tuple.loc } else { &tuple.args[i - 1] }.clone());
         }
     }
-    matches
+    true
+}
+
+/// The key plan of an atom over `table` whose column program is `cols`
+/// (module docs): `None` unless `catalog` declares the table state and
+/// `cols` knows its location and every effective key column.
+fn key_plan(catalog: &Catalog, table: &str, cols: &[ColOp]) -> Option<Vec<usize>> {
+    let schema = catalog.get(table).filter(|s| s.is_state())?;
+    let plan: Vec<usize> = std::iter::once(0).chain(schema.effective_keys().into_iter().map(|k| k + 1)).collect();
+    let known = |c: &usize| matches!(cols.get(*c), Some(ColOp::Const(_) | ColOp::Check(_)));
+    plan.iter().all(known).then_some(plan)
 }
 
 impl Extension {
-    /// The columns whose value is known before the atom runs (`Const` and
-    /// `Check`), ascending: what a keyed index for this extension is over.
-    pub(crate) fn probe_cols(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.cols.len()).filter(|&c| matches!(self.cols[c], ColOp::Const(_) | ColOp::Check(_)))
-    }
-
-    /// The values of the [`Self::probe_cols`] under `frame`, into `key`.
-    /// `false` if one is unbound — unreachable by construction (a `Check`
-    /// slot is bound by an earlier atom), but stay total.
-    pub(crate) fn probe_key(&self, frame: &Frame, key: &mut Vec<Value>) -> bool {
+    /// The store key `plan` reads under `frame`, into `key`. `false` if a
+    /// column is unbound — unreachable by construction (a `Check` slot is
+    /// bound by an earlier atom), but stay total.
+    pub(crate) fn key_values(&self, plan: &[usize], frame: &Frame, key: &mut Vec<Value>) -> bool {
         key.clear();
-        self.cols.iter().all(|op| {
-            let known = match op {
+        plan.iter().all(|&c| {
+            let known = match &self.cols[c] {
                 ColOp::Const(v) => Some(v),
                 ColOp::Check(s) => frame[*s as usize].as_ref(),
-                ColOp::SameAs(_) | ColOp::Bind(_) => return true,
+                ColOp::SameAs(_) | ColOp::Bind(_) => None,
             };
             known.map(|v| key.push(v.clone())).is_some()
         })
@@ -355,10 +375,12 @@ impl DeltaPlan {
 }
 
 impl CompiledRule {
-    /// Compile `rule`; `catalog` says whether its head is an event table.
-    /// The one binding analysis a rule gets: the bound-before-use checks of
-    /// selections and assignments ([`check`]), slot resolution, the
-    /// per-delta column programs and the selection schedule.
+    /// Compile `rule`; `catalog` says whether its head is an event table,
+    /// and which join extensions get a key plan (module docs) — the engine
+    /// passes its store's schemas. The one binding analysis a rule gets:
+    /// the bound-before-use checks of selections and assignments
+    /// ([`check`]), slot resolution, the per-delta column programs and the
+    /// selection schedule.
     pub fn compile(rule: &Rule, catalog: &Catalog) -> Result<Self, CompileError> {
         check(rule)?;
         // Slots in first-occurrence order: body columns, then assignment
@@ -429,7 +451,8 @@ impl CompiledRule {
                     .map(|(k, ai)| {
                         let atom = &rule.body[ai];
                         let cols = atom_cols(atom, k + 1);
-                        Extension { atom_idx: ai, table: atom.table.clone(), cols, ready: Vec::new() }
+                        let key = key_plan(catalog, &atom.table, &cols);
+                        Extension { atom_idx: ai, table: atom.table.clone(), cols, key, ready: Vec::new() }
                     })
                     .collect();
                 let mut pushed = vec![false; sels.len()];
@@ -577,36 +600,19 @@ impl CompiledRule {
     }
 }
 
-/// A rule's compiled form, built the first time a driver asks for it —
-/// with what the driver derives from it (`X`: the engine's index ids,
-/// nothing for the joint replay) — and kept. A program of 900 rules whose
-/// traffic reaches a handful compiles a handful.
-#[derive(Debug)]
-pub struct LazyRule<X = ()>(OnceLock<Option<(CompiledRule, X)>>);
+/// A rule's compiled form, built the first time a driver asks for it and
+/// kept. A program of 900 rules whose traffic reaches a handful compiles a
+/// handful.
+#[derive(Debug, Default)]
+pub struct LazyRule(OnceLock<Option<CompiledRule>>);
 
-impl<X> Default for LazyRule<X> {
-    fn default() -> Self {
-        LazyRule(OnceLock::new())
-    }
-}
-
-impl<X> LazyRule<X> {
-    /// `rule` compiled, and `derive` of it, made on the first call; `None`
+impl LazyRule {
+    /// `rule` compiled against `catalog`, made on the first call; `None`
     /// for a rule that does not compile, or aggregates — the engine runs
     /// those through the interpreter, the joint replay hands back the
     /// candidates that reach them.
-    pub fn get(
-        &self,
-        rule: &Rule,
-        catalog: &Catalog,
-        derive: impl FnOnce(&CompiledRule) -> X,
-    ) -> Option<(&CompiledRule, &X)> {
-        let form = self.0.get_or_init(|| {
-            let compiled = CompiledRule::compile(rule, catalog).ok().filter(|_| !rule.is_aggregate())?;
-            let derived = derive(&compiled);
-            Some((compiled, derived))
-        });
-        form.as_ref().map(|(compiled, derived)| (compiled, derived))
+    pub fn get(&self, rule: &Rule, catalog: &Catalog) -> Option<&CompiledRule> {
+        self.0.get_or_init(|| CompiledRule::compile(rule, catalog).ok().filter(|_| !rule.is_aggregate())).as_ref()
     }
 
     /// Has [`Self::get`] compiled the rule?

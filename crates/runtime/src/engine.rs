@@ -2,13 +2,15 @@
 //!
 //! One evaluation path, [`EvalStrategy::Batch`] — *batch semi-naive
 //! iteration*: each fixpoint runs in rounds; a whole round's delta is
-//! joined at once against keyed hash indexes ([`crate::index`]) on the join
-//! columns, with one round id per tuple ([`crate::delta`]) ensuring each
-//! new body combination fires exactly once per round. Its rules are compiled ([`crate::compiled`]): variables are
-//! slots of a frame, atoms column programs, and when each selection runs is
-//! fixed per rule, so a firing names no variable and clones no syntax. A
-//! rule is compiled — and the indexes it probes registered — the first time
-//! a delta reaches it, so a program pays for the rules its traffic fires;
+//! joined at once against the store — a full-key probe of a table's key
+//! map where the join knows the whole key, a scan in tuple-id order where
+//! it does not — with one round id per tuple ([`crate::delta`]) ensuring
+//! each new body combination fires exactly once per round. Its rules are
+//! compiled ([`crate::compiled`]): variables are slots of a frame, atoms
+//! column programs, and when each selection runs is fixed per rule, so a
+//! firing names no variable and clones no syntax. A rule is compiled the
+//! first time a delta reaches it, so a program pays for the rules its
+//! traffic fires;
 //! construction only checks every rule ([`crate::compiled::check`]), so a
 //! program is refused exactly as if every rule had been compiled.
 //!
@@ -37,7 +39,10 @@
 //!
 //! Derived state carries support counts so deletions cascade correctly
 //! (UNDERIVE/DISAPPEAR, §3.1); tables with declared primary keys follow
-//! NDlog's replacement semantics.
+//! NDlog's replacement semantics. Every table has one schema in the store:
+//! the program's declaration, the group key of an aggregate head, set
+//! semantics at its one arity for a table the program uses undeclared, and
+//! for a table the program never names, the arity of its first insert.
 //!
 //! A derivation that a disappearing body tuple can retract is remembered
 //! as three ids (head instance, the log's `Derive` row, an active flag)
@@ -57,13 +62,12 @@ use crate::batch;
 use crate::codec::{self, WalRecord};
 use crate::compiled::{self, LazyRule};
 use crate::delta::DeltaTracker;
-use crate::index::IndexRegistry;
 use crate::log::{ExecLog, Origin, Time, TupleId, TupleKind};
 use crate::memo::{Head, StepMemo};
 use crate::store::{AddOutcome, DropOutcome, Store};
 use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
 use mpr_ndlog::eval::{Bindings, CountingFuncs, Env};
-use mpr_ndlog::{Catalog, Program, Schema, Tuple, Value};
+use mpr_ndlog::{Catalog, Program, ProgramOutline, Schema, Tuple, Value};
 use mpr_storage::{Recovery, StorageBackend, StorageError, WalBackend, WalConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -78,8 +82,9 @@ use std::sync::Arc;
 /// pin the batch round loop against a second, simpler propagation loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalStrategy {
-    /// Batch semi-naive: whole rounds of deltas join at once through keyed
-    /// hash indexes, with the round that made each tuple visible tracked.
+    /// Batch semi-naive: whole rounds of deltas join at once against the
+    /// store's key maps, with the round that made each tuple visible
+    /// tracked.
     #[default]
     Batch,
     /// Per-tuple pipelined semi-naive: each delta joins against full table
@@ -109,7 +114,7 @@ impl std::fmt::Display for EvalStrategy {
 /// call, before evaluating it. The engine is a pure function of program,
 /// options and inputs, so [`Engine::recover`] re-runs the surviving
 /// records through the same calls and gets back the store, the
-/// [`ExecLog`], the derivation records and the indexes. Writes are
+/// [`ExecLog`] and the derivation records. Writes are
 /// buffered by the OS and never synced: the log survives the death of the
 /// process (the kill sweep), not the loss of power. A WAL that fails to
 /// open or write never takes evaluation down; the engine goes on in memory
@@ -290,7 +295,8 @@ pub enum RuntimeError {
     /// One step needed more than [`Options::max_derivations`] rule
     /// firings (runaway recursion guard).
     DerivationLimit(u64),
-    /// Arity of an inserted tuple does not match its table's prior use.
+    /// Arity of an inserted tuple does not match its table's schema: the
+    /// program's, or what the table's first insert fixed.
     ArityMismatch {
         /// Table name.
         table: String,
@@ -396,9 +402,8 @@ fn agg_spec(rule: &Rule, catalog: &Catalog) -> Result<Option<AggSpec>, CompileEr
 /// name-keyed interpreter.
 #[derive(Debug)]
 pub(crate) struct EngineRule {
-    /// The compiled form and, `[delta position][extension]`, the keyed
-    /// index each join extension probes (`batch::probed_indexes`).
-    pub(crate) compiled: LazyRule<Vec<Vec<usize>>>,
+    /// The compiled form, against the store's schemas.
+    pub(crate) compiled: LazyRule,
     /// Is the head an event table?
     head_is_event: bool,
     /// Aggregate spec, if the head carries one.
@@ -459,8 +464,6 @@ pub struct Engine {
     pub(crate) total_derivations: u64,
     /// Which propagation discipline `drain` uses.
     strategy: EvalStrategy,
-    /// Keyed join-column indexes, kept in sync with the store (batch only).
-    pub(crate) indexes: IndexRegistry,
     /// Per-table trigger lists grouped by pushed-down constant (batch
     /// only): a delta visits only the group matching its own value plus
     /// the residual triggers, instead of every rule the table appears in.
@@ -497,7 +500,7 @@ impl Engine {
     /// whether or not a delta ever reaches that rule — and compiled the
     /// first time a delta reaches it.
     pub fn shared(program: Arc<Program>, opts: Options) -> Result<Self, CompileError> {
-        program.validate().map_err(CompileError::InvalidProgram)?;
+        let outline = ProgramOutline::new(&program).map_err(CompileError::InvalidProgram)?;
         let mut rules = Vec::with_capacity(program.rules.len());
         let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
         let mut store = Store::new();
@@ -523,6 +526,13 @@ impl Engine {
             }
             let head_is_event = program.catalog.get(&rule.head.table).is_some_and(|s| !s.is_state());
             rules.push(EngineRule { compiled: LazyRule::default(), head_is_event, agg });
+        }
+        // A table the program uses undeclared is state under set semantics,
+        // at the one arity validation allowed it.
+        for (table, arity) in outline.arities() {
+            if store.catalog().get(table).is_none() {
+                store.declare(Schema::state(table, arity));
+            }
         }
         let funcs = CountingFuncs::starting_at(UNIQUE_SEED);
         let (batch_dispatch, triggers) = match strategy {
@@ -568,7 +578,6 @@ impl Engine {
             agg_contrib: HashMap::new(),
             total_derivations: 0,
             strategy,
-            indexes: IndexRegistry::default(),
             batch_dispatch,
             deltas: DeltaTracker::default(),
             scratch: batch::JoinScratch::default(),
@@ -586,7 +595,7 @@ impl Engine {
     /// The engine whose inputs the WAL in `dir` recorded: a fresh engine
     /// for `program` and `opts` re-runs every whole input record through
     /// [`Engine::insert`] / [`Engine::delete`], so its store, log,
-    /// derivation records and indexes are what the logging engine's were
+    /// and derivation records are what the logging engine's were
     /// after those calls. A torn tail is cut off and reported in
     /// [`EngineRecovery::status`]. The recovered engine appends its own
     /// inputs to `dir`; `opts.durability` is not read. A log written for
@@ -643,10 +652,11 @@ impl Engine {
         self.strategy
     }
 
-    /// Total (index, tuple) entries across the keyed join indexes. Zero
-    /// under [`EvalStrategy::Pipelined`], which registers no indexes.
+    /// Always 0: joins read the store's own key maps, and the engine keeps
+    /// no second copy of its state to count. Kept because the benchmark
+    /// reports it, where 0 reads "layer not exercised".
     pub fn index_entries(&self) -> usize {
-        self.indexes.entry_count()
+        0
     }
 
     /// The execution log.
@@ -725,11 +735,13 @@ impl Engine {
             self.write_input(codec::input_record(codec::INSERT, &tuple));
         }
         self.time += 1;
-        // An undeclared table is state of whatever arity it is used with.
-        let (arity, is_state) = self
-            .store
-            .schema_for(&tuple.table)
-            .map_or((tuple.args.len(), true), |s| (s.arity, s.is_state()));
+        // A table the program never names is state, at the arity of its
+        // first insert.
+        if self.store.catalog().get(&tuple.table).is_none() {
+            self.store.declare(Schema::state(tuple.table.clone(), tuple.args.len()));
+        }
+        let schema = self.store.catalog().get(&tuple.table).expect("declared above");
+        let (arity, is_state) = (schema.arity, schema.is_state());
         if arity != tuple.args.len() {
             return Err(RuntimeError::ArityMismatch {
                 table: tuple.table.clone(),
@@ -838,12 +850,10 @@ impl Engine {
                 tid
             })
         };
-        // If a fresh tid was minted inside the store, register its record
-        // and index the new instance (a pipelined engine has no index).
+        // If a fresh tid was minted inside the store, register its record.
         if let Some(tid) = fresh {
             let minted = self.log.mint(tuple, kind, self.time, self.opts.record_events);
             debug_assert_eq!(tid, minted);
-            self.indexes.insert(tid, tuple);
         }
         match outcome {
             AddOutcome::New(tid) => {
@@ -922,8 +932,7 @@ impl Engine {
     /// Kill a tuple instance that lost all support: cascade retractions.
     fn kill(&mut self, tid: TupleId, tuple: Tuple, result: &mut StepResult) -> Result<(), RuntimeError> {
         self.memo.state_moved();
-        // A pipelined engine has no index and opens no round.
-        self.indexes.remove(tid, &tuple);
+        // A pipelined engine opens no round.
         self.deltas.retire(tid);
         // Closing the instance also retires every derivation that produced
         // it: the loop below skips records whose head is no longer live.
@@ -1045,8 +1054,8 @@ impl Engine {
                 // `scan_ordered`, not `scan`: under primary-key replacement
                 // (last-write-wins) the candidate visit order is visible in
                 // the fixpoint, so it must not inherit hash-map iteration
-                // order (the batch path gets the same guarantee from its
-                // BTreeSet index buckets). A derived tuple is in the store
+                // order (the batch path's scans sort their matches the
+                // same way). A derived tuple is in the store
                 // from the moment it is derived, but inserted — joinable —
                 // only once it is dequeued.
                 let candidates: Vec<(TupleId, Tuple)> = self
@@ -1745,6 +1754,35 @@ mod tests {
         let mut e = Engine::new(&p).unwrap();
         let err = e.insert(Tuple::new("A", v(1), vec![v(5)])).unwrap_err();
         assert!(matches!(err, RuntimeError::ArityMismatch { .. }));
+    }
+
+    #[test]
+    fn a_program_that_breaks_its_declarations_is_refused() {
+        // `keys(5)` of an arity-2 table would key `T` on its location
+        // alone, so a second `T` at a node would replace the first.
+        let p = parse_program("k", "materialize(T, infinity, 2, keys(5)).\nr1 B(@X,Y) :- T(@X,Y,Z).").unwrap();
+        assert!(matches!(Engine::new(&p), Err(CompileError::InvalidProgram(m)) if m.contains("key column 5")));
+        // Declared arity 2, used at 3: no insert `r1` could match is
+        // accepted.
+        let p = parse_program("a", "materialize(T, infinity, 2, keys(0)).\nr1 B(@X,Y,Z,W) :- T(@X,Y,Z,W).").unwrap();
+        assert!(matches!(Engine::new(&p), Err(CompileError::InvalidProgram(m)) if m.contains("declared with arity 2")));
+    }
+
+    #[test]
+    fn every_table_has_one_arity() {
+        let p = parse_program("t", "r1 B(@X,Y) :- A(@X,Y).").unwrap();
+        let mismatch = |table: &str| RuntimeError::ArityMismatch { table: table.into(), expected: 1, got: 2 };
+        for strategy in [EvalStrategy::Batch, EvalStrategy::Pipelined] {
+            let mut e = Engine::with_options(&p, Options { strategy, ..Options::default() }).unwrap();
+            // `A`, undeclared, has the arity of the program's atoms over it …
+            e.insert(Tuple::new("A", v(1), vec![v(2)])).unwrap();
+            assert_eq!(e.insert(Tuple::new("A", v(1), vec![v(2), v(3)])), Err(mismatch("A")));
+            // … and `Z`, which the program never names, that of its first
+            // insert.
+            e.insert(Tuple::new("Z", v(1), vec![v(2)])).unwrap();
+            assert_eq!(e.insert(Tuple::new("Z", v(1), vec![v(2), v(3)])), Err(mismatch("Z")));
+            assert_eq!(e.tuple_count(), 3, "A(1,2), B(1,2), Z(1,2) under {strategy}");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! datalog engine in the style of RapidNet (the paper's declarative SDN
 //! environment, §5.1). There is one evaluation path (see
 //! [`engine::EvalStrategy`]): *batch* semi-naive iteration — whole rounds
-//! of deltas joined through keyed hash indexes ([`index`]), with the round
-//! that made each tuple visible tracked ([`delta`]). Two reference
+//! of deltas joined against the store's own key maps ([`store`]), with the
+//! round that made each tuple visible tracked ([`delta`]). Two reference
 //! evaluators exist for tests to compare it against: the original
 //! per-tuple *pipelined* propagation (an explicit per-engine
 //! [`Options::strategy`]) and a from-scratch naive fixpoint ([`naive`]).
@@ -20,7 +20,8 @@
 //!   ([`Engine::memo_hits`]), filed in a [`Prehashed`] map like the joint
 //!   backtest's own memo;
 //! - a tuple store keyed on location and primary key, with replacement
-//!   ([`store`]);
+//!   ([`store`]): one map per table, which a join that knows a table's
+//!   whole key probes and any other join scans in tuple-id order;
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
 //! - transient *event* tables (`PacketIn` and friends) whose derivations
 //!   persist (the OpenFlow install pattern);
@@ -43,12 +44,13 @@ pub mod codec;
 pub mod compiled;
 pub mod delta;
 pub mod engine;
-pub mod index;
 pub mod log;
 mod memo;
 pub mod naive;
 pub mod store;
 
+#[cfg(debug_assertions)]
+pub use batch::scanned_rows;
 pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
 pub use codec::WalRecord;
 pub use compiled::{CompiledRule, LazyRule};
@@ -57,7 +59,6 @@ pub use engine::{
     CompileError, Durability, Engine, EngineRecovery, EvalStrategy, Options, RecoverError, RuntimeError, StepResult,
     WalOptions,
 };
-pub use index::{Col, IndexRegistry, IndexSpec};
 pub use log::{ExecEvent, ExecLog, Time, TupleId, TupleKind, TupleRecord};
 pub use memo::{PassHash, Prehashed};
 pub use store::{AddOutcome, DropOutcome, LiveTuple, Store};

@@ -1,9 +1,10 @@
 //! The tuple store: per-table materialized state, keyed on a tuple's
 //! location and primary key, with primary-key replacement and support
-//! counting.
+//! counting. Each table is one map, and it is also what the batch engine's
+//! joins read: a full-key probe ([`Store::probe`]) or a scan.
 
 use crate::log::{TupleId, TupleKind};
-use mpr_ndlog::{Schema, Tuple, Value};
+use mpr_ndlog::{Catalog, Schema, Tuple, Value};
 use std::collections::HashMap;
 
 /// A live tuple instance held by the store.
@@ -70,58 +71,56 @@ pub enum DropOutcome {
 pub struct Store {
     /// Per table: the location followed by the key columns → live tuple.
     tables: HashMap<String, HashMap<Vec<Value>, LiveTuple>>,
-    schemas: HashMap<String, Schema>,
+    schemas: Catalog,
 }
 
 impl Store {
-    /// Empty store with a schema per table (tables not declared get
-    /// set-semantics state schemas on first touch).
+    /// An empty store. A table is declared before a tuple of it is stored.
     pub fn new() -> Self {
         Store::default()
     }
 
-    /// Register the schema used for keying `table`.
+    /// Register the schema used for keying `table`. Panics on a key column
+    /// the schema's arity does not have (a validated program has none).
     pub fn declare(&mut self, schema: Schema) {
-        self.schemas.insert(schema.table.clone(), schema);
+        assert!(schema.keys.iter().all(|&k| k < schema.arity), "{schema}: a key column out of range");
+        self.schemas.insert(schema);
     }
 
-    /// The declared schema of `table`, if any. An undeclared table is
-    /// state keyed on all its columns, at whatever arity it is used with.
-    pub fn schema_for(&self, table: &str) -> Option<&Schema> {
-        self.schemas.get(table)
+    /// Every declared schema: what the batch engine compiles its rules
+    /// against, so each join extension's key plan is the store's key.
+    pub fn catalog(&self) -> &Catalog {
+        &self.schemas
     }
 
-    /// `tuple`'s location followed by its key: the declared key columns,
-    /// or every column the schema (the tuple, if undeclared) has. Built in
-    /// one allocation.
-    fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
-        let mut key;
-        match self.schemas.get(&tuple.table) {
-            Some(schema) if !schema.keys.is_empty() => {
-                key = Vec::with_capacity(1 + schema.keys.len());
-                key.push(tuple.loc.clone());
-                key.extend(schema.keys.iter().filter_map(|&i| tuple.args.get(i).cloned()));
-            }
-            schema => {
-                let arity = schema.map_or(tuple.args.len(), |s| s.arity).min(tuple.args.len());
-                key = Vec::with_capacity(1 + arity);
-                key.push(tuple.loc.clone());
-                key.extend_from_slice(&tuple.args[..arity]);
-            }
+    /// `tuple`'s location followed by its key — the declared key columns
+    /// in declared order, or every column under set semantics — built in
+    /// one allocation. `None` for an undeclared table or a tuple of
+    /// another arity than its table's: the store holds no such tuple.
+    fn key_of(&self, tuple: &Tuple) -> Option<Vec<Value>> {
+        let schema = self.schemas.get(&tuple.table).filter(|s| s.arity == tuple.args.len())?;
+        let mut key = Vec::with_capacity(1 + tuple.args.len());
+        key.push(tuple.loc.clone());
+        if schema.keys.is_empty() {
+            key.extend_from_slice(&tuple.args);
+        } else {
+            key.extend(schema.keys.iter().map(|&i| tuple.args[i].clone()));
         }
-        key
+        Some(key)
     }
 
     /// Add one unit of support for `tuple`. `base` distinguishes base
     /// insertions from derivations. `next_tid` mints the instance id if the
-    /// tuple is new.
+    /// tuple is new. Panics for an undeclared table or a tuple of another
+    /// arity: the engine declares every table, and checks every insert's
+    /// arity, before it stores.
     pub fn add(
         &mut self,
         tuple: &Tuple,
         base: bool,
         next_tid: &mut dyn FnMut() -> TupleId,
     ) -> AddOutcome {
-        let key = self.key_of(tuple);
+        let key = self.key_of(tuple).expect("a declared table, at its arity");
         // `entry` would clone the name of a table that, but once, exists.
         if !self.tables.contains_key(&tuple.table) {
             self.tables.insert(tuple.table.clone(), HashMap::new());
@@ -162,8 +161,7 @@ impl Store {
 
     /// Drop one unit of support for `tuple`.
     pub fn drop_support(&mut self, tuple: &Tuple, base: bool) -> DropOutcome {
-        let key = self.key_of(tuple);
-        let Some(table) = self.tables.get_mut(&tuple.table) else {
+        let (Some(key), Some(table)) = (self.key_of(tuple), self.tables.get_mut(&tuple.table)) else {
             return DropOutcome::Absent;
         };
         let Some(live) = table.get_mut(&key).filter(|l| &l.tuple == tuple) else {
@@ -185,7 +183,7 @@ impl Store {
     /// Forcibly remove an instance by exact tuple (used for replacement
     /// cascades). Returns its id if present.
     pub fn evict(&mut self, tuple: &Tuple) -> Option<TupleId> {
-        let key = self.key_of(tuple);
+        let key = self.key_of(tuple)?;
         let table = self.tables.get_mut(&tuple.table)?;
         let tid = table.get(&key).filter(|l| &l.tuple == tuple)?.tid;
         table.remove(&key);
@@ -194,8 +192,14 @@ impl Store {
 
     /// Look up the live instance of an exact tuple.
     pub fn get(&self, tuple: &Tuple) -> Option<&LiveTuple> {
-        let key = self.key_of(tuple);
+        let key = self.key_of(tuple)?;
         self.tables.get(&tuple.table)?.get(&key).filter(|l| &l.tuple == tuple)
+    }
+
+    /// The live tuple of `table` whose location and key columns, in key
+    /// order, are `key` — the one candidate of a full-key join probe.
+    pub fn probe(&self, table: &str, key: &[Value]) -> Option<&LiveTuple> {
+        self.tables.get(table)?.get(key)
     }
 
     /// `true` when the exact tuple is live.
@@ -218,10 +222,10 @@ impl Store {
     }
 
     /// Like [`Store::scan`], but in ascending instance-id order — a total,
-    /// run-to-run stable order (ids are minted sequentially), matching the
-    /// `BTreeSet` bucket order of the batch engine's keyed indexes. Join
-    /// loops visit candidates through this so that order-sensitive effects
-    /// (primary-key replacement is last-write-wins) are deterministic.
+    /// run-to-run stable order (ids are minted sequentially), the order the
+    /// batch engine's partial-key scans visit their matches in. Join loops
+    /// visit candidates in it so that order-sensitive effects (primary-key
+    /// replacement is last-write-wins) are deterministic.
     pub fn scan_ordered<'a>(&'a self, table: &str, node: Option<&'a Value>) -> Vec<&'a LiveTuple> {
         let mut v: Vec<&'a LiveTuple> = self.scan(table, node).collect();
         v.sort_unstable_by_key(|l| l.tid);
@@ -288,9 +292,15 @@ mod tests {
         s
     }
 
+    fn mk_store_set(arity: usize) -> Store {
+        let mut s = Store::new();
+        s.declare(Schema::state("T", arity));
+        s
+    }
+
     #[test]
     fn add_and_support_counting() {
-        let mut s = Store::new();
+        let mut s = mk_store_set(2);
         let mut next = 0;
         let mut tid = || {
             let v = next;
@@ -331,7 +341,7 @@ mod tests {
 
     #[test]
     fn per_node_scan() {
-        let mut s = Store::new();
+        let mut s = mk_store_set(1);
         let mut next = 0;
         let mut tid = || {
             let v = next;
@@ -367,7 +377,7 @@ mod tests {
     fn support_past_u32_max_stays_alive() {
         // An event-only derivation into a live entry at 2 M packet-ins a
         // second reaches 2^32 units in about 36 minutes.
-        let mut s = Store::new();
+        let mut s = mk_store_set(2);
         let mut tid = || 0;
         s.add(&t(&[1, 2]), false, &mut tid);
         s.tables.get_mut("T").unwrap().values_mut().next().unwrap().deriv_count = u32::MAX.into();
@@ -376,5 +386,39 @@ mod tests {
         assert!(s.get(&t(&[1, 2])).unwrap().support() > u32::MAX.into());
         assert_eq!(s.drop_support(&t(&[1, 2]), true), DropOutcome::StillAlive);
         assert!(s.contains(&t(&[1, 2])));
+    }
+
+    #[test]
+    fn probe_reads_the_key_map() {
+        let mut s = mk_store_keyed();
+        let mut next = 0;
+        let mut tid = || {
+            let v = next;
+            next += 1;
+            v
+        };
+        s.add(&t(&[1, 2]), true, &mut tid);
+        s.add(&t(&[3, 4]), true, &mut tid);
+        let key = |k: i64| [Value::Int(1), Value::Int(k)];
+        assert_eq!(s.probe("T", &key(3)).map(|l| l.tid), Some(1));
+        assert_eq!(s.probe("T", &key(1)).map(|l| &l.tuple), Some(&t(&[1, 2])));
+        assert!(s.probe("T", &key(2)).is_none());
+        assert!(s.probe("Missing", &key(1)).is_none());
+    }
+
+    #[test]
+    fn a_tuple_of_another_arity_is_not_there() {
+        let mut s = mk_store_set(2);
+        s.add(&t(&[1, 2]), true, &mut || 0);
+        assert!(!s.contains(&t(&[1])) && !s.contains(&t(&[1, 2, 3])));
+        assert_eq!(s.drop_support(&t(&[1]), true), DropOutcome::Absent);
+        assert_eq!(s.evict(&t(&[1, 2, 3])), None);
+        assert!(s.contains(&t(&[1, 2])));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_key_column_past_the_arity_is_refused() {
+        Store::new().declare(Schema::state_keyed("T", 2, vec![5]));
     }
 }
