@@ -92,11 +92,18 @@
 //! A punt is hashed once: the event's columns (the switch and the codec's
 //! packet fields — with the codec's table and location, the event tuple)
 //! are written into a buffer, and their hash finds the memo of steps
-//! already taken for this event and tag set, and files a new one. A hit
-//! builds no tuple and allocates nothing; a step that adds a state row
-//! empties the memo, since nothing in it replays exactly any more, so no
-//! entry outlives the state it was computed under. `LiveOutputs` finds a
-//! head's slot by hashing its key columns where they lie.
+//! already taken for this event and tag set. On a miss the PacketIn
+//! table's dispatch is asked, from the column it keys on, whether any
+//! variant hears the punt; one that none hears answers nothing, with no
+//! tuple, no step and no memo entry ([`JointWork::unheard`]). A step is
+//! filed only if its event's hash was stepped before — the engine's rule:
+//! a punt that never repeats files nothing — and only if it left the state
+//! alone. A hit builds no tuple and allocates nothing; a step that adds a
+//! state row empties the memo, since nothing in it replays exactly any
+//! more, so no entry outlives the state it was computed under. A firing
+//! matches into one scratch the replay keeps ([`ScanScratch`]).
+//! `LiveOutputs` finds a head's slot by hashing its key columns where they
+//! lie.
 //!
 //! # Scope: what is checked, and handed back
 //!
@@ -131,7 +138,7 @@ use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::{build_dispatch, LazyRule, Prehashed, TriggerDispatch};
+use mpr_runtime::{build_dispatch, LazyRule, PassHash, Prehashed, ScanScratch, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
@@ -140,7 +147,7 @@ use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -372,8 +379,11 @@ struct TaggedEngine<'a> {
     /// table → the `(variant, body position)` pairs its deltas visit,
     /// grouped by prefilter constant.
     dispatch: HashMap<String, Arc<TriggerDispatch>>,
+    /// The codec's PacketIn table's entry of `dispatch`: `None` if no
+    /// variant reads it.
+    punts: Option<Arc<TriggerDispatch>>,
     /// Seeds and derived state; never an event.
-    state: HashMap<String, TaggedTable>,
+    state: HashMap<Arc<str>, TaggedTable>,
     /// The key columns of the state tables with a proper primary key that
     /// some rule reads: where a second payload replaces the first.
     keyed: HashMap<String, Vec<usize>>,
@@ -391,6 +401,9 @@ struct TaggedEngine<'a> {
     /// state stands: adding a state row empties the memo. Keyed by the hash
     /// of the event's columns, taken once per punt.
     memo: Prehashed<Vec<Memo>>,
+    /// The hashes of the events stepped so far: a step is filed only when
+    /// its event's hash is here already.
+    seen: HashSet<u64, BuildHasherDefault<PassHash>>,
     hasher: RandomState,
     /// The columns of the PacketIn being answered — the switch, then one
     /// per `packet_in_args` — which with the codec's two constants are the
@@ -398,9 +411,13 @@ struct TaggedEngine<'a> {
     key: Vec<i64>,
     /// [`Self::step`]'s `round` / `pending` / `heads`, empty between steps.
     scratch: [Vec<(Tuple, TagSet)>; 3],
-    /// Punts answered by a [`Self::step`], and from the memo.
+    /// The partial matches of a firing.
+    fire: ScanScratch<TagSet>,
+    /// Punts answered by a [`Self::step`], from the memo, and with nothing
+    /// because no variant hears them.
     steps: u64,
     memo_hits: u64,
+    unheard: u64,
 }
 
 impl<'a> TaggedEngine<'a> {
@@ -434,12 +451,14 @@ impl<'a> TaggedEngine<'a> {
                 }
             }
         }
+        let dispatch = build_dispatch(&triggers, |vi| &*program.variants[vi].rule);
         TaggedEngine {
             program,
             catalog,
             codec,
             compiled,
-            dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
+            punts: dispatch.get(&*codec.packet_in_table).cloned(),
+            dispatch,
             state: HashMap::new(),
             keyed,
             outputs: LiveOutputs { catalog, hasher: RandomState::new(), by_key: Prehashed::default() },
@@ -447,11 +466,14 @@ impl<'a> TaggedEngine<'a> {
             diverged,
             state_rows: 0,
             memo: Prehashed::default(),
+            seen: HashSet::default(),
             hasher: RandomState::new(),
             key: Vec::new(),
             scratch: Default::default(),
+            fire: ScanScratch::default(),
             steps: 0,
             memo_hits: 0,
+            unheard: 0,
         }
     }
 
@@ -463,11 +485,11 @@ impl<'a> TaggedEngine<'a> {
     /// neither visible nor held back in `pending`. Those for which it is a
     /// second payload under its primary key diverge.
     fn admit(&mut self, t: &Tuple, tags: TagSet, pending: &[(Tuple, TagSet)]) -> TagSet {
-        let keys = self.keyed.get(&t.table);
+        let keys = self.keyed.get(&*t.table);
         let same_key = |row: &Tuple| {
             keys.is_some_and(|k| row.loc == t.loc && k.iter().all(|&c| row.args.get(c) == t.args.get(c)))
         };
-        let rows = self.state.get(&t.table).map_or(&[][..], |table| &table.rows[..]);
+        let rows = self.state.get(&*t.table).map_or(&[][..], |table| &table.rows[..]);
         let mut known: TagSet = 0;
         for (row, row_tags) in rows.iter().chain(pending.iter().filter(|(p, _)| p.table == t.table)) {
             if row == t {
@@ -498,10 +520,7 @@ impl<'a> TaggedEngine<'a> {
             // The round begins: its state deltas become visible, as recent.
             for (t, ttags) in &round {
                 if !self.is_event(&t.table) {
-                    let table = match self.state.get_mut(&t.table) {
-                        Some(table) => table,
-                        None => self.state.entry(t.table.clone()).or_default(),
-                    };
+                    let table = self.state.entry(Arc::clone(&t.table)).or_default();
                     table.rows.push((t.clone(), *ttags));
                     self.state_rows += 1;
                     self.memo.clear();
@@ -517,7 +536,7 @@ impl<'a> TaggedEngine<'a> {
                 }
                 // The variants this delta can fire, in program order: its
                 // value's keyed group merged with the residual list.
-                let Some(dispatch) = self.dispatch.get(&delta.table).map(Arc::clone) else {
+                let Some(dispatch) = self.dispatch.get(&*delta.table).map(Arc::clone) else {
                     continue;
                 };
                 for (vi, ai) in dispatch.triggers_for(delta) {
@@ -542,6 +561,7 @@ impl<'a> TaggedEngine<'a> {
                         },
                         |a, b| Some(a & b).filter(|&joint| joint != 0),
                         &mut self.funcs,
+                        &mut self.fire,
                         &mut heads,
                     );
                     let head_is_event = rule.head_is_event();
@@ -562,7 +582,7 @@ impl<'a> TaggedEngine<'a> {
                 }
             }
             for (t, _) in &round {
-                if let Some(table) = self.state.get_mut(&t.table) {
+                if let Some(table) = self.state.get_mut(&*t.table) {
                     table.seal();
                 }
             }
@@ -571,6 +591,16 @@ impl<'a> TaggedEngine<'a> {
         }
         self.scratch = [round, pending, heads];
         outputs
+    }
+
+    /// Does a variant read the PacketIn whose columns after the location
+    /// are `key` (the switch, then the codec's packet fields)? Asked of
+    /// the dispatch before any tuple is built.
+    fn hears(&self, key: &[i64]) -> bool {
+        self.punts.as_ref().is_some_and(|d| match d.col() {
+            0 => d.hears(Some(&self.codec.controller_loc)),
+            c => d.hears(key.get(c - 1).map(|&v| Value::Int(v)).as_ref()),
+        })
     }
 
     /// Evaluate the tagged program on one PacketIn under `tags`: pushes the
@@ -584,21 +614,36 @@ impl<'a> TaggedEngine<'a> {
         let known = self.memo.get(&hash).and_then(|memos| {
             memos.iter().find(|(event, mtags, _)| *mtags == tags && **event == *key).map(|m| Rc::clone(&m.2))
         });
-        let heads = match known {
+        let (filed, fresh);
+        let heads: &[(Tuple, TagSet)] = match known {
             Some(heads) => {
                 self.memo_hits += 1;
-                heads
+                filed = heads;
+                &filed
+            }
+            // Never filed, so never a hit.
+            None if !self.hears(&key) => {
+                self.unheard += 1;
+                &[]
             }
             None => {
                 self.steps += 1;
                 let rows_at_entry = self.state_rows;
-                let heads = Rc::new(self.step(self.codec.packet_in_tuple(msg), tags));
-                // Memoize only steps that left the state alone — those
-                // replay identically until a later step moves it.
-                if self.state_rows == rows_at_entry {
+                let heads = self.step(self.codec.packet_in_tuple(msg), tags);
+                // File only a step that left the state alone — it replays
+                // identically until a later step moves it — and whose event
+                // was stepped before: a punt that never repeats files
+                // nothing. A hash shared with another event only files early.
+                let repeat = !self.seen.insert(hash);
+                if repeat && self.state_rows == rows_at_entry {
+                    let heads = Rc::new(heads);
                     self.memo.entry(hash).or_default().push((key.as_slice().into(), tags, Rc::clone(&heads)));
+                    filed = heads;
+                    &filed
+                } else {
+                    fresh = heads;
+                    &fresh
                 }
-                heads
             }
         };
         self.key = key;
@@ -895,6 +940,9 @@ pub struct JointWork {
     pub steps: u64,
     /// Punts answered from the memo.
     pub memo_hits: u64,
+    /// Punts no variant hears, answered with nothing: no tuple, no step,
+    /// no memo entry.
+    pub unheard: u64,
     /// Distinct tag sets counters were kept for.
     pub classes: u64,
 }
@@ -1067,7 +1115,13 @@ pub fn mqo_replay_deltas(
         }
     }
     let work =
-        JointWork { steps: engine.steps, memo_hits: engine.memo_hits, classes: fw.classes.len() as u64, ..work };
+        JointWork {
+            steps: engine.steps,
+            memo_hits: engine.memo_hits,
+            unheard: engine.unheard,
+            classes: fw.classes.len() as u64,
+            ..work
+        };
     let stats = fw.fold(n);
     #[cfg(debug_assertions)]
     check_replay(setup, &tables, &engine, &fw.classes, &stats, &work);
@@ -1080,8 +1134,8 @@ pub fn mqo_replay_deltas(
 /// they were sealed with; classes that are non-empty, each
 /// folded into each of its members exactly once — the counters summed over
 /// candidates are those of the classes, each taken `|tags|` times — with
-/// every candidate injected every attached packet; and one step or memo
-/// hit per punt.
+/// every candidate injected every attached packet; and one step, memo
+/// hit or unheard punt per punt.
 #[cfg(debug_assertions)]
 fn check_replay(
     setup: &BacktestSetup,
@@ -1110,7 +1164,7 @@ fn check_replay(
     }
     assert_eq!(by_candidate, by_class, "a class was not folded once per member");
     let punts: u64 = classes.values().map(|class| class.packet_ins).sum();
-    assert_eq!(work.steps + work.memo_hits, punts, "a punt neither stepped nor hit the memo");
+    assert_eq!(work.steps + work.memo_hits + work.unheard, punts, "a punt neither stepped, hit the memo nor went unheard");
 }
 
 #[cfg(test)]
@@ -1373,6 +1427,33 @@ mod tests {
         let r1_masks: Vec<TagSet> =
             tp.variants.iter().filter(|v| v.rule.id == "r1").map(|v| v.mask).collect();
         assert_eq!(r1_masks, vec![0b1001, 0b0010, 0b0100, 0b0100, 0b1001, 0b0010]);
+    }
+
+    #[test]
+    fn a_punt_no_variant_hears_answers_nothing_and_files_nothing() {
+        let (base, codec) = (fig2_program(), TupleCodec::fig2());
+        let tagged = tagged_program(&base, &vec![RuleDelta::default(); 2]);
+        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &codec);
+        let punt = |switch| PacketInMsg {
+            switch,
+            in_port: 1,
+            packet: mpr_sdn::packet::Packet::http(1, 50, fig1_hosts::H2),
+        };
+        let mut out = Vec::new();
+        // Every rule selects switch 1 or 2.
+        for _ in 0..3 {
+            engine.on_packet_in(&punt(3), 0b11, &mut out);
+        }
+        assert!(out.is_empty());
+        assert_eq!((engine.steps, engine.memo_hits, engine.unheard), (0, 0, 3));
+        assert!(engine.memo.is_empty() && engine.seen.is_empty(), "no memo entry, not even a sighting");
+        // A punt a rule hears steps; its event is filed at its first
+        // repeat, and answered from the memo after that.
+        for _ in 0..3 {
+            engine.on_packet_in(&punt(2), 0b11, &mut out);
+        }
+        assert_eq!((engine.steps, engine.memo_hits, engine.unheard), (2, 1, 3));
+        assert_eq!(engine.memo.len(), 1);
     }
 
     #[test]

@@ -511,7 +511,7 @@ mod tests {
     fn tuple_repairs_ride_the_joint_replay() {
         let (dbg, setup, [first, last]) = q1_with_two_patches();
         let seed = setup.seeds[0].clone();
-        assert_eq!(seed.table, "WebLoadBalancer", "keyed on the header, read by r1");
+        assert_eq!(&*seed.table, "WebLoadBalancer", "keyed on the header, read by r1");
         let balancer = |hdr: i64, prt: i64| Tuple::new("WebLoadBalancer", seed.loc.clone(), vec![V::Int(hdr), V::Int(prt)]);
         let candidates = [
             first,

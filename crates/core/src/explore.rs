@@ -575,7 +575,7 @@ impl<'a> Search<'a> {
         let rule = Rule::new(
             "synth0",
             Atom::new(goal.table.clone(), Term::Var("Hl".into()), head_args),
-            vec![Atom::new(trigger.table.clone(), Term::Var("Xl".into()), body_args)],
+            vec![Atom::new(&*trigger.table, Term::Var("Xl".into()), body_args)],
             sels,
             assigns,
         );
@@ -893,7 +893,7 @@ impl<'a> Search<'a> {
                 }
                 // Join state, evaluate assigns and sels.
                 let mut envs = vec![env];
-                let is_trigger = |_, satom: &Atom| satom.table == trigger.table;
+                let is_trigger = |_, satom: &Atom| *satom.table == *trigger.table;
                 if join_state(world, rule, &mut envs, &mut self.fresh, is_trigger).is_err() {
                     continue 'trig;
                 }
@@ -908,7 +908,7 @@ impl<'a> Search<'a> {
                         continue 'env;
                     }
                     if let Some(head) = instantiate(&rule.head, &e) {
-                        let retargeted = Tuple { table: goal.table.clone(), ..head };
+                        let retargeted = Tuple { table: goal.table.as_str().into(), ..head };
                         if goal.matches(&retargeted) {
                             fires = true;
                             break 'trig;
@@ -975,7 +975,7 @@ impl<'a> Search<'a> {
 fn pattern_tuple(p: &Pattern) -> Option<Tuple> {
     let loc = p.loc.clone()?;
     let args: Option<Vec<Value>> = p.args.iter().cloned().collect();
-    Some(Tuple { table: p.table.clone(), loc, args: args? })
+    Some(Tuple { table: p.table.as_str().into(), loc, args: args? })
 }
 
 /// What unifying the rule's head with the goal requires of the rule's

@@ -37,10 +37,11 @@
 
 use mpr_ndlog::ast::{Expr, Term};
 use mpr_ndlog::{parse_program, Program, Rule, Tuple, Value};
+use std::sync::Arc;
 
 const C: &str = "C";
 
-fn s(x: impl Into<String>) -> Value {
+fn s(x: impl Into<Arc<str>>) -> Value {
     Value::Str(x.into())
 }
 
@@ -182,7 +183,7 @@ pub fn meta_program_k(max_arity: usize) -> Program {
 /// Translate a base tuple into its arity-tagged `Base{k}` meta tuple.
 pub fn base_meta_tuple_k(t: &Tuple) -> Tuple {
     let k = t.args.len();
-    let mut args = vec![s(t.table.clone())];
+    let mut args = vec![s(Arc::clone(&t.table))];
     args.extend(t.args.iter().cloned());
     Tuple::new(table_k("Base", k), s(C), args)
 }
@@ -486,7 +487,7 @@ mod tests {
         let ts = meta_tuples_k(&crate::scenarios::q1_program()).unwrap();
         let r7: Vec<&Tuple> =
             ts.iter().filter(|t| t.args.first().and_then(|v| v.as_str()) == Some("r7")).collect();
-        let count = |table: &str| r7.iter().filter(|t| t.table == table).count();
+        let count = |table: &str| r7.iter().filter(|t| &*t.table == table).count();
         assert_eq!((count("HeadFunc2"), count("PredFunc2")), (1, 1));
         assert_eq!(count("Oper"), 2);
         // Swi==2 rhs, Hdr==80 rhs, Prt:=2 → three constants.
@@ -502,7 +503,7 @@ mod tests {
         // occurrence is renamed and an equality selection appears.
         let r1_opers: Vec<&str> = ts
             .iter()
-            .filter(|t| t.table == "Oper" && t.args[0] == V::str("r1"))
+            .filter(|t| &*t.table == "Oper" && t.args[0] == V::str("r1"))
             .map(|t| t.args[1].as_str().unwrap())
             .collect();
         assert!(r1_opers.contains(&"Swi == 1"), "{r1_opers:?}");

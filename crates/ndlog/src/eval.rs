@@ -144,7 +144,7 @@ impl FuncHost for PureFuncs {
                 for a in args {
                     s.push_str(&a.to_string());
                 }
-                Ok(Value::Str(s))
+                Ok(Value::Str(s.into()))
             }
             "f_apply" => {
                 // The meta model's `Val := (Val' Opr Val'')` (meta rule s1,
@@ -248,7 +248,7 @@ pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
         (BinOp::Div, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_div(*b))),
         (BinOp::Mod, Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
         (BinOp::Mod, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_rem(*b))),
-        (BinOp::Add, Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+        (BinOp::Add, Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}").into())),
         _ => Err(EvalError::TypeError(format!(
             "cannot apply `{op}` to {} and {}",
             l.type_tag(),

@@ -296,7 +296,7 @@ impl Parser {
                 } else if s == "false" {
                     Ok(Term::Const(Value::Bool(false)))
                 } else {
-                    Ok(Term::Const(Value::Str(s)))
+                    Ok(Term::Const(Value::Str(s.into())))
                 }
             }
             Some(Tok::Int(i)) => {
@@ -312,7 +312,7 @@ impl Parser {
             Some(Tok::Str(s)) => {
                 let s = s.clone();
                 self.pos += 1;
-                Ok(Term::Const(Value::Str(s)))
+                Ok(Term::Const(Value::Str(s.into())))
             }
             Some(Tok::Star) => {
                 self.pos += 1;
@@ -383,7 +383,7 @@ impl Parser {
             Some(Tok::Str(s)) => {
                 let s = s.clone();
                 self.pos += 1;
-                Ok(Expr::Const(Value::Str(s)))
+                Ok(Expr::Const(Value::Str(s.into())))
             }
             Some(Tok::Star) => {
                 // Wildcard constant in primary position (e.g. `JID := *`).
@@ -422,7 +422,7 @@ impl Parser {
                 } else if s == "false" {
                     Ok(Expr::Const(Value::Bool(false)))
                 } else {
-                    Ok(Expr::Const(Value::Str(s)))
+                    Ok(Expr::Const(Value::Str(s.into())))
                 }
             }
             Some(t) => Err(self.err(format!("expected expression, found `{t}`"))),

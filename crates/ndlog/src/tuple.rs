@@ -2,6 +2,7 @@
 
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A concrete NDlog tuple: `Table(@loc, arg1, ..., argN)`.
 ///
@@ -10,8 +11,9 @@ use std::fmt;
 /// node a tuple resides on and is not part of ordinary joins.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
-    /// Table (relation) name, e.g. `FlowTable`.
-    pub table: String,
+    /// Table (relation) name, e.g. `FlowTable`. Shared, so a copy of a
+    /// tuple allocates its argument vector and nothing else.
+    pub table: Arc<str>,
     /// The node the tuple resides on (the `@` column).
     pub loc: Value,
     /// Payload arguments.
@@ -20,7 +22,7 @@ pub struct Tuple {
 
 impl Tuple {
     /// Build a tuple.
-    pub fn new(table: impl Into<String>, loc: impl Into<Value>, args: Vec<Value>) -> Self {
+    pub fn new(table: impl Into<Arc<str>>, loc: impl Into<Value>, args: Vec<Value>) -> Self {
         Tuple { table: table.into(), loc: loc.into(), args }
     }
 

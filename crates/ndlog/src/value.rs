@@ -6,6 +6,7 @@
 //! model) and the join-ID wildcard `*` from Fig. 4.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A first-class NDlog value.
 ///
@@ -16,8 +17,9 @@ use std::fmt;
 pub enum Value {
     /// A 64-bit signed integer — the only µDlog type.
     Int(i64),
-    /// An interned-ish string (rule ids, table names, MAC addresses...).
-    Str(String),
+    /// A string (rule ids, table names, MAC addresses...), shared: a copy
+    /// of the value is a reference-count bump.
+    Str(Arc<str>),
     /// A boolean, used by the meta model for selection outcomes.
     Bool(bool),
     /// The join-ID wildcard `*` of the meta model (Fig. 4): matches any
@@ -27,7 +29,7 @@ pub enum Value {
 
 impl Value {
     /// Build a string value.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<Arc<str>>) -> Self {
         Value::Str(s.into())
     }
 
@@ -95,12 +97,13 @@ impl fmt::Display for Value {
         match self {
             Value::Int(i) => write!(f, "{i}"),
             Value::Str(s) => {
-                // Bare identifiers print unquoted; anything else is quoted so
-                // the pretty-printer round-trips through the parser.
-                if !s.is_empty()
-                    && s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                    && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                {
+                // What the lexer reads back as this string unquoted — a
+                // lowercase-initial identifier that is not a keyword —
+                // prints bare; anything else is quoted, so the
+                // pretty-printer round-trips through the parser.
+                let ident = s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
+                    && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                if ident && !matches!(&**s, "true" | "false") {
                     write!(f, "{s}")
                 } else {
                     write!(f, "'{s}'")
@@ -120,12 +123,18 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(v.into())
+    }
+}
+
+impl From<Arc<str>> for Value {
+    fn from(v: Arc<str>) -> Self {
         Value::Str(v)
     }
 }
@@ -161,9 +170,19 @@ mod tests {
 
     #[test]
     fn display_round_trips_bare_and_quoted_strings() {
-        assert_eq!(Value::str("output-1").to_string(), "output-1");
+        assert_eq!(Value::str("output_1").to_string(), "output_1");
         assert_eq!(Value::str("FlowTable").to_string(), "'FlowTable'");
         assert_eq!(Value::str("Swi == 2").to_string(), "'Swi == 2'");
+    }
+
+    #[test]
+    fn a_string_the_lexer_reads_otherwise_prints_quoted() {
+        // Bare, `a-b` lexes as a subtraction and `true` / `false` as
+        // booleans.
+        for s in ["a-b", "output-1", "true", "false"] {
+            assert_eq!(Value::str(s).to_string(), format!("'{s}'"));
+        }
+        assert_eq!(Value::str("truth").to_string(), "truth");
     }
 
     #[test]

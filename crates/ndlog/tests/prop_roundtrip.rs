@@ -26,7 +26,9 @@ fn int() -> impl Strategy<Value = i64> {
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         int().prop_map(Value::Int),
-        prop::sample::select(vec!["output", "drop", "fwd"]).prop_map(Value::str),
+        // Identifiers print bare; a string the lexer would read as a
+        // subtraction or a boolean must print quoted.
+        prop::sample::select(vec!["output", "drop", "fwd", "a-b", "true", "false"]).prop_map(Value::str),
         any::<bool>().prop_map(Value::Bool),
         Just(Value::Wild),
     ]

@@ -457,8 +457,8 @@ mod tests {
         assert!(rendered.contains("RECEIVE"), "{rendered}");
         // Leaves include the two base insertions.
         let leaves = tree.leaves();
-        assert!(leaves.iter().any(|l| matches!(l, Vertex::Insert { tuple, .. } if tuple.table == "PacketIn")));
-        assert!(leaves.iter().any(|l| matches!(l, Vertex::Insert { tuple, .. } if tuple.table == "WebLoadBalancer")));
+        assert!(leaves.iter().any(|l| matches!(l, Vertex::Insert { tuple, .. } if &*tuple.table == "PacketIn")));
+        assert!(leaves.iter().any(|l| matches!(l, Vertex::Insert { tuple, .. } if &*tuple.table == "WebLoadBalancer")));
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Pattern {
     /// Pattern matching exactly one concrete tuple.
     pub fn exact(t: &Tuple) -> Self {
         Pattern {
-            table: t.table.clone(),
+            table: t.table.to_string(),
             loc: Some(t.loc.clone()),
             args: t.args.iter().cloned().map(Some).collect(),
         }
@@ -40,7 +40,7 @@ impl Pattern {
 
     /// Does `t` satisfy the pattern?
     pub fn matches(&self, t: &Tuple) -> bool {
-        if t.table != self.table || t.args.len() != self.args.len() {
+        if *t.table != *self.table || t.args.len() != self.args.len() {
             return false;
         }
         if let Some(l) = &self.loc {

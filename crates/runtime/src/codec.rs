@@ -160,7 +160,7 @@ impl<'a> Reader<'a> {
     pub fn value(&mut self) -> Result<Value, String> {
         match self.u8()? {
             0 => Ok(Value::Int(self.i64()?)),
-            1 => Ok(Value::Str(self.str()?)),
+            1 => Ok(Value::Str(self.str()?.into())),
             2 => Ok(Value::Bool(self.u8()? != 0)),
             3 => Ok(Value::Wild),
             t => Err(self.err(&format!("unknown value tag {t}"))),
@@ -179,7 +179,7 @@ impl<'a> Reader<'a> {
         for _ in 0..n {
             args.push(self.value()?);
         }
-        Ok(Tuple { table, loc, args })
+        Ok(Tuple { table: table.into(), loc, args })
     }
 
     /// Succeed only if the whole buffer was consumed.

@@ -52,7 +52,7 @@ use mpr_ndlog::ast::{Atom, BinOp, CmpOp, Expr, Rule, Term};
 use mpr_ndlog::eval::{eval_binop, FuncHost};
 use mpr_ndlog::{Catalog, EvalError, Tuple, Value};
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A slot: the index of a rule variable in a [`Frame`].
 type Slot = u32;
@@ -149,7 +149,7 @@ pub(crate) struct DeltaPlan {
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
     pub(crate) n_slots: usize,
-    head_table: String,
+    head_table: Arc<str>,
     /// Location, then arguments.
     head: Vec<HeadTerm>,
     head_is_event: bool,
@@ -493,7 +493,7 @@ impl CompiledRule {
             .collect();
         Ok(CompiledRule {
             n_slots: names.len(),
-            head_table: rule.head.table.clone(),
+            head_table: rule.head.table.as_str().into(),
             head,
             head_is_event: catalog.get(&rule.head.table).is_some_and(|s| !s.is_state()),
             sels,
@@ -545,7 +545,7 @@ impl CompiledRule {
         });
         let loc = terms.next()??;
         let args = terms.collect::<Option<Vec<Value>>>()?;
-        Some(Tuple { table: self.head_table.clone(), loc, args })
+        Some(Tuple { table: Arc::clone(&self.head_table), loc, args })
     }
 
     /// Fire the rule with `delta` bound at body position `d`, joining the
@@ -558,6 +558,11 @@ impl CompiledRule {
     /// a pair whose annotations do not meet is no match. The heads are pushed to
     /// `out` in the interpreter's order: matches extend level by level, and
     /// fire in the order their candidates were visited.
+    ///
+    /// The partial matches live in the caller's `scratch`: a candidate is
+    /// matched into its partial match's frame and copied to the next level
+    /// only if it survives, so a firing whose buffers have grown allocates
+    /// nothing but the heads it pushes.
     #[allow(clippy::too_many_arguments)]
     pub fn fire_scan<'s, A: Copy + 's>(
         &self,
@@ -567,36 +572,62 @@ impl CompiledRule {
         scan: impl Fn(&str, bool) -> &'s [(Tuple, A)],
         meet: impl Fn(A, A) -> Option<A>,
         host: &mut dyn FuncHost,
+        scratch: &mut ScanScratch<A>,
         out: &mut Vec<(Tuple, A)>,
     ) {
         let Some(plan) = self.deltas.get(d).filter(|p| p.accepts(delta)) else {
             return;
         };
-        let mut frame = vec![None; self.n_slots];
-        if !match_cols(&plan.cols, delta, &mut frame) || !self.sels_hold(&plan.ready, &frame, host) {
+        let (n, s) = (self.n_slots, scratch);
+        s.frames.clear();
+        s.frames.resize(n, None);
+        s.anns.clear();
+        if !match_cols(&plan.cols, delta, &mut s.frames) || !self.sels_hold(&plan.ready, &s.frames, host) {
             return;
         }
-        let mut matches = vec![(frame, ann)];
+        s.anns.push(ann);
         for ext in &plan.exts {
-            let mut next = Vec::new();
-            for (frame, ann) in &mut matches {
+            s.next_frames.clear();
+            s.next_anns.clear();
+            for (m, &ann) in s.anns.iter().enumerate() {
+                let frame = &mut s.frames[m * n..(m + 1) * n];
                 for (t, t_ann) in scan(&ext.table, ext.atom_idx > d) {
-                    let Some(joint) = meet(*ann, *t_ann) else { continue };
+                    let Some(joint) = meet(ann, *t_ann) else { continue };
                     if match_cols(&ext.cols, t, frame) && self.sels_hold(&ext.ready, frame, host) {
-                        next.push((frame.clone(), joint));
+                        s.next_frames.extend_from_slice(frame);
+                        s.next_anns.push(joint);
                     }
                 }
             }
-            if next.is_empty() {
+            if s.next_anns.is_empty() {
                 return;
             }
-            matches = next;
+            std::mem::swap(&mut s.frames, &mut s.next_frames);
+            std::mem::swap(&mut s.anns, &mut s.next_anns);
         }
-        for (mut frame, ann) in matches {
-            if let Some(head) = self.finish(&mut frame, host) {
+        for (m, &ann) in s.anns.iter().enumerate() {
+            if let Some(head) = self.finish(&mut s.frames[m * n..(m + 1) * n], host) {
                 out.push((head, ann));
             }
         }
+    }
+}
+
+/// [`CompiledRule::fire_scan`]'s buffers, kept by its caller from one
+/// firing to the next: the partial matches of the join level being
+/// extended and of the next, flat — per match `n_slots` frame values and
+/// its annotation.
+#[derive(Debug)]
+pub struct ScanScratch<A> {
+    frames: Vec<Option<Value>>,
+    anns: Vec<A>,
+    next_frames: Vec<Option<Value>>,
+    next_anns: Vec<A>,
+}
+
+impl<A> Default for ScanScratch<A> {
+    fn default() -> Self {
+        ScanScratch { frames: Vec::new(), anns: Vec::new(), next_frames: Vec::new(), next_anns: Vec::new() }
     }
 }
 

@@ -20,8 +20,9 @@
 //! called no `f_unique()`. The same event at the same generation is then
 //! answered by replaying the filed step's log rows, support bumps and
 //! derivation records, not by evaluating it, and any move of the generation
-//! empties the memo (`memo.rs`; [`Engine::steps`] and [`Engine::memo_hits`]
-//! count the two kinds of answer).
+//! empties the memo. An event's first occurrence that no trigger hears is
+//! only logged (`memo.rs`; [`Engine::steps`], [`Engine::memo_hits`] and
+//! [`Engine::unheard`] count the three kinds of answer).
 //!
 //! A second evaluator, [`EvalStrategy::Pipelined`], is kept as a *test
 //! reference* only: the strategy RapidNet uses (and the one the paper's
@@ -738,13 +739,13 @@ impl Engine {
         // A table the program never names is state, at the arity of its
         // first insert.
         if self.store.catalog().get(&tuple.table).is_none() {
-            self.store.declare(Schema::state(tuple.table.clone(), tuple.args.len()));
+            self.store.declare(Schema::state(&*tuple.table, tuple.args.len()));
         }
         let schema = self.store.catalog().get(&tuple.table).expect("declared above");
         let (arity, is_state) = (schema.arity, schema.is_state());
         if arity != tuple.args.len() {
             return Err(RuntimeError::ArityMismatch {
-                table: tuple.table.clone(),
+                table: tuple.table.to_string(),
                 expected: arity,
                 got: tuple.args.len(),
             });
@@ -1000,7 +1001,7 @@ impl Engine {
             if self.log.kind(tid) != TupleKind::Event && !self.log.is_live(tid) {
                 continue;
             }
-            let trigger_list = match self.triggers.get(&tuple.table) {
+            let trigger_list = match self.triggers.get(&*tuple.table) {
                 Some(l) => std::sync::Arc::clone(l),
                 None => continue,
             };
@@ -1360,7 +1361,7 @@ pub fn unify_atom<'a>(
     fresh: &mut Vec<(&'a str, &'a Value)>,
 ) -> bool {
     fresh.clear();
-    atom.table == tuple.table
+    *atom.table == *tuple.table
         && atom.args.len() == tuple.args.len()
         && std::iter::once((&atom.loc, &tuple.loc))
             .chain(atom.args.iter().zip(&tuple.args))
@@ -1398,7 +1399,7 @@ pub fn instantiate(atom: &Atom, env: &impl Bindings) -> Option<Tuple> {
     for t in &atom.args {
         args.push(resolve_term(t, env)?);
     }
-    Some(Tuple { table: atom.table.clone(), loc, args })
+    Some(Tuple { table: atom.table.as_str().into(), loc, args })
 }
 
 fn resolve_term(term: &Term, env: &impl Bindings) -> Option<Value> {

@@ -695,7 +695,7 @@ impl ExecLog {
 
     /// All tuple instances of `table` alive at time `t`.
     pub fn alive_at(&self, table: &str, t: Time) -> Vec<TupleRecord<'_>> {
-        self.records().filter(|r| r.alive_at(t) && r.tuple.table == table).collect()
+        self.records().filter(|r| r.alive_at(t) && &*r.tuple.table == table).collect()
     }
 
     /// Number of logged events.
@@ -728,12 +728,13 @@ impl ExecLog {
             (if slack { v.capacity() } else { v.len() }) * size_of::<T>()
         }
         let text = |s: &String| if slack { s.capacity() } else { s.len() };
+        // A shared string counts its length at every holder.
         let value = |v: &Value| match v {
-            Value::Str(s) => text(s),
+            Value::Str(s) => s.len(),
             _ => 0,
         };
         let tuple = |t: &Tuple| {
-            text(&t.table) + value(&t.loc) + rows(&t.args, slack) + t.args.iter().map(value).sum::<usize>()
+            t.table.len() + value(&t.loc) + rows(&t.args, slack) + t.args.iter().map(value).sum::<usize>()
         };
         let total = rows(&self.tuples.items, slack)
             + self.tuples.items.iter().map(tuple).sum::<usize>()

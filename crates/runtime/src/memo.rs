@@ -22,7 +22,11 @@
 //! the log had never seen filed: its first repeat files it. A stream of
 //! distinct events (the fabric's punts) so costs the memo nothing — no
 //! probe, no recording, no entry — and the memo holds at most one entry
-//! per event tuple that ever repeated. A hit mints the event and
+//! per event tuple that ever repeated. A first occurrence that no trigger
+//! hears is not drained either: it is logged and answered with itself,
+//! the rows, id and time the drain would have written
+//! ([`Engine::unheard`]); its first repeat drains and files as any other.
+//! A hit mints the event and
 //! re-applies the effects in order, with fresh ids and the current time,
 //! through the store and log calls the drain makes: the log, the store
 //! with its support counts and the step result are what the drain writes.
@@ -110,6 +114,7 @@ pub(crate) struct StepMemo {
     body: Vec<TupleId>,
     steps: u64,
     hits: u64,
+    unheard: u64,
 }
 
 impl StepMemo {
@@ -149,11 +154,23 @@ impl Engine {
         self.memo.hits
     }
 
+    /// First occurrences of events no trigger hears, logged and answered
+    /// without a drain (batch only).
+    pub fn unheard(&self) -> u64 {
+        self.memo.unheard
+    }
+
     /// Insert the event `tuple`, at the current time (module docs).
     pub(crate) fn insert_event(&mut self, tuple: Tuple) -> Result<StepResult, RuntimeError> {
         let hash = self.log.hash_tuple(&tuple);
         let (tref, seen) = self.log.intern(&tuple, hash);
-        let memoize = seen && self.strategy() == EvalStrategy::Batch;
+        let batch = self.strategy() == EvalStrategy::Batch;
+        if !seen && batch && self.unheard_by_rules(&tuple) {
+            self.memo.unheard += 1;
+            self.begin_event(tref);
+            return Ok(StepResult { appeared: vec![tuple], ..StepResult::default() });
+        }
+        let memoize = seen && batch;
         let tuple = if memoize {
             match self.replay_filed(tuple, hash, tref) {
                 Ok(result) => return Ok(result),
@@ -181,6 +198,11 @@ impl Engine {
             self.memo.filed.insert(hash, Filed { event: tref, derivations: result.derivations, effects });
         }
         Ok(result)
+    }
+
+    /// Does no trigger hear `event`? Then its step is its log rows.
+    fn unheard_by_rules(&self, event: &Tuple) -> bool {
+        self.batch_dispatch.get(&*event.table).map_or(true, |d| d.triggers_for(event).next().is_none())
     }
 
     /// Answer `event`, interned under `tref`, by replaying its filed step,
@@ -232,5 +254,59 @@ impl Engine {
         }
         self.memo.body = body;
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::{Engine, EvalStrategy, Options};
+    use mpr_ndlog::{parse_program, Tuple, Value};
+
+    /// Fig. 2's rules key the PacketIn dispatch on the switch: one group
+    /// for switch 1, one for switch 2, no residual trigger.
+    fn engine(strategy: EvalStrategy) -> Engine {
+        let p = parse_program(
+            "fig2",
+            r"
+            materialize(PacketIn, event, 2, keys()).
+            materialize(FlowTable, infinity, 2, keys(0)).
+            r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 53, Prt := 2.
+            r5 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 1.
+            ",
+        )
+        .unwrap();
+        Engine::with_options(&p, Options { strategy, ..Options::default() }).unwrap()
+    }
+
+    fn packet_in(switch: i64, hdr: i64) -> Tuple {
+        Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(switch), Value::Int(hdr)])
+    }
+
+    #[test]
+    fn a_deaf_first_occurrence_writes_the_reference_engines_log_rows() {
+        let (mut batch, mut pipe) = (engine(EvalStrategy::Batch), engine(EvalStrategy::Pipelined));
+        // Switch 3 and 4 no rule hears; switch 1 a rule hears but its
+        // selection rejects header 54 after the dispatch.
+        for t in [packet_in(3, 80), packet_in(1, 53), packet_in(4, 7), packet_in(1, 54), packet_in(3, 81)] {
+            assert_eq!(batch.insert(t.clone()), pipe.insert(t.clone()), "{t}");
+            assert!(batch.log() == pipe.log(), "the log after {t}");
+        }
+        assert_eq!(batch.now(), pipe.now());
+        assert_eq!((batch.steps(), batch.memo_hits(), batch.unheard()), (2, 0, 3));
+        assert_eq!((pipe.steps(), pipe.unheard()), (5, 0), "the reference drains every event");
+    }
+
+    #[test]
+    fn a_deaf_events_first_repeat_steps_and_files() {
+        let (mut batch, mut pipe) = (engine(EvalStrategy::Batch), engine(EvalStrategy::Pipelined));
+        let deaf = packet_in(3, 80);
+        let mut counts = Vec::new();
+        for _ in 0..3 {
+            assert_eq!(batch.insert(deaf.clone()), pipe.insert(deaf.clone()));
+            counts.push((batch.steps(), batch.memo_hits(), batch.unheard()));
+        }
+        assert!(batch.log() == pipe.log());
+        // Unheard, then drained and filed, then replayed from the memo.
+        assert_eq!(counts, [(0, 0, 1), (1, 0, 1), (1, 1, 1)]);
     }
 }

@@ -61,7 +61,7 @@ fn join_all(rule: &mpr_ndlog::Rule, all: &BTreeSet<Tuple>) -> Vec<Env> {
     for atom in &rule.body {
         let mut next = Vec::new();
         for env in &envs {
-            for t in all.iter().filter(|t| t.table == atom.table) {
+            for t in all.iter().filter(|t| *t.table == *atom.table) {
                 if let Some(e2) = match_atom(atom, t, env) {
                     next.push(e2);
                 }
@@ -96,7 +96,7 @@ mod tests {
             .map(|&(a, b)| Tuple::new("Link", c.clone(), vec![Value::Int(a), Value::Int(b)]))
             .collect();
         let out = naive_fixpoint(&p, &base, 50);
-        let reach = out.iter().filter(|t| t.table == "Reach").count();
+        let reach = out.iter().filter(|t| &*t.table == "Reach").count();
         assert_eq!(reach, 6);
     }
 

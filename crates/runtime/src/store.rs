@@ -6,6 +6,7 @@
 use crate::log::{TupleId, TupleKind};
 use mpr_ndlog::{Catalog, Schema, Tuple, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A live tuple instance held by the store.
 #[derive(Debug, Clone)]
@@ -70,7 +71,7 @@ pub enum DropOutcome {
 #[derive(Debug, Default)]
 pub struct Store {
     /// Per table: the location followed by the key columns → live tuple.
-    tables: HashMap<String, HashMap<Vec<Value>, LiveTuple>>,
+    tables: HashMap<Arc<str>, HashMap<Vec<Value>, LiveTuple>>,
     schemas: Catalog,
 }
 
@@ -121,11 +122,7 @@ impl Store {
         next_tid: &mut dyn FnMut() -> TupleId,
     ) -> AddOutcome {
         let key = self.key_of(tuple).expect("a declared table, at its arity");
-        // `entry` would clone the name of a table that, but once, exists.
-        if !self.tables.contains_key(&tuple.table) {
-            self.tables.insert(tuple.table.clone(), HashMap::new());
-        }
-        let table = self.tables.get_mut(&tuple.table).expect("inserted above");
+        let table = self.tables.entry(Arc::clone(&tuple.table)).or_default();
         if let Some(live) = table.get_mut(&key) {
             if &live.tuple == tuple {
                 if base {
@@ -161,7 +158,7 @@ impl Store {
 
     /// Drop one unit of support for `tuple`.
     pub fn drop_support(&mut self, tuple: &Tuple, base: bool) -> DropOutcome {
-        let (Some(key), Some(table)) = (self.key_of(tuple), self.tables.get_mut(&tuple.table)) else {
+        let (Some(key), Some(table)) = (self.key_of(tuple), self.tables.get_mut(&*tuple.table)) else {
             return DropOutcome::Absent;
         };
         let Some(live) = table.get_mut(&key).filter(|l| &l.tuple == tuple) else {
@@ -184,7 +181,7 @@ impl Store {
     /// cascades). Returns its id if present.
     pub fn evict(&mut self, tuple: &Tuple) -> Option<TupleId> {
         let key = self.key_of(tuple)?;
-        let table = self.tables.get_mut(&tuple.table)?;
+        let table = self.tables.get_mut(&*tuple.table)?;
         let tid = table.get(&key).filter(|l| &l.tuple == tuple)?.tid;
         table.remove(&key);
         Some(tid)
@@ -193,7 +190,7 @@ impl Store {
     /// Look up the live instance of an exact tuple.
     pub fn get(&self, tuple: &Tuple) -> Option<&LiveTuple> {
         let key = self.key_of(tuple)?;
-        self.tables.get(&tuple.table)?.get(&key).filter(|l| &l.tuple == tuple)
+        self.tables.get(&*tuple.table)?.get(&key).filter(|l| &l.tuple == tuple)
     }
 
     /// The live tuple of `table` whose location and key columns, in key

@@ -12,7 +12,7 @@
 use mpr_ndlog::ast::*;
 use mpr_ndlog::eval::{CountingFuncs, Env};
 use mpr_ndlog::{parse_program, parse_rule, Catalog, Tuple, Value};
-use mpr_runtime::compiled::CompiledRule;
+use mpr_runtime::compiled::{CompiledRule, ScanScratch};
 use mpr_runtime::engine::{instantiate, match_atom};
 use mpr_runtime::{Engine, EvalStrategy, Options};
 use proptest::prelude::*;
@@ -23,7 +23,7 @@ type State = HashMap<String, Vec<(Tuple, ())>>;
 fn state_of(tuples: &[Tuple]) -> State {
     let mut state = State::new();
     for t in tuples {
-        state.entry(t.table.clone()).or_default().push((t.clone(), ()));
+        state.entry(t.table.to_string()).or_default().push((t.clone(), ()));
     }
     state
 }
@@ -116,9 +116,12 @@ fn assert_compiled_equals_interpreted(rule: &Rule, tuples: &[Tuple]) -> Result<F
     };
     let state = state_of(tuples);
     let (mut f_compiled, mut f_interpreted) = (CountingFuncs::starting_at(7), CountingFuncs::starting_at(7));
+    // One scratch for every firing, as a driver keeps it: what a firing
+    // leaves in it must not leak into the next.
+    let mut scratch = ScanScratch::default();
     let mut fired = Vec::new();
     for d in 0..rule.body.len() {
-        for (i, delta) in tuples.iter().enumerate().filter(|(_, t)| t.table == rule.body[d].table) {
+        for (i, delta) in tuples.iter().enumerate().filter(|(_, t)| *t.table == *rule.body[d].table) {
             let want = interpreted(rule, d, delta, &state, &mut f_interpreted);
             let mut got = Vec::new();
             compiled.fire_scan(
@@ -128,6 +131,7 @@ fn assert_compiled_equals_interpreted(rule: &Rule, tuples: &[Tuple]) -> Result<F
                 |table, _after_delta| state.get(table).map_or(&[][..], Vec::as_slice),
                 |(), ()| Some(()),
                 &mut f_compiled,
+                &mut scratch,
                 &mut got,
             );
             let got: Vec<Tuple> = got.into_iter().map(|(head, ())| head).collect();

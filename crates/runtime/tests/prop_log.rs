@@ -149,7 +149,7 @@ proptest! {
         for t in &inserts {
             e.insert(t.clone()).unwrap();
         }
-        for t in deletes.iter().filter(|t| t.table == "Link") {
+        for t in deletes.iter().filter(|t| &*t.table == "Link") {
             e.delete(t).unwrap();
         }
         let log = e.log();

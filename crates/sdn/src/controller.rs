@@ -101,18 +101,18 @@ impl PktArg {
 pub struct TupleCodec {
     /// Location value of the controller node.
     pub controller_loc: Value,
-    /// `PacketIn` table name.
-    pub packet_in_table: String,
+    /// `PacketIn` table name, shared with every event tuple it names.
+    pub packet_in_table: Arc<str>,
     /// Argument layout after the switch id.
     pub packet_in_args: Vec<PktArg>,
     /// `FlowTable` table name.
-    pub flow_table: String,
+    pub flow_table: Arc<str>,
     /// Which packet attributes the leading `FlowTable` args match on.
     pub flow_match_args: Vec<PktArg>,
     /// Priority given to installed entries.
     pub flow_priority: i32,
     /// Optional `PacketOut` table name (last arg = port).
-    pub packet_out_table: Option<String>,
+    pub packet_out_table: Option<Arc<str>>,
 }
 
 impl TupleCodec {
@@ -161,13 +161,13 @@ impl TupleCodec {
         let mut args = Vec::with_capacity(1 + self.packet_in_args.len());
         args.push(Value::Int(msg.switch));
         args.extend(self.packet_in_args.iter().map(|a| Value::Int(a.value_of(msg))));
-        Tuple::new(self.packet_in_table.clone(), self.controller_loc.clone(), args)
+        Tuple::new(Arc::clone(&self.packet_in_table), self.controller_loc.clone(), args)
     }
 
     /// Is `table` one of the output tables, whose tuples [`Self::decode`]
     /// turns into control messages?
     pub fn is_output(&self, table: &str) -> bool {
-        table == self.flow_table || self.packet_out_table.as_deref() == Some(table)
+        table == &*self.flow_table || self.packet_out_table.as_deref() == Some(table)
     }
 
     /// Read a tuple laid out as a flow-table row — match values, then the
