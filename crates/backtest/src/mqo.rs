@@ -92,13 +92,9 @@
 //! A punt is hashed once: the event's columns (the switch and the codec's
 //! packet fields — with the codec's table and location, the event tuple)
 //! are written into a buffer, and their hash finds the memo of steps
-//! already taken for this event and tag set. On a miss the PacketIn
-//! table's dispatch is asked, from the column it keys on, whether any
-//! variant hears the punt; one that none hears answers nothing, with no
-//! tuple, no step and no memo entry ([`JointWork::unheard`]). A step is
-//! filed only if its event's hash was stepped before — the engine's rule:
-//! a punt that never repeats files nothing — and only if it left the state
-//! alone. A hit builds no tuple and allocates nothing; a step that adds a
+//! already taken for this event and tag set. A step is filed only if its
+//! event's hash was stepped before — the engine's rule: a punt that never
+//! repeats files nothing — and only if it left the state alone. A hit builds no tuple and allocates nothing; a step that adds a
 //! state row empties the memo, since nothing in it replays exactly any
 //! more, so no entry outlives the state it was computed under. A firing
 //! matches into one scratch the replay keeps ([`ScanScratch`]).
@@ -379,9 +375,6 @@ struct TaggedEngine<'a> {
     /// table → the `(variant, body position)` pairs its deltas visit,
     /// grouped by prefilter constant.
     dispatch: HashMap<String, Arc<TriggerDispatch>>,
-    /// The codec's PacketIn table's entry of `dispatch`: `None` if no
-    /// variant reads it.
-    punts: Option<Arc<TriggerDispatch>>,
     /// Seeds and derived state; never an event.
     state: HashMap<Arc<str>, TaggedTable>,
     /// The key columns of the state tables with a proper primary key that
@@ -413,11 +406,9 @@ struct TaggedEngine<'a> {
     scratch: [Vec<(Tuple, TagSet)>; 3],
     /// The partial matches of a firing.
     fire: ScanScratch<TagSet>,
-    /// Punts answered by a [`Self::step`], from the memo, and with nothing
-    /// because no variant hears them.
+    /// Punts answered by a [`Self::step`], and from the memo.
     steps: u64,
     memo_hits: u64,
-    unheard: u64,
 }
 
 impl<'a> TaggedEngine<'a> {
@@ -451,14 +442,12 @@ impl<'a> TaggedEngine<'a> {
                 }
             }
         }
-        let dispatch = build_dispatch(&triggers, |vi| &*program.variants[vi].rule);
         TaggedEngine {
             program,
             catalog,
             codec,
             compiled,
-            punts: dispatch.get(&*codec.packet_in_table).cloned(),
-            dispatch,
+            dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
             state: HashMap::new(),
             keyed,
             outputs: LiveOutputs { catalog, hasher: RandomState::new(), by_key: Prehashed::default() },
@@ -473,7 +462,6 @@ impl<'a> TaggedEngine<'a> {
             fire: ScanScratch::default(),
             steps: 0,
             memo_hits: 0,
-            unheard: 0,
         }
     }
 
@@ -593,16 +581,6 @@ impl<'a> TaggedEngine<'a> {
         outputs
     }
 
-    /// Does a variant read the PacketIn whose columns after the location
-    /// are `key` (the switch, then the codec's packet fields)? Asked of
-    /// the dispatch before any tuple is built.
-    fn hears(&self, key: &[i64]) -> bool {
-        self.punts.as_ref().is_some_and(|d| match d.col() {
-            0 => d.hears(Some(&self.codec.controller_loc)),
-            c => d.hears(key.get(c - 1).map(|&v| Value::Int(v)).as_ref()),
-        })
-    }
-
     /// Evaluate the tagged program on one PacketIn under `tags`: pushes the
     /// control messages it answers with, and the tag sets they apply to.
     fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet, out: &mut Vec<(CtrlMsg, TagSet)>) {
@@ -620,11 +598,6 @@ impl<'a> TaggedEngine<'a> {
                 self.memo_hits += 1;
                 filed = heads;
                 &filed
-            }
-            // Never filed, so never a hit.
-            None if !self.hears(&key) => {
-                self.unheard += 1;
-                &[]
             }
             None => {
                 self.steps += 1;
@@ -940,9 +913,6 @@ pub struct JointWork {
     pub steps: u64,
     /// Punts answered from the memo.
     pub memo_hits: u64,
-    /// Punts no variant hears, answered with nothing: no tuple, no step,
-    /// no memo entry.
-    pub unheard: u64,
     /// Distinct tag sets counters were kept for.
     pub classes: u64,
 }
@@ -1115,13 +1085,7 @@ pub fn mqo_replay_deltas(
         }
     }
     let work =
-        JointWork {
-            steps: engine.steps,
-            memo_hits: engine.memo_hits,
-            unheard: engine.unheard,
-            classes: fw.classes.len() as u64,
-            ..work
-        };
+        JointWork { steps: engine.steps, memo_hits: engine.memo_hits, classes: fw.classes.len() as u64, ..work };
     let stats = fw.fold(n);
     #[cfg(debug_assertions)]
     check_replay(setup, &tables, &engine, &fw.classes, &stats, &work);
@@ -1134,8 +1098,8 @@ pub fn mqo_replay_deltas(
 /// they were sealed with; classes that are non-empty, each
 /// folded into each of its members exactly once — the counters summed over
 /// candidates are those of the classes, each taken `|tags|` times — with
-/// every candidate injected every attached packet; and one step, memo
-/// hit or unheard punt per punt.
+/// every candidate injected every attached packet; and one step or memo
+/// hit per punt.
 #[cfg(debug_assertions)]
 fn check_replay(
     setup: &BacktestSetup,
@@ -1164,7 +1128,7 @@ fn check_replay(
     }
     assert_eq!(by_candidate, by_class, "a class was not folded once per member");
     let punts: u64 = classes.values().map(|class| class.packet_ins).sum();
-    assert_eq!(work.steps + work.memo_hits + work.unheard, punts, "a punt neither stepped, hit the memo nor went unheard");
+    assert_eq!(work.steps + work.memo_hits, punts, "a punt neither stepped nor hit the memo");
 }
 
 #[cfg(test)]
@@ -1430,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn a_punt_no_variant_hears_answers_nothing_and_files_nothing() {
+    fn a_punts_step_is_filed_at_its_first_repeat() {
         let (base, codec) = (fig2_program(), TupleCodec::fig2());
         let tagged = tagged_program(&base, &vec![RuleDelta::default(); 2]);
         let mut engine = TaggedEngine::new(&tagged, &base.catalog, &codec);
@@ -1440,20 +1404,18 @@ mod tests {
             packet: mpr_sdn::packet::Packet::http(1, 50, fig1_hosts::H2),
         };
         let mut out = Vec::new();
-        // Every rule selects switch 1 or 2.
+        // A punt that never repeats steps and files nothing, not even when
+        // no rule selects its switch.
+        engine.on_packet_in(&punt(3), 0b11, &mut out);
+        assert_eq!((engine.steps, engine.memo_hits), (1, 0));
+        assert!(engine.memo.is_empty(), "a first occurrence is not filed");
+        // Its first repeat steps again and files; later ones hit.
         for _ in 0..3 {
             engine.on_packet_in(&punt(3), 0b11, &mut out);
         }
-        assert!(out.is_empty());
-        assert_eq!((engine.steps, engine.memo_hits, engine.unheard), (0, 0, 3));
-        assert!(engine.memo.is_empty() && engine.seen.is_empty(), "no memo entry, not even a sighting");
-        // A punt a rule hears steps; its event is filed at its first
-        // repeat, and answered from the memo after that.
-        for _ in 0..3 {
-            engine.on_packet_in(&punt(2), 0b11, &mut out);
-        }
-        assert_eq!((engine.steps, engine.memo_hits, engine.unheard), (2, 1, 3));
+        assert_eq!((engine.steps, engine.memo_hits), (2, 2));
         assert_eq!(engine.memo.len(), 1);
+        assert!(out.is_empty(), "no rule answers switch 3");
     }
 
     #[test]

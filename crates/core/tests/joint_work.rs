@@ -98,18 +98,18 @@ fn assert_work_follows_behaviours(s: &Scenario) {
     // A handful of tag classes, whatever the number of candidates.
     assert!(work.classes <= 4 * n as u64, "{}: {work:?} for {n} candidates", s.id);
 
-    // Every punt is a step, a memo hit or unheard. A punt serves one
-    // candidate or several, so their number lies between the most any
-    // candidate sends and what all of them send — and alone, a candidate's
-    // punts are its packet-ins.
-    let punts = work.steps + work.memo_hits + work.unheard;
+    // Every punt is a step or a memo hit. A punt serves one candidate or
+    // several, so their number lies between the most any candidate sends
+    // and what all of them send — and alone, a candidate's punts are its
+    // packet-ins.
+    let punts = work.steps + work.memo_hits;
     let packet_ins: Vec<u64> = joint.outcomes.iter().map(|o| o.stats.packet_ins).collect();
     let most = packet_ins.iter().copied().max().unwrap_or(0);
     assert!(most <= punts && punts <= packet_ins.iter().sum(), "{}: {punts} punts for {packet_ins:?}", s.id);
     for (i, own) in packet_ins.iter().enumerate() {
         let alone = c.replay(s, i..i + 1);
         assert_eq!(alone.outcomes[0].stats, joint.outcomes[i].stats, "{}: candidate {i} alone", s.id);
-        assert_eq!(alone.work.steps + alone.work.memo_hits + alone.work.unheard, *own, "{}: candidate {i} alone", s.id);
+        assert_eq!(alone.work.steps + alone.work.memo_hits, *own, "{}: candidate {i} alone", s.id);
         assert_eq!(alone.work.classes, 1);
     }
 

@@ -80,29 +80,17 @@ impl TriggerDispatch {
     /// dispatch column merged with the residual triggers by original
     /// `(rule, atom)` position.
     pub fn triggers_for(&self, tuple: &Tuple) -> MergedTriggers<'_> {
-        let got = if self.col == 0 { Some(&tuple.loc) } else { tuple.args.get(self.col - 1) };
-        MergedTriggers { keyed: self.group(got), rest: &self.rest, i: 0, j: 0 }
-    }
-
-    /// The delta column the keyed groups test: `0` the location, `i + 1`
-    /// payload argument `i`.
-    pub fn col(&self) -> usize {
-        self.col
-    }
-
-    /// Does a delta whose value at [`Self::col`] is `value` visit any
-    /// trigger? A driver that knows a delta's columns before it builds the
-    /// tuple asks this to build none for a delta nothing hears.
-    pub fn hears(&self, value: Option<&Value>) -> bool {
-        !self.rest.is_empty() || !self.group(value).is_empty()
-    }
-
-    /// The keyed group for `value` at the dispatch column.
-    fn group(&self, value: Option<&Value>) -> &[(usize, usize)] {
-        if self.keyed.is_empty() {
-            return &[];
-        }
-        value.and_then(|v| self.keyed.get(v)).map_or(&[], Vec::as_slice)
+        let keyed: &[(usize, usize)] = if self.keyed.is_empty() {
+            &[]
+        } else {
+            let got = if self.col == 0 {
+                Some(&tuple.loc)
+            } else {
+                tuple.args.get(self.col - 1)
+            };
+            got.and_then(|v| self.keyed.get(v)).map_or(&[], Vec::as_slice)
+        };
+        MergedTriggers { keyed, rest: &self.rest, i: 0, j: 0 }
     }
 }
 

@@ -42,8 +42,10 @@
 //! [`ExecLog::events`] are empty.
 
 use mpr_ndlog::{Tuple, Value};
+use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash};
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// Logical timestamp (one tick per processed delta).
 pub type Time = u64;
@@ -709,38 +711,50 @@ impl ExecLog {
     }
 
     /// Bytes the history occupies at its encoded row sizes: what writing
-    /// out the rows held, without allocator slack, would take. The §5.4
-    /// storage experiment reports this next to the paper's 120-byte entries.
+    /// out the rows held, without allocator slack, would take — a string
+    /// at its length in every row that holds it. The §5.4 storage
+    /// experiment reports this next to the paper's 120-byte entries.
     pub fn storage_bytes(&self) -> u64 {
         self.bytes(false)
     }
 
     /// Heap bytes the log holds, exactly: every column and intern table at
     /// its capacity, plus what the interned tuples, values and rule ids own.
+    /// A shared string is one allocation, its length plus the `Arc`'s two
+    /// counts, counted once however many tuples hold it.
     pub fn heap_bytes(&self) -> u64 {
         self.bytes(true)
             + ((self.tuples.slots.capacity() + self.nodes.slots.capacity()) * size_of::<u32>()) as u64
     }
 
     /// Column and intern-table bytes, at capacity (`slack`) or at length.
+    /// At capacity a shared string counts once, with its `Arc` header; at
+    /// length it counts at every holder.
     fn bytes(&self, slack: bool) -> u64 {
         fn rows<T>(v: &Vec<T>, slack: bool) -> usize {
             (if slack { v.capacity() } else { v.len() }) * size_of::<T>()
         }
         let text = |s: &String| if slack { s.capacity() } else { s.len() };
-        // A shared string counts its length at every holder.
-        let value = |v: &Value| match v {
-            Value::Str(s) => s.len(),
-            _ => 0,
+        let mut counted = HashSet::new();
+        let mut shared = |s: &Arc<str>| match slack {
+            false => s.len(),
+            true if counted.insert(Arc::as_ptr(s).cast::<u8>()) => 2 * size_of::<usize>() + s.len(),
+            true => 0,
         };
-        let tuple = |t: &Tuple| {
-            t.table.len() + value(&t.loc) + rows(&t.args, slack) + t.args.iter().map(value).sum::<usize>()
-        };
+        let mut owned = 0;
+        for t in &self.tuples.items {
+            owned += shared(&t.table) + rows(&t.args, slack);
+        }
+        let values = self.tuples.items.iter().flat_map(|t| std::iter::once(&t.loc).chain(&t.args));
+        for v in values.chain(&self.nodes.items) {
+            if let Value::Str(s) = v {
+                owned += shared(s);
+            }
+        }
         let total = rows(&self.tuples.items, slack)
-            + self.tuples.items.iter().map(tuple).sum::<usize>()
+            + owned
             + rows(&self.newest, slack)
             + rows(&self.nodes.items, slack)
-            + self.nodes.items.iter().map(value).sum::<usize>()
             + rows(&self.rules, slack)
             + self.rules.iter().map(text).sum::<usize>()
             + rows(&self.insts, slack)
@@ -1011,6 +1025,19 @@ mod tests {
         let rows = 3 * (8 + 24) + 9 * 32 + 4 * size_of::<TupleId>();
         assert_eq!(log.storage_bytes(), (interned + nodes + rules + rows) as u64);
         assert!(log.heap_bytes() >= log.storage_bytes() + 2 * 16 * 4, "capacity and both slot tables");
+    }
+
+    #[test]
+    fn a_shared_string_is_one_heap_allocation_and_a_copy_per_row_stored() {
+        let table: Arc<str> = "T".into();
+        let (mut shared, mut own) = (ExecLog::default(), ExecLog::default());
+        for i in 0..3 {
+            shared.mint(&Tuple::new(Arc::clone(&table), 1i64, vec![Value::Int(i)]), TupleKind::Base, 9, false);
+            own.mint(&t(i), TupleKind::Base, 9, false);
+        }
+        assert_eq!(shared.storage_bytes(), own.storage_bytes());
+        let arc_str = 2 * size_of::<usize>() as u64 + 1;
+        assert_eq!(own.heap_bytes() - shared.heap_bytes(), 2 * arc_str, "three allocations, or one");
     }
 
     #[cfg(debug_assertions)]
