@@ -61,7 +61,10 @@
 //! Packets in flight carry a tag set too: a hop costs one lookup per
 //! variant — per distinct table — that intersects the flight's tags, the
 //! candidates that miss punt together, and copies that coincide again
-//! after diverging travel on as one flight. Counters are exact per
+//! after diverging travel on as one flight. What a hit's actions do is the
+//! simulator's own code, [`mpr_sdn::sim::apply_actions`], over the tagged
+//! [`DataPlane`] (`Forwarder`); what a host counts is
+//! [`SimStats::arrive`]. Counters are exact per
 //! candidate and cost one bump per event: they are kept per tag *class*
 //! (the distinct tag sets flights and punts carry) and added into each
 //! member's `SimStats` when the replay ends (`Forwarder`). What the replay
@@ -94,9 +97,10 @@
 //! are written into a buffer, and their hash finds the memo of steps
 //! already taken for this event and tag set. A step is filed only if its
 //! event's hash was stepped before — the engine's rule: a punt that never
-//! repeats files nothing — and only if it left the state alone. A hit builds no tuple and allocates nothing; a step that adds a
-//! state row empties the memo, since nothing in it replays exactly any
-//! more, so no entry outlives the state it was computed under. A firing
+//! repeats files nothing — and only if it left the state alone. A hit
+//! builds no tuple and allocates nothing. A step that adds a state row
+//! empties the memo, since nothing in it replays exactly any more, so no
+//! entry outlives the state it was computed under. A firing
 //! matches into one scratch the replay keeps ([`ScanScratch`]).
 //! `LiveOutputs` finds a head's slot by hashing its key columns where they
 //! lie.
@@ -115,7 +119,10 @@
 //! - a *rule that does not compile, or aggregates*: a candidate's own
 //!   copies are checked up front (the reference refuses the whole
 //!   program), a borrowed base rule when a delta first reaches it;
-//! - a step that fires 100 000 deltas.
+//! - a *step that draws an `f_unique` id*: the engine never files such a
+//!   step, and each candidate would draw from its own counter;
+//! - a *step over the engine's budget*: more matches than
+//!   `setup.engine.max_derivations`, where the reference fails.
 //!
 //! Callers replay those per candidate ([`crate::replay_candidates`];
 //! [`mqo_replay`] does it itself). For the rest the claim is the whole
@@ -136,9 +143,9 @@ use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
 use mpr_runtime::{build_dispatch, LazyRule, PassHash, Prehashed, ScanScratch, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, TupleCodec};
-use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
+use mpr_sdn::flowtable::{proactive_routes, FlowEntry, FlowTable};
 use mpr_sdn::packet::Packet;
-use mpr_sdn::sim::SimStats;
+use mpr_sdn::sim::{apply_actions, DataPlane, SimStats};
 use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
@@ -382,6 +389,9 @@ struct TaggedEngine<'a> {
     keyed: HashMap<String, Vec<usize>>,
     outputs: LiveOutputs<'a>,
     funcs: CountingFuncs,
+    /// The engine's per-step budget ([`mpr_runtime::Options::max_derivations`]):
+    /// a step that matches more hands its candidates back.
+    budget: u64,
     /// The candidates that met what this evaluator does not mirror.
     diverged: TagSet,
     /// How many state rows were ever added.
@@ -412,7 +422,7 @@ struct TaggedEngine<'a> {
 }
 
 impl<'a> TaggedEngine<'a> {
-    fn new(program: &'a TaggedProgram<'a>, catalog: &'a Catalog, codec: &'a TupleCodec) -> Self {
+    fn new(program: &'a TaggedProgram<'a>, catalog: &'a Catalog, codec: &'a TupleCodec, budget: u64) -> Self {
         let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
         let mut diverged: TagSet = 0;
         let mut compiled = Vec::with_capacity(program.variants.len());
@@ -452,6 +462,7 @@ impl<'a> TaggedEngine<'a> {
             keyed,
             outputs: LiveOutputs { catalog, hasher: RandomState::new(), by_key: Prehashed::default() },
             funcs: CountingFuncs::starting_at(1000),
+            budget,
             diverged,
             state_rows: 0,
             memo: Prehashed::default(),
@@ -503,7 +514,7 @@ impl<'a> TaggedEngine<'a> {
         // one variant's heads at a time.
         let [mut round, mut pending, mut heads] = std::mem::take(&mut self.scratch);
         round.push((delta, tags));
-        let mut fired = 0u32;
+        let mut matched = 0u64;
         while !round.is_empty() {
             // The round begins: its state deltas become visible, as recent.
             for (t, ttags) in &round {
@@ -514,14 +525,7 @@ impl<'a> TaggedEngine<'a> {
                     self.memo.clear();
                 }
             }
-            for (delta, dtags) in &round {
-                fired += 1;
-                if fired > 100_000 {
-                    // A runaway recursion: the engine's own budgets judge it.
-                    self.diverged |= tags;
-                    pending.clear();
-                    break;
-                }
+            'deltas: for (delta, dtags) in &round {
                 // The variants this delta can fire, in program order: its
                 // value's keyed group merged with the residual list.
                 let Some(dispatch) = self.dispatch.get(&*delta.table).map(Arc::clone) else {
@@ -538,7 +542,8 @@ impl<'a> TaggedEngine<'a> {
                         continue;
                     };
                     let state = &self.state;
-                    rule.fire_scan(
+                    let issued = self.funcs.issued();
+                    matched += rule.fire_scan(
                         ai,
                         delta,
                         active,
@@ -551,7 +556,11 @@ impl<'a> TaggedEngine<'a> {
                         &mut self.funcs,
                         &mut self.fire,
                         &mut heads,
-                    );
+                    ) as u64;
+                    if self.funcs.issued() != issued {
+                        // An `f_unique` id: each candidate draws its own.
+                        self.diverged |= active;
+                    }
                     let head_is_event = rule.head_is_event();
                     for (head, htags) in heads.drain(..) {
                         if self.codec.is_output(&head.table) {
@@ -566,6 +575,12 @@ impl<'a> TaggedEngine<'a> {
                                 pending.push((head, fresh));
                             }
                         }
+                    }
+                    if matched > self.budget {
+                        // A runaway: where the engine fails the step.
+                        self.diverged |= tags;
+                        pending.clear();
+                        break 'deltas;
                     }
                 }
             }
@@ -751,25 +766,16 @@ struct Flight<N> {
 /// Add a flight to `list`. Candidates whose copies of a packet coincide
 /// travel (and punt) together; overlapping tags mean a genuine duplicate,
 /// which stays a flight of its own.
-fn join_flights<N: PartialEq>(
-    list: &mut Vec<Flight<N>>,
-    at: N,
-    port: i64,
-    pkt: &Packet,
-    tags: TagSet,
-) {
-    match list
-        .iter_mut()
-        .find(|f| f.tags & tags == 0 && f.at == at && f.port == port && f.pkt == *pkt)
-    {
+fn join_flights<N: PartialEq>(list: &mut Vec<Flight<N>>, at: N, port: i64, pkt: Packet, tags: TagSet) {
+    match list.iter_mut().find(|f| f.tags & tags == 0 && f.at == at && f.port == port && f.pkt == pkt) {
         Some(f) => f.tags |= tags,
-        None => list.push(Flight { at, port, pkt: pkt.clone(), tags }),
+        None => list.push(Flight { at, port, pkt, tags }),
     }
 }
 
-/// The data-plane half of the joint replay: what a hit's actions or a
-/// `PacketOut` do to the packet, mirroring `Simulation`'s `apply_actions`
-/// / `emit` / `punt` with a tag set in place of one network.
+/// The data-plane half of the joint replay, with a tag set in place of one
+/// network: the [`DataPlane`] the simulator's own [`apply_actions`] sends a
+/// hit's or a `PacketOut`'s packets to.
 ///
 /// Counters are kept per tag *class* — the distinct tag sets that flights
 /// and punts actually carry — and bumped once per event, whatever the
@@ -805,59 +811,25 @@ impl Forwarder<'_> {
         }
         stats
     }
+}
 
-    fn apply_actions(
-        &mut self,
-        switch: i64,
-        in_port: i64,
-        pkt: &Packet,
-        actions: &[Action],
-        tags: TagSet,
-    ) {
-        let mut pkt = pkt.clone();
-        let mut emitted = false;
-        for a in actions {
-            match a {
-                Action::Modify(f, v) => pkt.set_field(*f, *v),
-                Action::Output(p) => {
-                    self.emit(switch, *p, &pkt, tags);
-                    emitted = true;
-                }
-                Action::Flood => {
-                    let topo = self.topo;
-                    for (p, _) in topo.links_of(NodeRef::Switch(switch)) {
-                        if p != in_port {
-                            self.emit(switch, p, &pkt, tags);
-                        }
-                    }
-                    emitted = true;
-                }
-                Action::Drop => {
-                    self.count(tags, |s| s.dropped_policy += 1);
-                    return;
-                }
-                Action::Controller => {
-                    self.punt(switch, in_port, &pkt, tags);
-                    emitted = true;
-                }
-            }
-        }
-        if !emitted {
-            self.count(tags, |s| s.dropped_policy += 1);
-        }
-    }
-
-    fn emit(&mut self, switch: i64, out_port: i64, pkt: &Packet, tags: TagSet) {
+/// The joint replay's packets carry the candidates they travel for.
+impl DataPlane<TagSet> for Forwarder<'_> {
+    fn emit(&mut self, switch: i64, out_port: i64, pkt: Packet, tags: TagSet) {
         match self.topo.peer(NodeRef::Switch(switch), out_port) {
             Some((at, port)) => join_flights(&mut self.next, at, port, pkt, tags),
-            None => self.count(tags, |s| s.dropped_policy += 1),
+            None => self.drop_policy(tags),
         }
     }
 
     /// Queue a PacketIn; identical ones are evaluated once for all their
     /// candidates.
-    fn punt(&mut self, switch: i64, in_port: i64, pkt: &Packet, tags: TagSet) {
+    fn punt(&mut self, switch: i64, in_port: i64, pkt: Packet, tags: TagSet) {
         join_flights(&mut self.punts, switch, in_port, pkt, tags);
+    }
+
+    fn drop_policy(&mut self, tags: TagSet) {
+        self.count(tags, |s| s.dropped_policy += 1);
     }
 }
 
@@ -967,7 +939,7 @@ pub fn mqo_replay_deltas(
     let mut tables = TaggedTables { topo, by_switch: BTreeMap::new() };
     let full: TagSet = (!0u64) >> (64 - n);
     let tagged = tagged_program(base, deltas);
-    let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec);
+    let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
     for (seed, tags) in tagged_seeds(&setup.seeds, seeds.get(..n).unwrap_or(seeds), full) {
         // What a seed derives into an output table is live from then on and
         // sent nowhere: `NdlogController::seed` drops the engine's answer.
@@ -1017,14 +989,7 @@ pub fn mqo_replay_deltas(
                 work.flight_hops += 1;
                 let s = match f.at {
                     NodeRef::Host(h) => {
-                        if f.pkt.dst_ip == h {
-                            fw.count(f.tags, |s| {
-                                *s.delivered.entry(h).or_insert(0) += 1;
-                                *s.delivered_by_port.entry((h, f.pkt.dst_port)).or_insert(0) += 1;
-                            });
-                        } else {
-                            fw.count(f.tags, |s| s.misdelivered += 1);
-                        }
+                        fw.count(f.tags, |s| s.arrive(h, &f.pkt));
                         continue;
                     }
                     NodeRef::Switch(s) => s,
@@ -1046,11 +1011,11 @@ pub fn mqo_replay_deltas(
                     work.lookups += 1;
                     if let Some(e) = table.lookup(&f.pkt, f.port) {
                         missed &= !here;
-                        fw.apply_actions(s, f.port, &f.pkt, &e.actions, here);
+                        apply_actions(&mut fw, topo, s, f.port, f.pkt.clone(), &e.actions, here);
                     }
                 }
                 if missed != 0 {
-                    fw.punt(s, f.port, &f.pkt, missed);
+                    fw.punt(s, f.port, f.pkt, missed);
                 }
             }
             // Shared controller evaluation per distinct punt. A reply may
@@ -1072,7 +1037,7 @@ pub fn mqo_replay_deltas(
                             CtrlMsg::PacketOut { switch, packet, action } => {
                                 released |= ctags;
                                 fw.count(ctags, |s| s.packet_outs += 1);
-                                fw.apply_actions(switch, p.port, &packet, &[action], ctags);
+                                apply_actions(&mut fw, topo, switch, p.port, packet, &[action], ctags);
                             }
                         }
                     }
@@ -1138,6 +1103,7 @@ mod tests {
     use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
     use mpr_ndlog::{parse_program, CmpOp, Expr, ExprSide, Value};
     use mpr_sdn::controller::TupleCodec;
+    use mpr_sdn::flowtable::Action;
     use mpr_sdn::sim::SimConfig;
     use mpr_sdn::topology::{fig1, fig1_hosts};
 
@@ -1397,7 +1363,7 @@ mod tests {
     fn a_punts_step_is_filed_at_its_first_repeat() {
         let (base, codec) = (fig2_program(), TupleCodec::fig2());
         let tagged = tagged_program(&base, &vec![RuleDelta::default(); 2]);
-        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &codec);
+        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &codec, u64::MAX);
         let punt = |switch| PacketInMsg {
             switch,
             in_port: 1,
@@ -1586,7 +1552,7 @@ mod tests {
             added(rule("n2 FlowTable(@S,H,P) :- Never(@S,H,P), P > 1.")),
         ];
         let (tagged, setup) = (tagged_program(&base, &deltas), setup());
-        let engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec);
+        let engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
         assert_eq!(engine.diverged, 0b010, "before any step");
         let compiled: Vec<bool> = engine.compiled.iter().map(LazyRule::is_compiled).collect();
         assert_eq!(compiled, [false, false, false, false, true]);

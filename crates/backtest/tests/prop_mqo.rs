@@ -13,7 +13,7 @@
 use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows, TableFootprint, TagSet};
 use mpr_backtest::replay::{drive, replay_with_extra_flows, BacktestSetup};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline, RuleDelta};
-use mpr_ndlog::{parse_program, ExprSide, Program};
+use mpr_ndlog::{parse_program, ExprSide, Program, Tuple, Value};
 use mpr_sdn::controller::TupleCodec;
 use mpr_sdn::flowtable::{Action, FlowEntry, Match};
 use mpr_sdn::packet::{Field, Packet};
@@ -813,6 +813,43 @@ fn a_candidate_that_does_not_compile_is_handed_back() {
         let own = replay_with_extra_flows(&setup, &cands[i], &[]).unwrap();
         assert_eq!(joint.outcomes[i].stats, own.stats, "candidate {i}");
     }
+}
+
+/// A step that draws an `f_unique` id. The engine never files one, so each
+/// packet-in draws a new port, which replaces the entry before it. The
+/// joint replay used to draw once for both copies of the base and replay
+/// its memo: (4, 0, 0, 6) each, and nobody handed back. Whoever draws is
+/// handed back now; the candidate without `r1` draws nothing and stays.
+#[test]
+fn a_step_that_draws_an_f_unique_id_hands_its_candidates_back() {
+    let src = "materialize(PacketIn, event, 2, keys()).\n\
+               materialize(FlowTable, infinity, 2, keys(0)).\n\
+               r1 FlowTable(@S,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), S := 3, Prt := f_unique().\n";
+    let (solo, handed_back) = replay_shape(src, &[Patch::default(), Patch::default(), delete("r1")]);
+    assert_eq!(solo, [(6, 0, 0, 6), (6, 0, 0, 6), (0, 0, 0, 6)]);
+    assert_eq!(handed_back, 0b011);
+}
+
+/// The runaway guard is the engine's per-step budget: a seed whose
+/// recursion fires 200 times fails the reference replay under a budget of
+/// 100, and the joint replay hands its candidate back; under 1 000 both
+/// run it through, and agree.
+#[test]
+fn a_step_over_the_engines_budget_hands_its_candidates_back() {
+    let src = "materialize(PacketIn, event, 2, keys()).\n\
+               materialize(FlowTable, infinity, 2, keys(0,1)).\n\
+               r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 80, Prt := 1.\n\
+               c Chain(@C,N) :- Chain(@C,M), M < 200, N := M + 1.\n";
+    let base = parse_program("runaway", src).unwrap();
+    let (deltas, cands) = deltas_and_programs(&base, &[Patch::default()]);
+    let mut setup = shape_setup();
+    setup.seeds = vec![Tuple::new("Chain", setup.codec.controller_loc.clone(), vec![Value::Int(0)])];
+    setup.engine.max_derivations = 100;
+    let err = replay_with_extra_flows(&setup, &cands[0], &[]).unwrap_err();
+    assert!(err.contains("derivation limit"), "{err}");
+    assert_eq!(mqo_replay_deltas(&setup, &base, &deltas, &[], &[]).diverged, 0b1);
+    setup.engine.max_derivations = 1_000;
+    assert_joint_equals_sequential(&setup, &base, &cands, &deltas, &[]).unwrap();
 }
 
 /// The derived-state family on Fig. 1. `r1` derives `Seen` from the

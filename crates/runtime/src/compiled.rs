@@ -559,6 +559,9 @@ impl CompiledRule {
     /// `out` in the interpreter's order: matches extend level by level, and
     /// fire in the order their candidates were visited.
     ///
+    /// Returns the complete body matches: what the engine counts against
+    /// [`crate::Options::max_derivations`], head or no head.
+    ///
     /// The partial matches live in the caller's `scratch`: a candidate is
     /// matched into its partial match's frame and copied to the next level
     /// only if it survives, so a firing whose buffers have grown allocates
@@ -574,16 +577,16 @@ impl CompiledRule {
         host: &mut dyn FuncHost,
         scratch: &mut ScanScratch<A>,
         out: &mut Vec<(Tuple, A)>,
-    ) {
+    ) -> usize {
         let Some(plan) = self.deltas.get(d).filter(|p| p.accepts(delta)) else {
-            return;
+            return 0;
         };
         let (n, s) = (self.n_slots, scratch);
         s.frames.clear();
         s.frames.resize(n, None);
         s.anns.clear();
         if !match_cols(&plan.cols, delta, &mut s.frames) || !self.sels_hold(&plan.ready, &s.frames, host) {
-            return;
+            return 0;
         }
         s.anns.push(ann);
         for ext in &plan.exts {
@@ -600,7 +603,7 @@ impl CompiledRule {
                 }
             }
             if s.next_anns.is_empty() {
-                return;
+                return 0;
             }
             std::mem::swap(&mut s.frames, &mut s.next_frames);
             std::mem::swap(&mut s.anns, &mut s.next_anns);
@@ -610,6 +613,7 @@ impl CompiledRule {
                 out.push((head, ann));
             }
         }
+        s.anns.len()
     }
 }
 

@@ -101,6 +101,17 @@ impl SimStats {
         self.delivered_by_port.get(&(host, port)).copied().unwrap_or(0)
     }
 
+    /// Count `packet` arriving at `host`: delivered if it was addressed
+    /// there, misdelivered otherwise.
+    pub fn arrive(&mut self, host: i64, packet: &Packet) {
+        if packet.dst_ip == host {
+            *self.delivered.entry(host).or_insert(0) += 1;
+            *self.delivered_by_port.entry((host, packet.dst_port)).or_insert(0) += 1;
+        } else {
+            self.misdelivered += 1;
+        }
+    }
+
     /// Add `other`'s counters to these, counter by counter and key by key.
     /// Addition commutes, so counters kept in parts (the joint backtest
     /// keeps one part per set of candidates that shared an event) sum to
@@ -137,6 +148,64 @@ impl SimStats {
         self.flow_mods += flow_mods;
         self.packet_outs += packet_outs;
         self.hops += hops;
+    }
+}
+
+/// Where the packets a matched entry sends go: the half of a data plane
+/// [`apply_actions`] leaves to its caller. `X` travels with every packet —
+/// the simulator's hop count, or the set of candidates a joint backtest
+/// forwards the packet for.
+pub trait DataPlane<X: Copy> {
+    /// Send `packet` out of `switch`'s `out_port`.
+    fn emit(&mut self, switch: i64, out_port: i64, packet: Packet, x: X);
+    /// Hand `packet`, which reached `switch` on `in_port`, to the controller.
+    fn punt(&mut self, switch: i64, in_port: i64, packet: Packet, x: X);
+    /// Count a packet the flow table dropped.
+    fn drop_policy(&mut self, x: X);
+}
+
+/// Apply a matched entry's `actions` (or a `PacketOut`'s one) to `packet`,
+/// which reached `switch` on `in_port`: rewrite its fields, and emit, flood
+/// or punt it through `plane`. `Drop`, or a list that emits nothing, is a
+/// policy drop. The one interpretation of an action list: the simulator and
+/// the joint backtest both forward through it.
+pub fn apply_actions<X: Copy>(
+    plane: &mut impl DataPlane<X>,
+    topo: &Topology,
+    switch: i64,
+    in_port: i64,
+    mut packet: Packet,
+    actions: &[Action],
+    x: X,
+) {
+    let mut emitted = false;
+    for a in actions {
+        match a {
+            Action::Modify(f, v) => packet.set_field(*f, *v),
+            Action::Output(p) => {
+                plane.emit(switch, *p, packet.clone(), x);
+                emitted = true;
+            }
+            Action::Flood => {
+                for (p, _) in topo.links_of(NodeRef::Switch(switch)) {
+                    if p != in_port {
+                        plane.emit(switch, p, packet.clone(), x);
+                    }
+                }
+                emitted = true;
+            }
+            Action::Drop => {
+                plane.drop_policy(x);
+                return;
+            }
+            Action::Controller => {
+                plane.punt(switch, in_port, packet.clone(), x);
+                emitted = true;
+            }
+        }
+    }
+    if !emitted {
+        plane.drop_policy(x);
     }
 }
 
@@ -218,7 +287,7 @@ pub struct Simulation<C: Controller> {
     clock: u64,
     /// Counters.
     pub stats: SimStats,
-    /// Reusable controller-reply buffer ([`Self::punt`] hands it to
+    /// Reusable controller-reply buffer (its [`DataPlane::punt`] hands it to
     /// `on_packet_in` instead of allocating a `Vec` per miss).
     reply_buf: Vec<CtrlMsg>,
     /// Reusable staging buffer for a matched entry's actions.
@@ -330,7 +399,7 @@ impl<C: Controller> Simulation<C> {
                 self.clock = self.clock.max(ev.time);
                 self.apply_due_crashes();
                 match ev.node {
-                    NodeRef::Host(h) => self.arrive_host(h, ev.packet),
+                    NodeRef::Host(h) => self.stats.arrive(h, &ev.packet),
                     NodeRef::Switch(s) => self.arrive_switch(s, ev.port, ev.hops, ev.packet),
                 }
             }
@@ -349,19 +418,6 @@ impl<C: Controller> Simulation<C> {
             self.tables.clear(c.switch);
             self.stats.switch_crashes += 1;
             self.next_crash += 1;
-        }
-    }
-
-    fn arrive_host(&mut self, host: i64, packet: Packet) {
-        if packet.dst_ip == host {
-            *self.stats.delivered.entry(host).or_insert(0) += 1;
-            *self
-                .stats
-                .delivered_by_port
-                .entry((host, packet.dst_port))
-                .or_insert(0) += 1;
-        } else {
-            self.stats.misdelivered += 1;
         }
     }
 
@@ -387,55 +443,45 @@ impl<C: Controller> Simulation<C> {
             None => false,
         };
         if hit {
-            self.apply_actions(switch, in_port, hops, packet, &actions);
+            let topo = Arc::clone(&self.topo);
+            apply_actions(self, &topo, switch, in_port, packet, &actions, hops);
         } else {
-            self.punt(switch, in_port, hops, packet);
+            self.punt(switch, in_port, packet, hops);
         }
         actions.clear();
         self.action_buf = actions;
     }
 
-    fn apply_actions(
-        &mut self,
-        switch: i64,
-        in_port: i64,
-        hops: u32,
-        mut packet: Packet,
-        actions: &[Action],
-    ) {
-        let mut emitted = false;
-        for a in actions {
-            match a {
-                Action::Modify(f, v) => packet.set_field(*f, *v),
-                Action::Output(p) => {
-                    self.emit(switch, *p, hops, packet.clone());
-                    emitted = true;
-                }
-                Action::Flood => {
-                    let topo = Arc::clone(&self.topo);
-                    for (p, _) in topo.links_of(NodeRef::Switch(switch)) {
-                        if p != in_port {
-                            self.emit(switch, p, hops, packet.clone());
-                        }
-                    }
-                    emitted = true;
-                }
-                Action::Drop => {
-                    self.stats.dropped_policy += 1;
+    /// Deliver one controller reply to its switch. A reply addressed to a
+    /// switch that is dark per the fault plan is lost (the control
+    /// connection is down with everything else).
+    fn deliver_ctrl(&mut self, msg: CtrlMsg, in_port: i64, hops: u32, released: &mut bool) {
+        match msg {
+            CtrlMsg::FlowMod { switch: sw, entry } => {
+                if !self.cfg.faults.is_empty() && self.cfg.faults.switch_down(sw, self.clock) {
+                    self.stats.ctrl_dropped += 1;
                     return;
                 }
-                Action::Controller => {
-                    self.punt(switch, in_port, hops, packet.clone());
-                    emitted = true;
+                self.stats.flow_mods += 1;
+                self.tables.install(sw, entry);
+            }
+            CtrlMsg::PacketOut { switch: sw, packet: p, action } => {
+                if !self.cfg.faults.is_empty() && self.cfg.faults.switch_down(sw, self.clock) {
+                    self.stats.dropped_switch_down += 1;
+                    return;
                 }
+                self.stats.packet_outs += 1;
+                let topo = Arc::clone(&self.topo);
+                apply_actions(self, &topo, sw, in_port, p, &[action], hops);
+                *released = true;
             }
         }
-        if !emitted {
-            self.stats.dropped_policy += 1;
-        }
     }
+}
 
-    fn emit(&mut self, switch: i64, out_port: i64, hops: u32, packet: Packet) {
+/// The simulator's packets carry their hop count.
+impl<C: Controller> DataPlane<u32> for Simulation<C> {
+    fn emit(&mut self, switch: i64, out_port: i64, packet: Packet, hops: u32) {
         let Some((peer, peer_port)) = self.topo.peer(NodeRef::Switch(switch), out_port) else {
             self.stats.dropped_policy += 1;
             return;
@@ -459,7 +505,7 @@ impl<C: Controller> Simulation<C> {
     }
 
     /// Miss: buffer the packet, consult the controller, apply its answer.
-    fn punt(&mut self, switch: i64, in_port: i64, hops: u32, packet: Packet) {
+    fn punt(&mut self, switch: i64, in_port: i64, packet: Packet, hops: u32) {
         self.stats.packet_ins += 1;
         let msg = PacketInMsg { switch, in_port, packet };
         // Reuse the reply buffer across punts; a reentrant punt (via
@@ -533,29 +579,8 @@ impl<C: Controller> Simulation<C> {
         self.reply_buf = replies;
     }
 
-    /// Deliver one controller reply to its switch. A reply addressed to a
-    /// switch that is dark per the fault plan is lost (the control
-    /// connection is down with everything else).
-    fn deliver_ctrl(&mut self, msg: CtrlMsg, in_port: i64, hops: u32, released: &mut bool) {
-        match msg {
-            CtrlMsg::FlowMod { switch: sw, entry } => {
-                if !self.cfg.faults.is_empty() && self.cfg.faults.switch_down(sw, self.clock) {
-                    self.stats.ctrl_dropped += 1;
-                    return;
-                }
-                self.stats.flow_mods += 1;
-                self.tables.install(sw, entry);
-            }
-            CtrlMsg::PacketOut { switch: sw, packet: p, action } => {
-                if !self.cfg.faults.is_empty() && self.cfg.faults.switch_down(sw, self.clock) {
-                    self.stats.dropped_switch_down += 1;
-                    return;
-                }
-                self.stats.packet_outs += 1;
-                self.apply_actions(sw, in_port, hops, p, &[action]);
-                *released = true;
-            }
-        }
+    fn drop_policy(&mut self, _: u32) {
+        self.stats.dropped_policy += 1;
     }
 }
 
@@ -666,6 +691,22 @@ mod tests {
         sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H2, 1));
         sim.run();
         assert!(sim.stats.dropped_ttl > 0 || sim.stats.delivered_to(fig1_hosts::H2) > 0);
+    }
+
+    #[test]
+    fn controller_action_punts_and_an_entry_that_emits_nothing_drops() {
+        // A hit on a `Controller` entry is a punt like a miss: the null
+        // controller releases nothing, so the packet dies buffered.
+        let mut sim = Simulation::new(fig1(), NullController, SimConfig::default());
+        sim.tables.install(1, FlowEntry::new(10, Match::any(), vec![Action::Controller]));
+        sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 1));
+        sim.run();
+        assert_eq!((sim.stats.hops, sim.stats.packet_ins, sim.stats.dropped_buffered), (1, 1, 1));
+        // An entry that only rewrites sends the packet nowhere: a policy drop.
+        sim.tables.install(1, FlowEntry::new(20, Match::any(), vec![Action::Modify(Field::DstPort, 81)]));
+        sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 2));
+        sim.run();
+        assert_eq!((sim.stats.packet_ins, sim.stats.dropped_policy), (1, 1));
     }
 
     /// Minimal reactive controller: on every miss, install `Output(1)` on
