@@ -11,12 +11,14 @@
 //! solved by `mpr-solver` to obtain concrete replacement values — exactly
 //! the `Const(Rul=r7, ID=2, Val=3)` leaf of Fig. 6.
 //!
-//! A tree is **priced before it is built**: each way to unblock a literal
+//! A tree is **opened by lookup** into postings of the triggers and the
+//! state, and **priced before it is built**: each way to unblock a literal
 //! is first a small `Copy` value (which literal, what replaces it, what it
-//! costs), combinations of them are costed by arithmetic, and an
-//! [`Edit`] — with its strings, description and trace — is made only for a
-//! combination the running cut still admits. A rule the symptom never
-//! touches therefore costs a handful of comparisons and no allocation.
+//! costs), combinations of them are costed by arithmetic, an [`Edit`] and
+//! its description are made only for a combination the running cut still
+//! admits — checked against its own rule — and a trace only for a candidate
+//! handed out. A rule the symptom never touches therefore costs a lookup, a
+//! few comparisons, no allocation, and no clock ([`ExploreStats::solver_ns`]).
 //!
 //! For an **existing** tuple (positive symptom, Fig. 7), the explorer walks
 //! the recorded derivations, re-executes them symbolically, negates the
@@ -143,8 +145,9 @@ pub struct ExploreStats {
     /// `materialised` and not in `raw_candidates`, so with nothing bounded
     /// away `materialised == raw_candidates + refused`.
     pub refused: u64,
-    /// Nanoseconds spent in constraint solving (pool solves and
-    /// feasibility enumeration) — the Fig. 9a "Constraint solving" slice.
+    /// Nanoseconds in pool solves and domain scans — Fig. 9a's "Constraint
+    /// solving". A missing-tuple search does not time a pool whose one
+    /// replacement is pinned (`Swi == 2`, `Swi` bound): on a padded Q1, 0.
     pub solver_ns: u128,
 }
 
@@ -159,23 +162,19 @@ pub struct ExploreStats {
 /// lets the explorer drop it before building anything. A candidate that
 /// ties the k-th cost is still built: its description decides whether it
 /// displaces the k-th, exactly as the (cost, description) sort would.
-struct Frontier {
+struct Frontier<T> {
     max_cost: u32,
     max_candidates: usize,
-    /// `(cost, description)` → candidate: the ranking, cheapest first.
-    ranked: BTreeMap<(u32, String), Candidate>,
+    /// `(cost, description)` → the rest: the ranking, cheapest first.
+    ranked: BTreeMap<(u32, String), T>,
     /// Cost at which each description is ranked (the dedup index).
     cost_of: BTreeMap<String, u32>,
 }
 
-impl Frontier {
+impl<T> Frontier<T> {
     fn new(budget: &SearchBudget) -> Self {
-        Frontier {
-            max_cost: budget.max_cost,
-            max_candidates: budget.max_candidates,
-            ranked: BTreeMap::new(),
-            cost_of: BTreeMap::new(),
-        }
+        let (max_cost, max_candidates) = (budget.max_cost, budget.max_candidates);
+        Frontier { max_cost, max_candidates, ranked: BTreeMap::new(), cost_of: BTreeMap::new() }
     }
 
     /// The running cut: `max_cost`, tightened to the k-th cost once k
@@ -194,20 +193,20 @@ impl Frontier {
         self.max_candidates > 0 && cost <= self.cut()
     }
 
-    /// Rank `c`. Of two candidates with one description the cheaper stays,
+    /// Rank a candidate. Of two with one description the cheaper stays,
     /// and of two at the same cost the one emitted first.
-    fn push(&mut self, c: Candidate) {
-        if !self.admits(c.cost) {
+    fn push(&mut self, cost: u32, description: String, rest: T) {
+        if !self.admits(cost) {
             return;
         }
-        if let Some(&ranked_at) = self.cost_of.get(&c.description) {
-            if ranked_at <= c.cost {
+        if let Some(&ranked_at) = self.cost_of.get(&description) {
+            if ranked_at <= cost {
                 return;
             }
-            self.ranked.remove(&(ranked_at, c.description.clone()));
+            self.ranked.remove(&(ranked_at, description.clone()));
         }
-        self.cost_of.insert(c.description.clone(), c.cost);
-        self.ranked.insert((c.cost, c.description.clone()), c);
+        self.cost_of.insert(description.clone(), cost);
+        self.ranked.insert((cost, description), rest);
         if self.ranked.len() > self.max_candidates {
             if let Some(((_, description), _)) = self.ranked.pop_last() {
                 self.cost_of.remove(&description);
@@ -216,18 +215,38 @@ impl Frontier {
     }
 
     /// The ranked candidates, cheapest first.
-    fn finish(self) -> Vec<Candidate> {
-        self.ranked.into_values().collect()
+    fn finish(self) -> impl Iterator<Item = (u32, String, T)> {
+        self.ranked.into_iter().map(|((cost, description), rest)| (cost, description, rest))
     }
 }
 
-/// Would `patch` leave `program` a valid program — the verdict of
-/// `patch.apply(program)`, without building the patched program? Taking the
-/// patch's delta against the program's outline reads only the rules the
-/// patch touches, so a syntax check stays `O(1)` in program size (Fig. 10's
-/// linearity). An invalid program has no outline, and no patch applies.
-fn applies(program: &Program, outline: &Option<ProgramOutline<'_>>, patch: &Patch) -> bool {
-    outline.as_ref().is_some_and(|o| patch.delta(program, o).is_ok())
+/// A built candidate as the frontier ranks it: cost, description, repair,
+/// and what its trace is written from.
+type Built<'a> = (u32, String, (Repair, Trace<'a>));
+
+/// What a candidate's trace is written from. A tree's patches — nearly
+/// every candidate built — are traced only if they are handed out.
+#[derive(Debug, Clone)]
+enum Trace<'a> {
+    /// Written when the candidate was built (the one-off candidates).
+    Lines(Vec<String>),
+    /// A tree's patch of `rule` for `goal`: its failing selections, a
+    /// range of the search's failing log, and its edit count.
+    Tree { goal: &'a Pattern, rule: &'a Rule, failing: Range<usize>, edits: usize },
+}
+
+/// Hand a ranked candidate out, writing its trace.
+fn hand_out((cost, description, (repair, trace)): Built, failing_log: &[usize]) -> Candidate {
+    let trace = match trace {
+        Trace::Lines(lines) => lines,
+        Trace::Tree { goal, rule, failing, edits } => {
+            let head = [format!("NEXIST[Tuple({goal})]"), format!("NDERIVE[{} via meta rule h2]", rule.id)];
+            let sel = |&si: &usize| format!("NEXIST[Sel(Rul={}, SID=\"{}\", Val=true)]", rule.id, rule.sels[si].sid());
+            let fix = format!("FIX(cost {cost}): {edits} edit(s)");
+            head.into_iter().chain(failing_log[failing].iter().map(sel)).chain([fix]).collect()
+        }
+    };
+    Candidate { repair, cost, description, trace }
 }
 
 /// The bindings of one tree. Variable names are borrowed from the rule and
@@ -294,6 +313,78 @@ impl<'a> Scope<'a> {
 impl Bindings for Scope<'_> {
     fn get(&self, name: &str) -> Option<&Value> {
         self.bound(name).map(|v| &**v)
+    }
+}
+
+/// `World::triggers` or `World::state` by lookup: each table's positions,
+/// and each probed (table, column)'s, sorted by value, then position
+/// (column 0 is the location). Names and values are borrowed from the
+/// tuples: nothing is allocated per rule or per tree.
+struct Postings<'a> {
+    tuples: &'a [Tuple],
+    tables: Vec<(&'a str, Vec<usize>)>,
+    columns: Vec<(&'a str, usize, Vec<usize>)>,
+}
+
+impl<'a> Postings<'a> {
+    fn new(tuples: &'a [Tuple]) -> Self {
+        let mut tables: Vec<(&'a str, Vec<usize>)> = Vec::new();
+        for (pos, t) in tuples.iter().enumerate() {
+            match tables.iter_mut().find(|(table, _)| **table == *t.table) {
+                Some((_, list)) => list.push(pos),
+                None => tables.push((&t.table, vec![pos])),
+            }
+        }
+        Postings { tuples, tables, columns: Vec::new() }
+    }
+
+    /// The positions of `table`'s tuples.
+    fn table(&self, table: &str) -> &[usize] {
+        self.tables.iter().find(|(t, _)| *t == table).map_or(&[], |(_, list)| list)
+    }
+
+    /// `table`'s tuples holding `value` at `column`, positions ascending.
+    fn column(&mut self, table: &str, column: usize, value: &Value) -> &[usize] {
+        let tuples = self.tuples;
+        let at = |&pos: &usize| std::iter::once(&tuples[pos].loc).chain(&tuples[pos].args).nth(column);
+        let i = match self.columns.iter().position(|(t, c, _)| *t == table && *c == column) {
+            Some(i) => i,
+            None => {
+                let Some((table, list)) = self.tables.iter().find(|(t, _)| *t == table) else { return &[] };
+                let mut sorted: Vec<usize> = list.iter().copied().filter(|pos| at(pos).is_some()).collect();
+                sorted.sort_unstable_by_key(|pos| (at(pos), *pos));
+                self.columns.push((table, column, sorted));
+                self.columns.len() - 1
+            }
+        };
+        let sorted = &self.columns[i].2;
+        let start = sorted.partition_point(|pos| at(pos) < Some(value));
+        let len = sorted[start..].partition_point(|pos| at(pos) == Some(value));
+        &sorted[start..start + len]
+    }
+
+    /// The (trigger, body atom) pairs of `rule` that may unify under
+    /// `pins`, **trigger-major** as a scan visits them. An atom reads the
+    /// tuples holding the value at its first column a constant or `pins`
+    /// fixes, or else its table's: a pair left out could not unify.
+    fn pairs(&mut self, rule: &Rule, pins: &Scope, pairs: &mut Vec<(usize, usize)>) {
+        pairs.clear();
+        for (ai, atom) in rule.body.iter().enumerate() {
+            let terms = std::iter::once(&atom.loc).chain(&atom.args);
+            let pinned = terms.enumerate().find_map(|(column, term)| match term {
+                Term::Const(c) => Some((column, c)),
+                Term::Var(v) => pins.get(v).map(|v| (column, v)),
+                Term::Agg(..) => None,
+            });
+            let positions = match pinned {
+                Some((column, value)) => self.column(&atom.table, column, value),
+                None => self.table(&atom.table),
+            };
+            pairs.extend(positions.iter().map(|&pos| (pos, ai)));
+        }
+        if rule.body.len() > 1 {
+            pairs.sort_unstable();
+        }
     }
 }
 
@@ -419,15 +510,23 @@ pub struct Ledger {
 struct Search<'a> {
     world: &'a World,
     goal: &'a Pattern,
-    /// `world.domain(goal)`, scanned once.
-    domain: Vec<i64>,
-    /// `world.program`'s outline, what [`applies`] checks whole-program
-    /// patches against: built once, by the first candidate that needs it
-    /// (on a large program the running cut usually bounds them all away).
+    /// `world.domain(goal)`, scanned by the first pool that is not pinned.
+    domain: OnceCell<Vec<i64>>,
+    /// `world.triggers` and `world.state` by lookup, built on first use.
+    triggers: Option<Postings<'a>>,
+    state: OnceCell<Postings<'a>>,
+    /// The (trigger, body atom) pairs of the current rule.
+    pairs: Vec<(usize, usize)>,
+    /// `world.program`'s outline, what [`Search::applies`] checks
+    /// whole-program patches against: built by the first candidate that
+    /// needs it (on a large program the running cut bounds them all away).
     outline: OnceCell<Option<ProgramOutline<'a>>>,
-    frontier: Frontier,
+    frontier: Frontier<(Repair, Trace<'a>)>,
     stats: ExploreStats,
-    ledger: Option<Ledger>,
+    /// The [`Ledger`], traces unwritten, if it is kept.
+    books: Option<(Vec<u32>, Vec<Built<'a>>)>,
+    /// The failing selections of every tree patch built: [`Trace::Tree`]'s.
+    failing_log: Vec<usize>,
     /// What unifying the current rule's head with the goal requires.
     required: Scope<'a>,
     /// The current tree's joins: the trigger's bindings, extended through
@@ -446,27 +545,31 @@ struct Search<'a> {
 
 /// Generate repair candidates for a *missing* tuple.
 pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats) {
-    let (candidates, stats, _) = Search::run(world, goal, None);
+    let (candidates, stats, _) = Search::run(world, goal, false);
     (candidates, stats)
 }
 
 /// [`generate_missing`] with its books open — for the property that what
 /// the search prices is what it builds; the debugger does not call this.
 pub fn generate_missing_with_ledger(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats, Ledger) {
-    let (candidates, stats, ledger) = Search::run(world, goal, Some(Ledger::default()));
+    let (candidates, stats, ledger) = Search::run(world, goal, true);
     (candidates, stats, ledger.unwrap_or_default())
 }
 
 impl<'a> Search<'a> {
-    fn run(world: &'a World, goal: &'a Pattern, ledger: Option<Ledger>) -> (Vec<Candidate>, ExploreStats, Option<Ledger>) {
+    fn run(world: &'a World, goal: &'a Pattern, books: bool) -> (Vec<Candidate>, ExploreStats, Option<Ledger>) {
         let mut s = Search {
             world,
             goal,
-            domain: world.domain(goal),
+            domain: OnceCell::new(),
+            triggers: None,
+            state: OnceCell::new(),
+            pairs: Vec::new(),
             outline: OnceCell::new(),
             frontier: Frontier::new(&world.budget),
             stats: ExploreStats::default(),
-            ledger,
+            books: books.then(Default::default),
+            failing_log: Vec::new(),
             required: Scope::default(),
             envs: Vec::new(),
             post: Scope::default(),
@@ -479,16 +582,10 @@ impl<'a> Search<'a> {
         // (1) The base-tuple insertion repair: make the tuple appear directly.
         if let Some(tuple) = pattern_tuple(goal) {
             if s.worth_building(cost::INSERT_TUPLE) {
-                s.emit(Candidate {
-                    repair: Repair::InsertTuple(tuple.clone()),
-                    cost: cost::INSERT_TUPLE,
-                    description: "Manually installing a flow entry".into(),
-                    trace: vec![
-                        format!("NEXIST[Tuple({goal})]"),
-                        format!("NEXIST[Base({goal})] via meta rule h1"),
-                        format!("FIX: insert base tuple {tuple}"),
-                    ],
-                });
+                let fix = format!("FIX: insert base tuple {tuple}");
+                let trace = vec![format!("NEXIST[Tuple({goal})]"), format!("NEXIST[Base({goal})] via meta rule h1"), fix];
+                let description = "Manually installing a flow entry".into();
+                s.emit(cost::INSERT_TUPLE, description, Repair::InsertTuple(tuple), Trace::Lines(trace));
             }
         }
 
@@ -515,14 +612,19 @@ impl<'a> Search<'a> {
             s.synthesize_rule(&tuple, trigger);
         }
 
-        (s.frontier.finish(), s.stats, s.ledger)
+        let Search { frontier, stats, books, failing_log, .. } = s;
+        let hand_out = |built| hand_out(built, &failing_log);
+        let ledger = books.map(|(priced, built)| Ledger { priced, built: built.into_iter().map(hand_out).collect() });
+        (frontier.finish().map(hand_out).collect(), stats, ledger)
     }
 
     /// The whole-program syntax check of a built candidate, which counts as
-    /// refused if it fails.
+    /// refused if it fails: `patch.apply`'s verdict from the delta, which
+    /// reads only the rules the patch touches (no outline, no patch applies).
     fn applies(&mut self, patch: &Patch) -> bool {
         let program = &self.world.program;
-        let ok = applies(program, self.outline.get_or_init(|| ProgramOutline::new(program).ok()), patch);
+        let outline = self.outline.get_or_init(|| ProgramOutline::new(program).ok());
+        let ok = outline.as_ref().is_some_and(|o| patch.delta(program, o).is_ok());
         self.stats.refused += u64::from(!ok);
         ok
     }
@@ -531,8 +633,8 @@ impl<'a> Search<'a> {
     /// counted as considered here; one that is gets counted by
     /// [`Search::emit`], once it has passed its syntax check.
     fn worth_building(&mut self, cost: u32) -> bool {
-        if let Some(ledger) = &mut self.ledger {
-            ledger.priced.push(cost);
+        if let Some((priced, _)) = &mut self.books {
+            priced.push(cost);
         }
         let build = self.frontier.admits(cost);
         if build {
@@ -543,12 +645,12 @@ impl<'a> Search<'a> {
         build
     }
 
-    fn emit(&mut self, c: Candidate) {
+    fn emit(&mut self, cost: u32, description: String, repair: Repair, trace: Trace<'a>) {
         self.stats.raw_candidates += 1;
-        if let Some(ledger) = &mut self.ledger {
-            ledger.built.push(c.clone());
+        if let Some((_, built)) = &mut self.books {
+            built.push((cost, description.clone(), (repair.clone(), trace.clone())));
         }
-        self.frontier.push(c);
+        self.frontier.push(cost, description, (repair, trace));
     }
 
     /// The Appendix D fallback: a new rule deriving `tuple` from `trigger`.
@@ -583,16 +685,10 @@ impl<'a> Search<'a> {
         if !self.applies(&patch) {
             return;
         }
-        self.emit(Candidate {
-            repair: Repair::Patch(patch),
-            cost: cost::NEW_RULE,
-            description: format!("Adding a new rule deriving {tuple}"),
-            trace: vec![
-                format!("NEXIST[Tuple({goal})]"),
-                "NEXIST[HeadFunc(*)] — no rule can be adapted cheaply".into(),
-                format!("FIX: add rule {rule}"),
-            ],
-        });
+        let (no_head, fix) = ("NEXIST[HeadFunc(*)] — no rule can be adapted cheaply".into(), format!("FIX: add rule {rule}"));
+        let trace = vec![format!("NEXIST[Tuple({goal})]"), no_head, fix];
+        let description = format!("Adding a new rule deriving {tuple}");
+        self.emit(cost::NEW_RULE, description, Repair::Patch(patch), Trace::Lines(trace));
     }
 
     /// One tree: this rule, every compatible trigger.
@@ -601,27 +697,38 @@ impl<'a> Search<'a> {
         if !head_requirements(rule, self.goal, &mut self.required) {
             return;
         }
-        for trigger in &world.triggers {
-            // The trigger must bind one body atom.
-            for (ti, atom) in rule.body.iter().enumerate() {
-                // Every match starts from the required head bindings, so
-                // conflicting triggers are skipped early.
-                if !unify_atom(atom, trigger, &self.required, &mut self.fresh) {
-                    continue;
-                }
-                self.stats.trees += 1;
-                // The tree's first join, in the buffer the last tree's had.
-                let mut matched = self.envs.drain(..).next().unwrap_or_default();
-                matched.reset_to(&self.required);
-                matched.extend(&self.fresh);
-                self.envs.push(matched);
-                // Join the remaining (state) atoms.
-                match join_state(world, rule, &mut self.envs, &mut self.fresh, |ai, _| ai == ti) {
-                    Err(ai) => self.emit_state_insertion(rule, ai),
-                    Ok(()) => (0..self.envs.len()).for_each(|join| self.emit_rule_candidates(rule, join)),
-                }
+        // The trigger must bind one body atom. Every match starts from the
+        // required head bindings: triggers they rule out are never looked at.
+        let pairs = self.trigger_pairs(rule, true);
+        for &(pos, ti) in &pairs {
+            let trigger = &world.triggers[pos];
+            if !unify_atom(&rule.body[ti], trigger, &self.required, &mut self.fresh) {
+                continue;
+            }
+            self.stats.trees += 1;
+            // The tree's first join, in the buffer the last tree's had.
+            let mut matched = self.envs.drain(..).next().unwrap_or_default();
+            matched.reset_to(&self.required);
+            matched.extend(&self.fresh);
+            self.envs.push(matched);
+            // Join the remaining (state) atoms.
+            let state = self.state.get_or_init(|| Postings::new(&world.state));
+            match join_state(state, rule, &mut self.envs, &mut self.fresh, |ai, _| ai == ti) {
+                Err(ai) => self.emit_state_insertion(rule, ai),
+                Ok(()) => (0..self.envs.len()).for_each(|join| self.emit_rule_candidates(rule, join)),
             }
         }
+        self.pairs = pairs;
+    }
+
+    /// The (trigger, body atom) pairs of `rule`, pinned by the head
+    /// requirements or not, in the search's buffer (hand it back to reuse).
+    fn trigger_pairs(&mut self, rule: &Rule, pinned: bool) -> Vec<(usize, usize)> {
+        let (world, unpinned) = (self.world, Scope::default());
+        let mut pairs = std::mem::take(&mut self.pairs);
+        let pins = if pinned { &self.required } else { &unpinned };
+        self.triggers.get_or_insert_with(|| Postings::new(&world.triggers)).pairs(rule, pins, &mut pairs);
+        pairs
     }
 
     /// A state predicate had no matching tuple: the repair inserts one whose
@@ -647,7 +754,7 @@ impl<'a> Search<'a> {
                 pool.push(c);
             }
         }
-        let dom: Vec<Value> = self.domain.iter().map(|&i| Value::Int(i)).collect();
+        let dom: Vec<Value> = self.domain.get_or_init(|| self.world.domain(goal)).iter().map(|&i| Value::Int(i)).collect();
         for v in free.iter().map(|v| v.to_string()).chain(pool.vars()) {
             pool.set_domain(v, dom.clone());
         }
@@ -669,17 +776,12 @@ impl<'a> Search<'a> {
         if !self.worth_building(cost::INSERT_TUPLE) {
             return;
         }
-        self.emit(Candidate {
-            repair: Repair::InsertTuple(tuple.clone()),
-            cost: cost::INSERT_TUPLE,
-            description: format!("Manually inserting the {} tuple {tuple}", atom.table),
-            trace: vec![
-                format!("NEXIST[Tuple({goal})]"),
-                format!("NDERIVE[{} via meta rule h2]", rule.id),
-                format!("NEXIST[TuplePred(Rul={}, Tab={})]", rule.id, atom.table),
-                format!("FIX: insert base tuple {tuple}"),
-            ],
-        });
+        let (id, table) = (&rule.id, &atom.table);
+        let head = [format!("NEXIST[Tuple({goal})]"), format!("NDERIVE[{id} via meta rule h2]")];
+        let fix = [format!("NEXIST[TuplePred(Rul={id}, Tab={table})]"), format!("FIX: insert base tuple {tuple}")];
+        let trace = head.into_iter().chain(fix).collect();
+        let description = format!("Manually inserting the {} tuple {tuple}", atom.table);
+        self.emit(cost::INSERT_TUPLE, description, Repair::InsertTuple(tuple), Trace::Lines(trace));
     }
 
     /// The core of the search: under the complete join `self.envs[join]`,
@@ -709,8 +811,12 @@ impl<'a> Search<'a> {
                         _ => cost::ASSIGN_CHANGE,
                     };
                     self.options.push(FixOption { fix: Fix::AssignNeeded(ai), cost });
+                    // It may read what the body or an earlier assignment binds.
+                    let bound = |w| {
+                        rule.body.iter().any(|b| b.var_names().any(|v| v == w)) || rule.assigns[..ai].iter().any(|p| p.var == w)
+                    };
                     for (w, val) in self.envs[join].iter() {
-                        if val == &**need && w != a.var {
+                        if val == &**need && w != a.var && bound(w) {
                             self.options.push(FixOption { fix: Fix::AssignVar(ai, w), cost: cost::VAR_CHANGE });
                         }
                     }
@@ -749,16 +855,18 @@ impl<'a> Search<'a> {
             for (side, old) in top_level_constants(sel) {
                 let Value::Int(old) = *old else { continue };
                 self.stats.pools_solved += 1;
-                let t0 = Instant::now();
                 let (other_expr, other) = opposite(side);
                 // Equality against a bound variable admits exactly one
-                // replacement constant — skip the domain scan (this keeps
-                // candidate generation linear in program size, Fig. 10).
+                // replacement constant — skip the domain scan, and the
+                // clock, which would time no solving (this keeps candidate
+                // generation linear in program size, Fig. 10).
                 let pinned = match other_expr {
                     Expr::Var(v) if sel.op == CmpOp::Eq => self.post.get(v).and_then(Value::as_int),
                     _ => None,
                 };
-                let scan = if pinned.is_some() { pinned.as_slice() } else { &self.domain };
+                let t0 = pinned.is_none().then(Instant::now);
+                let domain = || self.domain.get_or_init(|| world.domain(self.goal)).as_slice();
+                let scan = pinned.as_ref().map_or_else(domain, std::slice::from_ref);
                 let mut found = 0;
                 for &v in scan.iter().filter(|&&v| v != old) {
                     if other.as_ref().is_some_and(|other| holds_with(sel.op, side, &Value::Int(v), other)) {
@@ -770,7 +878,7 @@ impl<'a> Search<'a> {
                         }
                     }
                 }
-                self.stats.solver_ns += t0.elapsed().as_nanos();
+                self.stats.solver_ns += t0.map_or(0, |t0| t0.elapsed().as_nanos());
             }
             // (b) operator flips.
             if let (Some(l), Some(r)) = (&lhs, &rhs) {
@@ -831,7 +939,7 @@ impl<'a> Search<'a> {
     /// Multi-edit patches are intrinsically less plausible: one extra unit
     /// per additional edit keeps Table 2's single-literal repairs ahead of
     /// combination repairs.
-    fn offer(&mut self, rule: &Rule, assign_slots: usize, fix: SelectionFix, fix_cost: u32, fixed: usize) {
+    fn offer(&mut self, rule: &'a Rule, assign_slots: usize, fix: SelectionFix, fix_cost: u32, fixed: usize) {
         let extra_edits = ((fixed + assign_slots) as u32).saturating_sub(1);
         for assign in 0..combinations(&self.slots[..assign_slots]) {
             let cost = fix_cost + price(&self.options, &self.slots[..assign_slots], assign) + extra_edits;
@@ -852,101 +960,43 @@ impl<'a> Search<'a> {
     }
 
     /// Build one patch candidate of `rule`, whose failing selections are
-    /// `self.failing`, and rank it.
-    fn push_patch(&mut self, rule: &Rule, edits: Vec<Edit>, cost: u32) {
+    /// `self.failing`, and rank it; its trace is written only if it is
+    /// handed out.
+    fn push_patch(&mut self, rule: &'a Rule, edits: Vec<Edit>, cost: u32) {
         let patch = Patch::of(edits);
         // Syntax preservation (§4.2): refuse edits that break the grammar.
         // Every edit touches `rule` alone, so it is checked — and described —
-        // against a reduced program holding just that rule: emission stays
-        // O(1) in program size (Fig. 10's linearity).
-        let mut reduced = Program::new("syntax-check");
-        reduced.rules.push(rule.clone());
-        if !applies(&reduced, &ProgramOutline::new(&reduced).ok(), &patch) {
+        // against that rule alone: emission stays O(1) in program size
+        // (Fig. 10's linearity).
+        if !patch.applies_to_rule(rule) {
             self.stats.refused += 1;
             return;
         }
-        let description = patch.describe(&reduced);
-        let mut trace = vec![
-            format!("NEXIST[Tuple({})]", self.goal),
-            format!("NDERIVE[{} via meta rule h2]", rule.id),
-        ];
-        for &si in &self.failing {
-            trace.push(format!("NEXIST[Sel(Rul={}, SID=\"{}\", Val=true)]", rule.id, rule.sels[si].sid()));
-        }
-        trace.push(format!("FIX(cost {cost}): {} edit(s)", patch.edits.len()));
-        self.emit(Candidate { repair: Repair::Patch(patch), cost, description, trace });
+        let description = patch.describe_rule(rule);
+        let failing = self.failing_log.len()..self.failing_log.len() + self.failing.len();
+        self.failing_log.extend(&self.failing);
+        let trace = Trace::Tree { goal: self.goal, rule, failing, edits: patch.edits.len() };
+        self.emit(cost, description, Repair::Patch(patch), trace);
     }
 
     /// Donor exploration: `rule` derives a different table; re-targeting or
     /// copying it can make the goal appear (the Q4 repairs).
     fn explore_donor(&mut self, rule: &'a Rule) {
-        let (world, goal) = (self.world, self.goal);
-        // The donor must actually fire under some trigger and produce a head
-        // whose values match the goal pattern.
-        let mut funcs = PureFuncs;
-        let mut fires = false;
-        'trig: for trigger in &world.triggers {
-            for atom in &rule.body {
-                let mut env = Scope::default();
-                if !env.unify(atom, trigger, &mut self.fresh) {
-                    continue;
-                }
-                // Join state, evaluate assigns and sels.
-                let mut envs = vec![env];
-                let is_trigger = |_, satom: &Atom| *satom.table == *trigger.table;
-                if join_state(world, rule, &mut envs, &mut self.fresh, is_trigger).is_err() {
-                    continue 'trig;
-                }
-                'env: for mut e in envs {
-                    for a in &rule.assigns {
-                        match a.expr.eval(&e, &mut funcs) {
-                            Ok(v) => e.set(&a.var, Cow::Owned(v)),
-                            Err(_) => continue 'env,
-                        }
-                    }
-                    if rule.sels.iter().any(|s| s.eval(&e, &mut funcs) != Ok(true)) {
-                        continue 'env;
-                    }
-                    if let Some(head) = instantiate(&rule.head, &e) {
-                        let retargeted = Tuple { table: goal.table.as_str().into(), ..head };
-                        if goal.matches(&retargeted) {
-                            fires = true;
-                            break 'trig;
-                        }
-                    }
-                }
-            }
-        }
-        if !fires {
+        let goal = self.goal;
+        if !self.donor_fires(rule) {
             return;
         }
         self.stats.trees += 1;
         let trace = |fix: &str| {
-            vec![
-                format!("NEXIST[Tuple({goal})]"),
-                format!(
-                    "NEXIST[HeadFunc(Rul={}, Tab={})] — donor head is {}",
-                    rule.id, goal.table, rule.head.table
-                ),
-                format!("FIX: {fix}"),
-            ]
+            let head = format!("NEXIST[HeadFunc(Rul={}, Tab={})] — donor head is {}", rule.id, goal.table, rule.head.table);
+            Trace::Lines(vec![format!("NEXIST[Tuple({goal})]"), head, format!("FIX: {fix}")])
         };
         // (a) Re-target the head (loses the original derivation — backtesting
         // usually rejects this, as in Table 6c candidates C–G).
-        let patch = Patch::single(Edit::SetHeadTable {
-            rule: rule.id.clone(),
-            table: goal.table.clone(),
-        });
+        let patch = Patch::single(Edit::SetHeadTable { rule: rule.id.clone(), table: goal.table.clone() });
         if self.worth_building(cost::HEAD_CHANGE) && self.applies(&patch) {
-            self.emit(Candidate {
-                repair: Repair::Patch(patch),
-                cost: cost::HEAD_CHANGE,
-                description: format!(
-                    "Changing the head of {} to {}(...)",
-                    rule.id, goal.table
-                ),
-                trace: trace("re-target head"),
-            });
+            let description = format!("Changing the head of {} to {}(...)", rule.id, goal.table);
+            self.emit(cost::HEAD_CHANGE, description, Repair::Patch(patch), trace("re-target head"));
         }
         // (b) Copy the rule with the new head (keeps the original — Table 6c
         // candidates J/L, the accepted ones).
@@ -958,16 +1008,47 @@ impl<'a> Search<'a> {
         copy.head.table = goal.table.clone();
         let patch = Patch::single(Edit::AddRule { rule: copy });
         if self.applies(&patch) {
-            self.emit(Candidate {
-                repair: Repair::Patch(patch),
-                cost: cost::COPY_RULE,
-                description: format!(
-                    "Copying {} and replacing head with {}(...)",
-                    rule.id, goal.table
-                ),
-                trace: trace("copy rule with new head"),
-            });
+            let description = format!("Copying {} and replacing head with {}(...)", rule.id, goal.table);
+            self.emit(cost::COPY_RULE, description, Repair::Patch(patch), trace("copy rule with new head"));
         }
+    }
+
+    /// Does donor `rule` fire under some trigger with a head the goal
+    /// matches once re-targeted? A trigger whose state join fails is given
+    /// up, its further atoms too.
+    fn donor_fires(&mut self, rule: &'a Rule) -> bool {
+        let (world, goal) = (self.world, self.goal);
+        let mut funcs = PureFuncs;
+        let mut given_up = None;
+        for (pos, ai) in self.trigger_pairs(rule, false) {
+            let trigger = &world.triggers[pos];
+            let mut env = Scope::default();
+            if given_up == Some(pos) || !env.unify(&rule.body[ai], trigger, &mut self.fresh) {
+                continue;
+            }
+            // Join state, evaluate assigns and sels.
+            let mut envs = vec![env];
+            let is_trigger = |_, satom: &Atom| *satom.table == *trigger.table;
+            let state = self.state.get_or_init(|| Postings::new(&world.state));
+            if join_state(state, rule, &mut envs, &mut self.fresh, is_trigger).is_err() {
+                given_up = Some(pos);
+                continue;
+            }
+            'env: for mut e in envs {
+                for a in &rule.assigns {
+                    match a.expr.eval(&e, &mut funcs) {
+                        Ok(v) => e.set(&a.var, Cow::Owned(v)),
+                        Err(_) => continue 'env,
+                    }
+                }
+                let retargeted = |head| Tuple { table: goal.table.as_str().into(), ..head };
+                let passes = rule.sels.iter().all(|s| s.eval(&e, &mut funcs) == Ok(true));
+                if passes && instantiate(&rule.head, &e).is_some_and(|head| goal.matches(&retargeted(head))) {
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -1000,11 +1081,11 @@ fn head_requirements<'a>(rule: &'a Rule, goal: &'a Pattern, required: &mut Scope
 }
 
 /// Join `envs` with the recorded state through every body atom of `rule`
-/// that `skip` does not name, atom after atom. `Err(i)` when no state tuple
-/// extends any of them through atom `i`: `envs` is then as it stood before
-/// that atom.
+/// that `skip` does not name, atom after atom, each against its own
+/// table's tuples in state order. `Err(i)` when no state tuple extends any
+/// of them through atom `i`: `envs` is then as it stood before that atom.
 fn join_state<'a>(
-    world: &'a World,
+    state: &Postings<'a>,
     rule: &'a Rule,
     envs: &mut Vec<Scope<'a>>,
     fresh: &mut Vec<(&'a str, &'a Value)>,
@@ -1015,8 +1096,9 @@ fn join_state<'a>(
             continue;
         }
         let mut next = Vec::new();
+        let tuples = state.table(&atom.table).iter().map(|&pos| &state.tuples[pos]);
         for env in envs.iter() {
-            for st in &world.state {
+            for st in tuples.clone() {
                 if unify_atom(atom, st, env, fresh) {
                     let mut extended = env.clone();
                     extended.extend(fresh);
@@ -1081,7 +1163,6 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
     let mut stats = ExploreStats::default();
     let mut out = Frontier::new(&world.budget);
     let domain = world.domain(&Pattern::exact(culprit));
-    let outline = ProgramOutline::new(&world.program).ok();
     let mut fresh = Vec::new();
     for d in &world.derivations {
         let Some(rule) = world.program.rule(&d.rule) else {
@@ -1103,13 +1184,13 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
             format!("EXIST[Tuple({culprit})]"),
             format!("DERIVE[{} via meta rule h2]", rule.id),
         ];
-        // A rule-literal candidate: described against the program, traced
+        // A rule-literal candidate: described against its rule, traced
         // to the meta tuple (`exists`) it takes away.
-        let patched = |patch: Patch, cost: u32, exists: String| {
-            let description = patch.describe(&world.program);
+        let patched = |out: &mut Frontier<_>, patch: Patch, cost: u32, exists: String| {
+            let description = patch.describe_rule(rule);
             let mut trace = trace_head.clone();
             trace.extend([exists, format!("FIX: {description}")]);
-            Candidate { repair: Repair::Patch(patch), cost, description, trace }
+            out.push(cost, description, (Repair::Patch(patch), Trace::Lines(trace)));
         };
         // (a) Base-tuple deletions (Fig. 5: DELETETUPLE).
         for (bi, t) in d.body.iter().enumerate() {
@@ -1120,12 +1201,9 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
             let mut trace = trace_head.clone();
             trace.push(format!("EXIST[TuplePred({t})]"));
             trace.push(format!("FIX: delete base tuple {t}"));
-            out.push(Candidate {
-                repair: Repair::DeleteTuple(t.clone()),
-                cost: cost::INSERT_TUPLE, // symmetric with insertion
-                description: format!("Deleting the {} tuple {t}", t.table),
-                trace,
-            });
+            let description = format!("Deleting the {} tuple {t}", t.table);
+            // Cost: symmetric with insertion.
+            out.push(cost::INSERT_TUPLE, description, (Repair::DeleteTuple(t.clone()), Trace::Lines(trace)));
             // (b) Base-tuple changes: symbolic re-execution + negation
             // (§4.2's `Const('r1',1,Z)` with constraint `1 == Z` negated).
             for (ci, _old) in t.args.iter().enumerate() {
@@ -1166,12 +1244,9 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                         let mut trace = trace_head.clone();
                         trace.push(format!("EXIST[TuplePred({t})]"));
                         trace.push(format!("FIX: change {t} to {nt}"));
-                        out.push(Candidate {
-                            repair: Repair::ChangeTuple { from: t.clone(), to: nt.clone() },
-                            cost: cost::CONST_OTHER,
-                            description: format!("Changing {t} to {nt}"),
-                            trace,
-                        });
+                        let description = format!("Changing {t} to {nt}");
+                        let repair = Repair::ChangeTuple { from: t.clone(), to: nt };
+                        out.push(cost::CONST_OTHER, description, (repair, Trace::Lines(trace)));
                     }
                 }
             }
@@ -1199,12 +1274,12 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                         let edit = Edit::SetSelectionExpr { rule: rule.id.clone(), sel: si, side, expr: Expr::int(v) };
                         (v, Patch::single(edit))
                     })
-                    .find(|(_, patch)| applies(&world.program, &outline, patch));
+                    .find(|(_, patch)| patch.applies_to_rule(rule));
                 stats.solver_ns += t0.elapsed().as_nanos();
                 let Some((v, patch)) = breaking else { continue };
                 stats.raw_candidates += 1;
                 let exists = format!("EXIST[Sel(Rul={}, SID=\"{}\")]", rule.id, sel.sid());
-                out.push(patched(patch, cost::const_change(old, v), exists));
+                patched(&mut out, patch, cost::const_change(old, v), exists);
             }
             // Operator negation always breaks the satisfied selection.
             if matches!((&lhs, &rhs), (Some(l), Some(r)) if !sel.op.negate().eval(l, r)) {
@@ -1213,10 +1288,10 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                     sel: si,
                     op: sel.op.negate(),
                 });
-                if applies(&world.program, &outline, &patch) {
+                if patch.applies_to_rule(rule) {
                     stats.raw_candidates += 1;
                     let exists = format!("EXIST[Oper(Rul={}, SID=\"{}\")]", rule.id, sel.sid());
-                    out.push(patched(patch, cost::OP_CHANGE, exists));
+                    patched(&mut out, patch, cost::OP_CHANGE, exists);
                 }
             }
         }
@@ -1227,16 +1302,16 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
                 break;
             }
             let patch = Patch::single(Edit::DeletePredicate { rule: rule.id.clone(), pred: pi });
-            if applies(&world.program, &outline, &patch) {
+            if patch.applies_to_rule(rule) {
                 stats.raw_candidates += 1;
                 let exists = format!("EXIST[PredFunc(Rul={}, Tab={})]", rule.id, atom.table);
-                out.push(patched(patch, cost::DELETE_PREDICATE, exists));
+                patched(&mut out, patch, cost::DELETE_PREDICATE, exists);
             }
         }
     }
     // Deletions have no tree to bound away: every candidate counted was built.
     stats.materialised = stats.raw_candidates;
-    (out.finish(), stats)
+    (out.finish().map(|built| hand_out(built, &[])).collect(), stats)
 }
 
 /// Rename a variable of a [`selection_constraint`].
@@ -1298,15 +1373,14 @@ mod tests {
                 for c in &stream {
                     if frontier.admits(c.cost) {
                         built += 1;
-                        frontier.push(c.clone());
+                        frontier.push(c.cost, c.description.clone(), c.trace[0].clone());
                     }
                 }
-                let got = frontier.finish();
+                let got: Vec<(u32, String, String)> = frontier.finish().collect();
                 let want = sort_dedup_truncate(stream.clone(), &budget);
-                let show = |cs: &[Candidate]| -> Vec<(u32, String, String)> {
-                    cs.iter().map(|c| (c.cost, c.description.clone(), c.trace[0].clone())).collect()
-                };
-                assert_eq!(show(&got), show(&want), "k = {max_candidates}, max_cost = {max_cost}");
+                let want: Vec<(u32, String, String)> =
+                    want.iter().map(|c| (c.cost, c.description.clone(), c.trace[0].clone())).collect();
+                assert_eq!(got, want, "k = {max_candidates}, max_cost = {max_cost}");
                 if max_candidates == 1 {
                     assert!(built < stream.len() / 2, "the cut pruned nothing: {built}");
                 }

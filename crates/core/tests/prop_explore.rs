@@ -17,7 +17,7 @@
 
 use mpr_core::cost::{self, SearchBudget};
 use mpr_core::debugger::Debugger;
-use mpr_core::explore::{generate_missing, generate_missing_with_ledger, World};
+use mpr_core::explore::{generate_missing, generate_missing_with_ledger, ExploreStats, World};
 use mpr_core::repair::{Candidate, Repair};
 use mpr_core::scenarios::{Scenario, Symptom};
 use mpr_ndlog::ast::{CmpOp, Expr, ExprSide, Rule};
@@ -28,13 +28,27 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn world(swi_const: i64, hdr_const: i64, prt_const: i64, triggers: Vec<(i64, i64)>) -> World {
+    world_with(false, swi_const, hdr_const, prt_const, triggers)
+}
+
+/// [`world`], or with `hdr_assigned` its variant whose head's `Hdr` is
+/// bound by a second assignment, ahead of `Prt`'s, and not by the body:
+/// `PacketIn(@C,Swi,H0), Swi == s, H0 == h, Hdr := h, Prt := p`.
+fn world_with(hdr_assigned: bool, swi_const: i64, hdr_const: i64, prt_const: i64, triggers: Vec<(i64, i64)>) -> World {
+    let rule = if hdr_assigned {
+        format!(
+            "r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,H0), Swi == {swi_const}, H0 == {hdr_const}, Hdr := {hdr_const}, Prt := {prt_const}."
+        )
+    } else {
+        format!("r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == {swi_const}, Hdr == {hdr_const}, Prt := {prt_const}.")
+    };
     let program = parse_program(
         "prop",
         &format!(
             r"
             materialize(PacketIn, event, 2, keys()).
             materialize(FlowTable, infinity, 2, keys(0,1)).
-            r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == {swi_const}, Hdr == {hdr_const}, Prt := {prt_const}.
+            {rule}
             "
         ),
     )
@@ -262,6 +276,156 @@ fn candidates_built_do_not_grow_with_program_size() {
     assert!(large.materialised <= 4 * k as u64, "built {}", large.materialised);
 }
 
+/// A candidate as a caller sees it, all of it.
+fn shown(c: &Candidate) -> (u32, String, Repair, Vec<String>) {
+    (c.cost, c.description.clone(), c.repair.clone(), c.trace.clone())
+}
+
+/// The counters of [`ExploreStats`] (not the solver's clock).
+fn counters(s: &ExploreStats) -> [u64; 5] {
+    [s.trees, s.pools_solved, s.raw_candidates, s.materialised, s.refused]
+}
+
+/// Every patch candidate's program passes `Engine::new`.
+fn every_patch_compiles(w: &World, cands: &[Candidate]) -> Result<(), TestCaseError> {
+    for c in cands {
+        let Repair::Patch(p) = &c.repair else { continue };
+        let patched = p.apply(&w.program).expect("a candidate patch applies");
+        if let Err(e) = mpr_runtime::Engine::new(&patched) {
+            return Err(TestCaseError::fail(format!("`{}` does not compile: {e}", c.description)));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn an_assignment_is_rewritten_only_to_a_variable_bound_before_it() {
+    // `Hdr` is bound by the first assignment alone, so rewriting it to
+    // `Prt` — which the head requires to be 2, as it does `Hdr` — reads a
+    // variable the second assignment binds only later: `Engine::new`
+    // refuses the patched rule. The body's `H0` carries 80, not 2.
+    let program = parse_program(
+        "assign-order",
+        r"
+        materialize(PacketIn, event, 2, keys()).
+        materialize(FlowTable, infinity, 2, keys(0,1)).
+        r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,H0), Hdr := 7, Prt := 1.
+        ",
+    )
+    .unwrap();
+    let w = World {
+        program: program.into(),
+        triggers: vec![Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(1), Value::Int(80)])],
+        state: vec![],
+        derivations: vec![],
+        budget: SearchBudget { max_candidates: usize::MAX, ..SearchBudget::default() },
+    };
+    let goal = Pattern {
+        table: "FlowTable".into(),
+        loc: Some(Value::Int(1)),
+        args: vec![Some(Value::Int(2)), Some(Value::Int(2))],
+    };
+    let (cands, _) = generate_missing(&w, &goal);
+    let offered: Vec<&str> = cands.iter().map(|c| c.description.as_str()).collect();
+    assert!(
+        !offered.iter().any(|d| d.contains("Hdr := Prt")),
+        "an assignment rewritten to a later one's variable: {offered:#?}"
+    );
+    // `Prt := Hdr` reads the earlier assignment, which the engine accepts.
+    assert!(offered.iter().any(|d| d.contains("Prt := Hdr")), "{offered:#?}");
+    every_patch_compiles(&w, &cands).unwrap();
+}
+
+#[test]
+fn a_rule_with_two_packet_in_atoms_opens_its_trees_trigger_major() {
+    // Both triggers unify with both body atoms (the goal pins nothing), so
+    // the order the trees open in is the order the (trigger, atom) pairs
+    // are visited in: every atom of the first trigger, then of the second.
+    // With no state, each tree inserts the atom it did not open with.
+    let program = parse_program(
+        "two-atoms",
+        r"
+        materialize(PacketIn, event, 2, keys()).
+        materialize(Out, infinity, 1, keys(0)).
+        r1 Out(@Swi,Hdr) :- PacketIn(@C,Swi,Hdr), PacketIn(@C,Lo,Hi), Hi > Hdr, Lo == Swi.
+        ",
+    )
+    .unwrap();
+    let trigger = |swi: i64, hdr: i64| Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(swi), Value::Int(hdr)]);
+    let w = World {
+        program: program.into(),
+        triggers: vec![trigger(1, 80), trigger(2, 53)],
+        state: vec![],
+        derivations: vec![],
+        budget: SearchBudget { max_candidates: usize::MAX, ..SearchBudget::default() },
+    };
+    let goal = Pattern { table: "Out".into(), loc: None, args: vec![None] };
+    let (_, stats, ledger) = generate_missing_with_ledger(&w, &goal);
+    assert_eq!((stats.trees, stats.pools_solved), (4, 4));
+    let built: Vec<&str> = ledger.built.iter().map(|c| c.description.as_str()).collect();
+    // Atom-major order would put the second trigger's first tree second.
+    assert_eq!(
+        built,
+        [
+            "Manually inserting the PacketIn tuple PacketIn(@'C',1,81)",
+            "Manually inserting the PacketIn tuple PacketIn(@'C',1,0)",
+            "Manually inserting the PacketIn tuple PacketIn(@'C',2,54)",
+            "Manually inserting the PacketIn tuple PacketIn(@'C',2,0)",
+        ]
+    );
+}
+
+/// A [`shuffled_world`] with one more rule, `j0`, which also joins the
+/// state table `Port` (loc, switch, port), holding `ports`.
+fn joined_world(
+    trig: Vec<(i64, i64)>,
+    padding: &[(i64, &str, i64, i64)],
+    order: Vec<u32>,
+    ports: &[(i64, i64)],
+) -> World {
+    let mut w = shuffled_world(trig, padding, order);
+    let j0 = "j0 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Port(@C,Swi,Prt), Hdr == 53, Prt := 3.";
+    Arc::make_mut(&mut w.program).rules.extend(parse_program("joined", j0).unwrap().rules);
+    w.state = ports
+        .iter()
+        .map(|&(swi, prt)| Tuple::new("Port", Value::str("C"), vec![Value::Int(swi), Value::Int(prt)]))
+        .collect();
+    w
+}
+
+/// `w` with tuples no tree can open or join — triggers of another table,
+/// packet-ins whose switch is not the goal's (the head pins it), state of
+/// a table no rule reads — spliced in after the first trigger and among
+/// the state. Every value is one the world exhibits already, so the
+/// solver's domain is what it was.
+fn with_strangers(w: &World, goal: &Pattern, picks: &[(usize, usize, usize)]) -> World {
+    let mut seen: Vec<i64> = goal.loc.iter().chain(goal.args.iter().flatten()).filter_map(Value::as_int).collect();
+    for t in w.triggers.iter().chain(&w.state) {
+        seen.extend(t.args.iter().filter_map(Value::as_int));
+    }
+    for r in &w.program.rules {
+        r.for_each_constant(|v| seen.extend(v.as_int()));
+    }
+    seen.sort_unstable();
+    seen.dedup();
+    let goal_swi = goal.loc.as_ref().and_then(Value::as_int);
+    let other_swi: Vec<i64> = seen.iter().copied().filter(|&v| Some(v) != goal_swi).collect();
+    let mut out = w.clone();
+    for &(kind, a, b) in picks {
+        let (x, y) = (Value::Int(seen[a % seen.len()]), Value::Int(seen[b % seen.len()]));
+        let c = Value::str("C");
+        match kind % 3 {
+            0 => out.triggers.insert(1 + b % out.triggers.len(), Tuple::new("Probe", c, vec![x, y])),
+            1 => {
+                let swi = Value::Int(other_swi[a % other_swi.len()]);
+                out.triggers.insert(1 + b % out.triggers.len(), Tuple::new("PacketIn", c, vec![swi, y]));
+            }
+            _ => out.state.insert(b % (out.state.len() + 1), Tuple::new("Unread", c, vec![x])),
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -390,5 +554,57 @@ proptest! {
         prop_assert!(!cands.is_empty());
         prop_assert!(cands.iter().any(|c| matches!(c.repair, Repair::InsertTuple(_))
             || c.description.contains("Adding a new rule")));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// What the search opens by lookup is what it opened by scanning every
+    /// trigger and state tuple: tuples no tree can open or join change no
+    /// candidate, no trace and no counter.
+    #[test]
+    fn tuples_no_tree_opens_change_nothing(
+        goal_swi in 1i64..6, goal_prt in 1i64..4,
+        padding in prop::collection::vec(
+            (1i64..6, prop::sample::select(vec!["==", "<", "!="]),
+             prop::sample::select(vec![53i64, 80]), 1i64..4), 1..12),
+        order in prop::collection::vec(any::<u32>(), 12),
+        trig in prop::collection::vec((1i64..6, prop::sample::select(vec![53i64, 80])), 1..4),
+        ports in prop::collection::vec((1i64..6, 1i64..4), 0..5),
+        picks in prop::collection::vec((0usize..3, 0usize..64, 0usize..64), 1..8),
+    ) {
+        let mut w = joined_world(trig, &padding, order, &ports);
+        w.budget.max_candidates = usize::MAX;
+        let goal = flow_goal(goal_swi, goal_prt);
+        let (want, want_stats) = generate_missing(&w, &goal);
+        let (got, got_stats) = generate_missing(&with_strangers(&w, &goal, &picks), &goal);
+        prop_assert_eq!(counters(&got_stats), counters(&want_stats));
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(shown(g), shown(e), "candidate {}", i);
+        }
+    }
+
+    /// A rewritten assignment reads only what the body or an earlier
+    /// assignment binds, as `Engine::new` requires: every patch the search
+    /// returns compiles, with `Hdr` bound by the body or by an assignment,
+    /// and goals whose header and port often coincide.
+    #[test]
+    fn every_patch_candidate_compiles(
+        hdr_assigned in any::<bool>(),
+        swi in 1i64..4, hdr in 1i64..4, prt in 1i64..4,
+        goal_swi in 1i64..4, goal_hdr in 1i64..4, goal_prt in 1i64..4,
+        trig in prop::collection::vec((1i64..4, 1i64..4), 1..4),
+    ) {
+        let mut w = world_with(hdr_assigned, swi, hdr, prt, trig);
+        w.budget.max_candidates = usize::MAX;
+        let goal = Pattern {
+            table: "FlowTable".into(),
+            loc: Some(Value::Int(goal_swi)),
+            args: vec![Some(Value::Int(goal_hdr)), Some(Value::Int(goal_prt))],
+        };
+        let (cands, _) = generate_missing(&w, &goal);
+        every_patch_compiles(&w, &cands)?;
     }
 }

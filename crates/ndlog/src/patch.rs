@@ -358,29 +358,40 @@ impl Patch {
     ) -> Result<RuleDelta, PatchError> {
         assert_eq!(outline.positions.len(), base.rules.len(), "the outline of another program");
         let mut delta = RuleDelta::default();
-        // Deletions of indexed sites are applied after other edits and in
-        // descending index order, so that a multi-delete patch ("Deleting
-        // Swi==2 and Dpt==53 in r6", Table 2 candidate G) is well defined.
-        let mut dels: Vec<&Edit> = Vec::new();
-        for e in &self.edits {
-            match e {
-                Edit::DeleteSelection { .. } | Edit::DeletePredicate { .. } => dels.push(e),
-                _ => delta.edit(base, outline, e)?,
-            }
-        }
-        dels.sort_by_key(|e| {
-            std::cmp::Reverse(match e {
-                Edit::DeleteSelection { sel, .. } => *sel,
-                Edit::DeletePredicate { pred, .. } => *pred,
-                _ => 0,
-            })
-        });
-        for e in dels {
+        for e in self.in_order() {
             delta.edit(base, outline, e)?;
         }
         delta.changed.sort_by_key(|(pos, _)| *pos);
         delta.check(base, outline).map_err(PatchError::WouldBreakSyntax)?;
         Ok(delta)
+    }
+
+    /// The edits in the order they are applied: site deletions last, in
+    /// descending index order, so that a multi-delete patch ("Deleting
+    /// Swi==2 and Dpt==53 in r6", Table 2 candidate G) is well defined.
+    fn in_order(&self) -> impl Iterator<Item = &Edit> {
+        let site = |e: &Edit| match e {
+            Edit::DeleteSelection { sel, .. } => Some(*sel),
+            Edit::DeletePredicate { pred, .. } => Some(*pred),
+            _ => None,
+        };
+        let mut dels: Vec<&Edit> = self.edits.iter().filter(|e| site(e).is_some()).collect();
+        dels.sort_by_key(|e| std::cmp::Reverse(site(e)));
+        self.edits.iter().filter(move |e| site(e).is_none()).chain(dels)
+    }
+
+    /// [`Patch::delta`]'s verdict against the program holding `rule` alone
+    /// and declaring nothing, without building it: the edits run in
+    /// `delta`'s order on a clone of `rule`. `false` when `rule` alone is
+    /// no valid program, and for an edit of another rule or of the rule
+    /// list (`AddRule`, `DeleteRule`), which this does not judge.
+    pub fn applies_to_rule(&self, rule: &Rule) -> bool {
+        let of_rule = |e: &Edit| e.rule_id() == rule.id && !matches!(e, Edit::AddRule { .. } | Edit::DeleteRule { .. });
+        if !self.edits.iter().all(of_rule) || !valid_alone(rule) {
+            return false;
+        }
+        let mut edited = rule.clone();
+        self.in_order().all(|e| edit_rule(&mut edited, e).is_ok()) && valid_alone(&edited)
     }
 
     /// Apply the patch to `program`, returning the repaired program: the
@@ -396,9 +407,26 @@ impl Patch {
     /// Render a human-readable description against the *original* program,
     /// in the style of the paper's Table 2.
     pub fn describe(&self, program: &Program) -> String {
-        let parts: Vec<String> = self.edits.iter().map(|e| describe_one(program, e)).collect();
+        self.describe_with(|id| program.rule(id))
+    }
+
+    /// [`Patch::describe`] against the program holding `rule` alone — the
+    /// description of a patch of `rule` in any program.
+    pub fn describe_rule(&self, rule: &Rule) -> String {
+        self.describe_with(|id| (id == rule.id).then_some(rule))
+    }
+
+    fn describe_with<'r>(&self, rule_of: impl Fn(&str) -> Option<&'r Rule>) -> String {
+        let parts: Vec<String> = self.edits.iter().map(|e| describe_one(&rule_of, e)).collect();
         parts.join("; ")
     }
+}
+
+/// Would [`Program::validate`] pass the program holding `rule` alone, with
+/// no declarations: head bound, each table at one arity?
+fn valid_alone(rule: &Rule) -> bool {
+    let agrees = |(i, b): (usize, &Atom)| atoms(rule).take(i).all(|a| a.table != b.table || a.args.len() == b.args.len());
+    rule.unbound_head_vars().is_empty() && atoms(rule).enumerate().all(agrees)
 }
 
 impl fmt::Display for Patch {
@@ -411,10 +439,6 @@ impl fmt::Display for Patch {
         }
         Ok(())
     }
-}
-
-fn rule_ref<'a>(p: &'a Program, id: &str) -> Option<&'a Rule> {
-    p.rule(id)
 }
 
 /// Apply an edit of one rule's literals to that rule.
@@ -477,10 +501,11 @@ fn edit_rule(r: &mut Rule, e: &Edit) -> Result<(), PatchError> {
     }
 }
 
-fn describe_one(p: &Program, e: &Edit) -> String {
+/// One edit's description, reading the rules through `rule_of`.
+fn describe_one<'r>(rule_of: &impl Fn(&str) -> Option<&'r Rule>, e: &Edit) -> String {
     match e {
         Edit::SetSelectionOp { rule, sel, op } => {
-            if let Some(s) = rule_ref(p, rule).and_then(|r| r.sels.get(*sel)) {
+            if let Some(s) = rule_of(rule).and_then(|r| r.sels.get(*sel)) {
                 let mut ns = s.clone();
                 ns.op = *op;
                 format!("Changing {s} in {rule} to {ns}")
@@ -489,7 +514,7 @@ fn describe_one(p: &Program, e: &Edit) -> String {
             }
         }
         Edit::SetSelectionExpr { rule, sel, side, expr } => {
-            if let Some(s) = rule_ref(p, rule).and_then(|r| r.sels.get(*sel)) {
+            if let Some(s) = rule_of(rule).and_then(|r| r.sels.get(*sel)) {
                 let mut ns = s.clone();
                 match side {
                     ExprSide::Lhs => ns.lhs = expr.clone(),
@@ -501,14 +526,14 @@ fn describe_one(p: &Program, e: &Edit) -> String {
             }
         }
         Edit::DeleteSelection { rule, sel } => {
-            if let Some(s) = rule_ref(p, rule).and_then(|r| r.sels.get(*sel)) {
+            if let Some(s) = rule_of(rule).and_then(|r| r.sels.get(*sel)) {
                 format!("Deleting {s} in {rule}")
             } else {
                 format!("Deleting selection {sel} in {rule}")
             }
         }
         Edit::DeletePredicate { rule, pred } => {
-            if let Some(a) = rule_ref(p, rule).and_then(|r| r.body.get(*pred)) {
+            if let Some(a) = rule_of(rule).and_then(|r| r.body.get(*pred)) {
                 format!("Deleting predicate {} in {rule}", a.table)
             } else {
                 format!("Deleting predicate {pred} in {rule}")
@@ -516,7 +541,7 @@ fn describe_one(p: &Program, e: &Edit) -> String {
         }
         Edit::SetAssignExpr { rule, var, expr } => {
             if let Some(a) =
-                rule_ref(p, rule).and_then(|r| r.assigns.iter().find(|a| &a.var == var))
+                rule_of(rule).and_then(|r| r.assigns.iter().find(|a| &a.var == var))
             {
                 format!("Changing {} := {} in {rule} to {} := {expr}", a.var, a.expr, var)
             } else {
@@ -1122,6 +1147,82 @@ mod tests {
         // a tuple the engine accepts.
         let arity = parse_program("a", "materialize(T, infinity, 2, keys(0)).\nr1 B(@X,Y,Z,W) :- T(@X,Y,Z,W).").unwrap();
         assert_eq!(arity.validate().unwrap_err(), "table `T` declared with arity 2 but used with arity 3");
+    }
+
+    // -----------------------------------------------------------------
+    // `applies_to_rule` / `describe_rule` ≡ the one-rule program
+
+    /// Rules a tree's patch may edit; the last two are no valid program on
+    /// their own (an unbound head variable, a table at two arities).
+    const ONE_RULE: [&str; 5] = [
+        "r1 Out(@Swi,Hdr,Prt) :- In(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 1.",
+        "r1 Out(@Swi,Hdr,Prt) :- In(@C,Swi,H0), Swi == 2, H0 == 80, Hdr := 7, Prt := Hdr.",
+        "r1 Out(@Swi,Prt) :- In(@C,Swi,Hdr), Cfg(@C,Prt), Swi + 1 < 9, Hdr != Prt.",
+        "r1 Out(@Swi,Hdr,Prt) :- In(@C,Swi,Hdr), Swi == 2.",
+        "r1 Out(@Swi,Hdr) :- In(@C,Swi,Hdr), In(@C,Swi), Swi == 2, Hdr == 80.",
+    ];
+
+    /// An edit of the kinds a tree builds — selection constants, variables,
+    /// operators and deletions, assignments — and the other literal edits,
+    /// now and then of another rule.
+    fn literal_edit((kind, a, b): (usize, usize, usize)) -> Edit {
+        let rule = if a % 7 == 6 { "r2".to_string() } else { "r1".to_string() };
+        let expr = |i: usize| match i % 4 {
+            0 => Expr::int(b as i64),
+            1 => Expr::var("Swi"),
+            2 => Expr::var("Hdr"),
+            _ => Expr::var("Nope"),
+        };
+        let side = if b % 2 == 0 { ExprSide::Lhs } else { ExprSide::Rhs };
+        match kind % 6 {
+            0 => Edit::SetSelectionOp { rule, sel: b % 3, op: CmpOp::ALL[a % 6] },
+            1 => Edit::SetSelectionExpr { rule, sel: b % 3, side, expr: expr(a) },
+            2 => Edit::DeleteSelection { rule, sel: b % 3 },
+            3 => Edit::SetAssignExpr { rule, var: ["Prt", "Hdr", "Nope"][a % 3].into(), expr: expr(b) },
+            4 => Edit::DeletePredicate { rule, pred: b % 3 },
+            _ => Edit::SetHeadTable { rule, table: ["Out", "In", "Cfg", "Fresh"][a % 4].into() },
+        }
+    }
+
+    /// The oracle: the verdict and the description against a program
+    /// holding `rule` alone, as the explorer once built it for every
+    /// candidate.
+    fn against_one_rule_program(patch: &Patch, rule: &Rule) -> (bool, String) {
+        let mut alone = Program::new("one-rule");
+        alone.rules.push(rule.clone());
+        let verdict = ProgramOutline::new(&alone).is_ok_and(|o| patch.delta(&alone, &o).is_ok());
+        (verdict, patch.describe(&alone))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn a_rule_alone_judges_and_describes_as_its_one_rule_program(
+            which in 0usize..ONE_RULE.len(),
+            draws in proptest::collection::vec((0usize..6, 0usize..16, 0usize..16), 1..4),
+        ) {
+            let rule = parse_rule(ONE_RULE[which]).unwrap();
+            let patch = Patch::of(draws.into_iter().map(literal_edit).collect());
+            let got = (patch.applies_to_rule(&rule), patch.describe_rule(&rule));
+            proptest::prop_assert_eq!(got, against_one_rule_program(&patch, &rule), "patch {}", patch);
+        }
+    }
+
+    #[test]
+    fn the_literal_edits_reach_both_verdicts_on_every_valid_rule() {
+        for (which, src) in ONE_RULE.iter().enumerate() {
+            let rule = parse_rule(src).unwrap();
+            let mut verdicts = std::collections::BTreeSet::new();
+            for draw in (0..6).flat_map(|k| (0..16).flat_map(move |a| (0..4).map(move |b| (k, a, b)))) {
+                let patch = Patch::single(literal_edit(draw));
+                assert_eq!(patch.applies_to_rule(&rule), against_one_rule_program(&patch, &rule).0, "{patch}");
+                verdicts.insert(patch.applies_to_rule(&rule));
+            }
+            let valid = which < 3;
+            let want: &[bool] = if valid { &[false, true] } else { &[false] };
+            assert_eq!(verdicts.into_iter().collect::<Vec<_>>(), want, "{src}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! What a packet-in, a rule a repair never touches, and a repair on a large
-//! network cost the allocator, pinned: heap allocations per packet-in of
-//! the Q1 stream, per padding rule of the Fig. 10 repair, and per repair of
-//! Q1 on 10 130 switches, counted by a counting global allocator. A count,
+//! What a packet-in, a rule a repair never touches, a repair search and a
+//! repair on a large network cost the allocator, pinned: heap allocations
+//! per packet-in of the Q1 stream, per padding rule of the Fig. 10 repair
+//! and per repair of Q1 padded to 100 rules, per Q1 `generate_missing`,
+//! and per repair of Q1 on 10 130 switches, counted by a counting global
+//! allocator. A count,
 //! not a timing, so it cannot flake — and a binary of its own, so the
 //! allocator counts nothing but this.
 //!
@@ -28,7 +30,8 @@
 mod common;
 
 use sdn_meta_repair::core::debugger::Debugger;
-use sdn_meta_repair::core::scenarios::Scenario;
+use sdn_meta_repair::core::explore::generate_missing;
+use sdn_meta_repair::core::scenarios::{Scenario, Symptom};
 use sdn_meta_repair::runtime::Options;
 use sdn_meta_repair::sdn::controller::{Controller, PacketInMsg};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,6 +64,16 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const WARM_UP: usize = 1_000;
+
+/// One whole repair of Q1 padded to 100 rules: 3 429 measured (3 425 in
+/// release), + 10 %. It was 4 984 while the explorer built a one-rule
+/// program, its outline and a written trace for each candidate it built.
+const REPAIR_AT_100_RULES: u64 = 3_772;
+
+/// One `generate_missing` of Q1: 1 492 measured, + 10 % (3 042 before the
+/// explorer checked a candidate against its rule alone and traced only the
+/// 14 it returns of the 47 it builds).
+const Q1_SEARCH: u64 = 1_641;
 const MEASURED: usize = 10_000;
 
 /// Allocations per packet-in over `MEASURED` packet-ins, after `WARM_UP`
@@ -109,18 +122,35 @@ fn an_uninvolved_rule_stays_within_its_allocation_budget() {
     // Fig. 10's slope, as a count: what each of the 800 rules between the
     // 100- and the 900-rule program adds to one repair. None of them can
     // produce a candidate and no packet-in reaches one, so none is ever
-    // compiled; what is left per rule (≈ 1.4) is its id in the execution
+    // compiled; what is left per rule (≈ 1.43) is its id in the execution
     // log and its place in the dispatch tables of the observation run and
-    // the joint replay. Compiling every rule for the observation run cost
-    // ≈ 14 more each (15.6 at PR 21); building their trees to price them
-    // and copying the program, ≈ 170 (before PR 21).
+    // the joint replay — the explorer finds the rule's trigger by a lookup
+    // that allocates nothing per rule (a key owned per rule would read one
+    // more). Compiling every rule for the observation run cost ≈ 14 more
+    // each (15.6 in all); building their trees to price them and copying
+    // the program, ≈ 170.
     let (small, large) = (allocations_per_repair(100), allocations_per_repair(900));
     let per_rule = (large - small) as f64 / 800.0;
     eprintln!("repair: {small} allocations at 100 rules, {large} at 900, {per_rule} per padding rule");
-    assert!(per_rule <= 5.0, "{per_rule} allocations per padding rule ({small} → {large})");
+    assert!(per_rule <= 1.5, "{per_rule} allocations per padding rule ({small} → {large})");
+    assert!(small <= REPAIR_AT_100_RULES, "{small} allocations per repair at 100 rules");
     let s = Scenario::q1_padded(100);
     let (world, ..) = Debugger::for_scenario(&s).observe().expect("the padded Q1 runs");
     assert!(Arc::ptr_eq(&s.program, &world.program), "the world reads the scenario's program, not a copy");
+}
+
+#[test]
+fn a_missing_tuple_search_stays_within_its_allocation_budget() {
+    let _alone = counting_alone();
+    // One `generate_missing` of Q1, its world read outside the count.
+    let s = Scenario::q1_copy_paste();
+    let Symptom::Missing(goal) = &s.symptom else { unreachable!("Q1 is a missing-tuple query") };
+    let (world, ..) = Debugger::for_scenario(&s).observe().expect("Q1 runs");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (candidates, _) = generate_missing(&world, goal);
+    let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    eprintln!("Q1 search: {counted} allocations for {} candidates", candidates.len());
+    assert!(counted <= Q1_SEARCH, "{counted} allocations per Q1 search");
 }
 
 #[test]
@@ -136,12 +166,13 @@ fn a_repair_on_ten_thousand_switches_stays_within_its_allocation_budget() {
     let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert!(report.accepted_count() > 0, "the fabric's repair accepts a candidate");
     eprintln!("fabric repair: {total} allocations, {} of them the observation run", recorded - before);
-    // 10 024: 1 024 of the 1 045 punts are background flows no rule hears,
-    // and each costs its argument vector and its copy in the log where it
-    // cost about 31 allocations across the observation run, the history
-    // read and the joint replay (37 138 in all) — owned table and location
-    // strings in every copy, a drain per punt, a memo entry and a fresh
-    // join frame per joint step.
+    // 8 479; 10 024 while the explorer built a one-rule program and a
+    // written trace per candidate it built. 1 024 of the 1 045 punts are
+    // background flows no rule hears, and each costs its argument vector
+    // and its copy in the log where it cost about 31 allocations across
+    // the observation run, the history read and the joint replay (37 138
+    // in all) — owned table and location strings in every copy, a drain
+    // per punt, a memo entry and a fresh join frame per joint step.
     assert!(total <= 11_000, "{total} allocations per fabric repair");
 }
 
