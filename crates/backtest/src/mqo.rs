@@ -92,18 +92,25 @@
 //! (new, or replacing another payload under its key) and becomes a control
 //! message. Seeds are tagged like everything else (`tagged_seeds`).
 //!
-//! A punt is hashed once: the event's columns (the switch and the codec's
-//! packet fields — with the codec's table and location, the event tuple)
-//! are written into a buffer, and their hash finds the memo of steps
-//! already taken for this event and tag set. A step is filed only if its
-//! event's hash was stepped before — the engine's rule: a punt that never
-//! repeats files nothing — and only if it left the state alone. A hit
-//! builds no tuple and allocates nothing. A step that adds a state row
-//! empties the memo, since nothing in it replays exactly any more, so no
-//! entry outlives the state it was computed under. A firing
-//! matches into one scratch the replay keeps ([`ScanScratch`]).
-//! `LiveOutputs` finds a head's slot by hashing its key columns where they
-//! lie.
+//! Every punt steps. A firing matches into one scratch the replay keeps
+//! ([`ScanScratch`]), and `LiveOutputs` finds a head's slot by hashing its
+//! key columns where they lie.
+//!
+//! # Repeated injections: the injection memo
+//!
+//! An injection's key is its source host and the packet fields the replay
+//! reads (`fields_read`), one fixed-size array hashed once. The memo holds
+//! while the `Standing` counters do, and is flushed before the next lookup
+//! once one moves. It is exact: no field off the key is read or written (a
+//! `Modify` target is in the key), so two injections from one host equal on
+//! the key are forwarded, joined, punted, answered and counted alike while
+//! the state stands, and counters are sums: adding one's per-class deltas
+//! `k` times is forwarding it `k` times. A key's first occurrence costs a
+//! `u64` in a `seen` set; a repeat records its deltas as it forwards and is
+//! filed (if it moved the state, the next lookup flushes it unhit); a hit,
+//! looked up before the host's attachment, forwards nothing and adds one to
+//! its entry's multiplicity — the times a flush, or the replay's end, adds
+//! the entry's deltas into the classes.
 //!
 //! # Scope: what is checked, and handed back
 //!
@@ -142,16 +149,15 @@ use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
 use mpr_runtime::{build_dispatch, LazyRule, PassHash, Prehashed, ScanScratch, TriggerDispatch};
-use mpr_sdn::controller::{CtrlMsg, PacketInMsg, TupleCodec};
-use mpr_sdn::flowtable::{proactive_routes, FlowEntry, FlowTable};
-use mpr_sdn::packet::Packet;
+use mpr_sdn::controller::{CtrlMsg, PacketInMsg, PktArg, TupleCodec};
+use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
+use mpr_sdn::packet::{Field, Packet};
 use mpr_sdn::sim::{apply_actions, DataPlane, SimStats};
 use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A set of candidate tags (bit i = candidate i). At most 64 candidates
@@ -295,6 +301,8 @@ struct LiveOutputs<'a> {
     /// is live for (disjoint among the payloads of one key). Keyed by the
     /// hash itself, so nothing hashes a second time.
     by_key: Prehashed<Vec<(Tuple, TagSet)>>,
+    /// Heads that appeared for someone in a state table, each a change.
+    appeared: u64,
 }
 
 impl LiveOutputs<'_> {
@@ -328,6 +336,7 @@ impl LiveOutputs<'_> {
         if !known {
             slot.push((head.clone(), tags));
         }
+        self.appeared += u64::from(fresh != 0);
         fresh
     }
 }
@@ -365,10 +374,6 @@ fn tags_digest(digest: u64, rows: &[(Tuple, TagSet)]) -> u64 {
     rows.iter().fold(digest, |d, (_, tags)| d.rotate_left(7) ^ tags.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// A memoized step: the event's columns ([`TaggedEngine::key`]), the tags
-/// it was evaluated for, the output heads it derived.
-type Memo = (Box<[i64]>, TagSet, Rc<Vec<(Tuple, TagSet)>>);
-
 /// Tagged controller state, and the engine's round loop over it (module
 /// docs, "The controller").
 struct TaggedEngine<'a> {
@@ -396,29 +401,12 @@ struct TaggedEngine<'a> {
     diverged: TagSet,
     /// How many state rows were ever added.
     state_rows: u64,
-    /// Fixpoint memo: the codec projects packets onto coarse event tuples
-    /// (e.g. `PacketIn(@C, Swi, Hdr)`), so distinct packets repeatedly
-    /// trigger the *same* evaluation. A hit replays the recorded heads
-    /// through the codec against the current packet; evaluation is a pure
-    /// function of `(state, event, tags)`, so this is exact while the
-    /// state stands: adding a state row empties the memo. Keyed by the hash
-    /// of the event's columns, taken once per punt.
-    memo: Prehashed<Vec<Memo>>,
-    /// The hashes of the events stepped so far: a step is filed only when
-    /// its event's hash is here already.
-    seen: HashSet<u64, BuildHasherDefault<PassHash>>,
-    hasher: RandomState,
-    /// The columns of the PacketIn being answered — the switch, then one
-    /// per `packet_in_args` — which with the codec's two constants are the
-    /// event tuple. A buffer, like `scratch`: a memo hit allocates nothing.
-    key: Vec<i64>,
     /// [`Self::step`]'s `round` / `pending` / `heads`, empty between steps.
     scratch: [Vec<(Tuple, TagSet)>; 3],
     /// The partial matches of a firing.
     fire: ScanScratch<TagSet>,
-    /// Punts answered by a [`Self::step`], and from the memo.
+    /// Punts answered, each by a [`Self::step`].
     steps: u64,
-    memo_hits: u64,
 }
 
 impl<'a> TaggedEngine<'a> {
@@ -460,21 +448,17 @@ impl<'a> TaggedEngine<'a> {
             dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
             state: HashMap::new(),
             keyed,
-            outputs: LiveOutputs { catalog, hasher: RandomState::new(), by_key: Prehashed::default() },
+            outputs: LiveOutputs { catalog, hasher: RandomState::new(), by_key: Prehashed::default(), appeared: 0 },
             funcs: CountingFuncs::starting_at(1000),
             budget,
             diverged,
             state_rows: 0,
-            memo: Prehashed::default(),
-            seen: HashSet::default(),
-            hasher: RandomState::new(),
-            key: Vec::new(),
             scratch: Default::default(),
             fire: ScanScratch::default(),
             steps: 0,
-            memo_hits: 0,
         }
     }
+
 
     fn is_event(&self, table: &str) -> bool {
         self.catalog.get(table).is_some_and(|s| !s.is_state())
@@ -522,7 +506,6 @@ impl<'a> TaggedEngine<'a> {
                     let table = self.state.entry(Arc::clone(&t.table)).or_default();
                     table.rows.push((t.clone(), *ttags));
                     self.state_rows += 1;
-                    self.memo.clear();
                 }
             }
             'deltas: for (delta, dtags) in &round {
@@ -599,45 +582,10 @@ impl<'a> TaggedEngine<'a> {
     /// Evaluate the tagged program on one PacketIn under `tags`: pushes the
     /// control messages it answers with, and the tag sets they apply to.
     fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet, out: &mut Vec<(CtrlMsg, TagSet)>) {
-        let mut key = std::mem::take(&mut self.key);
-        key.clear();
-        key.push(msg.switch);
-        key.extend(self.codec.packet_in_args.iter().map(|arg| arg.value_of(msg)));
-        let hash = self.hasher.hash_one(&key);
-        let known = self.memo.get(&hash).and_then(|memos| {
-            memos.iter().find(|(event, mtags, _)| *mtags == tags && **event == *key).map(|m| Rc::clone(&m.2))
-        });
-        let (filed, fresh);
-        let heads: &[(Tuple, TagSet)] = match known {
-            Some(heads) => {
-                self.memo_hits += 1;
-                filed = heads;
-                &filed
-            }
-            None => {
-                self.steps += 1;
-                let rows_at_entry = self.state_rows;
-                let heads = self.step(self.codec.packet_in_tuple(msg), tags);
-                // File only a step that left the state alone — it replays
-                // identically until a later step moves it — and whose event
-                // was stepped before: a punt that never repeats files
-                // nothing. A hash shared with another event only files early.
-                let repeat = !self.seen.insert(hash);
-                if repeat && self.state_rows == rows_at_entry {
-                    let heads = Rc::new(heads);
-                    self.memo.entry(hash).or_default().push((key.as_slice().into(), tags, Rc::clone(&heads)));
-                    filed = heads;
-                    &filed
-                } else {
-                    fresh = heads;
-                    &fresh
-                }
-            }
-        };
-        self.key = key;
-        for (head, htags) in heads.iter() {
-            let fresh = self.outputs.appear(head, *htags);
-            if let (true, Some(cm)) = (fresh != 0, self.codec.decode(head, msg)) {
+        self.steps += 1;
+        for (head, htags) in self.step(self.codec.packet_in_tuple(msg), tags) {
+            let fresh = self.outputs.appear(&head, htags);
+            if let (true, Some(cm)) = (fresh != 0, self.codec.decode(&head, msg)) {
                 out.push((cm, fresh));
             }
         }
@@ -666,6 +614,8 @@ struct TaggedTables<'a> {
     /// ([`FlowTable::same_entries_in_order`]). A tag in no variant sees the
     /// empty table.
     by_switch: BTreeMap<i64, Vec<(TagSet, FlowTable)>>,
+    /// How many installs were asked for.
+    installs: u64,
 }
 
 impl TaggedTables<'_> {
@@ -673,6 +623,7 @@ impl TaggedTables<'_> {
     /// switches are ignored, as [`mpr_sdn::flowtable::FlowTables::install`]
     /// ignores them.
     fn install(&mut self, switch: i64, ctags: TagSet, entry: &FlowEntry) {
+        self.installs += 1;
         if ctags == 0 || !self.topo.switches.contains(&switch) {
             return;
         }
@@ -788,6 +739,8 @@ struct Forwarder<'a> {
     topo: &'a Topology,
     /// Counters by (non-empty) tag set.
     classes: BTreeMap<TagSet, SimStats>,
+    /// While an injection is recorded for the memo, its bumps, by class.
+    tape: Option<BTreeMap<TagSet, SimStats>>,
     /// Flights of the next hop round.
     next: Vec<Flight<NodeRef>>,
     /// PacketIns not yet evaluated, by switch.
@@ -798,7 +751,7 @@ impl Forwarder<'_> {
     /// Bump the counters of the class `tags`, once for all its candidates.
     fn count(&mut self, tags: TagSet, bump: impl FnOnce(&mut SimStats)) {
         if tags != 0 {
-            bump(self.classes.entry(tags).or_default());
+            bump(self.tape.as_mut().unwrap_or(&mut self.classes).entry(tags).or_default());
         }
     }
 
@@ -807,7 +760,7 @@ impl Forwarder<'_> {
     fn fold(&self, n: usize) -> Vec<SimStats> {
         let mut stats = vec![SimStats::default(); n];
         for (tags, class) in &self.classes {
-            for_each_tag(*tags, |t| stats[t].add(class));
+            for_each_tag(*tags, |t| stats[t].add(class, 1));
         }
         stats
     }
@@ -815,6 +768,10 @@ impl Forwarder<'_> {
 
 /// The joint replay's packets carry the candidates they travel for.
 impl DataPlane<TagSet> for Forwarder<'_> {
+    fn topology(&self) -> &Topology {
+        self.topo
+    }
+
     fn emit(&mut self, switch: i64, out_port: i64, pkt: Packet, tags: TagSet) {
         match self.topo.peer(NodeRef::Switch(switch), out_port) {
             Some((at, port)) => join_flights(&mut self.next, at, port, pkt, tags),
@@ -830,6 +787,92 @@ impl DataPlane<TagSet> for Forwarder<'_> {
 
     fn drop_policy(&mut self, tags: TagSet) {
         self.count(tags, |s| s.dropped_policy += 1);
+    }
+}
+
+/// The packet fields the joint replay reads, a flag per [`Field::ALL`]
+/// entry: the codec's `packet_in_args` (the event a punt steps) and
+/// `flow_match_args` (what a FlowMod's entry matches), `DstIp` and
+/// `DstPort` ([`SimStats::arrive`]; `DstIp` is the proactive routes' match
+/// too), and the match fields and `Modify` targets of the manual entries.
+/// Nothing else reads a packet (`InPort` is the path's, not the packet's),
+/// so `seq`, `payload` and the rest stay out of an injection's key. A field
+/// the replay starts reading must join this list.
+fn fields_read(codec: &TupleCodec, extra_flows: &[ExtraFlows]) -> [bool; Field::ALL.len()] {
+    let by_codec = codec.packet_in_args.iter().chain(&codec.flow_match_args);
+    let by_codec = by_codec.filter_map(|arg| if let PktArg::Field(f) = arg { Some(*f) } else { None });
+    let by_hand = extra_flows.iter().flatten().flat_map(|(_, e)| {
+        let modified = e.actions.iter().filter_map(|a| if let Action::Modify(f, _) = a { Some(*f) } else { None });
+        e.m.fields.iter().map(|(f, _)| *f).chain(modified)
+    });
+    let read: Vec<Field> = [Field::DstIp, Field::DstPort].into_iter().chain(by_codec).chain(by_hand).collect();
+    Field::ALL.map(|f| read.contains(&f))
+}
+
+/// The source host, then per [`Field::ALL`] entry the value read, or 0.
+type InjectionKey = [i64; 1 + Field::ALL.len()];
+
+/// What the injection memo holds under: installs asked for, state rows,
+/// heads appeared in a state table, diverged candidates, `f_unique` ids
+/// drawn. Each only grows: the state stood exactly while they are equal.
+type Standing = (u64, u64, u64, TagSet, i64);
+
+/// A filed injection: its counter deltas per tag class, and the times it counts.
+struct Filed {
+    key: InjectionKey,
+    deltas: BTreeMap<TagSet, SimStats>,
+    times: u64,
+}
+
+/// The injections forwarded while the state stood, by their key's hash.
+#[derive(Default)]
+struct InjectionMemo {
+    read: [bool; Field::ALL.len()],
+    hasher: RandomState,
+    filed: Prehashed<Vec<Filed>>,
+    /// The hashes of the keys forwarded so far: only a repeat is recorded.
+    seen: HashSet<u64, BuildHasherDefault<PassHash>>,
+    /// The standing state the entries were forwarded under.
+    under: Standing,
+    /// Injections answered from the memo, and the punts inside them.
+    replayed: u64,
+    replayed_punts: u64,
+}
+
+impl InjectionMemo {
+    fn key(&self, src: i64, pkt: &Packet) -> (u64, InjectionKey) {
+        let mut key: InjectionKey = [src; 1 + Field::ALL.len()];
+        for ((slot, f), read) in key[1..].iter_mut().zip(Field::ALL).zip(self.read) {
+            *slot = if read { pkt.field(f) } else { 0 };
+        }
+        (self.hasher.hash_one(key), key)
+    }
+
+    /// Answer the injection of `key` from the memo, if it was filed under
+    /// `now`; entries filed under another state are flushed first.
+    fn replay(&mut self, hash: u64, key: &InjectionKey, now: Standing, fw: &mut Forwarder) -> bool {
+        if self.under != now {
+            self.flush(fw);
+            self.under = now;
+        }
+        let Some(entry) = self.filed.get_mut(&hash).and_then(|v| v.iter_mut().find(|e| e.key == *key)) else {
+            return false;
+        };
+        entry.times += 1;
+        self.replayed += 1;
+        // Each punt bumped one class's `packet_ins`, once.
+        self.replayed_punts += entry.deltas.values().map(|class| class.packet_ins).sum::<u64>();
+        true
+    }
+
+    /// Add every entry's deltas into `fw`'s classes, as many times as it
+    /// stands for, and empty the memo.
+    fn flush(&mut self, fw: &mut Forwarder) {
+        for entry in self.filed.drain().flat_map(|(_, entries)| entries) {
+            for (tags, delta) in &entry.deltas {
+                fw.classes.entry(*tags).or_default().add(delta, entry.times);
+            }
+        }
     }
 }
 
@@ -883,8 +926,10 @@ pub struct JointWork {
     pub lookups: u64,
     /// Punts answered by running the program to fixpoint.
     pub steps: u64,
-    /// Punts answered from the memo.
-    pub memo_hits: u64,
+    /// Injections answered from the memo: nothing forwarded.
+    pub replayed: u64,
+    /// The punts inside the replayed injections: none of them stepped.
+    pub replayed_punts: u64,
     /// Distinct tag sets counters were kept for.
     pub classes: u64,
 }
@@ -936,7 +981,7 @@ pub fn mqo_replay_deltas(
         return JointReplay::default();
     }
     let topo: &Topology = &setup.topology;
-    let mut tables = TaggedTables { topo, by_switch: BTreeMap::new() };
+    let mut tables = TaggedTables { topo, by_switch: BTreeMap::new(), installs: 0 };
     let full: TagSet = (!0u64) >> (64 - n);
     let tagged = tagged_program(base, deltas);
     let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
@@ -968,17 +1013,26 @@ pub fn mqo_replay_deltas(
         }
     }
 
-    let mut fw = Forwarder { topo, classes: BTreeMap::new(), next: Vec::new(), punts: Vec::new() };
+    let mut fw = Forwarder { topo, classes: BTreeMap::new(), tape: None, next: Vec::new(), punts: Vec::new() };
     let mut work = JointWork::default();
+    let mut memo = InjectionMemo { read: fields_read(&setup.codec, extra_flows), ..InjectionMemo::default() };
     // Hop-round buffers, reused across every injection.
     let mut flights: Vec<Flight<NodeRef>> = Vec::new();
     let mut batch: Vec<Flight<i64>> = Vec::new();
     let mut replies: Vec<(CtrlMsg, TagSet)> = Vec::new();
 
     for (src, pkt) in setup.workload.iter() {
+        let (hash, key) = memo.key(*src, pkt);
+        let now = (tables.installs, engine.state_rows, engine.outputs.appeared, engine.diverged, engine.funcs.issued());
+        if memo.replay(hash, &key, now, &mut fw) {
+            continue;
+        }
         let Some((sw0, port0)) = topo.host_attachment(*src) else {
             continue;
         };
+        // A key's first occurrence is forwarded and nothing more; a repeat
+        // is recorded as it goes, and filed.
+        fw.tape = (!memo.seen.insert(hash)).then(BTreeMap::new);
         fw.count(full, |s| s.injected += 1);
         flights.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), tags: full });
         // One iteration per hop round: forward every flight one hop, then
@@ -1011,7 +1065,7 @@ pub fn mqo_replay_deltas(
                     work.lookups += 1;
                     if let Some(e) = table.lookup(&f.pkt, f.port) {
                         missed &= !here;
-                        apply_actions(&mut fw, topo, s, f.port, f.pkt.clone(), &e.actions, here);
+                        apply_actions(&mut fw, s, f.port, f.pkt.clone(), &e.actions, here);
                     }
                 }
                 if missed != 0 {
@@ -1037,7 +1091,7 @@ pub fn mqo_replay_deltas(
                             CtrlMsg::PacketOut { switch, packet, action } => {
                                 released |= ctags;
                                 fw.count(ctags, |s| s.packet_outs += 1);
-                                apply_actions(&mut fw, topo, switch, p.port, packet, &[action], ctags);
+                                apply_actions(&mut fw, switch, p.port, packet, &[action], ctags);
                             }
                         }
                     }
@@ -1048,9 +1102,13 @@ pub fn mqo_replay_deltas(
             std::mem::swap(&mut flights, &mut fw.next);
             hops += 1;
         }
+        if let Some(deltas) = fw.tape.take() {
+            memo.filed.entry(hash).or_default().push(Filed { key, deltas, times: 1 });
+        }
     }
-    let work =
-        JointWork { steps: engine.steps, memo_hits: engine.memo_hits, classes: fw.classes.len() as u64, ..work };
+    memo.flush(&mut fw);
+    let (steps, replayed, replayed_punts) = (engine.steps, memo.replayed, memo.replayed_punts);
+    let work = JointWork { steps, replayed, replayed_punts, classes: fw.classes.len() as u64, ..work };
     let stats = fw.fold(n);
     #[cfg(debug_assertions)]
     check_replay(setup, &tables, &engine, &fw.classes, &stats, &work);
@@ -1063,8 +1121,8 @@ pub fn mqo_replay_deltas(
 /// they were sealed with; classes that are non-empty, each
 /// folded into each of its members exactly once — the counters summed over
 /// candidates are those of the classes, each taken `|tags|` times — with
-/// every candidate injected every attached packet; and one step or memo
-/// hit per punt.
+/// every candidate injected every attached packet; and every punt a step,
+/// or inside an injection answered from the memo.
 #[cfg(debug_assertions)]
 fn check_replay(
     setup: &BacktestSetup,
@@ -1086,14 +1144,14 @@ fn check_replay(
     let attached = attached.count() as u64;
     assert!(stats.iter().all(|s| s.injected == attached), "a candidate missed an injection");
     let mut by_candidate = SimStats::default();
-    stats.iter().for_each(|s| by_candidate.add(s));
+    stats.iter().for_each(|s| by_candidate.add(s, 1));
     let mut by_class = SimStats::default();
     for (tags, class) in classes {
-        (0..tags.count_ones()).for_each(|_| by_class.add(class));
+        by_class.add(class, tags.count_ones().into());
     }
     assert_eq!(by_candidate, by_class, "a class was not folded once per member");
     let punts: u64 = classes.values().map(|class| class.packet_ins).sum();
-    assert_eq!(work.steps + work.memo_hits, punts, "a punt neither stepped nor hit the memo");
+    assert_eq!(work.steps + work.replayed_punts, punts, "a punt neither stepped nor replayed");
 }
 
 #[cfg(test)]
@@ -1359,29 +1417,39 @@ mod tests {
         assert_eq!(r1_masks, vec![0b1001, 0b0010, 0b0100, 0b0100, 0b1001, 0b0010]);
     }
 
+    /// HTTP packets from the Internet to H2 ride the proactive routes and
+    /// never punt; one to an address no host has misses at S1, and its
+    /// FlowMod puts an HTTP entry above the routes that sends every later
+    /// one out of a port with no peer. `FlowTable` is an event table here:
+    /// the install is all that moves, no state row and no live output.
     #[test]
-    fn a_punts_step_is_filed_at_its_first_repeat() {
-        let (base, codec) = (fig2_program(), TupleCodec::fig2());
-        let tagged = tagged_program(&base, &vec![RuleDelta::default(); 2]);
-        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &codec, u64::MAX);
-        let punt = |switch| PacketInMsg {
-            switch,
-            in_port: 1,
-            packet: mpr_sdn::packet::Packet::http(1, 50, fig1_hosts::H2),
-        };
-        let mut out = Vec::new();
-        // A punt that never repeats steps and files nothing, not even when
-        // no rule selects its switch.
-        engine.on_packet_in(&punt(3), 0b11, &mut out);
-        assert_eq!((engine.steps, engine.memo_hits), (1, 0));
-        assert!(engine.memo.is_empty(), "a first occurrence is not filed");
-        // Its first repeat steps again and files; later ones hit.
-        for _ in 0..3 {
-            engine.on_packet_in(&punt(3), 0b11, &mut out);
+    fn an_install_between_two_key_equal_injections_flushes_the_memo() {
+        let base = parse_program(
+            "flush",
+            r"
+            materialize(PacketIn, event, 2, keys()).
+            materialize(FlowTable, event, 2, keys()).
+            r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 80, Prt := 9.
+            ",
+        )
+        .unwrap();
+        // `seq` (and with it `src_port`, which fig. 2's codec does not
+        // read) differs in every packet: the key does not.
+        let http = |seq: u64, dst: i64| (fig1_hosts::INTERNET, Packet::http(seq, fig1_hosts::INTERNET, dst));
+        let mut workload: Vec<_> = (0..3).map(|i| http(i, fig1_hosts::H2)).collect();
+        workload.push(http(3, 999));
+        workload.extend((4..7).map(|i| http(i, fig1_hosts::H2)));
+        let setup = BacktestSetup { workload: Arc::new(workload), proactive_routes: true, ..setup() };
+        let joint = mqo_replay_deltas(&setup, &base, &vec![RuleDelta::default(); 2], &[], &[]);
+        let solo = replay(&setup, &base).unwrap();
+        assert_eq!((solo.stats.delivered_to(fig1_hosts::H2), solo.stats.dropped_policy), (3, 3));
+        for outcome in &joint.outcomes {
+            assert_eq!(outcome.stats, solo.stats);
         }
-        assert_eq!((engine.steps, engine.memo_hits), (2, 2));
-        assert_eq!(engine.memo.len(), 1);
-        assert!(out.is_empty(), "no rule answers switch 3");
+        // The second packet is filed, the third replayed; the install
+        // flushes the memo, so the fifth is forwarded again — out of port
+        // 9 — and filed, and the last two are replayed.
+        assert_eq!((joint.work.replayed, joint.work.steps, joint.work.replayed_punts), (3, 1, 0));
     }
 
     #[test]
@@ -1431,7 +1499,7 @@ mod tests {
         use mpr_sdn::flowtable::Match;
         use mpr_sdn::packet::Field;
         let topo = fig1();
-        let mut t = TaggedTables { topo: &topo, by_switch: BTreeMap::new() };
+        let mut t = TaggedTables { topo: &topo, by_switch: BTreeMap::new(), installs: 0 };
         let entry = |dpt: i64| {
             FlowEntry::new(10, Match::any().with(Field::DstPort, dpt), vec![Action::Output(1)])
         };
@@ -1471,7 +1539,7 @@ mod tests {
         use mpr_sdn::flowtable::Match;
         use mpr_sdn::packet::Field;
         let topo = fig1();
-        let mut t = TaggedTables { topo: &topo, by_switch: BTreeMap::new() };
+        let mut t = TaggedTables { topo: &topo, by_switch: BTreeMap::new(), installs: 0 };
         let entry = |field: Field, v: i64, out: i64| {
             FlowEntry::new(10, Match::any().with(field, v), vec![Action::Output(out)])
         };

@@ -14,7 +14,7 @@ use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows, TableFootprin
 use mpr_backtest::replay::{drive, replay_with_extra_flows, BacktestSetup};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline, RuleDelta};
 use mpr_ndlog::{parse_program, ExprSide, Program, Tuple, Value};
-use mpr_sdn::controller::TupleCodec;
+use mpr_sdn::controller::{PktArg, TupleCodec};
 use mpr_sdn::flowtable::{Action, FlowEntry, Match};
 use mpr_sdn::packet::{Field, Packet};
 use mpr_sdn::sim::{SimConfig, SimStats};
@@ -34,6 +34,10 @@ struct Fixture {
     consts: Vec<i64>,
     workload: Vec<Injection>,
     pool: Vec<(i64, FlowEntry)>,
+    /// The base program's policies, and the workload's source, web and DNS
+    /// hosts.
+    policies: [(i64, i64, i64); 4],
+    hosts: [i64; 3],
 }
 
 /// The program `r1`–`r4`, one `(switch, header, port)` policy each.
@@ -48,6 +52,23 @@ fn program(policies: [(i64, i64, i64); 4]) -> Program {
         ));
     }
     parse_program("prop-mqo", &src).unwrap()
+}
+
+/// [`program`] in the layout of [`TupleCodec::five_tuple`]: the header is
+/// the destination port, and an entry matches source and destination
+/// address and port.
+fn five_tuple_program(policies: [(i64, i64, i64); 4]) -> Program {
+    let mut src = String::from(
+        "materialize(PacketIn, event, 6, keys()).\n\
+         materialize(FlowTable, infinity, 5, keys(0,1,2,3,4)).\n",
+    );
+    for (id, (swi, hdr, prt)) in RULES.iter().zip(policies) {
+        src.push_str(&format!(
+            "{id} FlowTable(@Swi,Sip,Dip,Spt,Dpt,Prt) :- PacketIn(@C,Swi,Sip,Dip,Spt,Dpt,Ipt), \
+             Swi == {swi}, Dpt == {hdr}, Prt := {prt}.\n"
+        ));
+    }
+    parse_program("prop-mqo-five-tuple", &src).unwrap()
 }
 
 /// HTTP on one flow to `web`, every third packet DNS to `dns`, and every
@@ -94,12 +115,16 @@ fn pool(s_in: i64, s_a: i64, s_b: i64, other_host: i64) -> Vec<(i64, FlowEntry)>
 
 /// Fig. 1: three switches, all of them on some path.
 fn fig1_fixture() -> Fixture {
+    let policies = [(1, 80, 1), (1, 53, 2), (2, 80, 1), (3, 53, 1)];
+    let hosts = [fig1_hosts::INTERNET, fig1_hosts::H1, fig1_hosts::DNS];
     Fixture {
         topology: fig1(),
-        base: program([(1, 80, 1), (1, 53, 2), (2, 80, 1), (3, 53, 1)]),
+        base: program(policies),
         consts: (1..6).collect(),
-        workload: workload(fig1_hosts::INTERNET, fig1_hosts::H1, fig1_hosts::DNS),
+        workload: workload(hosts[0], hosts[1], hosts[2]),
         pool: pool(1, 2, 3, fig1_hosts::H2),
+        policies,
+        hosts,
     }
 }
 
@@ -108,12 +133,16 @@ fn fig1_fixture() -> Fixture {
 /// other three pods never see an install.
 fn fat_tree_fixture() -> Fixture {
     let host = |i: i64| fabric_ids::HOST_BASE + i;
+    let policies = [(13, 80, 1), (13, 53, 2), (5, 80, 4), (14, 80, 3)];
+    let hosts = [host(0), host(1), host(5)];
     Fixture {
         topology: fat_tree(&FabricParams { k: 4, hosts_per_edge: 1 }),
-        base: program([(13, 80, 1), (13, 53, 2), (5, 80, 4), (14, 80, 3)]),
+        base: program(policies),
         consts: vec![5, 6, 13, 14, 53, 80],
-        workload: workload(host(0), host(1), host(5)),
+        workload: workload(hosts[0], hosts[1], hosts[2]),
         pool: pool(13, 5, 6, host(2)),
+        policies,
+        hosts,
     }
 }
 
@@ -333,6 +362,109 @@ proptest! {
             .collect();
         assert_joint_equals_sequential(&fx.setup(proactive), &fx.base, &programs, &deltas, &extra)?;
     }
+}
+
+// ---------------------------------------------------------------------
+// Repeated packets. The joint replay answers an injection from its memo
+// when an earlier one from the same host agreed on every field the replay
+// reads, and nothing has moved since: the memo must be invisible in every
+// counter.
+
+/// The three flows of [`workload`] — HTTP to the web host, DNS to the DNS
+/// host, HTTP to an address no host has — in the order `flows` draws, then
+/// eight times round all three. Every packet has its own `seq`, payload and
+/// source MAC and, unless the codec reads it, source port: fields the
+/// replay does not read, which leave the packets of one flow key-equal.
+fn repeating_workload(fx: &Fixture, flows: &[usize], codec_reads_src_port: bool) -> Vec<Injection> {
+    let [src, web, dns] = fx.hosts;
+    let order = flows.iter().copied().chain((0..8).flat_map(|_| 0..3));
+    order
+        .enumerate()
+        .map(|(i, flow)| {
+            let seq = i as u64;
+            let mut p = match flow {
+                0 => Packet::http(seq, src, web),
+                1 => Packet::dns(seq, src, dns),
+                _ => Packet::http(seq, src, 999),
+            };
+            p.payload = 64 + 7 * i as u32;
+            p.src_mac = 1_000 + i as i64;
+            if codec_reads_src_port {
+                p.src_port = 7000;
+            }
+            (src, p)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Repeated key-equal packets under both codecs, with manual entries
+    /// from the pool — one of which rewrites the destination: joint equals
+    /// sequential on the whole `SimStats`, and the memo answered some of
+    /// the repeats.
+    #[test]
+    fn joint_equals_sequential_when_packets_repeat(
+        net in prop::sample::select(vec![Net::Fig1, Net::FatTree]),
+        five_tuple in any::<bool>(),
+        proactive in prop::sample::select(vec![false, true]),
+        flows in prop::collection::vec(0usize..3, 6..18),
+        cands in prop::collection::vec(
+            (
+                prop_oneof![mutant(), structural_mutant()],
+                prop::collection::vec(0usize..7, 0..3),
+            ),
+            1..5,
+        ),
+    ) {
+        let mut fx = net.fixture();
+        let mut setup = fx.setup(proactive);
+        if five_tuple {
+            fx.base = five_tuple_program(fx.policies);
+            setup.codec = TupleCodec::five_tuple();
+        }
+        setup.workload = Arc::new(repeating_workload(&fx, &flows, five_tuple));
+        let (programs, deltas) = mutants(&fx, &cands.iter().map(|(m, _)| m).collect::<Vec<_>>())?;
+        let extra: Vec<ExtraFlows> = cands
+            .iter()
+            .map(|(_, picks)| picks.iter().map(|&i| fx.pool[i].clone()).collect())
+            .collect();
+        assert_joint_equals_sequential(&setup, &fx.base, &programs, &deltas, &extra)?;
+        let work = mqo_replay_deltas(&setup, &fx.base, &deltas, &extra, &[]).work;
+        prop_assert!(work.replayed > 0, "nothing replayed: {:?}", work);
+    }
+}
+
+/// A field only the controller reads keeps packets apart. The PacketIn
+/// carries the source port, which no entry matches and no host counts by,
+/// and the controller releases a packet only from port 7000: HTTP packets
+/// from the two ports alternate, each port's packets repeat, and a key
+/// without the PacketIn's fields would answer the one with the other's
+/// counters.
+#[test]
+fn a_field_only_the_packet_in_reads_is_in_the_key() {
+    let program = parse_program(
+        "src-port",
+        "materialize(PacketIn, event, 3, keys()).\n\
+         materialize(PacketOut, event, 3, keys()).\n\
+         p1 PacketOut(@Swi,Hdr,Spt,Prt) :- PacketIn(@C,Swi,Hdr,Spt), Spt == 7000, Prt := 1.\n",
+    )
+    .unwrap();
+    let mut setup = fig1_fixture().setup(false);
+    setup.codec.packet_in_args.push(PktArg::Field(Field::SrcPort));
+    setup.codec.packet_out_table = Some("PacketOut".into());
+    let packets = (0..12).map(|i| {
+        let mut p = Packet::http(i, fig1_hosts::INTERNET, fig1_hosts::H1);
+        p.src_port = 7000 + i as i64 % 2;
+        (fig1_hosts::INTERNET, p)
+    });
+    setup.workload = Arc::new(packets.collect());
+    let (joint, solo) = joint_and_solo(&setup, &program);
+    assert_eq!(joint, solo);
+    assert_eq!((solo.delivered_to(fig1_hosts::H1), solo.dropped_buffered), (6, 6));
+    let work = mqo_replay_deltas(&setup, &program, &[RuleDelta::default()], &[], &[]).work;
+    assert_eq!(work.replayed, 8, "{work:?}");
 }
 
 /// Two candidates install the same manual entry at the ingress switch, a

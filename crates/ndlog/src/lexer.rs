@@ -51,12 +51,19 @@ pub enum Tok {
     Percent,
 }
 
+/// Write `s` as a literal the lexer reads back: quoted, `\`, `'` and newlines escaped.
+pub(crate) fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("'")?;
+    s.chars().try_for_each(|c| match c { '\n' => f.write_str("\\n"), '\\' | '\'' => write!(f, "\\{c}"), c => write!(f, "{c}") })?;
+    f.write_str("'")
+}
+
 impl fmt::Display for Tok {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
             Tok::Int(i) => write!(f, "{i}"),
-            Tok::Str(s) => write!(f, "'{s}'"),
+            Tok::Str(s) => write_quoted(f, s),
             Tok::LParen => f.write_str("("),
             Tok::RParen => f.write_str(")"),
             Tok::Comma => f.write_str(","),
@@ -252,6 +259,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     }
                     if nc == '\n' {
                         return Err(ParseError::at(tl, tc, "unterminated string literal"));
+                    }
+                    if nc == '\\' {
+                        col += 1;
+                        let escaped = chars.next().filter(|e| matches!(e, '\'' | '\\' | 'n'));
+                        let e = escaped.ok_or_else(|| ParseError::at(line, col - 2, "unknown escape in string literal"))?;
+                        s.push(if e == 'n' { '\n' } else { e });
+                        continue;
                     }
                     s.push(nc);
                 }

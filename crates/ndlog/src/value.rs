@@ -99,14 +99,14 @@ impl fmt::Display for Value {
             Value::Str(s) => {
                 // What the lexer reads back as this string unquoted — a
                 // lowercase-initial identifier that is not a keyword —
-                // prints bare; anything else is quoted, so the
+                // prints bare; anything else is quoted and escaped, so the
                 // pretty-printer round-trips through the parser.
                 let ident = s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
                     && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
                 if ident && !matches!(&**s, "true" | "false") {
                     write!(f, "{s}")
                 } else {
-                    write!(f, "'{s}'")
+                    crate::lexer::write_quoted(f, s)
                 }
             }
             Value::Bool(b) => write!(f, "{}", if *b { "true" } else { "false" }),

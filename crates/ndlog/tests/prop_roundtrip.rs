@@ -27,8 +27,10 @@ fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         int().prop_map(Value::Int),
         // Identifiers print bare; a string the lexer would read as a
-        // subtraction or a boolean must print quoted.
-        prop::sample::select(vec!["output", "drop", "fwd", "a-b", "true", "false"]).prop_map(Value::str),
+        // subtraction or a boolean must print quoted, and one holding a
+        // quote, a backslash or a newline escaped.
+        prop::sample::select(vec!["output", "drop", "fwd", "a-b", "true", "false", "it's", "a\\b", "a\nb"])
+            .prop_map(Value::str),
         any::<bool>().prop_map(Value::Bool),
         Just(Value::Wild),
     ]
@@ -91,6 +93,27 @@ prop_compose! {
         r.body[0].loc = head_loc;
         r
     }
+}
+
+/// A string constant holding `'`, `\` or a newline prints escaped, and
+/// the parser reads the escape back: the printed rule is the rule.
+#[test]
+fn a_string_with_a_quote_a_backslash_or_a_newline_round_trips() {
+    for s in ["it's", "a\\b", "two\nlines", "'\\\n'"] {
+        let r = Rule::new(
+            "r1",
+            Atom::new("Out", Term::Var("N".into()), vec![Term::Const(Value::str(s))]),
+            vec![Atom::new("In", Term::Var("N".into()), vec![Term::Var("X".into())])],
+            vec![Selection::new(Expr::var("X"), CmpOp::Eq, Expr::Const(Value::str(s)))],
+            vec![],
+        );
+        let printed = r.to_string();
+        let reparsed = parse_rule(&printed).unwrap_or_else(|e| panic!("failed to reparse `{printed}`: {e}"));
+        assert_eq!(reparsed, r, "{printed}");
+    }
+    // An escape the lexer does not know is an error at its backslash.
+    let err = parse_rule("r1 Out(@N,X) :- In(@N,X), X == 'a\\tb'.").unwrap_err();
+    assert!(err.to_string().contains("1:34"), "{err}");
 }
 
 proptest! {

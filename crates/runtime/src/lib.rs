@@ -17,8 +17,9 @@
 //!   through;
 //! - a step memo: an event the engine already handled at an unchanged
 //!   state is answered by replaying that step's effects
-//!   ([`Engine::memo_hits`]), filed in a [`Prehashed`] map like the joint
-//!   backtest's own memo;
+//!   ([`Engine::memo_hits`]), filed in a [`Prehashed`] map; the joint
+//!   backtest files whole injections the same way, a level up, where this
+//!   memo files steps;
 //! - a tuple store keyed on location and primary key, with replacement
 //!   ([`store`]): one map per table, which a join that knows a table's
 //!   whole key probes and any other join scans in tuple-id order;

@@ -112,11 +112,11 @@ impl SimStats {
         }
     }
 
-    /// Add `other`'s counters to these, counter by counter and key by key.
-    /// Addition commutes, so counters kept in parts (the joint backtest
-    /// keeps one part per set of candidates that shared an event) sum to
-    /// what one set of counters bumped for every event would read.
-    pub fn add(&mut self, other: &SimStats) {
+    /// Add `other`'s counters `times` over to these, counter by counter and
+    /// key by key. Addition commutes, so counters kept in parts (the joint
+    /// backtest keeps one per set of candidates that shared an event, and
+    /// one per repeated injection) sum to what one set bumped per event reads.
+    pub fn add(&mut self, other: &SimStats, times: u64) {
         // Destructured in full: a counter added to the struct does not
         // compile until it is added here.
         #[rustfmt::skip]
@@ -127,27 +127,27 @@ impl SimStats {
             packet_outs, hops,
         } = other;
         for (host, count) in delivered {
-            *self.delivered.entry(*host).or_insert(0) += count;
+            *self.delivered.entry(*host).or_insert(0) += count * times;
         }
         for (key, count) in delivered_by_port {
-            *self.delivered_by_port.entry(*key).or_insert(0) += count;
+            *self.delivered_by_port.entry(*key).or_insert(0) += count * times;
         }
-        self.injected += injected;
-        self.misdelivered += misdelivered;
-        self.dropped_policy += dropped_policy;
-        self.dropped_buffered += dropped_buffered;
-        self.dropped_ttl += dropped_ttl;
-        self.dropped_link_down += dropped_link_down;
-        self.dropped_switch_down += dropped_switch_down;
-        self.switch_crashes += switch_crashes;
-        self.ctrl_dropped += ctrl_dropped;
-        self.ctrl_duplicated += ctrl_duplicated;
-        self.ctrl_delayed += ctrl_delayed;
-        self.ctrl_reordered += ctrl_reordered;
-        self.packet_ins += packet_ins;
-        self.flow_mods += flow_mods;
-        self.packet_outs += packet_outs;
-        self.hops += hops;
+        self.injected += injected * times;
+        self.misdelivered += misdelivered * times;
+        self.dropped_policy += dropped_policy * times;
+        self.dropped_buffered += dropped_buffered * times;
+        self.dropped_ttl += dropped_ttl * times;
+        self.dropped_link_down += dropped_link_down * times;
+        self.dropped_switch_down += dropped_switch_down * times;
+        self.switch_crashes += switch_crashes * times;
+        self.ctrl_dropped += ctrl_dropped * times;
+        self.ctrl_duplicated += ctrl_duplicated * times;
+        self.ctrl_delayed += ctrl_delayed * times;
+        self.ctrl_reordered += ctrl_reordered * times;
+        self.packet_ins += packet_ins * times;
+        self.flow_mods += flow_mods * times;
+        self.packet_outs += packet_outs * times;
+        self.hops += hops * times;
     }
 }
 
@@ -156,6 +156,8 @@ impl SimStats {
 /// the simulator's hop count, or the set of candidates a joint backtest
 /// forwards the packet for.
 pub trait DataPlane<X: Copy> {
+    /// The network the packets travel (a flood reads a switch's ports).
+    fn topology(&self) -> &Topology;
     /// Send `packet` out of `switch`'s `out_port`.
     fn emit(&mut self, switch: i64, out_port: i64, packet: Packet, x: X);
     /// Hand `packet`, which reached `switch` on `in_port`, to the controller.
@@ -171,7 +173,6 @@ pub trait DataPlane<X: Copy> {
 /// the joint backtest both forward through it.
 pub fn apply_actions<X: Copy>(
     plane: &mut impl DataPlane<X>,
-    topo: &Topology,
     switch: i64,
     in_port: i64,
     mut packet: Packet,
@@ -187,7 +188,10 @@ pub fn apply_actions<X: Copy>(
                 emitted = true;
             }
             Action::Flood => {
-                for (p, _) in topo.links_of(NodeRef::Switch(switch)) {
+                // A port at a time: `plane` lends its topology, then emits.
+                let mut i = 0;
+                while let Some(p) = plane.topology().port_at(NodeRef::Switch(switch), i) {
+                    i += 1;
                     if p != in_port {
                         plane.emit(switch, p, packet.clone(), x);
                     }
@@ -443,8 +447,7 @@ impl<C: Controller> Simulation<C> {
             None => false,
         };
         if hit {
-            let topo = Arc::clone(&self.topo);
-            apply_actions(self, &topo, switch, in_port, packet, &actions, hops);
+            apply_actions(self, switch, in_port, packet, &actions, hops);
         } else {
             self.punt(switch, in_port, packet, hops);
         }
@@ -471,8 +474,7 @@ impl<C: Controller> Simulation<C> {
                     return;
                 }
                 self.stats.packet_outs += 1;
-                let topo = Arc::clone(&self.topo);
-                apply_actions(self, &topo, sw, in_port, p, &[action], hops);
+                apply_actions(self, sw, in_port, p, &[action], hops);
                 *released = true;
             }
         }
@@ -481,6 +483,10 @@ impl<C: Controller> Simulation<C> {
 
 /// The simulator's packets carry their hop count.
 impl<C: Controller> DataPlane<u32> for Simulation<C> {
+    fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
     fn emit(&mut self, switch: i64, out_port: i64, packet: Packet, hops: u32) {
         let Some((peer, peer_port)) = self.topo.peer(NodeRef::Switch(switch), out_port) else {
             self.stats.dropped_policy += 1;

@@ -343,16 +343,16 @@ impl Topology {
         self.adjacency(node).iter().map(|l| (l.port.into(), self.far_end(l)))
     }
 
+    /// The `i`-th of a node's ports, in port order.
+    pub fn port_at(&self, node: NodeRef, i: usize) -> Option<i64> {
+        self.adjacency(node).get(i).map(|l| l.port.into())
+    }
+
     /// Every directed link as `((node, port), (peer, peer_port))`, in
     /// `(node, port)` order whatever order the nodes were added in.
     pub fn all_links(&self) -> impl Iterator<Item = ((NodeRef, i64), (NodeRef, i64))> + '_ {
         self.sorted_nodes()
             .flat_map(move |n| n.links.iter().map(move |l| ((n.id, l.port.into()), self.far_end(l))))
-    }
-
-    /// All connected ports of a node.
-    pub fn ports(&self, node: NodeRef) -> Vec<i64> {
-        self.links_of(node).map(|(p, _)| p).collect()
     }
 
     /// The `(switch, switch_port)` a host hangs off (hosts are single-homed).
@@ -766,7 +766,7 @@ mod tests {
         let (p1b, _) = t.connect(NodeRef::Switch(1), NodeRef::Switch(3));
         assert_ne!(p1a, p1b);
         assert_eq!(t.link_count(), 2);
-        assert_eq!(t.ports(NodeRef::Switch(1)).len(), 2);
+        assert!(t.port_at(NodeRef::Switch(1), 1).is_some() && t.port_at(NodeRef::Switch(1), 2).is_none());
     }
 
     #[test]
@@ -788,7 +788,7 @@ mod tests {
         // Re-wiring the far side of a switch-switch link frees both ends.
         t.connect_ports(s3, 0, NodeRef::Switch(4), 1);
         assert_eq!(t.peer(s1, 2), None, "S1 port 2 led to S3 port 0");
-        assert_eq!(t.ports(s1), vec![0, 1]);
+        assert_eq!((t.port_at(s1, 0), t.port_at(s1, 1), t.port_at(s1, 2)), (Some(0), Some(1), None));
         assert_eq!(t.link_count(), links);
         for ((a, pa), (b, pb)) in t.all_links() {
             assert_eq!(t.peer(b, pb), Some((a, pa)), "every half-link has its reverse");
