@@ -8,14 +8,15 @@
 //!   candidate, replaying the recorded workload; [`replay_candidates`] is
 //!   that for a list of candidates, one after the other, a panic contained
 //!   per candidate — the reference the joint replay is held to, and the
-//!   path of whatever it does not model;
+//!   path of every candidate it hands back;
 //! - [`ks`] — the two-sample Kolmogorov–Smirnov filter (α = 0.05, §5.3);
 //! - [`mqo`] — the §4.4 multi-query optimization: one tagged joint replay
 //!   for all candidates, with rule-copy coalescing and flow tables shared
 //!   across candidates until a FlowMod tells them apart. It names the
-//!   candidates it cannot answer for ([`mqo::JointReplay::diverged`]);
-//!   property tests pin the correctness claim for the rest: per-tag
-//!   results equal sequential results.
+//!   candidates it cannot answer for ([`mqo::JointReplay::diverged`]) —
+//!   all of them under a fault plan, which it does not model; property
+//!   tests pin the correctness claim for the rest: per-tag results equal
+//!   sequential results.
 
 #![warn(missing_docs)]
 
@@ -25,7 +26,7 @@ pub mod replay;
 
 pub use ks::{ks_coefficient, ks_two_sample, KsResult};
 pub use mqo::{
-    build_tagged_program, mqo_replay, mqo_replay_deltas, mqo_supported, tagged_program, JointReplay,
+    build_tagged_program, mqo_replay, mqo_replay_deltas, tagged_program, JointReplay,
     TagSet, TaggedProgram, TaggedVariant,
 };
 pub use replay::{

@@ -125,24 +125,27 @@
 //!   for appearing, not for joining;
 //! - a *rule that does not compile, or aggregates*: a candidate's own
 //!   copies are checked up front (the reference refuses the whole
-//!   program), a borrowed base rule when a delta first reaches it;
+//!   program), a borrowed base rule — an aggregate of the base among them
+//!   — when a delta first reaches it;
 //! - a *step that draws an `f_unique` id*: the engine never files such a
 //!   step, and each candidate would draw from its own counter;
 //! - a *step over the engine's budget*: more matches than
 //!   `setup.engine.max_derivations`, where the reference fails.
 //!
-//! Callers replay those per candidate ([`crate::replay_candidates`];
-//! [`mqo_replay`] does it itself). For the rest the claim is the whole
-//! `SimStats` of a sequential replay (`tests/prop_mqo.rs`), and
-//! [`mqo_supported`] is the one whole-run condition: an aggregate in the
-//! *base*. DESIGN.md, "Backtesting", has the reasons.
-//!
 //! The joint network has no clock and no faults. Flights advance one hop
 //! round at a time and a round's punts are evaluated after its lookups,
 //! where the simulator orders events by time; the two agree as long as a
 //! candidate never has two copies of one packet racing for the controller
-//! — entries the codec decodes never copy a packet. Fault plans are not
-//! modelled: the debugger backtests per candidate under one.
+//! — entries the codec decodes never copy a packet. So under a fault plan
+//! (`setup.config.faults`) the replay names every candidate up front and
+//! forwards nothing.
+//!
+//! Callers replay the named candidates per candidate
+//! ([`crate::replay_candidates`]; [`mqo_replay`] does it itself). For the
+//! rest the claim is the whole `SimStats` of a sequential replay
+//! (`tests/prop_mqo.rs`). An aggregate in the base is a rule like any
+//! other: the candidates a delta brings to it are named, the rest stay.
+//! DESIGN.md, "Backtesting", has the reasons.
 
 use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
@@ -184,11 +187,6 @@ pub struct TaggedProgram<'a> {
     pub n: usize,
     /// How many candidate rule copies were merged by coalescing.
     pub coalesced: usize,
-}
-
-/// Can this program be backtested by the tagged evaluator?
-pub fn mqo_supported(program: &Program) -> bool {
-    program.rules.iter().all(|r| !r.is_aggregate())
 }
 
 /// Build the backtesting program for the candidates `deltas` describe
@@ -880,7 +878,8 @@ impl InjectionMemo {
 /// derived from `base`, on the setup's seeds; the outcomes only, those of
 /// [`JointReplay::diverged`] taken from one reference replay each. A
 /// candidate the reference refuses too (a rule of it does not compile)
-/// keeps the joint outcome — that of the candidate without the rule.
+/// keeps the joint outcome — that of the candidate without the rule, or
+/// under a fault plan an empty one.
 pub fn mqo_replay(
     setup: &BacktestSetup,
     base: &Program,
@@ -966,9 +965,9 @@ fn tagged_seeds<'s>(
 /// `base` with `deltas[i]`, plus the manual entries `extra_flows[i]`, its
 /// controller seeded with `seeds[i]` (`None`, or no entry: `setup.seeds`).
 ///
-/// The joint network is fault-free: `setup.config.faults` is not
-/// modelled, so callers backtesting under a fault plan replay per
-/// candidate ([`crate::replay_candidates`]).
+/// The joint network is fault-free: under a fault plan every candidate is
+/// in [`JointReplay::diverged`], its outcome empty, and nothing is
+/// forwarded (module docs, "Scope").
 pub fn mqo_replay_deltas(
     setup: &BacktestSetup,
     base: &Program,
@@ -977,12 +976,13 @@ pub fn mqo_replay_deltas(
     seeds: &[Option<Vec<Tuple>>],
 ) -> JointReplay {
     let n = deltas.len();
-    if n == 0 {
-        return JointReplay::default();
+    let full: TagSet = if n == 0 { 0 } else { (!0u64) >> (64 - n) };
+    if n == 0 || !setup.config.faults.is_empty() {
+        let outcomes = vec![ReplayOutcome::of(SimStats::default()); n];
+        return JointReplay { outcomes, diverged: full, ..JointReplay::default() };
     }
     let topo: &Topology = &setup.topology;
     let mut tables = TaggedTables { topo, by_switch: BTreeMap::new(), installs: 0 };
-    let full: TagSet = (!0u64) >> (64 - n);
     let tagged = tagged_program(base, deltas);
     let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
     for (seed, tags) in tagged_seeds(&setup.seeds, seeds.get(..n).unwrap_or(seeds), full) {
@@ -1597,13 +1597,6 @@ mod tests {
         }
         let tags: Vec<TagSet> = joint.iter().map(|(_, tags)| *tags).collect();
         assert_eq!(tags, [0b00011, 0b01101, 0b01111, 0b00100, 0b01000]);
-    }
-
-    #[test]
-    fn mqo_supported_detects_aggregates() {
-        assert!(mqo_supported(&fig2_program()));
-        let agg = parse_program("agg", "r1 B(@N,a_count<X>) :- A(@N,X).").unwrap();
-        assert!(!mqo_supported(&agg));
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! and **replay** (the buggy baseline plus candidate backtests).
 
 use crate::explore::{generate_existing, generate_missing, World};
-use crate::repair::{Candidate, Repair};
+use crate::repair::{Candidate, Repair, ReplayInput};
 use crate::scenarios::{Scenario, Symptom};
 use mpr_backtest::ks::{ks_two_sample, KsResult};
-use mpr_backtest::mqo::{mqo_replay_deltas, mqo_supported, ExtraFlows};
+use mpr_backtest::mqo::{mqo_replay_deltas, TagSet};
 use mpr_backtest::replay::{drive, replay_candidates, BacktestSetup, CandidateRun, ReplayOutcome};
-use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
+use mpr_ndlog::patch::Edit;
+use mpr_ndlog::ProgramOutline;
 use mpr_runtime::{ExecLog, Options as EngineOptions};
 use mpr_trace::workload::Injection;
 use std::sync::Arc;
@@ -73,12 +74,14 @@ pub struct RepairReport {
     pub trees: u64,
     /// Explorer counters.
     pub pools_solved: u64,
-    /// The candidates were backtested jointly, in one replay (§4.4), not
-    /// by one reference replay each.
+    /// The joint replay (§4.4) answered for at least one candidate itself.
+    /// False where it handed back every candidate — under a fault plan, or
+    /// with none to backtest.
     pub backtested_jointly: bool,
-    /// How many candidates of a joint backtest the replay handed back —
-    /// they met something it does not mirror — and one reference replay
-    /// each answered for.
+    /// How many candidates the joint replay handed back — they met
+    /// something it does not mirror — and one reference replay each
+    /// answered for. Under a fault plan that is every candidate whose
+    /// patch applies.
     pub handed_back: usize,
 }
 
@@ -129,8 +132,6 @@ pub struct Debugger {
     /// The scenario's workload: one copy, which every [`BacktestSetup`]
     /// this debugger makes shares.
     workload: Arc<Vec<Injection>>,
-    /// Use the §4.4 multi-query optimizer for joint backtesting.
-    pub use_mqo: bool,
     /// Engine options for the observation run and every sequential
     /// backtest replay (strategy, durability, …). The kill-and-restart
     /// harness points this at a WAL so crashes mid-loop are recoverable.
@@ -144,12 +145,13 @@ impl Debugger {
         Debugger {
             workload: Arc::new(std::mem::take(&mut scenario.workload)),
             scenario,
-            use_mqo: true,
             engine_options: EngineOptions::default(),
         }
     }
 
-    fn setup(&self) -> BacktestSetup {
+    /// The network, workload, seeds and engine options every run of this
+    /// debugger replays on.
+    pub fn setup(&self) -> BacktestSetup {
         BacktestSetup {
             topology: self.scenario.topology.clone(),
             codec: self.scenario.codec.clone(),
@@ -206,77 +208,25 @@ impl Debugger {
 
         // --- candidate generation -------------------------------------
         let t_gen = Instant::now();
-        let (candidates, stats) = match &self.scenario.symptom {
+        let (mut candidates, stats) = match &self.scenario.symptom {
             Symptom::Missing(pattern) => generate_missing(&world, pattern),
             Symptom::Existing(tuple) => generate_existing(&world, tuple),
         };
-        let candidates: Vec<Candidate> = if self.scenario.op_repairs {
-            candidates
-        } else {
+        if !self.scenario.op_repairs {
             // Pyretic's `match` is equality-only (§5.8): operator
             // mutations are not expressible repairs in this language.
-            candidates
-                .into_iter()
-                .filter(|c| match &c.repair {
-                    Repair::Patch(p) => !p
-                        .edits
-                        .iter()
-                        .any(|e| matches!(e, mpr_ndlog::patch::Edit::SetSelectionOp { .. })),
-                    _ => true,
-                })
-                .collect()
-        };
+            let op_edit = |e: &Edit| matches!(e, Edit::SetSelectionOp { .. });
+            candidates.retain(|c| !matches!(&c.repair, Repair::Patch(p) if p.edits.iter().any(op_edit)));
+        }
         let gen_total = t_gen.elapsed();
         let solving = Duration::from_nanos(stats.solver_ns.min(u64::MAX as u128) as u64);
         let patch_generation = gen_total.saturating_sub(solving);
 
         // --- backtesting ------------------------------------------------
         let t_back = Instant::now();
-        let setup = self.setup();
-        let (outcomes_raw, handed_back) = self.backtest(&setup, &candidates)?;
+        let (outcomes, handed_back, backtested_jointly) = self.backtest(&candidates)?;
         let replay_time = recording.run_time + t_back.elapsed();
-
-        let alpha = 0.05;
-        let mut outcomes: Vec<CandidateOutcome> = Vec::new();
-        for (cand, outcome) in candidates.into_iter().zip(outcomes_raw.into_iter()) {
-            match outcome {
-                Some(out) => {
-                    let effective = self.scenario.effect.holds(&out.stats);
-                    let ks = ks_two_sample(&baseline.delivered, &out.delivered, alpha);
-                    // §4.3: operators can add metrics beyond the traffic
-                    // distribution; Table 6c rejects Q4 candidates for
-                    // "significant increases of controller traffic".
-                    let controller_ok =
-                        out.stats.packet_ins <= baseline.stats.packet_ins * 3 + 10;
-                    let accepted = effective && ks.accepted() && controller_ok;
-                    outcomes.push(CandidateOutcome { candidate: cand, effective, ks, accepted });
-                }
-                None => {
-                    let ks = ks_two_sample(&baseline.delivered, &baseline.delivered, alpha);
-                    outcomes.push(CandidateOutcome {
-                        candidate: cand,
-                        effective: false,
-                        ks,
-                        accepted: false,
-                    });
-                }
-            }
-        }
-        // Presentation order: complexity (cost) first, then side-effect
-        // size (§4.3: "the metrics can be used to rank the repairs").
-        let mut accepted: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.accepted)
-            .map(|(i, _)| i)
-            .collect();
-        accepted.sort_by(|&a, &b| {
-            outcomes[a]
-                .candidate
-                .cost
-                .cmp(&outcomes[b].candidate.cost)
-                .then(outcomes[a].ks.d.partial_cmp(&outcomes[b].ks.d).unwrap_or(std::cmp::Ordering::Equal))
-        });
+        let (outcomes, accepted) = self.judge(baseline, candidates, outcomes);
 
         Ok(RepairReport {
             scenario: self.scenario.id.clone(),
@@ -292,89 +242,111 @@ impl Debugger {
             baseline: baseline.clone(),
             trees: stats.trees,
             pools_solved: stats.pools_solved,
-            backtested_jointly: handed_back.is_some(),
-            handed_back: handed_back.unwrap_or(0),
+            backtested_jointly,
+            handed_back,
         })
     }
 
-    /// Backtest every candidate, and say whether they went through the
-    /// joint replay — `Some(how many of them it handed back)`. A `None`
-    /// outcome marks a candidate whose patch does not apply or whose
-    /// program does not run (it is reported as ineffective).
+    /// The verdicts on backtested candidates (`None`: the patch does not
+    /// apply, or the program does not run — ineffective). A candidate is
+    /// accepted when it is effective, KS-indistinguishable from `baseline`
+    /// at α = 0.05, and sends no more than 3 × + 10 the baseline's
+    /// packet-ins. Returns every candidate's outcome, and the accepted ones
+    /// in presentation order.
+    pub fn judge(
+        &self,
+        baseline: &ReplayOutcome,
+        candidates: Vec<Candidate>,
+        outcomes: Vec<Option<ReplayOutcome>>,
+    ) -> (Vec<CandidateOutcome>, Vec<usize>) {
+        let outcomes: Vec<CandidateOutcome> = (candidates.into_iter().zip(outcomes))
+            .map(|(candidate, out)| {
+                let out = out.as_ref();
+                let effective = out.is_some_and(|o| self.scenario.effect.holds(&o.stats));
+                let delivered = out.map_or(&baseline.delivered, |o| &o.delivered);
+                let ks = ks_two_sample(&baseline.delivered, delivered, 0.05);
+                // §4.3: operators can add metrics beyond the traffic
+                // distribution; Table 6c rejects Q4 candidates for
+                // "significant increases of controller traffic".
+                let quiet = out.is_some_and(|o| o.stats.packet_ins <= baseline.stats.packet_ins * 3 + 10);
+                let accepted = effective && ks.accepted() && quiet;
+                CandidateOutcome { candidate, effective, ks, accepted }
+            })
+            .collect();
+        // Presentation order: complexity (cost) first, then side-effect
+        // size (§4.3: "the metrics can be used to rank the repairs").
+        let mut accepted: Vec<usize> = (0..outcomes.len()).filter(|&i| outcomes[i].accepted).collect();
+        accepted.sort_by(|&a, &b| {
+            let (a, b) = (&outcomes[a], &outcomes[b]);
+            a.candidate.cost.cmp(&b.candidate.cost).then(a.ks.d.partial_cmp(&b.ks.d).unwrap_or(std::cmp::Ordering::Equal))
+        });
+        (outcomes, accepted)
+    }
+
+    /// Backtest every candidate: its outcome (`None` where its patch does
+    /// not apply or its program does not run), how many candidates the
+    /// joint replay handed back, and whether it answered for any itself.
     ///
-    /// A candidate is read as what it changes: a [`RuleDelta`] of the
-    /// program, manual flow entries, and — only for a tuple repair that
-    /// alters them — seeds of its own. The joint replay is built from
-    /// that; whole programs and seed sets are made only for the reference,
-    /// which replays everyone when the joint replay does not model the
-    /// run, and otherwise whom it hands back.
-    fn backtest(
+    /// One joint replay per tag set's worth of candidates, each read as
+    /// what it changes ([`Repair::replay_input`]); the joint replay names
+    /// whom it does not answer for, and the reference
+    /// ([`Self::replay_each`]) replays just those. A candidate whose patch
+    /// does not apply rides along as the base program, and its outcome is
+    /// dropped.
+    fn backtest(&self, candidates: &[Candidate]) -> Result<(Vec<Option<ReplayOutcome>>, usize, bool), String> {
+        let (setup, base) = (self.setup(), &self.scenario.program);
+        let outline = ProgramOutline::new(base)?;
+        let mut outs: Vec<Option<ReplayOutcome>> = Vec::with_capacity(candidates.len());
+        let (mut handed_back, mut jointly) = (0, false);
+        for slice in candidates.chunks(TagSet::BITS as usize) {
+            let (mut deltas, mut applies, mut extra, mut seeds) = (vec![], vec![], vec![], vec![]);
+            for c in slice {
+                let ReplayInput { delta, extra_flows, seeds: own } = c.repair.replay_input(base, &outline, &setup);
+                applies.push(delta.is_ok());
+                deltas.push(delta.unwrap_or_default());
+                extra.push(extra_flows);
+                seeds.push(own);
+            }
+            let joint = mqo_replay_deltas(&setup, base, &deltas, &extra, &seeds);
+            let named: Vec<usize> = (0..slice.len()).filter(|&i| applies[i] && joint.diverged >> i & 1 == 1).collect();
+            let at = outs.len();
+            outs.extend((joint.outcomes.into_iter().zip(&applies)).map(|(out, &a)| a.then_some(out)));
+            for (&i, own) in named.iter().zip(self.reference(&setup, &outline, named.iter().map(|&i| &slice[i]))) {
+                outs[at + i] = own;
+            }
+            handed_back += named.len();
+            jointly |= named.len() < applies.iter().filter(|&&a| a).count();
+        }
+        Ok((outs, handed_back, jointly))
+    }
+
+    /// The per-candidate reference: each candidate read as the joint
+    /// replay reads it ([`Repair::replay_input`]) and replayed on its own
+    /// ([`replay_candidates`]); `None` where its patch does not apply or its
+    /// program does not run. The backtest runs it for the candidates the
+    /// joint replay hands back.
+    pub fn replay_each<'c>(
+        &self,
+        candidates: impl IntoIterator<Item = &'c Candidate>,
+    ) -> Result<Vec<Option<ReplayOutcome>>, String> {
+        Ok(self.reference(&self.setup(), &ProgramOutline::new(&self.scenario.program)?, candidates))
+    }
+
+    fn reference<'c>(
         &self,
         setup: &BacktestSetup,
-        candidates: &[Candidate],
-    ) -> Result<(Vec<Option<ReplayOutcome>>, Option<usize>), String> {
+        outline: &ProgramOutline<'_>,
+        candidates: impl IntoIterator<Item = &'c Candidate>,
+    ) -> Vec<Option<ReplayOutcome>> {
         let base = &self.scenario.program;
-        let outline = ProgramOutline::new(base)?;
-        // A candidate whose patch does not apply has nothing to replay: it
-        // rides along as the base program and its outcome is dropped.
-        let mut deltas: Vec<RuleDelta> = Vec::new();
-        let mut applies: Vec<bool> = Vec::new();
-        let mut extra: Vec<ExtraFlows> = Vec::new();
-        let mut seed_sets: Vec<Option<Vec<Tuple>>> = Vec::new();
-        for c in candidates {
-            let mut flows: ExtraFlows = Vec::new();
-            let mut seeds = None;
-            match &c.repair {
-                Repair::Patch(_) => {}
-                // A hand-installed entry sits at priority 50, above the
-                // reactive ones.
-                Repair::InsertTuple(t) if setup.codec.is_output(&t.table) => {
-                    flows.extend(setup.codec.flow_entry(t, 50));
-                }
-                other => {
-                    let mut adjusted = setup.seeds.clone();
-                    other.adjust_seeds(&mut adjusted);
-                    seeds = (adjusted != setup.seeds).then_some(adjusted);
-                }
-            }
-            let delta = c.repair.delta(base, &outline);
-            applies.push(delta.is_ok());
-            deltas.push(delta.unwrap_or_default());
-            extra.push(flows);
-            seed_sets.push(seeds);
-        }
-        let reference = |which: &[usize]| {
-            let runs: Vec<CandidateRun> = which
-                .iter()
-                .map(|&i| CandidateRun {
-                    program: applies[i].then(|| deltas[i].overlay(base)),
-                    seeds: seed_sets[i].clone().unwrap_or_else(|| setup.seeds.clone()),
-                    extra_flows: extra[i].clone(),
-                })
-                .collect();
-            replay_candidates(setup, &runs)
-        };
-        // The joint network has no clock and no faults, and the baseline
-        // was observed under `setup.config`: with a fault plan the
-        // candidates must meet the same faults, one simulator each. Its
-        // controller does not aggregate.
-        let fault_free = setup.config.faults.is_empty();
-        if !(self.use_mqo && fault_free && candidates.len() <= 64 && mqo_supported(base)) {
-            return Ok((reference(&(0..candidates.len()).collect::<Vec<_>>()), None));
-        }
-        let joint = mqo_replay_deltas(setup, base, &deltas, &extra, &seed_sets);
-        // What the joint replay met and does not mirror, it hands back:
-        // the joint outcome of a diverged candidate goes no further.
-        let diverged = |i: usize| joint.diverged >> i & 1 == 1;
-        let mut outs: Vec<Option<ReplayOutcome>> = (joint.outcomes.into_iter().enumerate())
-            .map(|(i, out)| (applies[i] && !diverged(i)).then_some(out))
+        let runs: Vec<CandidateRun> = (candidates.into_iter())
+            .map(|c| {
+                let input = c.repair.replay_input(base, outline, setup);
+                let seeds = input.seeds.unwrap_or_else(|| setup.seeds.clone());
+                CandidateRun { program: input.delta.ok().map(|d| d.overlay(base)), seeds, extra_flows: input.extra_flows }
+            })
             .collect();
-        let handed_back: Vec<usize> = (0..outs.len()).filter(|&i| applies[i] && diverged(i)).collect();
-        for (i, own) in handed_back.iter().zip(reference(&handed_back)) {
-            debug_assert!(outs[*i].is_none(), "candidate {i} diverged, and its joint outcome was kept");
-            outs[*i] = own;
-        }
-        Ok((outs, Some(handed_back.len())))
+        replay_candidates(setup, &runs)
     }
 }
 
@@ -398,7 +370,7 @@ pub fn repair_scenario(scenario: &Scenario) -> RepairReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpr_ndlog::Value as V;
+    use mpr_ndlog::{Tuple, Value as V};
 
     #[test]
     fn q1_produces_paper_shaped_results() {
@@ -495,10 +467,10 @@ mod tests {
         let broken =
             hand_built(Repair::Patch(Patch::single(Edit::DeleteRule { rule: "no-such-rule".into() })));
         let unseeded = hand_built(Repair::DeleteTuple(setup.seeds[0].clone()));
-        let (with, jointly) =
-            dbg.backtest(&setup, &[first.clone(), broken, unseeded, last.clone()]).unwrap();
-        let (without, _) = dbg.backtest(&setup, &[first, last]).unwrap();
-        assert_eq!(jointly, Some(0), "the three good candidates replay jointly, none handed back");
+        let (with, handed_back, jointly) =
+            dbg.backtest(&[first.clone(), broken, unseeded, last.clone()]).unwrap();
+        let (without, ..) = dbg.backtest(&[first, last]).unwrap();
+        assert_eq!((handed_back, jointly), (0, true), "the three good candidates replay jointly, none handed back");
         assert!(with[1].is_none(), "the broken candidate has no outcome");
         assert!(without.iter().all(Option::is_some));
         assert_eq!([stats(&with[0]), stats(&with[3])], [stats(&without[0]), stats(&without[1])]);
@@ -523,8 +495,8 @@ mod tests {
             hand_built(Repair::InsertTuple(balancer(80, 3))),
             last,
         ];
-        let (joint, handed_back) = dbg.backtest(&setup, &candidates).unwrap();
-        assert_eq!(handed_back, Some(1));
+        let (joint, handed_back, _) = dbg.backtest(&candidates).unwrap();
+        assert_eq!(handed_back, 1);
         let runs: Vec<CandidateRun> = candidates
             .iter()
             .map(|c| {
@@ -545,26 +517,83 @@ mod tests {
         assert!(flow_mods[1..5].iter().any(|&n| n != flow_mods[2]), "{flow_mods:?}");
     }
 
+    /// Per candidate: description, effective, KS distance, accepted.
+    fn verdicts(outcomes: &[CandidateOutcome]) -> Vec<(String, bool, f64, bool)> {
+        outcomes.iter().map(|o| (o.candidate.description.clone(), o.effective, o.ks.d, o.accepted)).collect()
+    }
+
     #[test]
     fn mqo_and_sequential_agree_on_acceptance() {
-        let scenario = Scenario::q1_copy_paste();
-        let mut d1 = Debugger::for_scenario(&scenario);
-        d1.use_mqo = true;
-        let r1 = d1.diagnose_and_repair().unwrap();
-        let mut d2 = Debugger::for_scenario(&scenario);
-        d2.use_mqo = false;
-        let r2 = d2.diagnose_and_repair().unwrap();
-        assert!(r1.backtested_jointly && !r2.backtested_jointly);
-        let a1: Vec<String> = r1
-            .accepted
-            .iter()
-            .map(|&i| r1.outcomes[i].candidate.description.clone())
-            .collect();
-        let a2: Vec<String> = r2
-            .accepted
-            .iter()
-            .map(|&i| r2.outcomes[i].candidate.description.clone())
-            .collect();
-        assert_eq!(a1, a2);
+        let mut dbg = Debugger::for_scenario(&Scenario::q1_copy_paste());
+        let report = dbg.diagnose_and_repair().unwrap();
+        assert!(report.backtested_jointly);
+        let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
+        let reference = dbg.replay_each(&candidates).unwrap();
+        let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, reference);
+        assert_eq!(verdicts(&report.outcomes), verdicts(&outcomes));
+        assert_eq!(report.accepted, accepted);
+    }
+
+    /// An aggregate in the base program is a rule like any other: the
+    /// candidates whose traffic reaches it are handed back, one that deletes
+    /// it stays joint, and the verdicts are the reference's.
+    #[test]
+    fn the_candidates_that_reach_an_aggregate_are_handed_back() {
+        use mpr_ndlog::patch::{Edit, Patch};
+        let mut scenario = Scenario::q1_copy_paste();
+        let count = mpr_ndlog::parse_program(
+            "agg",
+            "seen Seen(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr).\n\
+             agg Punts(@C,Swi,a_count<Hdr>) :- Seen(@C,Swi,Hdr).",
+        )
+        .unwrap();
+        Arc::make_mut(&mut scenario.program).rules.extend(count.rules);
+        let mut dbg = Debugger::for_scenario(&scenario);
+        let (_, _, [first, last]) = q1_with_two_patches();
+        let unaggregated = hand_built(Repair::Patch(Patch::single(Edit::DeleteRule { rule: "agg".into() })));
+        let candidates = [first, unaggregated, last];
+        let (joint, handed_back, jointly) = dbg.backtest(&candidates).unwrap();
+        assert_eq!((handed_back, jointly), (2, true));
+        let reference = dbg.replay_each(&candidates).unwrap();
+        assert!(reference.iter().all(Option::is_some));
+        assert_eq!(joint.iter().map(stats).collect::<Vec<_>>(), reference.iter().map(stats).collect::<Vec<_>>());
+
+        let report = dbg.diagnose_and_repair().unwrap();
+        assert_eq!(report.handed_back, report.generated(), "every first packet-in reaches the count");
+        assert!(!report.backtested_jointly);
+        let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
+        let reference = dbg.replay_each(&candidates).unwrap();
+        let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, reference);
+        assert_eq!(verdicts(&report.outcomes), verdicts(&outcomes));
+        assert_eq!(report.accepted, accepted);
+    }
+
+    /// More candidates than a tag set holds: one joint replay per 64, the
+    /// hand-backs of both named, and every outcome the reference's.
+    #[test]
+    fn more_candidates_than_a_tag_set_holds_ride_two_joint_replays() {
+        let (dbg, setup, [first, last]) = q1_with_two_patches();
+        let seed = setup.seeds[0].clone();
+        let balancer = |hdr: i64, prt: i64| Tuple::new("WebLoadBalancer", seed.loc.clone(), vec![V::Int(hdr), V::Int(prt)]);
+        let kinds = [
+            first,
+            hand_built(Repair::InsertTuple(balancer(53, 3))),
+            hand_built(Repair::DeleteTuple(seed.clone())),
+            hand_built(Repair::ChangeTuple { from: seed.clone(), to: balancer(80, 3) }),
+            // Handed back, as in `tuple_repairs_ride_the_joint_replay`.
+            hand_built(Repair::InsertTuple(balancer(80, 3))),
+            last,
+        ];
+        let candidates: Vec<Candidate> = (0..70).map(|i| kinds[i % kinds.len()].clone()).collect();
+        let (joint, handed_back, jointly) = dbg.backtest(&candidates).unwrap();
+        // Eleven are the handed-back kind: 4, 10, …, 58 in the first
+        // replay, 64 in the second.
+        assert_eq!((handed_back, jointly), (11, true));
+        assert_eq!(dbg.backtest(&candidates[64..]).unwrap().1, 1);
+        let reference = dbg.replay_each(&candidates).unwrap();
+        assert!(reference.iter().all(Option::is_some));
+        for (i, (got, want)) in joint.iter().zip(&reference).enumerate() {
+            assert_eq!(stats(got), stats(want), "candidate {i}: {:?}", candidates[i].repair);
+        }
     }
 }

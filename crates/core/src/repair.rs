@@ -1,5 +1,7 @@
 //! Repair candidates — the output of the meta provenance search.
 
+use mpr_backtest::mqo::ExtraFlows;
+use mpr_backtest::replay::BacktestSetup;
 use mpr_ndlog::{Patch, PatchError, Program, ProgramOutline, RuleDelta, Tuple};
 use std::fmt;
 
@@ -27,27 +29,10 @@ pub enum Repair {
 }
 
 impl Repair {
-    /// What the repair changes in `base`, rule by rule (a tuple repair
-    /// changes nothing). This is how the debugger reads a candidate: the
-    /// delta is the syntax check, and what the joint backtest is built
-    /// from, at a cost that follows the rules the repair touches.
-    /// `outline` is `base`'s, built once for all candidates.
-    pub fn delta(
-        &self,
-        base: &Program,
-        outline: &ProgramOutline<'_>,
-    ) -> Result<RuleDelta, PatchError> {
-        match self {
-            Repair::Patch(p) => p.delta(base, outline),
-            _ => Ok(RuleDelta::default()),
-        }
-    }
-
-    /// The patched program, whole (for a tuple repair, a copy of `base`):
-    /// [`Repair::delta`] overlaid on a clone. For whoever must compile or
-    /// print the repaired program — the per-candidate reference replay,
-    /// the examples. The debugger applies a whole program only when it
-    /// falls back to that replay.
+    /// The patched program, whole (for a tuple repair, a copy of `base`).
+    /// For whoever must compile or print the repaired program — the
+    /// examples, the tests' oracles; a backtest reads the repair as
+    /// [`Repair::replay_input`].
     pub fn apply(&self, base: &Program) -> Result<Program, PatchError> {
         match self {
             Repair::Patch(p) => p.apply(base),
@@ -68,6 +53,41 @@ impl Repair {
             }
         }
     }
+
+    /// How a backtest replays the repair on `setup`, jointly or on its
+    /// own: a patch as what it changes in `base`, rule by rule (`outline`
+    /// is `base`'s, built once for all candidates) — the syntax check, and
+    /// what the joint replay is built from; a tuple inserted into an output
+    /// table as a hand-installed flow entry at priority 50 (above the
+    /// reactive ones); any other tuple repair as seeds of its own, only
+    /// when they differ from `setup.seeds`.
+    pub fn replay_input(&self, base: &Program, outline: &ProgramOutline<'_>, setup: &BacktestSetup) -> ReplayInput {
+        let mut input = ReplayInput { delta: Ok(RuleDelta::default()), extra_flows: Vec::new(), seeds: None };
+        match self {
+            Repair::Patch(p) => input.delta = p.delta(base, outline),
+            Repair::InsertTuple(t) if setup.codec.is_output(&t.table) => {
+                input.extra_flows.extend(setup.codec.flow_entry(t, 50));
+            }
+            other => {
+                let mut seeds = setup.seeds.clone();
+                other.adjust_seeds(&mut seeds);
+                input.seeds = (seeds != setup.seeds).then_some(seeds);
+            }
+        }
+        input
+    }
+}
+
+/// A repair as a backtest replays it ([`Repair::replay_input`]).
+#[derive(Debug, Clone)]
+pub struct ReplayInput {
+    /// What it changes in the base program, or why its patch does not
+    /// apply.
+    pub delta: Result<RuleDelta, PatchError>,
+    /// Its hand-installed flow entries.
+    pub extra_flows: ExtraFlows,
+    /// Its own seeds; `None` replays the setup's.
+    pub seeds: Option<Vec<Tuple>>,
 }
 
 /// A repair candidate with its plausibility cost and the meta-provenance

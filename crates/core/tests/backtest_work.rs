@@ -6,15 +6,15 @@
 //! patched programs replayed one by one.
 
 use mpr_backtest::mqo::tagged_program;
-use mpr_core::debugger::{Debugger, RepairReport};
+use mpr_core::debugger::{CandidateOutcome, Debugger};
+use mpr_core::repair::Candidate;
 use mpr_core::scenarios::Scenario;
 use mpr_ndlog::{ProgramOutline, RuleDelta};
 use std::borrow::Cow;
 
 /// Per candidate: description, cost, effective, KS distance, accepted.
-fn verdicts(report: &RepairReport) -> Vec<(String, u32, bool, f64, bool)> {
-    report
-        .outcomes
+fn verdicts(outcomes: &[CandidateOutcome]) -> Vec<(String, u32, bool, f64, bool)> {
+    outcomes
         .iter()
         .map(|o| (o.candidate.description.clone(), o.candidate.cost, o.effective, o.ks.d, o.accepted))
         .collect()
@@ -24,16 +24,17 @@ fn verdicts(report: &RepairReport) -> Vec<(String, u32, bool, f64, bool)> {
 /// rules, coalesced copies)` of the backtesting program.
 fn backtest_work(lines: usize) -> (usize, usize, usize) {
     let s = Scenario::q1_padded(lines);
-    let report = Debugger::for_scenario(&s).diagnose_and_repair().unwrap();
+    let mut dbg = Debugger::for_scenario(&s);
+    let report = dbg.diagnose_and_repair().unwrap();
     assert!(report.backtested_jointly, "{lines}: the candidates replay jointly");
     assert_eq!(report.handed_back, 0, "{lines}: and none is handed back");
 
     // The backtesting program, as the debugger builds it.
-    let outline = ProgramOutline::new(&s.program).unwrap();
+    let (outline, setup) = (ProgramOutline::new(&s.program).unwrap(), dbg.setup());
     let deltas: Vec<RuleDelta> = report
         .outcomes
         .iter()
-        .map(|o| o.candidate.repair.delta(&s.program, &outline).expect("candidate applies"))
+        .map(|o| o.candidate.repair.replay_input(&s.program, &outline, &setup).delta.expect("candidate applies"))
         .collect();
     let tagged = tagged_program(&s.program, &deltas);
     let owned = tagged.variants.iter().filter(|v| matches!(v.rule, Cow::Owned(_))).count();
@@ -42,14 +43,13 @@ fn backtest_work(lines: usize) -> (usize, usize, usize) {
     assert_eq!(tagged.variants.len() - owned, s.program.rules.len(), "{lines}: every base rule once, borrowed");
     assert!(owned <= 2 * deltas.len(), "{lines}: {owned} owned rules for {} candidates", deltas.len());
 
-    // The same repair with every candidate applied to a whole program and
-    // replayed on its own.
-    let mut reference = Debugger::for_scenario(&s);
-    reference.use_mqo = false;
-    let reference = reference.diagnose_and_repair().unwrap();
-    assert!(!reference.backtested_jointly);
-    assert_eq!(verdicts(&report), verdicts(&reference), "{lines}");
-    assert_eq!(report.accepted, reference.accepted, "{lines}");
+    // The same candidates, each applied to a whole program and replayed on
+    // its own, judged by the debugger.
+    let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
+    let reference = dbg.replay_each(&candidates).unwrap();
+    let (reference, accepted) = dbg.judge(&report.baseline, candidates, reference);
+    assert_eq!(verdicts(&report.outcomes), verdicts(&reference), "{lines}");
+    assert_eq!(report.accepted, accepted, "{lines}");
     (deltas.len(), owned, tagged.coalesced)
 }
 

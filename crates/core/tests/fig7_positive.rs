@@ -3,7 +3,7 @@
 //! or by rule-literal changes that break the offending derivation.
 
 use mpr_core::debugger::{repair_scenario, Debugger};
-use mpr_core::repair::Repair;
+use mpr_core::repair::{Candidate, Repair};
 use mpr_core::scenarios::Scenario;
 
 #[test]
@@ -52,26 +52,23 @@ fn positive_traces_walk_the_derivation() {
 /// Fig. 7's candidates include a tuple repair that takes a seed away —
 /// once enough to send every candidate through one reference replay each.
 /// They ride the joint replay, the seed tagged, and get the verdicts the
-/// reference gives.
+/// debugger gives the reference's outcomes.
 #[test]
 fn a_seed_perturbing_candidate_rides_the_joint_replay() {
     let scenario = Scenario::fig7_harmful_entry();
-    let joint = repair_scenario(&scenario);
+    let mut dbg = Debugger::for_scenario(&scenario);
+    let joint = dbg.diagnose_and_repair().unwrap();
     assert!(joint.backtested_jointly);
     assert_eq!(joint.handed_back, 0);
     assert!(joint.outcomes.iter().any(|o| matches!(o.candidate.repair, Repair::DeleteTuple(_))));
-    let mut reference = Debugger::for_scenario(&scenario);
-    reference.use_mqo = false;
-    let reference = reference.diagnose_and_repair().unwrap();
-    assert!(!reference.backtested_jointly);
-    let verdicts = |r: &mpr_core::debugger::RepairReport| -> Vec<(String, bool, bool, f64)> {
-        r.outcomes
-            .iter()
-            .map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d))
-            .collect()
+    let candidates: Vec<Candidate> = joint.outcomes.iter().map(|o| o.candidate.clone()).collect();
+    let reference = dbg.replay_each(&candidates).unwrap();
+    let (reference, accepted) = dbg.judge(&joint.baseline, candidates, reference);
+    let verdicts = |outcomes: &[mpr_core::debugger::CandidateOutcome]| -> Vec<(String, bool, bool, f64)> {
+        outcomes.iter().map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d)).collect()
     };
-    assert_eq!(verdicts(&joint), verdicts(&reference));
-    assert_eq!(joint.accepted, reference.accepted);
+    assert_eq!(verdicts(&joint.outcomes), verdicts(&reference));
+    assert_eq!(joint.accepted, accepted);
 }
 
 /// Fig. 7 with the cause overwritten before the run ends: once the

@@ -12,14 +12,14 @@
 use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows, JointReplay};
 use mpr_backtest::replay::{drive, replay_candidates, BacktestSetup, CandidateRun};
 use mpr_core::debugger::repair_scenario;
-use mpr_core::repair::Repair;
 use mpr_core::scenarios::Scenario;
 use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
 use mpr_sdn::flowtable::FlowEntry;
 use std::sync::Arc;
 
 /// The debugger's candidates for `s`, read as `Debugger::backtest` reads
-/// them: rule deltas, manual entries (priority 50), seeds of their own.
+/// them (`Repair::replay_input`): rule deltas, manual entries, seeds of
+/// their own where a repair changes them.
 struct Candidates {
     setup: BacktestSetup,
     deltas: Vec<RuleDelta>,
@@ -47,21 +47,10 @@ impl Candidates {
         let outline = ProgramOutline::new(&s.program).expect("the scenario's program is valid");
         let (mut deltas, mut extra, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
         for o in &repair_scenario(s).outcomes {
-            let repair = &o.candidate.repair;
-            deltas.push(repair.delta(&s.program, &outline).expect("candidate applies"));
-            let mut flows = ExtraFlows::new();
-            let mut own = None;
-            match repair {
-                Repair::Patch(_) => {}
-                Repair::InsertTuple(t) if s.codec.is_output(&t.table) => flows.extend(s.codec.flow_entry(t, 50)),
-                other => {
-                    let mut adjusted = s.seeds.clone();
-                    other.adjust_seeds(&mut adjusted);
-                    own = Some(adjusted);
-                }
-            }
-            extra.push(flows);
-            seeds.push(own);
+            let input = o.candidate.repair.replay_input(&s.program, &outline, &setup);
+            deltas.push(input.delta.expect("candidate applies"));
+            extra.push(input.extra_flows);
+            seeds.push(input.seeds);
         }
         Candidates { setup, deltas, extra, seeds }
     }

@@ -69,15 +69,6 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
 
     let report = repair_scenario(s);
     let outline = ProgramOutline::new(&s.program).expect("the scenario's program is valid");
-    let mut programs = Vec::new();
-    let mut deltas = Vec::new();
-    let mut extra: Vec<ExtraFlows> = Vec::new();
-    for o in &report.outcomes {
-        programs.push(o.candidate.repair.apply(&s.program).expect("candidate compiles"));
-        deltas.push(o.candidate.repair.delta(&s.program, &outline).expect("candidate applies"));
-        extra.push(manual_entry(s, &o.candidate.repair));
-    }
-    assert!(extra.iter().any(|e| !e.is_empty()), "{}: no manual-entry candidate", s.id);
     let setup = BacktestSetup {
         topology: s.topology.clone(),
         codec: s.codec.clone(),
@@ -87,6 +78,16 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
         proactive_routes: false,
         engine: mpr_runtime::Options::default(),
     };
+    let mut programs = Vec::new();
+    let mut deltas = Vec::new();
+    let mut extra: Vec<ExtraFlows> = Vec::new();
+    for o in &report.outcomes {
+        programs.push(o.candidate.repair.apply(&s.program).expect("candidate compiles"));
+        let input = o.candidate.repair.replay_input(&s.program, &outline, &setup);
+        deltas.push(input.delta.expect("candidate applies"));
+        extra.push(manual_entry(s, &o.candidate.repair));
+    }
+    assert!(extra.iter().any(|e| !e.is_empty()), "{}: no manual-entry candidate", s.id);
     let JointReplay { outcomes, diverged, footprint, .. } =
         mqo_replay_deltas(&setup, &s.program, &deltas, &extra, &[]);
     assert_eq!(outcomes.len(), programs.len());

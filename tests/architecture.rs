@@ -175,6 +175,10 @@ fn deleted_names_stay_deleted() {
         // The simulator's host counter, now `SimStats::arrive`, which the
         // joint replay counts with too.
         "arrive_host",
+        // The debugger's whole-run routes to the reference: the joint
+        // replay names every candidate it does not answer for.
+        "use_mqo",
+        "mqo_supported",
     ];
     // The root-level markdown files that describe the tree as it is; every
     // other one (CHANGES.md, ROADMAP.md, ...) is a log that may record a

@@ -2,10 +2,27 @@
 //! scenarios through diagnose → generate → backtest → rank, the §5.8
 //! cross-language invariants, and the §4.4 MQO consistency claim.
 
-use sdn_meta_repair::core::debugger::{repair_scenario, Debugger};
+use sdn_meta_repair::core::debugger::{repair_scenario, CandidateOutcome, Debugger, RepairReport};
+use sdn_meta_repair::core::repair::{Candidate, Repair};
 use sdn_meta_repair::core::scenarios::Scenario;
-use sdn_meta_repair::sdn::faults::LinkFault;
+use sdn_meta_repair::sdn::faults::{LinkFault, SwitchCrash};
 use sdn_meta_repair::sdn::NodeRef;
+
+/// Per candidate: description, effective, accepted, KS distance.
+type Verdicts = Vec<(String, bool, bool, f64)>;
+
+fn verdicts(outcomes: &[CandidateOutcome]) -> Verdicts {
+    outcomes.iter().map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d)).collect()
+}
+
+/// The debugger's verdicts on the per-candidate reference's outcomes of
+/// `report`'s candidates, and the accepted order.
+fn reference_verdicts(dbg: &Debugger, report: &RepairReport) -> (Verdicts, Vec<usize>) {
+    let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
+    let reference = dbg.replay_each(&candidates).unwrap();
+    let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, reference);
+    (verdicts(&outcomes), accepted)
+}
 
 #[test]
 fn the_reference_fix_is_generated_and_accepted_everywhere() {
@@ -36,9 +53,57 @@ fn the_reference_fix_is_generated_and_accepted_everywhere() {
 
 #[test]
 fn accepted_repairs_actually_heal_the_network() {
-    use sdn_meta_repair::backtest::replay::{replay_with_extra_flows, BacktestSetup};
+    // Each accepted candidate, read as the debugger reads it and replayed
+    // on its own network, heals: patches, and Q1's manual flow entry.
     let scenario = Scenario::q1_copy_paste();
-    let report = repair_scenario(&scenario);
+    let mut dbg = Debugger::for_scenario(&scenario);
+    let report = dbg.diagnose_and_repair().unwrap();
+    let accepted: Vec<&Candidate> = report.accepted.iter().map(|&i| &report.outcomes[i].candidate).collect();
+    assert!(accepted.iter().any(|c| matches!(c.repair, Repair::InsertTuple(_))), "{}", report.render_table());
+    for (candidate, out) in accepted.iter().zip(dbg.replay_each(accepted.iter().copied()).unwrap()) {
+        let out = out.unwrap_or_else(|| panic!("`{}` does not replay", candidate.description));
+        assert!(scenario.effect.holds(&out.stats), "accepted `{}` does not heal", candidate.description);
+    }
+}
+
+#[test]
+fn mqo_agrees_with_sequential_on_every_scenario() {
+    // §4.4 correctness: joint tagged backtesting must accept exactly the
+    // candidates sequential backtesting accepts, and give each the same
+    // verdict.
+    for scenario in Scenario::all() {
+        let mut dbg = Debugger::for_scenario(&scenario);
+        let report = dbg.diagnose_and_repair().unwrap();
+        let (reference, accepted) = reference_verdicts(&dbg, &report);
+        assert_eq!(report.accepted, accepted, "{}: MQO vs sequential acceptance differs", scenario.id);
+        assert_eq!(verdicts(&report.outcomes), reference, "{}", scenario.id);
+        // And the joint replay answered for every candidate itself — but
+        // for Q5's `Lip := 10`, which learns H1 behind whichever port spoke
+        // last: `Learned` is keyed on (switch, address), the engine
+        // replaces the port, and the candidate is handed back.
+        assert!(report.backtested_jointly, "{}", scenario.id);
+        assert_eq!(report.handed_back, usize::from(scenario.id == "Q5"), "{}", scenario.id);
+    }
+}
+
+/// The joint network has no faults: under a fault plan the joint replay
+/// names every candidate and forwards nothing, and `mqo_replay` and the
+/// debugger answer with the reference, which meets the faults. With S1
+/// dark for the whole run, the reference drops packets there and delivers
+/// nothing to the DNS server; a fault-free replay drops none and delivers
+/// DNS there.
+#[test]
+fn a_fault_plan_hands_every_candidate_back() {
+    use sdn_meta_repair::backtest::mqo::{mqo_replay, mqo_replay_deltas, JointWork};
+    use sdn_meta_repair::backtest::replay::BacktestSetup;
+    let mut scenario = Scenario::q1_copy_paste();
+    scenario.sim.faults.crashes.push(SwitchCrash { switch: 1, at: 0, down_for: 1_000_000_000 });
+    let mut dbg = Debugger::for_scenario(&scenario);
+    let report = dbg.diagnose_and_repair().unwrap();
+    assert!(!report.backtested_jointly);
+    assert_eq!(report.handed_back, report.generated());
+    assert_eq!((verdicts(&report.outcomes), report.accepted.clone()), reference_verdicts(&dbg, &report));
+
     let setup = BacktestSetup {
         topology: scenario.topology.clone(),
         codec: scenario.codec.clone(),
@@ -48,55 +113,24 @@ fn accepted_repairs_actually_heal_the_network() {
         proactive_routes: false,
         engine: sdn_meta_repair::runtime::Options::default(),
     };
-    for &i in &report.accepted {
-        let candidate = &report.outcomes[i].candidate;
-        let program = candidate.repair.apply(&scenario.program).unwrap();
-        let mut seeds = scenario.seeds.clone();
-        candidate.repair.adjust_seeds(&mut seeds);
-        // Manual flow-table insertions become pre-installed entries.
-        let extra: Vec<(i64, sdn_meta_repair::sdn::FlowEntry)> = Vec::new();
-        let mut s = setup.clone();
-        s.seeds = seeds;
-        let out = replay_with_extra_flows(&s, &program, &extra).unwrap();
-        if matches!(candidate.repair, sdn_meta_repair::core::repair::Repair::Patch(_)) {
-            assert!(
-                scenario.effect.holds(&out.stats),
-                "accepted patch `{}` does not heal",
-                candidate.description
-            );
-        }
-    }
-}
+    let base = &scenario.program;
+    let outline = sdn_meta_repair::ndlog::ProgramOutline::new(base).unwrap();
+    let candidates: Vec<&Candidate> = report.outcomes.iter().map(|o| &o.candidate).collect();
+    let inputs: Vec<_> = candidates.iter().map(|c| c.repair.replay_input(base, &outline, &setup)).collect();
+    assert!(inputs.iter().all(|i| i.seeds.is_none()), "Q1's candidates keep the seeds");
+    let deltas: Vec<_> = inputs.iter().map(|i| i.delta.clone().unwrap()).collect();
+    let extra: Vec<_> = inputs.iter().map(|i| i.extra_flows.clone()).collect();
+    let joint = mqo_replay_deltas(&setup, base, &deltas, &extra, &[]);
+    assert_eq!(joint.diverged, (1 << candidates.len()) - 1);
+    assert_eq!(joint.work, JointWork::default());
 
-#[test]
-fn mqo_agrees_with_sequential_on_every_scenario() {
-    // §4.4 correctness: joint tagged backtesting must accept exactly the
-    // candidates sequential backtesting accepts.
-    for scenario in Scenario::all() {
-        let mut with = Debugger::for_scenario(&scenario);
-        with.use_mqo = true;
-        let mut without = Debugger::for_scenario(&scenario);
-        without.use_mqo = false;
-        let a = with.diagnose_and_repair().unwrap();
-        let b = without.diagnose_and_repair().unwrap();
-        let da: Vec<&str> =
-            a.accepted.iter().map(|&i| a.outcomes[i].candidate.description.as_str()).collect();
-        let db: Vec<&str> =
-            b.accepted.iter().map(|&i| b.outcomes[i].candidate.description.as_str()).collect();
-        assert_eq!(da, db, "{}: MQO vs sequential acceptance differs", scenario.id);
-        let verdicts = |r: &sdn_meta_repair::core::debugger::RepairReport| -> Vec<(String, bool, bool, f64)> {
-            r.outcomes
-                .iter()
-                .map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d))
-                .collect()
-        };
-        assert_eq!(verdicts(&a), verdicts(&b), "{}", scenario.id);
-        // And the joint replay answered for every candidate itself — but
-        // for Q5's `Lip := 10`, which learns H1 behind whichever port spoke
-        // last: `Learned` is keyed on (switch, address), the engine
-        // replaces the port, and the candidate is handed back.
-        assert!(a.backtested_jointly && !b.backtested_jointly, "{}", scenario.id);
-        assert_eq!(a.handed_back, usize::from(scenario.id == "Q5"), "{}", scenario.id);
+    let programs: Vec<_> = deltas.iter().map(|d| d.overlay(base)).collect();
+    let reference = dbg.replay_each(candidates.iter().copied()).unwrap();
+    for (i, (got, want)) in mqo_replay(&setup, base, &programs, &extra).iter().zip(&reference).enumerate() {
+        let want = want.as_ref().unwrap();
+        let dns = sdn_meta_repair::sdn::topology::fig1_hosts::DNS;
+        assert!(want.stats.dropped_switch_down > 0 && want.stats.delivered_to(dns) == 0, "candidate {i}");
+        assert_eq!(got.stats, want.stats, "candidate {i}: {}", candidates[i].description);
     }
 }
 
