@@ -81,36 +81,46 @@
 //! engine's discipline (`batch.rs`) in its own terms. A step — a seed or a
 //! PacketIn — runs in *rounds*. Per table the state is one append-only
 //! vector of `(tuple, tags)` rows with a `stable` watermark; a state head
-//! derived in a round is held back, deduplicated against what is visible
-//! and what is already held back, until the next round appends it, so a
+//! derived in a round is held back until the next round appends it, so a
 //! rule fired by the same delta does not see it. With the delta at body
 //! position `i`, an atom after `i` reads the rows below the watermark and
 //! an atom before it every row: two deltas of one round fire their pair
 //! once. An *event* head is a delta of the next round every time it is
-//! derived, and never a row. A head of one of the codec's output tables is
-//! not queued: `LiveOutputs` decides, per candidate, whether it *appears*
-//! (new, or replacing another payload under its key) and becomes a control
-//! message. Seeds are tagged like everything else (`tagged_seeds`).
+//! derived, and never a row.
+//!
+//! Who holds which payload is one keyed table, as the engine's store is
+//! one: per table, location and primary-key columns (the declared keys,
+//! or every column), the payloads admitted and the candidates holding each.
+//! A state head — a seed, a derived tuple, an output tuple alike — is
+//! *admitted* by one lookup in it, and is fresh for the candidates that do
+//! not hold it yet, visible or held back. A second payload under the key
+//! replaces the first, as in the engine; in a table some rule reads it
+//! hands its holders back instead (Scope). A fresh head of one of the
+//! codec's output tables is a control message as well as a row, and an
+//! event one is a control message every time it is derived. So a seeded
+//! output tuple derived again is silent, as `NdlogController::seed` leaves
+//! it. Seeds are tagged like everything else (`tagged_seeds`).
 //!
 //! Every punt steps. A firing matches into one scratch the replay keeps
-//! ([`ScanScratch`]), and `LiveOutputs` finds a head's slot by hashing its
-//! key columns where they lie.
+//! ([`ScanScratch`]), and admission finds a head's slot by hashing its key
+//! columns where they lie.
 //!
 //! # Repeated injections: the injection memo
 //!
 //! An injection's key is its source host and the packet fields the replay
 //! reads (`fields_read`), one fixed-size array hashed once. The memo holds
-//! while the `Standing` counters do, and is flushed before the next lookup
-//! once one moves. It is exact: no field off the key is read or written (a
-//! `Modify` target is in the key), so two injections from one host equal on
-//! the key are forwarded, joined, punted, answered and counted alike while
-//! the state stands, and counters are sums: adding one's per-class deltas
-//! `k` times is forwarding it `k` times. A key's first occurrence costs a
-//! `u64` in a `seen` set; a repeat records its deltas as it forwards and is
-//! filed (if it moved the state, the next lookup flushes it unhit); a hit,
-//! looked up before the host's attachment, forwards nothing and adds one to
-//! its entry's multiplicity — the times a flush, or the replay's end, adds
-//! the entry's deltas into the classes.
+//! while the four `Standing` counters do — installs, fresh admissions,
+//! diverged candidates, `f_unique` ids — and is flushed before the next
+//! lookup once one moves. It is exact: no field off the key is read or
+//! written (a `Modify` target is in the key), so two injections from one
+//! host equal on the key are forwarded, joined, punted, answered and
+//! counted alike while the state stands, and counters are sums: adding
+//! one's per-class deltas `k` times is forwarding it `k` times. A key's
+//! first occurrence costs a `u64` in a `seen` set; a repeat records its
+//! deltas as it forwards and is filed (if it moved the state, the next
+//! lookup flushes it unhit); a hit, looked up before the host's attachment,
+//! forwards nothing and adds one to its entry's multiplicity — the times a
+//! flush, or the replay's end, adds the entry's deltas into the classes.
 //!
 //! # Scope: what is checked, and handed back
 //!
@@ -120,9 +130,9 @@
 //!
 //! - a *second payload under a proper primary key* of a state table some
 //!   rule reads: the engine replaces the first and retracts what it
-//!   supported, which here would take support counts per tag;
-//! - an *output table in a rule body*: `LiveOutputs` mirrors replacement
-//!   for appearing, not for joining;
+//!   supported, which here would take support counts per tag (rows are
+//!   append-only); in a table no rule reads nothing depends on the first,
+//!   and the replacement is mirrored;
 //! - a *rule that does not compile, or aggregates*: a candidate's own
 //!   copies are checked up front (the reference refuses the whole
 //!   program), a borrowed base rule — an aggregate of the base among them
@@ -135,10 +145,13 @@
 //! The joint network has no clock and no faults. Flights advance one hop
 //! round at a time and a round's punts are evaluated after its lookups,
 //! where the simulator orders events by time; the two agree as long as a
-//! candidate never has two copies of one packet racing for the controller
-//! — entries the codec decodes never copy a packet. So under a fault plan
-//! (`setup.config.faults`) the replay names every candidate up front and
-//! forwards nothing.
+//! candidate never has two copies of one packet racing for the controller.
+//! A flow entry the codec decodes never copies a packet; a punt answered by
+//! two `PacketOut`s does, and such a candidate is *not* named — its copies
+//! disagree with the simulator once one punts behind the other's install
+//! (`tests/prop_mqo.rs`'s output family leaves that shape out). Under a
+//! fault plan (`setup.config.faults`) the replay names every candidate up
+//! front and forwards nothing.
 //!
 //! Callers replay the named candidates per candidate
 //! ([`crate::replay_candidates`]; [`mqo_replay`] does it itself). For the
@@ -285,58 +298,10 @@ fn key_columns<'t>(t: &'t Tuple, declared: &'t [usize]) -> impl Iterator<Item = 
     t.args.iter().enumerate().filter(move |(c, _)| all || declared.contains(c)).map(|(_, v)| v)
 }
 
-/// Which output tuples — the ones the codec turns into control messages —
-/// are live in each candidate's controller. The sequential controller
-/// answers a PacketIn with the tuples that *appeared*: new, or replacing
-/// another payload under the same primary key. A rule that derives a
-/// `FlowTable` tuple the candidate already holds is silent there, and must
-/// be here; tuples of event tables always appear.
-struct LiveOutputs<'a> {
-    catalog: &'a Catalog,
-    hasher: RandomState,
-    /// The hash of a tuple's table, location and primary-key columns → the
-    /// payloads seen under the keys of that hash, and the candidates each
-    /// is live for (disjoint among the payloads of one key). Keyed by the
-    /// hash itself, so nothing hashes a second time.
-    by_key: Prehashed<Vec<(Tuple, TagSet)>>,
-    /// Heads that appeared for someone in a state table, each a change.
-    appeared: u64,
-}
-
-impl LiveOutputs<'_> {
-    /// `head` was derived for `tags`: returns the candidates it appeared
-    /// for. The key is read off `head` where it lies; no tuple is built.
-    fn appear(&mut self, head: &Tuple, tags: TagSet) -> TagSet {
-        let declared: &[usize] = match self.catalog.get(&head.table) {
-            Some(schema) if !schema.is_state() => return tags,
-            Some(schema) => &schema.keys,
-            None => &[],
-        };
-        let mut hasher = self.hasher.build_hasher();
-        head.table.hash(&mut hasher);
-        head.loc.hash(&mut hasher);
-        key_columns(head, declared).for_each(|v| v.hash(&mut hasher));
-        let slot = self.by_key.entry(hasher.finish()).or_default();
-        let mut fresh = tags;
-        let mut known = false;
-        for (payload, live) in slot.iter_mut() {
-            if payload == head {
-                fresh &= !*live;
-                *live |= tags;
-                known = true;
-            } else if payload.table == head.table
-                && payload.loc == head.loc
-                && key_columns(payload, declared).eq(key_columns(head, declared))
-            {
-                *live &= !tags; // replaced
-            }
-        }
-        if !known {
-            slot.push((head.clone(), tags));
-        }
-        self.appeared += u64::from(fresh != 0);
-        fresh
-    }
+/// Whether `a` and `b` lie under one key: table, location and the
+/// `declared` primary-key columns ([`key_columns`]).
+fn same_key(a: &Tuple, b: &Tuple, declared: &[usize]) -> bool {
+    a.table == b.table && a.loc == b.loc && key_columns(a, declared).eq(key_columns(b, declared))
 }
 
 /// One table of the tagged controller state.
@@ -385,20 +350,22 @@ struct TaggedEngine<'a> {
     /// table → the `(variant, body position)` pairs its deltas visit,
     /// grouped by prefilter constant.
     dispatch: HashMap<String, Arc<TriggerDispatch>>,
-    /// Seeds and derived state; never an event.
+    /// Seeds and derived state, output tables among them; never an event.
     state: HashMap<Arc<str>, TaggedTable>,
-    /// The key columns of the state tables with a proper primary key that
-    /// some rule reads: where a second payload replaces the first.
-    keyed: HashMap<String, Vec<usize>>,
-    outputs: LiveOutputs<'a>,
+    /// Who holds which payload: the hash of a state tuple's table,
+    /// location and primary-key columns → the payloads admitted under the
+    /// keys of that hash, each with the candidates that hold it. Keyed by
+    /// the hash itself, so nothing hashes a second time.
+    held: Prehashed<Vec<(Tuple, TagSet)>>,
+    hasher: RandomState,
     funcs: CountingFuncs,
     /// The engine's per-step budget ([`mpr_runtime::Options::max_derivations`]):
     /// a step that matches more hands its candidates back.
     budget: u64,
     /// The candidates that met what this evaluator does not mirror.
     diverged: TagSet,
-    /// How many state rows were ever added.
-    state_rows: u64,
+    /// How many admissions were fresh for someone, each a change.
+    admitted: u64,
     /// [`Self::step`]'s `round` / `pending` / `heads`, empty between steps.
     scratch: [Vec<(Tuple, TagSet)>; 3],
     /// The partial matches of a firing.
@@ -426,18 +393,6 @@ impl<'a> TaggedEngine<'a> {
             }
             compiled.push(form);
         }
-        let mut keyed = HashMap::new();
-        for (&table, readers) in &triggers {
-            if codec.is_output(table) {
-                diverged |= readers.iter().fold(0, |m, &(vi, _)| m | program.variants[vi].mask);
-            }
-            if let Some(schema) = catalog.get(table).filter(|s| s.is_state()) {
-                let keys = schema.effective_keys();
-                if keys.len() < schema.arity {
-                    keyed.insert(table.to_string(), keys);
-                }
-            }
-        }
         TaggedEngine {
             program,
             catalog,
@@ -445,52 +400,67 @@ impl<'a> TaggedEngine<'a> {
             compiled,
             dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
             state: HashMap::new(),
-            keyed,
-            outputs: LiveOutputs { catalog, hasher: RandomState::new(), by_key: Prehashed::default(), appeared: 0 },
+            held: Prehashed::default(),
+            hasher: RandomState::new(),
             funcs: CountingFuncs::starting_at(1000),
             budget,
             diverged,
-            state_rows: 0,
+            admitted: 0,
             scratch: Default::default(),
             fire: ScanScratch::default(),
             steps: 0,
         }
     }
 
+    fn declared_keys(&self, table: &str) -> &'a [usize] {
+        self.catalog.get(table).map_or(&[], |s| &s.keys)
+    }
 
     fn is_event(&self, table: &str) -> bool {
         self.catalog.get(table).is_some_and(|s| !s.is_state())
     }
 
-    /// The candidates of `tags` for which the state tuple `t` is new:
-    /// neither visible nor held back in `pending`. Those for which it is a
-    /// second payload under its primary key diverge.
-    fn admit(&mut self, t: &Tuple, tags: TagSet, pending: &[(Tuple, TagSet)]) -> TagSet {
-        let keys = self.keyed.get(&*t.table);
-        let same_key = |row: &Tuple| {
-            keys.is_some_and(|k| row.loc == t.loc && k.iter().all(|&c| row.args.get(c) == t.args.get(c)))
-        };
-        let rows = self.state.get(&*t.table).map_or(&[][..], |table| &table.rows[..]);
-        let mut known: TagSet = 0;
-        for (row, row_tags) in rows.iter().chain(pending.iter().filter(|(p, _)| p.table == t.table)) {
-            if row == t {
-                known |= row_tags;
-            } else if row_tags & tags != 0 && same_key(row) {
-                self.diverged |= row_tags & tags;
+    /// The candidates of `tags` for which the state tuple `t` is new —
+    /// neither visible nor held back — who hold it from now on. A second
+    /// payload under `t`'s primary key replaces the first, as the engine
+    /// replaces it; in a table some rule reads, where the engine would also
+    /// retract what the first supported, its holders are handed back.
+    fn admit(&mut self, t: &Tuple, tags: TagSet) -> TagSet {
+        let declared = self.declared_keys(&t.table);
+        let read = self.dispatch.contains_key(&*t.table);
+        let mut hasher = self.hasher.build_hasher();
+        (&t.table, &t.loc).hash(&mut hasher);
+        key_columns(t, declared).for_each(|v| v.hash(&mut hasher));
+        let slot = self.held.entry(hasher.finish()).or_default();
+        let mut known: Option<TagSet> = None;
+        for (payload, holders) in slot.iter_mut() {
+            if payload == t {
+                known = Some(*holders);
+                *holders |= tags;
+            } else if same_key(payload, t, declared) {
+                if read {
+                    self.diverged |= *holders & tags;
+                } else {
+                    *holders &= !tags;
+                }
             }
         }
-        tags & !known
+        if known.is_none() {
+            slot.push((t.clone(), tags));
+        }
+        let fresh = tags & !known.unwrap_or(0);
+        self.admitted += u64::from(fresh != 0);
+        fresh
     }
 
     /// One engine step: `delta` is inserted for `tags` and the program run
-    /// to fixpoint, in rounds. Returns the heads derived into the codec's
-    /// output tables, in order, each with the candidates it was derived
-    /// for.
-    fn step(&mut self, delta: Tuple, tags: TagSet) -> Vec<(Tuple, TagSet)> {
-        let mut outputs = Vec::new();
-        let tags = if self.is_event(&delta.table) { tags } else { self.admit(&delta, tags, &[]) };
+    /// to fixpoint, in rounds. With an `answer`, the control messages the
+    /// codec decodes from fresh heads are pushed to it in order, each with
+    /// the candidates the head is fresh for; a seed is answered nowhere.
+    fn step(&mut self, delta: Tuple, tags: TagSet, mut answer: Option<(&PacketInMsg, &mut Vec<(CtrlMsg, TagSet)>)>) {
+        let tags = if self.is_event(&delta.table) { tags } else { self.admit(&delta, tags) };
         if tags == 0 {
-            return outputs;
+            return;
         }
         // This round's deltas, the heads it holds back for the next, and
         // one variant's heads at a time.
@@ -503,7 +473,6 @@ impl<'a> TaggedEngine<'a> {
                 if !self.is_event(&t.table) {
                     let table = self.state.entry(Arc::clone(&t.table)).or_default();
                     table.rows.push((t.clone(), *ttags));
-                    self.state_rows += 1;
                 }
             }
             'deltas: for (delta, dtags) in &round {
@@ -544,21 +513,22 @@ impl<'a> TaggedEngine<'a> {
                     }
                     let head_is_event = rule.head_is_event();
                     for (head, htags) in heads.drain(..) {
-                        if self.codec.is_output(&head.table) {
-                            outputs.push((head, htags));
-                        } else if head_is_event {
-                            // A transient event: it triggers, and is gone.
-                            pending.push((head, htags));
-                        } else {
-                            // Derived controller state, for whom it is new.
-                            let fresh = self.admit(&head, htags, &pending);
-                            if fresh != 0 {
-                                pending.push((head, fresh));
-                            }
+                        // A transient event triggers every time it is
+                        // derived; state, for whom it is new. What an output
+                        // table gains is a control message too.
+                        let fresh = if head_is_event { htags } else { self.admit(&head, htags) };
+                        if fresh == 0 {
+                            continue;
                         }
+                        if let Some((msg, out)) = answer.as_mut() {
+                            out.extend(self.codec.decode(&head, msg).map(|cm| (cm, fresh)));
+                        }
+                        pending.push((head, fresh));
                     }
                     if matched > self.budget {
-                        // A runaway: where the engine fails the step.
+                        // A runaway: where the engine fails the step. What
+                        // it admitted and never appends was admitted for
+                        // candidates of `tags` alone, handed back here.
                         self.diverged |= tags;
                         pending.clear();
                         break 'deltas;
@@ -574,19 +544,13 @@ impl<'a> TaggedEngine<'a> {
             pending.clear();
         }
         self.scratch = [round, pending, heads];
-        outputs
     }
 
     /// Evaluate the tagged program on one PacketIn under `tags`: pushes the
     /// control messages it answers with, and the tag sets they apply to.
     fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet, out: &mut Vec<(CtrlMsg, TagSet)>) {
         self.steps += 1;
-        for (head, htags) in self.step(self.codec.packet_in_tuple(msg), tags) {
-            let fresh = self.outputs.appear(&head, htags);
-            if let (true, Some(cm)) = (fresh != 0, self.codec.decode(&head, msg)) {
-                out.push((cm, fresh));
-            }
-        }
+        self.step(self.codec.packet_in_tuple(msg), tags, Some((msg, out)));
     }
 }
 
@@ -810,10 +774,10 @@ fn fields_read(codec: &TupleCodec, extra_flows: &[ExtraFlows]) -> [bool; Field::
 /// The source host, then per [`Field::ALL`] entry the value read, or 0.
 type InjectionKey = [i64; 1 + Field::ALL.len()];
 
-/// What the injection memo holds under: installs asked for, state rows,
-/// heads appeared in a state table, diverged candidates, `f_unique` ids
-/// drawn. Each only grows: the state stood exactly while they are equal.
-type Standing = (u64, u64, u64, TagSet, i64);
+/// What the injection memo holds under: installs asked for, fresh
+/// admissions, diverged candidates, `f_unique` ids drawn. Each only grows:
+/// the state stood exactly while they are equal.
+type Standing = (u64, u64, TagSet, i64);
 
 /// A filed injection: its counter deltas per tag class, and the times it counts.
 struct Filed {
@@ -986,11 +950,9 @@ pub fn mqo_replay_deltas(
     let tagged = tagged_program(base, deltas);
     let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
     for (seed, tags) in tagged_seeds(&setup.seeds, seeds.get(..n).unwrap_or(seeds), full) {
-        // What a seed derives into an output table is live from then on and
+        // What a seed derives into an output table is held from then on and
         // sent nowhere: `NdlogController::seed` drops the engine's answer.
-        for (head, htags) in engine.step(seed.clone(), tags) {
-            engine.outputs.appear(&head, htags);
-        }
+        engine.step(seed.clone(), tags, None);
     }
 
     // The proactive routes are the same for every candidate: one
@@ -1023,7 +985,7 @@ pub fn mqo_replay_deltas(
 
     for (src, pkt) in setup.workload.iter() {
         let (hash, key) = memo.key(*src, pkt);
-        let now = (tables.installs, engine.state_rows, engine.outputs.appeared, engine.diverged, engine.funcs.issued());
+        let now = (tables.installs, engine.admitted, engine.diverged, engine.funcs.issued());
         if memo.replay(hash, &key, now, &mut fw) {
             continue;
         }
@@ -1118,7 +1080,8 @@ pub fn mqo_replay_deltas(
 
 /// What a finished replay must leave behind (debug builds): the variants'
 /// invariant on every switch; state rows under a watermark with the tags
-/// they were sealed with; classes that are non-empty, each
+/// they were sealed with; no candidate but a handed-back one holding two
+/// payloads under one key; classes that are non-empty, each
 /// folded into each of its members exactly once — the counters summed over
 /// candidates are those of the classes, each taken `|tags|` times — with
 /// every candidate injected every attached packet; and every punt a step,
@@ -1138,6 +1101,15 @@ fn check_replay(
     for (name, table) in &engine.state {
         let sealed = tags_digest(0, &table.rows[..table.stable]);
         assert_eq!(sealed, table.sealed, "{name}: a row under the watermark changed its tags");
+    }
+    for slot in engine.held.values() {
+        for (i, (a, by_a)) in slot.iter().enumerate() {
+            for (b, by_b) in &slot[..i] {
+                if same_key(a, b, engine.declared_keys(&a.table)) {
+                    assert_eq!(by_a & by_b & !engine.diverged, 0, "{a:?} and {b:?}: one key, both held");
+                }
+            }
+        }
     }
     assert!(!classes.contains_key(&0), "a class of no candidate");
     let attached = setup.workload.iter().filter(|(src, _)| setup.topology.host_attachment(*src).is_some());

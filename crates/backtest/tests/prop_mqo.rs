@@ -813,10 +813,11 @@ fn tables_equal_as_sets_but_not_in_order_stay_apart() {
 // ---------------------------------------------------------------------
 // Derived controller state. The joint controller runs the engine's rounds:
 // a state head is held back until its round begins, a pair of one round's
-// deltas fires once — and what it does not mirror (primary-key replacement
-// in a table some rule reads, output tables in a rule body) it hands back
-// per candidate. Four named shapes, each with the counters the joint
-// replay read before it ran in rounds, then a generated family.
+// deltas fires once, an output table is state like any other — and what it
+// does not mirror (primary-key replacement in a table some rule reads) it
+// hands back per candidate. Four named shapes, each with the counters the
+// joint replay read before, a replaced and a seeded output tuple, then two
+// generated families.
 
 /// Fig. 1, six packets from the Internet to H1 with destination ports
 /// 80 53 80 53 80 80; `PacketOut` decoded next to `FlowTable`.
@@ -906,19 +907,69 @@ fn a_pair_of_one_rounds_deltas_fires_once() {
     assert_eq!(handed_back, 0);
 }
 
-/// Shape (iv): an output table in a rule body. The joint controller keeps
-/// output heads apart (`LiveOutputs`) and never queued them, so `r2` never
-/// fired: (1, 0, 0, 6), the counters of the candidate without it. Whoever
-/// keeps `r2` is handed back.
+/// Shape (iv): an output table in a rule body. An output head is state
+/// like any other — held back for a round, then a row `r2` reads — and a
+/// control message too. Kept apart from the state and never queued, `r2`
+/// never fired: (1, 0, 0, 6), the counters of the candidate without it,
+/// and whoever kept `r2` was handed back.
 #[test]
-fn an_output_table_in_a_rule_body_hands_its_readers_back() {
+fn an_output_table_in_a_rule_body_is_read_like_any_state() {
     let src = "materialize(PacketIn, event, 2, keys()).\n\
                materialize(FlowTable, infinity, 2, keys(0,1)).\n\
                r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 80, Prt := 1.\n\
                r2 FlowTable(@Nxt,Hdr,Prt) :- FlowTable(@Swi,Hdr,Prt), Swi == 1, Nxt := 2.\n";
     let (solo, handed_back) = replay_shape(src, &[Patch::default(), delete("r2")]);
     assert_eq!(solo, [(2, 0, 3, 3), (1, 0, 0, 6)]);
-    assert_eq!(handed_back, 0b01);
+    assert_eq!(handed_back, 0);
+}
+
+/// An output table no rule reads: a second payload under the key replaces
+/// the first, as the engine replaces it, and the first derived again is a
+/// change again. `w` files every packet's destination port under one key
+/// at S3, off the path, so the ports 80 53 80 53 80 80 send five FlowMods;
+/// had the replaced payload stayed held, the third and fifth would be
+/// silent.
+#[test]
+fn a_replaced_output_payload_is_sent_again() {
+    let src = "materialize(PacketIn, event, 2, keys()).\n\
+               materialize(FlowTable, infinity, 2, keys(0)).\n\
+               w FlowTable(@Sw,Hdr,Prt) :- PacketIn(@C,Swi,Prt), Sw := 3, Hdr := 80.\n";
+    let (solo, handed_back) = replay_shape(src, &[Patch::default(), delete("w")]);
+    assert_eq!(solo, [(5, 0, 0, 6), (0, 0, 0, 6)]);
+    assert_eq!(handed_back, 0);
+}
+
+/// A seeded output tuple is held before the first packet: `r1` deriving it
+/// again is silent in the engine, and must be in the joint replay. Fig. 1,
+/// 30 HTTP packets from the Internet to H2, `FlowTable(@1,80,2)` seeded.
+/// Output tuples once had an index of their own that never saw the seeds:
+/// the joint replay sent the FlowMod and read (1, 59) for
+/// `(flow_mods, hops)`, where the reference reads (0, 30), and kept the
+/// candidate.
+#[test]
+fn a_seeded_output_tuple_derived_again_sends_nothing() {
+    let base = parse_program(
+        "seeded-output",
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(FlowTable, infinity, 2, keys(0)).\n\
+         r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 80, Prt := 2.\n",
+    )
+    .unwrap();
+    let packets = (0..30).map(|i| (fig1_hosts::INTERNET, Packet::http(i, 50 + (i as i64 % 3), fig1_hosts::H2)));
+    let setup = BacktestSetup {
+        seeds: vec![Tuple::new("FlowTable", Value::Int(1), vec![Value::Int(80), Value::Int(2)])],
+        workload: Arc::new(packets.collect()),
+        config: SimConfig::default(),
+        ..fig1_fixture().setup(false)
+    };
+    let (deltas, cands) = deltas_and_programs(&base, &[Patch::default()]);
+    let solo = replay_with_extra_flows(&setup, &cands[0], &[]).unwrap().stats;
+    assert_eq!((solo.flow_mods, solo.hops), (0, 30));
+    let joint = mqo_replay_deltas(&setup, &base, &deltas, &[], &[]);
+    assert_eq!(joint.diverged, 0);
+    let own = &joint.outcomes[0].stats;
+    assert_eq!((own.flow_mods, own.hops), (0, 30));
+    assert_eq!(*own, solo);
 }
 
 /// A candidate rule that parses, validates and patches in, and does not
@@ -1042,6 +1093,71 @@ proptest! {
         cands in prop::collection::vec(prop_oneof![mutant(), structural_mutant()], 1..6),
     ) {
         let fx = derived_fixture(keyed, second, &picks);
+        let (programs, deltas) = mutants(&fx, &cands.iter().collect::<Vec<_>>())?;
+        let mut setup = fx.setup(false);
+        setup.codec.packet_out_table = Some("PacketOut".into());
+        let handed_back = joint_vs_sequential(&setup, &fx.base, &programs, &deltas, &[])?;
+        prop_assert!(keyed || handed_back == 0, "handed back without a key: {:b}", handed_back);
+    }
+}
+
+/// The output family on Fig. 1: rule bodies read the codec's output
+/// tables. `r1` derives a flow entry from the packet-in and `r2` copies an
+/// entry of one switch to another; `r3` releases the packet, and `r4`
+/// reads the `PacketOut` event into a flow entry of its own. `FlowTable` is
+/// keyed on all its columns, or (`keyed`) on the header alone, where a
+/// second port replaces the first and `r2` reads the replaced entry.
+///
+/// No candidate copies `r3`: a punt answered by two `PacketOut`s puts two
+/// copies of its packet on the wire, and copies that race for the
+/// controller are outside what the joint replay claims (module docs of
+/// `mqo`, "Scope").
+fn output_fixture(keyed: bool, picks: &[usize]) -> Fixture {
+    let consts = vec![1, 2, 3, 53, 80];
+    let c = |i: usize| consts[picks[i] % consts.len()];
+    let port = |i: usize| 1 + picks[i] % 2;
+    let src = format!(
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(FlowTable, infinity, 2, keys({})).\n\
+         materialize(PacketOut, event, 2, keys()).\n\
+         r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi != {}, Hdr != {}, Prt := {}.\n\
+         r2 FlowTable(@Nxt,Hdr,Prt) :- FlowTable(@Swi,Hdr,Prt), Swi == {}, Hdr != {}, Nxt := {}.\n\
+         r3 PacketOut(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi != {}, Hdr != {}, Prt := {}.\n\
+         r4 FlowTable(@Swi,Hdr,Prt) :- PacketOut(@Swi,Hdr,Out), Swi != {}, Hdr != {}, Prt := {}.\n",
+        if keyed { "0" } else { "0,1" },
+        c(0),
+        c(1),
+        port(2),
+        c(3),
+        c(4),
+        1 + picks[5] % 3,
+        c(6),
+        c(7),
+        port(8),
+        c(9),
+        c(10),
+        port(11),
+    );
+    Fixture { base: parse_program("prop-mqo-output", &src).unwrap(), consts, ..fig1_fixture() }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Candidates that edit the rules deriving output tuples or reading
+    /// them: joint equals sequential on the whole `SimStats`, and without a
+    /// proper key nobody is handed back.
+    #[test]
+    fn joint_equals_sequential_where_rules_read_output_tables(
+        keyed in prop::sample::select(vec![false, true]),
+        picks in prop::collection::vec(0usize..5, 12),
+        cands in prop::collection::vec(
+            prop_oneof![mutant(), structural_mutant()]
+                .prop_filter("a copy of the release rule", |m| !matches!(m, Mutation::Copy { rule: 2, .. })),
+            1..6,
+        ),
+    ) {
+        let fx = output_fixture(keyed, &picks);
         let (programs, deltas) = mutants(&fx, &cands.iter().collect::<Vec<_>>())?;
         let mut setup = fx.setup(false);
         setup.codec.packet_out_table = Some("PacketOut".into());

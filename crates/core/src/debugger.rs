@@ -189,7 +189,7 @@ impl Debugger {
     /// itself cannot run — a program that does not compile, a codec that
     /// cannot seed the controller. Degraded-but-running conditions (a
     /// candidate whose replay dies) surface inside the report instead.
-    pub fn diagnose_and_repair(&mut self) -> Result<RepairReport, String> {
+    pub fn diagnose_and_repair(&self) -> Result<RepairReport, String> {
         let recording = self.record()?;
         self.repair(&recording)
     }
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn mqo_and_sequential_agree_on_acceptance() {
-        let mut dbg = Debugger::for_scenario(&Scenario::q1_copy_paste());
+        let dbg = Debugger::for_scenario(&Scenario::q1_copy_paste());
         let report = dbg.diagnose_and_repair().unwrap();
         assert!(report.backtested_jointly);
         let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
@@ -548,7 +548,7 @@ mod tests {
         )
         .unwrap();
         Arc::make_mut(&mut scenario.program).rules.extend(count.rules);
-        let mut dbg = Debugger::for_scenario(&scenario);
+        let dbg = Debugger::for_scenario(&scenario);
         let (_, _, [first, last]) = q1_with_two_patches();
         let unaggregated = hand_built(Repair::Patch(Patch::single(Edit::DeleteRule { rule: "agg".into() })));
         let candidates = [first, unaggregated, last];

@@ -24,7 +24,7 @@ fn verdicts(outcomes: &[CandidateOutcome]) -> Vec<(String, u32, bool, f64, bool)
 /// rules, coalesced copies)` of the backtesting program.
 fn backtest_work(lines: usize) -> (usize, usize, usize) {
     let s = Scenario::q1_padded(lines);
-    let mut dbg = Debugger::for_scenario(&s);
+    let dbg = Debugger::for_scenario(&s);
     let report = dbg.diagnose_and_repair().unwrap();
     assert!(report.backtested_jointly, "{lines}: the candidates replay jointly");
     assert_eq!(report.handed_back, 0, "{lines}: and none is handed back");

@@ -56,7 +56,7 @@ fn positive_traces_walk_the_derivation() {
 #[test]
 fn a_seed_perturbing_candidate_rides_the_joint_replay() {
     let scenario = Scenario::fig7_harmful_entry();
-    let mut dbg = Debugger::for_scenario(&scenario);
+    let dbg = Debugger::for_scenario(&scenario);
     let joint = dbg.diagnose_and_repair().unwrap();
     assert!(joint.backtested_jointly);
     assert_eq!(joint.handed_back, 0);

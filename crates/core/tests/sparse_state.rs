@@ -6,7 +6,6 @@
 use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows, JointReplay};
 use mpr_backtest::replay::BacktestSetup;
 use mpr_core::debugger::repair_scenario;
-use mpr_core::repair::Repair;
 use mpr_core::scenarios::Scenario;
 use mpr_ndlog::{Program, ProgramOutline};
 use mpr_sdn::controller::{Controller, CtrlMsg, NdlogController, NullController, PacketInMsg};
@@ -50,16 +49,6 @@ fn simulate(s: &Scenario, program: &Program, extra: &ExtraFlows) -> (usize, BTre
     (sim.tables.materialised(), named)
 }
 
-/// A manually inserted `FlowTable` tuple as a pre-installed entry.
-fn manual_entry(s: &Scenario, repair: &Repair) -> ExtraFlows {
-    let Repair::InsertTuple(t) = repair else { return Vec::new() };
-    let probe = PacketInMsg { switch: 0, in_port: 0, packet: s.workload[0].1.clone() };
-    match s.codec.decode(t, &probe) {
-        Some(CtrlMsg::FlowMod { switch, entry }) => vec![(switch, entry)],
-        _ => Vec::new(),
-    }
-}
-
 /// Returns `(generated, trees)` of the repair whose candidates it replayed.
 fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
     let switches = s.topology.switches.len();
@@ -85,7 +74,7 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
         programs.push(o.candidate.repair.apply(&s.program).expect("candidate compiles"));
         let input = o.candidate.repair.replay_input(&s.program, &outline, &setup);
         deltas.push(input.delta.expect("candidate applies"));
-        extra.push(manual_entry(s, &o.candidate.repair));
+        extra.push(input.extra_flows);
     }
     assert!(extra.iter().any(|e| !e.is_empty()), "{}: no manual-entry candidate", s.id);
     let JointReplay { outcomes, diverged, footprint, .. } =

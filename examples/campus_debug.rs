@@ -13,7 +13,7 @@ fn main() {
     println!("\n== Controller program (firewall + load balancer) ==\n{}", scenario.program);
 
     // MQO on (the default): all candidates share one joint replay.
-    let mut dbg = Debugger::for_scenario(&scenario);
+    let dbg = Debugger::for_scenario(&scenario);
     let report = dbg.diagnose_and_repair().expect("scenario runs");
     println!("== Candidates ==");
     print!("{}", report.render_table());

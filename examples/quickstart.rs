@@ -15,7 +15,7 @@ fn main() {
     println!("== The buggy controller program ==\n{}", scenario.program);
     println!("== Symptom ==\n{}\n", scenario.query);
 
-    let mut dbg = Debugger::for_scenario(&scenario);
+    let dbg = Debugger::for_scenario(&scenario);
     let report = dbg.diagnose_and_repair().expect("scenario runs");
 
     println!("== Candidate repairs (cheapest first) ==");

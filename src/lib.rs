@@ -31,7 +31,7 @@
 //! // Build the Fig. 1 scenario: a buggy load balancer where the backup
 //! // HTTP server H2 never receives requests.
 //! let scenario = Scenario::q1_copy_paste();
-//! let mut dbg = Debugger::for_scenario(&scenario);
+//! let dbg = Debugger::for_scenario(&scenario);
 //! let report = dbg.diagnose_and_repair().expect("scenario runs");
 //! assert!(report
 //!     .accepted

@@ -56,7 +56,7 @@ fn accepted_repairs_actually_heal_the_network() {
     // Each accepted candidate, read as the debugger reads it and replayed
     // on its own network, heals: patches, and Q1's manual flow entry.
     let scenario = Scenario::q1_copy_paste();
-    let mut dbg = Debugger::for_scenario(&scenario);
+    let dbg = Debugger::for_scenario(&scenario);
     let report = dbg.diagnose_and_repair().unwrap();
     let accepted: Vec<&Candidate> = report.accepted.iter().map(|&i| &report.outcomes[i].candidate).collect();
     assert!(accepted.iter().any(|c| matches!(c.repair, Repair::InsertTuple(_))), "{}", report.render_table());
@@ -72,7 +72,7 @@ fn mqo_agrees_with_sequential_on_every_scenario() {
     // candidates sequential backtesting accepts, and give each the same
     // verdict.
     for scenario in Scenario::all() {
-        let mut dbg = Debugger::for_scenario(&scenario);
+        let dbg = Debugger::for_scenario(&scenario);
         let report = dbg.diagnose_and_repair().unwrap();
         let (reference, accepted) = reference_verdicts(&dbg, &report);
         assert_eq!(report.accepted, accepted, "{}: MQO vs sequential acceptance differs", scenario.id);
@@ -98,7 +98,7 @@ fn a_fault_plan_hands_every_candidate_back() {
     use sdn_meta_repair::backtest::replay::BacktestSetup;
     let mut scenario = Scenario::q1_copy_paste();
     scenario.sim.faults.crashes.push(SwitchCrash { switch: 1, at: 0, down_for: 1_000_000_000 });
-    let mut dbg = Debugger::for_scenario(&scenario);
+    let dbg = Debugger::for_scenario(&scenario);
     let report = dbg.diagnose_and_repair().unwrap();
     assert!(!report.backtested_jointly);
     assert_eq!(report.handed_back, report.generated());
