@@ -101,9 +101,27 @@
 //! output tuple derived again is silent, as `NdlogController::seed` leaves
 //! it. Seeds are tagged like everything else (`tagged_seeds`).
 //!
-//! Every punt steps. A firing matches into one scratch the replay keeps
-//! ([`ScanScratch`]), and admission finds a head's slot by hashing its key
-//! columns where they lie.
+//! A firing matches into one scratch the replay keeps ([`ScanScratch`]),
+//! and admission finds a head's slot by hashing its key columns where they
+//! lie.
+//!
+//! # Punts that change nothing
+//!
+//! A punt is stepped once per what its rules can tell apart. A packet-in's
+//! step that changed nothing — `fire_scan` found no complete match, no head
+//! and no reply, `diverged`, `admitted` and the `f_unique` ids stood — is
+//! filed, and a punt with an equal key is counted ([`JointWork::skipped`])
+//! and not stepped. The key: the punt's tags; its dispatch group
+//! ([`TriggerDispatch::group_of`]), which fixes its triggers; a bit per
+//! distinct prefilter test of those; its values at the delta columns their
+//! plans read before a complete match ([`mpr_runtime::CompiledRule::reads`]).
+//! Exact, because against one state nothing else of the delta is read on
+//! the way to a complete match: heads and assignments, which read the rest
+//! (the fabric's `Swi`, copied to `r1`'s head), run after one, and a filed
+//! step has none. State rows change only by a fresh admission, so the memo
+//! holds while `admitted` stands. A group with a variant that does not
+//! compile gives no key to tags meeting its mask: they step, and are handed
+//! back, as before. A key is a few words and a hash of the read values.
 //!
 //! # Repeated injections: the injection memo
 //!
@@ -143,15 +161,13 @@
 //!   `setup.engine.max_derivations`, where the reference fails.
 //!
 //! The joint network has no clock and no faults. Flights advance one hop
-//! round at a time and a round's punts are evaluated after its lookups,
-//! where the simulator orders events by time; the two agree as long as a
-//! candidate never has two copies of one packet racing for the controller.
-//! A flow entry the codec decodes never copies a packet; a punt answered by
-//! two `PacketOut`s does, and such a candidate is *not* named — its copies
-//! disagree with the simulator once one punts behind the other's install
-//! (`tests/prop_mqo.rs`'s output family leaves that shape out). Under a
-//! fault plan (`setup.config.faults`) the replay names every candidate up
-//! front and forwards nothing.
+//! round at a time, a flight's punt is answered before the next flight is
+//! looked up, and a candidate's flights keep the order it sent them in
+//! (`join_flights`) — the simulator's, which answers a punt on arrival and
+//! takes packets first in, first out. So of two copies of a packet (a
+//! flood, two `PacketOut`s) the one behind the other's punt sees its
+//! installs in both. Under a fault plan (`setup.config.faults`) the replay
+//! names every candidate up front and forwards nothing.
 //!
 //! Callers replay the named candidates per candidate
 //! ([`crate::replay_candidates`]; [`mqo_replay`] does it itself). For the
@@ -164,7 +180,7 @@ use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::{build_dispatch, LazyRule, PassHash, Prehashed, ScanScratch, TriggerDispatch};
+use mpr_runtime::{build_dispatch, ColTest, LazyRule, PassHash, Prehashed, ScanScratch, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, PktArg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::{Field, Packet};
@@ -337,6 +353,32 @@ fn tags_digest(digest: u64, rows: &[(Tuple, TagSet)]) -> u64 {
     rows.iter().fold(digest, |d, (_, tags)| d.rotate_left(7) ^ tags.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// What the punts of one dispatch group read before a complete body match:
+/// the distinct prefilter tests of its triggers (a key bit each), the delta
+/// columns their plans read, and who gets no key — a variant of theirs does
+/// not compile, or the tests outnumber 64 bits.
+#[derive(Default)]
+struct GroupReads {
+    tests: Vec<ColTest>,
+    cols: Vec<usize>,
+    refused: TagSet,
+}
+
+/// A filed quiet step: tags, dispatch group, test bits, and the punt the
+/// read columns are taken from.
+type QuietKey = (TagSet, Option<usize>, u64, Tuple);
+
+/// The steps that changed nothing (module docs, "Punts that change
+/// nothing"), filed while `admitted` stands at `under`. The group reads
+/// are per group, `0` for none and `g + 1` for group `g`.
+#[derive(Default)]
+struct QuietSteps {
+    groups: Vec<Option<GroupReads>>,
+    filed: Prehashed<Vec<QuietKey>>,
+    under: u64,
+    skipped: u64,
+}
+
 /// Tagged controller state, and the engine's round loop over it (module
 /// docs, "The controller").
 struct TaggedEngine<'a> {
@@ -350,6 +392,8 @@ struct TaggedEngine<'a> {
     /// table → the `(variant, body position)` pairs its deltas visit,
     /// grouped by prefilter constant.
     dispatch: HashMap<String, Arc<TriggerDispatch>>,
+    /// The packet-in table's entry.
+    punt_dispatch: Option<Arc<TriggerDispatch>>,
     /// Seeds and derived state, output tables among them; never an event.
     state: HashMap<Arc<str>, TaggedTable>,
     /// Who holds which payload: the hash of a state tuple's table,
@@ -372,6 +416,7 @@ struct TaggedEngine<'a> {
     fire: ScanScratch<TagSet>,
     /// Punts answered, each by a [`Self::step`].
     steps: u64,
+    quiet: QuietSteps,
 }
 
 impl<'a> TaggedEngine<'a> {
@@ -393,12 +438,14 @@ impl<'a> TaggedEngine<'a> {
             }
             compiled.push(form);
         }
+        let dispatch = build_dispatch(&triggers, |vi| &*program.variants[vi].rule);
         TaggedEngine {
             program,
             catalog,
             codec,
             compiled,
-            dispatch: build_dispatch(&triggers, |vi| &*program.variants[vi].rule),
+            punt_dispatch: dispatch.get(&*codec.packet_in_table).cloned(),
+            dispatch,
             state: HashMap::new(),
             held: Prehashed::default(),
             hasher: RandomState::new(),
@@ -409,6 +456,7 @@ impl<'a> TaggedEngine<'a> {
             scratch: Default::default(),
             fire: ScanScratch::default(),
             steps: 0,
+            quiet: QuietSteps::default(),
         }
     }
 
@@ -457,10 +505,11 @@ impl<'a> TaggedEngine<'a> {
     /// to fixpoint, in rounds. With an `answer`, the control messages the
     /// codec decodes from fresh heads are pushed to it in order, each with
     /// the candidates the head is fresh for; a seed is answered nowhere.
-    fn step(&mut self, delta: Tuple, tags: TagSet, mut answer: Option<(&PacketInMsg, &mut Vec<(CtrlMsg, TagSet)>)>) {
+    /// Returns the complete body matches of the step's firings.
+    fn step(&mut self, delta: Tuple, tags: TagSet, mut answer: Option<(&PacketInMsg, &mut Vec<(CtrlMsg, TagSet)>)>) -> u64 {
         let tags = if self.is_event(&delta.table) { tags } else { self.admit(&delta, tags) };
         if tags == 0 {
-            return;
+            return 0;
         }
         // This round's deltas, the heads it holds back for the next, and
         // one variant's heads at a time.
@@ -544,13 +593,69 @@ impl<'a> TaggedEngine<'a> {
             pending.clear();
         }
         self.scratch = [round, pending, heads];
+        matched
     }
 
     /// Evaluate the tagged program on one PacketIn under `tags`: pushes the
-    /// control messages it answers with, and the tag sets they apply to.
+    /// control messages it answers with, and the tag sets they apply to. A
+    /// punt key-equal to a filed quiet step is counted and not stepped.
     fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet, out: &mut Vec<(CtrlMsg, TagSet)>) {
+        let delta = self.codec.packet_in_tuple(msg);
+        if self.quiet.under != self.admitted {
+            self.quiet.filed.clear();
+            self.quiet.under = self.admitted;
+        }
+        let key = self.quiet_key(&delta, tags);
+        if key.is_some_and(|(.., filed)| filed) {
+            self.quiet.skipped += 1;
+            return;
+        }
         self.steps += 1;
-        self.step(self.codec.packet_in_tuple(msg), tags, Some((msg, out)));
+        let standing = (self.diverged, self.admitted, self.funcs.issued(), out.len());
+        let matched = self.step(delta, tags, Some((msg, out)));
+        let quiet = matched == 0 && standing == (self.diverged, self.admitted, self.funcs.issued(), out.len());
+        if let Some((hash, group, bits, _)) = key.filter(|_| quiet) {
+            self.quiet.filed.entry(hash).or_default().push((tags, group, bits, self.codec.packet_in_tuple(msg)));
+        }
+    }
+
+    /// The hash, dispatch group and test bits of the quiet-step key of a
+    /// punt `delta` for `tags`, and whether a step under it is filed; `None`
+    /// where its group gives `tags` no key.
+    fn quiet_key(&mut self, delta: &Tuple, tags: TagSet) -> Option<(u64, Option<usize>, u64, bool)> {
+        let dispatch = self.punt_dispatch.as_deref()?;
+        let group = dispatch.group_of(delta);
+        let at = group.map_or(0, |g| g + 1);
+        self.quiet.groups.resize_with(self.quiet.groups.len().max(at + 1), || None);
+        let reads = self.quiet.groups[at].get_or_insert_with(|| {
+            // What the group's triggers read; their variants compile here.
+            let mut reads = GroupReads::default();
+            for (vi, ai) in dispatch.triggers_in(group) {
+                let variant = &self.program.variants[vi];
+                let Some((tests, cols)) = self.compiled[vi].get(&variant.rule, self.catalog).map(|r| r.reads(ai)) else {
+                    reads.refused |= variant.mask;
+                    continue;
+                };
+                tests.iter().for_each(|t| if !reads.tests.contains(t) { reads.tests.push(t.clone()) });
+                reads.cols.extend(cols);
+            }
+            reads.refused |= if reads.tests.len() > 64 { !0 } else { 0 };
+            reads.cols.sort_unstable();
+            reads.cols.dedup();
+            reads
+        });
+        if reads.refused & tags != 0 {
+            return None;
+        }
+        let bits = reads.tests.iter().enumerate().fold(0u64, |bits, (i, t)| bits | u64::from(t.passes(delta)) << i);
+        let mut hasher = self.hasher.build_hasher();
+        (tags, group, bits).hash(&mut hasher);
+        reads.cols.iter().for_each(|&c| delta.column(c).hash(&mut hasher));
+        let (hash, cols) = (hasher.finish(), &reads.cols);
+        let same = |(t, g, b, punt): &QuietKey| {
+            (*t, *g, *b) == (tags, group, bits) && cols.iter().all(|&c| punt.column(c) == delta.column(c))
+        };
+        Some((hash, group, bits, self.quiet.filed.get(&hash).is_some_and(|filed| filed.iter().any(same))))
     }
 }
 
@@ -678,11 +783,13 @@ struct Flight<N> {
 
 /// Add a flight to `list`. Candidates whose copies of a packet coincide
 /// travel (and punt) together; overlapping tags mean a genuine duplicate,
-/// which stays a flight of its own.
+/// which stays a flight of its own. Nothing joins a flight ahead of another
+/// of its candidates': each keeps the simulator's order, the order it sent.
 fn join_flights<N: PartialEq>(list: &mut Vec<Flight<N>>, at: N, port: i64, pkt: Packet, tags: TagSet) {
-    match list.iter_mut().find(|f| f.tags & tags == 0 && f.at == at && f.port == port && f.pkt == pkt) {
-        Some(f) => f.tags |= tags,
-        None => list.push(Flight { at, port, pkt, tags }),
+    let same = list.iter().position(|f| f.tags & tags == 0 && f.at == at && f.port == port && f.pkt == pkt);
+    match same {
+        Some(i) if list[i + 1..].iter().all(|f| f.tags & tags == 0) => list[i].tags |= tags,
+        _ => list.push(Flight { at, port, pkt, tags }),
     }
 }
 
@@ -889,6 +996,9 @@ pub struct JointWork {
     pub lookups: u64,
     /// Punts answered by running the program to fixpoint.
     pub steps: u64,
+    /// Punts answered as an earlier step that changed nothing, at an
+    /// unchanged state (module docs, "Punts that change nothing").
+    pub skipped: u64,
     /// Injections answered from the memo: nothing forwarded.
     pub replayed: u64,
     /// The punts inside the replayed injections: none of them stepped.
@@ -1033,32 +1143,33 @@ pub fn mqo_replay_deltas(
                 if missed != 0 {
                     fw.punt(s, f.port, f.pkt, missed);
                 }
-            }
-            // Shared controller evaluation per distinct punt. A reply may
-            // punt again (`PacketOut` with `Action::Controller`), hence
-            // the outer loop.
-            while !fw.punts.is_empty() {
-                std::mem::swap(&mut fw.punts, &mut batch);
-                for p in batch.drain(..) {
-                    fw.count(p.tags, |s| s.packet_ins += 1);
-                    let msg = PacketInMsg { switch: p.at, in_port: p.port, packet: p.pkt };
-                    let mut released: TagSet = 0;
-                    engine.on_packet_in(&msg, p.tags, &mut replies);
-                    for (cm, ctags) in replies.drain(..) {
-                        match cm {
-                            CtrlMsg::FlowMod { switch, entry } => {
-                                fw.count(ctags, |s| s.flow_mods += 1);
-                                tables.install(switch, ctags, &entry);
-                            }
-                            CtrlMsg::PacketOut { switch, packet, action } => {
-                                released |= ctags;
-                                fw.count(ctags, |s| s.packet_outs += 1);
-                                apply_actions(&mut fw, switch, p.port, packet, &[action], ctags);
+                // Shared controller evaluation per distinct punt, before the
+                // next lookup, as the simulator's on arrival. A reply may punt
+                // again (`PacketOut` with `Action::Controller`), hence the
+                // outer loop.
+                while !fw.punts.is_empty() {
+                    std::mem::swap(&mut fw.punts, &mut batch);
+                    for p in batch.drain(..) {
+                        fw.count(p.tags, |s| s.packet_ins += 1);
+                        let msg = PacketInMsg { switch: p.at, in_port: p.port, packet: p.pkt };
+                        let mut released: TagSet = 0;
+                        engine.on_packet_in(&msg, p.tags, &mut replies);
+                        for (cm, ctags) in replies.drain(..) {
+                            match cm {
+                                CtrlMsg::FlowMod { switch, entry } => {
+                                    fw.count(ctags, |s| s.flow_mods += 1);
+                                    tables.install(switch, ctags, &entry);
+                                }
+                                CtrlMsg::PacketOut { switch, packet, action } => {
+                                    released |= ctags;
+                                    fw.count(ctags, |s| s.packet_outs += 1);
+                                    apply_actions(&mut fw, switch, p.port, packet, &[action], ctags);
+                                }
                             }
                         }
+                        // Buffered-miss semantics: no PacketOut, no release.
+                        fw.count(p.tags & !released, |s| s.dropped_buffered += 1);
                     }
-                    // Buffered-miss semantics: no PacketOut, no release.
-                    fw.count(p.tags & !released, |s| s.dropped_buffered += 1);
                 }
             }
             std::mem::swap(&mut flights, &mut fw.next);
@@ -1069,8 +1180,8 @@ pub fn mqo_replay_deltas(
         }
     }
     memo.flush(&mut fw);
-    let (steps, replayed, replayed_punts) = (engine.steps, memo.replayed, memo.replayed_punts);
-    let work = JointWork { steps, replayed, replayed_punts, classes: fw.classes.len() as u64, ..work };
+    let (steps, skipped, replayed, replayed_punts) = (engine.steps, engine.quiet.skipped, memo.replayed, memo.replayed_punts);
+    let work = JointWork { steps, skipped, replayed, replayed_punts, classes: fw.classes.len() as u64, ..work };
     let stats = fw.fold(n);
     #[cfg(debug_assertions)]
     check_replay(setup, &tables, &engine, &fw.classes, &stats, &work);
@@ -1085,7 +1196,7 @@ pub fn mqo_replay_deltas(
 /// folded into each of its members exactly once — the counters summed over
 /// candidates are those of the classes, each taken `|tags|` times — with
 /// every candidate injected every attached packet; and every punt a step,
-/// or inside an injection answered from the memo.
+/// a skipped quiet step, or inside an injection answered from the memo.
 #[cfg(debug_assertions)]
 fn check_replay(
     setup: &BacktestSetup,
@@ -1123,7 +1234,7 @@ fn check_replay(
     }
     assert_eq!(by_candidate, by_class, "a class was not folded once per member");
     let punts: u64 = classes.values().map(|class| class.packet_ins).sum();
-    assert_eq!(work.steps + work.replayed_punts, punts, "a punt neither stepped nor replayed");
+    assert_eq!(work.steps + work.skipped + work.replayed_punts, punts, "a punt neither stepped, skipped nor replayed");
 }
 
 #[cfg(test)]
@@ -1422,6 +1533,101 @@ mod tests {
         // flushes the memo, so the fifth is forwarded again — out of port
         // 9 — and filed, and the last two are replayed.
         assert_eq!((joint.work.replayed, joint.work.steps, joint.work.replayed_punts), (3, 1, 0));
+    }
+
+    /// `r0` files a `Cfg` for a punt at S3; `r1` answers a punt above S5
+    /// whose destination port has one. A punt elsewhere reads its location,
+    /// its destination port and `Swi > 5`: the switch itself reaches only
+    /// `r1`'s head.
+    fn quiet_program() -> Program {
+        parse_program(
+            "quiet",
+            r"
+            materialize(PacketIn, event, 2, keys()).
+            materialize(Cfg, infinity, 2, keys(0)).
+            materialize(FlowTable, infinity, 2, keys(0,1)).
+            r0 Cfg(@C,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 3, Prt := 2.
+            r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi > 5, Cfg(@C,Hdr,Prt).
+            ",
+        )
+        .unwrap()
+    }
+
+    /// A punt at `switch` of a packet to `dst_port`, for `tags`: the replies.
+    fn punt(engine: &mut TaggedEngine, switch: i64, dst_port: i64, tags: TagSet) -> Vec<(CtrlMsg, TagSet)> {
+        let mut packet = Packet::http(0, fig1_hosts::INTERNET, fig1_hosts::H2);
+        packet.dst_port = dst_port;
+        let mut out = Vec::new();
+        engine.on_packet_in(&PacketInMsg { switch, in_port: 0, packet }, tags, &mut out);
+        out
+    }
+
+    fn is_flow_mod_at(replies: &[(CtrlMsg, TagSet)], at: i64, for_tags: TagSet) -> bool {
+        matches!(replies, [(CtrlMsg::FlowMod { switch, .. }, tags)] if (*switch, *tags) == (at, for_tags))
+    }
+
+    #[test]
+    fn an_admission_between_two_key_equal_quiet_punts_makes_the_second_step() {
+        let (base, setup) = (quiet_program(), setup());
+        let tagged = tagged_program(&base, &[RuleDelta::default()]);
+        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        // No `Cfg`: the join fails, and the second punt is the first's.
+        assert!(punt(&mut engine, 7, 80, 1).is_empty());
+        assert!(punt(&mut engine, 7, 80, 1).is_empty());
+        assert_eq!((engine.steps, engine.quiet.skipped), (1, 1));
+        // S3's punt admits `Cfg(80, 2)`: the same punt steps again, and
+        // joins it.
+        assert!(punt(&mut engine, 3, 80, 1).is_empty());
+        let replies = punt(&mut engine, 7, 80, 1);
+        assert!(is_flow_mod_at(&replies, 7, 1), "{replies:?}");
+        assert_eq!((engine.steps, engine.quiet.skipped), (3, 1));
+    }
+
+    #[test]
+    fn punts_whose_keys_differ_only_in_tags_or_in_a_read_column_both_step() {
+        let (base, setup) = (quiet_program(), setup());
+        let tagged = tagged_program(&base, &[RuleDelta::default(), RuleDelta::default()]);
+        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        let cfg = Tuple::new("Cfg", Value::str("C"), vec![Value::Int(80), Value::Int(2)]);
+        engine.step(cfg, 0b11, None);
+        // Below S5 `r1`'s prefilter fails; `r0`'s keyed group is S3's alone.
+        assert!(punt(&mut engine, 1, 80, 0b01).is_empty());
+        assert!(punt(&mut engine, 1, 80, 0b10).is_empty(), "other tags");
+        // Above S5 the join decides: no `Cfg` for port 53.
+        assert!(punt(&mut engine, 7, 53, 0b01).is_empty(), "another test bit");
+        assert_eq!((engine.steps, engine.quiet.skipped), (3, 0));
+        // The switch reaches only the head.
+        assert!(punt(&mut engine, 9, 53, 0b01).is_empty());
+        assert_eq!((engine.steps, engine.quiet.skipped), (3, 1));
+        // Port 80 is the punt at S7 but for the read column, and the punt
+        // at S1 but for the test bit: it steps, and joins `Cfg(80, 2)`.
+        let replies = punt(&mut engine, 7, 80, 0b01);
+        assert!(is_flow_mod_at(&replies, 7, 0b01), "{replies:?}");
+        assert_eq!((engine.steps, engine.quiet.skipped), (4, 1));
+    }
+
+    #[test]
+    fn a_step_whose_head_an_assignment_refuses_is_not_filed() {
+        let base = parse_program(
+            "refused",
+            r"
+            materialize(PacketIn, event, 2, keys()).
+            materialize(FlowTable, infinity, 2, keys(0,1)).
+            r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Prt := 2 / Swi.
+            ",
+        )
+        .unwrap();
+        let setup = setup();
+        let tagged = tagged_program(&base, &[RuleDelta::default()]);
+        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        // At switch 0 the match is complete and the assignment refuses the
+        // head: the step derives nothing, and is not filed. The switch is
+        // off the key — only the assignment and the head read it — so the
+        // punt at S1 would have been answered as that step.
+        assert!(punt(&mut engine, 0, 80, 1).is_empty());
+        let replies = punt(&mut engine, 1, 80, 1);
+        assert!(is_flow_mod_at(&replies, 1, 1), "{replies:?}");
+        assert_eq!((engine.steps, engine.quiet.skipped, engine.diverged), (2, 0, 0));
     }
 
     #[test]

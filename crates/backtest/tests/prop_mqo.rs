@@ -99,8 +99,8 @@ fn manual(switch: i64, dst_port: i64, actions: Vec<Action>) -> (i64, FlowEntry) 
 /// priority, different action); 3 and 4 are cases where the joint replay
 /// once disagreed with the simulator: an output to a port with no peer and
 /// an explicit punt; 5 rewrites the destination; 6 names a switch the
-/// topology does not have. No entry copies a packet: see
-/// `flooding_matches_the_simulator_when_no_copy_punts`.
+/// topology does not have; 7 floods, and its copies may punt behind one
+/// another (`a_copy_behind_another_copys_punt_hits_its_entry`).
 fn pool(s_in: i64, s_a: i64, s_b: i64, other_host: i64) -> Vec<(i64, FlowEntry)> {
     vec![
         manual(s_in, 80, vec![Action::Output(2)]),
@@ -110,6 +110,7 @@ fn pool(s_in: i64, s_a: i64, s_b: i64, other_host: i64) -> Vec<(i64, FlowEntry)>
         manual(s_in, 53, vec![Action::Controller]),
         manual(s_b, 53, vec![Action::Modify(Field::DstIp, other_host), Action::Output(2)]),
         manual(4242, 80, vec![Action::Output(1)]),
+        manual(s_a, 80, vec![Action::Flood]),
     ]
 }
 
@@ -349,7 +350,7 @@ proptest! {
         cands in prop::collection::vec(
             (
                 prop_oneof![mutant(), structural_mutant()],
-                prop::collection::vec(0usize..7, 0..3),
+                prop::collection::vec(0usize..8, 0..3),
             ),
             1..7,
         ),
@@ -413,7 +414,7 @@ proptest! {
         cands in prop::collection::vec(
             (
                 prop_oneof![mutant(), structural_mutant()],
-                prop::collection::vec(0usize..7, 0..3),
+                prop::collection::vec(0usize..8, 0..3),
             ),
             1..5,
         ),
@@ -556,11 +557,64 @@ fn packet_out_drop_and_dead_port_are_policy_drops() {
     }
 }
 
-/// A flood puts several copies of a packet in flight at once. The joint
-/// replay advances them hop round by hop round while the simulator orders
-/// them by its clock, so the two agree when no copy reaches the controller
-/// — here the proactive routes carry every copy, round S1–S2–S3 until the
-/// TTL guard.
+/// Two copies of one packet racing for the controller. `p0` and `p1` both
+/// release every packet punted at S1 out of port 1, so two copies reach S2
+/// in one hop round; `f` answers a punt at S2 with an entry there. The
+/// simulator answers the first copy's punt on arrival, and the second copy
+/// hits the entry: 26 packet-ins, 2 packets dropped at the buffer, 23
+/// delivered. The joint replay once looked every flight of a hop round up
+/// before it answered the round's punts, and read 28 / 4 / 22 for the
+/// candidate, which it kept. It answers a flight's punt before the next
+/// flight is looked up now, and agrees.
+#[test]
+fn a_copy_behind_another_copys_punt_hits_its_entry() {
+    let fx = fig1_fixture();
+    let (setup, _) = packet_out_setup(&fx, &[], 64);
+    let base = parse_program(
+        "race",
+        "materialize(PacketIn, event, 2, keys()).\n\
+         materialize(PacketOut, event, 2, keys()).\n\
+         materialize(FlowTable, infinity, 2, keys(0,1)).\n\
+         p0 PacketOut(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Prt := 1.\n\
+         p1 PacketOut(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Prt := 1.\n\
+         f FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Prt := 1.\n",
+    )
+    .unwrap();
+    let (deltas, cands) = deltas_and_programs(&base, &[Patch::default(), delete("p1")]);
+    let solo = replay_with_extra_flows(&setup, &cands[0], &[]).unwrap().stats;
+    assert_eq!((solo.packet_ins, solo.dropped_buffered, solo.total_delivered()), (26, 2, 23));
+    assert_joint_equals_sequential(&setup, &base, &cands, &deltas, &[]).unwrap();
+}
+
+/// A candidate's copies keep the order it sent them in. At S1, `b`
+/// releases a packet to S2 and `a` one to S3, where `f` answers with an
+/// entry at S2. Candidate 0 drops `a`; candidate 1 drops `b` and adds `b2`,
+/// `b` again after `a`, so it sends its copy to S3 first, and that copy's
+/// punt installs the entry its copy to S2 then hits. Candidate 0's copy to
+/// S2 travels first. Candidate 1's once joined it there, ahead of its own
+/// copy to S3, and missed: 50 packet-ins, 26 packets dropped at the buffer
+/// and 11 delivered, where its sequential replay reads 48, 24 and 12.
+#[test]
+fn a_candidates_copies_keep_the_order_it_sent_them_in() {
+    let fx = fig1_fixture();
+    let (setup, _) = packet_out_setup(&fx, &[], 64);
+    let src = "materialize(PacketIn, event, 2, keys()).\n\
+               materialize(PacketOut, event, 2, keys()).\n\
+               materialize(FlowTable, infinity, 2, keys(0,1)).\n\
+               b PacketOut(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Prt := 1.\n\
+               a PacketOut(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Prt := 2.\n\
+               f FlowTable(@Nxt,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 3, Nxt := 2, Prt := 1.\n";
+    let base = parse_program("order", src).unwrap();
+    let mut b2 = base.rule("b").unwrap().clone();
+    b2.id = "b2".into();
+    let patches = [delete("a"), Patch::of(vec![Edit::DeleteRule { rule: "b".into() }, Edit::AddRule { rule: b2 }])];
+    let (deltas, cands) = deltas_and_programs(&base, &patches);
+    assert_joint_equals_sequential(&setup, &base, &cands, &deltas, &[]).unwrap();
+}
+
+/// A flood puts several copies of a packet in flight at once. Here no copy
+/// reaches the controller — the proactive routes carry every copy, round
+/// S1–S2–S3 until the TTL guard.
 #[test]
 fn flooding_matches_the_simulator_when_no_copy_punts() {
     let fx = fig1_fixture();
@@ -1107,11 +1161,8 @@ proptest! {
 /// reads the `PacketOut` event into a flow entry of its own. `FlowTable` is
 /// keyed on all its columns, or (`keyed`) on the header alone, where a
 /// second port replaces the first and `r2` reads the replaced entry.
-///
-/// No candidate copies `r3`: a punt answered by two `PacketOut`s puts two
-/// copies of its packet on the wire, and copies that race for the
-/// controller are outside what the joint replay claims (module docs of
-/// `mqo`, "Scope").
+/// A copy of `r3` answers a punt with two `PacketOut`s, and two copies of
+/// the packet race for the controller.
 fn output_fixture(keyed: bool, picks: &[usize]) -> Fixture {
     let consts = vec![1, 2, 3, 53, 80];
     let c = |i: usize| consts[picks[i] % consts.len()];
@@ -1151,11 +1202,7 @@ proptest! {
     fn joint_equals_sequential_where_rules_read_output_tables(
         keyed in prop::sample::select(vec![false, true]),
         picks in prop::collection::vec(0usize..5, 12),
-        cands in prop::collection::vec(
-            prop_oneof![mutant(), structural_mutant()]
-                .prop_filter("a copy of the release rule", |m| !matches!(m, Mutation::Copy { rule: 2, .. })),
-            1..6,
-        ),
+        cands in prop::collection::vec(prop_oneof![mutant(), structural_mutant()], 1..6),
     ) {
         let fx = output_fixture(keyed, &picks);
         let (programs, deltas) = mutants(&fx, &cands.iter().collect::<Vec<_>>())?;
@@ -1163,5 +1210,68 @@ proptest! {
         setup.codec.packet_out_table = Some("PacketOut".into());
         let handed_back = joint_vs_sequential(&setup, &fx.base, &programs, &deltas, &[])?;
         prop_assert!(keyed || handed_back == 0, "handed back without a key: {:b}", handed_back);
+    }
+}
+
+/// The quiet family on Fig. 1, under the five-tuple codec: `r1`–`r4` join
+/// the packet-in with `Allow` on the destination port, and select on the
+/// switch and the source address. `Allow` is seeded for port 80, so until
+/// `r0` files the source port of a packet from address 4 — 53 among them —
+/// no rule completes a match on a DNS punt: those steps change nothing. The
+/// workload varies the source address, which only selections read, and the
+/// destination address and source port, which only heads read — heads a
+/// failing join never reaches. It opens with two DNS packets that differ in
+/// those two alone: the second is a punt key-equal to the first, whatever
+/// the candidates edit.
+fn quiet_fixture(picks: &[usize], flows: &[(i64, i64, bool)]) -> (Fixture, BacktestSetup) {
+    let consts = vec![1, 2, 3, 4, 5];
+    let c = |i: usize| consts[picks[i] % consts.len()];
+    let mut src = String::from(
+        "materialize(PacketIn, event, 6, keys()).\n\
+         materialize(FlowTable, infinity, 5, keys(0,1,2,3,4)).\n\
+         materialize(Allow, infinity, 2, keys(0)).\n\
+         r0 Allow(@C,Spt,Prt) :- PacketIn(@C,Swi,Sip,Dip,Spt,Dpt,Ipt), Sip == 4, Prt := 1.\n",
+    );
+    let ops = [("==", "<"), ("!=", ">"), ("==", "!="), ("<", "==")];
+    for (i, (id, (swi_op, sip_op))) in RULES.iter().zip(ops).enumerate() {
+        src.push_str(&format!(
+            "{id} FlowTable(@Swi,Sip,Dip,Spt,Dpt,Prt) :- PacketIn(@C,Swi,Sip,Dip,Spt,Dpt,Ipt), Allow(@C,Dpt,Prt), \
+             Swi {swi_op} {}, Sip {sip_op} {}.\n",
+            c(2 * i),
+            c(2 * i + 1),
+        ));
+    }
+    let fx = Fixture { base: parse_program("prop-mqo-quiet", &src).unwrap(), consts, ..fig1_fixture() };
+    let opening = [(1, 0, false), (1, 1, false)];
+    let packets = opening.iter().chain(flows).enumerate().map(|(i, &(sip, spt, http))| {
+        let mut p = Packet::http(i as u64, sip, if spt % 2 == 0 { fig1_hosts::H1 } else { fig1_hosts::H2 });
+        p.src_port = [53, 80, 7000, 7001][spt as usize];
+        p.dst_port = if http { 80 } else { 53 };
+        (fig1_hosts::INTERNET, p)
+    });
+    let mut setup = fx.setup(false);
+    setup.codec = TupleCodec::five_tuple();
+    setup.seeds = vec![Tuple::new("Allow", setup.codec.controller_loc.clone(), vec![Value::Int(80), Value::Int(1)])];
+    setup.workload = Arc::new(packets.collect());
+    (fx, setup)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Candidates that edit the selections, delete rules or add copies:
+    /// joint equals sequential on the whole `SimStats`, and a punt
+    /// key-equal to a step that changed nothing was not stepped.
+    #[test]
+    fn joint_equals_sequential_where_quiet_punts_are_skipped(
+        picks in prop::collection::vec(0usize..5, 8),
+        flows in prop::collection::vec((0i64..6, 0i64..4, prop::sample::select(vec![false, true])), 4..20),
+        cands in prop::collection::vec(prop_oneof![mutant(), structural_mutant()], 1..6),
+    ) {
+        let (fx, setup) = quiet_fixture(&picks, &flows);
+        let (programs, deltas) = mutants(&fx, &cands.iter().collect::<Vec<_>>())?;
+        assert_joint_equals_sequential(&setup, &fx.base, &programs, &deltas, &[])?;
+        let work = mqo_replay_deltas(&setup, &fx.base, &deltas, &[], &[]).work;
+        prop_assert!(work.skipped > 0, "no punt skipped: {:?}", work);
     }
 }

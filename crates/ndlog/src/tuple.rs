@@ -31,6 +31,11 @@ impl Tuple {
         self.args.len() + 1
     }
 
+    /// Column `c`: `0` is the location, `i + 1` argument `i`.
+    pub fn column(&self, c: usize) -> Option<&Value> {
+        if c == 0 { Some(&self.loc) } else { self.args.get(c - 1) }
+    }
+
     /// Project the key columns (indices into `args`).
     pub fn key(&self, key_cols: &[usize]) -> Vec<Value> {
         key_cols.iter().filter_map(|&i| self.args.get(i).cloned()).collect()

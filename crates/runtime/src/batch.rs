@@ -67,30 +67,33 @@ pub struct TriggerDispatch {
     /// Delta column the keyed groups test (`0` = location, `i + 1` =
     /// payload argument `i`).
     pub(crate) col: usize,
-    /// Triggers keyed by their prefilter constant on `col`, each group in
-    /// original trigger order.
-    pub(crate) keyed: HashMap<Value, Vec<(usize, usize)>>,
+    /// Prefilter constant on `col` → its keyed group in `groups`.
+    pub(crate) keyed: HashMap<Value, usize>,
+    /// The keyed groups, each in original trigger order.
+    pub(crate) groups: Vec<Vec<(usize, usize)>>,
     /// Triggers without a keyable constant on `col`, in original order.
     pub(crate) rest: Vec<(usize, usize)>,
 }
 
 impl TriggerDispatch {
-    /// The triggers `tuple` visits, in the exact order the plain trigger
-    /// list would produce: the keyed group for the tuple's value at the
-    /// dispatch column merged with the residual triggers by original
-    /// `(rule, atom)` position.
-    pub fn triggers_for(&self, tuple: &Tuple) -> MergedTriggers<'_> {
-        let keyed: &[(usize, usize)] = if self.keyed.is_empty() {
-            &[]
-        } else {
-            let got = if self.col == 0 {
-                Some(&tuple.loc)
-            } else {
-                tuple.args.get(self.col - 1)
-            };
-            got.and_then(|v| self.keyed.get(v)).map_or(&[], Vec::as_slice)
-        };
+    /// The index of the keyed group `tuple`'s value at the dispatch column
+    /// falls in; `None` when it falls in none.
+    pub fn group_of(&self, tuple: &Tuple) -> Option<usize> {
+        tuple.column(self.col).and_then(|v| self.keyed.get(v)).copied()
+    }
+
+    /// The triggers a tuple of keyed group `group` ([`Self::group_of`])
+    /// visits, in the exact order the plain trigger list would produce:
+    /// the group merged with the residual triggers by original `(rule,
+    /// atom)` position.
+    pub fn triggers_in(&self, group: Option<usize>) -> MergedTriggers<'_> {
+        let keyed = group.map_or(&[][..], |g| self.groups[g].as_slice());
         MergedTriggers { keyed, rest: &self.rest, i: 0, j: 0 }
+    }
+
+    /// The triggers `tuple` visits: those of its keyed group.
+    pub fn triggers_for(&self, tuple: &Tuple) -> MergedTriggers<'_> {
+        self.triggers_in(self.group_of(tuple))
     }
 }
 
@@ -158,7 +161,7 @@ pub fn build_dispatch<'r>(
             // Most-constrained column wins; ties break to the lowest
             // column so the choice is deterministic.
             let col = (0..votes.len()).max_by_key(|&c| (votes[c], std::cmp::Reverse(c))).unwrap_or(0);
-            let mut dispatch = TriggerDispatch { col, keyed: HashMap::new(), rest: Vec::new() };
+            let mut dispatch = TriggerDispatch { col, ..TriggerDispatch::default() };
             // A trigger is keyed by its first constant on the column.
             let mut on_col = consts.iter().filter(|&&(_, c, _)| c == col).peekable();
             for (k, &trigger) in list.iter().enumerate() {
@@ -166,10 +169,13 @@ pub fn build_dispatch<'r>(
                 while let Some(&(_, _, val)) = on_col.next_if(|&&(owner, ..)| owner == k) {
                     first.get_or_insert(val);
                 }
-                match first {
-                    Some(val) => dispatch.keyed.entry(val.clone()).or_default().push(trigger),
-                    None => dispatch.rest.push(trigger),
-                }
+                let Some(val) = first else {
+                    dispatch.rest.push(trigger);
+                    continue;
+                };
+                let g = *dispatch.keyed.entry(val.clone()).or_insert(dispatch.groups.len());
+                dispatch.groups.resize_with(dispatch.groups.len().max(g + 1), Vec::new);
+                dispatch.groups[g].push(trigger);
             }
             (table.to_string(), Arc::new(dispatch))
         })
@@ -535,8 +541,9 @@ mod tests {
         // constrain Swi — so Hdr wins the vote and every trigger is keyed.
         assert_eq!(d.col, 2);
         assert!(d.rest.is_empty());
-        assert_eq!(d.keyed.get(&Value::Int(80)).map(Vec::len), Some(2));
-        assert_eq!(d.keyed.get(&Value::Int(25)).map(Vec::len), Some(1));
+        let group_len = |v: i64| d.keyed.get(&Value::Int(v)).map(|&g| d.groups[g].len());
+        assert_eq!(group_len(80), Some(2));
+        assert_eq!(group_len(25), Some(1));
         // A delta carrying Hdr = 80 visits two triggers; Hdr = 99 none.
         let mut e = e;
         let v = |i: i64| Value::Int(i);

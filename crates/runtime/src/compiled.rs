@@ -76,14 +76,22 @@ pub(crate) enum ColOp {
 }
 
 /// A `Var op Const` selection over a column the delta atom binds, tested
-/// on the raw tuple.
-#[derive(Debug, Clone)]
-struct ColTest {
+/// on the raw tuple: one test of a column prefilter.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColTest {
     col: usize,
     op: CmpOp,
     value: Value,
     /// `Var op Const` (else `Const op Var`).
     var_left: bool,
+}
+
+impl ColTest {
+    /// Does `delta` pass the test? A column it does not have fails it.
+    pub fn passes(&self, delta: &Tuple) -> bool {
+        let v = delta.column(self.col);
+        v.is_some_and(|v| if self.var_left { self.op.eval(v, &self.value) } else { self.op.eval(&self.value, v) })
+    }
 }
 
 /// An expression over slots.
@@ -143,6 +151,14 @@ pub(crate) struct DeltaPlan {
     pub(crate) ready: Vec<usize>,
     /// The remaining atoms, in body order.
     pub(crate) exts: Vec<Extension>,
+    /// The delta columns, ascending, a firing reads before its body match
+    /// is complete, apart from the prefilter's tests: a constant or repeated
+    /// column of the delta atom, and a column whose slot an extension checks
+    /// or a selection reads that runs at the delta or at an extension — not
+    /// one only the head or an assignment reads, which run after a complete
+    /// match. Deltas of one arity that pass the same tests and agree here
+    /// have, against one state, the same complete matches.
+    reads: Vec<usize>,
 }
 
 /// A rule compiled to slots (module docs).
@@ -263,6 +279,16 @@ fn compile_expr(e: &Expr, names: &[&str]) -> SlotExpr {
 }
 
 impl SlotExpr {
+    /// Push every slot the expression reads to `out`.
+    fn slots(&self, out: &mut Vec<Slot>) {
+        match self {
+            SlotExpr::Const(_) => {}
+            SlotExpr::Slot(s) => out.push(*s),
+            SlotExpr::Binary(_, l, r) => [l, r].into_iter().for_each(|e| e.slots(out)),
+            SlotExpr::Call(_, args) => args.iter().for_each(|a| a.slots(out)),
+        }
+    }
+
     /// The latest stage any slot of the expression is bound at (`0` for
     /// none): the stage the expression becomes evaluable.
     fn stage(&self, bound_at: &[usize]) -> usize {
@@ -367,10 +393,7 @@ impl DeltaPlan {
     /// The column prefilter: can `delta` fire the rule from this position
     /// at all, by its own columns?
     pub(crate) fn accepts(&self, delta: &Tuple) -> bool {
-        self.prefilter.iter().all(|t| {
-            let got = if t.col == 0 { Some(&delta.loc) } else { delta.args.get(t.col - 1) };
-            got.is_some_and(|v| if t.var_left { t.op.eval(v, &t.value) } else { t.op.eval(&t.value, v) })
-        })
+        self.prefilter.iter().all(|t| t.passes(delta))
     }
 }
 
@@ -462,16 +485,22 @@ impl CompiledRule {
                         ColTest { col, op, value: c.clone(), var_left }
                     })
                     .collect();
-                let mut ready = Vec::new();
+                // And the slots read before the body is complete.
+                let (mut ready, mut read) = (Vec::new(), Vec::new());
                 for (i, s) in sels.iter().enumerate() {
                     match s.lhs.stage(&bound_at).max(s.rhs.stage(&bound_at)) {
                         0 if !pushed[i] => ready.push(i),
-                        0 => {}
+                        0 => continue,
                         k if k < n_body => exts[k - 1].ready.push(i),
-                        _ => {} // waits for an assignment: scheduled below
+                        _ => continue, // waits for an assignment: scheduled below
                     }
+                    [&s.lhs, &s.rhs].into_iter().for_each(|e| e.slots(&mut read));
                 }
-                DeltaPlan { prefilter, cols, ready, exts }
+                read.extend(exts.iter().flat_map(|x| &x.cols).filter_map(|op| if let ColOp::Check(s) = op { Some(*s) } else { None }));
+                let repeated = |i: usize| cols.iter().any(|op| matches!(op, ColOp::SameAs(j) if *j == i));
+                let unread = |i: usize| matches!(cols[i], ColOp::Bind(s) if !read.contains(&s) && !repeated(i));
+                let reads = (0..cols.len()).filter(|&i| !unread(i)).collect();
+                DeltaPlan { prefilter, cols, ready, exts, reads }
             })
             .collect();
         // After the whole body every body slot is bound, whatever the delta
@@ -512,6 +541,12 @@ impl CompiledRule {
     /// only if the rule cannot fire with `delta` there.
     pub fn accepts(&self, d: usize, delta: &Tuple) -> bool {
         self.deltas.get(d).is_some_and(|p| p.accepts(delta))
+    }
+
+    /// Body position `d`'s prefilter tests, and the delta columns its
+    /// firing reads besides before a complete body match (`DeltaPlan::reads`).
+    pub fn reads(&self, d: usize) -> (&[ColTest], &[usize]) {
+        self.deltas.get(d).map_or((&[], &[]), |p| (&p.prefilter, &p.reads))
     }
 
     /// Do the selections `which` all hold? One that errors does not.

@@ -54,7 +54,7 @@ pub mod store;
 pub use batch::scanned_rows;
 pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
 pub use codec::WalRecord;
-pub use compiled::{CompiledRule, LazyRule, ScanScratch};
+pub use compiled::{ColTest, CompiledRule, LazyRule, ScanScratch};
 pub use delta::DeltaTracker;
 pub use engine::{
     CompileError, Durability, Engine, EngineRecovery, EvalStrategy, Options, RecoverError, RuntimeError, StepResult,
