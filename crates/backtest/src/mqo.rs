@@ -107,21 +107,12 @@
 //!
 //! # Punts that change nothing
 //!
-//! A punt is stepped once per what its rules can tell apart. A packet-in's
-//! step that changed nothing — `fire_scan` found no complete match, no head
-//! and no reply, `diverged`, `admitted` and the `f_unique` ids stood — is
-//! filed, and a punt with an equal key is counted ([`JointWork::skipped`])
-//! and not stepped. The key: the punt's tags; its dispatch group
-//! ([`TriggerDispatch::group_of`]), which fixes its triggers; a bit per
-//! distinct prefilter test of those; its values at the delta columns their
-//! plans read before a complete match ([`mpr_runtime::CompiledRule::reads`]).
-//! Exact, because against one state nothing else of the delta is read on
-//! the way to a complete match: heads and assignments, which read the rest
-//! (the fabric's `Swi`, copied to `r1`'s head), run after one, and a filed
-//! step has none. State rows change only by a fresh admission, so the memo
-//! holds while `admitted` stands. A group with a variant that does not
-//! compile gives no key to tags meeting its mask: they step, and are handed
-//! back, as before. A key is a few words and a hash of the read values.
+//! A punt is stepped once per what its rules can tell apart, by the rule
+//! the engine answers a first occurrence by, [`mpr_runtime::QuietSteps`],
+//! under its tags while `admitted` stands. A step changed nothing where
+//! `fire_scan` found no complete match, and no reply, `diverged`,
+//! `admitted` or `f_unique` id moved. An answered punt is counted
+//! ([`JointWork::skipped`]).
 //!
 //! # Repeated injections: the injection memo
 //!
@@ -180,7 +171,7 @@ use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::{build_dispatch, ColTest, LazyRule, PassHash, Prehashed, ScanScratch, TriggerDispatch};
+use mpr_runtime::{build_dispatch, LazyRule, PassHash, Prehashed, QuietSteps, ScanScratch, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, PktArg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::{Field, Packet};
@@ -351,32 +342,6 @@ impl TaggedTable {
 #[cfg(debug_assertions)]
 fn tags_digest(digest: u64, rows: &[(Tuple, TagSet)]) -> u64 {
     rows.iter().fold(digest, |d, (_, tags)| d.rotate_left(7) ^ tags.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// What the punts of one dispatch group read before a complete body match:
-/// the distinct prefilter tests of its triggers (a key bit each), the delta
-/// columns their plans read, and who gets no key — a variant of theirs does
-/// not compile, or the tests outnumber 64 bits.
-#[derive(Default)]
-struct GroupReads {
-    tests: Vec<ColTest>,
-    cols: Vec<usize>,
-    refused: TagSet,
-}
-
-/// A filed quiet step: tags, dispatch group, test bits, and the punt the
-/// read columns are taken from.
-type QuietKey = (TagSet, Option<usize>, u64, Tuple);
-
-/// The steps that changed nothing (module docs, "Punts that change
-/// nothing"), filed while `admitted` stands at `under`. The group reads
-/// are per group, `0` for none and `g + 1` for group `g`.
-#[derive(Default)]
-struct QuietSteps {
-    groups: Vec<Option<GroupReads>>,
-    filed: Prehashed<Vec<QuietKey>>,
-    under: u64,
-    skipped: u64,
 }
 
 /// Tagged controller state, and the engine's round loop over it (module
@@ -598,64 +563,21 @@ impl<'a> TaggedEngine<'a> {
 
     /// Evaluate the tagged program on one PacketIn under `tags`: pushes the
     /// control messages it answers with, and the tag sets they apply to. A
-    /// punt key-equal to a filed quiet step is counted and not stepped.
+    /// punt [`QuietSteps`] answers is counted and not stepped.
     fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet, out: &mut Vec<(CtrlMsg, TagSet)>) {
         let delta = self.codec.packet_in_tuple(msg);
-        if self.quiet.under != self.admitted {
-            self.quiet.filed.clear();
-            self.quiet.under = self.admitted;
-        }
-        let key = self.quiet_key(&delta, tags);
-        if key.is_some_and(|(.., filed)| filed) {
-            self.quiet.skipped += 1;
+        let (variants, compiled, catalog) = (&self.program.variants, &self.compiled, self.catalog);
+        let rule = |vi: usize| compiled[vi].get(&variants[vi].rule, catalog);
+        let Some(key) = self.quiet.lookup(tags, &delta, self.punt_dispatch.as_deref(), self.admitted, rule) else {
             return;
-        }
+        };
         self.steps += 1;
         let standing = (self.diverged, self.admitted, self.funcs.issued(), out.len());
         let matched = self.step(delta, tags, Some((msg, out)));
         let quiet = matched == 0 && standing == (self.diverged, self.admitted, self.funcs.issued(), out.len());
-        if let Some((hash, group, bits, _)) = key.filter(|_| quiet) {
-            self.quiet.filed.entry(hash).or_default().push((tags, group, bits, self.codec.packet_in_tuple(msg)));
+        if let Some(key) = key.filter(|_| quiet) {
+            self.quiet.file(key);
         }
-    }
-
-    /// The hash, dispatch group and test bits of the quiet-step key of a
-    /// punt `delta` for `tags`, and whether a step under it is filed; `None`
-    /// where its group gives `tags` no key.
-    fn quiet_key(&mut self, delta: &Tuple, tags: TagSet) -> Option<(u64, Option<usize>, u64, bool)> {
-        let dispatch = self.punt_dispatch.as_deref()?;
-        let group = dispatch.group_of(delta);
-        let at = group.map_or(0, |g| g + 1);
-        self.quiet.groups.resize_with(self.quiet.groups.len().max(at + 1), || None);
-        let reads = self.quiet.groups[at].get_or_insert_with(|| {
-            // What the group's triggers read; their variants compile here.
-            let mut reads = GroupReads::default();
-            for (vi, ai) in dispatch.triggers_in(group) {
-                let variant = &self.program.variants[vi];
-                let Some((tests, cols)) = self.compiled[vi].get(&variant.rule, self.catalog).map(|r| r.reads(ai)) else {
-                    reads.refused |= variant.mask;
-                    continue;
-                };
-                tests.iter().for_each(|t| if !reads.tests.contains(t) { reads.tests.push(t.clone()) });
-                reads.cols.extend(cols);
-            }
-            reads.refused |= if reads.tests.len() > 64 { !0 } else { 0 };
-            reads.cols.sort_unstable();
-            reads.cols.dedup();
-            reads
-        });
-        if reads.refused & tags != 0 {
-            return None;
-        }
-        let bits = reads.tests.iter().enumerate().fold(0u64, |bits, (i, t)| bits | u64::from(t.passes(delta)) << i);
-        let mut hasher = self.hasher.build_hasher();
-        (tags, group, bits).hash(&mut hasher);
-        reads.cols.iter().for_each(|&c| delta.column(c).hash(&mut hasher));
-        let (hash, cols) = (hasher.finish(), &reads.cols);
-        let same = |(t, g, b, punt): &QuietKey| {
-            (*t, *g, *b) == (tags, group, bits) && cols.iter().all(|&c| punt.column(c) == delta.column(c))
-        };
-        Some((hash, group, bits, self.quiet.filed.get(&hash).is_some_and(|filed| filed.iter().any(same))))
     }
 }
 
@@ -996,8 +918,8 @@ pub struct JointWork {
     pub lookups: u64,
     /// Punts answered by running the program to fixpoint.
     pub steps: u64,
-    /// Punts answered as an earlier step that changed nothing, at an
-    /// unchanged state (module docs, "Punts that change nothing").
+    /// Punts answered without a step by [`mpr_runtime::QuietSteps`] (module
+    /// docs, "Punts that change nothing").
     pub skipped: u64,
     /// Injections answered from the memo: nothing forwarded.
     pub replayed: u64,
@@ -1180,7 +1102,7 @@ pub fn mqo_replay_deltas(
         }
     }
     memo.flush(&mut fw);
-    let (steps, skipped, replayed, replayed_punts) = (engine.steps, engine.quiet.skipped, memo.replayed, memo.replayed_punts);
+    let (steps, skipped, replayed, replayed_punts) = (engine.steps, engine.quiet.answered(), memo.replayed, memo.replayed_punts);
     let work = JointWork { steps, skipped, replayed, replayed_punts, classes: fw.classes.len() as u64, ..work };
     let stats = fw.fold(n);
     #[cfg(debug_assertions)]
@@ -1574,13 +1496,13 @@ mod tests {
         // No `Cfg`: the join fails, and the second punt is the first's.
         assert!(punt(&mut engine, 7, 80, 1).is_empty());
         assert!(punt(&mut engine, 7, 80, 1).is_empty());
-        assert_eq!((engine.steps, engine.quiet.skipped), (1, 1));
+        assert_eq!((engine.steps, engine.quiet.answered()), (1, 1));
         // S3's punt admits `Cfg(80, 2)`: the same punt steps again, and
         // joins it.
         assert!(punt(&mut engine, 3, 80, 1).is_empty());
         let replies = punt(&mut engine, 7, 80, 1);
         assert!(is_flow_mod_at(&replies, 7, 1), "{replies:?}");
-        assert_eq!((engine.steps, engine.quiet.skipped), (3, 1));
+        assert_eq!((engine.steps, engine.quiet.answered()), (3, 1));
     }
 
     #[test]
@@ -1595,15 +1517,15 @@ mod tests {
         assert!(punt(&mut engine, 1, 80, 0b10).is_empty(), "other tags");
         // Above S5 the join decides: no `Cfg` for port 53.
         assert!(punt(&mut engine, 7, 53, 0b01).is_empty(), "another test bit");
-        assert_eq!((engine.steps, engine.quiet.skipped), (3, 0));
+        assert_eq!((engine.steps, engine.quiet.answered()), (3, 0));
         // The switch reaches only the head.
         assert!(punt(&mut engine, 9, 53, 0b01).is_empty());
-        assert_eq!((engine.steps, engine.quiet.skipped), (3, 1));
+        assert_eq!((engine.steps, engine.quiet.answered()), (3, 1));
         // Port 80 is the punt at S7 but for the read column, and the punt
         // at S1 but for the test bit: it steps, and joins `Cfg(80, 2)`.
         let replies = punt(&mut engine, 7, 80, 0b01);
         assert!(is_flow_mod_at(&replies, 7, 0b01), "{replies:?}");
-        assert_eq!((engine.steps, engine.quiet.skipped), (4, 1));
+        assert_eq!((engine.steps, engine.quiet.answered()), (4, 1));
     }
 
     #[test]
@@ -1627,7 +1549,32 @@ mod tests {
         assert!(punt(&mut engine, 0, 80, 1).is_empty());
         let replies = punt(&mut engine, 1, 80, 1);
         assert!(is_flow_mod_at(&replies, 1, 1), "{replies:?}");
-        assert_eq!((engine.steps, engine.quiet.skipped, engine.diverged), (2, 0, 0));
+        assert_eq!((engine.steps, engine.quiet.answered(), engine.diverged), (2, 0, 0));
+    }
+
+    #[test]
+    fn a_punt_no_variant_hears_costs_no_step() {
+        let base = parse_program(
+            "deaf",
+            r"
+            materialize(PacketIn, event, 2, keys()).
+            materialize(FlowTable, infinity, 2, keys(0,1)).
+            r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Prt := 2.
+            ",
+        )
+        .unwrap();
+        let setup = setup();
+        let tagged = tagged_program(&base, &[RuleDelta::default()]);
+        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        // `r1` is keyed on switch 1: the group of a punt at switch 2 has no
+        // trigger, so every such punt is answered, the first one too.
+        for port in [80, 53, 80] {
+            assert!(punt(&mut engine, 2, port, 1).is_empty());
+        }
+        assert_eq!((engine.steps, engine.quiet.answered()), (0, 3));
+        let replies = punt(&mut engine, 1, 80, 1);
+        assert!(is_flow_mod_at(&replies, 1, 1), "{replies:?}");
+        assert_eq!((engine.steps, engine.quiet.answered()), (1, 3));
     }
 
     #[test]

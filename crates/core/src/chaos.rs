@@ -23,7 +23,7 @@ use crate::debugger::{try_repair_scenario, RepairReport};
 use crate::scenarios::Scenario;
 use mpr_backtest::replay::{drive, BacktestSetup};
 use mpr_ndlog::{Persistence, Program, Tuple};
-use mpr_runtime::{Durability, Engine, EngineRecovery, ExecLog, Options as EngineOptions, WalOptions, WalRecord};
+use mpr_runtime::{Durability, Engine, EngineRecovery, ExecLog, Options as EngineOptions, WalOptions};
 use mpr_sdn::topology::{NodeRef, Topology};
 use mpr_sdn::{CtrlFaults, FaultPlan, LinkFault, SwitchCrash};
 use mpr_storage::{StorageBackend, WalBackend, WalConfig};
@@ -153,6 +153,12 @@ pub struct ChaosOutcome {
     pub error: Option<String>,
 }
 
+/// The message of a panic `catch_unwind` caught.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    let text = payload.downcast_ref::<&str>().map(|m| (*m).to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned()).unwrap_or_else(|| "opaque panic payload".into())
+}
+
 /// Run the full diagnose → repair → backtest loop on `scenario` with
 /// `plan` installed in its simulator config. Panics anywhere inside the
 /// loop are contained here (the chaos harness must outlive what it
@@ -161,39 +167,21 @@ pub fn run_under_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosOutcome {
     let mut s = scenario.clone();
     s.sim.faults = plan.clone();
     let result: Result<Result<RepairReport, String>, String> =
-        catch_unwind(AssertUnwindSafe(|| try_repair_scenario(&s))).map_err(|payload| {
-            payload
-                .downcast_ref::<&str>()
-                .map(|m| (*m).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into())
-        });
-    match result {
-        Ok(Ok(report)) => ChaosOutcome {
-            scenario: scenario.id.clone(),
-            class: FaultClass::CtrlChaos, // overwritten by the sweep; meaningless alone
-            seed: plan.seed,
-            plan: plan.clone(),
-            recovered: report.generated() > 0,
-            generated: report.generated(),
-            accepted: report.accepted_count(),
-            error: (report.generated() == 0).then(|| "no candidates generated".into()),
-        },
-        Ok(Err(e)) => failure(scenario, plan, format!("loop error: {e}")),
-        Err(panic) => failure(scenario, plan, format!("escaped panic: {panic}")),
-    }
-}
-
-fn failure(scenario: &Scenario, plan: &FaultPlan, error: String) -> ChaosOutcome {
+        catch_unwind(AssertUnwindSafe(|| try_repair_scenario(&s))).map_err(panic_message);
+    let (generated, accepted, error) = match result {
+        Ok(Ok(report)) => (report.generated(), report.accepted_count(), None),
+        Ok(Err(e)) => (0, 0, Some(format!("loop error: {e}"))),
+        Err(panic) => (0, 0, Some(format!("escaped panic: {panic}"))),
+    };
     ChaosOutcome {
         scenario: scenario.id.clone(),
-        class: FaultClass::CtrlChaos,
+        class: FaultClass::CtrlChaos, // overwritten by the sweep; meaningless alone
         seed: plan.seed,
         plan: plan.clone(),
-        recovered: false,
-        generated: 0,
-        accepted: 0,
-        error: Some(error),
+        recovered: generated > 0,
+        generated,
+        accepted,
+        error: error.or_else(|| (generated == 0).then(|| "no candidates generated".into())),
     }
 }
 
@@ -265,47 +253,26 @@ pub fn sweep(scenarios: &[Scenario], classes: &[FaultClass], seeds: &[u64]) -> C
 /// predicate — the form worth pinning as a regression scenario.
 pub fn minimize_with(plan: &FaultPlan, fails: impl Fn(&FaultPlan) -> bool) -> FaultPlan {
     let mut current = plan.clone();
-    loop {
-        let mut shrunk = false;
-        // Link faults, one at a time.
-        for i in (0..current.links.len()).rev() {
+    let mut shrunk = true;
+    while shrunk {
+        shrunk = false;
+        let (links, crashes, ctrl) = (current.links.len(), current.crashes.len(), !current.ctrl.is_noop());
+        let mut attempt = |edit: &dyn Fn(&mut FaultPlan)| {
             let mut candidate = current.clone();
-            candidate.links.remove(i);
-            if fails(&candidate) {
+            edit(&mut candidate);
+            if candidate != current && fails(&candidate) {
                 current = candidate;
                 shrunk = true;
             }
-        }
-        // Crashes, one at a time.
-        for i in (0..current.crashes.len()).rev() {
-            let mut candidate = current.clone();
-            candidate.crashes.remove(i);
-            if fails(&candidate) {
-                current = candidate;
-                shrunk = true;
-            }
-        }
-        // Control-channel knobs, one at a time.
-        if !current.ctrl.is_noop() {
-            let zeroed: [(&str, fn(&mut CtrlFaults)); 4] = [
-                ("drop", |c| c.drop_chance = 0.0),
-                ("dup", |c| c.dup_chance = 0.0),
-                ("delay", |c| c.delay_chance = 0.0),
-                ("reorder", |c| c.reorder = false),
-            ];
-            for (_, zero) in zeroed {
-                let mut candidate = current.clone();
-                zero(&mut candidate.ctrl);
-                if candidate != current && fails(&candidate) {
-                    current = candidate;
-                    shrunk = true;
-                }
-            }
-        }
-        if !shrunk {
-            return current;
-        }
+        };
+        // Link faults, then crashes, then control-channel knobs, one at a time.
+        (0..links).rev().for_each(|i| attempt(&|p| _ = p.links.remove(i)));
+        (0..crashes).rev().for_each(|i| attempt(&|p| _ = p.crashes.remove(i)));
+        let zeroed: [fn(&mut CtrlFaults); 4] =
+            [|c| c.drop_chance = 0.0, |c| c.dup_chance = 0.0, |c| c.delay_chance = 0.0, |c| c.reorder = false];
+        zeroed.into_iter().filter(|_| ctrl).for_each(|zero| attempt(&|p| zero(&mut p.ctrl)));
     }
+    current
 }
 
 /// [`minimize_with`] against the real repair loop: shrink `plan` while
@@ -589,19 +556,12 @@ pub fn recover_prefix(capture: &WalCapture, cut: u64) -> Result<(Engine, EngineR
     result
 }
 
-/// An in-memory engine fed the input records after the header, in order:
-/// the oracle a restart that re-ran them must equal.
+/// An in-memory engine that re-ran `records`, a header and the input
+/// records after it, in order: the oracle a restart must equal.
 pub fn fed_engine(capture: &WalCapture, records: &[Vec<u8>]) -> Result<Engine, String> {
     let mut engine =
         Engine::shared(Arc::clone(&capture.program), capture.opts.clone()).map_err(|e| e.to_string())?;
-    for record in records.iter().skip(1) {
-        // A call that failed live fails the same way here.
-        let _ = match WalRecord::decode(record)? {
-            WalRecord::Insert(tuple) => engine.insert(tuple),
-            WalRecord::Delete(tuple) => engine.delete(&tuple),
-            WalRecord::Header(_) => return Err("a second header".into()),
-        };
-    }
+    engine.rerun(records).map_err(|e| e.to_string())?;
     Ok(engine)
 }
 
@@ -638,14 +598,7 @@ pub fn crash_at(capture: &WalCapture, cut: u64) -> KillOutcome {
     match probe {
         Ok(Ok((clean, inputs, prefix_consistent))) => KillOutcome { inputs, clean, prefix_consistent, ..base },
         Ok(Err(e)) => KillOutcome { error: Some(format!("recovery error: {e}")), ..base },
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|m| (*m).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            KillOutcome { error: Some(format!("escaped panic: {msg}")), ..base }
-        }
+        Err(payload) => KillOutcome { error: Some(format!("escaped panic: {}", panic_message(payload))), ..base },
     }
 }
 

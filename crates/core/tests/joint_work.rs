@@ -144,8 +144,8 @@ fn q1_on_ten_thousand_switches_pays_per_distinct_behaviour() {
     // The 1 024 background punts pass the prefilter of the `r1` copies
     // that widen `Swi == 1` and die at the `WebLoadBalancer` join: one
     // key, one quiet step. Each was a step of its own before (1 040 steps).
-    assert!(work.steps <= 20, "{work:?}");
-    assert!(work.skipped >= 1_000, "{work:?}");
+    assert!(work.steps <= 17, "{work:?}");
+    assert!(work.skipped >= 1_023, "{work:?}");
 }
 
 /// The curated differential: on every scenario, each candidate the joint
@@ -196,6 +196,6 @@ fn the_fabric_observation_run_steps_only_for_punts_a_rule_hears() {
     let (steps, hits, unheard) = (engine.steps(), engine.memo_hits(), engine.unheard());
     println!("fabric observation run: {steps} steps, {hits} memo hits, {unheard} unheard");
     assert_eq!(steps + hits + unheard, sim.stats.packet_ins, "every punt is a step, a hit or unheard");
-    assert!(steps <= 16, "{steps} steps");
-    assert!(unheard >= 1_000, "{unheard} punts no rule hears");
+    assert!(steps <= 8, "{steps} steps");
+    assert!(unheard >= 1_024, "{unheard} punts no rule hears");
 }

@@ -37,13 +37,13 @@
 //! id per body atom each — and a candidate is matched *into* its partial
 //! match's frame, copied to the next level only if it survives.
 
-use crate::compiled::{cols_match, eq_consts, match_cols};
+use crate::compiled::{cols_match, eq_consts, match_cols, ColTest, CompiledRule};
 use crate::delta::{DeltaTracker, Visibility};
 use crate::engine::{Engine, RuntimeError, StepResult};
 use crate::log::{TupleId, TupleKind};
 use mpr_ndlog::{Rule, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Constant-keyed trigger dispatch for one table: which `(rule, body
 /// position)` pairs a delta tuple of the table visits.
@@ -73,7 +73,12 @@ pub struct TriggerDispatch {
     pub(crate) groups: Vec<Vec<(usize, usize)>>,
     /// Triggers without a keyable constant on `col`, in original order.
     pub(crate) rest: Vec<(usize, usize)>,
+    /// Per keyed group, then for `rest` alone: [`Self::reads`], made once.
+    reads: Vec<OnceLock<Option<Reads>>>,
 }
+
+/// A group's distinct prefilter tests and the columns its plans read.
+type Reads = (Vec<ColTest>, Vec<usize>);
 
 impl TriggerDispatch {
     /// The index of the keyed group `tuple`'s value at the dispatch column
@@ -94,6 +99,29 @@ impl TriggerDispatch {
     /// The triggers `tuple` visits: those of its keyed group.
     pub fn triggers_for(&self, tuple: &Tuple) -> MergedTriggers<'_> {
         self.triggers_in(self.group_of(tuple))
+    }
+
+    /// What the triggers of `group` read of a delta before a complete match
+    /// ([`CompiledRule::reads`]), `rule(i)` being rule `i` compiled; `None`
+    /// if a rule does not compile or aggregates, or there are over 64 tests.
+    /// Made at the first call, which `rule` must answer alike.
+    pub(crate) fn reads<'r>(
+        &self,
+        group: Option<usize>,
+        mut rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
+    ) -> Option<&Reads> {
+        self.reads.get(group.unwrap_or(self.groups.len()))?.get_or_init(|| {
+            let (mut tests, mut cols) = (Vec::new(), Vec::new());
+            for (ri, ai) in self.triggers_in(group) {
+                let (t, c) = rule(ri)?.reads(ai);
+                t.iter().for_each(|t| if !tests.contains(t) { tests.push(t.clone()) });
+                cols.extend(c);
+            }
+            cols.sort_unstable();
+            cols.dedup();
+            Some((tests, cols)).filter(|(tests, _)| tests.len() <= 64)
+        })
+        .as_ref()
     }
 }
 
@@ -177,6 +205,7 @@ pub fn build_dispatch<'r>(
                 dispatch.groups.resize_with(dispatch.groups.len().max(g + 1), Vec::new);
                 dispatch.groups[g].push(trigger);
             }
+            dispatch.reads.resize_with(dispatch.groups.len() + 1, OnceLock::new);
             (table.to_string(), Arc::new(dispatch))
         })
         .collect()

@@ -78,7 +78,7 @@ pub(crate) enum ColOp {
 /// A `Var op Const` selection over a column the delta atom binds, tested
 /// on the raw tuple: one test of a column prefilter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColTest {
+pub(crate) struct ColTest {
     col: usize,
     op: CmpOp,
     value: Value,
@@ -88,7 +88,7 @@ pub struct ColTest {
 
 impl ColTest {
     /// Does `delta` pass the test? A column it does not have fails it.
-    pub fn passes(&self, delta: &Tuple) -> bool {
+    pub(crate) fn passes(&self, delta: &Tuple) -> bool {
         let v = delta.column(self.col);
         v.is_some_and(|v| if self.var_left { self.op.eval(v, &self.value) } else { self.op.eval(&self.value, v) })
     }
@@ -154,10 +154,10 @@ pub(crate) struct DeltaPlan {
     /// The delta columns, ascending, a firing reads before its body match
     /// is complete, apart from the prefilter's tests: a constant or repeated
     /// column of the delta atom, and a column whose slot an extension checks
-    /// or a selection reads that runs at the delta or at an extension — not
-    /// one only the head or an assignment reads, which run after a complete
-    /// match. Deltas of one arity that pass the same tests and agree here
-    /// have, against one state, the same complete matches.
+    /// (or probes by key) or a selection reads that runs at the delta or at
+    /// an extension — not one only the head or an assignment reads, which
+    /// run after a complete match. Deltas of one arity that pass the same
+    /// tests and agree here have, against one state, the same complete matches.
     reads: Vec<usize>,
 }
 
@@ -545,7 +545,7 @@ impl CompiledRule {
 
     /// Body position `d`'s prefilter tests, and the delta columns its
     /// firing reads besides before a complete body match (`DeltaPlan::reads`).
-    pub fn reads(&self, d: usize) -> (&[ColTest], &[usize]) {
+    pub(crate) fn reads(&self, d: usize) -> (&[ColTest], &[usize]) {
         self.deltas.get(d).map_or((&[], &[]), |p| (&p.prefilter, &p.reads))
     }
 
@@ -688,5 +688,54 @@ impl LazyRule {
     /// Has [`Self::get`] compiled the rule?
     pub fn is_compiled(&self) -> bool {
         self.0.get().is_some_and(Option::is_some)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpr_ndlog::parse_program;
+
+    #[test]
+    fn a_key_probes_columns_bound_by_the_delta_are_read_columns() {
+        // `T` is keyed on its first argument, `U` on both. r1 probes `T` with
+        // the delta's location and `A`; r2 probes `U` with `X` from `T` and
+        // the delta's `B`; from `Ev`, r3 scans `T` (its location is not
+        // known) and probes `U` with the delta's location and `A`.
+        let p = parse_program(
+            "probes",
+            r"
+            materialize(Ev, event, 2, keys()).
+            materialize(T, infinity, 2, keys(0)).
+            materialize(U, infinity, 2, keys(0,1)).
+            materialize(Out, infinity, 2, keys(0,1)).
+            r1 Out(@C,A,Y) :- Ev(@C,A,B), T(@C,A,Y), Z := B.
+            r2 Out(@C,A,B) :- Ev(@C,A,B), T(@C,A,X), U(@C,X,B).
+            r3 Out(@C,A,B) :- T(@C,A,X), Ev(@N,A,B), U(@N,X,A).
+            ",
+        )
+        .unwrap();
+        let mut probed = Vec::new();
+        for rule in &p.rules {
+            let compiled = CompiledRule::compile(rule, &p.catalog).unwrap();
+            for (d, plan) in compiled.deltas.iter().enumerate() {
+                let bound_at = |s: Slot| plan.cols.iter().position(|op| matches!(op, ColOp::Bind(b) if *b == s));
+                for ext in &plan.exts {
+                    for &c in ext.key.iter().flatten() {
+                        let ColOp::Check(s) = ext.cols[c] else { continue };
+                        if let Some(col) = bound_at(s) {
+                            assert!(plan.reads.contains(&col), "{}: delta at {d} probes {} with column {col}", rule.id, ext.table);
+                            probed.push((rule.id.as_str(), d, col));
+                        }
+                    }
+                }
+            }
+        }
+        let ev = |id: &str| p.rules.iter().find(|r| r.id == id).unwrap().body.iter().position(|a| a.table == "Ev").unwrap();
+        let expected = [("r1", ev("r1"), 0), ("r1", ev("r1"), 1), ("r2", ev("r2"), 2), ("r3", ev("r3"), 0), ("r3", ev("r3"), 1)];
+        assert!(expected.iter().all(|e| probed.contains(e)), "{probed:?}");
+        // r1's `B` reaches only an assignment: not a read column.
+        let r1 = CompiledRule::compile(&p.rules[0], &p.catalog).unwrap();
+        assert_eq!(r1.reads(0).1, [0, 1]);
     }
 }

@@ -14,14 +14,10 @@
 //! construction only checks every rule ([`crate::compiled::check`]), so a
 //! program is refused exactly as if every rule had been compiled.
 //!
-//! A batch engine keeps a *step memo*. An event insertion's step is filed
-//! under its event tuple when it left the state generation alone — no tuple
-//! appeared, disappeared or was replaced, no aggregate group moved — and
-//! called no `f_unique()`. The same event at the same generation is then
-//! answered by replaying the filed step's log rows, support bumps and
-//! derivation records, not by evaluating it, and any move of the generation
-//! empties the memo. An event's first occurrence that no trigger hears is
-//! only logged (`memo.rs`; [`Engine::steps`], [`Engine::memo_hits`] and
+//! A batch engine answers a repeated event at an unchanged state
+//! generation by replaying its filed step, and a first occurrence whose
+//! step would change nothing by [`crate::QuietSteps`], the joint backtest's
+//! rule too (`memo.rs`; [`Engine::steps`], [`Engine::memo_hits`] and
 //! [`Engine::unheard`] count the three kinds of answer).
 //!
 //! A second evaluator, [`EvalStrategy::Pipelined`], is kept as a *test
@@ -610,32 +606,33 @@ impl Engine {
         let recovered = backend.recover().map_err(RecoverError::Storage)?;
         let mut engine = Engine::shared(program, Options { durability: Durability::Mem, ..opts })
             .map_err(RecoverError::Compile)?;
-        let bad = |index: usize, reason: String| RecoverError::BadRecord { index, reason };
-        let mut records = recovered.records.iter().enumerate();
-        if let Some((_, header)) = records.next() {
-            let expected = codec::fingerprint(&engine.program);
-            match WalRecord::decode(header).map_err(|why| bad(0, why))? {
-                WalRecord::Header(found) if found != expected => {
-                    return Err(RecoverError::ProgramMismatch { expected, found })
-                }
-                WalRecord::Header(_) => {}
-                _ => return Err(bad(0, "the log does not open with a header".into())),
-            }
-        }
-        for (i, record) in records {
-            // A call that failed live fails the same way here.
-            let _ = match WalRecord::decode(record).map_err(|why| bad(i, why))? {
-                WalRecord::Insert(tuple) => engine.insert(tuple),
-                WalRecord::Delete(tuple) => engine.delete(&tuple),
-                WalRecord::Header(_) => return Err(bad(i, "a second header".into())),
-            };
-        }
+        engine.rerun(&recovered.records)?;
         engine.wal = Some(backend);
         if recovered.records.is_empty() {
             engine.write_input(codec::header_record(&engine.program));
         }
         let inputs = recovered.records.len().saturating_sub(1);
         Ok((engine, EngineRecovery { status: recovered.status, inputs }))
+    }
+
+    /// Re-run the `records` of a WAL: its header, which must be this
+    /// engine's program's, then each input through [`Engine::insert`] /
+    /// [`Engine::delete`] in order; a call that failed live fails the same
+    /// way here. A second header is refused.
+    pub fn rerun(&mut self, records: &[Vec<u8>]) -> Result<(), RecoverError> {
+        let expected = codec::fingerprint(&self.program);
+        for (index, record) in records.iter().enumerate() {
+            let bad = |reason: String| RecoverError::BadRecord { index, reason };
+            let _ = match (index, WalRecord::decode(record).map_err(bad)?) {
+                (0, WalRecord::Header(found)) if found != expected => return Err(RecoverError::ProgramMismatch { expected, found }),
+                (0, WalRecord::Header(_)) => continue,
+                (0, _) => return Err(bad("the log does not open with a header".into())),
+                (_, WalRecord::Insert(tuple)) => self.insert(tuple),
+                (_, WalRecord::Delete(tuple)) => self.delete(&tuple),
+                (_, WalRecord::Header(_)) => return Err(bad("a second header".into())),
+            };
+        }
+        Ok(())
     }
 
     /// The program the engine runs.

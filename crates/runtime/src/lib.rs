@@ -19,7 +19,8 @@
 //!   state is answered by replaying that step's effects
 //!   ([`Engine::memo_hits`]), filed in a [`Prehashed`] map; the joint
 //!   backtest files whole injections the same way, a level up, where this
-//!   memo files steps;
+//!   memo files steps; and [`QuietSteps`], by which both answer a first
+//!   occurrence or a punt whose step would change nothing;
 //! - a tuple store keyed on location and primary key, with replacement
 //!   ([`store`]): one map per table, which a join that knows a table's
 //!   whole key probes and any other join scans in tuple-id order;
@@ -54,12 +55,12 @@ pub mod store;
 pub use batch::scanned_rows;
 pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
 pub use codec::WalRecord;
-pub use compiled::{ColTest, CompiledRule, LazyRule, ScanScratch};
+pub use compiled::{CompiledRule, LazyRule, ScanScratch};
 pub use delta::DeltaTracker;
 pub use engine::{
     CompileError, Durability, Engine, EngineRecovery, EvalStrategy, Options, RecoverError, RuntimeError, StepResult,
     WalOptions,
 };
 pub use log::{ExecEvent, ExecLog, Time, TupleId, TupleKind, TupleRecord};
-pub use memo::{PassHash, Prehashed};
+pub use memo::{PassHash, Prehashed, QuietKey, QuietSteps};
 pub use store::{AddOutcome, DropOutcome, LiveTuple, Store};

@@ -20,28 +20,44 @@
 //! Any move of the generation empties the memo, so a filed step always
 //! describes the state it would run against. Nor is the step of an event
 //! the log had never seen filed: its first repeat files it. A stream of
-//! distinct events (the fabric's punts) so costs the memo nothing — no
-//! probe, no recording, no entry — and the memo holds at most one entry
-//! per event tuple that ever repeated. A first occurrence that no trigger
-//! hears is not drained either: it is logged and answered with itself,
-//! the rows, id and time the drain would have written
-//! ([`Engine::unheard`]); its first repeat drains and files as any other.
-//! A hit mints the event and
-//! re-applies the effects in order, with fresh ids and the current time,
+//! distinct events (the fabric's punts) so costs this memo nothing, and it
+//! holds at most one entry per event tuple that ever repeated. A first
+//! occurrence [`QuietSteps`] answers (below) is logged and answered with
+//! itself, the rows, id and time the drain would have written
+//! ([`Engine::unheard`]). A hit mints the event and re-applies the
+//! effects in order, with fresh ids and the current time,
 //! through the store and log calls the drain makes: the log, the store
 //! with its support counts and the step result are what the drain writes.
 //! A filed step returned `Ok`, so it fits the per-step budget,
 //! [`crate::Options::max_derivations`], and so does its replay.
 //!
 //! [`crate::EvalStrategy::Pipelined`] keeps no memo: it is the reference
-//! every batch step, filed or replayed, is held to.
+//! every batch step, filed, replayed or answered as quiet, is held to.
+//!
+//! # Steps that change nothing
+//!
+//! [`QuietSteps`] is the rule by which the engine answers an event's first
+//! occurrence and the joint replay of `mpr_backtest` a punt. A tuple whose
+//! dispatch group has no trigger is answered at once, with no key. Any
+//! other is keyed on the caller's word (the joint replay's tags), its table
+//! and group, and what the group's triggers read of it before a complete
+//! match ([`TriggerDispatch::reads`]): a bit per prefilter test, the values
+//! at the read columns. A step with no complete match that moved neither an
+//! `f_unique` id nor the caller's standing counter (the engine's state
+//! generation, the joint replay's fresh admissions) is filed, and a
+//! key-equal tuple is answered: against one state nothing else of it is
+//! read before a complete match. The memo empties when the counter moves.
 
+use crate::batch::TriggerDispatch;
+use crate::compiled::CompiledRule;
 use crate::engine::{Engine, EvalStrategy, RuntimeError, StepResult};
 use crate::log::{Origin, TupleId, TupleKind};
 use crate::store::AddOutcome;
-use mpr_ndlog::Tuple;
+use mpr_ndlog::{Tuple, Value};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// A map keyed by a hash its caller computed — once, for the probe and for
 /// the insert that may follow it. The values hold what tells the keys of
@@ -114,7 +130,10 @@ pub(crate) struct StepMemo {
     body: Vec<TupleId>,
     steps: u64,
     hits: u64,
-    unheard: u64,
+    /// How often the state generation moved.
+    generation: u64,
+    /// First occurrences' steps that changed nothing.
+    quiet: QuietSteps,
 }
 
 impl StepMemo {
@@ -123,6 +142,7 @@ impl StepMemo {
     pub(crate) fn state_moved(&mut self) {
         self.filed.clear();
         self.taping = None;
+        self.generation += 1;
     }
 
     /// Record a derivation of the step being recorded, if one is.
@@ -154,10 +174,9 @@ impl Engine {
         self.memo.hits
     }
 
-    /// First occurrences of events no trigger hears, logged and answered
-    /// without a drain (batch only).
+    /// First occurrences answered without a drain by [`QuietSteps`] (batch only).
     pub fn unheard(&self) -> u64 {
-        self.memo.unheard
+        self.memo.quiet.answered
     }
 
     /// Insert the event `tuple`, at the current time (module docs).
@@ -165,10 +184,15 @@ impl Engine {
         let hash = self.log.hash_tuple(&tuple);
         let (tref, seen) = self.log.intern(&tuple, hash);
         let batch = self.strategy() == EvalStrategy::Batch;
-        if !seen && batch && self.unheard_by_rules(&tuple) {
-            self.memo.unheard += 1;
-            self.begin_event(tref);
-            return Ok(StepResult { appeared: vec![tuple], ..StepResult::default() });
+        let mut quiet = None;
+        if !seen && batch {
+            let dispatch = self.batch_dispatch.get(&*tuple.table).map(|d| &**d);
+            let rule = |ri: usize| self.rules[ri].compiled.get(&self.program.rules[ri], self.store.catalog());
+            let Some(key) = self.memo.quiet.lookup(0, &tuple, dispatch, self.memo.generation, rule) else {
+                self.begin_event(tref);
+                return Ok(StepResult { appeared: vec![tuple], ..StepResult::default() });
+            };
+            quiet = key;
         }
         let memoize = seen && batch;
         let tuple = if memoize {
@@ -185,7 +209,7 @@ impl Engine {
         result.appeared.push(tuple.clone());
         let mut queue = std::mem::take(&mut self.spare_queue);
         queue.push_back((event, tuple));
-        let issued = self.funcs.issued();
+        let (issued, generation) = (self.funcs.issued(), self.memo.generation);
         if memoize {
             self.memo.tape.clear();
             self.memo.taping = Some(event);
@@ -197,12 +221,11 @@ impl Engine {
             let effects = self.memo.tape.as_slice().into();
             self.memo.filed.insert(hash, Filed { event: tref, derivations: result.derivations, effects });
         }
+        let unchanged = (result.derivations, self.memo.generation, self.funcs.issued()) == (0, generation, issued);
+        if let Some(key) = quiet.filter(|_| unchanged) {
+            self.memo.quiet.file(key);
+        }
         Ok(result)
-    }
-
-    /// Does no trigger hear `event`? Then its step is its log rows.
-    fn unheard_by_rules(&self, event: &Tuple) -> bool {
-        self.batch_dispatch.get(&*event.table).map_or(true, |d| d.triggers_for(event).next().is_none())
     }
 
     /// Answer `event`, interned under `tref`, by replaying its filed step,
@@ -254,6 +277,79 @@ impl Engine {
         }
         self.memo.body = body;
         result
+    }
+}
+
+/// A quiet step's key (module docs) and its hash, which leaves the table
+/// out: word, table, dispatch group, test bits, values at the read columns.
+#[derive(Debug, Clone)]
+pub struct QuietKey {
+    hash: u64,
+    word: u64,
+    table: Arc<str>,
+    group: Option<usize>,
+    bits: u64,
+    values: Vec<Option<Value>>,
+}
+
+/// Steps that changed nothing, filed while the caller's count `under` stands.
+#[derive(Debug, Default)]
+pub struct QuietSteps {
+    filed: Prehashed<QuietKey>,
+    hasher: RandomState,
+    under: u64,
+    answered: u64,
+}
+
+impl QuietSteps {
+    /// Tuples answered without a step.
+    pub fn answered(&self) -> u64 {
+        self.answered
+    }
+
+    /// `None` if the step of `delta` for `word` would change nothing; else
+    /// the key to file it under, if it has one. `dispatch` is its table's,
+    /// `rule(i)` rule `i` compiled (`None` if it does not compile or
+    /// aggregates), `standing` the caller's count of changes to the state.
+    pub fn lookup<'r>(
+        &mut self,
+        word: u64,
+        delta: &Tuple,
+        dispatch: Option<&TriggerDispatch>,
+        standing: u64,
+        rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
+    ) -> Option<Option<QuietKey>> {
+        let heard = dispatch.map(|d| (d, d.group_of(delta))).filter(|(d, g)| d.triggers_in(*g).next().is_some());
+        let Some((dispatch, group)) = heard else {
+            self.answered += 1;
+            return None;
+        };
+        if std::mem::replace(&mut self.under, standing) != standing {
+            self.filed.clear();
+        }
+        let Some((tests, cols)) = dispatch.reads(group, rule) else {
+            return Some(None);
+        };
+        let bits = tests.iter().enumerate().fold(0u64, |bits, (i, t)| bits | u64::from(t.passes(delta)) << i);
+        let mut hasher = self.hasher.build_hasher();
+        (word, group, bits).hash(&mut hasher);
+        cols.iter().for_each(|&c| delta.column(c).hash(&mut hasher));
+        let hash = hasher.finish();
+        let same = |f: &QuietKey| {
+            (f.word, &f.table, f.group, f.bits) == (word, &delta.table, group, bits)
+                && cols.iter().zip(&f.values).all(|(&c, v)| delta.column(c) == v.as_ref())
+        };
+        if self.filed.get(&hash).is_some_and(same) {
+            self.answered += 1;
+            return None;
+        }
+        let values = cols.iter().map(|&c| delta.column(c).cloned()).collect();
+        Some(Some(QuietKey { hash, word, table: Arc::clone(&delta.table), group, bits, values }))
+    }
+
+    /// File the step looked up under `key`, which changed nothing.
+    pub fn file(&mut self, key: QuietKey) {
+        self.filed.insert(key.hash, key);
     }
 }
 

@@ -182,6 +182,11 @@ fn deleted_names_stay_deleted() {
         // The joint controller's second index of who holds which payload,
         // for output tuples only: one keyed table holds state and outputs.
         "LiveOutputs",
+        // The engine's deaf-event shortcut and the joint replay's own
+        // quiet-step key: both controllers answer a step that changes
+        // nothing by one rule in the runtime.
+        "unheard_by_rules",
+        "quiet_key",
     ];
     // The root-level markdown files that describe the tree as it is; every
     // other one (CHANGES.md, ROADMAP.md, ...) is a log that may record a

@@ -604,9 +604,8 @@ fn memo_apply(e: &mut Engine, op: &MemoOp) -> Result<StepResult, RuntimeError> {
 }
 
 /// Apply `ops` to a batch and a pipelined engine of `src` built with
-/// `opts`, comparing them after every one; returns the batch engine's
-/// memo hits.
-fn memo_lockstep(src: &str, ops: &[MemoOp], opts: &Options) -> u64 {
+/// `opts`, comparing them after every one; returns the batch engine.
+fn memo_lockstep(src: &str, ops: &[MemoOp], opts: &Options) -> Engine {
     let p = parse_program("memo", &format!("{MEMO_TABLES}{src}")).unwrap();
     let mut batch =
         Engine::with_options(&p, Options { strategy: EvalStrategy::Batch, ..opts.clone() }).unwrap();
@@ -624,7 +623,7 @@ fn memo_lockstep(src: &str, ops: &[MemoOp], opts: &Options) -> u64 {
         pipe.steps(),
         "every event is a step, a hit or unheard"
     );
-    batch.memo_hits()
+    batch
 }
 
 fn memo_op() -> impl Strategy<Value = MemoOp> {
@@ -707,7 +706,7 @@ fn each_way_a_memoized_step_can_go_stale_is_caught() {
         repeat(1, 1).to_vec(),
     ]
     .concat();
-    let hits = memo_lockstep(src, &ops, &Options::default());
+    let hits = memo_lockstep(src, &ops, &Options::default()).memo_hits();
     assert!(hits >= 8, "{hits} memo hits");
     // A per-step budget below the script's largest step: the steps that
     // need more fail as the reference's do, and the memo keeps answering
@@ -719,6 +718,39 @@ fn each_way_a_memoized_step_can_go_stale_is_caught() {
     let last_cut = needs.iter().rposition(|&n| n > budget).unwrap();
     assert!(needs[last_cut + 1..].iter().filter(|&&n| n > 0).count() >= 3, "too few steps follow the cut");
     let tight = Options { max_derivations: budget, ..Options::default() };
-    let tight_hits = memo_lockstep(src, &ops, &tight);
+    let tight_hits = memo_lockstep(src, &ops, &tight).memo_hits();
     assert!(tight_hits >= hits / 2, "{tight_hits} memo hits under the tight budget");
+}
+
+#[test]
+fn quiet_first_occurrences_write_what_the_reference_writes() {
+    // `q1` joins `S0` on `A`; `q2` tests `B > 5` and copies `B` to its head.
+    // Before a complete match an event's `B` is read by that test alone, so
+    // distinct events that differ only in `B` below 6 are key-equal: the
+    // first occurrence after a step that derived nothing is answered
+    // without a drain.
+    let src = "
+        q1 D0(@C,A,X) :- Ev(@C,A,B), S0(@C,A,X).
+        q2 D2(@C,A,B) :- Ev(@C,A,B), B > 5.
+    ";
+    use MemoOp::{Event, Insert};
+    let ops = [
+        Insert(0, 1, 5),
+        // Drained and filed, then answered twice.
+        Event(0, 0),
+        Event(0, 1),
+        Event(0, 2),
+        // Another value in the read column `A`: drained, and joins S0(1, 5).
+        Event(1, 2),
+        // Filed, then another test bit: drained, and derives D2(0, 7).
+        Event(0, 3),
+        Event(0, 7),
+        // Filed; S0(2, 9) moves the state generation, so the next one is
+        // drained and joins it.
+        Event(2, 0),
+        Insert(0, 2, 9),
+        Event(2, 1),
+    ];
+    let batch = memo_lockstep(src, &ops, &Options::default());
+    assert_eq!((batch.steps(), batch.memo_hits(), batch.unheard()), (6, 0, 2));
 }
