@@ -116,20 +116,20 @@
 //!
 //! # Repeated injections: the injection memo
 //!
-//! An injection's key is its source host and the packet fields the replay
-//! reads (`fields_read`), one fixed-size array hashed once. The memo holds
-//! while the four `Standing` counters do — installs, fresh admissions,
-//! diverged candidates, `f_unique` ids — and is flushed before the next
-//! lookup once one moves. It is exact: no field off the key is read or
-//! written (a `Modify` target is in the key), so two injections from one
-//! host equal on the key are forwarded, joined, punted, answered and
-//! counted alike while the state stands, and counters are sums: adding
-//! one's per-class deltas `k` times is forwarding it `k` times. A key's
-//! first occurrence costs a `u64` in a `seen` set; a repeat records its
-//! deltas as it forwards and is filed (if it moved the state, the next
-//! lookup flushes it unhit); a hit, looked up before the host's attachment,
-//! forwards nothing and adds one to its entry's multiplicity — the times a
-//! flush, or the replay's end, adds the entry's deltas into the classes.
+//! A repeat is answered by the simulator's own [`InjectionMemo`]
+//! (`mpr_sdn::sim`, "Repeated injections"); what a hit adds here is its
+//! counter deltas per tag class. The key reads the packet fields the
+//! replay reads (`fields_read`), and the memo holds while the four
+//! `Standing` counters do — installs, fresh admissions, diverged
+//! candidates, `f_unique` ids. It is exact: no field off the key is read
+//! or written (a `Modify` target is in the key), so two injections from
+//! one host equal on the key are forwarded, joined, punted, answered and
+//! counted alike while the state stands, and counters are sums. Unlike the
+//! simulator's, a filed injection may punt: the joint controller writes no
+//! log, and a punt that moved nothing is answered as it was. A repeat
+//! records its deltas as it forwards and is filed (if it moved the state,
+//! the next lookup flushes it unhit); a hit, looked up before the host's
+//! attachment, forwards nothing.
 //!
 //! # Scope: what is checked, and handed back
 //!
@@ -171,16 +171,16 @@ use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::{build_dispatch, LazyRule, PassHash, Prehashed, QuietSteps, ScanScratch, TriggerDispatch};
+use mpr_runtime::{build_dispatch, LazyRule, Prehashed, QuietSteps, ScanScratch, TriggerDispatch};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, PktArg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::{Field, Packet};
-use mpr_sdn::sim::{apply_actions, DataPlane, SimStats};
+use mpr_sdn::sim::{apply_actions, DataPlane, InjectionMemo, SimStats};
 use mpr_sdn::topology::{NodeRef, Topology};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// A set of candidate tags (bit i = candidate i). At most 64 candidates
@@ -800,70 +800,15 @@ fn fields_read(codec: &TupleCodec, extra_flows: &[ExtraFlows]) -> [bool; Field::
     Field::ALL.map(|f| read.contains(&f))
 }
 
-/// The source host, then per [`Field::ALL`] entry the value read, or 0.
-type InjectionKey = [i64; 1 + Field::ALL.len()];
-
 /// What the injection memo holds under: installs asked for, fresh
 /// admissions, diverged candidates, `f_unique` ids drawn. Each only grows:
 /// the state stood exactly while they are equal.
 type Standing = (u64, u64, TagSet, i64);
 
-/// A filed injection: its counter deltas per tag class, and the times it counts.
-struct Filed {
-    key: InjectionKey,
-    deltas: BTreeMap<TagSet, SimStats>,
-    times: u64,
-}
-
-/// The injections forwarded while the state stood, by their key's hash.
-#[derive(Default)]
-struct InjectionMemo {
-    read: [bool; Field::ALL.len()],
-    hasher: RandomState,
-    filed: Prehashed<Vec<Filed>>,
-    /// The hashes of the keys forwarded so far: only a repeat is recorded.
-    seen: HashSet<u64, BuildHasherDefault<PassHash>>,
-    /// The standing state the entries were forwarded under.
-    under: Standing,
-    /// Injections answered from the memo, and the punts inside them.
-    replayed: u64,
-    replayed_punts: u64,
-}
-
-impl InjectionMemo {
-    fn key(&self, src: i64, pkt: &Packet) -> (u64, InjectionKey) {
-        let mut key: InjectionKey = [src; 1 + Field::ALL.len()];
-        for ((slot, f), read) in key[1..].iter_mut().zip(Field::ALL).zip(self.read) {
-            *slot = if read { pkt.field(f) } else { 0 };
-        }
-        (self.hasher.hash_one(key), key)
-    }
-
-    /// Answer the injection of `key` from the memo, if it was filed under
-    /// `now`; entries filed under another state are flushed first.
-    fn replay(&mut self, hash: u64, key: &InjectionKey, now: Standing, fw: &mut Forwarder) -> bool {
-        if self.under != now {
-            self.flush(fw);
-            self.under = now;
-        }
-        let Some(entry) = self.filed.get_mut(&hash).and_then(|v| v.iter_mut().find(|e| e.key == *key)) else {
-            return false;
-        };
-        entry.times += 1;
-        self.replayed += 1;
-        // Each punt bumped one class's `packet_ins`, once.
-        self.replayed_punts += entry.deltas.values().map(|class| class.packet_ins).sum::<u64>();
-        true
-    }
-
-    /// Add every entry's deltas into `fw`'s classes, as many times as it
-    /// stands for, and empty the memo.
-    fn flush(&mut self, fw: &mut Forwarder) {
-        for entry in self.filed.drain().flat_map(|(_, entries)| entries) {
-            for (tags, delta) in &entry.deltas {
-                fw.classes.entry(*tags).or_default().add(delta, entry.times);
-            }
-        }
+/// Add a filed injection's per-class deltas into `classes`, `times` over.
+fn add_classes(classes: &mut BTreeMap<TagSet, SimStats>, deltas: &BTreeMap<TagSet, SimStats>, times: u64) {
+    for (tags, delta) in deltas {
+        classes.entry(*tags).or_default().add(delta, times);
     }
 }
 
@@ -1009,16 +954,21 @@ pub fn mqo_replay_deltas(
 
     let mut fw = Forwarder { topo, classes: BTreeMap::new(), tape: None, next: Vec::new(), punts: Vec::new() };
     let mut work = JointWork::default();
-    let mut memo = InjectionMemo { read: fields_read(&setup.codec, extra_flows), ..InjectionMemo::default() };
+    let read = fields_read(&setup.codec, extra_flows);
+    let mut memo = InjectionMemo::new(Standing::default());
+    let (mut replayed, mut replayed_punts) = (0, 0);
     // Hop-round buffers, reused across every injection.
     let mut flights: Vec<Flight<NodeRef>> = Vec::new();
     let mut batch: Vec<Flight<i64>> = Vec::new();
     let mut replies: Vec<(CtrlMsg, TagSet)> = Vec::new();
 
     for (src, pkt) in setup.workload.iter() {
-        let (hash, key) = memo.key(*src, pkt);
-        let now = (tables.installs, engine.admitted, engine.diverged, engine.funcs.issued());
-        if memo.replay(hash, &key, now, &mut fw) {
+        let (hash, key) = memo.key(*src, pkt, &read);
+        let now: Standing = (tables.installs, engine.admitted, engine.diverged, engine.funcs.issued());
+        if let Some(deltas) = memo.answer(hash, &key, now, |d, times| add_classes(&mut fw.classes, d, times)) {
+            replayed += 1;
+            // Each punt bumped one class's `packet_ins`, once.
+            replayed_punts += deltas.values().map(|class| class.packet_ins).sum::<u64>();
             continue;
         }
         let Some((sw0, port0)) = topo.host_attachment(*src) else {
@@ -1026,7 +976,7 @@ pub fn mqo_replay_deltas(
         };
         // A key's first occurrence is forwarded and nothing more; a repeat
         // is recorded as it goes, and filed.
-        fw.tape = (!memo.seen.insert(hash)).then(BTreeMap::new);
+        fw.tape = (!memo.first(hash)).then(BTreeMap::new);
         fw.count(full, |s| s.injected += 1);
         flights.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), tags: full });
         // One iteration per hop round: forward every flight one hop, then
@@ -1098,11 +1048,11 @@ pub fn mqo_replay_deltas(
             hops += 1;
         }
         if let Some(deltas) = fw.tape.take() {
-            memo.filed.entry(hash).or_default().push(Filed { key, deltas, times: 1 });
+            memo.file(hash, key, deltas);
         }
     }
-    memo.flush(&mut fw);
-    let (steps, skipped, replayed, replayed_punts) = (engine.steps, engine.quiet.answered(), memo.replayed, memo.replayed_punts);
+    memo.flush(|d, times| add_classes(&mut fw.classes, d, times));
+    let (steps, skipped) = (engine.steps, engine.quiet.answered());
     let work = JointWork { steps, skipped, replayed, replayed_punts, classes: fw.classes.len() as u64, ..work };
     let stats = fw.fold(n);
     #[cfg(debug_assertions)]

@@ -78,10 +78,7 @@ pub fn drive(
     for (sw, entry) in extra_flows {
         sim.tables.install(*sw, entry.clone());
     }
-    for (src, pkt) in setup.workload.iter() {
-        sim.inject(*src, pkt.clone());
-        sim.run();
-    }
+    sim.run_workload(&setup.workload);
     Ok(sim)
 }
 

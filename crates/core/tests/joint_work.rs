@@ -198,4 +198,28 @@ fn the_fabric_observation_run_steps_only_for_punts_a_rule_hears() {
     assert_eq!(steps + hits + unheard, sim.stats.packet_ins, "every punt is a step, a hit or unheard");
     assert!(steps <= 8, "{steps} steps");
     assert!(unheard >= 1_024, "{unheard} punts no rule hears");
+    // Q1's repeats are answered from the simulator's memo; the background
+    // flows are distinct, and each punts.
+    let answered = observation_run_answers(&sim);
+    assert!(answered >= 1_900, "{answered} answered");
+}
+
+/// What the observation run answered from the simulator's memo, held to
+/// the identity forwarded + answered = injected.
+fn observation_run_answers(sim: &mpr_sdn::Simulation<mpr_sdn::controller::NdlogController>) -> u64 {
+    let (forwarded, answered, injected) = (sim.forwarded(), sim.answered(), sim.stats.injected);
+    println!("observation run: {forwarded} forwarded, {answered} answered of {injected} injections");
+    assert_eq!(forwarded + answered, injected, "every injection is forwarded or answered");
+    answered
+}
+
+#[test]
+fn the_q1_observation_run_forwards_a_repeat_only_when_it_punts_or_installs() {
+    // Nearly all of Q1's 1 936 injections are repeats no controller sees:
+    // forwarded, every one of them made 6 051 hops.
+    let s = Scenario::q1_copy_paste();
+    let sim = drive(&setup_of(&s), Arc::clone(&s.program), true, &[]).expect("Q1 runs");
+    let answered = observation_run_answers(&sim);
+    assert_eq!(sim.stats.injected, 1_936);
+    assert!(sim.forwarded() <= 40, "{} of 1 936 forwarded, {answered} answered", sim.forwarded());
 }

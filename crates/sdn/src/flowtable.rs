@@ -250,15 +250,21 @@ pub fn proactive_routes(topo: &Topology, mut install: impl FnMut(i64, FlowEntry)
 /// absent table and an empty one are indistinguishable to the simulator.
 /// An install on a switch the topology does not know is ignored: a
 /// `FlowMod` addressed to a nonexistent switch has nowhere to land.
+///
+/// It counts the installs that add an entry, whoever installs — the
+/// simulator's injection memo holds while the count stands — and keeps the
+/// fields any entry ever matched on, which are the fields a lookup can read.
 pub struct FlowTables {
     topo: Arc<Topology>,
     tables: BTreeMap<i64, FlowTable>,
+    installs: u64,
+    matched: [bool; Field::ALL.len()],
 }
 
 impl FlowTables {
     /// No table materialised; every known switch misses.
     pub fn new(topo: Arc<Topology>) -> Self {
-        FlowTables { topo, tables: BTreeMap::new() }
+        FlowTables { topo, tables: BTreeMap::new(), installs: 0, matched: [false; Field::ALL.len()] }
     }
 
     /// The table of `switch`, if one was materialised.
@@ -277,7 +283,13 @@ impl FlowTables {
         if !self.topo.switches.contains(&switch) {
             return;
         }
-        self.tables.entry(switch).or_default().install(entry);
+        for (f, _) in &entry.m.fields {
+            self.matched[*f as usize] = true;
+        }
+        let table = self.tables.entry(switch).or_default();
+        let before = table.len();
+        table.install(entry);
+        self.installs += u64::from(table.len() != before);
     }
 
     /// Install [`proactive_routes`] for this network.
@@ -289,6 +301,18 @@ impl FlowTables {
     /// Wipe the table of `switch` (a switch crash).
     pub fn clear(&mut self, switch: i64) {
         self.tables.remove(&switch);
+    }
+
+    /// How many installs added an entry to a table. A wipe is not counted:
+    /// only a fault plan's crash wipes, and the memo stands aside under one.
+    pub fn installs(&self) -> u64 {
+        self.installs
+    }
+
+    /// Per [`Field::ALL`] entry, whether any entry installed so far matches
+    /// on it.
+    pub fn matched_fields(&self) -> [bool; Field::ALL.len()] {
+        self.matched
     }
 
     /// Number of tables materialised (switches with at least one install

@@ -12,12 +12,38 @@
 //! drop/duplicate/reorder/delay. Its chances draw from one RNG stream
 //! seeded by the plan, so every run is reproducible and an empty plan is
 //! bit-identical to no plan at all.
+//!
+//! # Repeated injections
+//!
+//! [`Simulation::run_workload`] forwards a repeated packet only when it may
+//! do something new. Its [`InjectionMemo`] keys an injection on the source
+//! host and the fields a forwarding can read: `DstIp`, `DstPort` and every
+//! field an installed entry matches on ([`FlowTables::matched_fields`]). A
+//! key's first occurrence is forwarded; a repeat is forwarded against zeroed
+//! counters and, if it sent no packet-in and moved no install, filed with
+//! what it added — counters, clock and `next_seq` advance — which is taken
+//! back and owed. While [`FlowTables::installs`] stands, a key-equal
+//! injection forwards nothing and bumps its entry's multiplicity; the
+//! entries are paid that many times over when the count moves and when the
+//! loop returns.
+//!
+//! Exact: under an empty fault plan and from a drained queue, an injection
+//! without a packet-in reads only the tables, its keyed fields (a `Modify`
+//! writes a constant, so key-equal packets stay key-equal), its path and
+//! hop count, and changes no table or controller state; counters are sums;
+//! and the clock and `next_seq` are read only relative to one injection's
+//! events and by the fault plan. Injections that punt are forwarded every
+//! time, so the controller's log is written by the same calls. The memo
+//! stands aside under a non-empty fault plan and while a queue holds events.
+//! The joint backtest (`mpr_backtest::mqo`) files its injections in the same
+//! type, with per-class counters for what a hit adds.
 
 use crate::controller::{Controller, CtrlMsg, PacketInMsg};
 use crate::faults::FaultPlan;
 use crate::flowtable::{Action, FlowTables};
-use crate::packet::Packet;
+use crate::packet::{Field, Packet};
 use crate::topology::{NodeRef, Topology};
+use mpr_runtime::Prehashed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BinaryHeap};
@@ -213,6 +239,86 @@ pub fn apply_actions<X: Copy>(
     }
 }
 
+/// The source host, then per [`Field::ALL`] entry the value read, or 0.
+pub type InjectionKey = [i64; 1 + Field::ALL.len()];
+
+/// A filed injection: what a hit adds, and the times it counts.
+struct Filed<H> {
+    key: InjectionKey,
+    adds: H,
+    times: u64,
+}
+
+/// Repeated injections answered without forwarding them, while a standing
+/// state `S` holds; `H` is what one adds (module docs, "Repeated
+/// injections").
+pub struct InjectionMemo<H, S> {
+    filed: Prehashed<Vec<Filed<H>>>,
+    /// The hashes of the keys met so far: only a repeat is recorded.
+    seen: Prehashed<()>,
+    /// The standing state the entries were forwarded under.
+    under: S,
+}
+
+impl<H, S: PartialEq> InjectionMemo<H, S> {
+    /// An empty memo, standing under `under`.
+    pub fn new(under: S) -> Self {
+        InjectionMemo { filed: Prehashed::default(), seen: Prehashed::default(), under }
+    }
+
+    /// The key of `pkt` injected at `src`, reading the fields flagged in
+    /// `read`, and its hash.
+    pub fn key(&self, src: i64, pkt: &Packet, read: &[bool; Field::ALL.len()]) -> (u64, InjectionKey) {
+        let mut key: InjectionKey = [src; 1 + Field::ALL.len()];
+        for ((slot, f), read) in key[1..].iter_mut().zip(Field::ALL).zip(read) {
+            *slot = if *read { pkt.field(f) } else { 0 };
+        }
+        // One multiply-rotate per word, then a finalizer for the bits a
+        // hash map probes with; equal hashes are told apart by the key.
+        let h = key.iter().fold(0u64, |h, &w| (h.rotate_left(5) ^ w as u64).wrapping_mul(0x517c_c1b7_2722_0a95));
+        let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        (h ^ (h >> 33), key)
+    }
+
+    /// Answer the injection of `key` from the memo, if it was filed under
+    /// `now`: one more time for its entry, and what the entry adds. Entries
+    /// filed under another state go to `flush` first.
+    pub fn answer(&mut self, hash: u64, key: &InjectionKey, now: S, flush: impl FnMut(&H, u64)) -> Option<&H> {
+        if self.under != now {
+            self.flush(flush);
+            self.under = now;
+        }
+        let entry = self.filed.get_mut(&hash)?.iter_mut().find(|e| e.key == *key)?;
+        entry.times += 1;
+        Some(&entry.adds)
+    }
+
+    /// Is this the first time the key of `hash` is met? Only a repeat is
+    /// worth recording.
+    pub fn first(&mut self, hash: u64) -> bool {
+        self.seen.insert(hash, ()).is_none()
+    }
+
+    /// File a recorded injection: `adds` is what it did, and counts once.
+    pub fn file(&mut self, hash: u64, key: InjectionKey, adds: H) {
+        self.filed.entry(hash).or_default().push(Filed { key, adds, times: 1 });
+    }
+
+    /// Hand every entry to `f` with the times it counts, and empty the memo.
+    pub fn flush(&mut self, mut f: impl FnMut(&H, u64)) {
+        for entry in self.filed.drain().flat_map(|(_, entries)| entries) {
+            f(&entry.adds, entry.times);
+        }
+    }
+}
+
+/// What a filed injection adds to a simulation.
+struct Quiet {
+    stats: SimStats,
+    clock: u64,
+    seqs: u64,
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Ev {
     time: u64,
@@ -296,6 +402,9 @@ pub struct Simulation<C: Controller> {
     reply_buf: Vec<CtrlMsg>,
     /// Reusable staging buffer for a matched entry's actions.
     action_buf: Vec<Action>,
+    /// Injections put on the wire, and answered from the memo.
+    forwarded: u64,
+    answered: u64,
 }
 
 impl<C: Controller> Simulation<C> {
@@ -322,6 +431,8 @@ impl<C: Controller> Simulation<C> {
             stats: SimStats::default(),
             reply_buf: Vec::new(),
             action_buf: Vec::new(),
+            forwarded: 0,
+            answered: 0,
         }
     }
 
@@ -345,6 +456,17 @@ impl<C: Controller> Simulation<C> {
         self.clock
     }
 
+    /// Injections of an attached host that were forwarded.
+    pub fn forwarded(&self) -> u64 {
+        self.forwarded
+    }
+
+    /// Injections [`Self::run_workload`] answered from its memo, forwarding
+    /// nothing. With [`Self::forwarded`] they add up to `stats.injected`.
+    pub fn answered(&self) -> u64 {
+        self.answered
+    }
+
     /// Install shortest-path `DstIp → Output` routes on every switch for
     /// every host — the "proactively configured core" of §5.2. Entries get
     /// priority 1 so reactive (priority ≥ 10) policies override them.
@@ -358,6 +480,7 @@ impl<C: Controller> Simulation<C> {
             return;
         };
         self.stats.injected += 1;
+        self.forwarded += 1;
         if !self.cfg.faults.is_empty()
             && self.cfg.faults.link_down(NodeRef::Host(host), NodeRef::Switch(sw), self.clock)
         {
@@ -374,6 +497,52 @@ impl<C: Controller> Simulation<C> {
             hops: 0,
             packet,
         });
+    }
+
+    /// [`Self::inject`] each packet of `workload` and [`Self::run`] it to a
+    /// drained queue, answering a repeat that can do nothing new from the
+    /// memo (module docs, "Repeated injections"). The counters, the clock
+    /// and the controller end as those calls would leave them.
+    pub fn run_workload(&mut self, workload: &[(i64, Packet)]) {
+        let mut memo: InjectionMemo<Quiet, u64> = InjectionMemo::new(self.tables.installs());
+        for (src, pkt) in workload {
+            let mut record = None;
+            if self.cfg.faults.is_empty() && self.queue.is_empty() && self.ctrl_queue.is_empty() {
+                let mut read = self.tables.matched_fields();
+                read[Field::DstIp as usize] = true;
+                read[Field::DstPort as usize] = true;
+                let (hash, key) = memo.key(*src, pkt, &read);
+                if memo.answer(hash, &key, self.tables.installs(), |q, times| self.settle(q, times)).is_some() {
+                    self.answered += 1;
+                    continue;
+                }
+                // A repeat runs against zeroed counters: what it leaves
+                // there, and its clock and sequence advance, is what it adds.
+                if !memo.first(hash) {
+                    let installs = self.tables.installs();
+                    record = Some((hash, key, std::mem::take(&mut self.stats), self.clock, self.next_seq, installs));
+                }
+            }
+            self.inject(*src, pkt.clone());
+            self.run();
+            let Some((hash, key, stats, clock, seq, installs)) = record else { continue };
+            let stats = std::mem::replace(&mut self.stats, stats);
+            if stats.packet_ins == 0 && stats.injected == 1 && self.tables.installs() == installs {
+                let quiet = Quiet { stats, clock: self.clock - clock, seqs: self.next_seq - seq };
+                (self.clock, self.next_seq) = (clock, seq);
+                memo.file(hash, key, quiet);
+            } else {
+                self.stats.add(&stats, 1);
+            }
+        }
+        memo.flush(|q, times| self.settle(q, times));
+    }
+
+    /// Add what a filed injection adds, `times` over.
+    fn settle(&mut self, q: &Quiet, times: u64) {
+        self.stats.add(&q.stats, times);
+        self.clock += q.clock * times;
+        self.next_seq += q.seqs * times;
     }
 
     /// Run until both the packet queue and the delayed-control queue
@@ -860,6 +1029,37 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(run(base), run(with_default_plan));
+    }
+
+    #[test]
+    fn the_workload_loop_stands_aside_under_a_fault_plan() {
+        use crate::faults::{FaultPlan, LinkFault};
+        let workload: Vec<(i64, Packet)> = (0..50).map(|i| (fig1_hosts::INTERNET, http_to(fig1_hosts::H1, i))).collect();
+        let run = |cfg: &SimConfig, memo: bool| {
+            let mut sim = Simulation::new(fig1(), NullController, cfg.clone());
+            sim.install_proactive_routes();
+            if memo {
+                sim.run_workload(&workload);
+            }
+            for (src, pkt) in workload.iter().filter(|_| !memo) {
+                sim.inject(*src, pkt.clone());
+                sim.run();
+            }
+            let (now, answered) = (sim.now(), sim.answered());
+            (sim.stats, now, answered)
+        };
+        let flap = LinkFault::flap(NodeRef::Switch(1), NodeRef::Switch(2), 0, 400, 30);
+        let faulty = SimConfig { faults: FaultPlan { links: vec![flap], ..FaultPlan::default() }, ..SimConfig::default() };
+        let (stats, now, answered) = run(&faulty, true);
+        assert_eq!(answered, 0);
+        assert!(stats.dropped_link_down > 0 && stats.total_delivered() > 0, "{stats:?}");
+        assert_eq!((stats, now, 0), run(&faulty, false));
+        // Without the plan, the first packet is forwarded, the second filed
+        // and the rest answered.
+        let plain = SimConfig::default();
+        let (stats, now, answered) = run(&plain, true);
+        assert_eq!(answered, 48);
+        assert_eq!((stats, now, 0), run(&plain, false));
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn the_library_crates_start_no_threads() {
 
 #[test]
 fn one_run_loop_one_history_one_meta_model() {
-    let injects = mentions(&under(&["crates/backtest/src", "crates/core/src"]), &[".inject("]);
+    let injects = mentions(&under(&["crates/backtest/src", "crates/core/src"]), &[".inject(", ".run_workload("]);
     assert!(injects.len() <= 1, "a second run loop: {injects:#?}");
     let engines = mentions(&under(&["crates/core/src/debugger.rs"]), &["Engine::"]);
     assert!(engines.is_empty(), "the debugger re-makes history: {engines:#?}");

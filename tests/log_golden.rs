@@ -46,16 +46,25 @@ fn digest(log: &ExecLog) -> (usize, usize, u64) {
     (log.records().len(), log.len(), h)
 }
 
-fn scenario_log(s: &Scenario) -> ExecLog {
+/// Run `s`'s workload: one `inject` + `run` per packet, or through the
+/// simulator's workload loop, which answers repeats from its memo.
+fn scenario_run(s: &Scenario, memo: bool) -> Simulation<NdlogController> {
     let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), Options::default())
         .expect("scenario program compiles");
     ctrl.seed(s.seeds.clone()).expect("seeds");
     let mut sim = Simulation::new(s.topology.clone(), ctrl, s.sim.clone());
-    for (src, pkt) in s.workload.iter() {
+    if memo {
+        sim.run_workload(&s.workload);
+    }
+    for (src, pkt) in s.workload.iter().filter(|_| !memo) {
         sim.inject(*src, pkt.clone());
         sim.run();
     }
-    sim.controller().exec_log().clone()
+    sim
+}
+
+fn scenario_log(s: &Scenario) -> ExecLog {
+    scenario_run(s, false).controller().exec_log().clone()
 }
 
 fn det_script(strategy: EvalStrategy) -> ExecLog {
@@ -185,6 +194,29 @@ fn logs_read_back_as_the_owning_layout_wrote_them() {
     let want: Vec<(String, (usize, usize, u64))> =
         GOLDEN.iter().map(|(id, d)| (id.to_string(), *d)).collect();
     assert_eq!(got, want);
+}
+
+/// The curated differential of the simulator's injection memo: on every
+/// scenario, the workload loop leaves the counters, the clock and the log
+/// that one `inject` + `run` per packet leaves.
+#[test]
+fn the_workload_loop_leaves_what_inject_and_run_leave() {
+    let q1 = Scenario::q1_copy_paste();
+    let mut scenarios = Scenario::all();
+    scenarios.push(Scenario::fig7_harmful_entry());
+    scenarios.push(q1.trema_variant());
+    scenarios.extend(q1.pyretic_variant());
+    scenarios.push(Scenario::q1_padded(100));
+    scenarios.push(Scenario::q1_on_fabric(10_000));
+    for s in &scenarios {
+        let (reference, memo) = (scenario_run(s, false), scenario_run(s, true));
+        let answered = memo.answered();
+        println!("{}: {answered} of {} injections answered", s.id, memo.stats.injected);
+        assert_eq!(reference.answered(), 0, "{}", s.id);
+        assert_eq!(memo.stats, reference.stats, "{}", s.id);
+        assert_eq!(memo.now(), reference.now(), "{}", s.id);
+        assert_eq!(digest(memo.controller().exec_log()), digest(reference.controller().exec_log()), "{}", s.id);
+    }
 }
 
 #[test]
