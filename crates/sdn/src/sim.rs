@@ -1040,10 +1040,11 @@ mod tests {
             sim.install_proactive_routes();
             if memo {
                 sim.run_workload(&workload);
-            }
-            for (src, pkt) in workload.iter().filter(|_| !memo) {
-                sim.inject(*src, pkt.clone());
-                sim.run();
+            } else {
+                for (src, pkt) in &workload {
+                    sim.inject(*src, pkt.clone());
+                    sim.run();
+                }
             }
             let (now, answered) = (sim.now(), sim.answered());
             (sim.stats, now, answered)

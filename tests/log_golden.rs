@@ -55,10 +55,11 @@ fn scenario_run(s: &Scenario, memo: bool) -> Simulation<NdlogController> {
     let mut sim = Simulation::new(s.topology.clone(), ctrl, s.sim.clone());
     if memo {
         sim.run_workload(&s.workload);
-    }
-    for (src, pkt) in s.workload.iter().filter(|_| !memo) {
-        sim.inject(*src, pkt.clone());
-        sim.run();
+    } else {
+        for (src, pkt) in s.workload.iter() {
+            sim.inject(*src, pkt.clone());
+            sim.run();
+        }
     }
     sim
 }
