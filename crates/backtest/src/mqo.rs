@@ -694,24 +694,27 @@ pub struct TableFootprint {
 
 /// A packet arriving at `at` on `port` for the candidates in `tags` — on
 /// the wire, or (at a switch) waiting as a PacketIn for the shared
-/// controller evaluation. Every flight of one hop round has made the same
-/// number of hops, so the round carries the count.
+/// controller evaluation. The round carries the hop count its flights
+/// share; `lag` is what a flight has made beyond it, one hop per reply
+/// that punted it again (the simulator's rule, `SimConfig::max_hops`).
 struct Flight<N> {
     at: N,
     port: i64,
     pkt: Packet,
     tags: TagSet,
+    lag: u32,
 }
 
 /// Add a flight to `list`. Candidates whose copies of a packet coincide
 /// travel (and punt) together; overlapping tags mean a genuine duplicate,
 /// which stays a flight of its own. Nothing joins a flight ahead of another
 /// of its candidates': each keeps the simulator's order, the order it sent.
-fn join_flights<N: PartialEq>(list: &mut Vec<Flight<N>>, at: N, port: i64, pkt: Packet, tags: TagSet) {
-    let same = list.iter().position(|f| f.tags & tags == 0 && f.at == at && f.port == port && f.pkt == pkt);
-    match same {
-        Some(i) if list[i + 1..].iter().all(|f| f.tags & tags == 0) => list[i].tags |= tags,
-        _ => list.push(Flight { at, port, pkt, tags }),
+fn join_flights<N: PartialEq>(list: &mut Vec<Flight<N>>, f: Flight<N>) {
+    let same = |g: &Flight<N>| g.at == f.at && g.port == f.port && g.lag == f.lag && g.pkt == f.pkt;
+    let i = list.iter().position(|g| g.tags & f.tags == 0 && same(g));
+    match i {
+        Some(i) if list[i + 1..].iter().all(|g| g.tags & f.tags == 0) => list[i].tags |= f.tags,
+        _ => list.push(f),
     }
 }
 
@@ -736,6 +739,9 @@ struct Forwarder<'a> {
     next: Vec<Flight<NodeRef>>,
     /// PacketIns not yet evaluated, by switch.
     punts: Vec<Flight<i64>>,
+    /// The lag of the flight or punt being answered, which what it sends
+    /// carries.
+    lag: u32,
 }
 
 impl Forwarder<'_> {
@@ -765,7 +771,7 @@ impl DataPlane<TagSet> for Forwarder<'_> {
 
     fn emit(&mut self, switch: i64, out_port: i64, pkt: Packet, tags: TagSet) {
         match self.topo.peer(NodeRef::Switch(switch), out_port) {
-            Some((at, port)) => join_flights(&mut self.next, at, port, pkt, tags),
+            Some((at, port)) => join_flights(&mut self.next, Flight { at, port, pkt, tags, lag: self.lag }),
             None => self.drop_policy(tags),
         }
     }
@@ -773,7 +779,7 @@ impl DataPlane<TagSet> for Forwarder<'_> {
     /// Queue a PacketIn; identical ones are evaluated once for all their
     /// candidates.
     fn punt(&mut self, switch: i64, in_port: i64, pkt: Packet, tags: TagSet) {
-        join_flights(&mut self.punts, switch, in_port, pkt, tags);
+        join_flights(&mut self.punts, Flight { at: switch, port: in_port, pkt, tags, lag: self.lag });
     }
 
     fn drop_policy(&mut self, tags: TagSet) {
@@ -952,7 +958,7 @@ pub fn mqo_replay_deltas(
         }
     }
 
-    let mut fw = Forwarder { topo, classes: BTreeMap::new(), tape: None, next: Vec::new(), punts: Vec::new() };
+    let mut fw = Forwarder { topo, classes: BTreeMap::new(), tape: None, next: Vec::new(), punts: Vec::new(), lag: 0 };
     let mut work = JointWork::default();
     let read = fields_read(&setup.codec, extra_flows);
     let mut memo = InjectionMemo::new(Standing::default());
@@ -978,7 +984,7 @@ pub fn mqo_replay_deltas(
         // is recorded as it goes, and filed.
         fw.tape = (!memo.first(hash)).then(BTreeMap::new);
         fw.count(full, |s| s.injected += 1);
-        flights.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), tags: full });
+        flights.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), tags: full, lag: 0 });
         // One iteration per hop round: forward every flight one hop, then
         // evaluate the round's punts. The TTL guard bounds the rounds.
         let mut hops = 0u32;
@@ -992,11 +998,12 @@ pub fn mqo_replay_deltas(
                     }
                     NodeRef::Switch(s) => s,
                 };
-                if hops >= setup.config.max_hops {
+                if hops + f.lag >= setup.config.max_hops {
                     fw.count(f.tags, |s| s.dropped_ttl += 1);
                     continue;
                 }
                 fw.count(f.tags, |s| s.hops += 1);
+                fw.lag = f.lag;
                 // One lookup per variant — per distinct table — the
                 // flight's candidates live in; the candidates in none see
                 // the empty table and miss together.
@@ -1018,7 +1025,7 @@ pub fn mqo_replay_deltas(
                 // Shared controller evaluation per distinct punt, before the
                 // next lookup, as the simulator's on arrival. A reply may punt
                 // again (`PacketOut` with `Action::Controller`), hence the
-                // outer loop.
+                // outer loop; each such reply counts a hop, so the TTL ends it.
                 while !fw.punts.is_empty() {
                     std::mem::swap(&mut fw.punts, &mut batch);
                     for p in batch.drain(..) {
@@ -1035,6 +1042,11 @@ pub fn mqo_replay_deltas(
                                 CtrlMsg::PacketOut { switch, packet, action } => {
                                     released |= ctags;
                                     fw.count(ctags, |s| s.packet_outs += 1);
+                                    fw.lag = p.lag + u32::from(action == Action::Controller);
+                                    if hops + fw.lag >= setup.config.max_hops {
+                                        fw.count(ctags, |s| s.dropped_ttl += 1);
+                                        continue;
+                                    }
                                     apply_actions(&mut fw, switch, p.port, packet, &[action], ctags);
                                 }
                             }

@@ -8,14 +8,13 @@
 //! forest of trees whose completions — once their constraint pools are
 //! satisfiable — are *repair candidates*.
 //!
-//! - [`metafull`] — the meta model of §3.2 and Appendix B.1/Table 4:
-//!   program-based meta tuples and the meta program, *runnable* on
-//!   `mpr-runtime`, template rules expanded per arity and selection count
-//!   (differential tests pin it against direct evaluation on the
-//!   two-column Fig. 2 program and the five-tuple scenario programs);
+//! The crate holds one meta model, the explorer: it walks the trees the
+//! meta rules would derive for a symptom, forking where a meta rule
+//! could fire on changed meta tuples, without running a meta program.
+//!
 //! - [`cost`] — the §3.5 plausibility cost model and search budget;
-//! - [`explore`] — cost-ordered candidate generation for missing tuples
-//!   (§3.3–§3.5) and existing tuples (§4.2, Fig. 5);
+//! - [`explore`] — the meta model: cost-ordered candidate generation for
+//!   missing tuples (§3.3–§3.5) and existing tuples (§4.2, Fig. 5);
 //! - [`repair`] — candidates: program patches, tuple insertions/deletions/
 //!   changes;
 //! - [`debugger`] — the end-to-end loop with backtesting (KS filter, §4.3)
@@ -33,7 +32,6 @@ pub mod chaos;
 pub mod cost;
 pub mod debugger;
 pub mod explore;
-pub mod metafull;
 pub mod repair;
 pub mod scenarios;
 

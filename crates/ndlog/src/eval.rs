@@ -1,9 +1,9 @@
 //! Expression and selection evaluation.
 //!
 //! Expressions are evaluated against a variable *environment* plus a
-//! [`FuncHost`] that interprets built-in functions. Pure built-ins
-//! (`f_match`, `f_join`, `f_concat`) are provided by [`PureFuncs`];
-//! stateful ones (`f_unique`) are supplied by the engine.
+//! [`FuncHost`] that interprets built-in functions. The one built-in,
+//! `f_unique()`, is stateful: [`CountingFuncs`] answers it, and
+//! [`PureFuncs`] — for evaluation that must not draw ids — refuses it.
 
 use crate::ast::{BinOp, Expr, Selection};
 use crate::error::EvalError;
@@ -113,69 +113,15 @@ pub trait FuncHost {
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, EvalError>;
 }
 
-/// The pure built-ins of the meta model (Fig. 4):
-///
-/// - `f_match(a, b)` — wildcard-aware equality (returns a boolean);
-/// - `f_join(a, b)` — wildcard-resolving join-ID combination;
-/// - `f_concat(parts...)` — string concatenation (Appendix B.2 uses it to
-///   build composite identifiers).
-///
-/// `f_unique()` is *not* pure; calling it through `PureFuncs` is an error.
+/// A [`FuncHost`] with no built-ins: every call is
+/// [`EvalError::UnknownFunc`]. Evaluation that must not draw `f_unique()`
+/// ids uses it; the engine answers that call with [`CountingFuncs`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PureFuncs;
 
 impl FuncHost for PureFuncs {
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, EvalError> {
-        match name {
-            "f_match" => {
-                if args.len() != 2 {
-                    return Err(EvalError::BadArity { func: name.into(), expected: 2, got: args.len() });
-                }
-                Ok(Value::Bool(args[0].matches_wild(&args[1])))
-            }
-            "f_join" => {
-                if args.len() != 2 {
-                    return Err(EvalError::BadArity { func: name.into(), expected: 2, got: args.len() });
-                }
-                Ok(args[0].join_wild(&args[1]))
-            }
-            "f_concat" => {
-                let mut s = String::new();
-                for a in args {
-                    s.push_str(&a.to_string());
-                }
-                Ok(Value::Str(s.into()))
-            }
-            "f_apply" => {
-                // The meta model's `Val := (Val' Opr Val'')` (meta rule s1,
-                // Fig. 4): the *operator itself is data*. `f_apply(op, a, b)`
-                // applies the operator named by the string `op`.
-                if args.len() != 3 {
-                    return Err(EvalError::BadArity { func: name.into(), expected: 3, got: args.len() });
-                }
-                let op = args[0]
-                    .as_str()
-                    .ok_or_else(|| EvalError::TypeError("f_apply: operator must be a string".into()))?;
-                let (a, b) = (&args[1], &args[2]);
-                use crate::ast::{BinOp, CmpOp};
-                let cmp = |o: CmpOp| Ok(Value::Bool(o.eval(a, b)));
-                match op {
-                    "==" => cmp(CmpOp::Eq),
-                    "!=" => cmp(CmpOp::Ne),
-                    "<" => cmp(CmpOp::Lt),
-                    "<=" => cmp(CmpOp::Le),
-                    ">" => cmp(CmpOp::Gt),
-                    ">=" => cmp(CmpOp::Ge),
-                    "+" => eval_binop(BinOp::Add, a, b),
-                    "-" => eval_binop(BinOp::Sub, a, b),
-                    "*" => eval_binop(BinOp::Mul, a, b),
-                    "/" => eval_binop(BinOp::Div, a, b),
-                    "%" => eval_binop(BinOp::Mod, a, b),
-                    other => Err(EvalError::UnknownFunc(format!("f_apply operator `{other}`"))),
-                }
-            }
-            other => Err(EvalError::UnknownFunc(other.into())),
-        }
+    fn call(&mut self, name: &str, _args: &[Value]) -> Result<Value, EvalError> {
+        Err(EvalError::UnknownFunc(name.into()))
     }
 }
 
@@ -327,60 +273,14 @@ mod tests {
     }
 
     #[test]
-    fn f_match_and_f_join() {
-        let mut h = PureFuncs;
-        assert_eq!(
-            h.call("f_match", &[Value::Wild, Value::Int(3)]).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            h.call("f_match", &[Value::Int(2), Value::Int(3)]).unwrap(),
-            Value::Bool(false)
-        );
-        assert_eq!(
-            h.call("f_join", &[Value::Int(2), Value::Wild]).unwrap(),
-            Value::Int(2)
-        );
-        assert_eq!(
-            h.call("f_join", &[Value::Wild, Value::Int(3)]).unwrap(),
-            Value::Int(3)
-        );
-        assert!(h.call("f_unique", &[]).is_err());
-        assert!(h.call("nope", &[]).is_err());
-        assert!(h.call("f_match", &[Value::Int(1)]).is_err());
-    }
-
-    #[test]
     fn f_unique_counts_deterministically() {
         let mut h = CountingFuncs::default();
         assert_eq!(h.call("f_unique", &[]).unwrap(), Value::Int(0));
         assert_eq!(h.call("f_unique", &[]).unwrap(), Value::Int(1));
         assert_eq!(h.issued(), 2);
-        // still answers pure builtins
-        assert_eq!(
-            h.call("f_join", &[Value::Int(2), Value::Wild]).unwrap(),
-            Value::Int(2)
-        );
-    }
-
-    #[test]
-    fn f_apply_interprets_operator_values() {
-        let mut h = PureFuncs;
-        assert_eq!(
-            h.call("f_apply", &[Value::str("=="), Value::Int(2), Value::Int(2)]).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            h.call("f_apply", &[Value::str("<"), Value::Int(3), Value::Int(2)]).unwrap(),
-            Value::Bool(false)
-        );
-        assert_eq!(
-            h.call("f_apply", &[Value::str("+"), Value::Int(3), Value::Int(2)]).unwrap(),
-            Value::Int(5)
-        );
-        assert!(h.call("f_apply", &[Value::str("??"), Value::Int(3), Value::Int(2)]).is_err());
-        assert!(h.call("f_apply", &[Value::Int(1), Value::Int(3), Value::Int(2)]).is_err());
-        assert!(h.call("f_apply", &[Value::str("==")]).is_err());
+        assert!(h.call("f_unique", &[Value::Int(1)]).is_err());
+        assert!(h.call("nope", &[]).is_err());
+        assert!(PureFuncs.call("f_unique", &[]).is_err());
     }
 
     #[test]

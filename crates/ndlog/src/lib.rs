@@ -8,17 +8,17 @@
 //! This crate provides the *language substrate* of the reproduction:
 //!
 //! - [`value::Value`] / [`tuple::Tuple`] — the data model (integers,
-//!   strings, booleans, and the meta model's `*` wildcard);
+//!   strings, booleans, and the `*` wildcard);
 //! - [`ast`] — programs, rules, atoms, expressions, selections, assignments;
 //! - [`parser`] — a recursive-descent parser for the concrete syntax of
 //!   Fig. 2/Fig. 3, plus `materialize(...)` schema declarations;
-//! - [`eval`] — expression/selection evaluation with built-in functions
-//!   (`f_match`, `f_join`, `f_unique`, `f_concat`);
+//! - [`eval`] — expression/selection evaluation with the one built-in
+//!   function, `f_unique()`;
 //! - [`patch`] — program edits, the concrete form of repairs (Table 2);
 //! - [`schema`] — table schemas (state vs event, primary keys).
 //!
-//! The evaluation *engine* lives in `mpr-runtime`; the meta model and the
-//! repair search live in `mpr-core`.
+//! The evaluation *engine* lives in `mpr-runtime`; the repair search — the
+//! one meta model — lives in `mpr-core`.
 
 #![warn(missing_docs)]
 

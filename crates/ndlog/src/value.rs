@@ -1,9 +1,8 @@
 //! Runtime values of the NDlog data model.
 //!
 //! µDlog (the toy language of §3) only has integers; full NDlog programs in
-//! this workspace additionally use strings (table/rule identifiers inside
-//! meta tuples, action names), booleans (selection results inside the meta
-//! model) and the join-ID wildcard `*` from Fig. 4.
+//! this workspace additionally use strings (table and rule identifiers,
+//! action names, MAC addresses), booleans and the wildcard `*`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -20,10 +19,10 @@ pub enum Value {
     /// A string (rule ids, table names, MAC addresses...), shared: a copy
     /// of the value is a reference-count bump.
     Str(Arc<str>),
-    /// A boolean, used by the meta model for selection outcomes.
+    /// A boolean.
     Bool(bool),
-    /// The join-ID wildcard `*` of the meta model (Fig. 4): matches any
-    /// join ID under [`Value::matches_wild`].
+    /// The wildcard `*`: what the parser reads for `*` and what an empty
+    /// `a_min` / `a_max` group holds. It equals only itself.
     Wild,
 }
 
@@ -54,29 +53,6 @@ impl Value {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
-        }
-    }
-
-    /// `true` when the value is the wildcard `*`.
-    pub fn is_wild(&self) -> bool {
-        matches!(self, Value::Wild)
-    }
-
-    /// Wildcard-aware equality: the meta model's `f_match(a, b)` — true iff
-    /// `a == b` or either side is `*` (Fig. 4, §3.2).
-    pub fn matches_wild(&self, other: &Value) -> bool {
-        self.is_wild() || other.is_wild() || self == other
-    }
-
-    /// The meta model's `f_join(a, b)`: returns `a` if `b` is `*`, else `b`.
-    ///
-    /// Used to resolve the concrete join ID when one operand of a selection
-    /// came from a constant (whose `Expr` meta tuple carries `JID = *`).
-    pub fn join_wild(&self, other: &Value) -> Value {
-        if other.is_wild() {
-            self.clone()
-        } else {
-            other.clone()
         }
     }
 
@@ -150,25 +126,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wildcard_matching_is_symmetric_and_reflexive() {
-        let a = Value::Int(3);
-        let b = Value::Int(4);
-        assert!(a.matches_wild(&a));
-        assert!(!a.matches_wild(&b));
-        assert!(Value::Wild.matches_wild(&a));
-        assert!(a.matches_wild(&Value::Wild));
-        assert!(Value::Wild.matches_wild(&Value::Wild));
-    }
-
-    #[test]
-    fn join_prefers_concrete_side() {
-        let j = Value::Int(42);
-        assert_eq!(j.join_wild(&Value::Wild), j);
-        assert_eq!(Value::Wild.join_wild(&j), j);
-        assert_eq!(j.join_wild(&Value::Int(7)), Value::Int(7));
-    }
-
-    #[test]
     fn display_round_trips_bare_and_quoted_strings() {
         assert_eq!(Value::str("output_1").to_string(), "output_1");
         assert_eq!(Value::str("FlowTable").to_string(), "'FlowTable'");
@@ -191,7 +148,6 @@ mod tests {
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Int(5).as_str(), None);
-        assert!(Value::Wild.is_wild());
         assert_eq!(Value::Int(1).type_tag(), "int");
         assert_eq!(Value::str("s").type_tag(), "str");
         assert_eq!(Value::Bool(false).type_tag(), "bool");

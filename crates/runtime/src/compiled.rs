@@ -233,10 +233,22 @@ fn first_unbound<'r>(e: &'r Expr, bound: &impl Fn(&str) -> bool, first: Option<&
     }
 }
 
+/// The first call of `e` the runtime does not provide — anything but a
+/// zero-argument `f_unique()` — as its name and argument count.
+fn unknown_call(e: &Expr) -> Option<(&str, usize)> {
+    match e {
+        Expr::Const(_) | Expr::Var(_) => None,
+        Expr::Binary(_, l, r) => unknown_call(l).or_else(|| unknown_call(r)),
+        Expr::Call(name, args) if name == "f_unique" && args.is_empty() => None,
+        Expr::Call(name, args) => Some((name, args.len())),
+    }
+}
+
 /// The binding checks of [`CompiledRule::compile`], which runs them first:
 /// every variable an assignment reads is bound by the body or an earlier
 /// assignment, every variable a selection reads by the body or any
-/// assignment, and no body atom carries an aggregate. Allocates nothing
+/// assignment, every function called is `f_unique()`, and no body atom
+/// carries an aggregate. Allocates nothing
 /// unless the rule fails. A driver that compiles rules lazily runs this on
 /// every rule up front, so a program is refused — with the same error, for
 /// the same rule, in program order — whether or not a delta ever reaches
@@ -254,6 +266,10 @@ pub fn check(rule: &Rule) -> Result<(), CompileError> {
         if let Some(var) = first_unbound(&s.rhs, &bound, first_unbound(&s.lhs, &bound, None)) {
             return Err(CompileError::UnboundSelectionVar { rule: rule.id.clone(), var: var.into() });
         }
+    }
+    let exprs = rule.assigns.iter().map(|a| &a.expr).chain(rule.sels.iter().flat_map(|s| [&s.lhs, &s.rhs]));
+    if let Some((func, arity)) = exprs.filter_map(unknown_call).next() {
+        return Err(CompileError::UnknownFunction { rule: rule.id.clone(), func: func.into(), arity });
     }
     if rule.body.iter().any(Atom::has_agg) {
         return Err(CompileError::AggInBody { rule: rule.id.clone() });
@@ -737,5 +753,26 @@ mod tests {
         // r1's `B` reaches only an assignment: not a read column.
         let r1 = CompiledRule::compile(&p.rules[0], &p.catalog).unwrap();
         assert_eq!(r1.reads(0).1, [0, 1]);
+    }
+
+    #[test]
+    fn a_call_the_runtime_does_not_provide_is_refused_up_front() {
+        // Evaluated, the call would fail and the rule derive nothing; the
+        // engine refuses it at construction instead, rule and name given.
+        let refused = |rules: &str| {
+            let p = parse_program("calls", rules).unwrap();
+            match crate::Engine::new(&p) {
+                Err(e @ CompileError::UnknownFunction { .. }) => e,
+                Err(e) => panic!("{rules}: {e}"),
+                Ok(_) => panic!("{rules}: accepted"),
+            }
+        };
+        let e = refused("r0 Out(@C,A) :- Ev(@C,A).\nr1 Out(@C,Z) :- Ev(@C,X), T(@C,Y), Z := f_match(X, Y).");
+        assert_eq!(e.to_string(), "rule `r1`: calls `f_match` with 2 argument(s); the one built-in is `f_unique()`");
+        let e = refused("r1 Out(@C,X) :- Ev(@C,X), f_nope(X) == 1.");
+        assert_eq!(e, CompileError::UnknownFunction { rule: "r1".into(), func: "f_nope".into(), arity: 1 });
+        refused("r1 Out(@C,Z) :- Ev(@C,X), Z := X + f_unique(X).");
+        let p = parse_program("calls", "r1 Out(@C,Z) :- Ev(@C,X), Z := X + f_unique(), Z > f_unique().").unwrap();
+        assert!(crate::Engine::new(&p).is_ok());
     }
 }

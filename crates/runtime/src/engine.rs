@@ -252,6 +252,16 @@ pub enum CompileError {
         /// Rule id.
         rule: String,
     },
+    /// An expression calls a function the runtime does not provide: the
+    /// one built-in is the zero-argument `f_unique()`.
+    UnknownFunction {
+        /// Rule id.
+        rule: String,
+        /// The called name.
+        func: String,
+        /// How many arguments the call passes.
+        arity: usize,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -272,6 +282,9 @@ impl std::fmt::Display for CompileError {
             }
             CompileError::AggInBody { rule } => {
                 write!(f, "rule `{rule}`: aggregate term in body")
+            }
+            CompileError::UnknownFunction { rule, func, arity } => {
+                write!(f, "rule `{rule}`: calls `{func}` with {arity} argument(s); the one built-in is `f_unique()`")
             }
         }
     }

@@ -27,8 +27,8 @@
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
 //! - transient *event* tables (`PacketIn` and friends) whose derivations
 //!   persist (the OpenFlow install pattern);
-//! - `a_count`/`a_min`/`a_max` head aggregates (used by the meta model);
-//! - built-in functions `f_unique`, `f_match`, `f_join`, `f_apply` with a
+//! - `a_count`/`a_min`/`a_max` head aggregates;
+//! - the one built-in function, `f_unique()`, counting from a
 //!   deterministic seed;
 //! - a full execution log ([`log::ExecLog`]) of INSERT/DELETE, DERIVE/
 //!   UNDERIVE, APPEAR/DISAPPEAR and SEND/RECEIVE events — the raw material

@@ -57,7 +57,9 @@ const CONTROLLER_LATENCY: u64 = 100;
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// TTL: maximum switch hops per packet (loop guard).
+    /// TTL: maximum switch hops per packet (loop guard). A `PacketOut`
+    /// whose action is `Controller` punts its packet again and counts one
+    /// hop, so a controller that always answers that way is stopped too.
     pub max_hops: u32,
     /// Scheduled fault plan (empty by default: injects nothing, and a run
     /// is bit-identical to one without the fault layer).
@@ -643,8 +645,14 @@ impl<C: Controller> Simulation<C> {
                     return;
                 }
                 self.stats.packet_outs += 1;
-                apply_actions(self, sw, in_port, p, &[action], hops);
                 *released = true;
+                // A reply that punts again counts a hop (`SimConfig::max_hops`).
+                let hops = hops + u32::from(action == Action::Controller);
+                if hops >= self.cfg.max_hops {
+                    self.stats.dropped_ttl += 1;
+                    return;
+                }
+                apply_actions(self, sw, in_port, p, &[action], hops);
             }
         }
     }
@@ -901,6 +909,35 @@ mod tests {
                 action: Action::Output(1),
             });
         }
+    }
+
+    /// Answers every punt by sending the packet back to itself.
+    struct RepuntController;
+
+    impl Controller for RepuntController {
+        fn on_packet_in(&mut self, msg: &PacketInMsg, out: &mut Vec<CtrlMsg>) {
+            out.push(CtrlMsg::PacketOut { switch: msg.switch, packet: msg.packet.clone(), action: Action::Controller });
+        }
+    }
+
+    #[test]
+    fn a_reply_that_punts_again_counts_a_hop_until_the_ttl_drops_it() {
+        use crate::faults::{CtrlFaults, FaultPlan};
+        // S1 punts at hop 0; each `PacketOut(Controller)` punts again one
+        // hop on, and the reply that would punt at `max_hops` is dropped.
+        let mut sim = Simulation::new(fig1(), RepuntController, SimConfig::default());
+        sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 1));
+        sim.run();
+        let s = &sim.stats;
+        assert_eq!((s.hops, s.packet_ins, s.packet_outs, s.dropped_ttl, s.dropped_buffered), (1, 64, 64, 1, 0));
+        // The same bound holds when every reply is delayed: the queued
+        // reply carries its hop count.
+        let faults = FaultPlan { ctrl: CtrlFaults { delay_chance: 1.0, ..CtrlFaults::default() }, ..FaultPlan::default() };
+        let mut sim = Simulation::new(fig1(), RepuntController, SimConfig { max_hops: 5, faults });
+        sim.inject(fig1_hosts::INTERNET, http_to(fig1_hosts::H1, 1));
+        sim.run();
+        let s = &sim.stats;
+        assert_eq!((s.packet_ins, s.ctrl_delayed, s.dropped_ttl, s.dropped_buffered), (5, 5, 1, 0));
     }
 
     #[test]

@@ -23,7 +23,8 @@ use proptest::strategy::Strategy;
 use proptest::test_runner::TestRunner;
 
 /// Answers its `k`-th packet-in with its `k`-th reply, round robin: an
-/// entry installed at the punting switch, and perhaps a `PacketOut`.
+/// entry installed at the punting switch, and perhaps a `PacketOut` — back
+/// to the controller too, which punts again one hop on.
 struct Script {
     replies: Vec<(FlowEntry, Option<Action>)>,
     k: usize,
@@ -162,15 +163,13 @@ fn the_workload_loop_equals_inject_and_run() {
     let case = (
         0u8..2,
         prop::collection::vec((1i64..4, draw()), 0..4),
-        prop::collection::vec((draw(), 0usize..4), 0..4),
+        prop::collection::vec((draw(), 0usize..5), 0..4),
         prop::collection::vec(draw(), 3),
         prop::collection::vec((0usize..3, 0usize..21), 1..64),
         0usize..64,
         (1i64..4, draw()),
     );
-    // No `PacketOut` back to the controller: the simulator answers one
-    // within the punt, so a script that always sends one never returns.
-    let punt_outs = [None, Some(Action::Output(1)), Some(Action::Flood), Some(Action::Drop)];
+    let punt_outs = [None, Some(Action::Output(1)), Some(Action::Flood), Some(Action::Drop), Some(Action::Controller)];
     let (mut answered, mut injected) = (0, 0);
     let mut runner = TestRunner::new(ProptestConfig::with_cases(256), "the_workload_loop_equals_inject_and_run");
     runner.run(|rng| {

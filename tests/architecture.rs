@@ -5,8 +5,9 @@
 //! - one run loop and one history: a workload is driven in one place
 //!   (`mpr_backtest::replay::drive`), the debugger reads the log a run
 //!   wrote instead of building an engine to re-make it, and the simulator's
-//!   packet-in log, the second meta model and `mpr_trace`'s history type
-//!   stay gone;
+//!   packet-in log, the second meta model (the runnable meta program and
+//!   the built-ins only it called) and `mpr_trace`'s history type stay
+//!   gone;
 //! - no serde in the library crates: nothing writes a library type, so no
 //!   library type carries a wire format;
 //! - deleted names stay deleted: a mention outside the logs that record a
@@ -73,8 +74,14 @@ fn one_run_loop_one_history_one_meta_model() {
     assert!(injects.len() <= 1, "a second run loop: {injects:#?}");
     let engines = mentions(&under(&["crates/core/src/debugger.rs"]), &["Engine::"]);
     assert!(engines.is_empty(), "the debugger re-makes history: {engines:#?}");
-    let gone = mentions(&under(&["crates", "src", "tests", "examples"]), &["packet_in_log", "metamodel::", "history::History"]);
+    let gone = ["packet_in_log", "metamodel::", "metafull", "meta_interpret", "history::History"];
+    let gone = mentions(&under(&["crates", "src", "tests", "examples"]), &gone);
     assert!(gone.is_empty(), "{gone:#?}");
+    // The built-ins only the runnable meta program called: the runtime
+    // refuses a call to any of them at construction.
+    let lib: Vec<_> = under(&["crates", "src"]).into_iter().filter(|(rel, _)| rel.contains("src/")).collect();
+    let builtins = mentions(&lib, &["\"f_match\"", "\"f_join\"", "\"f_apply\""]);
+    assert!(builtins.is_empty(), "{builtins:#?}");
 }
 
 #[test]

@@ -164,26 +164,6 @@ fn cross_language_invariants_of_table3() {
 }
 
 #[test]
-fn meta_interpretation_is_language_semantics() {
-    // The meta program derives the same flow entries as direct
-    // evaluation, for the object program both buggy and repaired.
-    use sdn_meta_repair::core::metafull::meta_interpret_k;
-    use sdn_meta_repair::ndlog::{Tuple, Value};
-    let program = sdn_meta_repair::core::scenarios::q1_program();
-    let base = vec![
-        Tuple::new("WebLoadBalancer", Value::str("C"), vec![Value::Int(80), Value::Int(2)]),
-        Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(2), Value::Int(80)]),
-        Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(3), Value::Int(80)]),
-    ];
-    let via_meta = meta_interpret_k(&program, &base, "FlowTable", 2).unwrap();
-    assert!(!via_meta.is_empty());
-    // The buggy program never derives the S3 HTTP entry.
-    assert!(!via_meta
-        .iter()
-        .any(|t| t.loc == Value::Int(3) && t.args[0] == Value::Int(80)));
-}
-
-#[test]
 fn provenance_explains_scenario_symptoms() {
     use sdn_meta_repair::provenance::{explain_absent, Pattern};
     use sdn_meta_repair::runtime::Engine;
