@@ -7,7 +7,7 @@
 //! (inside the explorer), **patch generation** (the rest of the explorer),
 //! and **replay** (the buggy baseline plus candidate backtests).
 
-use crate::explore::{generate_existing, generate_missing, World};
+use crate::explore::{generate_existing, generate_missing_against, World};
 use crate::repair::{Candidate, Repair, ReplayInput};
 use crate::scenarios::{Scenario, Symptom};
 use mpr_backtest::ks::{ks_two_sample, KsResult};
@@ -17,7 +17,7 @@ use mpr_ndlog::patch::Edit;
 use mpr_ndlog::ProgramOutline;
 use mpr_runtime::{ExecLog, Options as EngineOptions};
 use mpr_trace::workload::Injection;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Fig. 9a phase breakdown.
@@ -136,6 +136,9 @@ pub struct Debugger {
     /// backtest replay (strategy, durability, …). The kill-and-restart
     /// harness points this at a WAL so crashes mid-loop are recoverable.
     pub engine_options: EngineOptions,
+    /// The program's outline: what the first observation run's engine
+    /// checked it against, read by the explorer and every backtest.
+    outline: OnceLock<Result<Arc<ProgramOutline>, String>>,
 }
 
 impl Debugger {
@@ -146,7 +149,15 @@ impl Debugger {
             workload: Arc::new(std::mem::take(&mut scenario.workload)),
             scenario,
             engine_options: EngineOptions::default(),
+            outline: OnceLock::new(),
         }
+    }
+
+    /// The program's outline: the observation run's, or made here if
+    /// nothing has run yet.
+    fn outline(&self) -> Result<&ProgramOutline, String> {
+        let outline = self.outline.get_or_init(|| ProgramOutline::new(&self.scenario.program).map(Arc::new));
+        outline.as_deref().map_err(String::clone)
     }
 
     /// The network, workload, seeds and engine options every run of this
@@ -169,6 +180,7 @@ impl Debugger {
     pub fn record(&self) -> Result<Recording, String> {
         let t_run = Instant::now();
         let mut sim = drive(&self.setup(), Arc::clone(&self.scenario.program), true, &[])?;
+        self.outline.get_or_init(|| Ok(Arc::clone(sim.controller().engine().outline())));
         let log = sim.controller_mut().take_log();
         Ok(Recording { log, baseline: ReplayOutcome::of(sim.stats), run_time: t_run.elapsed() })
     }
@@ -209,7 +221,7 @@ impl Debugger {
         // --- candidate generation -------------------------------------
         let t_gen = Instant::now();
         let (mut candidates, stats) = match &self.scenario.symptom {
-            Symptom::Missing(pattern) => generate_missing(&world, pattern),
+            Symptom::Missing(pattern) => generate_missing_against(&world, pattern, Some(self.outline()?)),
             Symptom::Existing(tuple) => generate_existing(&world, tuple),
         };
         if !self.scenario.op_repairs {
@@ -294,14 +306,13 @@ impl Debugger {
     /// does not apply rides along as the base program, and its outcome is
     /// dropped.
     fn backtest(&self, candidates: &[Candidate]) -> Result<(Vec<Option<ReplayOutcome>>, usize, bool), String> {
-        let (setup, base) = (self.setup(), &self.scenario.program);
-        let outline = ProgramOutline::new(base)?;
+        let (setup, base, outline) = (self.setup(), &self.scenario.program, self.outline()?);
         let mut outs: Vec<Option<ReplayOutcome>> = Vec::with_capacity(candidates.len());
         let (mut handed_back, mut jointly) = (0, false);
         for slice in candidates.chunks(TagSet::BITS as usize) {
             let (mut deltas, mut applies, mut extra, mut seeds) = (vec![], vec![], vec![], vec![]);
             for c in slice {
-                let ReplayInput { delta, extra_flows, seeds: own } = c.repair.replay_input(base, &outline, &setup);
+                let ReplayInput { delta, extra_flows, seeds: own } = c.repair.replay_input(base, outline, &setup);
                 applies.push(delta.is_ok());
                 deltas.push(delta.unwrap_or_default());
                 extra.push(extra_flows);
@@ -311,7 +322,7 @@ impl Debugger {
             let named: Vec<usize> = (0..slice.len()).filter(|&i| applies[i] && joint.diverged >> i & 1 == 1).collect();
             let at = outs.len();
             outs.extend((joint.outcomes.into_iter().zip(&applies)).map(|(out, &a)| a.then_some(out)));
-            for (&i, own) in named.iter().zip(self.reference(&setup, &outline, named.iter().map(|&i| &slice[i]))) {
+            for (&i, own) in named.iter().zip(self.reference(&setup, outline, named.iter().map(|&i| &slice[i]))) {
                 outs[at + i] = own;
             }
             handed_back += named.len();
@@ -329,13 +340,13 @@ impl Debugger {
         &self,
         candidates: impl IntoIterator<Item = &'c Candidate>,
     ) -> Result<Vec<Option<ReplayOutcome>>, String> {
-        Ok(self.reference(&self.setup(), &ProgramOutline::new(&self.scenario.program)?, candidates))
+        Ok(self.reference(&self.setup(), self.outline()?, candidates))
     }
 
     fn reference<'c>(
         &self,
         setup: &BacktestSetup,
-        outline: &ProgramOutline<'_>,
+        outline: &ProgramOutline,
         candidates: impl IntoIterator<Item = &'c Candidate>,
     ) -> Vec<Option<ReplayOutcome>> {
         let base = &self.scenario.program;
@@ -370,6 +381,7 @@ pub fn repair_scenario(scenario: &Scenario) -> RepairReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::generate_missing;
     use mpr_ndlog::{Tuple, Value as V};
 
     #[test]

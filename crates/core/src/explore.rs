@@ -17,8 +17,10 @@
 //! costs), combinations of them are costed by arithmetic, an [`Edit`] and
 //! its description are made only for a combination the running cut still
 //! admits — checked against its own rule — and a trace only for a candidate
-//! handed out. A rule the symptom never touches therefore costs a lookup, a
-//! few comparisons, no allocation, and no clock ([`ExploreStats::solver_ns`]).
+//! handed out. A **rule is priced before its trees open**: the selections
+//! the goal alone makes fail cost at least their cheapest fixes, and a rule
+//! whose floor the running cut refuses opens no tree. A rule the symptom
+//! never touches therefore costs a few comparisons and no allocation.
 //!
 //! For an **existing** tuple (positive symptom, Fig. 7), the explorer walks
 //! the recorded derivations, re-executes them symbolically, negates the
@@ -131,6 +133,9 @@ impl World {
 pub struct ExploreStats {
     /// Trees forked (rule × trigger expansions).
     pub trees: u64,
+    /// Rules whose head unifies with the goal but whose floor the cut refused,
+    /// unopened: with one tree per rule, `trees` + these is every such rule.
+    pub rules_priced_away: u64,
     /// Constraint pools solved (selection feasibility checks).
     pub pools_solved: u64,
     /// Candidates considered: every repair within
@@ -485,6 +490,15 @@ fn top_level_constants(sel: &Selection) -> impl Iterator<Item = (ExprSide, &Valu
     })
 }
 
+/// The one integer an `==` lets the constant on `side` of `sel` become:
+/// what `env` binds the variable opposite it to.
+fn pinned(sel: &Selection, side: ExprSide, env: &impl Bindings) -> Option<i64> {
+    match (side, &sel.lhs, &sel.rhs) {
+        (ExprSide::Lhs, _, Expr::Var(v)) | (ExprSide::Rhs, Expr::Var(v), _) if sel.op == CmpOp::Eq => env.get(v)?.as_int(),
+        _ => None,
+    }
+}
+
 /// `l op r`, with `candidate` standing on `side` and `other` opposite.
 fn holds_with(op: CmpOp, side: ExprSide, candidate: &Value, other: &Value) -> bool {
     match side {
@@ -498,11 +512,16 @@ fn holds_with(op: CmpOp, side: ExprSide, candidate: &Value, other: &Value) -> bo
 /// only for [`generate_missing_with_ledger`].
 #[derive(Debug, Default)]
 pub struct Ledger {
+    /// Every rule whose head unifies with the goal, by id, with its floor.
+    pub floors: Vec<(String, u32)>,
     /// The cost of every candidate considered, built or bounded away.
     pub priced: Vec<u32>,
     /// Every candidate built that passed its syntax check.
     pub built: Vec<Candidate>,
 }
+
+/// A search's candidates, counters and, if it kept them, books.
+type Found = (Vec<Candidate>, ExploreStats, Option<Ledger>);
 
 /// One missing-tuple search: what every tree reads, the frontier and
 /// counters every tree writes, and the buffers the trees share so that one
@@ -518,13 +537,12 @@ struct Search<'a> {
     /// The (trigger, body atom) pairs of the current rule.
     pairs: Vec<(usize, usize)>,
     /// `world.program`'s outline, what [`Search::applies`] checks
-    /// whole-program patches against: built by the first candidate that
-    /// needs it (on a large program the running cut bounds them all away).
-    outline: OnceCell<Option<ProgramOutline<'a>>>,
+    /// whole-program patches against (`None`: the program is invalid).
+    outline: Option<&'a ProgramOutline>,
     frontier: Frontier<(Repair, Trace<'a>)>,
     stats: ExploreStats,
     /// The [`Ledger`], traces unwritten, if it is kept.
-    books: Option<(Vec<u32>, Vec<Built<'a>>)>,
+    books: Option<(Vec<(String, u32)>, Vec<u32>, Vec<Built<'a>>)>,
     /// The failing selections of every tree patch built: [`Trace::Tree`]'s.
     failing_log: Vec<usize>,
     /// What unifying the current rule's head with the goal requires.
@@ -545,19 +563,31 @@ struct Search<'a> {
 
 /// Generate repair candidates for a *missing* tuple.
 pub fn generate_missing(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats) {
-    let (candidates, stats, _) = Search::run(world, goal, false);
+    generate_missing_against(world, goal, ProgramOutline::new(&world.program).ok().as_ref())
+}
+
+/// [`generate_missing`] against the outline of `world.program` its caller
+/// holds (`None`: the program is invalid, and no whole-program patch applies).
+pub fn generate_missing_against(
+    world: &World,
+    goal: &Pattern,
+    outline: Option<&ProgramOutline>,
+) -> (Vec<Candidate>, ExploreStats) {
+    let (candidates, stats, _) = Search::run(world, goal, outline, false);
     (candidates, stats)
 }
 
-/// [`generate_missing`] with its books open — for the property that what
-/// the search prices is what it builds; the debugger does not call this.
+/// [`generate_missing`] with its books open — for the properties that what
+/// the search prices is what it builds, and that no rule's candidates cost
+/// less than its floor; the debugger does not call this.
 pub fn generate_missing_with_ledger(world: &World, goal: &Pattern) -> (Vec<Candidate>, ExploreStats, Ledger) {
-    let (candidates, stats, ledger) = Search::run(world, goal, true);
+    let outline = ProgramOutline::new(&world.program).ok();
+    let (candidates, stats, ledger) = Search::run(world, goal, outline.as_ref(), true);
     (candidates, stats, ledger.unwrap_or_default())
 }
 
 impl<'a> Search<'a> {
-    fn run(world: &'a World, goal: &'a Pattern, books: bool) -> (Vec<Candidate>, ExploreStats, Option<Ledger>) {
+    fn run(world: &'a World, goal: &'a Pattern, outline: Option<&'a ProgramOutline>, books: bool) -> Found {
         let mut s = Search {
             world,
             goal,
@@ -565,7 +595,7 @@ impl<'a> Search<'a> {
             triggers: None,
             state: OnceCell::new(),
             pairs: Vec::new(),
-            outline: OnceCell::new(),
+            outline,
             frontier: Frontier::new(&world.budget),
             stats: ExploreStats::default(),
             books: books.then(Default::default),
@@ -614,17 +644,17 @@ impl<'a> Search<'a> {
 
         let Search { frontier, stats, books, failing_log, .. } = s;
         let hand_out = |built| hand_out(built, &failing_log);
-        let ledger = books.map(|(priced, built)| Ledger { priced, built: built.into_iter().map(hand_out).collect() });
+        let ledger = books.map(|(floors, priced, built)| {
+            Ledger { floors, priced, built: built.into_iter().map(hand_out).collect() }
+        });
         (frontier.finish().map(hand_out).collect(), stats, ledger)
     }
 
     /// The whole-program syntax check of a built candidate, which counts as
     /// refused if it fails: `patch.apply`'s verdict from the delta, which
-    /// reads only the rules the patch touches (no outline, no patch applies).
+    /// clones only the rules the patch touches (no outline, no patch applies).
     fn applies(&mut self, patch: &Patch) -> bool {
-        let program = &self.world.program;
-        let outline = self.outline.get_or_init(|| ProgramOutline::new(program).ok());
-        let ok = outline.as_ref().is_some_and(|o| patch.delta(program, o).is_ok());
+        let ok = self.outline.is_some_and(|o| patch.delta(&self.world.program, o).is_ok());
         self.stats.refused += u64::from(!ok);
         ok
     }
@@ -633,7 +663,7 @@ impl<'a> Search<'a> {
     /// counted as considered here; one that is gets counted by
     /// [`Search::emit`], once it has passed its syntax check.
     fn worth_building(&mut self, cost: u32) -> bool {
-        if let Some((priced, _)) = &mut self.books {
+        if let Some((_, priced, _)) = &mut self.books {
             priced.push(cost);
         }
         let build = self.frontier.admits(cost);
@@ -647,7 +677,7 @@ impl<'a> Search<'a> {
 
     fn emit(&mut self, cost: u32, description: String, repair: Repair, trace: Trace<'a>) {
         self.stats.raw_candidates += 1;
-        if let Some((_, built)) = &mut self.books {
+        if let Some((.., built)) = &mut self.books {
             built.push((cost, description.clone(), (repair.clone(), trace.clone())));
         }
         self.frontier.push(cost, description, (repair, trace));
@@ -691,10 +721,17 @@ impl<'a> Search<'a> {
         self.emit(cost::NEW_RULE, description, Repair::Patch(patch), Trace::Lines(trace));
     }
 
-    /// One tree: this rule, every compatible trigger.
+    /// One tree: this rule, every compatible trigger — unless the cut
+    /// refuses the rule's floor, which it will then refuse for good.
     fn explore_rule(&mut self, rule: &'a Rule) {
         let world = self.world;
         if !head_requirements(rule, self.goal, &mut self.required) {
+            return;
+        }
+        let floor = floor(rule, &self.required);
+        self.books.iter_mut().for_each(|(floors, ..)| floors.push((rule.id.clone(), floor)));
+        if !self.frontier.admits(floor) {
+            self.stats.rules_priced_away += 1;
             return;
         }
         // The trigger must bind one body atom. Every match starts from the
@@ -847,23 +884,19 @@ impl<'a> Search<'a> {
             self.failing.push(si);
             let first = self.options.len();
             let opposite = |side| match side {
-                ExprSide::Lhs => (&sel.rhs, &rhs),
-                ExprSide::Rhs => (&sel.lhs, &lhs),
+                ExprSide::Lhs => &rhs,
+                ExprSide::Rhs => &lhs,
             };
             // (a) constant replacement via the constraint pool (Fig. 6's
             //     NEXIST[Const(Rul, ID, Val)] leaf).
             for (side, old) in top_level_constants(sel) {
                 let Value::Int(old) = *old else { continue };
                 self.stats.pools_solved += 1;
-                let (other_expr, other) = opposite(side);
+                let other = opposite(side);
                 // Equality against a bound variable admits exactly one
                 // replacement constant — skip the domain scan, and the
-                // clock, which would time no solving (this keeps candidate
-                // generation linear in program size, Fig. 10).
-                let pinned = match other_expr {
-                    Expr::Var(v) if sel.op == CmpOp::Eq => self.post.get(v).and_then(Value::as_int),
-                    _ => None,
-                };
+                // clock, which would time no solving.
+                let pinned = pinned(sel, side, &self.post);
                 let t0 = pinned.is_none().then(Instant::now);
                 let domain = || self.domain.get_or_init(|| world.domain(self.goal)).as_slice();
                 let scan = pinned.as_ref().map_or_else(domain, std::slice::from_ref);
@@ -890,7 +923,7 @@ impl<'a> Search<'a> {
             }
             // (c) variable swaps, to another variable the body binds.
             for (side, e) in [(ExprSide::Lhs, &sel.lhs), (ExprSide::Rhs, &sel.rhs)] {
-                let (Expr::Var(cur), Some(other)) = (e, opposite(side).1) else { continue };
+                let (Expr::Var(cur), Some(other)) = (e, opposite(side)) else { continue };
                 for (w, val) in self.post.iter() {
                     let in_body = || rule.body.iter().any(|atom| atom.var_names().any(|v| v == w));
                     if w != cur && holds_with(sel.op, side, val, other) && in_body() {
@@ -1078,6 +1111,27 @@ fn head_requirements<'a>(rule: &'a Rule, goal: &'a Pattern, required: &mut Scope
                 _ => true,
             },
         )
+}
+
+/// The least any candidate of `rule`'s trees can cost. A selection that
+/// fails under the head's `required` bindings fails in every tree, whose
+/// bindings agree with them, and costs at least its cheapest fix: its
+/// constant set to the value an `==` pins (or else moved by one), its
+/// operator or a variable changed, or its deletion. Each fix past the first
+/// is one more edit. A rule with a second body atom can instead insert the
+/// tuple that atom lacks, at `INSERT_TUPLE`, fixing no selection.
+fn floor(rule: &Rule, required: &Scope) -> u32 {
+    let cheapest = |sel: &Selection| {
+        let constant = top_level_constants(sel).filter_map(|(side, old)| {
+            let old = old.as_int()?;
+            Some(pinned(sel, side, required).map_or(cost::CONST_ADJACENT, |pinned| cost::const_change(old, pinned)))
+        });
+        constant.fold(cost::OP_CHANGE.min(cost::VAR_CHANGE).min(cost::DELETE_SELECTION), u32::min)
+    };
+    let failing = rule.sels.iter().filter(|sel| sel.eval(required, &mut PureFuncs) == Ok(false));
+    let (fixes, least) = failing.fold((0, 0), |(n, least), sel| (n + 1, least + cheapest(sel)));
+    let least = least + u32::saturating_sub(fixes, 1);
+    if rule.body.len() > 1 { least.min(cost::INSERT_TUPLE) } else { least }
 }
 
 /// Join `envs` with the recorded state through every body atom of `rule`

@@ -61,7 +61,7 @@ impl Repair {
     /// table as a hand-installed flow entry at priority 50 (above the
     /// reactive ones); any other tuple repair as seeds of its own, only
     /// when they differ from `setup.seeds`.
-    pub fn replay_input(&self, base: &Program, outline: &ProgramOutline<'_>, setup: &BacktestSetup) -> ReplayInput {
+    pub fn replay_input(&self, base: &Program, outline: &ProgramOutline, setup: &BacktestSetup) -> ReplayInput {
         let mut input = ReplayInput { delta: Ok(RuleDelta::default()), extra_flows: Vec::new(), seeds: None };
         match self {
             Repair::Patch(p) => input.delta = p.delta(base, outline),

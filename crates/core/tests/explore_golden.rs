@@ -30,8 +30,8 @@ fn render(s: &Scenario, out: &mut String) {
     };
     writeln!(
         out,
-        "== {}: trees {} pools_solved {} raw_candidates {} materialised {}",
-        s.id, stats.trees, stats.pools_solved, stats.raw_candidates, stats.materialised
+        "== {}: trees {} rules_priced_away {} pools_solved {} raw_candidates {} materialised {}",
+        s.id, stats.trees, stats.rules_priced_away, stats.pools_solved, stats.raw_candidates, stats.materialised
     )
     .unwrap();
     for (rank, c) in candidates.iter().enumerate() {

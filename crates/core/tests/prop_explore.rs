@@ -255,6 +255,71 @@ fn bounded_search_is_a_prefix_of_exhaustive_on_every_missing_scenario() {
     assert_eq!(checked, 8, "Q1–Q5, Q1@300loc, Q1-trema, Q1-pyretic");
 }
 
+/// Under an exhaustive budget, no candidate of a rule's trees — a patch of
+/// it or a tuple its join lacks, either naming the rule in its trace —
+/// costs less than the floor the search priced the rule at before opening
+/// it. Returns how many candidates were checked and how many cost exactly
+/// their rule's floor.
+fn assert_floors_hold(world: &World, goal: &Pattern) -> Result<(usize, usize), TestCaseError> {
+    let mut w = world.clone();
+    w.budget.max_candidates = usize::MAX;
+    let (_, _, ledger) = generate_missing_with_ledger(&w, goal);
+    let (mut checked, mut tight) = (0, 0);
+    for c in &ledger.built {
+        let tree = |line: &String| line.strip_prefix("NDERIVE[")?.strip_suffix(" via meta rule h2]").map(str::to_string);
+        let Some(rule) = c.trace.iter().find_map(tree) else { continue };
+        let floor = ledger.floors.iter().find(|(id, _)| *id == rule).map(|&(_, floor)| floor);
+        prop_assert!(floor.is_some_and(|f| f <= c.cost), "`{}` costs {}, {}'s floor is {:?}", c.description, c.cost, rule, floor);
+        checked += 1;
+        tight += usize::from(floor == Some(c.cost));
+    }
+    Ok((checked, tight))
+}
+
+#[test]
+fn no_candidate_undercuts_its_rules_floor_on_every_missing_scenario() {
+    let q1 = Scenario::q1_copy_paste();
+    let mut scenarios = Scenario::all();
+    scenarios.extend([Scenario::q1_padded(300), q1.trema_variant(), q1.pyretic_variant().expect("Q1 has a Pyretic port")]);
+    let (mut checked, mut tight) = (0, 0);
+    for s in &scenarios {
+        let Symptom::Missing(goal) = &s.symptom else { continue };
+        let (world, _, _, _) = Debugger::for_scenario(s).observe().expect("scenario runs");
+        match assert_floors_hold(&world, goal) {
+            Ok((n, at_floor)) => (checked, tight) = (checked + n, tight + at_floor),
+            Err(e) => panic!("{}: {e:?}", s.id),
+        }
+    }
+    eprintln!("{checked} tree candidates checked, {tight} at their rule's floor");
+    assert!(checked > 1_000 && tight > 100, "{checked} tree candidates checked, {tight} at their rule's floor");
+}
+
+/// A rule whose failing selections the solver cannot read (`%`) still gets
+/// the state tuple its join lacks offered, at `INSERT_TUPLE`: its floor is
+/// capped there, under the 5 its two selections would cost to fix.
+#[test]
+fn no_candidate_undercuts_its_rules_floor_where_the_solver_reads_no_selection() {
+    let program = parse_program(
+        "unread",
+        r"
+        materialize(PacketIn, event, 2, keys()).
+        materialize(FlowTable, infinity, 2, keys(0,1)).
+        j2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Port(@C,Swi,Prt), Hdr % 1000 == Prt + 50, Swi % 1000 == Prt + 50.
+        ",
+    )
+    .unwrap();
+    let w = World {
+        program: program.into(),
+        triggers: vec![Tuple::new("PacketIn", Value::str("C"), vec![Value::Int(3), Value::Int(80)])],
+        state: vec![],
+        derivations: vec![],
+        budget: SearchBudget::default(),
+    };
+    let (_, _, ledger) = generate_missing_with_ledger(&w, &flow_goal(3, 2));
+    assert_eq!(ledger.floors, [("j2".to_string(), cost::INSERT_TUPLE)]);
+    assert_eq!(assert_floors_hold(&w, &flow_goal(3, 2)).unwrap(), (1, 1), "the insertion of Port(@'C',3,2), at the floor");
+}
+
 #[test]
 fn candidates_built_do_not_grow_with_program_size() {
     let explore = |lines: usize| {
@@ -267,11 +332,16 @@ fn candidates_built_do_not_grow_with_program_size() {
     let (n100, small, _) = explore(100);
     let (n900, large, k) = explore(900);
     assert_eq!((n100, n900), (k, k));
-    // The search still visits every tree and solves every pool …
-    assert_eq!((small.trees, small.pools_solved), (100, 194));
-    assert_eq!((large.trees, large.pools_solved), (900, 1794));
-    assert!(large.raw_candidates > 9 * small.raw_candidates);
-    // … but what it builds is bounded by the frontier, not by the program.
+    // Q1's eight rules bring the cut down to 4; each padding rule's two
+    // failing selections cost at least 2 + 2 + 1 more edit, so it is priced
+    // away before any tree of it opens: the search opens Q1's trees and
+    // solves Q1's pools at every size …
+    for (lines, stats) in [(100, &small), (900, &large)] {
+        assert_eq!((stats.trees, stats.pools_solved, stats.raw_candidates), (8, 10, 67), "{lines} rules");
+        // … and every rule of the goal's table has one tree, or is priced away.
+        assert_eq!(stats.trees + stats.rules_priced_away, lines, "{lines} rules");
+    }
+    // What it builds is bounded by the frontier, not by the program.
     assert_eq!(small.materialised, large.materialised);
     assert!(large.materialised <= 4 * k as u64, "built {}", large.materialised);
 }
@@ -282,8 +352,8 @@ fn shown(c: &Candidate) -> (u32, String, Repair, Vec<String>) {
 }
 
 /// The counters of [`ExploreStats`] (not the solver's clock).
-fn counters(s: &ExploreStats) -> [u64; 5] {
-    [s.trees, s.pools_solved, s.raw_candidates, s.materialised, s.refused]
+fn counters(s: &ExploreStats) -> [u64; 6] {
+    [s.trees, s.rules_priced_away, s.pools_solved, s.raw_candidates, s.materialised, s.refused]
 }
 
 /// Every patch candidate's program passes `Engine::new`.
@@ -559,6 +629,26 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The floor holds on generated programs too: order comparisons, a rule
+    /// that joins the state, and `j1`, whose two selections can both fail
+    /// while its join of the state fails as well.
+    #[test]
+    fn no_candidate_undercuts_its_rules_floor(
+        goal_swi in 1i64..6, goal_prt in 1i64..4,
+        padding in prop::collection::vec(
+            (1i64..6, prop::sample::select(vec!["==", "<", ">", "!="]),
+             prop::sample::select(vec![53i64, 80]), 1i64..4), 1..12),
+        order in prop::collection::vec(any::<u32>(), 12),
+        trig in prop::collection::vec((1i64..6, prop::sample::select(vec![53i64, 80])), 1..4),
+        ports in prop::collection::vec((1i64..6, 1i64..4), 0..5),
+        j1_swi in 1i64..6, j1_hdr in prop::sample::select(vec![53i64, 80]),
+    ) {
+        let mut w = joined_world(trig, &padding, order, &ports);
+        let j1 = format!("j1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Port(@C,Swi,Prt), Swi == {j1_swi}, Hdr == {j1_hdr}.");
+        Arc::make_mut(&mut w.program).rules.extend(parse_program("j1", &j1).unwrap().rules);
+        assert_floors_hold(&w, &flow_goal(goal_swi, goal_prt))?;
+    }
 
     /// What the search opens by lookup is what it opened by scanning every
     /// trigger and state tuple: tuples no tree can open or join change no

@@ -28,7 +28,7 @@
 
 use crate::ast::{Atom, CmpOp, Expr, ExprSide, Program, Rule};
 use crate::error::PatchError;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// One elementary program edit.
@@ -122,38 +122,51 @@ fn atoms(rule: &Rule) -> impl Iterator<Item = &Atom> {
 }
 
 /// What judging a patch needs to know about the rules it leaves alone:
-/// where each rule id sits, and each table's arity with the number of
-/// atoms (heads and body predicates) that use it — the use counts are what
-/// lets a patch retire an undeclared table's only user and reuse the name
-/// at another arity, as [`Program::validate`] on the patched whole would
-/// allow.
+/// each table's arity with the number of atoms (heads and body predicates)
+/// that use it — the use counts are what lets a patch retire an undeclared
+/// table's only user and reuse the name at another arity, as
+/// [`Program::validate`] on the patched whole would allow.
 ///
 /// An outline exists only of a valid program: [`ProgramOutline::new`]
 /// makes every check [`Program::validate`] reports, as it reads the
-/// declarations and the rules. Building one is `O(rules)`; every
-/// [`Patch::delta`] taken against it is `O(rules the patch touches)`.
+/// declarations and the rules. Building one is `O(rules)`; a
+/// [`Patch::delta`] taken against it finds the rules it touches by id and
+/// clones and checks only those. It borrows nothing, so one outline serves
+/// everyone who patches the program.
 #[derive(Debug, Clone)]
-pub struct ProgramOutline<'a> {
-    /// Rule id → position in [`Program::rules`].
-    positions: HashMap<&'a str, usize>,
+pub struct ProgramOutline {
+    /// How many rules the outlined program has.
+    rules: usize,
     /// Table → (arity, atoms using it), for every table the program
     /// declares or uses.
-    arities: BTreeMap<&'a str, (usize, usize)>,
+    arities: BTreeMap<String, (usize, usize)>,
 }
 
-impl<'a> ProgramOutline<'a> {
+#[cfg(debug_assertions)]
+thread_local!(static OUTLINES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+
+/// Outlines [`ProgramOutline::new`] built on this thread, the count behind
+/// the test that a repair checks its base program once. Debug builds only.
+#[cfg(debug_assertions)]
+pub fn outlines_built() -> u64 {
+    OUTLINES.with(std::cell::Cell::get)
+}
+
+impl ProgramOutline {
     /// Outline `program`, or say why it is not a valid program.
-    pub fn new(program: &'a Program) -> Result<Self, String> {
+    pub fn new(program: &Program) -> Result<Self, String> {
+        #[cfg(debug_assertions)]
+        OUTLINES.with(|n| n.set(n.get() + 1));
         for s in program.catalog.iter() {
             if let Some(k) = s.keys.iter().find(|&&k| k >= s.arity) {
                 return Err(format!("table `{}`: key column {k} out of range for arity {}", s.table, s.arity));
             }
         }
-        let mut positions = HashMap::with_capacity(program.rules.len());
+        let mut ids = HashSet::with_capacity(program.rules.len());
         let mut arities: BTreeMap<&str, (usize, usize)> =
             program.catalog.iter().map(|s| (s.table.as_str(), (s.arity, 0))).collect();
-        for (pos, r) in program.rules.iter().enumerate() {
-            if positions.insert(r.id.as_str(), pos).is_some() {
+        for r in &program.rules {
+            if !ids.insert(r.id.as_str()) {
                 return Err(format!("duplicate rule id `{}`", r.id));
             }
             r.check_head_bound()?;
@@ -164,13 +177,14 @@ impl<'a> ProgramOutline<'a> {
                 *uses += 1;
             }
         }
-        Ok(ProgramOutline { positions, arities })
+        let arities = arities.into_iter().map(|(table, entry)| (table.to_string(), entry)).collect();
+        Ok(ProgramOutline { rules: program.rules.len(), arities })
     }
 
     /// Every table the program declares or uses, with its one arity, in
     /// name order.
-    pub fn arities(&self) -> impl Iterator<Item = (&'a str, usize)> + '_ {
-        self.arities.iter().map(|(&table, &(arity, _))| (table, arity))
+    pub fn arities(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
+        self.arities.iter().map(|(table, &(arity, _))| (table.as_str(), arity))
     }
 }
 
@@ -223,8 +237,8 @@ impl RuleDelta {
         out
     }
 
-    fn locate(&self, outline: &ProgramOutline<'_>, id: &str) -> Option<Slot> {
-        if let Some(&pos) = outline.positions.get(id) {
+    fn locate(&self, base: &Program, id: &str) -> Option<Slot> {
+        if let Some(pos) = base.rules.iter().position(|r| r.id == id) {
             if !self.changed.iter().any(|(p, r)| *p == pos && r.is_none()) {
                 return Some(Slot::Base(pos));
             }
@@ -246,13 +260,8 @@ impl RuleDelta {
         &mut self.changed[i].1
     }
 
-    fn edit(
-        &mut self,
-        base: &Program,
-        outline: &ProgramOutline<'_>,
-        e: &Edit,
-    ) -> Result<(), PatchError> {
-        let slot = self.locate(outline, e.rule_id());
+    fn edit(&mut self, base: &Program, e: &Edit) -> Result<(), PatchError> {
+        let slot = self.locate(base, e.rule_id());
         match (e, slot) {
             (Edit::AddRule { rule }, None) => self.added.push(rule.clone()),
             (Edit::AddRule { rule }, Some(_)) => {
@@ -282,7 +291,7 @@ impl RuleDelta {
     /// check is the delta's rules: their heads bound, and their atoms'
     /// arities against the declarations and the atoms the untouched rules
     /// keep.
-    fn check(&self, base: &Program, outline: &ProgramOutline<'_>) -> Result<(), String> {
+    fn check(&self, base: &Program, outline: &ProgramOutline) -> Result<(), String> {
         // Atoms the touched rules' base versions no longer contribute.
         let mut retired: Vec<(&str, usize)> = Vec::new();
         for (pos, _) in &self.changed {
@@ -354,12 +363,12 @@ impl Patch {
     pub fn delta(
         &self,
         base: &Program,
-        outline: &ProgramOutline<'_>,
+        outline: &ProgramOutline,
     ) -> Result<RuleDelta, PatchError> {
-        assert_eq!(outline.positions.len(), base.rules.len(), "the outline of another program");
+        assert_eq!(outline.rules, base.rules.len(), "the outline of another program");
         let mut delta = RuleDelta::default();
         for e in self.in_order() {
-            delta.edit(base, outline, e)?;
+            delta.edit(base, e)?;
         }
         delta.changed.sort_by_key(|(pos, _)| *pos);
         delta.check(base, outline).map_err(PatchError::WouldBreakSyntax)?;

@@ -447,6 +447,8 @@ struct AggGroup {
 pub struct Engine {
     /// The program, shared with whoever built the engine (the controller).
     pub(crate) program: Arc<Program>,
+    /// What `program` was checked against when the engine was built.
+    outline: Arc<ProgramOutline>,
     /// One per rule of `program`. Shared so a firing can hold its rule
     /// across the `&mut self` calls it makes (and any nested fixpoint those
     /// trigger).
@@ -510,7 +512,7 @@ impl Engine {
     /// whether or not a delta ever reaches that rule — and compiled the
     /// first time a delta reaches it.
     pub fn shared(program: Arc<Program>, opts: Options) -> Result<Self, CompileError> {
-        let outline = ProgramOutline::new(&program).map_err(CompileError::InvalidProgram)?;
+        let outline = Arc::new(ProgramOutline::new(&program).map_err(CompileError::InvalidProgram)?);
         let mut rules = Vec::with_capacity(program.rules.len());
         let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
         let mut store = Store::new();
@@ -572,6 +574,7 @@ impl Engine {
         };
         let mut engine = Engine {
             program,
+            outline,
             rules: Arc::new(rules),
             triggers,
             store,
@@ -651,6 +654,11 @@ impl Engine {
     /// The program the engine runs.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
+    }
+
+    /// The outline the engine checked its program against, for reuse.
+    pub fn outline(&self) -> &Arc<ProgramOutline> {
+        &self.outline
     }
 
     /// Current logical time.
