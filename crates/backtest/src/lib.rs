@@ -7,8 +7,8 @@
 //! - [`replay()`] — sequential backtesting: fresh network + controller per
 //!   candidate, replaying the recorded workload; [`replay_candidates`] is
 //!   that for a list of candidates, one after the other, a panic contained
-//!   per candidate — the reference the joint replay is held to, and the
-//!   path of every candidate it hands back;
+//!   per candidate — the fallback for every candidate the joint replay
+//!   hands back;
 //! - [`ks`] — the two-sample Kolmogorov–Smirnov filter (α = 0.05, §5.3);
 //! - [`mqo`] — the §4.4 multi-query optimization: one tagged joint replay
 //!   for all candidates, with rule-copy coalescing and flow tables shared
@@ -16,7 +16,7 @@
 //!   candidates it cannot answer for ([`mqo::JointReplay::diverged`]) —
 //!   all of them under a fault plan, which it does not model; property
 //!   tests pin the correctness claim for the rest: per-tag results equal
-//!   sequential results.
+//!   those of a sequential, memo-free `inject` + `run` loop.
 
 #![warn(missing_docs)]
 

@@ -24,7 +24,7 @@
 //! whole patched programs ([`build_tagged_program`], [`mqo_replay`]) get
 //! the same builder: their programs are diffed against the base into
 //! deltas first. Whole programs are applied only where one must compile:
-//! the per-candidate reference replay ([`crate::replay_candidates`]).
+//! the per-candidate fallback replay ([`crate::replay_candidates`]).
 //!
 //! # Network state: sparse, tag-shared flow tables
 //!
@@ -143,13 +143,17 @@
 //!   append-only); in a table no rule reads nothing depends on the first,
 //!   and the replacement is mirrored;
 //! - a *rule that does not compile, or aggregates*: a candidate's own
-//!   copies are checked up front (the reference refuses the whole
+//!   copies are checked up front (the engine refuses the whole
 //!   program), a borrowed base rule — an aggregate of the base among them
 //!   — when a delta first reaches it;
 //! - a *step that draws an `f_unique` id*: the engine never files such a
 //!   step, and each candidate would draw from its own counter;
 //! - a *step over the engine's budget*: more matches than
-//!   `setup.engine.max_derivations`, where the reference fails.
+//!   `setup.engine.max_derivations`, where the engine fails;
+//! - a *reply that punts again* (a `PacketOut` to `Action::Controller`):
+//!   `TupleCodec::decode` makes none (its `PacketOut` is an `Output` or a
+//!   `Drop`), so the replay counts no hop for one and hands its candidates
+//!   back should one ever arrive.
 //!
 //! The joint network has no clock and no faults. Flights advance one hop
 //! round at a time, a flight's punt is answered before the next flight is
@@ -160,11 +164,13 @@
 //! installs in both. Under a fault plan (`setup.config.faults`) the replay
 //! names every candidate up front and forwards nothing.
 //!
-//! Callers replay the named candidates per candidate
+//! Callers replay the named candidates on the per-candidate fallback
 //! ([`crate::replay_candidates`]; [`mqo_replay`] does it itself). For the
-//! rest the claim is the whole `SimStats` of a sequential replay
-//! (`tests/prop_mqo.rs`). An aggregate in the base is a rule like any
-//! other: the candidates a delta brings to it are named, the rest stay.
+//! rest the claim is the whole `SimStats` of a sequential replay: the
+//! workspace's `tests/prop_mqo.rs` holds it to one `inject` + `run` per
+//! packet on a pipelined engine, with no memo anywhere. An aggregate in
+//! the base is a rule like any other: the candidates a delta brings to it
+//! are named, the rest stay.
 //! DESIGN.md, "Backtesting", has the reasons.
 
 use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
@@ -393,7 +399,7 @@ impl<'a> TaggedEngine<'a> {
             for (ai, atom) in v.rule.body.iter().enumerate() {
                 triggers.entry(atom.table.as_str()).or_default().push((vi, ai));
             }
-            // The reference refuses a program one of whose rules does not
+            // The engine refuses a program one of whose rules does not
             // compile, whether or not a delta ever reaches the rule.
             let form = LazyRule::default();
             if let Cow::Owned(rule) = &v.rule {
@@ -695,14 +701,12 @@ pub struct TableFootprint {
 /// A packet arriving at `at` on `port` for the candidates in `tags` — on
 /// the wire, or (at a switch) waiting as a PacketIn for the shared
 /// controller evaluation. The round carries the hop count its flights
-/// share; `lag` is what a flight has made beyond it, one hop per reply
-/// that punted it again (the simulator's rule, `SimConfig::max_hops`).
+/// share.
 struct Flight<N> {
     at: N,
     port: i64,
     pkt: Packet,
     tags: TagSet,
-    lag: u32,
 }
 
 /// Add a flight to `list`. Candidates whose copies of a packet coincide
@@ -710,7 +714,7 @@ struct Flight<N> {
 /// which stays a flight of its own. Nothing joins a flight ahead of another
 /// of its candidates': each keeps the simulator's order, the order it sent.
 fn join_flights<N: PartialEq>(list: &mut Vec<Flight<N>>, f: Flight<N>) {
-    let same = |g: &Flight<N>| g.at == f.at && g.port == f.port && g.lag == f.lag && g.pkt == f.pkt;
+    let same = |g: &Flight<N>| g.at == f.at && g.port == f.port && g.pkt == f.pkt;
     let i = list.iter().position(|g| g.tags & f.tags == 0 && same(g));
     match i {
         Some(i) if list[i + 1..].iter().all(|g| g.tags & f.tags == 0) => list[i].tags |= f.tags,
@@ -739,9 +743,6 @@ struct Forwarder<'a> {
     next: Vec<Flight<NodeRef>>,
     /// PacketIns not yet evaluated, by switch.
     punts: Vec<Flight<i64>>,
-    /// The lag of the flight or punt being answered, which what it sends
-    /// carries.
-    lag: u32,
 }
 
 impl Forwarder<'_> {
@@ -771,7 +772,7 @@ impl DataPlane<TagSet> for Forwarder<'_> {
 
     fn emit(&mut self, switch: i64, out_port: i64, pkt: Packet, tags: TagSet) {
         match self.topo.peer(NodeRef::Switch(switch), out_port) {
-            Some((at, port)) => join_flights(&mut self.next, Flight { at, port, pkt, tags, lag: self.lag }),
+            Some((at, port)) => join_flights(&mut self.next, Flight { at, port, pkt, tags }),
             None => self.drop_policy(tags),
         }
     }
@@ -779,7 +780,7 @@ impl DataPlane<TagSet> for Forwarder<'_> {
     /// Queue a PacketIn; identical ones are evaluated once for all their
     /// candidates.
     fn punt(&mut self, switch: i64, in_port: i64, pkt: Packet, tags: TagSet) {
-        join_flights(&mut self.punts, Flight { at: switch, port: in_port, pkt, tags, lag: self.lag });
+        join_flights(&mut self.punts, Flight { at: switch, port: in_port, pkt, tags });
     }
 
     fn drop_policy(&mut self, tags: TagSet) {
@@ -820,8 +821,8 @@ fn add_classes(classes: &mut BTreeMap<TagSet, SimStats>, deltas: &BTreeMap<TagSe
 
 /// [`mqo_replay_deltas`] for `candidates` given as fully patched programs
 /// derived from `base`, on the setup's seeds; the outcomes only, those of
-/// [`JointReplay::diverged`] taken from one reference replay each. A
-/// candidate the reference refuses too (a rule of it does not compile)
+/// [`JointReplay::diverged`] taken from one fallback replay each. A
+/// candidate the fallback refuses too (a rule of it does not compile)
 /// keeps the joint outcome — that of the candidate without the rule, or
 /// under a fault plan an empty one.
 pub fn mqo_replay(
@@ -958,7 +959,7 @@ pub fn mqo_replay_deltas(
         }
     }
 
-    let mut fw = Forwarder { topo, classes: BTreeMap::new(), tape: None, next: Vec::new(), punts: Vec::new(), lag: 0 };
+    let mut fw = Forwarder { topo, classes: BTreeMap::new(), tape: None, next: Vec::new(), punts: Vec::new() };
     let mut work = JointWork::default();
     let read = fields_read(&setup.codec, extra_flows);
     let mut memo = InjectionMemo::new(Standing::default());
@@ -984,7 +985,7 @@ pub fn mqo_replay_deltas(
         // is recorded as it goes, and filed.
         fw.tape = (!memo.first(hash)).then(BTreeMap::new);
         fw.count(full, |s| s.injected += 1);
-        flights.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), tags: full, lag: 0 });
+        flights.push(Flight { at: NodeRef::Switch(sw0), port: port0, pkt: pkt.clone(), tags: full });
         // One iteration per hop round: forward every flight one hop, then
         // evaluate the round's punts. The TTL guard bounds the rounds.
         let mut hops = 0u32;
@@ -998,12 +999,11 @@ pub fn mqo_replay_deltas(
                     }
                     NodeRef::Switch(s) => s,
                 };
-                if hops + f.lag >= setup.config.max_hops {
+                if hops >= setup.config.max_hops {
                     fw.count(f.tags, |s| s.dropped_ttl += 1);
                     continue;
                 }
                 fw.count(f.tags, |s| s.hops += 1);
-                fw.lag = f.lag;
                 // One lookup per variant — per distinct table — the
                 // flight's candidates live in; the candidates in none see
                 // the empty table and miss together.
@@ -1023,37 +1023,33 @@ pub fn mqo_replay_deltas(
                     fw.punt(s, f.port, f.pkt, missed);
                 }
                 // Shared controller evaluation per distinct punt, before the
-                // next lookup, as the simulator's on arrival. A reply may punt
-                // again (`PacketOut` with `Action::Controller`), hence the
-                // outer loop; each such reply counts a hop, so the TTL ends it.
-                while !fw.punts.is_empty() {
-                    std::mem::swap(&mut fw.punts, &mut batch);
-                    for p in batch.drain(..) {
-                        fw.count(p.tags, |s| s.packet_ins += 1);
-                        let msg = PacketInMsg { switch: p.at, in_port: p.port, packet: p.pkt };
-                        let mut released: TagSet = 0;
-                        engine.on_packet_in(&msg, p.tags, &mut replies);
-                        for (cm, ctags) in replies.drain(..) {
-                            match cm {
-                                CtrlMsg::FlowMod { switch, entry } => {
-                                    fw.count(ctags, |s| s.flow_mods += 1);
-                                    tables.install(switch, ctags, &entry);
+                // next lookup, as the simulator's on arrival. No reply punts
+                // again (Scope), so one pass answers them all.
+                std::mem::swap(&mut fw.punts, &mut batch);
+                for p in batch.drain(..) {
+                    fw.count(p.tags, |s| s.packet_ins += 1);
+                    let msg = PacketInMsg { switch: p.at, in_port: p.port, packet: p.pkt };
+                    let mut released: TagSet = 0;
+                    engine.on_packet_in(&msg, p.tags, &mut replies);
+                    for (cm, ctags) in replies.drain(..) {
+                        match cm {
+                            CtrlMsg::FlowMod { switch, entry } => {
+                                fw.count(ctags, |s| s.flow_mods += 1);
+                                tables.install(switch, ctags, &entry);
+                            }
+                            CtrlMsg::PacketOut { switch, packet, action } => {
+                                released |= ctags;
+                                fw.count(ctags, |s| s.packet_outs += 1);
+                                if action == Action::Controller {
+                                    engine.diverged |= ctags;
+                                    continue;
                                 }
-                                CtrlMsg::PacketOut { switch, packet, action } => {
-                                    released |= ctags;
-                                    fw.count(ctags, |s| s.packet_outs += 1);
-                                    fw.lag = p.lag + u32::from(action == Action::Controller);
-                                    if hops + fw.lag >= setup.config.max_hops {
-                                        fw.count(ctags, |s| s.dropped_ttl += 1);
-                                        continue;
-                                    }
-                                    apply_actions(&mut fw, switch, p.port, packet, &[action], ctags);
-                                }
+                                apply_actions(&mut fw, switch, p.port, packet, &[action], ctags);
                             }
                         }
-                        // Buffered-miss semantics: no PacketOut, no release.
-                        fw.count(p.tags & !released, |s| s.dropped_buffered += 1);
                     }
+                    // Buffered-miss semantics: no PacketOut, no release.
+                    fw.count(p.tags & !released, |s| s.dropped_buffered += 1);
                 }
             }
             std::mem::swap(&mut flights, &mut fw.next);

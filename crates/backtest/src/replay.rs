@@ -114,8 +114,11 @@ pub struct CandidateRun {
 
 /// Replay every candidate on its own: a fresh controller and network each,
 /// one after the other, the results index-aligned. This is the
-/// per-candidate reference — the debugger's backtest under a fault plan,
-/// and for the candidates a joint replay hands back.
+/// per-candidate fallback — the debugger's backtest under a fault plan,
+/// and for the candidates a joint replay hands back. It drives the
+/// workload through [`drive`], so the simulator's injection memo and the
+/// engine's step memo run inside it; the tests hold it and the joint
+/// replay to one memo-free `inject` + `run` loop.
 /// `None` marks a candidate that failed to compile, whose replay errored,
 /// or whose replay panicked (contained per candidate — one pathological
 /// candidate cannot take down the loop).

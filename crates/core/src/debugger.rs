@@ -79,7 +79,7 @@ pub struct RepairReport {
     /// with none to backtest.
     pub backtested_jointly: bool,
     /// How many candidates the joint replay handed back — they met
-    /// something it does not mirror — and one reference replay each
+    /// something it does not mirror — and one fallback replay each
     /// answered for. Under a fault plan that is every candidate whose
     /// patch applies.
     pub handed_back: usize,
@@ -301,8 +301,8 @@ impl Debugger {
     ///
     /// One joint replay per tag set's worth of candidates, each read as
     /// what it changes ([`Repair::replay_input`]); the joint replay names
-    /// whom it does not answer for, and the reference
-    /// ([`Self::replay_each`]) replays just those. A candidate whose patch
+    /// whom it does not answer for, and the per-candidate fallback
+    /// replays just those. A candidate whose patch
     /// does not apply rides along as the base program, and its outcome is
     /// dropped.
     fn backtest(&self, candidates: &[Candidate]) -> Result<(Vec<Option<ReplayOutcome>>, usize, bool), String> {
@@ -322,7 +322,7 @@ impl Debugger {
             let named: Vec<usize> = (0..slice.len()).filter(|&i| applies[i] && joint.diverged >> i & 1 == 1).collect();
             let at = outs.len();
             outs.extend((joint.outcomes.into_iter().zip(&applies)).map(|(out, &a)| a.then_some(out)));
-            for (&i, own) in named.iter().zip(self.reference(&setup, outline, named.iter().map(|&i| &slice[i]))) {
+            for (&i, own) in named.iter().zip(self.fallback(&setup, outline, named.iter().map(|&i| &slice[i]))) {
                 outs[at + i] = own;
             }
             handed_back += named.len();
@@ -331,19 +331,12 @@ impl Debugger {
         Ok((outs, handed_back, jointly))
     }
 
-    /// The per-candidate reference: each candidate read as the joint
+    /// The per-candidate fallback: each candidate read as the joint
     /// replay reads it ([`Repair::replay_input`]) and replayed on its own
     /// ([`replay_candidates`]); `None` where its patch does not apply or its
     /// program does not run. The backtest runs it for the candidates the
     /// joint replay hands back.
-    pub fn replay_each<'c>(
-        &self,
-        candidates: impl IntoIterator<Item = &'c Candidate>,
-    ) -> Result<Vec<Option<ReplayOutcome>>, String> {
-        Ok(self.reference(&self.setup(), self.outline()?, candidates))
-    }
-
-    fn reference<'c>(
+    fn fallback<'c>(
         &self,
         setup: &BacktestSetup,
         outline: &ProgramOutline,
@@ -470,6 +463,13 @@ mod tests {
         o.as_ref().map(|o| o.stats.clone())
     }
 
+    /// What the backtest's per-candidate fallback answers for `candidates`:
+    /// these tests check which of its two routes the backtest takes, and
+    /// that the routes agree.
+    fn fallback_of(dbg: &Debugger, candidates: &[Candidate]) -> Vec<Option<ReplayOutcome>> {
+        dbg.fallback(&dbg.setup(), dbg.outline().unwrap(), candidates)
+    }
+
     #[test]
     fn one_unapplicable_patch_does_not_take_the_others_off_the_joint_path() {
         use mpr_ndlog::patch::{Edit, Patch};
@@ -480,15 +480,14 @@ mod tests {
             hand_built(Repair::Patch(Patch::single(Edit::DeleteRule { rule: "no-such-rule".into() })));
         let unseeded = hand_built(Repair::DeleteTuple(setup.seeds[0].clone()));
         let (with, handed_back, jointly) =
-            dbg.backtest(&[first.clone(), broken, unseeded, last.clone()]).unwrap();
+            dbg.backtest(&[first.clone(), broken, unseeded.clone(), last.clone()]).unwrap();
         let (without, ..) = dbg.backtest(&[first, last]).unwrap();
         assert_eq!((handed_back, jointly), (0, true), "the three good candidates replay jointly, none handed back");
         assert!(with[1].is_none(), "the broken candidate has no outcome");
         assert!(without.iter().all(Option::is_some));
         assert_eq!([stats(&with[0]), stats(&with[3])], [stats(&without[0]), stats(&without[1])]);
-        let alone = BacktestSetup { seeds: Vec::new(), ..setup.clone() };
-        let reference = mpr_backtest::replay::replay(&alone, &dbg.scenario.program).unwrap();
-        assert_eq!(stats(&with[2]), Some(reference.stats), "the candidate without the seed");
+        assert!(fallback_of(&dbg, &[unseeded.clone()])[0].is_some());
+        assert_eq!(stats(&with[2]), stats(&fallback_of(&dbg, &[unseeded])[0]), "the candidate without the seed");
     }
 
     #[test]
@@ -509,19 +508,17 @@ mod tests {
         ];
         let (joint, handed_back, _) = dbg.backtest(&candidates).unwrap();
         assert_eq!(handed_back, 1);
-        let runs: Vec<CandidateRun> = candidates
-            .iter()
-            .map(|c| {
-                let mut seeds = setup.seeds.clone();
-                c.repair.adjust_seeds(&mut seeds);
-                let program = c.repair.apply(&dbg.scenario.program).ok();
-                CandidateRun { program, seeds, extra_flows: Vec::new() }
-            })
-            .collect();
-        let reference = replay_candidates(&setup, &runs);
-        assert!(reference.iter().all(Option::is_some));
-        for (i, (got, want)) in joint.iter().zip(&reference).enumerate() {
+        let fallback = fallback_of(&dbg, &candidates);
+        assert!(fallback.iter().all(Option::is_some));
+        for (i, (got, want)) in joint.iter().zip(&fallback).enumerate() {
             assert_eq!(stats(got), stats(want), "candidate {i}: {:?}", candidates[i].repair);
+        }
+        // Both routes read a tuple repair's seeds as `adjust_seeds` leaves them.
+        for c in &candidates {
+            let mut seeds = setup.seeds.clone();
+            c.repair.adjust_seeds(&mut seeds);
+            let input = c.repair.replay_input(&dbg.scenario.program, dbg.outline().unwrap(), &setup);
+            assert_eq!(input.seeds.unwrap_or_else(|| setup.seeds.clone()), seeds, "{:?}", c.repair);
         }
         // The tuple repairs are no copies of the base: they change what
         // reaches the servers.
@@ -540,15 +537,15 @@ mod tests {
         let report = dbg.diagnose_and_repair().unwrap();
         assert!(report.backtested_jointly);
         let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
-        let reference = dbg.replay_each(&candidates).unwrap();
-        let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, reference);
+        let fallback = fallback_of(&dbg, &candidates);
+        let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, fallback);
         assert_eq!(verdicts(&report.outcomes), verdicts(&outcomes));
         assert_eq!(report.accepted, accepted);
     }
 
     /// An aggregate in the base program is a rule like any other: the
     /// candidates whose traffic reaches it are handed back, one that deletes
-    /// it stays joint, and the verdicts are the reference's.
+    /// it stays joint, and the verdicts are the fallback's.
     #[test]
     fn the_candidates_that_reach_an_aggregate_are_handed_back() {
         use mpr_ndlog::patch::{Edit, Patch};
@@ -566,22 +563,22 @@ mod tests {
         let candidates = [first, unaggregated, last];
         let (joint, handed_back, jointly) = dbg.backtest(&candidates).unwrap();
         assert_eq!((handed_back, jointly), (2, true));
-        let reference = dbg.replay_each(&candidates).unwrap();
-        assert!(reference.iter().all(Option::is_some));
-        assert_eq!(joint.iter().map(stats).collect::<Vec<_>>(), reference.iter().map(stats).collect::<Vec<_>>());
+        let fallback = fallback_of(&dbg, &candidates);
+        assert!(fallback.iter().all(Option::is_some));
+        assert_eq!(joint.iter().map(stats).collect::<Vec<_>>(), fallback.iter().map(stats).collect::<Vec<_>>());
 
         let report = dbg.diagnose_and_repair().unwrap();
         assert_eq!(report.handed_back, report.generated(), "every first packet-in reaches the count");
         assert!(!report.backtested_jointly);
         let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
-        let reference = dbg.replay_each(&candidates).unwrap();
-        let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, reference);
+        let fallback = fallback_of(&dbg, &candidates);
+        let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, fallback);
         assert_eq!(verdicts(&report.outcomes), verdicts(&outcomes));
         assert_eq!(report.accepted, accepted);
     }
 
     /// More candidates than a tag set holds: one joint replay per 64, the
-    /// hand-backs of both named, and every outcome the reference's.
+    /// hand-backs of both named, and every outcome the fallback's.
     #[test]
     fn more_candidates_than_a_tag_set_holds_ride_two_joint_replays() {
         let (dbg, setup, [first, last]) = q1_with_two_patches();
@@ -602,9 +599,9 @@ mod tests {
         // replay, 64 in the second.
         assert_eq!((handed_back, jointly), (11, true));
         assert_eq!(dbg.backtest(&candidates[64..]).unwrap().1, 1);
-        let reference = dbg.replay_each(&candidates).unwrap();
-        assert!(reference.iter().all(Option::is_some));
-        for (i, (got, want)) in joint.iter().zip(&reference).enumerate() {
+        let fallback = fallback_of(&dbg, &candidates);
+        assert!(fallback.iter().all(Option::is_some));
+        for (i, (got, want)) in joint.iter().zip(&fallback).enumerate() {
             assert_eq!(stats(got), stats(want), "candidate {i}: {:?}", candidates[i].repair);
         }
     }

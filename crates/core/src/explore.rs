@@ -810,6 +810,12 @@ impl<'a> Search<'a> {
         let Some(tuple) = instantiate(atom, &full) else {
             return;
         };
+        // The pool holds only the selections `selection_constraint` reads;
+        // one it cannot (`%`, `/`, a call) that fails here fails with the
+        // tuple inserted too.
+        if rule.sels.iter().any(|sel| sel.eval(&full, &mut PureFuncs) == Ok(false)) {
+            return;
+        }
         if !self.worth_building(cost::INSERT_TUPLE) {
             return;
         }

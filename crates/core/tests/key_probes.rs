@@ -41,9 +41,9 @@ fn curated_repairs_scan_no_stored_row() {
 }
 
 /// The observation run's engine outlines the base program, and the
-/// explorer, the joint replay's deltas and the reference replays read that
+/// explorer, the joint replay's deltas and the fallback replays read that
 /// outline; a candidate the joint replay hands back is outlined once more,
-/// as the patched program its reference engine runs (Q5's `Lip := 10`).
+/// as the patched program its fallback engine runs (Q5's `Lip := 10`).
 #[test]
 fn a_repair_outlines_its_base_program_once() {
     let mut scenarios = curated();

@@ -294,9 +294,9 @@ fn no_candidate_undercuts_its_rules_floor_on_every_missing_scenario() {
     assert!(checked > 1_000 && tight > 100, "{checked} tree candidates checked, {tight} at their rule's floor");
 }
 
-/// A rule whose failing selections the solver cannot read (`%`) still gets
-/// the state tuple its join lacks offered, at `INSERT_TUPLE`: its floor is
-/// capped there, under the 5 its two selections would cost to fix.
+/// A rule whose failing selections the solver cannot read (`%`) is priced
+/// at `INSERT_TUPLE`, under the 5 its two selections would cost to fix, and
+/// no candidate: the selections fail with its missing tuple inserted too.
 #[test]
 fn no_candidate_undercuts_its_rules_floor_where_the_solver_reads_no_selection() {
     let program = parse_program(
@@ -317,7 +317,7 @@ fn no_candidate_undercuts_its_rules_floor_where_the_solver_reads_no_selection() 
     };
     let (_, _, ledger) = generate_missing_with_ledger(&w, &flow_goal(3, 2));
     assert_eq!(ledger.floors, [("j2".to_string(), cost::INSERT_TUPLE)]);
-    assert_eq!(assert_floors_hold(&w, &flow_goal(3, 2)).unwrap(), (1, 1), "the insertion of Port(@'C',3,2), at the floor");
+    assert_eq!(assert_floors_hold(&w, &flow_goal(3, 2)).unwrap(), (0, 0), "no insertion of Port(@'C',3,2)");
 }
 
 #[test]

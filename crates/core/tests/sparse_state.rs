@@ -4,14 +4,12 @@
 //! the network — on the paper-scale fabric and on the 10 130-switch one.
 
 use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows, JointReplay};
-use mpr_backtest::replay::BacktestSetup;
-use mpr_core::debugger::repair_scenario;
+use mpr_core::debugger::Debugger;
 use mpr_core::scenarios::Scenario;
 use mpr_ndlog::{Program, ProgramOutline};
 use mpr_sdn::controller::{Controller, CtrlMsg, NdlogController, NullController, PacketInMsg};
 use mpr_sdn::Simulation;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// A controller that remembers which switches its FlowMods named.
 struct Recording {
@@ -56,17 +54,10 @@ fn assert_state_follows_installs(s: &Scenario) -> (usize, u64) {
     assert!(materialised <= named.len(), "{}: {materialised} tables, FlowMods named {named:?}", s.id);
     assert!(named.len() < 10 && named.len() < switches, "{}: {named:?}", s.id);
 
-    let report = repair_scenario(s);
+    let dbg = Debugger::for_scenario(s);
+    let report = dbg.diagnose_and_repair().expect("the scenario runs");
     let outline = ProgramOutline::new(&s.program).expect("the scenario's program is valid");
-    let setup = BacktestSetup {
-        topology: s.topology.clone(),
-        codec: s.codec.clone(),
-        seeds: s.seeds.clone(),
-        workload: Arc::new(s.workload.clone()),
-        config: s.sim.clone(),
-        proactive_routes: false,
-        engine: mpr_runtime::Options::default(),
-    };
+    let setup = dbg.setup();
     let mut programs = Vec::new();
     let mut deltas = Vec::new();
     let mut extra: Vec<ExtraFlows> = Vec::new();

@@ -6,8 +6,8 @@
 //!   (`mpr_backtest::replay::drive`), the debugger reads the log a run
 //!   wrote instead of building an engine to re-make it, and the simulator's
 //!   packet-in log, the second meta model (the runnable meta program and
-//!   the built-ins only it called) and `mpr_trace`'s history type stay
-//!   gone;
+//!   the built-ins only it called), `mpr_trace`'s history type and the
+//!   debugger's public per-candidate replay stay gone;
 //! - no serde in the library crates: nothing writes a library type, so no
 //!   library type carries a wire format;
 //! - deleted names stay deleted: a mention outside the logs that record a
@@ -74,7 +74,8 @@ fn one_run_loop_one_history_one_meta_model() {
     assert!(injects.len() <= 1, "a second run loop: {injects:#?}");
     let engines = mentions(&under(&["crates/core/src/debugger.rs"]), &["Engine::"]);
     assert!(engines.is_empty(), "the debugger re-makes history: {engines:#?}");
-    let gone = ["packet_in_log", "metamodel::", "metafull", "meta_interpret", "history::History"];
+    // `replay_each`: a differential's expected side is `tests/common/reference.rs`.
+    let gone = ["packet_in_log", "metamodel::", "metafull", "meta_interpret", "history::History", "replay_each"];
     let gone = mentions(&under(&["crates", "src", "tests", "examples"]), &gone);
     assert!(gone.is_empty(), "{gone:#?}");
     // The built-ins only the runnable meta program called: the runtime

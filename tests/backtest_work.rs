@@ -3,22 +3,16 @@
 //! program's rules and owns nothing but the candidates' modified copies —
 //! the same handful whether the program has 100 rules or 900 — and the
 //! debugger reaches the same verdicts from those deltas as from whole
-//! patched programs replayed one by one.
+//! patched programs run one by one by the reference (`common::reference`).
 
-use mpr_backtest::mqo::tagged_program;
-use mpr_core::debugger::{CandidateOutcome, Debugger};
-use mpr_core::repair::Candidate;
-use mpr_core::scenarios::Scenario;
-use mpr_ndlog::{ProgramOutline, RuleDelta};
+mod common;
+
+use common::reference;
+use sdn_meta_repair::backtest::mqo::tagged_program;
+use sdn_meta_repair::core::debugger::Debugger;
+use sdn_meta_repair::core::scenarios::Scenario;
+use sdn_meta_repair::ndlog::{ProgramOutline, RuleDelta};
 use std::borrow::Cow;
-
-/// Per candidate: description, cost, effective, KS distance, accepted.
-fn verdicts(outcomes: &[CandidateOutcome]) -> Vec<(String, u32, bool, f64, bool)> {
-    outcomes
-        .iter()
-        .map(|o| (o.candidate.description.clone(), o.candidate.cost, o.effective, o.ks.d, o.accepted))
-        .collect()
-}
 
 /// Repairs `q1_padded(lines)` both ways and returns `(candidates, owned
 /// rules, coalesced copies)` of the backtesting program.
@@ -43,13 +37,9 @@ fn backtest_work(lines: usize) -> (usize, usize, usize) {
     assert_eq!(tagged.variants.len() - owned, s.program.rules.len(), "{lines}: every base rule once, borrowed");
     assert!(owned <= 2 * deltas.len(), "{lines}: {owned} owned rules for {} candidates", deltas.len());
 
-    // The same candidates, each applied to a whole program and replayed on
-    // its own, judged by the debugger.
-    let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
-    let reference = dbg.replay_each(&candidates).unwrap();
-    let (reference, accepted) = dbg.judge(&report.baseline, candidates, reference);
-    assert_eq!(verdicts(&report.outcomes), verdicts(&reference), "{lines}");
-    assert_eq!(report.accepted, accepted, "{lines}");
+    // The same candidates, each applied to a whole program and run on its
+    // own by the reference, judged by the debugger.
+    reference::assert_verdicts(&dbg, &s.program, &report);
     (deltas.len(), owned, tagged.coalesced)
 }
 

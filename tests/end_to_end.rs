@@ -1,28 +1,15 @@
 //! End-to-end integration tests spanning every crate: the five §5.3
 //! scenarios through diagnose → generate → backtest → rank, the §5.8
-//! cross-language invariants, and the §4.4 MQO consistency claim.
+//! cross-language invariants, and the §4.4 MQO claim against the reference.
 
-use sdn_meta_repair::core::debugger::{repair_scenario, CandidateOutcome, Debugger, RepairReport};
+mod common;
+
+use common::reference;
+use sdn_meta_repair::core::debugger::{repair_scenario, Debugger};
 use sdn_meta_repair::core::repair::{Candidate, Repair};
 use sdn_meta_repair::core::scenarios::Scenario;
 use sdn_meta_repair::sdn::faults::{LinkFault, SwitchCrash};
 use sdn_meta_repair::sdn::NodeRef;
-
-/// Per candidate: description, effective, accepted, KS distance.
-type Verdicts = Vec<(String, bool, bool, f64)>;
-
-fn verdicts(outcomes: &[CandidateOutcome]) -> Verdicts {
-    outcomes.iter().map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d)).collect()
-}
-
-/// The debugger's verdicts on the per-candidate reference's outcomes of
-/// `report`'s candidates, and the accepted order.
-fn reference_verdicts(dbg: &Debugger, report: &RepairReport) -> (Verdicts, Vec<usize>) {
-    let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
-    let reference = dbg.replay_each(&candidates).unwrap();
-    let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, reference);
-    (verdicts(&outcomes), accepted)
-}
 
 #[test]
 fn the_reference_fix_is_generated_and_accepted_everywhere() {
@@ -53,14 +40,14 @@ fn the_reference_fix_is_generated_and_accepted_everywhere() {
 
 #[test]
 fn accepted_repairs_actually_heal_the_network() {
-    // Each accepted candidate, read as the debugger reads it and replayed
-    // on its own network, heals: patches, and Q1's manual flow entry.
+    // Each accepted candidate, run on its own network by the reference,
+    // heals: patches, and Q1's manual flow entry.
     let scenario = Scenario::q1_copy_paste();
     let dbg = Debugger::for_scenario(&scenario);
     let report = dbg.diagnose_and_repair().unwrap();
     let accepted: Vec<&Candidate> = report.accepted.iter().map(|&i| &report.outcomes[i].candidate).collect();
     assert!(accepted.iter().any(|c| matches!(c.repair, Repair::InsertTuple(_))), "{}", report.render_table());
-    for (candidate, out) in accepted.iter().zip(dbg.replay_each(accepted.iter().copied()).unwrap()) {
+    for (candidate, out) in accepted.iter().zip(reference::runs(&scenario.program, &dbg.setup(), accepted.iter().copied())) {
         let out = out.unwrap_or_else(|| panic!("`{}` does not replay", candidate.description));
         assert!(scenario.effect.holds(&out.stats), "accepted `{}` does not heal", candidate.description);
     }
@@ -69,14 +56,12 @@ fn accepted_repairs_actually_heal_the_network() {
 #[test]
 fn mqo_agrees_with_sequential_on_every_scenario() {
     // §4.4 correctness: joint tagged backtesting must accept exactly the
-    // candidates sequential backtesting accepts, and give each the same
-    // verdict.
+    // candidates the reference's sequential runs accept, and give each the
+    // same verdict.
     for scenario in Scenario::all() {
         let dbg = Debugger::for_scenario(&scenario);
         let report = dbg.diagnose_and_repair().unwrap();
-        let (reference, accepted) = reference_verdicts(&dbg, &report);
-        assert_eq!(report.accepted, accepted, "{}: MQO vs sequential acceptance differs", scenario.id);
-        assert_eq!(verdicts(&report.outcomes), reference, "{}", scenario.id);
+        reference::assert_verdicts(&dbg, &scenario.program, &report);
         // And the joint replay answered for every candidate itself — but
         // for Q5's `Lip := 10`, which learns H1 behind whichever port spoke
         // last: `Learned` is keyed on (switch, address), the engine
@@ -88,31 +73,22 @@ fn mqo_agrees_with_sequential_on_every_scenario() {
 
 /// The joint network has no faults: under a fault plan the joint replay
 /// names every candidate and forwards nothing, and `mqo_replay` and the
-/// debugger answer with the reference, which meets the faults. With S1
-/// dark for the whole run, the reference drops packets there and delivers
-/// nothing to the DNS server; a fault-free replay drops none and delivers
-/// DNS there.
+/// debugger answer with their per-candidate fallback, which meets the
+/// faults as the reference does. With S1 dark for the whole run, the
+/// reference drops packets there and delivers nothing to the DNS server; a
+/// fault-free replay drops none and delivers DNS there.
 #[test]
 fn a_fault_plan_hands_every_candidate_back() {
     use sdn_meta_repair::backtest::mqo::{mqo_replay, mqo_replay_deltas, JointWork};
-    use sdn_meta_repair::backtest::replay::BacktestSetup;
     let mut scenario = Scenario::q1_copy_paste();
     scenario.sim.faults.crashes.push(SwitchCrash { switch: 1, at: 0, down_for: 1_000_000_000 });
     let dbg = Debugger::for_scenario(&scenario);
     let report = dbg.diagnose_and_repair().unwrap();
     assert!(!report.backtested_jointly);
     assert_eq!(report.handed_back, report.generated());
-    assert_eq!((verdicts(&report.outcomes), report.accepted.clone()), reference_verdicts(&dbg, &report));
+    reference::assert_verdicts(&dbg, &scenario.program, &report);
 
-    let setup = BacktestSetup {
-        topology: scenario.topology.clone(),
-        codec: scenario.codec.clone(),
-        seeds: scenario.seeds.clone(),
-        workload: scenario.workload.clone().into(),
-        config: scenario.sim.clone(),
-        proactive_routes: false,
-        engine: sdn_meta_repair::runtime::Options::default(),
-    };
+    let setup = dbg.setup();
     let base = &scenario.program;
     let outline = sdn_meta_repair::ndlog::ProgramOutline::new(base).unwrap();
     let candidates: Vec<&Candidate> = report.outcomes.iter().map(|o| &o.candidate).collect();
@@ -125,7 +101,7 @@ fn a_fault_plan_hands_every_candidate_back() {
     assert_eq!(joint.work, JointWork::default());
 
     let programs: Vec<_> = deltas.iter().map(|d| d.overlay(base)).collect();
-    let reference = dbg.replay_each(candidates.iter().copied()).unwrap();
+    let reference = reference::runs(base, &setup, candidates.iter().copied());
     for (i, (got, want)) in mqo_replay(&setup, base, &programs, &extra).iter().zip(&reference).enumerate() {
         let want = want.as_ref().unwrap();
         let dns = sdn_meta_repair::sdn::topology::fig1_hosts::DNS;

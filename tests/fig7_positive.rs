@@ -2,9 +2,12 @@
 //! existing harmful tuple is removed by deleting or changing base tuples,
 //! or by rule-literal changes that break the offending derivation.
 
-use mpr_core::debugger::{repair_scenario, Debugger};
-use mpr_core::repair::{Candidate, Repair};
-use mpr_core::scenarios::Scenario;
+mod common;
+
+use common::reference;
+use sdn_meta_repair::core::debugger::{repair_scenario, Debugger};
+use sdn_meta_repair::core::repair::Repair;
+use sdn_meta_repair::core::scenarios::Scenario;
 
 #[test]
 fn harmful_entry_is_repaired() {
@@ -50,7 +53,7 @@ fn positive_traces_walk_the_derivation() {
 }
 
 /// Fig. 7's candidates include a tuple repair that takes a seed away —
-/// once enough to send every candidate through one reference replay each.
+/// once enough to send every candidate through one fallback replay each.
 /// They ride the joint replay, the seed tagged, and get the verdicts the
 /// debugger gives the reference's outcomes.
 #[test]
@@ -61,14 +64,7 @@ fn a_seed_perturbing_candidate_rides_the_joint_replay() {
     assert!(joint.backtested_jointly);
     assert_eq!(joint.handed_back, 0);
     assert!(joint.outcomes.iter().any(|o| matches!(o.candidate.repair, Repair::DeleteTuple(_))));
-    let candidates: Vec<Candidate> = joint.outcomes.iter().map(|o| o.candidate.clone()).collect();
-    let reference = dbg.replay_each(&candidates).unwrap();
-    let (reference, accepted) = dbg.judge(&joint.baseline, candidates, reference);
-    let verdicts = |outcomes: &[mpr_core::debugger::CandidateOutcome]| -> Vec<(String, bool, bool, f64)> {
-        outcomes.iter().map(|o| (o.candidate.description.clone(), o.effective, o.accepted, o.ks.d)).collect()
-    };
-    assert_eq!(verdicts(&joint.outcomes), verdicts(&reference));
-    assert_eq!(joint.accepted, accepted);
+    reference::assert_verdicts(&dbg, &scenario.program, &joint);
 }
 
 /// Fig. 7 with the cause overwritten before the run ends: once the
@@ -80,7 +76,7 @@ fn a_seed_perturbing_candidate_rides_the_joint_replay() {
 #[test]
 fn an_overwritten_cause_is_still_found_in_the_recording() {
     let mut scenario = Scenario::fig7_harmful_entry();
-    let overwrite = mpr_ndlog::parse_program(
+    let overwrite = sdn_meta_repair::ndlog::parse_program(
         "u1",
         "u1 WebLoadBalancer(@C,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 3, Hdr == 80, Prt := 1.",
     )

@@ -8,51 +8,45 @@
 //! per standing state, and the variants left at the end are the distinct
 //! tables of the candidates' own networks. Counts repeat exactly, so no timer is
 //! involved — as `tests/alloc_budget.rs` guards the explorer's allocations.
+//! Each candidate's own network and `SimStats` are the reference's.
 
-use mpr_backtest::mqo::{mqo_replay_deltas, ExtraFlows, JointReplay};
-use mpr_backtest::replay::{drive, replay_candidates, BacktestSetup, CandidateRun};
-use mpr_core::debugger::repair_scenario;
-use mpr_core::scenarios::Scenario;
-use mpr_ndlog::{ProgramOutline, RuleDelta, Tuple};
-use mpr_sdn::flowtable::FlowEntry;
-use std::sync::Arc;
+mod common;
 
-/// The debugger's candidates for `s`, read as `Debugger::backtest` reads
-/// them (`Repair::replay_input`): rule deltas, manual entries, seeds of
-/// their own where a repair changes them.
+use common::{observation_run, reference};
+use sdn_meta_repair::backtest::mqo::{mqo_replay_deltas, ExtraFlows, JointReplay};
+use sdn_meta_repair::backtest::replay::BacktestSetup;
+use sdn_meta_repair::core::debugger::Debugger;
+use sdn_meta_repair::core::repair::Candidate;
+use sdn_meta_repair::core::scenarios::Scenario;
+use sdn_meta_repair::ndlog::{ProgramOutline, RuleDelta, Tuple};
+use sdn_meta_repair::sdn::controller::NdlogController;
+use sdn_meta_repair::sdn::Simulation;
+
+/// The debugger's candidates for `s`, and each read as `Debugger::backtest`
+/// reads it (`Repair::replay_input`) for the joint replay: rule deltas,
+/// manual entries, seeds of their own where a repair changes them.
 struct Candidates {
     setup: BacktestSetup,
+    list: Vec<Candidate>,
     deltas: Vec<RuleDelta>,
     extra: Vec<ExtraFlows>,
     seeds: Vec<Option<Vec<Tuple>>>,
 }
 
-/// The network and workload `s` is observed and backtested on, as the
-/// debugger sets them up.
-fn setup_of(s: &Scenario) -> BacktestSetup {
-    BacktestSetup {
-        topology: s.topology.clone(),
-        codec: s.codec.clone(),
-        seeds: s.seeds.clone(),
-        workload: Arc::new(s.workload.clone()),
-        config: s.sim.clone(),
-        proactive_routes: false,
-        engine: mpr_runtime::Options::default(),
-    }
-}
-
 impl Candidates {
     fn of(s: &Scenario) -> Candidates {
-        let setup = setup_of(s);
+        let dbg = Debugger::for_scenario(s);
+        let setup = dbg.setup();
         let outline = ProgramOutline::new(&s.program).expect("the scenario's program is valid");
+        let list: Vec<Candidate> = dbg.diagnose_and_repair().expect("it runs").outcomes.into_iter().map(|o| o.candidate).collect();
         let (mut deltas, mut extra, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
-        for o in &repair_scenario(s).outcomes {
-            let input = o.candidate.repair.replay_input(&s.program, &outline, &setup);
+        for c in &list {
+            let input = c.repair.replay_input(&s.program, &outline, &setup);
             deltas.push(input.delta.expect("candidate applies"));
             extra.push(input.extra_flows);
             seeds.push(input.seeds);
         }
-        Candidates { setup, deltas, extra, seeds }
+        Candidates { setup, list, deltas, extra, seeds }
     }
 
     /// The joint replay of the candidates `which`.
@@ -61,15 +55,9 @@ impl Candidates {
         mqo_replay_deltas(&self.setup, &s.program, &self.deltas[w.clone()], &self.extra[w.clone()], &self.seeds[w])
     }
 
-    /// Candidate `i`'s own network after a sequential replay: per switch
-    /// with a table, its entries in match order.
-    fn tables_of(&self, s: &Scenario, i: usize) -> Vec<(i64, Vec<FlowEntry>)> {
-        let seeds = self.seeds[i].clone().unwrap_or_else(|| s.seeds.clone());
-        let setup = BacktestSetup { seeds, ..self.setup.clone() };
-        let program = Arc::new(self.deltas[i].overlay(&s.program));
-        let sim = drive(&setup, program, false, &self.extra[i]).expect("candidate runs");
-        let table = |sw: &i64| Some((*sw, sim.tables.get(sw)?.iter().cloned().collect()));
-        s.topology.switches.iter().filter_map(table).collect()
+    /// Each candidate's reference run: its counters and its own network.
+    fn reference(&self, s: &Scenario) -> Vec<reference::Run> {
+        reference::runs(&s.program, &self.setup, &self.list).into_iter().map(|r| r.expect("every candidate runs")).collect()
     }
 }
 
@@ -111,19 +99,7 @@ fn assert_work_follows_behaviours(s: &Scenario) -> JointReplay {
 
     // The variants left are the distinct tables, in entry order, of the
     // candidates' own networks — no table is held twice.
-    let mut distinct: Vec<(i64, Vec<FlowEntry>)> = Vec::new();
-    for i in 0..n {
-        for table in c.tables_of(s, i) {
-            if !distinct.contains(&table) {
-                distinct.push(table);
-            }
-        }
-    }
-    assert_eq!(joint.footprint.variants, distinct.len(), "{}", s.id);
-    let mut switches: Vec<i64> = distinct.iter().map(|(sw, _)| *sw).collect();
-    switches.sort_unstable();
-    switches.dedup();
-    assert_eq!(joint.footprint.switches, switches.len(), "{}", s.id);
+    assert_eq!(joint.footprint, reference::footprint(c.reference(s)), "{}", s.id);
     joint
 }
 
@@ -148,34 +124,18 @@ fn q1_on_ten_thousand_switches_pays_per_distinct_behaviour() {
     assert!(work.skipped >= 1_023, "{work:?}");
 }
 
-/// The curated differential: on every scenario, each candidate the joint
-/// replay answers for itself — Q5 hands one back — has the whole
-/// `SimStats` of its own sequential replay, injections answered from the
-/// memo and all.
+/// The curated differential: on every curated run, each candidate the
+/// joint replay answers for itself — Q5 hands one back — has the whole
+/// `SimStats` of its own reference run, injections answered from the memo
+/// and all.
 #[test]
 fn every_candidate_the_joint_replay_keeps_has_the_reference_stats() {
-    let q1 = Scenario::q1_copy_paste();
-    let mut scenarios = Scenario::all();
-    scenarios.push(Scenario::fig7_harmful_entry());
-    scenarios.push(q1.trema_variant());
-    scenarios.extend(q1.pyretic_variant());
-    scenarios.push(Scenario::q1_padded(100));
-    scenarios.push(Scenario::q1_on_fabric(10_000));
-    for s in &scenarios {
+    for s in &reference::curated() {
         let c = Candidates::of(s);
         let n = c.deltas.len();
         let joint = c.replay(s, 0..n);
-        let runs: Vec<CandidateRun> = (0..n)
-            .map(|i| CandidateRun {
-                program: Some(c.deltas[i].overlay(&s.program)),
-                seeds: c.seeds[i].clone().unwrap_or_else(|| s.seeds.clone()),
-                extra_flows: c.extra[i].clone(),
-            })
-            .collect();
-        let reference = replay_candidates(&c.setup, &runs);
         let mut kept = 0;
-        for (i, own) in reference.iter().enumerate().filter(|(i, _)| joint.diverged >> i & 1 == 0) {
-            let own = own.as_ref().unwrap_or_else(|| panic!("{}: candidate {i} replays", s.id));
+        for (i, own) in c.reference(s).iter().enumerate().filter(|(i, _)| joint.diverged >> i & 1 == 0) {
             assert_eq!(joint.outcomes[i].stats, own.stats, "{}: candidate {i}", s.id);
             kept += 1;
         }
@@ -185,13 +145,14 @@ fn every_candidate_the_joint_replay_keeps_has_the_reference_stats() {
     }
 }
 
+// Count pins of the product's own observation run, not differentials.
 #[test]
 fn the_fabric_observation_run_steps_only_for_punts_a_rule_hears() {
     // 1 024 of the fabric's 1 045 punts are background flows no rule of Q1
     // matches. Each is a distinct event: before an event no trigger hears
     // was answered without a drain, every one was a step (1 032 of them).
     let s = Scenario::q1_on_fabric(10_000);
-    let sim = drive(&setup_of(&s), Arc::clone(&s.program), true, &[]).expect("the fabric runs");
+    let sim = observation_run(&s);
     let engine = sim.controller().engine();
     let (steps, hits, unheard) = (engine.steps(), engine.memo_hits(), engine.unheard());
     println!("fabric observation run: {steps} steps, {hits} memo hits, {unheard} unheard");
@@ -206,7 +167,7 @@ fn the_fabric_observation_run_steps_only_for_punts_a_rule_hears() {
 
 /// What the observation run answered from the simulator's memo, held to
 /// the identity forwarded + answered = injected.
-fn observation_run_answers(sim: &mpr_sdn::Simulation<mpr_sdn::controller::NdlogController>) -> u64 {
+fn observation_run_answers(sim: &Simulation<NdlogController>) -> u64 {
     let (forwarded, answered, injected) = (sim.forwarded(), sim.answered(), sim.stats.injected);
     println!("observation run: {forwarded} forwarded, {answered} answered of {injected} injections");
     assert_eq!(forwarded + answered, injected, "every injection is forwarded or answered");
@@ -218,7 +179,7 @@ fn the_q1_observation_run_forwards_a_repeat_only_when_it_punts_or_installs() {
     // Nearly all of Q1's 1 936 injections are repeats no controller sees:
     // forwarded, every one of them made 6 051 hops.
     let s = Scenario::q1_copy_paste();
-    let sim = drive(&setup_of(&s), Arc::clone(&s.program), true, &[]).expect("Q1 runs");
+    let sim = observation_run(&s);
     let answered = observation_run_answers(&sim);
     assert_eq!(sim.stats.injected, 1_936);
     assert!(sim.forwarded() <= 40, "{} of 1 936 forwarded, {answered} answered", sim.forwarded());

@@ -1,10 +1,10 @@
 //! Same history, new layout: digests of the full record and event sequence
 //! of eight executions, captured at the parent commit of the interned log
-//! (PR 15) from its owning `Vec<TupleRecord>` / `Vec<ExecEvent>` by the
-//! `digest` below with `log.tuples.iter()` / `log.events.iter()` in place of
-//! the accessors. The borrowed views derive `Debug` over the same field
-//! names, so an identical digest means every record and every event reads
-//! back exactly as it was written before.
+//! (PR 15) from its owning `Vec<TupleRecord>` / `Vec<ExecEvent>` by
+//! `common::reference::digest` with `log.tuples.iter()` /
+//! `log.events.iter()` in place of the accessors. The borrowed views derive
+//! `Debug` over the same field names, so an identical digest means every
+//! record and every event reads back exactly as it was written before.
 //!
 //! The `stream` row is the Q1 controller answering 2 000 packet-ins of the
 //! campus trace, nearly all of them repeats: the batch engine answers
@@ -21,52 +21,15 @@
 
 mod common;
 
+use common::observation_run;
+use common::reference::{self, digest, Digest};
+use sdn_meta_repair::core::debugger::Debugger;
 use sdn_meta_repair::core::scenarios::Scenario;
 use sdn_meta_repair::ndlog::{parse_program, Tuple, Value};
 use sdn_meta_repair::runtime::{Durability, Engine, ExecLog, Options, WalOptions};
-use sdn_meta_repair::sdn::controller::{Controller, NdlogController};
-use sdn_meta_repair::sdn::Simulation;
+use sdn_meta_repair::sdn::controller::Controller;
 use sdn_meta_repair::EvalStrategy;
-
-fn fnv(h: &mut u64, s: &str) {
-    for b in s.bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-fn digest(log: &ExecLog) -> (usize, usize, u64) {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for r in log.records() {
-        fnv(&mut h, &format!("{r:?}\n"));
-    }
-    for e in log.events() {
-        fnv(&mut h, &format!("{e:?}\n"));
-    }
-    (log.records().len(), log.len(), h)
-}
-
-/// Run `s`'s workload: one `inject` + `run` per packet, or through the
-/// simulator's workload loop, which answers repeats from its memo.
-fn scenario_run(s: &Scenario, memo: bool) -> Simulation<NdlogController> {
-    let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), Options::default())
-        .expect("scenario program compiles");
-    ctrl.seed(s.seeds.clone()).expect("seeds");
-    let mut sim = Simulation::new(s.topology.clone(), ctrl, s.sim.clone());
-    if memo {
-        sim.run_workload(&s.workload);
-    } else {
-        for (src, pkt) in s.workload.iter() {
-            sim.inject(*src, pkt.clone());
-            sim.run();
-        }
-    }
-    sim
-}
-
-fn scenario_log(s: &Scenario) -> ExecLog {
-    scenario_run(s, false).controller().exec_log().clone()
-}
+use std::sync::Arc;
 
 fn det_script(strategy: EvalStrategy) -> ExecLog {
     let p = parse_program(
@@ -160,7 +123,7 @@ fn stream_log(strategy: EvalStrategy) -> ExecLog {
 }
 
 /// `(records, events, FNV-1a of their Debug lines)` at the parent commit.
-const GOLDEN: [(&str, (usize, usize, u64)); 12] = [
+const GOLDEN: [(&str, Digest); 12] = [
     ("Q1", (29, 93, 5538504264831413089)),
     ("Q2", (323, 994, 12445163981565451473)),
     ("Q3", (97, 303, 4471909954027315175)),
@@ -177,10 +140,10 @@ const GOLDEN: [(&str, (usize, usize, u64)); 12] = [
 
 #[test]
 fn logs_read_back_as_the_owning_layout_wrote_them() {
-    let mut got: Vec<(String, (usize, usize, u64))> = Scenario::all()
+    let mut got: Vec<(String, Digest)> = Scenario::all()
         .into_iter()
         .chain([Scenario::fig7_harmful_entry()])
-        .map(|s| (s.id.to_string(), digest(&scenario_log(&s))))
+        .map(|s| (s.id.to_string(), digest(observation_run(&s).controller().exec_log())))
         .collect();
     for st in [EvalStrategy::Pipelined, EvalStrategy::Batch] {
         got.push((format!("det-{st}"), digest(&det_script(st))));
@@ -192,31 +155,24 @@ fn logs_read_back_as_the_owning_layout_wrote_them() {
     let ship = digest(&ship_script(EvalStrategy::Batch));
     assert_eq!(digest(&ship_script(EvalStrategy::Pipelined)), ship, "the ship script, pipelined against batch");
     got.push(("ship".to_string(), ship));
-    let want: Vec<(String, (usize, usize, u64))> =
+    let want: Vec<(String, Digest)> =
         GOLDEN.iter().map(|(id, d)| (id.to_string(), *d)).collect();
     assert_eq!(got, want);
 }
 
-/// The curated differential of the simulator's injection memo: on every
-/// scenario, the workload loop leaves the counters, the clock and the log
-/// that one `inject` + `run` per packet leaves.
+/// The curated differential of the observation run: on every curated run,
+/// the debugger's workload loop — the simulator's injection memo over the
+/// batch engine's step memo — leaves the counters, the clock and the log
+/// the reference leaves.
 #[test]
 fn the_workload_loop_leaves_what_inject_and_run_leave() {
-    let q1 = Scenario::q1_copy_paste();
-    let mut scenarios = Scenario::all();
-    scenarios.push(Scenario::fig7_harmful_entry());
-    scenarios.push(q1.trema_variant());
-    scenarios.extend(q1.pyretic_variant());
-    scenarios.push(Scenario::q1_padded(100));
-    scenarios.push(Scenario::q1_on_fabric(10_000));
-    for s in &scenarios {
-        let (reference, memo) = (scenario_run(s, false), scenario_run(s, true));
-        let answered = memo.answered();
-        println!("{}: {answered} of {} injections answered", s.id, memo.stats.injected);
-        assert_eq!(reference.answered(), 0, "{}", s.id);
-        assert_eq!(memo.stats, reference.stats, "{}", s.id);
-        assert_eq!(memo.now(), reference.now(), "{}", s.id);
-        assert_eq!(digest(memo.controller().exec_log()), digest(reference.controller().exec_log()), "{}", s.id);
+    for s in &reference::curated() {
+        let product = observation_run(s);
+        let want = reference::run(&Debugger::for_scenario(s).setup(), Arc::clone(&s.program), &[], true).unwrap();
+        println!("{}: {} of {} injections answered", s.id, product.answered(), product.stats.injected);
+        assert_eq!(product.stats, want.stats, "{}", s.id);
+        assert_eq!(product.now(), want.now, "{}", s.id);
+        assert_eq!(Some(digest(product.controller().exec_log())), want.log, "{}", s.id);
     }
 }
 

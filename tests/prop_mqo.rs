@@ -8,19 +8,23 @@
 //! The joint backtest is driven both ways it can be fed: from the
 //! candidates' whole programs (diffed against the base), and from the
 //! rule deltas of the patches that make those programs — what the debugger
-//! feeds it. All three must agree.
+//! feeds it. Both must agree with the reference (`common::reference`): one
+//! memo-free `inject` + `run` per packet, on a pipelined engine.
 
-use mpr_backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows, TableFootprint, TagSet};
-use mpr_backtest::replay::{drive, replay_with_extra_flows, BacktestSetup};
-use mpr_ndlog::patch::{Edit, Patch, ProgramOutline, RuleDelta};
-use mpr_ndlog::{parse_program, ExprSide, Program, Tuple, Value};
-use mpr_sdn::controller::{PktArg, TupleCodec};
-use mpr_sdn::flowtable::{Action, FlowEntry, Match};
-use mpr_sdn::packet::{Field, Packet};
-use mpr_sdn::sim::{SimConfig, SimStats};
-use mpr_sdn::topology::{fabric_ids, fat_tree, fig1, fig1_hosts, FabricParams, Topology};
-use mpr_trace::workload::Injection;
+mod common;
+
+use common::reference;
 use proptest::prelude::*;
+use sdn_meta_repair::backtest::mqo::{mqo_replay, mqo_replay_deltas, ExtraFlows, TableFootprint, TagSet};
+use sdn_meta_repair::backtest::replay::{BacktestSetup, ReplayOutcome};
+use sdn_meta_repair::ndlog::patch::{Edit, Patch, ProgramOutline, RuleDelta};
+use sdn_meta_repair::ndlog::{parse_program, CmpOp, Expr, ExprSide, Program, Tuple, Value};
+use sdn_meta_repair::sdn::controller::{PktArg, TupleCodec};
+use sdn_meta_repair::sdn::flowtable::{Action, FlowEntry, Match};
+use sdn_meta_repair::sdn::packet::{Field, Packet};
+use sdn_meta_repair::sdn::sim::{SimConfig, SimStats};
+use sdn_meta_repair::sdn::topology::{fabric_ids, fat_tree, fig1, fig1_hosts, FabricParams, Topology};
+use sdn_meta_repair::trace::workload::Injection;
 use std::sync::Arc;
 
 const RULES: [&str; 4] = ["r1", "r2", "r3", "r4"];
@@ -173,7 +177,7 @@ impl Fixture {
             // forwarding loops some manual entries close cheap.
             config: SimConfig { max_hops: 8, ..SimConfig::default() },
             proactive_routes,
-            engine: mpr_runtime::Options::default(),
+            engine: sdn_meta_repair::runtime::Options::default(),
         }
     }
 }
@@ -196,7 +200,7 @@ enum Mutation {
 impl Mutation {
     fn apply(&self, fx: &Fixture) -> Program {
         let mut p = fx.base.clone();
-        let konst = |pick: usize| mpr_ndlog::Expr::int(fx.consts[pick % fx.consts.len()]);
+        let konst = |pick: usize| Expr::int(fx.consts[pick % fx.consts.len()]);
         match *self {
             Mutation::ChangeConst { rule, sel, pick } => {
                 p.rule_mut(RULES[rule]).unwrap().sels[sel].rhs = konst(pick);
@@ -218,7 +222,7 @@ impl Mutation {
 
     /// The same edit as a patch of the base program.
     fn patch(&self, fx: &Fixture) -> Patch {
-        let konst = |pick: usize| mpr_ndlog::Expr::int(fx.consts[pick % fx.consts.len()]);
+        let konst = |pick: usize| Expr::int(fx.consts[pick % fx.consts.len()]);
         let id = |rule: usize| RULES[rule].to_string();
         Patch::single(match *self {
             Mutation::ChangeConst { rule, sel, pick } => {
@@ -265,10 +269,10 @@ fn structural_mutant() -> impl Strategy<Value = Mutation> {
 
 /// The joint backtest of `cands` (each with its manual entries) — fed the
 /// whole programs, and fed `deltas`, the same candidates as rule deltas —
-/// against one sequential replay each: every counter must agree, for the
-/// program-fed replay always (it takes what it cannot answer for from the
-/// reference itself) and for the delta-fed one on every candidate it does
-/// not hand back. Returns the candidates it hands back.
+/// against one reference run each: every counter must agree, for the
+/// program-fed replay always (it takes what it cannot answer for from its
+/// per-candidate fallback) and for the delta-fed one on every candidate it
+/// does not hand back. Returns the candidates it hands back.
 fn joint_vs_sequential(
     setup: &BacktestSetup,
     base: &Program,
@@ -282,7 +286,7 @@ fn joint_vs_sequential(
     prop_assert_eq!(from_deltas.outcomes.len(), cands.len());
     for (i, cand) in cands.iter().enumerate() {
         let flows = extra.get(i).map_or(&[][..], Vec::as_slice);
-        let solo = replay_with_extra_flows(setup, cand, flows).unwrap();
+        let solo = ReplayOutcome::of(reference::run(setup, cand.clone(), flows, false).unwrap().stats);
         prop_assert_eq!(&joint[i].stats, &solo.stats, "candidate {} stats diverge", i);
         prop_assert_eq!(&joint[i].delivered, &solo.delivered, "candidate {} KS input", i);
         if from_deltas.diverged >> i & 1 == 0 {
@@ -304,7 +308,7 @@ fn assert_joint_equals_sequential(
     extra: &[ExtraFlows],
 ) -> Result<(), TestCaseError> {
     let handed_back = joint_vs_sequential(setup, base, cands, deltas, extra)?;
-    prop_assert_eq!(handed_back, 0, "candidates handed back to the reference");
+    prop_assert_eq!(handed_back, 0, "candidates handed back to the fallback");
     Ok(())
 }
 
@@ -526,7 +530,7 @@ fn packet_out_setup(fx: &Fixture, releases: &[(i64, i64)], max_hops: u32) -> (Ba
 fn joint_and_solo(setup: &BacktestSetup, program: &Program) -> (SimStats, SimStats) {
     let joint = mqo_replay(setup, program, std::slice::from_ref(program), &[]);
     let from_delta = mqo_replay_deltas(setup, program, &[RuleDelta::default()], &[], &[]).outcomes;
-    let solo = replay_with_extra_flows(setup, program, &[]).unwrap();
+    let solo = reference::run(setup, program.clone(), &[], false).unwrap();
     assert_eq!(from_delta[0].stats, joint[0].stats);
     (joint.into_iter().next().unwrap().stats, solo.stats)
 }
@@ -581,7 +585,7 @@ fn a_copy_behind_another_copys_punt_hits_its_entry() {
     )
     .unwrap();
     let (deltas, cands) = deltas_and_programs(&base, &[Patch::default(), delete("p1")]);
-    let solo = replay_with_extra_flows(&setup, &cands[0], &[]).unwrap().stats;
+    let solo = reference::run(&setup, cands[0].clone(), &[], false).unwrap().stats;
     assert_eq!((solo.packet_ins, solo.dropped_buffered, solo.total_delivered()), (26, 2, 23));
     assert_joint_equals_sequential(&setup, &base, &cands, &deltas, &[]).unwrap();
 }
@@ -677,12 +681,12 @@ fn a_derived_event_triggers_every_time_it_is_derived() {
 fn candidates_may_edit_the_rule_an_event_table_triggers() {
     let (setup, base) = seen_setup(1);
     let assign =
-        |value: i64| Edit::SetAssignExpr { rule: "s2".into(), var: "Prt".into(), expr: mpr_ndlog::Expr::int(value) };
+        |value: i64| Edit::SetAssignExpr { rule: "s2".into(), var: "Prt".into(), expr: Expr::int(value) };
     let patches = vec![
         Patch::default(),
         Patch::single(assign(2)),
         Patch::single(assign(9)),
-        Patch::single(Edit::SetSelectionOp { rule: "s1".into(), sel: 0, op: mpr_ndlog::CmpOp::Ne }),
+        Patch::single(Edit::SetSelectionOp { rule: "s1".into(), sel: 0, op: CmpOp::Ne }),
         Patch::single(Edit::DeleteRule { rule: "s2".into() }),
     ];
     let (deltas, cands) = deltas_and_programs(&base, &patches);
@@ -729,7 +733,7 @@ type Detour = (i64, i64, Option<usize>);
 
 fn detour_patch(&(http, dns, deleted): &Detour) -> Patch {
     let port =
-        |rule: &str, value: i64| Edit::SetAssignExpr { rule: rule.into(), var: "Prt".into(), expr: mpr_ndlog::Expr::int(value) };
+        |rule: &str, value: i64| Edit::SetAssignExpr { rule: rule.into(), var: "Prt".into(), expr: Expr::int(value) };
     let mut edits = vec![port("h1", http), port("d1", dns)];
     edits.extend(deleted.map(|rule| Edit::DeleteRule { rule: DETOUR_RULES[rule].into() }));
     Patch::of(edits)
@@ -748,26 +752,12 @@ fn detour_setup(http: &[bool]) -> BacktestSetup {
     setup
 }
 
-/// What the candidates' own networks hold after one sequential replay
-/// each: the switches any of them installed on and, per switch, the
-/// distinct tables — entries in match order — among them.
+/// What the candidates' own networks hold after one reference run each:
+/// the switches any of them installed on and, per switch, the distinct
+/// tables — entries in match order — among them.
 fn distinct_tables(setup: &BacktestSetup, cands: &[Program], extra: &[ExtraFlows]) -> TableFootprint {
-    let mut distinct: Vec<(i64, Vec<FlowEntry>)> = Vec::new();
-    for (i, cand) in cands.iter().enumerate() {
-        let flows = extra.get(i).map_or(&[][..], Vec::as_slice);
-        let sim = drive(setup, Arc::new(cand.clone()), false, flows).unwrap();
-        for sw in setup.topology.switches.iter() {
-            let Some(table) = sim.tables.get(sw) else { continue };
-            let table = (*sw, table.iter().cloned().collect());
-            if !distinct.contains(&table) {
-                distinct.push(table);
-            }
-        }
-    }
-    let mut switches: Vec<i64> = distinct.iter().map(|(sw, _)| *sw).collect();
-    switches.sort_unstable();
-    switches.dedup();
-    TableFootprint { switches: switches.len(), variants: distinct.len() }
+    let run = |(i, cand): (usize, &Program)| reference::run(setup, cand.clone(), extra.get(i).map_or(&[], Vec::as_slice), false);
+    reference::footprint(cands.iter().enumerate().map(|c| run(c).unwrap()))
 }
 
 /// Joint equals sequential on the whole `SimStats`, nobody is handed back,
@@ -894,14 +884,14 @@ fn counters(stats: &SimStats) -> (u64, u64, u64, u64) {
 }
 
 /// Replays `patches` of `src` jointly and one by one
-/// ([`joint_vs_sequential`]). Returns the sequential counters per
+/// ([`joint_vs_sequential`]). Returns the reference's counters per
 /// candidate, and who was handed back.
 fn replay_shape(src: &str, patches: &[Patch]) -> (Vec<(u64, u64, u64, u64)>, TagSet) {
     let setup = shape_setup();
     let base = parse_program("shape", src).unwrap();
     let (deltas, cands) = deltas_and_programs(&base, patches);
     let handed_back = joint_vs_sequential(&setup, &base, &cands, &deltas, &[]).unwrap();
-    let solo = cands.iter().map(|c| counters(&replay_with_extra_flows(&setup, c, &[]).unwrap().stats));
+    let solo = cands.iter().map(|c| counters(&reference::run(&setup, c.clone(), &[], false).unwrap().stats));
     (solo.collect(), handed_back)
 }
 
@@ -1017,7 +1007,7 @@ fn a_seeded_output_tuple_derived_again_sends_nothing() {
         ..fig1_fixture().setup(false)
     };
     let (deltas, cands) = deltas_and_programs(&base, &[Patch::default()]);
-    let solo = replay_with_extra_flows(&setup, &cands[0], &[]).unwrap().stats;
+    let solo = reference::run(&setup, cands[0].clone(), &[], false).unwrap().stats;
     assert_eq!((solo.flow_mods, solo.hops), (0, 30));
     let joint = mqo_replay_deltas(&setup, &base, &deltas, &[], &[]);
     assert_eq!(joint.diverged, 0);
@@ -1038,16 +1028,16 @@ fn a_candidate_that_does_not_compile_is_handed_back() {
         rule: "r1".into(),
         sel: 0,
         side: ExprSide::Lhs,
-        expr: mpr_ndlog::Expr::var("Zed"),
+        expr: Expr::var("Zed"),
     });
     let patches = [Mutation::Negate { rule: 2, sel: 0 }.patch(&fx), unbound, delete("r2")];
     let (deltas, cands) = deltas_and_programs(&fx.base, &patches);
-    let err = replay_with_extra_flows(&setup, &cands[1], &[]).unwrap_err();
+    let err = reference::run(&setup, cands[1].clone(), &[], false).unwrap_err();
     assert!(err.contains("unbound variable `Zed`"), "{err}");
     let joint = mqo_replay_deltas(&setup, &fx.base, &deltas, &[], &[]);
     assert_eq!(joint.diverged, 0b010);
     for i in [0, 2] {
-        let own = replay_with_extra_flows(&setup, &cands[i], &[]).unwrap();
+        let own = reference::run(&setup, cands[i].clone(), &[], false).unwrap();
         assert_eq!(joint.outcomes[i].stats, own.stats, "candidate {i}");
     }
 }
@@ -1068,7 +1058,7 @@ fn a_step_that_draws_an_f_unique_id_hands_its_candidates_back() {
 }
 
 /// The runaway guard is the engine's per-step budget: a seed whose
-/// recursion fires 200 times fails the reference replay under a budget of
+/// recursion fires 200 times fails the reference run under a budget of
 /// 100, and the joint replay hands its candidate back; under 1 000 both
 /// run it through, and agree.
 #[test]
@@ -1082,7 +1072,7 @@ fn a_step_over_the_engines_budget_hands_its_candidates_back() {
     let mut setup = shape_setup();
     setup.seeds = vec![Tuple::new("Chain", setup.codec.controller_loc.clone(), vec![Value::Int(0)])];
     setup.engine.max_derivations = 100;
-    let err = replay_with_extra_flows(&setup, &cands[0], &[]).unwrap_err();
+    let err = reference::run(&setup, cands[0].clone(), &[], false).unwrap_err();
     assert!(err.contains("derivation limit"), "{err}");
     assert_eq!(mqo_replay_deltas(&setup, &base, &deltas, &[], &[]).diverged, 0b1);
     setup.engine.max_derivations = 1_000;

@@ -1,4 +1,4 @@
-//! The simulator's injection memo against plain `inject` + `run`:
+//! The simulator's injection memo against `reference::inject_and_run`:
 //! [`Simulation::run_workload`] answers a repeated injection that sent no
 //! packet-in and moved no install without forwarding it, and must leave
 //! exactly what one `inject` + `run` per packet leaves — the whole
@@ -13,12 +13,15 @@
 //! time with one field or the source host moved to another value, so they
 //! repeat and differ in one field at a time.
 
-use mpr_sdn::controller::{Controller, CtrlMsg, PacketInMsg};
-use mpr_sdn::flowtable::{Action, FlowEntry, Match};
-use mpr_sdn::packet::{Field, Packet, Proto};
-use mpr_sdn::topology::{fig1, fig1_hosts};
-use mpr_sdn::{SimConfig, SimStats, Simulation};
+mod common;
+
+use common::reference::inject_and_run;
 use proptest::prelude::*;
+use sdn_meta_repair::sdn::controller::{Controller, CtrlMsg, PacketInMsg};
+use sdn_meta_repair::sdn::flowtable::{Action, FlowEntry, Match};
+use sdn_meta_repair::sdn::packet::{Field, Packet, Proto};
+use sdn_meta_repair::sdn::topology::{fig1, fig1_hosts};
+use sdn_meta_repair::sdn::{SimConfig, SimStats, Simulation};
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRunner;
 
@@ -139,10 +142,7 @@ fn run(case: &Case, memo: bool) -> Run {
         if memo {
             sim.run_workload(part);
         } else {
-            for (src, pkt) in part {
-                sim.inject(*src, pkt.clone());
-                sim.run();
-            }
+            inject_and_run(&mut sim, part);
         }
     }
     assert_eq!(sim.forwarded() + sim.answered(), sim.stats.injected, "forwarded + answered = injected");
