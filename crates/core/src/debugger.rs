@@ -486,8 +486,12 @@ mod tests {
         assert!(with[1].is_none(), "the broken candidate has no outcome");
         assert!(without.iter().all(Option::is_some));
         assert_eq!([stats(&with[0]), stats(&with[3])], [stats(&without[0]), stats(&without[1])]);
-        assert!(fallback_of(&dbg, &[unseeded.clone()])[0].is_some());
-        assert_eq!(stats(&with[2]), stats(&fallback_of(&dbg, &[unseeded])[0]), "the candidate without the seed");
+        // Q1 has one seed: without it, the candidate is the bare network.
+        assert_eq!(setup.seeds.len(), 1);
+        let alone = BacktestSetup { seeds: Vec::new(), ..setup.clone() };
+        let bare = mpr_backtest::replay::replay(&alone, &dbg.scenario.program).unwrap();
+        assert_eq!(stats(&with[2]), Some(bare.stats), "the candidate without the seed");
+        assert_eq!(stats(&with[2]), stats(&fallback_of(&dbg, &[unseeded])[0]), "both routes agree on it");
     }
 
     #[test]
@@ -513,12 +517,20 @@ mod tests {
         for (i, (got, want)) in joint.iter().zip(&fallback).enumerate() {
             assert_eq!(stats(got), stats(want), "candidate {i}: {:?}", candidates[i].repair);
         }
-        // Both routes read a tuple repair's seeds as `adjust_seeds` leaves them.
-        for c in &candidates {
-            let mut seeds = setup.seeds.clone();
-            c.repair.adjust_seeds(&mut seeds);
+        // Both routes read each candidate's seeds as these, spelled out
+        // (`None`: the setup's own, Q1's one seed).
+        assert_eq!(setup.seeds, [seed.clone()]);
+        let want = [
+            None,
+            Some(vec![seed.clone(), balancer(53, 3)]),
+            Some(vec![]),
+            Some(vec![balancer(80, 3)]),
+            Some(vec![seed.clone(), balancer(80, 3)]),
+            None,
+        ];
+        for (c, want) in candidates.iter().zip(want) {
             let input = c.repair.replay_input(&dbg.scenario.program, dbg.outline().unwrap(), &setup);
-            assert_eq!(input.seeds.unwrap_or_else(|| setup.seeds.clone()), seeds, "{:?}", c.repair);
+            assert_eq!(input.seeds, want, "{:?}", c.repair);
         }
         // The tuple repairs are no copies of the base: they change what
         // reaches the servers.

@@ -1,26 +1,24 @@
 //! Differential proof for the route cache: a run whose topology's route
 //! cache starts cold must be bit-identical — the ExecLog (every packet-in
-//! the controller saw is a row of it) and the stats — to one whose cache
-//! was warmed first, under fault plans.
+//! the controller saw is a row of it), the stats, the clock and the flow
+//! tables — to one whose cache was warmed first, under fault plans.
 
 use mpr_core::scenarios::Scenario;
 use mpr_runtime::{ExecLog, Options as EngineOptions};
 use mpr_sdn::controller::NdlogController;
+use mpr_sdn::flowtable::FlowEntry;
 use mpr_sdn::faults::{CtrlFaults, FaultPlan, LinkFault, SwitchCrash};
 use mpr_sdn::topology::{NodeRef, Topology};
 use mpr_sdn::{SimStats, Simulation};
 use std::sync::Arc;
 
-/// Replay a scenario's workload over the proactive shortest-path core.
-/// `topology` lets the caller choose a shared (possibly warmed) or fresh
-/// handle.
-fn run(s: &Scenario, topology: Arc<Topology>) -> (SimStats, ExecLog) {
-    let mut ctrl = NdlogController::with_options(
-        s.program.clone(),
-        s.codec.clone(),
-        EngineOptions::default(),
-    )
-    .expect("scenario program compiles");
+/// Replay a scenario's workload over the proactive shortest-path core:
+/// its counters, its clock, the controller's log and, per switch with a
+/// table, its entries in match order. `topology` lets the caller choose a
+/// shared (possibly warmed) or fresh handle.
+fn run(s: &Scenario, topology: Arc<Topology>) -> (SimStats, u64, ExecLog, Vec<(i64, Vec<FlowEntry>)>) {
+    let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), EngineOptions::default())
+        .expect("scenario program compiles");
     ctrl.seed(s.seeds.clone()).expect("seeds");
     let mut sim = Simulation::new(topology, ctrl, s.sim.clone());
     sim.install_proactive_routes();
@@ -28,7 +26,9 @@ fn run(s: &Scenario, topology: Arc<Topology>) -> (SimStats, ExecLog) {
         sim.inject(*src, pkt.clone());
         sim.run();
     }
-    (sim.stats.clone(), sim.controller().exec_log().clone())
+    let table = |sw: &i64| Some((*sw, sim.tables.get(sw)?.iter().cloned().collect()));
+    let tables = s.topology.switches.iter().filter_map(table).collect();
+    (sim.stats.clone(), sim.now(), sim.controller().exec_log().clone(), tables)
 }
 
 fn fault_plan() -> FaultPlan {
@@ -58,9 +58,9 @@ fn fault_plans_preserve_differential_equality() {
     for h in s.topology.hosts.iter().copied() {
         let _ = s.topology.routes_to(h);
     }
-    let (warmed_stats, warmed_log) = run(&s, s.topology.clone());
-    let (cold_stats, cold_log) = run(&s, Arc::new((*s.topology).clone()));
-    assert!(warmed_stats.flow_mods > 0 && warmed_stats.hops > 0, "{warmed_stats:?}");
-    assert_eq!(warmed_stats, cold_stats, "warmed vs cold route cache diverged under faults");
-    assert_eq!(warmed_log, cold_log);
+    let warmed = run(&s, s.topology.clone());
+    let cold = run(&s, Arc::new((*s.topology).clone()));
+    assert!(warmed.0.flow_mods > 0 && warmed.0.hops > 0, "{:?}", warmed.0);
+    assert_eq!(warmed.0, cold.0, "warmed vs cold route cache diverged under faults");
+    assert_eq!(warmed, cold, "the clock, the log or the tables diverged");
 }

@@ -4,9 +4,9 @@
 //! observation run as the debugger drives it; and the reference every
 //! network-level differential is held to ([`reference`]).
 
-// Each test binary compiles the whole module and uses a part of it.
-#![allow(dead_code)]
-
+// Each test binary compiles the whole module and uses a part of it: the
+// items some binaries leave unused carry `allow(dead_code)`.
+#[allow(dead_code)]
 pub mod reference;
 
 use sdn_meta_repair::backtest::replay::drive;
@@ -20,6 +20,7 @@ use sdn_meta_repair::trace::Workload;
 use std::sync::Arc;
 
 /// The Q1 controller, seeded, on an engine built with `opts`.
+#[allow(dead_code)]
 pub fn q1_controller(opts: Options) -> NdlogController {
     let s = Scenario::q1_copy_paste();
     let mut ctrl = NdlogController::with_options(s.program.clone(), s.codec.clone(), opts)
@@ -29,6 +30,7 @@ pub fn q1_controller(opts: Options) -> NdlogController {
 }
 
 /// `n` packet-ins of the Q1 stream.
+#[allow(dead_code)]
 pub fn q1_packet_ins(n: usize) -> Vec<PacketInMsg> {
     use q1_hosts::{C2, C31, C41, H30, H40};
     let s = Scenario::q1_copy_paste();
@@ -47,6 +49,7 @@ pub fn q1_packet_ins(n: usize) -> Vec<PacketInMsg> {
 /// `s`'s observation run as the debugger drives it, recording: through the
 /// simulator's workload loop, which answers repeats from its memo, on the
 /// batch engine.
+#[allow(dead_code)]
 pub fn observation_run(s: &Scenario) -> Simulation<NdlogController> {
     drive(&Debugger::for_scenario(s).setup(), Arc::clone(&s.program), true, &[]).expect("the scenario runs")
 }
