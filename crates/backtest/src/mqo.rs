@@ -75,7 +75,14 @@
 //!
 //! What a rule variant *is* at run time is [`mpr_runtime::compiled`]'s —
 //! the form the engine fires through too — and which variants a delta
-//! visits is the engine's [`mpr_runtime::TriggerDispatch`]. This module's
+//! visits is the engine's [`mpr_runtime::TriggerDispatch`]: the base
+//! program's [`TriggerIndex`], which the observation run's engine built
+//! and the debugger hands over ([`mqo_replay_indexed`]), read through a
+//! [`DerivedDispatch`]. `TaggedEngine` indexes only the candidates' copies
+//! and added rules, on the index's column; a base rule is found through
+//! the index and renumbered to its variant, one every candidate changed or
+//! deleted never fires, and a delta fires exactly the variants, in exactly
+//! the order, that grouping every variant anew would fire. This module's
 //! own is what a tuple carries (a [`TagSet`]; a head's is the intersection
 //! of its body's) and the loop around the firings, which keeps the
 //! engine's discipline (`batch.rs`) in its own terms. A step — a seed or a
@@ -177,7 +184,7 @@ use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};
 use mpr_ndlog::eval::CountingFuncs;
 use mpr_ndlog::patch::RuleDelta;
 use mpr_ndlog::{Catalog, Program, Rule, Tuple, Value};
-use mpr_runtime::{build_dispatch, LazyRule, Prehashed, QuietSteps, ScanScratch, TriggerDispatch};
+use mpr_runtime::{DerivedDispatch, DerivedTable, GroupReads, LazyRule, Prehashed, QuietSteps, ScanScratch, TriggerIndex};
 use mpr_sdn::controller::{CtrlMsg, PacketInMsg, PktArg, TupleCodec};
 use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::{Field, Packet};
@@ -213,6 +220,13 @@ pub struct TaggedProgram<'a> {
     pub n: usize,
     /// How many candidate rule copies were merged by coalescing.
     pub coalesced: usize,
+    /// The base program's rules.
+    base: &'a [Rule],
+    /// Per base rule, its variant; `None` where every candidate changed or
+    /// deleted it.
+    at: Vec<Option<u32>>,
+    /// The candidates' copies and added rules, ascending.
+    own: Vec<usize>,
 }
 
 /// Build the backtesting program for the candidates `deltas` describe
@@ -254,18 +268,32 @@ pub fn tagged_program<'a>(base: &'a Program, deltas: &[RuleDelta]) -> TaggedProg
         d.added.iter().for_each(|r| add_copy(rules, r, bit));
     }
     let mut variants: Vec<TaggedVariant<'a>> = Vec::with_capacity(rules);
+    let (mut at, mut own) = (Vec::with_capacity(rules), Vec::new());
+    let mut add_owned = |variants: &mut Vec<TaggedVariant<'a>>, pos| {
+        for (rule, mask) in copies.remove(&pos).into_iter().flatten() {
+            own.push(variants.len());
+            variants.push(TaggedVariant { rule: Cow::Owned(rule.clone()), mask });
+        }
+    };
     for (pos, rule) in base.rules.iter().enumerate() {
-        if shared[pos] != 0 || deltas.is_empty() {
+        let kept = shared[pos] != 0 || deltas.is_empty();
+        at.push(kept.then_some(variants.len() as u32));
+        if kept {
             variants.push(TaggedVariant { rule: Cow::Borrowed(rule), mask: shared[pos] });
         }
-        variants.extend(copies.remove(&pos).into_iter().flatten().map(owned_variant));
+        add_owned(&mut variants, pos);
     }
-    variants.extend(copies.remove(&rules).into_iter().flatten().map(owned_variant));
-    TaggedProgram { variants, n: deltas.len(), coalesced }
+    add_owned(&mut variants, rules);
+    TaggedProgram { variants, n: deltas.len(), coalesced, base: &base.rules, at, own }
 }
 
-fn owned_variant<'a>((rule, mask): (&Rule, TagSet)) -> TaggedVariant<'a> {
-    TaggedVariant { rule: Cow::Owned(rule.clone()), mask }
+impl TaggedProgram<'_> {
+    /// The variants' trigger dispatch: `index`, the base program's, for
+    /// the base rules, and the candidates' copies and added rules grouped
+    /// on their own.
+    fn dispatch<'b>(&'b self, index: &'b TriggerIndex) -> DerivedDispatch<'b> {
+        DerivedDispatch::new(index, self.base, &self.at, &self.own, |vi| &*self.variants[vi].rule)
+    }
 }
 
 /// Each fully patched program as a delta against `base`, for callers that
@@ -362,9 +390,12 @@ struct TaggedEngine<'a> {
     compiled: Vec<LazyRule>,
     /// table → the `(variant, body position)` pairs its deltas visit,
     /// grouped by prefilter constant.
-    dispatch: HashMap<String, Arc<TriggerDispatch>>,
-    /// The packet-in table's entry.
-    punt_dispatch: Option<Arc<TriggerDispatch>>,
+    dispatch: &'a DerivedDispatch<'a>,
+    /// The packet-in table's entry, looked up once.
+    punt: Option<DerivedTable<'a>>,
+    /// What each dispatch group of the packet-in table reads, by
+    /// [`DerivedTable::group_number`], made at its first punt.
+    punt_reads: Prehashed<Option<GroupReads>>,
     /// Seeds and derived state, output tables among them; never an event.
     state: HashMap<Arc<str>, TaggedTable>,
     /// Who holds which payload: the hash of a state tuple's table,
@@ -391,32 +422,32 @@ struct TaggedEngine<'a> {
 }
 
 impl<'a> TaggedEngine<'a> {
-    fn new(program: &'a TaggedProgram<'a>, catalog: &'a Catalog, codec: &'a TupleCodec, budget: u64) -> Self {
-        let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    /// The engine of `program`, whose variants `dispatch` dispatches.
+    fn new(
+        program: &'a TaggedProgram<'a>,
+        dispatch: &'a DerivedDispatch<'a>,
+        catalog: &'a Catalog,
+        codec: &'a TupleCodec,
+        budget: u64,
+    ) -> Self {
+        let compiled: Vec<LazyRule> = program.variants.iter().map(|_| LazyRule::default()).collect();
+        // The engine refuses a program one of whose rules does not
+        // compile, whether or not a delta ever reaches the rule.
         let mut diverged: TagSet = 0;
-        let mut compiled = Vec::with_capacity(program.variants.len());
-        for (vi, v) in program.variants.iter().enumerate() {
-            for (ai, atom) in v.rule.body.iter().enumerate() {
-                triggers.entry(atom.table.as_str()).or_default().push((vi, ai));
+        for &vi in &program.own {
+            let v = &program.variants[vi];
+            if compiled[vi].get(&v.rule, catalog).is_none() {
+                diverged |= v.mask;
             }
-            // The engine refuses a program one of whose rules does not
-            // compile, whether or not a delta ever reaches the rule.
-            let form = LazyRule::default();
-            if let Cow::Owned(rule) = &v.rule {
-                if form.get(rule, catalog).is_none() {
-                    diverged |= v.mask;
-                }
-            }
-            compiled.push(form);
         }
-        let dispatch = build_dispatch(&triggers, |vi| &*program.variants[vi].rule);
         TaggedEngine {
             program,
             catalog,
             codec,
             compiled,
-            punt_dispatch: dispatch.get(&*codec.packet_in_table).cloned(),
             dispatch,
+            punt: dispatch.get(&codec.packet_in_table),
+            punt_reads: Prehashed::default(),
             state: HashMap::new(),
             held: Prehashed::default(),
             hasher: RandomState::new(),
@@ -446,7 +477,7 @@ impl<'a> TaggedEngine<'a> {
     /// retract what the first supported, its holders are handed back.
     fn admit(&mut self, t: &Tuple, tags: TagSet) -> TagSet {
         let declared = self.declared_keys(&t.table);
-        let read = self.dispatch.contains_key(&*t.table);
+        let read = self.dispatch.get(&t.table).is_some();
         let mut hasher = self.hasher.build_hasher();
         (&t.table, &t.loc).hash(&mut hasher);
         key_columns(t, declared).for_each(|v| v.hash(&mut hasher));
@@ -498,7 +529,7 @@ impl<'a> TaggedEngine<'a> {
             'deltas: for (delta, dtags) in &round {
                 // The variants this delta can fire, in program order: its
                 // value's keyed group merged with the residual list.
-                let Some(dispatch) = self.dispatch.get(&*delta.table).map(Arc::clone) else {
+                let Some(dispatch) = DerivedDispatch::get(self.dispatch, &delta.table) else {
                     continue;
                 };
                 for (vi, ai) in dispatch.triggers_for(delta) {
@@ -574,7 +605,8 @@ impl<'a> TaggedEngine<'a> {
         let delta = self.codec.packet_in_tuple(msg);
         let (variants, compiled, catalog) = (&self.program.variants, &self.compiled, self.catalog);
         let rule = |vi: usize| compiled[vi].get(&variants[vi].rule, catalog);
-        let Some(key) = self.quiet.lookup(tags, &delta, self.punt_dispatch.as_deref(), self.admitted, rule) else {
+        let heard = self.punt.and_then(|t| t.quiet_view(&delta, &mut self.punt_reads, rule));
+        let Some(key) = self.quiet.lookup(tags, &delta, heard, self.admitted) else {
             return;
         };
         self.steps += 1;
@@ -923,6 +955,20 @@ pub fn mqo_replay_deltas(
     extra_flows: &[ExtraFlows],
     seeds: &[Option<Vec<Tuple>>],
 ) -> JointReplay {
+    mqo_replay_indexed(setup, base, None, deltas, extra_flows, seeds)
+}
+
+/// [`mqo_replay_deltas`] with `index`, the trigger index of `base` a batch
+/// engine of it built ([`mpr_runtime::Engine::trigger_index`]); without
+/// one the replay builds it.
+pub fn mqo_replay_indexed(
+    setup: &BacktestSetup,
+    base: &Program,
+    index: Option<&TriggerIndex>,
+    deltas: &[RuleDelta],
+    extra_flows: &[ExtraFlows],
+    seeds: &[Option<Vec<Tuple>>],
+) -> JointReplay {
     let n = deltas.len();
     let full: TagSet = if n == 0 { 0 } else { (!0u64) >> (64 - n) };
     if n == 0 || !setup.config.faults.is_empty() {
@@ -931,8 +977,17 @@ pub fn mqo_replay_deltas(
     }
     let topo: &Topology = &setup.topology;
     let mut tables = TaggedTables { topo, by_switch: BTreeMap::new(), installs: 0 };
+    let built;
+    let index = match index {
+        Some(index) => index,
+        None => {
+            built = TriggerIndex::new(base);
+            &built
+        }
+    };
     let tagged = tagged_program(base, deltas);
-    let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+    let dispatch = tagged.dispatch(index);
+    let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
     for (seed, tags) in tagged_seeds(&setup.seeds, seeds.get(..n).unwrap_or(seeds), full) {
         // What a seed derives into an output table is held from then on and
         // sent nowhere: `NdlogController::seed` drops the engine's answer.
@@ -1123,10 +1178,12 @@ mod tests {
     use crate::replay::{replay, BacktestSetup};
     use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
     use mpr_ndlog::{parse_program, CmpOp, Expr, ExprSide, Value};
+    use mpr_runtime::TriggerDispatch;
     use mpr_sdn::controller::TupleCodec;
     use mpr_sdn::flowtable::Action;
     use mpr_sdn::sim::SimConfig;
     use mpr_sdn::topology::{fig1, fig1_hosts};
+    use proptest::prelude::*;
 
     fn fig2_program() -> Program {
         parse_program(
@@ -1450,7 +1507,9 @@ mod tests {
     fn an_admission_between_two_key_equal_quiet_punts_makes_the_second_step() {
         let (base, setup) = (quiet_program(), setup());
         let tagged = tagged_program(&base, &[RuleDelta::default()]);
-        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        let index = TriggerIndex::new(&base);
+        let dispatch = tagged.dispatch(&index);
+        let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
         // No `Cfg`: the join fails, and the second punt is the first's.
         assert!(punt(&mut engine, 7, 80, 1).is_empty());
         assert!(punt(&mut engine, 7, 80, 1).is_empty());
@@ -1467,7 +1526,9 @@ mod tests {
     fn punts_whose_keys_differ_only_in_tags_or_in_a_read_column_both_step() {
         let (base, setup) = (quiet_program(), setup());
         let tagged = tagged_program(&base, &[RuleDelta::default(), RuleDelta::default()]);
-        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        let index = TriggerIndex::new(&base);
+        let dispatch = tagged.dispatch(&index);
+        let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
         let cfg = Tuple::new("Cfg", Value::str("C"), vec![Value::Int(80), Value::Int(2)]);
         engine.step(cfg, 0b11, None);
         // Below S5 `r1`'s prefilter fails; `r0`'s keyed group is S3's alone.
@@ -1499,7 +1560,9 @@ mod tests {
         .unwrap();
         let setup = setup();
         let tagged = tagged_program(&base, &[RuleDelta::default()]);
-        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        let index = TriggerIndex::new(&base);
+        let dispatch = tagged.dispatch(&index);
+        let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
         // At switch 0 the match is complete and the assignment refuses the
         // head: the step derives nothing, and is not filed. The switch is
         // off the key — only the assignment and the head read it — so the
@@ -1523,7 +1586,9 @@ mod tests {
         .unwrap();
         let setup = setup();
         let tagged = tagged_program(&base, &[RuleDelta::default()]);
-        let mut engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        let index = TriggerIndex::new(&base);
+        let dispatch = tagged.dispatch(&index);
+        let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
         // `r1` is keyed on switch 1: the group of a punt at switch 2 has no
         // trigger, so every such punt is answered, the first one too.
         for port in [80, 53, 80] {
@@ -1696,10 +1761,169 @@ mod tests {
             added(rule("n2 FlowTable(@S,H,P) :- Never(@S,H,P), P > 1.")),
         ];
         let (tagged, setup) = (tagged_program(&base, &deltas), setup());
-        let engine = TaggedEngine::new(&tagged, &base.catalog, &setup.codec, setup.engine.max_derivations);
+        let index = TriggerIndex::new(&base);
+        let dispatch = tagged.dispatch(&index);
+        let engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
         assert_eq!(engine.diverged, 0b010, "before any step");
         let compiled: Vec<bool> = engine.compiled.iter().map(LazyRule::is_compiled).collect();
         assert_eq!(compiled, [false, false, false, false, true]);
+    }
+
+    // -- the shared trigger index ------------------------------------------
+
+    /// The tables generated rules read: a base rule `A`–`C`, a candidate's
+    /// rule `D` too, which no base rule reads.
+    const TABLES: [&str; 4] = ["A", "B", "C", "D"];
+
+    /// A generated rule: body atoms `T(@Lk,Xk,Yk)` over `TABLES[atoms[k]]`,
+    /// selections `(atom, column, op, constant)` over their variables.
+    #[derive(Debug, Clone)]
+    struct GenRule {
+        atoms: Vec<usize>,
+        sels: Vec<(usize, usize, CmpOp, Value)>,
+    }
+
+    impl GenRule {
+        fn src(&self, id: &str) -> String {
+            let atoms = self.atoms.iter().enumerate().map(|(k, &t)| format!("{}(@L{k},X{k},Y{k})", TABLES[t]));
+            let sels = self.sels.iter().map(|(k, col, op, c)| format!("{}{} {op} {c}", ["L", "X", "Y"][*col], k % self.atoms.len()));
+            format!("{id} H(@L0,X0) :- {}.", atoms.chain(sels).collect::<Vec<_>>().join(", "))
+        }
+
+        fn rule(&self, id: &str) -> Rule {
+            mpr_ndlog::parse_rule(&self.src(id)).unwrap()
+        }
+    }
+
+    /// A rule over the first `tables` of `TABLES`, mostly keyable `==`
+    /// selections on one of three columns.
+    fn gen_rule(tables: usize) -> impl Strategy<Value = GenRule> {
+        let value = prop::sample::select(vec![Value::Int(0), Value::Int(1), Value::Int(2), Value::str("s")]);
+        let op = prop::sample::select(vec![CmpOp::Eq, CmpOp::Eq, CmpOp::Eq, CmpOp::Lt, CmpOp::Ne]);
+        let sels = prop::collection::vec((0usize..2, 0usize..3, op, value), 0..4);
+        (prop::collection::vec(0..tables, 1..3), sels).prop_map(|(atoms, sels)| GenRule { atoms, sels })
+    }
+
+    /// What a candidate does to a base rule.
+    #[derive(Debug, Clone)]
+    enum Change {
+        Delete,
+        /// A selection (or a new one) becomes `== v`: the copy's dispatch
+        /// constant moves to another group, or to a new one (7).
+        Move(usize, Value),
+        /// The first atom reads another table, maybe `D`.
+        Retable(usize),
+        /// Another rule under the same id.
+        Fresh(GenRule),
+    }
+
+    fn change() -> impl Strategy<Value = Change> {
+        let value = prop::sample::select(vec![Value::Int(0), Value::Int(1), Value::Int(7)]);
+        prop_oneof![
+            2 => Just(Change::Delete),
+            3 => (0usize..4, value).prop_map(|(i, v)| Change::Move(i, v)),
+            2 => (0usize..4).prop_map(Change::Retable),
+            1 => gen_rule(4).prop_map(Change::Fresh),
+        ]
+    }
+
+    /// Base rules; per candidate the changes to them (positions taken
+    /// modulo the base's length) and the rules it adds; a base rule every
+    /// candidate deletes.
+    type Case = (Vec<GenRule>, Vec<(Vec<(usize, Change)>, Vec<GenRule>)>, Option<usize>);
+
+    fn case() -> impl Strategy<Value = Case> {
+        let candidate = (prop::collection::vec((0usize..12, change()), 0..4), prop::collection::vec(gen_rule(4), 0..3));
+        (prop::collection::vec(gen_rule(3), 1..12), prop::collection::vec(candidate, 1..5), prop::option::of(0usize..12))
+    }
+
+    /// The base program of `case` and its candidates' deltas.
+    fn case_input((base, candidates, gone): &Case) -> (Program, Vec<RuleDelta>) {
+        let src: Vec<String> = base.iter().enumerate().map(|(i, r)| r.src(&format!("r{i}"))).collect();
+        let program = parse_program("gen", &src.join("\n")).unwrap();
+        let n = base.len();
+        let deltas = candidates.iter().enumerate().map(|(c, (changes, added))| {
+            let mut changed: BTreeMap<usize, Option<Rule>> = BTreeMap::new();
+            for (pos, change) in changes {
+                let (pos, mut r) = (pos % n, base[pos % n].clone());
+                match change {
+                    Change::Delete => {
+                        changed.insert(pos, None);
+                        continue;
+                    }
+                    Change::Move(i, v) => match r.sels.len() {
+                        0 => r.sels.push((0, 1, CmpOp::Eq, v.clone())),
+                        len => r.sels[i % len] = (r.sels[i % len].0, r.sels[i % len].1, CmpOp::Eq, v.clone()),
+                    },
+                    Change::Retable(t) => r.atoms[0] = *t,
+                    Change::Fresh(other) => r = other.clone(),
+                }
+                changed.insert(pos, Some(r.rule(&format!("r{pos}"))));
+            }
+            if let Some(g) = gone {
+                changed.insert(g % n, None);
+            }
+            let added = added.iter().enumerate().map(|(k, r)| r.rule(&format!("n{c}x{k}"))).collect();
+            RuleDelta { changed: changed.into_iter().collect(), added }
+        });
+        (program, deltas.collect())
+    }
+
+    proptest! {
+        /// The joint replay's dispatch reads the base program's trigger
+        /// index for the rules the candidates share with it, and groups
+        /// only their copies and added rules, on the index's column. Over
+        /// every tuple of every table it visits exactly the triggers, in
+        /// exactly the order and in the same groups, that grouping every
+        /// variant's triggers on that column visits, and a group reads for
+        /// a quiet-step key what that group's variants read. The triggers
+        /// whose prefilter passes — those that fire — are, in order, those
+        /// that grouping every variant on its own vote fires, whatever
+        /// column the vote picks (what the joint replay grouped on before
+        /// it shared the index).
+        #[test]
+        fn the_variants_dispatch_over_the_shared_index_fires_what_grouping_every_variant_fires(c in case()) {
+            let (program, deltas) = case_input(&c);
+            let index = TriggerIndex::new(&program);
+            let tagged = tagged_program(&program, &deltas);
+            let derived = tagged.dispatch(&index);
+            let variants = &tagged.variants;
+            let mut lists: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+            for (vi, v) in variants.iter().enumerate() {
+                for (ai, atom) in v.rule.body.iter().enumerate() {
+                    lists.entry(&atom.table).or_default().push((vi, ai));
+                }
+            }
+            let (compiled, catalog) = (variants.iter().map(|_| LazyRule::default()).collect::<Vec<_>>(), Catalog::new());
+            let rule = |vi: usize| compiled[vi].get(&variants[vi].rule, &catalog);
+            let values: &[Value] = &[Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(7), Value::str("s")];
+            for table in TABLES {
+                let got = derived.get(table);
+                prop_assert_eq!(got.is_some(), lists.contains_key(table), "{} read", table);
+                let (Some(got), Some(list)) = (got, lists.get(table)) else { continue };
+                let col = index.get(table).map(TriggerDispatch::col);
+                let want = TriggerDispatch::new(list, |vi| &*variants[vi].rule, col);
+                let voted = TriggerDispatch::new(list, |vi| &*variants[vi].rule, None);
+                let (mut reads, mut numbers, mut groups) = (Prehashed::default(), HashMap::new(), HashMap::new());
+                for (loc, x, y) in values.iter().flat_map(|l| values.iter().flat_map(move |x| values.iter().map(move |y| (l, x, y)))) {
+                    let t = Tuple::new(table, loc.clone(), vec![x.clone(), y.clone()]);
+                    let visited: Vec<(usize, usize)> = got.triggers_for(&t).collect();
+                    prop_assert_eq!(&visited, &want.triggers_for(&t).collect::<Vec<_>>(), "{}", t);
+                    let fires = |&(vi, ai): &(usize, usize)| rule(vi).is_some_and(|r| r.accepts(ai, &t));
+                    let fired: Vec<(usize, usize)> = visited.into_iter().filter(fires).collect();
+                    let by_vote: Vec<(usize, usize)> = voted.triggers_for(&t).filter(fires).collect();
+                    prop_assert_eq!(fired, by_vote, "{} fires", t);
+                    let group = want.group_of(&t);
+                    let view = got.quiet_view(&t, &mut reads, rule);
+                    prop_assert_eq!(view.is_some(), want.triggers_in(group).next().is_some(), "{} heard", t);
+                    if let Some((number, group_reads)) = view {
+                        prop_assert_eq!(group_reads, want.reads(group, rule), "{} reads", t);
+                        prop_assert_eq!(*numbers.entry(group).or_insert(number), number, "{}: one number per group", t);
+                        prop_assert_eq!(*groups.entry(number).or_insert(group), group, "{}: one group per number", t);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@ use crate::explore::{generate_existing, generate_missing_against, World};
 use crate::repair::{Candidate, Repair, ReplayInput};
 use crate::scenarios::{Scenario, Symptom};
 use mpr_backtest::ks::{ks_two_sample, KsResult};
-use mpr_backtest::mqo::{mqo_replay_deltas, TagSet};
+use mpr_backtest::mqo::{mqo_replay_indexed, TagSet};
 use mpr_backtest::replay::{drive, replay_candidates, BacktestSetup, CandidateRun, ReplayOutcome};
 use mpr_ndlog::patch::Edit;
 use mpr_ndlog::ProgramOutline;
-use mpr_runtime::{ExecLog, Options as EngineOptions};
+use mpr_runtime::{ExecLog, Options as EngineOptions, TriggerIndex};
 use mpr_trace::workload::Injection;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -139,6 +139,9 @@ pub struct Debugger {
     /// The program's outline: what the first observation run's engine
     /// checked it against, read by the explorer and every backtest.
     outline: OnceLock<Result<Arc<ProgramOutline>, String>>,
+    /// The program's trigger index: what the first observation run's
+    /// engine dispatches through, read by every joint replay.
+    index: OnceLock<Arc<TriggerIndex>>,
 }
 
 impl Debugger {
@@ -150,6 +153,7 @@ impl Debugger {
             scenario,
             engine_options: EngineOptions::default(),
             outline: OnceLock::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -158,6 +162,12 @@ impl Debugger {
     fn outline(&self) -> Result<&ProgramOutline, String> {
         let outline = self.outline.get_or_init(|| ProgramOutline::new(&self.scenario.program).map(Arc::new));
         outline.as_deref().map_err(String::clone)
+    }
+
+    /// The program's trigger index: the observation run's, or made here if
+    /// nothing has run yet or its engine keeps none (a pipelined one).
+    fn trigger_index(&self) -> &TriggerIndex {
+        self.index.get_or_init(|| Arc::new(TriggerIndex::new(&self.scenario.program)))
     }
 
     /// The network, workload, seeds and engine options every run of this
@@ -180,7 +190,11 @@ impl Debugger {
     pub fn record(&self) -> Result<Recording, String> {
         let t_run = Instant::now();
         let mut sim = drive(&self.setup(), Arc::clone(&self.scenario.program), true, &[])?;
-        self.outline.get_or_init(|| Ok(Arc::clone(sim.controller().engine().outline())));
+        let engine = sim.controller().engine();
+        self.outline.get_or_init(|| Ok(Arc::clone(engine.outline())));
+        if let Some(index) = engine.trigger_index() {
+            self.index.get_or_init(|| Arc::clone(index));
+        }
         let log = sim.controller_mut().take_log();
         Ok(Recording { log, baseline: ReplayOutcome::of(sim.stats), run_time: t_run.elapsed() })
     }
@@ -318,7 +332,7 @@ impl Debugger {
                 extra.push(extra_flows);
                 seeds.push(own);
             }
-            let joint = mqo_replay_deltas(&setup, base, &deltas, &extra, &seeds);
+            let joint = mqo_replay_indexed(&setup, base, Some(self.trigger_index()), &deltas, &extra, &seeds);
             let named: Vec<usize> = (0..slice.len()).filter(|&i| applies[i] && joint.diverged >> i & 1 == 1).collect();
             let at = outs.len();
             outs.extend((joint.outcomes.into_iter().zip(&applies)).map(|(out, &a)| a.then_some(out)));

@@ -1124,8 +1124,10 @@ fn head_requirements<'a>(rule: &'a Rule, goal: &'a Pattern, required: &mut Scope
 /// bindings agree with them, and costs at least its cheapest fix: its
 /// constant set to the value an `==` pins (or else moved by one), its
 /// operator or a variable changed, or its deletion. Each fix past the first
-/// is one more edit. A rule with a second body atom can instead insert the
-/// tuple that atom lacks, at `INSERT_TUPLE`, fixing no selection.
+/// is one more edit. Inserting the tuple a second body atom lacks fixes no
+/// selection: its bindings agree with these too, so a selection that fails
+/// here refuses the insertion (`emit_state_insertion`), and a rule with one
+/// has no candidate under `INSERT_TUPLE` to price.
 fn floor(rule: &Rule, required: &Scope) -> u32 {
     let cheapest = |sel: &Selection| {
         let constant = top_level_constants(sel).filter_map(|(side, old)| {
@@ -1136,8 +1138,7 @@ fn floor(rule: &Rule, required: &Scope) -> u32 {
     };
     let failing = rule.sels.iter().filter(|sel| sel.eval(required, &mut PureFuncs) == Ok(false));
     let (fixes, least) = failing.fold((0, 0), |(n, least), sel| (n + 1, least + cheapest(sel)));
-    let least = least + u32::saturating_sub(fixes, 1);
-    if rule.body.len() > 1 { least.min(cost::INSERT_TUPLE) } else { least }
+    least + u32::saturating_sub(fixes, 1)
 }
 
 /// Join `envs` with the recorded state through every body atom of `rule`

@@ -7,8 +7,9 @@
 //! read `PacketIn`, an event table, which the store never holds. A
 //! controller whose join scans stored state fails here first.
 //!
-//! A repair checks its base program once (`mpr_ndlog::patch::outlines_built`),
-//! on Q1 over 10 130 switches too.
+//! A repair checks its base program once (`mpr_ndlog::patch::outlines_built`)
+//! and indexes its triggers once (`mpr_runtime::indexes_built`), on Q1 over
+//! 10 130 switches too.
 //!
 //! The counters exist in debug builds only, so `cargo test --release`
 //! skips these tests.
@@ -53,5 +54,21 @@ fn a_repair_outlines_its_base_program_once() {
         let report = repair_scenario(s);
         let outlines = mpr_ndlog::patch::outlines_built() - before;
         assert_eq!(outlines, 1 + report.handed_back as u64, "{}: {} handed back", s.id, report.handed_back);
+    }
+}
+
+/// The observation run's engine indexes the base program's triggers, and
+/// the joint replay reads that index for every rule its candidates share
+/// with the base; a candidate the joint replay hands back is indexed once
+/// more, as the patched program its fallback engine runs.
+#[test]
+fn a_repair_indexes_its_base_program_once() {
+    let mut scenarios = curated();
+    scenarios.push(Scenario::q1_on_fabric(10_000));
+    for s in &scenarios {
+        let before = mpr_runtime::indexes_built();
+        let report = repair_scenario(s);
+        let indexes = mpr_runtime::indexes_built() - before;
+        assert_eq!(indexes, 1 + report.handed_back as u64, "{}: {} handed back", s.id, report.handed_back);
     }
 }

@@ -295,8 +295,9 @@ fn no_candidate_undercuts_its_rules_floor_on_every_missing_scenario() {
 }
 
 /// A rule whose failing selections the solver cannot read (`%`) is priced
-/// at `INSERT_TUPLE`, under the 5 its two selections would cost to fix, and
-/// no candidate: the selections fail with its missing tuple inserted too.
+/// at the 5 its two selections cost to fix, and has no candidate: the
+/// selections fail with its missing tuple inserted too, so no insertion
+/// undercuts them.
 #[test]
 fn no_candidate_undercuts_its_rules_floor_where_the_solver_reads_no_selection() {
     let program = parse_program(
@@ -316,7 +317,7 @@ fn no_candidate_undercuts_its_rules_floor_where_the_solver_reads_no_selection() 
         budget: SearchBudget::default(),
     };
     let (_, _, ledger) = generate_missing_with_ledger(&w, &flow_goal(3, 2));
-    assert_eq!(ledger.floors, [("j2".to_string(), cost::INSERT_TUPLE)]);
+    assert_eq!(ledger.floors, [("j2".to_string(), 5)]);
     assert_eq!(assert_floors_hold(&w, &flow_goal(3, 2)).unwrap(), (0, 0), "no insertion of Port(@'C',3,2)");
 }
 

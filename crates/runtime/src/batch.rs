@@ -5,10 +5,12 @@
 //! per-delta-position column programs, the selection schedule, the column
 //! prefilter. This module drives that form for the engine: once per engine
 //! it groups each table's triggers by the constant their prefilters pin a
-//! delta column to ([`build_dispatch`] — the same builder the joint
-//! backtest dispatches its rule variants with), reading the source rules;
-//! the first delta that reaches a rule compiles it against the store's
-//! schemas ([`Store::catalog`](crate::store::Store::catalog)).
+//! delta column to ([`TriggerIndex`], reading the source rules); the first
+//! delta that reaches a rule compiles it against the store's schemas
+//! ([`Store::catalog`](crate::store::Store::catalog)). The joint backtest
+//! dispatches its rule variants through the same index: a
+//! [`DerivedDispatch`] reads the base program's for the rules the variants
+//! share with it and groups only the candidates' own.
 //!
 //! A join extension reads the store itself. One that knows its table's
 //! location and every effective key column before it runs is a *full-key
@@ -41,7 +43,8 @@ use crate::compiled::{cols_match, eq_consts, match_cols, ColTest, CompiledRule};
 use crate::delta::{DeltaTracker, Visibility};
 use crate::engine::{Engine, RuntimeError, StepResult};
 use crate::log::{TupleId, TupleKind};
-use mpr_ndlog::{Rule, Tuple, Value};
+use crate::memo::Prehashed;
+use mpr_ndlog::{Program, Rule, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
@@ -73,14 +76,89 @@ pub struct TriggerDispatch {
     pub(crate) groups: Vec<Vec<(usize, usize)>>,
     /// Triggers without a keyable constant on `col`, in original order.
     pub(crate) rest: Vec<(usize, usize)>,
+    /// How many triggers there are.
+    len: usize,
     /// Per keyed group, then for `rest` alone: [`Self::reads`], made once.
-    reads: Vec<OnceLock<Option<Reads>>>,
+    reads: Vec<OnceLock<Option<GroupReads>>>,
 }
 
-/// A group's distinct prefilter tests and the columns its plans read.
-type Reads = (Vec<ColTest>, Vec<usize>);
+/// What a dispatch group's triggers read of a delta before a complete
+/// match: their distinct prefilter tests and the columns their plans read
+/// (`CompiledRule::reads`) — what a [`crate::QuietSteps`] key holds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupReads {
+    pub(crate) tests: Vec<ColTest>,
+    pub(crate) cols: Vec<usize>,
+}
+
+/// [`GroupReads`] of `triggers`, `rule(i)` being rule `i` compiled; `None`
+/// if a rule does not compile or aggregates, or there are over 64 tests.
+fn group_reads<'r>(
+    triggers: impl IntoIterator<Item = (usize, usize)>,
+    mut rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
+) -> Option<GroupReads> {
+    let (mut tests, mut cols) = (Vec::new(), Vec::new());
+    for (ri, ai) in triggers {
+        let (t, c) = rule(ri)?.reads(ai);
+        t.iter().for_each(|t| if !tests.contains(t) { tests.push(t.clone()) });
+        cols.extend(c);
+    }
+    cols.sort_unstable();
+    cols.dedup();
+    Some(GroupReads { tests, cols }).filter(|r| r.tests.len() <= 64)
+}
 
 impl TriggerDispatch {
+    /// Group `list` — one table's `(rule, body position)` triggers in
+    /// firing order — by the constant `rule(i)`'s column prefilter pins
+    /// column `col` to, or, without one, the column most of the triggers
+    /// constrain. Reads the source rules, so the rules need not be compiled
+    /// yet; each trigger's constants are read once.
+    pub fn new<'r>(list: &[(usize, usize)], rule: impl Fn(usize) -> &'r Rule, col: Option<usize>) -> Self {
+        // `(trigger, column, constant)` in trigger order, and the constants
+        // per column.
+        let mut consts: Vec<(usize, usize, &Value)> = Vec::new();
+        let mut votes: Vec<usize> = Vec::new();
+        for (k, &(ri, ai)) in list.iter().enumerate() {
+            for (c, val) in eq_consts(rule(ri), ai).filter(|&(_, val)| keyable(val)) {
+                if votes.len() <= c {
+                    votes.resize(c + 1, 0);
+                }
+                votes[c] += 1;
+                consts.push((k, c, val));
+            }
+        }
+        // Most-constrained column wins; ties break to the lowest column so
+        // the choice is deterministic.
+        let col = col.unwrap_or_else(|| {
+            (0..votes.len()).max_by_key(|&c| (votes[c], std::cmp::Reverse(c))).unwrap_or(0)
+        });
+        let mut dispatch = TriggerDispatch { col, len: list.len(), ..TriggerDispatch::default() };
+        // A trigger is keyed by its first constant on the column.
+        let mut on_col = consts.iter().filter(|&&(_, c, _)| c == col).peekable();
+        for (k, &trigger) in list.iter().enumerate() {
+            let mut first = None;
+            while let Some(&(_, _, val)) = on_col.next_if(|&&(owner, ..)| owner == k) {
+                first.get_or_insert(val);
+            }
+            let Some(val) = first else {
+                dispatch.rest.push(trigger);
+                continue;
+            };
+            let g = *dispatch.keyed.entry(val.clone()).or_insert(dispatch.groups.len());
+            dispatch.groups.resize_with(dispatch.groups.len().max(g + 1), Vec::new);
+            dispatch.groups[g].push(trigger);
+        }
+        dispatch.reads.resize_with(dispatch.groups.len() + 1, OnceLock::new);
+        dispatch
+    }
+
+    /// The delta column the keyed groups test (`0` = location, `i + 1` =
+    /// payload argument `i`).
+    pub fn col(&self) -> usize {
+        self.col
+    }
+
     /// The index of the keyed group `tuple`'s value at the dispatch column
     /// falls in; `None` when it falls in none.
     pub fn group_of(&self, tuple: &Tuple) -> Option<usize> {
@@ -101,28 +179,19 @@ impl TriggerDispatch {
         self.triggers_in(self.group_of(tuple))
     }
 
-    /// What the triggers of `group` read of a delta before a complete match
-    /// ([`CompiledRule::reads`]), `rule(i)` being rule `i` compiled; `None`
-    /// if a rule does not compile or aggregates, or there are over 64 tests.
-    /// Made at the first call, which `rule` must answer alike.
-    pub(crate) fn reads<'r>(
+    /// What the triggers of `group` read of a delta before a complete match,
+    /// `rule(i)` being rule `i` compiled: `None` if a rule does not compile
+    /// or aggregates, or there are over 64 tests. Made at the first call,
+    /// which `rule` must answer alike.
+    pub fn reads<'r>(
         &self,
         group: Option<usize>,
-        mut rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
-    ) -> Option<&Reads> {
-        self.reads.get(group.unwrap_or(self.groups.len()))?.get_or_init(|| {
-            let (mut tests, mut cols) = (Vec::new(), Vec::new());
-            for (ri, ai) in self.triggers_in(group) {
-                let (t, c) = rule(ri)?.reads(ai);
-                t.iter().for_each(|t| if !tests.contains(t) { tests.push(t.clone()) });
-                cols.extend(c);
-            }
-            cols.sort_unstable();
-            cols.dedup();
-            Some((tests, cols)).filter(|(tests, _)| tests.len() <= 64)
-        })
-        .as_ref()
+        rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
+    ) -> Option<&GroupReads> {
+        let at = self.reads.get(group.unwrap_or(self.groups.len()))?;
+        at.get_or_init(|| group_reads(self.triggers_in(group), rule)).as_ref()
     }
+
 }
 
 /// Allocation-free two-pointer merge of a keyed trigger group with the
@@ -159,56 +228,251 @@ fn keyable(v: &Value) -> bool {
     matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
 }
 
-/// Group each table's trigger list — `(rule, body position)` pairs in
-/// firing order — by the constant `rule(i)`'s column prefilter pins the
-/// column most of the table's triggers constrain to (see
-/// [`TriggerDispatch`]). Reads the source rules, so the rules need not be
-/// compiled yet; each trigger's constants are read once.
-pub fn build_dispatch<'r>(
-    triggers: &HashMap<&str, Vec<(usize, usize)>>,
-    rule: impl Fn(usize) -> &'r Rule,
-) -> HashMap<String, Arc<TriggerDispatch>> {
-    // Per table: `(trigger, column, constant)` in trigger order, and the
-    // constants per column.
-    let mut consts: Vec<(usize, usize, &Value)> = Vec::new();
-    let mut votes: Vec<usize> = Vec::new();
+/// Each table's triggers, `(rule, body position)` pairs in firing order, of
+/// `rules` given in order with their indexes.
+pub(crate) fn trigger_lists<'r>(rules: impl IntoIterator<Item = (usize, &'r Rule)>) -> HashMap<&'r str, Vec<(usize, usize)>> {
+    let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (ri, rule) in rules {
+        for (ai, atom) in rule.body.iter().enumerate() {
+            triggers.entry(atom.table.as_str()).or_default().push((ri, ai));
+        }
+    }
     triggers
-        .iter()
-        .map(|(&table, list)| {
-            consts.clear();
-            votes.clear();
-            for (k, &(ri, ai)) in list.iter().enumerate() {
-                for (col, val) in eq_consts(rule(ri), ai).filter(|&(_, val)| keyable(val)) {
-                    if votes.len() <= col {
-                        votes.resize(col + 1, 0);
-                    }
-                    votes[col] += 1;
-                    consts.push((k, col, val));
+}
+
+#[cfg(debug_assertions)]
+thread_local!(static INDEXES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+
+/// Trigger indexes [`TriggerIndex::new`] built on this thread, the count
+/// behind the test that a repair indexes its base program once. Debug
+/// builds only.
+#[cfg(debug_assertions)]
+pub fn indexes_built() -> u64 {
+    INDEXES.with(std::cell::Cell::get)
+}
+
+/// A program's trigger dispatch: a [`TriggerDispatch`] per table its rules
+/// read. A batch engine builds one for its program
+/// ([`crate::Engine::trigger_index`]); the joint backtest reads it for the
+/// rules its candidates share with that program ([`DerivedDispatch`]).
+#[derive(Debug)]
+pub struct TriggerIndex {
+    tables: HashMap<String, TriggerDispatch>,
+    /// How many rules the indexed program has.
+    rules: usize,
+}
+
+impl TriggerIndex {
+    /// Index every rule of `program`.
+    pub fn new(program: &Program) -> Self {
+        #[cfg(debug_assertions)]
+        INDEXES.with(|n| n.set(n.get() + 1));
+        let lists = trigger_lists(program.rules.iter().enumerate());
+        let rule = |ri: usize| &program.rules[ri];
+        let tables = lists.iter().map(|(&table, list)| (table.to_string(), TriggerDispatch::new(list, rule, None))).collect();
+        TriggerIndex { tables, rules: program.rules.len() }
+    }
+
+    /// The dispatch of `table`; `None` when no rule reads it.
+    pub fn get(&self, table: &str) -> Option<&TriggerDispatch> {
+        self.tables.get(table)
+    }
+}
+
+/// The trigger dispatch of a program derived from an indexed base program:
+/// the base's rules renumbered, some of them gone, and rules of its own.
+/// It reads the base's [`TriggerIndex`] for the rules the two share and
+/// groups only its own, on the base's column, so building it costs what the
+/// derived program changes, not what it shares.
+///
+/// A delta visits the triggers [`TriggerDispatch::new`] over the derived
+/// program's triggers on the base's column would have it visit, in that
+/// order and in the same groups: its base group's, renumbered and without
+/// the gone rules, merged with its own group's. Those that fire are the
+/// ones grouping the derived program on its own vote fires, in the same
+/// order, whichever column the vote picks: a trigger a grouping skips is
+/// one its prefilter rejects. A table no base rule reads is grouped on its
+/// own vote; one whose every trigger is gone reads as unread.
+#[derive(Debug)]
+pub struct DerivedDispatch<'b> {
+    base: &'b TriggerIndex,
+    /// Per base rule, its index in the derived program; `None` where the
+    /// derived program has none.
+    at: &'b [Option<u32>],
+    /// Per table the derived program's own rules read, their triggers
+    /// grouped; `None` for a table whose every base trigger is gone.
+    changed: HashMap<&'b str, Option<Own>>,
+}
+
+/// The derived program's own triggers on one table, grouped.
+#[derive(Debug)]
+struct Own {
+    dispatch: TriggerDispatch,
+    /// `(base group, own group)` for each own group whose constant keys a
+    /// base group too, ascending: a delta the base's map places needs no
+    /// second lookup.
+    attached: Vec<(usize, usize)>,
+    /// Whether some own group's constant keys no base group, so a delta the
+    /// base's map misses is looked up in the own one.
+    beyond: bool,
+}
+
+impl<'b> DerivedDispatch<'b> {
+    /// The dispatch of the program whose base rule `i` is its rule
+    /// `at[i]`, if any, and whose other rules are `own` (ascending);
+    /// `rule(i)` is its rule `i`, `base` the index of `base_rules`.
+    pub fn new(
+        base: &'b TriggerIndex,
+        base_rules: &'b [Rule],
+        at: &'b [Option<u32>],
+        own: &[usize],
+        rule: impl Fn(usize) -> &'b Rule,
+    ) -> Self {
+        assert_eq!((base.rules, at.len()), (base_rules.len(), base_rules.len()), "an index of another program");
+        let lists = trigger_lists(own.iter().map(|&i| (i, rule(i))));
+        let mut changed: HashMap<&str, Option<Own>> = HashMap::new();
+        for (&table, list) in &lists {
+            let shared = base.get(table);
+            let dispatch = TriggerDispatch::new(list, &rule, shared.map(|b| b.col));
+            let (mut attached, mut beyond) = (Vec::new(), false);
+            for (value, &g) in &dispatch.keyed {
+                match shared.and_then(|b| b.keyed.get(value)) {
+                    Some(&b) => attached.push((b, g)),
+                    None => beyond = true,
                 }
             }
-            // Most-constrained column wins; ties break to the lowest
-            // column so the choice is deterministic.
-            let col = (0..votes.len()).max_by_key(|&c| (votes[c], std::cmp::Reverse(c))).unwrap_or(0);
-            let mut dispatch = TriggerDispatch { col, ..TriggerDispatch::default() };
-            // A trigger is keyed by its first constant on the column.
-            let mut on_col = consts.iter().filter(|&&(_, c, _)| c == col).peekable();
-            for (k, &trigger) in list.iter().enumerate() {
-                let mut first = None;
-                while let Some(&(_, _, val)) = on_col.next_if(|&&(owner, ..)| owner == k) {
-                    first.get_or_insert(val);
-                }
-                let Some(val) = first else {
-                    dispatch.rest.push(trigger);
-                    continue;
-                };
-                let g = *dispatch.keyed.entry(val.clone()).or_insert(dispatch.groups.len());
-                dispatch.groups.resize_with(dispatch.groups.len().max(g + 1), Vec::new);
-                dispatch.groups[g].push(trigger);
+            attached.sort_unstable();
+            changed.insert(table, Some(Own { dispatch, attached, beyond }));
+        }
+        // A table whose base triggers are all gone, and that no own rule
+        // reads, has no trigger left.
+        let mut gone: HashMap<&str, usize> = HashMap::new();
+        for (r, _) in base_rules.iter().zip(at).filter(|(_, at)| at.is_none()) {
+            r.body.iter().for_each(|atom| *gone.entry(&atom.table).or_default() += 1);
+        }
+        for (table, n) in gone {
+            if base.get(table).is_some_and(|b| b.len == n) {
+                changed.entry(table).or_insert(None);
             }
-            dispatch.reads.resize_with(dispatch.groups.len() + 1, OnceLock::new);
-            (table.to_string(), Arc::new(dispatch))
-        })
-        .collect()
+        }
+        DerivedDispatch { base, at, changed }
+    }
+
+    /// The dispatch of `table`; `None` when no rule of the derived program
+    /// reads it.
+    pub fn get(&self, table: &str) -> Option<DerivedTable<'_>> {
+        let (base, own) = match self.changed.get(table) {
+            None => (Some(self.base.get(table)?), None),
+            Some(own) => (self.base.get(table), Some(own.as_ref()?)),
+        };
+        Some(DerivedTable { base, at: self.at, own })
+    }
+}
+
+/// One table of a [`DerivedDispatch`]: the base's dispatch, renumbered,
+/// and the derived program's own.
+#[derive(Debug, Clone, Copy)]
+pub struct DerivedTable<'a> {
+    base: Option<&'a TriggerDispatch>,
+    at: &'a [Option<u32>],
+    own: Option<&'a Own>,
+}
+
+/// A delta's keyed groups in a [`DerivedTable`]: the base's and the own.
+pub type DerivedGroup = (Option<usize>, Option<usize>);
+
+impl<'a> DerivedTable<'a> {
+    /// The keyed groups `tuple`'s value at the dispatch column falls in:
+    /// one lookup in the base's map, and one in the own map only where the
+    /// base's misses and some own constant is not the base's.
+    pub fn group_of(&self, tuple: &Tuple) -> DerivedGroup {
+        let base = self.base.and_then(|b| b.group_of(tuple));
+        let own = self.own.and_then(|o| match base {
+            Some(b) => o.attached.binary_search_by_key(&b, |&(b, _)| b).ok().map(|i| o.attached[i].1),
+            None if o.beyond => o.dispatch.group_of(tuple),
+            None => None,
+        });
+        (base, own)
+    }
+
+    /// The triggers a tuple of `group` visits, in the derived program's
+    /// `(rule, atom)` order: the base's, renumbered and without the gone
+    /// rules, merged with the own.
+    pub fn triggers_in(&self, group: DerivedGroup) -> DerivedTriggers<'a> {
+        let none = || MergedTriggers { keyed: &[], rest: &[], i: 0, j: 0 };
+        DerivedTriggers {
+            base: self.base.map_or_else(none, |b| b.triggers_in(group.0)),
+            own: self.own.map_or_else(none, |o| o.dispatch.triggers_in(group.1)),
+            at: self.at,
+            next: (None, None),
+        }
+    }
+
+    /// The triggers `tuple` visits.
+    pub fn triggers_for(&self, tuple: &Tuple) -> DerivedTriggers<'a> {
+        self.triggers_in(self.group_of(tuple))
+    }
+
+    /// A [`crate::QuietSteps`] lookup's view of `tuple`: `None` if no
+    /// trigger hears it, else its group's number ([`Self::group_number`])
+    /// and what the group reads, kept in `reads` by that number (the
+    /// residual group's under `u64::MAX`).
+    pub fn quiet_view<'c, 'r>(
+        &self,
+        tuple: &Tuple,
+        reads: &'c mut Prehashed<Option<GroupReads>>,
+        rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
+    ) -> Option<(Option<usize>, Option<&'c GroupReads>)> {
+        let group = self.group_of(tuple);
+        self.triggers_in(group).next()?;
+        let number = self.group_number(group);
+        let slot = reads.entry(number.map_or(u64::MAX, |n| n as u64));
+        Some((number, slot.or_insert_with(|| group_reads(self.triggers_in(group), rule)).as_ref()))
+    }
+
+    /// `group` as one number, one per keyed group that grouping the derived
+    /// program's triggers on the base's column makes: the base's group
+    /// while a trigger of it or of the own group is left, else the own
+    /// group after the base's; `None` for the residual triggers alone.
+    pub fn group_number(&self, group: DerivedGroup) -> Option<usize> {
+        let left = |b: &TriggerDispatch, g: usize| b.groups[g].iter().any(|&(ri, _)| self.at[ri].is_some());
+        match (self.base.zip(group.0), group.1) {
+            (Some((_, g)), Some(_)) => Some(g),
+            (Some((b, g)), None) if left(b, g) => Some(g),
+            (_, Some(o)) => Some(self.base.map_or(0, |b| b.groups.len()) + o),
+            _ => None,
+        }
+    }
+}
+
+/// [`DerivedTable::triggers_in`]: the base's triggers, renumbered, merged
+/// with the own, both ascending.
+pub struct DerivedTriggers<'a> {
+    base: MergedTriggers<'a>,
+    own: MergedTriggers<'a>,
+    at: &'a [Option<u32>],
+    /// The next trigger of each side, once looked at.
+    next: (Option<(usize, usize)>, Option<(usize, usize)>),
+}
+
+impl Iterator for DerivedTriggers<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let at = self.at;
+        let base = self.next.0.take().or_else(|| self.base.find_map(|(ri, ai)| Some((at[ri]? as usize, ai))));
+        let own = self.next.1.take().or_else(|| self.own.next());
+        match (base, own) {
+            (Some(b), Some(o)) if o < b => {
+                self.next.0 = Some(b);
+                Some(o)
+            }
+            (b, o) => {
+                self.next.1 = o;
+                b.or_else(|| self.next.1.take())
+            }
+        }
+    }
 }
 
 #[cfg(debug_assertions)]
@@ -259,6 +523,8 @@ impl Engine {
         // The processed batch and the next round's delta swap roles each
         // iteration, so the two buffers are allocated once per drain.
         let mut round_out: VecDeque<(TupleId, Tuple)> = VecDeque::new();
+        // Held across the `&mut self` firings.
+        let index = Arc::clone(self.index.as_ref().expect("a batch engine keeps its trigger index"));
         // The step's derivation budget bounds the rounds: each after the
         // first fires only what a counted firing produced.
         let outcome = loop {
@@ -272,9 +538,8 @@ impl Engine {
                 if self.log.kind(*tid) != TupleKind::Event && !self.log.is_live(*tid) {
                     continue;
                 }
-                let dispatch = match self.batch_dispatch.get(&*tuple.table) {
-                    Some(d) => Arc::clone(d),
-                    None => continue,
+                let Some(dispatch) = index.get(&tuple.table) else {
+                    continue;
                 };
                 // The keyed group for this delta's value at the dispatch
                 // column (if any), merged with the residual triggers in
@@ -565,7 +830,7 @@ mod tests {
             r3 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Hdr == 25, Prt := 9.
         ";
         let e = batch_engine(src);
-        let d = e.batch_dispatch.get("PacketIn").expect("PacketIn dispatches");
+        let d = e.index.as_ref().and_then(|i| i.get("PacketIn")).expect("PacketIn dispatches");
         // All three rules constrain Hdr (arg 1 → column 2); only r1/r2
         // constrain Swi — so Hdr wins the vote and every trigger is keyed.
         assert_eq!(d.col, 2);

@@ -55,7 +55,7 @@
 //! passes — this is exactly how a `PacketIn` installs a persistent
 //! `FlowTable` entry.
 
-use crate::batch;
+use crate::batch::{self, TriggerIndex};
 use crate::codec::{self, WalRecord};
 use crate::compiled::{self, LazyRule};
 use crate::delta::DeltaTracker;
@@ -479,7 +479,9 @@ pub struct Engine {
     /// Per-table trigger lists grouped by pushed-down constant (batch
     /// only): a delta visits only the group matching its own value plus
     /// the residual triggers, instead of every rule the table appears in.
-    pub(crate) batch_dispatch: HashMap<String, Arc<batch::TriggerDispatch>>,
+    /// Shared with whoever dispatches the same rules again (the joint
+    /// backtest, [`Engine::trigger_index`]).
+    pub(crate) index: Option<Arc<TriggerIndex>>,
     /// The round that made each tuple visible (batch only).
     pub(crate) deltas: DeltaTracker,
     /// The join loop's buffers, reused from one firing to the next.
@@ -514,13 +516,12 @@ impl Engine {
     pub fn shared(program: Arc<Program>, opts: Options) -> Result<Self, CompileError> {
         let outline = Arc::new(ProgramOutline::new(&program).map_err(CompileError::InvalidProgram)?);
         let mut rules = Vec::with_capacity(program.rules.len());
-        let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
         let mut store = Store::new();
         for s in program.catalog.iter() {
             store.declare(s.clone());
         }
         let strategy = opts.strategy;
-        for (ri, rule) in program.rules.iter().enumerate() {
+        for rule in &program.rules {
             compiled::check(rule)?;
             let agg = agg_spec(rule, &program.catalog)?;
             // Aggregate heads are keyed on the group columns so updates
@@ -533,9 +534,6 @@ impl Engine {
                     (0..arity - 1).collect(),
                 ));
             }
-            for (ai, atom) in rule.body.iter().enumerate() {
-                triggers.entry(atom.table.as_str()).or_default().push((ri, ai));
-            }
             let head_is_event = program.catalog.get(&rule.head.table).is_some_and(|s| !s.is_state());
             rules.push(EngineRule { compiled: LazyRule::default(), head_is_event, agg });
         }
@@ -547,10 +545,11 @@ impl Engine {
             }
         }
         let funcs = CountingFuncs::starting_at(UNIQUE_SEED);
-        let (batch_dispatch, triggers) = match strategy {
-            EvalStrategy::Batch => (batch::build_dispatch(&triggers, |ri| &program.rules[ri]), HashMap::new()),
+        let (index, triggers) = match strategy {
+            EvalStrategy::Batch => (Some(Arc::new(TriggerIndex::new(&program))), HashMap::new()),
             EvalStrategy::Pipelined => {
-                (HashMap::new(), triggers.into_iter().map(|(t, l)| (t.to_string(), Arc::new(l))).collect())
+                let lists = batch::trigger_lists(program.rules.iter().enumerate()).into_iter();
+                (None, lists.map(|(t, l)| (t.to_string(), Arc::new(l))).collect())
             }
         };
         // A WAL that cannot open degrades to memory-only instead of
@@ -567,11 +566,7 @@ impl Engine {
             }
         }
         // Rule ids are read back only through logged derivations.
-        let log = if opts.record_events {
-            ExecLog::for_rules(program.rules.iter().map(|r| r.id.clone()))
-        } else {
-            ExecLog::default()
-        };
+        let log = if opts.record_events { ExecLog::for_program(Arc::clone(&program)) } else { ExecLog::default() };
         let mut engine = Engine {
             program,
             outline,
@@ -591,7 +586,7 @@ impl Engine {
             agg_contrib: HashMap::new(),
             total_derivations: 0,
             strategy,
-            batch_dispatch,
+            index,
             deltas: DeltaTracker::default(),
             scratch: batch::JoinScratch::default(),
             spare_queue: VecDeque::new(),
@@ -659,6 +654,12 @@ impl Engine {
     /// The outline the engine checked its program against, for reuse.
     pub fn outline(&self) -> &Arc<ProgramOutline> {
         &self.outline
+    }
+
+    /// The trigger index a batch engine dispatches its program's deltas
+    /// through, for reuse; `None` under [`EvalStrategy::Pipelined`].
+    pub fn trigger_index(&self) -> Option<&Arc<TriggerIndex>> {
+        self.index.as_ref()
     }
 
     /// Current logical time.

@@ -52,8 +52,11 @@ pub mod naive;
 pub mod store;
 
 #[cfg(debug_assertions)]
-pub use batch::scanned_rows;
-pub use batch::{build_dispatch, MergedTriggers, TriggerDispatch};
+pub use batch::{indexes_built, scanned_rows};
+pub use batch::{
+    DerivedDispatch, DerivedGroup, DerivedTable, DerivedTriggers, GroupReads, MergedTriggers, TriggerDispatch,
+    TriggerIndex,
+};
 pub use codec::WalRecord;
 pub use compiled::{CompiledRule, LazyRule, ScanScratch};
 pub use delta::DeltaTracker;

@@ -9,8 +9,9 @@
 //! therefore *interned, columnar and indexed by head*:
 //!
 //! - each distinct [`Tuple`] and each distinct node [`Value`] is stored
-//!   once in a hash-consing table and named by a dense `u32`; rule ids are
-//!   the program's rule indexes;
+//!   once in a hash-consing table and named by a dense `u32`; a rule is
+//!   its index in the program, whose ids the log reads through the
+//!   program the engine shares ([`ExecLog::for_program`]) and never copies;
 //! - an instance is an 8-byte row (tuple ref, kind, liveness) that the
 //!   engine itself reads, plus — only while recording — a 24-byte lifetime
 //!   row (appear, disappear, two chain links);
@@ -41,7 +42,7 @@
 //! needs to retract and replace — and [`ExecLog::records`] /
 //! [`ExecLog::events`] are empty.
 
-use mpr_ndlog::{Tuple, Value};
+use mpr_ndlog::{Program, Tuple, Value};
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash};
 use std::mem::size_of;
@@ -381,8 +382,9 @@ pub struct ExecLog {
     /// Per distinct tuple: its newest instance (maintained while recording).
     newest: Vec<u32>,
     nodes: Interner<Value>,
-    /// Rule ids, indexed by the engine's rule index.
-    rules: Vec<String>,
+    /// The program whose rule indexes the rows name, shared with the
+    /// engine: its rule ids are read through it, never copied.
+    program: Option<Arc<Program>>,
     insts: Vec<Inst>,
     spans: Vec<Span>,
     events: Vec<EventRow>,
@@ -392,9 +394,9 @@ pub struct ExecLog {
 }
 
 impl ExecLog {
-    /// An empty log for a program whose rules have these ids, in order.
-    pub fn for_rules(ids: impl IntoIterator<Item = String>) -> Self {
-        ExecLog { rules: ids.into_iter().collect(), ..ExecLog::default() }
+    /// An empty log for `program`, whose rules its rows name by index.
+    pub fn for_program(program: Arc<Program>) -> Self {
+        ExecLog { program: Some(program), ..ExecLog::default() }
     }
 
     // -- writing (the engine) ------------------------------------------------
@@ -596,7 +598,7 @@ impl ExecLog {
     /// The `part`-th of the events row `r` reads as (module docs).
     fn view(&self, r: &EventRow, part: u8) -> ExecEvent<'_> {
         let (time, tid) = (r.time, TupleId::from(r.tid));
-        let rule = || self.rules[r.rule as usize].as_str();
+        let rule = || self.program.as_ref().expect("a log of derivations names its program").rules[r.rule as usize].id.as_str();
         let body = || &self.bodies[r.body as usize..r.body as usize + usize::from(r.len)];
         let from = || &self.nodes.items[r.from as usize];
         let to = || &self.tuple(tid).loc;
@@ -712,14 +714,16 @@ impl ExecLog {
 
     /// Bytes the history occupies at its encoded row sizes: what writing
     /// out the rows held, without allocator slack, would take — a string
-    /// at its length in every row that holds it. The §5.4 storage
-    /// experiment reports this next to the paper's 120-byte entries.
+    /// at its length in every row that holds it. The rule ids are the
+    /// program's and count here as they do in [`Self::heap_bytes`]: not at
+    /// all. The §5.4 storage experiment reports this next to the paper's
+    /// 120-byte entries.
     pub fn storage_bytes(&self) -> u64 {
         self.bytes(false)
     }
 
     /// Heap bytes the log holds, exactly: every column and intern table at
-    /// its capacity, plus what the interned tuples, values and rule ids own.
+    /// its capacity, plus what the interned tuples and values own.
     /// A shared string is one allocation, its length plus the `Arc`'s two
     /// counts, counted once however many tuples hold it.
     pub fn heap_bytes(&self) -> u64 {
@@ -734,7 +738,6 @@ impl ExecLog {
         fn rows<T>(v: &Vec<T>, slack: bool) -> usize {
             (if slack { v.capacity() } else { v.len() }) * size_of::<T>()
         }
-        let text = |s: &String| if slack { s.capacity() } else { s.len() };
         let mut counted = HashSet::new();
         let mut shared = |s: &Arc<str>| match slack {
             false => s.len(),
@@ -755,8 +758,6 @@ impl ExecLog {
             + owned
             + rows(&self.newest, slack)
             + rows(&self.nodes.items, slack)
-            + rows(&self.rules, slack)
-            + self.rules.iter().map(text).sum::<usize>()
             + rows(&self.insts, slack)
             + rows(&self.spans, slack)
             + rows(&self.events, slack)
@@ -806,6 +807,12 @@ mod tests {
         Tuple::new("T", 1i64, vec![Value::Int(i)])
     }
 
+    /// An empty log for a program whose rules have these ids, in order.
+    fn for_rules(ids: &[&str]) -> ExecLog {
+        let src: String = ids.iter().map(|id| format!("{id} T(@N,X) :- T(@N,X).\n")).collect();
+        ExecLog::for_program(Arc::new(mpr_ndlog::parse_program("p", &src).unwrap()))
+    }
+
     #[test]
     fn alive_at_intervals() {
         let tuple = t(0);
@@ -825,7 +832,7 @@ mod tests {
     /// T(0) from time 1 on; T(1) derived from it over [2, 5) by `r1`, once
     /// locally and once shipped from node `C`; then T(1) again from 6 on.
     fn small_log() -> ExecLog {
-        let mut log = ExecLog::for_rules(["r0".to_string(), "r1".to_string()]);
+        let mut log = for_rules(&["r0", "r1"]);
         let a = log.mint(&t(0), TupleKind::Base, 1, true);
         log.insert_base(1, a);
         log.appear(1, a);
@@ -882,7 +889,7 @@ mod tests {
     /// An inserted event at node 1, then two events derived from it: one
     /// at node 1, one shipped to node `C`.
     fn event_log() -> ExecLog {
-        let mut log = ExecLog::for_rules(["e".to_string()]);
+        let mut log = for_rules(&["e"]);
         let ev = |n: Value| Tuple::new("E", n, vec![Value::Int(0)]);
         let a = log.mint(&ev(Value::Int(1)), TupleKind::Event, 1, true);
         log.insert_event(1, a);
@@ -1021,9 +1028,8 @@ mod tests {
         let interned = 2 * (size_of::<Tuple>() + 1 + size_of::<Value>()) + 2 * size_of::<u32>();
         // Only the sending node is interned; the receiver is the head's own.
         let nodes = size_of::<Value>() + 1;
-        let rules = 2 * (size_of::<String>() + 2);
         let rows = 3 * (8 + 24) + 9 * 32 + 4 * size_of::<TupleId>();
-        assert_eq!(log.storage_bytes(), (interned + nodes + rules + rows) as u64);
+        assert_eq!(log.storage_bytes(), (interned + nodes + rows) as u64, "the rule ids are the program's");
         assert!(log.heap_bytes() >= log.storage_bytes() + 2 * 16 * 4, "capacity and both slot tables");
     }
 
@@ -1046,7 +1052,7 @@ mod tests {
         // The same three derivations of one head, behind 10 and behind
         // 10 000 unrelated instances and events.
         let visited = |noise: i64| {
-            let mut log = ExecLog::for_rules(["r".to_string()]);
+            let mut log = for_rules(&["r"]);
             let head = log.mint(&t(-1), TupleKind::Derived, 0, true);
             for i in 0..noise {
                 let tid = log.mint(&t(i), TupleKind::Base, 1, true);

@@ -41,15 +41,14 @@
 //! dispatch group has no trigger is answered at once, with no key. Any
 //! other is keyed on the caller's word (the joint replay's tags), its table
 //! and group, and what the group's triggers read of it before a complete
-//! match ([`TriggerDispatch::reads`]): a bit per prefilter test, the values
+//! match ([`crate::GroupReads`]): a bit per prefilter test, the values
 //! at the read columns. A step with no complete match that moved neither an
 //! `f_unique` id nor the caller's standing counter (the engine's state
 //! generation, the joint replay's fresh admissions) is filed, and a
 //! key-equal tuple is answered: against one state nothing else of it is
 //! read before a complete match. The memo empties when the counter moves.
 
-use crate::batch::TriggerDispatch;
-use crate::compiled::CompiledRule;
+use crate::batch::GroupReads;
 use crate::engine::{Engine, EvalStrategy, RuntimeError, StepResult};
 use crate::log::{Origin, TupleId, TupleKind};
 use crate::store::AddOutcome;
@@ -186,9 +185,11 @@ impl Engine {
         let batch = self.strategy() == EvalStrategy::Batch;
         let mut quiet = None;
         if !seen && batch {
-            let dispatch = self.batch_dispatch.get(&*tuple.table).map(|d| &**d);
             let rule = |ri: usize| self.rules[ri].compiled.get(&self.program.rules[ri], self.store.catalog());
-            let Some(key) = self.memo.quiet.lookup(0, &tuple, dispatch, self.memo.generation, rule) else {
+            let dispatch = self.index.as_ref().and_then(|i| i.get(&tuple.table));
+            let heard = dispatch.map(|d| (d, d.group_of(&tuple))).filter(|(d, g)| d.triggers_in(*g).next().is_some());
+            let heard = heard.map(|(d, group)| (group, d.reads(group, rule)));
+            let Some(key) = self.memo.quiet.lookup(0, &tuple, heard, self.memo.generation) else {
                 self.begin_event(tref);
                 return Ok(StepResult { appeared: vec![tuple], ..StepResult::default() });
             };
@@ -308,26 +309,26 @@ impl QuietSteps {
     }
 
     /// `None` if the step of `delta` for `word` would change nothing; else
-    /// the key to file it under, if it has one. `dispatch` is its table's,
-    /// `rule(i)` rule `i` compiled (`None` if it does not compile or
-    /// aggregates), `standing` the caller's count of changes to the state.
-    pub fn lookup<'r>(
+    /// the key to file it under, if it has one. `heard` is `None` where no
+    /// trigger of its table hears `delta`, else its dispatch group and what
+    /// the group reads (`None` if a rule of it does not compile or
+    /// aggregates); `standing` is the caller's count of changes to the
+    /// state.
+    pub fn lookup(
         &mut self,
         word: u64,
         delta: &Tuple,
-        dispatch: Option<&TriggerDispatch>,
+        heard: Option<(Option<usize>, Option<&GroupReads>)>,
         standing: u64,
-        rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
     ) -> Option<Option<QuietKey>> {
-        let heard = dispatch.map(|d| (d, d.group_of(delta))).filter(|(d, g)| d.triggers_in(*g).next().is_some());
-        let Some((dispatch, group)) = heard else {
+        let Some((group, reads)) = heard else {
             self.answered += 1;
             return None;
         };
         if std::mem::replace(&mut self.under, standing) != standing {
             self.filed.clear();
         }
-        let Some((tests, cols)) = dispatch.reads(group, rule) else {
+        let Some(GroupReads { tests, cols }) = reads else {
             return Some(None);
         };
         let bits = tests.iter().enumerate().fold(0u64, |bits, (i, t)| bits | u64::from(t.passes(delta)) << i);
