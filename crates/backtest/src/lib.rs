@@ -26,7 +26,7 @@ pub mod replay;
 
 pub use ks::{ks_coefficient, ks_two_sample, KsResult};
 pub use mqo::{
-    build_tagged_program, mqo_replay, mqo_replay_deltas, mqo_replay_indexed, tagged_program, JointReplay,
+    mqo_replay, mqo_replay_deltas, mqo_replay_indexed, tagged_program, JointReplay,
     TagSet, TaggedProgram, TaggedVariant,
 };
 pub use replay::{

@@ -17,13 +17,13 @@
 //!
 //! A candidate arrives as a [`RuleDelta`] — the rules its repair modifies,
 //! all the construction above asks for. The backtesting program borrows
-//! the base program's rules and owns only the candidates' copies, so it
-//! costs `O(base rules + rules the candidates touch)` to build and nobody
-//! materialises a patched program on this path: the debugger takes each
-//! repair's `Patch::delta` and hands the deltas over. Callers that hold
-//! whole patched programs ([`build_tagged_program`], [`mqo_replay`]) get
-//! the same builder: their programs are diffed against the base into
-//! deltas first. Whole programs are applied only where one must compile:
+//! the base program's rules and the candidates' copies from their deltas,
+//! so it costs `O(base rules + rules the candidates touch)` to build, a
+//! reference and a tag set per rule, and nobody materialises a patched
+//! program on this path: the debugger takes each repair's `Patch::delta`
+//! and hands the deltas over. Callers that hold whole patched programs
+//! ([`mqo_replay`]) get the same builder: their programs are diffed
+//! against the base into deltas first. Whole programs are applied only where one must compile:
 //! the per-candidate fallback replay ([`crate::replay_candidates`]).
 //!
 //! # Network state: sparse, tag-shared flow tables
@@ -190,7 +190,6 @@ use mpr_sdn::flowtable::{proactive_routes, Action, FlowEntry, FlowTable};
 use mpr_sdn::packet::{Field, Packet};
 use mpr_sdn::sim::{apply_actions, DataPlane, InjectionMemo, SimStats};
 use mpr_sdn::topology::{NodeRef, Topology};
-use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -200,12 +199,13 @@ use std::sync::Arc;
 /// per joint backtest — far above the paper's 9–13.
 pub type TagSet = u64;
 
-/// One rule variant in the backtesting program.
-#[derive(Debug, Clone)]
+/// One rule variant in the backtesting program: 16 bytes, whatever the
+/// rule.
+#[derive(Debug, Clone, Copy)]
 pub struct TaggedVariant<'a> {
-    /// The rule: the base program's own (borrowed), or a candidate's
-    /// modified copy (owned).
-    pub rule: Cow<'a, Rule>,
+    /// The rule: the base program's own, or a candidate's modified copy,
+    /// as its [`RuleDelta`] holds it.
+    pub rule: &'a Rule,
     /// Which candidates this variant runs for.
     pub mask: TagSet,
 }
@@ -232,8 +232,9 @@ pub struct TaggedProgram<'a> {
 /// Build the backtesting program for the candidates `deltas` describe
 /// (candidate `i` is `base` overlaid with `deltas[i]`): every base rule
 /// once, for the candidates that leave it alone, followed by the copies of
-/// the candidates that edited it; then the rules candidates added.
-pub fn tagged_program<'a>(base: &'a Program, deltas: &[RuleDelta]) -> TaggedProgram<'a> {
+/// the candidates that edited it; then the rules candidates added. It
+/// borrows every rule, from `base` or from `deltas`, and copies none.
+pub fn tagged_program<'a>(base: &'a Program, deltas: &'a [RuleDelta]) -> TaggedProgram<'a> {
     assert!(deltas.len() <= 64, "at most 64 candidates per joint backtest");
     let full: TagSet = if deltas.is_empty() { 0 } else { (!0u64) >> (64 - deltas.len()) };
     let rules = base.rules.len();
@@ -243,7 +244,7 @@ pub fn tagged_program<'a>(base: &'a Program, deltas: &[RuleDelta]) -> TaggedProg
     // Per base position, the copies of the candidates that modified the
     // rule; under `rules`, the rules candidates added. Equal copies are
     // coalesced into one variant.
-    let mut copies: BTreeMap<usize, Vec<(&Rule, TagSet)>> = BTreeMap::new();
+    let mut copies: BTreeMap<usize, Vec<(&'a Rule, TagSet)>> = BTreeMap::new();
     let mut coalesced = 0;
     let mut add_copy = |pos: usize, rule, bit: TagSet| {
         let at = copies.entry(pos).or_default();
@@ -272,14 +273,14 @@ pub fn tagged_program<'a>(base: &'a Program, deltas: &[RuleDelta]) -> TaggedProg
     let mut add_owned = |variants: &mut Vec<TaggedVariant<'a>>, pos| {
         for (rule, mask) in copies.remove(&pos).into_iter().flatten() {
             own.push(variants.len());
-            variants.push(TaggedVariant { rule: Cow::Owned(rule.clone()), mask });
+            variants.push(TaggedVariant { rule, mask });
         }
     };
     for (pos, rule) in base.rules.iter().enumerate() {
         let kept = shared[pos] != 0 || deltas.is_empty();
         at.push(kept.then_some(variants.len() as u32));
         if kept {
-            variants.push(TaggedVariant { rule: Cow::Borrowed(rule), mask: shared[pos] });
+            variants.push(TaggedVariant { rule, mask: shared[pos] });
         }
         add_owned(&mut variants, pos);
     }
@@ -292,7 +293,7 @@ impl TaggedProgram<'_> {
     /// the base rules, and the candidates' copies and added rules grouped
     /// on their own.
     fn dispatch<'b>(&'b self, index: &'b TriggerIndex) -> DerivedDispatch<'b> {
-        DerivedDispatch::new(index, self.base, &self.at, &self.own, |vi| &*self.variants[vi].rule)
+        DerivedDispatch::new(index, self.base, &self.at, &self.own, |vi| self.variants[vi].rule)
     }
 }
 
@@ -324,12 +325,6 @@ fn deltas_between(base: &Program, candidates: &[Program]) -> Vec<RuleDelta> {
             RuleDelta { changed, added }
         })
         .collect()
-}
-
-/// [`tagged_program`] for `candidates` given as fully patched programs
-/// derived from `base`.
-pub fn build_tagged_program<'a>(base: &'a Program, candidates: &[Program]) -> TaggedProgram<'a> {
-    tagged_program(base, &deltas_between(base, candidates))
 }
 
 /// The primary-key columns of `t`, in column order: the `declared` ones,
@@ -436,7 +431,7 @@ impl<'a> TaggedEngine<'a> {
         let mut diverged: TagSet = 0;
         for &vi in &program.own {
             let v = &program.variants[vi];
-            if compiled[vi].get(&v.rule, catalog).is_none() {
+            if compiled[vi].get(v.rule, catalog).is_none() {
                 diverged |= v.mask;
             }
         }
@@ -538,7 +533,7 @@ impl<'a> TaggedEngine<'a> {
                     if active == 0 {
                         continue;
                     }
-                    let Some(rule) = self.compiled[vi].get(&variant.rule, self.catalog) else {
+                    let Some(rule) = self.compiled[vi].get(variant.rule, self.catalog) else {
                         self.diverged |= active;
                         continue;
                     };
@@ -604,7 +599,7 @@ impl<'a> TaggedEngine<'a> {
     fn on_packet_in(&mut self, msg: &PacketInMsg, tags: TagSet, out: &mut Vec<(CtrlMsg, TagSet)>) {
         let delta = self.codec.packet_in_tuple(msg);
         let (variants, compiled, catalog) = (&self.program.variants, &self.compiled, self.catalog);
-        let rule = |vi: usize| compiled[vi].get(&variants[vi].rule, catalog);
+        let rule = |vi: usize| compiled[vi].get(variants[vi].rule, catalog);
         let heard = self.punt.and_then(|t| t.quiet_view(&delta, &mut self.punt_reads, rule));
         let Some(key) = self.quiet.lookup(tags, &delta, heard, self.admitted) else {
             return;
@@ -1249,7 +1244,8 @@ mod tests {
     fn tagged_program_structure_and_coalescing() {
         let base = fig2_program();
         let cands = candidates(&base);
-        let tp = build_tagged_program(&base, &cands);
+        let deltas = deltas_between(&base, &cands);
+        let tp = tagged_program(&base, &deltas);
         // r1, r5 shared by all three tags; r7 has a shared-none original
         // (no candidate keeps it) — so: r1(111), r5(111), r7-copy-a(101),
         // r7-copy-b(010).
@@ -1265,11 +1261,12 @@ mod tests {
             .iter()
             .any(|v| v.rule.id == "r7" && v.mask == 0b111 && *v.rule == *base.rule("r7").unwrap());
         assert!(!r7_shared);
-        // The base's rules are borrowed; only the two r7 copies are owned.
+        // The base's rules are the base's own; only the two r7 copies are
+        // the candidates'.
         let owned: Vec<&str> = tp
             .variants
             .iter()
-            .filter(|v| matches!(v.rule, Cow::Owned(_)))
+            .filter(|v| !base.rules.as_ptr_range().contains(&(v.rule as *const _)))
             .map(|v| v.rule.id.as_str())
             .collect();
         assert_eq!(owned, ["r7", "r7"]);
@@ -1331,26 +1328,28 @@ mod tests {
         (variants.into_iter().map(|(r, mask)| (r.to_string(), mask)).collect(), coalesced)
     }
 
-    /// The program-fed build against the scan, variant for variant.
-    fn assert_same_build<'a>(base: &'a Program, cands: &[Program]) -> TaggedProgram<'a> {
-        let got = build_tagged_program(base, cands);
+    /// The program-fed build against the scan, variant for variant; the
+    /// deltas it was built from.
+    fn assert_same_build(base: &Program, cands: &[Program]) -> Vec<RuleDelta> {
+        let deltas = deltas_between(base, cands);
+        let got = tagged_program(base, &deltas);
         assert_eq!(show(&got), build_tagged_program_by_scan(base, cands));
         assert_eq!(got.n, cands.len());
-        got
+        deltas
     }
 
     /// The same for candidates that are patches: built straight from the
     /// patches' deltas, and from the whole programs the patches apply to.
-    fn assert_same_build_from_patches<'a>(base: &'a Program, patches: &[Patch]) -> TaggedProgram<'a> {
+    fn assert_same_build_from_patches(base: &Program, patches: &[Patch]) -> Vec<RuleDelta> {
         let outline = ProgramOutline::new(base).unwrap();
         let deltas: Vec<RuleDelta> =
             patches.iter().map(|p| p.delta(base, &outline).unwrap()).collect();
         let programs = applied(base, patches);
         let got = tagged_program(base, &deltas);
         assert_eq!(show(&got), build_tagged_program_by_scan(base, &programs));
-        assert_eq!(show(&got), show(&assert_same_build(base, &programs)));
+        assert_eq!(show(&got), show(&tagged_program(base, &assert_same_build(base, &programs))));
         assert_eq!(got.n, patches.len());
-        got
+        deltas
     }
 
     /// `rule` re-headed and renamed `<id>_copy`, as the explorer's donor
@@ -1365,7 +1364,8 @@ mod tests {
     #[test]
     fn indexed_build_equals_the_scan_on_single_literal_candidates() {
         let base = fig2_program();
-        let tp = assert_same_build_from_patches(&base, &candidate_patches());
+        let deltas = assert_same_build_from_patches(&base, &candidate_patches());
+        let tp = tagged_program(&base, &deltas);
         assert_eq!(tp.coalesced, 1);
     }
 
@@ -1393,7 +1393,8 @@ mod tests {
                 expr: Expr::int(1),
             }),
         ];
-        let tp = assert_same_build_from_patches(&base, &patches);
+        let deltas = assert_same_build_from_patches(&base, &patches);
+        let tp = tagged_program(&base, &deltas);
         assert_eq!(tp.coalesced, 1);
         let mask_of = |id: &str| -> Vec<TagSet> {
             tp.variants.iter().filter(|v| v.rule.id == id).map(|v| v.mask).collect()
@@ -1426,7 +1427,8 @@ mod tests {
         extra.rules.push(donor_copy(&base, "r7"));
         extra.rules.push(donor_copy(&base, "r7"));
         let cands = [base.clone(), edited, swapped.clone(), extra];
-        let tp = assert_same_build(&base, &cands);
+        let deltas = assert_same_build(&base, &cands);
+        let tp = tagged_program(&base, &deltas);
         // Both base `r1`s look up the candidate's *first* `r1`: the real
         // one sees itself shared by 0 and 3, edited in 1, the twin in 2;
         // the twin sees itself only in 2 and the others' first `r1` as
@@ -1506,7 +1508,8 @@ mod tests {
     #[test]
     fn an_admission_between_two_key_equal_quiet_punts_makes_the_second_step() {
         let (base, setup) = (quiet_program(), setup());
-        let tagged = tagged_program(&base, &[RuleDelta::default()]);
+        let deltas = [RuleDelta::default()];
+        let tagged = tagged_program(&base, &deltas);
         let index = TriggerIndex::new(&base);
         let dispatch = tagged.dispatch(&index);
         let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
@@ -1525,7 +1528,8 @@ mod tests {
     #[test]
     fn punts_whose_keys_differ_only_in_tags_or_in_a_read_column_both_step() {
         let (base, setup) = (quiet_program(), setup());
-        let tagged = tagged_program(&base, &[RuleDelta::default(), RuleDelta::default()]);
+        let deltas = [RuleDelta::default(), RuleDelta::default()];
+        let tagged = tagged_program(&base, &deltas);
         let index = TriggerIndex::new(&base);
         let dispatch = tagged.dispatch(&index);
         let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
@@ -1559,7 +1563,8 @@ mod tests {
         )
         .unwrap();
         let setup = setup();
-        let tagged = tagged_program(&base, &[RuleDelta::default()]);
+        let deltas = [RuleDelta::default()];
+        let tagged = tagged_program(&base, &deltas);
         let index = TriggerIndex::new(&base);
         let dispatch = tagged.dispatch(&index);
         let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
@@ -1585,7 +1590,8 @@ mod tests {
         )
         .unwrap();
         let setup = setup();
-        let tagged = tagged_program(&base, &[RuleDelta::default()]);
+        let deltas = [RuleDelta::default()];
+        let tagged = tagged_program(&base, &deltas);
         let index = TriggerIndex::new(&base);
         let dispatch = tagged.dispatch(&index);
         let mut engine = TaggedEngine::new(&tagged, &dispatch, &base.catalog, &setup.codec, setup.engine.max_derivations);
@@ -1614,13 +1620,15 @@ mod tests {
             Edit::AddRule { rule: r5 },
         ]);
         let programs = applied(&base, std::slice::from_ref(&patch));
-        let by_id = assert_same_build(&base, &programs);
+        let by_id_deltas = assert_same_build(&base, &programs);
+        let by_id = tagged_program(&base, &by_id_deltas);
         let ids = |tp: &TaggedProgram| -> Vec<String> {
             tp.variants.iter().map(|v| format!("{}:{}", v.rule.id, v.mask)).collect()
         };
         assert_eq!(ids(&by_id), ["r1:1", "r5:1", "r7:1"]);
         let outline = ProgramOutline::new(&base).unwrap();
-        let from_delta = tagged_program(&base, &[patch.delta(&base, &outline).unwrap()]);
+        let delta = [patch.delta(&base, &outline).unwrap()];
+        let from_delta = tagged_program(&base, &delta);
         assert_eq!(ids(&from_delta), ["r1:1", "r7:1", "r5:1"]);
     }
 
@@ -1895,15 +1903,15 @@ mod tests {
                 }
             }
             let (compiled, catalog) = (variants.iter().map(|_| LazyRule::default()).collect::<Vec<_>>(), Catalog::new());
-            let rule = |vi: usize| compiled[vi].get(&variants[vi].rule, &catalog);
+            let rule = |vi: usize| compiled[vi].get(variants[vi].rule, &catalog);
             let values: &[Value] = &[Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(7), Value::str("s")];
             for table in TABLES {
                 let got = derived.get(table);
                 prop_assert_eq!(got.is_some(), lists.contains_key(table), "{} read", table);
                 let (Some(got), Some(list)) = (got, lists.get(table)) else { continue };
                 let col = index.get(table).map(TriggerDispatch::col);
-                let want = TriggerDispatch::new(list, |vi| &*variants[vi].rule, col);
-                let voted = TriggerDispatch::new(list, |vi| &*variants[vi].rule, None);
+                let want = TriggerDispatch::new(list, |vi| variants[vi].rule, col);
+                let voted = TriggerDispatch::new(list, |vi| variants[vi].rule, None);
                 let (mut reads, mut numbers, mut groups) = (Prehashed::default(), HashMap::new(), HashMap::new());
                 for (loc, x, y) in values.iter().flat_map(|l| values.iter().flat_map(move |x| values.iter().map(move |y| (l, x, y)))) {
                     let t = Tuple::new(table, loc.clone(), vec![x.clone(), y.clone()]);

@@ -30,7 +30,7 @@
 use crate::cost::{self, SearchBudget};
 use crate::repair::{Candidate, Repair};
 use crate::scenarios::{Scenario, Symptom};
-use mpr_ndlog::ast::{Assign, Atom, CmpOp, Expr, ExprSide, Term};
+use mpr_ndlog::ast::{same_name, Assign, Atom, CmpOp, Expr, ExprSide, Term};
 use mpr_ndlog::eval::{Bindings, PureFuncs};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
 use mpr_ndlog::{Program, Rule, Selection, Tuple, Value};
@@ -725,15 +725,16 @@ impl<'a> Search<'a> {
     /// refuses the rule's floor, which it will then refuse for good.
     fn explore_rule(&mut self, rule: &'a Rule) {
         let world = self.world;
-        if !head_requirements(rule, self.goal, &mut self.required) {
+        let Some(head) = HeadRequirements::of(rule, self.goal) else {
             return;
-        }
-        let floor = floor(rule, &self.required);
+        };
+        let floor = floor(rule, &head);
         self.books.iter_mut().for_each(|(floors, ..)| floors.push((rule.id.clone(), floor)));
         if !self.frontier.admits(floor) {
             self.stats.rules_priced_away += 1;
             return;
         }
+        head.bind(&mut self.required);
         // The trigger must bind one body atom. Every match starts from the
         // required head bindings: triggers they rule out are never looked at.
         let pairs = self.trigger_pairs(rule, true);
@@ -1098,25 +1099,60 @@ fn pattern_tuple(p: &Pattern) -> Option<Tuple> {
     Some(Tuple { table: p.table.as_str().into(), loc, args: args? })
 }
 
-/// What unifying the rule's head with the goal requires of the rule's
-/// variables, left in `required`. `false` when the rule can never produce
-/// the goal (constant or arity mismatch).
-fn head_requirements<'a>(rule: &'a Rule, goal: &'a Pattern, required: &mut Scope<'a>) -> bool {
-    required.entries.clear();
-    rule.head.args.len() == goal.args.len()
-        && std::iter::once((&rule.head.loc, &goal.loc)).chain(rule.head.args.iter().zip(&goal.args)).all(
-            |(term, val)| match (term, val) {
-                (Term::Const(c), Some(v)) => c == v,
-                (Term::Var(name), Some(v)) => match required.get(name) {
-                    Some(prev) => prev == v,
-                    None => {
-                        required.set(name, Cow::Borrowed(v));
-                        true
-                    }
-                },
+/// What unifying a rule's head with the goal requires of the rule's
+/// variables: in each head column the goal fixes, the constant must be the
+/// goal's value and the variable takes it. Read in place — a variable's
+/// value is the goal's in the first such column it fills — so pricing a
+/// rule builds nothing; [`Self::bind`] makes the [`Scope`] a tree opens
+/// from.
+#[derive(Clone, Copy)]
+struct HeadRequirements<'a> {
+    head: &'a Atom,
+    goal: &'a Pattern,
+}
+
+impl<'a> HeadRequirements<'a> {
+    /// `rule`'s requirements, `None` when it can never produce the goal
+    /// (an arity or constant mismatch, or a variable the goal fixes to two
+    /// values).
+    fn of(rule: &'a Rule, goal: &'a Pattern) -> Option<Self> {
+        let head = HeadRequirements { head: &rule.head, goal };
+        let agrees = |(i, column): (usize, (&Term, &Option<Value>))| match column {
+            (Term::Const(c), Some(v)) => c == v,
+            (Term::Var(name), Some(v)) => head.columns().take(i).all(|earlier| match earlier {
+                (Term::Var(other), Some(u)) if same_name(other, name) => u == v,
                 _ => true,
-            },
-        )
+            }),
+            _ => true,
+        };
+        (rule.head.args.len() == goal.args.len() && head.columns().enumerate().all(agrees)).then_some(head)
+    }
+
+    /// The head's columns with what the goal fixes each to.
+    fn columns(self) -> impl Iterator<Item = (&'a Term, &'a Option<Value>)> {
+        std::iter::once((&self.head.loc, &self.goal.loc)).chain(self.head.args.iter().zip(&self.goal.args))
+    }
+
+    /// Leave the requirements in `required`, in name order.
+    fn bind(self, required: &mut Scope<'a>) {
+        required.entries.clear();
+        for (term, value) in self.columns() {
+            if let (Term::Var(name), Some(v)) = (term, value) {
+                if required.get(name).is_none() {
+                    required.set(name, Cow::Borrowed(v));
+                }
+            }
+        }
+    }
+}
+
+impl Bindings for HeadRequirements<'_> {
+    fn get(&self, name: &str) -> Option<&Value> {
+        self.columns().find_map(|(term, value)| match (term, value) {
+            (Term::Var(v), Some(value)) if same_name(v, name) => Some(value),
+            _ => None,
+        })
+    }
 }
 
 /// The least any candidate of `rule`'s trees can cost. A selection that
@@ -1128,7 +1164,7 @@ fn head_requirements<'a>(rule: &'a Rule, goal: &'a Pattern, required: &mut Scope
 /// selection: its bindings agree with these too, so a selection that fails
 /// here refuses the insertion (`emit_state_insertion`), and a rule with one
 /// has no candidate under `INSERT_TUPLE` to price.
-fn floor(rule: &Rule, required: &Scope) -> u32 {
+fn floor(rule: &Rule, required: &impl Bindings) -> u32 {
     let cheapest = |sel: &Selection| {
         let constant = top_level_constants(sel).filter_map(|(side, old)| {
             let old = old.as_int()?;

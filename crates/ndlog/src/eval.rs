@@ -8,6 +8,7 @@
 use crate::ast::{BinOp, Expr, Selection};
 use crate::error::EvalError;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// A variable environment: name → value.
 ///
@@ -184,6 +185,18 @@ impl Expr {
     }
 }
 
+impl Expr {
+    /// [`Expr::eval`], borrowing a constant or a variable's value instead of
+    /// cloning it: what a comparison reads.
+    fn eval_borrowed<'e>(&'e self, env: &'e impl Bindings, host: &mut dyn FuncHost) -> Result<Cow<'e, Value>, EvalError> {
+        match self {
+            Expr::Const(v) => Ok(Cow::Borrowed(v)),
+            Expr::Var(name) => env.get(name).map(Cow::Borrowed).ok_or_else(|| EvalError::UnboundVar(name.clone())),
+            Expr::Binary(..) | Expr::Call(..) => self.eval(env, host).map(Cow::Owned),
+        }
+    }
+}
+
 /// Evaluate one binary arithmetic operation.
 pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     match (op, l, r) {
@@ -208,8 +221,8 @@ impl Selection {
     /// silently false — the caller decides (the engine treats them as a
     /// non-match; the repair generator propagates them as constraints).
     pub fn eval(&self, env: &impl Bindings, host: &mut dyn FuncHost) -> Result<bool, EvalError> {
-        let l = self.lhs.eval(env, host)?;
-        let r = self.rhs.eval(env, host)?;
+        let l = self.lhs.eval_borrowed(env, host)?;
+        let r = self.rhs.eval_borrowed(env, host)?;
         Ok(self.op.eval(&l, &r))
     }
 }

@@ -25,6 +25,7 @@
 pub mod ast;
 pub mod error;
 pub mod eval;
+pub mod hash;
 pub mod lexer;
 pub mod parser;
 pub mod patch;
@@ -33,7 +34,7 @@ pub mod tuple;
 pub mod value;
 
 pub use ast::{
-    AggKind, Assign, Atom, BinOp, CmpOp, Expr, ExprSide, Program, Rule, Selection, Term,
+    AggKind, Assign, Atom, BinOp, Binders, CmpOp, Expr, ExprSide, Program, Rule, Selection, Term,
 };
 pub use error::{EvalError, ParseError, PatchError};
 pub use eval::{CountingFuncs, Env, FuncHost, PureFuncs};

@@ -26,9 +26,10 @@
 //! of the base. There is one edit semantics; the two differ only in how
 //! much of the program they copy.
 
-use crate::ast::{Atom, CmpOp, Expr, ExprSide, Program, Rule};
+use crate::ast::{Atom, Binders, CmpOp, Expr, ExprSide, Program, Rule};
 use crate::error::PatchError;
-use std::collections::{BTreeMap, HashSet};
+use crate::hash::FxBuild;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 /// One elementary program edit.
@@ -129,10 +130,11 @@ fn atoms(rule: &Rule) -> impl Iterator<Item = &Atom> {
 ///
 /// An outline exists only of a valid program: [`ProgramOutline::new`]
 /// makes every check [`Program::validate`] reports, as it reads the
-/// declarations and the rules. Building one is `O(rules)`; a
-/// [`Patch::delta`] taken against it finds the rules it touches by id and
-/// clones and checks only those. It borrows nothing, so one outline serves
-/// everyone who patches the program.
+/// declarations and the rules. Building one is one walk of each rule,
+/// which [`ProgramOutline::checking`] shares with a caller's own per-rule
+/// checks; a [`Patch::delta`] taken against it finds the rules it touches
+/// by id and clones and checks only those. It borrows nothing, so one
+/// outline serves everyone who patches the program.
 #[derive(Debug, Clone)]
 pub struct ProgramOutline {
     /// How many rules the outlined program has.
@@ -155,30 +157,61 @@ pub fn outlines_built() -> u64 {
 impl ProgramOutline {
     /// Outline `program`, or say why it is not a valid program.
     pub fn new(program: &Program) -> Result<Self, String> {
+        Self::checking(program, |why| why, |_, _, _| Ok(()))
+    }
+
+    /// [`ProgramOutline::new`], walking each rule once for the outline and
+    /// for `check`, which sees the rules in program order, each with its
+    /// [`Binders`]. A program [`Program::validate`] refuses is refused with
+    /// `invalid` of what it says, whatever `check` says of any rule; a valid
+    /// one with `check`'s first error, after which `check` sees no more
+    /// rules.
+    pub fn checking<'p, E>(
+        program: &'p Program,
+        invalid: impl FnOnce(String) -> E,
+        check: impl FnMut(usize, &'p Rule, &Binders) -> Result<(), E>,
+    ) -> Result<Self, E> {
         #[cfg(debug_assertions)]
         OUTLINES.with(|n| n.set(n.get() + 1));
+        match Self::walk(program, check) {
+            Err(why) => Err(invalid(why)),
+            Ok((_, Some(refused))) => Err(refused),
+            Ok((outline, None)) => Ok(outline),
+        }
+    }
+
+    /// The outline of `program` and `check`'s first error, or why
+    /// `program` is invalid.
+    fn walk<'p, E>(
+        program: &'p Program,
+        mut check: impl FnMut(usize, &'p Rule, &Binders) -> Result<(), E>,
+    ) -> Result<(Self, Option<E>), String> {
         for s in program.catalog.iter() {
             if let Some(k) = s.keys.iter().find(|&&k| k >= s.arity) {
                 return Err(format!("table `{}`: key column {k} out of range for arity {}", s.table, s.arity));
             }
         }
-        let mut ids = HashSet::with_capacity(program.rules.len());
-        let mut arities: BTreeMap<&str, (usize, usize)> =
+        let mut ids: HashSet<&str, FxBuild> = HashSet::with_capacity_and_hasher(program.rules.len(), FxBuild::default());
+        let mut arities: HashMap<&str, (usize, usize), FxBuild> =
             program.catalog.iter().map(|s| (s.table.as_str(), (s.arity, 0))).collect();
-        for r in &program.rules {
+        let mut refused = None;
+        for (pos, r) in program.rules.iter().enumerate() {
             if !ids.insert(r.id.as_str()) {
                 return Err(format!("duplicate rule id `{}`", r.id));
             }
-            r.check_head_bound()?;
+            let bound = Binders::of(r);
+            r.check_head_bound(&bound)?;
             for atom in atoms(r) {
-                let (arity, uses) =
-                    arities.entry(atom.table.as_str()).or_insert((atom.args.len(), 0));
+                let (arity, uses) = arities.entry(atom.table.as_str()).or_insert((atom.args.len(), 0));
                 atom.check_arity(*arity, &program.catalog)?;
                 *uses += 1;
             }
+            if refused.is_none() {
+                refused = check(pos, r, &bound).err();
+            }
         }
         let arities = arities.into_iter().map(|(table, entry)| (table.to_string(), entry)).collect();
-        Ok(ProgramOutline { rules: program.rules.len(), arities })
+        Ok((ProgramOutline { rules: program.rules.len(), arities }, refused))
     }
 
     /// Every table the program declares or uses, with its one arity, in
@@ -306,7 +339,7 @@ impl RuleDelta {
         // uses any more.
         let mut fresh: Vec<(&str, usize)> = Vec::new();
         for rule in self.rules() {
-            rule.check_head_bound()?;
+            rule.check_head_bound(&Binders::of(rule))?;
             for atom in atoms(rule) {
                 let table = atom.table.as_str();
                 let retired = retired.iter().find(|(t, _)| *t == table).map_or(0, |(_, n)| *n);

@@ -39,12 +39,13 @@
 //! id per body atom each — and a candidate is matched *into* its partial
 //! match's frame, copied to the next level only if it survives.
 
-use crate::compiled::{cols_match, eq_consts, match_cols, ColTest, CompiledRule};
+use crate::compiled::{cols_match, column_test, match_cols, pure, ColTest, CompiledRule};
 use crate::delta::{DeltaTracker, Visibility};
 use crate::engine::{Engine, RuntimeError, StepResult};
 use crate::log::{TupleId, TupleKind};
 use crate::memo::Prehashed;
-use mpr_ndlog::{Program, Rule, Tuple, Value};
+use mpr_ndlog::hash::FxBuild;
+use mpr_ndlog::{CmpOp, Program, Rule, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
@@ -70,10 +71,12 @@ pub struct TriggerDispatch {
     /// Delta column the keyed groups test (`0` = location, `i + 1` =
     /// payload argument `i`).
     pub(crate) col: usize,
-    /// Prefilter constant on `col` → its keyed group in `groups`.
-    pub(crate) keyed: HashMap<Value, usize>,
-    /// The keyed groups, each in original trigger order.
-    pub(crate) groups: Vec<Vec<(usize, usize)>>,
+    /// Prefilter constant on `col` → its keyed group.
+    pub(crate) keyed: HashMap<Value, usize, FxBuild>,
+    /// The keyed groups' triggers, group after group, each group in
+    /// original trigger order: group `g` is `grouped[starts[g]..starts[g + 1]]`.
+    grouped: Vec<(usize, usize)>,
+    starts: Vec<usize>,
     /// Triggers without a keyable constant on `col`, in original order.
     pub(crate) rest: Vec<(usize, usize)>,
     /// How many triggers there are.
@@ -113,44 +116,82 @@ impl TriggerDispatch {
     /// firing order — by the constant `rule(i)`'s column prefilter pins
     /// column `col` to, or, without one, the column most of the triggers
     /// constrain. Reads the source rules, so the rules need not be compiled
-    /// yet; each trigger's constants are read once.
+    /// yet.
     pub fn new<'r>(list: &[(usize, usize)], rule: impl Fn(usize) -> &'r Rule, col: Option<usize>) -> Self {
-        // `(trigger, column, constant)` in trigger order, and the constants
-        // per column.
-        let mut consts: Vec<(usize, usize, &Value)> = Vec::new();
-        let mut votes: Vec<usize> = Vec::new();
+        let mut consts = Vec::new();
         for (k, &(ri, ai)) in list.iter().enumerate() {
-            for (c, val) in eq_consts(rule(ri), ai).filter(|&(_, val)| keyable(val)) {
+            let rule = rule(ri);
+            eq_consts(rule, ai, pure(rule), &mut consts, |col, c| (k, col, c));
+        }
+        Self::group(list, &consts, col)
+    }
+
+    /// [`Self::new`] from each trigger's keyable constants, `(trigger,
+    /// column, constant)` in trigger order.
+    fn group(list: &[(usize, usize)], consts: &[(usize, usize, &Value)], col: Option<usize>) -> Self {
+        // Most-constrained column wins; ties break to the lowest column so
+        // the choice is deterministic.
+        let col = col.unwrap_or_else(|| {
+            let mut votes: Vec<usize> = Vec::new();
+            for &(_, c, _) in consts {
                 if votes.len() <= c {
                     votes.resize(c + 1, 0);
                 }
                 votes[c] += 1;
-                consts.push((k, c, val));
             }
-        }
-        // Most-constrained column wins; ties break to the lowest column so
-        // the choice is deterministic.
-        let col = col.unwrap_or_else(|| {
             (0..votes.len()).max_by_key(|&c| (votes[c], std::cmp::Reverse(c))).unwrap_or(0)
         });
-        let mut dispatch = TriggerDispatch { col, len: list.len(), ..TriggerDispatch::default() };
-        // A trigger is keyed by its first constant on the column.
-        let mut on_col = consts.iter().filter(|&&(_, c, _)| c == col).peekable();
-        for (k, &trigger) in list.iter().enumerate() {
-            let mut first = None;
-            while let Some(&(_, _, val)) = on_col.next_if(|&&(owner, ..)| owner == k) {
-                first.get_or_insert(val);
+        // A trigger is keyed by its first constant on the column; groups
+        // are numbered in the order their first trigger comes.
+        const REST: usize = usize::MAX;
+        let on_col = consts.iter().filter(|&&(_, c, _)| c == col).count();
+        let mut keyed: HashMap<Value, usize, FxBuild> = HashMap::with_capacity_and_hasher(on_col, FxBuild::default());
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut group = vec![REST; list.len()];
+        for &(k, _, val) in consts.iter().filter(|&&(_, c, _)| c == col) {
+            if group[k] == REST {
+                let g = match keyed.get(val) {
+                    Some(&g) => g,
+                    None => {
+                        keyed.insert(val.clone(), sizes.len());
+                        sizes.push(0);
+                        sizes.len() - 1
+                    }
+                };
+                sizes[g] += 1;
+                group[k] = g;
             }
-            let Some(val) = first else {
-                dispatch.rest.push(trigger);
-                continue;
-            };
-            let g = *dispatch.keyed.entry(val.clone()).or_insert(dispatch.groups.len());
-            dispatch.groups.resize_with(dispatch.groups.len().max(g + 1), Vec::new);
-            dispatch.groups[g].push(trigger);
         }
-        dispatch.reads.resize_with(dispatch.groups.len() + 1, OnceLock::new);
+        let mut starts = Vec::with_capacity(sizes.len() + 1);
+        starts.push(0);
+        for n in &mut sizes {
+            let start = *starts.last().expect("starts at 0");
+            starts.push(start + *n);
+            *n = start; // the group's next free place
+        }
+        let mut dispatch = TriggerDispatch { col, keyed, len: list.len(), ..TriggerDispatch::default() };
+        dispatch.grouped = vec![(0, 0); starts[sizes.len()]];
+        for (&trigger, &g) in list.iter().zip(&group) {
+            if g == REST {
+                dispatch.rest.push(trigger);
+            } else {
+                dispatch.grouped[sizes[g]] = trigger;
+                sizes[g] += 1;
+            }
+        }
+        dispatch.reads.resize_with(sizes.len() + 1, OnceLock::new);
+        dispatch.starts = starts;
         dispatch
+    }
+
+    /// How many keyed groups there are.
+    fn groups(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// The triggers of keyed group `g`.
+    fn group_triggers(&self, g: usize) -> &[(usize, usize)] {
+        &self.grouped[self.starts[g]..self.starts[g + 1]]
     }
 
     /// The delta column the keyed groups test (`0` = location, `i + 1` =
@@ -170,7 +211,7 @@ impl TriggerDispatch {
     /// the group merged with the residual triggers by original `(rule,
     /// atom)` position.
     pub fn triggers_in(&self, group: Option<usize>) -> MergedTriggers<'_> {
-        let keyed = group.map_or(&[][..], |g| self.groups[g].as_slice());
+        let keyed = group.map_or(&[][..], |g| self.group_triggers(g));
         MergedTriggers { keyed, rest: &self.rest, i: 0, j: 0 }
     }
 
@@ -188,7 +229,7 @@ impl TriggerDispatch {
         group: Option<usize>,
         rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
     ) -> Option<&GroupReads> {
-        let at = self.reads.get(group.unwrap_or(self.groups.len()))?;
+        let at = self.reads.get(group.unwrap_or(self.groups()))?;
         at.get_or_init(|| group_reads(self.triggers_in(group), rule)).as_ref()
     }
 
@@ -228,16 +269,64 @@ fn keyable(v: &Value) -> bool {
     matches!(v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
 }
 
-/// Each table's triggers, `(rule, body position)` pairs in firing order, of
-/// `rules` given in order with their indexes.
-pub(crate) fn trigger_lists<'r>(rules: impl IntoIterator<Item = (usize, &'r Rule)>) -> HashMap<&'r str, Vec<(usize, usize)>> {
-    let mut triggers: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (ri, rule) in rules {
-        for (ai, atom) in rule.body.iter().enumerate() {
-            triggers.entry(atom.table.as_str()).or_default().push((ri, ai));
+/// Push to `out` the keyable `(column, constant)` pairs a tuple must carry
+/// for `rule` to fire with it at body position `d` — the `Eq` tests of its
+/// column prefilter, in selection order — given whether `rule` is
+/// [`pure`], as `at(column, constant)`.
+fn eq_consts<'r, T>(rule: &'r Rule, d: usize, pure: bool, out: &mut Vec<T>, at: impl Fn(usize, &'r Value) -> T) {
+    for s in rule.sels.iter().filter(|s| pure && s.op == CmpOp::Eq) {
+        if let Some((col, _, c, _)) = column_test(s, &rule.body[d]).filter(|t| keyable(t.2)) {
+            out.push(at(col, c));
         }
     }
-    triggers
+}
+
+/// One table's triggers, `(rule, body position)` in firing order, and
+/// their constants, `(trigger, column, constant)` in trigger order.
+type TableTriggers<'r> = (&'r str, Vec<(usize, usize)>, Vec<(usize, usize, &'r Value)>);
+
+/// A program's triggers, table by table, each with the keyable constants
+/// its prefilter pins delta columns to: what a [`TriggerIndex`] groups,
+/// collected rule by rule ([`Self::add`]) — by the engine in the one walk
+/// that outlines and checks its program.
+#[derive(Debug, Default)]
+pub(crate) struct TriggerLists<'r> {
+    /// Table → its place in `tables`.
+    slots: HashMap<&'r str, usize, FxBuild>,
+    /// Per table, in the order the tables are first read.
+    tables: Vec<TableTriggers<'r>>,
+}
+
+impl<'r> TriggerLists<'r> {
+    /// Add the triggers of `rule`, rule `ri` of the program, which follows
+    /// every rule added before it.
+    pub(crate) fn add(&mut self, ri: usize, rule: &'r Rule) {
+        let pure = pure(rule);
+        for (ai, atom) in rule.body.iter().enumerate() {
+            let tables = &mut self.tables;
+            let slot = *self.slots.entry(&atom.table).or_insert_with(|| {
+                tables.push((&atom.table, Vec::new(), Vec::new()));
+                tables.len() - 1
+            });
+            let (_, list, keys) = &mut tables[slot];
+            let k = list.len();
+            eq_consts(rule, ai, pure, keys, |col, c| (k, col, c));
+            list.push((ri, ai));
+        }
+    }
+
+    /// Each table's triggers alone.
+    pub(crate) fn into_lists(self) -> impl Iterator<Item = (&'r str, Vec<(usize, usize)>)> {
+        self.tables.into_iter().map(|(table, list, _)| (table, list))
+    }
+
+    /// The index of the `rules` rules added.
+    pub(crate) fn index(self, rules: usize) -> TriggerIndex {
+        #[cfg(debug_assertions)]
+        INDEXES.with(|n| n.set(n.get() + 1));
+        let group = |(table, list, keys): TableTriggers| (table.to_string(), TriggerDispatch::group(&list, &keys, None));
+        TriggerIndex { tables: self.tables.into_iter().map(group).collect(), rules }
+    }
 }
 
 #[cfg(debug_assertions)]
@@ -257,7 +346,7 @@ pub fn indexes_built() -> u64 {
 /// rules its candidates share with that program ([`DerivedDispatch`]).
 #[derive(Debug)]
 pub struct TriggerIndex {
-    tables: HashMap<String, TriggerDispatch>,
+    tables: HashMap<String, TriggerDispatch, FxBuild>,
     /// How many rules the indexed program has.
     rules: usize,
 }
@@ -265,12 +354,9 @@ pub struct TriggerIndex {
 impl TriggerIndex {
     /// Index every rule of `program`.
     pub fn new(program: &Program) -> Self {
-        #[cfg(debug_assertions)]
-        INDEXES.with(|n| n.set(n.get() + 1));
-        let lists = trigger_lists(program.rules.iter().enumerate());
-        let rule = |ri: usize| &program.rules[ri];
-        let tables = lists.iter().map(|(&table, list)| (table.to_string(), TriggerDispatch::new(list, rule, None))).collect();
-        TriggerIndex { tables, rules: program.rules.len() }
+        let mut lists = TriggerLists::default();
+        program.rules.iter().enumerate().for_each(|(ri, rule)| lists.add(ri, rule));
+        lists.index(program.rules.len())
     }
 
     /// The dispatch of `table`; `None` when no rule reads it.
@@ -301,7 +387,7 @@ pub struct DerivedDispatch<'b> {
     at: &'b [Option<u32>],
     /// Per table the derived program's own rules read, their triggers
     /// grouped; `None` for a table whose every base trigger is gone.
-    changed: HashMap<&'b str, Option<Own>>,
+    changed: HashMap<&'b str, Option<Own>, FxBuild>,
 }
 
 /// The derived program's own triggers on one table, grouped.
@@ -329,11 +415,12 @@ impl<'b> DerivedDispatch<'b> {
         rule: impl Fn(usize) -> &'b Rule,
     ) -> Self {
         assert_eq!((base.rules, at.len()), (base_rules.len(), base_rules.len()), "an index of another program");
-        let lists = trigger_lists(own.iter().map(|&i| (i, rule(i))));
-        let mut changed: HashMap<&str, Option<Own>> = HashMap::new();
-        for (&table, list) in &lists {
+        let mut lists = TriggerLists::default();
+        own.iter().for_each(|&i| lists.add(i, rule(i)));
+        let mut changed: HashMap<&str, Option<Own>, FxBuild> = HashMap::default();
+        for (table, list, keys) in lists.tables {
             let shared = base.get(table);
-            let dispatch = TriggerDispatch::new(list, &rule, shared.map(|b| b.col));
+            let dispatch = TriggerDispatch::group(&list, &keys, shared.map(|b| b.col));
             let (mut attached, mut beyond) = (Vec::new(), false);
             for (value, &g) in &dispatch.keyed {
                 match shared.and_then(|b| b.keyed.get(value)) {
@@ -435,11 +522,11 @@ impl<'a> DerivedTable<'a> {
     /// while a trigger of it or of the own group is left, else the own
     /// group after the base's; `None` for the residual triggers alone.
     pub fn group_number(&self, group: DerivedGroup) -> Option<usize> {
-        let left = |b: &TriggerDispatch, g: usize| b.groups[g].iter().any(|&(ri, _)| self.at[ri].is_some());
+        let left = |b: &TriggerDispatch, g: usize| b.group_triggers(g).iter().any(|&(ri, _)| self.at[ri].is_some());
         match (self.base.zip(group.0), group.1) {
             (Some((_, g)), Some(_)) => Some(g),
             (Some((b, g)), None) if left(b, g) => Some(g),
-            (_, Some(o)) => Some(self.base.map_or(0, |b| b.groups.len()) + o),
+            (_, Some(o)) => Some(self.base.map_or(0, TriggerDispatch::groups) + o),
             _ => None,
         }
     }
@@ -835,7 +922,7 @@ mod tests {
         // constrain Swi — so Hdr wins the vote and every trigger is keyed.
         assert_eq!(d.col, 2);
         assert!(d.rest.is_empty());
-        let group_len = |v: i64| d.keyed.get(&Value::Int(v)).map(|&g| d.groups[g].len());
+        let group_len = |v: i64| d.keyed.get(&Value::Int(v)).map(|&g| d.group_triggers(g).len());
         assert_eq!(group_len(80), Some(2));
         assert_eq!(group_len(25), Some(1));
         // A delta carrying Hdr = 80 visits two triggers; Hdr = 99 none.

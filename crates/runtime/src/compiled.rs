@@ -48,7 +48,7 @@
 //! the explorer and the provenance queries.
 
 use crate::engine::CompileError;
-use mpr_ndlog::ast::{Atom, BinOp, CmpOp, Expr, Rule, Term};
+use mpr_ndlog::ast::{same_name, Atom, BinOp, Binders, CmpOp, Expr, Rule, Selection, Term};
 use mpr_ndlog::eval::{eval_binop, FuncHost};
 use mpr_ndlog::{Catalog, EvalError, Tuple, Value};
 use std::borrow::Cow;
@@ -189,86 +189,86 @@ fn columns(atom: &Atom) -> impl Iterator<Item = &Term> {
     std::iter::once(&atom.loc).chain(&atom.args)
 }
 
-/// The `Var op Const` selections of `rule` (either orientation) over a
-/// column its body atom `d` binds, as `(selection, column, op, constant,
-/// var on the left)` — what can be decided from the delta tuple alone.
-/// Empty when a selection of the rule calls `f_unique()` (module docs).
-fn column_tests(
-    rule: &Rule,
-    d: usize,
-) -> impl Iterator<Item = (usize, usize, CmpOp, &Value, bool)> {
-    let pure = rule.sels.iter().all(|s| !calls_unique(&s.lhs) && !calls_unique(&s.rhs));
-    let atom = rule.body.get(d).filter(|_| pure);
-    atom.into_iter().flat_map(move |atom| {
-        rule.sels.iter().enumerate().filter_map(move |(i, s)| {
-            let (v, c, var_left) = match (&s.lhs, &s.rhs) {
-                (Expr::Var(v), Expr::Const(c)) => (v, c, true),
-                (Expr::Const(c), Expr::Var(v)) => (v, c, false),
-                _ => return None,
-            };
-            let col = columns(atom).position(|t| t.as_var() == Some(v))?;
-            Some((i, col, s.op, c, var_left))
-        })
-    })
+/// Does no selection of `rule` call `f_unique()`? Only such a rule's
+/// selections may be tested before its frame exists (module docs).
+pub(crate) fn pure(rule: &Rule) -> bool {
+    rule.sels.iter().all(|s| !calls_unique(&s.lhs) && !calls_unique(&s.rhs))
 }
 
-/// The `(column, constant)` pairs a tuple must carry for `rule` to fire
-/// with it at body position `d`: the `Eq` tests of the column prefilter,
-/// read off the source rule so a dispatch can be keyed on them without
-/// compiling it.
-pub fn eq_consts(rule: &Rule, d: usize) -> impl Iterator<Item = (usize, &Value)> {
-    column_tests(rule, d).filter(|t| t.2 == CmpOp::Eq).map(|(_, col, _, c, _)| (col, c))
+/// `s` as a test of a delta column of `atom`: `(column, op, constant, var
+/// on the left)` when `s` compares, either way round, a constant with a
+/// variable `atom` binds — what can be decided from the delta tuple alone.
+/// The `Eq` tests are what a trigger dispatch keys on, read off the source
+/// rule so that it need not compile it.
+pub(crate) fn column_test<'r>(s: &'r Selection, atom: &Atom) -> Option<(usize, CmpOp, &'r Value, bool)> {
+    let (v, c, var_left) = match (&s.lhs, &s.rhs) {
+        (Expr::Var(v), Expr::Const(c)) => (v, c, true),
+        (Expr::Const(c), Expr::Var(v)) => (v, c, false),
+        _ => return None,
+    };
+    let col = columns(atom).position(|t| t.as_var().is_some_and(|t| same_name(t, v)))?;
+    Some((col, s.op, c, var_left))
 }
 
-/// The alphabetically first variable of `e` that `bound` rejects, or
-/// `first` if that sorts before it — as the interpreter's sorted variable
-/// sets had it.
-fn first_unbound<'r>(e: &'r Expr, bound: &impl Fn(&str) -> bool, first: Option<&'r str>) -> Option<&'r str> {
+/// What one walk of an expression finds that [`check`] refuses: the
+/// alphabetically first variable `bound` rejects (as the interpreter's
+/// sorted variable sets had it), and the first call the runtime does not
+/// provide — anything but a zero-argument `f_unique()` — as its name and
+/// argument count. A walk keeps what an earlier walk into `found` found.
+fn scan<'r>(e: &'r Expr, bound: &impl Fn(&str) -> bool, found: &mut (Option<&'r str>, Option<(&'r str, usize)>)) {
     match e {
-        Expr::Const(_) => first,
-        Expr::Var(v) if !bound(v) && first.map_or(true, |u| v.as_str() < u) => Some(v),
-        Expr::Var(_) => first,
-        Expr::Binary(_, l, r) => first_unbound(r, bound, first_unbound(l, bound, first)),
-        Expr::Call(_, args) => args.iter().fold(first, |u, a| first_unbound(a, bound, u)),
+        Expr::Const(_) => {}
+        Expr::Var(v) => {
+            if !bound(v) && found.0.map_or(true, |u| v.as_str() < u) {
+                found.0 = Some(v);
+            }
+        }
+        Expr::Binary(_, l, r) => {
+            scan(l, bound, found);
+            scan(r, bound, found);
+        }
+        Expr::Call(name, args) => {
+            if !(name == "f_unique" && args.is_empty()) {
+                found.1.get_or_insert((name, args.len()));
+            }
+            args.iter().for_each(|a| scan(a, bound, found));
+        }
     }
 }
 
-/// The first call of `e` the runtime does not provide — anything but a
-/// zero-argument `f_unique()` — as its name and argument count.
-fn unknown_call(e: &Expr) -> Option<(&str, usize)> {
-    match e {
-        Expr::Const(_) | Expr::Var(_) => None,
-        Expr::Binary(_, l, r) => unknown_call(l).or_else(|| unknown_call(r)),
-        Expr::Call(name, args) if name == "f_unique" && args.is_empty() => None,
-        Expr::Call(name, args) => Some((name, args.len())),
-    }
-}
-
-/// The binding checks of [`CompiledRule::compile`], which runs them first:
-/// every variable an assignment reads is bound by the body or an earlier
-/// assignment, every variable a selection reads by the body or any
-/// assignment, every function called is `f_unique()`, and no body atom
-/// carries an aggregate. Allocates nothing
-/// unless the rule fails. A driver that compiles rules lazily runs this on
-/// every rule up front, so a program is refused — with the same error, for
-/// the same rule, in program order — whether or not a delta ever reaches
-/// the bad rule.
-pub fn check(rule: &Rule) -> Result<(), CompileError> {
-    let in_body = |v: &str| rule.body.iter().any(|a| a.var_names().any(|b| b == v));
+/// The binding checks of [`CompiledRule::compile`], which runs them first,
+/// against the rule's binding analysis `bound`: every variable an
+/// assignment reads is bound by the body or an earlier assignment, every
+/// variable a selection reads by the body or any assignment, every
+/// function called is `f_unique()`, and no body atom carries an aggregate —
+/// each failure in that order, an unknown call the first in the
+/// assignments, then the selections. One walk of each expression;
+/// allocates nothing unless the rule fails. A driver that compiles rules
+/// lazily runs this on every rule up front — the engine in the walk that
+/// outlines its program ([`mpr_ndlog::ProgramOutline::checking`]) — so a
+/// program is refused, with the same error, for the same rule, in program
+/// order, whether or not a delta ever reaches the bad rule.
+pub fn check(rule: &Rule, bound: &Binders) -> Result<(), CompileError> {
+    let mut unknown = None;
     for (j, a) in rule.assigns.iter().enumerate() {
-        let bound = |v: &str| in_body(v) || rule.assigns[..j].iter().any(|p| p.var == v);
-        if let Some(var) = first_unbound(&a.expr, &bound, None) {
+        let mut found = (None, None);
+        scan(&a.expr, &|v| bound.bound_before(v, j), &mut found);
+        if let Some(var) = found.0 {
             return Err(CompileError::UnboundAssignVar { rule: rule.id.clone(), var: var.into() });
         }
+        unknown = unknown.or(found.1);
     }
-    let bound = |v: &str| in_body(v) || rule.assigns.iter().any(|a| a.var == v);
+    let bound = |v: &str| bound.bound(v);
     for s in &rule.sels {
-        if let Some(var) = first_unbound(&s.rhs, &bound, first_unbound(&s.lhs, &bound, None)) {
+        let mut found = (None, None);
+        scan(&s.lhs, &bound, &mut found);
+        scan(&s.rhs, &bound, &mut found);
+        if let Some(var) = found.0 {
             return Err(CompileError::UnboundSelectionVar { rule: rule.id.clone(), var: var.into() });
         }
+        unknown = unknown.or(found.1);
     }
-    let exprs = rule.assigns.iter().map(|a| &a.expr).chain(rule.sels.iter().flat_map(|s| [&s.lhs, &s.rhs]));
-    if let Some((func, arity)) = exprs.filter_map(unknown_call).next() {
+    if let Some((func, arity)) = unknown {
         return Err(CompileError::UnknownFunction { rule: rule.id.clone(), func: func.into(), arity });
     }
     if rule.body.iter().any(Atom::has_agg) {
@@ -421,18 +421,17 @@ impl CompiledRule {
     /// ([`check`]), slot resolution, the per-delta column programs and the
     /// selection schedule.
     pub fn compile(rule: &Rule, catalog: &Catalog) -> Result<Self, CompileError> {
-        check(rule)?;
+        check(rule, &Binders::of(rule))?;
         // Slots in first-occurrence order: body columns, then assignment
         // targets. `bound_at[slot]` is the stage an assignment first binds
         // a slot the body does not; body slots are staged per delta plan.
-        let n_body = rule.body.len();
         let mut names: Vec<&str> = Vec::new();
         for v in rule.body.iter().flat_map(Atom::var_names) {
             if !names.contains(&v) {
                 names.push(v);
             }
         }
-        let n_body_slots = names.len();
+        let (n_body, n_body_slots, is_pure) = (rule.body.len(), names.len(), pure(rule));
         let mut assigns = Vec::with_capacity(rule.assigns.len());
         for a in &rule.assigns {
             let expr = compile_expr(&a.expr, &names);
@@ -495,12 +494,13 @@ impl CompiledRule {
                     })
                     .collect();
                 let mut pushed = vec![false; sels.len()];
-                let prefilter = column_tests(rule, d)
-                    .map(|(i, col, op, c, var_left)| {
+                let mut prefilter = Vec::new();
+                for (i, s) in rule.sels.iter().enumerate().filter(|_| is_pure) {
+                    if let Some((col, op, c, var_left)) = column_test(s, &rule.body[d]) {
                         pushed[i] = true;
-                        ColTest { col, op, value: c.clone(), var_left }
-                    })
-                    .collect();
+                        prefilter.push(ColTest { col, op, value: c.clone(), var_left });
+                    }
+                }
                 // And the slots read before the body is complete.
                 let (mut ready, mut read) = (Vec::new(), Vec::new());
                 for (i, s) in sels.iter().enumerate() {

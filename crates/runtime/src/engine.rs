@@ -55,7 +55,7 @@
 //! passes — this is exactly how a `PacketIn` installs a persistent
 //! `FlowTable` entry.
 
-use crate::batch::{self, TriggerIndex};
+use crate::batch::{self, TriggerIndex, TriggerLists};
 use crate::codec::{self, WalRecord};
 use crate::compiled::{self, LazyRule};
 use crate::delta::DeltaTracker;
@@ -514,28 +514,32 @@ impl Engine {
     /// whether or not a delta ever reaches that rule — and compiled the
     /// first time a delta reaches it.
     pub fn shared(program: Arc<Program>, opts: Options) -> Result<Self, CompileError> {
-        let outline = Arc::new(ProgramOutline::new(&program).map_err(CompileError::InvalidProgram)?);
         let mut rules = Vec::with_capacity(program.rules.len());
+        let strategy = opts.strategy;
+        // One walk of each rule outlines the program, checks the rule and
+        // collects its triggers.
+        let (mut lists, mut agg_heads) = (TriggerLists::default(), Vec::new());
+        let outline = ProgramOutline::checking(&program, CompileError::InvalidProgram, |ri, rule, bound| {
+            compiled::check(rule, bound)?;
+            let agg = agg_spec(rule, &program.catalog)?;
+            if agg.is_some() {
+                agg_heads.push(ri);
+            }
+            let head_is_event = program.catalog.get(&rule.head.table).is_some_and(|s| !s.is_state());
+            rules.push(EngineRule { compiled: LazyRule::default(), head_is_event, agg });
+            lists.add(ri, rule);
+            Ok(())
+        })?;
+        let outline = Arc::new(outline);
         let mut store = Store::new();
         for s in program.catalog.iter() {
             store.declare(s.clone());
         }
-        let strategy = opts.strategy;
-        for rule in &program.rules {
-            compiled::check(rule)?;
-            let agg = agg_spec(rule, &program.catalog)?;
-            // Aggregate heads are keyed on the group columns so updates
-            // replace rather than accumulate.
-            if agg.is_some() {
-                let arity = rule.head.args.len();
-                store.declare(Schema::state_keyed(
-                    rule.head.table.clone(),
-                    arity,
-                    (0..arity - 1).collect(),
-                ));
-            }
-            let head_is_event = program.catalog.get(&rule.head.table).is_some_and(|s| !s.is_state());
-            rules.push(EngineRule { compiled: LazyRule::default(), head_is_event, agg });
+        // Aggregate heads are keyed on the group columns so updates replace
+        // rather than accumulate.
+        for head in agg_heads.into_iter().map(|ri| &program.rules[ri].head) {
+            let arity = head.args.len();
+            store.declare(Schema::state_keyed(head.table.clone(), arity, (0..arity - 1).collect()));
         }
         // A table the program uses undeclared is state under set semantics,
         // at the one arity validation allowed it.
@@ -546,10 +550,9 @@ impl Engine {
         }
         let funcs = CountingFuncs::starting_at(UNIQUE_SEED);
         let (index, triggers) = match strategy {
-            EvalStrategy::Batch => (Some(Arc::new(TriggerIndex::new(&program))), HashMap::new()),
+            EvalStrategy::Batch => (Some(Arc::new(lists.index(program.rules.len()))), HashMap::new()),
             EvalStrategy::Pipelined => {
-                let lists = batch::trigger_lists(program.rules.iter().enumerate()).into_iter();
-                (None, lists.map(|(t, l)| (t.to_string(), Arc::new(l))).collect())
+                (None, lists.into_lists().map(|(t, l)| (t.to_string(), Arc::new(l))).collect())
             }
         };
         // A WAL that cannot open degrades to memory-only instead of

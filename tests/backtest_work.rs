@@ -1,8 +1,8 @@
 //! The program side of a joint backtest is proportional to what the
-//! candidates change, by count: the backtesting program borrows the base
-//! program's rules and owns nothing but the candidates' modified copies —
-//! the same handful whether the program has 100 rules or 900 — and the
-//! debugger reaches the same verdicts from those deltas as from whole
+//! candidates change, by count: the backtesting program holds the base
+//! program's rules and, beside them, nothing but the candidates' modified
+//! copies — the same handful whether the program has 100 rules or 900 —
+//! and the debugger reaches the same verdicts from those deltas as from whole
 //! patched programs run one by one by the reference (`common::reference`).
 
 mod common;
@@ -12,7 +12,6 @@ use sdn_meta_repair::backtest::mqo::tagged_program;
 use sdn_meta_repair::core::debugger::Debugger;
 use sdn_meta_repair::core::scenarios::Scenario;
 use sdn_meta_repair::ndlog::{ProgramOutline, RuleDelta};
-use std::borrow::Cow;
 
 /// Repairs `q1_padded(lines)` both ways and returns `(candidates, owned
 /// rules, coalesced copies)` of the backtesting program.
@@ -31,7 +30,8 @@ fn backtest_work(lines: usize) -> (usize, usize, usize) {
         .map(|o| o.candidate.repair.replay_input(&s.program, &outline, &setup).delta.expect("candidate applies"))
         .collect();
     let tagged = tagged_program(&s.program, &deltas);
-    let owned = tagged.variants.iter().filter(|v| matches!(v.rule, Cow::Owned(_))).count();
+    let base_rules = s.program.rules.as_ptr_range();
+    let owned = tagged.variants.iter().filter(|v| !base_rules.contains(&(v.rule as *const _))).count();
     let copies: usize = deltas.iter().map(|d| d.rules().count()).sum();
     assert_eq!(owned, copies - tagged.coalesced, "{lines}: owned rules are the candidates' copies");
     assert_eq!(tagged.variants.len() - owned, s.program.rules.len(), "{lines}: every base rule once, borrowed");
