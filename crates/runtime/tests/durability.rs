@@ -21,8 +21,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The `determinism.rs` churn program: primary-key races, a self-join and
-/// an aggregate.
+/// The `determinism.rs` churn program: primary-key races and a self-join.
 fn program() -> Arc<Program> {
     Arc::new(
         parse_program(
@@ -31,10 +30,8 @@ fn program() -> Arc<Program> {
         materialize(Src, infinity, 2, keys(0,1)).
         materialize(Pick, infinity, 2, keys(0)).
         materialize(Joined, infinity, 2, keys(0,1)).
-        materialize(Cnt, infinity, 2, keys(0)).
         p1 Pick(@N,X,Y) :- Src(@N,X,Y).
         j1 Joined(@N,X,Z) :- Src(@N,X,Y), Src(@N,Y,Z).
-        c1 Cnt(@N,X,a_count<Y>) :- Src(@N,X,Y).
         ",
         )
         .unwrap(),

@@ -35,9 +35,8 @@ fn program() -> Program {
     .unwrap()
 }
 
-/// Links on nodes 1 and 2 feed heads on the other node, events on either
-/// node derive an event and a state tuple on the node they name, and a
-/// count per link source lives on the link's far end.
+/// Links on nodes 1 and 2 feed heads on the other node, and events on
+/// either node derive an event and a state tuple on the node they name.
 fn two_node_program() -> Program {
     parse_program(
         "log-ship",
@@ -47,12 +46,10 @@ fn two_node_program() -> Program {
         materialize(Far, infinity, 2, keys(0,1)).
         materialize(Out, event, 1, keys()).
         materialize(Got, infinity, 1, keys(0)).
-        materialize(Cnt, infinity, 2, keys(0)).
         f1 Far(@M,X,N) :- Link(@N,X,M).
         f2 Far(@N,X,M) :- Far(@M,X,N), X > 1.
         e1 Out(@M,X) :- Ev(@N,X,M).
         g1 Got(@M,X) :- Ev(@N,X,M), Far(@M,X,N).
-        c1 Cnt(@M,N,a_count<X>) :- Link(@N,X,M).
         ",
     )
     .unwrap()

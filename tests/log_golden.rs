@@ -18,6 +18,11 @@
 //! own, before the log folded the rows other rows imply (an inserted
 //! event's three, a shipped derivation's `Send` and `Receive`) into one;
 //! it covers each fold over two nodes.
+//!
+//! The `det` and `ship` rows were re-derived when head aggregates left
+//! the language: each script lost its count rule, and the new digests
+//! were taken on the engine that still ran aggregates, so the engine
+//! without them reproduces them exactly.
 
 mod common;
 
@@ -38,10 +43,8 @@ fn det_script(strategy: EvalStrategy) -> ExecLog {
         materialize(Src, infinity, 2, keys(0,1)).
         materialize(Pick, infinity, 2, keys(0)).
         materialize(Joined, infinity, 2, keys(0,1)).
-        materialize(Cnt, infinity, 2, keys(0)).
         p1 Pick(@N,X,Y) :- Src(@N,X,Y).
         j1 Joined(@N,X,Z) :- Src(@N,X,Y), Src(@N,Y,Z).
-        c1 Cnt(@N,X,a_count<Y>) :- Src(@N,X,Y).
         ",
     )
     .unwrap();
@@ -77,22 +80,19 @@ fn churn_script(strategy: EvalStrategy) -> ExecLog {
     e.take_log()
 }
 
-/// Two nodes, 1 and 2: a state rule and an aggregate whose heads live on
-/// the other node, an event table feeding a derived event and a state head
-/// there too, then deletes that retract shipped derivations and move the
-/// aggregate, which then fires at its group's node.
+/// Two nodes, 1 and 2: a state rule whose heads live on the other node,
+/// an event table feeding a derived event and a state head there too,
+/// then deletes that retract shipped derivations.
 fn ship_script(strategy: EvalStrategy) -> ExecLog {
     let p = parse_program(
         "ship",
         r"
         materialize(Link, infinity, 2, keys(0,1)).
         materialize(Far, infinity, 2, keys(0,1)).
-        materialize(Cnt, infinity, 2, keys(0)).
         materialize(Ev, event, 2, keys()).
         materialize(Out, event, 1, keys()).
         materialize(Got, infinity, 1, keys(0)).
         f1 Far(@M,X,N) :- Link(@N,X,M), M != N.
-        c1 Cnt(@M,N,a_count<X>) :- Link(@N,X,M).
         e1 Out(@M,X) :- Ev(@N,X,M).
         g1 Got(@M,X) :- Ev(@N,X,M).
         ",
@@ -130,12 +130,12 @@ const GOLDEN: [(&str, Digest); 12] = [
     ("Q4", (5, 19, 71113111321593410)),
     ("Q5", (90, 313, 6391172259523739424)),
     ("Fig7", (10, 34, 11934155181101249839)),
-    ("det-pipelined", (32, 79, 1124674743549265391)),
+    ("det-pipelined", (24, 60, 6018604554509209618)),
     ("churn-pipelined", (17, 53, 726358710916901491)),
-    ("det-batch", (32, 79, 1124674743549265391)),
+    ("det-batch", (24, 60, 6018604554509209618)),
     ("churn-batch", (17, 53, 726358710916901491)),
     ("stream", (2008, 12243, 10711370453409716946)),
-    ("ship", (22, 103, 7225704466974217567)),
+    ("ship", (17, 80, 3281163895776741999)),
 ];
 
 #[test]
