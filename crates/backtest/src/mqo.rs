@@ -149,10 +149,10 @@
 //!   supported, which here would take support counts per tag (rows are
 //!   append-only); in a table no rule reads nothing depends on the first,
 //!   and the replacement is mirrored;
-//! - a *rule that does not compile, or aggregates*: a candidate's own
-//!   copies are checked up front (the engine refuses the whole
-//!   program), a borrowed base rule — an aggregate of the base among them
-//!   — when a delta first reaches it;
+//! - a *rule that does not compile*: a candidate's own copies are checked
+//!   up front (the engine refuses the whole program), a borrowed base rule
+//!   when a delta first reaches it (the debugger's base passed the
+//!   observation engine's checks, so only a direct caller's can fail);
 //! - a *step that draws an `f_unique` id*: the engine never files such a
 //!   step, and each candidate would draw from its own counter;
 //! - a *step over the engine's budget*: more matches than
@@ -175,9 +175,7 @@
 //! ([`crate::replay_candidates`]; [`mqo_replay`] does it itself). For the
 //! rest the claim is the whole `SimStats` of a sequential replay: the
 //! workspace's `tests/prop_mqo.rs` holds it to one `inject` + `run` per
-//! packet on a pipelined engine, with no memo anywhere. An aggregate in
-//! the base is a rule like any other: the candidates a delta brings to it
-//! are named, the rest stay.
+//! packet on a pipelined engine, with no memo anywhere.
 //! DESIGN.md, "Backtesting", has the reasons.
 
 use crate::replay::{replay_with_extra_flows, BacktestSetup, ReplayOutcome};

@@ -569,40 +569,6 @@ mod tests {
         assert_eq!(report.accepted, accepted);
     }
 
-    /// An aggregate in the base program is a rule like any other: the
-    /// candidates whose traffic reaches it are handed back, one that deletes
-    /// it stays joint, and the verdicts are the fallback's.
-    #[test]
-    fn the_candidates_that_reach_an_aggregate_are_handed_back() {
-        use mpr_ndlog::patch::{Edit, Patch};
-        let mut scenario = Scenario::q1_copy_paste();
-        let count = mpr_ndlog::parse_program(
-            "agg",
-            "seen Seen(@C,Swi,Hdr) :- PacketIn(@C,Swi,Hdr).\n\
-             agg Punts(@C,Swi,a_count<Hdr>) :- Seen(@C,Swi,Hdr).",
-        )
-        .unwrap();
-        Arc::make_mut(&mut scenario.program).rules.extend(count.rules);
-        let dbg = Debugger::for_scenario(&scenario);
-        let (_, _, [first, last]) = q1_with_two_patches();
-        let unaggregated = hand_built(Repair::Patch(Patch::single(Edit::DeleteRule { rule: "agg".into() })));
-        let candidates = [first, unaggregated, last];
-        let (joint, handed_back, jointly) = dbg.backtest(&candidates).unwrap();
-        assert_eq!((handed_back, jointly), (2, true));
-        let fallback = fallback_of(&dbg, &candidates);
-        assert!(fallback.iter().all(Option::is_some));
-        assert_eq!(joint.iter().map(stats).collect::<Vec<_>>(), fallback.iter().map(stats).collect::<Vec<_>>());
-
-        let report = dbg.diagnose_and_repair().unwrap();
-        assert_eq!(report.handed_back, report.generated(), "every first packet-in reaches the count");
-        assert!(!report.backtested_jointly);
-        let candidates: Vec<Candidate> = report.outcomes.iter().map(|o| o.candidate.clone()).collect();
-        let fallback = fallback_of(&dbg, &candidates);
-        let (outcomes, accepted) = dbg.judge(&report.baseline, candidates, fallback);
-        assert_eq!(verdicts(&report.outcomes), verdicts(&outcomes));
-        assert_eq!(report.accepted, accepted);
-    }
-
     /// More candidates than a tag set holds: one joint replay per 64, the
     /// hand-backs of both named, and every outcome the fallback's.
     #[test]

@@ -379,7 +379,6 @@ impl<'a> Postings<'a> {
             let pinned = terms.enumerate().find_map(|(column, term)| match term {
                 Term::Const(c) => Some((column, c)),
                 Term::Var(v) => pins.get(v).map(|v| (column, v)),
-                Term::Agg(..) => None,
             });
             let positions = match pinned {
                 Some((column, value)) => self.column(&atom.table, column, value),

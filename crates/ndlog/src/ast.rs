@@ -131,27 +131,6 @@ impl fmt::Display for BinOp {
     }
 }
 
-/// Aggregate functions usable in rule heads (NDlog's `a_count<X>` et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggKind {
-    /// `a_count<V>` — number of satisfying derivations.
-    Count,
-    /// `a_min<V>`
-    Min,
-    /// `a_max<V>`
-    Max,
-}
-
-impl fmt::Display for AggKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AggKind::Count => f.write_str("a_count"),
-            AggKind::Min => f.write_str("a_min"),
-            AggKind::Max => f.write_str("a_max"),
-        }
-    }
-}
-
 /// A term in an atom argument position.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
@@ -159,8 +138,6 @@ pub enum Term {
     Var(String),
     /// A constant, e.g. `80`.
     Const(Value),
-    /// An aggregate over a variable (head positions only), e.g. `a_count<N>`.
-    Agg(AggKind, String),
 }
 
 impl Term {
@@ -186,7 +163,6 @@ impl fmt::Display for Term {
         match self {
             Term::Var(v) => f.write_str(v),
             Term::Const(c) => write!(f, "{c}"),
-            Term::Agg(k, v) => write!(f, "{k}<{v}>"),
         }
     }
 }
@@ -215,15 +191,7 @@ impl Atom {
 
     /// The same variables, borrowed, in column order (repeats included).
     pub fn var_names(&self) -> impl Iterator<Item = &str> {
-        std::iter::once(&self.loc).chain(&self.args).filter_map(|t| match t {
-            Term::Var(v) | Term::Agg(_, v) => Some(v.as_str()),
-            Term::Const(_) => None,
-        })
-    }
-
-    /// `true` when any argument is an aggregate.
-    pub fn has_agg(&self) -> bool {
-        self.args.iter().any(|t| matches!(t, Term::Agg(..)))
+        std::iter::once(&self.loc).chain(&self.args).filter_map(Term::as_var)
     }
 
     /// [`Program::validate`]'s arity check of one atom, against `arity`:
@@ -260,7 +228,7 @@ pub enum Expr {
     Var(String),
     /// Binary arithmetic.
     Binary(BinOp, Box<Expr>, Box<Expr>),
-    /// Built-in function call, e.g. `f_unique()`, `f_match(A,B)`.
+    /// Built-in function call: `f_unique()`, the one built-in.
     Call(String, Vec<Expr>),
 }
 
@@ -441,11 +409,6 @@ impl Rule {
             return Ok(());
         }
         Err(format!("rule `{}`: unbound head variables {:?}", self.id, self.unbound_head_vars()))
-    }
-
-    /// `true` if the head carries an aggregate (an "AggWrap" rule, App. B.1).
-    pub fn is_aggregate(&self) -> bool {
-        self.head.has_agg()
     }
 
     /// Call `f` on every constant of the rule — in selections (left side
@@ -690,7 +653,6 @@ mod tests {
         assert!(r.body_vars().contains("Swi"));
         assert!(r.body_vars().contains("C"));
         assert!(r.unbound_head_vars().is_empty());
-        assert!(!r.is_aggregate());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod tuple;
 pub mod value;
 
 pub use ast::{
-    AggKind, Assign, Atom, BinOp, Binders, CmpOp, Expr, ExprSide, Program, Rule, Selection, Term,
+    Assign, Atom, BinOp, Binders, CmpOp, Expr, ExprSide, Program, Rule, Selection, Term,
 };
 pub use error::{EvalError, ParseError, PatchError};
 pub use eval::{CountingFuncs, Env, FuncHost, PureFuncs};

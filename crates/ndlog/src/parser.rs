@@ -9,8 +9,7 @@
 //! rule       ← [ID] atom ":-" elem ("," elem)* "."
 //! elem       ← atom | VAR ":=" expr | expr cmp expr
 //! atom       ← TABLE "(" "@" term ("," term)* ")"
-//! term       ← VAR | const | agg
-//! agg        ← ("a_count"|"a_min"|"a_max") "<" VAR ">"
+//! term       ← VAR | const
 //! const      ← ["-"] INT | STRING | "true" | "false" | "*" | lowercase-IDENT
 //! expr       ← addsub ; usual precedence, "(" expr ")" allowed
 //! cmp        ← "==" | "!=" | "<" | "<=" | ">" | ">="
@@ -19,7 +18,8 @@
 //! Identifier conventions follow datalog practice: uppercase-initial
 //! identifiers are variables (or table names when followed by `(`),
 //! lowercase-initial identifiers are built-in functions when followed by
-//! `(` and bare string constants otherwise.
+//! `(` and bare string constants otherwise. NDlog's aggregates
+//! (`a_count<X>`, `a_min<X>`, `a_max<X>`) are refused wherever they stand.
 
 use crate::ast::*;
 use crate::error::ParseError;
@@ -274,19 +274,8 @@ impl Parser {
         match self.peek() {
             Some(Tok::Ident(s)) => {
                 let s = s.clone();
-                // Aggregate: a_count<V>
-                if matches!(s.as_str(), "a_count" | "a_min" | "a_max")
-                    && self.peek2() == Some(&Tok::Lt)
-                {
-                    self.pos += 2;
-                    let var = self.expect_ident()?;
-                    self.expect(Tok::Gt)?;
-                    let kind = match s.as_str() {
-                        "a_count" => AggKind::Count,
-                        "a_min" => AggKind::Min,
-                        _ => AggKind::Max,
-                    };
-                    return Ok(Term::Agg(kind, var));
+                if matches!(s.as_str(), "a_count" | "a_min" | "a_max") && self.peek2() == Some(&Tok::Lt) {
+                    return Err(self.err(format!("`{s}<…>`: aggregates are not supported")));
                 }
                 self.pos += 1;
                 if s.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
@@ -474,13 +463,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_aggregates_and_builtins() {
-        let r = parse_rule(
-            "p2 PredFuncCount(@C,Rul,a_count<N>) :- PredFunc(@C,Rul,Tab,N), JID := f_unique().",
-        )
-        .unwrap();
-        assert!(r.is_aggregate());
+    fn parses_builtins_and_refuses_aggregates() {
+        let r = parse_rule("p2 PredFuncId(@C,Rul,JID) :- PredFunc(@C,Rul,Tab,N), JID := f_unique().").unwrap();
         assert_eq!(r.assigns[0].expr, Expr::Call("f_unique".into(), vec![]));
+        let err = parse_rule("p2 PredFuncCount(@C,Rul,a_count<N>) :- PredFunc(@C,Rul,Tab,N).").unwrap_err();
+        assert_eq!((err.col, err.msg.as_str()), (25, "`a_count<…>`: aggregates are not supported"));
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub enum Value {
     Str(Arc<str>),
     /// A boolean.
     Bool(bool),
-    /// The wildcard `*`: what the parser reads for `*` and what an empty
-    /// `a_min` / `a_max` group holds. It equals only itself.
+    /// The wildcard `*`: what the parser reads for `*`. It equals only
+    /// itself.
     Wild,
 }
 

@@ -398,21 +398,11 @@ fn explain_failed_rule(
 }
 
 fn instantiate_pattern(atom: &mpr_ndlog::Atom, env: Env) -> Pattern {
-    let loc = match &atom.loc {
+    let resolve = |t: &Term| match t {
         Term::Const(c) => Some(c.clone()),
         Term::Var(v) => env.get(v).cloned(),
-        Term::Agg(..) => None,
     };
-    let args = atom
-        .args
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => env.get(v).cloned(),
-            Term::Agg(..) => None,
-        })
-        .collect();
-    Pattern { table: atom.table.clone(), loc, args }
+    Pattern { table: atom.table.clone(), loc: resolve(&atom.loc), args: atom.args.iter().map(resolve).collect() }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! discipline makes each new body combination fire once per round: with
 //! the delta bound at body position `i`, an atom at position `j > i` may
 //! only match tuples *merged* before the current round (by a finished
-//! round, or a suspended outer one), while positions `j < i` may also
+//! round), while positions `j < i` may also
 //! match the current round's — the mirror-image combination fires when
 //! the later tuple is the delta. Tuples still pending (produced in the
 //! round being processed) are invisible to every probe; they join as
@@ -95,7 +95,7 @@ pub struct GroupReads {
 }
 
 /// [`GroupReads`] of `triggers`, `rule(i)` being rule `i` compiled; `None`
-/// if a rule does not compile or aggregates, or there are over 64 tests.
+/// if a rule does not compile, or there are over 64 tests.
 fn group_reads<'r>(
     triggers: impl IntoIterator<Item = (usize, usize)>,
     mut rule: impl FnMut(usize) -> Option<&'r CompiledRule>,
@@ -221,9 +221,9 @@ impl TriggerDispatch {
     }
 
     /// What the triggers of `group` read of a delta before a complete match,
-    /// `rule(i)` being rule `i` compiled: `None` if a rule does not compile
-    /// or aggregates, or there are over 64 tests. Made at the first call,
-    /// which `rule` must answer alike.
+    /// `rule(i)` being rule `i` compiled: `None` if a rule does not compile,
+    /// or there are over 64 tests. Made at the first call, which `rule`
+    /// must answer alike.
     pub fn reads<'r>(
         &self,
         group: Option<usize>,
@@ -633,11 +633,7 @@ impl Engine {
                 // original `(rule, atom)` order so firing order matches
                 // the plain trigger list exactly.
                 for (rule_idx, atom_idx) in dispatch.triggers_for(tuple) {
-                    fired = if self.rules[rule_idx].agg.is_some() {
-                        self.agg_add(rule_idx, *tid, tuple, &mut round_out, result)
-                    } else {
-                        self.fire_batch(rule_idx, atom_idx, *tid, tuple, &mut round_out, result)
-                    };
+                    fired = self.fire_batch(rule_idx, atom_idx, *tid, tuple, &mut round_out, result);
                     if fired.is_err() {
                         break 'round;
                     }
@@ -665,7 +661,7 @@ impl Engine {
     /// without firing keeps them visible to later joins, as the pipelined
     /// reference's are, and leaves no round open. (A pipelined engine
     /// never reads the tracker.)
-    pub(crate) fn merge_unfired(&mut self, leftovers: &VecDeque<(TupleId, Tuple)>) {
+    fn merge_unfired(&mut self, leftovers: &VecDeque<(TupleId, Tuple)>) {
         self.open_round(leftovers);
         self.deltas.end_round();
     }
@@ -756,14 +752,13 @@ impl Engine {
         }
         // Every match is collected before the first fires (a firing may
         // evict what a later match joined), and firing needs the whole
-        // engine: the buffers leave it meanwhile. A nested fixpoint finds,
-        // and leaves, empty ones; an error drops them.
+        // engine: the buffers leave it meanwhile. An error drops them.
         let mut s = std::mem::take(&mut self.scratch);
         for m in 0..s.tids.len() / b {
             self.count_derivation(result)?;
             if let Some(head) = rule.finish(&mut s.frames[m * n..(m + 1) * n], &mut self.funcs) {
                 let body_tids = &s.tids[m * b..(m + 1) * b];
-                self.emit_head(rule_idx, head, body_tids, delta_tid, queue, result)?;
+                self.emit_head(rule_idx, head, body_tids, delta_tid, queue, result);
             }
         }
         self.scratch = s;
@@ -772,8 +767,8 @@ impl Engine {
 }
 
 /// The semi-naive visibility predicate: a candidate joins when an earlier
-/// (or a suspended outer) round merged it, or the current round did and
-/// its position comes before the delta slot. Pending tuples never join;
+/// round merged it, or the current round did and its position comes
+/// before the delta slot. Pending tuples never join;
 /// they are next-round deltas.
 fn joinable(deltas: &DeltaTracker, tid: TupleId, exclude_current: bool) -> bool {
     match deltas.visibility(tid) {
@@ -939,8 +934,8 @@ mod tests {
     /// At rest no round is open and every live state tuple is merged, so
     /// a later step's joins see all of it.
     fn at_rest(e: &Engine) -> Result<(), String> {
-        if e.deltas.depth() != 0 {
-            return Err(format!("{} rounds outlived the step", e.deltas.depth()));
+        if e.deltas.is_open() {
+            return Err("a round outlived the step".into());
         }
         for (tuple, ..) in e.store.dump() {
             let tid = e.store.get(&tuple).expect("dumped tuples are live").tid;

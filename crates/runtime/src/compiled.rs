@@ -44,8 +44,8 @@
 //! allocates nothing. The name-keyed interpreter
 //! ([`crate::engine::match_atom`], [`crate::engine::instantiate`],
 //! `Selection::eval` over `Env`) stays where it is the independent oracle:
-//! the `Pipelined` reference engine, the naive fixpoint, the aggregates,
-//! the explorer and the provenance queries.
+//! the `Pipelined` reference engine, the naive fixpoint, the explorer and
+//! the provenance queries.
 
 use crate::engine::CompileError;
 use mpr_ndlog::ast::{same_name, Atom, BinOp, Binders, CmpOp, Expr, Rule, Selection, Term};
@@ -122,8 +122,8 @@ struct AssignStep {
 enum HeadTerm {
     Const(Value),
     Slot(Slot),
-    /// An aggregate, or a variable bound nowhere: the head never
-    /// instantiates (as [`crate::engine::instantiate`] answers `None`).
+    /// A variable bound nowhere: the head never instantiates (as
+    /// [`crate::engine::instantiate`] answers `None`).
     Never,
 }
 
@@ -239,11 +239,10 @@ fn scan<'r>(e: &'r Expr, bound: &impl Fn(&str) -> bool, found: &mut (Option<&'r 
 /// The binding checks of [`CompiledRule::compile`], which runs them first,
 /// against the rule's binding analysis `bound`: every variable an
 /// assignment reads is bound by the body or an earlier assignment, every
-/// variable a selection reads by the body or any assignment, every
-/// function called is `f_unique()`, and no body atom carries an aggregate —
-/// each failure in that order, an unknown call the first in the
-/// assignments, then the selections. One walk of each expression;
-/// allocates nothing unless the rule fails. A driver that compiles rules
+/// variable a selection reads by the body or any assignment, and every
+/// function called is `f_unique()` — each failure in that order, an
+/// unknown call the first in the assignments, then the selections. One
+/// walk of each expression; allocates nothing unless the rule fails. A driver that compiles rules
 /// lazily runs this on every rule up front — the engine in the walk that
 /// outlines its program ([`mpr_ndlog::ProgramOutline::checking`]) — so a
 /// program is refused, with the same error, for the same rule, in program
@@ -268,13 +267,10 @@ pub fn check(rule: &Rule, bound: &Binders) -> Result<(), CompileError> {
         }
         unknown = unknown.or(found.1);
     }
-    if let Some((func, arity)) = unknown {
-        return Err(CompileError::UnknownFunction { rule: rule.id.clone(), func: func.into(), arity });
+    match unknown {
+        Some((func, arity)) => Err(CompileError::UnknownFunction { rule: rule.id.clone(), func: func.into(), arity }),
+        None => Ok(()),
     }
-    if rule.body.iter().any(Atom::has_agg) {
-        return Err(CompileError::AggInBody { rule: rule.id.clone() });
-    }
-    Ok(())
 }
 
 /// `e` over slots; [`check`] has bound every variable it reads.
@@ -466,7 +462,7 @@ impl CompiledRule {
                         .enumerate()
                         .map(|(i, t)| match t {
                             Term::Const(c) => ColOp::Const(c.clone()),
-                            Term::Var(v) | Term::Agg(_, v) => {
+                            Term::Var(v) => {
                                 let s = slot_of(v).expect("body variables have slots");
                                 match bound_at[s as usize] {
                                     UNBOUND => {
@@ -533,7 +529,6 @@ impl CompiledRule {
             .map(|t| match t {
                 Term::Const(c) => HeadTerm::Const(c.clone()),
                 Term::Var(v) => slot_of(v).map_or(HeadTerm::Never, HeadTerm::Slot),
-                Term::Agg(..) => HeadTerm::Never,
             })
             .collect();
         Ok(CompiledRule {
@@ -694,11 +689,11 @@ pub struct LazyRule(OnceLock<Option<Box<CompiledRule>>>);
 
 impl LazyRule {
     /// `rule` compiled against `catalog`, made on the first call; `None`
-    /// for a rule that does not compile, or aggregates — the engine runs
-    /// those through the interpreter, the joint replay hands back the
-    /// candidates that reach them.
+    /// for a rule that does not compile — the engine refuses such a
+    /// program up front, the joint replay hands back the candidates that
+    /// reach one.
     pub fn get(&self, rule: &Rule, catalog: &Catalog) -> Option<&CompiledRule> {
-        self.0.get_or_init(|| CompiledRule::compile(rule, catalog).ok().filter(|_| !rule.is_aggregate()).map(Box::new)).as_deref()
+        self.0.get_or_init(|| CompiledRule::compile(rule, catalog).ok().map(Box::new)).as_deref()
     }
 
     /// Has [`Self::get`] compiled the rule?

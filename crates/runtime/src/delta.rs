@@ -7,20 +7,18 @@
 //! tuple instance — was it made visible by the round being joined, by
 //! some other round, or not at all (still pending, or dead) — and this
 //! tracker keeps exactly that: the id of the round that made each tuple
-//! visible, and the stack of open rounds.
+//! visible, and the open round's.
 //!
 //! The engine drives the lifecycle: [`DeltaTracker::begin_round`] stamps a
 //! pending batch with a fresh round id and opens it,
-//! [`DeltaTracker::end_round`] closes the innermost round — its tuples
-//! then read as merged, since no later round reuses the id — and
-//! [`DeltaTracker::retire`] forgets a tuple that died (cascade retraction
-//! or primary-key replacement).
+//! [`DeltaTracker::end_round`] closes it — its tuples then read as merged,
+//! since no later round reuses the id — and [`DeltaTracker::retire`]
+//! forgets a tuple that died (cascade retraction or primary-key
+//! replacement).
 //!
-//! Rounds nest: an aggregate re-emission inside a cascade runs its own
-//! fixpoint while an outer round is suspended. Only the innermost open
-//! round is the "current" one; a suspended outer round's tuples join like
-//! merged ones (the outer round cannot revisit combinations with tuples
-//! that did not exist when its deltas fired).
+//! At most one round is open: a step's rounds follow one another, and
+//! nothing a round fires runs a fixpoint of its own (retraction fires no
+//! rule), so no round begins while another is open.
 //!
 //! Tuple instance ids are engine-global and dense, so the tracker stores
 //! one round id per tuple id in a flat vector, and the join loop's
@@ -33,12 +31,10 @@ use crate::log::TupleId;
 pub enum Visibility {
     /// Made visible by no round: never promoted (still pending), or retired.
     Absent,
-    /// Made visible by the innermost open round — the tuples the
-    /// positional discipline excludes at body positions after the delta
-    /// slot.
+    /// Made visible by the open round — the tuples the positional
+    /// discipline excludes at body positions after the delta slot.
     Current,
-    /// Made visible by a finished round or a suspended outer one; joinable
-    /// at every position.
+    /// Made visible by a finished round; joinable at every position.
     Merged,
 }
 
@@ -52,16 +48,17 @@ pub struct DeltaTracker {
     /// never wraps: a `u32` would after about 36 minutes at 2 M rounds a
     /// second.
     rounds: u64,
-    /// The open rounds' ids, innermost last.
-    open: Vec<u64>,
+    /// The open round's id; 0 = no round is open.
+    open: u64,
 }
 
 impl DeltaTracker {
     /// Open a round over `batch`: its tuples become visible as
     /// [`Visibility::Current`] until the round ends. Tuples already
     /// retired are the caller's concern (the engine skips dead instances
-    /// before joining).
+    /// before joining). No round may be open (a debug assertion).
     pub fn begin_round(&mut self, batch: impl IntoIterator<Item = TupleId>) {
+        debug_assert_eq!(self.open, 0, "a round began while round {} was open", self.open);
         self.rounds += 1;
         for tid in batch {
             let i = tid as usize;
@@ -71,22 +68,23 @@ impl DeltaTracker {
             debug_assert_eq!(self.round_of[i], 0, "tuple {tid} joined a round while already visible");
             self.round_of[i] = self.rounds;
         }
-        self.open.push(self.rounds);
+        self.open = self.rounds;
     }
 
-    /// Close the innermost round: its tuples become [`Visibility::Merged`].
+    /// Close the open round: its tuples become [`Visibility::Merged`].
     ///
     /// # Panics
     /// Panics if no round is open.
     pub fn end_round(&mut self) {
-        self.open.pop().expect("end_round without begin_round");
+        assert_ne!(self.open, 0, "end_round without begin_round");
+        self.open = 0;
     }
 
     /// What the join loop may do with `tid` — a single array read.
     pub fn visibility(&self, tid: TupleId) -> Visibility {
         match self.round_of.get(tid as usize).copied().unwrap_or(0) {
             0 => Visibility::Absent,
-            round if self.open.last() == Some(&round) => Visibility::Current,
+            round if round == self.open => Visibility::Current,
             _ => Visibility::Merged,
         }
     }
@@ -98,9 +96,9 @@ impl DeltaTracker {
         }
     }
 
-    /// Number of open (nested) rounds.
-    pub fn depth(&self) -> usize {
-        self.open.len()
+    /// Is a round open?
+    pub fn is_open(&self) -> bool {
+        self.open != 0
     }
 }
 
@@ -120,26 +118,20 @@ mod tests {
         assert_eq!(d.visibility(2), Visibility::Absent, "not in the batch");
         d.end_round();
         assert_eq!(d.visibility(0), Visibility::Merged);
-        assert_eq!(d.depth(), 0);
+        assert!(!d.is_open());
         // A later round does not make an earlier round's tuples current.
         d.begin_round([2]);
         assert_eq!(d.visibility(0), Visibility::Merged);
         assert_eq!(d.visibility(2), Visibility::Current);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn nested_rounds_stack() {
+    #[should_panic(expected = "a round began while round 1 was open")]
+    fn a_round_never_begins_inside_another() {
         let mut d = DeltaTracker::default();
         d.begin_round([0]);
         d.begin_round([1]);
-        assert_eq!(d.depth(), 2);
-        assert_eq!(d.visibility(0), Visibility::Merged, "a suspended round joins like a merged one");
-        assert_eq!(d.visibility(1), Visibility::Current);
-        d.end_round();
-        assert_eq!(d.visibility(1), Visibility::Merged);
-        assert_eq!(d.visibility(0), Visibility::Current, "the outer round is innermost again");
-        d.end_round();
-        assert_eq!(d.visibility(0), Visibility::Merged);
     }
 
     /// Retiring forgets a tuple whether a finished round or the open one

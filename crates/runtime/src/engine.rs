@@ -31,15 +31,14 @@
 //! which is what makes it an oracle for all three. `tests/differential.rs`
 //! proves both produce the same fixpoints and provenance-equivalent
 //! derivations over generated programs, and on event streams with repeats
-//! the same step results, stores and logs. Aggregate rules run through the
-//! interpreter under either strategy.
+//! the same step results, stores and logs.
 //!
 //! Derived state carries support counts so deletions cascade correctly
 //! (UNDERIVE/DISAPPEAR, §3.1); tables with declared primary keys follow
 //! NDlog's replacement semantics. Every table has one schema in the store:
-//! the program's declaration, the group key of an aggregate head, set
-//! semantics at its one arity for a table the program uses undeclared, and
-//! for a table the program never names, the arity of its first insert.
+//! the program's declaration, set semantics at its one arity for a table
+//! the program uses undeclared, and for a table the program never names,
+//! the arity of its first insert.
 //!
 //! A derivation that a disappearing body tuple can retract is remembered
 //! as three ids (head instance, the log's `Derive` row, an active flag)
@@ -59,14 +58,14 @@ use crate::batch::{self, TriggerIndex, TriggerLists};
 use crate::codec::{self, WalRecord};
 use crate::compiled::{self, LazyRule};
 use crate::delta::DeltaTracker;
-use crate::log::{ExecLog, Origin, Time, TupleId, TupleKind};
+use crate::log::{ExecLog, Time, TupleId, TupleKind};
 use crate::memo::{Head, StepMemo};
 use crate::store::{AddOutcome, DropOutcome, Store};
-use mpr_ndlog::ast::{AggKind, Atom, Expr, Rule, Term};
+use mpr_ndlog::ast::{Atom, Expr, Rule, Term};
 use mpr_ndlog::eval::{Bindings, CountingFuncs, Env};
-use mpr_ndlog::{Catalog, Program, ProgramOutline, Schema, Tuple, Value};
+use mpr_ndlog::{Program, ProgramOutline, Schema, Tuple, Value};
 use mpr_storage::{Recovery, StorageBackend, StorageError, WalBackend, WalConfig};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,8 +87,8 @@ pub enum EvalStrategy {
     /// scans immediately. A *test reference*, never a deployment choice:
     /// it is the differential oracle for the semantics the naive evaluator
     /// ([`crate::naive`]) cannot express — primary-key replacement,
-    /// transient events, aggregate churn, deletion cascades and derivation
-    /// sets — and is reachable only through an explicit per-engine
+    /// transient events, deletion cascades and derivation sets — and is
+    /// reachable only through an explicit per-engine
     /// `Options { strategy: EvalStrategy::Pipelined, .. }`.
     Pipelined,
 }
@@ -234,24 +233,6 @@ pub enum CompileError {
         /// The offending variable.
         var: String,
     },
-    /// Aggregate rules must have exactly one body predicate and the
-    /// aggregate as the last head argument.
-    BadAggregate {
-        /// Rule id.
-        rule: String,
-        /// Why the aggregate is malformed.
-        reason: String,
-    },
-    /// Aggregates may not range over event tables.
-    AggregateOverEvent {
-        /// Rule id.
-        rule: String,
-    },
-    /// Body atoms cannot contain aggregate terms.
-    AggInBody {
-        /// Rule id.
-        rule: String,
-    },
     /// An expression calls a function the runtime does not provide: the
     /// one built-in is the zero-argument `f_unique()`.
     UnknownFunction {
@@ -273,15 +254,6 @@ impl std::fmt::Display for CompileError {
             }
             CompileError::UnboundAssignVar { rule, var } => {
                 write!(f, "rule `{rule}`: assignment uses unbound variable `{var}`")
-            }
-            CompileError::BadAggregate { rule, reason } => {
-                write!(f, "rule `{rule}`: malformed aggregate: {reason}")
-            }
-            CompileError::AggregateOverEvent { rule } => {
-                write!(f, "rule `{rule}`: aggregate over event table")
-            }
-            CompileError::AggInBody { rule } => {
-                write!(f, "rule `{rule}`: aggregate term in body")
             }
             CompileError::UnknownFunction { rule, func, arity } => {
                 write!(f, "rule `{rule}`: calls `{func}` with {arity} argument(s); the one built-in is `f_unique()`")
@@ -375,49 +347,17 @@ pub struct StepResult {
     pub derivations: u64,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct AggSpec {
-    kind: AggKind,
-    /// Variable under the aggregate.
-    value_var: String,
-}
-
-/// The aggregate `rule`'s head carries, if any, checked: exactly one, the
-/// last head argument, over one body predicate of a state table.
-fn agg_spec(rule: &Rule, catalog: &Catalog) -> Result<Option<AggSpec>, CompileError> {
-    if !rule.is_aggregate() {
-        return Ok(None);
-    }
-    let bad = |reason: &str| CompileError::BadAggregate { rule: rule.id.clone(), reason: reason.into() };
-    if rule.head.args.iter().filter(|t| matches!(t, Term::Agg(..))).count() != 1 {
-        return Err(bad("exactly one aggregate argument is supported"));
-    }
-    let Some(Term::Agg(kind, var)) = rule.head.args.last() else {
-        return Err(bad("the aggregate must be the last head argument"));
-    };
-    if rule.body.len() != 1 {
-        return Err(bad("aggregate rules take exactly one body predicate"));
-    }
-    if catalog.get(&rule.body[0].table).is_some_and(|s| !s.is_state()) {
-        return Err(CompileError::AggregateOverEvent { rule: rule.id.clone() });
-    }
-    Ok(Some(AggSpec { kind: *kind, value_var: var.clone() }))
-}
-
-/// What the engine keeps per rule besides its source. A join rule of a
+/// What the engine keeps per rule besides its source. A rule of a
 /// [`EvalStrategy::Batch`] engine fires through its compiled form
 /// ([`crate::compiled`]), made at the first delta that reaches it; every
-/// rule of a [`EvalStrategy::Pipelined`] reference engine, and aggregate
-/// rules (`agg_add`) under either strategy, run their source through the
-/// name-keyed interpreter.
+/// rule of a [`EvalStrategy::Pipelined`] reference engine runs its source
+/// through the name-keyed interpreter.
 #[derive(Debug)]
 pub(crate) struct EngineRule {
     /// The compiled form, against the store's schemas.
     pub(crate) compiled: LazyRule,
     /// Is the head an event table?
     head_is_event: bool,
-    /// Aggregate spec, if the head carries one.
-    pub(crate) agg: Option<AggSpec>,
 }
 
 /// A derivation that a disappearing body tuple can still retract. Ids
@@ -432,16 +372,9 @@ struct DerivRecord {
 }
 
 /// The firing behind a unit of derived support: rule index, body instances
-/// in body-atom order, and the node the firing ran at.
-pub(crate) type Firing<'a> = (usize, &'a [TupleId], Origin<'a>);
-
-#[derive(Debug, Default)]
-struct AggGroup {
-    /// Multiset of contributed values.
-    values: BTreeMap<Value, usize>,
-    /// Current emitted head tuple, if any.
-    emitted: Option<Tuple>,
-}
+/// in body-atom order, and the delta that fired it, at whose node the
+/// firing ran.
+pub(crate) type Firing<'a> = (usize, &'a [TupleId], TupleId);
 
 /// The engine. See the module docs for semantics.
 pub struct Engine {
@@ -450,8 +383,7 @@ pub struct Engine {
     /// What `program` was checked against when the engine was built.
     outline: Arc<ProgramOutline>,
     /// One per rule of `program`. Shared so a firing can hold its rule
-    /// across the `&mut self` calls it makes (and any nested fixpoint those
-    /// trigger).
+    /// across the `&mut self` calls it makes.
     pub(crate) rules: Arc<Vec<EngineRule>>,
     /// table → (rule index, body atom index) that the table can trigger
     /// (pipelined only). Shared so the drain loop can hold a table's list
@@ -471,8 +403,6 @@ pub struct Engine {
     /// Records `kill` has looked at (the O(dependents) pin).
     #[cfg(test)]
     records_visited: u64,
-    agg_groups: HashMap<(usize, Vec<Value>), AggGroup>,
-    agg_contrib: HashMap<TupleId, Vec<(usize, Vec<Value>, Value)>>,
     pub(crate) total_derivations: u64,
     /// Which propagation discipline `drain` uses.
     strategy: EvalStrategy,
@@ -518,15 +448,11 @@ impl Engine {
         let strategy = opts.strategy;
         // One walk of each rule outlines the program, checks the rule and
         // collects its triggers.
-        let (mut lists, mut agg_heads) = (TriggerLists::default(), Vec::new());
+        let mut lists = TriggerLists::default();
         let outline = ProgramOutline::checking(&program, CompileError::InvalidProgram, |ri, rule, bound| {
             compiled::check(rule, bound)?;
-            let agg = agg_spec(rule, &program.catalog)?;
-            if agg.is_some() {
-                agg_heads.push(ri);
-            }
             let head_is_event = program.catalog.get(&rule.head.table).is_some_and(|s| !s.is_state());
-            rules.push(EngineRule { compiled: LazyRule::default(), head_is_event, agg });
+            rules.push(EngineRule { compiled: LazyRule::default(), head_is_event });
             lists.add(ri, rule);
             Ok(())
         })?;
@@ -534,12 +460,6 @@ impl Engine {
         let mut store = Store::new();
         for s in program.catalog.iter() {
             store.declare(s.clone());
-        }
-        // Aggregate heads are keyed on the group columns so updates replace
-        // rather than accumulate.
-        for head in agg_heads.into_iter().map(|ri| &program.rules[ri].head) {
-            let arity = head.args.len();
-            store.declare(Schema::state_keyed(head.table.clone(), arity, (0..arity - 1).collect()));
         }
         // A table the program uses undeclared is state under set semantics,
         // at the one arity validation allowed it.
@@ -585,8 +505,6 @@ impl Engine {
             by_body: HashMap::new(),
             #[cfg(test)]
             records_visited: 0,
-            agg_groups: HashMap::new(),
-            agg_contrib: HashMap::new(),
             total_derivations: 0,
             strategy,
             index,
@@ -777,10 +695,7 @@ impl Engine {
         }
         let mut result = StepResult::default();
         let mut queue = std::mem::take(&mut self.spare_queue);
-        if let Err(e) = self.add_support(&tuple, true, None, &mut queue, &mut result) {
-            self.merge_unfired(&queue);
-            return Err(e);
-        }
+        self.add_support(&tuple, true, None, &mut queue, &mut result);
         self.drain(queue, &mut result)?;
         Ok(result)
     }
@@ -801,7 +716,8 @@ impl Engine {
     }
 
     /// Delete a base tuple (one unit of base support) and cascade, logged
-    /// first like [`Engine::insert`].
+    /// first like [`Engine::insert`]. It never fails — retraction fires no
+    /// rule — and returns a `Result` as `insert` does.
     pub fn delete(&mut self, tuple: &Tuple) -> Result<StepResult, RuntimeError> {
         if self.wal.is_some() {
             self.write_input(codec::input_record(codec::DELETE, tuple));
@@ -819,7 +735,7 @@ impl Engine {
                 if self.opts.record_events {
                     self.log.delete_base(self.time, tid);
                 }
-                self.kill(tid, tuple.clone(), &mut result)?;
+                self.kill(tid, tuple.clone(), &mut result);
             }
         }
         Ok(result)
@@ -860,7 +776,7 @@ impl Engine {
         derive: Option<Firing<'_>>,
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
-    ) -> Result<(), RuntimeError> {
+    ) {
         let kind = if base { TupleKind::Base } else { TupleKind::Derived };
         let mut fresh: Option<TupleId> = None;
         let outcome = {
@@ -895,15 +811,13 @@ impl Engine {
                 self.memo.state_moved();
                 // The evicted instance dies with a full cascade (its
                 // support is already gone from the store), then the
-                // replacement appears. It is queued first, so a cascade
-                // cut short leaves it among the step's unfired tuples.
+                // replacement appears.
                 queue.push_back((new, tuple.clone()));
                 let old_tuple = self.log.tuple(old).clone();
-                self.kill(old, old_tuple, result)?;
+                self.kill(old, old_tuple, result);
                 self.announce(new, tuple, base, derive, result);
             }
         }
-        Ok(())
     }
 
     fn announce(
@@ -953,7 +867,8 @@ impl Engine {
     }
 
     /// Kill a tuple instance that lost all support: cascade retractions.
-    fn kill(&mut self, tid: TupleId, tuple: Tuple, result: &mut StepResult) -> Result<(), RuntimeError> {
+    /// Retraction fires no rule, so it runs no fixpoint and cannot fail.
+    fn kill(&mut self, tid: TupleId, tuple: Tuple, result: &mut StepResult) {
         self.memo.state_moved();
         // A pipelined engine opens no round.
         self.deltas.retire(tid);
@@ -983,18 +898,11 @@ impl Engine {
                 DropOutcome::Gone(gone_tid) => {
                     debug_assert_eq!(gone_tid, head_tid);
                     let head = self.log.tuple(head_tid).clone();
-                    self.kill(head_tid, head, result)?;
+                    self.kill(head_tid, head, result);
                 }
                 DropOutcome::StillAlive | DropOutcome::Absent => {}
             }
         }
-        // Retract aggregate contributions.
-        if let Some(contribs) = self.agg_contrib.remove(&tid) {
-            for (rule_idx, group, value) in contribs {
-                self.agg_retract(rule_idx, group, value, result)?;
-            }
-        }
-        Ok(())
     }
 
     /// Propagate appearances until fixpoint, under the engine's strategy.
@@ -1028,11 +936,7 @@ impl Engine {
                 None => continue,
             };
             for &(rule_idx, atom_idx) in trigger_list.iter() {
-                if self.rules[rule_idx].agg.is_some() {
-                    self.agg_add(rule_idx, tid, &tuple, &mut queue, result)?;
-                } else {
-                    self.fire(rule_idx, atom_idx, tid, &tuple, &mut queue, result)?;
-                }
+                self.fire(rule_idx, atom_idx, tid, &tuple, &mut queue, result)?;
             }
         }
         Ok(())
@@ -1072,7 +976,6 @@ impl Engine {
                 let node_filter: Option<Value> = match &atom.loc {
                     Term::Const(v) => Some(v.clone()),
                     Term::Var(v) => env.get(v).cloned(),
-                    Term::Agg(..) => None,
                 };
                 // `scan_ordered`, not `scan`: under primary-key replacement
                 // (last-write-wins) the candidate visit order is visible in
@@ -1175,10 +1078,10 @@ impl Engine {
             // unreachable, but stay total.
             return Ok(());
         }
-        match instantiate(&rule.head, &env) {
-            Some(head) => self.emit_head(rule_idx, head, body_tids, delta_tid, queue, result),
-            None => Ok(()),
+        if let Some(head) = instantiate(&rule.head, &env) {
+            self.emit_head(rule_idx, head, body_tids, delta_tid, queue, result);
         }
+        Ok(())
     }
 
     /// A rule fired with the delta `delta_tid` and built `head`: derive it.
@@ -1190,8 +1093,8 @@ impl Engine {
         delta_tid: TupleId,
         queue: &mut VecDeque<(TupleId, Tuple)>,
         result: &mut StepResult,
-    ) -> Result<(), RuntimeError> {
-        let firing = (rule_idx, body_tids, Origin::LocOf(delta_tid));
+    ) {
+        let firing = (rule_idx, body_tids, delta_tid);
         if self.rules[rule_idx].head_is_event {
             let tid = self.mint(&head, TupleKind::Event);
             self.derive_event(tid, firing);
@@ -1199,9 +1102,8 @@ impl Engine {
             result.appeared.push(head.clone());
             queue.push_back((tid, head));
         } else {
-            self.add_support(&head, false, Some(firing), queue, result)?;
+            self.add_support(&head, false, Some(firing), queue, result);
         }
-        Ok(())
     }
 
     /// The derived event instance `tid`: DERIVE, APPEAR and DISAPPEAR while
@@ -1213,120 +1115,6 @@ impl Engine {
         }
         self.log.close(tid, self.time);
     }
-
-    // ------------------------------------------------------------------
-    // aggregates
-
-    pub(crate) fn agg_add(
-        &mut self,
-        rule_idx: usize,
-        delta_tid: TupleId,
-        delta: &Tuple,
-        queue: &mut VecDeque<(TupleId, Tuple)>,
-        result: &mut StepResult,
-    ) -> Result<(), RuntimeError> {
-        // Only aggregate triggers dispatch here; stay total regardless.
-        let (program, rules) = (Arc::clone(&self.program), Arc::clone(&self.rules));
-        let (rule, Some(spec)) = (&program.rules[rule_idx], &rules[rule_idx].agg) else {
-            return Ok(());
-        };
-        let Some(env) = match_atom(&rule.body[0], delta, &Env::new()) else {
-            return Ok(());
-        };
-        let mut sel_done = vec![false; rule.sels.len()];
-        if !self.eval_ready_sels(rule, &env, &mut sel_done) {
-            return Ok(());
-        }
-        if !sel_done.iter().all(|&d| d) {
-            return Ok(());
-        }
-        let Some(value) = env.get(&spec.value_var).cloned() else {
-            return Ok(());
-        };
-        let Some(group) = agg_group_key(&rule.head, &env) else {
-            return Ok(());
-        };
-        self.memo.state_moved();
-        let g = self.agg_groups.entry((rule_idx, group.clone())).or_default();
-        *g.values.entry(value.clone()).or_insert(0) += 1;
-        self.agg_contrib
-            .entry(delta_tid)
-            .or_default()
-            .push((rule_idx, group.clone(), value));
-        self.agg_emit(rule_idx, group, delta_tid, Origin::LocOf(delta_tid), queue, result)
-    }
-
-    fn agg_retract(
-        &mut self,
-        rule_idx: usize,
-        group: Vec<Value>,
-        value: Value,
-        result: &mut StepResult,
-    ) -> Result<(), RuntimeError> {
-        let mut queue = VecDeque::new();
-        if let Some(g) = self.agg_groups.get_mut(&(rule_idx, group.clone())) {
-            self.memo.state_moved();
-            if let Some(n) = g.values.get_mut(&value) {
-                *n -= 1;
-                if *n == 0 {
-                    g.values.remove(&value);
-                }
-            }
-            if g.values.is_empty() {
-                // Group vanished: evict the emitted tuple entirely.
-                if let Some(old) = g.emitted.take() {
-                    self.agg_groups.remove(&(rule_idx, group));
-                    if let Some(tid) = self.store.evict(&old) {
-                        self.kill(tid, old, result)?;
-                    }
-                }
-            } else {
-                let origin = group.first().cloned().unwrap_or(Value::Wild);
-                if let Err(e) = self.agg_emit(rule_idx, group, 0, Origin::Node(&origin), &mut queue, result) {
-                    self.merge_unfired(&queue);
-                    return Err(e);
-                }
-            }
-        }
-        self.drain(queue, result)
-    }
-
-    fn agg_emit(
-        &mut self,
-        rule_idx: usize,
-        group: Vec<Value>,
-        trigger_tid: TupleId,
-        origin: Origin<'_>,
-        queue: &mut VecDeque<(TupleId, Tuple)>,
-        result: &mut StepResult,
-    ) -> Result<(), RuntimeError> {
-        let rules = Arc::clone(&self.rules);
-        let Some(spec) = &rules[rule_idx].agg else {
-            return Ok(());
-        };
-        let g = match self.agg_groups.get(&(rule_idx, group.clone())) {
-            Some(g) => g,
-            None => return Ok(()),
-        };
-        let agg_value = match spec.kind {
-            AggKind::Count => Value::Int(g.values.values().map(|&n| n as i64).sum()),
-            AggKind::Min => g.values.keys().next().cloned().unwrap_or(Value::Wild),
-            AggKind::Max => g.values.keys().next_back().cloned().unwrap_or(Value::Wild),
-        };
-        let table = self.program.rules[rule_idx].head.table.clone();
-        let loc = group[0].clone();
-        let mut args: Vec<Value> = group[1..].to_vec();
-        args.push(agg_value);
-        let head = Tuple::new(table, loc, args);
-        match self.agg_groups.get_mut(&(rule_idx, group)) {
-            Some(g) if g.emitted.as_ref() == Some(&head) => return Ok(()), // unchanged
-            Some(g) => g.emitted = Some(head.clone()),
-            // The group was checked live above; stay total if it vanished.
-            None => return Ok(()),
-        }
-        self.count_derivation(result)?;
-        self.add_support(&head, false, Some((rule_idx, &[trigger_tid], origin)), queue, result)
-    }
 }
 
 /// Is every variable of `e` bound in `env`?
@@ -1337,19 +1125,6 @@ fn bound_in(e: &Expr, env: &Env) -> bool {
         Expr::Binary(_, l, r) => bound_in(l, env) && bound_in(r, env),
         Expr::Call(_, args) => args.iter().all(|a| bound_in(a, env)),
     }
-}
-
-/// Group key: head location followed by the evaluated non-agg head args.
-fn agg_group_key(head: &Atom, env: &Env) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(head.args.len());
-    key.push(resolve_term(&head.loc, env)?);
-    for t in &head.args {
-        match t {
-            Term::Agg(..) => {}
-            other => key.push(resolve_term(other, env)?),
-        }
-    }
-    Some(key)
 }
 
 /// Unify an atom against a concrete tuple, extending `env`. Returns the
@@ -1410,11 +1185,10 @@ fn unify_term<'a>(
                 }
             }
         }
-        Term::Agg(..) => false,
     }
 }
 
-/// Instantiate a (non-aggregate) head atom under an environment.
+/// Instantiate a head atom under an environment.
 pub fn instantiate(atom: &Atom, env: &impl Bindings) -> Option<Tuple> {
     let loc = resolve_term(&atom.loc, env)?;
     let mut args = Vec::with_capacity(atom.args.len());
@@ -1428,7 +1202,6 @@ fn resolve_term(term: &Term, env: &impl Bindings) -> Option<Value> {
     match term {
         Term::Const(c) => Some(c.clone()),
         Term::Var(v) => env.get(v).cloned(),
-        Term::Agg(..) => None,
     }
 }
 
@@ -1555,39 +1328,6 @@ mod tests {
         let reach = e.tuples("Reach");
         // 1→2,1→3,1→4,2→3,2→4,3→4
         assert_eq!(reach.len(), 6);
-    }
-
-    #[test]
-    fn aggregate_count_updates_and_retracts() {
-        let src = r"
-            materialize(PredFunc, infinity, 2, keys(0,1)).
-            materialize(PredFuncCount, infinity, 2, keys(0)).
-            p2 PredFuncCount(@C,Rul,a_count<Tab>) :- PredFunc(@C,Rul,Tab).
-        ";
-        let p = parse_program("agg", src).unwrap();
-        let mut e = Engine::new(&p).unwrap();
-        let c = Value::str("C");
-        e.insert(Tuple::new("PredFunc", c.clone(), vec![Value::str("r1"), Value::str("T1")]))
-            .unwrap();
-        e.insert(Tuple::new("PredFunc", c.clone(), vec![Value::str("r1"), Value::str("T2")]))
-            .unwrap();
-        e.insert(Tuple::new("PredFunc", c.clone(), vec![Value::str("r2"), Value::str("T1")]))
-            .unwrap();
-        assert_eq!(
-            e.tuples("PredFuncCount"),
-            vec![
-                Tuple::new("PredFuncCount", c.clone(), vec![Value::str("r1"), v(2)]),
-                Tuple::new("PredFuncCount", c.clone(), vec![Value::str("r2"), v(1)]),
-            ]
-        );
-        // Retraction updates the count.
-        e.delete(&Tuple::new("PredFunc", c.clone(), vec![Value::str("r1"), Value::str("T2")]))
-            .unwrap();
-        assert!(e.contains(&Tuple::new("PredFuncCount", c.clone(), vec![Value::str("r1"), v(1)])));
-        // Emptying the group evicts the count tuple.
-        e.delete(&Tuple::new("PredFunc", c.clone(), vec![Value::str("r1"), Value::str("T1")]))
-            .unwrap();
-        assert_eq!(e.tuples("PredFuncCount").len(), 1);
     }
 
     #[test]
@@ -1725,7 +1465,6 @@ mod tests {
         [
             "bad B(@N,X) :- Never(@N,X), X > 0, Zz == Aa.",
             "bad B(@N,X) :- Never(@N,Y), X := Qq + Y.",
-            "bad B(@N,X) :- Never(@N,a_count<X>).",
         ]
         .iter()
         .map(|bad| {
@@ -1754,21 +1493,6 @@ mod tests {
         .unwrap();
         let first = CompileError::UnboundAssignVar { rule: "first".into(), var: "Zz".into() };
         assert_eq!(Engine::new(&p).err(), Some(first));
-    }
-
-    #[test]
-    fn compile_rejects_bad_aggregates() {
-        let p = parse_program("bad", "r1 B(@N,a_count<X>,Y) :- A(@N,X,Y).").unwrap();
-        assert!(matches!(Engine::new(&p), Err(CompileError::BadAggregate { .. })));
-        let p =
-            parse_program("bad2", "r1 B(@N,a_count<X>) :- A(@N,X,Y), C(@N,X,Y).").unwrap();
-        assert!(matches!(Engine::new(&p), Err(CompileError::BadAggregate { .. })));
-        let p = parse_program(
-            "bad3",
-            "materialize(A, event, 2, keys()).\nr1 B(@N,a_count<X>) :- A(@N,X,Y).",
-        )
-        .unwrap();
-        assert!(matches!(Engine::new(&p), Err(CompileError::AggregateOverEvent { .. })));
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! - support counting and cascading retraction (UNDERIVE/DISAPPEAR);
 //! - transient *event* tables (`PacketIn` and friends) whose derivations
 //!   persist (the OpenFlow install pattern);
-//! - `a_count`/`a_min`/`a_max` head aggregates;
 //! - the one built-in function, `f_unique()`, counting from a
 //!   deterministic seed;
 //! - a full execution log ([`log::ExecLog`]) of INSERT/DELETE, DERIVE/

@@ -296,14 +296,6 @@ struct Span {
     last_derive: u32,
 }
 
-/// The node a firing ran at: given, or the location of one of its body
-/// instances (the delta that fired it).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Origin<'a> {
-    Node(&'a Value),
-    LocOf(TupleId),
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
     /// An inserted event: `InsertBase`, `Appear`, `Disappear`.
@@ -480,22 +472,18 @@ impl ExecLog {
         self.push_simple(Tag::Disappear, time, tid);
     }
 
-    /// The ref of the node a firing at `origin` shipped `head` from, or
-    /// `NONE` when it ran at the head's own node.
-    fn shipped_from(&mut self, head: TupleId, origin: Origin<'_>) -> u32 {
+    /// The ref of the node a firing of the delta `origin` shipped `head`
+    /// from — the delta's — or `NONE` when it ran at the head's own node.
+    fn shipped_from(&mut self, head: TupleId, origin: TupleId) -> u32 {
         let loc = |i: TupleId| &self.tuples.items[self.insts[i as usize].tuple as usize].loc;
-        let from = match origin {
-            Origin::Node(node) => node,
-            Origin::LocOf(i) => loc(i),
-        };
-        if from == loc(head) {
+        if loc(origin) == loc(head) {
             NONE
         } else {
-            self.nodes.intern(from)
+            self.nodes.intern(loc(origin))
         }
     }
 
-    fn push_derive(&mut self, tag: Tag, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) -> u32 {
+    fn push_derive(&mut self, tag: Tag, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: TupleId) -> u32 {
         let from = self.shipped_from(head, origin);
         let span = &mut self.spans[head as usize];
         let row = EventRow {
@@ -513,17 +501,17 @@ impl ExecLog {
         self.push_row(row)
     }
 
-    /// Rule `rule` derived `head` from `body` in a firing that ran at
-    /// `origin`: a `Derive` row, which for a head that lives on another
-    /// node reads as its `Send` and `Receive` too. Returns the row's
-    /// index, the handle [`ExecLog::underive`] takes.
-    pub(crate) fn derive(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) -> u32 {
+    /// Rule `rule` derived `head` from `body` in a firing of the delta
+    /// `origin`, at its node: a `Derive` row, which for a head that lives
+    /// on another node reads as its `Send` and `Receive` too. Returns the
+    /// row's index, the handle [`ExecLog::underive`] takes.
+    pub(crate) fn derive(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: TupleId) -> u32 {
         self.push_derive(Tag::Derive, time, rule, head, body, origin)
     }
 
     /// [`ExecLog::derive`] of the event instance `head`, whose row reads as
     /// its `Appear` and `Disappear` too.
-    pub(crate) fn derive_event(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: Origin<'_>) {
+    pub(crate) fn derive_event(&mut self, time: Time, rule: usize, head: TupleId, body: &[TupleId], origin: TupleId) {
         self.push_derive(Tag::DeriveEvent, time, rule, head, body, origin);
     }
 
@@ -829,24 +817,27 @@ mod tests {
         assert!(!r.alive_at(8));
     }
 
-    /// T(0) from time 1 on; T(1) derived from it over [2, 5) by `r1`, once
-    /// locally and once shipped from node `C`; then T(1) again from 6 on.
+    /// T(0) from time 1 on; T(1) derived over [2, 5) by `r1`, once from
+    /// T(0) at its own node and once shipped from node `C`, where its delta
+    /// `L(0)` lives from time 3 on (with no rows of its own); then T(1)
+    /// again from 6 on.
     fn small_log() -> ExecLog {
         let mut log = for_rules(&["r0", "r1"]);
         let a = log.mint(&t(0), TupleKind::Base, 1, true);
         log.insert_base(1, a);
         log.appear(1, a);
         let b = log.mint(&t(1), TupleKind::Derived, 2, true);
-        let local = log.derive(2, 1, b, &[a], Origin::Node(&Value::Int(1)));
+        let local = log.derive(2, 1, b, &[a], a);
         log.appear(2, b);
-        let shipped = log.derive(3, 1, b, &[a, a], Origin::Node(&Value::str("C")));
+        let far = log.mint(&Tuple::new("L", "C", vec![Value::Int(0)]), TupleKind::Base, 3, true);
+        let shipped = log.derive(3, 1, b, &[a, far], far);
         log.underive(5, local);
         log.underive(5, shipped);
         log.close(b, 5);
         log.disappear(5, b);
         let b2 = log.mint(&t(1), TupleKind::Derived, 6, true);
-        log.derive(6, 0, b2, &[a], Origin::LocOf(a));
-        assert_eq!((a, b, b2), (0, 1, 2));
+        log.derive(6, 0, b2, &[a], a);
+        assert_eq!((a, b, far, b2), (0, 1, 2, 3));
         log
     }
 
@@ -859,15 +850,15 @@ mod tests {
             ExecEvent::Appear { time: 1, tid: 0 },
             ExecEvent::Derive { time: 2, rule: "r1", head: 1, body: &[0] },
             ExecEvent::Appear { time: 2, tid: 1 },
-            ExecEvent::Derive { time: 3, rule: "r1", head: 1, body: &[0, 0] },
+            ExecEvent::Derive { time: 3, rule: "r1", head: 1, body: &[0, 2] },
             ExecEvent::Send { time: 3, from: &c, to: &n1, tid: 1, positive: true },
             ExecEvent::Receive { time: 3, from: &c, to: &n1, tid: 1, positive: true },
             ExecEvent::Underive { time: 5, rule: "r1", head: 1, body: &[0] },
-            ExecEvent::Underive { time: 5, rule: "r1", head: 1, body: &[0, 0] },
+            ExecEvent::Underive { time: 5, rule: "r1", head: 1, body: &[0, 2] },
             ExecEvent::Send { time: 5, from: &c, to: &n1, tid: 1, positive: false },
             ExecEvent::Receive { time: 5, from: &c, to: &n1, tid: 1, positive: false },
             ExecEvent::Disappear { time: 5, tid: 1 },
-            ExecEvent::Derive { time: 6, rule: "r0", head: 2, body: &[0] },
+            ExecEvent::Derive { time: 6, rule: "r0", head: 3, body: &[0] },
         ];
         assert_eq!(log.events().collect::<Vec<_>>(), want);
         assert_eq!(log.len(), want.len());
@@ -880,10 +871,10 @@ mod tests {
 
         let rec = log.record(1);
         assert_eq!((rec.tid, rec.tuple, rec.appear, rec.disappear, rec.kind), (1, &t(1), 2, Some(5), TupleKind::Derived));
-        assert_eq!(log.records().len(), 3);
-        assert_eq!(log.record(2).disappear, None);
-        assert!(log.is_live(0) && !log.is_live(1) && log.is_live(2));
-        assert_eq!(log.live_state(), vec![&t(0), &t(1)]);
+        assert_eq!(log.records().len(), 4);
+        assert_eq!(log.record(3).disappear, None);
+        assert!(log.is_live(0) && !log.is_live(1) && log.is_live(2) && log.is_live(3));
+        assert_eq!(log.live_state(), vec![&t(0), &Tuple::new("L", "C", vec![Value::Int(0)]), &t(1)]);
     }
 
     /// An inserted event at node 1, then two events derived from it: one
@@ -896,7 +887,7 @@ mod tests {
         log.close(a, 1);
         for node in [Value::Int(1), Value::str("C")] {
             let d = log.mint(&ev(node), TupleKind::Event, 1, true);
-            log.derive_event(1, 0, d, &[a], Origin::LocOf(a));
+            log.derive_event(1, 0, d, &[a], a);
             log.close(d, 1);
         }
         log
@@ -955,7 +946,7 @@ mod tests {
     #[test]
     fn log_queries() {
         let log = small_log();
-        for tid in 0..3 {
+        for tid in 0..4 {
             let scan: Vec<_> = log
                 .events()
                 .filter(|e| matches!(e, ExecEvent::Derive { head, .. } if *head == tid))
@@ -964,15 +955,15 @@ mod tests {
         }
         assert_eq!(log.derivations_of(1).len(), 2);
         assert_eq!(log.shipment_of(1), Some((3, &Value::str("C"), &Value::Int(1))));
-        assert_eq!(log.shipment_of(2), None);
+        assert_eq!(log.shipment_of(3), None);
 
         let tids = |v: Vec<TupleRecord<'_>>| v.iter().map(|r| r.tid).collect::<Vec<_>>();
-        assert_eq!(tids(log.instances_of(&t(1))), [1, 2]);
+        assert_eq!(tids(log.instances_of(&t(1))), [1, 3]);
         assert_eq!(tids(log.instances_of(&t(9))), [] as [TupleId; 0]);
         assert_eq!(tids(log.alive_at("T", 3)), [0, 1]);
         assert_eq!(tids(log.alive_at("T", 5)), [0]);
         assert_eq!(tids(log.alive_at("U", 3)), [] as [TupleId; 0]);
-        for (at, want) in [(1, None), (2, Some(1)), (4, Some(1)), (5, None), (6, Some(2)), (99, Some(2))] {
+        for (at, want) in [(1, None), (2, Some(1)), (4, Some(1)), (5, None), (6, Some(3)), (99, Some(3))] {
             assert_eq!(log.instance_alive_at(&t(1), at).map(|r| r.tid), want, "at {at}");
         }
     }
@@ -1025,10 +1016,11 @@ mod tests {
     #[test]
     fn byte_counts_are_the_columns() {
         let log = small_log();
-        let interned = 2 * (size_of::<Tuple>() + 1 + size_of::<Value>()) + 2 * size_of::<u32>();
+        // Three tuples of one argument, one of them at node `C`.
+        let interned = 3 * (size_of::<Tuple>() + 1 + size_of::<Value>()) + 1 + 3 * size_of::<u32>();
         // Only the sending node is interned; the receiver is the head's own.
         let nodes = size_of::<Value>() + 1;
-        let rows = 3 * (8 + 24) + 9 * 32 + 4 * size_of::<TupleId>();
+        let rows = 4 * (8 + 24) + 9 * 32 + 4 * size_of::<TupleId>();
         assert_eq!(log.storage_bytes(), (interned + nodes + rows) as u64, "the rule ids are the program's");
         assert!(log.heap_bytes() >= log.storage_bytes() + 2 * 16 * 4, "capacity and both slot tables");
     }
@@ -1054,11 +1046,12 @@ mod tests {
         let visited = |noise: i64| {
             let mut log = for_rules(&["r"]);
             let head = log.mint(&t(-1), TupleKind::Derived, 0, true);
+            let far = log.mint(&Tuple::new("L", "C", vec![]), TupleKind::Base, 0, true);
             for i in 0..noise {
                 let tid = log.mint(&t(i), TupleKind::Base, 1, true);
                 log.insert_base(1, tid);
                 if i % (noise / 3) == 0 {
-                    log.derive(2, 0, head, &[tid], Origin::Node(&Value::str("C")));
+                    log.derive(2, 0, head, &[tid], far);
                 }
             }
             let before = rows_visited();

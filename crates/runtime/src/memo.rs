@@ -10,13 +10,13 @@
 //! step is filed under its event tuple, keyed by the hash the log interns
 //! that tuple with (taken once, for both), and with it its effects: the
 //! derived event instances, the support bumps, each with its rule, body
-//! and origin, and the derivation count. A body or origin instance the
-//! step minted is named by its place among the step's mints (the event
-//! itself is 0), one that was live before it by its id.
+//! and the delta that fired it, and the derivation count. A body or delta
+//! instance the step minted is named by its place among the step's mints
+//! (the event itself is 0), one that was live before it by its id.
 //!
 //! A step is filed only if it left the engine's *state generation* alone
-//! — no tuple appeared, disappeared or was replaced and no aggregate group
-//! moved — called no counting function (`f_unique`) and returned no error.
+//! — no tuple appeared, disappeared or was replaced — called no counting
+//! function (`f_unique`) and returned no error.
 //! Any move of the generation empties the memo, so a filed step always
 //! describes the state it would run against. Nor is the step of an event
 //! the log had never seen filed: its first repeat files it. A stream of
@@ -50,7 +50,7 @@
 
 use crate::batch::GroupReads;
 use crate::engine::{Engine, EvalStrategy, RuntimeError, StepResult};
-use crate::log::{Origin, TupleId, TupleKind};
+use crate::log::{TupleId, TupleKind};
 use crate::store::AddOutcome;
 use mpr_ndlog::{Tuple, Value};
 use std::collections::hash_map::RandomState;
@@ -102,7 +102,7 @@ pub(crate) enum Head {
 /// One entry of a filed step's effects, in the order the drain made them.
 #[derive(Debug, Clone, Copy)]
 enum Effect {
-    /// Rule `rule` derived `head` in a firing at `origin`'s location, from
+    /// Rule `rule` derived `head` in a firing of the delta `origin`, from
     /// the `body` [`Effect::Body`] entries that follow.
     Derive { head: Head, rule: u32, origin: Inst, body: u16 },
     Body(Inst),
@@ -145,13 +145,8 @@ impl StepMemo {
     }
 
     /// Record a derivation of the step being recorded, if one is.
-    pub(crate) fn tape(&mut self, head: Head, (rule, body, origin): (usize, &[TupleId], Origin<'_>)) {
+    pub(crate) fn tape(&mut self, head: Head, (rule, body, origin): (usize, &[TupleId], TupleId)) {
         let Some(event) = self.taping else { return };
-        // A firing at a given node is an aggregate's, which moves state.
-        let Origin::LocOf(origin) = origin else {
-            self.taping = None;
-            return;
-        };
         let inst = |tid: TupleId| match tid.checked_sub(event) {
             Some(k) => Inst::Minted(u32::try_from(k).expect("fewer than 2^32 mints per step")),
             None => Inst::Live(tid),
@@ -262,7 +257,7 @@ impl Engine {
                 Effect::Body(inst) => at(inst),
                 Effect::Derive { .. } => unreachable!("a derivation has its whole body"),
             }));
-            let firing = (rule as usize, &body[..], Origin::LocOf(at(origin)));
+            let firing = (rule as usize, &body[..], at(origin));
             match head {
                 Head::Event(tref) => {
                     let tid = self.mint_interned(tref, TupleKind::Event);
@@ -311,9 +306,8 @@ impl QuietSteps {
     /// `None` if the step of `delta` for `word` would change nothing; else
     /// the key to file it under, if it has one. `heard` is `None` where no
     /// trigger of its table hears `delta`, else its dispatch group and what
-    /// the group reads (`None` if a rule of it does not compile or
-    /// aggregates); `standing` is the caller's count of changes to the
-    /// state.
+    /// the group reads (`None` if a rule of it does not compile);
+    /// `standing` is the caller's count of changes to the state.
     pub fn lookup(
         &mut self,
         word: u64,

@@ -3,10 +3,10 @@
 //!
 //! It repeatedly evaluates every rule against the full store until nothing
 //! changes, sharing no join, index or delta code with the engine. It
-//! supports only state tables, no aggregates, and no `f_unique()` — the
-//! fragment on which set-semantics equivalence with the incremental engine
-//! is meaningful; everything outside it (key replacement, events,
-//! aggregates, deletions, derivation sets) is pinned against
+//! supports only state tables and no `f_unique()` — the fragment on which
+//! set-semantics equivalence with the incremental engine is meaningful;
+//! everything outside it (key replacement, events, deletions, derivation
+//! sets) is pinned against
 //! [`crate::engine::EvalStrategy::Pipelined`] instead.
 
 use crate::engine::{instantiate, match_atom};

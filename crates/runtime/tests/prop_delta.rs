@@ -1,11 +1,11 @@
 //! Property tests for the batch engine's round tracking:
 //!
-//! - the tracker agrees with the frame semantics it replaced — open
-//!   rounds as a stack of disjoint tuple-id sets (recent), finished rounds
-//!   merged into one set (stable) — through random begin / end / retire
-//!   scripts;
+//! - the tracker agrees with the frame semantics it replaced — the open
+//!   round as a set of tuple ids (recent), finished rounds merged into one
+//!   set (stable) — through random scripts of rounds and retires, with at
+//!   most one round open at a time, as in the engine;
 //! - at rest (no open round) every live state tuple is merged, also after
-//!   a step cut short by its round budget;
+//!   a step cut short by its derivation budget;
 //! - fixpoints are idempotent: re-inserting already-live facts adds
 //!   support but changes nothing visible.
 
@@ -20,43 +20,59 @@ use std::collections::BTreeSet;
 /// and re-promotions often hit tracked tuples.
 #[derive(Debug, Clone)]
 enum Op {
-    BeginRound(Vec<u64>),
-    EndRound,
+    /// Begin a round over the batch, retire these ids while it is open,
+    /// then end it.
+    Round(Vec<u64>, Vec<u64>),
+    /// Retire an id between rounds.
     Retire(u64),
 }
 
 const POOL: u64 = 32;
 
 fn op() -> impl Strategy<Value = Op> {
+    let ids = |n| prop::collection::vec(0..POOL, 0..n);
     prop_oneof![
-        3 => prop::collection::vec(0..POOL, 0..6).prop_map(Op::BeginRound),
-        2 => Just(Op::EndRound),
+        3 => (ids(6), ids(3)).prop_map(|(batch, retires)| Op::Round(batch, retires)),
         2 => (0..POOL).prop_map(Op::Retire),
     ]
 }
 
-/// The frame semantics: what each open round promoted, innermost last,
-/// and everything finished rounds merged.
+/// The frame semantics: what the open round promoted, if one is open, and
+/// everything finished rounds merged.
 #[derive(Default)]
 struct Frames {
-    open: Vec<BTreeSet<u64>>,
+    open: Option<BTreeSet<u64>>,
     merged: BTreeSet<u64>,
 }
 
 impl Frames {
-    /// No tuple id sits in two open rounds, or in an open round and the
-    /// merged set.
-    fn disjoint(&self) -> bool {
-        let mut seen = self.merged.clone();
-        self.open.iter().flatten().all(|&t| seen.insert(t))
-    }
-
     fn visibility(&self, tid: u64) -> Visibility {
-        match self.open.split_last() {
-            Some((innermost, _)) if innermost.contains(&tid) => Visibility::Current,
-            Some((_, outer)) if outer.iter().any(|f| f.contains(&tid)) => Visibility::Merged,
+        match &self.open {
+            Some(frame) if frame.contains(&tid) => Visibility::Current,
             _ if self.merged.contains(&tid) => Visibility::Merged,
             _ => Visibility::Absent,
+        }
+    }
+
+    fn retire(&mut self, tid: u64) {
+        self.merged.remove(&tid);
+        if let Some(frame) = &mut self.open {
+            frame.remove(&tid);
+        }
+    }
+
+    /// No tuple id sits in the open round and the merged set, and the
+    /// tracker reads each tuple exactly as the model does.
+    fn agrees_with(&self, d: &DeltaTracker) -> Result<(), String> {
+        if self.open.iter().flatten().any(|t| self.merged.contains(t)) {
+            return Err("stable and recent overlap".into());
+        }
+        if d.is_open() != self.open.is_some() {
+            return Err(format!("open: tracker {}, model {}", d.is_open(), self.open.is_some()));
+        }
+        match (0..POOL).find(|&t| d.visibility(t) != self.visibility(t)) {
+            Some(t) => Err(format!("tuple {t}: tracker {:?}, model {:?}", d.visibility(t), self.visibility(t))),
+            None => Ok(()),
         }
     }
 }
@@ -64,45 +80,38 @@ impl Frames {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// After every op the model's partitions are disjoint and the tracker
-    /// reads each tuple exactly as the model does.
+    /// After every step of a script the model's partitions are disjoint
+    /// and the tracker reads each tuple exactly as the model does.
     #[test]
     fn stable_and_recent_stay_disjoint(ops in prop::collection::vec(op(), 0..40)) {
         let mut d = DeltaTracker::default();
         let mut model = Frames::default();
         for op in ops {
             match op {
-                Op::BeginRound(batch) => {
+                Op::Round(batch, retires) => {
                     // The engine promotes a tuple id once while it lives:
                     // keep only ids the model holds nowhere, once each.
-                    let mut fresh = BTreeSet::new();
-                    for t in batch {
-                        if model.visibility(t) == Visibility::Absent {
-                            fresh.insert(t);
-                        }
-                    }
+                    let fresh: BTreeSet<u64> = batch.into_iter().filter(|&t| model.visibility(t) == Visibility::Absent).collect();
                     d.begin_round(fresh.iter().copied());
-                    model.open.push(fresh);
-                }
-                Op::EndRound => {
-                    if let Some(frame) = model.open.pop() {
-                        d.end_round();
-                        model.merged.extend(frame);
+                    model.open = Some(fresh);
+                    let agreed = model.agrees_with(&d);
+                    prop_assert!(agreed.is_ok(), "round begun: {:?}", agreed);
+                    for t in retires {
+                        d.retire(t);
+                        model.retire(t);
+                        let agreed = model.agrees_with(&d);
+                        prop_assert!(agreed.is_ok(), "{} retired in the round: {:?}", t, agreed);
                     }
+                    d.end_round();
+                    model.merged.extend(model.open.take().into_iter().flatten());
                 }
                 Op::Retire(t) => {
                     d.retire(t);
-                    model.merged.remove(&t);
-                    for frame in &mut model.open {
-                        frame.remove(&t);
-                    }
+                    model.retire(t);
                 }
             }
-            prop_assert!(model.disjoint(), "stable and recent overlap");
-            prop_assert_eq!(d.depth(), model.open.len());
-            for t in 0..POOL {
-                prop_assert_eq!(d.visibility(t), model.visibility(t), "tuple {}", t);
-            }
+            let agreed = model.agrees_with(&d);
+            prop_assert!(agreed.is_ok(), "{:?}", agreed);
         }
     }
 }
@@ -151,8 +160,8 @@ fn snapshot(e: &Engine) -> BTreeSet<Tuple> {
 /// step's joins see all of it.
 fn at_rest(e: &Engine) -> Result<(), String> {
     let deltas = e.deltas();
-    if deltas.depth() != 0 {
-        return Err(format!("{} rounds outlived the step", deltas.depth()));
+    if deltas.is_open() {
+        return Err("a round outlived the step".into());
     }
     for (tuple, ..) in e.store().dump() {
         let tid = e.store().get(&tuple).expect("dumped tuples are live").tid;

@@ -3,7 +3,8 @@
 //! exact message `Program::validate` returns, including which of two bad
 //! rules is reported. Validity (`Program::validate`) is judged over the
 //! whole program before any rule's own checks, and within each the first
-//! bad rule in program order wins.
+//! bad rule in program order wins. An aggregate never gets that far:
+//! `parse_program` refuses it.
 
 use mpr_ndlog::parse_program;
 use mpr_runtime::{CompileError, Engine, EvalStrategy, Options};
@@ -14,9 +15,6 @@ fn rule_err(kind: &str, rule: &str, detail: &str) -> CompileError {
     match kind {
         "assign" => CompileError::UnboundAssignVar { rule, var: detail },
         "selection" => CompileError::UnboundSelectionVar { rule, var: detail },
-        "agg-in-body" => CompileError::AggInBody { rule },
-        "agg-over-event" => CompileError::AggregateOverEvent { rule },
-        "bad-agg" => CompileError::BadAggregate { rule, reason: detail },
         _ => unreachable!("{kind}"),
     }
 }
@@ -50,17 +48,6 @@ fn cases() -> Vec<Case> {
         ("unbound selection variable", "r1 A(@X) :- B(@X), Zz > Y, Y == X.", valid(rule_err("selection", "r1", "Y"))),
         ("unknown function", "r1 A(@X,Y) :- B(@X), Y := f_nope(X, 2).", valid(unknown("r1", "f_nope", 2))),
         ("f_unique with an argument", "r1 A(@X,Y) :- B(@X), Y := f_unique(X).", valid(unknown("r1", "f_unique", 1))),
-        ("aggregate in the body", "r1 A(@X,N) :- B(@X,a_count<N>).", valid(rule_err("agg-in-body", "r1", ""))),
-        (
-            "aggregate over an event",
-            "materialize(E, event, 1, keys()). r1 A(@X,a_count<Y>) :- E(@X,Y).",
-            valid(rule_err("agg-over-event", "r1", "")),
-        ),
-        (
-            "aggregate not last",
-            "r1 A(@X,a_count<Y>,X) :- B(@X,Y).",
-            valid(rule_err("bad-agg", "r1", "the aggregate must be the last head argument")),
-        ),
         // One rule, two faults: the checks run in this order.
         ("two faults of one rule", "r1 A(@X,Y) :- B(@X), Q == 1, Y := f_nope().", valid(rule_err("selection", "r1", "Q"))),
         // Two bad rules: the first in program order is the one reported.
@@ -79,11 +66,6 @@ fn cases() -> Vec<Case> {
             "r1 A(@X) :- B(@X), Q == 1. r2 C(@X) :- B(@X,X).",
             invalid("table `B` used with arities 0 and 1"),
         ),
-        (
-            "an aggregate error before a rule error",
-            "r1 A(@X,a_count<Y>) :- B(@X,Y), C(@X). r2 A(@X,Y) :- B(@X,Y), Q == 1.",
-            valid(rule_err("bad-agg", "r1", "aggregate rules take exactly one body predicate")),
-        ),
     ];
     table.into_iter().map(|(case, src, (validate, engine))| (case, src, validate, engine)).collect()
 }
@@ -98,5 +80,26 @@ fn every_refusal_is_pinned_with_its_exact_error() {
             assert_eq!(got.err(), Some(want.clone()), "{case}: {strategy}");
         }
         assert_eq!(Engine::new(&program).err(), Some(want), "{case}: Engine::new");
+    }
+}
+
+/// Every aggregate, in a head or in a body, is a parse error: there is no
+/// program for the engine to refuse. The first four were the engine's
+/// aggregate refusals.
+#[test]
+fn every_aggregate_is_refused_by_the_parser() {
+    let sources = [
+        "r1 A(@X,N) :- B(@X,a_count<N>).",
+        "materialize(E, event, 1, keys()). r1 A(@X,a_count<Y>) :- E(@X,Y).",
+        "r1 A(@X,a_count<Y>,X) :- B(@X,Y).",
+        "r1 A(@X,a_count<Y>) :- B(@X,Y), C(@X). r2 A(@X,Y) :- B(@X,Y), Q == 1.",
+        "r1 A(@X,a_min<Y>) :- B(@X,Y).",
+        "r1 A(@X,N) :- B(@X,a_min<N>).",
+        "r1 A(@X,a_max<Y>) :- B(@X,Y).",
+        "r1 A(@X,N) :- B(@X,a_max<N>).",
+    ];
+    for src in sources {
+        let err = parse_program("agg", src).expect_err(src);
+        assert!(err.msg.ends_with("<…>`: aggregates are not supported"), "{src}: {err}");
     }
 }

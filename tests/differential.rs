@@ -11,7 +11,7 @@
 //! state, and retraction cascades may not.
 //!
 //! Scripted scenarios cover the fragments the random generator avoids:
-//! primary-key replacement, transient events, aggregates, and recursion.
+//! primary-key replacement, transient events, and recursion.
 //!
 //! The same executions pin the log's indexes (`assert_chains_match_scans`):
 //! every chain-walking query must answer like a linear scan of the whole
@@ -181,8 +181,8 @@ fn assert_strategies_agree(
 }
 
 // ---------------------------------------------------------------------
-// Random stratified programs (set-semantics state tables, no aggregates —
-// the fragment where the naive oracle is also meaningful).
+// Random stratified programs (set-semantics state tables — the fragment
+// where the naive oracle is also meaningful).
 
 /// Base facts over T0..T3, arity 2, on one of two nodes.
 fn base_tuple() -> impl Strategy<Value = Tuple> {
@@ -424,29 +424,6 @@ fn transient_events_agree() {
             vec![Value::Int(80), Value::Int(7)],
         ))
         .unwrap();
-    });
-}
-
-#[test]
-fn aggregates_agree() {
-    // Incremental a_count with churn: inserts, a retraction that shrinks
-    // the group, and one that empties it (evicting the emitted tuple).
-    let src = r"
-        materialize(PredFunc, infinity, 2, keys(0,1)).
-        materialize(PredFuncCount, infinity, 2, keys(0)).
-        materialize(Big, infinity, 2, keys(0)).
-        p2 PredFuncCount(@C,Rul,a_count<Tab>) :- PredFunc(@C,Rul,Tab).
-        p3 Big(@C,Rul,N) :- PredFuncCount(@C,Rul,N), N > 1.
-    ";
-    let c = || Value::str("C");
-    let pf = |r: &str, t: &str| Tuple::new("PredFunc", c(), vec![Value::str(r), Value::str(t)]);
-    dual_run(src, move |e| {
-        e.insert(pf("r1", "T1")).unwrap();
-        e.insert(pf("r1", "T2")).unwrap();
-        e.insert(pf("r2", "T1")).unwrap();
-        e.delete(&pf("r1", "T2")).unwrap();
-        e.delete(&pf("r2", "T1")).unwrap();
-        e.insert(pf("r3", "T9")).unwrap();
     });
 }
 
