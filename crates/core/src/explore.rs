@@ -39,7 +39,7 @@ use mpr_runtime::engine::{instantiate, unify_atom};
 use mpr_runtime::{ExecEvent, ExecLog, TupleKind};
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -170,25 +170,21 @@ pub struct ExploreStats {
 struct Frontier<T> {
     max_cost: u32,
     max_candidates: usize,
-    /// `(cost, description)` → the rest: the ranking, cheapest first.
-    ranked: BTreeMap<(u32, String), T>,
-    /// Cost at which each description is ranked (the dedup index).
-    cost_of: BTreeMap<String, u32>,
+    /// `(cost, description, rest)`, at most `max_candidates` of them,
+    /// sorted by cost, then description, each description once.
+    ranked: Vec<(u32, String, T)>,
 }
 
 impl<T> Frontier<T> {
     fn new(budget: &SearchBudget) -> Self {
-        let (max_cost, max_candidates) = (budget.max_cost, budget.max_candidates);
-        Frontier { max_cost, max_candidates, ranked: BTreeMap::new(), cost_of: BTreeMap::new() }
+        Frontier { max_cost: budget.max_cost, max_candidates: budget.max_candidates, ranked: Vec::new() }
     }
 
     /// The running cut: `max_cost`, tightened to the k-th cost once k
     /// distinct candidates are ranked.
     fn cut(&self) -> u32 {
-        match self.ranked.last_key_value() {
-            Some(((kth, _), _)) if self.ranked.len() >= self.max_candidates => {
-                self.max_cost.min(*kth)
-            }
+        match self.ranked.last() {
+            Some((kth, ..)) if self.ranked.len() >= self.max_candidates => self.max_cost.min(*kth),
             _ => self.max_cost,
         }
     }
@@ -198,30 +194,39 @@ impl<T> Frontier<T> {
         self.max_candidates > 0 && cost <= self.cut()
     }
 
+    /// Where `description` is ranked: a binary search per run of one cost.
+    fn position(&self, description: &str) -> Option<usize> {
+        let mut run = 0..0;
+        while let Some(&(cost, ..)) = self.ranked.get(run.end) {
+            run = run.end..run.end + self.ranked[run.end..].partition_point(|(c, ..)| *c == cost);
+            if let Ok(i) = self.ranked[run.clone()].binary_search_by(|(_, d, _)| d.as_str().cmp(description)) {
+                return Some(run.start + i);
+            }
+        }
+        None
+    }
+
     /// Rank a candidate. Of two with one description the cheaper stays,
     /// and of two at the same cost the one emitted first.
     fn push(&mut self, cost: u32, description: String, rest: T) {
         if !self.admits(cost) {
             return;
         }
-        if let Some(&ranked_at) = self.cost_of.get(&description) {
-            if ranked_at <= cost {
-                return;
-            }
-            self.ranked.remove(&(ranked_at, description.clone()));
+        match self.position(&description) {
+            Some(i) if self.ranked[i].0 <= cost => return,
+            Some(i) => drop(self.ranked.remove(i)),
+            None => {}
         }
-        self.cost_of.insert(description.clone(), cost);
-        self.ranked.insert((cost, description), rest);
-        if self.ranked.len() > self.max_candidates {
-            if let Some(((_, description), _)) = self.ranked.pop_last() {
-                self.cost_of.remove(&description);
-            }
+        let at = self.ranked.partition_point(|(c, d, _)| (*c, d.as_str()) < (cost, description.as_str()));
+        if at < self.max_candidates {
+            self.ranked.truncate(self.max_candidates - 1);
+            self.ranked.insert(at, (cost, description, rest));
         }
     }
 
     /// The ranked candidates, cheapest first.
     fn finish(self) -> impl Iterator<Item = (u32, String, T)> {
-        self.ranked.into_iter().map(|((cost, description), rest)| (cost, description, rest))
+        self.ranked.into_iter()
     }
 }
 
@@ -246,7 +251,7 @@ fn hand_out((cost, description, (repair, trace)): Built, failing_log: &[usize]) 
         Trace::Lines(lines) => lines,
         Trace::Tree { goal, rule, failing, edits } => {
             let head = [format!("NEXIST[Tuple({goal})]"), format!("NDERIVE[{} via meta rule h2]", rule.id)];
-            let sel = |&si: &usize| format!("NEXIST[Sel(Rul={}, SID=\"{}\", Val=true)]", rule.id, rule.sels[si].sid());
+            let sel = |&si: &usize| format!("NEXIST[Sel(Rul={}, SID=\"{}\", Val=true)]", rule.id, rule.sels[si]);
             let fix = format!("FIX(cost {cost}): {edits} edit(s)");
             head.into_iter().chain(failing_log[failing].iter().map(sel)).chain([fix]).collect()
         }
@@ -1439,6 +1444,47 @@ mod tests {
         cands.retain(|c| c.cost <= budget.max_cost && seen.insert(c.description.clone()));
         cands.truncate(budget.max_candidates);
         cands
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any stream of `(cost, description)`: a draw is fresh, or repeats
+        /// an earlier description at an equal, a lower or a higher cost.
+        #[test]
+        fn frontier_is_sort_dedup_truncate_of_any_stream(
+            draws in proptest::collection::vec((0u32..9, 0usize..24, 0usize..4), 0..160),
+            max_cost in 0u32..10,
+        ) {
+            let mut stream: Vec<(u32, usize)> = Vec::new();
+            for (cost, d, repeat) in draws {
+                let step = 1 + cost % 3;
+                stream.push(match (repeat, stream.get(d % stream.len().max(1))) {
+                    (1..=3, Some(&(was, earlier))) => ([was, was.saturating_sub(step), was + step][repeat - 1], earlier),
+                    _ => (cost, d),
+                });
+            }
+            let candidate = |(i, &(cost, d)): (usize, &(u32, usize))| Candidate {
+                repair: Repair::Patch(Patch::default()),
+                cost,
+                description: format!("d{d}"),
+                trace: vec![i.to_string()],
+            };
+            let candidates: Vec<Candidate> = stream.iter().enumerate().map(candidate).collect();
+            for max_candidates in [0, 1, 3, 14, usize::MAX] {
+                let budget = SearchBudget { max_cost, max_candidates, ..SearchBudget::default() };
+                let mut frontier = Frontier::new(&budget);
+                for c in &candidates {
+                    frontier.push(c.cost, c.description.clone(), c.trace[0].clone());
+                }
+                let got: Vec<(u32, String, String)> = frontier.finish().collect();
+                let want: Vec<(u32, String, String)> = sort_dedup_truncate(candidates.clone(), &budget)
+                    .into_iter()
+                    .map(|c| (c.cost, c.description, c.trace[0].clone()))
+                    .collect();
+                proptest::prop_assert_eq!(got, want, "k = {}, max_cost = {}", max_candidates, max_cost);
+            }
+        }
     }
 
     #[test]

@@ -423,14 +423,28 @@ impl Patch {
     }
 
     /// [`Patch::delta`]'s verdict against the program holding `rule` alone
-    /// and declaring nothing, without building it: the edits run in
-    /// `delta`'s order on a clone of `rule`. `false` when `rule` alone is
-    /// no valid program, and for an edit of another rule or of the rule
-    /// list (`AddRule`, `DeleteRule`), which this does not judge.
+    /// and declaring nothing, without building it; `false` if `rule` alone
+    /// is invalid, or an edit is of another rule, `AddRule` or `DeleteRule`.
+    /// Edits of selections and assignment expressions bind no variable and
+    /// name no table: they apply if each finds its site, in `delta`'s order.
+    /// A patch with any other edit runs on a clone of `rule`, then checked.
     pub fn applies_to_rule(&self, rule: &Rule) -> bool {
         let of_rule = |e: &Edit| e.rule_id() == rule.id && !matches!(e, Edit::AddRule { .. } | Edit::DeleteRule { .. });
         if !self.edits.iter().all(of_rule) || !valid_alone(rule) {
             return false;
+        }
+        let (sels, mut deleted) = (rule.sels.len(), 0);
+        let mut finds_site = |e: &Edit| match e {
+            Edit::SetSelectionOp { sel, .. } | Edit::SetSelectionExpr { sel, .. } => Some(*sel < sels),
+            Edit::DeleteSelection { sel, .. } => {
+                deleted += 1;
+                Some(*sel + deleted <= sels)
+            }
+            Edit::SetAssignExpr { var, .. } => Some(rule.assigns.iter().any(|a| &a.var == var)),
+            _ => None,
+        };
+        if let Some(verdict) = self.in_order().try_fold(true, |all, e| Some(finds_site(e)? && all)) {
+            return verdict;
         }
         let mut edited = rule.clone();
         self.in_order().all(|e| edit_rule(&mut edited, e).is_ok()) && valid_alone(&edited)
@@ -458,9 +472,11 @@ impl Patch {
         self.describe_with(|id| (id == rule.id).then_some(rule))
     }
 
+    /// The edits' descriptions, `; `-separated.
     fn describe_with<'r>(&self, rule_of: impl Fn(&str) -> Option<&'r Rule>) -> String {
-        let parts: Vec<String> = self.edits.iter().map(|e| describe_one(&rule_of, e)).collect();
-        parts.join("; ")
+        let mut parts = self.edits.iter().map(|e| describe_one(&rule_of, e));
+        let first = parts.next().unwrap_or_default();
+        parts.fold(first, |out, part| out + "; " + &part)
     }
 }
 
@@ -543,26 +559,24 @@ fn edit_rule(r: &mut Rule, e: &Edit) -> Result<(), PatchError> {
     }
 }
 
-/// One edit's description, reading the rules through `rule_of`.
+/// One edit's description, reading the rules through `rule_of`. A changed
+/// selection is written from its parts, as its `Display` writes it.
 fn describe_one<'r>(rule_of: &impl Fn(&str) -> Option<&'r Rule>, e: &Edit) -> String {
     match e {
         Edit::SetSelectionOp { rule, sel, op } => {
             if let Some(s) = rule_of(rule).and_then(|r| r.sels.get(*sel)) {
-                let mut ns = s.clone();
-                ns.op = *op;
-                format!("Changing {s} in {rule} to {ns}")
+                format!("Changing {s} in {rule} to {} {op} {}", s.lhs, s.rhs)
             } else {
                 format!("Changing operator of selection {sel} in {rule} to {op}")
             }
         }
         Edit::SetSelectionExpr { rule, sel, side, expr } => {
             if let Some(s) = rule_of(rule).and_then(|r| r.sels.get(*sel)) {
-                let mut ns = s.clone();
-                match side {
-                    ExprSide::Lhs => ns.lhs = expr.clone(),
-                    ExprSide::Rhs => ns.rhs = expr.clone(),
-                }
-                format!("Changing {s} in {rule} to {ns}")
+                let (lhs, rhs) = match side {
+                    ExprSide::Lhs => (expr, &s.rhs),
+                    ExprSide::Rhs => (&s.lhs, expr),
+                };
+                format!("Changing {s} in {rule} to {lhs} {} {rhs}", s.op)
             } else {
                 format!("Changing selection {sel} in {rule} to {expr}")
             }
@@ -1236,16 +1250,42 @@ mod tests {
         (verdict, patch.describe(&alone))
     }
 
+    /// An edit list of one of three shapes: the drawn edits; the drawn
+    /// edits made literal, with a `DeletePredicate` or a `SetHeadTable`
+    /// among them, so that the list is never judged by its sites alone; a
+    /// selection deletion, then an edit of `rule`'s last selection or of
+    /// one past it — past the end once the deletion has shifted the rest —
+    /// then the other draws.
+    fn shaped(rule: &Rule, shape: usize, draws: Vec<(usize, usize, usize)>) -> Patch {
+        let (kind, a, b) = draws[0];
+        let mut edits: Vec<Edit> = match shape {
+            0 => draws.into_iter().map(literal_edit).collect(),
+            1 => draws.into_iter().map(|(kind, a, b)| literal_edit((kind % 4, a, b))).collect(),
+            _ => draws.into_iter().skip(1).map(literal_edit).collect(),
+        };
+        match shape {
+            0 => {}
+            1 => edits.insert(a % (edits.len() + 1), literal_edit((4 + kind % 2, a, b))),
+            _ => {
+                let last = rule.sels.len().saturating_sub(1);
+                let past = literal_edit((kind % 3, a, last + b % 2));
+                edits.splice(0..0, [Edit::DeleteSelection { rule: "r1".into(), sel: kind / 3 % (last + 1) }, past]);
+            }
+        }
+        Patch::of(edits)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
         #[test]
         fn a_rule_alone_judges_and_describes_as_its_one_rule_program(
             which in 0usize..ONE_RULE.len(),
+            shape in 0usize..3,
             draws in proptest::collection::vec((0usize..6, 0usize..16, 0usize..16), 1..4),
         ) {
             let rule = parse_rule(ONE_RULE[which]).unwrap();
-            let patch = Patch::of(draws.into_iter().map(literal_edit).collect());
+            let patch = shaped(&rule, shape, draws);
             let got = (patch.applies_to_rule(&rule), patch.describe_rule(&rule));
             proptest::prop_assert_eq!(got, against_one_rule_program(&patch, &rule), "patch {}", patch);
         }

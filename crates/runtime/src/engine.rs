@@ -560,7 +560,7 @@ impl Engine {
                 (0, WalRecord::Header(_)) => continue,
                 (0, _) => return Err(bad("the log does not open with a header".into())),
                 (_, WalRecord::Insert(tuple)) => self.insert(tuple),
-                (_, WalRecord::Delete(tuple)) => self.delete(&tuple),
+                (_, WalRecord::Delete(tuple)) => Ok(self.delete(&tuple)),
                 (_, WalRecord::Header(_)) => return Err(bad("a second header".into())),
             };
         }
@@ -716,9 +716,9 @@ impl Engine {
     }
 
     /// Delete a base tuple (one unit of base support) and cascade, logged
-    /// first like [`Engine::insert`]. It never fails — retraction fires no
-    /// rule — and returns a `Result` as `insert` does.
-    pub fn delete(&mut self, tuple: &Tuple) -> Result<StepResult, RuntimeError> {
+    /// first like [`Engine::insert`]. Unlike an insertion it cannot fail:
+    /// retraction fires no rule and checks no arity.
+    pub fn delete(&mut self, tuple: &Tuple) -> StepResult {
         if self.wal.is_some() {
             self.write_input(codec::input_record(codec::DELETE, tuple));
         }
@@ -738,7 +738,7 @@ impl Engine {
                 self.kill(tid, tuple.clone(), &mut result);
             }
         }
-        Ok(result)
+        result
     }
 
     // ------------------------------------------------------------------
@@ -1272,7 +1272,7 @@ mod tests {
         e.insert(a.clone()).unwrap();
         assert!(e.contains(&Tuple::new("B", v(1), vec![v(5)])));
         assert!(e.contains(&Tuple::new("C", v(1), vec![v(5)])));
-        let r = e.delete(&a).unwrap();
+        let r = e.delete(&a);
         assert_eq!(r.disappeared.len(), 3);
         assert!(e.tuples("B").is_empty());
         assert!(e.tuples("C").is_empty());
@@ -1294,9 +1294,9 @@ mod tests {
         let out = Tuple::new("Out", v(1), vec![v(5)]);
         assert!(e.contains(&out));
         // Deleting one support keeps the tuple alive.
-        e.delete(&Tuple::new("A", v(1), vec![v(5)])).unwrap();
+        e.delete(&Tuple::new("A", v(1), vec![v(5)]));
         assert!(e.contains(&out));
-        e.delete(&Tuple::new("B", v(1), vec![v(5)])).unwrap();
+        e.delete(&Tuple::new("B", v(1), vec![v(5)]));
         assert!(!e.contains(&out));
     }
 
@@ -1359,7 +1359,7 @@ mod tests {
         assert_eq!(e.log().records().len(), 0, "no lifetimes are kept with recording off");
         assert!(e.contains(&Tuple::new("B", v(1), vec![v(5)])));
         // What retraction reads survives: the cascade still runs.
-        e.delete(&Tuple::new("A", v(1), vec![v(5)])).unwrap();
+        e.delete(&Tuple::new("A", v(1), vec![v(5)]));
         assert!(!e.contains(&Tuple::new("B", v(1), vec![v(5)])));
         assert!(e.log().is_empty());
     }

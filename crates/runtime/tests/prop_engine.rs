@@ -152,7 +152,7 @@ proptest! {
             // Insert `extra`, then delete it: the visible state must return
             // to `before` (support counting, no over-retraction).
             e1.insert(extra.clone()).unwrap();
-            e1.delete(&extra).unwrap();
+            e1.delete(&extra);
             prop_assert_eq!(snapshot(&e1), before, "strategy = {}", strategy);
         }
     }

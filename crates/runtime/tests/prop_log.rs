@@ -81,7 +81,7 @@ proptest! {
             e.insert(t.clone()).unwrap();
         }
         for t in &deletes {
-            e.delete(t).unwrap();
+            e.delete(t);
         }
         let log = e.log();
 
@@ -147,7 +147,7 @@ proptest! {
             e.insert(t.clone()).unwrap();
         }
         for t in deletes.iter().filter(|t| &*t.table == "Link") {
-            e.delete(t).unwrap();
+            e.delete(t);
         }
         let log = e.log();
         let events: Vec<ExecEvent<'_>> = log.events().collect();

@@ -65,16 +65,21 @@ static GLOBAL: Counting = Counting;
 
 const WARM_UP: usize = 1_000;
 
-/// One whole repair of Q1 padded to 100 rules: 3 429 measured (3 425 in
-/// release), + 10 %. It was 4 984 while the explorer built a one-rule
-/// program, its outline and a written trace for each candidate it built.
-const REPAIR_AT_100_RULES: u64 = 3_772;
+/// One whole repair of Q1 padded to 100 rules: 2 171 measured (2 167 in
+/// release), + 10 %. It was 3 217 while the explorer cloned a candidate's
+/// rule to check it, a selection to describe it and its description twice
+/// to rank it, and 4 984 while it built a one-rule program, its outline
+/// and a written trace for each candidate it built.
+const REPAIR_AT_100_RULES: u64 = 2_388;
 
-/// One `generate_missing` of Q1: 1 492 measured, + 10 % (3 042 before the
-/// explorer checked a candidate against its rule alone and traced only the
-/// 14 it returns of the 47 it builds). 1 500 since it outlines the program
-/// up front: a repair hands the explorer its one outline instead.
-const Q1_SEARCH: u64 = 1_641;
+/// One `generate_missing` of Q1: 449 measured, + 10 %. Of the 47 tree
+/// patches it builds, 14 are returned; a patch of selections and
+/// assignments alone is checked by finding its sites, described from the
+/// parts of the selection it changes and ranked with its one description.
+/// 1 499 while each built patch cloned its rule, a selection and its
+/// description twice; 3 042 before the explorer checked a candidate
+/// against its rule alone and traced only the 14 it returns.
+const Q1_SEARCH: u64 = 494;
 const MEASURED: usize = 10_000;
 
 /// Allocations per packet-in over `MEASURED` packet-ins, after `WARM_UP`
@@ -176,8 +181,9 @@ fn a_repair_on_ten_thousand_switches_stays_within_its_allocation_budget() {
     let total = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert!(report.accepted_count() > 0, "the fabric's repair accepts a candidate");
     eprintln!("fabric repair: {total} allocations, {} of them the observation run", recorded - before);
-    // 8 479; 10 024 while the explorer built a one-rule program and a
-    // written trace per candidate it built. 1 024 of the 1 045 punts are
+    // 7 442 (7 446 in debug); 8 493 while each tree patch the explorer
+    // built cloned its rule, a selection and its description twice, 10 024
+    // while it built a one-rule program and a written trace per candidate. 1 024 of the 1 045 punts are
     // background flows no rule hears, and each costs its argument vector
     // and its copy in the log where it cost about 31 allocations across
     // the observation run, the history read and the joint replay (37 138
