@@ -7,9 +7,10 @@
 //! a constraint pool (§3.4): the join must hold, the head must equal the
 //! goal, and every selection must pass. Program-based meta tuples that
 //! block a derivation (a `Const`, an `Oper`, a `Sel`, an `Assign`) become
-//! candidate *changes*, costed by the [`crate::cost`] table; the pool is
-//! solved by `mpr-solver` to obtain concrete replacement values — exactly
-//! the `Const(Rul=r7, ID=2, Val=3)` leaf of Fig. 6.
+//! candidate *changes*, costed by the [`crate::cost`] table. A pool is a
+//! search of the world's domain, the values the network and the program
+//! exhibit ([`crate::solve`]), which yields the concrete replacement
+//! values: exactly the `Const(Rul=r7, ID=2, Val=3)` leaf of Fig. 6.
 //!
 //! A tree is **opened by lookup** into postings of the triggers and the
 //! state, and **priced before it is built**: each way to unblock a literal
@@ -30,6 +31,7 @@
 use crate::cost::{self, SearchBudget};
 use crate::repair::{Candidate, Repair};
 use crate::scenarios::{Scenario, Symptom};
+use crate::solve::search_domain;
 use mpr_ndlog::ast::{same_name, Assign, Atom, CmpOp, Expr, ExprSide, Term};
 use mpr_ndlog::eval::{Bindings, PureFuncs};
 use mpr_ndlog::patch::{Edit, Patch, ProgramOutline};
@@ -105,7 +107,7 @@ impl World {
     }
 
     /// Candidate constants: goal values, program constants, and values
-    /// observed in triggers/state — the solver's candidate domain (§2.5:
+    /// observed in triggers/state — the domain a pool is searched over (§2.5:
     /// "why did we change the constant to 3 and not, say, 4?" — because 3
     /// is in the domain the network exhibits).
     fn domain(&self, goal: &Pattern) -> Vec<i64> {
@@ -136,7 +138,8 @@ pub struct ExploreStats {
     /// Rules whose head unifies with the goal but whose floor the cut refused,
     /// unopened: with one tree per rule, `trees` + these is every such rule.
     pub rules_priced_away: u64,
-    /// Constraint pools solved (selection feasibility checks).
+    /// Constraint pools solved: domain searches and constant scans
+    /// (selection feasibility checks).
     pub pools_solved: u64,
     /// Candidates considered: every repair within
     /// [`SearchBudget::max_cost`] the trees reach, whether it was built or
@@ -150,8 +153,8 @@ pub struct ExploreStats {
     /// `materialised` and not in `raw_candidates`, so with nothing bounded
     /// away `materialised == raw_candidates + refused`.
     pub refused: u64,
-    /// Nanoseconds in pool solves and domain scans — Fig. 9a's "Constraint
-    /// solving". A missing-tuple search does not time a pool whose one
+    /// Nanoseconds in domain searches and constant scans — Fig. 9a's
+    /// "Constraint solving". A missing-tuple search does not time a pool whose one
     /// replacement is pinned (`Swi == 2`, `Swi` bound): on a padded Q1, 0.
     pub solver_ns: u128,
 }
@@ -264,7 +267,7 @@ fn hand_out((cost, description, (repair, trace)): Built, failing_log: &[usize]) 
 /// result is owned), so opening a tree copies no string; name-sorted like
 /// [`mpr_ndlog::Env`], whose iteration order the assignment fixes inherit.
 #[derive(Debug, Clone, Default)]
-struct Scope<'a> {
+pub(crate) struct Scope<'a> {
     entries: Vec<(&'a str, Cow<'a, Value>)>,
 }
 
@@ -279,7 +282,7 @@ impl<'a> Scope<'a> {
     }
 
     /// Bind `name`, replacing what it was bound to.
-    fn set(&mut self, name: &'a str, value: Cow<'a, Value>) {
+    pub(crate) fn set(&mut self, name: &'a str, value: Cow<'a, Value>) {
         match self.position(name) {
             Ok(i) => self.entries[i].1 = value,
             Err(i) => self.entries.insert(i, (name, value)),
@@ -293,7 +296,7 @@ impl<'a> Scope<'a> {
     }
 
     /// The bindings in name order.
-    fn iter(&self) -> impl Iterator<Item = (&'a str, &Value)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'a str, &Value)> {
         self.entries.iter().map(|(k, v)| (*k, &**v))
     }
 
@@ -774,7 +777,7 @@ impl<'a> Search<'a> {
     }
 
     /// A state predicate had no matching tuple: the repair inserts one whose
-    /// attributes are solved from the join/selection constraints (§3.4),
+    /// attributes are searched for under the rule's own evaluator (§3.4),
     /// under the first join that reached it.
     fn emit_state_insertion(&mut self, rule: &'a Rule, atom_idx: usize) {
         let goal = self.goal;
@@ -786,41 +789,18 @@ impl<'a> Search<'a> {
                 full.set(k, v.clone());
             }
         }
-        // Remaining free variables are solved against the rule's selections,
-        // each over the world's domain — the atom's, and any a selection
-        // reads that no joined atom binds.
-        let mut pool = mpr_solver::Pool::new();
-        let free: BTreeSet<&str> = atom.var_names().filter(|v| full.get(v).is_none()).collect();
-        for sel in &rule.sels {
-            if let Some(c) = selection_constraint(sel, &full) {
-                pool.push(c);
-            }
-        }
-        let dom: Vec<Value> = self.domain.get_or_init(|| self.world.domain(goal)).iter().map(|&i| Value::Int(i)).collect();
-        for v in free.iter().map(|v| v.to_string()).chain(pool.vars()) {
-            pool.set_domain(v, dom.clone());
-        }
+        // The atom's free columns, and whatever else a selection reads that
+        // no joined atom binds, range over the world's domain; every
+        // selection must hold with the tuple inserted.
+        let domain = self.domain.get_or_init(|| self.world.domain(goal));
         self.stats.pools_solved += 1;
         let t0 = Instant::now();
-        let solved = pool.solve();
+        let holds = |sel: &Selection, scope: &Scope| sel.eval(scope, &mut PureFuncs) == Ok(true);
+        let solved = search_domain(rule, atom.var_names(), |_| true, holds, domain, &mut full);
         self.stats.solver_ns += t0.elapsed().as_nanos();
-        let Some(asg) = solved else {
+        let Some(tuple) = solved.then(|| instantiate(atom, &full)).flatten() else {
             return;
         };
-        for v in free {
-            if let Some(val) = asg.get(v) {
-                full.set(v, Cow::Owned(val.clone()));
-            }
-        }
-        let Some(tuple) = instantiate(atom, &full) else {
-            return;
-        };
-        // The pool holds only the selections `selection_constraint` reads;
-        // one it cannot (`%`, `/`, a call) that fails here fails with the
-        // tuple inserted too.
-        if rule.sels.iter().any(|sel| sel.eval(&full, &mut PureFuncs) == Ok(false)) {
-            return;
-        }
         if !self.worth_building(cost::INSERT_TUPLE) {
             return;
         }
@@ -882,7 +862,7 @@ impl<'a> Search<'a> {
         }
         let assign_slots = self.slots.len();
         // --- selections -------------------------------------------------------
-        // Fix options per failing selection: constants (solver-enumerated),
+        // Fix options per failing selection: constants (scanned from the domain),
         // operators, variable swaps (§2.5's "relevant changes" only — passing
         // selections are never touched). Each side is evaluated once; an
         // option is a comparison of values, not a patched selection.
@@ -1215,35 +1195,6 @@ fn join_state<'a>(
     Ok(())
 }
 
-/// Translate a selection into a solver constraint under a partial env.
-fn selection_constraint(sel: &Selection, env: &impl Bindings) -> Option<mpr_solver::Constraint> {
-    let lhs = expr_sterm(&sel.lhs, env)?;
-    let rhs = expr_sterm(&sel.rhs, env)?;
-    Some(mpr_solver::Constraint::cmp(lhs, sel.op, rhs))
-}
-
-fn expr_sterm(e: &Expr, env: &impl Bindings) -> Option<mpr_solver::STerm> {
-    use mpr_solver::STerm;
-    match e {
-        Expr::Const(v) => Some(STerm::Val(v.clone())),
-        Expr::Var(v) => match env.get(v) {
-            Some(val) => Some(STerm::Val(val.clone())),
-            None => Some(STerm::var(v.clone())),
-        },
-        Expr::Binary(op, l, r) => {
-            let l = expr_sterm(l, env)?;
-            let r = expr_sterm(r, env)?;
-            match op {
-                mpr_ndlog::BinOp::Add => Some(STerm::Add(Box::new(l), Box::new(r))),
-                mpr_ndlog::BinOp::Sub => Some(STerm::Sub(Box::new(l), Box::new(r))),
-                mpr_ndlog::BinOp::Mul => Some(STerm::Mul(Box::new(l), Box::new(r))),
-                _ => None,
-            }
-        }
-        Expr::Call(..) => None,
-    }
-}
-
 // ---------------------------------------------------------------------
 // positive symptoms (§4.2, Fig. 7)
 
@@ -1306,49 +1257,38 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
             // Cost: symmetric with insertion.
             out.push(cost::INSERT_TUPLE, description, (Repair::DeleteTuple(t.clone()), Trace::Lines(trace)));
             // (b) Base-tuple changes: symbolic re-execution + negation
-            // (§4.2's `Const('r1',1,Z)` with constraint `1 == Z` negated).
-            for (ci, _old) in t.args.iter().enumerate() {
-                let var = format!("{}.{ci}", t.table);
-                // Collect the constraints the derivation imposes on this
-                // column, then negate.
-                let mut sym_env = env.clone();
+            // (§4.2's `Const('r1',1,Z)` with constraint `1 == Z` negated):
+            // the column's first value under which every selection that
+            // reads it fails.
+            for ci in 0..t.args.len() {
                 // Which rule variable is bound to this column?
                 let Some(Term::Var(v)) = rule.body[bi].args.get(ci) else {
                     continue;
                 };
-                sym_env.remove(v);
-                let mut npool = mpr_solver::Pool::new();
-                for sel in rule.sels.iter().filter(|sel| sel.vars().contains(v)) {
-                    if let Some(c) = selection_constraint(sel, &sym_env) {
-                        // Rename the free rule-variable to the column var.
-                        npool.push(rename_var(c, v, &var).negate());
-                    }
-                }
-                if npool.constraints.is_empty() {
+                let reads = |sel: &Selection| sel.vars().contains(v);
+                if !rule.sels.iter().any(reads) {
                     continue;
                 }
-                // The column and any variable the derivation leaves free
-                // range over the world's domain.
-                let dom: Vec<Value> = domain.iter().map(|&i| Value::Int(i)).collect();
-                for free in npool.vars() {
-                    npool.set_domain(free, dom.clone());
-                }
+                let mut sym_env = env.clone();
+                sym_env.remove(v);
+                let fails = |sel: &Selection, scope: &Scope| {
+                    let side = |e: &Expr| e.eval(scope, &mut PureFuncs).ok();
+                    matches!((side(&sel.lhs), side(&sel.rhs)), (Some(l), Some(r)) if sel.op.negate().eval(&l, &r))
+                };
                 stats.pools_solved += 1;
                 let t0 = Instant::now();
-                let solved = npool.solve();
+                let solved = search_domain(rule, [v.as_str()], reads, fails, &domain, &mut sym_env);
                 stats.solver_ns += t0.elapsed().as_nanos();
-                if let Some(asg) = solved {
-                    if let Some(nv) = asg.get(&var) {
-                        let mut nt = t.clone();
-                        nt.args[ci] = nv.clone();
-                        stats.raw_candidates += 1;
-                        let mut trace = trace_head.clone();
-                        trace.push(format!("EXIST[TuplePred({t})]"));
-                        trace.push(format!("FIX: change {t} to {nt}"));
-                        let description = format!("Changing {t} to {nt}");
-                        let repair = Repair::ChangeTuple { from: t.clone(), to: nt };
-                        out.push(cost::CONST_OTHER, description, (repair, Trace::Lines(trace)));
-                    }
+                if let Some(nv) = solved.then(|| sym_env.get(v)).flatten() {
+                    let mut nt = t.clone();
+                    nt.args[ci] = nv.clone();
+                    stats.raw_candidates += 1;
+                    let mut trace = trace_head.clone();
+                    trace.push(format!("EXIST[TuplePred({t})]"));
+                    trace.push(format!("FIX: change {t} to {nt}"));
+                    let description = format!("Changing {t} to {nt}");
+                    let repair = Repair::ChangeTuple { from: t.clone(), to: nt };
+                    out.push(cost::CONST_OTHER, description, (repair, Trace::Lines(trace)));
                 }
             }
         }
@@ -1413,21 +1353,6 @@ pub fn generate_existing(world: &World, culprit: &Tuple) -> (Vec<Candidate>, Exp
     // Deletions have no tree to bound away: every candidate counted was built.
     stats.materialised = stats.raw_candidates;
     (out.finish().map(|built| hand_out(built, &[])).collect(), stats)
-}
-
-/// Rename a variable of a [`selection_constraint`].
-fn rename_var(c: mpr_solver::Constraint, from: &str, to: &str) -> mpr_solver::Constraint {
-    use mpr_solver::{Constraint, STerm};
-    fn rt(t: STerm, from: &str, to: &str) -> STerm {
-        match t {
-            STerm::Var(v) if v == from => STerm::var(to),
-            STerm::Add(l, r) => STerm::Add(Box::new(rt(*l, from, to)), Box::new(rt(*r, from, to))),
-            STerm::Sub(l, r) => STerm::Sub(Box::new(rt(*l, from, to)), Box::new(rt(*r, from, to))),
-            STerm::Mul(l, r) => STerm::Mul(Box::new(rt(*l, from, to)), Box::new(rt(*r, from, to))),
-            other => other,
-        }
-    }
-    Constraint::cmp(rt(c.lhs, from, to), c.op, rt(c.rhs, from, to))
 }
 
 #[cfg(test)]

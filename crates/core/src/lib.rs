@@ -20,6 +20,7 @@
 //! - [`debugger`] — the end-to-end loop with backtesting (KS filter, §4.3)
 //!   and multi-query optimization (§4.4), including the Fig. 9a phase
 //!   timings;
+//! - [`solve`] — §3.4's constraint pools, searched over the domain;
 //! - [`scenarios`] — the five §5.3 case studies plus the Fig. 9c / Fig. 10
 //!   scaling helpers;
 //! - [`chaos`] — the fault-schedule chaos search: seeded random
@@ -34,6 +35,7 @@ pub mod debugger;
 pub mod explore;
 pub mod repair;
 pub mod scenarios;
+pub mod solve;
 
 pub use chaos::{random_plan, ChaosOutcome, ChaosReport, FaultClass};
 pub use cost::SearchBudget;

@@ -21,7 +21,7 @@ use mpr_core::explore::{generate_missing, generate_missing_with_ledger, ExploreS
 use mpr_core::repair::{Candidate, Repair};
 use mpr_core::scenarios::{Scenario, Symptom};
 use mpr_ndlog::ast::{CmpOp, Expr, ExprSide, Rule};
-use mpr_ndlog::{parse_program, Edit, Env, PureFuncs, Tuple, Value};
+use mpr_ndlog::{parse_program, Edit, Env, Program, PureFuncs, Tuple, Value};
 use mpr_provenance::Pattern;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -258,7 +258,9 @@ fn bounded_search_is_a_prefix_of_exhaustive_on_every_missing_scenario() {
 /// Under an exhaustive budget, no candidate of a rule's trees — a patch of
 /// it or a tuple its join lacks, either naming the rule in its trace —
 /// costs less than the floor the search priced the rule at before opening
-/// it. Returns how many candidates were checked and how many cost exactly
+/// it, and every tuple it lacks that the search offers makes the rule
+/// derive the goal in an engine holding it, the state and the triggers.
+/// Returns how many candidates were checked and how many cost exactly
 /// their rule's floor.
 fn assert_floors_hold(world: &World, goal: &Pattern) -> Result<(usize, usize), TestCaseError> {
     let mut w = world.clone();
@@ -272,6 +274,16 @@ fn assert_floors_hold(world: &World, goal: &Pattern) -> Result<(usize, usize), T
         prop_assert!(floor.is_some_and(|f| f <= c.cost), "`{}` costs {}, {}'s floor is {:?}", c.description, c.cost, rule, floor);
         checked += 1;
         tight += usize::from(floor == Some(c.cost));
+        if let Repair::InsertTuple(inserted) = &c.repair {
+            let rules = vec![w.program.rule(&rule).expect("the rule exists").clone()];
+            let mut engine = mpr_runtime::Engine::new(&Program { rules, ..(*w.program).clone() }).unwrap();
+            for t in w.state.iter().chain([inserted]).chain(&w.triggers) {
+                engine.insert(t.clone()).unwrap();
+            }
+            let args = goal.args.iter().map(|a| a.clone().expect("a concrete goal")).collect();
+            let want = Tuple::new(&*goal.table, goal.loc.clone().expect("a concrete goal"), args);
+            prop_assert!(engine.contains(&want), "`{}` does not derive {}", c.description, want);
+        }
     }
     Ok((checked, tight))
 }
@@ -294,10 +306,10 @@ fn no_candidate_undercuts_its_rules_floor_on_every_missing_scenario() {
     assert!(checked > 1_000 && tight > 100, "{checked} tree candidates checked, {tight} at their rule's floor");
 }
 
-/// A rule whose failing selections the solver cannot read (`%`) is priced
-/// at the 5 its two selections cost to fix, and has no candidate: the
-/// selections fail with its missing tuple inserted too, so no insertion
-/// undercuts them.
+/// A rule whose failing selections read `%` is priced at the 5 its two
+/// selections cost to fix, and has no candidate: the search for its
+/// missing tuple judges them with the rule's own evaluator, they fail
+/// whatever the tuple holds, and so no insertion undercuts them.
 #[test]
 fn no_candidate_undercuts_its_rules_floor_where_the_solver_reads_no_selection() {
     let program = parse_program(

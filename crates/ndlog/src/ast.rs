@@ -246,25 +246,23 @@ impl Expr {
     /// All variables mentioned in the expression.
     pub fn vars(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
+        self.for_each_var(&mut |v| {
+            out.insert(v.to_string());
+        });
         out
     }
 
-    fn collect_vars(&self, out: &mut BTreeSet<String>) {
+    /// Call `f` on every variable the expression reads, left to right,
+    /// repeats included, borrowed from it.
+    pub fn for_each_var<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
             Expr::Const(_) => {}
-            Expr::Var(v) => {
-                out.insert(v.clone());
-            }
+            Expr::Var(v) => f(v),
             Expr::Binary(_, l, r) => {
-                l.collect_vars(out);
-                r.collect_vars(out);
+                l.for_each_var(f);
+                r.for_each_var(f);
             }
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.collect_vars(out);
-                }
-            }
+            Expr::Call(_, args) => args.iter().for_each(|a| a.for_each_var(f)),
         }
     }
 }

@@ -8,12 +8,13 @@
 //! - [`ndlog`] — the NDlog/µDlog controller language (values, AST, parser).
 //! - [`runtime`] — the datalog evaluation engine with provenance hooks.
 //! - [`provenance`] — classical positive/negative provenance graphs.
-//! - [`solver`] — the constraint-pool mini-solver.
 //! - [`sdn`] — the software-defined-network simulator substrate.
 //! - [`trace`] — workload generation.
 //! - [`backtest`] — repair backtesting, KS filtering, multi-query optimization.
 //! - [`langs`] — mini-Trema and mini-Pyretic frontends and their meta models.
-//! - [`core`] — meta provenance, cost-ordered repair search, the debugger.
+//! - [`core`] — meta provenance, cost-ordered repair search (whose §3.4
+//!   constraint pools are domain searches under the rule's own evaluator),
+//!   the debugger.
 //!
 //! Every engine evaluates by batch semi-naive rounds. [`EvalStrategy`]
 //! (re-exported from the runtime) exists so tests can ask one engine for
@@ -47,5 +48,4 @@ pub use mpr_ndlog as ndlog;
 pub use mpr_provenance as provenance;
 pub use mpr_runtime as runtime;
 pub use mpr_sdn as sdn;
-pub use mpr_solver as solver;
 pub use mpr_trace as trace;

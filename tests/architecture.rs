@@ -209,6 +209,13 @@ fn deleted_names_stay_deleted() {
         "AggInBody",
         "is_aggregate",
         "has_agg",
+        // The solver's second expression language: a constraint pool is a
+        // search of the domain under the rule's own evaluator.
+        "STerm",
+        "selection_constraint",
+        "rename_var",
+        "Pool::solve",
+        "mpr_solver::",
     ];
     // The root-level markdown files that describe the tree as it is; every
     // other one (CHANGES.md, ROADMAP.md, ...) is a log that may record a
